@@ -10,9 +10,7 @@ from .narx import (
     NarxDims,
     NarxDynamics,
     build_regressor,
-    lift_step,
     output_projection,
-    rollout,
     shift_state,
 )
 from .kernels import (
@@ -25,7 +23,6 @@ from .kernels import (
     estimate_lipschitz,
     fill_distance,
     fit_interpolant,
-    kernel_eval,
     kernel_matrix,
     min_pairwise_distance,
     validate_error_constants,
@@ -39,7 +36,6 @@ from .mpc import (
     SolverConfig,
     SolverError,
     StageCostWeights,
-    cost_J,
     cost_J_batch,
     cost_gradient,
     finite_difference_gradient,

@@ -55,6 +55,10 @@ from .twotank import (
 #: Dataset sizes compared by the standard benchmark run.
 BENCHMARK_SIZES = (101, 2501)
 
+#: Growth-bound grid size and largest horizon used to certify a model.
+GROWTH_STATES = 50
+GROWTH_HORIZON = 10
+
 
 def make_mpc_config(cfg: BenchmarkConfig, multistart: int = 1) -> MpcConfig:
     """Controller configuration induced by the benchmark settings."""
@@ -128,8 +132,8 @@ class BenchmarkResult:
 def run_arm(
     cfg: BenchmarkConfig,
     d: int,
-    b_states: int = 50,
-    b_horizon: int = 10,
+    b_states: int = GROWTH_STATES,
+    b_horizon: int = GROWTH_HORIZON,
     progress=None,
 ) -> BenchmarkArm:
     """Run the full pipeline for one dataset size."""
@@ -260,8 +264,8 @@ def run_benchmark(
     cfg: BenchmarkConfig,
     out_dir=None,
     sizes=BENCHMARK_SIZES,
-    b_states: int = 50,
-    b_horizon: int = 10,
+    b_states: int = GROWTH_STATES,
+    b_horizon: int = GROWTH_HORIZON,
     progress=None,
 ) -> BenchmarkResult:
     """Run every benchmark arm and optionally write the artifact bundle.

@@ -10,8 +10,8 @@ benchmark  run the full two-dataset comparison
 
 Configuration comes from an optional key=value file (see ``--config``);
 command-line flags override file values.  Exit codes: 0 on success, 1
-for configuration or I/O problems, 2 when a certification verdict
-fails.
+for configuration or I/O problems and for solver failures (including a
+closed loop that stopped early), 2 when a certification verdict fails.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ import numpy as np
 from . import __version__
 from .bench import (
     BENCHMARK_SIZES,
+    GROWTH_HORIZON,
+    GROWTH_STATES,
     fit_report_entries,
     make_mpc_config,
     plant_views,
@@ -59,6 +61,15 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", type=Path, default=Path("."), help="output directory")
     sp.add_argument("--seed", type=int, help="override the configured seed")
     sp.add_argument("--verbose", action="store_true", help="print progress")
+
+
+def _add_growth_grid(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument(
+        "--b-states", type=int, default=GROWTH_STATES, help="growth-bound sample states"
+    )
+    sp.add_argument(
+        "--b-horizon", type=int, default=GROWTH_HORIZON, help="largest growth-bound horizon"
+    )
 
 
 def _say(args):
@@ -158,11 +169,14 @@ def cmd_simulate(args) -> int:
     raw_path = args.out / "trace_raw.csv"
     save_trace(trace, norm_path, raw=False)
     save_trace(trace, raw_path, raw=True)
-    say = _say(args)
-    if trace.failed_step is not None:
-        say(f"solver failed at step {trace.failed_step}: {trace.failure}")
-    say(f"ran {trace.steps} steps; final state norm {np.linalg.norm(trace.states[-1]):.3e}")
+    _say(args)(f"ran {trace.steps} steps; final state norm {np.linalg.norm(trace.states[-1]):.3e}")
     _manifest(args, "simulate", cfg, [norm_path, raw_path], started)
+    if trace.failed_step is not None:
+        print(
+            f"error: closed loop failed at step {trace.failed_step}: {trace.failure}",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 
@@ -249,8 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--model", type=Path, required=True, help="fitted model CSV")
     sp.add_argument("--trace", type=Path, required=True, help="normalized trace CSV")
-    sp.add_argument("--b-states", type=int, default=200, help="growth-bound sample states")
-    sp.add_argument("--b-horizon", type=int, default=10, help="largest growth-bound horizon")
+    _add_growth_grid(sp)
     sp.add_argument("--margin", type=float, default=0.0, help="certified-alpha safety margin")
     sp.set_defaults(fn=cmd_certify)
 
@@ -263,8 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="D",
         help="restrict to these dataset sizes",
     )
-    sp.add_argument("--b-states", type=int, default=50)
-    sp.add_argument("--b-horizon", type=int, default=10)
+    _add_growth_grid(sp)
     sp.set_defaults(fn=cmd_benchmark)
 
     return parser

@@ -206,8 +206,8 @@ def load_model(path) -> KernelInterpolant:
     header, table = read_csv(path)
     meta = read_keyvalues(_sidecar(path))
     dims = _dims_from(meta, path)
-    if meta.get("family", "wendland_deg5") != "wendland_deg5":
-        raise ConfigError(f"{path}: only wendland_deg5 models can be reloaded")
+    if meta.get("family", KernelSpec.family) != KernelSpec.family:
+        raise ConfigError(f"{path}: only {KernelSpec.family} models can be reloaded")
     q = dims.n + dims.m
     p = dims.p
     if len(header) != q + 2 * p:

@@ -17,8 +17,8 @@ itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -60,63 +60,32 @@ def _wendland_slope(r: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Radial kernel on a ``input_dim``-dimensional site space.
+    """Wendland kernel on a ``input_dim``-dimensional site space.
 
-    ``family`` is ``"wendland_deg5"`` or ``"custom"``.  A custom kernel
-    supplies ``profile`` (and optionally ``profile_slope`` returning
-    ``phi'(r)/r``) and must vanish for ``r >= 1``.
+    ``family`` names the profile in saved model files; it is the only
+    family implemented.
     """
+
+    family: ClassVar[str] = "wendland_deg5"
 
     input_dim: int
     lengthscale: float = 1.0
-    family: str = "wendland_deg5"
-    profile: Callable[[np.ndarray], np.ndarray] | None = None
-    profile_slope: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.input_dim < 1:
             raise ValueError("input_dim must be at least 1")
         if not self.lengthscale > 0:
             raise ValueError("lengthscale must be strictly positive")
-        if self.family == "wendland_deg5":
-            if self.input_dim > 5:
-                raise ValueError(
-                    "the Wendland profile used here is positive definite only "
-                    f"up to dimension 5, got input_dim={self.input_dim}"
-                )
-        elif self.family == "custom":
-            if self.profile is None:
-                raise ValueError("custom kernels must supply a profile callable")
-            tail = np.asarray(self.profile(np.array([1.0, 1.5])), dtype=float)
-            if np.any(np.abs(tail) > 1e-12):
-                raise ValueError("custom profiles must vanish for r >= 1")
-        else:
-            raise ValueError(f"unknown kernel family {self.family!r}")
-
-    def phi(self, r: np.ndarray) -> np.ndarray:
-        if self.family == "wendland_deg5":
-            return wendland_phi(r)
-        return np.asarray(self.profile(np.asarray(r, dtype=float)), dtype=float)
-
-    def phi_slope(self, r: np.ndarray) -> np.ndarray:
-        if self.family == "wendland_deg5":
-            return _wendland_slope(r)
-        if self.profile_slope is None:
-            raise NotImplementedError("custom kernel lacks a profile_slope callable")
-        return np.asarray(self.profile_slope(np.asarray(r, dtype=float)), dtype=float)
+        if self.input_dim > 5:
+            raise ValueError(
+                "the Wendland profile used here is positive definite only "
+                f"up to dimension 5, got input_dim={self.input_dim}"
+            )
 
     @property
     def diag_value(self) -> float:
         """Kernel value at zero distance, ``phi(0)``."""
-        return float(self.phi(np.array(0.0)))
-
-
-def kernel_eval(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> float:
-    """Kernel value between two single sites."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    r = np.linalg.norm(a - b) / spec.lengthscale
-    return float(spec.phi(np.array(r)))
+        return float(wendland_phi(np.array(0.0)))
 
 
 def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
@@ -127,7 +96,7 @@ def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None) 
     else:
         B = np.atleast_2d(np.asarray(B, dtype=float))
     R = cdist(A, B) / spec.lengthscale
-    return spec.phi(R)
+    return wendland_phi(R)
 
 
 @dataclass(frozen=True)
@@ -216,7 +185,7 @@ def fill_distance(sites: np.ndarray, probes: np.ndarray) -> float:
 class KernelInterpolant:
     """Interpolant ``F(xi) = sum_i alpha_i phi(||xi - xi_i|| / sigma)``.
 
-    Fitted by :func:`fit_interpolant`.  Prediction, Jacobians, the power
+    Fitted by :func:`fit_interpolant`.  Values, Jacobians, the power
     function and the native-space norm are all evaluated against the
     stored Cholesky factorization.  A strictly positive ``jitter`` makes
     the factorization more robust but turns the error certificates into
@@ -261,29 +230,26 @@ class KernelInterpolant:
             x = x + cho_solve(self._cho, resid)
         return x
 
-    def predict(self, xi: np.ndarray) -> np.ndarray:
-        """Interpolant value at a single site ``xi`` (n + m,)."""
-        xi = np.asarray(xi, dtype=float).ravel()
-        diffs = self.data.sites - xi
-        r = np.sqrt(np.einsum("ij,ij->i", diffs, diffs)) / self.spec.lengthscale
-        return self.spec.phi(r) @ self.coefficients
-
     def predict_batch(self, Xi: np.ndarray) -> np.ndarray:
         """Interpolant values at rows of ``Xi`` (M, n + m)."""
         Kx = kernel_matrix(self.spec, np.atleast_2d(np.asarray(Xi, dtype=float)), self.data.sites)
         return Kx @ self.coefficients
 
-    def jacobian(self, xi: np.ndarray) -> np.ndarray:
-        """Jacobian (p, n + m) of the interpolant at ``xi``.
+    def linearize(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Value (p,) and Jacobian (p, n + m) at a single site ``xi``.
 
-        Uses ``phi'(r)/r`` directly, so the value is exact (zero radial
-        contribution) when ``xi`` coincides with a site.
+        Both come from one pass over the site distances.  The Jacobian
+        uses ``phi'(r)/r`` directly, so it is exact (zero radial
+        contribution) when ``xi`` coincides with a site.  The distances
+        come from ``einsum`` rather than ``cdist``, so the value may
+        differ from :meth:`predict_batch` in the last bits.
         """
         xi = np.asarray(xi, dtype=float).ravel()
-        diffs = xi - self.data.sites
+        diffs = self.data.sites - xi
         r = np.sqrt(np.einsum("ij,ij->i", diffs, diffs)) / self.spec.lengthscale
-        w = self.spec.phi_slope(r) / self.spec.lengthscale**2
-        return (self.coefficients * w[:, None]).T @ diffs
+        value = wendland_phi(r) @ self.coefficients
+        w = _wendland_slope(r) / self.spec.lengthscale**2
+        return value, -((self.coefficients * w[:, None]).T @ diffs)
 
     def power_function(self, Xi: np.ndarray) -> np.ndarray:
         """Pointwise error certificate ``P(xi)`` at rows of ``Xi``.
@@ -328,10 +294,6 @@ class KernelSurrogateDynamics(NarxDynamics):
         self.model = model
         self.dims = model.dims
 
-    def output(self, x, u):
-        xi = np.concatenate([np.asarray(x, dtype=float).ravel(), np.asarray(u, dtype=float).ravel()])
-        return self.model.predict(xi)
-
     def output_batch(self, X, U):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         U = np.atleast_2d(np.asarray(U, dtype=float))
@@ -341,10 +303,10 @@ class KernelSurrogateDynamics(NarxDynamics):
     def differentiable(self) -> bool:
         return True
 
-    def jacobians(self, x, u):
+    def linearize(self, x, u):
         xi = np.concatenate([np.asarray(x, dtype=float).ravel(), np.asarray(u, dtype=float).ravel()])
-        J = self.model.jacobian(xi)
-        return J[:, : self.dims.n], J[:, self.dims.n :]
+        y, J = self.model.linearize(xi)
+        return y, J[:, : self.dims.n], J[:, self.dims.n :]
 
 
 def fit_interpolant(spec: KernelSpec, data: Dataset, jitter: float = 0.0) -> KernelInterpolant:

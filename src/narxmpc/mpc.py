@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .narx import Box, NarxDims, NarxDynamics, rollout, shift_state
+from .narx import Box, NarxDims, NarxDynamics, shift_state
 
 
 class SolverError(RuntimeError):
@@ -105,8 +105,7 @@ class MpcConfig:
     """Horizon, stage-cost weights, input box and solver settings.
 
     The input box must contain the origin so that the zero sequence is
-    always feasible; ``warm_start`` is ``"shift"`` (shift the previous
-    solution, pad with zero) or ``"cold"`` (zeros every step).
+    always feasible.
     """
 
     horizon: int
@@ -114,7 +113,6 @@ class MpcConfig:
     input_box: Box
     dims: NarxDims
     solver: SolverConfig = field(default_factory=SolverConfig)
-    warm_start: str = "shift"
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
@@ -127,15 +125,6 @@ class MpcConfig:
             raise ValueError("stage-cost weights do not match the NARX dimensions")
         if np.any(self.input_box.lo > 0) or np.any(self.input_box.hi < 0):
             raise ValueError("the input box must contain the origin")
-        if self.warm_start not in ("shift", "cold"):
-            raise ValueError("warm_start must be 'shift' or 'cold'")
-
-
-def cost_J(f: NarxDynamics, x0: np.ndarray, u_seq: np.ndarray, weights: StageCostWeights) -> float:
-    """Open-loop cost of an input sequence from ``x0``."""
-    _, outputs = rollout(f, x0, u_seq)
-    u_seq = np.atleast_2d(np.asarray(u_seq, dtype=float))
-    return float(np.sum(stage_cost(outputs, u_seq, weights)))
 
 
 def cost_J_batch(
@@ -153,10 +142,12 @@ def cost_gradient(
 ) -> np.ndarray:
     """Exact cost gradient w.r.t. the input sequence via an adjoint sweep.
 
-    Walks the rollout backwards, accumulating the adjoint of the lifted
-    step map: the output Jacobian enters through the first block row and
-    the history shifts enter as index moves, so each step costs one
-    Jacobian evaluation plus O(n) bookkeeping.
+    The forward sweep rolls the lifted system out with one
+    :meth:`~narxmpc.narx.NarxDynamics.linearize` call per step, which
+    gives the output and its Jacobians together.  The backward sweep
+    accumulates the adjoint of the lifted step map: the output Jacobian
+    enters through the first block row and the history shifts enter as
+    index moves, so each step costs O(n) bookkeeping on top.
 
     Raises :class:`SolverError` for dynamics without Jacobians.
     """
@@ -166,20 +157,25 @@ def cost_gradient(
         )
     dims = f.dims
     u_seq = np.atleast_2d(np.asarray(u_seq, dtype=float))
-    states, outputs = rollout(f, x0, u_seq)
     horizon = u_seq.shape[0]
+    x = np.asarray(x0, dtype=float)
+    steps = []
+    for k in range(horizon):
+        y, Jx, Ju = f.linearize(x, u_seq[k])
+        steps.append((y, Jx, Ju))
+        x = shift_state(x, y, u_seq[k], dims)
     p, m, nb, n = dims.p, dims.m, dims.n_outputs_block, dims.n
     grad = np.empty((horizon, m))
     lam = np.zeros(n)
     for k in reversed(range(horizon)):
-        Jx, Ju = f.jacobians(states[k], u_seq[k])
+        y, Jx, Ju = steps[k]
         lam_full = lam.copy()
-        lam_full[:p] += 2.0 * (weights.Q @ outputs[k])
-        g = 2.0 * (weights.R @ u_seq[k]) + np.asarray(Ju, dtype=float).T @ lam_full[:p]
+        lam_full[:p] += 2.0 * (weights.Q @ y)
+        g = 2.0 * (weights.R @ u_seq[k]) + Ju.T @ lam_full[:p]
         if dims.nu > 1:
             g = g + lam_full[nb : nb + m]
         grad[k] = g
-        new_lam = np.asarray(Jx, dtype=float).T @ lam_full[:p]
+        new_lam = Jx.T @ lam_full[:p]
         if dims.nu > 1:
             new_lam[: nb - p] += lam_full[p:nb]
             if dims.nu > 2:
@@ -215,7 +211,7 @@ def finite_difference_gradient(
     grad = (plus - minus) / (2.0 * step)
     bad = ~np.isfinite(grad)
     if np.any(bad):
-        base = cost_J(f, x0, u_seq, weights)
+        base = cost_J_batch(f, x0, u_seq[None], weights)[0]
         one_sided = np.where(np.isfinite(plus), (plus - base) / step, (base - minus) / step)
         grad = np.where(bad, np.where(np.isfinite(one_sided), one_sided, 0.0), grad)
     return grad.reshape(horizon, m)
@@ -288,10 +284,10 @@ def solve_ocp(
 
     The first start is the warm sequence (projected onto the box) or
     zeros; additional seeded random feasible starts are used when
-    ``cfg.solver.multistart > 1``.  Costs are evaluated through the
-    batched rollout path, which lets dynamics with a fast
-    ``rollout_batch`` (the plant wrapper, kernel surrogates) keep line
-    searches cheap.
+    ``cfg.solver.multistart > 1``.  Line-search costs go through
+    :func:`cost_J_batch` at batch size one, so dynamics with a dedicated
+    ``rollout_batch`` (the exact plant view) use it; gradients come from
+    :func:`cost_gradient` when the dynamics are differentiable.
     """
     solver = cfg.solver
     box = cfg.input_box
@@ -427,10 +423,7 @@ def run_closed_loop(
         grad_norms.append(sol.grad_norm)
         iter_counts.append(sol.iterations)
         conv_flags.append(sol.converged)
-        if cfg.warm_start == "shift":
-            warm = np.vstack([sol.u_star[1:], np.zeros((1, dims.m))])
-        else:
-            warm = None
+        warm = np.vstack([sol.u_star[1:], np.zeros((1, dims.m))])
     terminal = (np.nan, np.nan, 0, False)
     if failed_step is None and steps > 0:
         try:

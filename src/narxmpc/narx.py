@@ -129,30 +129,32 @@ def shift_state(x: np.ndarray, y_next: np.ndarray, u: np.ndarray, dims: NarxDims
 class NarxDynamics(ABC):
     """A deterministic map from (regressor, input) to the next output.
 
-    Subclasses must set ``dims`` and implement :meth:`output`.  Batched
-    evaluation and rollouts have generic fallbacks; performance-critical
-    implementations override them.
+    Subclasses must set ``dims`` and implement :meth:`output_batch`; a
+    single evaluation is a batch of one.  Rollouts have a generic
+    per-step implementation; performance-critical subclasses override it.
     """
 
     dims: NarxDims
 
     @abstractmethod
-    def output(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Next output for a single regressor ``x`` and input ``u``."""
-
     def output_batch(self, X: np.ndarray, U: np.ndarray) -> np.ndarray:
         """Next outputs for rows of ``X`` (B, n) and ``U`` (B, m)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        return np.stack([self.output(x, u) for x, u in zip(X, U)])
+
+    def output(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Next output for a single regressor ``x`` and input ``u``."""
+        X = np.asarray(x, dtype=float).reshape(1, -1)
+        U = np.asarray(u, dtype=float).reshape(1, -1)
+        return self.output_batch(X, U)[0]
 
     @property
     def differentiable(self) -> bool:
-        """Whether :meth:`jacobians` is available."""
+        """Whether :meth:`linearize` is available."""
         return False
 
-    def jacobians(self, x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Jacobians of the output map w.r.t. ``x`` (p, n) and ``u`` (p, m)."""
+    def linearize(
+        self, x: np.ndarray, u: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Next output (p,) and its Jacobians w.r.t. ``x`` (p, n) and ``u`` (p, m)."""
         raise NotImplementedError(f"{type(self).__name__} provides no Jacobians")
 
     def rollout_batch(
@@ -170,10 +172,11 @@ class NarxDynamics(ABC):
         Returns
         -------
         states : array, shape (B, N + 1, n)
+            ``x(0), ..., x(N)`` per sequence.
         outputs : array, shape (B, N, p)
+            ``y(1), ..., y(N)`` per sequence.
         """
-        X0 = np.atleast_2d(np.asarray(X0, dtype=float))
-        U_seq = np.asarray(U_seq, dtype=float)
+        X0, U_seq = rollout_arrays(X0, U_seq, self.dims)
         b, horizon = U_seq.shape[0], U_seq.shape[1]
         states = np.empty((b, horizon + 1, self.dims.n))
         outputs = np.empty((b, horizon, self.dims.p))
@@ -185,80 +188,56 @@ class NarxDynamics(ABC):
         return states, outputs
 
 
-class FunctionDynamics(NarxDynamics):
-    """Wrap a plain callable ``f(x, u) -> y_next`` as :class:`NarxDynamics`."""
+def rollout_arrays(
+    X0: np.ndarray, U_seq: np.ndarray, dims: NarxDims
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate and convert the arguments of a batched rollout.
 
-    def __init__(self, dims, fn, jacobian_fn=None, batch_fn=None):
+    Raises :class:`DimensionMismatchError` unless ``X0`` is (B, n) and
+    ``U_seq`` is (B, N, m).
+    """
+    X0 = np.atleast_2d(np.asarray(X0, dtype=float))
+    U_seq = np.asarray(U_seq, dtype=float)
+    if U_seq.ndim != 3 or U_seq.shape[2] != dims.m:
+        raise DimensionMismatchError(
+            f"U_seq has shape {U_seq.shape}, expected (B, N, m={dims.m})"
+        )
+    if X0.shape != (U_seq.shape[0], dims.n):
+        raise DimensionMismatchError(
+            f"X0 has shape {X0.shape}, expected ({U_seq.shape[0]}, {dims.n})"
+        )
+    return X0, U_seq
+
+
+class FunctionDynamics(NarxDynamics):
+    """Wrap a plain callable ``f(x, u) -> y_next`` as :class:`NarxDynamics`.
+
+    ``jacobian_fn(x, u)``, when given, returns the output Jacobians
+    ``(dy/dx, dy/du)`` and makes the dynamics differentiable.
+    """
+
+    def __init__(self, dims, fn, jacobian_fn=None):
         self.dims = dims
         self._fn = fn
         self._jacobian_fn = jacobian_fn
-        self._batch_fn = batch_fn
 
-    def output(self, x, u):
+    def _call(self, x, u) -> np.ndarray:
         return np.atleast_1d(np.asarray(self._fn(x, u), dtype=float))
 
     def output_batch(self, X, U):
-        if self._batch_fn is not None:
-            return np.atleast_2d(np.asarray(self._batch_fn(X, U), dtype=float))
-        return super().output_batch(X, U)
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        U = np.atleast_2d(np.asarray(U, dtype=float))
+        return np.stack([self._call(x, u) for x, u in zip(X, U)])
 
     @property
     def differentiable(self) -> bool:
         return self._jacobian_fn is not None
 
-    def jacobians(self, x, u):
+    def linearize(self, x, u):
         if self._jacobian_fn is None:
             raise NotImplementedError("no Jacobian callable supplied")
         dy_dx, dy_du = self._jacobian_fn(x, u)
-        return np.asarray(dy_dx, dtype=float), np.asarray(dy_du, dtype=float)
-
-
-def lift_step(
-    f: NarxDynamics, x: np.ndarray, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One step of the lifted state-space system.
-
-    Returns the shifted regressor and the predicted output.
-    """
-    y_next = f.output(x, u)
-    return shift_state(x, y_next, u, f.dims), y_next
-
-
-def rollout(
-    f: NarxDynamics, x0: np.ndarray, u_seq: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Roll the lifted system forward under an input sequence.
-
-    Parameters
-    ----------
-    f : NarxDynamics
-    x0 : array, shape (n,)
-    u_seq : array, shape (N, m)
-
-    Returns
-    -------
-    states : array, shape (N + 1, n)
-        ``x(0), ..., x(N)``.
-    outputs : array, shape (N, p)
-        ``y(1), ..., y(N)``.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    u_seq = np.atleast_2d(np.asarray(u_seq, dtype=float))
-    if x0.shape != (f.dims.n,):
-        raise DimensionMismatchError(
-            f"x0 has shape {x0.shape}, expected ({f.dims.n},)"
-        )
-    if u_seq.shape[1] != f.dims.m:
-        raise DimensionMismatchError(
-            f"u_seq has {u_seq.shape[1]} input columns, expected m={f.dims.m}"
-        )
-    horizon = u_seq.shape[0]
-    states = np.empty((horizon + 1, f.dims.n))
-    outputs = np.empty((horizon, f.dims.p))
-    states[0] = x0
-    for k in range(horizon):
-        states[k + 1], outputs[k] = lift_step(f, states[k], u_seq[k])
-    return states, outputs
+        return self._call(x, u), np.asarray(dy_dx, dtype=float), np.asarray(dy_du, dtype=float)
 
 
 @dataclass(frozen=True)

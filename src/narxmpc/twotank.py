@@ -28,6 +28,7 @@ from .narx import (
     NarxDims,
     NarxDynamics,
     build_regressor,
+    rollout_arrays,
     shift_state,
 )
 from .kernels import Dataset, min_pairwise_distance
@@ -266,10 +267,12 @@ class TwoTankNarxDynamics(NarxDynamics):
     transition stored in the regressor and then advances one sampled
     step.  Needs lag depth at least two; scalar output and input.
 
-    The map is total: regressors that no plant trajectory can produce
-    are handled by clamping the reconstruction to its bracket, so the
-    map stays deterministic everywhere while agreeing exactly with the
-    plant on consistent data.
+    The map is total on nonnegative measured levels: regressors that no
+    plant trajectory can produce are handled by clamping the
+    reconstruction to its bracket, so the map stays deterministic there
+    while agreeing exactly with the plant on consistent data.  A
+    regressor that encodes a negative measured level raises
+    :class:`DomainError`.
     """
 
     def __init__(self, params: TwoTankParams, normalization: AffineNormalization, dims: NarxDims):
@@ -285,9 +288,12 @@ class TwoTankNarxDynamics(NarxDynamics):
         self._recon_cache: dict[bytes, np.ndarray] = {}
 
     def _raw_pieces(self, X: np.ndarray, U: np.ndarray):
+        """Raw newest transition and input; rejects negative measured levels."""
         raw_x = self.norm.denormalize_state(X, self.dims)
         y_cur = raw_x[..., 0]
         y_prev = raw_x[..., 1]
+        if np.any(y_prev < 0) or np.any(y_cur < 0):
+            raise DomainError("regressor encodes a negative measured level")
         u_prev = raw_x[..., self.dims.nu]
         u_now = self.norm.denormalize_input(U)[..., 0]
         return y_cur, y_prev, u_prev, u_now
@@ -305,15 +311,6 @@ class TwoTankNarxDynamics(NarxDynamics):
             self._recon_cache[key] = hit
         return hit
 
-    def output(self, x, u):
-        x = np.asarray(x, dtype=float)
-        y_cur, y_prev, u_prev, u_now = self._raw_pieces(x, np.atleast_1d(np.asarray(u, dtype=float)))
-        if y_prev < 0 or y_cur < 0:
-            raise DomainError("regressor encodes a negative measured level")
-        h2 = self._reconstruct(y_prev, y_cur, u_prev)
-        h1_next, _ = _total_step(y_cur, np.maximum(h2, y_cur), u_now, self.params)
-        return self.norm.normalize_output(np.atleast_1d(h1_next[0]))
-
     def output_batch(self, X, U):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         U = np.atleast_2d(np.asarray(U, dtype=float))
@@ -330,8 +327,7 @@ class TwoTankNarxDynamics(NarxDynamics):
         regressor the remaining steps integrate both levels directly.
         Produces the same trajectories as the generic per-step path.
         """
-        X0 = np.atleast_2d(np.asarray(X0, dtype=float))
-        U_seq = np.asarray(U_seq, dtype=float)
+        X0, U_seq = rollout_arrays(X0, U_seq, self.dims)
         b, horizon = U_seq.shape[0], U_seq.shape[1]
         y_cur, y_prev, u_prev, _ = self._raw_pieces(X0, np.zeros((b, 1)))
         h2 = self._reconstruct(y_prev, y_cur, u_prev)
@@ -353,7 +349,8 @@ class StatefulPlantDynamics(NarxDynamics):
 
     ``output`` ignores the regressor history and steps the carried plant
     with the denormalized input, exactly as a rig would respond.  Not a
-    pure function of its arguments; sequential use only.
+    pure function of its arguments; sequential use only, so a batch may
+    hold a single row.
     """
 
     def __init__(self, plant: TwoTankPlant, normalization: AffineNormalization, dims: NarxDims):
@@ -365,6 +362,12 @@ class StatefulPlantDynamics(NarxDynamics):
         u_raw = float(self.norm.denormalize_input(np.atleast_1d(np.asarray(u, dtype=float)))[0])
         y = self.plant.step(u_raw)
         return self.norm.normalize_output(np.array([y]))
+
+    def output_batch(self, X, U):
+        U = np.atleast_2d(np.asarray(U, dtype=float))
+        if U.shape[0] != 1:
+            raise ValueError("the stateful plant advances one input at a time")
+        return self.output(None, U[0])[None]
 
 
 @dataclass(frozen=True)

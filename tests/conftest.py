@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from narxmpc import (
     BenchmarkConfig,
@@ -26,6 +27,13 @@ from narxmpc import (
     sample_state_grid,
     storage_matrix,
 )
+
+# Property tests draw the same examples on every run, so the suite stays
+# deterministic and its running time bounded.
+settings.register_profile(
+    "narxmpc", derandomize=True, max_examples=30, deadline=None, database=None
+)
+settings.load_profile("narxmpc")
 
 
 @pytest.fixture(scope="session")

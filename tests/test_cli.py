@@ -10,8 +10,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from narxmpc import Dataset, run_benchmark, wendland_phi
-from narxmpc.bench import bundle_digests
-from narxmpc.cli import main
+import narxmpc.mpc
+from narxmpc.bench import GROWTH_HORIZON, GROWTH_STATES, bundle_digests
+from narxmpc.cli import build_parser, main
 from narxmpc.fileio import load_model, read_csv, sha256_file, save_dataset
 
 H1_EQ = 0.04377874810998076
@@ -63,6 +64,14 @@ class TestParsing:
         assert "error:" in capsys.readouterr().err
 
 
+    def test_growth_grid_defaults_agree(self):
+        parser = build_parser()
+        certify = parser.parse_args(["certify", "--model", "m.csv", "--trace", "t.csv"])
+        benchmark = parser.parse_args(["benchmark"])
+        for args in (certify, benchmark):
+            assert (args.b_states, args.b_horizon) == (GROWTH_STATES, GROWTH_HORIZON)
+
+
 class TestGenerate:
     def test_artifacts_and_manifest(self, workspace):
         assert (workspace / "dataset_D21.csv").exists()
@@ -104,7 +113,7 @@ class TestFit:
         assert_allclose(model.coefficients, [[30.0 * 0.7]], rtol=1e-10)
         probe = site[0] + np.array([0.5, 0.0, 0.0, 0.0])
         expected = 0.7 * float(wendland_phi(np.array(0.5))) * 30.0
-        assert model.predict(probe)[0] == pytest.approx(expected, rel=1e-10)
+        assert model.predict_batch(probe)[0, 0] == pytest.approx(expected, rel=1e-10)
         report = (tmp_path / "fit_report.txt").read_text()
         assert "site_residual" in report
 
@@ -159,6 +168,37 @@ class TestSimulate:
         _, raw = read_csv(tmp_path / "trace_raw.csv")
         # the raw trace reports physical levels near the starting record
         assert 0.1 < raw[0, 1] < 0.3
+
+
+    def test_failed_step_exits_1(self, workspace, tmp_path, capsys, monkeypatch):
+        real_solve = narxmpc.mpc.solve_ocp
+        calls = []
+
+        def solve_failing_at_step_1(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise narxmpc.mpc.SolverError("injected failure")
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(narxmpc.mpc, "solve_ocp", solve_failing_at_step_1)
+        code = main(
+            [
+                "simulate",
+                "--model", str(workspace / "model.csv"),
+                "--steps", "4",
+                "--horizon", "5",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "failed at step 1" in err
+        assert "injected failure" in err
+        _, table = read_csv(tmp_path / "trace_norm.csv")
+        assert table.shape[0] == 2
+        assert (tmp_path / "trace_raw.csv").exists()
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert set(manifest["outputs"]) == {"trace_norm.csv", "trace_raw.csv"}
 
 
 class TestCertify:

@@ -16,7 +16,6 @@ from narxmpc import (
     estimate_lipschitz,
     fill_distance,
     fit_interpolant,
-    kernel_eval,
     kernel_matrix,
     min_pairwise_distance,
     validate_error_constants,
@@ -37,6 +36,11 @@ def _identity_norm() -> AffineNormalization:
         u_ref=np.array([0.0]),
         u_scale=np.array([1.0]),
     )
+
+
+def _k(spec: KernelSpec, a, b) -> float:
+    """Kernel value between two single sites."""
+    return float(kernel_matrix(spec, np.atleast_2d(a), np.atleast_2d(b))[0, 0])
 
 
 def _dataset(sites, targets) -> Dataset:
@@ -82,16 +86,16 @@ class TestKernelEval:
     def test_coincident_points(self):
         spec = KernelSpec(input_dim=2)
         xi = np.array([0.3, -0.2])
-        assert kernel_eval(spec, xi, xi) == pytest.approx(PHI_AT_ZERO, rel=1e-15)
+        assert _k(spec, xi, xi) == pytest.approx(PHI_AT_ZERO, rel=1e-15)
 
     def test_compact_support(self):
         spec = KernelSpec(input_dim=2, lengthscale=1.0)
-        assert kernel_eval(spec, np.zeros(2), np.array([1.0, 0.0])) == 0.0
-        assert kernel_eval(spec, np.zeros(2), np.array([3.0, 4.0])) == 0.0
+        assert _k(spec, np.zeros(2), np.array([1.0, 0.0])) == 0.0
+        assert _k(spec, np.zeros(2), np.array([3.0, 4.0])) == 0.0
 
     def test_lengthscale_rescales_radius(self):
         spec = KernelSpec(input_dim=2, lengthscale=2.0)
-        got = kernel_eval(spec, np.zeros(2), np.array([1.0, 0.0]))
+        got = _k(spec, np.zeros(2), np.array([1.0, 0.0]))
         assert got == pytest.approx(PHI_AT_HALF, rel=1e-15)
 
     def test_symmetry(self):
@@ -99,14 +103,14 @@ class TestKernelEval:
         rng = np.random.default_rng(5)
         for _ in range(20):
             a, b = rng.standard_normal(3), rng.standard_normal(3)
-            assert kernel_eval(spec, a, b) == kernel_eval(spec, b, a)
+            assert _k(spec, a, b) == _k(spec, b, a)
 
     def test_matrix_matches_pointwise(self):
         spec = KernelSpec(input_dim=2, lengthscale=1.5)
         rng = np.random.default_rng(6)
         A = rng.uniform(0.0, 1.0, size=(7, 2))
         K = kernel_matrix(spec, A)
-        manual = np.array([[kernel_eval(spec, a, b) for b in A] for a in A])
+        manual = np.array([[_k(spec, a, b) for b in A] for a in A])
         assert_allclose(K, manual, rtol=0.0, atol=1e-16)
         assert_allclose(K, K.T, rtol=0.0, atol=0.0)
         assert_allclose(np.diag(K), np.full(7, PHI_AT_ZERO), rtol=1e-15)
@@ -124,7 +128,7 @@ class TestInterpolant:
         data = _dataset([[0.3, 0.4]], [0.7])
         model = fit_interpolant(KernelSpec(input_dim=2), data)
         assert_allclose(model.coefficients, [[30.0 * 0.7]], rtol=1e-12)
-        assert_allclose(model.predict(np.array([0.3, 0.4])), [0.7], rtol=1e-12)
+        assert_allclose(model.predict_batch(np.array([0.3, 0.4]))[0], [0.7], rtol=1e-12)
         assert model.site_residual <= 1e-12
         assert not model.certificate_degraded
 
@@ -136,7 +140,7 @@ class TestInterpolant:
     def test_prediction_vanishes_off_support(self):
         data = _dataset([[0.0, 0.0]], [0.9])
         model = fit_interpolant(KernelSpec(input_dim=2), data)
-        assert model.predict(np.array([2.0, 2.0]))[0] == 0.0
+        assert model.predict_batch(np.array([2.0, 2.0]))[0, 0] == 0.0
 
     def test_predict_batch_matches_scalar(self):
         rng = np.random.default_rng(8)
@@ -144,7 +148,7 @@ class TestInterpolant:
         model = fit_interpolant(KernelSpec(input_dim=2), data)
         Xi = rng.uniform(0.0, 1.0, size=(25, 2))
         batch = model.predict_batch(Xi)
-        single = np.stack([model.predict(xi) for xi in Xi])
+        single = np.stack([model.linearize(xi)[0] for xi in Xi])
         assert_allclose(batch, single, rtol=0.0, atol=1e-14)
 
     def test_benchmark_fit_interpolates(self, fit_101):
@@ -153,19 +157,19 @@ class TestInterpolant:
         pred = model.predict_batch(data.sites)
         assert np.max(np.abs(pred - data.targets)) <= 1e-8
         # the equilibrium site is the first row and maps to target zero
-        assert abs(model.predict(data.sites[0])[0]) <= 1e-8
+        assert abs(model.linearize(data.sites[0])[0][0]) <= 1e-8
 
     def test_jacobian_matches_finite_difference(self, fit_101):
         _, model = fit_101
         rng = np.random.default_rng(9)
         xi = rng.uniform(-0.05, 0.3, size=4)
-        jac = model.jacobian(xi)
+        _, jac = model.linearize(xi)
         h = 1e-6
         fd = np.zeros_like(jac)
         for j in range(xi.size):
             e = np.zeros(xi.size)
             e[j] = h
-            fd[:, j] = (model.predict(xi + e) - model.predict(xi - e)) / (2.0 * h)
+            fd[:, j] = (model.predict_batch(xi + e)[0] - model.predict_batch(xi - e)[0]) / (2.0 * h)
         assert_allclose(jac, fd, rtol=0.0, atol=1e-7)
 
     def test_jitter_flags_certificates(self):

@@ -13,12 +13,12 @@ from narxmpc import (
     NarxDims,
     SolverConfig,
     StageCostWeights,
-    cost_J,
     cost_J_batch,
     cost_gradient,
     finite_difference_gradient,
     run_closed_loop,
     solve_ocp,
+    shift_state,
     stage_cost,
     storage_matrix,
 )
@@ -42,6 +42,21 @@ def _zero_dynamics() -> FunctionDynamics:
         lambda x, u: np.zeros(1),
         jacobian_fn=lambda x, u: (np.zeros((1, 3)), np.zeros((1, 1))),
     )
+
+
+def _cost(f, x0, u_seq, weights) -> float:
+    """Open-loop cost of one sequence, as a batch of one."""
+    return float(cost_J_batch(f, x0, np.asarray(u_seq, dtype=float)[None], weights)[0])
+
+
+def _stepwise_cost(f, x0, u_seq, weights) -> float:
+    """Reference cost from single evaluations and explicit shifts."""
+    x, total = np.asarray(x0, dtype=float), 0.0
+    for u in u_seq:
+        y = f.output(x, u)
+        total += float(stage_cost(y, u, weights))
+        x = shift_state(x, y, u, f.dims)
+    return total
 
 
 def _config(horizon: int, lo: float = -10.0, hi: float = 10.0, **solver_kw) -> MpcConfig:
@@ -92,7 +107,7 @@ class TestStageCost:
 class TestCostJ:
     def test_origin_rest_costs_nothing(self):
         f = _zero_dynamics()
-        assert cost_J(f, np.zeros(3), np.zeros((4, 1)), WEIGHTS) == 0.0
+        assert _cost(f, np.zeros(3), np.zeros((4, 1)), WEIGHTS) == 0.0
 
     def test_single_stage(self):
         f = _linear_dynamics(0.8, 0.5)
@@ -100,7 +115,7 @@ class TestCostJ:
         u0 = np.array([[0.4]])
         y1 = 0.8 * 0.3 + 0.5 * 0.4
         expected = y1**2 + 0.1 * 0.4**2
-        assert cost_J(f, x0, u0, WEIGHTS) == pytest.approx(expected, rel=1e-14)
+        assert _cost(f, x0, u0, WEIGHTS) == pytest.approx(expected, rel=1e-14)
 
     def test_two_stage_hand_expansion(self):
         a, b = 0.8, 0.5
@@ -110,7 +125,7 @@ class TestCostJ:
         y1 = a * x1 + b * u0
         y2 = a * y1 + b * u1
         expected = y1**2 + y2**2 + 0.1 * (u0**2 + u1**2)
-        got = cost_J(f, np.array([x1, 0.0, 0.0]), np.array([[u0], [u1]]), WEIGHTS)
+        got = _cost(f, np.array([x1, 0.0, 0.0]), np.array([[u0], [u1]]), WEIGHTS)
         assert got == pytest.approx(expected, rel=1e-14)
 
     def test_batch_matches_loop(self):
@@ -119,7 +134,7 @@ class TestCostJ:
         x0 = rng.standard_normal(3)
         U = rng.standard_normal((8, 5, 1))
         batched = cost_J_batch(f, x0, U, WEIGHTS)
-        singles = [cost_J(f, x0, U[i], WEIGHTS) for i in range(8)]
+        singles = [_stepwise_cost(f, x0, U[i], WEIGHTS) for i in range(8)]
         assert_allclose(batched, singles, rtol=1e-12)
 
     def test_appending_zero_input_never_decreases_cost(self):
@@ -129,7 +144,7 @@ class TestCostJ:
             x0 = rng.standard_normal(3)
             u = rng.uniform(-1.0, 1.0, size=(6, 1))
             longer = np.vstack([u, np.zeros((1, 1))])
-            assert cost_J(f, x0, longer, WEIGHTS) >= cost_J(f, x0, u, WEIGHTS) - 1e-12
+            assert _cost(f, x0, longer, WEIGHTS) >= _cost(f, x0, u, WEIGHTS) - 1e-12
 
 
 class TestGradient:
@@ -326,12 +341,3 @@ class TestConfigValidation:
                 dims=DIMS,
             )
 
-    def test_warm_start_mode_checked(self):
-        with pytest.raises(ValueError):
-            MpcConfig(
-                horizon=3,
-                weights=WEIGHTS,
-                input_box=Box(lo=np.array([-1.0]), hi=np.array([1.0])),
-                dims=DIMS,
-                warm_start="sideways",
-            )

@@ -12,16 +12,33 @@ from narxmpc import (
     DimensionMismatchError,
     FunctionDynamics,
     NarxDims,
+    NarxDynamics,
     TwoTankNarxDynamics,
     TwoTankParams,
     TwoTankPlant,
     build_regressor,
-    lift_step,
     output_projection,
-    rollout,
     shift_state,
     two_tank_step,
 )
+
+
+def _lift(f, x, u):
+    """One lifted step through the single-evaluation path."""
+    y = f.output(x, u)
+    return shift_state(x, y, u, f.dims), y
+
+
+def _rollout(f, x0, u_seq):
+    """Roll one sequence out through the batched path as a batch of one."""
+    states, outputs = f.rollout_batch(np.asarray(x0)[None], np.asarray(u_seq)[None])
+    return states[0], outputs[0]
+
+
+def _stepwise_rollout(f, x0, u_seq):
+    """The generic per-step rollout, bypassing any specialised override."""
+    states, outputs = NarxDynamics.rollout_batch(f, np.asarray(x0)[None], np.asarray(u_seq)[None])
+    return states[0], outputs[0]
 
 
 class TestDims:
@@ -71,14 +88,14 @@ class TestLiftStep:
     def test_shift_structure(self):
         dims = NarxDims(p=1, m=1, nu=2)
         f = FunctionDynamics(dims, lambda x, u: np.array([7.5]))
-        x_next, y = lift_step(f, np.array([1.0, 2.0, 3.0]), np.array([4.0]))
+        x_next, y = _lift(f, np.array([1.0, 2.0, 3.0]), np.array([4.0]))
         assert_array_equal(x_next, [7.5, 1.0, 4.0])
         assert_array_equal(y, [7.5])
 
     def test_equilibrium_is_preserved(self):
         dims = NarxDims(p=1, m=1, nu=2)
         f = FunctionDynamics(dims, lambda x, u: np.zeros(1))
-        x_next, y = lift_step(f, np.zeros(3), np.zeros(1))
+        x_next, y = _lift(f, np.zeros(3), np.zeros(1))
         assert_array_equal(x_next, np.zeros(3))
         assert_array_equal(y, np.zeros(1))
 
@@ -86,7 +103,7 @@ class TestLiftStep:
         dims = NarxDims(p=1, m=1, nu=3)
         f = FunctionDynamics(dims, lambda x, u: np.array([9.0]))
         x = np.array([10.0, 11.0, 12.0, 21.0, 22.0])
-        x_next, _ = lift_step(f, x, np.array([20.0]))
+        x_next, _ = _lift(f, x, np.array([20.0]))
         assert_array_equal(x_next, [9.0, 10.0, 11.0, 20.0, 21.0])
 
     def test_history_blocks_copied_bitwise(self):
@@ -123,7 +140,7 @@ class TestRollout:
     def test_zero_dynamics_flushes_history(self):
         dims = NarxDims(p=1, m=1, nu=2)
         f = FunctionDynamics(dims, lambda x, u: np.zeros(1))
-        states, outputs = rollout(f, np.array([0.4, -0.2, 0.7]), np.zeros((3, 1)))
+        states, outputs = _rollout(f, np.array([0.4, -0.2, 0.7]), np.zeros((3, 1)))
         assert_array_equal(outputs, np.zeros((3, 1)))
         # after nu steps every stale history entry has shifted out
         assert_array_equal(states[dims.nu :], np.zeros((2, 3)))
@@ -133,15 +150,15 @@ class TestRollout:
         f = FunctionDynamics(dims, lambda x, u: np.array([x[0] + u[0]]))
         x0 = np.array([1.0, 2.0, 3.0])
         u = np.array([[0.5]])
-        states, outputs = rollout(f, x0, u)
-        x1, y1 = lift_step(f, x0, u[0])
+        states, outputs = _rollout(f, x0, u)
+        x1, y1 = _lift(f, x0, u[0])
         assert_array_equal(states[1], x1)
         assert_array_equal(outputs[0], y1)
 
     def test_plant_view_fixed_point(self, cfg, plant_view):
         """Constant equilibrium input holds the equilibrium output."""
         x0 = cfg.equilibrium_regressor()
-        _, outputs = rollout(plant_view, x0, np.zeros((10, 1)))
+        _, outputs = _stepwise_rollout(plant_view, x0, np.zeros((10, 1)))
         raw = cfg.normalization().denormalize_output(outputs)
         h1_eq, _ = cfg.equilibrium
         assert np.max(np.abs(raw - h1_eq)) < 1e-6
@@ -156,7 +173,7 @@ class TestRollout:
         x0 = norm.normalize_state(np.array([float(y_cur), h1_prev, u_prev]), cfg.dims)
         u_raw = rng.uniform(cfg.u_lo, cfg.u_hi, size=(6, 1))
         u_seq = norm.normalize_input(u_raw)
-        _, outputs = rollout(plant_view, x0, u_seq)
+        _, outputs = _stepwise_rollout(plant_view, x0, u_seq)
         plant = TwoTankPlant(params, float(y_cur), float(h2_cur))
         direct = plant.simulate(u_raw.ravel())
         assert_allclose(
@@ -167,9 +184,11 @@ class TestRollout:
         dims = NarxDims(p=1, m=1, nu=2)
         f = FunctionDynamics(dims, lambda x, u: np.zeros(1))
         with pytest.raises(DimensionMismatchError):
-            rollout(f, np.zeros(4), np.zeros((2, 1)))
+            f.rollout_batch(np.zeros((1, 4)), np.zeros((1, 2, 1)))
         with pytest.raises(DimensionMismatchError):
-            rollout(f, np.zeros(3), np.zeros((2, 2)))
+            f.rollout_batch(np.zeros((1, 3)), np.zeros((1, 2, 2)))
+        with pytest.raises(DimensionMismatchError):
+            f.rollout_batch(np.zeros((2, 3)), np.zeros((1, 2, 1)))
 
 
 class TestNormalization:

@@ -324,7 +324,7 @@ class TestVerifyDecrease:
         bad = FunctionDynamics(
             small.dims,
             lambda x, u: 10.0 * surr.output(x, u),
-            jacobian_fn=lambda x, u: tuple(10.0 * J for J in surr.jacobians(x, u)),
+            jacobian_fn=lambda x, u: tuple(10.0 * J for J in surr.linearize(x, u)[1:]),
         )
         _, stateful = plant_views(small)
         mpc_cfg = make_mpc_config(small)

@@ -12,6 +12,7 @@ from narxmpc import (
     BenchmarkConfig,
     DomainError,
     NarxDims,
+    NarxDynamics,
     TwoTankNarxDynamics,
     TwoTankParams,
     TwoTankPlant,
@@ -20,7 +21,6 @@ from narxmpc import (
     min_pairwise_distance,
     reconstruct_hidden_level,
     rk4_step,
-    rollout,
     sample_consistent_states,
     sample_domain,
     sample_state_grid,
@@ -225,6 +225,19 @@ class TestNarxView:
         singles = np.stack([plant_view.output(x, u) for x, u in zip(X, U)])
         assert_allclose(batch, singles, rtol=0.0, atol=1e-12)
 
+    def test_negative_level_row_raises_in_every_path(self, cfg, plant_view):
+        """One row encoding a negative measured level fails the whole batch."""
+        norm = cfg.normalization()
+        X = sample_consistent_states(cfg, 4, seed=35)
+        X[2] = norm.normalize_state(np.array([-0.01, 0.2, 2e-5]), cfg.dims)
+        U = np.zeros((4, 1))
+        with pytest.raises(DomainError, match="negative measured level"):
+            plant_view.output_batch(X, U)
+        with pytest.raises(DomainError, match="negative measured level"):
+            plant_view.rollout_batch(X, np.zeros((4, 3, 1)))
+        with pytest.raises(DomainError, match="negative measured level"):
+            plant_view.output(X[2], U[2])
+
     def test_rollout_batch_matches_stepwise(self, cfg, plant_view):
         X0 = sample_consistent_states(cfg, 3, seed=33)
         rng = np.random.default_rng(34)
@@ -232,7 +245,8 @@ class TestNarxView:
         U = cfg.normalization().normalize_input(U_raw)
         states, outputs = plant_view.rollout_batch(X0, U)
         for i in range(3):
-            s_i, y_i = rollout(plant_view, X0[i], U[i])
+            s_i, y_i = NarxDynamics.rollout_batch(plant_view, X0[i : i + 1], U[i : i + 1])
+            s_i, y_i = s_i[0], y_i[0]
             assert_allclose(outputs[i], y_i, rtol=0.0, atol=1e-9)
             assert_allclose(states[i], s_i, rtol=0.0, atol=1e-9)
 
