@@ -10,7 +10,7 @@ then compared on the same initial condition.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +60,7 @@ GROWTH_STATES = 50
 GROWTH_HORIZON = 10
 
 
-def make_mpc_config(cfg: BenchmarkConfig, multistart: int = 1) -> MpcConfig:
+def make_mpc_config(cfg: BenchmarkConfig) -> MpcConfig:
     """Controller configuration induced by the benchmark settings."""
     weights = StageCostWeights(Q=np.array([[cfg.q_weight]]), R=np.array([[cfg.r_weight]]))
     return MpcConfig(
@@ -68,7 +68,7 @@ def make_mpc_config(cfg: BenchmarkConfig, multistart: int = 1) -> MpcConfig:
         weights=weights,
         input_box=cfg.input_box(),
         dims=cfg.dims,
-        solver=SolverConfig(multistart=multistart, seed=cfg.seed),
+        solver=SolverConfig(seed=cfg.seed),
     )
 
 
@@ -137,9 +137,7 @@ def run_arm(
     progress=None,
 ) -> BenchmarkArm:
     """Run the full pipeline for one dataset size."""
-    from dataclasses import replace as dc_replace
-
-    cfg_d = dc_replace(cfg, d=d)
+    cfg_d = replace(cfg, d=d)
     say = progress or (lambda msg: None)
     timings: dict[str, float] = {}
 
@@ -163,13 +161,8 @@ def run_arm(
     pair_rng = np.random.default_rng(cfg.seed + 17)
     pairs = probe_sites(cfg_d, 500, seed=cfg.seed + 19)
     jiggle = pair_rng.normal(scale=0.05, size=pairs.shape)
-    constants = ErrorConstants(
-        c_x=constants.c_x,
-        c_u=constants.c_u,
-        sample_count=constants.sample_count,
-        max_ratio=constants.max_ratio,
-        worst_index=constants.worst_index,
-        lipschitz=max(estimate_lipschitz(model, pairs, pairs + jiggle), 1e-12),
+    constants = replace(
+        constants, lipschitz=max(estimate_lipschitz(model, pairs, pairs + jiggle), 1e-12)
     )
     fill = fill_distance(data.sites, probe_sites(cfg_d, 2000, seed=cfg.seed + 23))
     timings["constants"] = time.perf_counter() - tic

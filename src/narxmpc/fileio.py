@@ -258,9 +258,6 @@ def _trace_rows(trace: ClosedLoopTrace, raw: bool) -> np.ndarray:
         outputs = norm.denormalize_output(outputs)
     w_vals = trace.storage_values if trace.storage_values is not None else np.full(steps + 1, np.nan)
     y_vals = trace.lyapunov if trace.lyapunov is not None else np.full(steps + 1, np.nan)
-    values = trace.values
-    if values.shape[0] < steps + 1:
-        values = np.concatenate([values, np.full(steps + 1 - values.shape[0], np.nan)])
     rows = []
     for k in range(steps):
         rows.append(
@@ -272,7 +269,7 @@ def _trace_rows(trace: ClosedLoopTrace, raw: bool) -> np.ndarray:
                     outputs[k],
                     [
                         trace.stage_costs[k],
-                        values[k],
+                        trace.values[k],
                         w_vals[k],
                         y_vals[k],
                         trace.grad_norms[k],
@@ -292,12 +289,12 @@ def _trace_rows(trace: ClosedLoopTrace, raw: bool) -> np.ndarray:
                 np.full(dims.p, np.nan),
                 [
                     np.nan,
-                    values[steps],
+                    trace.values[steps],
                     w_vals[steps],
                     y_vals[steps],
-                    trace.grad_norms[steps] if trace.grad_norms.shape[0] > steps else np.nan,
-                    trace.iterations[steps] if trace.iterations.shape[0] > steps else 0,
-                    1.0 if (trace.converged.shape[0] > steps and trace.converged[steps]) else 0.0,
+                    trace.grad_norms[steps],
+                    trace.iterations[steps],
+                    1.0 if trace.converged[steps] else 0.0,
                 ],
             ]
         )

@@ -384,7 +384,10 @@ def run_closed_loop(
     applies the first input to the plant, measures the next output and
     shifts the regressor.  One extra diagnostic solve evaluates the
     optimal value at the final state so that decrease checks can cover
-    every applied step.
+    every applied step.  Its entry ends every per-state array, so they
+    all hold ``states.shape[0]`` values; without that solve (no step
+    requested, or a failed step) the entry is a NaN value and gradient
+    norm, zero iterations and not converged.
 
     ``storage_matrix`` (n, n), when given, adds the storage values and
     the candidate Lyapunov values (optimal value plus storage) to the
@@ -435,11 +438,11 @@ def run_closed_loop(
         states=np.asarray(states),
         inputs=np.asarray(inputs).reshape(len(inputs), dims.m),
         outputs=np.asarray(outputs).reshape(len(outputs), dims.p),
-        values=np.asarray(values + [terminal[0]]) if steps > 0 else np.asarray(values),
+        values=np.asarray(values + [terminal[0]]),
         stage_costs=np.asarray(stage_costs),
-        grad_norms=np.asarray(grad_norms + [terminal[1]]) if steps > 0 else np.asarray(grad_norms),
-        iterations=np.asarray(iter_counts + [terminal[2]], dtype=int) if steps > 0 else np.asarray(iter_counts, dtype=int),
-        converged=np.asarray(conv_flags + [terminal[3]], dtype=bool) if steps > 0 else np.asarray(conv_flags, dtype=bool),
+        grad_norms=np.asarray(grad_norms + [terminal[1]]),
+        iterations=np.asarray(iter_counts + [terminal[2]], dtype=int),
+        converged=np.asarray(conv_flags + [terminal[3]], dtype=bool),
         dims=dims,
         horizon=cfg.horizon,
         normalization=normalization,
@@ -450,9 +453,5 @@ def run_closed_loop(
         P = np.asarray(getattr(storage_matrix, "P", storage_matrix), dtype=float)
         w_vals = np.einsum("ki,ij,kj->k", trace.states, P, trace.states)
         trace.storage_values = w_vals
-        if trace.values.shape[0] == trace.states.shape[0]:
-            trace.lyapunov = trace.values + w_vals
-        else:
-            pad = np.full(trace.states.shape[0] - trace.values.shape[0], np.nan)
-            trace.lyapunov = np.concatenate([trace.values, pad]) + w_vals
+        trace.lyapunov = trace.values + w_vals
     return trace

@@ -345,12 +345,8 @@ def verify_decrease(
     if not 0.0 <= margin_fraction < 1.0:
         raise ValueError("margin_fraction must lie in [0, 1)")
     states = trace.states
-    values = trace.values
-    if values.shape[0] != states.shape[0]:
-        pad = np.full(states.shape[0] - values.shape[0], np.nan)
-        values = np.concatenate([values, pad])
     w_vals = storage_value(states, storage)
-    y_vals = values + w_vals
+    y_vals = trace.values + w_vals
     norms = np.linalg.norm(states, axis=1)
     if trace.normalization is not None:
         raw = trace.normalization.denormalize_state(states, trace.dims)

@@ -8,7 +8,10 @@ level.  With levels ``h1`` (lower), ``h2`` (upper) and pump flow ``u``:
     d h2 / dt = u / A1 - c12 * sqrt(h2 - h1)
 
 Sampling uses one classical Runge-Kutta step per sampling interval with
-the input held constant.  Because only ``h1`` is measured, the sampled
+the input held constant; where a stage point leaves the domain the step
+is redone with finer substeps (:func:`_total_step`), which the plant
+simulator, the exact NARX view and the trajectory data generator all
+share.  Because only ``h1`` is measured, the sampled
 plant is second order with a hidden level; on regressors of lag depth
 two or more the hidden level is recoverable from the newest measured
 transition, which makes the plant an exact deterministic NARX map and is
@@ -60,37 +63,17 @@ class TwoTankParams:
 
 
 def two_tank_rhs(h1, h2, u, params: TwoTankParams):
-    """Continuous-time level derivatives ``(dh1, dh2)``.
+    """Continuous-time level derivatives ``(dh1, dh2)``; all arguments broadcast.
 
-    Raises :class:`DomainError` when a square-root argument is negative
-    beyond rounding noise (lower level below zero, or upper level below
-    the lower one).
+    Outside the domain (lower level below zero, or upper level below the
+    lower one, beyond rounding noise) the affected derivatives are NaN:
+    ``dh1`` for a negative lower level, both for an inverted pair.  No
+    floating-point warning is raised, so batched callers can mask rows.
     """
     h1 = np.asarray(h1, dtype=float)
-    h2 = np.asarray(h2, dtype=float)
-    u = np.asarray(u, dtype=float)
-    gap = h2 - h1
-    if np.any(h1 < _ROUNDING_GUARD):
-        raise DomainError(
-            f"tank 1 level is negative (min {float(np.min(h1)):.6e} m)"
-        )
-    if np.any(gap < _ROUNDING_GUARD):
-        raise DomainError(
-            "tank 2 level is below tank 1 "
-            f"(min difference {float(np.min(gap)):.6e} m)"
-        )
-    q12 = params.c12 * np.sqrt(np.clip(gap, 0.0, None))
-    q2 = params.c2 * np.sqrt(np.clip(h1, 0.0, None))
-    return q12 - q2, u / params.A1 - q12
-
-
-def _rhs_masked(h1, h2, u, params: TwoTankParams):
-    """Like :func:`two_tank_rhs` but propagates NaN instead of raising."""
-    gap = np.asarray(h2, dtype=float) - np.asarray(h1, dtype=float)
-    h1 = np.asarray(h1, dtype=float)
-    with np.errstate(invalid="ignore"):
-        q12 = params.c12 * np.sqrt(np.where(gap >= _ROUNDING_GUARD, np.clip(gap, 0.0, None), np.nan))
-        q2 = params.c2 * np.sqrt(np.where(h1 >= _ROUNDING_GUARD, np.clip(h1, 0.0, None), np.nan))
+    gap = np.asarray(h2, dtype=float) - h1
+    q12 = params.c12 * np.sqrt(np.where(gap >= _ROUNDING_GUARD, np.clip(gap, 0.0, None), np.nan))
+    q2 = params.c2 * np.sqrt(np.where(h1 >= _ROUNDING_GUARD, np.clip(h1, 0.0, None), np.nan))
     return q12 - q2, np.asarray(u, dtype=float) / params.A1 - q12
 
 
@@ -113,25 +96,27 @@ def rk4_step(rhs, state, u, dt: float) -> np.ndarray:
     return state + (dt / 6.0) * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3])
 
 
-def two_tank_step(h1, h2, u, params: TwoTankParams, strict: bool = True):
+def two_tank_step(h1, h2, u, params: TwoTankParams):
     """Advance the levels one sampling interval under a held input.
 
-    Returns ``(h1_next, h2_next)``; all arguments broadcast.  With
-    ``strict=False`` invalid evaluations yield NaN instead of raising,
-    which batched callers use to mask failed rows.
+    Returns ``(h1_next, h2_next)``; all arguments broadcast.  This is
+    :func:`rk4_step` on the stacked levels, written out per level: rows
+    whose stage points leave the domain come out NaN.
     """
     h1, h2, u = np.broadcast_arrays(
         np.asarray(h1, dtype=float), np.asarray(h2, dtype=float), np.asarray(u, dtype=float)
     )
-    rhs_fn = two_tank_rhs if strict else _rhs_masked
-    state = np.stack([h1, h2], axis=-1)
-
-    def rhs(s, uu):
-        d1, d2 = rhs_fn(s[..., 0], s[..., 1], uu, params)
-        return np.stack([np.broadcast_to(d1, s[..., 0].shape), np.broadcast_to(d2, s[..., 1].shape)], axis=-1)
-
-    nxt = rk4_step(rhs, state, u, params.dt)
-    return nxt[..., 0], nxt[..., 1]
+    dt = params.dt
+    half = 0.5 * dt
+    a1, a2 = two_tank_rhs(h1, h2, u, params)
+    b1, b2 = two_tank_rhs(h1 + half * a1, h2 + half * a2, u, params)
+    c1, c2 = two_tank_rhs(h1 + half * b1, h2 + half * b2, u, params)
+    e1, e2 = two_tank_rhs(h1 + dt * c1, h2 + dt * c2, u, params)
+    sixth = dt / 6.0
+    return (
+        h1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + e1),
+        h2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + e2),
+    )
 
 
 def _total_step(h1, h2, u, params: TwoTankParams, max_levels: int = 6):
@@ -148,7 +133,7 @@ def _total_step(h1, h2, u, params: TwoTankParams, max_levels: int = 6):
     h2 = np.atleast_1d(np.asarray(h2, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     h1, h2, u = np.broadcast_arrays(h1, h2, u)
-    n1, n2 = two_tank_step(h1, h2, u, params, strict=False)
+    n1, n2 = two_tank_step(h1, h2, u, params)
     n1 = np.array(n1, dtype=float, copy=True)
     n2 = np.array(n2, dtype=float, copy=True)
     splits = 1
@@ -161,7 +146,7 @@ def _total_step(h1, h2, u, params: TwoTankParams, max_levels: int = 6):
         c1, c2l, uu = h1[bad].copy(), h2[bad].copy(), u[bad]
         for _ in range(splits):
             c1 = np.maximum(c1, 0.0)
-            c1, c2l = two_tank_step(c1, np.maximum(c2l, c1), uu, sub, strict=False)
+            c1, c2l = two_tank_step(c1, np.maximum(c2l, c1), uu, sub)
         n1[bad], n2[bad] = c1, c2l
     bad = ~(np.isfinite(n1) & np.isfinite(n2))
     if np.any(bad):
@@ -214,7 +199,7 @@ def reconstruct_hidden_level(y_prev, y_cur, u_prev, params: TwoTankParams, iters
     g_hi = g_hi.reshape(hi.shape)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        g_mid, _ = two_tank_step(y_prev, mid, u_prev, params, strict=False)
+        g_mid, _ = two_tank_step(y_prev, mid, u_prev, params)
         # A failed single-step probe means near-equal levels, where the
         # step drains the lower tank; treat it as undershooting.
         go_down = g_mid > y_cur
@@ -250,9 +235,14 @@ class TwoTankPlant:
         return self.h1, self.h2
 
     def step(self, u: float) -> float:
-        """Apply one held input, advance the levels, return the new output."""
-        h1, h2 = two_tank_step(self.h1, self.h2, float(u), self.params)
-        self.h1, self.h2 = float(h1), float(h2)
+        """Apply one held input, advance the levels, return the new output.
+
+        Steps as :class:`TwoTankNarxDynamics` does, recovering a failed
+        Runge-Kutta step by substeps; raises :class:`DomainError` when
+        the levels stay invalid down to the finest substep.
+        """
+        h1, h2 = _total_step(self.h1, max(self.h2, self.h1), float(u), self.params)
+        self.h1, self.h2 = float(h1[0]), float(h2[0])
         return self.h1
 
     def simulate(self, u_seq) -> np.ndarray:
@@ -287,16 +277,14 @@ class TwoTankNarxDynamics(NarxDynamics):
         self.dims = dims
         self._recon_cache: dict[bytes, np.ndarray] = {}
 
-    def _raw_pieces(self, X: np.ndarray, U: np.ndarray):
-        """Raw newest transition and input; rejects negative measured levels."""
+    def _raw_pieces(self, X: np.ndarray):
+        """Raw newest transition; rejects negative measured levels."""
         raw_x = self.norm.denormalize_state(X, self.dims)
         y_cur = raw_x[..., 0]
         y_prev = raw_x[..., 1]
         if np.any(y_prev < 0) or np.any(y_cur < 0):
             raise DomainError("regressor encodes a negative measured level")
-        u_prev = raw_x[..., self.dims.nu]
-        u_now = self.norm.denormalize_input(U)[..., 0]
-        return y_cur, y_prev, u_prev, u_now
+        return y_cur, y_prev, raw_x[..., self.dims.nu]
 
     def _reconstruct(self, y_prev, y_cur, u_prev):
         # Solvers evaluate many input sequences from one fixed regressor;
@@ -312,12 +300,8 @@ class TwoTankNarxDynamics(NarxDynamics):
         return hit
 
     def output_batch(self, X, U):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        y_cur, y_prev, u_prev, u_now = self._raw_pieces(X, U)
-        h2 = self._reconstruct(y_prev, y_cur, u_prev)
-        h1_next, _ = _total_step(y_cur, np.maximum(h2, y_cur), u_now, self.params)
-        return self.norm.normalize_output(h1_next[:, None])
+        return self.rollout_batch(X, U[:, None])[1][:, 0]
 
     def rollout_batch(self, X0, U_seq):
         """Batched rollout that reconstructs the hidden level only once.
@@ -329,7 +313,7 @@ class TwoTankNarxDynamics(NarxDynamics):
         """
         X0, U_seq = rollout_arrays(X0, U_seq, self.dims)
         b, horizon = U_seq.shape[0], U_seq.shape[1]
-        y_cur, y_prev, u_prev, _ = self._raw_pieces(X0, np.zeros((b, 1)))
+        y_cur, y_prev, u_prev = self._raw_pieces(X0)
         h2 = self._reconstruct(y_prev, y_cur, u_prev)
         h1 = y_cur.copy()
         states = np.empty((b, horizon + 1, self.dims.n))
@@ -497,20 +481,16 @@ def _default_separation(d: int) -> float:
     return max(0.01, 0.25 / np.sqrt(d))
 
 
-def generate_dataset(
-    cfg: BenchmarkConfig,
-    mode: str | None = None,
-    seed: int | None = None,
-    min_separation: float | None = None,
-) -> tuple[Dataset, dict]:
+def generate_dataset(cfg: BenchmarkConfig) -> tuple[Dataset, dict]:
     """Generate an interpolation dataset from the two-tank plant.
 
     Modes
     -----
     ``trajectory``
-        Seeded random restarts with piecewise-constant inputs (held for
-        three samples); regressor-input-target triples are harvested
-        while the output stays inside the level domain.
+        Seeded random restarts of a :class:`TwoTankPlant` with
+        piecewise-constant inputs (held for three samples);
+        regressor-input-target triples are harvested while the output
+        stays inside the level domain.
     ``state_grid``
         Scrambled Halton points over (lower level, upper level, previous
         input, input), filtered to upper >= lower, with two one-step
@@ -520,12 +500,11 @@ def generate_dataset(
     minimum pairwise site separation and return everything in normalized
     coordinates.  Returns the dataset plus a provenance dict.
     """
-    mode = cfg.mode if mode is None else mode
-    seed = cfg.seed if seed is None else seed
-    sep = _default_separation(cfg.d) if min_separation is None else min_separation
+    sep = _default_separation(cfg.d)
+    provenance = {"mode": cfg.mode, "seed": cfg.seed, "min_separation": sep}
     dims = cfg.dims
     norm = cfg.normalization()
-    if mode == "state_grid" and cfg.nu != 2:
+    if cfg.mode == "state_grid" and cfg.nu != 2:
         raise ValueError("state_grid generation is defined for lag depth 2")
 
     origin_site = np.concatenate([cfg.equilibrium_regressor(), norm.normalize_input(np.array([cfg.u_eq]))])
@@ -541,8 +520,8 @@ def generate_dataset(
         return True
 
     rejected = 0
-    if mode == "trajectory":
-        rng = np.random.default_rng(seed)
+    if cfg.mode == "trajectory":
+        rng = np.random.default_rng(cfg.seed)
         trajectories = 0
         max_len = 40
         guard = 0
@@ -550,12 +529,12 @@ def generate_dataset(
             guard += 1
             if guard > 100000:
                 raise RuntimeError(
-                    f"dataset generation stalled at {len(sites)} of {cfg.d} sites; "
-                    "lower min_separation"
+                    f"dataset generation stalled at {len(sites)} of {cfg.d} sites "
+                    f"spaced at least {sep:.3g} apart"
                 )
             trajectories += 1
             h1 = rng.uniform(cfg.y_lo, cfg.y_hi)
-            h2 = h1 + rng.uniform(0.0, 0.3)
+            plant = TwoTankPlant(cfg.params, h1, h1 + rng.uniform(0.0, 0.3))
             y_hist = [h1]
             u_hist: list[float] = []
             u_cur = rng.uniform(cfg.u_lo, cfg.u_hi)
@@ -563,10 +542,9 @@ def generate_dataset(
                 if t % 3 == 0:
                     u_cur = rng.uniform(cfg.u_lo, cfg.u_hi)
                 try:
-                    h1, h2 = two_tank_step(h1, h2, u_cur, cfg.params)
+                    h1 = plant.step(u_cur)
                 except DomainError:
                     break
-                h1, h2 = float(h1), float(h2)
                 if not (cfg.y_lo <= h1 <= cfg.y_hi):
                     break
                 y_hist.append(h1)
@@ -584,23 +562,17 @@ def generate_dataset(
                         rejected += 1
                 if len(sites) >= cfg.d:
                     break
-        provenance = {
-            "mode": mode,
-            "seed": seed,
-            "min_separation": sep,
-            "trajectories": trajectories,
-            "rejected": rejected,
-        }
+        provenance["trajectories"] = trajectories
     else:
-        sampler = qmc.Halton(d=4, scramble=True, seed=seed)
+        sampler = qmc.Halton(d=4, scramble=True, seed=cfg.seed)
         drawn = 0
         while len(sites) < cfg.d:
             block = sampler.random(2048)
             drawn += 2048
             if drawn > 4_000_000:
                 raise RuntimeError(
-                    f"dataset generation stalled at {len(sites)} of {cfg.d} sites; "
-                    "lower min_separation"
+                    f"dataset generation stalled at {len(sites)} of {cfg.d} sites "
+                    f"spaced at least {sep:.3g} apart"
                 )
             h1 = cfg.y_lo + (cfg.y_hi - cfg.y_lo) * block[:, 0]
             h2 = cfg.y_lo + (cfg.y_hi - cfg.y_lo) * block[:, 1]
@@ -608,8 +580,8 @@ def generate_dataset(
             u_now = cfg.u_lo + (cfg.u_hi - cfg.u_lo) * block[:, 3]
             keep = h2 >= h1
             h1, h2, u_prev, u_now = h1[keep], h2[keep], u_prev[keep], u_now[keep]
-            y_cur, h2_cur = two_tank_step(h1, h2, u_prev, cfg.params, strict=False)
-            y_next, _ = two_tank_step(y_cur, np.maximum(h2_cur, y_cur), u_now, cfg.params, strict=False)
+            y_cur, h2_cur = two_tank_step(h1, h2, u_prev, cfg.params)
+            y_next, _ = two_tank_step(y_cur, np.maximum(h2_cur, y_cur), u_now, cfg.params)
             ok = (
                 np.isfinite(y_next)
                 & np.isfinite(y_cur)
@@ -626,13 +598,8 @@ def generate_dataset(
                     rejected += 1
                 if len(sites) >= cfg.d:
                     break
-        provenance = {
-            "mode": mode,
-            "seed": seed,
-            "min_separation": sep,
-            "halton_points": drawn,
-            "rejected": rejected,
-        }
+        provenance["halton_points"] = drawn
+    provenance["rejected"] = rejected
 
     data = Dataset(
         sites=np.asarray(sites),
@@ -672,7 +639,7 @@ def sample_consistent_states(
         u_prev = cfg.u_lo + (cfg.u_hi - cfg.u_lo) * block[:, 2]
         keep = h2 >= h1
         h1, h2, u_prev = h1[keep], h2[keep], u_prev[keep]
-        y_cur, _ = two_tank_step(h1, h2, u_prev, cfg.params, strict=False)
+        y_cur, _ = two_tank_step(h1, h2, u_prev, cfg.params)
         ok = np.isfinite(y_cur) & (y_cur >= cfg.y_lo) & (y_cur <= cfg.y_hi)
         raw = np.stack([y_cur[ok], h1[ok], u_prev[ok]], axis=1)
         states = norm.normalize_state(raw, dims)

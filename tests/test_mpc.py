@@ -277,6 +277,21 @@ class TestClosedLoop:
         assert trace.storage_values.shape == (5,)
         assert_allclose(trace.lyapunov, trace.values + trace.storage_values, rtol=1e-12)
 
+    def test_zero_steps_still_end_in_a_terminal_entry(self):
+        plant = _zero_dynamics()
+        storage = storage_matrix(DIMS, WEIGHTS)
+        trace = run_closed_loop(
+            plant, plant, _config(3), np.array([0.4, 0.1, 0.0]), steps=0,
+            storage_matrix=storage.P,
+        )
+        assert trace.steps == 0 and trace.states.shape == (1, 3)
+        for per_state in (trace.values, trace.grad_norms, trace.iterations,
+                          trace.converged, trace.storage_values, trace.lyapunov):
+            assert per_state.shape == (1,)
+        assert np.isnan(trace.values[0]) and np.isnan(trace.grad_norms[0])
+        assert trace.iterations[0] == 0 and not trace.converged[0]
+        assert np.isnan(trace.lyapunov[0])
+
     def test_two_tank_equilibrium_rest(self, cfg, mpc_cfg, fit_101):
         from narxmpc import StatefulPlantDynamics, TwoTankPlant
 

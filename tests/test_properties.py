@@ -18,10 +18,30 @@ from narxmpc import (
     KernelInterpolant,
     KernelSpec,
     NarxDims,
+    TwoTankParams,
+    rk4_step,
     sample_domain,
+    two_tank_rhs,
+    two_tank_step,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+# (h1, h2, u) rows; h2 is None for equal levels, and independent draws
+# put h2 below h1 about half the time.
+levels = st.floats(-0.05, 0.6)
+tank_rows = st.lists(
+    st.tuples(levels, st.one_of(levels, st.none()), st.floats(0.0, 5e-5)),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _tank_arrays(rows):
+    h1 = np.array([r[0] for r in rows])
+    h2 = np.array([r[0] if r[1] is None else r[1] for r in rows])
+    u = np.array([r[2] for r in rows])
+    return h1, h2, u
 
 
 def _interpolant(rng, input_dim: int, size: int, lengthscale: float, p: int):
@@ -94,3 +114,28 @@ def test_two_tank_view_single_equals_batch_row(cfg, plant_view, seed, rows):
     assert batch.shape == (rows, 1)
     for i in range(rows):
         assert_array_equal(plant_view.output(X[i], U[i]), batch[i])
+
+
+@given(rows=tank_rows)
+def test_two_tank_step_is_rk4_on_the_stacked_rhs(rows):
+    params = TwoTankParams()
+    h1, h2, u = _tank_arrays(rows)
+
+    def rhs(s, uu):
+        return np.stack(two_tank_rhs(s[..., 0], s[..., 1], uu, params), axis=-1)
+
+    ref = rk4_step(rhs, np.stack([h1, h2], axis=-1), u, params.dt)
+    got = np.stack(two_tank_step(h1, h2, u, params), axis=-1)
+    assert_array_equal(got, ref)
+    assert_array_equal(np.signbit(got), np.signbit(ref))
+
+
+@given(rows=tank_rows)
+def test_two_tank_step_single_equals_batch_row(rows):
+    params = TwoTankParams()
+    h1, h2, u = _tank_arrays(rows)
+    batch = np.stack(two_tank_step(h1, h2, u, params), axis=-1)
+    for i in range(len(rows)):
+        single = np.stack(two_tank_step(h1[i], h2[i], u[i], params))
+        assert_array_equal(single, batch[i])
+        assert_array_equal(np.signbit(single), np.signbit(batch[i]))

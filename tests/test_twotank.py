@@ -27,6 +27,7 @@ from narxmpc import (
     two_tank_rhs,
     two_tank_step,
 )
+from narxmpc.twotank import _total_step
 
 PARAMS = TwoTankParams()
 U_EQ = 5.461e-6
@@ -63,10 +64,16 @@ class TestRhs:
         assert float(d2) == pytest.approx(1e-5 / PARAMS.A1, rel=1e-15)
 
     def test_domain_violations_raise(self):
-        with pytest.raises(DomainError):
-            two_tank_rhs(-0.1, 0.5, 0.0, PARAMS)
-        with pytest.raises(DomainError):
-            two_tank_rhs(0.3, 0.2, 0.0, PARAMS)
+        # the derivatives mark the violation with NaN ...
+        d1, d2 = two_tank_rhs(-0.1, 0.5, 0.0, PARAMS)
+        assert np.isnan(d1) and np.isfinite(d2)
+        d1, d2 = two_tank_rhs(0.3, 0.2, 0.0, PARAMS)
+        assert np.isnan(d1) and np.isnan(d2)
+        # ... and the plant raises where substeps cannot recover: a negative
+        # pump flow empties the upper tank below the lower one
+        plant = TwoTankPlant(PARAMS, 0.0, 0.0)
+        with pytest.raises(DomainError, match="stayed invalid down to 64 substeps"):
+            plant.step(-1e-3)
 
     def test_params_validated(self):
         with pytest.raises(ValueError):
@@ -116,7 +123,7 @@ class TestSampledStep:
 
         direct = rk4_step(rhs, np.array([0.2, 0.35]), 2e-5, PARAMS.dt)
         h1, h2 = two_tank_step(0.2, 0.35, 2e-5, PARAMS)
-        assert_allclose([float(h1), float(h2)], direct, rtol=1e-15)
+        assert_array_equal([float(h1), float(h2)], direct)
 
     def test_equilibrium_is_fixed_point(self):
         h1, h2 = two_tank_step(H1_EQ, H2_EQ, U_EQ, PARAMS)
@@ -124,9 +131,7 @@ class TestSampledStep:
         assert float(h2) == H2_EQ
 
     def test_masked_mode_propagates_nan(self):
-        h1, h2 = two_tank_step(
-            np.array([0.2, 0.3]), np.array([0.35, 0.2]), 0.0, PARAMS, strict=False
-        )
+        h1, h2 = two_tank_step(np.array([0.2, 0.3]), np.array([0.35, 0.2]), 0.0, PARAMS)
         assert np.isfinite(h1[0]) and np.isfinite(h2[0])
         assert np.isnan(h1[1]) and np.isnan(h2[1])
 
@@ -142,7 +147,7 @@ class TestSampledStep:
             try:
                 levels.append(plant.step(0.0))
             except DomainError as exc:
-                assert "stage" in str(exc)
+                assert "stayed invalid down to 64 substeps" in str(exc)
                 break
         else:
             pytest.fail("expected the drain to leave the domain within 40 steps")
@@ -208,6 +213,16 @@ class TestPlant:
         h1_ref, h2_ref = two_tank_step(0.2, 0.35, 2e-5, PARAMS)
         assert plant.h1 == pytest.approx(float(h1_ref), rel=1e-15)
         assert plant.h2 == pytest.approx(float(h2_ref), rel=1e-15)
+
+    def test_recovers_stage_crossing_like_the_narx_view(self):
+        # Nearly equal levels and a weak pump: a single Runge-Kutta step
+        # drives a stage point below h2 >= h1; substeps recover the flow.
+        h1, h2, u = 0.026965351190828213, 0.027415631064599783, 4.415645394818535e-06
+        plant = TwoTankPlant(PARAMS, h1, h2)
+        y = plant.step(u)
+        ref1, ref2 = _total_step(h1, h2, u, PARAMS)
+        assert (y, plant.h2) == (float(ref1[0]), float(ref2[0]))
+        assert (y, plant.h2) == (0.0198118778681811, 0.04150606764222124)
 
 
 class TestNarxView:
