@@ -95,13 +95,68 @@ def error_constant_samples(
     cfg: BenchmarkConfig, count: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reachable (state, input) samples, plus the exact equilibrium pair."""
-    states = sample_consistent_states(cfg, count - 1, seed, min_norm=0.0)
-    rng = np.random.default_rng(seed + 1)
-    box = cfg.input_box()
-    u = box.lo + (box.hi - box.lo) * rng.uniform(0.0, 1.0, size=(count - 1, 1))
-    states = np.vstack([np.zeros(cfg.dims.n), states])
-    u = np.vstack([np.zeros((1, 1)), u])
-    return states, u
+    n = cfg.dims.n
+    samples = np.vstack([np.zeros((1, n + cfg.dims.m)), probe_sites(cfg, count - 1, seed)])
+    return samples[:, :n], samples[:, n:]
+
+
+def fit_model(cfg: BenchmarkConfig, data) -> tuple[KernelInterpolant, dict]:
+    """Fit stage: the kernel surrogate and the report entries that depend
+    only on the model, ending with the fill distance of its sites."""
+    spec = KernelSpec(input_dim=data.sites.shape[1], lengthscale=cfg.sigma)
+    model = fit_interpolant(spec, data, jitter=cfg.jitter)
+    entries = {
+        "sigma": model.spec.lengthscale,
+        "jitter": model.jitter,
+        "certificate_degraded": model.certificate_degraded,
+        "site_residual": model.site_residual,
+        "rkhs_norm": model.rkhs_norm(),
+        "fill_distance": fill_distance(data.sites, probe_sites(cfg, 2000, seed=cfg.seed + 23)),
+    }
+    return model, entries
+
+
+def simulate_loop(cfg: BenchmarkConfig, model: KernelInterpolant) -> ClosedLoopTrace:
+    """Closed-loop stage: MPC on the surrogate drives the stateful plant
+    from the configured initial condition."""
+    mpc_cfg = make_mpc_config(cfg)
+    _, stateful = plant_views(cfg)
+    x0, _ = cfg.initial_condition()
+    return run_closed_loop(
+        stateful,
+        model.as_dynamics(),
+        mpc_cfg,
+        x0,
+        cfg.steps,
+        storage_matrix=storage_matrix(cfg.dims, mpc_cfg.weights).P,
+        normalization=cfg.normalization(),
+    )
+
+
+def certify_trace(
+    cfg: BenchmarkConfig,
+    model: KernelInterpolant,
+    trace: ClosedLoopTrace,
+    b_states: int = GROWTH_STATES,
+    b_horizon: int = GROWTH_HORIZON,
+    margin: float = 0.0,
+    model_tag: str = "surrogate",
+) -> tuple[GrowthBoundEstimate, StabilityReport]:
+    """Certify stage: growth bounds of the surrogate on the standard state
+    grid, then the decrease check along the recorded trace."""
+    mpc_cfg = make_mpc_config(cfg)
+    grid = sample_state_grid(cfg, b_states, seed=cfg.seed + 29, min_norm=1e-3)
+    growth = estimate_growth_bound(
+        model.as_dynamics(), mpc_cfg, grid, b_horizon, model_tag=model_tag
+    )
+    report = verify_decrease(
+        trace,
+        storage_matrix(cfg.dims, mpc_cfg.weights),
+        margin_fraction=margin,
+        growth=growth,
+        model_tag=model_tag,
+    )
+    return growth, report
 
 
 @dataclass
@@ -112,13 +167,17 @@ class BenchmarkArm:
     dataset: object
     provenance: dict
     model: KernelInterpolant
+    fit_entries: dict
     constants: ErrorConstants
     validation: dict
-    fill: float
     trace: ClosedLoopTrace
     growth: GrowthBoundEstimate
     report: StabilityReport
     timings: dict = field(default_factory=dict)
+
+    @property
+    def fill(self) -> float:
+        return self.fit_entries["fill_distance"]
 
 
 @dataclass
@@ -147,13 +206,15 @@ def run_arm(
     say(f"D={d}: generated {data.size} sites ({timings['generate']:.1f} s)")
 
     tic = time.perf_counter()
-    spec = KernelSpec(input_dim=data.sites.shape[1], lengthscale=cfg.sigma)
-    model = fit_interpolant(spec, data, jitter=cfg.jitter)
+    model, fit_entries = fit_model(cfg_d, data)
     timings["fit"] = time.perf_counter() - tic
-    say(f"D={d}: fitted (site residual {model.site_residual:.2e}, {timings['fit']:.1f} s)")
+    say(
+        f"D={d}: fitted (site residual {model.site_residual:.2e}, "
+        f"fill {fit_entries['fill_distance']:.3f}, {timings['fit']:.1f} s)"
+    )
 
     tic = time.perf_counter()
-    narx_view, stateful = plant_views(cfg_d)
+    narx_view, _ = plant_views(cfg_d)
     X_est, U_est = error_constant_samples(cfg_d, 400, seed=cfg.seed + 11)
     constants = estimate_error_constants(narx_view, model, X_est, U_est)
     X_val, U_val = error_constant_samples(cfg_d, 400, seed=cfg.seed + 13)
@@ -164,36 +225,17 @@ def run_arm(
     constants = replace(
         constants, lipschitz=max(estimate_lipschitz(model, pairs, pairs + jiggle), 1e-12)
     )
-    fill = fill_distance(data.sites, probe_sites(cfg_d, 2000, seed=cfg.seed + 23))
     timings["constants"] = time.perf_counter() - tic
-    say(
-        f"D={d}: c_x={constants.c_x:.3e} c_u={constants.c_u:.3e} "
-        f"fill={fill:.3f} ({timings['constants']:.1f} s)"
-    )
+    say(f"D={d}: c_x={constants.c_x:.3e} c_u={constants.c_u:.3e} ({timings['constants']:.1f} s)")
 
     tic = time.perf_counter()
-    mpc_cfg = make_mpc_config(cfg_d)
-    storage = storage_matrix(cfg.dims, mpc_cfg.weights)
-    x0, _ = cfg_d.initial_condition()
-    trace = run_closed_loop(
-        stateful,
-        model.as_dynamics(),
-        mpc_cfg,
-        x0,
-        cfg.steps,
-        storage_matrix=storage.P,
-        normalization=cfg.normalization(),
-    )
+    trace = simulate_loop(cfg_d, model)
     timings["closed_loop"] = time.perf_counter() - tic
     say(f"D={d}: closed loop done ({timings['closed_loop']:.1f} s)")
 
     tic = time.perf_counter()
-    grid = sample_state_grid(cfg_d, b_states, seed=cfg.seed + 29, min_norm=1e-3)
-    growth = estimate_growth_bound(
-        model.as_dynamics(), mpc_cfg, grid, b_horizon, model_tag=f"surrogate_D{d}"
-    )
-    report = verify_decrease(
-        trace, storage, growth=growth, model_tag=f"surrogate_D{d}"
+    growth, report = certify_trace(
+        cfg_d, model, trace, b_states, b_horizon, model_tag=f"surrogate_D{d}"
     )
     timings["certify"] = time.perf_counter() - tic
     say(f"D={d}: verdict {report.verdict} ({timings['certify']:.1f} s)")
@@ -203,9 +245,9 @@ def run_arm(
         dataset=data,
         provenance=provenance,
         model=model,
+        fit_entries=fit_entries,
         constants=constants,
         validation=validation,
-        fill=fill,
         trace=trace,
         growth=growth,
         report=report,
@@ -234,12 +276,7 @@ def comparison_table(cfg: BenchmarkConfig, arms: dict[int, BenchmarkArm]):
 def fit_report_entries(arm: BenchmarkArm) -> dict:
     entries = {
         "d": arm.d,
-        "sigma": arm.model.spec.lengthscale,
-        "jitter": arm.model.jitter,
-        "certificate_degraded": arm.model.certificate_degraded,
-        "site_residual": arm.model.site_residual,
-        "rkhs_norm": arm.model.rkhs_norm(),
-        "fill_distance": arm.fill,
+        **arm.fit_entries,
         "c_x": arm.constants.c_x,
         "c_u": arm.constants.c_u,
         "lipschitz": arm.constants.lipschitz,

@@ -10,8 +10,9 @@ benchmark  run the full two-dataset comparison
 
 Configuration comes from an optional key=value file (see ``--config``);
 command-line flags override file values.  Exit codes: 0 on success, 1
-for configuration or I/O problems and for solver failures (including a
-closed loop that stopped early), 2 when a certification verdict fails.
+for configuration, input or I/O problems (any ``ValueError`` or
+``OSError``) and for solver failures (including a closed loop that
+stopped early), 2 when a certification verdict fails.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,12 +29,10 @@ from .bench import (
     BENCHMARK_SIZES,
     GROWTH_HORIZON,
     GROWTH_STATES,
-    fit_report_entries,
-    make_mpc_config,
-    plant_views,
-    probe_sites,
-    run_arm,
+    certify_trace,
+    fit_model,
     run_benchmark,
+    simulate_loop,
 )
 from .fileio import (
     ConfigError,
@@ -50,10 +48,9 @@ from .fileio import (
     write_keyvalues,
     write_manifest,
 )
-from .kernels import KernelFitError, KernelSpec, fill_distance, fit_interpolant
-from .mpc import SolverError, run_closed_loop
-from .stability import estimate_growth_bound, storage_matrix, verify_decrease
-from .twotank import BenchmarkConfig, generate_dataset, sample_state_grid
+from .kernels import KernelFitError
+from .mpc import SolverError
+from .twotank import BenchmarkConfig, generate_dataset
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
@@ -85,10 +82,7 @@ def _build_config(args, **overrides) -> BenchmarkConfig:
     for key, value in overrides.items():
         if value is not None:
             kwargs[key] = value
-    try:
-        return BenchmarkConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return BenchmarkConfig(**kwargs)
 
 
 def _manifest(args, command: str, cfg: BenchmarkConfig | None, outputs: list[Path], started: float) -> None:
@@ -101,6 +95,15 @@ def _manifest(args, command: str, cfg: BenchmarkConfig | None, outputs: list[Pat
         "duration_s": round(time.time() - started, 3),
     }
     write_manifest(args.out / "manifest.json", entries)
+
+
+def _load_model(path, cfg: BenchmarkConfig):
+    model = load_model(path)
+    if model.dims != cfg.dims:
+        raise ConfigError(
+            f"model dimensions {model.dims} do not match the configuration {cfg.dims}"
+        )
+    return model
 
 
 def cmd_generate(args) -> int:
@@ -119,23 +122,12 @@ def cmd_fit(args) -> int:
     started = time.time()
     cfg = _build_config(args, sigma=args.sigma, jitter=args.jitter)
     data = load_dataset(args.data)
-    spec = KernelSpec(input_dim=data.sites.shape[1], lengthscale=cfg.sigma)
-    model = fit_interpolant(spec, data, jitter=cfg.jitter)
+    model, entries = fit_model(cfg, data)
     args.out.mkdir(parents=True, exist_ok=True)
     model_path = args.out / "model.csv"
     save_model(model, model_path)
-    probes = probe_sites(cfg, 2000, seed=cfg.seed + 23)
-    entries = {
-        "size": data.size,
-        "sigma": model.spec.lengthscale,
-        "jitter": model.jitter,
-        "certificate_degraded": model.certificate_degraded,
-        "site_residual": model.site_residual,
-        "rkhs_norm": model.rkhs_norm(),
-        "fill_distance": fill_distance(data.sites, probes),
-    }
     report_path = args.out / "fit_report.txt"
-    write_keyvalues(report_path, entries)
+    write_keyvalues(report_path, {"size": data.size, **entries})
     _say(args)(f"fitted {data.size} sites, site residual {model.site_residual:.2e}")
     _manifest(
         args, "fit", cfg, [model_path, model_path.with_suffix(".csv.meta"), report_path], started
@@ -146,24 +138,8 @@ def cmd_fit(args) -> int:
 def cmd_simulate(args) -> int:
     started = time.time()
     cfg = _build_config(args, steps=args.steps, horizon=args.horizon)
-    model = load_model(args.model)
-    if model.dims != cfg.dims:
-        raise ConfigError(
-            f"model dimensions {model.dims} do not match the configuration {cfg.dims}"
-        )
-    mpc_cfg = make_mpc_config(cfg)
-    storage = storage_matrix(cfg.dims, mpc_cfg.weights)
-    _, stateful = plant_views(cfg)
-    x0, _ = cfg.initial_condition()
-    trace = run_closed_loop(
-        stateful,
-        model.as_dynamics(),
-        mpc_cfg,
-        x0,
-        cfg.steps,
-        storage_matrix=storage.P,
-        normalization=cfg.normalization(),
-    )
+    model = _load_model(args.model, cfg)
+    trace = simulate_loop(cfg, model)
     args.out.mkdir(parents=True, exist_ok=True)
     norm_path = args.out / "trace_norm.csv"
     raw_path = args.out / "trace_raw.csv"
@@ -183,20 +159,10 @@ def cmd_simulate(args) -> int:
 def cmd_certify(args) -> int:
     started = time.time()
     cfg = _build_config(args)
-    model = load_model(args.model)
-    if model.dims != cfg.dims:
-        raise ConfigError(
-            f"model dimensions {model.dims} do not match the configuration {cfg.dims}"
-        )
-    mpc_cfg = make_mpc_config(cfg)
-    storage = storage_matrix(cfg.dims, mpc_cfg.weights)
+    model = _load_model(args.model, cfg)
     trace = load_trace(args.trace, cfg.dims, cfg.horizon, cfg.normalization())
-    grid = sample_state_grid(cfg, args.b_states, seed=cfg.seed + 29, min_norm=1e-3)
-    growth = estimate_growth_bound(
-        model.as_dynamics(), mpc_cfg, grid, args.b_horizon, model_tag="surrogate"
-    )
-    report = verify_decrease(
-        trace, storage, margin_fraction=args.margin, growth=growth, model_tag="surrogate"
+    _, report = certify_trace(
+        cfg, model, trace, args.b_states, args.b_horizon, margin=args.margin
     )
     args.out.mkdir(parents=True, exist_ok=True)
     report_path = args.out / "stability_report.txt"
@@ -287,10 +253,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (KernelFitError, SolverError) as exc:
+    except (ValueError, OSError, KernelFitError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

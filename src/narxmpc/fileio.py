@@ -126,102 +126,88 @@ def _normalization_from(meta: dict, path) -> AffineNormalization:
         raise ConfigError(f"{path}: sidecar is missing the {exc.args[0]} entry") from None
 
 
-def _dims_from(meta: dict, path) -> NarxDims:
-    try:
-        return NarxDims(p=int(meta["p"]), m=int(meta["m"]), nu=int(meta["nu"]))
-    except KeyError as exc:
-        raise ConfigError(f"{path}: sidecar is missing the {exc.args[0]} entry") from None
-
-
 def _sidecar(path) -> Path:
     return Path(path).with_suffix(Path(path).suffix + ".meta")
 
 
-def save_dataset(data: Dataset, path, provenance: dict | None = None) -> None:
-    """Write a dataset as ``xi_*, y_*`` CSV plus a ``.meta`` sidecar."""
-    q = data.sites.shape[1]
-    header = [f"xi_{i + 1}" for i in range(q)] + [f"y_{j + 1}" for j in range(data.dims.p)]
-    write_csv(path, header, np.hstack([data.sites, data.targets]))
+def _sites_header(dims: NarxDims, coefficients: bool) -> list[str]:
+    header = [f"xi_{i + 1}" for i in range(dims.n + dims.m)]
+    header += [f"y_{j + 1}" for j in range(dims.p)]
+    if coefficients:
+        header += [f"alpha_{j + 1}" for j in range(dims.p)]
+    return header
+
+
+def _save_sites(
+    path, data: Dataset, fmt: str, coefficients=None, fields=None, provenance=None
+) -> None:
+    """Write sites and targets (plus model coefficients) and the sidecar:
+    format, dimensions, ``fields``, normalization, then ``gen_`` provenance."""
+    blocks = [data.sites, data.targets] + ([] if coefficients is None else [coefficients])
+    write_csv(path, _sites_header(data.dims, coefficients is not None), np.hstack(blocks))
     meta = {
-        "format": "narxmpc-dataset-v1",
+        "format": fmt,
         "p": data.dims.p,
         "m": data.dims.m,
         "nu": data.dims.nu,
         "size": data.size,
         "contains_origin": data.contains_origin,
+        **(fields or {}),
         **_normalization_fields(data.normalization),
     }
-    if provenance:
-        meta.update({f"gen_{k}": v for k, v in provenance.items()})
+    meta.update({f"gen_{k}": v for k, v in (provenance or {}).items()})
     write_keyvalues(_sidecar(path), meta)
 
 
-def load_dataset(path) -> Dataset:
+def _load_sites(path, coefficients: bool) -> tuple[Dataset, np.ndarray, dict]:
+    """Read a table written by :func:`_save_sites`: the dataset, the
+    columns after the targets and the sidecar entries."""
     header, table = read_csv(path)
     meta = read_keyvalues(_sidecar(path))
-    dims = _dims_from(meta, path)
+    try:
+        dims = NarxDims(p=int(meta["p"]), m=int(meta["m"]), nu=int(meta["nu"]))
+    except KeyError as exc:
+        raise ConfigError(f"{path}: sidecar is missing the {exc.args[0]} entry") from None
+    if header != _sites_header(dims, coefficients):
+        raise ConfigError(f"{path}: header {header} does not match the sidecar dimensions")
     q = dims.n + dims.m
-    expected = [f"xi_{i + 1}" for i in range(q)] + [f"y_{j + 1}" for j in range(dims.p)]
-    if header != expected:
-        raise ConfigError(
-            f"{path}: header {header} does not match the sidecar dimensions"
-        )
-    return Dataset(
+    data = Dataset(
         sites=table[:, :q],
-        targets=table[:, q:],
+        targets=table[:, q : q + dims.p],
         dims=dims,
         normalization=_normalization_from(meta, path),
         contains_origin=meta.get("contains_origin", "false") == "true",
     )
+    return data, table[:, q + dims.p :], meta
+
+
+def save_dataset(data: Dataset, path, provenance: dict | None = None) -> None:
+    """Write a dataset as ``xi_*, y_*`` CSV plus a ``.meta`` sidecar."""
+    _save_sites(path, data, "narxmpc-dataset-v1", provenance=provenance)
+
+
+def load_dataset(path) -> Dataset:
+    return _load_sites(path, coefficients=False)[0]
 
 
 def save_model(model: KernelInterpolant, path) -> None:
     """Write a fitted interpolant: sites, targets and coefficients plus sidecar."""
-    data = model.data
-    q = data.sites.shape[1]
-    header = (
-        [f"xi_{i + 1}" for i in range(q)]
-        + [f"y_{j + 1}" for j in range(data.dims.p)]
-        + [f"alpha_{j + 1}" for j in range(data.dims.p)]
-    )
-    write_csv(path, header, np.hstack([data.sites, data.targets, model.coefficients]))
-    meta = {
-        "format": "narxmpc-model-v1",
-        "p": data.dims.p,
-        "m": data.dims.m,
-        "nu": data.dims.nu,
-        "size": data.size,
-        "contains_origin": data.contains_origin,
+    fields = {
         "family": model.spec.family,
         "sigma": model.spec.lengthscale,
         "jitter": model.jitter,
         "site_residual": model.site_residual,
-        **_normalization_fields(data.normalization),
     }
-    write_keyvalues(_sidecar(path), meta)
+    _save_sites(path, model.data, "narxmpc-model-v1", model.coefficients, fields)
 
 
 def load_model(path) -> KernelInterpolant:
     """Load a model file, refit deterministically and verify the coefficients."""
-    header, table = read_csv(path)
-    meta = read_keyvalues(_sidecar(path))
-    dims = _dims_from(meta, path)
+    data, stored, meta = _load_sites(path, coefficients=True)
     if meta.get("family", KernelSpec.family) != KernelSpec.family:
         raise ConfigError(f"{path}: only {KernelSpec.family} models can be reloaded")
-    q = dims.n + dims.m
-    p = dims.p
-    if len(header) != q + 2 * p:
-        raise ConfigError(f"{path}: expected {q + 2 * p} columns, found {len(header)}")
-    data = Dataset(
-        sites=table[:, :q],
-        targets=table[:, q : q + p],
-        dims=dims,
-        normalization=_normalization_from(meta, path),
-        contains_origin=meta.get("contains_origin", "false") == "true",
-    )
-    spec = KernelSpec(input_dim=q, lengthscale=float(meta.get("sigma", 1.0)))
+    spec = KernelSpec(input_dim=data.sites.shape[1], lengthscale=float(meta.get("sigma", 1.0)))
     model = fit_interpolant(spec, data, jitter=float(meta.get("jitter", 0.0)))
-    stored = table[:, q + p :]
     drift = float(np.max(np.abs(stored - model.coefficients), initial=0.0))
     if drift > 1e-8:
         raise ConfigError(
@@ -231,75 +217,54 @@ def load_model(path) -> KernelInterpolant:
     return model
 
 
+def _trace_layout(dims: NarxDims) -> list[tuple[str, str, int | None, bool]]:
+    """Column blocks of a trace table after ``k``: the trace field, its
+    column name, its width (None for one unsuffixed column) and whether it
+    has an entry per applied step only, padded with NaN in the terminal row."""
+    return [
+        ("states", "x", dims.n, False),
+        ("inputs", "u", dims.m, True),
+        ("outputs", "y", dims.p, True),
+        ("stage_costs", "stage_cost", None, True),
+        ("values", "V", None, False),
+        ("storage_values", "W", None, False),
+        ("lyapunov", "Y", None, False),
+        ("grad_norms", "grad_norm", None, False),
+        ("iterations", "iters", None, False),
+        ("converged", "converged", None, False),
+    ]
+
+
 def trace_header(dims: NarxDims) -> list[str]:
-    return (
-        ["k"]
-        + [f"x_{i + 1}" for i in range(dims.n)]
-        + [f"u_{i + 1}" for i in range(dims.m)]
-        + [f"y_{i + 1}" for i in range(dims.p)]
-        + ["stage_cost", "V", "W", "Y", "grad_norm", "iters", "converged"]
-    )
+    header = ["k"]
+    for _, name, width, _ in _trace_layout(dims):
+        header += [name] if width is None else [f"{name}_{i + 1}" for i in range(width)]
+    return header
 
 
 def _trace_rows(trace: ClosedLoopTrace, raw: bool) -> np.ndarray:
     dims = trace.dims
-    steps = trace.steps
-    if steps == 0:
+    if trace.steps == 0:
         return np.empty((0, len(trace_header(dims))))
-    states = trace.states
-    inputs = trace.inputs
-    outputs = trace.outputs
+    fields = {}
     if raw:
         if trace.normalization is None:
             raise ValueError("trace carries no normalization; cannot denormalize")
         norm = trace.normalization
-        states = norm.denormalize_state(states, dims)
-        inputs = norm.denormalize_input(inputs)
-        outputs = norm.denormalize_output(outputs)
-    w_vals = trace.storage_values if trace.storage_values is not None else np.full(steps + 1, np.nan)
-    y_vals = trace.lyapunov if trace.lyapunov is not None else np.full(steps + 1, np.nan)
-    rows = []
-    for k in range(steps):
-        rows.append(
-            np.concatenate(
-                [
-                    [k],
-                    states[k],
-                    inputs[k],
-                    outputs[k],
-                    [
-                        trace.stage_costs[k],
-                        trace.values[k],
-                        w_vals[k],
-                        y_vals[k],
-                        trace.grad_norms[k],
-                        trace.iterations[k],
-                        1.0 if trace.converged[k] else 0.0,
-                    ],
-                ]
-            )
-        )
-    # Terminal diagnostic row: the final measured state with its value data.
-    rows.append(
-        np.concatenate(
-            [
-                [steps],
-                states[steps],
-                np.full(dims.m, np.nan),
-                np.full(dims.p, np.nan),
-                [
-                    np.nan,
-                    trace.values[steps],
-                    w_vals[steps],
-                    y_vals[steps],
-                    trace.grad_norms[steps],
-                    trace.iterations[steps],
-                    1.0 if trace.converged[steps] else 0.0,
-                ],
-            ]
-        )
-    )
-    return np.asarray(rows)
+        fields = {
+            "states": norm.denormalize_state(trace.states, dims),
+            "inputs": norm.denormalize_input(trace.inputs),
+            "outputs": norm.denormalize_output(trace.outputs),
+        }
+    rows = trace.steps + 1
+    columns = [np.arange(rows)]
+    for field, _, width, _ in _trace_layout(dims):
+        values = fields.get(field, getattr(trace, field))
+        block = np.full((rows, width or 1), np.nan)
+        if values is not None:
+            block[: len(values)] = np.reshape(values, (len(values), -1))
+        columns.append(block)
+    return np.column_stack(columns)
 
 
 def save_trace(trace: ClosedLoopTrace, path, raw: bool = False) -> None:
@@ -317,30 +282,16 @@ def load_trace(path, dims: NarxDims, horizon: int, normalization=None) -> Closed
     header, table = read_csv(path)
     if header != trace_header(dims):
         raise ConfigError(f"{path}: unexpected trace header for the given dimensions")
-    rows = table.shape[0]
-    steps = max(rows - 1, 0)
-    n, m, p = dims.n, dims.m, dims.p
-    col_x = slice(1, 1 + n)
-    col_u = slice(1 + n, 1 + n + m)
-    col_y = slice(1 + n + m, 1 + n + m + p)
-    base = 1 + n + m + p
-    states = table[:, col_x] if rows else np.empty((0, n))
-    trace = ClosedLoopTrace(
-        states=states,
-        inputs=table[:steps, col_u] if steps else np.empty((0, m)),
-        outputs=table[:steps, col_y] if steps else np.empty((0, p)),
-        values=table[:, base + 1] if rows else np.empty(0),
-        stage_costs=table[:steps, base] if steps else np.empty(0),
-        grad_norms=table[:, base + 4] if rows else np.empty(0),
-        iterations=table[:, base + 5].astype(int) if rows else np.empty(0, dtype=int),
-        converged=table[:, base + 6] > 0.5 if rows else np.empty(0, dtype=bool),
-        dims=dims,
-        horizon=horizon,
-        normalization=normalization,
-        storage_values=table[:, base + 2] if rows else None,
-        lyapunov=table[:, base + 3] if rows else None,
-    )
-    return trace
+    steps = max(table.shape[0] - 1, 0)
+    fields, start = {}, 1
+    for field, _, width, per_step in _trace_layout(dims):
+        stop = start + (width or 1)
+        block = table[: steps if per_step else None, start:stop]
+        fields[field] = block if width else block[:, 0]
+        start = stop
+    fields["iterations"] = fields["iterations"].astype(int)
+    fields["converged"] = fields["converged"] > 0.5
+    return ClosedLoopTrace(**fields, dims=dims, horizon=horizon, normalization=normalization)
 
 
 def save_stability_report(report, path_txt, path_csv=None) -> None:
@@ -375,13 +326,12 @@ def save_stability_report(report, path_txt, path_csv=None) -> None:
     if path_csv is not None:
         k = np.arange(report.state_norms.shape[0])
         deltas = np.concatenate([report.deltas, [np.nan]])
-        v_vals = report.lyapunov - report.storage_values
         rows = np.column_stack(
             [
                 k,
                 report.state_norms,
                 report.errors,
-                v_vals,
+                report.values,
                 report.storage_values,
                 report.lyapunov,
                 deltas,

@@ -406,6 +406,12 @@ def estimate_error_constants(
     U : array, shape (S, m)
         Evaluation samples in normalized coordinates, S >= 100.
     """
+    return _constants_from(*_residuals(truth, model, X, U), grid_size, lipschitz)
+
+
+def _residuals(truth, model, X, U) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Residual norms of the surrogate against the reference map on the
+    samples, with the norms of the states and the inputs."""
     if isinstance(model, KernelInterpolant):
         model = model.as_dynamics()
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -417,9 +423,13 @@ def estimate_error_constants(
     residual = np.linalg.norm(
         truth.output_batch(X, U) - model.output_batch(X, U), axis=1
     )
-    x_norm = np.linalg.norm(X, axis=1)
-    u_norm = np.linalg.norm(U, axis=1)
+    return residual, np.linalg.norm(X, axis=1), np.linalg.norm(U, axis=1)
 
+
+def _constants_from(
+    residual, x_norm, u_norm, grid_size: int = 64, lipschitz: float | None = None
+) -> ErrorConstants:
+    """The constants of :func:`estimate_error_constants` from residual norms."""
     at_origin = (x_norm <= 1e-8) & (u_norm <= 1e-8)
     if np.any(residual[at_origin] > 1e-10):
         worst = float(np.max(residual[at_origin]))
@@ -458,7 +468,7 @@ def estimate_error_constants(
     return ErrorConstants(
         c_x=c_x,
         c_u=c_u,
-        sample_count=int(X.shape[0]),
+        sample_count=int(residual.shape[0]),
         max_ratio=float(all_ratios[worst_index]),
         worst_index=worst_index,
         lipschitz=lipschitz,
@@ -482,28 +492,20 @@ def validate_error_constants(
     through the re-estimated constants' combined size.  Conservative
     reported constants (fresh estimates smaller) are not flagged.
     """
-    re_est = estimate_error_constants(truth, model, X, U)
+    residual, x_norm, u_norm = _residuals(truth, model, X, U)
+    re_est = _constants_from(residual, x_norm, u_norm)
     reported = constants.c_x + constants.c_u
     drift = (re_est.c_x + re_est.c_u) / max(reported, 1e-15)
-    max_ratio = _ratio_on(constants, truth, model, X, U)
+    denom = constants.bound(x_norm, u_norm)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(denom > 1e-15, residual / np.where(denom > 1e-15, denom, 1.0), 0.0)
+    max_ratio = float(np.max(ratios, initial=0.0))
     return {
         "max_ratio": max_ratio,
         "re_estimated": re_est,
         "drift_factor": drift,
         "flagged": bool(drift > 2.0 or max_ratio > 2.0),
     }
-
-
-def _ratio_on(constants, truth, model, X, U) -> float:
-    if isinstance(model, KernelInterpolant):
-        model = model.as_dynamics()
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    U = np.atleast_2d(np.asarray(U, dtype=float))
-    residual = np.linalg.norm(truth.output_batch(X, U) - model.output_batch(X, U), axis=1)
-    denom = constants.bound(np.linalg.norm(X, axis=1), np.linalg.norm(U, axis=1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(denom > 1e-15, residual / np.where(denom > 1e-15, denom, 1.0), 0.0)
-    return float(np.max(ratios, initial=0.0))
 
 
 def estimate_lipschitz(

@@ -75,11 +75,10 @@ def stage_cost(y: np.ndarray, u: np.ndarray, weights: StageCostWeights):
 class SolverConfig:
     """Projected-gradient settings.
 
-    ``armijo`` is the sufficient-decrease constant, ``shrink`` the
-    backtracking factor and ``fd_step`` the central-difference step used
-    for dynamics without Jacobians.  ``multistart`` adds seeded random
-    feasible starts beyond the provided one; ties break toward the
-    lowest start index.
+    ``armijo`` is the sufficient-decrease constant and ``shrink`` the
+    backtracking factor.  ``multistart`` adds seeded random feasible
+    starts beyond the provided one; ties break toward the lowest start
+    index.
     """
 
     max_iters: int = 500
@@ -89,14 +88,13 @@ class SolverConfig:
     init_step: float = 1.0
     multistart: int = 1
     seed: int = 0
-    fd_step: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.max_iters < 1 or self.multistart < 1:
             raise ValueError("max_iters and multistart must be at least 1")
         if not (0 < self.armijo < 1 and 0 < self.shrink < 1):
             raise ValueError("need 0 < armijo < 1 and 0 < shrink < 1")
-        if self.grad_tol <= 0 or self.fd_step <= 0 or self.init_step <= 0:
+        if self.grad_tol <= 0 or self.init_step <= 0:
             raise ValueError("tolerances and steps must be strictly positive")
 
 
@@ -302,9 +300,7 @@ def solve_ocp(
     if f.differentiable:
         grad_fn = lambda U: cost_gradient(f, x0, U, cfg.weights)
     else:
-        grad_fn = lambda U: finite_difference_gradient(
-            f, x0, U, cfg.weights, step=solver.fd_step
-        )
+        grad_fn = lambda U: finite_difference_gradient(f, x0, U, cfg.weights)
 
     starts = [np.zeros(shape) if warm is None else np.asarray(warm, dtype=float).reshape(shape)]
     if solver.multistart > 1:

@@ -255,8 +255,9 @@ class StabilityReport:
     ``alpha`` is the largest uniform decrease coefficient observed,
     ``alpha_certified`` the same after the safety margin, and the decay
     fit is a least-squares line through the log state errors over the
-    initial transient.  Growth-bound fields are filled when an estimate
-    is supplied.
+    initial transient.  ``values`` are the optimal values V of the trace
+    as the solver returned them, and ``lyapunov`` is ``V + W``.
+    Growth-bound fields are filled when an estimate is supplied.
     """
 
     verdict: str
@@ -274,6 +275,7 @@ class StabilityReport:
     decay_points: int
     state_norms: np.ndarray
     errors: np.ndarray
+    values: np.ndarray
     lyapunov: np.ndarray
     storage_values: np.ndarray
     deltas: np.ndarray
@@ -392,6 +394,7 @@ def verify_decrease(
         decay_points=points,
         state_norms=norms,
         errors=errors,
+        values=trace.values,
         lyapunov=y_vals,
         storage_values=w_vals,
         deltas=deltas,

@@ -507,32 +507,23 @@ def generate_dataset(cfg: BenchmarkConfig) -> tuple[Dataset, dict]:
     if cfg.mode == "state_grid" and cfg.nu != 2:
         raise ValueError("state_grid generation is defined for lag depth 2")
 
-    origin_site = np.concatenate([cfg.equilibrium_regressor(), norm.normalize_input(np.array([cfg.u_eq]))])
-    sites = [origin_site]
-    targets = [np.zeros(1)]
-
-    def try_accept(site: np.ndarray, target: np.ndarray) -> bool:
-        stack = np.asarray(sites)
-        if np.min(np.linalg.norm(stack - site, axis=1)) < sep:
-            return False
-        sites.append(site)
-        targets.append(target)
-        return True
-
-    rejected = 0
+    sites = np.empty((cfg.d, dims.n + dims.m))
+    targets = np.empty((cfg.d, dims.p))
+    sites[0, : dims.n] = cfg.equilibrium_regressor()
+    sites[0, dims.n :] = norm.normalize_input(np.array([cfg.u_eq]))
+    targets[0] = 0.0
+    count, rejected = 1, 0
     if cfg.mode == "trajectory":
         rng = np.random.default_rng(cfg.seed)
         trajectories = 0
         max_len = 40
-        guard = 0
-        while len(sites) < cfg.d:
-            guard += 1
-            if guard > 100000:
+        while count < cfg.d:
+            trajectories += 1
+            if trajectories > 100000:
                 raise RuntimeError(
-                    f"dataset generation stalled at {len(sites)} of {cfg.d} sites "
+                    f"dataset generation stalled at {count} of {cfg.d} sites "
                     f"spaced at least {sep:.3g} apart"
                 )
-            trajectories += 1
             h1 = rng.uniform(cfg.y_lo, cfg.y_hi)
             plant = TwoTankPlant(cfg.params, h1, h1 + rng.uniform(0.0, 0.3))
             y_hist = [h1]
@@ -558,20 +549,22 @@ def generate_dataset(cfg: BenchmarkConfig) -> tuple[Dataset, dict]:
                         [norm.normalize_state(raw_x, dims), norm.normalize_input(np.array([u_hist[k]]))]
                     )
                     target = norm.normalize_output(np.array([y_hist[k + 1]]))
-                    if not try_accept(site, target):
-                        rejected += 1
-                if len(sites) >= cfg.d:
+                    count, skipped = _accept_spaced(
+                        sites, targets, count, site[None], target[None], sep
+                    )
+                    rejected += skipped
+                if count == cfg.d:
                     break
         provenance["trajectories"] = trajectories
     else:
         sampler = qmc.Halton(d=4, scramble=True, seed=cfg.seed)
         drawn = 0
-        while len(sites) < cfg.d:
+        while count < cfg.d:
             block = sampler.random(2048)
             drawn += 2048
             if drawn > 4_000_000:
                 raise RuntimeError(
-                    f"dataset generation stalled at {len(sites)} of {cfg.d} sites "
+                    f"dataset generation stalled at {count} of {cfg.d} sites "
                     f"spaced at least {sep:.3g} apart"
                 )
             h1 = cfg.y_lo + (cfg.y_hi - cfg.y_lo) * block[:, 0]
@@ -588,28 +581,39 @@ def generate_dataset(cfg: BenchmarkConfig) -> tuple[Dataset, dict]:
                 & (y_cur >= cfg.y_lo)
                 & (y_cur <= cfg.y_hi)
             )
-            for i in np.flatnonzero(ok):
-                raw_x = np.array([y_cur[i], h1[i], u_prev[i]])
-                site = np.concatenate(
-                    [norm.normalize_state(raw_x, dims), norm.normalize_input(np.array([u_now[i]]))]
-                )
-                target = norm.normalize_output(np.array([y_next[i]]))
-                if not try_accept(site, target):
-                    rejected += 1
-                if len(sites) >= cfg.d:
-                    break
+            raw_x = np.stack([y_cur[ok], h1[ok], u_prev[ok]], axis=1)
+            candidates = np.hstack(
+                [norm.normalize_state(raw_x, dims), norm.normalize_input(u_now[ok, None])]
+            )
+            values = norm.normalize_output(y_next[ok, None])
+            count, skipped = _accept_spaced(sites, targets, count, candidates, values, sep)
+            rejected += skipped
         provenance["halton_points"] = drawn
     provenance["rejected"] = rejected
 
     data = Dataset(
-        sites=np.asarray(sites),
-        targets=np.asarray(targets),
-        dims=dims,
-        normalization=norm,
-        contains_origin=True,
+        sites=sites, targets=targets, dims=dims, normalization=norm, contains_origin=True
     )
     provenance["min_pairwise_distance"] = min_pairwise_distance(data.sites)
     return data, provenance
+
+
+def _accept_spaced(sites, targets, count, candidates, values, sep) -> tuple[int, int]:
+    """Append candidate sites in order to the first ``count`` rows of the
+    preallocated ``sites``/``targets`` until they are full, skipping each
+    candidate closer than ``sep`` to an accepted site.  Returns the new
+    count and the number skipped."""
+    skipped = 0
+    for site, value in zip(candidates, values):
+        if count == sites.shape[0]:
+            break
+        if np.min(np.linalg.norm(sites[:count] - site, axis=1)) < sep:
+            skipped += 1
+            continue
+        sites[count] = site
+        targets[count] = value
+        count += 1
+    return count, skipped
 
 
 def sample_consistent_states(

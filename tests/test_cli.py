@@ -7,13 +7,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from narxmpc import Dataset, run_benchmark, wendland_phi
 import narxmpc.mpc
 from narxmpc.bench import GROWTH_HORIZON, GROWTH_STATES, bundle_digests
 from narxmpc.cli import build_parser, main
-from narxmpc.fileio import load_model, read_csv, sha256_file, save_dataset
+from narxmpc.fileio import load_model, read_csv, read_keyvalues, sha256_file, save_dataset
 
 H1_EQ = 0.04377874810998076
 
@@ -63,6 +63,14 @@ class TestParsing:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unsupported_lag_depth_is_an_error(self, tmp_path, capsys):
+        config = tmp_path / "cfg.txt"
+        config.write_text("nu = 3\n")
+        code = main(["generate", "--config", str(config), "--out", str(tmp_path)])
+        assert code == 1
+        assert "error: state_grid generation is defined for lag depth 2" in (
+            capsys.readouterr().err
+        )
 
     def test_growth_grid_defaults_agree(self):
         parser = build_parser()
@@ -169,6 +177,20 @@ class TestSimulate:
         # the raw trace reports physical levels near the starting record
         assert 0.1 < raw[0, 1] < 0.3
 
+    def test_negative_start_level_is_an_error(self, workspace, tmp_path, capsys):
+        config = tmp_path / "cfg.txt"
+        config.write_text("h0 = -0.1\n")
+        code = main(
+            [
+                "simulate",
+                "--config", str(config),
+                "--model", str(workspace / "model.csv"),
+                "--steps", "2",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 1
+        assert "error: initial levels must satisfy" in capsys.readouterr().err
 
     def test_failed_step_exits_1(self, workspace, tmp_path, capsys, monkeypatch):
         real_solve = narxmpc.mpc.solve_ocp
@@ -289,6 +311,52 @@ class TestBenchmark:
             "manifest.json",
         ):
             assert (out / name).exists(), name
+
+    def test_steps_carry_the_trace_values(self, cfg, tmp_path):
+        """The V column of the steps file is the solver's value, as in the
+        trace file, not Y - W recomputed with rounding."""
+        small = replace(cfg, steps=12)
+        run_benchmark(small, out_dir=tmp_path, sizes=(101,), b_states=2, b_horizon=1)
+        trace_header, trace = read_csv(tmp_path / "trace_norm_D101.csv")
+        steps_header, steps = read_csv(tmp_path / "stability_steps_D101.csv")
+        assert_array_equal(steps[:, steps_header.index("V")], trace[:, trace_header.index("V")])
+
+    def test_cli_chain_writes_the_bundle_files(self, tmp_path):
+        """generate, fit, simulate and certify run the stages of benchmark:
+        each writes the bytes of the matching bundle file."""
+        config = tmp_path / "cfg.txt"
+        config.write_text("D = 21\nsteps = 4\n")
+        grid = ["--b-states", "4", "--b-horizon", "2"]
+        bundle, chain = tmp_path / "bundle", tmp_path / "chain"
+        common = ["--config", str(config), "--out", str(chain)]
+        model, trace = str(chain / "model.csv"), str(chain / "trace_norm.csv")
+        for argv in (
+            ["benchmark", "--config", str(config), "--only-D", "21", "--out", str(bundle), *grid],
+            ["generate", *common],
+            ["fit", *common, "--data", str(chain / "dataset_D21.csv")],
+            ["simulate", *common, "--model", model],
+            ["certify", *common, "--model", model, "--trace", trace, *grid],
+        ):
+            assert main(argv) == 0, argv[0]
+        pairs = {
+            "dataset_D21.csv": "dataset_D21.csv",
+            "dataset_D21.csv.meta": "dataset_D21.csv.meta",
+            "model_D21.csv": "model.csv",
+            "model_D21.csv.meta": "model.csv.meta",
+            "trace_norm_D21.csv": "trace_norm.csv",
+            "trace_raw_D21.csv": "trace_raw.csv",
+            "stability_steps_D21.csv": "stability_steps.csv",
+        }
+        for in_bundle, in_chain in pairs.items():
+            assert (bundle / in_bundle).read_bytes() == (chain / in_chain).read_bytes(), in_chain
+        report = read_keyvalues(bundle / "stability_report_D21.txt")
+        assert report.pop("model_tag") == "surrogate_D21"
+        chained = read_keyvalues(chain / "stability_report.txt")
+        assert chained.pop("model_tag") == "surrogate"
+        assert report == chained
+        fit = read_keyvalues(chain / "fit_report.txt")
+        assert fit.pop("size") == "21"
+        assert fit.items() <= read_keyvalues(bundle / "fit_report_D21.txt").items()
 
     def test_bundle_determinism(self, cfg, tmp_path):
         small = replace(cfg, steps=6, horizon=5)
