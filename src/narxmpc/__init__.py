@@ -10,7 +10,6 @@ from .narx import (
     NarxDims,
     NarxDynamics,
     build_regressor,
-    output_projection,
     shift_state,
 )
 from .kernels import (
@@ -26,7 +25,6 @@ from .kernels import (
     kernel_matrix,
     min_pairwise_distance,
     validate_error_constants,
-    wendland_dphi,
     wendland_phi,
 )
 from .mpc import (
@@ -52,7 +50,6 @@ from .stability import (
     estimate_growth_bound,
     fit_decay_rate,
     gamma_bar,
-    lyapunov_value,
     min_horizon,
     storage_matrix,
     storage_value,

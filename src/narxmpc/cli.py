@@ -9,7 +9,9 @@ certify    build a stability certificate for a model and a recorded trace
 benchmark  run the full two-dataset comparison
 
 Configuration comes from an optional key=value file (see ``--config``);
-command-line flags override file values.  Exit codes: 0 on success, 1
+command-line flags override file values.  The prediction horizon comes
+only from the ``N`` key, so ``simulate`` and ``certify`` run with one
+configuration agree on it.  Exit codes: 0 on success, 1
 for configuration, input or I/O problems (any ``ValueError`` or
 ``OSError``) and for solver failures (including a closed loop that
 stopped early), 2 when a certification verdict fails.
@@ -137,7 +139,7 @@ def cmd_fit(args) -> int:
 
 def cmd_simulate(args) -> int:
     started = time.time()
-    cfg = _build_config(args, steps=args.steps, horizon=args.horizon)
+    cfg = _build_config(args, steps=args.steps)
     model = _load_model(args.model, cfg)
     trace = simulate_loop(cfg, model)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -222,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--model", type=Path, required=True, help="fitted model CSV")
     sp.add_argument("--steps", type=int, help="closed-loop steps")
-    sp.add_argument("--horizon", type=int, help="prediction horizon")
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("certify", help="stability certificate for a recorded trace")

@@ -43,17 +43,11 @@ def wendland_phi(r: np.ndarray) -> np.ndarray:
     return one_minus**5 * (5.0 * r + 1.0) / 30.0
 
 
-def wendland_dphi(r: np.ndarray) -> np.ndarray:
-    """Derivative of :func:`wendland_phi`; simplifies to ``-r (1 - r)^4``."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("radius must be nonnegative")
-    one_minus = np.clip(1.0 - r, 0.0, None)
-    return -r * one_minus**4
-
-
 def _wendland_slope(r: np.ndarray) -> np.ndarray:
-    """``phi'(r) / r`` without the removable singularity at zero."""
+    """``phi'(r) / r`` without the removable singularity at zero.
+
+    The derivative of :func:`wendland_phi` simplifies to ``-r (1 - r)^4``.
+    """
     one_minus = np.clip(1.0 - np.asarray(r, dtype=float), 0.0, None)
     return -(one_minus**4)
 
@@ -153,20 +147,35 @@ class Dataset:
         return self.sites.shape[0]
 
 
-def min_pairwise_distance(sites: np.ndarray, chunk: int = 512) -> float:
-    """Smallest distance between distinct rows, computed in chunks."""
+#: Rows per block of :func:`_nearest_site_distances`, which bounds its memory.
+_NEAREST_CHUNK = 512
+
+
+def _nearest_site_distances(
+    points: np.ndarray, sites: np.ndarray, exclude_self: bool
+) -> np.ndarray:
+    """Distance from each row of ``points`` to its nearest row of ``sites``.
+
+    Computed in blocks of rows; every per-pair distance is the same in any
+    block.  With ``exclude_self`` the points are the sites themselves and
+    each row skips its own site.
+    """
+    nearest = np.empty(points.shape[0])
+    for start in range(0, points.shape[0], _NEAREST_CHUNK):
+        dist = cdist(points[start : start + _NEAREST_CHUNK], sites)
+        if exclude_self:
+            rows = np.arange(dist.shape[0])
+            dist[rows, start + rows] = np.inf
+        nearest[start : start + dist.shape[0]] = dist.min(axis=1)
+    return nearest
+
+
+def min_pairwise_distance(sites: np.ndarray) -> float:
+    """Smallest distance between distinct rows."""
     sites = np.atleast_2d(np.asarray(sites, dtype=float))
-    d = sites.shape[0]
-    if d < 2:
+    if sites.shape[0] < 2:
         return np.inf
-    best = np.inf
-    for start in range(0, d, chunk):
-        block = sites[start : start + chunk]
-        dist = cdist(block, sites)
-        rows = np.arange(block.shape[0])
-        dist[rows, start + rows] = np.inf
-        best = min(best, float(dist.min()))
-    return best
+    return float(_nearest_site_distances(sites, sites, exclude_self=True).min())
 
 
 def fill_distance(sites: np.ndarray, probes: np.ndarray) -> float:
@@ -175,11 +184,16 @@ def fill_distance(sites: np.ndarray, probes: np.ndarray) -> float:
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     if probes.shape[0] == 0:
         raise ValueError("fill distance needs at least one probe point")
-    best = 0.0
-    for start in range(0, probes.shape[0], 2048):
-        block = probes[start : start + 2048]
-        best = max(best, float(cdist(block, sites).min(axis=1).max()))
-    return best
+    return float(_nearest_site_distances(probes, sites, exclude_self=False).max())
+
+
+def _refined_solve(gram: np.ndarray, cho: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``gram x = rhs`` from its Cholesky factor ``cho`` with two
+    steps of iterative refinement."""
+    x = cho_solve(cho, rhs)
+    for _ in range(2):
+        x = x + cho_solve(cho, rhs - gram @ x)
+    return x
 
 
 class KernelInterpolant:
@@ -222,14 +236,6 @@ class KernelInterpolant:
     def certificate_degraded(self) -> bool:
         return self.jitter > 0.0
 
-    def _solve(self, rhs: np.ndarray, refine: int = 2) -> np.ndarray:
-        """Solve against the (jittered) kernel matrix with iterative refinement."""
-        x = cho_solve(self._cho, rhs)
-        for _ in range(refine):
-            resid = rhs - self._gram @ x
-            x = x + cho_solve(self._cho, resid)
-        return x
-
     def predict_batch(self, Xi: np.ndarray) -> np.ndarray:
         """Interpolant values at rows of ``Xi`` (M, n + m)."""
         Kx = kernel_matrix(self.spec, np.atleast_2d(np.asarray(Xi, dtype=float)), self.data.sites)
@@ -259,19 +265,15 @@ class KernelInterpolant:
         inexact solves, unlike the textbook two-term expression.  Values
         are clamped at zero (clamping tolerance 1e-14).
         """
-        arr = np.asarray(Xi, dtype=float)
-        single = arr.ndim == 1
-        Xi2 = np.atleast_2d(arr)
-        Kx = kernel_matrix(self.spec, self.data.sites, Xi2)
-        C = self._solve(Kx)
+        Kx = kernel_matrix(self.spec, self.data.sites, Xi)
+        C = _refined_solve(self._gram, self._cho, Kx)
         KC = self._gram @ C
         p2 = (
             self.spec.diag_value
             - 2.0 * np.einsum("ij,ij->j", Kx, C)
             + np.einsum("ij,ij->j", C, KC)
         )
-        out = np.sqrt(np.where(p2 > 0.0, p2, 0.0))
-        return float(out[0]) if single else out
+        return np.sqrt(np.where(p2 > 0.0, p2, 0.0))
 
     def rkhs_norm(self) -> float:
         """Native-space norm of the interpolant.
@@ -346,10 +348,7 @@ def fit_interpolant(spec: KernelSpec, data: Dataset, jitter: float = 0.0) -> Ker
             "kernel matrix factorization failed (smallest diagonal entry "
             f"{pivot:.6e}); increase jitter or enlarge the site separation"
         ) from exc
-    coefficients = cho_solve(cho, data.targets)
-    for _ in range(2):
-        resid = data.targets - gram @ coefficients
-        coefficients = coefficients + cho_solve(cho, resid)
+    coefficients = _refined_solve(gram, cho, data.targets)
     site_residual = float(np.max(np.abs(data.targets - gram @ coefficients))) if data.size else 0.0
     return KernelInterpolant(spec, data, jitter, gram, cho, coefficients, site_residual)
 
@@ -386,16 +385,14 @@ def estimate_error_constants(
     model: KernelInterpolant | NarxDynamics,
     X: np.ndarray,
     U: np.ndarray,
-    grid_size: int = 64,
-    lipschitz: float | None = None,
 ) -> ErrorConstants:
     """Estimate the smallest ``(c_x, c_u)`` covering all sampled residuals.
 
-    For each candidate ``c_u`` on a log-spaced grid (augmented with an
-    exact zero), the induced ``c_x`` is the largest leftover residual
-    ratio; the pair minimizing ``c_x + c_u`` wins.  Samples at the origin
-    must have residual below 1e-10, otherwise the surrogate misses the
-    equilibrium and no proportional bound exists.
+    For each candidate ``c_u`` on a log-spaced grid of 64 values
+    (augmented with an exact zero), the induced ``c_x`` is the largest
+    leftover residual ratio; the pair minimizing ``c_x + c_u`` wins.
+    Samples at the origin must have residual below 1e-10, otherwise the
+    surrogate misses the equilibrium and no proportional bound exists.
 
     Parameters
     ----------
@@ -406,7 +403,7 @@ def estimate_error_constants(
     U : array, shape (S, m)
         Evaluation samples in normalized coordinates, S >= 100.
     """
-    return _constants_from(*_residuals(truth, model, X, U), grid_size, lipschitz)
+    return _constants_from(*_residuals(truth, model, X, U))
 
 
 def _residuals(truth, model, X, U) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -426,9 +423,7 @@ def _residuals(truth, model, X, U) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return residual, np.linalg.norm(X, axis=1), np.linalg.norm(U, axis=1)
 
 
-def _constants_from(
-    residual, x_norm, u_norm, grid_size: int = 64, lipschitz: float | None = None
-) -> ErrorConstants:
+def _constants_from(residual, x_norm, u_norm) -> ErrorConstants:
     """The constants of :func:`estimate_error_constants` from residual norms."""
     at_origin = (x_norm <= 1e-8) & (u_norm <= 1e-8)
     if np.any(residual[at_origin] > 1e-10):
@@ -442,7 +437,7 @@ def _constants_from(
 
     # Candidate c_u values: zero plus a log grid spanning the residual scale.
     hi = max(float(np.max(residual_l / np.maximum(u_norm[live], 1e-12))), 1e-12)
-    candidates = np.concatenate([[0.0], np.geomspace(hi * 1e-8, hi, grid_size)])
+    candidates = np.concatenate([[0.0], np.geomspace(hi * 1e-8, hi, 64)])
     best = None
     for cu in candidates:
         leftover = residual_l - cu * u_l
@@ -471,7 +466,6 @@ def _constants_from(
         sample_count=int(residual.shape[0]),
         max_ratio=float(all_ratios[worst_index]),
         worst_index=worst_index,
-        lipschitz=lipschitz,
     )
 
 

@@ -230,7 +230,6 @@ class OcpSolution:
     iterations: int
     grad_norm: float
     converged: bool
-    start_index: int = 0
     multistart_spread: float = 0.0
 
 
@@ -310,24 +309,22 @@ def solve_ocp(
 
     results = []
     first_error: SolverError | None = None
-    for idx, start in enumerate(starts):
+    for start in starts:
         try:
-            results.append((idx, _projected_descent(cost_fn, grad_fn, proj, start, solver)))
+            results.append(_projected_descent(cost_fn, grad_fn, proj, start, solver))
         except SolverError as exc:
             if first_error is None:
                 first_error = exc
     if not results:
         raise first_error if first_error is not None else SolverError("no start succeeded")
-    values = [r[1][1] for r in results]
-    best_pos = int(np.argmin(values))
-    idx, (u, value, iterations, grad_norm, converged) = results[best_pos]
+    values = [r[1] for r in results]
+    u, value, iterations, grad_norm, converged = results[int(np.argmin(values))]
     return OcpSolution(
         u_star=u,
         value=value,
         iterations=iterations,
         grad_norm=grad_norm,
         converged=converged,
-        start_index=idx,
         multistart_spread=float(max(values) - min(values)),
     )
 
@@ -446,8 +443,7 @@ def run_closed_loop(
         failure=failure,
     )
     if storage_matrix is not None:
-        P = np.asarray(getattr(storage_matrix, "P", storage_matrix), dtype=float)
-        w_vals = np.einsum("ki,ij,kj->k", trace.states, P, trace.states)
+        w_vals = np.einsum("ki,ij,kj->k", trace.states, storage_matrix, trace.states)
         trace.storage_values = w_vals
         trace.lyapunov = trace.values + w_vals
     return trace

@@ -52,15 +52,6 @@ class NarxDims:
         """Length of the stacked-output block at the front of the regressor."""
         return self.nu * self.p
 
-    def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Split a regressor into its output-history and input-history blocks."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.n:
-            raise DimensionMismatchError(
-                f"regressor has length {x.shape[-1]}, expected n={self.n}"
-            )
-        return x[..., : self.n_outputs_block], x[..., self.n_outputs_block :]
-
 
 def build_regressor(y_hist: np.ndarray, u_hist: np.ndarray, dims: NarxDims) -> np.ndarray:
     """Stack output and input histories (newest first) into a regressor.
@@ -84,16 +75,6 @@ def build_regressor(y_hist: np.ndarray, u_hist: np.ndarray, dims: NarxDims) -> n
             f"u_hist has shape {u_hist.shape}, expected ({dims.nu - 1}, {dims.m})"
         )
     return np.concatenate([y_hist.ravel(), u_hist.ravel()])
-
-
-def output_projection(x: np.ndarray, dims: NarxDims) -> np.ndarray:
-    """Return the current output ``y(k)``, the leading ``p`` regressor entries."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != dims.n:
-        raise DimensionMismatchError(
-            f"regressor has length {x.shape[-1]}, expected n={dims.n}"
-        )
-    return x[..., : dims.p]
 
 
 def shift_state(x: np.ndarray, y_next: np.ndarray, u: np.ndarray, dims: NarxDims) -> np.ndarray:
@@ -260,14 +241,6 @@ class AffineNormalization:
         if np.any(self.y_scale <= 0) or np.any(self.u_scale <= 0):
             raise ValueError("normalization scales must be strictly positive")
 
-    @property
-    def p(self) -> int:
-        return self.y_ref.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.u_ref.shape[0]
-
     def normalize_output(self, y: np.ndarray) -> np.ndarray:
         return (np.asarray(y, dtype=float) - self.y_ref) / self.y_scale
 
@@ -327,12 +300,3 @@ class Box:
     @property
     def dim(self) -> int:
         return self.lo.shape[0]
-
-    def contains(self, points: np.ndarray, tol: float = 0.0) -> np.ndarray:
-        """Componentwise membership check; returns a bool per point."""
-        points = np.asarray(points, dtype=float)
-        inside = (points >= self.lo - tol) & (points <= self.hi + tol)
-        return np.all(inside, axis=-1)
-
-    def clip(self, points: np.ndarray) -> np.ndarray:
-        return np.clip(np.asarray(points, dtype=float), self.lo, self.hi)

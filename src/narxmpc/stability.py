@@ -142,7 +142,7 @@ def check_detectability(
 
 @dataclass
 class GrowthBoundEstimate:
-    """Sampled growth bounds ``B_N`` for ``N = 1..n_max``.
+    """Sampled growth bounds ``B_N`` from ``N = 1`` up to the largest horizon solved.
 
     ``ratios[i, N-1]`` is ``V_N(x_i) / ||x_i||^2`` (NaN where the solver
     failed); ``b_values`` is the running maximum over samples, made
@@ -154,10 +154,6 @@ class GrowthBoundEstimate:
     states: np.ndarray
     model_tag: str = ""
     solver_failures: int = 0
-
-    @property
-    def n_max(self) -> int:
-        return self.b_values.shape[0]
 
 
 def estimate_growth_bound(
@@ -231,21 +227,13 @@ def min_horizon(gamma: float, nu: int) -> float:
     return 1.0 + numerator / denominator
 
 
-def lyapunov_value(
-    f: NarxDynamics,
-    cfg: MpcConfig,
-    x: np.ndarray,
-    storage: StorageMatrix,
-    warm: np.ndarray | None = None,
-) -> float:
-    """Candidate Lyapunov value ``V_N(x) + W(x)`` at one state."""
-    sol = solve_ocp(f, x, cfg, warm=warm)
-    return sol.value + float(storage_value(np.asarray(x, dtype=float), storage))
-
-
 VERDICT_EQUILIBRIUM = "at_equilibrium"
 VERDICT_VERIFIED = "decrease_verified"
 VERDICT_VIOLATED = "decrease_violated"
+
+#: State norm at or below which a step counts as converged and is not
+#: checked for decrease.
+DEADBAND = 1e-5
 
 
 @dataclass
@@ -293,19 +281,19 @@ class StabilityReport:
         return self.verdict in (VERDICT_EQUILIBRIUM, VERDICT_VERIFIED)
 
 
-def fit_decay_rate(errors: np.ndarray, rel_floor: float = 0.01):
+def fit_decay_rate(errors: np.ndarray):
     """Least-squares slope of ``log(error)`` over the initial transient.
 
     The fit window runs from the start through the first point at or
-    below ``rel_floor`` times the initial error (or the whole series if
-    the error never drops that far).  Returns ``(slope, r_squared,
+    below 1% of the initial error (or the whole series if the error
+    never drops that far).  Returns ``(slope, r_squared,
     points)``; fewer than three usable points give NaN.
     """
     errors = np.asarray(errors, dtype=float)
     positive = errors > 0
     if errors.size == 0 or not positive[0]:
         return math.nan, math.nan, 0
-    threshold = max(errors[0] * rel_floor, 1e-14)
+    threshold = max(errors[0] * 0.01, 1e-14)
     below = np.flatnonzero(errors <= threshold)
     end = int(below[0]) if below.size else errors.size - 1
     window = errors[: end + 1]
@@ -326,18 +314,19 @@ def verify_decrease(
     trace: ClosedLoopTrace,
     storage: StorageMatrix,
     margin_fraction: float = 0.0,
-    deadband: float = 1e-5,
     growth: GrowthBoundEstimate | None = None,
     model_tag: str = "",
 ) -> StabilityReport:
     """Check per-step decrease of the candidate Lyapunov function.
 
-    Over every applied step whose state norm exceeds the dead-band, the
-    change ``Y(x(k+1)) - Y(x(k))`` must be at most ``-alpha ||x(k)||^2``
-    for a uniform ``alpha > 0``; the report carries the largest such
-    ``alpha``, shrunk by ``margin_fraction`` for the certified value.
-    States inside the dead-band are treated as converged.  Never raises
-    on a failed check; the verdict tells.
+    Over every applied step whose state norm exceeds :data:`DEADBAND`,
+    the change ``Y(x(k+1)) - Y(x(k))`` must be at most
+    ``-alpha ||x(k)||^2`` for a uniform ``alpha > 0``; the report carries
+    the largest such ``alpha``, shrunk by ``margin_fraction`` for the
+    certified value.  States inside the dead-band are treated as
+    converged.  Never raises on a failed check; the verdict tells.  A
+    trace with no applied step has nothing to certify and raises
+    ``ValueError``.
 
     When a growth-bound estimate is given, the report also carries the
     envelope constant, the minimal-horizon formula value and a sampled
@@ -346,6 +335,8 @@ def verify_decrease(
     """
     if not 0.0 <= margin_fraction < 1.0:
         raise ValueError("margin_fraction must lie in [0, 1)")
+    if trace.steps == 0:
+        raise ValueError("the trace has no applied step; there is no decrease to certify")
     states = trace.states
     w_vals = storage_value(states, storage)
     y_vals = trace.values + w_vals
@@ -360,7 +351,7 @@ def verify_decrease(
     k_max = states.shape[0] - 1
     deltas = y_vals[1:] - y_vals[:-1]
     usable = np.isfinite(y_vals[1:]) & np.isfinite(y_vals[:-1])
-    active = (norms[:-1] > deadband) & usable
+    active = (norms[:-1] > DEADBAND) & usable
     alpha = None
     first_violation = None
     if not np.any(active):
@@ -381,7 +372,7 @@ def verify_decrease(
     report = StabilityReport(
         verdict=verdict,
         steps=k_max,
-        deadband=deadband,
+        deadband=DEADBAND,
         margin_fraction=margin_fraction,
         eta=storage.eta,
         sigma_min=storage.sigma_min,

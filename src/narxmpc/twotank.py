@@ -20,7 +20,8 @@ how :class:`TwoTankNarxDynamics` evaluates it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 from scipy.stats import qmc
@@ -119,15 +120,19 @@ def two_tank_step(h1, h2, u, params: TwoTankParams):
     )
 
 
-def _total_step(h1, h2, u, params: TwoTankParams, max_levels: int = 6):
+#: Halvings of the sampling interval tried before a step is given up.
+_SUBSTEP_LEVELS = 6
+
+
+def _total_step(h1, h2, u, params: TwoTankParams):
     """Sampled step made total on ``h2 >= h1 >= 0`` with ``u >= 0``.
 
     The exact flow never leaves that region (the level difference grows
     on its boundary), but single-step Runge-Kutta stage points can cross
     it when the levels are nearly equal and the pump flow is small.
     Rows where the full-interval step fails are re-integrated with
-    progressively finer substeps, which reproduces the invariant flow;
-    rows that stay invalid through the finest level raise.
+    progressively finer substeps, down to 64, which reproduces the
+    invariant flow; rows that stay invalid at 64 substeps raise.
     """
     h1 = np.atleast_1d(np.asarray(h1, dtype=float))
     h2 = np.atleast_1d(np.asarray(h2, dtype=float))
@@ -137,7 +142,7 @@ def _total_step(h1, h2, u, params: TwoTankParams, max_levels: int = 6):
     n1 = np.array(n1, dtype=float, copy=True)
     n2 = np.array(n2, dtype=float, copy=True)
     splits = 1
-    for _ in range(max_levels):
+    for _ in range(_SUBSTEP_LEVELS):
         bad = ~(np.isfinite(n1) & np.isfinite(n2))
         if not np.any(bad):
             return n1, n2
@@ -152,7 +157,7 @@ def _total_step(h1, h2, u, params: TwoTankParams, max_levels: int = 6):
     if np.any(bad):
         raise DomainError(
             f"{int(np.sum(bad))} state(s) stayed invalid down to "
-            f"{2 ** max_levels} substeps; levels outside h2 >= h1 >= 0"
+            f"{2 ** _SUBSTEP_LEVELS} substeps; levels outside h2 >= h1 >= 0"
         )
     return n1, n2
 
@@ -173,16 +178,17 @@ def equilibrium_levels(u: float, params: TwoTankParams) -> tuple[float, float]:
     return h1, h2
 
 
-def reconstruct_hidden_level(y_prev, y_cur, u_prev, params: TwoTankParams, iters: int = 54):
+def reconstruct_hidden_level(y_prev, y_cur, u_prev, params: TwoTankParams):
     """Recover the current upper-tank level from the newest measured transition.
 
     Finds the previous upper level ``h2(k-1)`` in ``[y_prev,
     HIDDEN_LEVEL_MAX]`` such that one sampled step from ``(y_prev,
     h2(k-1))`` under ``u_prev`` reproduces ``y_cur``; the step's upper
     level is the reconstruction.  The map is strictly increasing in the
-    upper level, so bisection converges; unreachable targets clamp to the
-    nearest bracket end.  Exact (to solver tolerance) whenever the
-    transition actually came from the plant.
+    upper level, so 54 bisection steps reach the resolution of a double;
+    unreachable targets clamp to the nearest bracket end.  Exact (to
+    solver tolerance) whenever the transition actually came from the
+    plant.
 
     All arguments broadcast; returns the reconstructed ``h2(k)``.
     """
@@ -197,7 +203,7 @@ def reconstruct_hidden_level(y_prev, y_cur, u_prev, params: TwoTankParams, iters
     g_lo = g_lo.reshape(lo.shape)
     g_hi, _ = _total_step(y_prev, hi, u_prev, params)
     g_hi = g_hi.reshape(hi.shape)
-    for _ in range(iters):
+    for _ in range(54):
         mid = 0.5 * (lo + hi)
         g_mid, _ = two_tank_step(y_prev, mid, u_prev, params)
         # A failed single-step probe means near-equal levels, where the
@@ -230,10 +236,6 @@ class TwoTankPlant:
         self.h1 = float(h1)
         self.h2 = float(h2)
 
-    @property
-    def levels(self) -> tuple[float, float]:
-        return self.h1, self.h2
-
     def step(self, u: float) -> float:
         """Apply one held input, advance the levels, return the new output.
 
@@ -244,10 +246,6 @@ class TwoTankPlant:
         h1, h2 = _total_step(self.h1, max(self.h2, self.h1), float(u), self.params)
         self.h1, self.h2 = float(h1[0]), float(h2[0])
         return self.h1
-
-    def simulate(self, u_seq) -> np.ndarray:
-        """Apply a sequence of held inputs; returns the measured outputs."""
-        return np.array([self.step(u) for u in np.asarray(u_seq, dtype=float).ravel()])
 
 
 class TwoTankNarxDynamics(NarxDynamics):
@@ -361,8 +359,9 @@ class BenchmarkConfig:
     ``d`` counts interpolation sites including the equilibrium sample,
     ``horizon`` is the controller horizon and ``steps`` the closed-loop
     length.  The output domain is the fixed level range ``[y_lo, y_hi]``
-    and the admissible pump range is ``[u_lo, u_hi]``; the measured
-    level starts at the constant value ``h0``.  Dataset ``mode`` is
+    and the admissible pump range is ``[u_lo, u_hi]``, which must hold
+    the equilibrium flow ``u_eq``; the measured level starts at the
+    constant value ``h0``.  Dataset ``mode`` is
     ``state_grid`` (quasi-uniform coverage of levels and inputs, the
     default) or ``trajectory`` (harvested simulation runs).
     """
@@ -381,9 +380,9 @@ class BenchmarkConfig:
     sigma: float = 1.0
     jitter: float = 0.0
     h0: float = 0.2
-    u_eq: float = 5.461e-6
-    y_lo: float = 0.0
-    y_hi: float = 0.5
+    u_eq: ClassVar[float] = 5.461e-6
+    y_lo: ClassVar[float] = 0.0
+    y_hi: ClassVar[float] = 0.5
 
     def __post_init__(self) -> None:
         if self.d < 1:
@@ -398,8 +397,6 @@ class BenchmarkConfig:
             raise ValueError("need u_lo < u_hi")
         if not (self.u_lo <= self.u_eq <= self.u_hi):
             raise ValueError("the equilibrium input must lie inside the input range")
-        if not (self.y_lo < self.y_hi):
-            raise ValueError("need y_lo < y_hi")
 
     @property
     def params(self) -> TwoTankParams:
@@ -481,6 +478,37 @@ def _default_separation(d: int) -> float:
     return max(0.01, 0.25 / np.sqrt(d))
 
 
+#: Points per block of :func:`_reachable_draws`.
+_HALTON_BLOCK = 2048
+
+
+def _reachable_draws(cfg: BenchmarkConfig, seed: int):
+    """Reachable raw lag-two regressors from scrambled Halton points.
+
+    Each block of :data:`_HALTON_BLOCK` points over (lower level, upper
+    level, previous input, input) is filtered to upper >= lower and
+    stepped once under the previous input; rows whose new lower level is
+    finite and inside ``[y_lo, y_hi]`` are kept.  Yields, per block, the
+    regressors ``(y(k), y(k-1), u(k-1))``, the upper levels after the
+    step and the inputs of the fourth coordinate, row for row.  A
+    scrambled Halton sequence does not depend on the block size, and its
+    first three coordinates are the three-dimensional sequence of the
+    same seed.
+    """
+    sampler = qmc.Halton(d=4, scramble=True, seed=seed)
+    while True:
+        block = sampler.random(_HALTON_BLOCK)
+        h1 = cfg.y_lo + (cfg.y_hi - cfg.y_lo) * block[:, 0]
+        h2 = cfg.y_lo + (cfg.y_hi - cfg.y_lo) * block[:, 1]
+        u_prev = cfg.u_lo + (cfg.u_hi - cfg.u_lo) * block[:, 2]
+        u_now = cfg.u_lo + (cfg.u_hi - cfg.u_lo) * block[:, 3]
+        keep = h2 >= h1
+        h1, h2, u_prev, u_now = h1[keep], h2[keep], u_prev[keep], u_now[keep]
+        y_cur, h2_cur = two_tank_step(h1, h2, u_prev, cfg.params)
+        ok = np.isfinite(y_cur) & (y_cur >= cfg.y_lo) & (y_cur <= cfg.y_hi)
+        yield np.stack([y_cur[ok], h1[ok], u_prev[ok]], axis=1), h2_cur[ok], u_now[ok]
+
+
 def generate_dataset(cfg: BenchmarkConfig) -> tuple[Dataset, dict]:
     """Generate an interpolation dataset from the two-tank plant.
 
@@ -557,33 +585,21 @@ def generate_dataset(cfg: BenchmarkConfig) -> tuple[Dataset, dict]:
                     break
         provenance["trajectories"] = trajectories
     else:
-        sampler = qmc.Halton(d=4, scramble=True, seed=cfg.seed)
+        draws = _reachable_draws(cfg, cfg.seed)
         drawn = 0
         while count < cfg.d:
-            block = sampler.random(2048)
-            drawn += 2048
+            raw_x, h2_cur, u_now = next(draws)
+            drawn += _HALTON_BLOCK
             if drawn > 4_000_000:
                 raise RuntimeError(
                     f"dataset generation stalled at {count} of {cfg.d} sites "
                     f"spaced at least {sep:.3g} apart"
                 )
-            h1 = cfg.y_lo + (cfg.y_hi - cfg.y_lo) * block[:, 0]
-            h2 = cfg.y_lo + (cfg.y_hi - cfg.y_lo) * block[:, 1]
-            u_prev = cfg.u_lo + (cfg.u_hi - cfg.u_lo) * block[:, 2]
-            u_now = cfg.u_lo + (cfg.u_hi - cfg.u_lo) * block[:, 3]
-            keep = h2 >= h1
-            h1, h2, u_prev, u_now = h1[keep], h2[keep], u_prev[keep], u_now[keep]
-            y_cur, h2_cur = two_tank_step(h1, h2, u_prev, cfg.params)
+            y_cur = raw_x[:, 0]
             y_next, _ = two_tank_step(y_cur, np.maximum(h2_cur, y_cur), u_now, cfg.params)
-            ok = (
-                np.isfinite(y_next)
-                & np.isfinite(y_cur)
-                & (y_cur >= cfg.y_lo)
-                & (y_cur <= cfg.y_hi)
-            )
-            raw_x = np.stack([y_cur[ok], h1[ok], u_prev[ok]], axis=1)
+            ok = np.isfinite(y_next)
             candidates = np.hstack(
-                [norm.normalize_state(raw_x, dims), norm.normalize_input(u_now[ok, None])]
+                [norm.normalize_state(raw_x[ok], dims), norm.normalize_input(u_now[ok, None])]
             )
             values = norm.normalize_output(y_next[ok, None])
             count, skipped = _accept_spaced(sites, targets, count, candidates, values, sep)
@@ -621,34 +637,24 @@ def sample_consistent_states(
 ) -> np.ndarray:
     """Physically reachable regressors, normalized, norm above ``min_norm``.
 
-    Draws scrambled Halton points over (lower level, upper level,
-    previous input), integrates one sampled step and keeps regressors
-    whose output stays inside the level domain.  Used as the evaluation
-    grid for growth-bound estimation and for error-constant sampling.
+    The first ``count`` regressors of :func:`_reachable_draws` whose
+    normalized norm exceeds ``min_norm``.  Used as the evaluation grid for
+    growth-bound estimation and for error-constant sampling.
     """
     if cfg.nu != 2:
         raise ValueError("consistent-state sampling is defined for lag depth 2")
     dims = cfg.dims
     norm = cfg.normalization()
-    sampler = qmc.Halton(d=3, scramble=True, seed=seed)
+    draws = _reachable_draws(cfg, seed)
     out: list[np.ndarray] = []
     drawn = 0
     while len(out) < count:
-        block = sampler.random(1024)
-        drawn += 1024
+        raw, _, _ = next(draws)
+        drawn += _HALTON_BLOCK
         if drawn > 1_000_000:
             raise RuntimeError("state sampling stalled; relax the filters")
-        h1 = cfg.y_lo + (cfg.y_hi - cfg.y_lo) * block[:, 0]
-        h2 = cfg.y_lo + (cfg.y_hi - cfg.y_lo) * block[:, 1]
-        u_prev = cfg.u_lo + (cfg.u_hi - cfg.u_lo) * block[:, 2]
-        keep = h2 >= h1
-        h1, h2, u_prev = h1[keep], h2[keep], u_prev[keep]
-        y_cur, _ = two_tank_step(h1, h2, u_prev, cfg.params)
-        ok = np.isfinite(y_cur) & (y_cur >= cfg.y_lo) & (y_cur <= cfg.y_hi)
-        raw = np.stack([y_cur[ok], h1[ok], u_prev[ok]], axis=1)
         states = norm.normalize_state(raw, dims)
-        states = states[np.linalg.norm(states, axis=1) > min_norm]
-        out.extend(states)
+        out.extend(states[np.linalg.norm(states, axis=1) > min_norm])
     return np.asarray(out[:count])
 
 

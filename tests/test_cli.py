@@ -160,12 +160,14 @@ class TestSimulate:
             assert text.count("\n") == 1
 
     def test_short_run_writes_trace(self, workspace, tmp_path):
+        config = tmp_path / "cfg.txt"
+        config.write_text("N = 5\n")
         code = main(
             [
                 "simulate",
+                "--config", str(config),
                 "--model", str(workspace / "model.csv"),
                 "--steps", "2",
-                "--horizon", "5",
                 "--out", str(tmp_path),
             ]
         )
@@ -203,12 +205,14 @@ class TestSimulate:
             return real_solve(*args, **kwargs)
 
         monkeypatch.setattr(narxmpc.mpc, "solve_ocp", solve_failing_at_step_1)
+        config = tmp_path / "cfg.txt"
+        config.write_text("N = 5\n")
         code = main(
             [
                 "simulate",
+                "--config", str(config),
                 "--model", str(workspace / "model.csv"),
                 "--steps", "4",
-                "--horizon", "5",
                 "--out", str(tmp_path),
             ]
         )
@@ -255,6 +259,48 @@ class TestCertify:
         assert "at_equilibrium" in out
         assert (tmp_path / "stability_report.txt").exists()
         assert (tmp_path / "stability_steps.csv").exists()
+
+    def test_horizon_comes_from_the_config(self, workspace, tmp_path):
+        """simulate and certify read the horizon from the same config key,
+        so the report judges the trace against the horizon that ran it."""
+        model = str(workspace / "model.csv")
+        config = tmp_path / "cfg.txt"
+        config.write_text("N = 5\n")
+        self._simulate(workspace, tmp_path, config=config, steps="3")
+        code = main(
+            [
+                "certify",
+                "--config", str(config),
+                "--model", model,
+                "--trace", str(tmp_path / "trace_norm.csv"),
+                "--b-states", "2",
+                "--b-horizon", "1",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code in (0, 2)
+        report = read_keyvalues(tmp_path / "stability_report.txt")
+        assert report["horizon"] == "5"
+        assert report["horizon_sufficient"] == (
+            "true" if 5 > float(report["min_horizon"]) else "false"
+        )
+
+    def test_zero_step_trace_is_an_error(self, workspace, tmp_path, capsys):
+        self._simulate(workspace, tmp_path, steps="0")
+        code = main(
+            [
+                "certify",
+                "--model", str(workspace / "model.csv"),
+                "--trace", str(tmp_path / "trace_norm.csv"),
+                "--b-states", "2",
+                "--b-horizon", "1",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no applied step" in err
+        assert not (tmp_path / "stability_report.txt").exists()
 
     def test_rigged_trace_fails_with_exit_2(self, workspace, tmp_path, capsys):
         self._simulate(workspace, tmp_path, steps="2")
@@ -311,6 +357,24 @@ class TestBenchmark:
             "manifest.json",
         ):
             assert (out / name).exists(), name
+
+    def test_zero_steps_is_an_error(self, tmp_path, capsys):
+        config = tmp_path / "cfg.txt"
+        config.write_text("steps = 0\n")
+        code = main(
+            [
+                "benchmark",
+                "--config", str(config),
+                "--only-D", "21",
+                "--b-states", "2",
+                "--b-horizon", "1",
+                "--out", str(tmp_path / "bundle"),
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "at_equilibrium" not in captured.out
+        assert captured.err.startswith("error: ") and "no applied step" in captured.err
 
     def test_steps_carry_the_trace_values(self, cfg, tmp_path):
         """The V column of the steps file is the solver's value, as in the

@@ -19,10 +19,10 @@ from narxmpc import (
     kernel_matrix,
     min_pairwise_distance,
     validate_error_constants,
-    wendland_dphi,
     wendland_phi,
 )
 from narxmpc.bench import error_constant_samples
+from narxmpc.kernels import _wendland_slope
 
 PHI_AT_ZERO = 1.0 / 30.0
 PHI_AT_HALF = 0.0036458333333333334
@@ -70,16 +70,17 @@ class TestProfile:
             wendland_phi(np.array(-0.1))
 
     def test_derivative_values(self):
-        # phi'(r) = -r (1 - r)^4 on [0, 1]
+        # phi'(r) = -r (1 - r)^4 on [0, 1], which the Jacobians take as
+        # r times the slope phi'(r) / r
         r = np.array([0.0, 0.25, 0.5, 1.0, 1.5])
         expected = np.where(r <= 1.0, -r * (1.0 - r) ** 4, 0.0)
-        assert_allclose(wendland_dphi(r), expected, rtol=1e-14, atol=1e-16)
+        assert_allclose(r * _wendland_slope(r), expected, rtol=1e-14, atol=1e-16)
 
     def test_derivative_matches_finite_difference(self):
         r = np.linspace(0.05, 0.95, 19)
         h = 1e-7
         fd = (wendland_phi(r + h) - wendland_phi(r - h)) / (2.0 * h)
-        assert_allclose(wendland_dphi(r), fd, rtol=0.0, atol=1e-8)
+        assert_allclose(r * _wendland_slope(r), fd, rtol=0.0, atol=1e-8)
 
 
 class TestKernelEval:

@@ -17,7 +17,6 @@ from narxmpc import (
     TwoTankParams,
     TwoTankPlant,
     build_regressor,
-    output_projection,
     shift_state,
     two_tank_step,
 )
@@ -53,12 +52,6 @@ class TestDims:
             NarxDims(p=0, m=1, nu=2)
         with pytest.raises(DimensionMismatchError):
             NarxDims(p=1, m=1, nu=0)
-
-    def test_split_blocks(self):
-        dims = NarxDims(p=1, m=1, nu=2)
-        y_block, u_block = dims.split(np.array([0.2, 0.1, 0.05]))
-        assert_array_equal(y_block, [0.2, 0.1])
-        assert_array_equal(u_block, [0.05])
 
 
 class TestBuildRegressor:
@@ -121,21 +114,6 @@ class TestLiftStep:
             assert_array_equal(x_next[nb + dims.m :], x[nb : dims.n - dims.m])
 
 
-class TestOutputProjection:
-    def test_leading_entry(self):
-        dims = NarxDims(p=1, m=1, nu=2)
-        assert_array_equal(output_projection(np.array([0.2, 0.1, 0.05]), dims), [0.2])
-
-    def test_zero_vector(self):
-        dims = NarxDims(p=1, m=1, nu=2)
-        assert_array_equal(output_projection(np.zeros(3), dims), [0.0])
-
-    def test_vector_output(self):
-        dims = NarxDims(p=2, m=3, nu=2)
-        x = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
-        assert_array_equal(output_projection(x, dims), [1.0, 2.0])
-
-
 class TestRollout:
     def test_zero_dynamics_flushes_history(self):
         dims = NarxDims(p=1, m=1, nu=2)
@@ -175,7 +153,7 @@ class TestRollout:
         u_seq = norm.normalize_input(u_raw)
         _, outputs = _stepwise_rollout(plant_view, x0, u_seq)
         plant = TwoTankPlant(params, float(y_cur), float(h2_cur))
-        direct = plant.simulate(u_raw.ravel())
+        direct = [plant.step(u) for u in u_raw.ravel()]
         assert_allclose(
             norm.denormalize_output(outputs).ravel(), direct, rtol=0.0, atol=1e-10
         )
@@ -233,12 +211,6 @@ class TestNormalization:
 
 
 class TestBox:
-    def test_contains_and_clip(self):
-        box = Box(lo=np.array([-1.0, 0.0]), hi=np.array([1.0, 2.0]))
-        assert box.contains(np.array([0.0, 1.0]))
-        assert not box.contains(np.array([0.0, 3.0]))
-        assert_array_equal(box.clip(np.array([5.0, -1.0])), [1.0, 0.0])
-
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
             Box(lo=np.array([1.0]), hi=np.array([0.0]))

@@ -9,9 +9,10 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.spatial.distance import cdist
 
 from narxmpc import (
     FunctionDynamics,
@@ -19,6 +20,8 @@ from narxmpc import (
     KernelSpec,
     NarxDims,
     TwoTankParams,
+    fill_distance,
+    min_pairwise_distance,
     rk4_step,
     sample_domain,
     two_tank_rhs,
@@ -139,3 +142,23 @@ def test_two_tank_step_single_equals_batch_row(rows):
         single = np.stack(two_tank_step(h1[i], h2[i], u[i], params))
         assert_array_equal(single, batch[i])
         assert_array_equal(np.signbit(single), np.signbit(batch[i]))
+
+
+@given(
+    seed=seeds,
+    rows=st.integers(1, 1500),
+    probes=st.integers(1, 1500),
+    dim=st.integers(1, 5),
+)
+@example(seed=0, rows=513, probes=1500, dim=4)
+@example(seed=1, rows=1500, probes=512, dim=1)
+def test_nearest_site_distances_match_brute_force(seed, rows, probes, dim):
+    """The chunked nearest-site loop gives the min and max of one full
+    distance matrix, bit for bit, on both sides of the chunk boundary."""
+    rng = np.random.default_rng(seed)
+    sites = rng.uniform(0.0, 1.0, size=(rows, dim))
+    points = rng.uniform(-0.2, 1.2, size=(probes, dim))
+    pairwise = cdist(sites, sites)
+    np.fill_diagonal(pairwise, np.inf)
+    assert min_pairwise_distance(sites) == pairwise.min()
+    assert fill_distance(sites, points) == cdist(points, sites).min(axis=1).max()

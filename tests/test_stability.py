@@ -24,7 +24,6 @@ from narxmpc import (
     generate_dataset,
     fit_interpolant,
     KernelSpec,
-    lyapunov_value,
     make_mpc_config,
     min_horizon,
     plant_views,
@@ -250,14 +249,19 @@ class TestMinHorizon:
 
 
 class TestLyapunovValue:
+    """The candidate ``Y = V + W`` that the closed loop records per state."""
+
     def test_zero_at_origin(self, storage):
-        value = lyapunov_value(_linear_dynamics(), _config(4), np.zeros(3), storage)
-        assert value == pytest.approx(0.0, abs=1e-12)
+        f = _linear_dynamics()
+        trace = run_closed_loop(f, f, _config(4), np.zeros(3), steps=1,
+                                storage_matrix=storage.P)
+        assert trace.lyapunov[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_dominates_storage(self, storage):
         x = np.array([0.5, -0.2, 0.3])
-        value = lyapunov_value(_linear_dynamics(), _config(4), x, storage)
-        assert value >= float(storage_value(x, storage))
+        f = _linear_dynamics()
+        trace = run_closed_loop(f, f, _config(4), x, steps=1, storage_matrix=storage.P)
+        assert trace.lyapunov[0] >= float(storage_value(x, storage))
 
 
 class TestVerifyDecrease:
