@@ -39,6 +39,7 @@ from .mpc import (
     finite_difference_gradient,
     run_closed_loop,
     solve_ocp,
+    solve_ocp_batch,
     stage_cost,
 )
 from .stability import (

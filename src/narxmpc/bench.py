@@ -39,6 +39,7 @@ from .stability import (
     GrowthBoundEstimate,
     StabilityReport,
     estimate_growth_bound,
+    require_applied_step,
     storage_matrix,
     verify_decrease,
 )
@@ -143,7 +144,9 @@ def certify_trace(
     model_tag: str = "surrogate",
 ) -> tuple[GrowthBoundEstimate, StabilityReport]:
     """Certify stage: growth bounds of the surrogate on the standard state
-    grid, then the decrease check along the recorded trace."""
+    grid, then the decrease check along the recorded trace.  A trace with
+    no applied step is rejected before the grid runs."""
+    require_applied_step(trace)
     mpc_cfg = make_mpc_config(cfg)
     grid = sample_state_grid(cfg, b_states, seed=cfg.seed + 29, min_norm=1e-3)
     growth = estimate_growth_bound(
@@ -238,6 +241,7 @@ def run_arm(
         cfg_d, model, trace, b_states, b_horizon, model_tag=f"surrogate_D{d}"
     )
     timings["certify"] = time.perf_counter() - tic
+    say(f"D={d}: {growth.summary()}")
     say(f"D={d}: verdict {report.verdict} ({timings['certify']:.1f} s)")
 
     return BenchmarkArm(

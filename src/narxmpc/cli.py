@@ -163,7 +163,7 @@ def cmd_certify(args) -> int:
     cfg = _build_config(args)
     model = _load_model(args.model, cfg)
     trace = load_trace(args.trace, cfg.dims, cfg.horizon, cfg.normalization())
-    _, report = certify_trace(
+    growth, report = certify_trace(
         cfg, model, trace, args.b_states, args.b_horizon, margin=args.margin
     )
     args.out.mkdir(parents=True, exist_ok=True)
@@ -171,6 +171,7 @@ def cmd_certify(args) -> int:
     steps_path = args.out / "stability_steps.csv"
     save_stability_report(report, report_path, steps_path)
     say = _say(args)
+    say(growth.summary())
     say(f"verdict: {report.verdict}")
     if report.gamma_bar is not None:
         say(f"gamma_bar={report.gamma_bar:.3f} min_horizon={report.min_horizon_value:.2f}")

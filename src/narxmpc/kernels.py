@@ -39,7 +39,7 @@ def wendland_phi(r: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("radius must be nonnegative")
-    one_minus = np.clip(1.0 - r, 0.0, None)
+    one_minus = np.maximum(1.0 - r, 0.0)
     return one_minus**5 * (5.0 * r + 1.0) / 30.0
 
 
@@ -48,7 +48,7 @@ def _wendland_slope(r: np.ndarray) -> np.ndarray:
 
     The derivative of :func:`wendland_phi` simplifies to ``-r (1 - r)^4``.
     """
-    one_minus = np.clip(1.0 - np.asarray(r, dtype=float), 0.0, None)
+    one_minus = np.maximum(1.0 - np.asarray(r, dtype=float), 0.0)
     return -(one_minus**4)
 
 
@@ -237,25 +237,36 @@ class KernelInterpolant:
         return self.jitter > 0.0
 
     def predict_batch(self, Xi: np.ndarray) -> np.ndarray:
-        """Interpolant values at rows of ``Xi`` (M, n + m)."""
+        """Interpolant values at rows of ``Xi`` (M, n + m).
+
+        Each row is its own product of kernel row and coefficients, so it
+        equals the single-row call bit for bit at any M.
+        """
         Kx = kernel_matrix(self.spec, np.atleast_2d(np.asarray(Xi, dtype=float)), self.data.sites)
-        return Kx @ self.coefficients
+        return np.matmul(Kx[:, None, :], self.coefficients)[:, 0]
 
     def linearize(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Value (p,) and Jacobian (p, n + m) at a single site ``xi``.
+        """Values (B, p) and Jacobians (B, p, n + m) at rows ``xi`` (B, n + m).
 
-        Both come from one pass over the site distances.  The Jacobian
-        uses ``phi'(r)/r`` directly, so it is exact (zero radial
-        contribution) when ``xi`` coincides with a site.  The distances
-        come from ``einsum`` rather than ``cdist``, so the value may
-        differ from :meth:`predict_batch` in the last bits.
+        A single site (n + m,) gives (p,) and (p, n + m).  Both come from
+        one pass over the site distances, row by row, so each row equals
+        its single-site call bit for bit.  The Jacobian uses
+        ``phi'(r)/r`` directly, so it is exact (zero radial contribution)
+        when ``xi`` coincides with a site.  The distances come from
+        ``einsum`` rather than ``cdist``, so the values may differ from
+        :meth:`predict_batch` in the last bits.
         """
-        xi = np.asarray(xi, dtype=float).ravel()
-        diffs = self.data.sites - xi
-        r = np.sqrt(np.einsum("ij,ij->i", diffs, diffs)) / self.spec.lengthscale
-        value = wendland_phi(r) @ self.coefficients
+        xi = np.asarray(xi, dtype=float)
+        dim = self.data.sites.shape[1]
+        diffs = self.data.sites - xi.reshape(-1, 1, dim)
+        flat = diffs.reshape(-1, dim)
+        r = np.sqrt(np.einsum("ij,ij->i", flat, flat)).reshape(diffs.shape[:2]) / self.spec.lengthscale
+        value = np.matmul(wendland_phi(r)[:, None, :], self.coefficients)[:, 0]
         w = _wendland_slope(r) / self.spec.lengthscale**2
-        return value, -((self.coefficients * w[:, None]).T @ diffs)
+        jac = -np.matmul((self.coefficients * w[:, :, None]).transpose(0, 2, 1), diffs)
+        if xi.ndim == 1:
+            return value[0], jac[0]
+        return value, jac
 
     def power_function(self, Xi: np.ndarray) -> np.ndarray:
         """Pointwise error certificate ``P(xi)`` at rows of ``Xi``.
@@ -306,9 +317,9 @@ class KernelSurrogateDynamics(NarxDynamics):
         return True
 
     def linearize(self, x, u):
-        xi = np.concatenate([np.asarray(x, dtype=float).ravel(), np.asarray(u, dtype=float).ravel()])
+        xi = np.concatenate([np.asarray(x, dtype=float), np.asarray(u, dtype=float)], axis=-1)
         y, J = self.model.linearize(xi)
-        return y, J[:, : self.dims.n], J[:, self.dims.n :]
+        return y, J[..., : self.dims.n], J[..., self.dims.n :]
 
 
 def fit_interpolant(spec: KernelSpec, data: Dataset, jitter: float = 0.0) -> KernelInterpolant:

@@ -5,9 +5,11 @@ input, ``sum_k ||y(k+1)||_Q^2 + ||u(k)||_R^2``, subject only to a box on
 the inputs.  Open-loop problems are solved by projected gradient descent
 with Armijo backtracking; gradients come from an adjoint sweep through
 the regressor shift structure when the dynamics expose Jacobians, and
-from batched central differences otherwise.  The receding-horizon loop
-applies the first input of each solution and warm-starts the next solve
-with the shifted remainder.
+from batched central differences otherwise.  Many problems are solved
+in lockstep, each row with its own step size, line search and stopping
+test, and every row reproduces its solo solve bit for bit.  The
+receding-horizon loop applies the first input of each solution and
+warm-starts the next solve with the shifted remainder.
 """
 
 from __future__ import annotations
@@ -128,11 +130,35 @@ class MpcConfig:
 def cost_J_batch(
     f: NarxDynamics, x0: np.ndarray, U_batch: np.ndarray, weights: StageCostWeights
 ) -> np.ndarray:
-    """Costs of B input sequences (B, N, m) from a shared initial regressor."""
+    """Costs of B input sequences (B, N, m) from initial regressors ``x0``.
+
+    ``x0`` is (B, n), one regressor per row, or a single regressor (n,)
+    shared by every row.
+    """
     U_batch = np.asarray(U_batch, dtype=float)
-    X0 = np.broadcast_to(np.asarray(x0, dtype=float), (U_batch.shape[0], f.dims.n))
-    _, outputs = f.rollout_batch(X0, U_batch)
+    _, outputs = f.rollout_batch(_regressor_rows(x0, U_batch.shape[0], f.dims.n), U_batch)
     return np.sum(stage_cost(outputs, U_batch, weights), axis=1)
+
+
+def _regressor_rows(x0: np.ndarray, b: int, n: int) -> np.ndarray:
+    """Initial regressors (b, n) from rows ``x0`` or one shared regressor."""
+    x0 = np.asarray(x0, dtype=float)
+    return np.broadcast_to(x0, (b, n)) if x0.ndim == 1 else x0
+
+
+def _as_batch(x0: np.ndarray, u_seq: np.ndarray, n: int):
+    """Rows ``(X0 (B, n), U (B, N, m))`` of a gradient call, and whether it
+    was a single problem (``u_seq`` of shape (N, m))."""
+    u_seq = np.asarray(u_seq, dtype=float)
+    single = u_seq.ndim < 3
+    U = np.atleast_2d(u_seq)[None] if single else u_seq
+    return _regressor_rows(x0, U.shape[0], n), U, single
+
+
+def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Stacked products ``A[b] @ v[b]``; each row equals its 2-D product bit
+    for bit, which a single (B, k) @ (k, p) product does not."""
+    return np.matmul(A, v[..., None])[..., 0]
 
 
 def cost_gradient(
@@ -140,9 +166,14 @@ def cost_gradient(
 ) -> np.ndarray:
     """Exact cost gradient w.r.t. the input sequence via an adjoint sweep.
 
-    The forward sweep rolls the lifted system out with one
+    ``u_seq`` is (N, m) for one problem from the regressor ``x0`` (n,),
+    or (B, N, m) for B problems from ``x0`` (B, n); the gradient has the
+    shape of ``u_seq``, and each row equals its single-problem gradient
+    bit for bit.
+
+    The forward sweep rolls the lifted system out with one batched
     :meth:`~narxmpc.narx.NarxDynamics.linearize` call per step, which
-    gives the output and its Jacobians together.  The backward sweep
+    gives the outputs and their Jacobians together.  The backward sweep
     accumulates the adjoint of the lifted step map: the output Jacobian
     enters through the first block row and the history shifts enter as
     index moves, so each step costs O(n) bookkeeping on top.
@@ -154,32 +185,33 @@ def cost_gradient(
             f"{type(f).__name__} provides no Jacobians; use finite_difference_gradient"
         )
     dims = f.dims
-    u_seq = np.atleast_2d(np.asarray(u_seq, dtype=float))
-    horizon = u_seq.shape[0]
-    x = np.asarray(x0, dtype=float)
-    steps = []
-    for k in range(horizon):
-        y, Jx, Ju = f.linearize(x, u_seq[k])
-        steps.append((y, Jx, Ju))
-        x = shift_state(x, y, u_seq[k], dims)
+    X, U, single = _as_batch(x0, u_seq, dims.n)
+    b, horizon = U.shape[0], U.shape[1]
     p, m, nb, n = dims.p, dims.m, dims.n_outputs_block, dims.n
-    grad = np.empty((horizon, m))
-    lam = np.zeros(n)
+    Y = np.empty((b, horizon, p))
+    jacobians = []
+    for k in range(horizon):
+        Y[:, k], Jx, Ju = f.linearize(X, U[:, k])
+        jacobians.append((Jx.transpose(0, 2, 1), Ju.transpose(0, 2, 1)))
+        X = shift_state(X, Y[:, k], U[:, k], dims)
+    output_weight = 2.0 * _matvec(weights.Q, Y)
+    input_weight = 2.0 * _matvec(weights.R, U)
+    grad = np.empty((b, horizon, m))
+    lam = np.zeros((b, n))
     for k in reversed(range(horizon)):
-        y, Jx, Ju = steps[k]
-        lam_full = lam.copy()
-        lam_full[:p] += 2.0 * (weights.Q @ y)
-        g = 2.0 * (weights.R @ u_seq[k]) + Ju.T @ lam_full[:p]
+        JxT, JuT = jacobians[k]
+        lam_y = lam[:, :p] + output_weight[:, k]
+        g = input_weight[:, k] + _matvec(JuT, lam_y)
         if dims.nu > 1:
-            g = g + lam_full[nb : nb + m]
-        grad[k] = g
-        new_lam = Jx.T @ lam_full[:p]
+            g = g + lam[:, nb : nb + m]
+        grad[:, k] = g
+        new_lam = _matvec(JxT, lam_y)
         if dims.nu > 1:
-            new_lam[: nb - p] += lam_full[p:nb]
+            new_lam[:, : nb - p] += lam[:, p:nb]
             if dims.nu > 2:
-                new_lam[nb : nb + (dims.nu - 2) * m] += lam_full[nb + m :]
+                new_lam[:, nb : nb + (dims.nu - 2) * m] += lam[:, nb + m :]
         lam = new_lam
-    return grad
+    return grad[0] if single else grad
 
 
 def finite_difference_gradient(
@@ -191,28 +223,31 @@ def finite_difference_gradient(
 ) -> np.ndarray:
     """Batched central-difference cost gradient.
 
-    All ``2 N m`` perturbed sequences are rolled out in one batch.
+    Takes the shapes of :func:`cost_gradient`.  All ``2 N m`` perturbed
+    sequences of all B problems are rolled out in one batch.
     Coordinates whose central difference is not finite fall back to a
     one-sided difference against the base cost, and to zero if that is
     not finite either.
     """
-    u_seq = np.atleast_2d(np.asarray(u_seq, dtype=float))
-    horizon, m = u_seq.shape
-    flat = u_seq.ravel()
-    k = flat.size
-    batch = np.tile(flat, (2 * k, 1))
+    X0, U, single = _as_batch(x0, u_seq, f.dims.n)
+    b, horizon, m = U.shape
+    k = horizon * m
+    batch = np.repeat(U.reshape(b, 1, k), 2 * k, axis=1)
     idx = np.arange(k)
-    batch[2 * idx, idx] += step
-    batch[2 * idx + 1, idx] -= step
-    costs = cost_J_batch(f, x0, batch.reshape(2 * k, horizon, m), weights)
-    plus, minus = costs[0::2], costs[1::2]
+    batch[:, 2 * idx, idx] += step
+    batch[:, 2 * idx + 1, idx] -= step
+    costs = cost_J_batch(
+        f, np.repeat(X0, 2 * k, axis=0), batch.reshape(b * 2 * k, horizon, m), weights
+    ).reshape(b, 2 * k)
+    plus, minus = costs[:, 0::2], costs[:, 1::2]
     grad = (plus - minus) / (2.0 * step)
     bad = ~np.isfinite(grad)
     if np.any(bad):
-        base = cost_J_batch(f, x0, u_seq[None], weights)[0]
+        base = cost_J_batch(f, X0, U, weights)[:, None]
         one_sided = np.where(np.isfinite(plus), (plus - base) / step, (base - minus) / step)
         grad = np.where(bad, np.where(np.isfinite(one_sided), one_sided, 0.0), grad)
-    return grad.reshape(horizon, m)
+    grad = grad.reshape(b, horizon, m)
+    return grad[0] if single else grad
 
 
 @dataclass
@@ -233,42 +268,144 @@ class OcpSolution:
     multistart_spread: float = 0.0
 
 
-def _projected_descent(cost_fn, grad_fn, proj, start, solver: SolverConfig):
-    u = proj(np.asarray(start, dtype=float))
-    value = cost_fn(u)
-    if not np.isfinite(value):
-        raise SolverError(f"initial cost is not finite ({value}) at the start sequence")
-    t = solver.init_step
-    converged = False
-    grad_norm = np.inf
-    iterations = 0
-    for _ in range(solver.max_iters):
-        g = grad_fn(u)
-        if not np.all(np.isfinite(g)):
-            raise SolverError("gradient is not finite at the current iterate")
-        pg = u - proj(u - g)
-        grad_norm = float(np.linalg.norm(pg))
-        if grad_norm <= solver.grad_tol:
-            converged = True
+def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: MpcConfig):
+    """Projected gradient descent on the rows of ``starts`` (B, N, m) from
+    the regressors ``X0`` (B, n), all rows one iteration at a time.
+
+    Each row keeps its own step size, Armijo search and stopping test, so
+    it follows the iterates of its solo descent bit for bit.  A row leaves
+    the active set when it converges, when its line search fails, or with
+    a :class:`SolverError` in ``errors`` when its cost or gradient is not
+    finite; the other rows go on unchanged.
+    """
+    solver, box, weights = cfg.solver, cfg.input_box, cfg.weights
+    gradient = cost_gradient if f.differentiable else finite_difference_gradient
+    U = np.clip(starts, box.lo, box.hi)
+    value = cost_J_batch(f, X0, U, weights)
+    errors: list[SolverError | None] = [
+        None if np.isfinite(v) else SolverError(f"initial cost is not finite ({v}) at the start sequence")
+        for v in value
+    ]
+    iterations = np.zeros(value.shape, dtype=int)
+    grad_norm = np.full(value.shape, np.inf)
+    converged = np.zeros(value.shape, dtype=bool)
+    # The active rows: their indices, regressors, iterates, values, step
+    # sizes and the gradient-mapping norms of the current round.
+    rows = np.flatnonzero(np.isfinite(value))
+    x, u, v, step = X0[rows], U[rows], value[rows], np.full(rows.size, solver.init_step)
+    norms = np.full(rows.size, np.inf)
+
+    def leave(out, count, conv):
+        nonlocal rows, x, u, v, step, norms
+        idx = rows[out]
+        U[idx], value[idx], grad_norm[idx] = u[out], v[out], norms[out]
+        iterations[idx], converged[idx] = count, conv
+        keep = ~out
+        rows, x, u, v, step, norms = rows[keep], x[keep], u[keep], v[keep], step[keep], norms[keep]
+        return keep
+
+    for rnd in range(solver.max_iters):
+        if not rows.size:
             break
-        iterations += 1
-        accepted = False
-        backtracked = False
-        while t >= 1e-18:
-            cand = proj(u - t * g)
-            cand_value = cost_fn(cand)
-            decrease = solver.armijo * float(np.sum(g * (cand - u)))
-            if np.isfinite(cand_value) and cand_value <= value + decrease:
-                accepted = True
-                break
-            t *= solver.shrink
-            backtracked = True
-        if not accepted:
-            break
-        u, value = cand, cand_value
-        if not backtracked:
-            t = min(t / solver.shrink, 1e6)
-    return u, float(value), iterations, grad_norm, converged
+        g = gradient(f, x, u, weights)
+        finite = np.isfinite(g).all(axis=(1, 2))
+        pg = (u - np.clip(u - g, box.lo, box.hi)).reshape(rows.size, 1, -1)
+        norms = np.sqrt(np.matmul(pg, pg.transpose(0, 2, 1))[:, 0, 0])
+        stop = ~finite | (norms <= solver.grad_tol)
+        if stop.any():
+            for i in rows[~finite]:
+                errors[i] = SolverError("gradient is not finite at the current iterate")
+            g = g[leave(stop, rnd, finite[stop])]
+        failed = ~_armijo_search(f, x, u, g, v, step, cfg)
+        if failed.any():
+            leave(failed, rnd + 1, False)
+    leave(np.ones(rows.size, dtype=bool), solver.max_iters, False)
+    return U, value, iterations, grad_norm, converged, errors
+
+
+def _armijo_search(f, x, u, g, value, step, cfg: MpcConfig) -> np.ndarray:
+    """Backtracking line search along ``-g`` from every row of ``u``, batched
+    over the rows still searching.
+
+    Accepted candidates overwrite their rows of ``u`` and ``value``;
+    ``step`` shrinks on each rejection and grows after an acceptance at
+    the first try.  Returns the mask of rows that accepted a step.
+    """
+    solver, box = cfg.solver, cfg.input_box
+    accepted = np.zeros(value.size, dtype=bool)
+    todo = np.arange(value.size)
+    first_try = True
+    while True:
+        todo = todo[step[todo] >= 1e-18]
+        if not todo.size:
+            return accepted
+        us, gs, ts = u[todo], g[todo], step[todo]
+        cand = np.clip(us - ts[:, None, None] * gs, box.lo, box.hi)
+        cand_value = cost_J_batch(f, x[todo], cand, cfg.weights)
+        decrease = solver.armijo * np.sum((gs * (cand - us)).reshape(todo.size, -1), axis=1)
+        ok = np.isfinite(cand_value) & (cand_value <= value[todo] + decrease)
+        hit = todo[ok]
+        u[hit], value[hit], accepted[hit] = cand[ok], cand_value[ok], True
+        if first_try:
+            step[hit] = np.minimum(ts[ok] / solver.shrink, 1e6)
+            first_try = False
+        todo = todo[~ok]
+        step[todo] *= solver.shrink
+
+
+def solve_ocp_batch(
+    f: NarxDynamics,
+    X0: np.ndarray,
+    cfg: MpcConfig,
+    warm: np.ndarray | None = None,
+) -> list[OcpSolution | SolverError]:
+    """Solve the box-constrained open-loop problems from the rows of ``X0`` (B, n).
+
+    All problems, and with ``cfg.solver.multistart > 1`` all their
+    starts, descend in lockstep (:func:`_lockstep_descent`): line-search
+    costs of the rows still searching go through one
+    :func:`cost_J_batch` call, and gradients of the active rows through
+    one :func:`cost_gradient` call (or :func:`finite_difference_gradient`
+    for dynamics without Jacobians).  Row ``i`` of the result is what
+    :func:`solve_ocp` returns for ``X0[i]`` and ``warm[i]``, bit for bit,
+    or the :class:`SolverError` it raises.
+
+    The first start of each problem is its warm sequence ``warm[i]``
+    (B, N, m), projected onto the box, or zeros; the seeded random
+    feasible starts are the same for every problem.  Ties between starts
+    break toward the lowest start index.
+    """
+    solver, box = cfg.solver, cfg.input_box
+    X0 = np.atleast_2d(np.asarray(X0, dtype=float))
+    b, n_starts = X0.shape[0], solver.multistart
+    shape = (cfg.horizon, cfg.dims.m)
+    starts = np.empty((b, n_starts, *shape))
+    starts[:, 0] = 0.0 if warm is None else np.asarray(warm, dtype=float).reshape(b, *shape)
+    if n_starts > 1:
+        rng = np.random.default_rng(solver.seed)
+        for s in range(1, n_starts):
+            starts[:, s] = rng.uniform(box.lo, box.hi, size=shape)
+    U, value, iterations, grad_norm, converged, errors = _lockstep_descent(
+        f, np.repeat(X0, n_starts, axis=0), starts.reshape(b * n_starts, *shape), cfg
+    )
+    results: list[OcpSolution | SolverError] = []
+    for first in range(0, b * n_starts, n_starts):
+        ok = [j for j in range(first, first + n_starts) if errors[j] is None]
+        if not ok:
+            results.append(errors[first])
+            continue
+        best = ok[int(np.argmin(value[ok]))]
+        results.append(
+            OcpSolution(
+                u_star=U[best],
+                value=float(value[best]),
+                iterations=int(iterations[best]),
+                grad_norm=float(grad_norm[best]),
+                converged=bool(converged[best]),
+                multistart_spread=float(np.max(value[ok]) - np.min(value[ok])),
+            )
+        )
+    return results
 
 
 def solve_ocp(
@@ -279,54 +416,18 @@ def solve_ocp(
 ) -> OcpSolution:
     """Solve the box-constrained open-loop problem from ``x0``.
 
-    The first start is the warm sequence (projected onto the box) or
-    zeros; additional seeded random feasible starts are used when
-    ``cfg.solver.multistart > 1``.  Line-search costs go through
-    :func:`cost_J_batch` at batch size one, so dynamics with a dedicated
-    ``rollout_batch`` (the exact plant view) use it; gradients come from
-    :func:`cost_gradient` when the dynamics are differentiable.
+    The batch of one of :func:`solve_ocp_batch`: the first start is the
+    warm sequence (projected onto the box) or zeros, and additional
+    seeded random feasible starts are used when
+    ``cfg.solver.multistart > 1``.  Raises the row's
+    :class:`SolverError` when no start succeeds.
     """
-    solver = cfg.solver
-    box = cfg.input_box
-    shape = (cfg.horizon, cfg.dims.m)
-
-    def proj(U):
-        return np.clip(U, box.lo, box.hi)
-
-    def cost_fn(U):
-        return float(cost_J_batch(f, x0, np.asarray(U, dtype=float)[None], cfg.weights)[0])
-
-    if f.differentiable:
-        grad_fn = lambda U: cost_gradient(f, x0, U, cfg.weights)
-    else:
-        grad_fn = lambda U: finite_difference_gradient(f, x0, U, cfg.weights)
-
-    starts = [np.zeros(shape) if warm is None else np.asarray(warm, dtype=float).reshape(shape)]
-    if solver.multistart > 1:
-        rng = np.random.default_rng(solver.seed)
-        for _ in range(solver.multistart - 1):
-            starts.append(rng.uniform(box.lo, box.hi, size=shape))
-
-    results = []
-    first_error: SolverError | None = None
-    for start in starts:
-        try:
-            results.append(_projected_descent(cost_fn, grad_fn, proj, start, solver))
-        except SolverError as exc:
-            if first_error is None:
-                first_error = exc
-    if not results:
-        raise first_error if first_error is not None else SolverError("no start succeeded")
-    values = [r[1] for r in results]
-    u, value, iterations, grad_norm, converged = results[int(np.argmin(values))]
-    return OcpSolution(
-        u_star=u,
-        value=value,
-        iterations=iterations,
-        grad_norm=grad_norm,
-        converged=converged,
-        multistart_spread=float(max(values) - min(values)),
-    )
+    if warm is not None:
+        warm = np.asarray(warm, dtype=float)[None]
+    result = solve_ocp_batch(f, np.asarray(x0, dtype=float)[None], cfg, warm)[0]
+    if isinstance(result, SolverError):
+        raise result
+    return result
 
 
 @dataclass

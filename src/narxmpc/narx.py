@@ -135,7 +135,12 @@ class NarxDynamics(ABC):
     def linearize(
         self, x: np.ndarray, u: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Next output (p,) and its Jacobians w.r.t. ``x`` (p, n) and ``u`` (p, m)."""
+        """Next outputs and their Jacobians w.r.t. the regressor and the input.
+
+        Rows ``x`` (B, n) and ``u`` (B, m) give (B, p), (B, p, n) and
+        (B, p, m); a single ``x`` (n,) and ``u`` (m,) give (p,), (p, n)
+        and (p, m).
+        """
         raise NotImplementedError(f"{type(self).__name__} provides no Jacobians")
 
     def rollout_batch(
@@ -217,6 +222,9 @@ class FunctionDynamics(NarxDynamics):
     def linearize(self, x, u):
         if self._jacobian_fn is None:
             raise NotImplementedError("no Jacobian callable supplied")
+        if np.ndim(x) > 1:
+            rows = [self.linearize(x_row, u_row) for x_row, u_row in zip(x, u)]
+            return tuple(np.stack(parts) for parts in zip(*rows))
         dy_dx, dy_du = self._jacobian_fn(x, u)
         return self._call(x, u), np.asarray(dy_dx, dtype=float), np.asarray(dy_du, dtype=float)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import block_diag
 
-from .mpc import ClosedLoopTrace, MpcConfig, SolverError, StageCostWeights, solve_ocp, stage_cost
+from .mpc import ClosedLoopTrace, MpcConfig, SolverError, StageCostWeights, solve_ocp_batch, stage_cost
 from .narx import NarxDims, NarxDynamics, shift_state
 
 
@@ -146,7 +146,10 @@ class GrowthBoundEstimate:
 
     ``ratios[i, N-1]`` is ``V_N(x_i) / ||x_i||^2`` (NaN where the solver
     failed); ``b_values`` is the running maximum over samples, made
-    nondecreasing in ``N`` by a cumulative maximum.
+    nondecreasing in ``N`` by a cumulative maximum.  ``iterations[i, N-1]``
+    counts the solver iterations of that entry (zero where it failed or
+    was not solved), and ``capped`` counts the entries that stopped at
+    the iteration cap without converging.
     """
 
     b_values: np.ndarray
@@ -154,6 +157,13 @@ class GrowthBoundEstimate:
     states: np.ndarray
     model_tag: str = ""
     solver_failures: int = 0
+    iterations: np.ndarray | None = None
+    capped: int = 0
+
+    def summary(self) -> str:
+        """One line on the grid's solves, as ``--verbose`` prints it."""
+        states, horizons = self.ratios.shape
+        return f"growth grid: {states}×{horizons} solves, {self.capped} capped"
 
 
 def estimate_growth_bound(
@@ -165,10 +175,13 @@ def estimate_growth_bound(
 ) -> GrowthBoundEstimate:
     """Estimate growth bounds by solving open-loop problems on a state grid.
 
-    For each sample state the horizons ``1..n_max`` are solved in order,
-    warm-starting each from the previous solution padded with a zero
-    input.  States with vanishing norm are rejected; solver failures are
-    excluded from the maxima and counted.
+    The horizons ``1..n_max`` are solved in order, each as one
+    :func:`~narxmpc.mpc.solve_ocp_batch` call over every state still in
+    the grid, warm-started from the state's previous solution padded with
+    a zero input.  Every entry equals the solo solve of its state.  States
+    with vanishing norm are rejected; a state whose solve fails is counted
+    once and leaves the grid, so its longer horizons stay NaN and are
+    excluded from the maxima.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     if n_max < 1:
@@ -180,18 +193,24 @@ def estimate_growth_bound(
             "(norm above 1e-5)"
         )
     ratios = np.full((states.shape[0], n_max), np.nan)
-    failures = 0
-    for i, x in enumerate(states):
-        warm = None
-        for horizon in range(1, n_max + 1):
-            sub = replace(cfg, horizon=horizon)
-            try:
-                sol = solve_ocp(f, x, sub, warm=warm)
-            except SolverError:
-                failures += 1
-                break
-            ratios[i, horizon - 1] = sol.value / norms_sq[i]
-            warm = np.vstack([sol.u_star, np.zeros((1, cfg.dims.m))])
+    iterations = np.zeros((states.shape[0], n_max), dtype=int)
+    capped = 0
+    live = np.arange(states.shape[0])
+    warm = None
+    for horizon in range(1, n_max + 1):
+        results = solve_ocp_batch(f, states[live], replace(cfg, horizon=horizon), warm)
+        solved = [k for k, sol in enumerate(results) if not isinstance(sol, SolverError)]
+        live = live[solved]
+        if not live.size:
+            break
+        sols = [results[k] for k in solved]
+        ratios[live, horizon - 1] = [sol.value for sol in sols] / norms_sq[live]
+        iterations[live, horizon - 1] = [sol.iterations for sol in sols]
+        capped += sum(
+            not sol.converged and sol.iterations >= cfg.solver.max_iters for sol in sols
+        )
+        pad = np.zeros((1, cfg.dims.m))
+        warm = np.stack([np.vstack([sol.u_star, pad]) for sol in sols])
     if np.all(np.isnan(ratios)):
         raise SolverError("growth-bound estimation failed on every sample state")
     with np.errstate(all="ignore"):
@@ -201,7 +220,9 @@ def estimate_growth_bound(
         ratios=ratios,
         states=states,
         model_tag=model_tag,
-        solver_failures=failures,
+        solver_failures=states.shape[0] - live.size,
+        iterations=iterations,
+        capped=capped,
     )
 
 
@@ -310,6 +331,13 @@ def fit_decay_rate(errors: np.ndarray):
     return float(slope), float(r2), int(window.size)
 
 
+def require_applied_step(trace: ClosedLoopTrace) -> None:
+    """Raise ``ValueError`` for a trace with no applied step, which has no
+    decrease to certify."""
+    if trace.steps == 0:
+        raise ValueError("the trace has no applied step; there is no decrease to certify")
+
+
 def verify_decrease(
     trace: ClosedLoopTrace,
     storage: StorageMatrix,
@@ -335,8 +363,7 @@ def verify_decrease(
     """
     if not 0.0 <= margin_fraction < 1.0:
         raise ValueError("margin_fraction must lie in [0, 1)")
-    if trace.steps == 0:
-        raise ValueError("the trace has no applied step; there is no decrease to certify")
+    require_applied_step(trace)
     states = trace.states
     w_vals = storage_value(states, storage)
     y_vals = trace.values + w_vals

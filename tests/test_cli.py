@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from narxmpc import Dataset, run_benchmark, wendland_phi
+from narxmpc import BenchmarkConfig, Dataset, run_benchmark, wendland_phi
+import narxmpc.bench
 import narxmpc.mpc
 from narxmpc.bench import GROWTH_HORIZON, GROWTH_STATES, bundle_digests
 from narxmpc.cli import build_parser, main
-from narxmpc.fileio import load_model, read_csv, read_keyvalues, sha256_file, save_dataset
+from narxmpc.fileio import load_model, load_trace, read_csv, read_keyvalues, sha256_file, save_dataset
 
 H1_EQ = 0.04377874810998076
 
@@ -302,6 +303,34 @@ class TestCertify:
         assert err.startswith("error: ") and "no applied step" in err
         assert not (tmp_path / "stability_report.txt").exists()
 
+    def test_zero_step_trace_fails_before_the_grid(self, workspace, tmp_path, monkeypatch):
+        self._simulate(workspace, tmp_path, steps="0")
+        cfg = BenchmarkConfig(d=21)
+        trace = load_trace(tmp_path / "trace_norm.csv", cfg.dims, cfg.horizon, cfg.normalization())
+
+        def grid_must_not_run(*args, **kwargs):
+            raise AssertionError("the growth-bound grid ran for a zero-step trace")
+
+        monkeypatch.setattr(narxmpc.bench, "estimate_growth_bound", grid_must_not_run)
+        with pytest.raises(ValueError, match="no applied step"):
+            narxmpc.bench.certify_trace(cfg, load_model(workspace / "model.csv"), trace)
+
+    def test_verbose_prints_the_growth_grid(self, workspace, tmp_path, capsys):
+        self._simulate(workspace, tmp_path, steps="2")
+        code = main(
+            [
+                "certify",
+                "--model", str(workspace / "model.csv"),
+                "--trace", str(tmp_path / "trace_norm.csv"),
+                "--b-states", "3",
+                "--b-horizon", "2",
+                "--out", str(tmp_path),
+                "--verbose",
+            ]
+        )
+        assert code in (0, 2)
+        assert "growth grid: 3×2 solves, 0 capped" in capsys.readouterr().err.splitlines()
+
     def test_rigged_trace_fails_with_exit_2(self, workspace, tmp_path, capsys):
         self._simulate(workspace, tmp_path, steps="2")
         trace_path = tmp_path / "trace_norm.csv"
@@ -357,6 +386,20 @@ class TestBenchmark:
             "manifest.json",
         ):
             assert (out / name).exists(), name
+
+    def test_verbose_prints_the_growth_grid(self, tmp_path, capsys):
+        code = main(
+            [
+                "benchmark",
+                "--only-D", "21",
+                "--b-states", "2",
+                "--b-horizon", "3",
+                "--out", str(tmp_path / "bundle"),
+                "--verbose",
+            ]
+        )
+        assert code in (0, 2)
+        assert "D=21: growth grid: 2×3 solves, 0 capped" in capsys.readouterr().err.splitlines()
 
     def test_zero_steps_is_an_error(self, tmp_path, capsys):
         config = tmp_path / "cfg.txt"

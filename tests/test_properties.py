@@ -6,6 +6,7 @@ Examples are drawn under the derandomized profile registered in
 
 from __future__ import annotations
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,15 +16,25 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.spatial.distance import cdist
 
 from narxmpc import (
+    Box,
     FunctionDynamics,
     KernelInterpolant,
     KernelSpec,
+    MpcConfig,
     NarxDims,
+    SolverConfig,
+    SolverError,
+    StageCostWeights,
     TwoTankParams,
+    cost_gradient,
+    cost_J_batch,
     fill_distance,
+    finite_difference_gradient,
     min_pairwise_distance,
     rk4_step,
     sample_domain,
+    solve_ocp,
+    solve_ocp_batch,
     two_tank_rhs,
     two_tank_step,
 )
@@ -162,3 +173,185 @@ def test_nearest_site_distances_match_brute_force(seed, rows, probes, dim):
     np.fill_diagonal(pairwise, np.inf)
     assert min_pairwise_distance(sites) == pairwise.min()
     assert fill_distance(sites, points) == cdist(points, sites).min(axis=1).max()
+
+
+def _random_dynamics(rng, dims: NarxDims, linear: bool, differentiable: bool = True):
+    """Stable random dynamics ``tanh(A x + B u)`` (or ``A x + B u``) whose
+    output is NaN for regressors with a first entry above 50."""
+    A = 0.4 * rng.standard_normal((dims.p, dims.n)) / np.sqrt(dims.n)
+    B = rng.standard_normal((dims.p, dims.m))
+
+    def fn(x, u):
+        if x[0] > 50.0:
+            return np.full(dims.p, np.nan)
+        z = A @ x + B @ u
+        return z if linear else np.tanh(z)
+
+    def jacobian_fn(x, u):
+        slope = np.ones(dims.p) if linear else 1.0 - np.tanh(A @ x + B @ u) ** 2
+        return slope[:, None] * A, slope[:, None] * B
+
+    return FunctionDynamics(dims, fn, jacobian_fn if differentiable else None)
+
+
+def _random_problem(rng, p, m, nu, horizon, multistart):
+    dims = NarxDims(p=p, m=m, nu=nu)
+    lo = -rng.uniform(0.1, 1.0, size=m)
+    return MpcConfig(
+        horizon=horizon,
+        weights=StageCostWeights(Q=rng.uniform(0.5, 2.0, size=p), R=rng.uniform(0.05, 1.0, size=m)),
+        input_box=Box(lo, -lo * rng.uniform(0.5, 2.0, size=m)),
+        dims=dims,
+        solver=SolverConfig(max_iters=25, multistart=multistart, seed=int(rng.integers(100))),
+    )
+
+
+@given(
+    seed=seeds,
+    kind=st.sampled_from(["linear", "tanh", "tanh_fd"]),
+    p=st.integers(1, 2),
+    m=st.integers(1, 2),
+    nu=st.integers(1, 3),
+    horizon=st.integers(1, 4),
+    rows=st.integers(1, 6),
+    multistart=st.integers(1, 2),
+    warm_rows=st.sampled_from(["none", "some", "all"]),
+    poisoned=st.booleans(),
+)
+def test_solve_ocp_batch_rows_equal_solo_solves(
+    seed, kind, p, m, nu, horizon, rows, multistart, warm_rows, poisoned
+):
+    """Every row of a lockstep solve is its solo solve, bit for bit; a row
+    whose start cost is not finite fails alone."""
+    rng = np.random.default_rng(seed)
+    cfg = _random_problem(rng, p, m, nu, horizon, multistart)
+    f = _random_dynamics(rng, cfg.dims, kind == "linear", differentiable=kind != "tanh_fd")
+    X0 = rng.uniform(-1.0, 1.0, size=(rows, cfg.dims.n))
+    if poisoned:
+        X0[rng.integers(rows), 0] = 100.0
+    warm = None
+    if warm_rows != "none":
+        warm = rng.uniform(-1.0, 1.0, size=(rows, horizon, m))
+        if warm_rows == "some":
+            warm[rng.random(rows) < 0.5] = 0.0
+    results = solve_ocp_batch(f, X0, cfg, warm)
+    assert len(results) == rows
+    for i, got in enumerate(results):
+        try:
+            solo = solve_ocp(f, X0[i], cfg, None if warm is None else warm[i])
+        except SolverError as exc:
+            assert isinstance(got, SolverError) and str(got) == str(exc)
+            assert X0[i, 0] == 100.0
+            continue
+        assert not isinstance(got, SolverError)
+        assert_array_equal(got.u_star, solo.u_star)
+        assert got.value == solo.value
+        assert got.iterations == solo.iterations
+        assert got.grad_norm == solo.grad_norm
+        assert got.converged == solo.converged
+        assert got.multistart_spread == solo.multistart_spread
+
+
+@given(seed=seeds, rows=st.sampled_from([1, 2, 7, 50]), p=st.integers(1, 2), input_dim=st.integers(1, 5))
+def test_batched_kernel_rows_equal_single_rows(seed, rows, p, input_dim):
+    """predict_batch and linearize give each row the bits of its own call."""
+    rng = np.random.default_rng(seed)
+    model = _interpolant(rng, input_dim, int(rng.integers(2, 80)), rng.uniform(0.2, 3.0), p)
+    Xi = rng.uniform(-0.2, 1.2, size=(rows, input_dim))
+    values = model.predict_batch(Xi)
+    lin_values, jacobians = model.linearize(Xi)
+    assert lin_values.shape == (rows, p) and jacobians.shape == (rows, p, input_dim)
+    for i in range(rows):
+        assert_array_equal(values[i], model.predict_batch(Xi[i])[0])
+        value, jac = model.linearize(Xi[i])
+        assert_array_equal(lin_values[i], value)
+        assert_array_equal(jacobians[i], jac)
+
+
+@given(
+    seed=seeds,
+    p=st.integers(1, 2),
+    m=st.integers(1, 2),
+    nu=st.integers(1, 3),
+    horizon=st.integers(1, 5),
+    rows=st.integers(1, 4),
+)
+def test_batched_cost_gradient_matches_central_differences(seed, p, m, nu, horizon, rows):
+    rng = np.random.default_rng(seed)
+    cfg = _random_problem(rng, p, m, nu, horizon, 1)
+    f = _random_dynamics(rng, cfg.dims, linear=False)
+    X0 = rng.uniform(-1.0, 1.0, size=(rows, cfg.dims.n))
+    U = rng.uniform(-1.0, 1.0, size=(rows, horizon, m))
+    grad = cost_gradient(f, X0, U, cfg.weights)
+    assert grad.shape == U.shape
+    h = 1e-6
+    for i in range(rows):
+        assert_array_equal(grad[i], cost_gradient(f, X0[i], U[i], cfg.weights))
+        steps = h * np.eye(horizon * m).reshape(-1, horizon, m)
+        plus = cost_J_batch(f, X0[i], U[i] + steps, cfg.weights)
+        minus = cost_J_batch(f, X0[i], U[i] - steps, cfg.weights)
+        central = ((plus - minus) / (2.0 * h)).reshape(horizon, m)
+        assert_allclose(grad[i], central, rtol=1e-6, atol=1e-6)
+
+
+def _scalar_descent(f, x0, cfg, start):
+    """Projected gradient descent with Armijo backtracking written out for
+    one problem, one scalar step size and one line search at a time."""
+    solver, box, weights = cfg.solver, cfg.input_box, cfg.weights
+    gradient = cost_gradient if f.differentiable else finite_difference_gradient
+
+    def cost(U):
+        return float(cost_J_batch(f, x0, U[None], weights)[0])
+
+    u = np.clip(start, box.lo, box.hi)
+    value = cost(u)
+    t, grad_norm, iterations, converged = solver.init_step, np.inf, 0, False
+    for _ in range(solver.max_iters):
+        g = gradient(f, x0, u, weights)
+        grad_norm = float(np.linalg.norm(u - np.clip(u - g, box.lo, box.hi)))
+        if grad_norm <= solver.grad_tol:
+            converged = True
+            break
+        iterations += 1
+        accepted = backtracked = False
+        while t >= 1e-18:
+            cand = np.clip(u - t * g, box.lo, box.hi)
+            cand_value = cost(cand)
+            decrease = solver.armijo * float(np.sum(g * (cand - u)))
+            if np.isfinite(cand_value) and cand_value <= value + decrease:
+                accepted = True
+                break
+            t *= solver.shrink
+            backtracked = True
+        if not accepted:
+            break
+        u, value = cand, cand_value
+        if not backtracked:
+            t = min(t / solver.shrink, 1e6)
+    return u, value, iterations, grad_norm, converged
+
+
+@given(
+    seed=seeds,
+    kind=st.sampled_from(["linear", "tanh", "tanh_fd"]),
+    p=st.integers(1, 2),
+    m=st.integers(1, 2),
+    nu=st.integers(1, 3),
+    horizon=st.integers(1, 4),
+    max_iters=st.integers(1, 40),
+)
+def test_solo_solve_equals_the_scalar_descent(seed, kind, p, m, nu, horizon, max_iters):
+    """A batch of one takes the iterates, stopping test and step sizes of
+    the plain scalar descent, bit for bit."""
+    rng = np.random.default_rng(seed)
+    cfg = _random_problem(rng, p, m, nu, horizon, 1)
+    cfg = replace(cfg, solver=replace(cfg.solver, max_iters=max_iters))
+    f = _random_dynamics(rng, cfg.dims, kind == "linear", differentiable=kind != "tanh_fd")
+    x0 = rng.uniform(-1.0, 1.0, size=cfg.dims.n)
+    start = rng.uniform(-1.0, 1.0, size=(horizon, m))
+    sol = solve_ocp(f, x0, cfg, warm=start)
+    u, value, iterations, grad_norm, converged = _scalar_descent(f, x0, cfg, start)
+    assert_array_equal(sol.u_star, u)
+    assert (sol.value, sol.iterations, sol.grad_norm, sol.converged) == (
+        value, iterations, grad_norm, converged
+    )
