@@ -158,6 +158,7 @@ def certify_trace(
         margin_fraction=margin,
         growth=growth,
         model_tag=model_tag,
+        max_iters=mpc_cfg.solver.max_iters,
     )
     return growth, report
 

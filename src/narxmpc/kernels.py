@@ -31,6 +31,12 @@ class KernelFitError(RuntimeError):
     """Raised when the kernel matrix cannot be factorized."""
 
 
+def _one_minus(r: np.ndarray) -> np.ndarray:
+    """``max(1 - r, 0)`` in one new array, also for a 0-d ``r``."""
+    one_minus = np.subtract(1.0, r, out=np.empty(r.shape))
+    return np.maximum(one_minus, 0.0, out=one_minus)
+
+
 def wendland_phi(r: np.ndarray) -> np.ndarray:
     """Wendland radial profile, zero for ``r >= 1``.
 
@@ -39,8 +45,20 @@ def wendland_phi(r: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("radius must be nonnegative")
-    one_minus = np.maximum(1.0 - r, 0.0)
-    return one_minus**5 * (5.0 * r + 1.0) / 30.0
+    # Products written in place: numpy's ``pow`` costs several times a
+    # multiply, and each temporary of a D x D Gram build is D^2 doubles.
+    # The factor uses min(r, 1), which leaves it unchanged where the
+    # profile is nonzero and keeps it finite (so 0 * inf never arises).
+    one_minus = _one_minus(r)
+    phi = np.multiply(one_minus, one_minus)
+    phi *= phi
+    phi *= one_minus
+    factor = np.minimum(r, 1.0, out=one_minus)
+    factor *= 5.0
+    factor += 1.0
+    phi *= factor
+    phi /= 30.0
+    return phi
 
 
 def _wendland_slope(r: np.ndarray) -> np.ndarray:
@@ -48,8 +66,10 @@ def _wendland_slope(r: np.ndarray) -> np.ndarray:
 
     The derivative of :func:`wendland_phi` simplifies to ``-r (1 - r)^4``.
     """
-    one_minus = np.maximum(1.0 - np.asarray(r, dtype=float), 0.0)
-    return -(one_minus**4)
+    slope = _one_minus(np.asarray(r, dtype=float))
+    slope *= slope
+    slope *= slope
+    return np.negative(slope, out=slope)
 
 
 @dataclass(frozen=True)
@@ -248,20 +268,17 @@ class KernelInterpolant:
     def linearize(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values (B, p) and Jacobians (B, p, n + m) at rows ``xi`` (B, n + m).
 
-        A single site (n + m,) gives (p,) and (p, n + m).  Both come from
-        one pass over the site distances, row by row, so each row equals
-        its single-site call bit for bit.  The Jacobian uses
-        ``phi'(r)/r`` directly, so it is exact (zero radial contribution)
-        when ``xi`` coincides with a site.  The distances come from
-        ``einsum`` rather than ``cdist``, so the values may differ from
-        :meth:`predict_batch` in the last bits.
+        A single site (n + m,) gives (p,) and (p, n + m).  The radii come
+        from the distance routine of :meth:`predict_batch`, so the values
+        equal its values bit for bit, and each row equals its single-site
+        call.  The Jacobian uses ``phi'(r)/r`` directly, so it is exact
+        (zero radial contribution) when ``xi`` coincides with a site.
         """
         xi = np.asarray(xi, dtype=float)
         dim = self.data.sites.shape[1]
-        diffs = self.data.sites - xi.reshape(-1, 1, dim)
-        flat = diffs.reshape(-1, dim)
-        r = np.sqrt(np.einsum("ij,ij->i", flat, flat)).reshape(diffs.shape[:2]) / self.spec.lengthscale
+        r = cdist(xi.reshape(-1, dim), self.data.sites) / self.spec.lengthscale
         value = np.matmul(wendland_phi(r)[:, None, :], self.coefficients)[:, 0]
+        diffs = self.data.sites - xi.reshape(-1, 1, dim)
         w = _wendland_slope(r) / self.spec.lengthscale**2
         jac = -np.matmul((self.coefficients * w[:, :, None]).transpose(0, 2, 1), diffs)
         if xi.ndim == 1:

@@ -2,19 +2,23 @@
 
 The cost penalizes the predicted outputs one step ahead of each applied
 input, ``sum_k ||y(k+1)||_Q^2 + ||u(k)||_R^2``, subject only to a box on
-the inputs.  Open-loop problems are solved by projected gradient descent
-with Armijo backtracking; gradients come from an adjoint sweep through
-the regressor shift structure when the dynamics expose Jacobians, and
-from batched central differences otherwise.  Many problems are solved
-in lockstep, each row with its own step size, line search and stopping
-test, and every row reproduces its solo solve bit for bit.  The
-receding-horizon loop applies the first input of each solution and
-warm-starts the next solve with the shifted remainder.
+the inputs.  Open-loop problems are solved by a two-metric projected
+quasi-Newton method (Bertsekas, SIAM J. Control Optim. 1982): gradient
+steps on the coordinates held at a bound, BFGS steps on the free ones,
+and Armijo backtracking along the projection arc.  A solve stops when
+its projected gradient is small or when the full step promises a
+decrease below the cost's rounding level.  Gradients come from an
+adjoint sweep through the regressor shift structure when the dynamics
+expose Jacobians, and from batched central differences otherwise.  Many
+problems are solved in lockstep, each row with its own BFGS matrix,
+line search and stopping tests, and every row reproduces its solo solve
+bit for bit.  The receding-horizon loop applies the first input of each
+solution and warm-starts the next solve with the shifted remainder.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -75,10 +79,14 @@ def stage_cost(y: np.ndarray, u: np.ndarray, weights: StageCostWeights):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Projected-gradient settings.
+    """Settings of the two-metric projected quasi-Newton solver.
 
+    A solve stops after ``max_iters`` iterations, or converged once the
+    norm of its projected gradient is at most ``grad_tol`` (or the full
+    step predicts a decrease below :data:`NOISE_FLOOR` of the cost).
     ``armijo`` is the sufficient-decrease constant and ``shrink`` the
-    backtracking factor.  ``multistart`` adds seeded random feasible
+    backtracking factor of the line search, which starts at the unit
+    quasi-Newton step.  ``multistart`` adds seeded random feasible
     starts beyond the provided one; ties break toward the lowest start
     index.
     """
@@ -87,7 +95,6 @@ class SolverConfig:
     grad_tol: float = 1e-8
     armijo: float = 1e-4
     shrink: float = 0.5
-    init_step: float = 1.0
     multistart: int = 1
     seed: int = 0
 
@@ -96,8 +103,8 @@ class SolverConfig:
             raise ValueError("max_iters and multistart must be at least 1")
         if not (0 < self.armijo < 1 and 0 < self.shrink < 1):
             raise ValueError("need 0 < armijo < 1 and 0 < shrink < 1")
-        if self.grad_tol <= 0 or self.init_step <= 0:
-            raise ValueError("tolerances and steps must be strictly positive")
+        if self.grad_tol <= 0:
+            raise ValueError("grad_tol must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -255,102 +262,206 @@ class OcpSolution:
     """Solver result for one open-loop problem.
 
     ``grad_norm`` is the norm of the unit-step projected gradient
-    mapping at ``u_star``, the solver's stationarity measure;
-    ``multistart_spread`` is the value gap between the best and worst
-    successful starts (zero for a single start).
+    mapping, the solver's stationarity measure, and
+    ``predicted_decrease`` the cost decrease the full two-metric step
+    promised, both at the last iterate the stopping tests checked (the
+    iterate before the last step for a solve stopped at the iteration
+    cap); ``multistart_spread`` is the value gap between the best and
+    worst successful starts (zero for a single start).
     """
 
     u_star: np.ndarray
     value: float
     iterations: int
     grad_norm: float
+    predicted_decrease: float
     converged: bool
     multistart_spread: float = 0.0
 
 
-def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: MpcConfig):
-    """Projected gradient descent on the rows of ``starts`` (B, N, m) from
-    the regressors ``X0`` (B, n), all rows one iteration at a time.
+#: Cap on the bound distance at which a coordinate counts as active: a
+#: coordinate within ``min(||pg||, ACTIVE_WIDTH)`` of a bound whose
+#: gradient points out of the box takes a plain gradient step.
+ACTIVE_WIDTH = 1e-3
 
-    Each row keeps its own step size, Armijo search and stopping test, so
-    it follows the iterates of its solo descent bit for bit.  A row leaves
-    the active set when it converges, when its line search fails, or with
-    a :class:`SolverError` in ``errors`` when its cost or gradient is not
-    finite; the other rows go on unchanged.
+#: Relative cost level below which a predicted decrease is rounding
+#: noise.  A solve whose full step promises at most ``NOISE_FLOOR * |J|``
+#: has converged: the kernel costs carry errors of about this size, and
+#: smaller accepted steps leave the value unchanged.
+NOISE_FLOOR = 1e-13
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row dot products of (B, k) arrays; each equals ``a[i] @ b[i]`` bit for bit."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+@dataclass
+class _Rows:
+    """State of the rows still descending, one entry per row."""
+
+    index: np.ndarray  # row of the batch
+    x: np.ndarray  # initial regressors (r, n)
+    u: np.ndarray  # iterates, flattened (r, k)
+    value: np.ndarray  # costs at u
+    hess: np.ndarray  # BFGS inverse Hessians (r, k, k)
+    scale: np.ndarray  # latest s.y / y.y: a reset sets hess to scale * I
+    fresh: np.ndarray  # no curvature pair taken yet (hess is the identity)
+    step: np.ndarray  # last accepted step s (r, k)
+    grad: np.ndarray  # gradient before that step (r, k)
+    norm: np.ndarray  # projected-gradient norms of the current round
+    decrease: np.ndarray  # predicted decreases of the current round
+
+    def take(self, keep: np.ndarray) -> "_Rows":
+        return _Rows(*(getattr(self, item.name)[keep] for item in fields(self)))
+
+
+def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: MpcConfig):
+    """Two-metric projected quasi-Newton descent (Bertsekas, SIAM J. Control
+    Optim. 1982) on the rows of ``starts`` (B, N, m) from the regressors
+    ``X0`` (B, n), all rows one iteration at a time.
+
+    Each round splits every row's coordinates.  A coordinate within
+    ``eps = min(||pg||, ACTIVE_WIDTH)`` of a bound whose gradient points
+    out of the box is active and takes the plain gradient step; the free
+    coordinates take the step of the row's BFGS inverse Hessian
+    restricted to them.  The first curvature pair with ``s.y > 0`` scales
+    the initial identity by ``s.y / y.y``; pairs with ``s.y <= 0`` are
+    skipped, and a free step that is not a descent direction resets the
+    matrix to the latest scaled identity.  :func:`_armijo_search` then
+    searches the projection arc from ``t = 1``.
+
+    A row converges when its projected-gradient norm is at most
+    ``grad_tol`` or when the full step predicts a decrease of at most
+    ``NOISE_FLOOR * |J|``.  Each row keeps its own matrix, line search and
+    stopping tests, so it follows the iterates of its solo descent bit for
+    bit.  A row leaves the active set when it converges, when its line
+    search fails, or with a :class:`SolverError` in ``errors`` when its
+    cost or gradient is not finite; the other rows go on unchanged.
     """
     solver, box, weights = cfg.solver, cfg.input_box, cfg.weights
     gradient = cost_gradient if f.differentiable else finite_difference_gradient
-    U = np.clip(starts, box.lo, box.hi)
-    value = cost_J_batch(f, X0, U, weights)
+    b, shape = starts.shape[0], starts.shape[1:]
+    lo, hi = (np.broadcast_to(bound, shape).ravel() for bound in (box.lo, box.hi))
+    U = np.clip(starts.reshape(b, -1), lo, hi)
+    k = U.shape[1]
+    value = cost_J_batch(f, X0, U.reshape(starts.shape), weights)
     errors: list[SolverError | None] = [
         None if np.isfinite(v) else SolverError(f"initial cost is not finite ({v}) at the start sequence")
         for v in value
     ]
-    iterations = np.zeros(value.shape, dtype=int)
-    grad_norm = np.full(value.shape, np.inf)
-    converged = np.zeros(value.shape, dtype=bool)
-    # The active rows: their indices, regressors, iterates, values, step
-    # sizes and the gradient-mapping norms of the current round.
-    rows = np.flatnonzero(np.isfinite(value))
-    x, u, v, step = X0[rows], U[rows], value[rows], np.full(rows.size, solver.init_step)
-    norms = np.full(rows.size, np.inf)
+    iterations = np.zeros(b, dtype=int)
+    grad_norm, decrease = np.full(b, np.inf), np.full(b, np.inf)
+    converged = np.zeros(b, dtype=bool)
+    live = np.flatnonzero(np.isfinite(value))
+    r = live.size
+    rows = _Rows(
+        live, X0[live], U[live], value[live], np.tile(np.eye(k), (r, 1, 1)), np.ones(r),
+        np.ones(r, dtype=bool), np.zeros((r, k)), np.zeros((r, k)), np.full(r, np.inf), np.full(r, np.inf),
+    )
 
     def leave(out, count, conv):
-        nonlocal rows, x, u, v, step, norms
-        idx = rows[out]
-        U[idx], value[idx], grad_norm[idx] = u[out], v[out], norms[out]
-        iterations[idx], converged[idx] = count, conv
-        keep = ~out
-        rows, x, u, v, step, norms = rows[keep], x[keep], u[keep], v[keep], step[keep], norms[keep]
-        return keep
+        nonlocal rows
+        idx = rows.index[out]
+        U[idx], value[idx], iterations[idx], converged[idx] = rows.u[out], rows.value[out], count, conv
+        grad_norm[idx], decrease[idx] = rows.norm[out], rows.decrease[out]
+        rows = rows.take(~out)
+        return ~out
 
     for rnd in range(solver.max_iters):
-        if not rows.size:
+        if not rows.index.size:
             break
-        g = gradient(f, x, u, weights)
-        finite = np.isfinite(g).all(axis=(1, 2))
-        pg = (u - np.clip(u - g, box.lo, box.hi)).reshape(rows.size, 1, -1)
-        norms = np.sqrt(np.matmul(pg, pg.transpose(0, 2, 1))[:, 0, 0])
-        stop = ~finite | (norms <= solver.grad_tol)
-        if stop.any():
-            for i in rows[~finite]:
+        g = gradient(f, rows.x, rows.u.reshape(-1, *shape), weights).reshape(-1, k)
+        finite = np.isfinite(g).all(axis=1)
+        if not finite.all():
+            for i in rows.index[~finite]:
                 errors[i] = SolverError("gradient is not finite at the current iterate")
-            g = g[leave(stop, rnd, finite[stop])]
-        failed = ~_armijo_search(f, x, u, g, v, step, cfg)
-        if failed.any():
-            leave(failed, rnd + 1, False)
-    leave(np.ones(rows.size, dtype=bool), solver.max_iters, False)
-    return U, value, iterations, grad_norm, converged, errors
+            g = g[leave(~finite, rnd, False)]
+        if rnd:
+            _bfgs_update(rows, g - rows.grad)
+        u = rows.u
+        pg = u - np.clip(u - g, lo, hi)
+        rows.norm = np.sqrt(_rowdot(pg, pg))
+        eps = np.minimum(rows.norm, ACTIVE_WIDTH)[:, None]
+        active = ((u <= lo + eps) & (g > 0)) | ((u >= hi - eps) & (g < 0))
+        pair = ~active[:, :, None] & ~active[:, None, :]
+        d = _matvec(np.where(pair, rows.hess, 0.0), g)
+        slope = _rowdot(g, d)
+        reset = ~(slope > 0) & np.any(~active & (g != 0), axis=1)
+        if reset.any():
+            rows.hess[reset] = rows.scale[reset, None, None] * np.eye(k)
+            d[reset] = _matvec(np.where(pair[reset], rows.hess[reset], 0.0), g[reset])
+            slope[reset] = _rowdot(g[reset], d[reset])
+        d = np.where(active, g, d)
+        g_active = np.where(active, g, 0.0)
+        rows.decrease = slope + _rowdot(g_active, u - np.clip(u - d, lo, hi))
+        stop = (rows.norm <= solver.grad_tol) | (rows.decrease <= NOISE_FLOOR * np.abs(rows.value))
+        if stop.any():
+            keep = leave(stop, rnd, True)
+            g, d, slope, g_active = g[keep], d[keep], slope[keep], g_active[keep]
+        before = rows.u.copy()
+        accepted = _armijo_search(f, rows, d, slope, g_active, lo, hi, shape, cfg)
+        rows.step, rows.grad = rows.u - before, g
+        if not accepted.all():
+            leave(~accepted, rnd + 1, False)
+    leave(np.ones(rows.index.size, dtype=bool), solver.max_iters, False)
+    return U.reshape(starts.shape), value, iterations, grad_norm, decrease, converged, errors
 
 
-def _armijo_search(f, x, u, g, value, step, cfg: MpcConfig) -> np.ndarray:
-    """Backtracking line search along ``-g`` from every row of ``u``, batched
-    over the rows still searching.
+def _bfgs_update(rows: _Rows, y: np.ndarray) -> None:
+    """Inverse BFGS update of every row whose pair ``(rows.step, y)`` has
+    positive curvature ``s.y``; the first such pair of a row scales its
+    identity by ``s.y / y.y`` before the update."""
+    s = rows.step
+    sy = _rowdot(s, y)
+    ok = sy > 0
+    if not ok.any():
+        return
+    s, y, sy = s[ok], y[ok], sy[ok]
+    scale = sy / _rowdot(y, y)
+    hess = rows.hess[ok]
+    fresh = rows.fresh[ok]
+    hess[fresh] = scale[fresh, None, None] * np.eye(s.shape[1])
+    rho = 1.0 / sy
+    hy = _matvec(hess, y)
+    s_hy = s[:, :, None] * hy[:, None, :]
+    curvature = rho * rho * _rowdot(y, hy) + rho
+    rows.hess[ok] = (
+        hess
+        - rho[:, None, None] * (s_hy + s_hy.transpose(0, 2, 1))
+        + curvature[:, None, None] * (s[:, :, None] * s[:, None, :])
+    )
+    rows.scale[ok], rows.fresh[ok] = scale, False
 
-    Accepted candidates overwrite their rows of ``u`` and ``value``;
-    ``step`` shrinks on each rejection and grows after an acceptance at
-    the first try.  Returns the mask of rows that accepted a step.
+
+def _armijo_search(f, rows: _Rows, d, slope, g_active, lo, hi, shape, cfg: MpcConfig) -> np.ndarray:
+    """Armijo backtracking along the projection arc ``P(u - t d)`` from
+    ``t = 1``, batched over the rows still searching.
+
+    A candidate is accepted when its cost is at most the current value
+    minus ``armijo * (t * slope + g_active . (u - P(u - t d)))``, the
+    sufficient-decrease test of the two-metric step: ``slope`` is ``g.d``
+    over the free coordinates and ``g_active`` the gradient on the active
+    ones.  Every row still searching has been rejected equally often, so
+    one step length ``t`` serves them all.  Accepted candidates overwrite
+    their rows of ``rows.u`` and ``rows.value``.  Returns the mask of rows
+    that accepted a step.
     """
-    solver, box = cfg.solver, cfg.input_box
-    accepted = np.zeros(value.size, dtype=bool)
-    todo = np.arange(value.size)
-    first_try = True
-    while True:
-        todo = todo[step[todo] >= 1e-18]
-        if not todo.size:
-            return accepted
-        us, gs, ts = u[todo], g[todo], step[todo]
-        cand = np.clip(us - ts[:, None, None] * gs, box.lo, box.hi)
-        cand_value = cost_J_batch(f, x[todo], cand, cfg.weights)
-        decrease = solver.armijo * np.sum((gs * (cand - us)).reshape(todo.size, -1), axis=1)
-        ok = np.isfinite(cand_value) & (cand_value <= value[todo] + decrease)
+    solver = cfg.solver
+    accepted = np.zeros(rows.value.size, dtype=bool)
+    todo = np.arange(rows.value.size)
+    t = 1.0
+    while todo.size and t >= 1e-18:
+        u = rows.u[todo]
+        cand = np.clip(u - t * d[todo], lo, hi)
+        cand_value = cost_J_batch(f, rows.x[todo], cand.reshape(-1, *shape), cfg.weights)
+        sufficient = solver.armijo * (t * slope[todo] + _rowdot(g_active[todo], u - cand))
+        ok = np.isfinite(cand_value) & (cand_value <= rows.value[todo] - sufficient)
         hit = todo[ok]
-        u[hit], value[hit], accepted[hit] = cand[ok], cand_value[ok], True
-        if first_try:
-            step[hit] = np.minimum(ts[ok] / solver.shrink, 1e6)
-            first_try = False
+        rows.u[hit], rows.value[hit], accepted[hit] = cand[ok], cand_value[ok], True
         todo = todo[~ok]
-        step[todo] *= solver.shrink
+        t *= solver.shrink
+    return accepted
 
 
 def solve_ocp_batch(
@@ -362,13 +473,17 @@ def solve_ocp_batch(
     """Solve the box-constrained open-loop problems from the rows of ``X0`` (B, n).
 
     All problems, and with ``cfg.solver.multistart > 1`` all their
-    starts, descend in lockstep (:func:`_lockstep_descent`): line-search
-    costs of the rows still searching go through one
-    :func:`cost_J_batch` call, and gradients of the active rows through
-    one :func:`cost_gradient` call (or :func:`finite_difference_gradient`
-    for dynamics without Jacobians).  Row ``i`` of the result is what
-    :func:`solve_ocp` returns for ``X0[i]`` and ``warm[i]``, bit for bit,
-    or the :class:`SolverError` it raises.
+    starts, descend in lockstep by the two-metric projected quasi-Newton
+    method of :func:`_lockstep_descent`, each row with its own BFGS
+    matrix, line search and stopping tests: line-search costs of the rows
+    still searching go through one :func:`cost_J_batch` call, and
+    gradients of the active rows through one :func:`cost_gradient` call
+    (or :func:`finite_difference_gradient` for dynamics without
+    Jacobians).  Row ``i`` of the result is what :func:`solve_ocp`
+    returns for ``X0[i]`` and ``warm[i]``, bit for bit, or the
+    :class:`SolverError` it raises.  A solution is ``converged`` when it
+    met the gradient test or the noise-floor test; otherwise it stopped
+    at ``max_iters`` or at a line search that found no decrease.
 
     The first start of each problem is its warm sequence ``warm[i]``
     (B, N, m), projected onto the box, or zeros; the seeded random
@@ -385,7 +500,7 @@ def solve_ocp_batch(
         rng = np.random.default_rng(solver.seed)
         for s in range(1, n_starts):
             starts[:, s] = rng.uniform(box.lo, box.hi, size=shape)
-    U, value, iterations, grad_norm, converged, errors = _lockstep_descent(
+    U, value, iterations, grad_norm, decrease, converged, errors = _lockstep_descent(
         f, np.repeat(X0, n_starts, axis=0), starts.reshape(b * n_starts, *shape), cfg
     )
     results: list[OcpSolution | SolverError] = []
@@ -401,6 +516,7 @@ def solve_ocp_batch(
                 value=float(value[best]),
                 iterations=int(iterations[best]),
                 grad_norm=float(grad_norm[best]),
+                predicted_decrease=float(decrease[best]),
                 converged=bool(converged[best]),
                 multistart_spread=float(np.max(value[ok]) - np.min(value[ok])),
             )

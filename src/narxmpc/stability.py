@@ -166,6 +166,11 @@ class GrowthBoundEstimate:
         return f"growth grid: {states}×{horizons} solves, {self.capped} capped"
 
 
+def _count_capped(iterations, converged, max_iters: int) -> int:
+    """Count of solves that stopped at the iteration cap without converging."""
+    return int(np.sum(~np.asarray(converged, dtype=bool) & (np.asarray(iterations) >= max_iters)))
+
+
 def estimate_growth_bound(
     f: NarxDynamics,
     cfg: MpcConfig,
@@ -206,8 +211,8 @@ def estimate_growth_bound(
         sols = [results[k] for k in solved]
         ratios[live, horizon - 1] = [sol.value for sol in sols] / norms_sq[live]
         iterations[live, horizon - 1] = [sol.iterations for sol in sols]
-        capped += sum(
-            not sol.converged and sol.iterations >= cfg.solver.max_iters for sol in sols
+        capped += _count_capped(
+            [sol.iterations for sol in sols], [sol.converged for sol in sols], cfg.solver.max_iters
         )
         pad = np.zeros((1, cfg.dims.m))
         warm = np.stack([np.vstack([sol.u_star, pad]) for sol in sols])
@@ -267,6 +272,9 @@ class StabilityReport:
     initial transient.  ``values`` are the optimal values V of the trace
     as the solver returned them, and ``lyapunov`` is ``V + W``.
     Growth-bound fields are filled when an estimate is supplied.
+    ``capped_solves`` counts the certificate inputs that came from solves
+    stopped at the iteration cap without converging: those of the trace
+    plus the growth grid's.  It is filled when the cap is supplied.
     """
 
     verdict: str
@@ -296,6 +304,7 @@ class StabilityReport:
     b_values: np.ndarray | None = None
     growth_failures: int | None = None
     sandwich_max_excess: float | None = None
+    capped_solves: int | None = None
 
     @property
     def ok(self) -> bool:
@@ -344,6 +353,7 @@ def verify_decrease(
     margin_fraction: float = 0.0,
     growth: GrowthBoundEstimate | None = None,
     model_tag: str = "",
+    max_iters: int | None = None,
 ) -> StabilityReport:
     """Check per-step decrease of the candidate Lyapunov function.
 
@@ -359,7 +369,8 @@ def verify_decrease(
     When a growth-bound estimate is given, the report also carries the
     envelope constant, the minimal-horizon formula value and a sampled
     check of the storage sandwich ``W <= V + W <= (gamma + 1) W`` on the
-    estimation grid.
+    estimation grid.  With the solver's iteration cap ``max_iters``, the
+    report counts the capped solves of the trace and of the grid.
     """
     if not 0.0 <= margin_fraction < 1.0:
         raise ValueError("margin_fraction must lie in [0, 1)")
@@ -436,4 +447,8 @@ def verify_decrease(
         finite = np.isfinite(grid_v)
         excess = (grid_v[finite] + grid_w[finite]) - (gb + 1.0) * grid_w[finite]
         report.sandwich_max_excess = float(np.max(excess)) if excess.size else math.nan
+    if max_iters is not None:
+        report.capped_solves = _count_capped(trace.iterations, trace.converged, max_iters) + (
+            0 if growth is None else growth.capped
+        )
     return report

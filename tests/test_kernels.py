@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from narxmpc import (
     AffineNormalization,
@@ -75,6 +75,19 @@ class TestProfile:
         r = np.array([0.0, 0.25, 0.5, 1.0, 1.5])
         expected = np.where(r <= 1.0, -r * (1.0 - r) ** 4, 0.0)
         assert_allclose(r * _wendland_slope(r), expected, rtol=1e-14, atol=1e-16)
+
+    def test_products_match_the_power_form(self):
+        r = np.linspace(0.0, 1.2, 241)
+        one_minus = np.maximum(1.0 - r, 0.0)
+        assert_allclose(wendland_phi(r), one_minus**5 * (5.0 * r + 1.0) / 30.0, rtol=1e-14, atol=0.0)
+        assert_allclose(_wendland_slope(r), -(one_minus**4), rtol=1e-14, atol=0.0)
+
+    def test_non_finite_radii(self):
+        # NaN stays NaN and an infinite radius lies outside the support;
+        # neither may raise a floating-point warning.
+        r = np.array([np.nan, np.inf])
+        assert_array_equal(wendland_phi(r), [np.nan, 0.0])
+        assert_array_equal(_wendland_slope(r), [np.nan, 0.0])
 
     def test_derivative_matches_finite_difference(self):
         r = np.linspace(0.05, 0.95, 19)

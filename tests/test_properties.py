@@ -38,6 +38,7 @@ from narxmpc import (
     two_tank_rhs,
     two_tank_step,
 )
+from narxmpc.mpc import ACTIVE_WIDTH, NOISE_FLOOR
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -92,8 +93,7 @@ def test_linearize_matches_predict_batch_and_central_differences(
         xi = rng.uniform(-0.2, 1.2, size=input_dim)
     value, jac = model.linearize(xi)
     assert value.shape == (p,) and jac.shape == (p, input_dim)
-    # linearize and predict_batch sum in different orders; both stay in use
-    assert_allclose(value, model.predict_batch(xi)[0], rtol=0.0, atol=1e-13)
+    assert_array_equal(value, model.predict_batch(xi)[0])
     h = 1e-6 * lengthscale
     steps = h * np.eye(input_dim)
     fd = (model.predict_batch(xi + steps) - model.predict_batch(xi - steps)).T / (2.0 * h)
@@ -261,6 +261,7 @@ def test_batched_kernel_rows_equal_single_rows(seed, rows, p, input_dim):
     values = model.predict_batch(Xi)
     lin_values, jacobians = model.linearize(Xi)
     assert lin_values.shape == (rows, p) and jacobians.shape == (rows, p, input_dim)
+    assert_array_equal(lin_values, values)
     for i in range(rows):
         assert_array_equal(values[i], model.predict_batch(Xi[i])[0])
         value, jac = model.linearize(Xi[i])
@@ -295,40 +296,69 @@ def test_batched_cost_gradient_matches_central_differences(seed, p, m, nu, horiz
 
 
 def _scalar_descent(f, x0, cfg, start):
-    """Projected gradient descent with Armijo backtracking written out for
-    one problem, one scalar step size and one line search at a time."""
+    """Two-metric projected quasi-Newton descent written out for one
+    problem: Python branches, 2-D products and one line search at a time."""
     solver, box, weights = cfg.solver, cfg.input_box, cfg.weights
     gradient = cost_gradient if f.differentiable else finite_difference_gradient
+    shape = start.shape
+    lo, hi = np.tile(box.lo, shape[0]), np.tile(box.hi, shape[0])
 
-    def cost(U):
-        return float(cost_J_batch(f, x0, U[None], weights)[0])
+    def cost(u):
+        return float(cost_J_batch(f, x0, u.reshape(1, *shape), weights)[0])
 
-    u = np.clip(start, box.lo, box.hi)
+    u = np.clip(start.ravel(), lo, hi)
     value = cost(u)
-    t, grad_norm, iterations, converged = solver.init_step, np.inf, 0, False
-    for _ in range(solver.max_iters):
-        g = gradient(f, x0, u, weights)
-        grad_norm = float(np.linalg.norm(u - np.clip(u - g, box.lo, box.hi)))
-        if grad_norm <= solver.grad_tol:
+    k = u.size
+    H, scale, fresh = np.eye(k), 1.0, True
+    grad_norm = decrease = np.inf
+    iterations, converged = 0, False
+    for it in range(solver.max_iters):
+        g = gradient(f, x0, u.reshape(shape), weights).ravel()
+        if it:
+            y = g - g_old
+            sy = s @ y
+            if sy > 0:
+                scale = sy / (y @ y)
+                if fresh:
+                    H, fresh = scale * np.eye(k), False
+                rho = 1.0 / sy
+                Hy = H @ y
+                H = (
+                    H
+                    - rho * (np.outer(s, Hy) + np.outer(Hy, s))
+                    + (rho * rho * (y @ Hy) + rho) * np.outer(s, s)
+                )
+        pg = u - np.clip(u - g, lo, hi)
+        grad_norm = float(np.sqrt(pg @ pg))
+        eps = min(grad_norm, ACTIVE_WIDTH)
+        active = ((u <= lo + eps) & (g > 0)) | ((u >= hi - eps) & (g < 0))
+        free = ~active
+        d = np.where(np.outer(free, free), H, 0.0) @ g
+        slope = g @ d
+        if not slope > 0 and np.any(free & (g != 0)):
+            H = scale * np.eye(k)
+            d = np.where(np.outer(free, free), H, 0.0) @ g
+            slope = g @ d
+        d = np.where(active, g, d)
+        g_active = np.where(active, g, 0.0)
+        decrease = float(slope + g_active @ (u - np.clip(u - d, lo, hi)))
+        if grad_norm <= solver.grad_tol or decrease <= NOISE_FLOOR * abs(value):
             converged = True
             break
         iterations += 1
-        accepted = backtracked = False
+        t = 1.0
         while t >= 1e-18:
-            cand = np.clip(u - t * g, box.lo, box.hi)
+            cand = np.clip(u - t * d, lo, hi)
             cand_value = cost(cand)
-            decrease = solver.armijo * float(np.sum(g * (cand - u)))
-            if np.isfinite(cand_value) and cand_value <= value + decrease:
-                accepted = True
+            sufficient = solver.armijo * (t * slope + g_active @ (u - cand))
+            if np.isfinite(cand_value) and cand_value <= value - sufficient:
                 break
             t *= solver.shrink
-            backtracked = True
-        if not accepted:
+        else:
             break
+        s, g_old = cand - u, g
         u, value = cand, cand_value
-        if not backtracked:
-            t = min(t / solver.shrink, 1e6)
-    return u, value, iterations, grad_norm, converged
+    return u.reshape(shape), value, iterations, grad_norm, decrease, converged
 
 
 @given(
@@ -339,19 +369,61 @@ def _scalar_descent(f, x0, cfg, start):
     nu=st.integers(1, 3),
     horizon=st.integers(1, 4),
     max_iters=st.integers(1, 40),
+    armijo=st.sampled_from([1e-4, 0.5, 0.9]),
 )
-def test_solo_solve_equals_the_scalar_descent(seed, kind, p, m, nu, horizon, max_iters):
-    """A batch of one takes the iterates, stopping test and step sizes of
-    the plain scalar descent, bit for bit."""
+def test_solo_solve_equals_the_scalar_descent(seed, kind, p, m, nu, horizon, max_iters, armijo):
+    """A batch of one takes the iterates, curvature updates, stopping tests
+    and step lengths of the plain scalar descent, bit for bit.  Large
+    ``armijo`` constants make every term of the sufficient-decrease test
+    decide some steps."""
     rng = np.random.default_rng(seed)
     cfg = _random_problem(rng, p, m, nu, horizon, 1)
-    cfg = replace(cfg, solver=replace(cfg.solver, max_iters=max_iters))
+    cfg = replace(cfg, solver=replace(cfg.solver, max_iters=max_iters, armijo=armijo))
     f = _random_dynamics(rng, cfg.dims, kind == "linear", differentiable=kind != "tanh_fd")
     x0 = rng.uniform(-1.0, 1.0, size=cfg.dims.n)
     start = rng.uniform(-1.0, 1.0, size=(horizon, m))
     sol = solve_ocp(f, x0, cfg, warm=start)
-    u, value, iterations, grad_norm, converged = _scalar_descent(f, x0, cfg, start)
+    u, value, iterations, grad_norm, decrease, converged = _scalar_descent(f, x0, cfg, start)
     assert_array_equal(sol.u_star, u)
-    assert (sol.value, sol.iterations, sol.grad_norm, sol.converged) == (
-        value, iterations, grad_norm, converged
+    assert (sol.value, sol.iterations, sol.grad_norm, sol.predicted_decrease, sol.converged) == (
+        value, iterations, grad_norm, decrease, converged
     )
+
+
+@given(
+    seed=seeds,
+    kind=st.sampled_from(["linear", "tanh", "tanh_fd"]),
+    p=st.integers(1, 2),
+    m=st.integers(1, 2),
+    nu=st.integers(1, 3),
+    horizon=st.integers(1, 6),
+    rows=st.integers(1, 4),
+    max_iters=st.integers(1, 60),
+)
+def test_solves_meet_a_stopping_test_and_never_lose_value(
+    seed, kind, p, m, nu, horizon, rows, max_iters
+):
+    """A converged solve meets the gradient test or the noise-floor test at
+    its returned sequence, whose value is at most its start's value."""
+    rng = np.random.default_rng(seed)
+    cfg = _random_problem(rng, p, m, nu, horizon, 1)
+    cfg = replace(cfg, solver=replace(cfg.solver, max_iters=max_iters))
+    f = _random_dynamics(rng, cfg.dims, kind == "linear", differentiable=kind != "tanh_fd")
+    gradient = cost_gradient if f.differentiable else finite_difference_gradient
+    box = cfg.input_box
+    X0 = rng.uniform(-1.0, 1.0, size=(rows, cfg.dims.n))
+    warm = rng.uniform(-1.5, 1.5, size=(rows, horizon, m))
+    start_values = cost_J_batch(f, X0, np.clip(warm, box.lo, box.hi), cfg.weights)
+    for i, sol in enumerate(solve_ocp_batch(f, X0, cfg, warm)):
+        assert sol.value <= start_values[i]
+        assert sol.value == cost_J_batch(f, X0[i], sol.u_star[None], cfg.weights)[0]
+        if sol.iterations < max_iters:
+            # The stopping quantities were taken at u_star itself.
+            g = gradient(f, X0[i], sol.u_star, cfg.weights)
+            pg = sol.u_star - np.clip(sol.u_star - g, box.lo, box.hi)
+            assert sol.grad_norm == np.linalg.norm(pg)
+        if sol.converged:
+            assert sol.iterations < max_iters
+            assert sol.grad_norm <= cfg.solver.grad_tol or (
+                0.0 <= sol.predicted_decrease <= NOISE_FLOOR * abs(sol.value)
+            )

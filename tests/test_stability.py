@@ -317,6 +317,23 @@ class TestVerifyDecrease:
         assert isinstance(report.horizon_sufficient, bool)
         assert report.sandwich_max_excess <= 1e-8
         assert_array_equal(report.b_values, growth.b_values)
+        assert report.capped_solves is None
+
+    def test_capped_solves_count_trace_and_grid(self, storage):
+        f = _linear_dynamics()
+        cfg = _config(8)
+        capped_cfg = replace(cfg, solver=replace(cfg.solver, max_iters=1))
+        states = np.random.default_rng(7).uniform(0.2, 0.8, size=(5, 3))
+        for run_cfg in (cfg, capped_cfg):
+            trace = run_closed_loop(f, f, run_cfg, np.array([0.5, 0.0, 0.0]), steps=10,
+                                    storage_matrix=storage.P)
+            growth = estimate_growth_bound(f, run_cfg, states, 4)
+            max_iters = run_cfg.solver.max_iters
+            report = verify_decrease(trace, storage, growth=growth, max_iters=max_iters)
+            in_trace = int(np.sum(~trace.converged & (trace.iterations >= max_iters)))
+            assert report.capped_solves == in_trace + growth.capped
+        # One iteration cannot converge from these starts: every solve is capped.
+        assert in_trace == trace.iterations.size and growth.capped == growth.ratios.size
 
     def test_corrupted_surrogate_is_flagged(self, cfg, storage):
         """A surrogate scaled 10x off the plant must fail the certificate."""
