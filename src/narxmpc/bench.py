@@ -183,6 +183,17 @@ class BenchmarkArm:
     def fill(self) -> float:
         return self.fit_entries["fill_distance"]
 
+    def run_record(self) -> dict:
+        """Stage wall times (s, rounded to ms) and solver totals of the arm:
+        iterations of the closed loop (its terminal solve included) and of
+        the growth grid, and the capped solves behind the certificate."""
+        return {
+            "timings_s": {stage: round(seconds, 3) for stage, seconds in self.timings.items()},
+            "loop_iterations": int(self.trace.iterations.sum()),
+            "grid_iterations": int(self.growth.iterations.sum()),
+            "capped_solves": self.report.capped_solves,
+        }
+
 
 @dataclass
 class BenchmarkResult:
@@ -331,7 +342,11 @@ def run_benchmark(
 
 
 def bundle_digests(out_dir) -> dict[str, str]:
-    """Content digests of every artifact in a benchmark output directory."""
+    """Content digests of every artifact in a benchmark output directory.
+
+    ``manifest.json`` is left out: it records wall times, which differ
+    from run to run.
+    """
     out = Path(out_dir)
     return {
         p.name: sha256_file(p)

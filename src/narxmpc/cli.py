@@ -87,7 +87,7 @@ def _build_config(args, **overrides) -> BenchmarkConfig:
     return BenchmarkConfig(**kwargs)
 
 
-def _manifest(args, command: str, cfg: BenchmarkConfig | None, outputs: list[Path], started: float) -> None:
+def _manifest(args, command: str, cfg: BenchmarkConfig | None, outputs: list[Path], started: float, **extra) -> None:
     entries = {
         "command": command,
         "version": __version__,
@@ -95,6 +95,7 @@ def _manifest(args, command: str, cfg: BenchmarkConfig | None, outputs: list[Pat
         "config": None if cfg is None else {k: getattr(cfg, k) for k in cfg.__dataclass_fields__},
         "outputs": {p.name: sha256_file(p) for p in outputs if p.exists()},
         "duration_s": round(time.time() - started, 3),
+        **extra,
     }
     write_manifest(args.out / "manifest.json", entries)
 
@@ -193,7 +194,8 @@ def cmd_benchmark(args) -> int:
         progress=_say(args),
     )
     outputs = [p for p in sorted(args.out.iterdir()) if p.is_file() and p.name != "manifest.json"]
-    _manifest(args, "benchmark", cfg, outputs, started)
+    arms = {f"D{d}": arm.run_record() for d, arm in sorted(result.arms.items())}
+    _manifest(args, "benchmark", cfg, outputs, started, arms=arms)
     bad = [d for d, arm in result.arms.items() if not arm.report.ok]
     for d, arm in sorted(result.arms.items()):
         print(f"D={d}: {arm.report.verdict}")

@@ -31,10 +31,30 @@ class KernelFitError(RuntimeError):
     """Raised when the kernel matrix cannot be factorized."""
 
 
-def _one_minus(r: np.ndarray) -> np.ndarray:
-    """``max(1 - r, 0)`` in one new array, also for a 0-d ``r``."""
+def _wendland_terms(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``max(1 - r, 0)`` and its fourth power, the factors that the profile
+    and its slope share; new arrays, also for a 0-d ``r``."""
+    # Products written in place: numpy's ``pow`` costs several times a
+    # multiply, and each temporary of a D x D Gram build is D^2 doubles.
     one_minus = np.subtract(1.0, r, out=np.empty(r.shape))
-    return np.maximum(one_minus, 0.0, out=one_minus)
+    np.maximum(one_minus, 0.0, out=one_minus)
+    fourth = np.multiply(one_minus, one_minus, out=np.empty(r.shape))
+    fourth *= fourth
+    return one_minus, fourth
+
+
+def _profile(r: np.ndarray, one_minus: np.ndarray, fourth: np.ndarray) -> np.ndarray:
+    """:func:`wendland_phi` from the terms of :func:`_wendland_terms`,
+    written into ``fourth``; ``one_minus`` is overwritten as scratch."""
+    phi = np.multiply(fourth, one_minus, out=fourth)
+    # The factor uses min(r, 1), which leaves it unchanged where the
+    # profile is nonzero and keeps it finite (so 0 * inf never arises).
+    factor = np.minimum(r, 1.0, out=one_minus)
+    factor *= 5.0
+    factor += 1.0
+    phi *= factor
+    phi /= 30.0
+    return phi
 
 
 def wendland_phi(r: np.ndarray) -> np.ndarray:
@@ -45,20 +65,7 @@ def wendland_phi(r: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("radius must be nonnegative")
-    # Products written in place: numpy's ``pow`` costs several times a
-    # multiply, and each temporary of a D x D Gram build is D^2 doubles.
-    # The factor uses min(r, 1), which leaves it unchanged where the
-    # profile is nonzero and keeps it finite (so 0 * inf never arises).
-    one_minus = _one_minus(r)
-    phi = np.multiply(one_minus, one_minus)
-    phi *= phi
-    phi *= one_minus
-    factor = np.minimum(r, 1.0, out=one_minus)
-    factor *= 5.0
-    factor += 1.0
-    phi *= factor
-    phi /= 30.0
-    return phi
+    return _profile(r, *_wendland_terms(r))
 
 
 def _wendland_slope(r: np.ndarray) -> np.ndarray:
@@ -66,10 +73,8 @@ def _wendland_slope(r: np.ndarray) -> np.ndarray:
 
     The derivative of :func:`wendland_phi` simplifies to ``-r (1 - r)^4``.
     """
-    slope = _one_minus(np.asarray(r, dtype=float))
-    slope *= slope
-    slope *= slope
-    return np.negative(slope, out=slope)
+    _, fourth = _wendland_terms(np.asarray(r, dtype=float))
+    return np.negative(fourth, out=fourth)
 
 
 @dataclass(frozen=True)
@@ -277,9 +282,12 @@ class KernelInterpolant:
         xi = np.asarray(xi, dtype=float)
         dim = self.data.sites.shape[1]
         r = cdist(xi.reshape(-1, dim), self.data.sites) / self.spec.lengthscale
-        value = np.matmul(wendland_phi(r)[:, None, :], self.coefficients)[:, 0]
+        one_minus, fourth = _wendland_terms(r)
+        # phi'(r) / (r sigma^2) = -(1 - r)^4 / sigma^2, taken before the
+        # profile overwrites the shared fourth power.
+        w = fourth / -(self.spec.lengthscale**2)
+        value = np.matmul(_profile(r, one_minus, fourth)[:, None, :], self.coefficients)[:, 0]
         diffs = self.data.sites - xi.reshape(-1, 1, dim)
-        w = _wendland_slope(r) / self.spec.lengthscale**2
         jac = -np.matmul((self.coefficients * w[:, :, None]).transpose(0, 2, 1), diffs)
         if xi.ndim == 1:
             return value[0], jac[0]

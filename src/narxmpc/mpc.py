@@ -7,9 +7,12 @@ quasi-Newton method (Bertsekas, SIAM J. Control Optim. 1982): gradient
 steps on the coordinates held at a bound, BFGS steps on the free ones,
 and Armijo backtracking along the projection arc.  A solve stops when
 its projected gradient is small or when the full step promises a
-decrease below the cost's rounding level.  Gradients come from an
-adjoint sweep through the regressor shift structure when the dynamics
-expose Jacobians, and from batched central differences otherwise.  Many
+decrease below the cost's rounding level.  When the dynamics expose
+Jacobians, every cost is the forward half of an adjoint sweep through
+the regressor shift structure, which yields the outputs and their
+Jacobians together; the sweep of an accepted iterate is kept, and its
+gradient is the backward half alone.  Otherwise costs come from plain
+rollouts and gradients from batched central differences.  Many
 problems are solved in lockstep, each row with its own BFGS matrix,
 line search and stopping tests, and every row reproduces its solo solve
 bit for bit.  The receding-horizon loop applies the first input of each
@@ -144,7 +147,12 @@ def cost_J_batch(
     """
     U_batch = np.asarray(U_batch, dtype=float)
     _, outputs = f.rollout_batch(_regressor_rows(x0, U_batch.shape[0], f.dims.n), U_batch)
-    return np.sum(stage_cost(outputs, U_batch, weights), axis=1)
+    return _costs(outputs, U_batch, weights)
+
+
+def _costs(outputs: np.ndarray, U: np.ndarray, weights: StageCostWeights) -> np.ndarray:
+    """Costs of the rows of predicted outputs (B, N, p) and inputs (B, N, m)."""
+    return np.sum(stage_cost(outputs, U, weights), axis=1)
 
 
 def _regressor_rows(x0: np.ndarray, b: int, n: int) -> np.ndarray:
@@ -168,6 +176,87 @@ def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.matmul(A, v[..., None])[..., 0]
 
 
+@dataclass
+class Sweep:
+    """Forward sweep of B input sequences: the predicted outputs ``outputs``
+    (B, N, p) and their Jacobians ``jac_x`` (B, N, p, n) and ``jac_u``
+    (B, N, p, m) with respect to each step's regressor and input.
+
+    The Jacobians are stacked as :meth:`~narxmpc.narx.NarxDynamics.linearize`
+    returns them, and the backward sweep multiplies by transposed views:
+    rows taken or overwritten keep that memory layout, so a kept sweep
+    gives the bits of a fresh one.  Indexing takes or overwrites rows of
+    all three arrays.
+    """
+
+    outputs: np.ndarray
+    jac_x: np.ndarray
+    jac_u: np.ndarray
+
+    def __getitem__(self, rows) -> "Sweep":
+        return Sweep(self.outputs[rows], self.jac_x[rows], self.jac_u[rows])
+
+    def __setitem__(self, rows, other: "Sweep") -> None:
+        self.outputs[rows], self.jac_x[rows], self.jac_u[rows] = (
+            other.outputs, other.jac_x, other.jac_u
+        )
+
+
+def forward_sweep(f: NarxDynamics, X0: np.ndarray, U: np.ndarray) -> Sweep:
+    """Roll the lifted system out from the regressors ``X0`` (B, n) under
+    the inputs ``U`` (B, N, m) with one batched
+    :meth:`~narxmpc.narx.NarxDynamics.linearize` call per step.
+
+    ``linearize`` gives the outputs of ``output_batch`` bit for bit, so
+    the costs summed from ``sweep.outputs`` equal :func:`cost_J_batch`,
+    and each row equals its single-row sweep.
+    """
+    dims = f.dims
+    b, horizon = U.shape[0], U.shape[1]
+    sweep = Sweep(
+        np.empty((b, horizon, dims.p)),
+        np.empty((b, horizon, dims.p, dims.n)),
+        np.empty((b, horizon, dims.p, dims.m)),
+    )
+    X = X0
+    for k in range(horizon):
+        sweep.outputs[:, k], sweep.jac_x[:, k], sweep.jac_u[:, k] = f.linearize(X, U[:, k])
+        X = shift_state(X, sweep.outputs[:, k], U[:, k], dims)
+    return sweep
+
+
+def backward_sweep(
+    dims: NarxDims, sweep: Sweep, U: np.ndarray, weights: StageCostWeights
+) -> np.ndarray:
+    """Cost gradients (B, N, m) of the inputs ``U`` (B, N, m) from their
+    forward sweep.
+
+    The adjoint of the lifted step map is accumulated backwards: the
+    output Jacobian enters through the first block row and the history
+    shifts enter as index moves, so each step costs O(n) bookkeeping on
+    top of two stacked Jacobian products.
+    """
+    b, horizon = U.shape[0], U.shape[1]
+    p, m, nb, n = dims.p, dims.m, dims.n_outputs_block, dims.n
+    output_weight = 2.0 * _matvec(weights.Q, sweep.outputs)
+    input_weight = 2.0 * _matvec(weights.R, U)
+    grad = np.empty((b, horizon, m))
+    lam = np.zeros((b, n))
+    for k in reversed(range(horizon)):
+        lam_y = lam[:, :p] + output_weight[:, k]
+        g = input_weight[:, k] + _matvec(sweep.jac_u[:, k].transpose(0, 2, 1), lam_y)
+        if dims.nu > 1:
+            g = g + lam[:, nb : nb + m]
+        grad[:, k] = g
+        new_lam = _matvec(sweep.jac_x[:, k].transpose(0, 2, 1), lam_y)
+        if dims.nu > 1:
+            new_lam[:, : nb - p] += lam[:, p:nb]
+            if dims.nu > 2:
+                new_lam[:, nb : nb + (dims.nu - 2) * m] += lam[:, nb + m :]
+        lam = new_lam
+    return grad
+
+
 def cost_gradient(
     f: NarxDynamics, x0: np.ndarray, u_seq: np.ndarray, weights: StageCostWeights
 ) -> np.ndarray:
@@ -176,14 +265,9 @@ def cost_gradient(
     ``u_seq`` is (N, m) for one problem from the regressor ``x0`` (n,),
     or (B, N, m) for B problems from ``x0`` (B, n); the gradient has the
     shape of ``u_seq``, and each row equals its single-problem gradient
-    bit for bit.
-
-    The forward sweep rolls the lifted system out with one batched
-    :meth:`~narxmpc.narx.NarxDynamics.linearize` call per step, which
-    gives the outputs and their Jacobians together.  The backward sweep
-    accumulates the adjoint of the lifted step map: the output Jacobian
-    enters through the first block row and the history shifts enter as
-    index moves, so each step costs O(n) bookkeeping on top.
+    bit for bit.  It is :func:`backward_sweep` of :func:`forward_sweep`;
+    the solver runs the two halves apart, so that the sweep of an
+    accepted line-search trial serves the next gradient.
 
     Raises :class:`SolverError` for dynamics without Jacobians.
     """
@@ -191,33 +275,8 @@ def cost_gradient(
         raise SolverError(
             f"{type(f).__name__} provides no Jacobians; use finite_difference_gradient"
         )
-    dims = f.dims
-    X, U, single = _as_batch(x0, u_seq, dims.n)
-    b, horizon = U.shape[0], U.shape[1]
-    p, m, nb, n = dims.p, dims.m, dims.n_outputs_block, dims.n
-    Y = np.empty((b, horizon, p))
-    jacobians = []
-    for k in range(horizon):
-        Y[:, k], Jx, Ju = f.linearize(X, U[:, k])
-        jacobians.append((Jx.transpose(0, 2, 1), Ju.transpose(0, 2, 1)))
-        X = shift_state(X, Y[:, k], U[:, k], dims)
-    output_weight = 2.0 * _matvec(weights.Q, Y)
-    input_weight = 2.0 * _matvec(weights.R, U)
-    grad = np.empty((b, horizon, m))
-    lam = np.zeros((b, n))
-    for k in reversed(range(horizon)):
-        JxT, JuT = jacobians[k]
-        lam_y = lam[:, :p] + output_weight[:, k]
-        g = input_weight[:, k] + _matvec(JuT, lam_y)
-        if dims.nu > 1:
-            g = g + lam[:, nb : nb + m]
-        grad[:, k] = g
-        new_lam = _matvec(JxT, lam_y)
-        if dims.nu > 1:
-            new_lam[:, : nb - p] += lam[:, p:nb]
-            if dims.nu > 2:
-                new_lam[:, nb : nb + (dims.nu - 2) * m] += lam[:, nb + m :]
-        lam = new_lam
+    X, U, single = _as_batch(x0, u_seq, f.dims.n)
+    grad = backward_sweep(f.dims, forward_sweep(f, X, U), U, weights)
     return grad[0] if single else grad
 
 
@@ -311,9 +370,21 @@ class _Rows:
     grad: np.ndarray  # gradient before that step (r, k)
     norm: np.ndarray  # projected-gradient norms of the current round
     decrease: np.ndarray  # predicted decreases of the current round
+    sweep: Sweep | None  # forward sweep at u (None without Jacobians)
 
     def take(self, keep: np.ndarray) -> "_Rows":
-        return _Rows(*(getattr(self, item.name)[keep] for item in fields(self)))
+        parts = (getattr(self, item.name) for item in fields(self))
+        return _Rows(*(None if part is None else part[keep] for part in parts))
+
+
+def _evaluate(f: NarxDynamics, X: np.ndarray, U: np.ndarray, weights: StageCostWeights):
+    """Costs of the rows ``U`` (r, N, m) from ``X`` (r, n), with the forward
+    sweep that gave them for differentiable dynamics (``None`` otherwise,
+    where the costs come from :func:`cost_J_batch`)."""
+    if not f.differentiable:
+        return cost_J_batch(f, X, U, weights), None
+    sweep = forward_sweep(f, X, U)
+    return _costs(sweep.outputs, U, weights), sweep
 
 
 def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: MpcConfig):
@@ -338,14 +409,19 @@ def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: 
     bit.  A row leaves the active set when it converges, when its line
     search fails, or with a :class:`SolverError` in ``errors`` when its
     cost or gradient is not finite; the other rows go on unchanged.
+
+    For differentiable dynamics every cost is a :func:`forward_sweep`, of
+    the starts and of each line-search trial, and a row keeps the sweep of
+    its accepted iterate, so each gradient is one :func:`backward_sweep`.
+    Without Jacobians the costs go through :func:`cost_J_batch` and the
+    gradients through :func:`finite_difference_gradient`.
     """
     solver, box, weights = cfg.solver, cfg.input_box, cfg.weights
-    gradient = cost_gradient if f.differentiable else finite_difference_gradient
     b, shape = starts.shape[0], starts.shape[1:]
     lo, hi = (np.broadcast_to(bound, shape).ravel() for bound in (box.lo, box.hi))
     U = np.clip(starts.reshape(b, -1), lo, hi)
     k = U.shape[1]
-    value = cost_J_batch(f, X0, U.reshape(starts.shape), weights)
+    value, sweep = _evaluate(f, X0, U.reshape(starts.shape), weights)
     errors: list[SolverError | None] = [
         None if np.isfinite(v) else SolverError(f"initial cost is not finite ({v}) at the start sequence")
         for v in value
@@ -358,6 +434,7 @@ def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: 
     rows = _Rows(
         live, X0[live], U[live], value[live], np.tile(np.eye(k), (r, 1, 1)), np.ones(r),
         np.ones(r, dtype=bool), np.zeros((r, k)), np.zeros((r, k)), np.full(r, np.inf), np.full(r, np.inf),
+        None if sweep is None else sweep[live],
     )
 
     def leave(out, count, conv):
@@ -371,7 +448,11 @@ def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: 
     for rnd in range(solver.max_iters):
         if not rows.index.size:
             break
-        g = gradient(f, rows.x, rows.u.reshape(-1, *shape), weights).reshape(-1, k)
+        seqs = rows.u.reshape(-1, *shape)
+        if f.differentiable:
+            g = backward_sweep(f.dims, rows.sweep, seqs, weights).reshape(-1, k)
+        else:
+            g = finite_difference_gradient(f, rows.x, seqs, weights).reshape(-1, k)
         finite = np.isfinite(g).all(axis=1)
         if not finite.all():
             for i in rows.index[~finite]:
@@ -444,8 +525,8 @@ def _armijo_search(f, rows: _Rows, d, slope, g_active, lo, hi, shape, cfg: MpcCo
     over the free coordinates and ``g_active`` the gradient on the active
     ones.  Every row still searching has been rejected equally often, so
     one step length ``t`` serves them all.  Accepted candidates overwrite
-    their rows of ``rows.u`` and ``rows.value``.  Returns the mask of rows
-    that accepted a step.
+    their rows of ``rows.u``, ``rows.value`` and ``rows.sweep``.  Returns
+    the mask of rows that accepted a step.
     """
     solver = cfg.solver
     accepted = np.zeros(rows.value.size, dtype=bool)
@@ -454,11 +535,13 @@ def _armijo_search(f, rows: _Rows, d, slope, g_active, lo, hi, shape, cfg: MpcCo
     while todo.size and t >= 1e-18:
         u = rows.u[todo]
         cand = np.clip(u - t * d[todo], lo, hi)
-        cand_value = cost_J_batch(f, rows.x[todo], cand.reshape(-1, *shape), cfg.weights)
+        cand_value, sweep = _evaluate(f, rows.x[todo], cand.reshape(-1, *shape), cfg.weights)
         sufficient = solver.armijo * (t * slope[todo] + _rowdot(g_active[todo], u - cand))
         ok = np.isfinite(cand_value) & (cand_value <= rows.value[todo] - sufficient)
         hit = todo[ok]
         rows.u[hit], rows.value[hit], accepted[hit] = cand[ok], cand_value[ok], True
+        if sweep is not None:
+            rows.sweep[hit] = sweep[ok]
         todo = todo[~ok]
         t *= solver.shrink
     return accepted
@@ -475,11 +558,13 @@ def solve_ocp_batch(
     All problems, and with ``cfg.solver.multistart > 1`` all their
     starts, descend in lockstep by the two-metric projected quasi-Newton
     method of :func:`_lockstep_descent`, each row with its own BFGS
-    matrix, line search and stopping tests: line-search costs of the rows
-    still searching go through one :func:`cost_J_batch` call, and
-    gradients of the active rows through one :func:`cost_gradient` call
-    (or :func:`finite_difference_gradient` for dynamics without
-    Jacobians).  Row ``i`` of the result is what :func:`solve_ocp`
+    matrix, line search and stopping tests.  For differentiable dynamics
+    the costs of the starts and of the line-search trials of the rows
+    still searching are one :func:`forward_sweep` call each, and the
+    gradients of the active rows one :func:`backward_sweep` call over the
+    sweeps of their accepted iterates.  Dynamics without Jacobians go
+    through :func:`cost_J_batch` and :func:`finite_difference_gradient`
+    instead.  Row ``i`` of the result is what :func:`solve_ocp`
     returns for ``X0[i]`` and ``warm[i]``, bit for bit, or the
     :class:`SolverError` it raises.  A solution is ``converged`` when it
     met the gradient test or the noise-floor test; otherwise it stopped

@@ -139,7 +139,9 @@ class NarxDynamics(ABC):
 
         Rows ``x`` (B, n) and ``u`` (B, m) give (B, p), (B, p, n) and
         (B, p, m); a single ``x`` (n,) and ``u`` (m,) give (p,), (p, n)
-        and (p, m).
+        and (p, m).  The outputs must equal :meth:`output_batch` bit for
+        bit: the solver takes its costs from the outputs of its adjoint
+        forward sweep, and they must be the costs of the rollout.
         """
         raise NotImplementedError(f"{type(self).__name__} provides no Jacobians")
 

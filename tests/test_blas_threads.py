@@ -7,7 +7,9 @@ turn those bits into different decisions.  The standard D=2501 episode
 runs once with one and once with two OpenBLAS threads, each in a fresh
 interpreter (OpenBLAS reads the count when numpy loads), and both must
 give the same verdict and iteration counts, no capped solve, and alpha
-equal to 1e-9 relative.
+equal to 1e-9 relative.  The one-thread run is also pinned to the
+episode's recorded iteration total and alpha, so a speed-up that moves
+the solver's path fails here.
 """
 
 from __future__ import annotations
@@ -21,6 +23,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: The reference episode at one BLAS thread: solver iterations over its
+#: 101 solves (100 steps and the terminal diagnostic) and its alpha.
+REFERENCE_ITERATIONS = 264
+REFERENCE_ALPHA = 0.20961735363353273
 
 EPISODE = """
 import json
@@ -73,3 +80,5 @@ def test_reference_episode_is_the_same_at_one_and_two_blas_threads():
     assert one["iterations"] == two["iterations"]
     assert one["capped"] == two["capped"] == 0
     assert two["alpha"] == pytest.approx(one["alpha"], rel=1e-9, abs=0.0)
+    assert sum(one["iterations"]) == REFERENCE_ITERATIONS
+    assert one["alpha"] == pytest.approx(REFERENCE_ALPHA, rel=1e-12, abs=0.0)

@@ -401,6 +401,25 @@ class TestBenchmark:
         assert code in (0, 2)
         assert "D=21: growth grid: 2×3 solves, 0 capped" in capsys.readouterr().err.splitlines()
 
+    def test_manifest_records_stage_timings_and_solver_totals(self, tmp_path):
+        config = tmp_path / "cfg.txt"
+        config.write_text("steps = 6\n")
+        out = tmp_path / "bundle"
+        args = ["--config", str(config), "--only-D", "21", "--b-states", "3", "--b-horizon", "2"]
+        assert main(["benchmark", *args, "--out", str(out)]) in (0, 2)
+        record = json.loads((out / "manifest.json").read_text())["arms"]["D21"]
+        assert set(record) == {"timings_s", "loop_iterations", "grid_iterations", "capped_solves"}
+        stages = record["timings_s"]
+        assert set(stages) == {"generate", "fit", "constants", "closed_loop", "certify"}
+        assert all(isinstance(t, float) and t >= 0.0 for t in stages.values())
+        header, trace = read_csv(out / "trace_norm_D21.csv")
+        assert record["loop_iterations"] == int(trace[:, header.index("iters")].sum())
+        assert isinstance(record["grid_iterations"], int) and record["grid_iterations"] > 0
+        report = read_keyvalues(out / "stability_report_D21.txt")
+        assert record["capped_solves"] == int(report["capped_solves"])
+        # The record changes from run to run; the bundle digests leave it out.
+        assert "manifest.json" not in bundle_digests(out)
+
     def test_zero_steps_is_an_error(self, tmp_path, capsys):
         config = tmp_path / "cfg.txt"
         config.write_text("steps = 0\n")

@@ -6,11 +6,13 @@ Examples are drawn under the derandomized profile registered in
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.spatial.distance import cdist
@@ -35,10 +37,13 @@ from narxmpc import (
     sample_domain,
     solve_ocp,
     solve_ocp_batch,
+    stage_cost,
     two_tank_rhs,
     two_tank_step,
 )
-from narxmpc.mpc import ACTIVE_WIDTH, NOISE_FLOOR
+from narxmpc import mpc
+from narxmpc.kernels import KernelSurrogateDynamics
+from narxmpc.mpc import ACTIVE_WIDTH, NOISE_FLOOR, forward_sweep
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -59,13 +64,13 @@ def _tank_arrays(rows):
     return h1, h2, u
 
 
-def _interpolant(rng, input_dim: int, size: int, lengthscale: float, p: int):
+def _interpolant(rng, input_dim: int, size: int, lengthscale: float, p: int, dims=None):
     """Interpolant with random sites and coefficients; no fit is needed to
     compare two ways of evaluating the same kernel expansion."""
     sites = rng.uniform(0.0, 1.0, size=(size, input_dim))
     return KernelInterpolant(
         KernelSpec(input_dim=input_dim, lengthscale=lengthscale),
-        SimpleNamespace(sites=sites),
+        SimpleNamespace(sites=sites, dims=dims),
         jitter=0.0,
         gram=None,
         cho=None,
@@ -175,9 +180,32 @@ def test_nearest_site_distances_match_brute_force(seed, rows, probes, dim):
     assert fill_distance(sites, points) == cdist(points, sites).min(axis=1).max()
 
 
+class CountingDynamics(FunctionDynamics):
+    """:class:`FunctionDynamics` that count their calls of ``output_batch``
+    and ``rollout_batch`` and their batched calls of ``linearize``."""
+
+    def __init__(self, dims, fn, jacobian_fn=None):
+        super().__init__(dims, fn, jacobian_fn)
+        self.calls = Counter()
+
+    def output_batch(self, X, U):
+        self.calls["output_batch"] += 1
+        return super().output_batch(X, U)
+
+    def rollout_batch(self, X0, U_seq):
+        self.calls["rollout_batch"] += 1
+        return super().rollout_batch(X0, U_seq)
+
+    def linearize(self, x, u):
+        if np.ndim(x) > 1:
+            self.calls["linearize"] += 1
+        return super().linearize(x, u)
+
+
 def _random_dynamics(rng, dims: NarxDims, linear: bool, differentiable: bool = True):
     """Stable random dynamics ``tanh(A x + B u)`` (or ``A x + B u``) whose
-    output is NaN for regressors with a first entry above 50."""
+    output is NaN for regressors with a first entry above 50; they count
+    their evaluations."""
     A = 0.4 * rng.standard_normal((dims.p, dims.n)) / np.sqrt(dims.n)
     B = rng.standard_normal((dims.p, dims.m))
 
@@ -191,7 +219,7 @@ def _random_dynamics(rng, dims: NarxDims, linear: bool, differentiable: bool = T
         slope = np.ones(dims.p) if linear else 1.0 - np.tanh(A @ x + B @ u) ** 2
         return slope[:, None] * A, slope[:, None] * B
 
-    return FunctionDynamics(dims, fn, jacobian_fn if differentiable else None)
+    return CountingDynamics(dims, fn, jacobian_fn if differentiable else None)
 
 
 def _random_problem(rng, p, m, nu, horizon, multistart):
@@ -267,6 +295,39 @@ def test_batched_kernel_rows_equal_single_rows(seed, rows, p, input_dim):
         value, jac = model.linearize(Xi[i])
         assert_array_equal(lin_values[i], value)
         assert_array_equal(jacobians[i], jac)
+
+
+@given(
+    seed=seeds,
+    kind=st.sampled_from(["function", "kernel"]),
+    p=st.integers(1, 2),
+    m=st.integers(1, 2),
+    nu=st.integers(1, 3),
+    horizon=st.integers(1, 5),
+    rows=st.integers(1, 7),
+)
+def test_linearize_outputs_and_sweep_costs_equal_the_rollout(seed, kind, p, m, nu, horizon, rows):
+    """``linearize`` gives the outputs of ``output_batch`` bit for bit, so
+    the costs of a forward sweep are the costs of ``cost_J_batch``: the
+    solver takes every cost from a sweep."""
+    cfg = _random_problem(np.random.default_rng(seed), p, m, nu, horizon, 1)
+    dims = cfg.dims
+    assume(kind == "function" or dims.n + m <= 5)
+    rng = np.random.default_rng(seed + 1)
+    if kind == "function":
+        f = _random_dynamics(rng, dims, linear=False)
+    else:
+        model = _interpolant(rng, dims.n + m, int(rng.integers(2, 80)), rng.uniform(0.2, 3.0), p, dims)
+        f = KernelSurrogateDynamics(model)
+    X = rng.uniform(-0.2, 1.2, size=(rows, dims.n))
+    U = rng.uniform(-0.2, 1.2, size=(rows, horizon, m))
+    outputs, _, _ = f.linearize(X, U[:, 0])
+    assert_array_equal(outputs, f.output_batch(X, U[:, 0]))
+    for i in range(rows):
+        assert_array_equal(f.linearize(X[i], U[i, 0])[0], f.output(X[i], U[i, 0]))
+    sweep = forward_sweep(f, X, U)
+    costs = np.sum(stage_cost(sweep.outputs, U, cfg.weights), axis=1)
+    assert_array_equal(costs, cost_J_batch(f, X, U, cfg.weights))
 
 
 @given(
@@ -388,6 +449,56 @@ def test_solo_solve_equals_the_scalar_descent(seed, kind, p, m, nu, horizon, max
     assert (sol.value, sol.iterations, sol.grad_norm, sol.predicted_decrease, sol.converged) == (
         value, iterations, grad_norm, decrease, converged
     )
+
+
+def _spy(name: str):
+    """Count the calls of ``mpc.<name>``, which the solver looks up as a
+    module global."""
+    return patch.object(mpc, name, wraps=getattr(mpc, name))
+
+
+@given(
+    seed=seeds,
+    kind=st.sampled_from(["linear", "tanh", "tanh_fd"]),
+    p=st.integers(1, 2),
+    m=st.integers(1, 2),
+    nu=st.integers(1, 3),
+    horizon=st.integers(1, 4),
+    max_iters=st.integers(1, 40),
+)
+def test_a_solve_evaluates_each_cost_by_one_sweep(seed, kind, p, m, nu, horizon, max_iters):
+    """A differentiable solve makes one N-step forward sweep per start and
+    per line-search trial, each gradient is a backward sweep over a kept
+    sweep, and nothing calls ``output_batch`` or ``rollout_batch``.  The
+    scalar descent makes one rollout per cost and one ``cost_gradient``
+    (an N-step sweep) per gradient, so its counts give the expected ones.
+    Without Jacobians the solve still goes through ``cost_J_batch`` and
+    ``finite_difference_gradient``."""
+    rng = np.random.default_rng(seed)
+    cfg = _random_problem(rng, p, m, nu, horizon, 1)
+    cfg = replace(cfg, solver=replace(cfg.solver, max_iters=max_iters))
+    f = _random_dynamics(rng, cfg.dims, kind == "linear", differentiable=kind != "tanh_fd")
+    x0 = rng.uniform(-1.0, 1.0, size=cfg.dims.n)
+    start = rng.uniform(-1.0, 1.0, size=(horizon, m))
+    with (
+        _spy("forward_sweep") as sweeps,
+        _spy("backward_sweep") as backward,
+        _spy("cost_J_batch") as costs,
+        _spy("finite_difference_gradient") as differences,
+    ):
+        solve_ocp(f, x0, cfg, warm=start)
+    solver, f.calls = f.calls, Counter()
+    if not f.differentiable:
+        assert sweeps.call_count == backward.call_count == solver["linearize"] == 0
+        assert differences.call_count >= 1 and costs.call_count >= 1 + differences.call_count
+        return
+    _scalar_descent(f, x0, cfg, start)
+    scalar = f.calls
+    assert solver["output_batch"] == solver["rollout_batch"] == 0
+    assert costs.call_count == differences.call_count == 0
+    assert sweeps.call_count == scalar["rollout_batch"]
+    assert solver["linearize"] == horizon * sweeps.call_count
+    assert horizon * backward.call_count == scalar["linearize"]
 
 
 @given(
