@@ -163,6 +163,11 @@ def certify_trace(
     return growth, report
 
 
+def stage_timings(timings: dict[str, float]) -> dict[str, float]:
+    """Stage wall times (s) rounded to ms, as run records hold them."""
+    return {stage: round(seconds, 3) for stage, seconds in timings.items()}
+
+
 @dataclass
 class BenchmarkArm:
     """Everything produced for one dataset size."""
@@ -188,7 +193,7 @@ class BenchmarkArm:
         iterations of the closed loop (its terminal solve included) and of
         the growth grid, and the capped solves behind the certificate."""
         return {
-            "timings_s": {stage: round(seconds, 3) for stage, seconds in self.timings.items()},
+            "timings_s": stage_timings(self.timings),
             "loop_iterations": int(self.trace.iterations.sum()),
             "grid_iterations": int(self.growth.iterations.sum()),
             "capped_solves": self.report.capped_solves,

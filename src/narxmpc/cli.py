@@ -33,8 +33,10 @@ from .bench import (
     GROWTH_STATES,
     certify_trace,
     fit_model,
+    make_mpc_config,
     run_benchmark,
     simulate_loop,
+    stage_timings,
 )
 from .fileio import (
     ConfigError,
@@ -52,6 +54,7 @@ from .fileio import (
 )
 from .kernels import KernelFitError
 from .mpc import SolverError
+from .stability import count_capped
 from .twotank import BenchmarkConfig, generate_dataset
 
 
@@ -141,15 +144,29 @@ def cmd_fit(args) -> int:
 def cmd_simulate(args) -> int:
     started = time.time()
     cfg = _build_config(args, steps=args.steps)
+    tic = time.perf_counter()
     model = _load_model(args.model, cfg)
+    timings = {"load": time.perf_counter() - tic}
+    tic = time.perf_counter()
     trace = simulate_loop(cfg, model)
+    timings["closed_loop"] = time.perf_counter() - tic
     args.out.mkdir(parents=True, exist_ok=True)
     norm_path = args.out / "trace_norm.csv"
     raw_path = args.out / "trace_raw.csv"
     save_trace(trace, norm_path, raw=False)
     save_trace(trace, raw_path, raw=True)
     _say(args)(f"ran {trace.steps} steps; final state norm {np.linalg.norm(trace.states[-1]):.3e}")
-    _manifest(args, "simulate", cfg, [norm_path, raw_path], started)
+    max_iters = make_mpc_config(cfg).solver.max_iters
+    _manifest(
+        args,
+        "simulate",
+        cfg,
+        [norm_path, raw_path],
+        started,
+        timings_s=stage_timings(timings),
+        loop_iterations=int(trace.iterations.sum()),
+        capped_solves=count_capped(trace.iterations, trace.converged, max_iters),
+    )
     if trace.failed_step is not None:
         print(
             f"error: closed loop failed at step {trace.failed_step}: {trace.failure}",
@@ -162,11 +179,15 @@ def cmd_simulate(args) -> int:
 def cmd_certify(args) -> int:
     started = time.time()
     cfg = _build_config(args)
+    tic = time.perf_counter()
     model = _load_model(args.model, cfg)
     trace = load_trace(args.trace, cfg.dims, cfg.horizon, cfg.normalization())
+    timings = {"load": time.perf_counter() - tic}
+    tic = time.perf_counter()
     growth, report = certify_trace(
         cfg, model, trace, args.b_states, args.b_horizon, margin=args.margin
     )
+    timings["certify"] = time.perf_counter() - tic
     args.out.mkdir(parents=True, exist_ok=True)
     report_path = args.out / "stability_report.txt"
     steps_path = args.out / "stability_steps.csv"
@@ -176,7 +197,16 @@ def cmd_certify(args) -> int:
     say(f"verdict: {report.verdict}")
     if report.gamma_bar is not None:
         say(f"gamma_bar={report.gamma_bar:.3f} min_horizon={report.min_horizon_value:.2f}")
-    _manifest(args, "certify", cfg, [report_path, steps_path], started)
+    _manifest(
+        args,
+        "certify",
+        cfg,
+        [report_path, steps_path],
+        started,
+        timings_s=stage_timings(timings),
+        grid_iterations=int(growth.iterations.sum()),
+        capped_solves=report.capped_solves,
+    )
     print(report.verdict)
     return 0 if report.ok else 2
 

@@ -18,11 +18,12 @@ itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .narx import AffineNormalization, NarxDims, NarxDynamics
 
@@ -108,14 +109,20 @@ class KernelSpec:
 
 
 def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
-    """Cross-kernel matrix between row-site arrays ``A`` (Da, d) and ``B`` (Db, d)."""
+    """Cross-kernel matrix between row-site arrays ``A`` (Da, d) and ``B`` (Db, d).
+
+    Without ``B`` this is the Gram matrix of ``A``: the profile is
+    evaluated once per pair of distinct rows and ``phi(0)`` fills the
+    diagonal, which equals ``kernel_matrix(spec, A, A)`` bit for bit.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if B is None:
-        B = A
-    else:
-        B = np.atleast_2d(np.asarray(B, dtype=float))
-    R = cdist(A, B) / spec.lengthscale
-    return wendland_phi(R)
+        radii = pdist(A) / spec.lengthscale
+        # squareform makes no 0 x 0 matrix; the slice keeps an empty A empty.
+        gram = squareform(wendland_phi(radii), checks=False)[: len(A), : len(A)]
+        np.fill_diagonal(gram, spec.diag_value)
+        return gram
+    return wendland_phi(cdist(A, np.atleast_2d(np.asarray(B, dtype=float))) / spec.lengthscale)
 
 
 @dataclass(frozen=True)
@@ -152,12 +159,10 @@ class Dataset:
             raise ValueError(
                 f"targets have {targets.shape[1]} columns, expected p={self.dims.p}"
             )
-        if sites.shape[0] > 1:
-            sep = min_pairwise_distance(sites)
-            if sep <= 1e-10:
-                raise ValueError(
-                    f"duplicate sites: minimum pairwise distance {sep:.3e} <= 1e-10"
-                )
+        if self.min_distance <= 1e-10:
+            raise ValueError(
+                f"duplicate sites: minimum pairwise distance {self.min_distance:.3e} <= 1e-10"
+            )
         if self.contains_origin:
             norms = np.linalg.norm(sites, axis=1)
             idx = int(np.argmin(norms))
@@ -170,6 +175,12 @@ class Dataset:
     @property
     def size(self) -> int:
         return self.sites.shape[0]
+
+    @cached_property
+    def min_distance(self) -> float:
+        """Smallest distance between distinct sites (inf below two sites);
+        computed once, by the validation."""
+        return min_pairwise_distance(self.sites)
 
 
 #: Rows per block of :func:`_nearest_site_distances`, which bounds its memory.

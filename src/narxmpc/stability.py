@@ -166,7 +166,7 @@ class GrowthBoundEstimate:
         return f"growth grid: {states}×{horizons} solves, {self.capped} capped"
 
 
-def _count_capped(iterations, converged, max_iters: int) -> int:
+def count_capped(iterations, converged, max_iters: int) -> int:
     """Count of solves that stopped at the iteration cap without converging."""
     return int(np.sum(~np.asarray(converged, dtype=bool) & (np.asarray(iterations) >= max_iters)))
 
@@ -211,7 +211,7 @@ def estimate_growth_bound(
         sols = [results[k] for k in solved]
         ratios[live, horizon - 1] = [sol.value for sol in sols] / norms_sq[live]
         iterations[live, horizon - 1] = [sol.iterations for sol in sols]
-        capped += _count_capped(
+        capped += count_capped(
             [sol.iterations for sol in sols], [sol.converged for sol in sols], cfg.solver.max_iters
         )
         pad = np.zeros((1, cfg.dims.m))
@@ -448,7 +448,7 @@ def verify_decrease(
         excess = (grid_v[finite] + grid_w[finite]) - (gb + 1.0) * grid_w[finite]
         report.sandwich_max_excess = float(np.max(excess)) if excess.size else math.nan
     if max_iters is not None:
-        report.capped_solves = _count_capped(trace.iterations, trace.converged, max_iters) + (
+        report.capped_solves = count_capped(trace.iterations, trace.converged, max_iters) + (
             0 if growth is None else growth.capped
         )
     return report

@@ -20,11 +20,12 @@ how :class:`TwoTankNarxDynamics` evaluates it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
-from scipy.stats import qmc
+from scipy.spatial.distance import cdist
 
 from .narx import (
     AffineNormalization,
@@ -35,7 +36,7 @@ from .narx import (
     rollout_arrays,
     shift_state,
 )
-from .kernels import Dataset, min_pairwise_distance
+from .kernels import Dataset
 
 
 class DomainError(ValueError):
@@ -478,6 +479,100 @@ def _default_separation(d: int) -> float:
     return max(0.01, 0.25 / np.sqrt(d))
 
 
+def _primes(count: int) -> list[int]:
+    """The first ``count`` primes."""
+    primes: list[int] = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+#: Elements per temporary array of :meth:`ScrambledHalton.random` (64 KB):
+#: arrays this small reuse freed heap memory instead of mapping new pages.
+_HALTON_WORK = 8192
+
+
+class ScrambledHalton:
+    """Randomly scrambled Halton sequence in ``[0, 1)^d`` (Owen, "A
+    randomized Halton algorithm in R", arXiv:1706.02808, 2017).
+
+    Coordinate ``c`` is the van der Corput sequence in the ``c``-th prime
+    base ``b``, with digit ``j`` of each index mapped through its own
+    random permutation of ``0..b-1``.  Per base, in prime order, the
+    generator seeded with ``seed`` shuffles ``ceil(54 / log2 b) - 1``
+    rows of ``arange(b)``: enough digits that ``b^-(j+1)`` still reaches
+    below the double resolution.  A point sums ``perm[j][digit_j] *
+    b^-(j+1)`` from ``j = 0`` up, with ``b^-(j+1)`` formed by repeated
+    division, which reproduces ``scipy.stats.qmc.Halton(d,
+    scramble=True, seed=seed)`` bit for bit.  Consecutive :meth:`random`
+    calls continue the sequence, so the points do not depend on how the
+    draws are split, and the first ``k`` coordinates are the
+    ``k``-dimensional sequence of the same seed.
+    """
+
+    def __init__(self, d: int, seed: int):
+        rng = np.random.default_rng(seed)
+        bases = _primes(d)
+        counts = [math.ceil(54 / math.log2(b)) - 1 for b in bases]
+        rows, width = max(counts), max(bases)
+        # table[j, c, digit] = perm[j][digit] * b^-(j+1) of base c, and 0.0
+        # (which changes no sum) past the base's last row.
+        self._table = np.zeros((rows, d, width))
+        for col, (base, count) in enumerate(zip(bases, counts)):
+            perms = np.repeat(np.arange(base)[None], count, axis=0)
+            for perm in perms:
+                rng.shuffle(perm)
+            scales = [1.0 / base]
+            for _ in range(count - 1):
+                scales.append(scales[-1] / base)
+            self._table[:count, col, :base] = perms * np.array(scales)[:, None]
+        self._base = np.array(bases, dtype=float)[:, None]
+        # b^j by repeated products: exact up to 2^53, and above every index
+        # beyond it.
+        self._powers = np.cumprod(
+            np.vstack([np.ones((1, d, 1)), np.repeat(self._base[None], rows, axis=0)]), axis=0
+        )
+        self._offsets = (width * np.arange(rows * d, dtype=float)).reshape(rows, d, 1)
+        # In base 2 every term is 0 or 2^-(j+1), so every partial sum is
+        # exact and the terms may be added in any grouping: the digits that
+        # are 0 for a whole draw collapse into one suffix sum.
+        self._base2_tail = np.append(np.cumsum(self._table[::-1, 0, 0])[::-1], 0.0)
+        self._tail = self._table[:, :, :1].copy()
+        self._tail[:, 0] = 0.0
+        self._tail_rows = max(counts[1:], default=0)
+        self._generated = 0
+
+    def random(self, n: int) -> np.ndarray:
+        """The next ``n`` points, as an (n, d) array."""
+        start, stop = self._generated, self._generated + n
+        self._generated = stop
+        d = self._base.shape[0]
+        index = np.arange(start, stop, dtype=float)
+        # Digits j >= `varying` are 0 in every base for indices below 2^varying.
+        varying = max(1, (stop - 1).bit_length())
+        # Quotients floor(i / b^j) for several digits per pass; they are
+        # exact for indices below 2^52.
+        group = max(1, _HALTON_WORK // (d * max(n, 1)) - 1)
+        points = np.zeros((d, n))
+        for lo in range(0, varying, group):
+            hi = min(varying, lo + group)
+            q = np.divide(index, self._powers[lo : hi + 1])
+            np.floor(q, out=q)
+            digits = np.multiply(self._base, q[1:])
+            np.subtract(q[:-1], digits, out=digits)
+            digits += self._offsets[lo:hi]
+            # Added row by row, in digit order, as scipy adds them.
+            for term in self._table.take(digits.astype(np.intp)):
+                points += term
+        for term in self._tail[varying : self._tail_rows]:
+            points += term
+        points[0] += self._base2_tail[varying]
+        return points.T
+
+
 #: Points per block of :func:`_reachable_draws`.
 _HALTON_BLOCK = 2048
 
@@ -485,17 +580,17 @@ _HALTON_BLOCK = 2048
 def _reachable_draws(cfg: BenchmarkConfig, seed: int):
     """Reachable raw lag-two regressors from scrambled Halton points.
 
-    Each block of :data:`_HALTON_BLOCK` points over (lower level, upper
-    level, previous input, input) is filtered to upper >= lower and
-    stepped once under the previous input; rows whose new lower level is
-    finite and inside ``[y_lo, y_hi]`` are kept.  Yields, per block, the
+    Each block of :data:`_HALTON_BLOCK` points of the four-dimensional
+    :class:`ScrambledHalton` sequence over (lower level, upper level,
+    previous input, input) is filtered to upper >= lower and stepped
+    once under the previous input; rows whose new lower level is finite
+    and inside ``[y_lo, y_hi]`` are kept.  Yields, per block, the
     regressors ``(y(k), y(k-1), u(k-1))``, the upper levels after the
-    step and the inputs of the fourth coordinate, row for row.  A
-    scrambled Halton sequence does not depend on the block size, and its
-    first three coordinates are the three-dimensional sequence of the
-    same seed.
+    step and the inputs of the fourth coordinate, row for row.  The
+    points do not depend on the block size, and their first three
+    coordinates are the three-dimensional sequence of the same seed.
     """
-    sampler = qmc.Halton(d=4, scramble=True, seed=seed)
+    sampler = ScrambledHalton(4, seed)
     while True:
         block = sampler.random(_HALTON_BLOCK)
         h1 = cfg.y_lo + (cfg.y_hi - cfg.y_lo) * block[:, 0]
@@ -520,13 +615,16 @@ def generate_dataset(cfg: BenchmarkConfig) -> tuple[Dataset, dict]:
         regressor-input-target triples are harvested while the output
         stays inside the level domain.
     ``state_grid``
-        Scrambled Halton points over (lower level, upper level, previous
-        input, input), filtered to upper >= lower, with two one-step
-        integrations producing the regressor and the target.
+        Blocks of :func:`_reachable_draws` (:class:`ScrambledHalton`
+        points over lower level, upper level, previous input and input,
+        filtered to upper >= lower), with two one-step integrations
+        producing the regressor and the target.
 
     Both modes place the exact equilibrium sample first, enforce a
-    minimum pairwise site separation and return everything in normalized
-    coordinates.  Returns the dataset plus a provenance dict.
+    minimum pairwise site separation with :func:`_accept_spaced` and
+    return everything in normalized coordinates.  Returns the dataset
+    plus a provenance dict; its ``min_pairwise_distance`` is the one
+    that the :class:`~narxmpc.kernels.Dataset` validation computed.
     """
     sep = _default_separation(cfg.d)
     provenance = {"mode": cfg.mode, "seed": cfg.seed, "min_separation": sep}
@@ -610,25 +708,48 @@ def generate_dataset(cfg: BenchmarkConfig) -> tuple[Dataset, dict]:
     data = Dataset(
         sites=sites, targets=targets, dims=dims, normalization=norm, contains_origin=True
     )
-    provenance["min_pairwise_distance"] = min_pairwise_distance(data.sites)
+    provenance["min_pairwise_distance"] = data.min_distance
     return data, provenance
+
+
+#: Candidates per block of :func:`_accept_spaced`, which bounds its memory.
+_ACCEPT_CHUNK = 512
 
 
 def _accept_spaced(sites, targets, count, candidates, values, sep) -> tuple[int, int]:
     """Append candidate sites in order to the first ``count`` rows of the
     preallocated ``sites``/``targets`` until they are full, skipping each
     candidate closer than ``sep`` to an accepted site.  Returns the new
-    count and the number skipped."""
+    count and the number skipped.
+
+    The candidates are taken in blocks that fit the free rows.  Within a
+    block, the longest prefix that lies at least ``sep`` from the
+    accepted sites and from the earlier candidates of the prefix is
+    accepted at once; the first candidate that fails is skipped, and the
+    rest of the block is checked the same way.  The decisions are those
+    of checking one candidate at a time.
+    """
     skipped = 0
-    for site, value in zip(candidates, values):
-        if count == sites.shape[0]:
-            break
-        if np.min(np.linalg.norm(sites[:count] - site, axis=1)) < sep:
-            skipped += 1
-            continue
-        sites[count] = site
-        targets[count] = value
-        count += 1
+    start = 0
+    while start < len(candidates) and count < sites.shape[0]:
+        block = candidates[start : start + min(_ACCEPT_CHUNK, sites.shape[0] - count)]
+        size = block.shape[0]
+        far = cdist(block, sites[:count]).min(axis=1) >= sep
+        close = cdist(block, block) < sep
+        # Latest earlier candidate of the block within sep of each one (-1: none).
+        latest = np.where(np.tril(close, -1), np.arange(size), -1).max(axis=1)
+        pos = 0
+        while pos < size:
+            fails = np.flatnonzero(~far[pos:] | (latest[pos:] >= pos))
+            end = pos + fails[0] if fails.size else size
+            sites[count : count + end - pos] = block[pos:end]
+            targets[count : count + end - pos] = values[start + pos : start + end]
+            count += end - pos
+            far[end:] &= ~close[end:, pos:end].any(axis=1)
+            if end < size:
+                skipped += 1
+            pos = end + 1
+        start += size
     return count, skipped
 
 
@@ -663,16 +784,17 @@ def sample_state_grid(
 ) -> np.ndarray:
     """Quasi-uniform normalized regressors over the state box, origin excluded.
 
-    Scrambled Halton points over the level and input-history ranges,
-    keeping only states whose normalized norm exceeds ``min_norm``.
-    This is the evaluation grid for growth-bound certification, which
-    must cover the whole declared domain rather than just reachable
-    states.
+    Points of the ``dims.n``-dimensional :class:`ScrambledHalton`
+    sequence of ``seed``, drawn in blocks of ``max(256, count)`` and
+    scaled to the level and input-history ranges, keeping only states
+    whose normalized norm exceeds ``min_norm``.  This is the evaluation
+    grid for growth-bound certification, which must cover the whole
+    declared domain rather than just reachable states.
     """
     dims = cfg.dims
     norm = cfg.normalization()
     nb = dims.n_outputs_block
-    sampler = qmc.Halton(d=dims.n, scramble=True, seed=seed)
+    sampler = ScrambledHalton(dims.n, seed)
     out: list[np.ndarray] = []
     drawn = 0
     while len(out) < count:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from narxmpc import BenchmarkConfig, Dataset, run_benchmark, wendland_phi
+from narxmpc import BenchmarkConfig, Dataset, SolverConfig, run_benchmark, wendland_phi
 import narxmpc.bench
 import narxmpc.mpc
 from narxmpc.bench import GROWTH_HORIZON, GROWTH_STATES, bundle_digests
@@ -180,6 +180,22 @@ class TestSimulate:
         # the raw trace reports physical levels near the starting record
         assert 0.1 < raw[0, 1] < 0.3
 
+    def test_manifest_records_the_run(self, workspace, tmp_path):
+        config = tmp_path / "cfg.txt"
+        config.write_text("N = 5\n")
+        argv = ["simulate", "--config", str(config), "--model", str(workspace / "model.csv")]
+        assert main([*argv, "--steps", "3", "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        stages = manifest["timings_s"]
+        assert set(stages) == {"load", "closed_loop"}
+        assert all(isinstance(t, float) and t >= 0.0 and t == round(t, 3) for t in stages.values())
+        header, trace = read_csv(tmp_path / "trace_norm.csv")
+        iters = trace[:, header.index("iters")]
+        assert manifest["loop_iterations"] == int(iters.sum()) > 0
+        capped = (trace[:, header.index("converged")] == 0) & (iters >= SolverConfig().max_iters)
+        assert manifest["capped_solves"] == int(capped.sum())
+        assert "grid_iterations" not in manifest
+
     def test_negative_start_level_is_an_error(self, workspace, tmp_path, capsys):
         config = tmp_path / "cfg.txt"
         config.write_text("h0 = -0.1\n")
@@ -260,6 +276,28 @@ class TestCertify:
         assert "at_equilibrium" in out
         assert (tmp_path / "stability_report.txt").exists()
         assert (tmp_path / "stability_steps.csv").exists()
+
+    def test_manifest_records_the_run(self, workspace, tmp_path):
+        self._simulate(workspace, tmp_path, steps="3")
+        code = main(
+            [
+                "certify",
+                "--model", str(workspace / "model.csv"),
+                "--trace", str(tmp_path / "trace_norm.csv"),
+                "--b-states", "3",
+                "--b-horizon", "2",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code in (0, 2)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        stages = manifest["timings_s"]
+        assert set(stages) == {"load", "certify"}
+        assert all(isinstance(t, float) and t >= 0.0 and t == round(t, 3) for t in stages.values())
+        assert isinstance(manifest["grid_iterations"], int) and manifest["grid_iterations"] > 0
+        report = read_keyvalues(tmp_path / "stability_report.txt")
+        assert manifest["capped_solves"] == int(report["capped_solves"])
+        assert "loop_iterations" not in manifest
 
     def test_horizon_comes_from_the_config(self, workspace, tmp_path):
         """simulate and certify read the horizon from the same config key,

@@ -32,6 +32,7 @@ from narxmpc import (
     cost_J_batch,
     fill_distance,
     finite_difference_gradient,
+    kernel_matrix,
     min_pairwise_distance,
     rk4_step,
     sample_domain,
@@ -41,7 +42,7 @@ from narxmpc import (
     two_tank_rhs,
     two_tank_step,
 )
-from narxmpc import mpc
+from narxmpc import mpc, twotank
 from narxmpc.kernels import KernelSurrogateDynamics
 from narxmpc.mpc import ACTIVE_WIDTH, NOISE_FLOOR, forward_sweep
 
@@ -178,6 +179,90 @@ def test_nearest_site_distances_match_brute_force(seed, rows, probes, dim):
     np.fill_diagonal(pairwise, np.inf)
     assert min_pairwise_distance(sites) == pairwise.min()
     assert fill_distance(sites, points) == cdist(points, sites).min(axis=1).max()
+
+
+@given(
+    seed=seeds,
+    rows=st.integers(1, 300),
+    dim=st.integers(1, 5),
+    lengthscale=st.floats(0.05, 3.0),
+)
+@example(seed=0, rows=1, dim=4, lengthscale=1.0)
+def test_gram_matrix_equals_the_cross_kernel_matrix(seed, rows, dim, lengthscale):
+    """The Gram path (profile on the distinct pairs, phi(0) on the
+    diagonal) equals the cross-kernel matrix of the sites with themselves."""
+    spec = KernelSpec(input_dim=dim, lengthscale=lengthscale)
+    sites = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(rows, dim))
+    gram = kernel_matrix(spec, sites)
+    assert gram.shape == (rows, rows)
+    assert gram.tobytes() == kernel_matrix(spec, sites, sites).tobytes()
+
+
+def _accept_one_at_a_time(sites, targets, count, candidates, values, sep):
+    """The sequential site acceptance that the blocked one must reproduce."""
+    skipped = 0
+    for site, value in zip(candidates, values):
+        if count == sites.shape[0]:
+            break
+        if np.min(np.linalg.norm(sites[:count] - site, axis=1)) < sep:
+            skipped += 1
+            continue
+        sites[count] = site
+        targets[count] = value
+        count += 1
+    return count, skipped
+
+
+@given(
+    seed=seeds,
+    dim=st.integers(2, 5),
+    accepted=st.integers(1, 40),
+    fresh=st.integers(0, 200),
+    planted=st.integers(0, 60),
+    room=st.integers(0, 260),
+    sep=st.floats(0.02, 0.4),
+    chunk=st.sampled_from([1, 3, 64, 512]),
+    one_by_one=st.booleans(),
+)
+@example(seed=0, dim=4, accepted=1, fresh=200, planted=60, room=260, sep=0.1, chunk=512, one_by_one=False)
+@example(seed=1, dim=3, accepted=5, fresh=50, planted=30, room=20, sep=0.3, chunk=3, one_by_one=True)
+def test_blocked_site_acceptance_equals_the_sequential_loop(
+    seed, dim, accepted, fresh, planted, room, sep, chunk, one_by_one
+):
+    """Blocked acceptance makes the decisions of the one-at-a-time loop, with
+    near-duplicates of accepted sites and of earlier candidates planted among
+    the candidates, in single-candidate calls (trajectory mode) and in blocks
+    across chunk boundaries."""
+    rng = np.random.default_rng(seed)
+    old = rng.uniform(0.0, 1.0, size=(accepted, dim))
+    candidates = rng.uniform(0.0, 1.0, size=(fresh, dim))
+    pool = np.vstack([old, candidates])
+    if planted:
+        twins = pool[rng.integers(0, len(pool), size=planted)]
+        twins = twins + rng.uniform(-0.8, 0.8, size=twins.shape) * sep / np.sqrt(dim)
+        candidates = np.vstack([candidates, twins])[rng.permutation(fresh + planted)]
+    values = rng.normal(size=(len(candidates), 1))
+    capacity = accepted + room
+    results = []
+    for accept in (_accept_one_at_a_time, twotank._accept_spaced):
+        sites = np.full((capacity, dim), np.nan)
+        targets = np.full((capacity, 1), np.nan)
+        sites[:accepted], targets[:accepted] = old, 0.0
+        count, skipped = accepted, 0
+        with patch.object(twotank, "_ACCEPT_CHUNK", chunk):
+            if one_by_one:
+                for i in range(len(candidates)):
+                    count, more = accept(
+                        sites, targets, count, candidates[i : i + 1], values[i : i + 1], sep
+                    )
+                    skipped += more
+            else:
+                count, skipped = accept(sites, targets, count, candidates, values, sep)
+        results.append((count, skipped, sites, targets))
+    (count, skipped, sites, targets), (b_count, b_skipped, b_sites, b_targets) = results
+    assert (b_count, b_skipped) == (count, skipped)
+    assert b_sites.tobytes() == sites.tobytes()
+    assert b_targets.tobytes() == targets.tobytes()
 
 
 class CountingDynamics(FunctionDynamics):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -27,7 +29,8 @@ from narxmpc import (
     two_tank_rhs,
     two_tank_step,
 )
-from narxmpc.twotank import _total_step
+from narxmpc import twotank
+from narxmpc.twotank import ScrambledHalton, _reachable_draws, _total_step
 
 PARAMS = TwoTankParams()
 U_EQ = 5.461e-6
@@ -343,6 +346,36 @@ class TestGenerateDataset:
         predicted = plant_view.output_batch(X, U)
         assert np.max(np.abs(predicted - data.targets)) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "d, mode, sites_sha, targets_sha",
+        [
+            (
+                101,
+                "state_grid",
+                "a7c4b2ca20554c4df46733cd809e5cc5bffb1a7df803cf1e0bca5365f5849a77",
+                "b2ec5f08b515657b8d395199b93c91085d94624fbbd9da5e883112f4ef78f785",
+            ),
+            (
+                2501,
+                "state_grid",
+                "d2524f5d8ba9589a42820ebd19d4a50c488b51f8bc6c4acbb82965f7550f76d5",
+                "97db80e06345c01be67e020edf6ff631d7550fe2fc2732df5b98f10c6aefe351",
+            ),
+            (
+                101,
+                "trajectory",
+                "e7d12eb7e3a6c17f88f885708145d8aa3a378e43eb229cce592ba0f1381f2428",
+                "fa23a22d4a55d0d3c0f9b0cc221bac5962e303a42d7d2c1a16fe3a9dd5dbb412",
+            ),
+        ],
+    )
+    def test_standard_datasets_are_pinned(self, cfg, d, mode, sites_sha, targets_sha):
+        """The sampler and the site acceptance leave the standard datasets
+        (seed 0) unchanged to the last bit."""
+        data, _ = generate_dataset(replace(cfg, d=d, mode=mode, seed=0))
+        assert hashlib.sha256(data.sites.tobytes()).hexdigest() == sites_sha
+        assert hashlib.sha256(data.targets.tobytes()).hexdigest() == targets_sha
+
     def test_trajectory_mode(self, cfg, plant_view):
         traj_cfg = replace(cfg, d=51, mode="trajectory")
         data, provenance = generate_dataset(traj_cfg)
@@ -378,3 +411,52 @@ class TestSampling:
         assert X.shape == (50, 3) and U.shape == (50, 1)
         box = cfg.input_box()
         assert np.all(U >= box.lo - 1e-12) and np.all(U <= box.hi + 1e-12)
+
+
+class TestAcceptSpaced:
+    def test_a_candidate_exactly_sep_away_is_accepted(self):
+        sites = np.zeros((3, 2))
+        targets = np.zeros((3, 1))
+        candidates = np.array([[0.25, 0.0], [0.5, 0.0], [0.5, 0.125]])
+        count, skipped = twotank._accept_spaced(
+            sites, targets, 1, candidates, np.ones((3, 1)), 0.25
+        )
+        assert (count, skipped) == (3, 0)
+        assert_array_equal(sites, [[0.0, 0.0], [0.25, 0.0], [0.5, 0.0]])
+
+
+class TestScrambledHalton:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 29, 4_294_967_295])
+    def test_equals_scipy_halton(self, d, seed):
+        """Consecutive draws of mixed sizes equal scipy's scrambled Halton
+        sequence of the same seed bit for bit."""
+        from scipy.stats import qmc
+
+        ours = ScrambledHalton(d, seed)
+        theirs = qmc.Halton(d=d, scramble=True, seed=seed)
+        for n in (2048, 256, 7, 2048):
+            points = ours.random(n)
+            assert points.shape == (n, d)
+            assert points.tobytes() == np.ascontiguousarray(theirs.random(n)).tobytes()
+
+    def test_points_lie_in_the_unit_cube(self):
+        points = ScrambledHalton(5, 3).random(4096)
+        assert np.all(points >= 0.0) and np.all(points < 1.0)
+
+    def test_reachable_draws_do_not_depend_on_the_block_size(self, cfg):
+        def rows(block, count):
+            with patch.object(twotank, "_HALTON_BLOCK", block):
+                draws = _reachable_draws(cfg, 7)
+                parts = [next(draws) for _ in range(count)]
+            return [np.concatenate(column) for column in zip(*parts)]
+
+        small = rows(512, 8)
+        large = rows(4096, 1)
+        for a, b in zip(small, large):
+            assert_array_equal(a, b)
+
+    def test_leading_coordinates_are_the_lower_dimensional_sequence(self):
+        four = ScrambledHalton(4, 11).random(3000)
+        three = ScrambledHalton(3, 11).random(3000)
+        assert four[:, :3].tobytes() == np.ascontiguousarray(three).tobytes()
