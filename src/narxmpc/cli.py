@@ -20,6 +20,7 @@ stopped early), 2 when a certification verdict fails.
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 from pathlib import Path
@@ -98,6 +99,8 @@ def _manifest(args, command: str, cfg: BenchmarkConfig | None, outputs: list[Pat
         "config": None if cfg is None else {k: getattr(cfg, k) for k in cfg.__dataclass_fields__},
         "outputs": {p.name: sha256_file(p) for p in outputs if p.exists()},
         "duration_s": round(time.time() - started, 3),
+        # The process's high-water resident set (ru_maxrss is in KiB on Linux).
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
         **extra,
     }
     write_manifest(args.out / "manifest.json", entries)

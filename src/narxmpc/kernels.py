@@ -13,6 +13,13 @@ exactly and carries two computable certificates: the power function,
 which bounds the pointwise error relative to the native-space norm of
 the target function, and the native-space norm of the interpolant
 itself.
+
+A fitted model holds one D x D array.  LAPACK writes the Cholesky factor
+of the Gram matrix into its upper triangle; the strictly lower triangle
+keeps the Gram entries, and the diagonal of the Gram matrix is the
+constant ``phi(0) + jitter``.  Products with the Gram matrix read only
+that lower triangle, in row blocks rebuilt out of it (or through BLAS
+symm for several columns), so no second D x D array is ever allocated.
 """
 
 from __future__ import annotations
@@ -23,7 +30,8 @@ from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.linalg.blas import dsymm
+from scipy.spatial.distance import cdist
 
 from .narx import AffineNormalization, NarxDims, NarxDynamics
 
@@ -108,21 +116,32 @@ class KernelSpec:
         return float(wendland_phi(np.array(0.0)))
 
 
+#: Rows per block of every D-wide temporary: the Gram build, the products
+#: with the stored Gram matrix, kernel rows and nearest-site distances.  A
+#: multiple of 64, so that with one right-hand column BLAS gemv gives each
+#: block of a Gram product the bits of the dense product.
+_BLOCK = 64
+
+
 def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     """Cross-kernel matrix between row-site arrays ``A`` (Da, d) and ``B`` (Db, d).
 
-    Without ``B`` this is the Gram matrix of ``A``: the profile is
-    evaluated once per pair of distinct rows and ``phi(0)`` fills the
-    diagonal, which equals ``kernel_matrix(spec, A, A)`` bit for bit.
+    Without ``B`` this is the Gram matrix of ``A``, filled in blocks of
+    rows: each block is the cross-kernel matrix of its rows with the rows
+    up to its end, mirrored into the upper triangle.  A distance and its
+    mirror are the same bits, so the result equals
+    ``kernel_matrix(spec, A, A)`` bit for bit, and no temporary is larger
+    than one block of rows.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    if B is None:
-        radii = pdist(A) / spec.lengthscale
-        # squareform makes no 0 x 0 matrix; the slice keeps an empty A empty.
-        gram = squareform(wendland_phi(radii), checks=False)[: len(A), : len(A)]
-        np.fill_diagonal(gram, spec.diag_value)
-        return gram
-    return wendland_phi(cdist(A, np.atleast_2d(np.asarray(B, dtype=float))) / spec.lengthscale)
+    if B is not None:
+        return wendland_phi(cdist(A, np.atleast_2d(np.asarray(B, dtype=float))) / spec.lengthscale)
+    gram = np.empty((len(A), len(A)))
+    for a in range(0, len(A), _BLOCK):
+        b = min(a + _BLOCK, len(A))
+        gram[a:b, :b] = kernel_matrix(spec, A[a:b], A[:b])
+        gram[:a, a:b] = gram[a:b, :a].T
+    return gram
 
 
 @dataclass(frozen=True)
@@ -183,10 +202,6 @@ class Dataset:
         return min_pairwise_distance(self.sites)
 
 
-#: Rows per block of :func:`_nearest_site_distances`, which bounds its memory.
-_NEAREST_CHUNK = 512
-
-
 def _nearest_site_distances(
     points: np.ndarray, sites: np.ndarray, exclude_self: bool
 ) -> np.ndarray:
@@ -197,8 +212,8 @@ def _nearest_site_distances(
     each row skips its own site.
     """
     nearest = np.empty(points.shape[0])
-    for start in range(0, points.shape[0], _NEAREST_CHUNK):
-        dist = cdist(points[start : start + _NEAREST_CHUNK], sites)
+    for start in range(0, points.shape[0], _BLOCK):
+        dist = cdist(points[start : start + _BLOCK], sites)
         if exclude_self:
             rows = np.arange(dist.shape[0])
             dist[rows, start + rows] = np.inf
@@ -223,23 +238,68 @@ def fill_distance(sites: np.ndarray, probes: np.ndarray) -> float:
     return float(_nearest_site_distances(probes, sites, exclude_self=False).max())
 
 
-def _refined_solve(gram: np.ndarray, cho: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``gram x = rhs`` from its Cholesky factor ``cho`` with two
-    steps of iterative refinement."""
+def _gram_product(store: np.ndarray, diagonal: float, X: np.ndarray) -> np.ndarray:
+    """``G @ X`` for the Gram matrix ``G`` whose entries below the diagonal
+    are the strictly lower triangle of ``store`` and whose diagonal is the
+    constant ``diagonal``.
+
+    With one column of ``X`` each block of rows of ``G`` is rebuilt from
+    ``store[a:b, :a]``, the mirror of ``store[b:, a:b]`` and the mirrored
+    diagonal block, then multiplied by one matmul call: BLAS gemv on
+    blocks that start at multiples of 64, which equals the dense product
+    bit for bit.  Several columns take BLAS symm on the lower triangle,
+    whose diagonal holds the factor's, plus the difference to
+    ``diagonal``; its sums are not those of a dense gemm, so these
+    products agree with it to rounding only.
+    """
+    if X.shape[1] > 1:
+        # A gemm per block of rows would pack all of X again for every
+        # block, which makes the power function at D=2501 about 15% slower.
+        out = dsymm(1.0, store.T, X, lower=0)
+        out += (diagonal - np.diagonal(store))[:, None] * X
+        return out
+    size = store.shape[0]
+    starts = list(range(0, size, _BLOCK))
+    if size > 1 and size % _BLOCK == 1:
+        # A lone last row joins the block before it: numpy multiplies one
+        # row by one column with BLAS dot, whose sums differ from gemv's.
+        starts.pop()
+    out = np.empty((size, X.shape[1]))
+    for a, b in zip(starts, starts[1:] + [size]):
+        rows = np.empty((b - a, size))
+        rows[:, :a] = store[a:b, :a]
+        rows[:, b:] = store[b:, a:b].T
+        lower = np.tril(store[a:b, a:b], -1)
+        np.add(lower, lower.T, out=rows[:, a:b])
+        np.fill_diagonal(rows[:, a:b], diagonal)
+        np.matmul(rows, X, out=out[a:b])
+    return out
+
+
+def _refined_solve(store: np.ndarray, diagonal: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``G x = rhs`` with two steps of iterative refinement.
+
+    ``store`` holds the Cholesky factor of ``G`` in its upper triangle,
+    read by LAPACK as the lower triangle of the F-ordered ``store.T``;
+    the residuals take ``G`` from :func:`_gram_product`.
+    """
+    cho = (store.T, True)
     x = cho_solve(cho, rhs)
     for _ in range(2):
-        x = x + cho_solve(cho, rhs - gram @ x)
+        x = x + cho_solve(cho, rhs - _gram_product(store, diagonal, x))
     return x
 
 
 class KernelInterpolant:
     """Interpolant ``F(xi) = sum_i alpha_i phi(||xi - xi_i|| / sigma)``.
 
-    Fitted by :func:`fit_interpolant`.  Values, Jacobians, the power
-    function and the native-space norm are all evaluated against the
-    stored Cholesky factorization.  A strictly positive ``jitter`` makes
-    the factorization more robust but turns the error certificates into
-    approximations, flagged via :attr:`certificate_degraded`.
+    Fitted by :func:`fit_interpolant`, which leaves the Gram matrix and
+    its Cholesky factor in the one D x D array ``store``: the factor in
+    the upper triangle, the Gram entries below the diagonal (see the
+    module docstring).  The power function solves against that factor.
+    A strictly positive ``jitter`` makes the factorization more robust
+    but turns the error certificates into approximations, flagged via
+    :attr:`certificate_degraded`.
     """
 
     def __init__(
@@ -247,16 +307,14 @@ class KernelInterpolant:
         spec: KernelSpec,
         data: Dataset,
         jitter: float,
-        gram: np.ndarray,
-        cho: tuple,
+        store: np.ndarray,
         coefficients: np.ndarray,
         site_residual: float,
     ):
         self.spec = spec
         self.data = data
         self.jitter = jitter
-        self._gram = gram
-        self._cho = cho
+        self._store = store
         self.coefficients = coefficients
         self.site_residual = site_residual
 
@@ -276,10 +334,15 @@ class KernelInterpolant:
         """Interpolant values at rows of ``Xi`` (M, n + m).
 
         Each row is its own product of kernel row and coefficients, so it
-        equals the single-row call bit for bit at any M.
+        equals the single-row call bit for bit at any M.  The kernel rows
+        are evaluated in blocks, which bounds their memory.
         """
-        Kx = kernel_matrix(self.spec, np.atleast_2d(np.asarray(Xi, dtype=float)), self.data.sites)
-        return np.matmul(Kx[:, None, :], self.coefficients)[:, 0]
+        Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
+        values = np.empty((Xi.shape[0], self.coefficients.shape[1]))
+        for a in range(0, Xi.shape[0], _BLOCK):
+            Kx = kernel_matrix(self.spec, Xi[a : a + _BLOCK], self.data.sites)
+            values[a : a + _BLOCK] = np.matmul(Kx[:, None, :], self.coefficients)[:, 0]
+        return values
 
     def linearize(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values (B, p) and Jacobians (B, p, n + m) at rows ``xi`` (B, n + m).
@@ -313,8 +376,9 @@ class KernelInterpolant:
         are clamped at zero (clamping tolerance 1e-14).
         """
         Kx = kernel_matrix(self.spec, self.data.sites, Xi)
-        C = _refined_solve(self._gram, self._cho, Kx)
-        KC = self._gram @ C
+        diagonal = self.spec.diag_value + self.jitter
+        C = _refined_solve(self._store, diagonal, Kx)
+        KC = _gram_product(self._store, diagonal, C)
         p2 = (
             self.spec.diag_value
             - 2.0 * np.einsum("ij,ij->j", Kx, C)
@@ -371,6 +435,13 @@ def fit_interpolant(spec: KernelSpec, data: Dataset, jitter: float = 0.0) -> Ker
         Nonnegative diagonal regularization added to the kernel matrix.
         Zero keeps the error certificates exact.
 
+    The Gram matrix is built once and factored in place: LAPACK writes
+    the Cholesky factor into its upper triangle and leaves the Gram
+    entries below the diagonal, from which the refinement and the site
+    residual take their products.  The factor, the coefficients and the
+    site residual equal those of a dense fit (a separate factor array and
+    ``gram @ x`` products) bit for bit at one BLAS thread.
+
     Raises
     ------
     KernelFitError
@@ -384,20 +455,27 @@ def fit_interpolant(spec: KernelSpec, data: Dataset, jitter: float = 0.0) -> Ker
             f"spec.input_dim={spec.input_dim} does not match site dimension "
             f"{data.sites.shape[1]}"
         )
-    gram = kernel_matrix(spec, data.sites)
-    if jitter > 0:
-        gram = gram + jitter * np.eye(data.size)
+    store = kernel_matrix(spec, data.sites)
+    # The diagonal of gram + jitter * I; the profile gives phi(0) there.
+    diagonal = spec.diag_value + jitter
+    np.fill_diagonal(store, diagonal)
     try:
-        cho = cho_factor(gram, lower=True)
+        # store.T is F-contiguous, so LAPACK factors it in place; the
+        # returned array is store.T itself (a copy would also hold the
+        # factor below and the Gram entries above its diagonal).
+        store = cho_factor(store.T, lower=True, overwrite_a=True)[0].T
     except LinAlgError as exc:
-        pivot = float(np.min(np.diag(gram)))
         raise KernelFitError(
             "kernel matrix factorization failed (smallest diagonal entry "
-            f"{pivot:.6e}); increase jitter or enlarge the site separation"
+            f"{diagonal:.6e}); increase jitter or enlarge the site separation"
         ) from exc
-    coefficients = _refined_solve(gram, cho, data.targets)
-    site_residual = float(np.max(np.abs(data.targets - gram @ coefficients))) if data.size else 0.0
-    return KernelInterpolant(spec, data, jitter, gram, cho, coefficients, site_residual)
+    coefficients = _refined_solve(store, diagonal, data.targets)
+    site_residual = (
+        float(np.max(np.abs(data.targets - _gram_product(store, diagonal, coefficients))))
+        if data.size
+        else 0.0
+    )
+    return KernelInterpolant(spec, data, jitter, store, coefficients, site_residual)
 
 
 @dataclass(frozen=True)

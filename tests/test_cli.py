@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import resource
 from dataclasses import replace
 
 import numpy as np
@@ -98,6 +99,15 @@ class TestGenerate:
         assert manifest["command"] == "generate"
         assert manifest["config"]["d"] == 15
         assert set(manifest["outputs"]) == {"dataset_D15.csv", "dataset_D15.csv.meta"}
+
+    def test_manifest_records_the_peak_rss(self, tmp_path):
+        """Every command writes the process's ru_maxrss in MB, rounded to
+        0.1, as perfbench reads it."""
+        assert main(["generate", "--D", "15", "--out", str(tmp_path)]) == 0
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        peak = json.loads((tmp_path / "manifest.json").read_text())["peak_rss_mb"]
+        assert isinstance(peak, float) and 0.0 < peak <= round(after, 1)
+        assert peak == round(peak, 1)
 
     def test_seed_changes_sites(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -2,26 +2,33 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from dataclasses import replace
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.linalg import cho_factor
 
 from narxmpc import (
     AffineNormalization,
     Dataset,
     FunctionDynamics,
+    KernelFitError,
     KernelSpec,
     NarxDims,
     estimate_error_constants,
     estimate_lipschitz,
     fill_distance,
     fit_interpolant,
+    generate_dataset,
     kernel_matrix,
     min_pairwise_distance,
     validate_error_constants,
     wendland_phi,
 )
-from narxmpc.bench import error_constant_samples
+from narxmpc.bench import error_constant_samples, probe_sites
 from narxmpc.kernels import _wendland_slope
 
 PHI_AT_ZERO = 1.0 / 30.0
@@ -191,6 +198,20 @@ class TestInterpolant:
         model = fit_interpolant(KernelSpec(input_dim=2), data, jitter=1e-10)
         assert model.certificate_degraded
 
+    def test_singular_kernel_matrix_is_a_fit_error(self):
+        # At a lengthscale of 1e12 every entry rounds to phi(0): the matrix
+        # has rank one, and the fit reports the Gram diagonal, which the
+        # in-place factor has overwritten.
+        data = _dataset([[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]], [0.1, 0.2, 0.3])
+        spec = KernelSpec(input_dim=2, lengthscale=1e12)
+        assert np.all(kernel_matrix(spec, data.sites) == PHI_AT_ZERO)
+        with pytest.raises(
+            KernelFitError,
+            match=r"^kernel matrix factorization failed \(smallest diagonal entry 3\.333333e-02\); "
+            "increase jitter or enlarge the site separation$",
+        ):
+            fit_interpolant(spec, data)
+
 
 class TestPowerFunction:
     def test_zero_at_sites(self, fit_101):
@@ -224,6 +245,56 @@ class TestPowerFunction:
         p_sub = subset.power_function(probes)
         p_full = full.power_function(probes)
         assert np.all(p_full <= p_sub + 1e-10)
+
+
+class TestMemory:
+    """A fitted model holds one D x D array, and batches of kernel rows
+    are evaluated in blocks.  tracemalloc sees numpy's buffers."""
+
+    @pytest.fixture(scope="class")
+    def data_1001(self, cfg):
+        return generate_dataset(replace(cfg, d=1001))[0]
+
+    @staticmethod
+    def _traced(call):
+        """Result, peak and held bytes allocated by ``call``."""
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = call()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak - start, held - start
+
+    def test_fit_holds_one_gram_sized_array(self, cfg, data_1001):
+        spec = KernelSpec(input_dim=data_1001.sites.shape[1], lengthscale=cfg.sigma)
+        factored = []
+
+        def factor_spy(a, **kwargs):
+            factored.append((a, cho_factor(a, **kwargs)[0]))
+            return factored[-1][1], kwargs["lower"]
+
+        with patch("narxmpc.kernels.cho_factor", factor_spy):
+            model, peak, held = self._traced(
+                lambda: fit_interpolant(spec, data_1001, jitter=cfg.jitter)
+            )
+        gram_bytes = data_1001.size**2 * 8
+        assert peak <= 1.25 * gram_bytes
+        assert held <= 1.05 * gram_bytes
+        # LAPACK wrote the factor into the array that held the Gram matrix.
+        ((gram, factor),) = factored
+        assert np.shares_memory(factor, gram)
+        assert model.site_residual <= 1e-8
+
+    def test_kernel_row_batches_stay_small(self, cfg, data_1001):
+        spec = KernelSpec(input_dim=data_1001.sites.shape[1], lengthscale=cfg.sigma)
+        model = fit_interpolant(spec, data_1001, jitter=cfg.jitter)
+        probes = probe_sites(cfg, 2000, seed=cfg.seed + 23)
+        _, fill_peak, _ = self._traced(lambda: fill_distance(data_1001.sites, probes))
+        _, predict_peak, _ = self._traced(lambda: model.predict_batch(probes[:400]))
+        assert fill_peak < 3e6
+        assert predict_peak < 3e6
 
 
 class TestNativeNorm:
