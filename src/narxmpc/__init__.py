@@ -43,11 +43,9 @@ from .mpc import (
     stage_cost,
 )
 from .stability import (
-    DetectabilityReport,
     GrowthBoundEstimate,
     StabilityReport,
     StorageMatrix,
-    check_detectability,
     estimate_growth_bound,
     fit_decay_rate,
     gamma_bar,
@@ -69,7 +67,6 @@ from .twotank import (
     rk4_step,
     sample_consistent_states,
     sample_state_grid,
-    sample_domain,
     two_tank_rhs,
     two_tank_step,
 )

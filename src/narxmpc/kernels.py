@@ -178,6 +178,13 @@ class Dataset:
             raise ValueError(
                 f"targets have {targets.shape[1]} columns, expected p={self.dims.p}"
             )
+        for name, values in (("sites", sites), ("targets", targets)):
+            bad = np.flatnonzero(~np.all(np.isfinite(values), axis=1))
+            if bad.size:
+                raise ValueError(
+                    f"non-finite {name}: {bad.size} row(s) hold NaN or inf, "
+                    f"first rows {bad[:5].tolist()}"
+                )
         if self.min_distance <= 1e-10:
             raise ValueError(
                 f"duplicate sites: minimum pairwise distance {self.min_distance:.3e} <= 1e-10"
@@ -284,9 +291,9 @@ def _refined_solve(store: np.ndarray, diagonal: float, rhs: np.ndarray) -> np.nd
     the residuals take ``G`` from :func:`_gram_product`.
     """
     cho = (store.T, True)
-    x = cho_solve(cho, rhs)
+    x = cho_solve(cho, rhs, check_finite=False)
     for _ in range(2):
-        x = x + cho_solve(cho, rhs - _gram_product(store, diagonal, x))
+        x = x + cho_solve(cho, rhs - _gram_product(store, diagonal, x), check_finite=False)
     return x
 
 
@@ -373,8 +380,11 @@ class KernelInterpolant:
         ``P(xi)^2 = phi(0) - 2 k(xi)^T c + c^T K c`` with ``c`` the solve
         of ``K c = k(xi)``; this quadratic form stays nonnegative under
         inexact solves, unlike the textbook two-term expression.  Values
-        are clamped at zero (clamping tolerance 1e-14).
+        are clamped at zero (clamping tolerance 1e-14).  Raises
+        ``ValueError`` for probes that are not finite.
         """
+        if not np.all(np.isfinite(Xi)):
+            raise ValueError("power-function probes must be finite")
         Kx = kernel_matrix(self.spec, self.data.sites, Xi)
         diagonal = self.spec.diag_value + self.jitter
         C = _refined_solve(self._store, diagonal, Kx)
@@ -432,15 +442,18 @@ def fit_interpolant(spec: KernelSpec, data: Dataset, jitter: float = 0.0) -> Ker
         site dimension of ``data``.
     data : Dataset
     jitter : float
-        Nonnegative diagonal regularization added to the kernel matrix.
-        Zero keeps the error certificates exact.
+        Finite, nonnegative diagonal regularization added to the kernel
+        matrix.  Zero keeps the error certificates exact.
 
     The Gram matrix is built once and factored in place: LAPACK writes
     the Cholesky factor into its upper triangle and leaves the Gram
     entries below the diagonal, from which the refinement and the site
     residual take their products.  The factor, the coefficients and the
     site residual equal those of a dense fit (a separate factor array and
-    ``gram @ x`` products) bit for bit at one BLAS thread.
+    ``gram @ x`` products) bit for bit at one BLAS thread.  The dataset
+    and the jitter are finite by validation, so the factorization and the
+    solves skip scipy's finiteness scan, which would allocate and read a
+    D x D mask on every call.
 
     Raises
     ------
@@ -448,8 +461,8 @@ def fit_interpolant(spec: KernelSpec, data: Dataset, jitter: float = 0.0) -> Ker
         If the (jittered) kernel matrix is not numerically positive
         definite.
     """
-    if jitter < 0:
-        raise ValueError("jitter must be nonnegative")
+    if not 0.0 <= jitter < np.inf:
+        raise ValueError("jitter must be finite and nonnegative")
     if spec.input_dim != data.sites.shape[1]:
         raise ValueError(
             f"spec.input_dim={spec.input_dim} does not match site dimension "
@@ -463,7 +476,7 @@ def fit_interpolant(spec: KernelSpec, data: Dataset, jitter: float = 0.0) -> Ker
         # store.T is F-contiguous, so LAPACK factors it in place; the
         # returned array is store.T itself (a copy would also hold the
         # factor below and the Gram entries above its diagonal).
-        store = cho_factor(store.T, lower=True, overwrite_a=True)[0].T
+        store = cho_factor(store.T, lower=True, overwrite_a=True, check_finite=False)[0].T
     except LinAlgError as exc:
         raise KernelFitError(
             "kernel matrix factorization failed (smallest diagonal entry "

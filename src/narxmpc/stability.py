@@ -5,7 +5,8 @@ The certificate machinery has four pieces:
 * a quadratic storage function whose lag-weighted layout makes every
   NARX system cost detectable by construction,
 * sampled growth bounds ``B_N`` on the optimal value as a multiple of
-  the squared state norm,
+  the squared state norm, from the prefix costs of one solve per grid
+  state,
 * a minimal-horizon formula turning the growth-bound envelope into a
   sufficient prediction horizon, and
 * a per-step decrease check of the candidate Lyapunov function (optimal
@@ -21,7 +22,7 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .mpc import ClosedLoopTrace, MpcConfig, SolverError, StageCostWeights, solve_ocp_batch, stage_cost
-from .narx import NarxDims, NarxDynamics, shift_state
+from .narx import NarxDims, NarxDynamics
 
 
 @dataclass(frozen=True)
@@ -70,86 +71,21 @@ def storage_value(x: np.ndarray, storage: StorageMatrix):
     return np.einsum("...i,ij,...j->...", x, storage.P, x)
 
 
-def storage_value_lagsum(x: np.ndarray, dims: NarxDims, weights: StageCostWeights):
-    """Storage value written as an explicit sum over lag blocks.
-
-    Independent of :func:`storage_value`; used to cross-check the matrix
-    assembly.
-    """
-    x = np.asarray(x, dtype=float)
-    nu, p, m = dims.nu, dims.p, dims.m
-    total = np.zeros(x.shape[:-1])
-    for k in range(nu):
-        y_k = x[..., k * p : (k + 1) * p]
-        total = total + ((nu - k) / nu) * np.einsum(
-            "...i,ij,...j->...", y_k, weights.Q, y_k
-        )
-    base = nu * p
-    for k in range(1, nu):
-        u_k = x[..., base + (k - 1) * m : base + k * m]
-        total = total + ((nu - k + 1) / nu) * np.einsum(
-            "...i,ij,...j->...", u_k, weights.R, u_k
-        )
-    return total
-
-
-@dataclass
-class DetectabilityReport:
-    """Result of the sampled cost-detectability check."""
-
-    max_violation: float
-    worst_index: int
-    violation_count: int
-    sample_count: int
-    tolerance: float
-
-    @property
-    def ok(self) -> bool:
-        return self.max_violation <= self.tolerance
-
-
-def check_detectability(
-    f: NarxDynamics,
-    storage: StorageMatrix,
-    X: np.ndarray,
-    U: np.ndarray,
-    tolerance: float = 1e-10,
-) -> DetectabilityReport:
-    """Check ``W(x+) <= eta W(x) + l(y+, u)`` on sampled pairs.
-
-    The inequality is structural for the lag-weighted storage: it holds
-    for any deterministic output map, so violations beyond rounding
-    indicate an implementation bug rather than a property of ``f``.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    U = np.atleast_2d(np.asarray(U, dtype=float))
-    y_next = f.output_batch(X, U)
-    x_next = shift_state(X, y_next, U, f.dims)
-    w_now = storage_value(X, storage)
-    w_next = storage_value(x_next, storage)
-    stage = stage_cost(y_next, U, storage.weights)
-    violation = w_next - storage.eta * w_now - stage
-    violation = np.where(np.isfinite(violation), violation, np.inf)
-    worst = int(np.argmax(violation))
-    return DetectabilityReport(
-        max_violation=float(violation[worst]),
-        worst_index=worst,
-        violation_count=int(np.sum(violation > tolerance)),
-        sample_count=int(X.shape[0]),
-        tolerance=tolerance,
-    )
-
-
 @dataclass
 class GrowthBoundEstimate:
-    """Sampled growth bounds ``B_N`` from ``N = 1`` up to the largest horizon solved.
+    """Sampled growth bounds ``B_N`` for ``N = 1`` up to the grid horizon ``n_max``.
 
-    ``ratios[i, N-1]`` is ``V_N(x_i) / ||x_i||^2`` (NaN where the solver
-    failed); ``b_values`` is the running maximum over samples, made
-    nondecreasing in ``N`` by a cumulative maximum.  ``iterations[i, N-1]``
-    counts the solver iterations of that entry (zero where it failed or
-    was not solved), and ``capped`` counts the entries that stopped at
-    the iteration cap without converging.
+    Each grid state is solved once, at ``n_max``.  ``ratios[i, N-1]`` is
+    the prefix bound of state ``i``: the cost of the first ``N`` inputs
+    of its solution over ``||x_i||^2`` (NaN where the solver failed).  A
+    prefix of a feasible input sequence is feasible for the shorter
+    problem, so its cost bounds ``V_N(x_i)`` from above, just as the
+    value of a local solve at horizon ``N`` does.  ``b_values`` is the
+    maximum over samples; stage costs are nonnegative, so every row, and
+    with it ``b_values``, is nondecreasing in ``N``.  ``iterations[i]``
+    counts the solver iterations of state ``i`` (zero where it failed),
+    and ``capped`` counts the solves that stopped at the iteration cap
+    without converging.
     """
 
     b_values: np.ndarray
@@ -162,8 +98,8 @@ class GrowthBoundEstimate:
 
     def summary(self) -> str:
         """One line on the grid's solves, as ``--verbose`` prints it."""
-        states, horizons = self.ratios.shape
-        return f"growth grid: {states}×{horizons} solves, {self.capped} capped"
+        states, horizon = self.ratios.shape
+        return f"growth grid: {states} solves at N={horizon}, {self.capped} capped"
 
 
 def count_capped(iterations, converged, max_iters: int) -> int:
@@ -178,15 +114,17 @@ def estimate_growth_bound(
     n_max: int,
     model_tag: str = "",
 ) -> GrowthBoundEstimate:
-    """Estimate growth bounds by solving open-loop problems on a state grid.
+    """Estimate growth bounds from the prefix costs of one solve per grid state.
 
-    The horizons ``1..n_max`` are solved in order, each as one
-    :func:`~narxmpc.mpc.solve_ocp_batch` call over every state still in
-    the grid, warm-started from the state's previous solution padded with
-    a zero input.  Every entry equals the solo solve of its state.  States
-    with vanishing norm are rejected; a state whose solve fails is counted
-    once and leaves the grid, so its longer horizons stay NaN and are
-    excluded from the maxima.
+    Every state is solved at horizon ``n_max`` in one
+    :func:`~narxmpc.mpc.solve_ocp_batch` call from the usual cold start,
+    and one rollout of the solutions gives their stage costs.  The
+    running sum of a row's stage costs over ``N`` steps is the cost of
+    the solution's first ``N`` inputs.  The input box is the only
+    constraint, so that prefix is feasible for the horizon-``N`` problem
+    and its cost bounds ``V_N(x)`` from above for every ``N <= n_max``.
+    States with vanishing norm are rejected; a state whose solve fails
+    is counted and its row stays NaN, excluded from the maxima.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     if n_max < 1:
@@ -197,37 +135,25 @@ def estimate_growth_bound(
             "growth-bound sample states must stay away from the origin "
             "(norm above 1e-5)"
         )
-    ratios = np.full((states.shape[0], n_max), np.nan)
-    iterations = np.zeros((states.shape[0], n_max), dtype=int)
-    capped = 0
-    live = np.arange(states.shape[0])
-    warm = None
-    for horizon in range(1, n_max + 1):
-        results = solve_ocp_batch(f, states[live], replace(cfg, horizon=horizon), warm)
-        solved = [k for k, sol in enumerate(results) if not isinstance(sol, SolverError)]
-        live = live[solved]
-        if not live.size:
-            break
-        sols = [results[k] for k in solved]
-        ratios[live, horizon - 1] = [sol.value for sol in sols] / norms_sq[live]
-        iterations[live, horizon - 1] = [sol.iterations for sol in sols]
-        capped += count_capped(
-            [sol.iterations for sol in sols], [sol.converged for sol in sols], cfg.solver.max_iters
-        )
-        pad = np.zeros((1, cfg.dims.m))
-        warm = np.stack([np.vstack([sol.u_star, pad]) for sol in sols])
-    if np.all(np.isnan(ratios)):
+    results = solve_ocp_batch(f, states, replace(cfg, horizon=n_max))
+    solved = np.array([not isinstance(sol, SolverError) for sol in results])
+    if not solved.any():
         raise SolverError("growth-bound estimation failed on every sample state")
-    with np.errstate(all="ignore"):
-        b_values = np.maximum.accumulate(np.nanmax(ratios, axis=0))
+    sols = [sol for sol in results if not isinstance(sol, SolverError)]
+    U_star = np.stack([sol.u_star for sol in sols])
+    _, outputs = f.rollout_batch(states[solved], U_star)
+    ratios = np.full((states.shape[0], n_max), np.nan)
+    ratios[solved] = np.cumsum(stage_cost(outputs, U_star, cfg.weights), axis=1) / norms_sq[solved, None]
+    iterations = np.zeros(states.shape[0], dtype=int)
+    iterations[solved] = [sol.iterations for sol in sols]
     return GrowthBoundEstimate(
-        b_values=b_values,
+        b_values=np.nanmax(ratios, axis=0),
         ratios=ratios,
         states=states,
         model_tag=model_tag,
-        solver_failures=states.shape[0] - live.size,
+        solver_failures=int(np.sum(~solved)),
         iterations=iterations,
-        capped=capped,
+        capped=count_capped(iterations[solved], [sol.converged for sol in sols], cfg.solver.max_iters),
     )
 
 

@@ -808,24 +808,3 @@ def sample_state_grid(
         states = norm.normalize_state(raw, dims)
         out.extend(states[np.linalg.norm(states, axis=1) > min_norm])
     return np.asarray(out[:count])
-
-
-def sample_domain(
-    cfg: BenchmarkConfig, count: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform (regressor, input) samples over the admissible domain.
-
-    Regressor components are drawn componentwise over the level and
-    input ranges without enforcing reachability; suitable for structural
-    checks that must hold for arbitrary admissible regressors.  Returns
-    normalized ``(X, U)``.
-    """
-    rng = np.random.default_rng(seed)
-    dims = cfg.dims
-    norm = cfg.normalization()
-    nb = dims.n_outputs_block
-    raw_x = np.empty((count, dims.n))
-    raw_x[:, :nb] = rng.uniform(cfg.y_lo, cfg.y_hi, size=(count, nb))
-    raw_x[:, nb:] = rng.uniform(cfg.u_lo, cfg.u_hi, size=(count, dims.n - nb))
-    raw_u = rng.uniform(cfg.u_lo, cfg.u_hi, size=(count, dims.m))
-    return norm.normalize_state(raw_x, dims), norm.normalize_input(raw_u)

@@ -27,6 +27,7 @@ from narxmpc import (
     sample_state_grid,
     storage_matrix,
 )
+from narxmpc.bench import GROWTH_HORIZON, GROWTH_STATES
 
 # Property tests draw the same examples on every run, so the suite stays
 # deterministic and its running time bounded.
@@ -94,13 +95,13 @@ def benchmark_run(cfg):
 
 @pytest.fixture(scope="session")
 def shared_growth_grid(cfg):
-    """The 50-state grid every growth-bound comparison evaluates on."""
-    return sample_state_grid(cfg, 50, seed=cfg.seed + 29, min_norm=1e-3)
+    """The benchmark's standard grid, on which every growth-bound comparison runs."""
+    return sample_state_grid(cfg, GROWTH_STATES, seed=cfg.seed + 29, min_norm=1e-3)
 
 
 @pytest.fixture(scope="session")
 def plant_growth(cfg, mpc_cfg, plant_view, shared_growth_grid):
     """Growth bounds of the exact plant on the shared grid."""
     return estimate_growth_bound(
-        plant_view, mpc_cfg, shared_growth_grid, 10, model_tag="plant"
+        plant_view, mpc_cfg, shared_growth_grid, GROWTH_HORIZON, model_tag="plant"
     )

@@ -147,6 +147,20 @@ class TestFit:
         assert code == 1
         assert ":3:" in capsys.readouterr().err
 
+    def test_non_finite_dataset_is_rejected(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "dataset.csv"
+        lines = (workspace / "dataset_D21.csv").read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[1] = "nan"
+        lines[3] = ",".join(cells)
+        bad.write_text("\n".join(lines) + "\n")
+        meta = (workspace / "dataset_D21.csv.meta").read_text()
+        (tmp_path / "dataset.csv.meta").write_text(meta)
+        code = main(["fit", "--data", str(bad), "--out", str(tmp_path)])
+        assert code == 1
+        assert "non-finite sites: 1 row(s) hold NaN or inf" in capsys.readouterr().err
+        assert not (tmp_path / "model.csv").exists()
+
     def test_missing_dataset(self, tmp_path, capsys):
         code = main(
             ["fit", "--data", str(tmp_path / "none.csv"), "--out", str(tmp_path)]
@@ -377,7 +391,7 @@ class TestCertify:
             ]
         )
         assert code in (0, 2)
-        assert "growth grid: 3×2 solves, 0 capped" in capsys.readouterr().err.splitlines()
+        assert "growth grid: 3 solves at N=2, 0 capped" in capsys.readouterr().err.splitlines()
 
     def test_rigged_trace_fails_with_exit_2(self, workspace, tmp_path, capsys):
         self._simulate(workspace, tmp_path, steps="2")
@@ -447,7 +461,7 @@ class TestBenchmark:
             ]
         )
         assert code in (0, 2)
-        assert "D=21: growth grid: 2×3 solves, 0 capped" in capsys.readouterr().err.splitlines()
+        assert "D=21: growth grid: 2 solves at N=3, 0 capped" in capsys.readouterr().err.splitlines()
 
     def test_manifest_records_stage_timings_and_solver_totals(self, tmp_path):
         config = tmp_path / "cfg.txt"

@@ -236,6 +236,12 @@ class TestPowerFunction:
         )
         assert grown.power_function(probe[None, :])[0] <= 1e-7
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_probes_rejected(self, bad):
+        model = fit_interpolant(KernelSpec(input_dim=2), _dataset([[0.0, 0.0]], [1.0]))
+        with pytest.raises(ValueError, match="power-function probes must be finite"):
+            model.power_function(np.array([[0.2, 0.1], [bad, 0.3]]))
+
     def test_monotone_under_site_refinement(self):
         rng = np.random.default_rng(12)
         sites = rng.uniform(0.0, 1.0, size=(9, 2))
@@ -377,6 +383,25 @@ class TestDatasetValidation:
                 normalization=_identity_norm(),
                 contains_origin=True,
             )
+
+    @pytest.mark.parametrize(
+        "sites, targets, name",
+        [
+            ([[0.1, 0.2], [0.3, np.nan], [0.5, 0.5]], [0.0, 1.0, 2.0], "sites"),
+            ([[0.1, 0.2], [0.3, 0.4], [np.inf, 0.5]], [0.0, 1.0, 2.0], "sites"),
+            ([[0.1, 0.2], [0.3, 0.4], [0.5, 0.5]], [0.0, np.inf, 2.0], "targets"),
+        ],
+    )
+    def test_non_finite_data_rejected(self, sites, targets, name):
+        """A NaN or inf is rejected where the data enter, naming the rows,
+        before it can reach the factorization."""
+        with pytest.raises(ValueError, match=rf"^non-finite {name}: 1 row\(s\) hold NaN or inf"):
+            _dataset(sites, targets)
+
+    @pytest.mark.parametrize("jitter", [-1e-3, np.nan, np.inf])
+    def test_jitter_must_be_finite_and_nonnegative(self, jitter):
+        with pytest.raises(ValueError, match="jitter must be finite and nonnegative"):
+            fit_interpolant(KernelSpec(input_dim=2), _dataset([[0.1, 0.2]], [0.3]), jitter=jitter)
 
     def test_spec_width_checked_at_fit(self):
         data = _dataset([[0.1, 0.2]], [0.3])

@@ -32,21 +32,22 @@ from narxmpc import (
     TwoTankParams,
     cost_gradient,
     cost_J_batch,
+    estimate_growth_bound,
     fill_distance,
     finite_difference_gradient,
     kernel_matrix,
     min_pairwise_distance,
     rk4_step,
-    sample_domain,
     solve_ocp,
     solve_ocp_batch,
     stage_cost,
     two_tank_rhs,
     two_tank_step,
 )
-from narxmpc import mpc, twotank
+from narxmpc import mpc, stability, twotank
 from narxmpc.kernels import KernelFitError, KernelSurrogateDynamics, _gram_product, fit_interpolant
 from narxmpc.mpc import ACTIVE_WIDTH, NOISE_FLOOR, forward_sweep
+from oracles import sample_domain
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -737,3 +738,55 @@ def test_solves_meet_a_stopping_test_and_never_lose_value(
             assert sol.grad_norm <= cfg.solver.grad_tol or (
                 0.0 <= sol.predicted_decrease <= NOISE_FLOOR * abs(sol.value)
             )
+
+
+@given(
+    seed=seeds,
+    kind=st.sampled_from(["linear", "tanh", "tanh_fd"]),
+    p=st.integers(1, 2),
+    m=st.integers(1, 2),
+    nu=st.integers(1, 3),
+    n_max=st.integers(1, 10),
+    rows=st.integers(1, 5),
+    poisoned=st.booleans(),
+)
+def test_growth_bounds_are_prefix_costs_of_one_solve_per_state(
+    seed, kind, p, m, nu, n_max, rows, poisoned
+):
+    """The grid is one ``solve_ocp_batch`` call at ``n_max``.  Each
+    ``ratios[i, N-1] * ||x_i||^2`` is the cost of the first N inputs of
+    state i's solution, every row is nondecreasing in N bit for bit, and a
+    state whose solve fails leaves a NaN row and counts as one failure."""
+    rng = np.random.default_rng(seed)
+    cfg = _random_problem(rng, p, m, nu, 1, 1)
+    f = _random_dynamics(rng, cfg.dims, kind == "linear", differentiable=kind != "tanh_fd")
+    states = rng.uniform(-1.0, 1.0, size=(rows, cfg.dims.n))
+    norms_sq = np.einsum("ij,ij->i", states, states)
+    assume(np.all(norms_sq >= 1e-10))
+    if poisoned:
+        states[rng.integers(rows), 0] = 100.0
+        norms_sq = np.einsum("ij,ij->i", states, states)
+    with patch.object(stability, "solve_ocp_batch", wraps=stability.solve_ocp_batch) as solves:
+        try:
+            growth = estimate_growth_bound(f, cfg, states, n_max)
+        except SolverError:
+            assert poisoned and rows == 1 and solves.call_count == 1
+            return
+    assert solves.call_count == 1
+    assert growth.ratios.shape == (rows, n_max) and growth.iterations.shape == (rows,)
+    results = solve_ocp_batch(f, states, replace(cfg, horizon=n_max))
+    failed = [isinstance(sol, SolverError) for sol in results]
+    assert growth.solver_failures == sum(failed) == int(poisoned)
+    for i, sol in enumerate(results):
+        if failed[i]:
+            assert np.all(np.isnan(growth.ratios[i])) and growth.iterations[i] == 0
+            continue
+        assert growth.iterations[i] == sol.iterations
+        assert np.all(np.diff(growth.ratios[i]) >= 0.0)
+        prefix = [
+            cost_J_batch(f, states[i], sol.u_star[None, :horizon], cfg.weights)[0]
+            for horizon in range(1, n_max + 1)
+        ]
+        # The running sum and np.sum add in different orders from N = 8 on.
+        assert_allclose(growth.ratios[i] * norms_sq[i], prefix, rtol=1e-12)
+    assert_array_equal(growth.b_values, np.nanmax(growth.ratios, axis=0))

@@ -17,7 +17,6 @@ from narxmpc import (
     NarxDims,
     SolverConfig,
     StageCostWeights,
-    check_detectability,
     estimate_growth_bound,
     fit_decay_rate,
     gamma_bar,
@@ -28,7 +27,6 @@ from narxmpc import (
     min_horizon,
     plant_views,
     run_closed_loop,
-    sample_domain,
     storage_matrix,
     storage_value,
     verify_decrease,
@@ -37,8 +35,8 @@ from narxmpc.stability import (
     VERDICT_EQUILIBRIUM,
     VERDICT_VERIFIED,
     VERDICT_VIOLATED,
-    storage_value_lagsum,
 )
+from oracles import check_detectability, sample_domain, storage_value_lagsum
 
 WEIGHTS = StageCostWeights(Q=1.0, R=0.1)
 DIMS = NarxDims(p=1, m=1, nu=2)
@@ -332,8 +330,9 @@ class TestVerifyDecrease:
             report = verify_decrease(trace, storage, growth=growth, max_iters=max_iters)
             in_trace = int(np.sum(~trace.converged & (trace.iterations >= max_iters)))
             assert report.capped_solves == in_trace + growth.capped
-        # One iteration cannot converge from these starts: every solve is capped.
-        assert in_trace == trace.iterations.size and growth.capped == growth.ratios.size
+        # One iteration cannot converge from these starts: every solve is capped,
+        # and the grid solves each state once.
+        assert in_trace == trace.iterations.size and growth.capped == states.shape[0]
 
     def test_corrupted_surrogate_is_flagged(self, cfg, storage):
         """A surrogate scaled 10x off the plant must fail the certificate."""

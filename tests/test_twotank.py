@@ -24,13 +24,13 @@ from narxmpc import (
     reconstruct_hidden_level,
     rk4_step,
     sample_consistent_states,
-    sample_domain,
     sample_state_grid,
     two_tank_rhs,
     two_tank_step,
 )
 from narxmpc import twotank
 from narxmpc.twotank import ScrambledHalton, _reachable_draws, _total_step
+from oracles import sample_domain
 
 PARAMS = TwoTankParams()
 U_EQ = 5.461e-6
