@@ -34,7 +34,7 @@ from .kernels import (
     fit_interpolant,
     validate_error_constants,
 )
-from .mpc import ClosedLoopTrace, MpcConfig, SolverConfig, StageCostWeights, run_closed_loop
+from .mpc import ClosedLoopTrace, MpcConfig, StageCostWeights, run_closed_loop
 from .stability import (
     GrowthBoundEstimate,
     StabilityReport,
@@ -69,7 +69,6 @@ def make_mpc_config(cfg: BenchmarkConfig) -> MpcConfig:
         weights=weights,
         input_box=cfg.input_box(),
         dims=cfg.dims,
-        solver=SolverConfig(seed=cfg.seed),
     )
 
 

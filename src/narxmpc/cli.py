@@ -11,10 +11,11 @@ benchmark  run the full two-dataset comparison
 Configuration comes from an optional key=value file (see ``--config``);
 command-line flags override file values.  The prediction horizon comes
 only from the ``N`` key, so ``simulate`` and ``certify`` run with one
-configuration agree on it.  Exit codes: 0 on success, 1
-for configuration, input or I/O problems (any ``ValueError`` or
-``OSError``) and for solver failures (including a closed loop that
-stopped early), 2 when a certification verdict fails.
+configuration agree on it.  Exit codes: 0 on success (and for
+``--help`` and ``--version``), 1 for usage errors, for configuration,
+input or I/O problems (any ``ValueError`` or ``OSError``) and for solver
+failures (including a closed loop that stopped early), 2 when a
+certification verdict fails.
 """
 
 from __future__ import annotations
@@ -57,6 +58,14 @@ from .kernels import KernelFitError
 from .mpc import SolverError
 from .stability import count_capped
 from .twotank import BenchmarkConfig, generate_dataset
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 1, as other input errors do."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
@@ -236,7 +245,7 @@ def cmd_benchmark(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="narxmpc",
         description="Kernel-surrogate NARX identification, MPC and stability certificates",
     )

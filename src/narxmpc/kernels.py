@@ -77,15 +77,6 @@ def wendland_phi(r: np.ndarray) -> np.ndarray:
     return _profile(r, *_wendland_terms(r))
 
 
-def _wendland_slope(r: np.ndarray) -> np.ndarray:
-    """``phi'(r) / r`` without the removable singularity at zero.
-
-    The derivative of :func:`wendland_phi` simplifies to ``-r (1 - r)^4``.
-    """
-    _, fourth = _wendland_terms(np.asarray(r, dtype=float))
-    return np.negative(fourth, out=fourth)
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     """Wendland kernel on a ``input_dim``-dimensional site space.
@@ -354,24 +345,21 @@ class KernelInterpolant:
     def linearize(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values (B, p) and Jacobians (B, p, n + m) at rows ``xi`` (B, n + m).
 
-        A single site (n + m,) gives (p,) and (p, n + m).  The radii come
-        from the distance routine of :meth:`predict_batch`, so the values
-        equal its values bit for bit, and each row equals its single-site
-        call.  The Jacobian uses ``phi'(r)/r`` directly, so it is exact
-        (zero radial contribution) when ``xi`` coincides with a site.
+        The radii come from the distance routine of :meth:`predict_batch`,
+        so the values equal its values bit for bit, and each row equals
+        its batch of one.  The Jacobian uses ``phi'(r)/r`` directly, so it
+        is exact (zero radial contribution) when ``xi`` coincides with a
+        site.
         """
         xi = np.asarray(xi, dtype=float)
-        dim = self.data.sites.shape[1]
-        r = cdist(xi.reshape(-1, dim), self.data.sites) / self.spec.lengthscale
+        r = cdist(xi, self.data.sites) / self.spec.lengthscale
         one_minus, fourth = _wendland_terms(r)
         # phi'(r) / (r sigma^2) = -(1 - r)^4 / sigma^2, taken before the
         # profile overwrites the shared fourth power.
         w = fourth / -(self.spec.lengthscale**2)
         value = np.matmul(_profile(r, one_minus, fourth)[:, None, :], self.coefficients)[:, 0]
-        diffs = self.data.sites - xi.reshape(-1, 1, dim)
+        diffs = self.data.sites - xi[:, None, :]
         jac = -np.matmul((self.coefficients * w[:, :, None]).transpose(0, 2, 1), diffs)
-        if xi.ndim == 1:
-            return value[0], jac[0]
         return value, jac
 
     def power_function(self, Xi: np.ndarray) -> np.ndarray:

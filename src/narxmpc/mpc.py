@@ -22,6 +22,7 @@ solution and warm-starts the next solve with the shifted remainder.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,9 +37,9 @@ class SolverError(RuntimeError):
 class StageCostWeights:
     """Positive definite output weight ``Q`` (p, p) and input weight ``R`` (m, m).
 
-    Scalars and 1-D arrays are promoted to diagonal matrices.  Positive
-    definiteness is checked at construction (smallest eigenvalue above
-    1e-12).
+    Scalars and 1-D arrays are promoted to diagonal matrices.  Finite
+    entries, symmetry and positive definiteness are checked at
+    construction (smallest eigenvalue above 1e-12).
     """
 
     Q: np.ndarray
@@ -54,9 +55,11 @@ class StageCostWeights:
             object.__setattr__(self, name, w)
             if w.shape[0] != w.shape[1]:
                 raise ValueError(f"{name} must be square, got shape {w.shape}")
-            if np.max(np.abs(w - w.T)) > 1e-12:
+            if not np.all(np.isfinite(w)):
+                raise ValueError(f"{name} must be finite")
+            if not np.max(np.abs(w - w.T)) <= 1e-12:
                 raise ValueError(f"{name} must be symmetric")
-            if np.min(np.linalg.eigvalsh(w)) <= 1e-12:
+            if not np.min(np.linalg.eigvalsh(w)) > 1e-12:
                 raise ValueError(
                     f"{name} must be positive definite (smallest eigenvalue "
                     "above 1e-12)"
@@ -82,32 +85,22 @@ def stage_cost(y: np.ndarray, u: np.ndarray, weights: StageCostWeights):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Settings of the two-metric projected quasi-Newton solver.
+    """Iteration cap of the two-metric projected quasi-Newton solver.
 
     A solve stops after ``max_iters`` iterations, or converged once the
-    norm of its projected gradient is at most ``grad_tol`` (or the full
-    step predicts a decrease below :data:`NOISE_FLOOR` of the cost).
-    ``armijo`` is the sufficient-decrease constant and ``shrink`` the
-    backtracking factor of the line search, which starts at the unit
-    quasi-Newton step.  ``multistart`` adds seeded random feasible
-    starts beyond the provided one; ties break toward the lowest start
-    index.
+    norm of its projected gradient is at most :data:`GRAD_TOL` or the
+    full step predicts a decrease below :data:`NOISE_FLOOR` of the cost.
+    The line search uses the fixed constants :data:`ARMIJO` and
+    :data:`SHRINK`.
     """
 
     max_iters: int = 500
-    grad_tol: float = 1e-8
-    armijo: float = 1e-4
-    shrink: float = 0.5
-    multistart: int = 1
-    seed: int = 0
+    # Every solve has one start; the benchmark's tracer reads this count.
+    multistart: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1 or self.multistart < 1:
-            raise ValueError("max_iters and multistart must be at least 1")
-        if not (0 < self.armijo < 1 and 0 < self.shrink < 1):
-            raise ValueError("need 0 < armijo < 1 and 0 < shrink < 1")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be strictly positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -138,36 +131,18 @@ class MpcConfig:
 
 
 def cost_J_batch(
-    f: NarxDynamics, x0: np.ndarray, U_batch: np.ndarray, weights: StageCostWeights
+    f: NarxDynamics, X0: np.ndarray, U: np.ndarray, weights: StageCostWeights
 ) -> np.ndarray:
-    """Costs of B input sequences (B, N, m) from initial regressors ``x0``.
-
-    ``x0`` is (B, n), one regressor per row, or a single regressor (n,)
-    shared by every row.
-    """
-    U_batch = np.asarray(U_batch, dtype=float)
-    _, outputs = f.rollout_batch(_regressor_rows(x0, U_batch.shape[0], f.dims.n), U_batch)
-    return _costs(outputs, U_batch, weights)
+    """Costs (B,) of the input sequences ``U`` (B, N, m) from the initial
+    regressors ``X0`` (B, n)."""
+    U = np.asarray(U, dtype=float)
+    _, outputs = f.rollout_batch(X0, U)
+    return _costs(outputs, U, weights)
 
 
 def _costs(outputs: np.ndarray, U: np.ndarray, weights: StageCostWeights) -> np.ndarray:
     """Costs of the rows of predicted outputs (B, N, p) and inputs (B, N, m)."""
     return np.sum(stage_cost(outputs, U, weights), axis=1)
-
-
-def _regressor_rows(x0: np.ndarray, b: int, n: int) -> np.ndarray:
-    """Initial regressors (b, n) from rows ``x0`` or one shared regressor."""
-    x0 = np.asarray(x0, dtype=float)
-    return np.broadcast_to(x0, (b, n)) if x0.ndim == 1 else x0
-
-
-def _as_batch(x0: np.ndarray, u_seq: np.ndarray, n: int):
-    """Rows ``(X0 (B, n), U (B, N, m))`` of a gradient call, and whether it
-    was a single problem (``u_seq`` of shape (N, m))."""
-    u_seq = np.asarray(u_seq, dtype=float)
-    single = u_seq.ndim < 3
-    U = np.atleast_2d(u_seq)[None] if single else u_seq
-    return _regressor_rows(x0, U.shape[0], n), U, single
 
 
 def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -258,16 +233,15 @@ def backward_sweep(
 
 
 def cost_gradient(
-    f: NarxDynamics, x0: np.ndarray, u_seq: np.ndarray, weights: StageCostWeights
+    f: NarxDynamics, X0: np.ndarray, U: np.ndarray, weights: StageCostWeights
 ) -> np.ndarray:
-    """Exact cost gradient w.r.t. the input sequence via an adjoint sweep.
+    """Exact cost gradients (B, N, m) of the input sequences ``U`` (B, N, m)
+    from the regressors ``X0`` (B, n), via an adjoint sweep.
 
-    ``u_seq`` is (N, m) for one problem from the regressor ``x0`` (n,),
-    or (B, N, m) for B problems from ``x0`` (B, n); the gradient has the
-    shape of ``u_seq``, and each row equals its single-problem gradient
-    bit for bit.  It is :func:`backward_sweep` of :func:`forward_sweep`;
-    the solver runs the two halves apart, so that the sweep of an
-    accepted line-search trial serves the next gradient.
+    Each row equals the gradient of its batch of one bit for bit.  It is
+    :func:`backward_sweep` of :func:`forward_sweep`; the solver runs the
+    two halves apart, so that the sweep of an accepted line-search trial
+    serves the next gradient.
 
     Raises :class:`SolverError` for dynamics without Jacobians.
     """
@@ -275,45 +249,43 @@ def cost_gradient(
         raise SolverError(
             f"{type(f).__name__} provides no Jacobians; use finite_difference_gradient"
         )
-    X, U, single = _as_batch(x0, u_seq, f.dims.n)
-    grad = backward_sweep(f.dims, forward_sweep(f, X, U), U, weights)
-    return grad[0] if single else grad
+    U = np.asarray(U, dtype=float)
+    return backward_sweep(f.dims, forward_sweep(f, np.asarray(X0, dtype=float), U), U, weights)
+
+
+#: Step of the central differences of :func:`finite_difference_gradient`.
+FD_STEP = 1e-6
 
 
 def finite_difference_gradient(
-    f: NarxDynamics,
-    x0: np.ndarray,
-    u_seq: np.ndarray,
-    weights: StageCostWeights,
-    step: float = 1e-6,
+    f: NarxDynamics, X0: np.ndarray, U: np.ndarray, weights: StageCostWeights
 ) -> np.ndarray:
-    """Batched central-difference cost gradient.
+    """Batched central-difference cost gradient with step :data:`FD_STEP`.
 
-    Takes the shapes of :func:`cost_gradient`.  All ``2 N m`` perturbed
+    Takes the rows of :func:`cost_gradient`.  All ``2 N m`` perturbed
     sequences of all B problems are rolled out in one batch.
     Coordinates whose central difference is not finite fall back to a
     one-sided difference against the base cost, and to zero if that is
     not finite either.
     """
-    X0, U, single = _as_batch(x0, u_seq, f.dims.n)
+    X0, U = np.asarray(X0, dtype=float), np.asarray(U, dtype=float)
     b, horizon, m = U.shape
     k = horizon * m
     batch = np.repeat(U.reshape(b, 1, k), 2 * k, axis=1)
     idx = np.arange(k)
-    batch[:, 2 * idx, idx] += step
-    batch[:, 2 * idx + 1, idx] -= step
+    batch[:, 2 * idx, idx] += FD_STEP
+    batch[:, 2 * idx + 1, idx] -= FD_STEP
     costs = cost_J_batch(
         f, np.repeat(X0, 2 * k, axis=0), batch.reshape(b * 2 * k, horizon, m), weights
     ).reshape(b, 2 * k)
     plus, minus = costs[:, 0::2], costs[:, 1::2]
-    grad = (plus - minus) / (2.0 * step)
+    grad = (plus - minus) / (2.0 * FD_STEP)
     bad = ~np.isfinite(grad)
     if np.any(bad):
         base = cost_J_batch(f, X0, U, weights)[:, None]
-        one_sided = np.where(np.isfinite(plus), (plus - base) / step, (base - minus) / step)
+        one_sided = np.where(np.isfinite(plus), (plus - base) / FD_STEP, (base - minus) / FD_STEP)
         grad = np.where(bad, np.where(np.isfinite(one_sided), one_sided, 0.0), grad)
-    grad = grad.reshape(b, horizon, m)
-    return grad[0] if single else grad
+    return grad.reshape(b, horizon, m)
 
 
 @dataclass
@@ -325,8 +297,7 @@ class OcpSolution:
     ``predicted_decrease`` the cost decrease the full two-metric step
     promised, both at the last iterate the stopping tests checked (the
     iterate before the last step for a solve stopped at the iteration
-    cap); ``multistart_spread`` is the value gap between the best and
-    worst successful starts (zero for a single start).
+    cap).
     """
 
     u_star: np.ndarray
@@ -335,7 +306,6 @@ class OcpSolution:
     grad_norm: float
     predicted_decrease: float
     converged: bool
-    multistart_spread: float = 0.0
 
 
 #: Cap on the bound distance at which a coordinate counts as active: a
@@ -348,6 +318,16 @@ ACTIVE_WIDTH = 1e-3
 #: has converged: the kernel costs carry errors of about this size, and
 #: smaller accepted steps leave the value unchanged.
 NOISE_FLOOR = 1e-13
+
+#: Projected-gradient norm at or below which a solve has converged.
+GRAD_TOL = 1e-8
+
+#: Sufficient-decrease constant of the Armijo line search.
+ARMIJO = 1e-4
+
+#: Backtracking factor of the line search, which starts at the unit
+#: quasi-Newton step.
+SHRINK = 0.5
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -403,7 +383,7 @@ def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: 
     searches the projection arc from ``t = 1``.
 
     A row converges when its projected-gradient norm is at most
-    ``grad_tol`` or when the full step predicts a decrease of at most
+    :data:`GRAD_TOL` or when the full step predicts a decrease of at most
     ``NOISE_FLOOR * |J|``.  Each row keeps its own matrix, line search and
     stopping tests, so it follows the iterates of its solo descent bit for
     bit.  A row leaves the active set when it converges, when its line
@@ -416,7 +396,7 @@ def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: 
     Without Jacobians the costs go through :func:`cost_J_batch` and the
     gradients through :func:`finite_difference_gradient`.
     """
-    solver, box, weights = cfg.solver, cfg.input_box, cfg.weights
+    box, weights = cfg.input_box, cfg.weights
     b, shape = starts.shape[0], starts.shape[1:]
     lo, hi = (np.broadcast_to(bound, shape).ravel() for bound in (box.lo, box.hi))
     U = np.clip(starts.reshape(b, -1), lo, hi)
@@ -445,7 +425,7 @@ def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: 
         rows = rows.take(~out)
         return ~out
 
-    for rnd in range(solver.max_iters):
+    for rnd in range(cfg.solver.max_iters):
         if not rows.index.size:
             break
         seqs = rows.u.reshape(-1, *shape)
@@ -476,7 +456,7 @@ def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: 
         d = np.where(active, g, d)
         g_active = np.where(active, g, 0.0)
         rows.decrease = slope + _rowdot(g_active, u - np.clip(u - d, lo, hi))
-        stop = (rows.norm <= solver.grad_tol) | (rows.decrease <= NOISE_FLOOR * np.abs(rows.value))
+        stop = (rows.norm <= GRAD_TOL) | (rows.decrease <= NOISE_FLOOR * np.abs(rows.value))
         if stop.any():
             keep = leave(stop, rnd, True)
             g, d, slope, g_active = g[keep], d[keep], slope[keep], g_active[keep]
@@ -485,7 +465,7 @@ def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: 
         rows.step, rows.grad = rows.u - before, g
         if not accepted.all():
             leave(~accepted, rnd + 1, False)
-    leave(np.ones(rows.index.size, dtype=bool), solver.max_iters, False)
+    leave(np.ones(rows.index.size, dtype=bool), cfg.solver.max_iters, False)
     return U.reshape(starts.shape), value, iterations, grad_norm, decrease, converged, errors
 
 
@@ -520,7 +500,7 @@ def _armijo_search(f, rows: _Rows, d, slope, g_active, lo, hi, shape, cfg: MpcCo
     ``t = 1``, batched over the rows still searching.
 
     A candidate is accepted when its cost is at most the current value
-    minus ``armijo * (t * slope + g_active . (u - P(u - t d)))``, the
+    minus ``ARMIJO * (t * slope + g_active . (u - P(u - t d)))``, the
     sufficient-decrease test of the two-metric step: ``slope`` is ``g.d``
     over the free coordinates and ``g_active`` the gradient on the active
     ones.  Every row still searching has been rejected equally often, so
@@ -528,7 +508,6 @@ def _armijo_search(f, rows: _Rows, d, slope, g_active, lo, hi, shape, cfg: MpcCo
     their rows of ``rows.u``, ``rows.value`` and ``rows.sweep``.  Returns
     the mask of rows that accepted a step.
     """
-    solver = cfg.solver
     accepted = np.zeros(rows.value.size, dtype=bool)
     todo = np.arange(rows.value.size)
     t = 1.0
@@ -536,14 +515,14 @@ def _armijo_search(f, rows: _Rows, d, slope, g_active, lo, hi, shape, cfg: MpcCo
         u = rows.u[todo]
         cand = np.clip(u - t * d[todo], lo, hi)
         cand_value, sweep = _evaluate(f, rows.x[todo], cand.reshape(-1, *shape), cfg.weights)
-        sufficient = solver.armijo * (t * slope[todo] + _rowdot(g_active[todo], u - cand))
+        sufficient = ARMIJO * (t * slope[todo] + _rowdot(g_active[todo], u - cand))
         ok = np.isfinite(cand_value) & (cand_value <= rows.value[todo] - sufficient)
         hit = todo[ok]
         rows.u[hit], rows.value[hit], accepted[hit] = cand[ok], cand_value[ok], True
         if sweep is not None:
             rows.sweep[hit] = sweep[ok]
         todo = todo[~ok]
-        t *= solver.shrink
+        t *= SHRINK
     return accepted
 
 
@@ -555,58 +534,39 @@ def solve_ocp_batch(
 ) -> list[OcpSolution | SolverError]:
     """Solve the box-constrained open-loop problems from the rows of ``X0`` (B, n).
 
-    All problems, and with ``cfg.solver.multistart > 1`` all their
-    starts, descend in lockstep by the two-metric projected quasi-Newton
-    method of :func:`_lockstep_descent`, each row with its own BFGS
-    matrix, line search and stopping tests.  For differentiable dynamics
-    the costs of the starts and of the line-search trials of the rows
-    still searching are one :func:`forward_sweep` call each, and the
-    gradients of the active rows one :func:`backward_sweep` call over the
-    sweeps of their accepted iterates.  Dynamics without Jacobians go
-    through :func:`cost_J_batch` and :func:`finite_difference_gradient`
-    instead.  Row ``i`` of the result is what :func:`solve_ocp`
-    returns for ``X0[i]`` and ``warm[i]``, bit for bit, or the
-    :class:`SolverError` it raises.  A solution is ``converged`` when it
-    met the gradient test or the noise-floor test; otherwise it stopped
-    at ``max_iters`` or at a line search that found no decrease.
-
-    The first start of each problem is its warm sequence ``warm[i]``
-    (B, N, m), projected onto the box, or zeros; the seeded random
-    feasible starts are the same for every problem.  Ties between starts
-    break toward the lowest start index.
+    All problems descend in lockstep by the two-metric projected
+    quasi-Newton method of :func:`_lockstep_descent`, each row with its
+    own BFGS matrix, line search and stopping tests, from its warm
+    sequence ``warm[i]`` (B, N, m) projected onto the box, or from zeros.
+    For differentiable dynamics the costs of the starts and of the
+    line-search trials of the rows still searching are one
+    :func:`forward_sweep` call each, and the gradients of the active rows
+    one :func:`backward_sweep` call over the sweeps of their accepted
+    iterates.  Dynamics without Jacobians go through :func:`cost_J_batch`
+    and :func:`finite_difference_gradient` instead.  Row ``i`` of the
+    result is what the batch of one ``X0[i]``, ``warm[i]`` gives, bit for
+    bit: its solution, or the :class:`SolverError` that stopped it.  A
+    solution is ``converged`` when it met the gradient test or the
+    noise-floor test; otherwise it stopped at ``max_iters`` or at a line
+    search that found no decrease.
     """
-    solver, box = cfg.solver, cfg.input_box
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
-    b, n_starts = X0.shape[0], solver.multistart
-    shape = (cfg.horizon, cfg.dims.m)
-    starts = np.empty((b, n_starts, *shape))
-    starts[:, 0] = 0.0 if warm is None else np.asarray(warm, dtype=float).reshape(b, *shape)
-    if n_starts > 1:
-        rng = np.random.default_rng(solver.seed)
-        for s in range(1, n_starts):
-            starts[:, s] = rng.uniform(box.lo, box.hi, size=shape)
-    U, value, iterations, grad_norm, decrease, converged, errors = _lockstep_descent(
-        f, np.repeat(X0, n_starts, axis=0), starts.reshape(b * n_starts, *shape), cfg
-    )
-    results: list[OcpSolution | SolverError] = []
-    for first in range(0, b * n_starts, n_starts):
-        ok = [j for j in range(first, first + n_starts) if errors[j] is None]
-        if not ok:
-            results.append(errors[first])
-            continue
-        best = ok[int(np.argmin(value[ok]))]
-        results.append(
-            OcpSolution(
-                u_star=U[best],
-                value=float(value[best]),
-                iterations=int(iterations[best]),
-                grad_norm=float(grad_norm[best]),
-                predicted_decrease=float(decrease[best]),
-                converged=bool(converged[best]),
-                multistart_spread=float(np.max(value[ok]) - np.min(value[ok])),
-            )
+    shape = (X0.shape[0], cfg.horizon, cfg.dims.m)
+    starts = np.zeros(shape) if warm is None else np.asarray(warm, dtype=float).reshape(shape)
+    U, value, iterations, grad_norm, decrease, converged, errors = _lockstep_descent(f, X0, starts, cfg)
+    return [
+        error
+        if error is not None
+        else OcpSolution(
+            u_star=U[i],
+            value=float(value[i]),
+            iterations=int(iterations[i]),
+            grad_norm=float(grad_norm[i]),
+            predicted_decrease=float(decrease[i]),
+            converged=bool(converged[i]),
         )
-    return results
+        for i, error in enumerate(errors)
+    ]
 
 
 def solve_ocp(
@@ -615,13 +575,11 @@ def solve_ocp(
     cfg: MpcConfig,
     warm: np.ndarray | None = None,
 ) -> OcpSolution:
-    """Solve the box-constrained open-loop problem from ``x0``.
+    """Solve the box-constrained open-loop problem from the regressor ``x0`` (n,).
 
-    The batch of one of :func:`solve_ocp_batch`: the first start is the
-    warm sequence (projected onto the box) or zeros, and additional
-    seeded random feasible starts are used when
-    ``cfg.solver.multistart > 1``.  Raises the row's
-    :class:`SolverError` when no start succeeds.
+    The batch of one of :func:`solve_ocp_batch`, started from the warm
+    sequence ``warm`` (N, m) projected onto the box, or from zeros.
+    Raises the row's :class:`SolverError`.
     """
     if warm is not None:
         warm = np.asarray(warm, dtype=float)[None]

@@ -138,8 +138,7 @@ class NarxDynamics(ABC):
         """Next outputs and their Jacobians w.r.t. the regressor and the input.
 
         Rows ``x`` (B, n) and ``u`` (B, m) give (B, p), (B, p, n) and
-        (B, p, m); a single ``x`` (n,) and ``u`` (m,) give (p,), (p, n)
-        and (p, m).  The outputs must equal :meth:`output_batch` bit for
+        (B, p, m).  The outputs must equal :meth:`output_batch` bit for
         bit: the solver takes its costs from the outputs of its adjoint
         forward sweep, and they must be the costs of the rollout.
         """
@@ -224,11 +223,8 @@ class FunctionDynamics(NarxDynamics):
     def linearize(self, x, u):
         if self._jacobian_fn is None:
             raise NotImplementedError("no Jacobian callable supplied")
-        if np.ndim(x) > 1:
-            rows = [self.linearize(x_row, u_row) for x_row, u_row in zip(x, u)]
-            return tuple(np.stack(parts) for parts in zip(*rows))
-        dy_dx, dy_du = self._jacobian_fn(x, u)
-        return self._call(x, u), np.asarray(dy_dx, dtype=float), np.asarray(dy_du, dtype=float)
+        rows = [(self._call(x_row, u_row), *self._jacobian_fn(x_row, u_row)) for x_row, u_row in zip(x, u)]
+        return tuple(np.array(part, dtype=float) for part in zip(*rows))
 
 
 @dataclass(frozen=True)

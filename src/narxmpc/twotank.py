@@ -60,8 +60,8 @@ class TwoTankParams:
     dt: float = 10.0
 
     def __post_init__(self) -> None:
-        if min(self.A1, self.c12, self.c2, self.dt) <= 0:
-            raise ValueError("two-tank parameters must be strictly positive")
+        if not all(0 < value < np.inf for value in (self.A1, self.c12, self.c2, self.dt)):
+            raise ValueError("two-tank parameters must be finite and strictly positive")
 
 
 def two_tank_rhs(h1, h2, u, params: TwoTankParams):
@@ -364,7 +364,8 @@ class BenchmarkConfig:
     the equilibrium flow ``u_eq``; the measured level starts at the
     constant value ``h0``.  Dataset ``mode`` is
     ``state_grid`` (quasi-uniform coverage of levels and inputs, the
-    default) or ``trajectory`` (harvested simulation runs).
+    default) or ``trajectory`` (harvested simulation runs).  Every float
+    setting must be finite.
     """
 
     d: int = 101
@@ -386,6 +387,9 @@ class BenchmarkConfig:
     y_hi: ClassVar[float] = 0.5
 
     def __post_init__(self) -> None:
+        for name in ("q_weight", "r_weight", "u_lo", "u_hi", "dt", "sigma", "jitter", "h0"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.d < 1:
             raise ValueError("d must be at least 1")
         if self.horizon < 1 or self.steps < 0:
@@ -760,8 +764,11 @@ def sample_consistent_states(
 
     The first ``count`` regressors of :func:`_reachable_draws` whose
     normalized norm exceeds ``min_norm``.  Used as the evaluation grid for
-    growth-bound estimation and for error-constant sampling.
+    growth-bound estimation and for error-constant sampling.  Raises
+    ``ValueError`` when ``count`` is below one.
     """
+    if count < 1:
+        raise ValueError(f"need at least one state, got count={count}")
     if cfg.nu != 2:
         raise ValueError("consistent-state sampling is defined for lag depth 2")
     dims = cfg.dims
@@ -789,8 +796,11 @@ def sample_state_grid(
     scaled to the level and input-history ranges, keeping only states
     whose normalized norm exceeds ``min_norm``.  This is the evaluation
     grid for growth-bound certification, which must cover the whole
-    declared domain rather than just reachable states.
+    declared domain rather than just reachable states.  Raises
+    ``ValueError`` when ``count`` is below one.
     """
+    if count < 1:
+        raise ValueError(f"need at least one state, got count={count}")
     dims = cfg.dims
     norm = cfg.normalization()
     nb = dims.n_outputs_block

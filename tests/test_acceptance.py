@@ -174,8 +174,8 @@ class TestAcceptance:
             u_seq = norm.normalize_input(
                 rng.uniform(cfg.u_lo, cfg.u_hi, size=(horizon, dims.m))
             )
-            g_adj = cost_gradient(f, x0, u_seq, mpc_cfg.weights)
-            g_fd = finite_difference_gradient(f, x0, u_seq, mpc_cfg.weights, step=1e-6)
+            g_adj = cost_gradient(f, x0[None], u_seq[None], mpc_cfg.weights)
+            g_fd = finite_difference_gradient(f, x0[None], u_seq[None], mpc_cfg.weights)
             rel = np.linalg.norm(g_adj - g_fd) / max(np.linalg.norm(g_fd), 1e-12)
             worst = max(worst, float(rel))
         ok = worst <= 1e-4
@@ -197,7 +197,7 @@ class TestAcceptance:
             u_batch = rng.uniform(
                 box.lo, box.hi, size=(100, mpc_cfg.horizon, dims.m)
             )
-            costs = cost_J_batch(surrogate, x0, u_batch, mpc_cfg.weights)
+            costs = cost_J_batch(surrogate, np.tile(x0, (len(u_batch), 1)), u_batch, mpc_cfg.weights)
             worst = max(worst, float(sol.value - np.min(costs)))
         ok = worst <= 1e-8
         verdict(6, ok, f"max value minus sampled cost {worst:.2e}")

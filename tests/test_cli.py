@@ -15,7 +15,7 @@ import narxmpc.bench
 import narxmpc.mpc
 from narxmpc.bench import GROWTH_HORIZON, GROWTH_STATES, bundle_digests
 from narxmpc.cli import build_parser, main
-from narxmpc.fileio import load_model, load_trace, read_csv, read_keyvalues, sha256_file, save_dataset
+from narxmpc.fileio import CONFIG_KEYS, load_model, load_trace, read_csv, read_keyvalues, sha256_file, save_dataset
 
 H1_EQ = 0.04377874810998076
 
@@ -39,8 +39,52 @@ class TestParsing:
         assert "narxmpc" in capsys.readouterr().out
 
     def test_subcommand_required(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main([])
+        assert exc.value.code == 1
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--help"])
+        assert exc.value.code == 0
+        assert "--b-states" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--trace", "x.csv"],
+            ["certify", "--model", "m.csv", "--trace", "t.csv", "--b-states", "abc"],
+        ],
+    )
+    def test_usage_errors_exit_1(self, argv, capsys):
+        # Status 2 is reserved for a failed certification verdict.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_repeated_config_key(self, tmp_path, capsys):
+        config = tmp_path / "cfg.txt"
+        config.write_text("D = 21\n# comment\nD = 31\n")
+        code = main(["generate", "--config", str(config), "--out", str(tmp_path)])
+        assert code == 1
+        assert "cfg.txt:3: key 'D' repeats line 1" in capsys.readouterr().err
+        assert not list(tmp_path.glob("dataset_*.csv"))
+
+    @pytest.mark.parametrize("key", sorted(k for k, (_, cast) in CONFIG_KEYS.items() if cast is float))
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_config_values(self, workspace, key, bad, tmp_path, capsys):
+        config = tmp_path / "cfg.txt"
+        config.write_text(f"{key} = {bad}\n")
+        common = ["--config", str(config), "--out", str(tmp_path)]
+        for argv in (
+            ["generate", "--D", "21", *common],
+            ["simulate", "--model", str(workspace / "model.csv"), "--steps", "2", *common],
+        ):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "must be finite" in err
+            assert "Traceback" not in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(
@@ -364,6 +408,21 @@ class TestCertify:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "no applied step" in err
         assert not (tmp_path / "stability_report.txt").exists()
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_empty_growth_grid_is_an_error(self, workspace, tmp_path, capsys, count):
+        self._simulate(workspace, tmp_path, steps="2")
+        code = main(
+            [
+                "certify",
+                "--model", str(workspace / "model.csv"),
+                "--trace", str(tmp_path / "trace_norm.csv"),
+                "--b-states", count,
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 1
+        assert f"error: need at least one state, got count={count}" in capsys.readouterr().err
 
     def test_zero_step_trace_fails_before_the_grid(self, workspace, tmp_path, monkeypatch):
         self._simulate(workspace, tmp_path, steps="0")

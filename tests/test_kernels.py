@@ -29,7 +29,6 @@ from narxmpc import (
     wendland_phi,
 )
 from narxmpc.bench import error_constant_samples, probe_sites
-from narxmpc.kernels import _wendland_slope
 
 PHI_AT_ZERO = 1.0 / 30.0
 PHI_AT_HALF = 0.0036458333333333334
@@ -76,31 +75,16 @@ class TestProfile:
         with pytest.raises(ValueError):
             wendland_phi(np.array(-0.1))
 
-    def test_derivative_values(self):
-        # phi'(r) = -r (1 - r)^4 on [0, 1], which the Jacobians take as
-        # r times the slope phi'(r) / r
-        r = np.array([0.0, 0.25, 0.5, 1.0, 1.5])
-        expected = np.where(r <= 1.0, -r * (1.0 - r) ** 4, 0.0)
-        assert_allclose(r * _wendland_slope(r), expected, rtol=1e-14, atol=1e-16)
-
     def test_products_match_the_power_form(self):
         r = np.linspace(0.0, 1.2, 241)
         one_minus = np.maximum(1.0 - r, 0.0)
         assert_allclose(wendland_phi(r), one_minus**5 * (5.0 * r + 1.0) / 30.0, rtol=1e-14, atol=0.0)
-        assert_allclose(_wendland_slope(r), -(one_minus**4), rtol=1e-14, atol=0.0)
 
     def test_non_finite_radii(self):
         # NaN stays NaN and an infinite radius lies outside the support;
         # neither may raise a floating-point warning.
         r = np.array([np.nan, np.inf])
         assert_array_equal(wendland_phi(r), [np.nan, 0.0])
-        assert_array_equal(_wendland_slope(r), [np.nan, 0.0])
-
-    def test_derivative_matches_finite_difference(self):
-        r = np.linspace(0.05, 0.95, 19)
-        h = 1e-7
-        fd = (wendland_phi(r + h) - wendland_phi(r - h)) / (2.0 * h)
-        assert_allclose(r * _wendland_slope(r), fd, rtol=0.0, atol=1e-8)
 
 
 class TestKernelEval:
@@ -169,7 +153,7 @@ class TestInterpolant:
         model = fit_interpolant(KernelSpec(input_dim=2), data)
         Xi = rng.uniform(0.0, 1.0, size=(25, 2))
         batch = model.predict_batch(Xi)
-        single = np.stack([model.linearize(xi)[0] for xi in Xi])
+        single = np.concatenate([model.linearize(xi[None])[0] for xi in Xi])
         assert_allclose(batch, single, rtol=0.0, atol=1e-14)
 
     def test_benchmark_fit_interpolates(self, fit_101):
@@ -178,13 +162,13 @@ class TestInterpolant:
         pred = model.predict_batch(data.sites)
         assert np.max(np.abs(pred - data.targets)) <= 1e-8
         # the equilibrium site is the first row and maps to target zero
-        assert abs(model.linearize(data.sites[0])[0][0]) <= 1e-8
+        assert abs(model.linearize(data.sites[:1])[0][0, 0]) <= 1e-8
 
     def test_jacobian_matches_finite_difference(self, fit_101):
         _, model = fit_101
         rng = np.random.default_rng(9)
         xi = rng.uniform(-0.05, 0.3, size=4)
-        _, jac = model.linearize(xi)
+        jac = model.linearize(xi[None])[1][0]
         h = 1e-6
         fd = np.zeros_like(jac)
         for j in range(xi.size):

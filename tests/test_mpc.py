@@ -46,7 +46,12 @@ def _zero_dynamics() -> FunctionDynamics:
 
 def _cost(f, x0, u_seq, weights) -> float:
     """Open-loop cost of one sequence, as a batch of one."""
-    return float(cost_J_batch(f, x0, np.asarray(u_seq, dtype=float)[None], weights)[0])
+    return float(cost_J_batch(f, np.asarray(x0, dtype=float)[None], np.asarray(u_seq, dtype=float)[None], weights)[0])
+
+
+def _solo(gradient, f, x0, u_seq, weights) -> np.ndarray:
+    """Gradient of one sequence, as a batch of one."""
+    return gradient(f, np.asarray(x0, dtype=float)[None], np.asarray(u_seq, dtype=float)[None], weights)[0]
 
 
 def _stepwise_cost(f, x0, u_seq, weights) -> float:
@@ -59,13 +64,12 @@ def _stepwise_cost(f, x0, u_seq, weights) -> float:
     return total
 
 
-def _config(horizon: int, lo: float = -10.0, hi: float = 10.0, **solver_kw) -> MpcConfig:
+def _config(horizon: int, lo: float = -10.0, hi: float = 10.0) -> MpcConfig:
     return MpcConfig(
         horizon=horizon,
         weights=WEIGHTS,
         input_box=Box(lo=np.array([lo]), hi=np.array([hi])),
         dims=DIMS,
-        solver=SolverConfig(**solver_kw),
     )
 
 
@@ -103,6 +107,13 @@ class TestStageCost:
         with pytest.raises(ValueError):
             StageCostWeights(Q=np.array([[1.0, 0.0, 0.0]]), R=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(ValueError, match="Q must be finite"):
+            StageCostWeights(Q=bad, R=1.0)
+        with pytest.raises(ValueError, match="R must be finite"):
+            StageCostWeights(Q=1.0, R=np.array([[1.0, bad], [bad, 1.0]]))
+
 
 class TestCostJ:
     def test_origin_rest_costs_nothing(self):
@@ -133,7 +144,7 @@ class TestCostJ:
         rng = np.random.default_rng(3)
         x0 = rng.standard_normal(3)
         U = rng.standard_normal((8, 5, 1))
-        batched = cost_J_batch(f, x0, U, WEIGHTS)
+        batched = cost_J_batch(f, np.tile(x0, (8, 1)), U, WEIGHTS)
         singles = [_stepwise_cost(f, x0, U[i], WEIGHTS) for i in range(8)]
         assert_allclose(batched, singles, rtol=1e-12)
 
@@ -152,7 +163,7 @@ class TestGradient:
         f = _zero_dynamics()
         rng = np.random.default_rng(5)
         u = rng.standard_normal((7, 1))
-        grad = cost_gradient(f, rng.standard_normal(3), u, WEIGHTS)
+        grad = _solo(cost_gradient, f, rng.standard_normal(3), u, WEIGHTS)
         assert_allclose(grad, 2.0 * 0.1 * u, rtol=1e-13)
 
     def test_matches_finite_difference_linear(self):
@@ -161,8 +172,8 @@ class TestGradient:
         for _ in range(10):
             x0 = rng.standard_normal(3)
             u = rng.uniform(-1.0, 1.0, size=(4, 1))
-            g = cost_gradient(f, x0, u, WEIGHTS)
-            g_fd = finite_difference_gradient(f, x0, u, WEIGHTS)
+            g = _solo(cost_gradient, f, x0, u, WEIGHTS)
+            g_fd = _solo(finite_difference_gradient, f, x0, u, WEIGHTS)
             assert_allclose(g, g_fd, rtol=0.0, atol=1e-7)
 
     def test_matches_finite_difference_surrogate(self, fit_101, mpc_cfg):
@@ -171,8 +182,8 @@ class TestGradient:
         rng = np.random.default_rng(7)
         x0 = rng.uniform(-0.05, 0.2, size=3)
         u = rng.uniform(-0.05, 0.2, size=(5, 1))
-        g = cost_gradient(f, x0, u, mpc_cfg.weights)
-        g_fd = finite_difference_gradient(f, x0, u, mpc_cfg.weights)
+        g = _solo(cost_gradient, f, x0, u, mpc_cfg.weights)
+        g_fd = _solo(finite_difference_gradient, f, x0, u, mpc_cfg.weights)
         denom = max(float(np.linalg.norm(g_fd)), 1e-12)
         assert float(np.linalg.norm(g - g_fd)) / denom <= 1e-4
 
@@ -181,14 +192,14 @@ class TestGradient:
         from narxmpc import SolverError
 
         with pytest.raises(SolverError):
-            cost_gradient(f, np.zeros(3), np.zeros((2, 1)), WEIGHTS)
+            cost_gradient(f, np.zeros((1, 3)), np.zeros((1, 2, 1)), WEIGHTS)
 
     def test_vanishes_at_interior_optimum(self):
         f = _linear_dynamics(0.8, 0.5)
         cfg = _config(4)
         sol = solve_ocp(f, np.array([0.5, 0.0, 0.0]), cfg)
         assert sol.converged
-        g = cost_gradient(f, np.array([0.5, 0.0, 0.0]), sol.u_star, WEIGHTS)
+        g = _solo(cost_gradient, f, np.array([0.5, 0.0, 0.0]), sol.u_star, WEIGHTS)
         assert np.max(np.abs(g)) <= 1e-6
 
 
@@ -242,13 +253,6 @@ class TestSolveOcp:
         for _ in range(10):
             sol = solve_ocp(f, rng.standard_normal(3), _config(3))
             assert sol.value >= 0.0
-
-    def test_multistart_reports_spread(self):
-        f = _linear_dynamics(0.8, 0.5)
-        cfg = _config(3, multistart=3, seed=4, max_iters=2000)
-        sol = solve_ocp(f, np.array([0.4, 0.0, 0.0]), cfg)
-        assert sol.converged
-        assert sol.multistart_spread >= 0.0
 
 
 class TestClosedLoop:
@@ -329,10 +333,6 @@ class TestConfigValidation:
     def test_solver_bounds(self):
         with pytest.raises(ValueError):
             SolverConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            SolverConfig(armijo=1.5)
-        with pytest.raises(ValueError):
-            SolverConfig(grad_tol=0.0)
 
     def test_horizon_positive(self):
         with pytest.raises(ValueError):

@@ -99,7 +99,7 @@ def test_linearize_matches_predict_batch_and_central_differences(
         xi = model.data.sites[rng.integers(size)].copy()
     else:
         xi = rng.uniform(-0.2, 1.2, size=input_dim)
-    value, jac = model.linearize(xi)
+    value, jac = (part[0] for part in model.linearize(xi[None]))
     assert value.shape == (p,) and jac.shape == (p, input_dim)
     assert_array_equal(value, model.predict_batch(xi)[0])
     h = 1e-6 * lengthscale
@@ -396,8 +396,7 @@ class CountingDynamics(FunctionDynamics):
         return super().rollout_batch(X0, U_seq)
 
     def linearize(self, x, u):
-        if np.ndim(x) > 1:
-            self.calls["linearize"] += 1
+        self.calls["linearize"] += 1
         return super().linearize(x, u)
 
 
@@ -421,7 +420,7 @@ def _random_dynamics(rng, dims: NarxDims, linear: bool, differentiable: bool = T
     return CountingDynamics(dims, fn, jacobian_fn if differentiable else None)
 
 
-def _random_problem(rng, p, m, nu, horizon, multistart):
+def _random_problem(rng, p, m, nu, horizon):
     dims = NarxDims(p=p, m=m, nu=nu)
     lo = -rng.uniform(0.1, 1.0, size=m)
     return MpcConfig(
@@ -429,7 +428,7 @@ def _random_problem(rng, p, m, nu, horizon, multistart):
         weights=StageCostWeights(Q=rng.uniform(0.5, 2.0, size=p), R=rng.uniform(0.05, 1.0, size=m)),
         input_box=Box(lo, -lo * rng.uniform(0.5, 2.0, size=m)),
         dims=dims,
-        solver=SolverConfig(max_iters=25, multistart=multistart, seed=int(rng.integers(100))),
+        solver=SolverConfig(max_iters=25),
     )
 
 
@@ -441,17 +440,16 @@ def _random_problem(rng, p, m, nu, horizon, multistart):
     nu=st.integers(1, 3),
     horizon=st.integers(1, 4),
     rows=st.integers(1, 6),
-    multistart=st.integers(1, 2),
     warm_rows=st.sampled_from(["none", "some", "all"]),
     poisoned=st.booleans(),
 )
 def test_solve_ocp_batch_rows_equal_solo_solves(
-    seed, kind, p, m, nu, horizon, rows, multistart, warm_rows, poisoned
+    seed, kind, p, m, nu, horizon, rows, warm_rows, poisoned
 ):
-    """Every row of a lockstep solve is its solo solve, bit for bit; a row
-    whose start cost is not finite fails alone."""
+    """Every row of a lockstep solve is its batch of one, bit for bit; a
+    row whose start cost is not finite fails alone."""
     rng = np.random.default_rng(seed)
-    cfg = _random_problem(rng, p, m, nu, horizon, multistart)
+    cfg = _random_problem(rng, p, m, nu, horizon)
     f = _random_dynamics(rng, cfg.dims, kind == "linear", differentiable=kind != "tanh_fd")
     X0 = rng.uniform(-1.0, 1.0, size=(rows, cfg.dims.n))
     if poisoned:
@@ -476,7 +474,6 @@ def test_solve_ocp_batch_rows_equal_solo_solves(
         assert got.iterations == solo.iterations
         assert got.grad_norm == solo.grad_norm
         assert got.converged == solo.converged
-        assert got.multistart_spread == solo.multistart_spread
 
 
 @given(seed=seeds, rows=st.sampled_from([1, 2, 7, 50, 65, 129]), p=st.integers(1, 2), input_dim=st.integers(1, 5))
@@ -492,9 +489,9 @@ def test_batched_kernel_rows_equal_single_rows(seed, rows, p, input_dim):
     assert_array_equal(lin_values, values)
     for i in range(rows):
         assert_array_equal(values[i], model.predict_batch(Xi[i])[0])
-        value, jac = model.linearize(Xi[i])
-        assert_array_equal(lin_values[i], value)
-        assert_array_equal(jacobians[i], jac)
+        value, jac = model.linearize(Xi[i : i + 1])
+        assert_array_equal(lin_values[i], value[0])
+        assert_array_equal(jacobians[i], jac[0])
 
 
 @given(
@@ -510,7 +507,7 @@ def test_linearize_outputs_and_sweep_costs_equal_the_rollout(seed, kind, p, m, n
     """``linearize`` gives the outputs of ``output_batch`` bit for bit, so
     the costs of a forward sweep are the costs of ``cost_J_batch``: the
     solver takes every cost from a sweep."""
-    cfg = _random_problem(np.random.default_rng(seed), p, m, nu, horizon, 1)
+    cfg = _random_problem(np.random.default_rng(seed), p, m, nu, horizon)
     dims = cfg.dims
     assume(kind == "function" or dims.n + m <= 5)
     rng = np.random.default_rng(seed + 1)
@@ -524,7 +521,7 @@ def test_linearize_outputs_and_sweep_costs_equal_the_rollout(seed, kind, p, m, n
     outputs, _, _ = f.linearize(X, U[:, 0])
     assert_array_equal(outputs, f.output_batch(X, U[:, 0]))
     for i in range(rows):
-        assert_array_equal(f.linearize(X[i], U[i, 0])[0], f.output(X[i], U[i, 0]))
+        assert_array_equal(f.linearize(X[i : i + 1], U[i : i + 1, 0])[0][0], f.output(X[i], U[i, 0]))
     sweep = forward_sweep(f, X, U)
     costs = np.sum(stage_cost(sweep.outputs, U, cfg.weights), axis=1)
     assert_array_equal(costs, cost_J_batch(f, X, U, cfg.weights))
@@ -540,7 +537,7 @@ def test_linearize_outputs_and_sweep_costs_equal_the_rollout(seed, kind, p, m, n
 )
 def test_batched_cost_gradient_matches_central_differences(seed, p, m, nu, horizon, rows):
     rng = np.random.default_rng(seed)
-    cfg = _random_problem(rng, p, m, nu, horizon, 1)
+    cfg = _random_problem(rng, p, m, nu, horizon)
     f = _random_dynamics(rng, cfg.dims, linear=False)
     X0 = rng.uniform(-1.0, 1.0, size=(rows, cfg.dims.n))
     U = rng.uniform(-1.0, 1.0, size=(rows, horizon, m))
@@ -548,24 +545,27 @@ def test_batched_cost_gradient_matches_central_differences(seed, p, m, nu, horiz
     assert grad.shape == U.shape
     h = 1e-6
     for i in range(rows):
-        assert_array_equal(grad[i], cost_gradient(f, X0[i], U[i], cfg.weights))
+        assert_array_equal(grad[i], cost_gradient(f, X0[i : i + 1], U[i : i + 1], cfg.weights)[0])
         steps = h * np.eye(horizon * m).reshape(-1, horizon, m)
-        plus = cost_J_batch(f, X0[i], U[i] + steps, cfg.weights)
-        minus = cost_J_batch(f, X0[i], U[i] - steps, cfg.weights)
+        x0 = np.tile(X0[i], (horizon * m, 1))
+        plus = cost_J_batch(f, x0, U[i] + steps, cfg.weights)
+        minus = cost_J_batch(f, x0, U[i] - steps, cfg.weights)
         central = ((plus - minus) / (2.0 * h)).reshape(horizon, m)
         assert_allclose(grad[i], central, rtol=1e-6, atol=1e-6)
 
 
 def _scalar_descent(f, x0, cfg, start):
     """Two-metric projected quasi-Newton descent written out for one
-    problem: Python branches, 2-D products and one line search at a time."""
-    solver, box, weights = cfg.solver, cfg.input_box, cfg.weights
+    problem: Python branches, 2-D products and one line search at a time.
+    Costs and gradients are batches of one."""
+    box, weights = cfg.input_box, cfg.weights
     gradient = cost_gradient if f.differentiable else finite_difference_gradient
     shape = start.shape
     lo, hi = np.tile(box.lo, shape[0]), np.tile(box.hi, shape[0])
+    X0 = x0[None]
 
     def cost(u):
-        return float(cost_J_batch(f, x0, u.reshape(1, *shape), weights)[0])
+        return float(cost_J_batch(f, X0, u.reshape(1, *shape), weights)[0])
 
     u = np.clip(start.ravel(), lo, hi)
     value = cost(u)
@@ -573,8 +573,8 @@ def _scalar_descent(f, x0, cfg, start):
     H, scale, fresh = np.eye(k), 1.0, True
     grad_norm = decrease = np.inf
     iterations, converged = 0, False
-    for it in range(solver.max_iters):
-        g = gradient(f, x0, u.reshape(shape), weights).ravel()
+    for it in range(cfg.solver.max_iters):
+        g = gradient(f, X0, u.reshape(1, *shape), weights).ravel()
         if it:
             y = g - g_old
             sy = s @ y
@@ -603,7 +603,7 @@ def _scalar_descent(f, x0, cfg, start):
         d = np.where(active, g, d)
         g_active = np.where(active, g, 0.0)
         decrease = float(slope + g_active @ (u - np.clip(u - d, lo, hi)))
-        if grad_norm <= solver.grad_tol or decrease <= NOISE_FLOOR * abs(value):
+        if grad_norm <= mpc.GRAD_TOL or decrease <= NOISE_FLOOR * abs(value):
             converged = True
             break
         iterations += 1
@@ -611,10 +611,10 @@ def _scalar_descent(f, x0, cfg, start):
         while t >= 1e-18:
             cand = np.clip(u - t * d, lo, hi)
             cand_value = cost(cand)
-            sufficient = solver.armijo * (t * slope + g_active @ (u - cand))
+            sufficient = mpc.ARMIJO * (t * slope + g_active @ (u - cand))
             if np.isfinite(cand_value) and cand_value <= value - sufficient:
                 break
-            t *= solver.shrink
+            t *= mpc.SHRINK
         else:
             break
         s, g_old = cand - u, g
@@ -630,16 +630,13 @@ def _scalar_descent(f, x0, cfg, start):
     nu=st.integers(1, 3),
     horizon=st.integers(1, 4),
     max_iters=st.integers(1, 40),
-    armijo=st.sampled_from([1e-4, 0.5, 0.9]),
 )
-def test_solo_solve_equals_the_scalar_descent(seed, kind, p, m, nu, horizon, max_iters, armijo):
+def test_solo_solve_equals_the_scalar_descent(seed, kind, p, m, nu, horizon, max_iters):
     """A batch of one takes the iterates, curvature updates, stopping tests
-    and step lengths of the plain scalar descent, bit for bit.  Large
-    ``armijo`` constants make every term of the sufficient-decrease test
-    decide some steps."""
+    and step lengths of the plain scalar descent, bit for bit."""
     rng = np.random.default_rng(seed)
-    cfg = _random_problem(rng, p, m, nu, horizon, 1)
-    cfg = replace(cfg, solver=replace(cfg.solver, max_iters=max_iters, armijo=armijo))
+    cfg = _random_problem(rng, p, m, nu, horizon)
+    cfg = replace(cfg, solver=replace(cfg.solver, max_iters=max_iters))
     f = _random_dynamics(rng, cfg.dims, kind == "linear", differentiable=kind != "tanh_fd")
     x0 = rng.uniform(-1.0, 1.0, size=cfg.dims.n)
     start = rng.uniform(-1.0, 1.0, size=(horizon, m))
@@ -675,7 +672,7 @@ def test_a_solve_evaluates_each_cost_by_one_sweep(seed, kind, p, m, nu, horizon,
     Without Jacobians the solve still goes through ``cost_J_batch`` and
     ``finite_difference_gradient``."""
     rng = np.random.default_rng(seed)
-    cfg = _random_problem(rng, p, m, nu, horizon, 1)
+    cfg = _random_problem(rng, p, m, nu, horizon)
     cfg = replace(cfg, solver=replace(cfg.solver, max_iters=max_iters))
     f = _random_dynamics(rng, cfg.dims, kind == "linear", differentiable=kind != "tanh_fd")
     x0 = rng.uniform(-1.0, 1.0, size=cfg.dims.n)
@@ -717,7 +714,7 @@ def test_solves_meet_a_stopping_test_and_never_lose_value(
     """A converged solve meets the gradient test or the noise-floor test at
     its returned sequence, whose value is at most its start's value."""
     rng = np.random.default_rng(seed)
-    cfg = _random_problem(rng, p, m, nu, horizon, 1)
+    cfg = _random_problem(rng, p, m, nu, horizon)
     cfg = replace(cfg, solver=replace(cfg.solver, max_iters=max_iters))
     f = _random_dynamics(rng, cfg.dims, kind == "linear", differentiable=kind != "tanh_fd")
     gradient = cost_gradient if f.differentiable else finite_difference_gradient
@@ -727,15 +724,15 @@ def test_solves_meet_a_stopping_test_and_never_lose_value(
     start_values = cost_J_batch(f, X0, np.clip(warm, box.lo, box.hi), cfg.weights)
     for i, sol in enumerate(solve_ocp_batch(f, X0, cfg, warm)):
         assert sol.value <= start_values[i]
-        assert sol.value == cost_J_batch(f, X0[i], sol.u_star[None], cfg.weights)[0]
+        assert sol.value == cost_J_batch(f, X0[i : i + 1], sol.u_star[None], cfg.weights)[0]
         if sol.iterations < max_iters:
             # The stopping quantities were taken at u_star itself.
-            g = gradient(f, X0[i], sol.u_star, cfg.weights)
+            g = gradient(f, X0[i : i + 1], sol.u_star[None], cfg.weights)[0]
             pg = sol.u_star - np.clip(sol.u_star - g, box.lo, box.hi)
             assert sol.grad_norm == np.linalg.norm(pg)
         if sol.converged:
             assert sol.iterations < max_iters
-            assert sol.grad_norm <= cfg.solver.grad_tol or (
+            assert sol.grad_norm <= mpc.GRAD_TOL or (
                 0.0 <= sol.predicted_decrease <= NOISE_FLOOR * abs(sol.value)
             )
 
@@ -758,7 +755,7 @@ def test_growth_bounds_are_prefix_costs_of_one_solve_per_state(
     state i's solution, every row is nondecreasing in N bit for bit, and a
     state whose solve fails leaves a NaN row and counts as one failure."""
     rng = np.random.default_rng(seed)
-    cfg = _random_problem(rng, p, m, nu, 1, 1)
+    cfg = _random_problem(rng, p, m, nu, 1)
     f = _random_dynamics(rng, cfg.dims, kind == "linear", differentiable=kind != "tanh_fd")
     states = rng.uniform(-1.0, 1.0, size=(rows, cfg.dims.n))
     norms_sq = np.einsum("ij,ij->i", states, states)
@@ -784,7 +781,7 @@ def test_growth_bounds_are_prefix_costs_of_one_solve_per_state(
         assert growth.iterations[i] == sol.iterations
         assert np.all(np.diff(growth.ratios[i]) >= 0.0)
         prefix = [
-            cost_J_batch(f, states[i], sol.u_star[None, :horizon], cfg.weights)[0]
+            cost_J_batch(f, states[i : i + 1], sol.u_star[None, :horizon], cfg.weights)[0]
             for horizon in range(1, n_max + 1)
         ]
         # The running sum and np.sum add in different orders from N = 8 on.

@@ -84,6 +84,12 @@ class TestRhs:
         with pytest.raises(ValueError):
             TwoTankParams(dt=-1.0)
 
+    @pytest.mark.parametrize("name", ["A1", "c12", "c2", "dt"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_params_rejected(self, name, bad):
+        with pytest.raises(ValueError, match="finite"):
+            TwoTankParams(**{name: bad})
+
 
 class TestRk4:
     def test_zero_rhs_is_identity(self):
@@ -304,6 +310,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             BenchmarkConfig(u_lo=1e-5)
 
+    @pytest.mark.parametrize("name", ["q_weight", "r_weight", "u_lo", "u_hi", "dt", "sigma", "jitter", "h0"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_settings_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            BenchmarkConfig(**{name: bad})
+
 
 class TestGenerateDataset:
     def test_single_site_is_equilibrium(self, cfg):
@@ -405,6 +417,12 @@ class TestSampling:
         raw = cfg.normalization().denormalize_state(states, cfg.dims)
         assert np.all(raw[:, 0] >= cfg.y_lo) and np.all(raw[:, 0] <= cfg.y_hi)
         assert np.all(raw[:, 2] >= cfg.u_lo) and np.all(raw[:, 2] <= cfg.u_hi)
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_samplers_need_a_state(self, cfg, count):
+        for sampler in (sample_state_grid, sample_consistent_states):
+            with pytest.raises(ValueError, match="need at least one state"):
+                sampler(cfg, count, seed=35)
 
     def test_domain_sampler(self, cfg):
         X, U = sample_domain(cfg, 50, seed=37)
