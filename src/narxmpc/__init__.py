@@ -6,7 +6,6 @@ from .narx import (
     AffineNormalization,
     Box,
     DimensionMismatchError,
-    FunctionDynamics,
     NarxDims,
     NarxDynamics,
     build_regressor,
@@ -64,7 +63,6 @@ from .twotank import (
     equilibrium_levels,
     generate_dataset,
     reconstruct_hidden_level,
-    rk4_step,
     sample_consistent_states,
     sample_state_grid,
     two_tank_rhs,

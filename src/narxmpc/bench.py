@@ -124,7 +124,7 @@ def simulate_loop(cfg: BenchmarkConfig, model: KernelInterpolant) -> ClosedLoopT
     x0, _ = cfg.initial_condition()
     return run_closed_loop(
         stateful,
-        model.as_dynamics(),
+        model,
         mpc_cfg,
         x0,
         cfg.steps,
@@ -139,7 +139,6 @@ def certify_trace(
     trace: ClosedLoopTrace,
     b_states: int = GROWTH_STATES,
     b_horizon: int = GROWTH_HORIZON,
-    margin: float = 0.0,
     model_tag: str = "surrogate",
 ) -> tuple[GrowthBoundEstimate, StabilityReport]:
     """Certify stage: growth bounds of the surrogate on the standard state
@@ -148,13 +147,10 @@ def certify_trace(
     require_applied_step(trace)
     mpc_cfg = make_mpc_config(cfg)
     grid = sample_state_grid(cfg, b_states, seed=cfg.seed + 29, min_norm=1e-3)
-    growth = estimate_growth_bound(
-        model.as_dynamics(), mpc_cfg, grid, b_horizon, model_tag=model_tag
-    )
+    growth = estimate_growth_bound(model, mpc_cfg, grid, b_horizon, model_tag=model_tag)
     report = verify_decrease(
         trace,
         storage_matrix(cfg.dims, mpc_cfg.weights),
-        margin_fraction=margin,
         growth=growth,
         model_tag=model_tag,
         max_iters=mpc_cfg.solver.max_iters,
@@ -182,10 +178,6 @@ class BenchmarkArm:
     growth: GrowthBoundEstimate
     report: StabilityReport
     timings: dict = field(default_factory=dict)
-
-    @property
-    def fill(self) -> float:
-        return self.fit_entries["fill_distance"]
 
     def run_record(self) -> dict:
         """Stage wall times (s, rounded to ms) and solver totals of the arm:
@@ -320,10 +312,14 @@ def run_benchmark(
 ) -> BenchmarkResult:
     """Run every benchmark arm and optionally write the artifact bundle.
 
-    Returns the in-memory result; when ``out_dir`` is given, writes per
-    size the dataset, model, fit report, normalized and raw traces and
+    Each size runs once; a repeated size raises ``ValueError``.  Returns
+    the in-memory result; when ``out_dir`` is given, writes per size the
+    dataset, model, fit report, normalized and raw traces and
     the stability report, plus the combined comparison table.
     """
+    repeated = [d for i, d in enumerate(sizes) if d in sizes[:i]]
+    if repeated:
+        raise ValueError(f"dataset size {repeated[0]} is given more than once")
     arms = {d: run_arm(cfg, d, b_states, b_horizon, progress) for d in sizes}
     header, table = comparison_table(cfg, arms)
     result = BenchmarkResult(cfg=cfg, arms=arms, comparison_header=header, comparison=table)

@@ -115,12 +115,27 @@ def _manifest(args, command: str, cfg: BenchmarkConfig | None, outputs: list[Pat
     write_manifest(args.out / "manifest.json", entries)
 
 
+def _require_config_coordinates(artifact, path, cfg: BenchmarkConfig) -> None:
+    """Raise ``ConfigError`` unless a loaded dataset or model has the
+    configuration's dimensions and normalization.  Sidecars store floats
+    at 17 digits, so the arrays of a matching file compare equal."""
+    if artifact.dims != cfg.dims:
+        raise ConfigError(
+            f"{path}: dimensions {artifact.dims} do not match the configuration {cfg.dims}"
+        )
+    expected = cfg.normalization()
+    for name in ("y_ref", "y_scale", "u_ref", "u_scale"):
+        stored, wanted = getattr(artifact.normalization, name), getattr(expected, name)
+        if not np.array_equal(stored, wanted):
+            raise ConfigError(
+                f"{path}: normalization {name} = {stored.tolist()} does not match "
+                f"the configuration's {wanted.tolist()}"
+            )
+
+
 def _load_model(path, cfg: BenchmarkConfig):
     model = load_model(path)
-    if model.dims != cfg.dims:
-        raise ConfigError(
-            f"model dimensions {model.dims} do not match the configuration {cfg.dims}"
-        )
+    _require_config_coordinates(model, path, cfg)
     return model
 
 
@@ -140,6 +155,7 @@ def cmd_fit(args) -> int:
     started = time.time()
     cfg = _build_config(args, sigma=args.sigma, jitter=args.jitter)
     data = load_dataset(args.data)
+    _require_config_coordinates(data, args.data, cfg)
     model, entries = fit_model(cfg, data)
     args.out.mkdir(parents=True, exist_ok=True)
     model_path = args.out / "model.csv"
@@ -196,9 +212,7 @@ def cmd_certify(args) -> int:
     trace = load_trace(args.trace, cfg.dims, cfg.horizon, cfg.normalization())
     timings = {"load": time.perf_counter() - tic}
     tic = time.perf_counter()
-    growth, report = certify_trace(
-        cfg, model, trace, args.b_states, args.b_horizon, margin=args.margin
-    )
+    growth, report = certify_trace(cfg, model, trace, args.b_states, args.b_horizon)
     timings["certify"] = time.perf_counter() - tic
     args.out.mkdir(parents=True, exist_ok=True)
     report_path = args.out / "stability_report.txt"
@@ -276,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", type=Path, required=True, help="fitted model CSV")
     sp.add_argument("--trace", type=Path, required=True, help="normalized trace CSV")
     _add_growth_grid(sp)
-    sp.add_argument("--margin", type=float, default=0.0, help="certified-alpha safety margin")
     sp.set_defaults(fn=cmd_certify)
 
     sp = sub.add_parser("benchmark", help="full two-dataset comparison")

@@ -306,7 +306,6 @@ def save_stability_report(report, path_txt, path_csv=None) -> None:
         "steps": report.steps,
         "horizon": report.horizon,
         "deadband": report.deadband,
-        "margin_fraction": report.margin_fraction,
         "eta": report.eta,
         "sigma_min": report.sigma_min,
         "active_steps": report.active_steps,
@@ -316,7 +315,6 @@ def save_stability_report(report, path_txt, path_csv=None) -> None:
     }
     if report.alpha is not None:
         entries["alpha"] = report.alpha
-        entries["alpha_certified"] = report.alpha_certified
     if report.first_violation is not None:
         entries["first_violation"] = report.first_violation
     if report.gamma_bar is not None:
@@ -360,7 +358,6 @@ CONFIG_KEYS = {
     "N": ("horizon", int),
     "Q": ("q_weight", float),
     "R": ("r_weight", float),
-    "nu": ("nu", int),
     "steps": ("steps", int),
     "seed": ("seed", int),
     "u_lo": ("u_lo", float),

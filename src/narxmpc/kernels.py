@@ -288,8 +288,12 @@ def _refined_solve(store: np.ndarray, diagonal: float, rhs: np.ndarray) -> np.nd
     return x
 
 
-class KernelInterpolant:
+class KernelInterpolant(NarxDynamics):
     """Interpolant ``F(xi) = sum_i alpha_i phi(||xi - xi_i|| / sigma)``.
+
+    The interpolant is the surrogate NARX dynamics itself: a site is a
+    regressor-input pair ``xi = [x; u]``, so :meth:`output_batch` and
+    :meth:`linearize` evaluate it on rows of ``x`` and ``u``.
 
     Fitted by :func:`fit_interpolant`, which leaves the Gram matrix and
     its Cholesky factor in the one D x D array ``store``: the factor in
@@ -342,16 +346,29 @@ class KernelInterpolant:
             values[a : a + _BLOCK] = np.matmul(Kx[:, None, :], self.coefficients)[:, 0]
         return values
 
-    def linearize(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values (B, p) and Jacobians (B, p, n + m) at rows ``xi`` (B, n + m).
+    def output_batch(self, X: np.ndarray, U: np.ndarray) -> np.ndarray:
+        """Interpolant values at the sites ``[X, U]`` (:meth:`predict_batch`)."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        U = np.atleast_2d(np.asarray(U, dtype=float))
+        return self.predict_batch(np.hstack([X, U]))
+
+    @property
+    def differentiable(self) -> bool:
+        return True
+
+    def linearize(
+        self, x: np.ndarray, u: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Values (B, p) and Jacobians (B, p, n) and (B, p, m) at rows ``x``
+        (B, n) and ``u`` (B, m).
 
         The radii come from the distance routine of :meth:`predict_batch`,
         so the values equal its values bit for bit, and each row equals
         its batch of one.  The Jacobian uses ``phi'(r)/r`` directly, so it
-        is exact (zero radial contribution) when ``xi`` coincides with a
-        site.
+        is exact (zero radial contribution) when ``[x, u]`` coincides with
+        a site.
         """
-        xi = np.asarray(xi, dtype=float)
+        xi = np.concatenate([np.asarray(x, dtype=float), np.asarray(u, dtype=float)], axis=-1)
         r = cdist(xi, self.data.sites) / self.spec.lengthscale
         one_minus, fourth = _wendland_terms(r)
         # phi'(r) / (r sigma^2) = -(1 - r)^4 / sigma^2, taken before the
@@ -360,7 +377,8 @@ class KernelInterpolant:
         value = np.matmul(_profile(r, one_minus, fourth)[:, None, :], self.coefficients)[:, 0]
         diffs = self.data.sites - xi[:, None, :]
         jac = -np.matmul((self.coefficients * w[:, :, None]).transpose(0, 2, 1), diffs)
-        return value, jac
+        n = self.dims.n
+        return value, jac[..., :n], jac[..., n:]
 
     def power_function(self, Xi: np.ndarray) -> np.ndarray:
         """Pointwise error certificate ``P(xi)`` at rows of ``Xi``.
@@ -393,31 +411,10 @@ class KernelInterpolant:
         quad = np.einsum("ij,ij->j", self.data.targets, self.coefficients)
         return float(np.sqrt(np.sum(np.clip(quad, 0.0, None))))
 
-    def as_dynamics(self) -> "KernelSurrogateDynamics":
-        """View the interpolant as NARX dynamics on ``[x; u]`` sites."""
-        return KernelSurrogateDynamics(self)
-
-
-class KernelSurrogateDynamics(NarxDynamics):
-    """Kernel interpolant exposed as differentiable NARX dynamics."""
-
-    def __init__(self, model: KernelInterpolant):
-        self.model = model
-        self.dims = model.dims
-
-    def output_batch(self, X, U):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        return self.model.predict_batch(np.hstack([X, U]))
-
-    @property
-    def differentiable(self) -> bool:
-        return True
-
-    def linearize(self, x, u):
-        xi = np.concatenate([np.asarray(x, dtype=float), np.asarray(u, dtype=float)], axis=-1)
-        y, J = self.model.linearize(xi)
-        return y, J[..., : self.dims.n], J[..., self.dims.n :]
+    def as_dynamics(self) -> "KernelInterpolant":
+        """The model itself, which is the surrogate dynamics."""
+        # Kept because perfbench/workloads.py calls it; nothing in src/ does.
+        return self
 
 
 def fit_interpolant(spec: KernelSpec, data: Dataset, jitter: float = 0.0) -> KernelInterpolant:
@@ -508,7 +505,7 @@ class ErrorConstants:
 
 def estimate_error_constants(
     truth: NarxDynamics,
-    model: KernelInterpolant | NarxDynamics,
+    model: NarxDynamics,
     X: np.ndarray,
     U: np.ndarray,
 ) -> ErrorConstants:
@@ -523,8 +520,7 @@ def estimate_error_constants(
     Parameters
     ----------
     truth, model : NarxDynamics
-        The reference map and the surrogate; a ``KernelInterpolant`` is
-        accepted for the surrogate and viewed as dynamics.
+        The reference map and the surrogate.
     X : array, shape (S, n)
     U : array, shape (S, m)
         Evaluation samples in normalized coordinates, S >= 100.
@@ -535,8 +531,6 @@ def estimate_error_constants(
 def _residuals(truth, model, X, U) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Residual norms of the surrogate against the reference map on the
     samples, with the norms of the states and the inputs."""
-    if isinstance(model, KernelInterpolant):
-        model = model.as_dynamics()
     X = np.atleast_2d(np.asarray(X, dtype=float))
     U = np.atleast_2d(np.asarray(U, dtype=float))
     if X.shape[0] != U.shape[0]:
@@ -598,7 +592,7 @@ def _constants_from(residual, x_norm, u_norm) -> ErrorConstants:
 def validate_error_constants(
     constants: ErrorConstants,
     truth: NarxDynamics,
-    model: KernelInterpolant | NarxDynamics,
+    model: NarxDynamics,
     X: np.ndarray,
     U: np.ndarray,
 ) -> dict:
@@ -628,18 +622,9 @@ def validate_error_constants(
     }
 
 
-def estimate_lipschitz(
-    model: KernelInterpolant | NarxDynamics,
-    Xi_a: np.ndarray,
-    Xi_b: np.ndarray,
-) -> float:
-    """Largest difference quotient of the surrogate over sampled site pairs."""
-    if isinstance(model, KernelInterpolant):
-        predict = model.predict_batch
-    else:
-        dyn = model
-        n = dyn.dims.n
-        predict = lambda Xi: dyn.output_batch(Xi[:, :n], Xi[:, n:])
+def estimate_lipschitz(model: NarxDynamics, Xi_a: np.ndarray, Xi_b: np.ndarray) -> float:
+    """Largest difference quotient of the surrogate over sampled site pairs
+    ``[x; u]``, which split into regressor and input at ``model.dims.n``."""
     Xi_a = np.atleast_2d(np.asarray(Xi_a, dtype=float))
     Xi_b = np.atleast_2d(np.asarray(Xi_b, dtype=float))
     if Xi_a.shape != Xi_b.shape:
@@ -648,5 +633,9 @@ def estimate_lipschitz(
     keep = gaps > 1e-12
     if not np.any(keep):
         return 0.0
-    diffs = np.linalg.norm(predict(Xi_a[keep]) - predict(Xi_b[keep]), axis=1)
+    n = model.dims.n
+    a, b = Xi_a[keep], Xi_b[keep]
+    diffs = np.linalg.norm(
+        model.output_batch(a[:, :n], a[:, n:]) - model.output_batch(b[:, :n], b[:, n:]), axis=1
+    )
     return float(np.max(diffs / gaps[keep]))

@@ -196,37 +196,6 @@ def rollout_arrays(
     return X0, U_seq
 
 
-class FunctionDynamics(NarxDynamics):
-    """Wrap a plain callable ``f(x, u) -> y_next`` as :class:`NarxDynamics`.
-
-    ``jacobian_fn(x, u)``, when given, returns the output Jacobians
-    ``(dy/dx, dy/du)`` and makes the dynamics differentiable.
-    """
-
-    def __init__(self, dims, fn, jacobian_fn=None):
-        self.dims = dims
-        self._fn = fn
-        self._jacobian_fn = jacobian_fn
-
-    def _call(self, x, u) -> np.ndarray:
-        return np.atleast_1d(np.asarray(self._fn(x, u), dtype=float))
-
-    def output_batch(self, X, U):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        return np.stack([self._call(x, u) for x, u in zip(X, U)])
-
-    @property
-    def differentiable(self) -> bool:
-        return self._jacobian_fn is not None
-
-    def linearize(self, x, u):
-        if self._jacobian_fn is None:
-            raise NotImplementedError("no Jacobian callable supplied")
-        rows = [(self._call(x_row, u_row), *self._jacobian_fn(x_row, u_row)) for x_row, u_row in zip(x, u)]
-        return tuple(np.array(part, dtype=float) for part in zip(*rows))
-
-
 @dataclass(frozen=True)
 class AffineNormalization:
     """Shift-and-scale map between raw physical units and working coordinates.

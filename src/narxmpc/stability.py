@@ -192,9 +192,8 @@ DEADBAND = 1e-5
 class StabilityReport:
     """Certificate summary for one closed-loop trace.
 
-    ``alpha`` is the largest uniform decrease coefficient observed,
-    ``alpha_certified`` the same after the safety margin, and the decay
-    fit is a least-squares line through the log state errors over the
+    ``alpha`` is the largest uniform decrease coefficient observed, and
+    the decay fit is a least-squares line through the log state errors over the
     initial transient.  ``values`` are the optimal values V of the trace
     as the solver returned them, and ``lyapunov`` is ``V + W``.
     Growth-bound fields are filled when an estimate is supplied.
@@ -206,11 +205,9 @@ class StabilityReport:
     verdict: str
     steps: int
     deadband: float
-    margin_fraction: float
     eta: float
     sigma_min: float
     alpha: float | None
-    alpha_certified: float | None
     first_violation: int | None
     active_steps: int
     decay_rate: float
@@ -276,7 +273,6 @@ def require_applied_step(trace: ClosedLoopTrace) -> None:
 def verify_decrease(
     trace: ClosedLoopTrace,
     storage: StorageMatrix,
-    margin_fraction: float = 0.0,
     growth: GrowthBoundEstimate | None = None,
     model_tag: str = "",
     max_iters: int | None = None,
@@ -286,8 +282,7 @@ def verify_decrease(
     Over every applied step whose state norm exceeds :data:`DEADBAND`,
     the change ``Y(x(k+1)) - Y(x(k))`` must be at most
     ``-alpha ||x(k)||^2`` for a uniform ``alpha > 0``; the report carries
-    the largest such ``alpha``, shrunk by ``margin_fraction`` for the
-    certified value.  States inside the dead-band are treated as
+    the largest such ``alpha``.  States inside the dead-band are treated as
     converged.  Never raises on a failed check; the verdict tells.  A
     trace with no applied step has nothing to certify and raises
     ``ValueError``.
@@ -298,8 +293,6 @@ def verify_decrease(
     estimation grid.  With the solver's iteration cap ``max_iters``, the
     report counts the capped solves of the trace and of the grid.
     """
-    if not 0.0 <= margin_fraction < 1.0:
-        raise ValueError("margin_fraction must lie in [0, 1)")
     require_applied_step(trace)
     states = trace.states
     w_vals = storage_value(states, storage)
@@ -337,11 +330,9 @@ def verify_decrease(
         verdict=verdict,
         steps=k_max,
         deadband=DEADBAND,
-        margin_fraction=margin_fraction,
         eta=storage.eta,
         sigma_min=storage.sigma_min,
         alpha=alpha,
-        alpha_certified=None if alpha is None else alpha * (1.0 - margin_fraction),
         first_violation=first_violation,
         active_steps=int(np.sum(active)),
         decay_rate=slope,

@@ -79,31 +79,12 @@ def two_tank_rhs(h1, h2, u, params: TwoTankParams):
     return q12 - q2, np.asarray(u, dtype=float) / params.A1 - q12
 
 
-def rk4_step(rhs, state, u, dt: float) -> np.ndarray:
-    """One classical Runge-Kutta step of ``d state / dt = rhs(state, u)``.
-
-    ``state`` is an array whose last axis holds the state components; the
-    input is held constant across the four stages.  A failing stage
-    re-raises with the stage index attached.
-    """
-    state = np.asarray(state, dtype=float)
-    ks = []
-    increments = (0.0, 0.5, 0.5, 1.0)
-    for stage, frac in enumerate(increments, start=1):
-        point = state if stage == 1 else state + frac * dt * ks[-1]
-        try:
-            ks.append(np.asarray(rhs(point, u), dtype=float))
-        except Exception as exc:
-            raise type(exc)(f"stage {stage} of 4 failed: {exc}") from exc
-    return state + (dt / 6.0) * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3])
-
-
 def two_tank_step(h1, h2, u, params: TwoTankParams):
     """Advance the levels one sampling interval under a held input.
 
-    Returns ``(h1_next, h2_next)``; all arguments broadcast.  This is
-    :func:`rk4_step` on the stacked levels, written out per level: rows
-    whose stage points leave the domain come out NaN.
+    Returns ``(h1_next, h2_next)``; all arguments broadcast.  This is one
+    classical Runge-Kutta step, written out per level: rows whose stage
+    points leave the domain come out NaN.
     """
     h1, h2, u = np.broadcast_arrays(
         np.asarray(h1, dtype=float), np.asarray(h2, dtype=float), np.asarray(u, dtype=float)
@@ -364,15 +345,16 @@ class BenchmarkConfig:
     the equilibrium flow ``u_eq``; the measured level starts at the
     constant value ``h0``.  Dataset ``mode`` is
     ``state_grid`` (quasi-uniform coverage of levels and inputs, the
-    default) or ``trajectory`` (harvested simulation runs).  Every float
-    setting must be finite.
+    default) or ``trajectory`` (harvested simulation runs).  The lag
+    depth ``nu`` is fixed at two: the depth at which the hidden level is
+    recoverable, and the one the samplers draw regressors for.  Every
+    float setting must be finite.
     """
 
     d: int = 101
     horizon: int = 20
     q_weight: float = 1.0
     r_weight: float = 0.1
-    nu: int = 2
     steps: int = 100
     seed: int = 0
     u_lo: float = 3.16e-6
@@ -382,6 +364,7 @@ class BenchmarkConfig:
     sigma: float = 1.0
     jitter: float = 0.0
     h0: float = 0.2
+    nu: ClassVar[int] = 2
     u_eq: ClassVar[float] = 5.461e-6
     y_lo: ClassVar[float] = 0.0
     y_hi: ClassVar[float] = 0.5
@@ -432,21 +415,6 @@ class BenchmarkConfig:
         return Box(
             lo=norm.normalize_input(np.array([self.u_lo])),
             hi=norm.normalize_input(np.array([self.u_hi])),
-        )
-
-    def state_box(self) -> Box:
-        """Normalized box containing all admissible regressors."""
-        norm = self.normalization()
-        dims = self.dims
-        lo_raw = np.concatenate(
-            [np.full(dims.n_outputs_block, self.y_lo), np.full(dims.n - dims.n_outputs_block, self.u_lo)]
-        )
-        hi_raw = np.concatenate(
-            [np.full(dims.n_outputs_block, self.y_hi), np.full(dims.n - dims.n_outputs_block, self.u_hi)]
-        )
-        return Box(
-            lo=norm.normalize_state(lo_raw, dims),
-            hi=norm.normalize_state(hi_raw, dims),
         )
 
     def equilibrium_regressor(self) -> np.ndarray:
@@ -634,8 +602,6 @@ def generate_dataset(cfg: BenchmarkConfig) -> tuple[Dataset, dict]:
     provenance = {"mode": cfg.mode, "seed": cfg.seed, "min_separation": sep}
     dims = cfg.dims
     norm = cfg.normalization()
-    if cfg.mode == "state_grid" and cfg.nu != 2:
-        raise ValueError("state_grid generation is defined for lag depth 2")
 
     sites = np.empty((cfg.d, dims.n + dims.m))
     targets = np.empty((cfg.d, dims.p))
@@ -769,8 +735,6 @@ def sample_consistent_states(
     """
     if count < 1:
         raise ValueError(f"need at least one state, got count={count}")
-    if cfg.nu != 2:
-        raise ValueError("consistent-state sampling is defined for lag depth 2")
     dims = cfg.dims
     norm = cfg.normalization()
     draws = _reachable_draws(cfg, seed)

@@ -1,7 +1,8 @@
 """Independent oracles that the tests check the package against.
 
 None of these run in a pipeline stage: each recomputes a quantity the
-package forms some other way, or samples inputs for a structural check.
+package forms some other way, samples inputs for a structural check, or
+wraps a plain callable as dynamics for a test problem.
 """
 
 from __future__ import annotations
@@ -10,8 +11,83 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from narxmpc import BenchmarkConfig, NarxDims, NarxDynamics, StageCostWeights, shift_state, stage_cost
+from narxmpc import (
+    BenchmarkConfig,
+    Box,
+    NarxDims,
+    NarxDynamics,
+    StageCostWeights,
+    shift_state,
+    stage_cost,
+)
 from narxmpc.stability import StorageMatrix, storage_value
+
+
+class FunctionDynamics(NarxDynamics):
+    """Wrap a plain callable ``f(x, u) -> y_next`` as :class:`NarxDynamics`.
+
+    ``jacobian_fn(x, u)``, when given, returns the output Jacobians
+    ``(dy/dx, dy/du)`` and makes the dynamics differentiable.
+    """
+
+    def __init__(self, dims, fn, jacobian_fn=None):
+        self.dims = dims
+        self._fn = fn
+        self._jacobian_fn = jacobian_fn
+
+    def _call(self, x, u) -> np.ndarray:
+        return np.atleast_1d(np.asarray(self._fn(x, u), dtype=float))
+
+    def output_batch(self, X, U):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        U = np.atleast_2d(np.asarray(U, dtype=float))
+        return np.stack([self._call(x, u) for x, u in zip(X, U)])
+
+    @property
+    def differentiable(self) -> bool:
+        return self._jacobian_fn is not None
+
+    def linearize(self, x, u):
+        if self._jacobian_fn is None:
+            raise NotImplementedError("no Jacobian callable supplied")
+        rows = [(self._call(x_row, u_row), *self._jacobian_fn(x_row, u_row)) for x_row, u_row in zip(x, u)]
+        return tuple(np.array(part, dtype=float) for part in zip(*rows))
+
+
+def rk4_step(rhs, state, u, dt: float) -> np.ndarray:
+    """One classical Runge-Kutta step of ``d state / dt = rhs(state, u)``.
+
+    ``state`` is an array whose last axis holds the state components; the
+    input is held constant across the four stages.  A failing stage
+    re-raises with the stage index attached.  The generic form that
+    :func:`~narxmpc.twotank.two_tank_step` writes out per level.
+    """
+    state = np.asarray(state, dtype=float)
+    ks = []
+    increments = (0.0, 0.5, 0.5, 1.0)
+    for stage, frac in enumerate(increments, start=1):
+        point = state if stage == 1 else state + frac * dt * ks[-1]
+        try:
+            ks.append(np.asarray(rhs(point, u), dtype=float))
+        except Exception as exc:
+            raise type(exc)(f"stage {stage} of 4 failed: {exc}") from exc
+    return state + (dt / 6.0) * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3])
+
+
+def state_box(cfg: BenchmarkConfig) -> Box:
+    """Normalized box containing all admissible regressors of ``cfg``."""
+    norm = cfg.normalization()
+    dims = cfg.dims
+    lo_raw = np.concatenate(
+        [np.full(dims.n_outputs_block, cfg.y_lo), np.full(dims.n - dims.n_outputs_block, cfg.u_lo)]
+    )
+    hi_raw = np.concatenate(
+        [np.full(dims.n_outputs_block, cfg.y_hi), np.full(dims.n - dims.n_outputs_block, cfg.u_hi)]
+    )
+    return Box(
+        lo=norm.normalize_state(lo_raw, dims),
+        hi=norm.normalize_state(hi_raw, dims),
+    )
 
 
 def storage_value_lagsum(x: np.ndarray, dims: NarxDims, weights: StageCostWeights):

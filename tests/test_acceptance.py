@@ -101,8 +101,8 @@ class TestAcceptance:
         X, U = sample_domain(cfg, 10_000, cfg.seed + 41)
         dynamics = {
             "plant": plant_view,
-            "D101": result.arms[101].model.as_dynamics(),
-            "D2501": result.arms[2501].model.as_dynamics(),
+            "D101": result.arms[101].model,
+            "D2501": result.arms[2501].model,
         }
         worst = -math.inf
         ok = True
@@ -157,7 +157,7 @@ class TestAcceptance:
         """The adjoint cost gradient agrees with central differences to
         1e-4 relative error on 50 random instances."""
         result, _ = benchmark_run
-        models = [result.arms[d].model.as_dynamics() for d in (101, 2501)]
+        models = [result.arms[d].model for d in (101, 2501)]
         rng = np.random.default_rng(cfg.seed + 53)
         worst = 0.0
         for i in range(50):
@@ -187,7 +187,7 @@ class TestAcceptance:
         """The solver's value never exceeds the cost of any sampled
         feasible input sequence (100 sequences at each of 20 states)."""
         result, _ = benchmark_run
-        surrogate = result.arms[101].model.as_dynamics()
+        surrogate = result.arms[101].model
         states = sample_state_grid(cfg, 20, seed=cfg.seed + 59)
         rng = np.random.default_rng(cfg.seed + 61)
         box = mpc_cfg.input_box
@@ -255,7 +255,7 @@ class TestAcceptance:
         )
         trace = run_closed_loop(
             plant,
-            result.arms[101].model.as_dynamics(),
+            result.arms[101].model,
             mpc_cfg,
             np.zeros(dims.n),
             100,
@@ -287,14 +287,14 @@ class TestAcceptance:
         ok = (
             large.constants.c_x <= small.constants.c_x
             and large.constants.c_u <= small.constants.c_u
-            and large.fill < small.fill
+            and large.fit_entries["fill_distance"] < small.fit_entries["fill_distance"]
         )
         verdict(
             10,
             ok,
             f"c_x {large.constants.c_x:.3f} <= {small.constants.c_x:.3f}, "
             f"c_u {large.constants.c_u:.3f} <= {small.constants.c_u:.3f}, "
-            f"fill {large.fill:.3f} < {small.fill:.3f}",
+            f"fill {large.fit_entries['fill_distance']:.3f} < {small.fit_entries['fill_distance']:.3f}",
         )
 
     def test_c11_uniform_lyapunov_decrease_for_dense_model(self, benchmark_run, verdict):

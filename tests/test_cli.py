@@ -114,9 +114,7 @@ class TestParsing:
         config.write_text("nu = 3\n")
         code = main(["generate", "--config", str(config), "--out", str(tmp_path)])
         assert code == 1
-        assert "error: state_grid generation is defined for lag depth 2" in (
-            capsys.readouterr().err
-        )
+        assert "unknown config key 'nu'" in capsys.readouterr().err
 
     def test_growth_grid_defaults_agree(self):
         parser = build_parser()
@@ -205,6 +203,17 @@ class TestFit:
         assert "non-finite sites: 1 row(s) hold NaN or inf" in capsys.readouterr().err
         assert not (tmp_path / "model.csv").exists()
 
+    def test_dataset_in_other_coordinates_is_rejected(self, workspace, tmp_path, capsys):
+        # The probes of the fill distance would be drawn in the config's
+        # normalization and the sites in the dataset's.
+        config = tmp_path / "cfg.txt"
+        config.write_text("u_hi = 3e-5\n")
+        data = str(workspace / "dataset_D21.csv")
+        code = main(["fit", "--data", data, "--config", str(config), "--out", str(tmp_path)])
+        assert code == 1
+        assert "dataset_D21.csv: normalization u_scale" in capsys.readouterr().err
+        assert not (tmp_path / "model.csv").exists()
+
     def test_missing_dataset(self, tmp_path, capsys):
         code = main(
             ["fit", "--data", str(tmp_path / "none.csv"), "--out", str(tmp_path)]
@@ -214,6 +223,25 @@ class TestFit:
 
 
 class TestSimulate:
+    def test_model_in_other_coordinates_is_rejected(self, tmp_path, capsys):
+        config = tmp_path / "cfg.txt"
+        config.write_text("u_hi = 3e-5\n")
+        common = ["--config", str(config), "--out", str(tmp_path)]
+        model = str(tmp_path / "model.csv")
+        # The chain under one configuration runs.
+        assert main(["generate", "--D", "21", *common]) == 0
+        assert main(["fit", "--data", str(tmp_path / "dataset_D21.csv"), *common]) == 0
+        assert main(["simulate", "--model", model, "--steps", "2", *common]) == 0
+        capsys.readouterr()
+        out = ["--out", str(tmp_path / "default")]
+        for argv in (
+            ["simulate", "--model", model, "--steps", "2", *out],
+            ["certify", "--model", model, "--trace", str(tmp_path / "trace_norm.csv"), *out],
+        ):
+            assert main(argv) == 1
+            assert "model.csv: normalization u_scale" in capsys.readouterr().err
+        assert not (tmp_path / "default").exists()
+
     def test_zero_steps_header_only(self, workspace, tmp_path):
         code = main(
             [
@@ -540,6 +568,13 @@ class TestBenchmark:
         assert record["capped_solves"] == int(report["capped_solves"])
         # The record changes from run to run; the bundle digests leave it out.
         assert "manifest.json" not in bundle_digests(out)
+
+    def test_repeated_size_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        argv = ["benchmark", "--only-D", "21", "31", "21", "--b-states", "2", "--b-horizon", "1"]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert "error: dataset size 21 is given more than once" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_steps_is_an_error(self, tmp_path, capsys):
         config = tmp_path / "cfg.txt"

@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from narxmpc import (
     Box,
-    FunctionDynamics,
     KernelSpec,
     MpcConfig,
     NarxDims,
@@ -21,6 +20,7 @@ from narxmpc import (
     run_closed_loop,
     storage_matrix,
 )
+from oracles import FunctionDynamics
 from narxmpc.fileio import (
     ConfigError,
     format_float,

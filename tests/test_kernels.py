@@ -14,7 +14,6 @@ from scipy.linalg import cho_factor
 from narxmpc import (
     AffineNormalization,
     Dataset,
-    FunctionDynamics,
     KernelFitError,
     KernelSpec,
     NarxDims,
@@ -29,6 +28,7 @@ from narxmpc import (
     wendland_phi,
 )
 from narxmpc.bench import error_constant_samples, probe_sites
+from oracles import FunctionDynamics
 
 PHI_AT_ZERO = 1.0 / 30.0
 PHI_AT_HALF = 0.0036458333333333334
@@ -153,7 +153,8 @@ class TestInterpolant:
         model = fit_interpolant(KernelSpec(input_dim=2), data)
         Xi = rng.uniform(0.0, 1.0, size=(25, 2))
         batch = model.predict_batch(Xi)
-        single = np.concatenate([model.linearize(xi[None])[0] for xi in Xi])
+        n = model.dims.n
+        single = np.concatenate([model.linearize(xi[None, :n], xi[None, n:])[0] for xi in Xi])
         assert_allclose(batch, single, rtol=0.0, atol=1e-14)
 
     def test_benchmark_fit_interpolates(self, fit_101):
@@ -162,13 +163,15 @@ class TestInterpolant:
         pred = model.predict_batch(data.sites)
         assert np.max(np.abs(pred - data.targets)) <= 1e-8
         # the equilibrium site is the first row and maps to target zero
-        assert abs(model.linearize(data.sites[:1])[0][0, 0]) <= 1e-8
+        n = model.dims.n
+        assert abs(model.linearize(data.sites[:1, :n], data.sites[:1, n:])[0][0, 0]) <= 1e-8
 
     def test_jacobian_matches_finite_difference(self, fit_101):
         _, model = fit_101
         rng = np.random.default_rng(9)
         xi = rng.uniform(-0.05, 0.3, size=4)
-        jac = model.linearize(xi[None])[1][0]
+        n = model.dims.n
+        jac = np.concatenate(model.linearize(xi[None, :n], xi[None, n:])[1:], axis=-1)[0]
         h = 1e-6
         fd = np.zeros_like(jac)
         for j in range(xi.size):

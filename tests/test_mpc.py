@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from narxmpc import (
     Box,
-    FunctionDynamics,
     MpcConfig,
     NarxDims,
     SolverConfig,
@@ -22,6 +21,7 @@ from narxmpc import (
     stage_cost,
     storage_matrix,
 )
+from oracles import FunctionDynamics
 
 WEIGHTS = StageCostWeights(Q=1.0, R=0.1)
 DIMS = NarxDims(p=1, m=1, nu=2)
@@ -177,8 +177,7 @@ class TestGradient:
             assert_allclose(g, g_fd, rtol=0.0, atol=1e-7)
 
     def test_matches_finite_difference_surrogate(self, fit_101, mpc_cfg):
-        _, model = fit_101
-        f = model.as_dynamics()
+        _, f = fit_101
         rng = np.random.default_rng(7)
         x0 = rng.uniform(-0.05, 0.2, size=3)
         u = rng.uniform(-0.05, 0.2, size=(5, 1))
@@ -305,7 +304,7 @@ class TestClosedLoop:
             TwoTankPlant(cfg.params, h1_eq, h2_eq), cfg.normalization(), cfg.dims
         )
         trace = run_closed_loop(
-            stateful, model.as_dynamics(), mpc_cfg, np.zeros(3), steps=5
+            stateful, model, mpc_cfg, np.zeros(3), steps=5
         )
         assert trace.failed_step is None
         assert np.max(np.abs(trace.inputs)) <= 1e-6

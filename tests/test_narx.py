@@ -10,7 +10,6 @@ from narxmpc import (
     AffineNormalization,
     Box,
     DimensionMismatchError,
-    FunctionDynamics,
     NarxDims,
     NarxDynamics,
     TwoTankNarxDynamics,
@@ -20,6 +19,7 @@ from narxmpc import (
     shift_state,
     two_tank_step,
 )
+from oracles import FunctionDynamics
 
 
 def _lift(f, x, u):

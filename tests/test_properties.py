@@ -21,7 +21,6 @@ from scipy.spatial.distance import cdist
 
 from narxmpc import (
     Box,
-    FunctionDynamics,
     KernelInterpolant,
     KernelSpec,
     MpcConfig,
@@ -37,7 +36,6 @@ from narxmpc import (
     finite_difference_gradient,
     kernel_matrix,
     min_pairwise_distance,
-    rk4_step,
     solve_ocp,
     solve_ocp_batch,
     stage_cost,
@@ -45,9 +43,9 @@ from narxmpc import (
     two_tank_step,
 )
 from narxmpc import mpc, stability, twotank
-from narxmpc.kernels import KernelFitError, KernelSurrogateDynamics, _gram_product, fit_interpolant
+from narxmpc.kernels import KernelFitError, _gram_product, fit_interpolant
 from narxmpc.mpc import ACTIVE_WIDTH, NOISE_FLOOR, forward_sweep
-from oracles import sample_domain
+from oracles import FunctionDynamics, rk4_step, sample_domain
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -70,16 +68,26 @@ def _tank_arrays(rows):
 
 def _interpolant(rng, input_dim: int, size: int, lengthscale: float, p: int, dims=None):
     """Interpolant with random sites and coefficients; no fit is needed to
-    compare two ways of evaluating the same kernel expansion."""
+    compare two ways of evaluating the same kernel expansion.  Without
+    ``dims`` the sites split into regressor and input before their last
+    column; any split gives the same expansion."""
     sites = rng.uniform(0.0, 1.0, size=(size, input_dim))
     return KernelInterpolant(
         KernelSpec(input_dim=input_dim, lengthscale=lengthscale),
-        SimpleNamespace(sites=sites, dims=dims),
+        SimpleNamespace(sites=sites, dims=dims or SimpleNamespace(n=input_dim - 1)),
         jitter=0.0,
         store=None,
         coefficients=rng.standard_normal((size, p)),
         site_residual=0.0,
     )
+
+
+def _linearize_sites(model, Xi):
+    """``model.linearize`` at site rows ``Xi`` (split at ``model.dims.n``),
+    with the regressor and input Jacobians joined into one over the site."""
+    n = model.dims.n
+    value, jac_x, jac_u = model.linearize(Xi[:, :n], Xi[:, n:])
+    return value, np.concatenate([jac_x, jac_u], axis=-1)
 
 
 @given(
@@ -99,7 +107,7 @@ def test_linearize_matches_predict_batch_and_central_differences(
         xi = model.data.sites[rng.integers(size)].copy()
     else:
         xi = rng.uniform(-0.2, 1.2, size=input_dim)
-    value, jac = (part[0] for part in model.linearize(xi[None]))
+    value, jac = (part[0] for part in _linearize_sites(model, xi[None]))
     assert value.shape == (p,) and jac.shape == (p, input_dim)
     assert_array_equal(value, model.predict_batch(xi)[0])
     h = 1e-6 * lengthscale
@@ -484,12 +492,12 @@ def test_batched_kernel_rows_equal_single_rows(seed, rows, p, input_dim):
     model = _interpolant(rng, input_dim, int(rng.integers(2, 80)), rng.uniform(0.2, 3.0), p)
     Xi = rng.uniform(-0.2, 1.2, size=(rows, input_dim))
     values = model.predict_batch(Xi)
-    lin_values, jacobians = model.linearize(Xi)
+    lin_values, jacobians = _linearize_sites(model, Xi)
     assert lin_values.shape == (rows, p) and jacobians.shape == (rows, p, input_dim)
     assert_array_equal(lin_values, values)
     for i in range(rows):
         assert_array_equal(values[i], model.predict_batch(Xi[i])[0])
-        value, jac = model.linearize(Xi[i : i + 1])
+        value, jac = _linearize_sites(model, Xi[i : i + 1])
         assert_array_equal(lin_values[i], value[0])
         assert_array_equal(jacobians[i], jac[0])
 
@@ -514,8 +522,7 @@ def test_linearize_outputs_and_sweep_costs_equal_the_rollout(seed, kind, p, m, n
     if kind == "function":
         f = _random_dynamics(rng, dims, linear=False)
     else:
-        model = _interpolant(rng, dims.n + m, int(rng.integers(2, 80)), rng.uniform(0.2, 3.0), p, dims)
-        f = KernelSurrogateDynamics(model)
+        f = _interpolant(rng, dims.n + m, int(rng.integers(2, 80)), rng.uniform(0.2, 3.0), p, dims)
     X = rng.uniform(-0.2, 1.2, size=(rows, dims.n))
     U = rng.uniform(-0.2, 1.2, size=(rows, horizon, m))
     outputs, _, _ = f.linearize(X, U[:, 0])

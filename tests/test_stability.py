@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from narxmpc import (
     Box,
-    FunctionDynamics,
     GrowthBoundEstimate,
     MpcConfig,
     NarxDims,
@@ -36,7 +35,7 @@ from narxmpc.stability import (
     VERDICT_VERIFIED,
     VERDICT_VIOLATED,
 )
-from oracles import check_detectability, sample_domain, storage_value_lagsum
+from oracles import FunctionDynamics, check_detectability, sample_domain, storage_value_lagsum
 
 WEIGHTS = StageCostWeights(Q=1.0, R=0.1)
 DIMS = NarxDims(p=1, m=1, nu=2)
@@ -136,7 +135,7 @@ class TestDetectability:
     def test_surrogate_on_sampled_domain(self, cfg, storage, fit_101):
         _, model = fit_101
         X, U = sample_domain(cfg, 1000, cfg.seed + 3)
-        report = check_detectability(model.as_dynamics(), storage, X, U)
+        report = check_detectability(model, storage, X, U)
         assert report.ok
         assert report.max_violation <= 1e-10
         assert report.sample_count == 1000
@@ -282,24 +281,12 @@ class TestVerifyDecrease:
         assert report.ok
         assert report.alpha > 0.0
         assert report.first_violation is None
-        assert report.alpha_certified == report.alpha
         # deltas obey the uniform-decrease inequality reported
         norms = report.state_norms[:-1]
         active = norms > report.deadband
         assert np.all(
             report.deltas[active] <= -report.alpha * norms[active] ** 2 + 1e-12
         )
-
-    def test_margin_shrinks_certified_alpha(self, storage):
-        f = _linear_dynamics()
-        trace = run_closed_loop(f, f, _config(8), np.array([0.5, 0.0, 0.0]),
-                                steps=10, storage_matrix=storage.P)
-        report = verify_decrease(trace, storage, margin_fraction=0.5)
-        assert report.alpha_certified == pytest.approx(0.5 * report.alpha)
-        with pytest.raises(ValueError):
-            verify_decrease(trace, storage, margin_fraction=1.0)
-        with pytest.raises(ValueError):
-            verify_decrease(trace, storage, margin_fraction=-0.1)
 
     def test_growth_annotations(self, storage):
         f = _linear_dynamics()
@@ -340,11 +327,10 @@ class TestVerifyDecrease:
         data, _ = generate_dataset(small)
         spec = KernelSpec(input_dim=data.sites.shape[1], lengthscale=small.sigma)
         model = fit_interpolant(spec, data, jitter=small.jitter)
-        surr = model.as_dynamics()
         bad = FunctionDynamics(
             small.dims,
-            lambda x, u: 10.0 * surr.output(x, u),
-            jacobian_fn=lambda x, u: tuple(10.0 * J[0] for J in surr.linearize(x[None], u[None])[1:]),
+            lambda x, u: 10.0 * model.output(x, u),
+            jacobian_fn=lambda x, u: tuple(10.0 * J[0] for J in model.linearize(x[None], u[None])[1:]),
         )
         _, stateful = plant_views(small)
         mpc_cfg = make_mpc_config(small)

@@ -22,7 +22,6 @@ from narxmpc import (
     generate_dataset,
     min_pairwise_distance,
     reconstruct_hidden_level,
-    rk4_step,
     sample_consistent_states,
     sample_state_grid,
     two_tank_rhs,
@@ -30,7 +29,7 @@ from narxmpc import (
 )
 from narxmpc import twotank
 from narxmpc.twotank import ScrambledHalton, _reachable_draws, _total_step
-from oracles import sample_domain
+from oracles import rk4_step, sample_domain, state_box
 
 PARAMS = TwoTankParams()
 U_EQ = 5.461e-6
@@ -331,10 +330,10 @@ class TestGenerateDataset:
         assert data.contains_origin
         assert_allclose(data.sites[0], np.zeros(4), atol=1e-15)
         assert np.all(np.isfinite(data.targets))
-        state_box = cfg.state_box()
+        box = state_box(cfg)
         input_box = cfg.input_box()
-        assert np.all(data.sites[:, :3] >= state_box.lo - 1e-12)
-        assert np.all(data.sites[:, :3] <= state_box.hi + 1e-12)
+        assert np.all(data.sites[:, :3] >= box.lo - 1e-12)
+        assert np.all(data.sites[:, :3] <= box.hi + 1e-12)
         assert np.all(data.sites[:, 3:] >= input_box.lo - 1e-12)
         assert np.all(data.sites[:, 3:] <= input_box.hi + 1e-12)
 
@@ -404,7 +403,7 @@ class TestSampling:
         states = sample_state_grid(cfg, 40, seed=35)
         assert states.shape == (40, 3)
         assert np.all(np.linalg.norm(states, axis=1) > 1e-3)
-        box = cfg.state_box()
+        box = state_box(cfg)
         assert np.all(states >= box.lo - 1e-12)
         assert np.all(states <= box.hi + 1e-12)
         again = sample_state_grid(cfg, 40, seed=35)
