@@ -56,7 +56,6 @@ from .stability import (
 from .twotank import (
     BenchmarkConfig,
     DomainError,
-    StatefulPlantDynamics,
     TwoTankNarxDynamics,
     TwoTankParams,
     TwoTankPlant,

@@ -45,7 +45,6 @@ from .stability import (
 )
 from .twotank import (
     BenchmarkConfig,
-    StatefulPlantDynamics,
     TwoTankNarxDynamics,
     TwoTankPlant,
     generate_dataset,
@@ -73,12 +72,10 @@ def make_mpc_config(cfg: BenchmarkConfig) -> MpcConfig:
 
 
 def plant_views(cfg: BenchmarkConfig):
-    """The pure NARX view and a fresh stateful closed-loop plant."""
-    norm = cfg.normalization()
-    narx_view = TwoTankNarxDynamics(cfg.params, norm, cfg.dims)
+    """The pure NARX view and a fresh closed-loop plant at the initial levels."""
     _, levels = cfg.initial_condition()
-    stateful = StatefulPlantDynamics(TwoTankPlant(cfg.params, *levels), norm, cfg.dims)
-    return narx_view, stateful
+    narx_view = TwoTankNarxDynamics(cfg.params, cfg.normalization(), cfg.dims)
+    return narx_view, TwoTankPlant(cfg, *levels)
 
 
 def probe_sites(cfg: BenchmarkConfig, count: int, seed: int) -> np.ndarray:
@@ -117,13 +114,13 @@ def fit_model(cfg: BenchmarkConfig, data) -> tuple[KernelInterpolant, dict]:
 
 
 def simulate_loop(cfg: BenchmarkConfig, model: KernelInterpolant) -> ClosedLoopTrace:
-    """Closed-loop stage: MPC on the surrogate drives the stateful plant
-    from the configured initial condition."""
+    """Closed-loop stage: MPC on the surrogate drives the plant from the
+    configured initial condition."""
     mpc_cfg = make_mpc_config(cfg)
-    _, stateful = plant_views(cfg)
+    _, plant = plant_views(cfg)
     x0, _ = cfg.initial_condition()
     return run_closed_loop(
-        stateful,
+        plant,
         model,
         mpc_cfg,
         x0,
@@ -314,8 +311,8 @@ def run_benchmark(
 
     Each size runs once; a repeated size raises ``ValueError``.  Returns
     the in-memory result; when ``out_dir`` is given, writes per size the
-    dataset, model, fit report, normalized and raw traces and
-    the stability report, plus the combined comparison table.
+    dataset, model, fit report, normalized and raw traces (each with its
+    sidecar) and the stability report, plus the combined comparison table.
     """
     repeated = [d for i, d in enumerate(sizes) if d in sizes[:i]]
     if repeated:
@@ -327,11 +324,11 @@ def run_benchmark(
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for d, arm in arms.items():
-            save_dataset(arm.dataset, out / f"dataset_D{d}.csv", arm.provenance)
-            save_model(arm.model, out / f"model_D{d}.csv")
+            save_dataset(arm.dataset, out / f"dataset_D{d}.csv", cfg, arm.provenance)
+            save_model(arm.model, out / f"model_D{d}.csv", cfg)
             write_keyvalues(out / f"fit_report_D{d}.txt", fit_report_entries(arm))
-            save_trace(arm.trace, out / f"trace_norm_D{d}.csv", raw=False)
-            save_trace(arm.trace, out / f"trace_raw_D{d}.csv", raw=True)
+            save_trace(arm.trace, out / f"trace_norm_D{d}.csv", cfg, raw=False)
+            save_trace(arm.trace, out / f"trace_raw_D{d}.csv", cfg, raw=True)
             save_stability_report(
                 arm.report,
                 out / f"stability_report_D{d}.txt",

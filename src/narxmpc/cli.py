@@ -41,11 +41,11 @@ from .bench import (
     stage_timings,
 )
 from .fileio import (
-    ConfigError,
     load_dataset,
     load_model,
     load_trace,
     parse_benchmark_config,
+    require_config,
     save_dataset,
     save_model,
     save_stability_report,
@@ -115,27 +115,9 @@ def _manifest(args, command: str, cfg: BenchmarkConfig | None, outputs: list[Pat
     write_manifest(args.out / "manifest.json", entries)
 
 
-def _require_config_coordinates(artifact, path, cfg: BenchmarkConfig) -> None:
-    """Raise ``ConfigError`` unless a loaded dataset or model has the
-    configuration's dimensions and normalization.  Sidecars store floats
-    at 17 digits, so the arrays of a matching file compare equal."""
-    if artifact.dims != cfg.dims:
-        raise ConfigError(
-            f"{path}: dimensions {artifact.dims} do not match the configuration {cfg.dims}"
-        )
-    expected = cfg.normalization()
-    for name in ("y_ref", "y_scale", "u_ref", "u_scale"):
-        stored, wanted = getattr(artifact.normalization, name), getattr(expected, name)
-        if not np.array_equal(stored, wanted):
-            raise ConfigError(
-                f"{path}: normalization {name} = {stored.tolist()} does not match "
-                f"the configuration's {wanted.tolist()}"
-            )
-
-
 def _load_model(path, cfg: BenchmarkConfig):
     model = load_model(path)
-    _require_config_coordinates(model, path, cfg)
+    require_config(path, cfg)
     return model
 
 
@@ -145,7 +127,7 @@ def cmd_generate(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     data, provenance = generate_dataset(cfg)
     path = args.out / f"dataset_D{cfg.d}.csv"
-    save_dataset(data, path, provenance)
+    save_dataset(data, path, cfg, provenance)
     _say(args)(f"wrote {data.size} sites to {path}")
     _manifest(args, "generate", cfg, [path, path.with_suffix(".csv.meta")], started)
     return 0
@@ -155,11 +137,11 @@ def cmd_fit(args) -> int:
     started = time.time()
     cfg = _build_config(args, sigma=args.sigma, jitter=args.jitter)
     data = load_dataset(args.data)
-    _require_config_coordinates(data, args.data, cfg)
+    require_config(args.data, cfg)
     model, entries = fit_model(cfg, data)
     args.out.mkdir(parents=True, exist_ok=True)
     model_path = args.out / "model.csv"
-    save_model(model, model_path)
+    save_model(model, model_path, cfg)
     report_path = args.out / "fit_report.txt"
     write_keyvalues(report_path, {"size": data.size, **entries})
     _say(args)(f"fitted {data.size} sites, site residual {model.site_residual:.2e}")
@@ -181,8 +163,8 @@ def cmd_simulate(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     norm_path = args.out / "trace_norm.csv"
     raw_path = args.out / "trace_raw.csv"
-    save_trace(trace, norm_path, raw=False)
-    save_trace(trace, raw_path, raw=True)
+    save_trace(trace, norm_path, cfg, raw=False)
+    save_trace(trace, raw_path, cfg, raw=True)
     _say(args)(f"ran {trace.steps} steps; final state norm {np.linalg.norm(trace.states[-1]):.3e}")
     max_iters = make_mpc_config(cfg).solver.max_iters
     _manifest(
@@ -210,6 +192,7 @@ def cmd_certify(args) -> int:
     tic = time.perf_counter()
     model = _load_model(args.model, cfg)
     trace = load_trace(args.trace, cfg.dims, cfg.horizon, cfg.normalization())
+    require_config(args.trace, cfg)
     timings = {"load": time.perf_counter() - tic}
     tic = time.perf_counter()
     growth, report = certify_trace(cfg, model, trace, args.b_states, args.b_horizon)

@@ -2,8 +2,10 @@
 
 Floats are printed with 17 significant digits so that every file
 round-trips bit-exactly, which keeps repeated runs byte-identical under
-a fixed seed.  Datasets and fitted models are CSV tables with a
-``.meta`` sidecar carrying dimensions, normalization and provenance.
+a fixed seed.  Datasets, fitted models and closed-loop traces are CSV
+tables with a ``.meta`` sidecar carrying the dimensions, normalization
+and settings of the benchmark configuration they were made under (see
+:func:`require_config`); dataset sidecars add the provenance.
 """
 
 from __future__ import annotations
@@ -64,18 +66,19 @@ def read_csv(path) -> tuple[list[str], np.ndarray]:
     return header, (np.asarray(data) if data else np.empty((0, len(header))))
 
 
+def _format_value(value) -> str:
+    """A value as :func:`write_keyvalues` writes it."""
+    if isinstance(value, float):
+        return format_float(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return ",".join(format_float(v) for v in np.asarray(value).ravel())
+    return str(value)
+
+
 def write_keyvalues(path, values: dict) -> None:
-    lines = []
-    for key, value in values.items():
-        if isinstance(value, float):
-            rendered = format_float(value)
-        elif isinstance(value, bool):
-            rendered = "true" if value else "false"
-        elif isinstance(value, (list, tuple, np.ndarray)):
-            rendered = ",".join(format_float(v) for v in np.asarray(value).ravel())
-        else:
-            rendered = str(value)
-        lines.append(f"{key} = {rendered}")
+    lines = [f"{key} = {_format_value(value)}" for key, value in values.items()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -103,6 +106,17 @@ def sha256_file(path) -> str:
     digest = hashlib.sha256()
     digest.update(Path(path).read_bytes())
     return digest.hexdigest()
+
+
+def _dims_fields(dims: NarxDims) -> dict:
+    return {"p": dims.p, "m": dims.m, "nu": dims.nu}
+
+
+def _dims_from(meta: dict, path) -> NarxDims:
+    try:
+        return NarxDims(p=int(meta["p"]), m=int(meta["m"]), nu=int(meta["nu"]))
+    except KeyError as exc:
+        raise ConfigError(f"{path}: sidecar is missing the {exc.args[0]} entry") from None
 
 
 def _normalization_fields(norm: AffineNormalization) -> dict:
@@ -143,20 +157,20 @@ def _sites_header(dims: NarxDims, coefficients: bool) -> list[str]:
 
 
 def _save_sites(
-    path, data: Dataset, fmt: str, coefficients=None, fields=None, provenance=None
+    path, data: Dataset, fmt: str, cfg, coefficients=None, fields=None, provenance=None
 ) -> None:
     """Write sites and targets (plus model coefficients) and the sidecar:
-    format, dimensions, ``fields``, normalization, then ``gen_`` provenance."""
+    format, dimensions, ``fields``, the settings of ``cfg`` the format
+    records, normalization, then ``gen_`` provenance."""
     blocks = [data.sites, data.targets] + ([] if coefficients is None else [coefficients])
     write_csv(path, _sites_header(data.dims, coefficients is not None), np.hstack(blocks))
     meta = {
         "format": fmt,
-        "p": data.dims.p,
-        "m": data.dims.m,
-        "nu": data.dims.nu,
+        **_dims_fields(data.dims),
         "size": data.size,
         "contains_origin": data.contains_origin,
         **(fields or {}),
+        **_config_entries(cfg, fmt),
         **_normalization_fields(data.normalization),
     }
     meta.update({f"gen_{k}": v for k, v in (provenance or {}).items()})
@@ -168,10 +182,7 @@ def _load_sites(path, coefficients: bool) -> tuple[Dataset, np.ndarray, dict]:
     columns after the targets and the sidecar entries."""
     header, table = read_csv(path)
     meta = read_keyvalues(_sidecar(path))
-    try:
-        dims = NarxDims(p=int(meta["p"]), m=int(meta["m"]), nu=int(meta["nu"]))
-    except KeyError as exc:
-        raise ConfigError(f"{path}: sidecar is missing the {exc.args[0]} entry") from None
+    dims = _dims_from(meta, path)
     if header != _sites_header(dims, coefficients):
         raise ConfigError(f"{path}: header {header} does not match the sidecar dimensions")
     q = dims.n + dims.m
@@ -185,24 +196,26 @@ def _load_sites(path, coefficients: bool) -> tuple[Dataset, np.ndarray, dict]:
     return data, table[:, q + dims.p :], meta
 
 
-def save_dataset(data: Dataset, path, provenance: dict | None = None) -> None:
-    """Write a dataset as ``xi_*, y_*`` CSV plus a ``.meta`` sidecar."""
-    _save_sites(path, data, "narxmpc-dataset-v1", provenance=provenance)
+def save_dataset(data: Dataset, path, cfg, provenance: dict | None = None) -> None:
+    """Write a dataset made under the benchmark configuration ``cfg`` as
+    ``xi_*, y_*`` CSV plus a ``.meta`` sidecar."""
+    _save_sites(path, data, "narxmpc-dataset-v1", cfg, provenance=provenance)
 
 
 def load_dataset(path) -> Dataset:
     return _load_sites(path, coefficients=False)[0]
 
 
-def save_model(model: KernelInterpolant, path) -> None:
-    """Write a fitted interpolant: sites, targets and coefficients plus sidecar."""
+def save_model(model: KernelInterpolant, path, cfg) -> None:
+    """Write an interpolant fitted under the benchmark configuration
+    ``cfg``: sites, targets and coefficients plus sidecar."""
     fields = {
         "family": model.spec.family,
         "sigma": model.spec.lengthscale,
         "jitter": model.jitter,
         "site_residual": model.site_residual,
     }
-    _save_sites(path, model.data, "narxmpc-model-v1", model.coefficients, fields)
+    _save_sites(path, model.data, "narxmpc-model-v1", cfg, model.coefficients, fields)
 
 
 def load_model(path) -> KernelInterpolant:
@@ -271,14 +284,23 @@ def _trace_rows(trace: ClosedLoopTrace, raw: bool) -> np.ndarray:
     return np.column_stack(columns)
 
 
-def save_trace(trace: ClosedLoopTrace, path, raw: bool = False) -> None:
-    """Write a closed-loop trace as CSV, one row per applied step.
+def save_trace(trace: ClosedLoopTrace, path, cfg, raw: bool = False) -> None:
+    """Write a closed-loop trace run under the benchmark configuration
+    ``cfg`` as CSV, one row per applied step, plus a ``.meta`` sidecar.
 
     A final diagnostic row carries the terminal state and its value.
     With ``raw=True`` states, inputs and outputs are denormalized; the
     scalar diagnostics keep their normalized meaning.
     """
     write_csv(path, trace_header(trace.dims), _trace_rows(trace, raw))
+    fmt = "narxmpc-trace-v1"
+    meta = {
+        "format": fmt,
+        **_dims_fields(cfg.dims),
+        **_config_entries(cfg, fmt),
+        **_normalization_fields(cfg.normalization()),
+    }
+    write_keyvalues(_sidecar(path), meta)
 
 
 def load_trace(path, dims: NarxDims, horizon: int, normalization=None) -> ClosedLoopTrace:
@@ -368,6 +390,51 @@ CONFIG_KEYS = {
     "jitter": ("jitter", float),
     "h0": ("h0", float),
 }
+
+
+#: Per sidecar format, the configuration keys the sidecar records
+#: besides the dimensions and normalization: the sample time of the
+#: transitions, and for a trace the controller settings behind its
+#: optimal values.
+_CONFIG_ENTRIES = {
+    "narxmpc-dataset-v1": ("dt",),
+    "narxmpc-model-v1": ("dt",),
+    "narxmpc-trace-v1": ("dt", "N", "Q", "R"),
+}
+
+
+def _config_entries(cfg, fmt: str) -> dict:
+    return {key: getattr(cfg, CONFIG_KEYS[key][0]) for key in _CONFIG_ENTRIES[fmt]}
+
+
+def require_config(path, cfg) -> None:
+    """Raise ``ConfigError`` unless the sidecar of the dataset, model or
+    trace at ``path`` records the dimensions, the normalization and each
+    setting its format records of the benchmark configuration ``cfg``.
+    Floats are stored at 17 digits, so the entries of a matching sidecar
+    equal those written from ``cfg``."""
+    meta = read_keyvalues(_sidecar(path))
+    fmt = meta.get("format")
+    if fmt not in _CONFIG_ENTRIES:
+        raise ConfigError(f"{path}: sidecar format {fmt!r} is not a dataset, model or trace")
+    dims = _dims_from(meta, path)
+    if dims != cfg.dims:
+        raise ConfigError(f"{path}: dimensions {dims} do not match the configuration {cfg.dims}")
+    stored, expected = _normalization_from(meta, path), cfg.normalization()
+    for name in _normalization_fields(expected):
+        if not np.array_equal(getattr(stored, name), getattr(expected, name)):
+            raise ConfigError(
+                f"{path}: normalization {name} = {getattr(stored, name).tolist()} "
+                f"does not match the configuration's {getattr(expected, name).tolist()}"
+            )
+    for key, value in _config_entries(cfg, fmt).items():
+        if key not in meta:
+            raise ConfigError(f"{path}: sidecar is missing the {key} entry")
+        if meta[key] != _format_value(value):
+            raise ConfigError(
+                f"{path}: {key} = {meta[key]} does not match the configuration's "
+                f"{_format_value(value)}"
+            )
 
 
 def parse_benchmark_config(path) -> dict:

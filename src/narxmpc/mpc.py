@@ -623,7 +623,7 @@ class ClosedLoopTrace:
 
 
 def run_closed_loop(
-    plant: NarxDynamics,
+    plant,
     surrogate: NarxDynamics,
     cfg: MpcConfig,
     x0: np.ndarray,
@@ -634,13 +634,15 @@ def run_closed_loop(
     """Receding-horizon control of ``plant`` using ``surrogate`` predictions.
 
     Each step solves the open-loop problem at the measured regressor,
-    applies the first input to the plant, measures the next output and
-    shifts the regressor.  One extra diagnostic solve evaluates the
+    applies the first input to the plant through ``plant.output(x, u)``
+    (normalized coordinates, as :class:`~narxmpc.twotank.TwoTankPlant`
+    or any :class:`NarxDynamics` takes them), measures the next output
+    and shifts the regressor.  One extra diagnostic solve evaluates the
     optimal value at the final state so that decrease checks can cover
     every applied step.  Its entry ends every per-state array, so they
     all hold ``states.shape[0]`` values; without that solve (no step
-    requested, or a failed step) the entry is a NaN value and gradient
-    norm, zero iterations and not converged.
+    requested, a failed step or a failed diagnostic solve) the entry is
+    a NaN value and gradient norm, zero iterations and not converged.
 
     ``storage_matrix`` (n, n), when given, adds the storage values and
     the candidate Lyapunov values (optimal value plus storage) to the
@@ -649,53 +651,50 @@ def run_closed_loop(
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     dims = cfg.dims
-    x = np.asarray(x0, dtype=float).copy()
-    states = [x.copy()]
-    inputs, outputs, values, stage_costs = [], [], [], []
-    grad_norms, iter_counts, conv_flags = [], [], []
-    failed_step = None
-    failure = None
-    warm = None
-    for k in range(steps):
+    states = np.empty((steps + 1, dims.n))
+    states[0] = np.asarray(x0, dtype=float).reshape(dims.n)
+    inputs = np.empty((steps, dims.m))
+    outputs = np.empty((steps, dims.p))
+    stage_costs = np.empty(steps)
+    values = np.full(steps + 1, np.nan)
+    grad_norms = np.full(steps + 1, np.nan)
+    iterations = np.zeros(steps + 1, dtype=int)
+    converged = np.zeros(steps + 1, dtype=bool)
+    failed_step = failure = warm = None
+    # Pass k solves at x(k); the pass at k == steps is the terminal
+    # diagnostic solve and applies no input.
+    for k in range(steps + 1 if steps else 0):
         try:
-            sol = solve_ocp(surrogate, x, cfg, warm=warm)
+            sol = solve_ocp(surrogate, states[k], cfg, warm=warm)
         except SolverError as exc:
-            failed_step = k
-            failure = str(exc)
+            if k < steps:
+                failed_step, failure = k, str(exc)
+            else:
+                failure = f"terminal diagnostic solve failed: {exc}"
             break
-        u0 = sol.u_star[0]
-        try:
-            y_next = plant.output(x, u0)
-        except (ValueError, FloatingPointError) as exc:
-            failed_step = k
-            failure = f"plant rejected the applied input: {exc}"
-            break
-        x = shift_state(x, y_next, u0, dims)
-        states.append(x.copy())
-        inputs.append(u0)
-        outputs.append(np.asarray(y_next, dtype=float))
-        values.append(sol.value)
-        stage_costs.append(float(stage_cost(y_next, u0, cfg.weights)))
-        grad_norms.append(sol.grad_norm)
-        iter_counts.append(sol.iterations)
-        conv_flags.append(sol.converged)
-        warm = np.vstack([sol.u_star[1:], np.zeros((1, dims.m))])
-    terminal = (np.nan, np.nan, 0, False)
-    if failed_step is None and steps > 0:
-        try:
-            sol = solve_ocp(surrogate, x, cfg, warm=warm)
-            terminal = (sol.value, sol.grad_norm, sol.iterations, sol.converged)
-        except SolverError as exc:
-            failure = f"terminal diagnostic solve failed: {exc}"
+        if k < steps:
+            u0 = sol.u_star[0]
+            try:
+                y_next = plant.output(states[k], u0)
+            except (ValueError, FloatingPointError) as exc:
+                failed_step, failure = k, f"plant rejected the applied input: {exc}"
+                break
+            states[k + 1] = shift_state(states[k], y_next, u0, dims)
+            inputs[k], outputs[k] = u0, y_next
+            stage_costs[k] = stage_cost(y_next, u0, cfg.weights)
+            warm = np.vstack([sol.u_star[1:], np.zeros((1, dims.m))])
+        values[k], grad_norms[k] = sol.value, sol.grad_norm
+        iterations[k], converged[k] = sol.iterations, sol.converged
+    applied = steps if failed_step is None else failed_step
     trace = ClosedLoopTrace(
-        states=np.asarray(states),
-        inputs=np.asarray(inputs).reshape(len(inputs), dims.m),
-        outputs=np.asarray(outputs).reshape(len(outputs), dims.p),
-        values=np.asarray(values + [terminal[0]]),
-        stage_costs=np.asarray(stage_costs),
-        grad_norms=np.asarray(grad_norms + [terminal[1]]),
-        iterations=np.asarray(iter_counts + [terminal[2]], dtype=int),
-        converged=np.asarray(conv_flags + [terminal[3]], dtype=bool),
+        states=states[: applied + 1],
+        inputs=inputs[:applied],
+        outputs=outputs[:applied],
+        values=values[: applied + 1],
+        stage_costs=stage_costs[:applied],
+        grad_norms=grad_norms[: applied + 1],
+        iterations=iterations[: applied + 1],
+        converged=converged[: applied + 1],
         dims=dims,
         horizon=cfg.horizon,
         normalization=normalization,

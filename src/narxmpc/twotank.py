@@ -10,12 +10,15 @@ level.  With levels ``h1`` (lower), ``h2`` (upper) and pump flow ``u``:
 Sampling uses one classical Runge-Kutta step per sampling interval with
 the input held constant; where a stage point leaves the domain the step
 is redone with finer substeps (:func:`_total_step`), which the plant
-simulator, the exact NARX view and the trajectory data generator all
-share.  Because only ``h1`` is measured, the sampled
-plant is second order with a hidden level; on regressors of lag depth
-two or more the hidden level is recoverable from the newest measured
-transition, which makes the plant an exact deterministic NARX map and is
-how :class:`TwoTankNarxDynamics` evaluates it.
+and its exact NARX view share.
+
+:class:`TwoTankPlant` is the one stateful plant: it carries both levels
+and is what the closed loop drives and what trajectory-mode data is
+harvested from.  Because only ``h1`` is measured, the sampled plant is
+second order with a hidden level; on regressors of lag depth two or more
+the hidden level is recoverable from the newest measured transition,
+which makes the plant an exact deterministic NARX map and is how
+:class:`TwoTankNarxDynamics` evaluates it.
 """
 
 from __future__ import annotations
@@ -202,19 +205,23 @@ def reconstruct_hidden_level(y_prev, y_cur, u_prev, params: TwoTankParams):
 
 
 class TwoTankPlant:
-    """Stateful sampled simulator carrying both levels.
+    """Stateful sampled simulator carrying both levels: the closed-loop plant.
 
-    This is the closed-loop stand-in for the physical rig: it hides the
-    upper level and reports only the measured lower level.  Sequential
-    use only.
+    This is the stand-in for the physical rig: it hides the upper level
+    and reports only the measured lower level.  :meth:`step` takes the
+    pump flow in raw units; :meth:`output` is the same step in the
+    normalized coordinates of the configuration, ignoring the regressor
+    as a rig would.  Sequential use only.
     """
 
-    def __init__(self, params: TwoTankParams, h1: float, h2: float):
+    def __init__(self, cfg: BenchmarkConfig, h1: float, h2: float):
         if not (0.0 <= h1 <= h2):
             raise DomainError(
                 f"initial levels must satisfy 0 <= h1 <= h2, got ({h1}, {h2})"
             )
-        self.params = params
+        self.params = cfg.params
+        self.norm = cfg.normalization()
+        self.dims = cfg.dims
         self.h1 = float(h1)
         self.h2 = float(h2)
 
@@ -228,6 +235,12 @@ class TwoTankPlant:
         h1, h2 = _total_step(self.h1, max(self.h2, self.h1), float(u), self.params)
         self.h1, self.h2 = float(h1[0]), float(h2[0])
         return self.h1
+
+    def output(self, x, u):
+        """Apply the normalized input ``u`` (m,) and return the normalized
+        output (p,); ``x`` is not read."""
+        u_raw = self.norm.denormalize_input(np.atleast_1d(np.asarray(u, dtype=float)))
+        return self.norm.normalize_output(np.array([self.step(float(u_raw[0]))]))
 
 
 class TwoTankNarxDynamics(NarxDynamics):
@@ -308,32 +321,6 @@ class TwoTankNarxDynamics(NarxDynamics):
         return states, outputs
 
 
-class StatefulPlantDynamics(NarxDynamics):
-    """Closed-loop adapter that advances a :class:`TwoTankPlant` internally.
-
-    ``output`` ignores the regressor history and steps the carried plant
-    with the denormalized input, exactly as a rig would respond.  Not a
-    pure function of its arguments; sequential use only, so a batch may
-    hold a single row.
-    """
-
-    def __init__(self, plant: TwoTankPlant, normalization: AffineNormalization, dims: NarxDims):
-        self.plant = plant
-        self.norm = normalization
-        self.dims = dims
-
-    def output(self, x, u):
-        u_raw = float(self.norm.denormalize_input(np.atleast_1d(np.asarray(u, dtype=float)))[0])
-        y = self.plant.step(u_raw)
-        return self.norm.normalize_output(np.array([y]))
-
-    def output_batch(self, X, U):
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        if U.shape[0] != 1:
-            raise ValueError("the stateful plant advances one input at a time")
-        return self.output(None, U[0])[None]
-
-
 @dataclass(frozen=True)
 class BenchmarkConfig:
     """Two-tank benchmark settings (raw physical units for the plant side).
@@ -341,10 +328,10 @@ class BenchmarkConfig:
     ``d`` counts interpolation sites including the equilibrium sample,
     ``horizon`` is the controller horizon and ``steps`` the closed-loop
     length.  The output domain is the fixed level range ``[y_lo, y_hi]``
-    and the admissible pump range is ``[u_lo, u_hi]``, which must hold
-    the equilibrium flow ``u_eq``; the measured level starts at the
-    constant value ``h0``.  Dataset ``mode`` is
-    ``state_grid`` (quasi-uniform coverage of levels and inputs, the
+    and the admissible pump range is ``[u_lo, u_hi]``, which must start
+    at a nonnegative flow and hold the equilibrium flow ``u_eq``; the
+    measured level starts at the constant value ``h0``.  Dataset ``mode``
+    is ``state_grid`` (quasi-uniform coverage of levels and inputs, the
     default) or ``trajectory`` (harvested simulation runs).  The lag
     depth ``nu`` is fixed at two: the depth at which the hidden level is
     recoverable, and the one the samplers draw regressors for.  Every
@@ -381,6 +368,8 @@ class BenchmarkConfig:
             raise ValueError(
                 f"unknown dataset mode {self.mode!r}; use 'trajectory' or 'state_grid'"
             )
+        if self.u_lo < 0:
+            raise ValueError(f"u_lo must be nonnegative (a pump flow), got {self.u_lo}")
         if not (self.u_lo < self.u_hi):
             raise ValueError("need u_lo < u_hi")
         if not (self.u_lo <= self.u_eq <= self.u_hi):
@@ -576,6 +565,60 @@ def _reachable_draws(cfg: BenchmarkConfig, seed: int):
         yield np.stack([y_cur[ok], h1[ok], u_prev[ok]], axis=1), h2_cur[ok], u_now[ok]
 
 
+#: Samples per trajectory-mode plant run.
+_RUN_LENGTH = 40
+
+
+def _trajectory_blocks(cfg: BenchmarkConfig):
+    """Candidate blocks of ``trajectory`` mode, one seeded plant run each.
+
+    A run starts a :class:`TwoTankPlant` at a random lower level with a
+    random head above it and holds each random input for three samples,
+    until it has taken :data:`_RUN_LENGTH` steps or a step fails or leaves
+    the level domain.  Yields the raw lag-two regressors
+    ``(y(k), y(k-1), u(k-1))`` for ``k >= 1``, the inputs ``u(k)`` and the
+    next levels ``y(k+1)``, row for row.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    while True:
+        h1 = rng.uniform(cfg.y_lo, cfg.y_hi)
+        plant = TwoTankPlant(cfg, h1, h1 + rng.uniform(0.0, 0.3))
+        levels, inputs = [h1], []
+        u = rng.uniform(cfg.u_lo, cfg.u_hi)
+        for t in range(_RUN_LENGTH):
+            if t % 3 == 0:
+                u = rng.uniform(cfg.u_lo, cfg.u_hi)
+            try:
+                h1 = plant.step(u)
+            except DomainError:
+                break
+            if not (cfg.y_lo <= h1 <= cfg.y_hi):
+                break
+            levels.append(h1)
+            inputs.append(u)
+        y, u_seq = np.array(levels), np.array(inputs)
+        yield np.column_stack([y[1:-1], y[:-2], u_seq[:-1]]), u_seq[1:], y[2:]
+
+
+def _grid_blocks(cfg: BenchmarkConfig):
+    """Candidate blocks of ``state_grid`` mode, one per block of
+    :func:`_reachable_draws`: its regressors and inputs with the level one
+    more step on, dropping rows where that step fails."""
+    for raw_x, h2_cur, u_now in _reachable_draws(cfg, cfg.seed):
+        y_cur = raw_x[:, 0]
+        y_next, _ = two_tank_step(y_cur, np.maximum(h2_cur, y_cur), u_now, cfg.params)
+        ok = np.isfinite(y_next)
+        yield raw_x[ok], u_now[ok], y_next[ok]
+
+
+#: Per dataset mode: the candidate blocks, the provenance key counting
+#: what they drew, the count of one block, and the stall limit of that key.
+_DATASET_MODES = {
+    "trajectory": (_trajectory_blocks, "trajectories", 1, 100_000),
+    "state_grid": (_grid_blocks, "halton_points", _HALTON_BLOCK, 4_000_000),
+}
+
+
 def generate_dataset(cfg: BenchmarkConfig) -> tuple[Dataset, dict]:
     """Generate an interpolation dataset from the two-tank plant.
 
@@ -583,14 +626,14 @@ def generate_dataset(cfg: BenchmarkConfig) -> tuple[Dataset, dict]:
     -----
     ``trajectory``
         Seeded random restarts of a :class:`TwoTankPlant` with
-        piecewise-constant inputs (held for three samples);
+        piecewise-constant inputs (:func:`_trajectory_blocks`); the
         regressor-input-target triples are harvested while the output
         stays inside the level domain.
     ``state_grid``
         Blocks of :func:`_reachable_draws` (:class:`ScrambledHalton`
         points over lower level, upper level, previous input and input,
         filtered to upper >= lower), with two one-step integrations
-        producing the regressor and the target.
+        producing the regressor and the target (:func:`_grid_blocks`).
 
     Both modes place the exact equilibrium sample first, enforce a
     minimum pairwise site separation with :func:`_accept_spaced` and
@@ -602,77 +645,30 @@ def generate_dataset(cfg: BenchmarkConfig) -> tuple[Dataset, dict]:
     provenance = {"mode": cfg.mode, "seed": cfg.seed, "min_separation": sep}
     dims = cfg.dims
     norm = cfg.normalization()
+    make_blocks, drawn_key, per_block, limit = _DATASET_MODES[cfg.mode]
 
     sites = np.empty((cfg.d, dims.n + dims.m))
     targets = np.empty((cfg.d, dims.p))
     sites[0, : dims.n] = cfg.equilibrium_regressor()
     sites[0, dims.n :] = norm.normalize_input(np.array([cfg.u_eq]))
     targets[0] = 0.0
-    count, rejected = 1, 0
-    if cfg.mode == "trajectory":
-        rng = np.random.default_rng(cfg.seed)
-        trajectories = 0
-        max_len = 40
-        while count < cfg.d:
-            trajectories += 1
-            if trajectories > 100000:
-                raise RuntimeError(
-                    f"dataset generation stalled at {count} of {cfg.d} sites "
-                    f"spaced at least {sep:.3g} apart"
-                )
-            h1 = rng.uniform(cfg.y_lo, cfg.y_hi)
-            plant = TwoTankPlant(cfg.params, h1, h1 + rng.uniform(0.0, 0.3))
-            y_hist = [h1]
-            u_hist: list[float] = []
-            u_cur = rng.uniform(cfg.u_lo, cfg.u_hi)
-            for t in range(max_len):
-                if t % 3 == 0:
-                    u_cur = rng.uniform(cfg.u_lo, cfg.u_hi)
-                try:
-                    h1 = plant.step(u_cur)
-                except DomainError:
-                    break
-                if not (cfg.y_lo <= h1 <= cfg.y_hi):
-                    break
-                y_hist.append(h1)
-                u_hist.append(u_cur)
-                k = len(u_hist) - 1
-                if k >= dims.nu - 1:
-                    y_block = np.array(y_hist[k - dims.nu + 1 : k + 1][::-1])
-                    u_block = np.array(u_hist[k - dims.nu + 1 : k][::-1])
-                    raw_x = build_regressor(y_block[:, None], u_block[:, None], dims)
-                    site = np.concatenate(
-                        [norm.normalize_state(raw_x, dims), norm.normalize_input(np.array([u_hist[k]]))]
-                    )
-                    target = norm.normalize_output(np.array([y_hist[k + 1]]))
-                    count, skipped = _accept_spaced(
-                        sites, targets, count, site[None], target[None], sep
-                    )
-                    rejected += skipped
-                if count == cfg.d:
-                    break
-        provenance["trajectories"] = trajectories
-    else:
-        draws = _reachable_draws(cfg, cfg.seed)
-        drawn = 0
-        while count < cfg.d:
-            raw_x, h2_cur, u_now = next(draws)
-            drawn += _HALTON_BLOCK
-            if drawn > 4_000_000:
-                raise RuntimeError(
-                    f"dataset generation stalled at {count} of {cfg.d} sites "
-                    f"spaced at least {sep:.3g} apart"
-                )
-            y_cur = raw_x[:, 0]
-            y_next, _ = two_tank_step(y_cur, np.maximum(h2_cur, y_cur), u_now, cfg.params)
-            ok = np.isfinite(y_next)
-            candidates = np.hstack(
-                [norm.normalize_state(raw_x[ok], dims), norm.normalize_input(u_now[ok, None])]
+    count, rejected, blocks = 1, 0, 0
+    candidate_blocks = make_blocks(cfg)
+    while count < cfg.d:
+        blocks += 1
+        if blocks * per_block > limit:
+            raise RuntimeError(
+                f"dataset generation stalled at {count} of {cfg.d} sites "
+                f"spaced at least {sep:.3g} apart"
             )
-            values = norm.normalize_output(y_next[ok, None])
-            count, skipped = _accept_spaced(sites, targets, count, candidates, values, sep)
-            rejected += skipped
-        provenance["halton_points"] = drawn
+        raw_x, u, y_next = next(candidate_blocks)
+        candidates = np.hstack(
+            [norm.normalize_state(raw_x, dims), norm.normalize_input(u[:, None])]
+        )
+        values = norm.normalize_output(y_next[:, None])
+        count, skipped = _accept_spaced(sites, targets, count, candidates, values, sep)
+        rejected += skipped
+    provenance[drawn_key] = blocks * per_block
     provenance["rejected"] = rejected
 
     data = Dataset(

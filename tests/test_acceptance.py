@@ -17,7 +17,6 @@ import pytest
 from narxmpc import (
     Dataset,
     KernelSpec,
-    StatefulPlantDynamics,
     TwoTankPlant,
     cost_J_batch,
     cost_gradient,
@@ -250,9 +249,7 @@ class TestAcceptance:
         rhs_rounded = np.asarray(two_tank_rhs(0.0438, 0.09, cfg.u_eq, cfg.params))
         rhs_exact = np.asarray(two_tank_rhs(h1_eq, h2_eq, cfg.u_eq, cfg.params))
         norm_rounded = float(np.linalg.norm(rhs_rounded))
-        plant = StatefulPlantDynamics(
-            TwoTankPlant(cfg.params, h1_eq, h2_eq), norm, dims
-        )
+        plant = TwoTankPlant(cfg, h1_eq, h2_eq)
         trace = run_closed_loop(
             plant,
             result.arms[101].model,

@@ -116,6 +116,14 @@ class TestParsing:
         assert code == 1
         assert "unknown config key 'nu'" in capsys.readouterr().err
 
+    def test_negative_pump_bound_is_an_error(self, tmp_path, capsys):
+        config = tmp_path / "cfg.txt"
+        config.write_text("u_lo = -2e-5\n")
+        code = main(["generate", "--D", "21", "--config", str(config), "--out", str(tmp_path)])
+        assert code == 1
+        assert "u_lo must be nonnegative" in capsys.readouterr().err
+        assert not list(tmp_path.glob("dataset_*.csv"))
+
     def test_growth_grid_defaults_agree(self):
         parser = build_parser()
         certify = parser.parse_args(["certify", "--model", "m.csv", "--trace", "t.csv"])
@@ -168,7 +176,7 @@ class TestFit:
             normalization=cfg.normalization(),
         )
         data_path = tmp_path / "one.csv"
-        save_dataset(data, data_path)
+        save_dataset(data, data_path, cfg)
         assert main(["fit", "--data", str(data_path), "--out", str(tmp_path)]) == 0
         model = load_model(tmp_path / "model.csv")
         assert_allclose(model.coefficients, [[30.0 * 0.7]], rtol=1e-10)
@@ -214,6 +222,18 @@ class TestFit:
         assert "dataset_D21.csv: normalization u_scale" in capsys.readouterr().err
         assert not (tmp_path / "model.csv").exists()
 
+    def test_sidecar_without_sample_time_is_rejected(self, workspace, tmp_path, capsys):
+        data = tmp_path / "dataset.csv"
+        data.write_text((workspace / "dataset_D21.csv").read_text())
+        lines = (workspace / "dataset_D21.csv.meta").read_text().splitlines()
+        kept = [line for line in lines if not line.startswith("dt =")]
+        assert len(kept) == len(lines) - 1
+        (tmp_path / "dataset.csv.meta").write_text("\n".join(kept) + "\n")
+        code = main(["fit", "--data", str(data), "--out", str(tmp_path)])
+        assert code == 1
+        assert "dataset.csv: sidecar is missing the dt entry" in capsys.readouterr().err
+        assert not (tmp_path / "model.csv").exists()
+
     def test_missing_dataset(self, tmp_path, capsys):
         code = main(
             ["fit", "--data", str(tmp_path / "none.csv"), "--out", str(tmp_path)]
@@ -240,6 +260,24 @@ class TestSimulate:
         ):
             assert main(argv) == 1
             assert "model.csv: normalization u_scale" in capsys.readouterr().err
+        assert not (tmp_path / "default").exists()
+
+    def test_model_of_another_sample_time_is_rejected(self, tmp_path, capsys):
+        config = tmp_path / "cfg.txt"
+        config.write_text("dt = 5\n")
+        common = ["--config", str(config), "--out", str(tmp_path)]
+        dataset, model = str(tmp_path / "dataset_D21.csv"), str(tmp_path / "model.csv")
+        assert main(["generate", "--D", "21", *common]) == 0
+        assert main(["fit", "--data", dataset, *common]) == 0
+        capsys.readouterr()
+        default = ["--out", str(tmp_path / "default")]
+        for argv, name in (
+            (["simulate", "--model", model, "--steps", "2", *default], "model.csv"),
+            (["fit", "--data", dataset, *default], "dataset_D21.csv"),
+        ):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert f"{name}: dt = 5 does not match the configuration's 10" in err
         assert not (tmp_path / "default").exists()
 
     def test_zero_steps_header_only(self, workspace, tmp_path):
@@ -351,6 +389,80 @@ class TestCertify:
         if config is not None:
             argv += ["--config", str(config)]
         assert main(argv) == 0
+
+    @pytest.mark.parametrize("entry", ["N = 3", "Q = 5", "R = 1"])
+    def test_trace_of_other_controller_settings_is_rejected(
+        self, workspace, tmp_path, capsys, entry
+    ):
+        self._simulate(workspace, tmp_path, steps="2")
+        config = tmp_path / "cfg.txt"
+        config.write_text(f"{entry}\n")
+        out = tmp_path / "certify"
+        code = main(
+            [
+                "certify",
+                "--config", str(config),
+                "--model", str(workspace / "model.csv"),
+                "--trace", str(tmp_path / "trace_norm.csv"),
+                "--b-states", "2",
+                "--b-horizon", "1",
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        key = entry.split(" = ")[0]
+        assert f"trace_norm.csv: {key} = " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [("u_hi = 3e-5", "normalization u_scale = "), ("dt = 5", "dt = 5 does not match")],
+    )
+    def test_trace_in_other_coordinates_is_rejected(
+        self, workspace, tmp_path, capsys, entry, message
+    ):
+        # The trace comes from a chain under another configuration; the
+        # model given to certify matches the default one.
+        config = tmp_path / "cfg.txt"
+        config.write_text(f"{entry}\n")
+        common = ["--config", str(config), "--out", str(tmp_path)]
+        assert main(["generate", "--D", "21", *common]) == 0
+        assert main(["fit", "--data", str(tmp_path / "dataset_D21.csv"), *common]) == 0
+        assert main(["simulate", "--model", str(tmp_path / "model.csv"), "--steps", "2", *common]) == 0
+        capsys.readouterr()
+        out = tmp_path / "certify"
+        code = main(
+            [
+                "certify",
+                "--model", str(workspace / "model.csv"),
+                "--trace", str(tmp_path / "trace_norm.csv"),
+                "--b-states", "2",
+                "--b-horizon", "1",
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert f"trace_norm.csv: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_trace_without_sidecar_is_rejected(self, workspace, tmp_path, capsys):
+        self._simulate(workspace, tmp_path, steps="2")
+        meta = read_keyvalues(tmp_path / "trace_norm.csv.meta")
+        assert {key: meta[key] for key in ("format", "dt", "N", "Q", "R")} == {
+            "format": "narxmpc-trace-v1", "dt": "10", "N": "20", "Q": "1",
+            "R": "0.10000000000000001",
+        }
+        (tmp_path / "trace_norm.csv.meta").unlink()
+        code = main(
+            [
+                "certify",
+                "--model", str(workspace / "model.csv"),
+                "--trace", str(tmp_path / "trace_norm.csv"),
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 1
+        assert "trace_norm.csv.meta" in capsys.readouterr().err
 
     def test_equilibrium_start_certifies(self, workspace, tmp_path, capsys):
         config = tmp_path / "cfg.txt"
@@ -627,6 +739,8 @@ class TestBenchmark:
             "model_D21.csv.meta": "model.csv.meta",
             "trace_norm_D21.csv": "trace_norm.csv",
             "trace_raw_D21.csv": "trace_raw.csv",
+            "trace_norm_D21.csv.meta": "trace_norm.csv.meta",
+            "trace_raw_D21.csv.meta": "trace_raw.csv.meta",
             "stability_steps_D21.csv": "stability_steps.csv",
         }
         for in_bundle, in_chain in pairs.items():

@@ -161,7 +161,7 @@ class TestDatasetIo:
     def test_round_trip(self, cfg, tmp_path):
         data, provenance = generate_dataset(replace(cfg, d=11))
         path = tmp_path / "dataset_D11.csv"
-        save_dataset(data, path, provenance)
+        save_dataset(data, path, cfg, provenance)
         back = load_dataset(path)
         assert_array_equal(back.sites, data.sites)
         assert_array_equal(back.targets, data.targets)
@@ -175,7 +175,7 @@ class TestDatasetIo:
     def test_header_mismatch_detected(self, cfg, tmp_path):
         data, _ = generate_dataset(replace(cfg, d=5))
         path = tmp_path / "d.csv"
-        save_dataset(data, path)
+        save_dataset(data, path, cfg)
         text = path.read_text().splitlines()
         text[0] = text[0].replace("xi_1", "zz_1")
         path.write_text("\n".join(text) + "\n")
@@ -192,7 +192,7 @@ class TestModelIo:
     def test_round_trip_predictions(self, cfg, tmp_path):
         model = self._small_model(cfg)
         path = tmp_path / "model.csv"
-        save_model(model, path)
+        save_model(model, path, cfg)
         back = load_model(path)
         rng = np.random.default_rng(41)
         Xi = rng.uniform(-0.1, 0.5, size=(50, 4))
@@ -205,7 +205,7 @@ class TestModelIo:
     def test_tampered_coefficients_detected(self, cfg, tmp_path):
         model = self._small_model(cfg)
         path = tmp_path / "model.csv"
-        save_model(model, path)
+        save_model(model, path, cfg)
         lines = path.read_text().splitlines()
         fields = lines[2].split(",")
         fields[-1] = format_float(float(fields[-1]) + 0.5)
@@ -216,10 +216,10 @@ class TestModelIo:
 
 
 class TestTraceIo:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self, cfg, tmp_path):
         trace = _linear_closed_loop(steps=4)
         path = tmp_path / "trace.csv"
-        save_trace(trace, path)
+        save_trace(trace, path, cfg)
         back = load_trace(path, DIMS, horizon=4)
         assert back.steps == 4
         assert_array_equal(back.states, trace.states)
@@ -231,10 +231,10 @@ class TestTraceIo:
         assert_array_equal(back.iterations, trace.iterations)
         assert_array_equal(back.converged, trace.converged)
 
-    def test_terminal_diagnostic_row(self, tmp_path):
+    def test_terminal_diagnostic_row(self, cfg, tmp_path):
         trace = _linear_closed_loop(steps=3)
         path = tmp_path / "trace.csv"
-        save_trace(trace, path)
+        save_trace(trace, path, cfg)
         header, table = read_csv(path)
         assert header == trace_header(DIMS)
         assert table.shape[0] == 4
@@ -242,10 +242,10 @@ class TestTraceIo:
         u_col = 1 + DIMS.n
         assert np.isnan(table[-1, u_col])
 
-    def test_empty_trace_is_header_only(self, tmp_path):
+    def test_empty_trace_is_header_only(self, cfg, tmp_path):
         trace = _linear_closed_loop(steps=0)
         path = tmp_path / "trace.csv"
-        save_trace(trace, path)
+        save_trace(trace, path, cfg)
         back = load_trace(path, DIMS, horizon=4)
         assert back.steps == 0
         assert path.read_text().count("\n") == 1
@@ -254,23 +254,23 @@ class TestTraceIo:
         trace = _linear_closed_loop(steps=2, normalization=cfg.normalization())
         norm_path = tmp_path / "norm.csv"
         raw_path = tmp_path / "raw.csv"
-        save_trace(trace, norm_path, raw=False)
-        save_trace(trace, raw_path, raw=True)
+        save_trace(trace, norm_path, cfg, raw=False)
+        save_trace(trace, raw_path, cfg, raw=True)
         _, norm_table = read_csv(norm_path)
         _, raw_table = read_csv(raw_path)
         raw_states = cfg.normalization().denormalize_state(trace.states, DIMS)
         assert_allclose(raw_table[:, 1 : 1 + DIMS.n], raw_states, rtol=1e-12)
         assert not np.allclose(raw_table[:, 1], norm_table[:, 1])
 
-    def test_raw_needs_normalization(self, tmp_path):
+    def test_raw_needs_normalization(self, cfg, tmp_path):
         trace = _linear_closed_loop(steps=2)
         with pytest.raises(ValueError, match="normalization"):
-            save_trace(trace, tmp_path / "raw.csv", raw=True)
+            save_trace(trace, tmp_path / "raw.csv", cfg, raw=True)
 
-    def test_header_mismatch_detected(self, tmp_path):
+    def test_header_mismatch_detected(self, cfg, tmp_path):
         trace = _linear_closed_loop(steps=2)
         path = tmp_path / "trace.csv"
-        save_trace(trace, path)
+        save_trace(trace, path, cfg)
         with pytest.raises(ConfigError, match="header"):
             load_trace(path, NarxDims(p=1, m=1, nu=3), horizon=4)
 

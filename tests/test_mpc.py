@@ -296,15 +296,12 @@ class TestClosedLoop:
         assert np.isnan(trace.lyapunov[0])
 
     def test_two_tank_equilibrium_rest(self, cfg, mpc_cfg, fit_101):
-        from narxmpc import StatefulPlantDynamics, TwoTankPlant
+        from narxmpc import TwoTankPlant
 
         _, model = fit_101
         h1_eq, h2_eq = cfg.equilibrium
-        stateful = StatefulPlantDynamics(
-            TwoTankPlant(cfg.params, h1_eq, h2_eq), cfg.normalization(), cfg.dims
-        )
         trace = run_closed_loop(
-            stateful, model, mpc_cfg, np.zeros(3), steps=5
+            TwoTankPlant(cfg, h1_eq, h2_eq), model, mpc_cfg, np.zeros(3), steps=5
         )
         assert trace.failed_step is None
         assert np.max(np.abs(trace.inputs)) <= 1e-6
@@ -321,6 +318,64 @@ class TestClosedLoop:
         assert trace.failed_step == 0
         assert trace.failure is not None
         assert trace.steps == 0
+
+    def test_plant_failure_cuts_the_trace_at_the_failed_step(self):
+        class FailsOnThirdCall:
+            dims = DIMS
+
+            def __init__(self):
+                self.calls = 0
+
+            def output(self, x, u):
+                self.calls += 1
+                if self.calls == 3:
+                    raise ValueError("levels outside the domain")
+                return np.zeros(1)
+
+        trace = run_closed_loop(
+            FailsOnThirdCall(), _zero_dynamics(), _config(3), np.array([0.4, 0.1, 0.0]), steps=5
+        )
+        assert trace.failed_step == 2
+        assert trace.states.shape == (3, 3)
+        assert trace.inputs.shape == (2, 1) and trace.outputs.shape == (2, 1)
+        assert trace.stage_costs.shape == (2,)
+        for per_state in (trace.values, trace.grad_norms, trace.iterations, trace.converged):
+            assert per_state.shape == (3,)
+        assert np.isnan(trace.values[2]) and np.isnan(trace.grad_norms[2])
+        assert trace.iterations[2] == 0 and not trace.converged[2]
+        assert trace.failure.startswith("plant rejected the applied input")
+
+    def test_failed_terminal_solve_keeps_every_applied_step(self, monkeypatch):
+        import narxmpc.mpc as mpc
+
+        steps = 4
+        calls = []
+        solve = mpc.solve_ocp
+
+        def fails_on_the_terminal_call(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == steps + 1:
+                raise mpc.SolverError("non-finite cost")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(mpc, "solve_ocp", fails_on_the_terminal_call)
+        f = _zero_dynamics()
+        trace = run_closed_loop(f, f, _config(3), np.array([0.4, 0.1, 0.0]), steps=steps)
+        assert len(calls) == steps + 1
+        assert trace.failed_step is None
+        assert trace.failure.startswith("terminal diagnostic solve failed")
+        assert trace.states.shape == (steps + 1, 3)
+        for per_step in (trace.inputs, trace.outputs, trace.stage_costs):
+            assert per_step.shape[0] == steps
+        assert np.isnan(trace.values[-1]) and np.isnan(trace.grad_norms[-1])
+        assert trace.iterations[-1] == 0 and not trace.converged[-1]
+        assert np.all(np.isfinite(trace.values[:-1]))
+
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_initial_state_of_another_length_rejected(self, steps):
+        plant = _zero_dynamics()
+        with pytest.raises(ValueError):
+            run_closed_loop(plant, plant, _config(3), np.array([0.4]), steps=steps)
 
     def test_negative_steps_rejected(self):
         f = _zero_dynamics()

@@ -152,7 +152,7 @@ class TestRollout:
         u_raw = rng.uniform(cfg.u_lo, cfg.u_hi, size=(6, 1))
         u_seq = norm.normalize_input(u_raw)
         _, outputs = _stepwise_rollout(plant_view, x0, u_seq)
-        plant = TwoTankPlant(params, float(y_cur), float(h2_cur))
+        plant = TwoTankPlant(cfg, float(y_cur), float(h2_cur))
         direct = [plant.step(u) for u in u_raw.ravel()]
         assert_allclose(
             norm.denormalize_output(outputs).ravel(), direct, rtol=0.0, atol=1e-10

@@ -32,6 +32,7 @@ from narxmpc.twotank import ScrambledHalton, _reachable_draws, _total_step
 from oracles import rk4_step, sample_domain, state_box
 
 PARAMS = TwoTankParams()
+CFG = BenchmarkConfig()
 U_EQ = 5.461e-6
 H1_EQ = 0.04377874810998076
 H2_EQ = 0.09000374810998076
@@ -73,7 +74,7 @@ class TestRhs:
         assert np.isnan(d1) and np.isnan(d2)
         # ... and the plant raises where substeps cannot recover: a negative
         # pump flow empties the upper tank below the lower one
-        plant = TwoTankPlant(PARAMS, 0.0, 0.0)
+        plant = TwoTankPlant(CFG, 0.0, 0.0)
         with pytest.raises(DomainError, match="stayed invalid down to 64 substeps"):
             plant.step(-1e-3)
 
@@ -144,12 +145,12 @@ class TestSampledStep:
         assert np.isnan(h1[1]) and np.isnan(h2[1])
 
     def test_equilibrium_holds_for_100_steps(self):
-        plant = TwoTankPlant(PARAMS, H1_EQ, H2_EQ)
+        plant = TwoTankPlant(CFG, H1_EQ, H2_EQ)
         outputs = np.array([plant.step(U_EQ) for _ in range(100)])
         assert np.max(np.abs(outputs - H1_EQ)) <= 1e-12
 
     def test_unpumped_drain_decays_then_leaves_domain(self):
-        plant = TwoTankPlant(PARAMS, 0.3, 0.4)
+        plant = TwoTankPlant(CFG, 0.3, 0.4)
         levels = [plant.h1]
         for _ in range(40):
             try:
@@ -209,12 +210,12 @@ class TestHiddenLevelRecovery:
 class TestPlant:
     def test_rejects_inverted_levels(self):
         with pytest.raises(DomainError):
-            TwoTankPlant(PARAMS, 0.5, 0.3)
+            TwoTankPlant(CFG, 0.5, 0.3)
         with pytest.raises(DomainError):
-            TwoTankPlant(PARAMS, -0.1, 0.2)
+            TwoTankPlant(CFG, -0.1, 0.2)
 
     def test_step_updates_levels(self):
-        plant = TwoTankPlant(PARAMS, 0.2, 0.35)
+        plant = TwoTankPlant(CFG, 0.2, 0.35)
         y = plant.step(2e-5)
         assert y == plant.h1
         h1_ref, h2_ref = two_tank_step(0.2, 0.35, 2e-5, PARAMS)
@@ -225,7 +226,7 @@ class TestPlant:
         # Nearly equal levels and a weak pump: a single Runge-Kutta step
         # drives a stage point below h2 >= h1; substeps recover the flow.
         h1, h2, u = 0.026965351190828213, 0.027415631064599783, 4.415645394818535e-06
-        plant = TwoTankPlant(PARAMS, h1, h2)
+        plant = TwoTankPlant(CFG, h1, h2)
         y = plant.step(u)
         ref1, ref2 = _total_step(h1, h2, u, PARAMS)
         assert (y, plant.h2) == (float(ref1[0]), float(ref2[0]))
@@ -308,6 +309,11 @@ class TestConfig:
             BenchmarkConfig(mode="spiral")
         with pytest.raises(ValueError):
             BenchmarkConfig(u_lo=1e-5)
+
+    def test_negative_pump_bound_rejected(self):
+        with pytest.raises(ValueError, match="u_lo must be nonnegative"):
+            BenchmarkConfig(u_lo=-2e-5)
+        BenchmarkConfig(u_lo=0.0)  # a stopped pump is an admissible bound
 
     @pytest.mark.parametrize("name", ["q_weight", "r_weight", "u_lo", "u_hi", "dt", "sigma", "jitter", "h0"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
