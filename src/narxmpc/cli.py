@@ -171,7 +171,12 @@ def cmd_simulate(args) -> int:
         args,
         "simulate",
         cfg,
-        [norm_path, raw_path],
+        [
+            norm_path,
+            norm_path.with_suffix(".csv.meta"),
+            raw_path,
+            raw_path.with_suffix(".csv.meta"),
+        ],
         started,
         timings_s=stage_timings(timings),
         loop_iterations=int(trace.iterations.sum()),

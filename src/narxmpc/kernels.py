@@ -375,7 +375,14 @@ class KernelInterpolant(NarxDynamics):
         # profile overwrites the shared fourth power.
         w = fourth / -(self.spec.lengthscale**2)
         value = np.matmul(_profile(r, one_minus, fourth)[:, None, :], self.coefficients)[:, 0]
-        diffs = self.data.sites - xi[:, None, :]
+        # The differences come from contiguous copies of each row: the
+        # broadcast ``sites - xi[:, None, :]`` loops over the n + m
+        # coordinates of one site at a time, the call's largest single
+        # cost at D=2501.  Its elements and C order are the same, so the
+        # Jacobian keeps its bits.
+        sites = self.data.sites
+        diffs = xi.repeat(sites.shape[0], axis=0).reshape(xi.shape[0], *sites.shape)
+        np.subtract(sites, diffs, out=diffs)
         jac = -np.matmul((self.coefficients * w[:, :, None]).transpose(0, 2, 1), diffs)
         n = self.dims.n
         return value, jac[..., :n], jac[..., n:]

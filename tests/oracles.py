@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from narxmpc import (
     BenchmarkConfig,
@@ -52,6 +53,23 @@ class FunctionDynamics(NarxDynamics):
             raise NotImplementedError("no Jacobian callable supplied")
         rows = [(self._call(x_row, u_row), *self._jacobian_fn(x_row, u_row)) for x_row, u_row in zip(x, u)]
         return tuple(np.array(part, dtype=float) for part in zip(*rows))
+
+
+def kernel_jacobian_reference(model, Xi: np.ndarray) -> np.ndarray:
+    """Jacobian (B, p, n + m) of a kernel interpolant at site rows ``Xi``,
+    from the broadcast differences ``sites - xi``.
+
+    ``-(C * w)^T (sites - xi)`` with ``w = phi'(r) / (r sigma^2)``, the
+    formula :meth:`~narxmpc.kernels.KernelInterpolant.linearize` evaluates
+    from differences it builds another way; both must give the same bits.
+    """
+    Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
+    sigma = model.spec.lengthscale
+    r = cdist(Xi, model.data.sites) / sigma
+    square = np.maximum(1.0 - r, 0.0) ** 2
+    w = square * square / -(sigma**2)
+    diffs = model.data.sites - Xi[:, None, :]
+    return -np.matmul((model.coefficients * w[:, :, None]).transpose(0, 2, 1), diffs)
 
 
 def rk4_step(rhs, state, u, dt: float) -> np.ndarray:

@@ -10,6 +10,11 @@ give the same verdict and iteration counts, no capped solve, and alpha
 equal to 1e-9 relative.  The one-thread run is also pinned to the
 episode's recorded iteration total and alpha, so a speed-up that moves
 the solver's path fails here.
+
+The D=101 arm of ``narxmpc benchmark`` writes the same files at one and
+at two OpenBLAS threads, and every one of them (all but
+``manifest.json``, which records wall times) is pinned by its SHA-256
+digest: a change that moves any printed number fails here.
 """
 
 from __future__ import annotations
@@ -22,12 +27,31 @@ from pathlib import Path
 
 import pytest
 
+from narxmpc import bench
+
 ROOT = Path(__file__).resolve().parents[1]
 
 #: The reference episode at one BLAS thread: solver iterations over its
 #: 101 solves (100 steps and the terminal diagnostic) and its alpha.
 REFERENCE_ITERATIONS = 264
 REFERENCE_ALPHA = 0.20961735363353273
+
+#: SHA-256 of every file that ``narxmpc benchmark --only-D 101`` writes
+#: besides ``manifest.json``.
+REFERENCE_BUNDLE_D101 = {
+    "comparison.csv": "bb50a5040468642f024e0aa38d49bda8acc72576178f0444e9c5c8a887db054a",
+    "dataset_D101.csv": "8ed3f9e93f4c29608f5a5ee485abc8cea5d12761e14a1456a58c6db5dbcf099a",
+    "dataset_D101.csv.meta": "75c1c0e1b11cb853a61694e6ef343c9479e8c1709e91965ae5c968fbe1fca901",
+    "fit_report_D101.txt": "27748e7947f1a7ae5cdc353c76fdf69cc8330be7b69aead6e324cc6a0b2684c5",
+    "model_D101.csv": "1f5c933c6ab34184b69f9c40f1c1e470536f96051b3acffd59c8eb34e0d968e5",
+    "model_D101.csv.meta": "f58ef68267d30742276b29e74628963ac5bd0aea68bc70cf813eb35751b1f648",
+    "stability_report_D101.txt": "5b9991a240145ac3565953c763f0b991656dad25acf2338e46cd45ac2d59a97a",
+    "stability_steps_D101.csv": "ff3c623b57e0dd740e92836e70f2a63f55c7c7f4cb3b64b8f2fec764839d5601",
+    "trace_norm_D101.csv": "ad1fb82bcf22aafa994a6494176732b84386b03915b09ea672d92816ba2932fb",
+    "trace_norm_D101.csv.meta": "fba393573e989ee46828cff26a35b367942b5618ac0393d6cc4a80c86fa0ff38",
+    "trace_raw_D101.csv": "7a075b0704d7a00dbd56a2c3655c66d0dc2c117de38cbd501fdedf13e3a9a1d6",
+    "trace_raw_D101.csv.meta": "fba393573e989ee46828cff26a35b367942b5618ac0393d6cc4a80c86fa0ff38",
+}
 
 EPISODE = """
 import json
@@ -54,11 +78,12 @@ print(json.dumps({
 """
 
 
-def _start(threads: int) -> subprocess.Popen:
+def _start(threads: int, *args: str) -> subprocess.Popen:
+    """``python *args`` in a fresh interpreter at ``threads`` BLAS threads."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.Popen(
-        [sys.executable, "-c", EPISODE],
+        [sys.executable, *args],
         cwd=ROOT,
         env=env,
         stdout=subprocess.PIPE,
@@ -68,7 +93,7 @@ def _start(threads: int) -> subprocess.Popen:
 
 
 def test_reference_episode_is_the_same_at_one_and_two_blas_threads():
-    procs = {threads: _start(threads) for threads in (1, 2)}
+    procs = {threads: _start(threads, "-c", EPISODE) for threads in (1, 2)}
     runs = {}
     for threads, proc in procs.items():
         out, err = proc.communicate(timeout=600)
@@ -82,3 +107,20 @@ def test_reference_episode_is_the_same_at_one_and_two_blas_threads():
     assert two["alpha"] == pytest.approx(one["alpha"], rel=1e-9, abs=0.0)
     assert sum(one["iterations"]) == REFERENCE_ITERATIONS
     assert one["alpha"] == pytest.approx(REFERENCE_ALPHA, rel=1e-12, abs=0.0)
+
+
+def test_d101_bundle_is_pinned_at_one_and_two_blas_threads(tmp_path):
+    procs = {
+        threads: _start(
+            threads,
+            "-m", "narxmpc.cli", "benchmark", "--only-D", "101", "--out", str(tmp_path / str(threads)),
+        )
+        for threads in (1, 2)
+    }
+    digests = {}
+    for threads, proc in procs.items():
+        _, err = proc.communicate(timeout=600)
+        assert proc.returncode == 0, err
+        digests[threads] = bench.bundle_digests(tmp_path / str(threads))
+    assert digests[1] == digests[2]
+    assert digests[1] == REFERENCE_BUNDLE_D101

@@ -375,7 +375,12 @@ class TestSimulate:
         assert table.shape[0] == 2
         assert (tmp_path / "trace_raw.csv").exists()
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert set(manifest["outputs"]) == {"trace_norm.csv", "trace_raw.csv"}
+        assert set(manifest["outputs"]) == {
+            "trace_norm.csv",
+            "trace_norm.csv.meta",
+            "trace_raw.csv",
+            "trace_raw.csv.meta",
+        }
 
 
 class TestCertify:

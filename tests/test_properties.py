@@ -45,7 +45,7 @@ from narxmpc import (
 from narxmpc import mpc, stability, twotank
 from narxmpc.kernels import KernelFitError, _gram_product, fit_interpolant
 from narxmpc.mpc import ACTIVE_WIDTH, NOISE_FLOOR, forward_sweep
-from oracles import FunctionDynamics, rk4_step, sample_domain
+from oracles import FunctionDynamics, kernel_jacobian_reference, rk4_step, sample_domain
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -487,7 +487,8 @@ def test_solve_ocp_batch_rows_equal_solo_solves(
 @given(seed=seeds, rows=st.sampled_from([1, 2, 7, 50, 65, 129]), p=st.integers(1, 2), input_dim=st.integers(1, 5))
 def test_batched_kernel_rows_equal_single_rows(seed, rows, p, input_dim):
     """predict_batch and linearize give each row the bits of its own call,
-    also for batches longer than one block of kernel rows."""
+    also for batches longer than one block of kernel rows, and the
+    Jacobians are those of the broadcast reference formula bit for bit."""
     rng = np.random.default_rng(seed)
     model = _interpolant(rng, input_dim, int(rng.integers(2, 80)), rng.uniform(0.2, 3.0), p)
     Xi = rng.uniform(-0.2, 1.2, size=(rows, input_dim))
@@ -495,6 +496,7 @@ def test_batched_kernel_rows_equal_single_rows(seed, rows, p, input_dim):
     lin_values, jacobians = _linearize_sites(model, Xi)
     assert lin_values.shape == (rows, p) and jacobians.shape == (rows, p, input_dim)
     assert_array_equal(lin_values, values)
+    assert_array_equal(jacobians, kernel_jacobian_reference(model, Xi))
     for i in range(rows):
         assert_array_equal(values[i], model.predict_batch(Xi[i])[0])
         value, jac = _linearize_sites(model, Xi[i : i + 1])
