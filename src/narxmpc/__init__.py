@@ -33,9 +33,6 @@ from .mpc import (
     SolverConfig,
     SolverError,
     StageCostWeights,
-    cost_J_batch,
-    cost_gradient,
-    finite_difference_gradient,
     run_closed_loop,
     solve_ocp,
     solve_ocp_batch,

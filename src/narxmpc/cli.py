@@ -75,6 +75,13 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--verbose", action="store_true", help="print progress")
 
 
+#: What the report's horizon flag means, for the help of the commands that print it.
+_HORIZON_NOTE = (
+    "The report's horizon_sufficient says whether N exceeds the minimum horizon of the surrogate's "
+    "sampled growth bound. It is a condition on the surrogate, not a guarantee for the plant."
+)
+
+
 def _add_growth_grid(sp: argparse.ArgumentParser) -> None:
     sp.add_argument(
         "--b-states", type=int, default=GROWTH_STATES, help="growth-bound sample states"
@@ -273,14 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, help="closed-loop steps")
     sp.set_defaults(fn=cmd_simulate)
 
-    sp = sub.add_parser("certify", help="stability certificate for a recorded trace")
+    sp = sub.add_parser("certify", help="stability certificate for a recorded trace", description=_HORIZON_NOTE)
     _add_common(sp)
     sp.add_argument("--model", type=Path, required=True, help="fitted model CSV")
     sp.add_argument("--trace", type=Path, required=True, help="normalized trace CSV")
     _add_growth_grid(sp)
     sp.set_defaults(fn=cmd_certify)
 
-    sp = sub.add_parser("benchmark", help="full two-dataset comparison")
+    sp = sub.add_parser("benchmark", help="full two-dataset comparison", description=_HORIZON_NOTE)
     _add_common(sp)
     sp.add_argument(
         "--only-D",

@@ -5,8 +5,8 @@ The default kernel is the compactly supported Wendland profile
     phi(r) = (1/30) * (1 - r)^5 * (5 r + 1)   for 0 <= r < 1,   0 otherwise,
 
 applied to scaled Euclidean distances ``r = ||xi - xi'|| / sigma``.  It is
-twice continuously differentiable and positive definite up to dimension
-five, which covers every regressor-input space used here.
+C^2 and positive definite up to dimension five, which covers every
+regressor-input space used here.
 
 An interpolant fitted to data ``(xi_i, y_i)`` reproduces each target
 exactly and carries two computable certificates: the power function,
@@ -351,10 +351,6 @@ class KernelInterpolant(NarxDynamics):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         U = np.atleast_2d(np.asarray(U, dtype=float))
         return self.predict_batch(np.hstack([X, U]))
-
-    @property
-    def differentiable(self) -> bool:
-        return True
 
     def linearize(
         self, x: np.ndarray, u: np.ndarray

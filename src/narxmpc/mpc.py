@@ -7,12 +7,12 @@ quasi-Newton method (Bertsekas, SIAM J. Control Optim. 1982): gradient
 steps on the coordinates held at a bound, BFGS steps on the free ones,
 and Armijo backtracking along the projection arc.  A solve stops when
 its projected gradient is small or when the full step promises a
-decrease below the cost's rounding level.  When the dynamics expose
-Jacobians, every cost is the forward half of an adjoint sweep through
-the regressor shift structure, which yields the outputs and their
-Jacobians together; the sweep of an accepted iterate is kept, and its
-gradient is the backward half alone.  Otherwise costs come from plain
-rollouts and gradients from batched central differences.  Many
+decrease below the cost's rounding level.  Every model reaches the
+solver through one path: each cost is the forward half of an adjoint
+sweep, :meth:`~narxmpc.narx.NarxDynamics.sweep`, which yields the
+outputs and their per-step Jacobians together; the sweep of an accepted
+iterate is kept, and its gradient is the backward half alone,
+:func:`backward_sweep` through the regressor shift structure.  Many
 problems are solved in lockstep, each row with its own BFGS matrix,
 line search and stopping tests, and every row reproduces its solo solve
 bit for bit.  The receding-horizon loop applies the first input of each
@@ -26,7 +26,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .narx import Box, NarxDims, NarxDynamics, shift_state
+from .narx import Box, NarxDims, NarxDynamics, Sweep, shift_state
 
 
 class SolverError(RuntimeError):
@@ -130,74 +130,10 @@ class MpcConfig:
             raise ValueError("the input box must contain the origin")
 
 
-def cost_J_batch(
-    f: NarxDynamics, X0: np.ndarray, U: np.ndarray, weights: StageCostWeights
-) -> np.ndarray:
-    """Costs (B,) of the input sequences ``U`` (B, N, m) from the initial
-    regressors ``X0`` (B, n)."""
-    U = np.asarray(U, dtype=float)
-    _, outputs = f.rollout_batch(X0, U)
-    return _costs(outputs, U, weights)
-
-
-def _costs(outputs: np.ndarray, U: np.ndarray, weights: StageCostWeights) -> np.ndarray:
-    """Costs of the rows of predicted outputs (B, N, p) and inputs (B, N, m)."""
-    return np.sum(stage_cost(outputs, U, weights), axis=1)
-
-
 def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Stacked products ``A[b] @ v[b]``; each row equals its 2-D product bit
     for bit, which a single (B, k) @ (k, p) product does not."""
     return np.matmul(A, v[..., None])[..., 0]
-
-
-@dataclass
-class Sweep:
-    """Forward sweep of B input sequences: the predicted outputs ``outputs``
-    (B, N, p) and their Jacobians ``jac_x`` (B, N, p, n) and ``jac_u``
-    (B, N, p, m) with respect to each step's regressor and input.
-
-    The Jacobians are stacked as :meth:`~narxmpc.narx.NarxDynamics.linearize`
-    returns them, and the backward sweep multiplies by transposed views:
-    rows taken or overwritten keep that memory layout, so a kept sweep
-    gives the bits of a fresh one.  Indexing takes or overwrites rows of
-    all three arrays.
-    """
-
-    outputs: np.ndarray
-    jac_x: np.ndarray
-    jac_u: np.ndarray
-
-    def __getitem__(self, rows) -> "Sweep":
-        return Sweep(self.outputs[rows], self.jac_x[rows], self.jac_u[rows])
-
-    def __setitem__(self, rows, other: "Sweep") -> None:
-        self.outputs[rows], self.jac_x[rows], self.jac_u[rows] = (
-            other.outputs, other.jac_x, other.jac_u
-        )
-
-
-def forward_sweep(f: NarxDynamics, X0: np.ndarray, U: np.ndarray) -> Sweep:
-    """Roll the lifted system out from the regressors ``X0`` (B, n) under
-    the inputs ``U`` (B, N, m) with one batched
-    :meth:`~narxmpc.narx.NarxDynamics.linearize` call per step.
-
-    ``linearize`` gives the outputs of ``output_batch`` bit for bit, so
-    the costs summed from ``sweep.outputs`` equal :func:`cost_J_batch`,
-    and each row equals its single-row sweep.
-    """
-    dims = f.dims
-    b, horizon = U.shape[0], U.shape[1]
-    sweep = Sweep(
-        np.empty((b, horizon, dims.p)),
-        np.empty((b, horizon, dims.p, dims.n)),
-        np.empty((b, horizon, dims.p, dims.m)),
-    )
-    X = X0
-    for k in range(horizon):
-        sweep.outputs[:, k], sweep.jac_x[:, k], sweep.jac_u[:, k] = f.linearize(X, U[:, k])
-        X = shift_state(X, sweep.outputs[:, k], U[:, k], dims)
-    return sweep
 
 
 def backward_sweep(
@@ -209,7 +145,8 @@ def backward_sweep(
     The adjoint of the lifted step map is accumulated backwards: the
     output Jacobian enters through the first block row and the history
     shifts enter as index moves, so each step costs O(n) bookkeeping on
-    top of two stacked Jacobian products.
+    top of two stacked Jacobian products.  The regressor Jacobian of the
+    first step, ``sweep.jac_x[:, 0]``, enters no input gradient.
     """
     b, horizon = U.shape[0], U.shape[1]
     p, m, nb, n = dims.p, dims.m, dims.n_outputs_block, dims.n
@@ -230,62 +167,6 @@ def backward_sweep(
                 new_lam[:, nb : nb + (dims.nu - 2) * m] += lam[:, nb + m :]
         lam = new_lam
     return grad
-
-
-def cost_gradient(
-    f: NarxDynamics, X0: np.ndarray, U: np.ndarray, weights: StageCostWeights
-) -> np.ndarray:
-    """Exact cost gradients (B, N, m) of the input sequences ``U`` (B, N, m)
-    from the regressors ``X0`` (B, n), via an adjoint sweep.
-
-    Each row equals the gradient of its batch of one bit for bit.  It is
-    :func:`backward_sweep` of :func:`forward_sweep`; the solver runs the
-    two halves apart, so that the sweep of an accepted line-search trial
-    serves the next gradient.
-
-    Raises :class:`SolverError` for dynamics without Jacobians.
-    """
-    if not f.differentiable:
-        raise SolverError(
-            f"{type(f).__name__} provides no Jacobians; use finite_difference_gradient"
-        )
-    U = np.asarray(U, dtype=float)
-    return backward_sweep(f.dims, forward_sweep(f, np.asarray(X0, dtype=float), U), U, weights)
-
-
-#: Step of the central differences of :func:`finite_difference_gradient`.
-FD_STEP = 1e-6
-
-
-def finite_difference_gradient(
-    f: NarxDynamics, X0: np.ndarray, U: np.ndarray, weights: StageCostWeights
-) -> np.ndarray:
-    """Batched central-difference cost gradient with step :data:`FD_STEP`.
-
-    Takes the rows of :func:`cost_gradient`.  All ``2 N m`` perturbed
-    sequences of all B problems are rolled out in one batch.
-    Coordinates whose central difference is not finite fall back to a
-    one-sided difference against the base cost, and to zero if that is
-    not finite either.
-    """
-    X0, U = np.asarray(X0, dtype=float), np.asarray(U, dtype=float)
-    b, horizon, m = U.shape
-    k = horizon * m
-    batch = np.repeat(U.reshape(b, 1, k), 2 * k, axis=1)
-    idx = np.arange(k)
-    batch[:, 2 * idx, idx] += FD_STEP
-    batch[:, 2 * idx + 1, idx] -= FD_STEP
-    costs = cost_J_batch(
-        f, np.repeat(X0, 2 * k, axis=0), batch.reshape(b * 2 * k, horizon, m), weights
-    ).reshape(b, 2 * k)
-    plus, minus = costs[:, 0::2], costs[:, 1::2]
-    grad = (plus - minus) / (2.0 * FD_STEP)
-    bad = ~np.isfinite(grad)
-    if np.any(bad):
-        base = cost_J_batch(f, X0, U, weights)[:, None]
-        one_sided = np.where(np.isfinite(plus), (plus - base) / FD_STEP, (base - minus) / FD_STEP)
-        grad = np.where(bad, np.where(np.isfinite(one_sided), one_sided, 0.0), grad)
-    return grad.reshape(b, horizon, m)
 
 
 @dataclass
@@ -350,21 +231,17 @@ class _Rows:
     grad: np.ndarray  # gradient before that step (r, k)
     norm: np.ndarray  # projected-gradient norms of the current round
     decrease: np.ndarray  # predicted decreases of the current round
-    sweep: Sweep | None  # forward sweep at u (None without Jacobians)
+    sweep: Sweep  # forward sweep at u
 
     def take(self, keep: np.ndarray) -> "_Rows":
-        parts = (getattr(self, item.name) for item in fields(self))
-        return _Rows(*(None if part is None else part[keep] for part in parts))
+        return _Rows(*(getattr(self, item.name)[keep] for item in fields(self)))
 
 
 def _evaluate(f: NarxDynamics, X: np.ndarray, U: np.ndarray, weights: StageCostWeights):
     """Costs of the rows ``U`` (r, N, m) from ``X`` (r, n), with the forward
-    sweep that gave them for differentiable dynamics (``None`` otherwise,
-    where the costs come from :func:`cost_J_batch`)."""
-    if not f.differentiable:
-        return cost_J_batch(f, X, U, weights), None
-    sweep = forward_sweep(f, X, U)
-    return _costs(sweep.outputs, U, weights), sweep
+    sweep that gave them."""
+    sweep = f.sweep(X, U)
+    return np.sum(stage_cost(sweep.outputs, U, weights), axis=1), sweep
 
 
 def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: MpcConfig):
@@ -390,11 +267,9 @@ def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: 
     search fails, or with a :class:`SolverError` in ``errors`` when its
     cost or gradient is not finite; the other rows go on unchanged.
 
-    For differentiable dynamics every cost is a :func:`forward_sweep`, of
-    the starts and of each line-search trial, and a row keeps the sweep of
-    its accepted iterate, so each gradient is one :func:`backward_sweep`.
-    Without Jacobians the costs go through :func:`cost_J_batch` and the
-    gradients through :func:`finite_difference_gradient`.
+    Every cost is one :meth:`~narxmpc.narx.NarxDynamics.sweep`, of the
+    starts and of each line-search trial, and a row keeps the sweep of its
+    accepted iterate, so each gradient is one :func:`backward_sweep`.
     """
     box, weights = cfg.input_box, cfg.weights
     b, shape = starts.shape[0], starts.shape[1:]
@@ -414,7 +289,7 @@ def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: 
     rows = _Rows(
         live, X0[live], U[live], value[live], np.tile(np.eye(k), (r, 1, 1)), np.ones(r),
         np.ones(r, dtype=bool), np.zeros((r, k)), np.zeros((r, k)), np.full(r, np.inf), np.full(r, np.inf),
-        None if sweep is None else sweep[live],
+        sweep[live],
     )
 
     def leave(out, count, conv):
@@ -429,10 +304,7 @@ def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: 
         if not rows.index.size:
             break
         seqs = rows.u.reshape(-1, *shape)
-        if f.differentiable:
-            g = backward_sweep(f.dims, rows.sweep, seqs, weights).reshape(-1, k)
-        else:
-            g = finite_difference_gradient(f, rows.x, seqs, weights).reshape(-1, k)
+        g = backward_sweep(f.dims, rows.sweep, seqs, weights).reshape(-1, k)
         finite = np.isfinite(g).all(axis=1)
         if not finite.all():
             for i in rows.index[~finite]:
@@ -518,9 +390,8 @@ def _armijo_search(f, rows: _Rows, d, slope, g_active, lo, hi, shape, cfg: MpcCo
         sufficient = ARMIJO * (t * slope[todo] + _rowdot(g_active[todo], u - cand))
         ok = np.isfinite(cand_value) & (cand_value <= rows.value[todo] - sufficient)
         hit = todo[ok]
-        rows.u[hit], rows.value[hit], accepted[hit] = cand[ok], cand_value[ok], True
-        if sweep is not None:
-            rows.sweep[hit] = sweep[ok]
+        rows.u[hit], rows.value[hit], rows.sweep[hit] = cand[ok], cand_value[ok], sweep[ok]
+        accepted[hit] = True
         todo = todo[~ok]
         t *= SHRINK
     return accepted
@@ -538,12 +409,10 @@ def solve_ocp_batch(
     quasi-Newton method of :func:`_lockstep_descent`, each row with its
     own BFGS matrix, line search and stopping tests, from its warm
     sequence ``warm[i]`` (B, N, m) projected onto the box, or from zeros.
-    For differentiable dynamics the costs of the starts and of the
-    line-search trials of the rows still searching are one
-    :func:`forward_sweep` call each, and the gradients of the active rows
-    one :func:`backward_sweep` call over the sweeps of their accepted
-    iterates.  Dynamics without Jacobians go through :func:`cost_J_batch`
-    and :func:`finite_difference_gradient` instead.  Row ``i`` of the
+    The costs of the starts and of the line-search trials of the rows
+    still searching are one :meth:`~narxmpc.narx.NarxDynamics.sweep` call
+    each, and the gradients of the active rows one :func:`backward_sweep`
+    call over the sweeps of their accepted iterates.  Row ``i`` of the
     result is what the batch of one ``X0[i]``, ``warm[i]`` gives, bit for
     bit: its solution, or the :class:`SolverError` that stopped it.  A
     solution is ``converged`` when it met the gradient test or the

@@ -9,6 +9,11 @@ and inserts the freshly predicted output and the freshly applied input.
 Everything in this module operates on plain float64 arrays.  Regressors
 are 1-D arrays of length ``dims.n``; batched variants accept arrays whose
 last axis is the regressor axis.
+
+The controller reaches every :class:`NarxDynamics` through its forward
+sweep, a rollout with the Jacobians of every step.  The generic sweep
+calls ``linearize`` once per step; the exact two-tank view, which
+carries a hidden level, overrides it.
 """
 
 from __future__ import annotations
@@ -107,12 +112,35 @@ def shift_state(x: np.ndarray, y_next: np.ndarray, u: np.ndarray, dims: NarxDims
     return np.concatenate(parts, axis=-1)
 
 
+@dataclass
+class Sweep:
+    """Forward sweep of B input sequences: the outputs (B, N, p) and their
+    Jacobians ``jac_x`` (B, N, p, n) and ``jac_u`` (B, N, p, m) with
+    respect to each step's regressor and input.  Indexing takes or
+    overwrites rows of all three arrays, which keep their memory layout,
+    so a kept sweep gives the bits of a fresh one.
+    """
+
+    outputs: np.ndarray
+    jac_x: np.ndarray
+    jac_u: np.ndarray
+
+    def __getitem__(self, rows) -> "Sweep":
+        return Sweep(self.outputs[rows], self.jac_x[rows], self.jac_u[rows])
+
+    def __setitem__(self, rows, other: "Sweep") -> None:
+        self.outputs[rows], self.jac_x[rows], self.jac_u[rows] = (
+            other.outputs, other.jac_x, other.jac_u
+        )
+
+
 class NarxDynamics(ABC):
     """A deterministic map from (regressor, input) to the next output.
 
-    Subclasses must set ``dims`` and implement :meth:`output_batch`; a
-    single evaluation is a batch of one.  Rollouts have a generic
-    per-step implementation; performance-critical subclasses override it.
+    Subclasses must set ``dims`` and implement :meth:`output_batch` and
+    :meth:`linearize`; a single evaluation is a batch of one.  Rollouts
+    and sweeps have generic per-step implementations; a subclass that
+    carries state along a trajectory overrides them.
     """
 
     dims: NarxDims
@@ -127,11 +155,7 @@ class NarxDynamics(ABC):
         U = np.asarray(u, dtype=float).reshape(1, -1)
         return self.output_batch(X, U)[0]
 
-    @property
-    def differentiable(self) -> bool:
-        """Whether :meth:`linearize` is available."""
-        return False
-
+    @abstractmethod
     def linearize(
         self, x: np.ndarray, u: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -139,10 +163,21 @@ class NarxDynamics(ABC):
 
         Rows ``x`` (B, n) and ``u`` (B, m) give (B, p), (B, p, n) and
         (B, p, m).  The outputs must equal :meth:`output_batch` bit for
-        bit: the solver takes its costs from the outputs of its adjoint
-        forward sweep, and they must be the costs of the rollout.
+        bit: the solver takes its costs from the outputs of a
+        :meth:`sweep`, and they must be the costs of the rollout.
         """
-        raise NotImplementedError(f"{type(self).__name__} provides no Jacobians")
+
+    def sweep(self, X0: np.ndarray, U: np.ndarray) -> Sweep:
+        """Roll out from the regressors ``X0`` (B, n) under the inputs ``U``
+        (B, N, m) with one :meth:`linearize` call per step: the outputs of
+        :meth:`rollout_batch`, each row as its batch of one."""
+        b, horizon, dims = U.shape[0], U.shape[1], self.dims
+        sweep = Sweep(*(np.empty((b, horizon, dims.p, *tail)) for tail in ((), (dims.n,), (dims.m,))))
+        X = X0
+        for k in range(horizon):
+            sweep.outputs[:, k], sweep.jac_x[:, k], sweep.jac_u[:, k] = self.linearize(X, U[:, k])
+            X = shift_state(X, sweep.outputs[:, k], U[:, k], dims)
+        return sweep
 
     def rollout_batch(
         self, X0: np.ndarray, U_seq: np.ndarray

@@ -197,6 +197,8 @@ class StabilityReport:
     initial transient.  ``values`` are the optimal values V of the trace
     as the solver returned them, and ``lyapunov`` is ``V + W``.
     Growth-bound fields are filled when an estimate is supplied.
+    ``horizon_sufficient`` (``horizon > min_horizon_value``) is a
+    condition on the model's sampled growth bound, not a plant guarantee.
     ``capped_solves`` counts the certificate inputs that came from solves
     stopped at the iteration cap without converging: those of the trace
     plus the growth grid's.  It is filled when the cap is supplied.
@@ -288,10 +290,12 @@ def verify_decrease(
     ``ValueError``.
 
     When a growth-bound estimate is given, the report also carries the
-    envelope constant, the minimal-horizon formula value and a sampled
-    check of the storage sandwich ``W <= V + W <= (gamma + 1) W`` on the
-    estimation grid.  With the solver's iteration cap ``max_iters``, the
-    report counts the capped solves of the trace and of the grid.
+    envelope constant, the minimal-horizon formula value (with
+    ``horizon_sufficient``, which speaks of the model, not the plant) and
+    a sampled check of the storage sandwich ``W <= V + W <= (gamma + 1)
+    W`` on the estimation grid.  With the solver's iteration cap
+    ``max_iters``, the report counts the capped solves of the trace and
+    of the grid.
     """
     require_applied_step(trace)
     states = trace.states

@@ -19,6 +19,12 @@ second order with a hidden level; on regressors of lag depth two or more
 the hidden level is recoverable from the newest measured transition,
 which makes the plant an exact deterministic NARX map and is how
 :class:`TwoTankNarxDynamics` evaluates it.
+
+Its sweep has exact Jacobians: the step functions take ``dual=True``,
+a trailing axis of tangents, so the one Runge-Kutta step is also its
+tangent-linear map, and the reconstruction is differentiated by the
+implicit function theorem.  Clamped rows get one-sided derivatives, and
+the regressor Jacobian of the first step enters no input gradient.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .narx import (
     Box,
     NarxDims,
     NarxDynamics,
+    Sweep,
     build_regressor,
     rollout_arrays,
     shift_state,
@@ -67,49 +74,81 @@ class TwoTankParams:
             raise ValueError("two-tank parameters must be finite and strictly positive")
 
 
-def two_tank_rhs(h1, h2, u, params: TwoTankParams):
+def two_tank_rhs(h1, h2, u, params: TwoTankParams, dual: bool = False):
     """Continuous-time level derivatives ``(dh1, dh2)``; all arguments broadcast.
 
     Outside the domain (lower level below zero, or upper level below the
     lower one, beyond rounding noise) the affected derivatives are NaN:
     ``dh1`` for a negative lower level, both for an inverted pair.  No
     floating-point warning is raised, so batched callers can mask rows.
+
+    With ``dual`` the last axis of every argument holds a value and then
+    its tangents (dual numbers), and the results keep that layout with
+    the values of the plain call.  The tangent of ``sqrt(z)`` is zero
+    where ``dz`` is, and ``dz / (2 sqrt(z))`` otherwise.
     """
     h1 = np.asarray(h1, dtype=float)
     gap = np.asarray(h2, dtype=float) - h1
-    q12 = params.c12 * np.sqrt(np.where(gap >= _ROUNDING_GUARD, np.clip(gap, 0.0, None), np.nan))
-    q2 = params.c2 * np.sqrt(np.where(h1 >= _ROUNDING_GUARD, np.clip(h1, 0.0, None), np.nan))
+    q12 = params.c12 * _root(gap, dual)
+    q2 = params.c2 * _root(h1, dual)
     return q12 - q2, np.asarray(u, dtype=float) / params.A1 - q12
 
 
-def two_tank_step(h1, h2, u, params: TwoTankParams):
+def _root(z, dual: bool):
+    """``sqrt(z)``, rounding noise below zero clipped and NaN beyond it;
+    with ``dual``, of the values ``z[..., :1]`` with tangents carried."""
+    value = z[..., :1] if dual else z
+    root = np.sqrt(np.where(value >= _ROUNDING_GUARD, np.maximum(value, 0.0), np.nan))
+    if not dual:
+        return root
+    tangent = z[..., 1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.where(tangent == 0.0, 0.0, tangent / (2.0 * root))
+    return np.concatenate([root, slope], axis=-1)
+
+
+def two_tank_step(h1, h2, u, params: TwoTankParams, dual: bool = False):
     """Advance the levels one sampling interval under a held input.
 
     Returns ``(h1_next, h2_next)``; all arguments broadcast.  This is one
     classical Runge-Kutta step, written out per level: rows whose stage
-    points leave the domain come out NaN.
+    points leave the domain come out NaN.  With ``dual`` it is also the
+    tangent-linear step (see :func:`two_tank_rhs`); tangents that meet
+    ``inf - inf`` come out NaN without a warning.
     """
     h1, h2, u = np.broadcast_arrays(
         np.asarray(h1, dtype=float), np.asarray(h2, dtype=float), np.asarray(u, dtype=float)
     )
     dt = params.dt
     half = 0.5 * dt
-    a1, a2 = two_tank_rhs(h1, h2, u, params)
-    b1, b2 = two_tank_rhs(h1 + half * a1, h2 + half * a2, u, params)
-    c1, c2 = two_tank_rhs(h1 + half * b1, h2 + half * b2, u, params)
-    e1, e2 = two_tank_rhs(h1 + dt * c1, h2 + dt * c2, u, params)
-    sixth = dt / 6.0
-    return (
-        h1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + e1),
-        h2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + e2),
-    )
+    with np.errstate(invalid="ignore"):
+        a1, a2 = two_tank_rhs(h1, h2, u, params, dual)
+        b1, b2 = two_tank_rhs(h1 + half * a1, h2 + half * a2, u, params, dual)
+        c1, c2 = two_tank_rhs(h1 + half * b1, h2 + half * b2, u, params, dual)
+        e1, e2 = two_tank_rhs(h1 + dt * c1, h2 + dt * c2, u, params, dual)
+        sixth = dt / 6.0
+        return (
+            h1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + e1),
+            h2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + e2),
+        )
+
+
+def _at_least(z, floor, dual: bool):
+    """``np.maximum(z, floor)``; with ``dual``, rows at or below the floor
+    take its tangents (the one-sided derivative of the clamp)."""
+    if not dual:
+        return np.maximum(z, floor)
+    floor = np.broadcast_to(floor, z.shape)
+    out = np.where(z[..., :1] <= floor[..., :1], floor, z)
+    out[..., :1] = np.maximum(z[..., :1], floor[..., :1])
+    return out
 
 
 #: Halvings of the sampling interval tried before a step is given up.
 _SUBSTEP_LEVELS = 6
 
 
-def _total_step(h1, h2, u, params: TwoTankParams):
+def _total_step(h1, h2, u, params: TwoTankParams, dual: bool = False):
     """Sampled step made total on ``h2 >= h1 >= 0`` with ``u >= 0``.
 
     The exact flow never leaves that region (the level difference grows
@@ -118,33 +157,35 @@ def _total_step(h1, h2, u, params: TwoTankParams):
     Rows where the full-interval step fails are re-integrated with
     progressively finer substeps, down to 64, which reproduces the
     invariant flow; rows that stay invalid at 64 substeps raise.
+    With ``dual``, a substepped row gets the tangent of its substeps, and
+    each clamp between them the tangent of the side it takes.
     """
-    h1 = np.atleast_1d(np.asarray(h1, dtype=float))
-    h2 = np.atleast_1d(np.asarray(h2, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    h1, h2, u = np.broadcast_arrays(h1, h2, u)
-    n1, n2 = two_tank_step(h1, h2, u, params)
-    n1 = np.array(n1, dtype=float, copy=True)
-    n2 = np.array(n2, dtype=float, copy=True)
+    h1, h2, u = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in (h1, h2, u)))
+    n1, n2 = two_tank_step(h1, h2, u, params, dual)
     splits = 1
     for _ in range(_SUBSTEP_LEVELS):
-        bad = ~(np.isfinite(n1) & np.isfinite(n2))
+        bad = ~(np.isfinite(_value(n1, dual)) & np.isfinite(_value(n2, dual)))
         if not np.any(bad):
             return n1, n2
         splits *= 2
         sub = replace(params, dt=params.dt / splits)
         c1, c2l, uu = h1[bad].copy(), h2[bad].copy(), u[bad]
         for _ in range(splits):
-            c1 = np.maximum(c1, 0.0)
-            c1, c2l = two_tank_step(c1, np.maximum(c2l, c1), uu, sub)
+            c1 = _at_least(c1, 0.0, dual)
+            c1, c2l = two_tank_step(c1, _at_least(c2l, c1, dual), uu, sub, dual)
         n1[bad], n2[bad] = c1, c2l
-    bad = ~(np.isfinite(n1) & np.isfinite(n2))
+    bad = ~(np.isfinite(_value(n1, dual)) & np.isfinite(_value(n2, dual)))
     if np.any(bad):
         raise DomainError(
             f"{int(np.sum(bad))} state(s) stayed invalid down to "
             f"{2 ** _SUBSTEP_LEVELS} substeps; levels outside h2 >= h1 >= 0"
         )
     return n1, n2
+
+
+def _value(z, dual: bool):
+    """The values of ``z``: its first entry on the last axis with ``dual``."""
+    return z[..., 0] if dual else z
 
 
 def equilibrium_levels(u: float, params: TwoTankParams) -> tuple[float, float]:
@@ -177,17 +218,20 @@ def reconstruct_hidden_level(y_prev, y_cur, u_prev, params: TwoTankParams):
 
     All arguments broadcast; returns the reconstructed ``h2(k)``.
     """
-    y_prev, y_cur, u_prev = np.broadcast_arrays(
-        np.asarray(y_prev, dtype=float),
-        np.asarray(y_cur, dtype=float),
-        np.asarray(u_prev, dtype=float),
-    )
+    y_prev, y_cur, u_prev = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (y_prev, y_cur, u_prev)))
+    h2_before = _previous_upper_level(y_prev, y_cur, u_prev, params)
+    _, h2_now = _total_step(y_prev, h2_before, u_prev, params)
+    return np.maximum(h2_now.reshape(h2_before.shape), y_cur)
+
+
+def _previous_upper_level(y_prev, y_cur, u_prev, params: TwoTankParams):
+    """The bisection root ``h2(k-1)`` of :func:`reconstruct_hidden_level`,
+    clamped to the bracket ends ``y_prev`` and :data:`HIDDEN_LEVEL_MAX`;
+    the arguments are arrays of one shape."""
     lo = y_prev.astype(float).copy()
     hi = np.full_like(lo, HIDDEN_LEVEL_MAX)
-    g_lo, _ = _total_step(y_prev, lo, u_prev, params)
-    g_lo = g_lo.reshape(lo.shape)
-    g_hi, _ = _total_step(y_prev, hi, u_prev, params)
-    g_hi = g_hi.reshape(hi.shape)
+    g_lo = _total_step(y_prev, lo, u_prev, params)[0].reshape(lo.shape)
+    g_hi = _total_step(y_prev, hi, u_prev, params)[0].reshape(hi.shape)
     for _ in range(54):
         mid = 0.5 * (lo + hi)
         g_mid, _ = two_tank_step(y_prev, mid, u_prev, params)
@@ -198,10 +242,7 @@ def reconstruct_hidden_level(y_prev, y_cur, u_prev, params: TwoTankParams):
         lo = np.where(go_down, lo, mid)
     h2_before = 0.5 * (lo + hi)
     h2_before = np.where(g_lo >= y_cur, y_prev, h2_before)
-    h2_before = np.where(g_hi <= y_cur, HIDDEN_LEVEL_MAX, h2_before)
-    _, h2_now = _total_step(y_prev, h2_before, u_prev, params)
-    h2_now = h2_now.reshape(h2_before.shape)
-    return np.maximum(h2_now, y_cur)
+    return np.where(g_hi <= y_cur, HIDDEN_LEVEL_MAX, h2_before)
 
 
 class TwoTankPlant:
@@ -256,6 +297,14 @@ class TwoTankNarxDynamics(NarxDynamics):
     while agreeing exactly with the plant on consistent data.  A
     regressor that encodes a negative measured level raises
     :class:`DomainError`.
+
+    Rollouts and sweeps reconstruct the hidden level once and then carry
+    both levels (:meth:`_carry`), a sweep with their tangents.  The
+    regressor of step ``k`` holds the transition of step ``k - 1``, whose
+    tangent gives the derivative of the reconstruction, ``dH = (dy_k -
+    ds1/dy dy_{k-1} - ds1/du du_{k-1}) / (ds1/dH)``; step 0 takes one
+    tangent step at the bisection root.  A row clamped at a bracket end,
+    or to equal levels, gets the one-sided derivative.
     """
 
     def __init__(self, params: TwoTankParams, normalization: AffineNormalization, dims: NarxDims):
@@ -268,57 +317,94 @@ class TwoTankNarxDynamics(NarxDynamics):
         self.params = params
         self.norm = normalization
         self.dims = dims
-        self._recon_cache: dict[bytes, np.ndarray] = {}
-
-    def _raw_pieces(self, X: np.ndarray):
-        """Raw newest transition; rejects negative measured levels."""
-        raw_x = self.norm.denormalize_state(X, self.dims)
-        y_cur = raw_x[..., 0]
-        y_prev = raw_x[..., 1]
-        if np.any(y_prev < 0) or np.any(y_cur < 0):
-            raise DomainError("regressor encodes a negative measured level")
-        return y_cur, y_prev, raw_x[..., self.dims.nu]
-
-    def _reconstruct(self, y_prev, y_cur, u_prev):
-        # Solvers evaluate many input sequences from one fixed regressor;
-        # memoizing the bisection keeps those repeat calls cheap.  Entries
-        # are only rebound downstream, never written through.
-        key = np.ascontiguousarray(np.stack([y_prev, y_cur, u_prev])).tobytes()
-        hit = self._recon_cache.get(key)
-        if hit is None:
-            hit = reconstruct_hidden_level(y_prev, y_cur, u_prev, self.params)
-            if len(self._recon_cache) >= 8:
-                self._recon_cache.pop(next(iter(self._recon_cache)))
-            self._recon_cache[key] = hit
-        return hit
 
     def output_batch(self, X, U):
         U = np.atleast_2d(np.asarray(U, dtype=float))
         return self.rollout_batch(X, U[:, None])[1][:, 0]
 
-    def rollout_batch(self, X0, U_seq):
-        """Batched rollout that reconstructs the hidden level only once.
+    def linearize(self, x, u):
+        """The first step of :meth:`sweep`."""
+        sweep = self.sweep(x, np.atleast_2d(np.asarray(u, dtype=float))[:, None])
+        return sweep.outputs[:, 0], sweep.jac_x[:, 0], sweep.jac_u[:, 0]
 
-        Along a rollout the regressors are self-consistent by
-        construction, so after recovering the upper level at the initial
-        regressor the remaining steps integrate both levels directly.
-        Produces the same trajectories as the generic per-step path.
-        """
+    def rollout_batch(self, X0, U_seq):
+        """Batched rollout that reconstructs the hidden level only once
+        (:meth:`_carry`): along a rollout the regressors are consistent,
+        so it gives the trajectories of the generic per-step path."""
         X0, U_seq = rollout_arrays(X0, U_seq, self.dims)
-        b, horizon = U_seq.shape[0], U_seq.shape[1]
-        y_cur, y_prev, u_prev = self._raw_pieces(X0)
-        h2 = self._reconstruct(y_prev, y_cur, u_prev)
-        h1 = y_cur.copy()
-        states = np.empty((b, horizon + 1, self.dims.n))
-        outputs = np.empty((b, horizon, self.dims.p))
+        outputs = self.norm.normalize_output(self._carry(X0, U_seq, dual=False)[0][..., None])
+        states = np.empty((X0.shape[0], U_seq.shape[1] + 1, self.dims.n))
         states[:, 0] = X0
-        for k in range(horizon):
-            u_raw = self.norm.denormalize_input(U_seq[:, k])[..., 0]
-            h1, h2 = _total_step(h1, np.maximum(h2, h1), u_raw, self.params)
-            y_next = self.norm.normalize_output(h1[:, None])
-            outputs[:, k] = y_next
-            states[:, k + 1] = shift_state(states[:, k], y_next, U_seq[:, k], self.dims)
+        for k in range(U_seq.shape[1]):
+            states[:, k + 1] = shift_state(states[:, k], outputs[:, k], U_seq[:, k], self.dims)
         return states, outputs
+
+    def sweep(self, X0, U):
+        """The outputs of :meth:`rollout_batch`, bit for bit, with exact
+        Jacobians; each row equals its batch of one."""
+        X0, U = rollout_arrays(X0, U, self.dims)
+        levels, jac = self._carry(X0, U, dual=True)
+        # Raw derivatives to normalized ones: inputs scale by u_scale, outputs by y_scale.
+        ratio = self.norm.u_scale[0] / self.norm.y_scale[0]
+        jac_x = np.zeros(levels.shape + (1, self.dims.n))
+        jac_x[..., 0, [0, 1, self.dims.nu]] = jac[..., :3] * [1.0, 1.0, ratio]
+        return Sweep(self.norm.normalize_output(levels[..., None]), jac_x, jac[..., 3:, None] * ratio)
+
+    def _carry(self, X0, U, dual: bool):
+        """Raw lower levels (B, N) of the rollouts of the inputs ``U``
+        (B, N, m) from the regressors ``X0`` (B, n); with ``dual`` also
+        their raw derivatives (B, N, 4) with respect to each step's newest
+        output, previous output and previous input, and its input."""
+        raw = self.norm.denormalize_state(X0, self.dims)
+        y_cur, y_prev, u_prev = raw[:, 0], raw[:, 1], raw[:, self.dims.nu]
+        if np.any(y_prev < 0) or np.any(y_cur < 0):
+            raise DomainError("regressor encodes a negative measured level")
+        head = _previous_upper_level(y_prev, y_cur, u_prev, self.params)
+        inputs = self.norm.denormalize_input(U)[..., 0]
+        levels = np.empty(inputs.shape)
+        jac = np.empty(inputs.shape + (4,)) if dual else None
+
+        def step(h1, h2, u):
+            if dual:  # tangents along (both levels, upper level only, input)
+                seeds = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+                h1, h2, u = (np.column_stack([v, np.tile(d, (v.size, 1))]) for v, d in zip((h1, h2, u), seeds))
+            return _total_step(h1, h2, u, self.params, dual)
+
+        # The step into the newest output: its upper level starts the
+        # rollout, and its tangent differentiates the reconstruction.
+        last = step(y_prev, head, u_prev)
+        flat, pinned = head <= y_prev, head >= HIDDEN_LEVEL_MAX
+        h1 = y_cur
+        for k in range(inputs.shape[1]):
+            h2 = np.maximum(_value(last[1], dual), h1)
+            now = step(h1, h2, inputs[:, k])
+            if dual:
+                jac[:, k] = _chain(last, flat, pinned, now, h2 <= h1)
+            last, flat, pinned = now, h2 <= h1, np.zeros_like(pinned)
+            h1 = levels[:, k] = _value(now[0], dual)
+        return levels, jac
+
+
+def _chain(last, flat, pinned, now, now_flat):
+    """Raw derivatives (B, 4) of the lower level after the dual step
+    ``now`` with respect to its regressor's ``y_k``, ``y_{k-1}`` and
+    ``u_{k-1}`` and its input ``u_k``; ``last`` is the dual step into
+    ``y_k``.  The gap ``G`` before ``last`` solves ``s1(y_{k-1}, y_{k-1} +
+    G, u_{k-1}) = y_k``, or is held at zero on ``flat`` rows; ``pinned``
+    rows hold the upper level, and ``now_flat`` rows keep equal levels.
+    """
+    # Tangents along (both levels, upper level only, input).
+    (y_both, y_upper, y_input), (h_both, h_upper, h_input) = last[0][:, 1:].T, last[1][:, 1:].T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # dG over (y_k, y_{k-1}, u_{k-1}), then the gap that ``now`` starts from.
+        gap = np.column_stack([np.ones_like(y_both), -y_both, -y_input]) / y_upper[:, None]
+        gap = np.where(pinned[:, None], [0.0, -1.0, 0.0], gap)
+        gap_now = np.column_stack([-np.ones_like(h_both), h_both, h_input])
+        gap_now += np.where(flat[:, None], 0.0, h_upper[:, None] * gap)
+        both, upper, inputs = now[0][:, 1:].T
+        lower = np.where(now_flat[:, None], 0.0, upper[:, None] * gap_now)
+    lower[:, 0] += both
+    return np.column_stack([lower, inputs])
 
 
 @dataclass(frozen=True)

@@ -21,14 +21,16 @@ from narxmpc import (
     shift_state,
     stage_cost,
 )
+from narxmpc.mpc import backward_sweep
 from narxmpc.stability import StorageMatrix, storage_value
 
 
 class FunctionDynamics(NarxDynamics):
     """Wrap a plain callable ``f(x, u) -> y_next`` as :class:`NarxDynamics`.
 
-    ``jacobian_fn(x, u)``, when given, returns the output Jacobians
-    ``(dy/dx, dy/du)`` and makes the dynamics differentiable.
+    ``jacobian_fn(x, u)`` returns the output Jacobians ``(dy/dx, dy/du)``
+    that :meth:`linearize` stacks; dynamics built without it serve as
+    plants and truths, which are only evaluated.
     """
 
     def __init__(self, dims, fn, jacobian_fn=None):
@@ -44,15 +46,56 @@ class FunctionDynamics(NarxDynamics):
         U = np.atleast_2d(np.asarray(U, dtype=float))
         return np.stack([self._call(x, u) for x, u in zip(X, U)])
 
-    @property
-    def differentiable(self) -> bool:
-        return self._jacobian_fn is not None
-
     def linearize(self, x, u):
         if self._jacobian_fn is None:
             raise NotImplementedError("no Jacobian callable supplied")
         rows = [(self._call(x_row, u_row), *self._jacobian_fn(x_row, u_row)) for x_row, u_row in zip(x, u)]
         return tuple(np.array(part, dtype=float) for part in zip(*rows))
+
+
+def cost_J_batch(
+    f: NarxDynamics, X0: np.ndarray, U: np.ndarray, weights: StageCostWeights
+) -> np.ndarray:
+    """Costs (B,) of the input sequences ``U`` (B, N, m) from the initial
+    regressors ``X0`` (B, n), from one :meth:`~NarxDynamics.rollout_batch`."""
+    U = np.asarray(U, dtype=float)
+    _, outputs = f.rollout_batch(X0, U)
+    return np.sum(stage_cost(outputs, U, weights), axis=1)
+
+
+def cost_gradient(
+    f: NarxDynamics, X0: np.ndarray, U: np.ndarray, weights: StageCostWeights
+) -> np.ndarray:
+    """Adjoint cost gradients (B, N, m) of ``U`` (B, N, m) from ``X0``
+    (B, n): :func:`~narxmpc.mpc.backward_sweep` of a fresh
+    :meth:`~NarxDynamics.sweep`, which the solver runs apart."""
+    X0, U = np.asarray(X0, dtype=float), np.asarray(U, dtype=float)
+    return backward_sweep(f.dims, f.sweep(X0, U), U, weights)
+
+
+#: Step of :func:`central_difference_gradient`.
+FD_STEP = 1e-6
+
+
+def central_difference_gradient(
+    f: NarxDynamics, X0: np.ndarray, U: np.ndarray, weights: StageCostWeights
+) -> np.ndarray:
+    """Central-difference cost gradients (B, N, m) with step :data:`FD_STEP`.
+
+    All ``2 N m`` perturbed sequences of all B problems are costed by
+    :func:`cost_J_batch` in one batch.
+    """
+    X0, U = np.asarray(X0, dtype=float), np.asarray(U, dtype=float)
+    b, horizon, m = U.shape
+    k = horizon * m
+    batch = np.repeat(U.reshape(b, 1, k), 2 * k, axis=1)
+    idx = np.arange(k)
+    batch[:, 2 * idx, idx] += FD_STEP
+    batch[:, 2 * idx + 1, idx] -= FD_STEP
+    costs = cost_J_batch(
+        f, np.repeat(X0, 2 * k, axis=0), batch.reshape(b * 2 * k, horizon, m), weights
+    ).reshape(b, 2 * k)
+    return ((costs[:, 0::2] - costs[:, 1::2]) / (2.0 * FD_STEP)).reshape(b, horizon, m)
 
 
 def kernel_jacobian_reference(model, Xi: np.ndarray) -> np.ndarray:

@@ -49,6 +49,13 @@ class TestParsing:
         assert exc.value.code == 0
         assert "--b-states" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["certify", "benchmark"])
+    def test_help_says_the_horizon_flag_is_not_a_plant_guarantee(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "condition on the surrogate, not a guarantee for the plant" in text
+
     @pytest.mark.parametrize(
         "argv",
         [

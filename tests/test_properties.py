@@ -29,13 +29,11 @@ from narxmpc import (
     SolverError,
     StageCostWeights,
     TwoTankParams,
-    cost_gradient,
-    cost_J_batch,
     estimate_growth_bound,
     fill_distance,
-    finite_difference_gradient,
     kernel_matrix,
     min_pairwise_distance,
+    sample_consistent_states,
     solve_ocp,
     solve_ocp_batch,
     stage_cost,
@@ -44,8 +42,15 @@ from narxmpc import (
 )
 from narxmpc import mpc, stability, twotank
 from narxmpc.kernels import KernelFitError, _gram_product, fit_interpolant
-from narxmpc.mpc import ACTIVE_WIDTH, NOISE_FLOOR, forward_sweep
-from oracles import FunctionDynamics, kernel_jacobian_reference, rk4_step, sample_domain
+from narxmpc.mpc import ACTIVE_WIDTH, NOISE_FLOOR
+from oracles import (
+    FunctionDynamics,
+    cost_gradient,
+    cost_J_batch,
+    kernel_jacobian_reference,
+    rk4_step,
+    sample_domain,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -169,6 +174,21 @@ def test_two_tank_step_single_equals_batch_row(rows):
         single = np.stack(two_tank_step(h1[i], h2[i], u[i], params))
         assert_array_equal(single, batch[i])
         assert_array_equal(np.signbit(single), np.signbit(batch[i]))
+
+
+@given(rows=tank_rows, seed=seeds, directions=st.integers(0, 3))
+def test_dual_two_tank_step_keeps_the_plain_values(rows, seed, directions):
+    """With tangents on a trailing axis, the step's values are the bits of
+    the plain step, NaN rows and signs of zero included, and no
+    floating-point warning is raised."""
+    params = TwoTankParams()
+    h1, h2, u = _tank_arrays(rows)
+    rng = np.random.default_rng(seed)
+    duals = [np.column_stack([v, rng.standard_normal((v.size, directions))]) for v in (h1, h2, u)]
+    got = np.stack([part[:, 0] for part in two_tank_step(*duals, params, dual=True)], axis=-1)
+    plain = np.stack(two_tank_step(h1, h2, u, params), axis=-1)
+    assert_array_equal(got, plain)
+    assert_array_equal(np.signbit(got), np.signbit(plain))
 
 
 @given(
@@ -388,8 +408,9 @@ def test_blocked_site_acceptance_equals_the_sequential_loop(
 
 
 class CountingDynamics(FunctionDynamics):
-    """:class:`FunctionDynamics` that count their calls of ``output_batch``
-    and ``rollout_batch`` and their batched calls of ``linearize``."""
+    """:class:`FunctionDynamics` that count their calls of ``output_batch``,
+    ``rollout_batch`` and ``sweep`` and their batched calls of
+    ``linearize``."""
 
     def __init__(self, dims, fn, jacobian_fn=None):
         super().__init__(dims, fn, jacobian_fn)
@@ -407,8 +428,12 @@ class CountingDynamics(FunctionDynamics):
         self.calls["linearize"] += 1
         return super().linearize(x, u)
 
+    def sweep(self, X0, U):
+        self.calls["sweep"] += 1
+        return super().sweep(X0, U)
 
-def _random_dynamics(rng, dims: NarxDims, linear: bool, differentiable: bool = True):
+
+def _random_dynamics(rng, dims: NarxDims, linear: bool):
     """Stable random dynamics ``tanh(A x + B u)`` (or ``A x + B u``) whose
     output is NaN for regressors with a first entry above 50; they count
     their evaluations."""
@@ -425,7 +450,7 @@ def _random_dynamics(rng, dims: NarxDims, linear: bool, differentiable: bool = T
         slope = np.ones(dims.p) if linear else 1.0 - np.tanh(A @ x + B @ u) ** 2
         return slope[:, None] * A, slope[:, None] * B
 
-    return CountingDynamics(dims, fn, jacobian_fn if differentiable else None)
+    return CountingDynamics(dims, fn, jacobian_fn)
 
 
 def _random_problem(rng, p, m, nu, horizon):
@@ -442,7 +467,7 @@ def _random_problem(rng, p, m, nu, horizon):
 
 @given(
     seed=seeds,
-    kind=st.sampled_from(["linear", "tanh", "tanh_fd"]),
+    kind=st.sampled_from(["linear", "tanh"]),
     p=st.integers(1, 2),
     m=st.integers(1, 2),
     nu=st.integers(1, 3),
@@ -458,7 +483,7 @@ def test_solve_ocp_batch_rows_equal_solo_solves(
     row whose start cost is not finite fails alone."""
     rng = np.random.default_rng(seed)
     cfg = _random_problem(rng, p, m, nu, horizon)
-    f = _random_dynamics(rng, cfg.dims, kind == "linear", differentiable=kind != "tanh_fd")
+    f = _random_dynamics(rng, cfg.dims, kind == "linear")
     X0 = rng.uniform(-1.0, 1.0, size=(rows, cfg.dims.n))
     if poisoned:
         X0[rng.integers(rows), 0] = 100.0
@@ -531,7 +556,7 @@ def test_linearize_outputs_and_sweep_costs_equal_the_rollout(seed, kind, p, m, n
     assert_array_equal(outputs, f.output_batch(X, U[:, 0]))
     for i in range(rows):
         assert_array_equal(f.linearize(X[i : i + 1], U[i : i + 1, 0])[0][0], f.output(X[i], U[i, 0]))
-    sweep = forward_sweep(f, X, U)
+    sweep = f.sweep(X, U)
     costs = np.sum(stage_cost(sweep.outputs, U, cfg.weights), axis=1)
     assert_array_equal(costs, cost_J_batch(f, X, U, cfg.weights))
 
@@ -568,7 +593,6 @@ def _scalar_descent(f, x0, cfg, start):
     problem: Python branches, 2-D products and one line search at a time.
     Costs and gradients are batches of one."""
     box, weights = cfg.input_box, cfg.weights
-    gradient = cost_gradient if f.differentiable else finite_difference_gradient
     shape = start.shape
     lo, hi = np.tile(box.lo, shape[0]), np.tile(box.hi, shape[0])
     X0 = x0[None]
@@ -583,7 +607,7 @@ def _scalar_descent(f, x0, cfg, start):
     grad_norm = decrease = np.inf
     iterations, converged = 0, False
     for it in range(cfg.solver.max_iters):
-        g = gradient(f, X0, u.reshape(1, *shape), weights).ravel()
+        g = cost_gradient(f, X0, u.reshape(1, *shape), weights).ravel()
         if it:
             y = g - g_old
             sy = s @ y
@@ -633,7 +657,7 @@ def _scalar_descent(f, x0, cfg, start):
 
 @given(
     seed=seeds,
-    kind=st.sampled_from(["linear", "tanh", "tanh_fd"]),
+    kind=st.sampled_from(["linear", "tanh"]),
     p=st.integers(1, 2),
     m=st.integers(1, 2),
     nu=st.integers(1, 3),
@@ -646,7 +670,7 @@ def test_solo_solve_equals_the_scalar_descent(seed, kind, p, m, nu, horizon, max
     rng = np.random.default_rng(seed)
     cfg = _random_problem(rng, p, m, nu, horizon)
     cfg = replace(cfg, solver=replace(cfg.solver, max_iters=max_iters))
-    f = _random_dynamics(rng, cfg.dims, kind == "linear", differentiable=kind != "tanh_fd")
+    f = _random_dynamics(rng, cfg.dims, kind == "linear")
     x0 = rng.uniform(-1.0, 1.0, size=cfg.dims.n)
     start = rng.uniform(-1.0, 1.0, size=(horizon, m))
     sol = solve_ocp(f, x0, cfg, warm=start)
@@ -665,7 +689,7 @@ def _spy(name: str):
 
 @given(
     seed=seeds,
-    kind=st.sampled_from(["linear", "tanh", "tanh_fd"]),
+    kind=st.sampled_from(["linear", "tanh"]),
     p=st.integers(1, 2),
     m=st.integers(1, 2),
     nu=st.integers(1, 3),
@@ -673,43 +697,32 @@ def _spy(name: str):
     max_iters=st.integers(1, 40),
 )
 def test_a_solve_evaluates_each_cost_by_one_sweep(seed, kind, p, m, nu, horizon, max_iters):
-    """A differentiable solve makes one N-step forward sweep per start and
-    per line-search trial, each gradient is a backward sweep over a kept
+    """A solve makes one N-step forward sweep per start and per
+    line-search trial, each gradient is a backward sweep over a kept
     sweep, and nothing calls ``output_batch`` or ``rollout_batch``.  The
     scalar descent makes one rollout per cost and one ``cost_gradient``
-    (an N-step sweep) per gradient, so its counts give the expected ones.
-    Without Jacobians the solve still goes through ``cost_J_batch`` and
-    ``finite_difference_gradient``."""
+    (an N-step sweep) per gradient, so its counts give the expected ones."""
     rng = np.random.default_rng(seed)
     cfg = _random_problem(rng, p, m, nu, horizon)
     cfg = replace(cfg, solver=replace(cfg.solver, max_iters=max_iters))
-    f = _random_dynamics(rng, cfg.dims, kind == "linear", differentiable=kind != "tanh_fd")
+    f = _random_dynamics(rng, cfg.dims, kind == "linear")
     x0 = rng.uniform(-1.0, 1.0, size=cfg.dims.n)
     start = rng.uniform(-1.0, 1.0, size=(horizon, m))
-    with (
-        _spy("forward_sweep") as sweeps,
-        _spy("backward_sweep") as backward,
-        _spy("cost_J_batch") as costs,
-        _spy("finite_difference_gradient") as differences,
-    ):
+    with _spy("backward_sweep") as backward:
         solve_ocp(f, x0, cfg, warm=start)
     solver, f.calls = f.calls, Counter()
-    if not f.differentiable:
-        assert sweeps.call_count == backward.call_count == solver["linearize"] == 0
-        assert differences.call_count >= 1 and costs.call_count >= 1 + differences.call_count
-        return
     _scalar_descent(f, x0, cfg, start)
     scalar = f.calls
     assert solver["output_batch"] == solver["rollout_batch"] == 0
-    assert costs.call_count == differences.call_count == 0
-    assert sweeps.call_count == scalar["rollout_batch"]
-    assert solver["linearize"] == horizon * sweeps.call_count
+    assert solver["sweep"] == scalar["rollout_batch"]
+    assert solver["linearize"] == horizon * solver["sweep"]
+    assert backward.call_count == scalar["sweep"]
     assert horizon * backward.call_count == scalar["linearize"]
 
 
 @given(
     seed=seeds,
-    kind=st.sampled_from(["linear", "tanh", "tanh_fd"]),
+    kind=st.sampled_from(["linear", "tanh"]),
     p=st.integers(1, 2),
     m=st.integers(1, 2),
     nu=st.integers(1, 3),
@@ -725,8 +738,7 @@ def test_solves_meet_a_stopping_test_and_never_lose_value(
     rng = np.random.default_rng(seed)
     cfg = _random_problem(rng, p, m, nu, horizon)
     cfg = replace(cfg, solver=replace(cfg.solver, max_iters=max_iters))
-    f = _random_dynamics(rng, cfg.dims, kind == "linear", differentiable=kind != "tanh_fd")
-    gradient = cost_gradient if f.differentiable else finite_difference_gradient
+    f = _random_dynamics(rng, cfg.dims, kind == "linear")
     box = cfg.input_box
     X0 = rng.uniform(-1.0, 1.0, size=(rows, cfg.dims.n))
     warm = rng.uniform(-1.5, 1.5, size=(rows, horizon, m))
@@ -736,7 +748,7 @@ def test_solves_meet_a_stopping_test_and_never_lose_value(
         assert sol.value == cost_J_batch(f, X0[i : i + 1], sol.u_star[None], cfg.weights)[0]
         if sol.iterations < max_iters:
             # The stopping quantities were taken at u_star itself.
-            g = gradient(f, X0[i : i + 1], sol.u_star[None], cfg.weights)[0]
+            g = cost_gradient(f, X0[i : i + 1], sol.u_star[None], cfg.weights)[0]
             pg = sol.u_star - np.clip(sol.u_star - g, box.lo, box.hi)
             assert sol.grad_norm == np.linalg.norm(pg)
         if sol.converged:
@@ -748,7 +760,7 @@ def test_solves_meet_a_stopping_test_and_never_lose_value(
 
 @given(
     seed=seeds,
-    kind=st.sampled_from(["linear", "tanh", "tanh_fd"]),
+    kind=st.sampled_from(["linear", "tanh"]),
     p=st.integers(1, 2),
     m=st.integers(1, 2),
     nu=st.integers(1, 3),
@@ -765,7 +777,7 @@ def test_growth_bounds_are_prefix_costs_of_one_solve_per_state(
     state whose solve fails leaves a NaN row and counts as one failure."""
     rng = np.random.default_rng(seed)
     cfg = _random_problem(rng, p, m, nu, 1)
-    f = _random_dynamics(rng, cfg.dims, kind == "linear", differentiable=kind != "tanh_fd")
+    f = _random_dynamics(rng, cfg.dims, kind == "linear")
     states = rng.uniform(-1.0, 1.0, size=(rows, cfg.dims.n))
     norms_sq = np.einsum("ij,ij->i", states, states)
     assume(np.all(norms_sq >= 1e-10))
@@ -796,3 +808,64 @@ def test_growth_bounds_are_prefix_costs_of_one_solve_per_state(
         # The running sum and np.sum add in different orders from N = 8 on.
         assert_allclose(growth.ratios[i] * norms_sq[i], prefix, rtol=1e-12)
     assert_array_equal(growth.b_values, np.nanmax(growth.ratios, axis=0))
+
+
+def _regular_plant_rows(cfg, X, U, margin=1e-4):
+    """Rows of the plant view's rollouts from ``X`` (B, n) under ``U``
+    (B, N, 1) that take no clamp and no substep: the bisection root lies
+    inside its bracket, and at the root and at every step a single
+    Runge-Kutta step is finite, with both levels and their gap above
+    ``margin`` (m).  Central differences there see one smooth branch."""
+    params, norm = cfg.params, cfg.normalization()
+    raw = norm.denormalize_state(X, cfg.dims)
+    y_cur, y_prev, u_prev = raw[:, 0], raw[:, 1], raw[:, cfg.dims.nu]
+    head = twotank._previous_upper_level(y_prev, y_cur, u_prev, params)
+    regular = (y_prev > margin) & (head - y_prev > margin) & (head < twotank.HIDDEN_LEVEL_MAX - margin)
+    _, h2 = two_tank_step(y_prev, head, u_prev, params)
+    h1 = y_cur
+    for u in norm.denormalize_input(U)[..., 0].T:
+        regular &= (h1 > margin) & (h2 - h1 > margin)
+        h1, h2 = two_tank_step(h1, h2, u, params)
+    return regular & np.isfinite(h1) & np.isfinite(h2)
+
+
+@given(seed=seeds, rows=st.integers(1, 6), horizon=st.integers(1, 5), reachable=st.booleans())
+def test_plant_view_sweep_is_the_rollout_with_exact_jacobians(cfg, plant_view, seed, rows, horizon, reachable):
+    """The plant view's sweep gives the outputs of ``rollout_batch`` bit
+    for bit, each row is its batch of one, and on rows that take no clamp
+    and no substep every step's Jacobians match central differences
+    (step 1e-6) of the rollout's one-step outputs at that step's
+    regressor and input."""
+    dims = cfg.dims
+    rng = np.random.default_rng(seed)
+    if reachable:
+        X = sample_consistent_states(cfg, rows, seed % 2**16)
+    else:
+        X, _ = sample_domain(cfg, rows, seed)
+    box = cfg.input_box()
+    U = rng.uniform(box.lo, box.hi, size=(rows, horizon, 1))
+    sweep = plant_view.sweep(X, U)
+    states, outputs = plant_view.rollout_batch(X, U)
+    assert_array_equal(sweep.outputs, outputs)
+    for i in range(rows):
+        single = plant_view.sweep(X[i : i + 1], U[i : i + 1])
+        assert_array_equal(single.outputs[0], sweep.outputs[i])
+        assert_array_equal(single.jac_x[0], sweep.jac_x[i])
+        assert_array_equal(single.jac_u[0], sweep.jac_u[i])
+    assert np.all(np.isfinite(sweep.jac_x)) and np.all(np.isfinite(sweep.jac_u))
+    regular = _regular_plant_rows(cfg, X, U)
+    if not regular.any():
+        return
+    # Perturb the newest output, the previous output, the previous input
+    # and the input of every step's regressor-input pair, all in one batch.
+    n, h = dims.n, 1e-6
+    columns = [0, 1, dims.nu, n]
+    pairs = np.concatenate([states[regular, :-1], U[regular]], axis=-1).reshape(-1, n + 1)
+    steps = h * np.eye(n + 1)[columns]
+    probes = np.stack([pairs[None] + steps[:, None], pairs[None] - steps[:, None]])
+    out = plant_view.output_batch(probes[..., :n].reshape(-1, n), probes[..., n:].reshape(-1, 1))
+    out = out.reshape(2, len(columns), -1)
+    central = ((out[0] - out[1]) / (2.0 * h)).T
+    exact = np.concatenate([sweep.jac_x[regular][..., 0, columns[:-1]], sweep.jac_u[regular][..., 0, :]], axis=-1)
+    exact = exact.reshape(-1, len(columns))
+    assert_allclose(exact, central, rtol=1e-5, atol=1e-6 * (1.0 + np.max(np.abs(exact))))

@@ -30,6 +30,7 @@ from narxmpc import (
     storage_value,
     verify_decrease,
 )
+from narxmpc.bench import certify_trace, simulate_loop
 from narxmpc.stability import (
     VERDICT_EQUILIBRIUM,
     VERDICT_VERIFIED,
@@ -342,6 +343,39 @@ class TestVerifyDecrease:
         assert not report.ok
         assert report.first_violation is not None
         assert report.alpha == 0.0
+
+
+class TestPlantVerdicts:
+    """Closed loops on the plant, with the exact plant view or a surrogate
+    as the controller's model."""
+
+    @pytest.mark.parametrize("h0", [0.02, 0.48])
+    def test_exact_model_loop_verifies(self, cfg, storage, h0):
+        """MPC on the exact plant view at N=20 verifies the decrease from
+        the lowest and the highest initial level of the h0 sweep, with no
+        failed step: the reference for surrogate loops from these levels."""
+        exact = replace(cfg, horizon=20, h0=h0)
+        model, plant = plant_views(exact)
+        x0, _ = exact.initial_condition()
+        trace = run_closed_loop(
+            plant, model, make_mpc_config(exact), x0, exact.steps,
+            storage_matrix=storage.P, normalization=exact.normalization(),
+        )
+        assert trace.failed_step is None and trace.failure is None
+        assert verify_decrease(trace, storage).verdict == VERDICT_VERIFIED
+
+    def test_horizon_sufficient_is_not_a_plant_guarantee(self, cfg, fit_101):
+        """At D=101 and N=48 the standard grid's sampled growth bound makes
+        ``horizon_sufficient`` true (min_horizon 43.4 < 48), yet the
+        surrogate's loop on the plant from h0 = 0.02 violates the decrease.
+        The flag is a condition on the surrogate's growth bound alone."""
+        longer = replace(cfg, horizon=48, h0=0.02)
+        _, model = fit_101
+        trace = simulate_loop(longer, model)
+        _, report = certify_trace(longer, model, trace)
+        assert report.horizon_sufficient is True
+        assert report.min_horizon_value == pytest.approx(43.4, abs=0.05)
+        assert report.verdict == VERDICT_VIOLATED
 
 
 class TestDecayFit:

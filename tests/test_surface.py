@@ -2,10 +2,12 @@
 
 Every public top-level function, public class and public method of a
 ``src/narxmpc`` module must be referenced from the package itself or
-from ``perfbench/``: as a name, an attribute, a keyword or an import,
-or, in ``perfbench/``, as a string constant (its patcher names the
-functions it wraps by string).  The re-exports of ``__init__.py`` do not
-count as uses.  Code that only tests reach belongs under ``tests/``.
+from ``perfbench/``: as a name, an attribute, a keyword or an import.
+A string constant is not a use: the perfbench patcher names the
+functions it wraps by string, and it skips a name the package no longer
+defines, so wrapping a function does not call it.  The re-exports of
+``__init__.py`` do not count as uses.  Code that only tests reach
+belongs under ``tests/``.
 """
 
 from __future__ import annotations
@@ -48,9 +50,8 @@ def _defined() -> dict[str, str]:
 def _referenced() -> set[str]:
     """Names used in the package modules and in ``perfbench/``."""
     used: set[str] = set()
-    sources = [(p, False) for p in _modules()]
-    sources += [(p, True) for p in sorted((ROOT / "perfbench").glob("*.py"))]
-    for path, strings_count in sources:
+    sources = _modules() + sorted((ROOT / "perfbench").glob("*.py"))
+    for path in sources:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -60,8 +61,6 @@ def _referenced() -> set[str]:
                 used.add(node.arg)
             elif isinstance(node, ast.alias):
                 used.update(node.name.split("."))
-            elif strings_count and isinstance(node, ast.Constant) and isinstance(node.value, str):
-                used.add(node.value)
     return used
 
 

@@ -259,6 +259,8 @@ class TestNarxView:
         with pytest.raises(DomainError, match="negative measured level"):
             plant_view.rollout_batch(X, np.zeros((4, 3, 1)))
         with pytest.raises(DomainError, match="negative measured level"):
+            plant_view.sweep(X, np.zeros((4, 3, 1)))
+        with pytest.raises(DomainError, match="negative measured level"):
             plant_view.output(X[2], U[2])
 
     def test_rollout_batch_matches_stepwise(self, cfg, plant_view):
