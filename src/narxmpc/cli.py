@@ -250,6 +250,11 @@ def cmd_benchmark(args) -> int:
     bad = [d for d, arm in result.arms.items() if not arm.report.ok]
     for d, arm in sorted(result.arms.items()):
         print(f"D={d}: {arm.report.verdict}")
+    stopped = [(d, arm.trace) for d, arm in sorted(result.arms.items()) if arm.trace.failed_step is not None]
+    for d, trace in stopped:
+        print(f"error: D={d}: closed loop failed at step {trace.failed_step}: {trace.failure}", file=sys.stderr)
+    if stopped:
+        return 1
     return 2 if bad else 0
 
 

@@ -20,6 +20,15 @@ keeps the Gram entries, and the diagonal of the Gram matrix is the
 constant ``phi(0) + jitter``.  Products with the Gram matrix read only
 that lower triangle, in row blocks rebuilt out of it (or through BLAS
 symm for several columns), so no second D x D array is ever allocated.
+
+The fitted interpolant is also the surrogate NARX dynamics.  Every value
+it gives, and every Jacobian, comes from two private routines on rows of
+sites: a value pass (distances, Wendland terms, profile and coefficient
+product, optionally keeping the ``(1 - r)^4`` that the slope weights
+``phi'(r)/(r sigma^2)`` are made of) and a Jacobian pass (slope weights,
+site differences and the weighted product).  Its sweep runs the value
+pass step by step, since each step's output is the next step's site,
+and the Jacobian pass over the rows of several steps at once.
 """
 
 from __future__ import annotations
@@ -33,32 +42,34 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.blas import dsymm
 from scipy.spatial.distance import cdist
 
-from .narx import AffineNormalization, NarxDims, NarxDynamics
+from .narx import AffineNormalization, NarxDims, NarxDynamics, Sweep, rollout_arrays
 
 
 class KernelFitError(RuntimeError):
     """Raised when the kernel matrix cannot be factorized."""
 
 
-def _wendland_terms(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _wendland_terms(r: np.ndarray, fourth: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``max(1 - r, 0)`` and its fourth power, the factors that the profile
-    and its slope share; new arrays, also for a 0-d ``r``."""
+    and its slope share; new arrays, also for a 0-d ``r``, except that the
+    fourth power goes into ``fourth`` when it is given."""
     # Products written in place: numpy's ``pow`` costs several times a
     # multiply, and each temporary of a D x D Gram build is D^2 doubles.
     one_minus = np.subtract(1.0, r, out=np.empty(r.shape))
     np.maximum(one_minus, 0.0, out=one_minus)
-    fourth = np.multiply(one_minus, one_minus, out=np.empty(r.shape))
+    fourth = np.multiply(one_minus, one_minus, out=np.empty(r.shape) if fourth is None else fourth)
     fourth *= fourth
     return one_minus, fourth
 
 
 def _profile(r: np.ndarray, one_minus: np.ndarray, fourth: np.ndarray) -> np.ndarray:
     """:func:`wendland_phi` from the terms of :func:`_wendland_terms`,
-    written into ``fourth``; ``one_minus`` is overwritten as scratch."""
-    phi = np.multiply(fourth, one_minus, out=fourth)
+    written into ``one_minus``; ``r`` is overwritten as scratch, and
+    ``fourth`` is kept for the slope weights."""
+    phi = np.multiply(fourth, one_minus, out=one_minus)
     # The factor uses min(r, 1), which leaves it unchanged where the
     # profile is nonzero and keeps it finite (so 0 * inf never arises).
-    factor = np.minimum(r, 1.0, out=one_minus)
+    factor = np.minimum(r, 1.0, out=r)
     factor *= 5.0
     factor += 1.0
     phi *= factor
@@ -71,7 +82,7 @@ def wendland_phi(r: np.ndarray) -> np.ndarray:
 
     Raises ``ValueError`` for negative radii.
     """
-    r = np.asarray(r, dtype=float)
+    r = np.array(r, dtype=float)  # a copy: the profile overwrites it
     if np.any(r < 0):
         raise ValueError("radius must be nonnegative")
     return _profile(r, *_wendland_terms(r))
@@ -114,6 +125,17 @@ class KernelSpec:
 _BLOCK = 64
 
 
+def _kernel_terms(
+    spec: KernelSpec, A: np.ndarray, B: np.ndarray, fourth: np.ndarray | None = None
+) -> tuple[np.ndarray, ...]:
+    """Scaled radii between the rows of ``A`` and ``B`` with their
+    :func:`_wendland_terms`: the one distance routine of every kernel
+    value."""
+    r = cdist(A, B)
+    r /= spec.lengthscale
+    return (r, *_wendland_terms(r, fourth))
+
+
 def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     """Cross-kernel matrix between row-site arrays ``A`` (Da, d) and ``B`` (Db, d).
 
@@ -126,7 +148,7 @@ def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None) 
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if B is not None:
-        return wendland_phi(cdist(A, np.atleast_2d(np.asarray(B, dtype=float))) / spec.lengthscale)
+        return _profile(*_kernel_terms(spec, A, np.atleast_2d(np.asarray(B, dtype=float))))
     gram = np.empty((len(A), len(A)))
     for a in range(0, len(A), _BLOCK):
         b = min(a + _BLOCK, len(A))
@@ -293,7 +315,13 @@ class KernelInterpolant(NarxDynamics):
 
     The interpolant is the surrogate NARX dynamics itself: a site is a
     regressor-input pair ``xi = [x; u]``, so :meth:`output_batch` and
-    :meth:`linearize` evaluate it on rows of ``x`` and ``u``.
+    :meth:`linearize` evaluate it on rows of ``x`` and ``u``.  Its
+    :meth:`sweep` runs in two passes: a value pass per step, which keeps
+    the factors of that step's slope weights and writes the next sites,
+    and a batched Jacobian pass whenever 64 or more rows are kept, and
+    once at the end.  Values, Jacobians, rollouts and sweeps all come
+    from the same two private routines, :meth:`_values` and
+    :meth:`_jacobians`.
 
     Fitted by :func:`fit_interpolant`, which leaves the Gram matrix and
     its Cholesky factor in the one D x D array ``store``: the factor in
@@ -332,19 +360,57 @@ class KernelInterpolant(NarxDynamics):
     def certificate_degraded(self) -> bool:
         return self.jitter > 0.0
 
-    def predict_batch(self, Xi: np.ndarray) -> np.ndarray:
-        """Interpolant values at rows of ``Xi`` (M, n + m).
+    def _values(
+        self, Xi: np.ndarray, out: np.ndarray | None = None, fourth: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Interpolant values (M, p) at the site rows ``Xi`` (M, n + m),
+        written into ``out`` when it is given.
 
-        Each row is its own product of kernel row and coefficients, so it
-        equals the single-row call bit for bit at any M.  The kernel rows
-        are evaluated in blocks, which bounds their memory.
+        The kernel rows are evaluated in blocks, which bounds their
+        memory, and each row's value is its own product of kernel row
+        and coefficients, so it equals the single-row call bit for bit at
+        any M.  With ``fourth`` (M, D), each row's ``(1 - r)^4`` is kept
+        there for :meth:`_jacobians`.
         """
-        Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
-        values = np.empty((Xi.shape[0], self.coefficients.shape[1]))
+        values = np.empty((Xi.shape[0], self.coefficients.shape[1])) if out is None else out
         for a in range(0, Xi.shape[0], _BLOCK):
-            Kx = kernel_matrix(self.spec, Xi[a : a + _BLOCK], self.data.sites)
-            values[a : a + _BLOCK] = np.matmul(Kx[:, None, :], self.coefficients)[:, 0]
+            kept = None if fourth is None else fourth[a : a + _BLOCK]
+            r, one_minus, kept = _kernel_terms(self.spec, Xi[a : a + _BLOCK], self.data.sites, kept)
+            values[a : a + _BLOCK] = np.matmul(_profile(r, one_minus, kept)[:, None, :], self.coefficients)[:, 0]
+            del r, one_minus, kept  # before the next block's are built
         return values
+
+    def _jacobians(self, Xi: np.ndarray, fourth: np.ndarray) -> np.ndarray:
+        """Jacobians (M, p, n + m) at the site rows ``Xi`` (M, n + m) from
+        the ``(1 - r)^4`` (M, D) that :meth:`_values` kept, which are
+        overwritten by the slope weights.
+
+        Each row is ``-(C * w)^T (sites - xi)`` with the slope weights
+        ``w = phi'(r)/(r sigma^2) = -(1 - r)^4 / sigma^2``, so a Jacobian
+        is exact (zero radial contribution) where ``xi`` coincides with a
+        site.  Each row is its own product, so it equals its batch of
+        one.  The differences come from contiguous copies of each row, in
+        blocks of rows: the broadcast ``sites - xi[:, None, :]`` loops
+        over the n + m coordinates of one site at a time, the pass's
+        largest single cost at D=2501.  Its elements and C order are the
+        same, so the Jacobians keep their bits.
+        """
+        sites = self.data.sites
+        slopes = np.divide(fourth, -(self.spec.lengthscale**2), out=fourth)
+        jac = np.empty((Xi.shape[0], self.coefficients.shape[1], sites.shape[1]))
+        for a in range(0, Xi.shape[0], _BLOCK):
+            rows = Xi[a : a + _BLOCK]
+            diffs = rows.repeat(sites.shape[0], axis=0).reshape(rows.shape[0], *sites.shape)
+            np.subtract(sites, diffs, out=diffs)
+            weighted = self.coefficients * slopes[a : a + _BLOCK, :, None]
+            jac[a : a + _BLOCK] = -np.matmul(weighted.transpose(0, 2, 1), diffs)
+            del diffs, weighted  # before the next block's are built
+        return jac
+
+    def predict_batch(self, Xi: np.ndarray) -> np.ndarray:
+        """Interpolant values at rows of ``Xi`` (M, n + m); each row equals
+        the single-row call bit for bit at any M."""
+        return self._values(np.atleast_2d(np.asarray(Xi, dtype=float)))
 
     def output_batch(self, X: np.ndarray, U: np.ndarray) -> np.ndarray:
         """Interpolant values at the sites ``[X, U]`` (:meth:`predict_batch`)."""
@@ -356,32 +422,81 @@ class KernelInterpolant(NarxDynamics):
         self, x: np.ndarray, u: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Values (B, p) and Jacobians (B, p, n) and (B, p, m) at rows ``x``
-        (B, n) and ``u`` (B, m).
-
-        The radii come from the distance routine of :meth:`predict_batch`,
-        so the values equal its values bit for bit, and each row equals
-        its batch of one.  The Jacobian uses ``phi'(r)/r`` directly, so it
-        is exact (zero radial contribution) when ``[x, u]`` coincides with
-        a site.
+        (B, n) and ``u`` (B, m): one value pass that keeps the factors of
+        the slope weights, then one Jacobian pass.  The values equal those
+        of :meth:`predict_batch` bit for bit, and each row equals its
+        batch of one.
         """
         xi = np.concatenate([np.asarray(x, dtype=float), np.asarray(u, dtype=float)], axis=-1)
-        r = cdist(xi, self.data.sites) / self.spec.lengthscale
-        one_minus, fourth = _wendland_terms(r)
-        # phi'(r) / (r sigma^2) = -(1 - r)^4 / sigma^2, taken before the
-        # profile overwrites the shared fourth power.
-        w = fourth / -(self.spec.lengthscale**2)
-        value = np.matmul(_profile(r, one_minus, fourth)[:, None, :], self.coefficients)[:, 0]
-        # The differences come from contiguous copies of each row: the
-        # broadcast ``sites - xi[:, None, :]`` loops over the n + m
-        # coordinates of one site at a time, the call's largest single
-        # cost at D=2501.  Its elements and C order are the same, so the
-        # Jacobian keeps its bits.
-        sites = self.data.sites
-        diffs = xi.repeat(sites.shape[0], axis=0).reshape(xi.shape[0], *sites.shape)
-        np.subtract(sites, diffs, out=diffs)
-        jac = -np.matmul((self.coefficients * w[:, :, None]).transpose(0, 2, 1), diffs)
+        fourth = np.empty((xi.shape[0], self.data.sites.shape[0]))
+        value = self._values(xi, fourth=fourth)
+        jac = self._jacobians(xi, fourth)
         n = self.dims.n
         return value, jac[..., :n], jac[..., n:]
+
+    def _roll(self, X0: np.ndarray, U: np.ndarray, sweep: Sweep | None = None) -> np.ndarray:
+        """Sites (N + 1, B, n + m) visited by the rollouts of the inputs
+        ``U`` (B, N, m) from the regressors ``X0`` (B, n), step-major; the
+        input block of the last holds zeros.  With ``sweep``, the
+        Jacobians of every step go into its ``jac_x`` and ``jac_u``.
+
+        The regressor shift only copies history blocks (as
+        :func:`~narxmpc.narx.shift_state` does), so every input block is
+        known from ``X0`` and ``U`` and is filled in before the first
+        step.  Each step is one value pass over its B sites, which writes
+        their outputs into the next sites and shifts their older outputs
+        along.  Each step's ``(1 - r)^4`` are kept until the steps since
+        the last Jacobian pass hold ``_BLOCK`` rows or more, or the
+        rollout ends; then one Jacobian pass takes all of their rows.
+        """
+        b, horizon = U.shape[0], U.shape[1]
+        dims, size = self.dims, self.data.sites.shape[0]
+        p, m, n, nb = dims.p, dims.m, dims.n, dims.n_outputs_block
+        sites = np.empty((horizon + 1, b, n + m))
+        sites[0, :, :n] = X0
+        sites[:horizon, :, n:] = U.transpose(1, 0, 2)
+        sites[horizon, :, n:] = 0.0
+        # Slot i of a later site's input history holds u(k - 1 - i): the
+        # inputs oldest first, X0's history before U, read in windows.
+        inputs = np.concatenate([X0[:, nb:].reshape(b, dims.nu - 1, m)[:, ::-1], U], axis=1)
+        for i in range(dims.nu - 1):
+            window = inputs[:, dims.nu - 1 - i : dims.nu - 1 - i + horizon]
+            sites[1:, :, nb + i * m : nb + (i + 1) * m] = window.transpose(1, 0, 2)
+        if sweep is not None:
+            chunk = min(horizon, -(-_BLOCK // max(b, 1)))
+            fourth = np.empty((chunk, b, size))
+        first = 0
+        for k in range(horizon):
+            site, following = sites[k], sites[k + 1]
+            self._values(site, following[:, :p], None if sweep is None else fourth[k - first])
+            following[:, p:nb] = site[:, : nb - p]
+            if sweep is not None and (k + 1 - first == chunk or k + 1 == horizon):
+                steps = k + 1 - first
+                jac = self._jacobians(sites[first : k + 1].reshape(steps * b, -1), fourth[:steps].reshape(steps * b, -1))
+                jac = jac.reshape(steps, b, p, n + m).transpose(1, 0, 2, 3)
+                sweep.jac_x[:, first : k + 1], sweep.jac_u[:, first : k + 1] = jac[..., :n], jac[..., n:]
+                first = k + 1
+        return sites
+
+    def sweep(self, X0: np.ndarray, U: np.ndarray) -> Sweep:
+        """The outputs of :meth:`rollout_batch` with the Jacobians of every
+        step (:meth:`_roll`): one value pass per step and one Jacobian
+        pass per ``_BLOCK`` rows or more.  Its arrays equal those of the
+        generic per-step :meth:`~narxmpc.narx.NarxDynamics.sweep` bit for
+        bit, and each row equals its batch of one."""
+        X0, U = rollout_arrays(X0, U, self.dims)
+        b, horizon, dims = U.shape[0], U.shape[1], self.dims
+        sweep = Sweep(*(np.empty((b, horizon, dims.p, *tail)) for tail in ((), (dims.n,), (dims.m,))))
+        sweep.outputs[:] = self._roll(X0, U, sweep)[1:, :, : dims.p].transpose(1, 0, 2)
+        return sweep
+
+    def rollout_batch(self, X0: np.ndarray, U_seq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The states and outputs of the generic
+        :meth:`~narxmpc.narx.NarxDynamics.rollout_batch`, bit for bit,
+        from the value passes of :meth:`_roll` alone."""
+        X0, U_seq = rollout_arrays(X0, U_seq, self.dims)
+        sites = self._roll(X0, U_seq).transpose(1, 0, 2)
+        return sites[..., : self.dims.n].copy(), sites[:, 1:, : self.dims.p].copy()
 
     def power_function(self, Xi: np.ndarray) -> np.ndarray:
         """Pointwise error certificate ``P(xi)`` at rows of ``Xi``.

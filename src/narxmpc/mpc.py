@@ -10,9 +10,12 @@ its projected gradient is small or when the full step promises a
 decrease below the cost's rounding level.  Every model reaches the
 solver through one path: each cost is the forward half of an adjoint
 sweep, :meth:`~narxmpc.narx.NarxDynamics.sweep`, which yields the
-outputs and their per-step Jacobians together; the sweep of an accepted
-iterate is kept, and its gradient is the backward half alone,
-:func:`backward_sweep` through the regressor shift structure.  Many
+outputs and their per-step Jacobians together (the kernel surrogate
+computes the values step by step and the Jacobians of many steps in one
+batched pass); the sweep of an accepted iterate is kept, and its
+gradient is the backward half alone, :func:`backward_sweep` through the
+regressor shift structure, whose loop carries only the adjoint recursion
+and whose input gradients are formed after it in one stacked product.  Many
 problems are solved in lockstep, each row with its own BFGS matrix,
 line search and stopping tests, and every row reproduces its solo solve
 bit for bit.  The receding-horizon loop applies the first input of each
@@ -145,27 +148,36 @@ def backward_sweep(
     The adjoint of the lifted step map is accumulated backwards: the
     output Jacobian enters through the first block row and the history
     shifts enter as index moves, so each step costs O(n) bookkeeping on
-    top of two stacked Jacobian products.  The regressor Jacobian of the
-    first step, ``sweep.jac_x[:, 0]``, enters no input gradient.
+    top of one stacked regressor-Jacobian product.  Only that recursion
+    runs step by step.  Each step's output adjoint ``lam_y`` and the input
+    adjoint its shift carries are kept, and the input gradients are
+    formed from them after the loop, all steps in one stacked product
+    with ``sweep.jac_u``.  The regressor Jacobian of the first step,
+    ``sweep.jac_x[:, 0]``, enters no input gradient.
     """
     b, horizon = U.shape[0], U.shape[1]
     p, m, nb, n = dims.p, dims.m, dims.n_outputs_block, dims.n
     output_weight = 2.0 * _matvec(weights.Q, sweep.outputs)
     input_weight = 2.0 * _matvec(weights.R, U)
-    grad = np.empty((b, horizon, m))
+    lam_y = np.empty((b, horizon, p))
+    carried = np.empty((b, horizon, m)) if dims.nu > 1 else None
     lam = np.zeros((b, n))
     for k in reversed(range(horizon)):
-        lam_y = lam[:, :p] + output_weight[:, k]
-        g = input_weight[:, k] + _matvec(sweep.jac_u[:, k].transpose(0, 2, 1), lam_y)
-        if dims.nu > 1:
-            g = g + lam[:, nb : nb + m]
-        grad[:, k] = g
-        new_lam = _matvec(sweep.jac_x[:, k].transpose(0, 2, 1), lam_y)
+        step_lam_y = lam[:, :p] + output_weight[:, k]
+        lam_y[:, k] = step_lam_y
+        if carried is not None:
+            carried[:, k] = lam[:, nb : nb + m]
+        if not k:
+            break
+        new_lam = _matvec(sweep.jac_x[:, k].transpose(0, 2, 1), step_lam_y)
         if dims.nu > 1:
             new_lam[:, : nb - p] += lam[:, p:nb]
             if dims.nu > 2:
                 new_lam[:, nb : nb + (dims.nu - 2) * m] += lam[:, nb + m :]
         lam = new_lam
+    grad = input_weight + _matvec(sweep.jac_u.transpose(0, 1, 3, 2), lam_y)
+    if carried is not None:
+        grad += carried
     return grad
 
 

@@ -12,8 +12,10 @@ last axis is the regressor axis.
 
 The controller reaches every :class:`NarxDynamics` through its forward
 sweep, a rollout with the Jacobians of every step.  The generic sweep
-calls ``linearize`` once per step; the exact two-tank view, which
-carries a hidden level, overrides it.
+calls ``linearize`` once per step.  The kernel surrogate overrides it
+with the same bits: the values step by step, then every step's
+Jacobians in batched passes.  The exact two-tank view, which carries a
+hidden level, overrides it with tangents carried along its rollout.
 """
 
 from __future__ import annotations
@@ -170,7 +172,9 @@ class NarxDynamics(ABC):
     def sweep(self, X0: np.ndarray, U: np.ndarray) -> Sweep:
         """Roll out from the regressors ``X0`` (B, n) under the inputs ``U``
         (B, N, m) with one :meth:`linearize` call per step: the outputs of
-        :meth:`rollout_batch`, each row as its batch of one."""
+        :meth:`rollout_batch`, each row as its batch of one.  The kernel
+        surrogate's override gives the same bits, but forms the Jacobians
+        of many steps in one pass after their values."""
         b, horizon, dims = U.shape[0], U.shape[1], self.dims
         sweep = Sweep(*(np.empty((b, horizon, dims.p, *tail)) for tail in ((), (dims.n,), (dims.m,))))
         X = X0

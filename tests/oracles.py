@@ -21,7 +21,7 @@ from narxmpc import (
     shift_state,
     stage_cost,
 )
-from narxmpc.mpc import backward_sweep
+from narxmpc.mpc import _matvec, backward_sweep
 from narxmpc.stability import StorageMatrix, storage_value
 
 
@@ -71,6 +71,34 @@ def cost_gradient(
     :meth:`~NarxDynamics.sweep`, which the solver runs apart."""
     X0, U = np.asarray(X0, dtype=float), np.asarray(U, dtype=float)
     return backward_sweep(f.dims, f.sweep(X0, U), U, weights)
+
+
+def backward_sweep_reference(
+    dims: NarxDims, sweep, U: np.ndarray, weights: StageCostWeights
+) -> np.ndarray:
+    """Cost gradients (B, N, m) by the per-step adjoint loop that forms
+    each input gradient inside the loop, as the backward sweep once did;
+    :func:`~narxmpc.mpc.backward_sweep`, which forms them all after it,
+    must give the same bits."""
+    b, horizon = U.shape[0], U.shape[1]
+    p, m, nb, n = dims.p, dims.m, dims.n_outputs_block, dims.n
+    output_weight = 2.0 * _matvec(weights.Q, sweep.outputs)
+    input_weight = 2.0 * _matvec(weights.R, U)
+    grad = np.empty((b, horizon, m))
+    lam = np.zeros((b, n))
+    for k in reversed(range(horizon)):
+        lam_y = lam[:, :p] + output_weight[:, k]
+        g = input_weight[:, k] + _matvec(sweep.jac_u[:, k].transpose(0, 2, 1), lam_y)
+        if dims.nu > 1:
+            g = g + lam[:, nb : nb + m]
+        grad[:, k] = g
+        new_lam = _matvec(sweep.jac_x[:, k].transpose(0, 2, 1), lam_y)
+        if dims.nu > 1:
+            new_lam[:, : nb - p] += lam[:, p:nb]
+            if dims.nu > 2:
+                new_lam[:, nb : nb + (dims.nu - 2) * m] += lam[:, nb + m :]
+        lam = new_lam
+    return grad
 
 
 #: Step of :func:`central_difference_gradient`.

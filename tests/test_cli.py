@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from narxmpc import BenchmarkConfig, Dataset, SolverConfig, run_benchmark, wendland_phi
 import narxmpc.bench
 import narxmpc.mpc
+import narxmpc.twotank
 from narxmpc.bench import GROWTH_HORIZON, GROWTH_STATES, bundle_digests
 from narxmpc.cli import build_parser, main
 from narxmpc.fileio import CONFIG_KEYS, load_model, load_trace, read_csv, read_keyvalues, sha256_file, save_dataset
@@ -659,6 +660,33 @@ class TestBenchmark:
             "manifest.json",
         ):
             assert (out / name).exists(), name
+
+    def test_failed_closed_loop_exits_1_and_writes_the_bundle(self, tmp_path, capsys, monkeypatch):
+        real_output = narxmpc.twotank.TwoTankPlant.output
+        calls = []
+
+        def output_failing_at_call_5(self, x, u):
+            calls.append(None)
+            if len(calls) == 5:
+                raise ValueError("injected plant fault")
+            return real_output(self, x, u)
+
+        monkeypatch.setattr(narxmpc.twotank.TwoTankPlant, "output", output_failing_at_call_5)
+        config = tmp_path / "cfg.txt"
+        config.write_text("steps = 12\n")
+        out = tmp_path / "bundle"
+        argv = ["--config", str(config), "--only-D", "101", "--b-states", "4", "--b-horizon", "2"]
+        assert main(["benchmark", *argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "D=101: " in captured.out
+        assert captured.err == (
+            "error: D=101: closed loop failed at step 4: "
+            "plant rejected the applied input: injected plant fault\n"
+        )
+        _, table = read_csv(out / "trace_norm_D101.csv")
+        assert table.shape[0] == 5
+        assert read_keyvalues(out / "stability_report_D101.txt")["steps"] == "4"
+        assert "stability_report_D101.txt" in json.loads((out / "manifest.json").read_text())["outputs"]
 
     def test_verbose_prints_the_growth_grid(self, tmp_path, capsys):
         code = main(

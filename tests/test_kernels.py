@@ -80,6 +80,11 @@ class TestProfile:
         one_minus = np.maximum(1.0 - r, 0.0)
         assert_allclose(wendland_phi(r), one_minus**5 * (5.0 * r + 1.0) / 30.0, rtol=1e-14, atol=0.0)
 
+    def test_argument_is_left_unchanged(self):
+        r = np.array([0.0, 0.5, 0.99, 2.0])
+        wendland_phi(r)
+        assert_array_equal(r, [0.0, 0.5, 0.99, 2.0])
+
     def test_non_finite_radii(self):
         # NaN stays NaN and an infinite radius lies outside the support;
         # neither may raise a floating-point warning.
@@ -280,14 +285,29 @@ class TestMemory:
         assert np.shares_memory(factor, gram)
         assert model.site_residual <= 1e-8
 
-    def test_kernel_row_batches_stay_small(self, cfg, data_1001):
+    @pytest.fixture(scope="class")
+    def model_1001(self, cfg, data_1001):
         spec = KernelSpec(input_dim=data_1001.sites.shape[1], lengthscale=cfg.sigma)
-        model = fit_interpolant(spec, data_1001, jitter=cfg.jitter)
+        return fit_interpolant(spec, data_1001, jitter=cfg.jitter)
+
+    def test_kernel_row_batches_stay_small(self, cfg, data_1001, model_1001):
         probes = probe_sites(cfg, 2000, seed=cfg.seed + 23)
         _, fill_peak, _ = self._traced(lambda: fill_distance(data_1001.sites, probes))
-        _, predict_peak, _ = self._traced(lambda: model.predict_batch(probes[:400]))
+        _, predict_peak, _ = self._traced(lambda: model_1001.predict_batch(probes[:400]))
         assert fill_peak < 3e6
         assert predict_peak < 3e6
+
+    def test_sweep_temporaries_stay_small(self, cfg, model_1001):
+        """A sweep keeps slope weights only until 64 rows have built up,
+        so 50 rows over 20 steps hold two steps' weights (0.8 MB) where
+        all twenty would take 8 MB."""
+        dims = model_1001.dims
+        rng = np.random.default_rng(cfg.seed)
+        X0 = rng.uniform(-1.0, 1.0, size=(50, dims.n))
+        U = rng.uniform(-1.0, 1.0, size=(50, 20, dims.m))
+        sweep, peak, _ = self._traced(lambda: model_1001.sweep(X0, U))
+        assert sweep.jac_x.shape == (50, 20, dims.p, dims.n)
+        assert peak < 5e6
 
 
 class TestNativeNorm:

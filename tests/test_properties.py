@@ -25,6 +25,7 @@ from narxmpc import (
     KernelSpec,
     MpcConfig,
     NarxDims,
+    NarxDynamics,
     SolverConfig,
     SolverError,
     StageCostWeights,
@@ -42,9 +43,11 @@ from narxmpc import (
 )
 from narxmpc import mpc, stability, twotank
 from narxmpc.kernels import KernelFitError, _gram_product, fit_interpolant
-from narxmpc.mpc import ACTIVE_WIDTH, NOISE_FLOOR
+from narxmpc.mpc import ACTIVE_WIDTH, NOISE_FLOOR, backward_sweep
+from narxmpc.narx import Sweep
 from oracles import (
     FunctionDynamics,
+    backward_sweep_reference,
     cost_gradient,
     cost_J_batch,
     kernel_jacobian_reference,
@@ -75,10 +78,12 @@ def _interpolant(rng, input_dim: int, size: int, lengthscale: float, p: int, dim
     """Interpolant with random sites and coefficients; no fit is needed to
     compare two ways of evaluating the same kernel expansion.  Without
     ``dims`` the sites split into regressor and input before their last
-    column; any split gives the same expansion."""
+    column; any split gives the same expansion.  Evaluation reads only the
+    spec's lengthscale, so sites may be wider than the profile's
+    dimension limit of five, as lag depth 3 needs."""
     sites = rng.uniform(0.0, 1.0, size=(size, input_dim))
     return KernelInterpolant(
-        KernelSpec(input_dim=input_dim, lengthscale=lengthscale),
+        SimpleNamespace(lengthscale=lengthscale),
         SimpleNamespace(sites=sites, dims=dims or SimpleNamespace(n=input_dim - 1)),
         jitter=0.0,
         store=None,
@@ -559,6 +564,65 @@ def test_linearize_outputs_and_sweep_costs_equal_the_rollout(seed, kind, p, m, n
     sweep = f.sweep(X, U)
     costs = np.sum(stage_cost(sweep.outputs, U, cfg.weights), axis=1)
     assert_array_equal(costs, cost_J_batch(f, X, U, cfg.weights))
+
+
+@given(
+    seed=seeds,
+    p=st.integers(1, 2),
+    m=st.integers(1, 2),
+    nu=st.integers(1, 3),
+    rows=st.integers(1, 70),
+    horizon=st.integers(1, 25),
+)
+@example(seed=0, p=1, m=1, nu=3, rows=70, horizon=25)
+@example(seed=1, p=2, m=1, nu=2, rows=3, horizon=25)
+@example(seed=2, p=1, m=2, nu=1, rows=64, horizon=2)
+def test_kernel_sweep_and_rollout_equal_the_generic_per_step_paths(seed, p, m, nu, rows, horizon):
+    """The kernel's two-pass sweep (a value pass per step, a Jacobian pass
+    per 64 rows or more) gives the arrays of the generic sweep, one
+    ``linearize`` per step, bit for bit, and its ``rollout_batch`` the
+    states and outputs of the generic rollout; each row equals its batch
+    of one.  The drawn batches cross the 64-row block of the Jacobian
+    pass and the horizons its step chunks."""
+    rng = np.random.default_rng(seed)
+    dims = NarxDims(p=p, m=m, nu=nu)
+    f = _interpolant(rng, dims.n + m, int(rng.integers(2, 80)), rng.uniform(0.2, 3.0), p, dims)
+    X = rng.uniform(-0.2, 1.2, size=(rows, dims.n))
+    U = rng.uniform(-0.2, 1.2, size=(rows, horizon, m))
+    sweep, generic = f.sweep(X, U), NarxDynamics.sweep(f, X, U)
+    states, outputs = f.rollout_batch(X, U)
+    generic_states, generic_outputs = NarxDynamics.rollout_batch(f, X, U)
+    assert_array_equal(states, generic_states)
+    assert_array_equal(outputs, generic_outputs)
+    for name in ("outputs", "jac_x", "jac_u"):
+        assert_array_equal(getattr(sweep, name), getattr(generic, name))
+    assert_array_equal(sweep.outputs, outputs)
+    for i in range(rows):
+        single = f.sweep(X[i : i + 1], U[i : i + 1])
+        for name in ("outputs", "jac_x", "jac_u"):
+            assert_array_equal(getattr(single, name)[0], getattr(sweep, name)[i])
+        assert_array_equal(f.rollout_batch(X[i : i + 1], U[i : i + 1])[0][0], states[i])
+
+
+@given(
+    seed=seeds,
+    p=st.integers(1, 2),
+    m=st.integers(1, 2),
+    nu=st.integers(1, 3),
+    horizon=st.integers(1, 12),
+    rows=st.integers(1, 8),
+)
+def test_backward_sweep_equals_the_per_step_adjoint_loop(seed, p, m, nu, horizon, rows):
+    """Forming the input gradients after the adjoint loop, all steps in one
+    stacked product, gives the bits of forming each inside it."""
+    rng = np.random.default_rng(seed)
+    cfg = _random_problem(rng, p, m, nu, horizon)
+    dims = cfg.dims
+    sweep = Sweep(*(rng.standard_normal((rows, horizon, p, *tail)) for tail in ((), (dims.n,), (m,))))
+    U = rng.uniform(-1.0, 1.0, size=(rows, horizon, m))
+    assert_array_equal(
+        backward_sweep(dims, sweep, U, cfg.weights), backward_sweep_reference(dims, sweep, U, cfg.weights)
+    )
 
 
 @given(
