@@ -290,12 +290,15 @@ def save_trace(trace: ClosedLoopTrace, path, cfg, raw: bool = False) -> None:
 
     A final diagnostic row carries the terminal state and its value.
     With ``raw=True`` states, inputs and outputs are denormalized; the
-    scalar diagnostics keep their normalized meaning.
+    scalar diagnostics keep their normalized meaning.  The sidecar's
+    ``units`` entry (``raw`` or ``normalized``) records which table this
+    is, since both have the same header.
     """
     write_csv(path, trace_header(trace.dims), _trace_rows(trace, raw))
     fmt = "narxmpc-trace-v1"
     meta = {
         "format": fmt,
+        "units": "raw" if raw else "normalized",
         **_dims_fields(cfg.dims),
         **_config_entries(cfg, fmt),
         **_normalization_fields(cfg.normalization()),
@@ -412,11 +415,18 @@ def require_config(path, cfg) -> None:
     trace at ``path`` records the dimensions, the normalization and each
     setting its format records of the benchmark configuration ``cfg``.
     Floats are stored at 17 digits, so the entries of a matching sidecar
-    equal those written from ``cfg``."""
+    equal those written from ``cfg``.  A trace must also record
+    ``units = normalized``: a table in physical units has the same header
+    and would be certified as if it were normalized."""
     meta = read_keyvalues(_sidecar(path))
     fmt = meta.get("format")
     if fmt not in _CONFIG_ENTRIES:
         raise ConfigError(f"{path}: sidecar format {fmt!r} is not a dataset, model or trace")
+    if fmt == "narxmpc-trace-v1" and meta.get("units") != "normalized":
+        raise ConfigError(
+            f"{path}: trace units = {meta.get('units', '(not recorded)')}; a certificate "
+            "needs the trace in normalized units (trace_norm.csv)"
+        )
     dims = _dims_from(meta, path)
     if dims != cfg.dims:
         raise ConfigError(f"{path}: dimensions {dims} do not match the configuration {cfg.dims}")

@@ -28,7 +28,10 @@ product, optionally keeping the ``(1 - r)^4`` that the slope weights
 ``phi'(r)/(r sigma^2)`` are made of) and a Jacobian pass (slope weights,
 site differences and the weighted product).  Its sweep runs the value
 pass step by step, since each step's output is the next step's site,
-and the Jacobian pass over the rows of several steps at once.
+and the Jacobian pass over the rows of several steps at once.  The
+value pass works in blocks of ``_BLOCK`` rows; the Jacobian pass takes
+its rows in blocks of ``_JACOBIAN_BYTES`` of site differences, a few
+rows at D=2501, so that they stay in cache until their product.
 """
 
 from __future__ import annotations
@@ -49,30 +52,33 @@ class KernelFitError(RuntimeError):
     """Raised when the kernel matrix cannot be factorized."""
 
 
-def _wendland_terms(r: np.ndarray, fourth: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``max(1 - r, 0)`` and its fourth power, the factors that the profile
-    and its slope share; new arrays, also for a 0-d ``r``, except that the
-    fourth power goes into ``fourth`` when it is given."""
-    # Products written in place: numpy's ``pow`` costs several times a
-    # multiply, and each temporary of a D x D Gram build is D^2 doubles.
-    one_minus = np.subtract(1.0, r, out=np.empty(r.shape))
-    np.maximum(one_minus, 0.0, out=one_minus)
+def _wendland_terms(r: np.ndarray, fourth: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """``min(r, 1)``, written into ``r``, with ``1 - min(r, 1)`` and its
+    fourth power, the factors that the profile and its slope share; new
+    arrays, also for a 0-d ``r``, except that the fourth power goes into
+    ``fourth`` when it is given."""
+    # Clipping first makes ``1 - min(r, 1)`` the bits of ``max(1 - r, 0)``
+    # for every r (+0 from 1 on, NaN for NaN) in one pass fewer, and the
+    # profile's factor reuses the clipped radii.  Products are written in
+    # place: numpy's ``pow`` costs several times a multiply, and each
+    # temporary of a D x D Gram build is D^2 doubles.
+    clipped = np.minimum(r, 1.0, out=r)
+    one_minus = np.subtract(1.0, clipped, out=np.empty(r.shape))
     fourth = np.multiply(one_minus, one_minus, out=np.empty(r.shape) if fourth is None else fourth)
     fourth *= fourth
-    return one_minus, fourth
+    return clipped, one_minus, fourth
 
 
-def _profile(r: np.ndarray, one_minus: np.ndarray, fourth: np.ndarray) -> np.ndarray:
+def _profile(clipped: np.ndarray, one_minus: np.ndarray, fourth: np.ndarray) -> np.ndarray:
     """:func:`wendland_phi` from the terms of :func:`_wendland_terms`,
-    written into ``one_minus``; ``r`` is overwritten as scratch, and
+    written into ``one_minus``; ``clipped`` is overwritten as scratch, and
     ``fourth`` is kept for the slope weights."""
     phi = np.multiply(fourth, one_minus, out=one_minus)
-    # The factor uses min(r, 1), which leaves it unchanged where the
-    # profile is nonzero and keeps it finite (so 0 * inf never arises).
-    factor = np.minimum(r, 1.0, out=r)
-    factor *= 5.0
-    factor += 1.0
-    phi *= factor
+    # The factor 5 r + 1 uses min(r, 1), which leaves it unchanged where
+    # the profile is nonzero and keeps it finite (so 0 * inf never arises).
+    clipped *= 5.0
+    clipped += 1.0
+    phi *= clipped
     phi /= 30.0
     return phi
 
@@ -82,10 +88,10 @@ def wendland_phi(r: np.ndarray) -> np.ndarray:
 
     Raises ``ValueError`` for negative radii.
     """
-    r = np.array(r, dtype=float)  # a copy: the profile overwrites it
+    r = np.array(r, dtype=float)  # a copy: the terms overwrite it
     if np.any(r < 0):
         raise ValueError("radius must be nonnegative")
-    return _profile(r, *_wendland_terms(r))
+    return _profile(*_wendland_terms(r))
 
 
 @dataclass(frozen=True)
@@ -118,22 +124,31 @@ class KernelSpec:
         return float(wendland_phi(np.array(0.0)))
 
 
-#: Rows per block of every D-wide temporary: the Gram build, the products
-#: with the stored Gram matrix, kernel rows and nearest-site distances.  A
-#: multiple of 64, so that with one right-hand column BLAS gemv gives each
-#: block of a Gram product the bits of the dense product.
+#: Rows per block of the Gram build, the products with the stored Gram
+#: matrix, kernel rows and nearest-site distances, and the most rows of a
+#: block of Jacobian site differences.  A multiple of 64, so that with one
+#: right-hand column BLAS gemv gives each block of a Gram product the bits
+#: of the dense product.
 _BLOCK = 64
+
+#: Bytes of site differences per block of the Jacobian pass, which stays
+#: in a core's L2 cache: ``8 D (n + m)`` bytes a row, so 3 rows at D=2501
+#: and n + m = 4.  Each row is its own product, so its bits do not depend
+#: on the block.
+_JACOBIAN_BYTES = 1 << 18
 
 
 def _kernel_terms(
     spec: KernelSpec, A: np.ndarray, B: np.ndarray, fourth: np.ndarray | None = None
 ) -> tuple[np.ndarray, ...]:
-    """Scaled radii between the rows of ``A`` and ``B`` with their
-    :func:`_wendland_terms`: the one distance routine of every kernel
-    value."""
+    """:func:`_wendland_terms` of the scaled radii between the rows of
+    ``A`` and ``B``: the one distance routine of every kernel value."""
     r = cdist(A, B)
-    r /= spec.lengthscale
-    return (r, *_wendland_terms(r, fourth))
+    # Division is the costliest pass of a kernel row, and a division by 1
+    # (the lengthscale in normalized coordinates) leaves every bit as it is.
+    if spec.lengthscale != 1.0:
+        r /= spec.lengthscale
+    return _wendland_terms(r, fourth)
 
 
 def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
@@ -318,10 +333,10 @@ class KernelInterpolant(NarxDynamics):
     :meth:`linearize` evaluate it on rows of ``x`` and ``u``.  Its
     :meth:`sweep` runs in two passes: a value pass per step, which keeps
     the factors of that step's slope weights and writes the next sites,
-    and a batched Jacobian pass whenever 64 or more rows are kept, and
-    once at the end.  Values, Jacobians, rollouts and sweeps all come
-    from the same two private routines, :meth:`_values` and
-    :meth:`_jacobians`.
+    and a Jacobian pass over every kept row whenever 64 or more rows are
+    kept, and once at the end, in cache-sized blocks of rows.  Values,
+    Jacobians, rollouts and sweeps all come from the same two private
+    routines, :meth:`_values` and :meth:`_jacobians`.
 
     Fitted by :func:`fit_interpolant`, which leaves the Gram matrix and
     its Cholesky factor in the one D x D array ``store``: the factor in
@@ -364,20 +379,23 @@ class KernelInterpolant(NarxDynamics):
         self, Xi: np.ndarray, out: np.ndarray | None = None, fourth: np.ndarray | None = None
     ) -> np.ndarray:
         """Interpolant values (M, p) at the site rows ``Xi`` (M, n + m),
-        written into ``out`` when it is given.
+        which each block's product writes into ``out`` (any (M, p) view,
+        such as the output block of the next sites) when it is given.
 
-        The kernel rows are evaluated in blocks, which bounds their
-        memory, and each row's value is its own product of kernel row
-        and coefficients, so it equals the single-row call bit for bit at
-        any M.  With ``fourth`` (M, D), each row's ``(1 - r)^4`` is kept
-        there for :meth:`_jacobians`.
+        The kernel rows are evaluated in ``_BLOCK``-row blocks, which
+        bounds their memory, and each row's value is its own product of
+        kernel row and coefficients, so it equals the single-row call bit
+        for bit at any M.  Each row takes one distance pass and the
+        profile's in-place passes (:func:`_wendland_terms`,
+        :func:`_profile`).  With ``fourth`` (M, D), each row's
+        ``(1 - r)^4`` is kept there for :meth:`_jacobians`.
         """
         values = np.empty((Xi.shape[0], self.coefficients.shape[1])) if out is None else out
         for a in range(0, Xi.shape[0], _BLOCK):
             kept = None if fourth is None else fourth[a : a + _BLOCK]
-            r, one_minus, kept = _kernel_terms(self.spec, Xi[a : a + _BLOCK], self.data.sites, kept)
-            values[a : a + _BLOCK] = np.matmul(_profile(r, one_minus, kept)[:, None, :], self.coefficients)[:, 0]
-            del r, one_minus, kept  # before the next block's are built
+            phi = _profile(*_kernel_terms(self.spec, Xi[a : a + _BLOCK], self.data.sites, kept))
+            np.matmul(phi[:, None, :], self.coefficients, out=values[a : a + _BLOCK, None, :])
+            del phi  # before the next block's rows are built
         return values
 
     def _jacobians(self, Xi: np.ndarray, fourth: np.ndarray) -> np.ndarray:
@@ -388,24 +406,35 @@ class KernelInterpolant(NarxDynamics):
         Each row is ``-(C * w)^T (sites - xi)`` with the slope weights
         ``w = phi'(r)/(r sigma^2) = -(1 - r)^4 / sigma^2``, so a Jacobian
         is exact (zero radial contribution) where ``xi`` coincides with a
-        site.  Each row is its own product, so it equals its batch of
-        one.  The differences come from contiguous copies of each row, in
-        blocks of rows: the broadcast ``sites - xi[:, None, :]`` loops
-        over the n + m coordinates of one site at a time, the pass's
-        largest single cost at D=2501.  Its elements and C order are the
-        same, so the Jacobians keep their bits.
+        site.  The division by ``-(sigma^2)`` and the final negation are
+        two steps, not one: folded, they would flip the sign of the zero
+        Jacobians of rows outside every site's support.
+
+        Rows go in blocks of ``_JACOBIAN_BYTES`` of site differences (3
+        rows at D=2501 and ``_BLOCK`` at D=101 for n + m = 4), which stay
+        in cache between their subtraction and their product.  The differences come from
+        contiguous copies of each row: the broadcast
+        ``sites - xi[:, None, :]`` loops over the n + m coordinates of one
+        site at a time, the pass's largest single cost at D=2501.  The
+        weights keep the (D, p) layout of ``C * w``, whose transpose the
+        product reads: the (p, D) C-ordered layout would move a p=2
+        product to another BLAS kernel and its last bits.  Each row is its
+        own product, written in place, so it equals its batch of one at
+        any block size.
         """
         sites = self.data.sites
+        size, width = sites.shape
         slopes = np.divide(fourth, -(self.spec.lengthscale**2), out=fourth)
-        jac = np.empty((Xi.shape[0], self.coefficients.shape[1], sites.shape[1]))
-        for a in range(0, Xi.shape[0], _BLOCK):
-            rows = Xi[a : a + _BLOCK]
-            diffs = rows.repeat(sites.shape[0], axis=0).reshape(rows.shape[0], *sites.shape)
+        jac = np.empty((Xi.shape[0], self.coefficients.shape[1], width))
+        block = max(1, min(_BLOCK, _JACOBIAN_BYTES // (8 * size * width)))
+        for a in range(0, Xi.shape[0], block):
+            rows = Xi[a : a + block]
+            diffs = rows.repeat(size, axis=0).reshape(rows.shape[0], size, width)
             np.subtract(sites, diffs, out=diffs)
-            weighted = self.coefficients * slopes[a : a + _BLOCK, :, None]
-            jac[a : a + _BLOCK] = -np.matmul(weighted.transpose(0, 2, 1), diffs)
+            weighted = self.coefficients * slopes[a : a + block, :, None]
+            np.matmul(weighted.transpose(0, 2, 1), diffs, out=jac[a : a + block])
             del diffs, weighted  # before the next block's are built
-        return jac
+        return np.negative(jac, out=jac)
 
     def predict_batch(self, Xi: np.ndarray) -> np.ndarray:
         """Interpolant values at rows of ``Xi`` (M, n + m); each row equals

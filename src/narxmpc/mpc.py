@@ -149,35 +149,35 @@ def backward_sweep(
     output Jacobian enters through the first block row and the history
     shifts enter as index moves, so each step costs O(n) bookkeeping on
     top of one stacked regressor-Jacobian product.  Only that recursion
-    runs step by step.  Each step's output adjoint ``lam_y`` and the input
-    adjoint its shift carries are kept, and the input gradients are
-    formed from them after the loop, all steps in one stacked product
-    with ``sweep.jac_u``.  The regressor Jacobian of the first step,
-    ``sweep.jac_x[:, 0]``, enters no input gradient.
+    runs step by step, and every array it writes is allocated before it:
+    ``lam[:, k + 1]`` is the regressor adjoint after step ``k``, and each
+    product writes its step's slot.  Each step's output adjoint ``lam_y``
+    is kept, and the input gradients are formed after the loop, all steps
+    in one stacked product with ``sweep.jac_u``, plus the input adjoints
+    that the shifts carry, read from ``lam``.  The regressor Jacobian of
+    the first step, ``sweep.jac_x[:, 0]``, enters no input gradient.
     """
     b, horizon = U.shape[0], U.shape[1]
     p, m, nb, n = dims.p, dims.m, dims.n_outputs_block, dims.n
-    output_weight = 2.0 * _matvec(weights.Q, sweep.outputs)
+    output_weight = 2.0 * np.matmul(weights.Q, sweep.outputs[..., None])
     input_weight = 2.0 * _matvec(weights.R, U)
-    lam_y = np.empty((b, horizon, p))
-    carried = np.empty((b, horizon, m)) if dims.nu > 1 else None
-    lam = np.zeros((b, n))
+    jac_x_t = sweep.jac_x.transpose(0, 1, 3, 2)
+    lam_y = np.empty((b, horizon, p, 1))
+    # lam[:, 0], the adjoint before the first step, is never formed.
+    lam = np.empty((b, horizon + 1, n, 1))
+    lam[:, horizon] = 0.0
     for k in reversed(range(horizon)):
-        step_lam_y = lam[:, :p] + output_weight[:, k]
-        lam_y[:, k] = step_lam_y
-        if carried is not None:
-            carried[:, k] = lam[:, nb : nb + m]
+        np.add(lam[:, k + 1, :p], output_weight[:, k], out=lam_y[:, k])
         if not k:
             break
-        new_lam = _matvec(sweep.jac_x[:, k].transpose(0, 2, 1), step_lam_y)
+        np.matmul(jac_x_t[:, k], lam_y[:, k], out=lam[:, k])
         if dims.nu > 1:
-            new_lam[:, : nb - p] += lam[:, p:nb]
+            lam[:, k, : nb - p] += lam[:, k + 1, p:nb]
             if dims.nu > 2:
-                new_lam[:, nb : nb + (dims.nu - 2) * m] += lam[:, nb + m :]
-        lam = new_lam
-    grad = input_weight + _matvec(sweep.jac_u.transpose(0, 1, 3, 2), lam_y)
-    if carried is not None:
-        grad += carried
+                lam[:, k, nb : nb + (dims.nu - 2) * m] += lam[:, k + 1, nb + m :]
+    grad = input_weight + np.matmul(sweep.jac_u.transpose(0, 1, 3, 2), lam_y)[..., 0]
+    if dims.nu > 1:
+        grad += lam[:, 1:, nb : nb + m, 0]
     return grad
 
 

@@ -126,6 +126,18 @@ def central_difference_gradient(
     return ((costs[:, 0::2] - costs[:, 1::2]) / (2.0 * FD_STEP)).reshape(b, horizon, m)
 
 
+def wendland_reference(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Wendland profile and ``(1 - r)^4`` from ``max(1 - r, 0)``, with
+    the products in the order that :func:`~narxmpc.kernels.wendland_phi`
+    takes them, so both must give the same bits; the package clips the
+    radii first and forms ``1 - min(r, 1)`` instead."""
+    r = np.asarray(r, dtype=float)
+    one_minus = np.maximum(1.0 - r, 0.0)
+    square = one_minus * one_minus
+    fourth = square * square
+    return fourth * one_minus * (np.minimum(r, 1.0) * 5.0 + 1.0) / 30.0, fourth
+
+
 def kernel_jacobian_reference(model, Xi: np.ndarray) -> np.ndarray:
     """Jacobian (B, p, n + m) of a kernel interpolant at site rows ``Xi``,
     from the broadcast differences ``sites - xi``.

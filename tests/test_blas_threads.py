@@ -48,9 +48,9 @@ REFERENCE_BUNDLE_D101 = {
     "stability_report_D101.txt": "5b9991a240145ac3565953c763f0b991656dad25acf2338e46cd45ac2d59a97a",
     "stability_steps_D101.csv": "ff3c623b57e0dd740e92836e70f2a63f55c7c7f4cb3b64b8f2fec764839d5601",
     "trace_norm_D101.csv": "ad1fb82bcf22aafa994a6494176732b84386b03915b09ea672d92816ba2932fb",
-    "trace_norm_D101.csv.meta": "fba393573e989ee46828cff26a35b367942b5618ac0393d6cc4a80c86fa0ff38",
+    "trace_norm_D101.csv.meta": "f8357d4271ece66e7da03a759f72f97f1c0bf60267110982828391086095a9de",
     "trace_raw_D101.csv": "7a075b0704d7a00dbd56a2c3655c66d0dc2c117de38cbd501fdedf13e3a9a1d6",
-    "trace_raw_D101.csv.meta": "fba393573e989ee46828cff26a35b367942b5618ac0393d6cc4a80c86fa0ff38",
+    "trace_raw_D101.csv.meta": "00b2ff1aaaaccfeb49feed384ba844afd1ea69a34b66841408954056792cba07",
 }
 
 EPISODE = """

@@ -477,6 +477,37 @@ class TestCertify:
         assert code == 1
         assert "trace_norm.csv.meta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "table, units",
+        [("trace_raw.csv", "raw"), ("trace_norm.csv", "(not recorded)")],
+    )
+    def test_trace_not_in_normalized_units_is_rejected(self, workspace, tmp_path, capsys, table, units):
+        """The physical-unit table has the normalized table's header; its
+        sidecar's ``units`` entry tells them apart, and a sidecar without
+        the entry is rejected too."""
+        self._simulate(workspace, tmp_path, steps="2")
+        assert read_keyvalues(tmp_path / "trace_norm.csv.meta")["units"] == "normalized"
+        assert read_keyvalues(tmp_path / "trace_raw.csv.meta")["units"] == "raw"
+        meta = tmp_path / f"{table}.meta"
+        if units == "(not recorded)":
+            lines = meta.read_text().splitlines()
+            meta.write_text("".join(f"{line}\n" for line in lines if not line.startswith("units =")))
+        capsys.readouterr()
+        out = tmp_path / "certify"
+        code = main(
+            [
+                "certify",
+                "--model", str(workspace / "model.csv"),
+                "--trace", str(tmp_path / table),
+                "--b-states", "2",
+                "--b-horizon", "1",
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert f"{table}: trace units = {units};" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_equilibrium_start_certifies(self, workspace, tmp_path, capsys):
         config = tmp_path / "cfg.txt"
         config.write_text(f"h0 = {H1_EQ!r}\n")

@@ -299,15 +299,18 @@ class TestMemory:
 
     def test_sweep_temporaries_stay_small(self, cfg, model_1001):
         """A sweep keeps slope weights only until 64 rows have built up,
-        so 50 rows over 20 steps hold two steps' weights (0.8 MB) where
-        all twenty would take 8 MB."""
+        and the Jacobian pass forms its site differences in blocks of
+        256 KiB, so 50 rows over 20 steps peak at about 1.7 MB: two steps'
+        weights (0.8 MB) and one step's value temporaries (0.8 MB), where
+        all twenty steps' weights would take 8 MB and one 64-row block of
+        differences 2 MB."""
         dims = model_1001.dims
         rng = np.random.default_rng(cfg.seed)
         X0 = rng.uniform(-1.0, 1.0, size=(50, dims.n))
         U = rng.uniform(-1.0, 1.0, size=(50, 20, dims.m))
         sweep, peak, _ = self._traced(lambda: model_1001.sweep(X0, U))
         assert sweep.jac_x.shape == (50, 20, dims.p, dims.n)
-        assert peak < 5e6
+        assert peak < 2.5e6
 
 
 class TestNativeNorm:

@@ -40,9 +40,10 @@ from narxmpc import (
     stage_cost,
     two_tank_rhs,
     two_tank_step,
+    wendland_phi,
 )
-from narxmpc import mpc, stability, twotank
-from narxmpc.kernels import KernelFitError, _gram_product, fit_interpolant
+from narxmpc import kernels, mpc, stability, twotank
+from narxmpc.kernels import KernelFitError, _gram_product, _profile, _wendland_terms, fit_interpolant
 from narxmpc.mpc import ACTIVE_WIDTH, NOISE_FLOOR, backward_sweep
 from narxmpc.narx import Sweep
 from oracles import (
@@ -53,6 +54,7 @@ from oracles import (
     kernel_jacobian_reference,
     rk4_step,
     sample_domain,
+    wendland_reference,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -512,6 +514,52 @@ def test_solve_ocp_batch_rows_equal_solo_solves(
         assert got.iterations == solo.iterations
         assert got.grad_norm == solo.grad_norm
         assert got.converged == solo.converged
+
+
+@given(
+    radii=st.lists(
+        st.one_of(st.floats(0.0, 3.0), st.sampled_from([0.0, 1.0, np.inf, np.nan])),
+        min_size=1,
+        max_size=40,
+    )
+)
+@example(radii=[0.0, 1.0, np.inf, np.nan, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 3.0])
+def test_wendland_terms_equal_the_clamped_reference(radii):
+    """The profile and the kept ``(1 - r)^4``, formed from ``1 - min(r, 1)``,
+    are the bits of the ``max(1 - r, 0)`` form, sign of zero and NaN
+    included, at, beyond and just inside the support's edge."""
+    r = np.array(radii)
+    phi, fourth = wendland_reference(r)
+    terms = _wendland_terms(r.copy())
+    assert terms[2].tobytes() == fourth.tobytes()
+    assert _profile(*terms).tobytes() == phi.tobytes()
+    assert wendland_phi(r).tobytes() == phi.tobytes()
+
+
+@given(
+    seed=seeds,
+    rows=st.sampled_from([1, 2, 5, 7, 64, 70]),
+    p=st.integers(1, 2),
+    input_dim=st.integers(1, 5),
+    lengthscale=st.one_of(st.just(1.0), st.floats(0.2, 3.0)),
+)
+def test_jacobian_blocks_leave_the_bits_unchanged(seed, rows, p, input_dim, lengthscale):
+    """The Jacobian pass takes its rows in blocks of at most
+    ``_JACOBIAN_BYTES`` of site differences, and each row is its own
+    product: blocks of 1, 2 and 3 rows give the arrays of the default
+    blocks (64 rows here) bit for bit, and those of the reference formula,
+    also for rows outside every site's support, whose Jacobians are
+    signed zeros, and at the unit lengthscale, whose radii skip the
+    division."""
+    rng = np.random.default_rng(seed)
+    model = _interpolant(rng, input_dim, int(rng.integers(2, 80)), lengthscale, p)
+    Xi = rng.uniform(-0.2, 1.2, size=(rows, input_dim))
+    Xi[::3] += 4.0
+    default = _linearize_sites(model, Xi)[1]
+    assert default.tobytes() == kernel_jacobian_reference(model, Xi).tobytes()
+    for block in (1, 2, 3):
+        with patch.object(kernels, "_JACOBIAN_BYTES", block * 8 * model.data.sites.size):
+            assert _linearize_sites(model, Xi)[1].tobytes() == default.tobytes()
 
 
 @given(seed=seeds, rows=st.sampled_from([1, 2, 7, 50, 65, 129]), p=st.integers(1, 2), input_dim=st.integers(1, 5))
