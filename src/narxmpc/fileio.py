@@ -128,6 +128,16 @@ def _normalization_fields(norm: AffineNormalization) -> dict:
     }
 
 
+def _normalization_mismatch(norm: AffineNormalization, cfg) -> str | None:
+    """The first field of ``norm`` that is not the bits of ``cfg``'s
+    normalization, or None."""
+    expected = cfg.normalization()
+    for name in _normalization_fields(expected):
+        if not np.array_equal(getattr(norm, name), getattr(expected, name)):
+            return name
+    return None
+
+
 def _parse_floats(raw: str) -> np.ndarray:
     return np.array([float(v) for v in raw.split(",")])
 
@@ -292,8 +302,22 @@ def save_trace(trace: ClosedLoopTrace, path, cfg, raw: bool = False) -> None:
     With ``raw=True`` states, inputs and outputs are denormalized; the
     scalar diagnostics keep their normalized meaning.  The sidecar's
     ``units`` entry (``raw`` or ``normalized``) records which table this
-    is, since both have the same header.
+    is, since both have the same header.  The sidecar records ``cfg``, so
+    a trace whose horizon, dimensions or normalization (when it carries
+    one) differ from those of ``cfg`` raises ``ValueError`` naming the
+    field.
     """
+    if trace.horizon != cfg.horizon:
+        raise ValueError(
+            f"trace horizon {trace.horizon} does not match the configuration's N = {cfg.horizon}"
+        )
+    if trace.dims != cfg.dims:
+        raise ValueError(
+            f"trace dimensions {trace.dims} do not match the configuration's {cfg.dims}"
+        )
+    name = None if trace.normalization is None else _normalization_mismatch(trace.normalization, cfg)
+    if name is not None:
+        raise ValueError(f"trace normalization {name} does not match the configuration's")
     write_csv(path, trace_header(trace.dims), _trace_rows(trace, raw))
     fmt = "narxmpc-trace-v1"
     meta = {
@@ -431,12 +455,12 @@ def require_config(path, cfg) -> None:
     if dims != cfg.dims:
         raise ConfigError(f"{path}: dimensions {dims} do not match the configuration {cfg.dims}")
     stored, expected = _normalization_from(meta, path), cfg.normalization()
-    for name in _normalization_fields(expected):
-        if not np.array_equal(getattr(stored, name), getattr(expected, name)):
-            raise ConfigError(
-                f"{path}: normalization {name} = {getattr(stored, name).tolist()} "
-                f"does not match the configuration's {getattr(expected, name).tolist()}"
-            )
+    name = _normalization_mismatch(stored, cfg)
+    if name is not None:
+        raise ConfigError(
+            f"{path}: normalization {name} = {getattr(stored, name).tolist()} "
+            f"does not match the configuration's {getattr(expected, name).tolist()}"
+        )
     for key, value in _config_entries(cfg, fmt).items():
         if key not in meta:
             raise ConfigError(f"{path}: sidecar is missing the {key} entry")

@@ -21,17 +21,19 @@ constant ``phi(0) + jitter``.  Products with the Gram matrix read only
 that lower triangle, in row blocks rebuilt out of it (or through BLAS
 symm for several columns), so no second D x D array is ever allocated.
 
-The fitted interpolant is also the surrogate NARX dynamics.  Every value
-it gives, and every Jacobian, comes from two private routines on rows of
-sites: a value pass (distances, Wendland terms, profile and coefficient
-product, optionally keeping the ``(1 - r)^4`` that the slope weights
-``phi'(r)/(r sigma^2)`` are made of) and a Jacobian pass (slope weights,
-site differences and the weighted product).  Its sweep runs the value
-pass step by step, since each step's output is the next step's site,
-and the Jacobian pass over the rows of several steps at once.  The
-value pass works in blocks of ``_BLOCK`` rows; the Jacobian pass takes
-its rows in blocks of ``_JACOBIAN_BYTES`` of site differences, a few
-rows at D=2501, so that they stay in cache until their product.
+The fitted interpolant is also the surrogate NARX dynamics, with its two
+evaluations: ``output_batch``, one step of values, and ``sweep``, N
+steps of values with every step's Jacobians.  Both come from two
+private routines on rows of sites: a value pass (distances, Wendland
+terms, profile and coefficient product, optionally keeping the
+``(1 - r)^4`` that the slope weights ``phi'(r)/(r sigma^2)`` are made
+of) and a Jacobian pass (slope weights, site differences and the
+weighted product).  The sweep runs the value pass step by step, since
+each step's output is the next step's site, and the Jacobian pass over
+the rows of several steps at once.  The value pass works in blocks of
+``_BLOCK`` rows; the Jacobian pass takes its rows in blocks of
+``_JACOBIAN_BYTES`` of site differences, a few rows at D=2501, so that
+they stay in cache until their product.
 """
 
 from __future__ import annotations
@@ -329,14 +331,14 @@ class KernelInterpolant(NarxDynamics):
     """Interpolant ``F(xi) = sum_i alpha_i phi(||xi - xi_i|| / sigma)``.
 
     The interpolant is the surrogate NARX dynamics itself: a site is a
-    regressor-input pair ``xi = [x; u]``, so :meth:`output_batch` and
-    :meth:`linearize` evaluate it on rows of ``x`` and ``u``.  Its
-    :meth:`sweep` runs in two passes: a value pass per step, which keeps
-    the factors of that step's slope weights and writes the next sites,
-    and a Jacobian pass over every kept row whenever 64 or more rows are
-    kept, and once at the end, in cache-sized blocks of rows.  Values,
-    Jacobians, rollouts and sweeps all come from the same two private
-    routines, :meth:`_values` and :meth:`_jacobians`.
+    regressor-input pair ``xi = [x; u]``, so :meth:`output_batch`
+    evaluates it on rows of ``x`` and ``u``.  Its :meth:`sweep` runs in
+    two passes: a value pass per step, which keeps the factors of that
+    step's slope weights and writes the next sites, and a Jacobian pass
+    over every kept row whenever 64 or more rows are kept, and once at
+    the end, in cache-sized blocks of rows.  Values and Jacobians both
+    come from the same two private routines, :meth:`_values` and
+    :meth:`_jacobians`.
 
     Fitted by :func:`fit_interpolant`, which leaves the Gram matrix and
     its Cholesky factor in the one D x D array ``store``: the factor in
@@ -436,40 +438,22 @@ class KernelInterpolant(NarxDynamics):
             del diffs, weighted  # before the next block's are built
         return np.negative(jac, out=jac)
 
-    def predict_batch(self, Xi: np.ndarray) -> np.ndarray:
-        """Interpolant values at rows of ``Xi`` (M, n + m); each row equals
-        the single-row call bit for bit at any M."""
-        return self._values(np.atleast_2d(np.asarray(Xi, dtype=float)))
-
     def output_batch(self, X: np.ndarray, U: np.ndarray) -> np.ndarray:
-        """Interpolant values at the sites ``[X, U]`` (:meth:`predict_batch`)."""
+        """Interpolant values (B, p) at the sites ``[X, U]``; each row
+        equals its batch of one bit for bit at any B."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        return self.predict_batch(np.hstack([X, U]))
+        return self._values(np.hstack([X, U]))
 
-    def linearize(
-        self, x: np.ndarray, u: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Values (B, p) and Jacobians (B, p, n) and (B, p, m) at rows ``x``
-        (B, n) and ``u`` (B, m): one value pass that keeps the factors of
-        the slope weights, then one Jacobian pass.  The values equal those
-        of :meth:`predict_batch` bit for bit, and each row equals its
-        batch of one.
-        """
-        xi = np.concatenate([np.asarray(x, dtype=float), np.asarray(u, dtype=float)], axis=-1)
-        fourth = np.empty((xi.shape[0], self.data.sites.shape[0]))
-        value = self._values(xi, fourth=fourth)
-        jac = self._jacobians(xi, fourth)
-        n = self.dims.n
-        return value, jac[..., :n], jac[..., n:]
+    def sweep(self, X0: np.ndarray, U: np.ndarray) -> Sweep:
+        """Outputs and Jacobians of the rollouts of the inputs ``U`` (B, N, m)
+        from the regressors ``X0`` (B, n): one value pass per step and one
+        Jacobian pass per ``_BLOCK`` rows or more.  Each step's outputs
+        are those of :meth:`output_batch` at its sites, and each row
+        equals its batch of one.
 
-    def _roll(self, X0: np.ndarray, U: np.ndarray, sweep: Sweep | None = None) -> np.ndarray:
-        """Sites (N + 1, B, n + m) visited by the rollouts of the inputs
-        ``U`` (B, N, m) from the regressors ``X0`` (B, n), step-major; the
-        input block of the last holds zeros.  With ``sweep``, the
-        Jacobians of every step go into its ``jac_x`` and ``jac_u``.
-
-        The regressor shift only copies history blocks (as
+        The sites (N + 1, B, n + m) are laid out step-major.  The
+        regressor shift only copies history blocks (as
         :func:`~narxmpc.narx.shift_state` does), so every input block is
         known from ``X0`` and ``U`` and is filled in before the first
         step.  Each step is one value pass over its B sites, which writes
@@ -478,54 +462,36 @@ class KernelInterpolant(NarxDynamics):
         the last Jacobian pass hold ``_BLOCK`` rows or more, or the
         rollout ends; then one Jacobian pass takes all of their rows.
         """
+        X0, U = rollout_arrays(X0, U, self.dims)
         b, horizon = U.shape[0], U.shape[1]
         dims, size = self.dims, self.data.sites.shape[0]
         p, m, n, nb = dims.p, dims.m, dims.n, dims.n_outputs_block
+        sweep = Sweep(*(np.empty((b, horizon, p, *tail)) for tail in ((), (n,), (m,))))
+        # The input block of the last site is never read.
         sites = np.empty((horizon + 1, b, n + m))
         sites[0, :, :n] = X0
         sites[:horizon, :, n:] = U.transpose(1, 0, 2)
-        sites[horizon, :, n:] = 0.0
         # Slot i of a later site's input history holds u(k - 1 - i): the
         # inputs oldest first, X0's history before U, read in windows.
         inputs = np.concatenate([X0[:, nb:].reshape(b, dims.nu - 1, m)[:, ::-1], U], axis=1)
         for i in range(dims.nu - 1):
             window = inputs[:, dims.nu - 1 - i : dims.nu - 1 - i + horizon]
             sites[1:, :, nb + i * m : nb + (i + 1) * m] = window.transpose(1, 0, 2)
-        if sweep is not None:
-            chunk = min(horizon, -(-_BLOCK // max(b, 1)))
-            fourth = np.empty((chunk, b, size))
+        chunk = min(horizon, -(-_BLOCK // max(b, 1)))
+        fourth = np.empty((chunk, b, size))
         first = 0
         for k in range(horizon):
             site, following = sites[k], sites[k + 1]
-            self._values(site, following[:, :p], None if sweep is None else fourth[k - first])
+            self._values(site, following[:, :p], fourth[k - first])
             following[:, p:nb] = site[:, : nb - p]
-            if sweep is not None and (k + 1 - first == chunk or k + 1 == horizon):
+            if k + 1 - first == chunk or k + 1 == horizon:
                 steps = k + 1 - first
                 jac = self._jacobians(sites[first : k + 1].reshape(steps * b, -1), fourth[:steps].reshape(steps * b, -1))
                 jac = jac.reshape(steps, b, p, n + m).transpose(1, 0, 2, 3)
                 sweep.jac_x[:, first : k + 1], sweep.jac_u[:, first : k + 1] = jac[..., :n], jac[..., n:]
                 first = k + 1
-        return sites
-
-    def sweep(self, X0: np.ndarray, U: np.ndarray) -> Sweep:
-        """The outputs of :meth:`rollout_batch` with the Jacobians of every
-        step (:meth:`_roll`): one value pass per step and one Jacobian
-        pass per ``_BLOCK`` rows or more.  Its arrays equal those of the
-        generic per-step :meth:`~narxmpc.narx.NarxDynamics.sweep` bit for
-        bit, and each row equals its batch of one."""
-        X0, U = rollout_arrays(X0, U, self.dims)
-        b, horizon, dims = U.shape[0], U.shape[1], self.dims
-        sweep = Sweep(*(np.empty((b, horizon, dims.p, *tail)) for tail in ((), (dims.n,), (dims.m,))))
-        sweep.outputs[:] = self._roll(X0, U, sweep)[1:, :, : dims.p].transpose(1, 0, 2)
+        sweep.outputs[:] = sites[1:, :, :p].transpose(1, 0, 2)
         return sweep
-
-    def rollout_batch(self, X0: np.ndarray, U_seq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The states and outputs of the generic
-        :meth:`~narxmpc.narx.NarxDynamics.rollout_batch`, bit for bit,
-        from the value passes of :meth:`_roll` alone."""
-        X0, U_seq = rollout_arrays(X0, U_seq, self.dims)
-        sites = self._roll(X0, U_seq).transpose(1, 0, 2)
-        return sites[..., : self.dims.n].copy(), sites[:, 1:, : self.dims.p].copy()
 
     def power_function(self, Xi: np.ndarray) -> np.ndarray:
         """Pointwise error certificate ``P(xi)`` at rows of ``Xi``.

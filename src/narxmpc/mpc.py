@@ -7,19 +7,22 @@ quasi-Newton method (Bertsekas, SIAM J. Control Optim. 1982): gradient
 steps on the coordinates held at a bound, BFGS steps on the free ones,
 and Armijo backtracking along the projection arc.  A solve stops when
 its projected gradient is small or when the full step promises a
-decrease below the cost's rounding level.  Every model reaches the
-solver through one path: each cost is the forward half of an adjoint
-sweep, :meth:`~narxmpc.narx.NarxDynamics.sweep`, which yields the
-outputs and their per-step Jacobians together (the kernel surrogate
-computes the values step by step and the Jacobians of many steps in one
-batched pass); the sweep of an accepted iterate is kept, and its
+decrease below the cost's rounding level.  The solver asks one thing of
+a model, its N-step :meth:`~narxmpc.narx.NarxDynamics.sweep`, which
+yields the outputs and their per-step Jacobians together (the kernel
+surrogate computes the values step by step and the Jacobians of many
+steps in one batched pass).  Each cost is the forward half of an
+adjoint sweep; the sweep of an accepted iterate is kept, and its
 gradient is the backward half alone, :func:`backward_sweep` through the
-regressor shift structure, whose loop carries only the adjoint recursion
-and whose input gradients are formed after it in one stacked product.  Many
-problems are solved in lockstep, each row with its own BFGS matrix,
-line search and stopping tests, and every row reproduces its solo solve
-bit for bit.  The receding-horizon loop applies the first input of each
-solution and warm-starts the next solve with the shifted remainder.
+regressor shift structure, whose loop carries only the adjoint
+recursion and whose input gradients are formed after it in one stacked
+product.  A solution returns the outputs of its kept sweep as
+:attr:`OcpSolution.outputs`, so no caller rolls its inputs out again.
+Many problems are solved in lockstep, each row with its own BFGS
+matrix, line search and stopping tests, and every row reproduces its
+solo solve bit for bit.  The receding-horizon loop applies the first
+input of each solution and warm-starts the next solve with the shifted
+remainder.
 """
 
 from __future__ import annotations
@@ -190,10 +193,12 @@ class OcpSolution:
     ``predicted_decrease`` the cost decrease the full two-metric step
     promised, both at the last iterate the stopping tests checked (the
     iterate before the last step for a solve stopped at the iteration
-    cap).
+    cap).  ``outputs`` (N, p) are the predicted outputs of ``u_star``:
+    those of the forward sweep that gave ``value``, kept by the solver.
     """
 
     u_star: np.ndarray
+    outputs: np.ndarray
     value: float
     iterations: int
     grad_norm: float
@@ -281,7 +286,8 @@ def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: 
 
     Every cost is one :meth:`~narxmpc.narx.NarxDynamics.sweep`, of the
     starts and of each line-search trial, and a row keeps the sweep of its
-    accepted iterate, so each gradient is one :func:`backward_sweep`.
+    accepted iterate, so each gradient is one :func:`backward_sweep`; the
+    outputs of that sweep are returned with the iterate.
     """
     box, weights = cfg.input_box, cfg.weights
     b, shape = starts.shape[0], starts.shape[1:]
@@ -293,6 +299,7 @@ def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: 
         None if np.isfinite(v) else SolverError(f"initial cost is not finite ({v}) at the start sequence")
         for v in value
     ]
+    outputs = np.empty_like(sweep.outputs)
     iterations = np.zeros(b, dtype=int)
     grad_norm, decrease = np.full(b, np.inf), np.full(b, np.inf)
     converged = np.zeros(b, dtype=bool)
@@ -308,6 +315,7 @@ def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: 
         nonlocal rows
         idx = rows.index[out]
         U[idx], value[idx], iterations[idx], converged[idx] = rows.u[out], rows.value[out], count, conv
+        outputs[idx] = rows.sweep.outputs[out]
         grad_norm[idx], decrease[idx] = rows.norm[out], rows.decrease[out]
         rows = rows.take(~out)
         return ~out
@@ -350,7 +358,7 @@ def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: 
         if not accepted.all():
             leave(~accepted, rnd + 1, False)
     leave(np.ones(rows.index.size, dtype=bool), cfg.solver.max_iters, False)
-    return U.reshape(starts.shape), value, iterations, grad_norm, decrease, converged, errors
+    return U.reshape(starts.shape), outputs, value, iterations, grad_norm, decrease, converged, errors
 
 
 def _bfgs_update(rows: _Rows, y: np.ndarray) -> None:
@@ -424,22 +432,24 @@ def solve_ocp_batch(
     The costs of the starts and of the line-search trials of the rows
     still searching are one :meth:`~narxmpc.narx.NarxDynamics.sweep` call
     each, and the gradients of the active rows one :func:`backward_sweep`
-    call over the sweeps of their accepted iterates.  Row ``i`` of the
-    result is what the batch of one ``X0[i]``, ``warm[i]`` gives, bit for
-    bit: its solution, or the :class:`SolverError` that stopped it.  A
-    solution is ``converged`` when it met the gradient test or the
+    call over the sweeps of their accepted iterates; a solution's
+    ``outputs`` come from the kept sweep of its ``u_star``.  Row ``i`` of
+    the result is what the batch of one ``X0[i]``, ``warm[i]`` gives, bit
+    for bit: its solution, or the :class:`SolverError` that stopped it.
+    A solution is ``converged`` when it met the gradient test or the
     noise-floor test; otherwise it stopped at ``max_iters`` or at a line
     search that found no decrease.
     """
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     shape = (X0.shape[0], cfg.horizon, cfg.dims.m)
     starts = np.zeros(shape) if warm is None else np.asarray(warm, dtype=float).reshape(shape)
-    U, value, iterations, grad_norm, decrease, converged, errors = _lockstep_descent(f, X0, starts, cfg)
+    U, outputs, value, iterations, grad_norm, decrease, converged, errors = _lockstep_descent(f, X0, starts, cfg)
     return [
         error
         if error is not None
         else OcpSolution(
             u_star=U[i],
+            outputs=outputs[i],
             value=float(value[i]),
             iterations=int(iterations[i]),
             grad_norm=float(grad_norm[i]),

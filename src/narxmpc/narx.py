@@ -10,12 +10,15 @@ Everything in this module operates on plain float64 arrays.  Regressors
 are 1-D arrays of length ``dims.n``; batched variants accept arrays whose
 last axis is the regressor axis.
 
-The controller reaches every :class:`NarxDynamics` through its forward
-sweep, a rollout with the Jacobians of every step.  The generic sweep
-calls ``linearize`` once per step.  The kernel surrogate overrides it
-with the same bits: the values step by step, then every step's
-Jacobians in batched passes.  The exact two-tank view, which carries a
-hidden level, overrides it with tangents carried along its rollout.
+A :class:`NarxDynamics` is used in two ways, so it implements two
+methods.  :meth:`~NarxDynamics.output_batch` gives one step's outputs,
+the values that the error bound ``|f - f_eps| <= c_x ||x|| + c_u ||u||``
+compares.  :meth:`~NarxDynamics.sweep` rolls out N steps and returns
+the outputs together with the Jacobians of every step, which is all
+the controller asks of a model.  The kernel surrogate sweeps in two
+passes: the values step by step, then every step's Jacobians in
+batched passes.  The exact two-tank view carries its hidden level and
+its tangents along the rollout.
 """
 
 from __future__ import annotations
@@ -139,10 +142,10 @@ class Sweep:
 class NarxDynamics(ABC):
     """A deterministic map from (regressor, input) to the next output.
 
-    Subclasses must set ``dims`` and implement :meth:`output_batch` and
-    :meth:`linearize`; a single evaluation is a batch of one.  Rollouts
-    and sweeps have generic per-step implementations; a subclass that
-    carries state along a trajectory overrides them.
+    Subclasses set ``dims`` and implement the two evaluations:
+    :meth:`output_batch`, one step of values, and :meth:`sweep`, N steps
+    of values with their Jacobians.  A single evaluation is a batch of
+    one.
     """
 
     dims: NarxDims
@@ -158,60 +161,19 @@ class NarxDynamics(ABC):
         return self.output_batch(X, U)[0]
 
     @abstractmethod
-    def linearize(
-        self, x: np.ndarray, u: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Next outputs and their Jacobians w.r.t. the regressor and the input.
-
-        Rows ``x`` (B, n) and ``u`` (B, m) give (B, p), (B, p, n) and
-        (B, p, m).  The outputs must equal :meth:`output_batch` bit for
-        bit: the solver takes its costs from the outputs of a
-        :meth:`sweep`, and they must be the costs of the rollout.
-        """
-
     def sweep(self, X0: np.ndarray, U: np.ndarray) -> Sweep:
         """Roll out from the regressors ``X0`` (B, n) under the inputs ``U``
-        (B, N, m) with one :meth:`linearize` call per step: the outputs of
-        :meth:`rollout_batch`, each row as its batch of one.  The kernel
-        surrogate's override gives the same bits, but forms the Jacobians
-        of many steps in one pass after their values."""
-        b, horizon, dims = U.shape[0], U.shape[1], self.dims
-        sweep = Sweep(*(np.empty((b, horizon, dims.p, *tail)) for tail in ((), (dims.n,), (dims.m,))))
-        X = X0
-        for k in range(horizon):
-            sweep.outputs[:, k], sweep.jac_x[:, k], sweep.jac_u[:, k] = self.linearize(X, U[:, k])
-            X = shift_state(X, sweep.outputs[:, k], U[:, k], dims)
-        return sweep
+        (B, N, m): the outputs of every step with their Jacobians with
+        respect to that step's regressor and input.
 
-    def rollout_batch(
-        self, X0: np.ndarray, U_seq: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Roll out B input sequences in lockstep.
-
-        Parameters
-        ----------
-        X0 : array, shape (B, n)
-            Initial regressors.
-        U_seq : array, shape (B, N, m)
-            Input sequences.
-
-        Returns
-        -------
-        states : array, shape (B, N + 1, n)
-            ``x(0), ..., x(N)`` per sequence.
-        outputs : array, shape (B, N, p)
-            ``y(1), ..., y(N)`` per sequence.
+        Each step's outputs are the values of :meth:`output_batch` at
+        that step's regressor and input (to rounding, for a model that
+        carries hidden state along the rollout), and shifting them in
+        with :func:`shift_state` gives the next regressor: the solver
+        takes its costs from a sweep.  Raises
+        :class:`DimensionMismatchError` unless ``X0`` and ``U`` have
+        those shapes (:func:`rollout_arrays`).
         """
-        X0, U_seq = rollout_arrays(X0, U_seq, self.dims)
-        b, horizon = U_seq.shape[0], U_seq.shape[1]
-        states = np.empty((b, horizon + 1, self.dims.n))
-        outputs = np.empty((b, horizon, self.dims.p))
-        states[:, 0] = X0
-        for k in range(horizon):
-            y_next = self.output_batch(states[:, k], U_seq[:, k])
-            outputs[:, k] = y_next
-            states[:, k + 1] = shift_state(states[:, k], y_next, U_seq[:, k], self.dims)
-        return states, outputs
 
 
 def rollout_arrays(

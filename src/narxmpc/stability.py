@@ -118,8 +118,8 @@ def estimate_growth_bound(
 
     Every state is solved at horizon ``n_max`` in one
     :func:`~narxmpc.mpc.solve_ocp_batch` call from the usual cold start,
-    and one rollout of the solutions gives their stage costs.  The
-    running sum of a row's stage costs over ``N`` steps is the cost of
+    and the predicted outputs that each solution carries give its stage
+    costs.  The running sum of a row's stage costs over ``N`` steps is the cost of
     the solution's first ``N`` inputs.  The input box is the only
     constraint, so that prefix is feasible for the horizon-``N`` problem
     and its cost bounds ``V_N(x)`` from above for every ``N <= n_max``.
@@ -141,7 +141,7 @@ def estimate_growth_bound(
         raise SolverError("growth-bound estimation failed on every sample state")
     sols = [sol for sol in results if not isinstance(sol, SolverError)]
     U_star = np.stack([sol.u_star for sol in sols])
-    _, outputs = f.rollout_batch(states[solved], U_star)
+    outputs = np.stack([sol.outputs for sol in sols])
     ratios = np.full((states.shape[0], n_max), np.nan)
     ratios[solved] = np.cumsum(stage_cost(outputs, U_star, cfg.weights), axis=1) / norms_sq[solved, None]
     iterations = np.zeros(states.shape[0], dtype=int)

@@ -18,9 +18,12 @@ harvested from.  Because only ``h1`` is measured, the sampled plant is
 second order with a hidden level; on regressors of lag depth two or more
 the hidden level is recoverable from the newest measured transition,
 which makes the plant an exact deterministic NARX map and is how
-:class:`TwoTankNarxDynamics` evaluates it.
+:class:`TwoTankNarxDynamics` evaluates it.  Both of its evaluations,
+one step of values (``output_batch``) and N steps of values with their
+Jacobians (``sweep``), reconstruct the hidden level once and then carry
+both levels.
 
-Its sweep has exact Jacobians: the step functions take ``dual=True``,
+The sweep has exact Jacobians: the step functions take ``dual=True``,
 a trailing axis of tangents, so the one Runge-Kutta step is also its
 tangent-linear map, and the reconstruction is differentiated by the
 implicit function theorem.  Clamped rows get one-sided derivatives, and
@@ -44,7 +47,6 @@ from .narx import (
     Sweep,
     build_regressor,
     rollout_arrays,
-    shift_state,
 )
 from .kernels import Dataset
 
@@ -298,13 +300,13 @@ class TwoTankNarxDynamics(NarxDynamics):
     regressor that encodes a negative measured level raises
     :class:`DomainError`.
 
-    Rollouts and sweeps reconstruct the hidden level once and then carry
-    both levels (:meth:`_carry`), a sweep with their tangents.  The
-    regressor of step ``k`` holds the transition of step ``k - 1``, whose
-    tangent gives the derivative of the reconstruction, ``dH = (dy_k -
-    ds1/dy dy_{k-1} - ds1/du du_{k-1}) / (ds1/dH)``; step 0 takes one
-    tangent step at the bisection root.  A row clamped at a bracket end,
-    or to equal levels, gets the one-sided derivative.
+    :meth:`output_batch` and :meth:`sweep` reconstruct the hidden level
+    once and then carry both levels (:meth:`_carry`), a sweep with their
+    tangents.  The regressor of step ``k`` holds the transition of step
+    ``k - 1``, whose tangent gives the derivative of the reconstruction,
+    ``dH = (dy_k - ds1/dy dy_{k-1} - ds1/du du_{k-1}) / (ds1/dH)``; step
+    0 takes one tangent step at the bisection root.  A row clamped at a
+    bracket end, or to equal levels, gets the one-sided derivative.
     """
 
     def __init__(self, params: TwoTankParams, normalization: AffineNormalization, dims: NarxDims):
@@ -319,29 +321,17 @@ class TwoTankNarxDynamics(NarxDynamics):
         self.dims = dims
 
     def output_batch(self, X, U):
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        return self.rollout_batch(X, U[:, None])[1][:, 0]
-
-    def linearize(self, x, u):
-        """The first step of :meth:`sweep`."""
-        sweep = self.sweep(x, np.atleast_2d(np.asarray(u, dtype=float))[:, None])
-        return sweep.outputs[:, 0], sweep.jac_x[:, 0], sweep.jac_u[:, 0]
-
-    def rollout_batch(self, X0, U_seq):
-        """Batched rollout that reconstructs the hidden level only once
-        (:meth:`_carry`): along a rollout the regressors are consistent,
-        so it gives the trajectories of the generic per-step path."""
-        X0, U_seq = rollout_arrays(X0, U_seq, self.dims)
-        outputs = self.norm.normalize_output(self._carry(X0, U_seq, dual=False)[0][..., None])
-        states = np.empty((X0.shape[0], U_seq.shape[1] + 1, self.dims.n))
-        states[:, 0] = X0
-        for k in range(U_seq.shape[1]):
-            states[:, k + 1] = shift_state(states[:, k], outputs[:, k], U_seq[:, k], self.dims)
-        return states, outputs
+        """Next outputs (B, 1) of the regressors ``X`` (B, n) under the
+        inputs ``U`` (B, 1): the first step of :meth:`_carry`."""
+        X, U = rollout_arrays(X, np.atleast_2d(np.asarray(U, dtype=float))[:, None], self.dims)
+        return self.norm.normalize_output(self._carry(X, U, dual=False)[0])
 
     def sweep(self, X0, U):
-        """The outputs of :meth:`rollout_batch`, bit for bit, with exact
-        Jacobians; each row equals its batch of one."""
+        """The levels of :meth:`_carry` with exact Jacobians: the values of
+        the plain carry bit for bit, and each row equals its batch of
+        one.  The first step's outputs are those of :meth:`output_batch`;
+        later ones carry the hidden level that :meth:`output_batch` would
+        reconstruct from their regressors, and agree with it to rounding."""
         X0, U = rollout_arrays(X0, U, self.dims)
         levels, jac = self._carry(X0, U, dual=True)
         # Raw derivatives to normalized ones: inputs scale by u_scale, outputs by y_scale.
@@ -805,6 +795,27 @@ def _accept_spaced(sites, targets, count, candidates, values, sep) -> tuple[int,
     return count, skipped
 
 
+def _collect_states(cfg: BenchmarkConfig, count: int, min_norm: float, blocks) -> np.ndarray:
+    """The first ``count`` normalized states whose norm exceeds
+    ``min_norm``, from the raw regressor blocks that ``blocks`` yields
+    with the number of points drawn for each.  Raises ``ValueError``
+    when ``count`` is below one, and ``RuntimeError`` once more than a
+    million points are drawn."""
+    if count < 1:
+        raise ValueError(f"need at least one state, got count={count}")
+    norm = cfg.normalization()
+    out: list[np.ndarray] = []
+    drawn = 0
+    while len(out) < count:
+        raw, size = next(blocks)
+        drawn += size
+        if drawn > 1_000_000:
+            raise RuntimeError("state sampling stalled; relax the filters")
+        states = norm.normalize_state(raw, cfg.dims)
+        out.extend(states[np.linalg.norm(states, axis=1) > min_norm])
+    return np.asarray(out[:count])
+
+
 def sample_consistent_states(
     cfg: BenchmarkConfig, count: int, seed: int, min_norm: float = 1e-3
 ) -> np.ndarray:
@@ -815,21 +826,8 @@ def sample_consistent_states(
     growth-bound estimation and for error-constant sampling.  Raises
     ``ValueError`` when ``count`` is below one.
     """
-    if count < 1:
-        raise ValueError(f"need at least one state, got count={count}")
-    dims = cfg.dims
-    norm = cfg.normalization()
-    draws = _reachable_draws(cfg, seed)
-    out: list[np.ndarray] = []
-    drawn = 0
-    while len(out) < count:
-        raw, _, _ = next(draws)
-        drawn += _HALTON_BLOCK
-        if drawn > 1_000_000:
-            raise RuntimeError("state sampling stalled; relax the filters")
-        states = norm.normalize_state(raw, dims)
-        out.extend(states[np.linalg.norm(states, axis=1) > min_norm])
-    return np.asarray(out[:count])
+    blocks = ((raw, _HALTON_BLOCK) for raw, _, _ in _reachable_draws(cfg, seed))
+    return _collect_states(cfg, count, min_norm, blocks)
 
 
 def sample_state_grid(
@@ -845,22 +843,15 @@ def sample_state_grid(
     declared domain rather than just reachable states.  Raises
     ``ValueError`` when ``count`` is below one.
     """
-    if count < 1:
-        raise ValueError(f"need at least one state, got count={count}")
-    dims = cfg.dims
-    norm = cfg.normalization()
-    nb = dims.n_outputs_block
-    sampler = ScrambledHalton(dims.n, seed)
-    out: list[np.ndarray] = []
-    drawn = 0
-    while len(out) < count:
-        block = sampler.random(max(256, count))
-        drawn += block.shape[0]
-        if drawn > 1_000_000:
-            raise RuntimeError("state sampling stalled; relax the filters")
-        raw = np.empty_like(block)
-        raw[:, :nb] = cfg.y_lo + (cfg.y_hi - cfg.y_lo) * block[:, :nb]
-        raw[:, nb:] = cfg.u_lo + (cfg.u_hi - cfg.u_lo) * block[:, nb:]
-        states = norm.normalize_state(raw, dims)
-        out.extend(states[np.linalg.norm(states, axis=1) > min_norm])
-    return np.asarray(out[:count])
+
+    def blocks():
+        nb = cfg.dims.n_outputs_block
+        sampler = ScrambledHalton(cfg.dims.n, seed)
+        while True:
+            block = sampler.random(max(256, count))
+            raw = np.empty_like(block)
+            raw[:, :nb] = cfg.y_lo + (cfg.y_hi - cfg.y_lo) * block[:, :nb]
+            raw[:, nb:] = cfg.u_lo + (cfg.u_hi - cfg.u_lo) * block[:, nb:]
+            yield raw, block.shape[0]
+
+    return _collect_states(cfg, count, min_norm, blocks())

@@ -22,6 +22,7 @@ from narxmpc import (
     stage_cost,
 )
 from narxmpc.mpc import _matvec, backward_sweep
+from narxmpc.narx import Sweep, rollout_arrays
 from narxmpc.stability import StorageMatrix, storage_value
 
 
@@ -29,8 +30,8 @@ class FunctionDynamics(NarxDynamics):
     """Wrap a plain callable ``f(x, u) -> y_next`` as :class:`NarxDynamics`.
 
     ``jacobian_fn(x, u)`` returns the output Jacobians ``(dy/dx, dy/du)``
-    that :meth:`linearize` stacks; dynamics built without it serve as
-    plants and truths, which are only evaluated.
+    that :meth:`sweep` stacks, row by row and step by step; dynamics built
+    without it serve as plants and truths, which are only evaluated.
     """
 
     def __init__(self, dims, fn, jacobian_fn=None):
@@ -46,21 +47,66 @@ class FunctionDynamics(NarxDynamics):
         U = np.atleast_2d(np.asarray(U, dtype=float))
         return np.stack([self._call(x, u) for x, u in zip(X, U)])
 
-    def linearize(self, x, u):
+    def sweep(self, X0, U):
+        X0, U = rollout_arrays(X0, U, self.dims)
         if self._jacobian_fn is None:
             raise NotImplementedError("no Jacobian callable supplied")
-        rows = [(self._call(x_row, u_row), *self._jacobian_fn(x_row, u_row)) for x_row, u_row in zip(x, u)]
-        return tuple(np.array(part, dtype=float) for part in zip(*rows))
+        b, horizon, dims = U.shape[0], U.shape[1], self.dims
+        sweep = Sweep(*(np.empty((b, horizon, dims.p, *tail)) for tail in ((), (dims.n,), (dims.m,))))
+        X = X0
+        for k in range(horizon):
+            for i in range(b):
+                sweep.outputs[i, k] = self._call(X[i], U[i, k])
+                sweep.jac_x[i, k], sweep.jac_u[i, k] = self._jacobian_fn(X[i], U[i, k])
+            X = shift_state(X, sweep.outputs[:, k], U[:, k], dims)
+        return sweep
+
+
+def stepwise_rollout(f: NarxDynamics, X0: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Outputs (B, N, p) of the rollouts of ``U`` (B, N, m) from ``X0``
+    (B, n), or (N, p) for one regressor (n,) and one sequence (N, m): one
+    :meth:`~NarxDynamics.output_batch` and one
+    :func:`~narxmpc.shift_state` per step."""
+    X0, U = np.asarray(X0, dtype=float), np.asarray(U, dtype=float)
+    if U.ndim == 2:
+        return stepwise_rollout(f, X0[None], U[None])[0]
+    outputs = np.empty((U.shape[0], U.shape[1], f.dims.p))
+    X = X0
+    for k in range(U.shape[1]):
+        outputs[:, k] = f.output_batch(X, U[:, k])
+        X = shift_state(X, outputs[:, k], U[:, k], f.dims)
+    return outputs
+
+
+def stepwise_sweep(f: NarxDynamics, X0: np.ndarray, U: np.ndarray) -> Sweep:
+    """The sweep of ``U`` (B, N, m) from ``X0`` (B, n) by one one-step
+    :meth:`~NarxDynamics.sweep` per step, each from the regressors that
+    the outputs before it shifted in."""
+    b, horizon, dims = U.shape[0], U.shape[1], f.dims
+    sweep = Sweep(*(np.empty((b, horizon, dims.p, *tail)) for tail in ((), (dims.n,), (dims.m,))))
+    X = np.asarray(X0, dtype=float)
+    for k in range(horizon):
+        sweep[:, k : k + 1] = f.sweep(X, U[:, k : k + 1])
+        X = shift_state(X, sweep.outputs[:, k], U[:, k], dims)
+    return sweep
+
+
+def one_step_sweep(f: NarxDynamics, Xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Outputs (B, p) and Jacobians (B, p, n + m) of the one-step
+    :meth:`~NarxDynamics.sweep` at the site rows ``Xi`` (B, n + m), which
+    split into regressor and input at ``f.dims.n``."""
+    n = f.dims.n
+    sweep = f.sweep(Xi[:, :n], Xi[:, None, n:])
+    return sweep.outputs[:, 0], np.concatenate([sweep.jac_x[:, 0], sweep.jac_u[:, 0]], axis=-1)
 
 
 def cost_J_batch(
     f: NarxDynamics, X0: np.ndarray, U: np.ndarray, weights: StageCostWeights
 ) -> np.ndarray:
     """Costs (B,) of the input sequences ``U`` (B, N, m) from the initial
-    regressors ``X0`` (B, n), from one :meth:`~NarxDynamics.rollout_batch`."""
+    regressors ``X0`` (B, n), from one :func:`stepwise_rollout`."""
     U = np.asarray(U, dtype=float)
-    _, outputs = f.rollout_batch(X0, U)
-    return np.sum(stage_cost(outputs, U, weights), axis=1)
+    return np.sum(stage_cost(stepwise_rollout(f, X0, U), U, weights), axis=1)
 
 
 def cost_gradient(
@@ -143,7 +189,7 @@ def kernel_jacobian_reference(model, Xi: np.ndarray) -> np.ndarray:
     from the broadcast differences ``sites - xi``.
 
     ``-(C * w)^T (sites - xi)`` with ``w = phi'(r) / (r sigma^2)``, the
-    formula :meth:`~narxmpc.kernels.KernelInterpolant.linearize` evaluates
+    formula :meth:`~narxmpc.kernels.KernelInterpolant.sweep` evaluates
     from differences it builds another way; both must give the same bits.
     """
     Xi = np.atleast_2d(np.asarray(Xi, dtype=float))

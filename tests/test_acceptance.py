@@ -134,7 +134,8 @@ class TestAcceptance:
             )
             model = fit_interpolant(spec, data, jitter=0.0)
             f_vals = kernel_matrix(spec, probes, centers) @ beta
-            errors = np.abs(f_vals - model.predict_batch(probes)[:, 0])
+            n = cfg.dims.n
+            errors = np.abs(f_vals - model.output_batch(probes[:, :n], probes[:, n:])[:, 0])
             bound = model.power_function(probes) * norm_f + 1e-9
             worst_margin = max(worst_margin, float(np.max(errors - bound)))
         ok = worst_margin <= 0.0
@@ -146,8 +147,9 @@ class TestAcceptance:
         worst = 0.0
         for d in (101, 2501):
             model = result.arms[d].model
+            sites, n = model.data.sites, model.dims.n
             direct = float(
-                np.max(np.abs(model.predict_batch(model.data.sites) - model.data.targets))
+                np.max(np.abs(model.output_batch(sites[:, :n], sites[:, n:]) - model.data.targets))
             )
             worst = max(worst, model.site_residual, direct)
         ok = worst <= 1e-8

@@ -190,7 +190,7 @@ class TestFit:
         assert_allclose(model.coefficients, [[30.0 * 0.7]], rtol=1e-10)
         probe = site[0] + np.array([0.5, 0.0, 0.0, 0.0])
         expected = 0.7 * float(wendland_phi(np.array(0.5))) * 30.0
-        assert model.predict_batch(probe)[0, 0] == pytest.approx(expected, rel=1e-10)
+        assert model.output(probe[:3], probe[3:])[0] == pytest.approx(expected, rel=1e-10)
         report = (tmp_path / "fit_report.txt").read_text()
         assert "site_residual" in report
 

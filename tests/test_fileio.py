@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from narxmpc import (
+    AffineNormalization,
     Box,
     KernelSpec,
     MpcConfig,
@@ -196,9 +197,8 @@ class TestModelIo:
         back = load_model(path)
         rng = np.random.default_rng(41)
         Xi = rng.uniform(-0.1, 0.5, size=(50, 4))
-        assert_allclose(
-            back.predict_batch(Xi), model.predict_batch(Xi), rtol=0.0, atol=1e-12
-        )
+        X, U = Xi[:, :3], Xi[:, 3:]
+        assert_allclose(back.output_batch(X, U), model.output_batch(X, U), rtol=0.0, atol=1e-12)
         assert back.spec.lengthscale == model.spec.lengthscale
         assert back.jitter == model.jitter
 
@@ -216,10 +216,15 @@ class TestModelIo:
 
 
 class TestTraceIo:
-    def test_round_trip(self, cfg, tmp_path):
+    @pytest.fixture
+    def trace_cfg(self, cfg):
+        """The configuration of the horizon-4 traces that the sidecars record."""
+        return replace(cfg, horizon=4)
+
+    def test_round_trip(self, trace_cfg, tmp_path):
         trace = _linear_closed_loop(steps=4)
         path = tmp_path / "trace.csv"
-        save_trace(trace, path, cfg)
+        save_trace(trace, path, trace_cfg)
         back = load_trace(path, DIMS, horizon=4)
         assert back.steps == 4
         assert_array_equal(back.states, trace.states)
@@ -231,10 +236,10 @@ class TestTraceIo:
         assert_array_equal(back.iterations, trace.iterations)
         assert_array_equal(back.converged, trace.converged)
 
-    def test_terminal_diagnostic_row(self, cfg, tmp_path):
+    def test_terminal_diagnostic_row(self, trace_cfg, tmp_path):
         trace = _linear_closed_loop(steps=3)
         path = tmp_path / "trace.csv"
-        save_trace(trace, path, cfg)
+        save_trace(trace, path, trace_cfg)
         header, table = read_csv(path)
         assert header == trace_header(DIMS)
         assert table.shape[0] == 4
@@ -242,37 +247,55 @@ class TestTraceIo:
         u_col = 1 + DIMS.n
         assert np.isnan(table[-1, u_col])
 
-    def test_empty_trace_is_header_only(self, cfg, tmp_path):
+    def test_empty_trace_is_header_only(self, trace_cfg, tmp_path):
         trace = _linear_closed_loop(steps=0)
         path = tmp_path / "trace.csv"
-        save_trace(trace, path, cfg)
+        save_trace(trace, path, trace_cfg)
         back = load_trace(path, DIMS, horizon=4)
         assert back.steps == 0
         assert path.read_text().count("\n") == 1
 
-    def test_raw_save_denormalizes(self, cfg, tmp_path):
-        trace = _linear_closed_loop(steps=2, normalization=cfg.normalization())
+    def test_raw_save_denormalizes(self, trace_cfg, tmp_path):
+        trace = _linear_closed_loop(steps=2, normalization=trace_cfg.normalization())
         norm_path = tmp_path / "norm.csv"
         raw_path = tmp_path / "raw.csv"
-        save_trace(trace, norm_path, cfg, raw=False)
-        save_trace(trace, raw_path, cfg, raw=True)
+        save_trace(trace, norm_path, trace_cfg, raw=False)
+        save_trace(trace, raw_path, trace_cfg, raw=True)
         _, norm_table = read_csv(norm_path)
         _, raw_table = read_csv(raw_path)
-        raw_states = cfg.normalization().denormalize_state(trace.states, DIMS)
+        raw_states = trace_cfg.normalization().denormalize_state(trace.states, DIMS)
         assert_allclose(raw_table[:, 1 : 1 + DIMS.n], raw_states, rtol=1e-12)
         assert not np.allclose(raw_table[:, 1], norm_table[:, 1])
 
-    def test_raw_needs_normalization(self, cfg, tmp_path):
+    def test_raw_needs_normalization(self, trace_cfg, tmp_path):
         trace = _linear_closed_loop(steps=2)
         with pytest.raises(ValueError, match="normalization"):
-            save_trace(trace, tmp_path / "raw.csv", cfg, raw=True)
+            save_trace(trace, tmp_path / "raw.csv", trace_cfg, raw=True)
 
-    def test_header_mismatch_detected(self, cfg, tmp_path):
+    def test_header_mismatch_detected(self, trace_cfg, tmp_path):
         trace = _linear_closed_loop(steps=2)
         path = tmp_path / "trace.csv"
-        save_trace(trace, path, cfg)
+        save_trace(trace, path, trace_cfg)
         with pytest.raises(ConfigError, match="header"):
             load_trace(path, NarxDims(p=1, m=1, nu=3), horizon=4)
+
+    def test_sidecar_must_describe_the_trace(self, trace_cfg, tmp_path):
+        """A trace whose horizon, dimensions or normalization differ from
+        the configuration's is not written under it."""
+        trace = _linear_closed_loop(steps=2, normalization=trace_cfg.normalization())
+        path = tmp_path / "trace.csv"
+        other = AffineNormalization(y_ref=[0.1], y_scale=[0.5], u_ref=[1e-5], u_scale=[4e-5])
+        cases = [
+            (replace(trace_cfg, horizon=20), trace, "horizon"),
+            (trace_cfg, replace(trace, dims=NarxDims(p=1, m=1, nu=3)), "dimensions"),
+            (trace_cfg, replace(trace, normalization=other), "normalization y_ref"),
+        ]
+        for cfg, bad, field in cases:
+            with pytest.raises(ValueError, match=field):
+                save_trace(bad, path, cfg)
+            assert not path.exists()
+        save_trace(replace(trace, normalization=None), path, trace_cfg)
+        assert read_keyvalues(path.with_suffix(".csv.meta"))["N"] == "4"
 
 
 class TestStabilityReportIo:

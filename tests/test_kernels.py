@@ -28,7 +28,7 @@ from narxmpc import (
     wendland_phi,
 )
 from narxmpc.bench import error_constant_samples, probe_sites
-from oracles import FunctionDynamics
+from oracles import FunctionDynamics, one_step_sweep
 
 PHI_AT_ZERO = 1.0 / 30.0
 PHI_AT_HALF = 0.0036458333333333334
@@ -138,7 +138,7 @@ class TestInterpolant:
         data = _dataset([[0.3, 0.4]], [0.7])
         model = fit_interpolant(KernelSpec(input_dim=2), data)
         assert_allclose(model.coefficients, [[30.0 * 0.7]], rtol=1e-12)
-        assert_allclose(model.predict_batch(np.array([0.3, 0.4]))[0], [0.7], rtol=1e-12)
+        assert_allclose(model.output(np.array([0.3]), np.array([0.4])), [0.7], rtol=1e-12)
         assert model.site_residual <= 1e-12
         assert not model.certificate_degraded
 
@@ -150,39 +150,40 @@ class TestInterpolant:
     def test_prediction_vanishes_off_support(self):
         data = _dataset([[0.0, 0.0]], [0.9])
         model = fit_interpolant(KernelSpec(input_dim=2), data)
-        assert model.predict_batch(np.array([2.0, 2.0]))[0, 0] == 0.0
+        assert model.output(np.array([2.0]), np.array([2.0]))[0] == 0.0
 
-    def test_predict_batch_matches_scalar(self):
+    def test_output_batch_matches_scalar(self):
         rng = np.random.default_rng(8)
         data = _dataset(rng.uniform(0.0, 1.0, size=(12, 2)), rng.standard_normal(12))
         model = fit_interpolant(KernelSpec(input_dim=2), data)
         Xi = rng.uniform(0.0, 1.0, size=(25, 2))
-        batch = model.predict_batch(Xi)
         n = model.dims.n
-        single = np.concatenate([model.linearize(xi[None, :n], xi[None, n:])[0] for xi in Xi])
+        batch = model.output_batch(Xi[:, :n], Xi[:, n:])
+        single = np.concatenate([one_step_sweep(model, xi[None])[0] for xi in Xi])
         assert_allclose(batch, single, rtol=0.0, atol=1e-14)
 
     def test_benchmark_fit_interpolates(self, fit_101):
         data, model = fit_101
         assert model.site_residual <= 1e-8
-        pred = model.predict_batch(data.sites)
+        n = model.dims.n
+        pred = model.output_batch(data.sites[:, :n], data.sites[:, n:])
         assert np.max(np.abs(pred - data.targets)) <= 1e-8
         # the equilibrium site is the first row and maps to target zero
-        n = model.dims.n
-        assert abs(model.linearize(data.sites[:1, :n], data.sites[:1, n:])[0][0, 0]) <= 1e-8
+        assert abs(one_step_sweep(model, data.sites[:1])[0][0, 0]) <= 1e-8
 
     def test_jacobian_matches_finite_difference(self, fit_101):
         _, model = fit_101
         rng = np.random.default_rng(9)
         xi = rng.uniform(-0.05, 0.3, size=4)
         n = model.dims.n
-        jac = np.concatenate(model.linearize(xi[None, :n], xi[None, n:])[1:], axis=-1)[0]
+        jac = one_step_sweep(model, xi[None])[1][0]
         h = 1e-6
         fd = np.zeros_like(jac)
         for j in range(xi.size):
             e = np.zeros(xi.size)
             e[j] = h
-            fd[:, j] = (model.predict_batch(xi + e)[0] - model.predict_batch(xi - e)[0]) / (2.0 * h)
+            plus, minus = xi + e, xi - e
+            fd[:, j] = (model.output(plus[:n], plus[n:]) - model.output(minus[:n], minus[n:])) / (2.0 * h)
         assert_allclose(jac, fd, rtol=0.0, atol=1e-7)
 
     def test_jitter_flags_certificates(self):
@@ -293,7 +294,8 @@ class TestMemory:
     def test_kernel_row_batches_stay_small(self, cfg, data_1001, model_1001):
         probes = probe_sites(cfg, 2000, seed=cfg.seed + 23)
         _, fill_peak, _ = self._traced(lambda: fill_distance(data_1001.sites, probes))
-        _, predict_peak, _ = self._traced(lambda: model_1001.predict_batch(probes[:400]))
+        n = model_1001.dims.n
+        _, predict_peak, _ = self._traced(lambda: model_1001.output_batch(probes[:400, :n], probes[:400, n:]))
         assert fill_peak < 3e6
         assert predict_peak < 3e6
 

@@ -19,7 +19,7 @@ from narxmpc import (
     shift_state,
     two_tank_step,
 )
-from oracles import FunctionDynamics
+from oracles import FunctionDynamics, stepwise_rollout
 
 
 def _lift(f, x, u):
@@ -29,15 +29,19 @@ def _lift(f, x, u):
 
 
 def _rollout(f, x0, u_seq):
-    """Roll one sequence out through the batched path as a batch of one."""
-    states, outputs = f.rollout_batch(np.asarray(x0)[None], np.asarray(u_seq)[None])
-    return states[0], outputs[0]
+    """Roll one sequence out, one ``output_batch`` per step: the states
+    ``x(0..N)`` and the outputs ``y(1..N)``."""
+    outputs = stepwise_rollout(f, x0, u_seq)
+    states = [np.asarray(x0, dtype=float)]
+    for y, u in zip(outputs, u_seq):
+        states.append(shift_state(states[-1], y, u, f.dims))
+    return np.array(states), outputs
 
 
-def _stepwise_rollout(f, x0, u_seq):
-    """The generic per-step rollout, bypassing any specialised override."""
-    states, outputs = NarxDynamics.rollout_batch(f, np.asarray(x0)[None], np.asarray(u_seq)[None])
-    return states[0], outputs[0]
+def test_the_model_contract_is_two_methods():
+    """One step of values and the N-step sweep: a third evaluation path
+    cannot come back unnoticed."""
+    assert NarxDynamics.__abstractmethods__ == {"output_batch", "sweep"}
 
 
 class TestDims:
@@ -136,7 +140,7 @@ class TestRollout:
     def test_plant_view_fixed_point(self, cfg, plant_view):
         """Constant equilibrium input holds the equilibrium output."""
         x0 = cfg.equilibrium_regressor()
-        _, outputs = _stepwise_rollout(plant_view, x0, np.zeros((10, 1)))
+        _, outputs = _rollout(plant_view, x0, np.zeros((10, 1)))
         raw = cfg.normalization().denormalize_output(outputs)
         h1_eq, _ = cfg.equilibrium
         assert np.max(np.abs(raw - h1_eq)) < 1e-6
@@ -151,22 +155,22 @@ class TestRollout:
         x0 = norm.normalize_state(np.array([float(y_cur), h1_prev, u_prev]), cfg.dims)
         u_raw = rng.uniform(cfg.u_lo, cfg.u_hi, size=(6, 1))
         u_seq = norm.normalize_input(u_raw)
-        _, outputs = _stepwise_rollout(plant_view, x0, u_seq)
+        _, outputs = _rollout(plant_view, x0, u_seq)
         plant = TwoTankPlant(cfg, float(y_cur), float(h2_cur))
         direct = [plant.step(u) for u in u_raw.ravel()]
         assert_allclose(
             norm.denormalize_output(outputs).ravel(), direct, rtol=0.0, atol=1e-10
         )
 
-    def test_bad_shapes_raise(self):
-        dims = NarxDims(p=1, m=1, nu=2)
-        f = FunctionDynamics(dims, lambda x, u: np.zeros(1))
-        with pytest.raises(DimensionMismatchError):
-            f.rollout_batch(np.zeros((1, 4)), np.zeros((1, 2, 1)))
-        with pytest.raises(DimensionMismatchError):
-            f.rollout_batch(np.zeros((1, 3)), np.zeros((1, 2, 2)))
-        with pytest.raises(DimensionMismatchError):
-            f.rollout_batch(np.zeros((2, 3)), np.zeros((1, 2, 1)))
+    def test_bad_shapes_raise(self, plant_view, fit_101):
+        """Every model's sweep checks its shapes (n = 3, m = 1 here)."""
+        for f in (plant_view, fit_101[1]):
+            with pytest.raises(DimensionMismatchError):
+                f.sweep(np.zeros((1, 4)), np.zeros((1, 2, 1)))
+            with pytest.raises(DimensionMismatchError):
+                f.sweep(np.zeros((1, 3)), np.zeros((1, 2, 2)))
+            with pytest.raises(DimensionMismatchError):
+                f.sweep(np.zeros((2, 3)), np.zeros((1, 2, 1)))
 
 
 class TestNormalization:

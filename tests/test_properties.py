@@ -25,7 +25,6 @@ from narxmpc import (
     KernelSpec,
     MpcConfig,
     NarxDims,
-    NarxDynamics,
     SolverConfig,
     SolverError,
     StageCostWeights,
@@ -35,6 +34,7 @@ from narxmpc import (
     kernel_matrix,
     min_pairwise_distance,
     sample_consistent_states,
+    shift_state,
     solve_ocp,
     solve_ocp_batch,
     stage_cost,
@@ -42,7 +42,7 @@ from narxmpc import (
     two_tank_step,
     wendland_phi,
 )
-from narxmpc import kernels, mpc, stability, twotank
+from narxmpc import bench, kernels, mpc, stability, twotank
 from narxmpc.kernels import KernelFitError, _gram_product, _profile, _wendland_terms, fit_interpolant
 from narxmpc.mpc import ACTIVE_WIDTH, NOISE_FLOOR, backward_sweep
 from narxmpc.narx import Sweep
@@ -52,8 +52,11 @@ from oracles import (
     cost_gradient,
     cost_J_batch,
     kernel_jacobian_reference,
+    one_step_sweep,
     rk4_step,
     sample_domain,
+    stepwise_rollout,
+    stepwise_sweep,
     wendland_reference,
 )
 
@@ -76,55 +79,54 @@ def _tank_arrays(rows):
     return h1, h2, u
 
 
-def _interpolant(rng, input_dim: int, size: int, lengthscale: float, p: int, dims=None):
-    """Interpolant with random sites and coefficients; no fit is needed to
-    compare two ways of evaluating the same kernel expansion.  Without
-    ``dims`` the sites split into regressor and input before their last
-    column; any split gives the same expansion.  Evaluation reads only the
+def _interpolant(rng, dims: NarxDims, size: int, lengthscale: float):
+    """Interpolant on the sites of ``dims`` (n + m columns, p outputs) with
+    random sites and coefficients; no fit is needed to compare two ways
+    of evaluating the same kernel expansion.  Evaluation reads only the
     spec's lengthscale, so sites may be wider than the profile's
     dimension limit of five, as lag depth 3 needs."""
-    sites = rng.uniform(0.0, 1.0, size=(size, input_dim))
+    sites = rng.uniform(0.0, 1.0, size=(size, dims.n + dims.m))
     return KernelInterpolant(
         SimpleNamespace(lengthscale=lengthscale),
-        SimpleNamespace(sites=sites, dims=dims or SimpleNamespace(n=input_dim - 1)),
+        SimpleNamespace(sites=sites, dims=dims),
         jitter=0.0,
         store=None,
-        coefficients=rng.standard_normal((size, p)),
+        coefficients=rng.standard_normal((size, dims.p)),
         site_residual=0.0,
     )
 
 
-def _linearize_sites(model, Xi):
-    """``model.linearize`` at site rows ``Xi`` (split at ``model.dims.n``),
-    with the regressor and input Jacobians joined into one over the site."""
-    n = model.dims.n
-    value, jac_x, jac_u = model.linearize(Xi[:, :n], Xi[:, n:])
-    return value, np.concatenate([jac_x, jac_u], axis=-1)
+# Site layouts of one-step kernel evaluations: 2 to 5 columns at lag
+# depth one, and wider ones at lag depth two.
+site_dims = st.builds(NarxDims, p=st.integers(1, 2), m=st.integers(1, 3), nu=st.integers(1, 2))
+
+
+def _split(model, Xi):
+    """``output_batch`` at site rows ``Xi``, split at ``model.dims.n``."""
+    return model.output_batch(Xi[:, : model.dims.n], Xi[:, model.dims.n :])
 
 
 @given(
     seed=seeds,
-    input_dim=st.integers(1, 5),
+    dims=site_dims,
     size=st.integers(2, 60),
     lengthscale=st.floats(0.2, 3.0),
-    p=st.integers(1, 2),
     at_site=st.booleans(),
 )
-def test_linearize_matches_predict_batch_and_central_differences(
-    seed, input_dim, size, lengthscale, p, at_site
-):
+def test_one_step_sweep_matches_output_batch_and_central_differences(seed, dims, size, lengthscale, at_site):
     rng = np.random.default_rng(seed)
-    model = _interpolant(rng, input_dim, size, lengthscale, p)
+    model = _interpolant(rng, dims, size, lengthscale)
+    input_dim, p = dims.n + dims.m, dims.p
     if at_site:
         xi = model.data.sites[rng.integers(size)].copy()
     else:
         xi = rng.uniform(-0.2, 1.2, size=input_dim)
-    value, jac = (part[0] for part in _linearize_sites(model, xi[None]))
+    value, jac = (part[0] for part in one_step_sweep(model, xi[None]))
     assert value.shape == (p,) and jac.shape == (p, input_dim)
-    assert_array_equal(value, model.predict_batch(xi)[0])
+    assert_array_equal(value, _split(model, xi[None])[0])
     h = 1e-6 * lengthscale
     steps = h * np.eye(input_dim)
-    fd = (model.predict_batch(xi + steps) - model.predict_batch(xi - steps)).T / (2.0 * h)
+    fd = (_split(model, xi + steps) - _split(model, xi - steps)).T / (2.0 * h)
     assert_allclose(jac, fd, rtol=0.0, atol=1e-6 * (1.0 + np.max(np.abs(jac))))
 
 
@@ -415,9 +417,8 @@ def test_blocked_site_acceptance_equals_the_sequential_loop(
 
 
 class CountingDynamics(FunctionDynamics):
-    """:class:`FunctionDynamics` that count their calls of ``output_batch``,
-    ``rollout_batch`` and ``sweep`` and their batched calls of
-    ``linearize``."""
+    """:class:`FunctionDynamics` that count their calls of ``output_batch``
+    and ``sweep``."""
 
     def __init__(self, dims, fn, jacobian_fn=None):
         super().__init__(dims, fn, jacobian_fn)
@@ -426,14 +427,6 @@ class CountingDynamics(FunctionDynamics):
     def output_batch(self, X, U):
         self.calls["output_batch"] += 1
         return super().output_batch(X, U)
-
-    def rollout_batch(self, X0, U_seq):
-        self.calls["rollout_batch"] += 1
-        return super().rollout_batch(X0, U_seq)
-
-    def linearize(self, x, u):
-        self.calls["linearize"] += 1
-        return super().linearize(x, u)
 
     def sweep(self, X0, U):
         self.calls["sweep"] += 1
@@ -539,11 +532,10 @@ def test_wendland_terms_equal_the_clamped_reference(radii):
 @given(
     seed=seeds,
     rows=st.sampled_from([1, 2, 5, 7, 64, 70]),
-    p=st.integers(1, 2),
-    input_dim=st.integers(1, 5),
+    dims=site_dims,
     lengthscale=st.one_of(st.just(1.0), st.floats(0.2, 3.0)),
 )
-def test_jacobian_blocks_leave_the_bits_unchanged(seed, rows, p, input_dim, lengthscale):
+def test_jacobian_blocks_leave_the_bits_unchanged(seed, rows, dims, lengthscale):
     """The Jacobian pass takes its rows in blocks of at most
     ``_JACOBIAN_BYTES`` of site differences, and each row is its own
     product: blocks of 1, 2 and 3 rows give the arrays of the default
@@ -552,33 +544,35 @@ def test_jacobian_blocks_leave_the_bits_unchanged(seed, rows, p, input_dim, leng
     signed zeros, and at the unit lengthscale, whose radii skip the
     division."""
     rng = np.random.default_rng(seed)
-    model = _interpolant(rng, input_dim, int(rng.integers(2, 80)), lengthscale, p)
-    Xi = rng.uniform(-0.2, 1.2, size=(rows, input_dim))
+    model = _interpolant(rng, dims, int(rng.integers(2, 80)), lengthscale)
+    Xi = rng.uniform(-0.2, 1.2, size=(rows, dims.n + dims.m))
     Xi[::3] += 4.0
-    default = _linearize_sites(model, Xi)[1]
+    default = one_step_sweep(model, Xi)[1]
     assert default.tobytes() == kernel_jacobian_reference(model, Xi).tobytes()
     for block in (1, 2, 3):
         with patch.object(kernels, "_JACOBIAN_BYTES", block * 8 * model.data.sites.size):
-            assert _linearize_sites(model, Xi)[1].tobytes() == default.tobytes()
+            assert one_step_sweep(model, Xi)[1].tobytes() == default.tobytes()
 
 
-@given(seed=seeds, rows=st.sampled_from([1, 2, 7, 50, 65, 129]), p=st.integers(1, 2), input_dim=st.integers(1, 5))
-def test_batched_kernel_rows_equal_single_rows(seed, rows, p, input_dim):
-    """predict_batch and linearize give each row the bits of its own call,
-    also for batches longer than one block of kernel rows, and the
-    Jacobians are those of the broadcast reference formula bit for bit."""
+@given(seed=seeds, rows=st.sampled_from([1, 2, 7, 50, 65, 129]), dims=site_dims)
+def test_batched_kernel_rows_equal_single_rows(seed, rows, dims):
+    """``output_batch`` and the one-step sweep give each row the bits of
+    its own call, also for batches longer than one block of kernel rows,
+    and the Jacobians are those of the broadcast reference formula bit
+    for bit."""
     rng = np.random.default_rng(seed)
-    model = _interpolant(rng, input_dim, int(rng.integers(2, 80)), rng.uniform(0.2, 3.0), p)
+    model = _interpolant(rng, dims, int(rng.integers(2, 80)), rng.uniform(0.2, 3.0))
+    input_dim, p = dims.n + dims.m, dims.p
     Xi = rng.uniform(-0.2, 1.2, size=(rows, input_dim))
-    values = model.predict_batch(Xi)
-    lin_values, jacobians = _linearize_sites(model, Xi)
-    assert lin_values.shape == (rows, p) and jacobians.shape == (rows, p, input_dim)
-    assert_array_equal(lin_values, values)
+    values = _split(model, Xi)
+    sweep_values, jacobians = one_step_sweep(model, Xi)
+    assert sweep_values.shape == (rows, p) and jacobians.shape == (rows, p, input_dim)
+    assert_array_equal(sweep_values, values)
     assert_array_equal(jacobians, kernel_jacobian_reference(model, Xi))
     for i in range(rows):
-        assert_array_equal(values[i], model.predict_batch(Xi[i])[0])
-        value, jac = _linearize_sites(model, Xi[i : i + 1])
-        assert_array_equal(lin_values[i], value[0])
+        assert_array_equal(values[i], _split(model, Xi[i : i + 1])[0])
+        value, jac = one_step_sweep(model, Xi[i : i + 1])
+        assert_array_equal(sweep_values[i], value[0])
         assert_array_equal(jacobians[i], jac[0])
 
 
@@ -591,10 +585,11 @@ def test_batched_kernel_rows_equal_single_rows(seed, rows, p, input_dim):
     horizon=st.integers(1, 5),
     rows=st.integers(1, 7),
 )
-def test_linearize_outputs_and_sweep_costs_equal_the_rollout(seed, kind, p, m, nu, horizon, rows):
-    """``linearize`` gives the outputs of ``output_batch`` bit for bit, so
-    the costs of a forward sweep are the costs of ``cost_J_batch``: the
-    solver takes every cost from a sweep."""
+def test_sweep_outputs_and_costs_equal_the_stepwise_rollout(seed, kind, p, m, nu, horizon, rows):
+    """A one-step sweep gives the outputs of ``output_batch`` bit for bit,
+    and an N-step sweep the outputs of the stepwise rollout, so the costs
+    of a forward sweep are the costs of ``cost_J_batch``: the solver
+    takes every cost from a sweep."""
     cfg = _random_problem(np.random.default_rng(seed), p, m, nu, horizon)
     dims = cfg.dims
     assume(kind == "function" or dims.n + m <= 5)
@@ -602,14 +597,15 @@ def test_linearize_outputs_and_sweep_costs_equal_the_rollout(seed, kind, p, m, n
     if kind == "function":
         f = _random_dynamics(rng, dims, linear=False)
     else:
-        f = _interpolant(rng, dims.n + m, int(rng.integers(2, 80)), rng.uniform(0.2, 3.0), p, dims)
+        f = _interpolant(rng, dims, int(rng.integers(2, 80)), rng.uniform(0.2, 3.0))
     X = rng.uniform(-0.2, 1.2, size=(rows, dims.n))
     U = rng.uniform(-0.2, 1.2, size=(rows, horizon, m))
-    outputs, _, _ = f.linearize(X, U[:, 0])
+    outputs = f.sweep(X, U[:, :1]).outputs[:, 0]
     assert_array_equal(outputs, f.output_batch(X, U[:, 0]))
     for i in range(rows):
-        assert_array_equal(f.linearize(X[i : i + 1], U[i : i + 1, 0])[0][0], f.output(X[i], U[i, 0]))
+        assert_array_equal(f.sweep(X[i : i + 1], U[i : i + 1, :1]).outputs[0, 0], f.output(X[i], U[i, 0]))
     sweep = f.sweep(X, U)
+    assert_array_equal(sweep.outputs, stepwise_rollout(f, X, U))
     costs = np.sum(stage_cost(sweep.outputs, U, cfg.weights), axis=1)
     assert_array_equal(costs, cost_J_batch(f, X, U, cfg.weights))
 
@@ -627,21 +623,18 @@ def test_linearize_outputs_and_sweep_costs_equal_the_rollout(seed, kind, p, m, n
 @example(seed=2, p=1, m=2, nu=1, rows=64, horizon=2)
 def test_kernel_sweep_and_rollout_equal_the_generic_per_step_paths(seed, p, m, nu, rows, horizon):
     """The kernel's two-pass sweep (a value pass per step, a Jacobian pass
-    per 64 rows or more) gives the arrays of the generic sweep, one
-    ``linearize`` per step, bit for bit, and its ``rollout_batch`` the
-    states and outputs of the generic rollout; each row equals its batch
-    of one.  The drawn batches cross the 64-row block of the Jacobian
-    pass and the horizons its step chunks."""
+    per 64 rows or more) gives the arrays of the per-step sweep, one
+    one-step sweep per step, bit for bit, and its outputs are those of
+    the per-step rollout, one ``output_batch`` per step; each row equals
+    its batch of one.  The drawn batches cross the 64-row block of the
+    Jacobian pass and the horizons its step chunks."""
     rng = np.random.default_rng(seed)
     dims = NarxDims(p=p, m=m, nu=nu)
-    f = _interpolant(rng, dims.n + m, int(rng.integers(2, 80)), rng.uniform(0.2, 3.0), p, dims)
+    f = _interpolant(rng, dims, int(rng.integers(2, 80)), rng.uniform(0.2, 3.0))
     X = rng.uniform(-0.2, 1.2, size=(rows, dims.n))
     U = rng.uniform(-0.2, 1.2, size=(rows, horizon, m))
-    sweep, generic = f.sweep(X, U), NarxDynamics.sweep(f, X, U)
-    states, outputs = f.rollout_batch(X, U)
-    generic_states, generic_outputs = NarxDynamics.rollout_batch(f, X, U)
-    assert_array_equal(states, generic_states)
-    assert_array_equal(outputs, generic_outputs)
+    sweep, generic = f.sweep(X, U), stepwise_sweep(f, X, U)
+    outputs = stepwise_rollout(f, X, U)
     for name in ("outputs", "jac_x", "jac_u"):
         assert_array_equal(getattr(sweep, name), getattr(generic, name))
     assert_array_equal(sweep.outputs, outputs)
@@ -649,7 +642,7 @@ def test_kernel_sweep_and_rollout_equal_the_generic_per_step_paths(seed, p, m, n
         single = f.sweep(X[i : i + 1], U[i : i + 1])
         for name in ("outputs", "jac_x", "jac_u"):
             assert_array_equal(getattr(single, name)[0], getattr(sweep, name)[i])
-        assert_array_equal(f.rollout_batch(X[i : i + 1], U[i : i + 1])[0][0], states[i])
+        assert_array_equal(stepwise_rollout(f, X[i], U[i]), outputs[i])
 
 
 @given(
@@ -811,9 +804,10 @@ def _spy(name: str):
 def test_a_solve_evaluates_each_cost_by_one_sweep(seed, kind, p, m, nu, horizon, max_iters):
     """A solve makes one N-step forward sweep per start and per
     line-search trial, each gradient is a backward sweep over a kept
-    sweep, and nothing calls ``output_batch`` or ``rollout_batch``.  The
-    scalar descent makes one rollout per cost and one ``cost_gradient``
-    (an N-step sweep) per gradient, so its counts give the expected ones."""
+    sweep, and nothing calls ``output_batch``.  The scalar descent makes
+    one stepwise rollout (N ``output_batch`` calls) per cost and one
+    ``cost_gradient`` (an N-step sweep) per gradient, so its counts give
+    the expected ones."""
     rng = np.random.default_rng(seed)
     cfg = _random_problem(rng, p, m, nu, horizon)
     cfg = replace(cfg, solver=replace(cfg.solver, max_iters=max_iters))
@@ -825,11 +819,9 @@ def test_a_solve_evaluates_each_cost_by_one_sweep(seed, kind, p, m, nu, horizon,
     solver, f.calls = f.calls, Counter()
     _scalar_descent(f, x0, cfg, start)
     scalar = f.calls
-    assert solver["output_batch"] == solver["rollout_batch"] == 0
-    assert solver["sweep"] == scalar["rollout_batch"]
-    assert solver["linearize"] == horizon * solver["sweep"]
+    assert solver["output_batch"] == 0
+    assert horizon * solver["sweep"] == scalar["output_batch"]
     assert backward.call_count == scalar["sweep"]
-    assert horizon * backward.call_count == scalar["linearize"]
 
 
 @given(
@@ -922,6 +914,54 @@ def test_growth_bounds_are_prefix_costs_of_one_solve_per_state(
     assert_array_equal(growth.b_values, np.nanmax(growth.ratios, axis=0))
 
 
+@given(
+    seed=seeds,
+    kind=st.sampled_from(["function", "kernel", "plant"]),
+    p=st.integers(1, 2),
+    m=st.integers(1, 2),
+    nu=st.integers(1, 3),
+    horizon=st.integers(1, 6),
+    rows=st.integers(1, 5),
+)
+def test_solutions_carry_the_outputs_of_their_inputs(cfg, plant_view, seed, kind, p, m, nu, horizon, rows):
+    """``OcpSolution.outputs`` are the outputs of ``u_star`` bit for bit,
+    for each row of a batch and for that row as a batch of one: those of
+    the stepwise rollout for a :class:`FunctionDynamics` and the kernel,
+    and for the plant view those of its plain carried rollout, which the
+    stepwise rollout matches to 1e-9 from reachable states.  The growth
+    ratios are the cumulative stage costs of those outputs over
+    ``||x||^2``, bit for bit."""
+    rng = np.random.default_rng(seed)
+    if kind == "plant":
+        mpc_cfg = replace(bench.make_mpc_config(cfg), horizon=horizon, solver=SolverConfig(max_iters=25))
+        f = plant_view
+        X = sample_consistent_states(cfg, rows, seed % 2**16)
+    else:
+        mpc_cfg = _random_problem(rng, p, m, nu, horizon)
+        if kind == "function":
+            f = _random_dynamics(rng, mpc_cfg.dims, linear=False)
+        else:
+            f = _interpolant(rng, mpc_cfg.dims, int(rng.integers(2, 80)), rng.uniform(0.2, 3.0))
+        X = rng.uniform(-1.0, 1.0, size=(rows, mpc_cfg.dims.n))
+    sols = solve_ocp_batch(f, X, mpc_cfg)
+    U = np.stack([sol.u_star for sol in sols])
+    stepwise = stepwise_rollout(f, X, U)
+    if kind == "plant":
+        reference = f.norm.normalize_output(f._carry(X, U, dual=False)[0][..., None])
+        assert_allclose(stepwise, reference, rtol=0.0, atol=1e-9)
+    else:
+        reference = stepwise
+    for i, sol in enumerate(sols):
+        assert sol.outputs.shape == (horizon, mpc_cfg.dims.p)
+        assert_array_equal(sol.outputs, reference[i])
+        assert_array_equal(solve_ocp(f, X[i], mpc_cfg).outputs, reference[i])
+    norms_sq = np.einsum("ij,ij->i", X, X)
+    assume(np.all(norms_sq >= 1e-10))
+    growth = estimate_growth_bound(f, mpc_cfg, X, horizon)
+    costs = np.cumsum(stage_cost(reference, U, mpc_cfg.weights), axis=1) / norms_sq[:, None]
+    assert_array_equal(growth.ratios, costs)
+
+
 def _regular_plant_rows(cfg, X, U, margin=1e-4):
     """Rows of the plant view's rollouts from ``X`` (B, n) under ``U``
     (B, N, 1) that take no clamp and no substep: the bisection root lies
@@ -943,11 +983,12 @@ def _regular_plant_rows(cfg, X, U, margin=1e-4):
 
 @given(seed=seeds, rows=st.integers(1, 6), horizon=st.integers(1, 5), reachable=st.booleans())
 def test_plant_view_sweep_is_the_rollout_with_exact_jacobians(cfg, plant_view, seed, rows, horizon, reachable):
-    """The plant view's sweep gives the outputs of ``rollout_batch`` bit
-    for bit, each row is its batch of one, and on rows that take no clamp
-    and no substep every step's Jacobians match central differences
-    (step 1e-6) of the rollout's one-step outputs at that step's
-    regressor and input."""
+    """The plant view's sweep gives the outputs of its plain carried
+    rollout bit for bit, and from reachable states those of the stepwise
+    rollout, which reconstructs the hidden level at every step, to 1e-9;
+    each row is its batch of one, and on rows that take no clamp and no
+    substep every step's Jacobians match central differences (step 1e-6)
+    of the one-step outputs at that step's regressor and input."""
     dims = cfg.dims
     rng = np.random.default_rng(seed)
     if reachable:
@@ -957,8 +998,14 @@ def test_plant_view_sweep_is_the_rollout_with_exact_jacobians(cfg, plant_view, s
     box = cfg.input_box()
     U = rng.uniform(box.lo, box.hi, size=(rows, horizon, 1))
     sweep = plant_view.sweep(X, U)
-    states, outputs = plant_view.rollout_batch(X, U)
-    assert_array_equal(sweep.outputs, outputs)
+    carried = plant_view.norm.normalize_output(plant_view._carry(X, U, dual=False)[0][..., None])
+    assert_array_equal(sweep.outputs, carried)
+    if reachable:
+        assert_allclose(sweep.outputs, stepwise_rollout(plant_view, X, U), rtol=0.0, atol=1e-9)
+    states = np.empty((rows, horizon + 1, dims.n))
+    states[:, 0] = X
+    for k in range(horizon):
+        states[:, k + 1] = shift_state(states[:, k], sweep.outputs[:, k], U[:, k], dims)
     for i in range(rows):
         single = plant_view.sweep(X[i : i + 1], U[i : i + 1])
         assert_array_equal(single.outputs[0], sweep.outputs[i])

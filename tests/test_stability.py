@@ -328,11 +328,12 @@ class TestVerifyDecrease:
         data, _ = generate_dataset(small)
         spec = KernelSpec(input_dim=data.sites.shape[1], lengthscale=small.sigma)
         model = fit_interpolant(spec, data, jitter=small.jitter)
-        bad = FunctionDynamics(
-            small.dims,
-            lambda x, u: 10.0 * model.output(x, u),
-            jacobian_fn=lambda x, u: tuple(10.0 * J[0] for J in model.linearize(x[None], u[None])[1:]),
-        )
+
+        def jacobian_fn(x, u):
+            sweep = model.sweep(x[None], u[None, None])
+            return 10.0 * sweep.jac_x[0, 0], 10.0 * sweep.jac_u[0, 0]
+
+        bad = FunctionDynamics(small.dims, lambda x, u: 10.0 * model.output(x, u), jacobian_fn=jacobian_fn)
         _, stateful = plant_views(small)
         mpc_cfg = make_mpc_config(small)
         x0, _ = small.initial_condition()

@@ -14,7 +14,6 @@ from narxmpc import (
     BenchmarkConfig,
     DomainError,
     NarxDims,
-    NarxDynamics,
     TwoTankNarxDynamics,
     TwoTankParams,
     TwoTankPlant,
@@ -29,7 +28,7 @@ from narxmpc import (
 )
 from narxmpc import twotank
 from narxmpc.twotank import ScrambledHalton, _reachable_draws, _total_step
-from oracles import rk4_step, sample_domain, state_box
+from oracles import rk4_step, sample_domain, state_box, stepwise_rollout
 
 PARAMS = TwoTankParams()
 CFG = BenchmarkConfig()
@@ -257,23 +256,20 @@ class TestNarxView:
         with pytest.raises(DomainError, match="negative measured level"):
             plant_view.output_batch(X, U)
         with pytest.raises(DomainError, match="negative measured level"):
-            plant_view.rollout_batch(X, np.zeros((4, 3, 1)))
-        with pytest.raises(DomainError, match="negative measured level"):
             plant_view.sweep(X, np.zeros((4, 3, 1)))
         with pytest.raises(DomainError, match="negative measured level"):
             plant_view.output(X[2], U[2])
 
-    def test_rollout_batch_matches_stepwise(self, cfg, plant_view):
+    def test_sweep_matches_stepwise_rollout(self, cfg, plant_view):
+        """The sweep carries the hidden level; the stepwise rollout
+        reconstructs it at every step from the regressor."""
         X0 = sample_consistent_states(cfg, 3, seed=33)
         rng = np.random.default_rng(34)
         U_raw = rng.uniform(cfg.u_lo, cfg.u_hi, size=(3, 5, 1))
         U = cfg.normalization().normalize_input(U_raw)
-        states, outputs = plant_view.rollout_batch(X0, U)
+        outputs = plant_view.sweep(X0, U).outputs
         for i in range(3):
-            s_i, y_i = NarxDynamics.rollout_batch(plant_view, X0[i : i + 1], U[i : i + 1])
-            s_i, y_i = s_i[0], y_i[0]
-            assert_allclose(outputs[i], y_i, rtol=0.0, atol=1e-9)
-            assert_allclose(states[i], s_i, rtol=0.0, atol=1e-9)
+            assert_allclose(outputs[i], stepwise_rollout(plant_view, X0[i], U[i]), rtol=0.0, atol=1e-9)
 
 
 class TestConfig:
