@@ -26,14 +26,19 @@ evaluations: ``output_batch``, one step of values, and ``sweep``, N
 steps of values with every step's Jacobians.  Both come from two
 private routines on rows of sites: a value pass (distances, Wendland
 terms, profile and coefficient product, optionally keeping the
-``(1 - r)^4`` that the slope weights ``phi'(r)/(r sigma^2)`` are made
-of) and a Jacobian pass (slope weights, site differences and the
-weighted product).  The sweep runs the value pass step by step, since
-each step's output is the next step's site, and the Jacobian pass over
-the rows of several steps at once.  The value pass works in blocks of
-``_BLOCK`` rows; the Jacobian pass takes its rows in blocks of
-``_JACOBIAN_BYTES`` of site differences, a few rows at D=2501, so that
-they stay in cache until their product.
+``f = (1 - r)^4`` of each site) and a Jacobian pass.  Since
+``phi'(r) / r = -(1 - r)^4 / sigma^2`` (Wendland, *Scattered Data
+Approximation*, CUP 2005, ch. 9), the Jacobian of
+``F(xi) = sum_i c_i phi(||xi - s_i|| / sigma)`` expands to
+
+    J(xi) = (1 / sigma^2) [ sum_i f_i c_i s_i^T - (sum_i f_i c_i) xi^T ],
+
+so the Jacobian pass is one product of the kept ``f`` with the
+coefficient-weighted sites ``[C * S | C]^T / sigma^2``, which the model
+forms once, and a rank-one correction; no site differences are formed.
+The sweep runs the value pass step by step, since each step's output is
+the next step's site, and the Jacobian pass over the rows of several
+steps at once.  The value pass works in blocks of ``_BLOCK`` rows.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ def _wendland_terms(r: np.ndarray, fourth: np.ndarray | None = None) -> tuple[np
 def _profile(clipped: np.ndarray, one_minus: np.ndarray, fourth: np.ndarray) -> np.ndarray:
     """:func:`wendland_phi` from the terms of :func:`_wendland_terms`,
     written into ``one_minus``; ``clipped`` is overwritten as scratch, and
-    ``fourth`` is kept for the slope weights."""
+    ``fourth`` is kept for the Jacobian pass."""
     phi = np.multiply(fourth, one_minus, out=one_minus)
     # The factor 5 r + 1 uses min(r, 1), which leaves it unchanged where
     # the profile is nonzero and keeps it finite (so 0 * inf never arises).
@@ -127,17 +132,11 @@ class KernelSpec:
 
 
 #: Rows per block of the Gram build, the products with the stored Gram
-#: matrix, kernel rows and nearest-site distances, and the most rows of a
-#: block of Jacobian site differences.  A multiple of 64, so that with one
-#: right-hand column BLAS gemv gives each block of a Gram product the bits
-#: of the dense product.
+#: matrix, kernel rows and nearest-site distances, and the rows a sweep
+#: keeps before its next Jacobian pass.  A multiple of 64, so that with
+#: one right-hand column BLAS gemv gives each block of a Gram product the
+#: bits of the dense product.
 _BLOCK = 64
-
-#: Bytes of site differences per block of the Jacobian pass, which stays
-#: in a core's L2 cache: ``8 D (n + m)`` bytes a row, so 3 rows at D=2501
-#: and n + m = 4.  Each row is its own product, so its bits do not depend
-#: on the block.
-_JACOBIAN_BYTES = 1 << 18
 
 
 def _kernel_terms(
@@ -333,12 +332,13 @@ class KernelInterpolant(NarxDynamics):
     The interpolant is the surrogate NARX dynamics itself: a site is a
     regressor-input pair ``xi = [x; u]``, so :meth:`output_batch`
     evaluates it on rows of ``x`` and ``u``.  Its :meth:`sweep` runs in
-    two passes: a value pass per step, which keeps the factors of that
-    step's slope weights and writes the next sites, and a Jacobian pass
-    over every kept row whenever 64 or more rows are kept, and once at
-    the end, in cache-sized blocks of rows.  Values and Jacobians both
-    come from the same two private routines, :meth:`_values` and
-    :meth:`_jacobians`.
+    two passes: a value pass per step, which keeps that step's
+    ``(1 - r)^4`` and writes the next sites, and a Jacobian pass over
+    every kept row whenever 64 or more rows are kept, and once at the
+    end: one product with the coefficient-weighted sites
+    :attr:`_weighted_sites` and a rank-one correction (see the module
+    docstring).  Values and Jacobians both come from the same two
+    private routines, :meth:`_values` and :meth:`_jacobians`.
 
     Fitted by :func:`fit_interpolant`, which leaves the Gram matrix and
     its Cholesky factor in the one D x D array ``store``: the factor in
@@ -400,43 +400,38 @@ class KernelInterpolant(NarxDynamics):
             del phi  # before the next block's rows are built
         return values
 
+    @cached_property
+    def _weighted_sites(self) -> np.ndarray:
+        """``[C * S | C]^T / sigma^2``, C-ordered (p (n + m) + p, D): row
+        ``j (n + m) + k`` holds ``c_ij s_ik / sigma^2`` over the sites
+        ``i``, and row ``p (n + m) + j`` holds ``c_ij / sigma^2``."""
+        sites, coefficients = self.data.sites, self.coefficients
+        weighted = coefficients[:, :, None] * sites[:, None, :]
+        stacked = np.concatenate([weighted.reshape(sites.shape[0], -1), coefficients], axis=1)
+        return np.ascontiguousarray(stacked.T / self.spec.lengthscale**2)
+
     def _jacobians(self, Xi: np.ndarray, fourth: np.ndarray) -> np.ndarray:
         """Jacobians (M, p, n + m) at the site rows ``Xi`` (M, n + m) from
-        the ``(1 - r)^4`` (M, D) that :meth:`_values` kept, which are
-        overwritten by the slope weights.
+        the ``f = (1 - r)^4`` (M, D) that :meth:`_values` kept.
 
-        Each row is ``-(C * w)^T (sites - xi)`` with the slope weights
-        ``w = phi'(r)/(r sigma^2) = -(1 - r)^4 / sigma^2``, so a Jacobian
-        is exact (zero radial contribution) where ``xi`` coincides with a
-        site.  The division by ``-(sigma^2)`` and the final negation are
-        two steps, not one: folded, they would flip the sign of the zero
-        Jacobians of rows outside every site's support.
-
-        Rows go in blocks of ``_JACOBIAN_BYTES`` of site differences (3
-        rows at D=2501 and ``_BLOCK`` at D=101 for n + m = 4), which stay
-        in cache between their subtraction and their product.  The differences come from
-        contiguous copies of each row: the broadcast
-        ``sites - xi[:, None, :]`` loops over the n + m coordinates of one
-        site at a time, the pass's largest single cost at D=2501.  The
-        weights keep the (D, p) layout of ``C * w``, whose transpose the
-        product reads: the (p, D) C-ordered layout would move a p=2
-        product to another BLAS kernel and its last bits.  Each row is its
-        own product, written in place, so it equals its batch of one at
-        any block size.
+        Each row is ``A - b xi^T`` with ``[A | b] = [C * S | C]^T f / sigma^2``
+        (the module docstring's expansion): one product of the weighted
+        sites with ``f``, stacked over the rows so that each row is its
+        own BLAS gemv and equals its batch of one bit for bit (one 2-D
+        gemm over all rows would not promise that), then the rank-one
+        correction in place.  Rows outside every site's support have
+        ``f = 0`` and Jacobians exactly zero.  Each entry is within the
+        dot-product forward-error bound ``gamma_{D+4} sum_i |c_i| f_i
+        (|s_i| + |xi|) / sigma^2`` of the exact sum for these ``f``, with
+        ``gamma_k = k u / (1 - k u)``: three roundings in each weight, D
+        in the product, one each in the correction's product and
+        difference.
         """
-        sites = self.data.sites
-        size, width = sites.shape
-        slopes = np.divide(fourth, -(self.spec.lengthscale**2), out=fourth)
-        jac = np.empty((Xi.shape[0], self.coefficients.shape[1], width))
-        block = max(1, min(_BLOCK, _JACOBIAN_BYTES // (8 * size * width)))
-        for a in range(0, Xi.shape[0], block):
-            rows = Xi[a : a + block]
-            diffs = rows.repeat(size, axis=0).reshape(rows.shape[0], size, width)
-            np.subtract(sites, diffs, out=diffs)
-            weighted = self.coefficients * slopes[a : a + block, :, None]
-            np.matmul(weighted.transpose(0, 2, 1), diffs, out=jac[a : a + block])
-            del diffs, weighted  # before the next block's are built
-        return np.negative(jac, out=jac)
+        p, width = self.coefficients.shape[1], Xi.shape[1]
+        sums = np.matmul(self._weighted_sites, fourth[:, :, None])[..., 0]
+        jac = sums[:, : p * width].reshape(-1, p, width)
+        jac -= sums[:, p * width :, None] * Xi[:, None, :]
+        return jac
 
     def output_batch(self, X: np.ndarray, U: np.ndarray) -> np.ndarray:
         """Interpolant values (B, p) at the sites ``[X, U]``; each row
@@ -450,7 +445,8 @@ class KernelInterpolant(NarxDynamics):
         from the regressors ``X0`` (B, n): one value pass per step and one
         Jacobian pass per ``_BLOCK`` rows or more.  Each step's outputs
         are those of :meth:`output_batch` at its sites, and each row
-        equals its batch of one.
+        equals its batch of one, its Jacobians too, since both passes
+        take every row on its own.
 
         The sites (N + 1, B, n + m) are laid out step-major.  The
         regressor shift only copies history blocks (as

@@ -11,12 +11,13 @@ decrease below the cost's rounding level.  The solver asks one thing of
 a model, its N-step :meth:`~narxmpc.narx.NarxDynamics.sweep`, which
 yields the outputs and their per-step Jacobians together (the kernel
 surrogate computes the values step by step and the Jacobians of many
-steps in one batched pass).  Each cost is the forward half of an
-adjoint sweep; the sweep of an accepted iterate is kept, and its
-gradient is the backward half alone, :func:`backward_sweep` through the
-regressor shift structure, whose loop carries only the adjoint
-recursion and whose input gradients are formed after it in one stacked
-product.  A solution returns the outputs of its kept sweep as
+steps in one batched pass: one product of the kept ``(1 - r)^4`` with
+its coefficient-weighted sites, then a rank-one correction).  Each cost
+is the forward half of an adjoint sweep; the sweep of an accepted
+iterate is kept, and its gradient is the backward half alone,
+:func:`backward_sweep` through the regressor shift structure, whose
+loop carries only the adjoint recursion and whose input gradients are
+formed after it in one stacked product.  A solution returns the outputs of its kept sweep as
 :attr:`OcpSolution.outputs`, so no caller rolls its inputs out again.
 Many problems are solved in lockstep, each row with its own BFGS
 matrix, line search and stopping tests, and every row reproduces its

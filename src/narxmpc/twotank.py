@@ -87,7 +87,8 @@ def two_tank_rhs(h1, h2, u, params: TwoTankParams, dual: bool = False):
     With ``dual`` the last axis of every argument holds a value and then
     its tangents (dual numbers), and the results keep that layout with
     the values of the plain call.  The tangent of ``sqrt(z)`` is zero
-    where ``dz`` is, and ``dz / (2 sqrt(z))`` otherwise.
+    where ``dz`` is and where rounding noise below zero is clipped, and
+    ``dz / (2 sqrt(z))`` otherwise.
     """
     h1 = np.asarray(h1, dtype=float)
     gap = np.asarray(h2, dtype=float) - h1
@@ -98,14 +99,15 @@ def two_tank_rhs(h1, h2, u, params: TwoTankParams, dual: bool = False):
 
 def _root(z, dual: bool):
     """``sqrt(z)``, rounding noise below zero clipped and NaN beyond it;
-    with ``dual``, of the values ``z[..., :1]`` with tangents carried."""
+    with ``dual``, of the values ``z[..., :1]`` with tangents carried.
+    A clipped value's tangent is that of the clipped function, zero."""
     value = z[..., :1] if dual else z
     root = np.sqrt(np.where(value >= _ROUNDING_GUARD, np.maximum(value, 0.0), np.nan))
     if not dual:
         return root
     tangent = z[..., 1:]
     with np.errstate(divide="ignore", invalid="ignore"):
-        slope = np.where(tangent == 0.0, 0.0, tangent / (2.0 * root))
+        slope = np.where((tangent == 0.0) | (value < 0.0), 0.0, tangent / (2.0 * root))
     return np.concatenate([root, slope], axis=-1)
 
 

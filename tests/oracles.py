@@ -184,21 +184,34 @@ def wendland_reference(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return fourth * one_minus * (np.minimum(r, 1.0) * 5.0 + 1.0) / 30.0, fourth
 
 
-def kernel_jacobian_reference(model, Xi: np.ndarray) -> np.ndarray:
-    """Jacobian (B, p, n + m) of a kernel interpolant at site rows ``Xi``,
-    from the broadcast differences ``sites - xi``.
+def kernel_jacobian_reference(model, Xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobian (B, p, n + m) of a kernel interpolant at site rows ``Xi``
+    in ``np.longdouble``, from the difference form
+    ``sum_i f_i c_i (s_i - xi)^T / sigma^2``, and the forward-error bound
+    (B, p, n + m) that the package's expanded form
+    ``[sum_i f_i c_i s_i^T - (sum_i f_i c_i) xi^T] / sigma^2`` must keep to.
 
-    ``-(C * w)^T (sites - xi)`` with ``w = phi'(r) / (r sigma^2)``, the
-    formula :meth:`~narxmpc.kernels.KernelInterpolant.sweep` evaluates
-    from differences it builds another way; both must give the same bits.
+    The ``f_i = (1 - r_i)^4`` are the doubles of the package's value pass
+    (the bits of :func:`wendland_reference`), so the bound covers the
+    rounding of the Jacobian pass alone: ``gamma_{D+4} sum_i |c_i| f_i
+    (|s_i| + |xi|) / sigma^2`` with ``gamma_k = k u / (1 - k u)`` and
+    ``u = 2^-53`` (three roundings in each weight ``c_i s_i / sigma^2``,
+    D in the dot product, one each in the correction ``- b xi^T``).  The
+    reference's own rounding, at the longdouble unit, is far below it.
     """
     Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
+    sites, coefficients = model.data.sites, model.coefficients
     sigma = model.spec.lengthscale
-    r = cdist(Xi, model.data.sites) / sigma
-    square = np.maximum(1.0 - r, 0.0) ** 2
-    w = square * square / -(sigma**2)
-    diffs = model.data.sites - Xi[:, None, :]
-    return -np.matmul((model.coefficients * w[:, :, None]).transpose(0, 2, 1), diffs)
+    _, fourth = wendland_reference(cdist(Xi, sites) / sigma)
+    wide = np.longdouble
+    diffs = sites.astype(wide) - Xi.astype(wide)[:, None, :]
+    reference = np.einsum("bi,ij,bik->bjk", fourth.astype(wide), coefficients.astype(wide), diffs)
+    reference /= wide(sigma) ** 2
+    k = sites.shape[0] + 4
+    gamma = k * 2.0**-53 / (1.0 - k * 2.0**-53)
+    magnitude = np.abs(sites)[None] + np.abs(Xi)[:, None, :]
+    bound = gamma * np.einsum("bi,ij,bik->bjk", fourth, np.abs(coefficients), magnitude) / sigma**2
+    return reference, bound
 
 
 def rk4_step(rhs, state, u, dt: float) -> np.ndarray:

@@ -34,22 +34,22 @@ ROOT = Path(__file__).resolve().parents[1]
 #: The reference episode at one BLAS thread: solver iterations over its
 #: 101 solves (100 steps and the terminal diagnostic) and its alpha.
 REFERENCE_ITERATIONS = 264
-REFERENCE_ALPHA = 0.20961735363353273
+REFERENCE_ALPHA = 0.20961735363486134
 
 #: SHA-256 of every file that ``narxmpc benchmark --only-D 101`` writes
 #: besides ``manifest.json``.
 REFERENCE_BUNDLE_D101 = {
-    "comparison.csv": "bb50a5040468642f024e0aa38d49bda8acc72576178f0444e9c5c8a887db054a",
+    "comparison.csv": "e0bc4ca5f9429deb954b3162a0f7de9dd5946518cf6a880bf430551c03d27e6e",
     "dataset_D101.csv": "8ed3f9e93f4c29608f5a5ee485abc8cea5d12761e14a1456a58c6db5dbcf099a",
     "dataset_D101.csv.meta": "75c1c0e1b11cb853a61694e6ef343c9479e8c1709e91965ae5c968fbe1fca901",
     "fit_report_D101.txt": "27748e7947f1a7ae5cdc353c76fdf69cc8330be7b69aead6e324cc6a0b2684c5",
     "model_D101.csv": "1f5c933c6ab34184b69f9c40f1c1e470536f96051b3acffd59c8eb34e0d968e5",
     "model_D101.csv.meta": "f58ef68267d30742276b29e74628963ac5bd0aea68bc70cf813eb35751b1f648",
-    "stability_report_D101.txt": "5b9991a240145ac3565953c763f0b991656dad25acf2338e46cd45ac2d59a97a",
-    "stability_steps_D101.csv": "ff3c623b57e0dd740e92836e70f2a63f55c7c7f4cb3b64b8f2fec764839d5601",
-    "trace_norm_D101.csv": "ad1fb82bcf22aafa994a6494176732b84386b03915b09ea672d92816ba2932fb",
+    "stability_report_D101.txt": "cb958de5a2ced5de686707f36c988c11e5d69ef1d7acbab2c7692f8def0c453d",
+    "stability_steps_D101.csv": "05f994f718e79d9987386f265c6dbff050db7371f78e875d37888bf2948d27bb",
+    "trace_norm_D101.csv": "5f7ec0b4bec945e59fc20fbc897dc26de3d8f2f95c771e7decb5006174b0c41b",
     "trace_norm_D101.csv.meta": "f8357d4271ece66e7da03a759f72f97f1c0bf60267110982828391086095a9de",
-    "trace_raw_D101.csv": "7a075b0704d7a00dbd56a2c3655c66d0dc2c117de38cbd501fdedf13e3a9a1d6",
+    "trace_raw_D101.csv": "19de155f007b9c3e012d01e418d95cdeeef41cbc52fe0d6b8b071cfca313bc98",
     "trace_raw_D101.csv.meta": "00b2ff1aaaaccfeb49feed384ba844afd1ea69a34b66841408954056792cba07",
 }
 

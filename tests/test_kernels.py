@@ -300,12 +300,11 @@ class TestMemory:
         assert predict_peak < 3e6
 
     def test_sweep_temporaries_stay_small(self, cfg, model_1001):
-        """A sweep keeps slope weights only until 64 rows have built up,
-        and the Jacobian pass forms its site differences in blocks of
-        256 KiB, so 50 rows over 20 steps peak at about 1.7 MB: two steps'
-        weights (0.8 MB) and one step's value temporaries (0.8 MB), where
-        all twenty steps' weights would take 8 MB and one 64-row block of
-        differences 2 MB."""
+        """A sweep keeps each row's ``(1 - r)^4`` only until 64 rows have
+        built up, and the Jacobian pass adds only its sums, a few numbers a
+        row, so 50 rows over 20 steps peak at about 1.7 MB: two steps' kept
+        factors (0.8 MB) and one step's value temporaries (0.8 MB), where
+        all twenty steps' factors would take 8 MB."""
         dims = model_1001.dims
         rng = np.random.default_rng(cfg.seed)
         X0 = rng.uniform(-1.0, 1.0, size=(50, dims.n))

@@ -42,7 +42,7 @@ from narxmpc import (
     two_tank_step,
     wendland_phi,
 )
-from narxmpc import bench, kernels, mpc, stability, twotank
+from narxmpc import bench, mpc, stability, twotank
 from narxmpc.kernels import KernelFitError, _gram_product, _profile, _wendland_terms, fit_interpolant
 from narxmpc.mpc import ACTIVE_WIDTH, NOISE_FLOOR, backward_sweep
 from narxmpc.narx import Sweep
@@ -535,31 +535,33 @@ def test_wendland_terms_equal_the_clamped_reference(radii):
     dims=site_dims,
     lengthscale=st.one_of(st.just(1.0), st.floats(0.2, 3.0)),
 )
-def test_jacobian_blocks_leave_the_bits_unchanged(seed, rows, dims, lengthscale):
-    """The Jacobian pass takes its rows in blocks of at most
-    ``_JACOBIAN_BYTES`` of site differences, and each row is its own
-    product: blocks of 1, 2 and 3 rows give the arrays of the default
-    blocks (64 rows here) bit for bit, and those of the reference formula,
-    also for rows outside every site's support, whose Jacobians are
-    signed zeros, and at the unit lengthscale, whose radii skip the
-    division."""
+def test_kernel_jacobians_are_within_the_dot_product_error_bound(seed, rows, dims, lengthscale):
+    """The Jacobians of the one-step sweep, formed as ``A - b xi^T`` from
+    the coefficient-weighted sites, agree with the longdouble
+    difference-form reference within the dot-product forward-error bound
+    of :func:`~oracles.kernel_jacobian_reference`: at rows on a site,
+    where the difference form has an exact zero term, at rows inside
+    some site's support, and at rows outside every support, where the
+    bound is zero and the Jacobians are exact zeros; at the unit
+    lengthscale too, whose radii skip the division."""
     rng = np.random.default_rng(seed)
-    model = _interpolant(rng, dims, int(rng.integers(2, 80)), lengthscale)
+    size = int(rng.integers(2, 80))
+    model = _interpolant(rng, dims, size, lengthscale)
     Xi = rng.uniform(-0.2, 1.2, size=(rows, dims.n + dims.m))
-    Xi[::3] += 4.0
-    default = one_step_sweep(model, Xi)[1]
-    assert default.tobytes() == kernel_jacobian_reference(model, Xi).tobytes()
-    for block in (1, 2, 3):
-        with patch.object(kernels, "_JACOBIAN_BYTES", block * 8 * model.data.sites.size):
-            assert one_step_sweep(model, Xi)[1].tobytes() == default.tobytes()
+    Xi[1::3] = model.data.sites[rng.integers(size, size=len(Xi[1::3]))]
+    # Every coordinate at least 0.8 + sigma past the unit cube of the sites.
+    Xi[2::3] += 1.0 + lengthscale
+    jac = one_step_sweep(model, Xi)[1]
+    reference, bound = kernel_jacobian_reference(model, Xi)
+    assert np.all(np.abs(jac - reference) <= bound)
+    assert np.all(jac[2::3] == 0.0) and np.all(bound[2::3] == 0.0)
 
 
 @given(seed=seeds, rows=st.sampled_from([1, 2, 7, 50, 65, 129]), dims=site_dims)
 def test_batched_kernel_rows_equal_single_rows(seed, rows, dims):
     """``output_batch`` and the one-step sweep give each row the bits of
-    its own call, also for batches longer than one block of kernel rows,
-    and the Jacobians are those of the broadcast reference formula bit
-    for bit."""
+    its own call, values and Jacobians alike, also for batches longer
+    than one block of kernel rows."""
     rng = np.random.default_rng(seed)
     model = _interpolant(rng, dims, int(rng.integers(2, 80)), rng.uniform(0.2, 3.0))
     input_dim, p = dims.n + dims.m, dims.p
@@ -568,7 +570,6 @@ def test_batched_kernel_rows_equal_single_rows(seed, rows, dims):
     sweep_values, jacobians = one_step_sweep(model, Xi)
     assert sweep_values.shape == (rows, p) and jacobians.shape == (rows, p, input_dim)
     assert_array_equal(sweep_values, values)
-    assert_array_equal(jacobians, kernel_jacobian_reference(model, Xi))
     for i in range(rows):
         assert_array_equal(values[i], _split(model, Xi[i : i + 1])[0])
         value, jac = one_step_sweep(model, Xi[i : i + 1])
@@ -962,26 +963,43 @@ def test_solutions_carry_the_outputs_of_their_inputs(cfg, plant_view, seed, kind
     assert_array_equal(growth.ratios, costs)
 
 
+def _smooth_tank_step(h1, h2, u, params, margin):
+    """Whether every stage point of the Runge-Kutta step from the levels
+    ``(h1, h2)`` under ``u`` has both levels and their gap above
+    ``margin`` (m), so that no square root there meets its clip at zero."""
+    smooth = np.ones(np.shape(h1), dtype=bool)
+    d1 = d2 = 0.0
+    for frac in (0.0, 0.5, 0.5, 1.0):
+        s1, s2 = h1 + frac * params.dt * d1, h2 + frac * params.dt * d2
+        smooth &= (s1 > margin) & (s2 - s1 > margin)
+        d1, d2 = two_tank_rhs(s1, s2, u, params)
+    return smooth
+
+
 def _regular_plant_rows(cfg, X, U, margin=1e-4):
     """Rows of the plant view's rollouts from ``X`` (B, n) under ``U``
-    (B, N, 1) that take no clamp and no substep: the bisection root lies
-    inside its bracket, and at the root and at every step a single
-    Runge-Kutta step is finite, with both levels and their gap above
-    ``margin`` (m).  Central differences there see one smooth branch."""
+    (B, N, 1) that take no clamp and no substep: the bisection root of
+    every step's regressor lies inside its bracket (the root of a later
+    step's regressor is the carried upper level), and at the root and at
+    every step a single Runge-Kutta step is finite, with both levels and
+    their gap above ``margin`` (m) at each of its stage points.  Central
+    differences there see one smooth branch."""
     params, norm = cfg.params, cfg.normalization()
+    top = twotank.HIDDEN_LEVEL_MAX - margin
     raw = norm.denormalize_state(X, cfg.dims)
     y_cur, y_prev, u_prev = raw[:, 0], raw[:, 1], raw[:, cfg.dims.nu]
     head = twotank._previous_upper_level(y_prev, y_cur, u_prev, params)
-    regular = (y_prev > margin) & (head - y_prev > margin) & (head < twotank.HIDDEN_LEVEL_MAX - margin)
+    regular = _smooth_tank_step(y_prev, head, u_prev, params, margin) & (head < top)
     _, h2 = two_tank_step(y_prev, head, u_prev, params)
     h1 = y_cur
     for u in norm.denormalize_input(U)[..., 0].T:
-        regular &= (h1 > margin) & (h2 - h1 > margin)
+        regular &= _smooth_tank_step(h1, h2, u, params, margin) & (h2 < top)
         h1, h2 = two_tank_step(h1, h2, u, params)
     return regular & np.isfinite(h1) & np.isfinite(h2)
 
 
 @given(seed=seeds, rows=st.integers(1, 6), horizon=st.integers(1, 5), reachable=st.booleans())
+@example(seed=0, rows=5, horizon=1, reachable=False)
 def test_plant_view_sweep_is_the_rollout_with_exact_jacobians(cfg, plant_view, seed, rows, horizon, reachable):
     """The plant view's sweep gives the outputs of its plain carried
     rollout bit for bit, and from reachable states those of the stepwise
