@@ -18,7 +18,6 @@ from .kernels import (
     KernelInterpolant,
     KernelSpec,
     estimate_error_constants,
-    estimate_lipschitz,
     fill_distance,
     fit_interpolant,
     kernel_matrix,

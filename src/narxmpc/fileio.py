@@ -372,7 +372,6 @@ def save_stability_report(report, path_txt, path_csv=None) -> None:
         entries["horizon_sufficient"] = report.horizon_sufficient
         entries["b_values"] = report.b_values
         entries["growth_failures"] = report.growth_failures
-        entries["sandwich_max_excess"] = report.sandwich_max_excess
     if report.capped_solves is not None:
         entries["capped_solves"] = report.capped_solves
     write_keyvalues(path_txt, entries)

@@ -192,13 +192,17 @@ DEADBAND = 1e-5
 class StabilityReport:
     """Certificate summary for one closed-loop trace.
 
-    ``alpha`` is the largest uniform decrease coefficient observed, and
-    the decay fit is a least-squares line through the log state errors over the
+    ``verdict`` is the outcome of the decrease check, ``alpha`` the
+    largest uniform decrease coefficient observed and ``first_violation``
+    the first checked step at which ``Y`` does not decrease.  The decay
+    fit is a least-squares line through the log state errors over the
     initial transient.  ``values`` are the optimal values V of the trace
-    as the solver returned them, and ``lyapunov`` is ``V + W``.
-    Growth-bound fields are filled when an estimate is supplied.
-    ``horizon_sufficient`` (``horizon > min_horizon_value``) is a
-    condition on the model's sampled growth bound, not a plant guarantee.
+    as the solver returned them, and ``lyapunov`` is ``V + W``.  The
+    growth-bound fields ``gamma_bar``, ``min_horizon_value``,
+    ``horizon_sufficient``, ``b_values`` and ``growth_failures`` are
+    filled when an estimate is supplied.  ``horizon_sufficient``
+    (``horizon > min_horizon_value``) is a condition on the model's
+    sampled growth bound, not a plant guarantee.
     ``capped_solves`` counts the certificate inputs that came from solves
     stopped at the iteration cap without converging: those of the trace
     plus the growth grid's.  It is filled when the cap is supplied.
@@ -228,7 +232,6 @@ class StabilityReport:
     horizon_sufficient: bool | None = None
     b_values: np.ndarray | None = None
     growth_failures: int | None = None
-    sandwich_max_excess: float | None = None
     capped_solves: int | None = None
 
     @property
@@ -290,12 +293,10 @@ def verify_decrease(
     ``ValueError``.
 
     When a growth-bound estimate is given, the report also carries the
-    envelope constant, the minimal-horizon formula value (with
-    ``horizon_sufficient``, which speaks of the model, not the plant) and
-    a sampled check of the storage sandwich ``W <= V + W <= (gamma + 1)
-    W`` on the estimation grid.  With the solver's iteration cap
-    ``max_iters``, the report counts the capped solves of the trace and
-    of the grid.
+    envelope constant and the minimal-horizon formula value (with
+    ``horizon_sufficient``, which speaks of the model, not the plant).
+    With the solver's iteration cap ``max_iters``, the report counts the
+    capped solves of the trace and of the grid.
     """
     require_applied_step(trace)
     states = trace.states
@@ -361,13 +362,6 @@ def verify_decrease(
         else:
             report.min_horizon_value = 1.0
         report.horizon_sufficient = trace.horizon > report.min_horizon_value
-        grid_norms_sq = np.einsum("ij,ij->i", growth.states, growth.states)
-        grid_w = storage_value(growth.states, storage)
-        with np.errstate(invalid="ignore"):
-            grid_v = growth.ratios[:, -1] * grid_norms_sq
-        finite = np.isfinite(grid_v)
-        excess = (grid_v[finite] + grid_w[finite]) - (gb + 1.0) * grid_w[finite]
-        report.sandwich_max_excess = float(np.max(excess)) if excess.size else math.nan
     if max_iters is not None:
         report.capped_solves = count_capped(trace.iterations, trace.converged, max_iters) + (
             0 if growth is None else growth.capped

@@ -42,10 +42,10 @@ REFERENCE_BUNDLE_D101 = {
     "comparison.csv": "e0bc4ca5f9429deb954b3162a0f7de9dd5946518cf6a880bf430551c03d27e6e",
     "dataset_D101.csv": "8ed3f9e93f4c29608f5a5ee485abc8cea5d12761e14a1456a58c6db5dbcf099a",
     "dataset_D101.csv.meta": "75c1c0e1b11cb853a61694e6ef343c9479e8c1709e91965ae5c968fbe1fca901",
-    "fit_report_D101.txt": "27748e7947f1a7ae5cdc353c76fdf69cc8330be7b69aead6e324cc6a0b2684c5",
+    "fit_report_D101.txt": "e470858226c656812c04c75c29ae81d547c4cf5a2d91e45bf6e814554151a3b0",
     "model_D101.csv": "1f5c933c6ab34184b69f9c40f1c1e470536f96051b3acffd59c8eb34e0d968e5",
     "model_D101.csv.meta": "f58ef68267d30742276b29e74628963ac5bd0aea68bc70cf813eb35751b1f648",
-    "stability_report_D101.txt": "cb958de5a2ced5de686707f36c988c11e5d69ef1d7acbab2c7692f8def0c453d",
+    "stability_report_D101.txt": "7b82e64e948fcbbc00e6bc68e2b118c0ec2caf353f03f9bccc92c944be4825fd",
     "stability_steps_D101.csv": "05f994f718e79d9987386f265c6dbff050db7371f78e875d37888bf2948d27bb",
     "trace_norm_D101.csv": "5f7ec0b4bec945e59fc20fbc897dc26de3d8f2f95c771e7decb5006174b0c41b",
     "trace_norm_D101.csv.meta": "f8357d4271ece66e7da03a759f72f97f1c0bf60267110982828391086095a9de",

@@ -759,6 +759,24 @@ class TestBenchmark:
         assert "error: dataset size 21 is given more than once" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--b-horizon", "0"], "b_horizon must be at least 1, got 0"),
+            (["--b-states", "0"], "b_states must be at least 1, got 0"),
+            (["--only-D", "101", "0"], "dataset size 0 is below 1"),
+        ],
+    )
+    def test_invalid_sizes_fail_before_the_first_arm(self, tmp_path, capsys, monkeypatch, flags, message):
+        def generate_must_not_run(*args, **kwargs):
+            raise AssertionError("an arm ran before the sizes were checked")
+
+        monkeypatch.setattr(narxmpc.bench, "generate_dataset", generate_must_not_run)
+        out = tmp_path / "bundle"
+        assert main(["benchmark", *flags, "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_steps_is_an_error(self, tmp_path, capsys):
         config = tmp_path / "cfg.txt"
         config.write_text("steps = 0\n")

@@ -18,7 +18,6 @@ from narxmpc import (
     KernelSpec,
     NarxDims,
     estimate_error_constants,
-    estimate_lipschitz,
     fill_distance,
     fit_interpolant,
     generate_dataset,
@@ -454,7 +453,9 @@ class TestErrorConstants:
         constants = estimate_error_constants(truth, model, X, U)
         assert constants.c_x == pytest.approx(0.01, rel=1e-9)
         assert constants.c_u == 0.0
-        assert constants.max_ratio <= 1.0 + 1e-9
+        x_norm, u_norm = np.linalg.norm(X, axis=1), np.linalg.norm(U, axis=1)
+        residual = np.linalg.norm(truth.output_batch(X, U) - model.output_batch(X, U), axis=1)
+        assert np.all(residual <= constants.bound(x_norm, u_norm) + 1e-12)
 
     def test_input_proportional_bias_recovered(self):
         dims = _scalar_dims()
@@ -495,30 +496,3 @@ class TestErrorConstants:
         assert not outcome["flagged"]
         assert outcome["max_ratio"] <= 2.0
 
-
-class TestLipschitz:
-    def test_constant_map(self):
-        dims = _scalar_dims()
-        f = FunctionDynamics(dims, lambda x, u: np.array([0.3]))
-        rng = np.random.default_rng(21)
-        Xi_a = rng.uniform(-1.0, 1.0, size=(50, 2))
-        Xi_b = rng.uniform(-1.0, 1.0, size=(50, 2))
-        assert estimate_lipschitz(f, Xi_a, Xi_b) == 0.0
-
-    def test_linear_map_slope_attained(self):
-        dims = _scalar_dims()
-        f = FunctionDynamics(dims, lambda x, u: np.array([2.0 * x[0]]))
-        t = np.linspace(-1.0, 1.0, 20)
-        Xi_a = np.column_stack([t, np.zeros(20)])
-        Xi_b = np.column_stack([t + 0.1, np.zeros(20)])
-        slope = estimate_lipschitz(f, Xi_a, Xi_b)
-        assert slope == pytest.approx(2.0, abs=1e-6)
-
-    def test_benchmark_fit_is_finite(self, fit_101):
-        _, model = fit_101
-        rng = np.random.default_rng(22)
-        Xi_a = rng.uniform(-0.1, 0.5, size=(100, 4))
-        Xi_b = rng.uniform(-0.1, 0.5, size=(100, 4))
-        slope = estimate_lipschitz(model, Xi_a, Xi_b)
-        assert np.isfinite(slope)
-        assert slope > 0.0

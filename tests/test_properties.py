@@ -29,6 +29,7 @@ from narxmpc import (
     SolverError,
     StageCostWeights,
     TwoTankParams,
+    estimate_error_constants,
     estimate_growth_bound,
     fill_distance,
     kernel_matrix,
@@ -149,6 +150,37 @@ def test_function_dynamics_single_equals_batch_row(seed, p, m, nu, rows):
     assert batch.shape == (rows, p)
     for i in range(rows):
         assert_array_equal(f.output(X[i], U[i]), batch[i])
+
+
+@given(
+    seed=seeds,
+    p=st.integers(1, 2),
+    m=st.integers(1, 2),
+    a=st.floats(0.0, 10.0),
+    b=st.floats(0.0, 10.0),
+    scale=st.floats(1e-3, 10.0),
+    rows=st.integers(100, 160),
+)
+@example(seed=0, p=1, m=1, a=0.0, b=0.0, scale=1.0, rows=100)
+def test_error_constants_cover_every_estimation_sample(seed, p, m, a, b, scale, rows):
+    """For ``model = truth + a ||x|| + b ||u||`` on samples that include
+    the origin, the estimated constants bound the residual of every
+    sample, up to rounding."""
+    dims = NarxDims(p=p, m=m, nu=2)
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((p, dims.n))
+    B = rng.standard_normal((p, m))
+    truth = FunctionDynamics(dims, lambda x, u: np.tanh(A @ x + B @ u))
+    model = FunctionDynamics(
+        dims, lambda x, u: np.tanh(A @ x + B @ u) + a * np.linalg.norm(x) + b * np.linalg.norm(u)
+    )
+    X = scale * rng.uniform(-1.0, 1.0, size=(rows, dims.n))
+    U = scale * rng.uniform(-1.0, 1.0, size=(rows, m))
+    X[0], U[0] = 0.0, 0.0
+    constants = estimate_error_constants(truth, model, X, U)
+    residual = np.linalg.norm(truth.output_batch(X, U) - model.output_batch(X, U), axis=1)
+    bound = constants.bound(np.linalg.norm(X, axis=1), np.linalg.norm(U, axis=1))
+    assert np.all(residual <= bound + 1e-12 * (1.0 + bound))
 
 
 @given(seed=seeds, rows=st.integers(1, 6))

@@ -301,7 +301,6 @@ class TestVerifyDecrease:
         assert report.gamma_bar > 0.0
         assert report.min_horizon_value is not None
         assert isinstance(report.horizon_sufficient, bool)
-        assert report.sandwich_max_excess <= 1e-8
         assert_array_equal(report.b_values, growth.b_values)
         assert report.capped_solves is None
 

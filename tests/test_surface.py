@@ -8,12 +8,22 @@ functions it wraps by string, and it skips a name the package no longer
 defines, so wrapping a function does not call it.  The re-exports of
 ``__init__.py`` do not count as uses.  Code that only tests reach
 belongs under ``tests/``.
+
+The README's "Report keys" table lists every key that the fit and
+stability reports of a benchmark bundle write, and no other.
 """
 
 from __future__ import annotations
 
 import ast
+from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
+
+from narxmpc import BenchmarkConfig, make_mpc_config, run_benchmark, storage_matrix, verify_decrease
+from narxmpc.fileio import read_keyvalues, save_stability_report
+from narxmpc.stability import VERDICT_VIOLATED
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "narxmpc"
@@ -74,3 +84,45 @@ def test_every_public_name_has_a_caller():
         f"allowlisted names that now have a caller or are gone: "
         f"{sorted(set(ALLOWED_UNUSED) - set(unused))}"
     )
+
+
+def _table_keys() -> set[tuple[str, str]]:
+    """``(report, key)`` rows of the README's "Report keys" table."""
+    section = (ROOT / "README.md").read_text().split("### Report keys\n", 1)[1].split("\n#", 1)[0]
+    rows = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            key, report = (cell.strip() for cell in line.strip("|").split("|")[:2])
+            rows.add((report, key.strip("`")))
+    return rows
+
+
+def _written_keys(tmp_path: Path) -> set[tuple[str, str]]:
+    """``(report, key)`` pairs that D=21 bundles write in both dataset
+    modes, plus a stability report with a violated decrease."""
+    written: set[tuple[str, str]] = set()
+
+    def read(report: str, path: Path) -> None:
+        written.update((report, key) for key in read_keyvalues(path))
+
+    for mode in ("state_grid", "trajectory"):
+        cfg = BenchmarkConfig(d=21, steps=4, mode=mode)
+        out = tmp_path / mode
+        result = run_benchmark(cfg, out_dir=out, sizes=(21,), b_states=4, b_horizon=2)
+        read("fit", out / "fit_report_D21.txt")
+        read("stability", out / "stability_report_D21.txt")
+    # The violated report reuses the trace and growth grid of the last arm.
+    arm = result.arms[21]
+    rising = replace(arm.trace, values=1e3 * np.arange(arm.trace.values.size, dtype=float))
+    storage = storage_matrix(cfg.dims, make_mpc_config(cfg).weights)
+    report = verify_decrease(rising, storage, growth=arm.growth)
+    assert report.verdict == VERDICT_VIOLATED
+    save_stability_report(report, tmp_path / "violated.txt")
+    read("stability", tmp_path / "violated.txt")
+    return written
+
+
+def test_readme_lists_every_report_key(tmp_path):
+    listed, written = _table_keys(), _written_keys(tmp_path)
+    assert written - listed == set(), "report keys missing from the README table"
+    assert listed - written == set(), "README table keys that no report writes"
