@@ -177,13 +177,18 @@ class BenchmarkArm:
 
     def run_record(self) -> dict:
         """Stage wall times (s, rounded to ms) and solver totals of the arm:
-        iterations of the closed loop (its terminal solve included) and of
-        the growth grid, and the capped solves behind the certificate."""
+        iterations and rejected line-search trials of the closed loop (its
+        terminal solve included) and of the growth grid, the capped solves
+        behind the certificate and the largest projected-gradient norm
+        among them (None when none capped)."""
         return {
             "timings_s": stage_timings(self.timings),
             "loop_iterations": int(self.trace.iterations.sum()),
             "grid_iterations": int(self.growth.iterations.sum()),
+            "loop_backtracks": int(self.trace.backtracks.sum()),
+            "grid_backtracks": int(self.growth.backtracks.sum()),
             "capped_solves": self.report.capped_solves,
+            "capped_max_grad_norm": self.report.capped_max_grad_norm,
         }
 
 

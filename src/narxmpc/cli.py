@@ -56,7 +56,7 @@ from .fileio import (
 )
 from .kernels import KernelFitError
 from .mpc import SolverError
-from .stability import count_capped
+from .stability import count_capped, max_capped_grad_norm
 from .twotank import BenchmarkConfig, generate_dataset
 
 
@@ -187,7 +187,9 @@ def cmd_simulate(args) -> int:
         started,
         timings_s=stage_timings(timings),
         loop_iterations=int(trace.iterations.sum()),
+        loop_backtracks=int(trace.backtracks.sum()),
         capped_solves=count_capped(trace.iterations, trace.converged, max_iters),
+        capped_max_grad_norm=max_capped_grad_norm(trace.iterations, trace.converged, trace.grad_norms, max_iters),
     )
     if trace.failed_step is not None:
         print(
@@ -226,7 +228,9 @@ def cmd_certify(args) -> int:
         started,
         timings_s=stage_timings(timings),
         grid_iterations=int(growth.iterations.sum()),
+        grid_backtracks=int(growth.backtracks.sum()),
         capped_solves=report.capped_solves,
+        capped_max_grad_norm=report.capped_max_grad_norm,
     )
     print(report.verdict)
     return 0 if report.ok else 2

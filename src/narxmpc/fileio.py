@@ -358,9 +358,7 @@ def save_stability_report(report, path_txt, path_csv=None) -> None:
         "eta": report.eta,
         "sigma_min": report.sigma_min,
         "active_steps": report.active_steps,
-        "decay_rate": report.decay_rate,
         "decay_r2": report.decay_r2,
-        "decay_points": report.decay_points,
     }
     if report.alpha is not None:
         entries["alpha"] = report.alpha

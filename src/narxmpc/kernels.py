@@ -38,13 +38,15 @@ coefficient-weighted sites ``[C * S | C]^T / sigma^2``, which the model
 forms once, and a rank-one correction; no site differences are formed.
 The sweep runs the value pass step by step, since each step's output is
 the next step's site, and the Jacobian pass over the rows of several
-steps at once.  The value pass works in blocks of ``_BLOCK`` rows.
+steps at once.  The value pass works in blocks of ``_BLOCK`` rows, in
+two scratch arrays that a sweep allocates once for all its steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import cycle
 from typing import ClassVar
 
 import numpy as np
@@ -59,18 +61,20 @@ class KernelFitError(RuntimeError):
     """Raised when the kernel matrix cannot be factorized."""
 
 
-def _wendland_terms(r: np.ndarray, fourth: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+def _wendland_terms(
+    r: np.ndarray, fourth: np.ndarray | None = None, one_minus: np.ndarray | None = None
+) -> tuple[np.ndarray, ...]:
     """``min(r, 1)``, written into ``r``, with ``1 - min(r, 1)`` and its
     fourth power, the factors that the profile and its slope share; new
-    arrays, also for a 0-d ``r``, except that the fourth power goes into
-    ``fourth`` when it is given."""
+    arrays, also for a 0-d ``r``, except that they go into ``fourth`` and
+    ``one_minus`` when those are given."""
     # Clipping first makes ``1 - min(r, 1)`` the bits of ``max(1 - r, 0)``
     # for every r (+0 from 1 on, NaN for NaN) in one pass fewer, and the
     # profile's factor reuses the clipped radii.  Products are written in
     # place: numpy's ``pow`` costs several times a multiply, and each
     # temporary of a D x D Gram build is D^2 doubles.
     clipped = np.minimum(r, 1.0, out=r)
-    one_minus = np.subtract(1.0, clipped, out=np.empty(r.shape))
+    one_minus = np.subtract(1.0, clipped, out=np.empty(r.shape) if one_minus is None else one_minus)
     fourth = np.multiply(one_minus, one_minus, out=np.empty(r.shape) if fourth is None else fourth)
     fourth *= fourth
     return clipped, one_minus, fourth
@@ -140,16 +144,23 @@ _BLOCK = 64
 
 
 def _kernel_terms(
-    spec: KernelSpec, A: np.ndarray, B: np.ndarray, fourth: np.ndarray | None = None
+    spec: KernelSpec,
+    A: np.ndarray,
+    B: np.ndarray,
+    fourth: np.ndarray | None = None,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, ...]:
     """:func:`_wendland_terms` of the scaled radii between the rows of
-    ``A`` and ``B``: the one distance routine of every kernel value."""
-    r = cdist(A, B)
+    ``A`` and ``B``: the one distance routine of every kernel value.  The
+    radii and ``1 - r`` go into ``scratch`` when it is given, two
+    C-ordered (len(A), len(B)) arrays."""
+    radii, one_minus = (None, None) if scratch is None else scratch
+    r = cdist(A, B, out=radii)
     # Division is the costliest pass of a kernel row, and a division by 1
     # (the lengthscale in normalized coordinates) leaves every bit as it is.
     if spec.lengthscale != 1.0:
         r /= spec.lengthscale
-    return _wendland_terms(r, fourth)
+    return _wendland_terms(r, fourth, one_minus)
 
 
 def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
@@ -378,7 +389,11 @@ class KernelInterpolant(NarxDynamics):
         return self.jitter > 0.0
 
     def _values(
-        self, Xi: np.ndarray, out: np.ndarray | None = None, fourth: np.ndarray | None = None
+        self,
+        Xi: np.ndarray,
+        out: np.ndarray | None = None,
+        fourth: np.ndarray | None = None,
+        scratch: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> np.ndarray:
         """Interpolant values (M, p) at the site rows ``Xi`` (M, n + m),
         which each block's product writes into ``out`` (any (M, p) view,
@@ -389,16 +404,29 @@ class KernelInterpolant(NarxDynamics):
         kernel row and coefficients, so it equals the single-row call bit
         for bit at any M.  Each row takes one distance pass and the
         profile's in-place passes (:func:`_wendland_terms`,
-        :func:`_profile`).  With ``fourth`` (M, D), each row's
-        ``(1 - r)^4`` is kept there for :meth:`_jacobians`.
+        :func:`_profile`), in the buffers of :meth:`_scratch` for
+        ``min(M, _BLOCK)`` rows: ``scratch`` when it is given, so that a
+        sweep allocates them once for all its steps.  With ``fourth``
+        (M, D), each row's ``(1 - r)^4`` is kept there for
+        :meth:`_jacobians`.
         """
         values = np.empty((Xi.shape[0], self.coefficients.shape[1])) if out is None else out
+        radii, one_minus = self._scratch(Xi.shape[0]) if scratch is None else scratch
+        sites = self.data.sites
         for a in range(0, Xi.shape[0], _BLOCK):
+            block = Xi[a : a + _BLOCK]
+            rows = block.shape[0]
             kept = None if fourth is None else fourth[a : a + _BLOCK]
-            phi = _profile(*_kernel_terms(self.spec, Xi[a : a + _BLOCK], self.data.sites, kept))
+            phi = _profile(*_kernel_terms(self.spec, block, sites, kept, (radii[:rows], one_minus[:rows])))
             np.matmul(phi[:, None, :], self.coefficients, out=values[a : a + _BLOCK, None, :])
-            del phi  # before the next block's rows are built
         return values
+
+    def _scratch(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """Buffers for the radii and ``1 - r`` of a block of up to ``rows``
+        kernel rows, at most ``_BLOCK``; the profile is written into the
+        second."""
+        shape = (min(rows, _BLOCK), self.data.sites.shape[0])
+        return np.empty(shape), np.empty(shape)
 
     @cached_property
     def _weighted_sites(self) -> np.ndarray:
@@ -475,17 +503,20 @@ class KernelInterpolant(NarxDynamics):
             sites[1:, :, nb + i * m : nb + (i + 1) * m] = window.transpose(1, 0, 2)
         chunk = min(horizon, -(-_BLOCK // max(b, 1)))
         fourth = np.empty((chunk, b, size))
-        first = 0
-        for k in range(horizon):
-            site, following = sites[k], sites[k + 1]
-            self._values(site, following[:, :p], fourth[k - first])
-            following[:, p:nb] = site[:, : nb - p]
-            if k + 1 - first == chunk or k + 1 == horizon:
-                steps = k + 1 - first
-                jac = self._jacobians(sites[first : k + 1].reshape(steps * b, -1), fourth[:steps].reshape(steps * b, -1))
-                jac = jac.reshape(steps, b, p, n + m).transpose(1, 0, 2, 3)
+        scratch = self._scratch(b)
+        # Per-step views come from iterating over step-major arrays; step k
+        # keeps its (1 - r)^4 in slot k % chunk, and the Jacobian pass after
+        # each full chunk empties the slots.
+        steps = zip(sites, sites[1:, :, :p], cycle(fourth), sites[1:, :, p:nb], sites[:-1, :, : nb - p])
+        for k, (site, out, kept, older, newer) in enumerate(steps):
+            self._values(site, out, kept, scratch)
+            older[...] = newer
+            if (k + 1) % chunk == 0 or k + 1 == horizon:
+                first = k - k % chunk
+                rows = (k + 1 - first) * b
+                jac = self._jacobians(sites[first : k + 1].reshape(rows, -1), fourth.reshape(-1, size)[:rows])
+                jac = jac.reshape(-1, b, p, n + m).transpose(1, 0, 2, 3)
                 sweep.jac_x[:, first : k + 1], sweep.jac_u[:, first : k + 1] = jac[..., :n], jac[..., n:]
-                first = k + 1
         sweep.outputs[:] = sites[1:, :, :p].transpose(1, 0, 2)
         return sweep
 

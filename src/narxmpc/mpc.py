@@ -15,10 +15,12 @@ steps in one batched pass: one product of the kept ``(1 - r)^4`` with
 its coefficient-weighted sites, then a rank-one correction).  Each cost
 is the forward half of an adjoint sweep; the sweep of an accepted
 iterate is kept, and its gradient is the backward half alone,
-:func:`backward_sweep` through the regressor shift structure, whose
-loop carries only the adjoint recursion and whose input gradients are
-formed after it in one stacked product.  A solution returns the outputs of its kept sweep as
-:attr:`OcpSolution.outputs`, so no caller rolls its inputs out again.
+:func:`backward_sweep`: the output adjoints of a sequential program
+solve one unit upper-triangular system, banded by the lag depth, which
+one BLAS back substitution solves for all rows at once, and the input
+gradients are ``nu`` stacked products after it.  A solution returns the
+outputs of its kept sweep as :attr:`OcpSolution.outputs`, so no caller
+rolls its inputs out again, and counts its rejected line-search trials.
 Many problems are solved in lockstep, each row with its own BFGS
 matrix, line search and stopping tests, and every row reproduces its
 solo solve bit for bit.  The receding-horizon loop applies the first
@@ -32,6 +34,7 @@ from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
+from scipy.linalg.blas import dtbsv
 
 from .narx import Box, NarxDims, NarxDynamics, Sweep, shift_state
 
@@ -147,42 +150,61 @@ def backward_sweep(
     dims: NarxDims, sweep: Sweep, U: np.ndarray, weights: StageCostWeights
 ) -> np.ndarray:
     """Cost gradients (B, N, m) of the inputs ``U`` (B, N, m) from their
-    forward sweep.
+    forward sweep, by one triangular solve.
 
-    The adjoint of the lifted step map is accumulated backwards: the
-    output Jacobian enters through the first block row and the history
-    shifts enter as index moves, so each step costs O(n) bookkeeping on
-    top of one stacked regressor-Jacobian product.  Only that recursion
-    runs step by step, and every array it writes is allocated before it:
-    ``lam[:, k + 1]`` is the regressor adjoint after step ``k``, and each
-    product writes its step's slot.  Each step's output adjoint ``lam_y``
-    is kept, and the input gradients are formed after the loop, all steps
-    in one stacked product with ``sweep.jac_u``, plus the input adjoints
-    that the shifts carry, read from ``lam``.  The regressor Jacobian of
-    the first step, ``sweep.jac_x[:, 0]``, enters no input gradient.
+    The output ``y_k`` of step ``k`` enters the cost once and the
+    regressors of the next ``nu`` steps as output lag ``j``, so its
+    adjoint ``lam_k``, the derivative of the cost by ``y_k``, solves
+
+        lam_k - sum_{j < nu} J_{k+1+j}[y_j]^T lam_{k+1+j} = 2 Q y_k,
+
+    where ``J_i[y_j]`` are the columns of output lag ``j`` in
+    ``sweep.jac_x[:, i]``: a unit upper-triangular system, banded with
+    ``(nu + 1) p - 1`` superdiagonals (Griewank and Walther, *Evaluating
+    Derivatives*, SIAM 2008, ch. 9).  The input gradients
+
+        2 R u_k + J_u,k^T lam_k + sum_{i < nu - 1} J_{k+1+i}[u_i]^T lam_{k+1+i},
+
+    with ``J_i[u_i]`` the columns of input lag ``i``, are then ``nu``
+    stacked products over all steps.  The regressor Jacobian of the
+    first step, ``sweep.jac_x[:, 0]``, enters no input gradient.
+
+    The systems of all rows are stacked into one banded system and solved
+    by one back substitution, BLAS ``tbsv``, column by column from the
+    last.  Each row's block starts with as many zero padding unknowns as
+    the band is wide, so the band of every column of a row stays inside
+    that row's block; a padding unknown keeps the value +0 and adds -0 to
+    the row before it, which changes no bit.  So every finite row equals
+    its batch of one bit for bit.  A non-finite adjoint spreads NaN into
+    the rows before it through those zero entries; every row with a
+    non-finite adjoint is therefore solved again on its own.
     """
     b, horizon = U.shape[0], U.shape[1]
-    p, m, nb, n = dims.p, dims.m, dims.n_outputs_block, dims.n
-    output_weight = 2.0 * np.matmul(weights.Q, sweep.outputs[..., None])
-    input_weight = 2.0 * _matvec(weights.R, U)
-    jac_x_t = sweep.jac_x.transpose(0, 1, 3, 2)
-    lam_y = np.empty((b, horizon, p, 1))
-    # lam[:, 0], the adjoint before the first step, is never formed.
-    lam = np.empty((b, horizon + 1, n, 1))
-    lam[:, horizon] = 0.0
-    for k in reversed(range(horizon)):
-        np.add(lam[:, k + 1, :p], output_weight[:, k], out=lam_y[:, k])
-        if not k:
-            break
-        np.matmul(jac_x_t[:, k], lam_y[:, k], out=lam[:, k])
-        if dims.nu > 1:
-            lam[:, k, : nb - p] += lam[:, k + 1, p:nb]
-            if dims.nu > 2:
-                lam[:, k, nb : nb + (dims.nu - 2) * m] += lam[:, k + 1, nb + m :]
-    grad = input_weight + np.matmul(sweep.jac_u.transpose(0, 1, 3, 2), lam_y)[..., 0]
-    if dims.nu > 1:
-        grad += lam[:, 1:, nb : nb + m, 0]
-    return grad
+    p, m, nb = dims.p, dims.m, dims.n_outputs_block
+    width = (dims.nu + 1) * p - 1
+    size = width + horizon * p
+    # band[i, j, width + r - j] is the system entry (r, j) of row i, for the
+    # unknowns r, j of its block: the C-ordered transpose of BLAS band storage.
+    band = np.zeros((b, size, width + 1))
+    steps = band[:, width:].reshape(b, horizon, p, width + 1)
+    for lag in range(1, min(dims.nu, horizon - 1) + 1):
+        for c in range(p):
+            first = width - lag * p - c
+            steps[:, lag:, c, first : first + p] = -sweep.jac_x[:, lag:, c, (lag - 1) * p : lag * p]
+    rhs = np.zeros((b, size))
+    # Non-finite entries make non-finite gradients, which the solver reports.
+    with np.errstate(invalid="ignore", over="ignore"):
+        rhs[:, width:] = 2.0 * np.matmul(weights.Q, sweep.outputs[..., None]).reshape(b, -1)
+        lam = dtbsv(width, band.reshape(-1, width + 1).T, rhs.ravel(), diag=1).reshape(b, size)
+        if not np.isfinite(lam).all():
+            for i in np.flatnonzero(~np.isfinite(lam).all(axis=1)):
+                lam[i] = dtbsv(width, band[i].T, rhs[i], diag=1)
+        lam = lam[:, width:].reshape(b, horizon, p, 1)
+        grad = 2.0 * np.matmul(weights.R, U[..., None]) + np.matmul(sweep.jac_u.transpose(0, 1, 3, 2), lam)
+        for i in range(min(dims.nu - 1, horizon - 1)):
+            jac = sweep.jac_x[:, 1 + i :, :, nb + i * m : nb + (i + 1) * m]
+            grad[:, : horizon - 1 - i] += np.matmul(jac.transpose(0, 1, 3, 2), lam[:, 1 + i :])
+    return grad[..., 0]
 
 
 @dataclass
@@ -196,12 +218,14 @@ class OcpSolution:
     iterate before the last step for a solve stopped at the iteration
     cap).  ``outputs`` (N, p) are the predicted outputs of ``u_star``:
     those of the forward sweep that gave ``value``, kept by the solver.
+    ``backtracks`` counts the line-search trials the solve rejected.
     """
 
     u_star: np.ndarray
     outputs: np.ndarray
     value: float
     iterations: int
+    backtracks: int
     grad_norm: float
     predicted_decrease: float
     converged: bool
@@ -229,9 +253,11 @@ ARMIJO = 1e-4
 SHRINK = 0.5
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row dot products of (B, k) arrays; each equals ``a[i] @ b[i]`` bit for bit."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+def _project(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``x`` clipped to the box ``[lo, hi]`` by two ufunc calls: the bits of
+    ``np.clip`` for every box with ``lo < 0 < hi``; at a zero bound, a
+    zero may come out with the other sign (seen only for one coordinate)."""
+    return np.minimum(np.maximum(x, lo), hi)
 
 
 @dataclass
@@ -249,6 +275,7 @@ class _Rows:
     grad: np.ndarray  # gradient before that step (r, k)
     norm: np.ndarray  # projected-gradient norms of the current round
     decrease: np.ndarray  # predicted decreases of the current round
+    backtracks: np.ndarray  # rejected line-search trials so far
     sweep: Sweep  # forward sweep at u
 
     def take(self, keep: np.ndarray) -> "_Rows":
@@ -288,107 +315,126 @@ def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: 
     Every cost is one :meth:`~narxmpc.narx.NarxDynamics.sweep`, of the
     starts and of each line-search trial, and a row keeps the sweep of its
     accepted iterate, so each gradient is one :func:`backward_sweep`; the
-    outputs of that sweep are returned with the iterate.
+    outputs of that sweep are returned with the iterate, and each row's
+    rejected line-search trials are counted.
     """
     box, weights = cfg.input_box, cfg.weights
     b, shape = starts.shape[0], starts.shape[1:]
     lo, hi = (np.broadcast_to(bound, shape).ravel() for bound in (box.lo, box.hi))
-    U = np.clip(starts.reshape(b, -1), lo, hi)
+    U = _project(starts.reshape(b, -1), lo, hi)
     k = U.shape[1]
+    eye = np.eye(k)
     value, sweep = _evaluate(f, X0, U.reshape(starts.shape), weights)
     errors: list[SolverError | None] = [
         None if np.isfinite(v) else SolverError(f"initial cost is not finite ({v}) at the start sequence")
         for v in value
     ]
     outputs = np.empty_like(sweep.outputs)
-    iterations = np.zeros(b, dtype=int)
+    iterations, backtracks = np.zeros(b, dtype=int), np.zeros(b, dtype=int)
     grad_norm, decrease = np.full(b, np.inf), np.full(b, np.inf)
     converged = np.zeros(b, dtype=bool)
     live = np.flatnonzero(np.isfinite(value))
     r = live.size
-    rows = _Rows(
-        live, X0[live], U[live], value[live], np.tile(np.eye(k), (r, 1, 1)), np.ones(r),
+    rows = None if not r else _Rows(
+        live, X0[live], U[live], value[live], np.tile(eye, (r, 1, 1)), np.ones(r),
         np.ones(r, dtype=bool), np.zeros((r, k)), np.zeros((r, k)), np.full(r, np.inf), np.full(r, np.inf),
-        sweep[live],
+        np.zeros(r, dtype=int), sweep[live],
     )
 
     def leave(out, count, conv):
+        """Record the rows ``out`` as finished; ``rows`` keeps the others, or
+        is None when no row is left."""
         nonlocal rows
         idx = rows.index[out]
         U[idx], value[idx], iterations[idx], converged[idx] = rows.u[out], rows.value[out], count, conv
-        outputs[idx] = rows.sweep.outputs[out]
+        outputs[idx], backtracks[idx] = rows.sweep.outputs[out], rows.backtracks[out]
         grad_norm[idx], decrease[idx] = rows.norm[out], rows.decrease[out]
-        rows = rows.take(~out)
-        return ~out
+        keep = ~out
+        rows = rows.take(keep) if keep.any() else None
+        return keep
 
     for rnd in range(cfg.solver.max_iters):
-        if not rows.index.size:
+        if rows is None:
             break
-        seqs = rows.u.reshape(-1, *shape)
-        g = backward_sweep(f.dims, rows.sweep, seqs, weights).reshape(-1, k)
+        g = backward_sweep(f.dims, rows.sweep, rows.u.reshape(-1, *shape), weights).reshape(-1, k)
         finite = np.isfinite(g).all(axis=1)
         if not finite.all():
             for i in rows.index[~finite]:
                 errors[i] = SolverError("gradient is not finite at the current iterate")
-            g = g[leave(~finite, rnd, False)]
+            keep = leave(~finite, rnd, False)
+            if rows is None:
+                break
+            g = g[keep]
         if rnd:
-            _bfgs_update(rows, g - rows.grad)
+            _bfgs_update(rows, g - rows.grad, eye)
         u = rows.u
-        pg = u - np.clip(u - g, lo, hi)
-        rows.norm = np.sqrt(_rowdot(pg, pg))
+        pg = u - _project(u - g, lo, hi)
+        rows.norm = np.sqrt(np.vecdot(pg, pg))
         eps = np.minimum(rows.norm, ACTIVE_WIDTH)[:, None]
         active = ((u <= lo + eps) & (g > 0)) | ((u >= hi - eps) & (g < 0))
-        pair = ~active[:, :, None] & ~active[:, None, :]
+        free = ~active
+        pair = free[:, :, None] & free[:, None, :]
         d = _matvec(np.where(pair, rows.hess, 0.0), g)
-        slope = _rowdot(g, d)
-        reset = ~(slope > 0) & np.any(~active & (g != 0), axis=1)
+        slope = np.vecdot(g, d)
+        reset = ~(slope > 0)
         if reset.any():
-            rows.hess[reset] = rows.scale[reset, None, None] * np.eye(k)
+            reset &= np.any(free & (g != 0), axis=1)
+        if reset.any():
+            rows.hess[reset] = rows.scale[reset, None, None] * eye
             d[reset] = _matvec(np.where(pair[reset], rows.hess[reset], 0.0), g[reset])
-            slope[reset] = _rowdot(g[reset], d[reset])
+            slope[reset] = np.vecdot(g[reset], d[reset])
         d = np.where(active, g, d)
         g_active = np.where(active, g, 0.0)
-        rows.decrease = slope + _rowdot(g_active, u - np.clip(u - d, lo, hi))
+        rows.decrease = slope + np.vecdot(g_active, u - _project(u - d, lo, hi))
         stop = (rows.norm <= GRAD_TOL) | (rows.decrease <= NOISE_FLOOR * np.abs(rows.value))
         if stop.any():
             keep = leave(stop, rnd, True)
+            if rows is None:
+                break
             g, d, slope, g_active = g[keep], d[keep], slope[keep], g_active[keep]
-        before = rows.u.copy()
-        accepted = _armijo_search(f, rows, d, slope, g_active, lo, hi, shape, cfg)
-        rows.step, rows.grad = rows.u - before, g
+        accepted = _armijo_search(f, rows, d, slope, g_active, lo, hi, shape, weights)
+        rows.grad = g
         if not accepted.all():
             leave(~accepted, rnd + 1, False)
-    leave(np.ones(rows.index.size, dtype=bool), cfg.solver.max_iters, False)
-    return U.reshape(starts.shape), outputs, value, iterations, grad_norm, decrease, converged, errors
+    else:
+        if rows is not None:
+            leave(np.ones(rows.index.size, dtype=bool), cfg.solver.max_iters, False)
+    return U.reshape(starts.shape), outputs, value, iterations, backtracks, grad_norm, decrease, converged, errors
 
 
-def _bfgs_update(rows: _Rows, y: np.ndarray) -> None:
+def _bfgs_update(rows: _Rows, y: np.ndarray, eye: np.ndarray) -> None:
     """Inverse BFGS update of every row whose pair ``(rows.step, y)`` has
     positive curvature ``s.y``; the first such pair of a row scales its
-    identity by ``s.y / y.y`` before the update."""
+    identity ``eye`` by ``s.y / y.y`` before the update."""
     s = rows.step
-    sy = _rowdot(s, y)
+    sy = np.vecdot(s, y)
     ok = sy > 0
     if not ok.any():
         return
-    s, y, sy = s[ok], y[ok], sy[ok]
-    scale = sy / _rowdot(y, y)
-    hess = rows.hess[ok]
-    fresh = rows.fresh[ok]
-    hess[fresh] = scale[fresh, None, None] * np.eye(s.shape[1])
+    # A slice when every row updates, so that no row is copied out.
+    pick = slice(None) if ok.all() else ok
+    s, y, sy = s[pick], y[pick], sy[pick]
+    scale = sy / np.vecdot(y, y)
+    hess = rows.hess[pick]
+    fresh = rows.fresh[pick]
+    if fresh.any():
+        hess[fresh] = scale[fresh, None, None] * eye
     rho = 1.0 / sy
     hy = _matvec(hess, y)
     s_hy = s[:, :, None] * hy[:, None, :]
-    curvature = rho * rho * _rowdot(y, hy) + rho
-    rows.hess[ok] = (
-        hess
-        - rho[:, None, None] * (s_hy + s_hy.transpose(0, 2, 1))
-        + curvature[:, None, None] * (s[:, :, None] * s[:, None, :])
-    )
-    rows.scale[ok], rows.fresh[ok] = scale, False
+    curvature = rho * rho * np.vecdot(y, hy) + rho
+    # hess - rho (s hy^T + hy s^T) + curvature s s^T, with two temporaries.
+    update = s_hy + s_hy.transpose(0, 2, 1)
+    update *= rho[:, None, None]
+    outer = s[:, :, None] * s[:, None, :]
+    outer *= curvature[:, None, None]
+    np.subtract(hess, update, out=update)
+    update += outer
+    rows.hess[pick] = update
+    rows.scale[pick], rows.fresh[pick] = scale, False
 
 
-def _armijo_search(f, rows: _Rows, d, slope, g_active, lo, hi, shape, cfg: MpcConfig) -> np.ndarray:
+def _armijo_search(f, rows: _Rows, d, slope, g_active, lo, hi, shape, weights: StageCostWeights) -> np.ndarray:
     """Armijo backtracking along the projection arc ``P(u - t d)`` from
     ``t = 1``, batched over the rows still searching.
 
@@ -397,23 +443,33 @@ def _armijo_search(f, rows: _Rows, d, slope, g_active, lo, hi, shape, cfg: MpcCo
     sufficient-decrease test of the two-metric step: ``slope`` is ``g.d``
     over the free coordinates and ``g_active`` the gradient on the active
     ones.  Every row still searching has been rejected equally often, so
-    one step length ``t`` serves them all.  Accepted candidates overwrite
-    their rows of ``rows.u``, ``rows.value`` and ``rows.sweep``.  Returns
-    the mask of rows that accepted a step.
+    one step length ``t`` serves them all.  Accepted candidates replace
+    their rows of ``rows.u``, ``rows.value`` and ``rows.sweep``, and their
+    steps those of ``rows.step``; when every row accepts its first trial,
+    the rows are rebound to the candidate arrays instead of copied.  Each
+    rejected trial adds one to its row's ``rows.backtracks``.  Returns the
+    mask of rows that accepted a step.
     """
     accepted = np.zeros(rows.value.size, dtype=bool)
     todo = np.arange(rows.value.size)
+    u, x, value = rows.u, rows.x, rows.value
     t = 1.0
     while todo.size and t >= 1e-18:
-        u = rows.u[todo]
-        cand = np.clip(u - t * d[todo], lo, hi)
-        cand_value, sweep = _evaluate(f, rows.x[todo], cand.reshape(-1, *shape), cfg.weights)
-        sufficient = ARMIJO * (t * slope[todo] + _rowdot(g_active[todo], u - cand))
-        ok = np.isfinite(cand_value) & (cand_value <= rows.value[todo] - sufficient)
+        cand = _project(u - t * d, lo, hi)
+        cand_value, sweep = _evaluate(f, x, cand.reshape(-1, *shape), weights)
+        sufficient = ARMIJO * (t * slope + np.vecdot(g_active, u - cand))
+        ok = np.isfinite(cand_value) & (cand_value <= value - sufficient)
+        if t == 1.0 and ok.all():
+            rows.step, rows.u, rows.value, rows.sweep = cand - u, cand, cand_value, sweep
+            return ok
         hit = todo[ok]
+        rows.step[hit] = cand[ok] - u[ok]
         rows.u[hit], rows.value[hit], rows.sweep[hit] = cand[ok], cand_value[ok], sweep[ok]
         accepted[hit] = True
-        todo = todo[~ok]
+        rows.backtracks[todo[~ok]] += 1
+        searching = ~ok
+        todo, u, x, value = todo[searching], u[searching], x[searching], value[searching]
+        d, slope, g_active = d[searching], slope[searching], g_active[searching]
         t *= SHRINK
     return accepted
 
@@ -444,7 +500,9 @@ def solve_ocp_batch(
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     shape = (X0.shape[0], cfg.horizon, cfg.dims.m)
     starts = np.zeros(shape) if warm is None else np.asarray(warm, dtype=float).reshape(shape)
-    U, outputs, value, iterations, grad_norm, decrease, converged, errors = _lockstep_descent(f, X0, starts, cfg)
+    U, outputs, value, iterations, backtracks, grad_norm, decrease, converged, errors = _lockstep_descent(
+        f, X0, starts, cfg
+    )
     return [
         error
         if error is not None
@@ -453,6 +511,7 @@ def solve_ocp_batch(
             outputs=outputs[i],
             value=float(value[i]),
             iterations=int(iterations[i]),
+            backtracks=int(backtracks[i]),
             grad_norm=float(grad_norm[i]),
             predicted_decrease=float(decrease[i]),
             converged=bool(converged[i]),
@@ -505,6 +564,7 @@ class ClosedLoopTrace:
     horizon: int
     storage_values: np.ndarray | None = None
     lyapunov: np.ndarray | None = None
+    backtracks: np.ndarray | None = None
     normalization: object | None = None
     failed_step: int | None = None
     failure: str | None = None
@@ -534,7 +594,8 @@ def run_closed_loop(
     every applied step.  Its entry ends every per-state array, so they
     all hold ``states.shape[0]`` values; without that solve (no step
     requested, a failed step or a failed diagnostic solve) the entry is
-    a NaN value and gradient norm, zero iterations and not converged.
+    a NaN value and gradient norm, zero iterations and backtracks and not
+    converged.
 
     ``storage_matrix`` (n, n), when given, adds the storage values and
     the candidate Lyapunov values (optimal value plus storage) to the
@@ -551,6 +612,7 @@ def run_closed_loop(
     values = np.full(steps + 1, np.nan)
     grad_norms = np.full(steps + 1, np.nan)
     iterations = np.zeros(steps + 1, dtype=int)
+    backtracks = np.zeros(steps + 1, dtype=int)
     converged = np.zeros(steps + 1, dtype=bool)
     failed_step = failure = warm = None
     # Pass k solves at x(k); the pass at k == steps is the terminal
@@ -576,7 +638,7 @@ def run_closed_loop(
             stage_costs[k] = stage_cost(y_next, u0, cfg.weights)
             warm = np.vstack([sol.u_star[1:], np.zeros((1, dims.m))])
         values[k], grad_norms[k] = sol.value, sol.grad_norm
-        iterations[k], converged[k] = sol.iterations, sol.converged
+        iterations[k], backtracks[k], converged[k] = sol.iterations, sol.backtracks, sol.converged
     applied = steps if failed_step is None else failed_step
     trace = ClosedLoopTrace(
         states=states[: applied + 1],
@@ -587,6 +649,7 @@ def run_closed_loop(
         grad_norms=grad_norms[: applied + 1],
         iterations=iterations[: applied + 1],
         converged=converged[: applied + 1],
+        backtracks=backtracks[: applied + 1],
         dims=dims,
         horizon=cfg.horizon,
         normalization=normalization,

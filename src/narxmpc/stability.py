@@ -83,9 +83,11 @@ class GrowthBoundEstimate:
     value of a local solve at horizon ``N`` does.  ``b_values`` is the
     maximum over samples; stage costs are nonnegative, so every row, and
     with it ``b_values``, is nondecreasing in ``N``.  ``iterations[i]``
-    counts the solver iterations of state ``i`` (zero where it failed),
-    and ``capped`` counts the solves that stopped at the iteration cap
-    without converging.
+    and ``backtracks[i]`` count the solver iterations and rejected
+    line-search trials of state ``i`` (zero where it failed), ``capped``
+    counts the solves that stopped at the iteration cap without
+    converging, and ``capped_max_grad_norm`` is the largest projected-
+    gradient norm among them (None when none capped).
     """
 
     b_values: np.ndarray
@@ -94,7 +96,9 @@ class GrowthBoundEstimate:
     model_tag: str = ""
     solver_failures: int = 0
     iterations: np.ndarray | None = None
+    backtracks: np.ndarray | None = None
     capped: int = 0
+    capped_max_grad_norm: float | None = None
 
     def summary(self) -> str:
         """One line on the grid's solves, as ``--verbose`` prints it."""
@@ -102,9 +106,21 @@ class GrowthBoundEstimate:
         return f"growth grid: {states} solves at N={horizon}, {self.capped} capped"
 
 
+def _capped(iterations, converged, max_iters: int) -> np.ndarray:
+    """Mask of the solves that stopped at the iteration cap without converging."""
+    return ~np.asarray(converged, dtype=bool) & (np.asarray(iterations) >= max_iters)
+
+
 def count_capped(iterations, converged, max_iters: int) -> int:
     """Count of solves that stopped at the iteration cap without converging."""
-    return int(np.sum(~np.asarray(converged, dtype=bool) & (np.asarray(iterations) >= max_iters)))
+    return int(np.sum(_capped(iterations, converged, max_iters)))
+
+
+def max_capped_grad_norm(iterations, converged, grad_norms, max_iters: int) -> float | None:
+    """Largest projected-gradient norm among the solves that stopped at the
+    iteration cap without converging; None when none did."""
+    norms = np.asarray(grad_norms, dtype=float)[_capped(iterations, converged, max_iters)]
+    return float(norms.max()) if norms.size else None
 
 
 def estimate_growth_bound(
@@ -146,6 +162,10 @@ def estimate_growth_bound(
     ratios[solved] = np.cumsum(stage_cost(outputs, U_star, cfg.weights), axis=1) / norms_sq[solved, None]
     iterations = np.zeros(states.shape[0], dtype=int)
     iterations[solved] = [sol.iterations for sol in sols]
+    backtracks = np.zeros(states.shape[0], dtype=int)
+    backtracks[solved] = [sol.backtracks for sol in sols]
+    converged = [sol.converged for sol in sols]
+    max_iters = cfg.solver.max_iters
     return GrowthBoundEstimate(
         b_values=np.nanmax(ratios, axis=0),
         ratios=ratios,
@@ -153,7 +173,11 @@ def estimate_growth_bound(
         model_tag=model_tag,
         solver_failures=int(np.sum(~solved)),
         iterations=iterations,
-        capped=count_capped(iterations[solved], [sol.converged for sol in sols], cfg.solver.max_iters),
+        backtracks=backtracks,
+        capped=count_capped(iterations[solved], converged, max_iters),
+        capped_max_grad_norm=max_capped_grad_norm(
+            iterations[solved], converged, [sol.grad_norm for sol in sols], max_iters
+        ),
     )
 
 
@@ -194,10 +218,11 @@ class StabilityReport:
 
     ``verdict`` is the outcome of the decrease check, ``alpha`` the
     largest uniform decrease coefficient observed and ``first_violation``
-    the first checked step at which ``Y`` does not decrease.  The decay
-    fit is a least-squares line through the log state errors over the
-    initial transient.  ``values`` are the optimal values V of the trace
-    as the solver returned them, and ``lyapunov`` is ``V + W``.  The
+    the first checked step at which ``Y`` does not decrease.
+    ``decay_r2`` is the coefficient of determination of a least-squares
+    line through the log state errors over the initial transient.
+    ``values`` are the optimal values V of the trace as the solver
+    returned them, and ``lyapunov`` is ``V + W``.  The
     growth-bound fields ``gamma_bar``, ``min_horizon_value``,
     ``horizon_sufficient``, ``b_values`` and ``growth_failures`` are
     filled when an estimate is supplied.  ``horizon_sufficient``
@@ -205,7 +230,10 @@ class StabilityReport:
     sampled growth bound, not a plant guarantee.
     ``capped_solves`` counts the certificate inputs that came from solves
     stopped at the iteration cap without converging: those of the trace
-    plus the growth grid's.  It is filled when the cap is supplied.
+    plus the growth grid's.  It is filled when the cap is supplied, and so
+    is ``capped_max_grad_norm``, the largest projected-gradient norm among
+    those solves (None when none capped), which the report file does not
+    print.
     """
 
     verdict: str
@@ -216,9 +244,7 @@ class StabilityReport:
     alpha: float | None
     first_violation: int | None
     active_steps: int
-    decay_rate: float
     decay_r2: float
-    decay_points: int
     state_norms: np.ndarray
     errors: np.ndarray
     values: np.ndarray
@@ -233,6 +259,7 @@ class StabilityReport:
     b_values: np.ndarray | None = None
     growth_failures: int | None = None
     capped_solves: int | None = None
+    capped_max_grad_norm: float | None = None
 
     @property
     def ok(self) -> bool:
@@ -330,7 +357,7 @@ def verify_decrease(
             bad = np.flatnonzero(active & (deltas >= 0))
             first_violation = int(bad[0]) if bad.size else int(np.flatnonzero(active)[np.argmin(active_coeffs)])
             alpha = max(alpha, 0.0)
-    slope, r2, points = fit_decay_rate(errors)
+    _, r2, _ = fit_decay_rate(errors)
     report = StabilityReport(
         verdict=verdict,
         steps=k_max,
@@ -340,9 +367,7 @@ def verify_decrease(
         alpha=alpha,
         first_violation=first_violation,
         active_steps=int(np.sum(active)),
-        decay_rate=slope,
         decay_r2=r2,
-        decay_points=points,
         state_norms=norms,
         errors=errors,
         values=trace.values,
@@ -366,4 +391,9 @@ def verify_decrease(
         report.capped_solves = count_capped(trace.iterations, trace.converged, max_iters) + (
             0 if growth is None else growth.capped
         )
+        worst = (
+            max_capped_grad_norm(trace.iterations, trace.converged, trace.grad_norms, max_iters),
+            None if growth is None else growth.capped_max_grad_norm,
+        )
+        report.capped_max_grad_norm = max((v for v in worst if v is not None), default=None)
     return report

@@ -21,7 +21,7 @@ from narxmpc import (
     shift_state,
     stage_cost,
 )
-from narxmpc.mpc import _matvec, backward_sweep
+from narxmpc.mpc import backward_sweep
 from narxmpc.narx import Sweep, rollout_arrays
 from narxmpc.stability import StorageMatrix, storage_value
 
@@ -121,30 +121,42 @@ def cost_gradient(
 
 def backward_sweep_reference(
     dims: NarxDims, sweep, U: np.ndarray, weights: StageCostWeights
-) -> np.ndarray:
-    """Cost gradients (B, N, m) by the per-step adjoint loop that forms
-    each input gradient inside the loop, as the backward sweep once did;
-    :func:`~narxmpc.mpc.backward_sweep`, which forms them all after it,
-    must give the same bits."""
-    b, horizon = U.shape[0], U.shape[1]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cost gradients (B, N, m) by the per-step adjoint recursion in long
+    double, with the same recursion run on the absolute values of every
+    weight, output, input and Jacobian entry.
+
+    Step by step from the last, the output adjoint is the regressor
+    adjoint's output block plus ``2 Q y_k``, the input gradient is
+    ``2 R u_k`` plus ``J_u,k^T`` times it plus the regressor adjoint's
+    newest input block, and the regressor adjoint before step ``k`` is
+    ``J_x,k^T`` times it plus the shifted older blocks.  Returns the
+    gradients and the magnitudes, the second recursion, that a forward
+    error bound of :func:`~narxmpc.mpc.backward_sweep` is relative to.
+    """
     p, m, nb, n = dims.p, dims.m, dims.n_outputs_block, dims.n
-    output_weight = 2.0 * _matvec(weights.Q, sweep.outputs)
-    input_weight = 2.0 * _matvec(weights.R, U)
-    grad = np.empty((b, horizon, m))
-    lam = np.zeros((b, n))
-    for k in reversed(range(horizon)):
-        lam_y = lam[:, :p] + output_weight[:, k]
-        g = input_weight[:, k] + _matvec(sweep.jac_u[:, k].transpose(0, 2, 1), lam_y)
-        if dims.nu > 1:
-            g = g + lam[:, nb : nb + m]
-        grad[:, k] = g
-        new_lam = _matvec(sweep.jac_x[:, k].transpose(0, 2, 1), lam_y)
-        if dims.nu > 1:
-            new_lam[:, : nb - p] += lam[:, p:nb]
-            if dims.nu > 2:
-                new_lam[:, nb : nb + (dims.nu - 2) * m] += lam[:, nb + m :]
-        lam = new_lam
-    return grad
+    results = []
+    for magnitude in (False, True):
+        cast = (lambda a: np.abs(np.asarray(a, dtype=np.longdouble))) if magnitude else (
+            lambda a: np.asarray(a, dtype=np.longdouble)
+        )
+        Q, R, y, u = cast(weights.Q), cast(weights.R), cast(sweep.outputs), cast(U)
+        jac_x, jac_u = cast(sweep.jac_x), cast(sweep.jac_u)
+        grad = np.empty(u.shape, dtype=np.longdouble)
+        lam = np.zeros((u.shape[0], n), dtype=np.longdouble)
+        for k in reversed(range(u.shape[1])):
+            lam_y = lam[:, :p] + 2 * np.einsum("ij,bj->bi", Q, y[:, k])
+            grad[:, k] = 2 * np.einsum("ij,bj->bi", R, u[:, k]) + np.einsum("bij,bi->bj", jac_u[:, k], lam_y)
+            if dims.nu > 1:
+                grad[:, k] += lam[:, nb : nb + m]
+            new_lam = np.einsum("bij,bi->bj", jac_x[:, k], lam_y)
+            if dims.nu > 1:
+                new_lam[:, : nb - p] += lam[:, p:nb]
+                if dims.nu > 2:
+                    new_lam[:, nb : nb + (dims.nu - 2) * m] += lam[:, nb + m :]
+            lam = new_lam
+        results.append(grad)
+    return results[0], results[1]
 
 
 #: Step of :func:`central_difference_gradient`.

@@ -34,22 +34,22 @@ ROOT = Path(__file__).resolve().parents[1]
 #: The reference episode at one BLAS thread: solver iterations over its
 #: 101 solves (100 steps and the terminal diagnostic) and its alpha.
 REFERENCE_ITERATIONS = 264
-REFERENCE_ALPHA = 0.20961735363486134
+REFERENCE_ALPHA = 0.20961735363529918
 
 #: SHA-256 of every file that ``narxmpc benchmark --only-D 101`` writes
 #: besides ``manifest.json``.
 REFERENCE_BUNDLE_D101 = {
-    "comparison.csv": "e0bc4ca5f9429deb954b3162a0f7de9dd5946518cf6a880bf430551c03d27e6e",
+    "comparison.csv": "367110ee7154965d1f8a03571a59d582651295c7c92be596ca2c02e9a3cf6a34",
     "dataset_D101.csv": "8ed3f9e93f4c29608f5a5ee485abc8cea5d12761e14a1456a58c6db5dbcf099a",
     "dataset_D101.csv.meta": "75c1c0e1b11cb853a61694e6ef343c9479e8c1709e91965ae5c968fbe1fca901",
     "fit_report_D101.txt": "e470858226c656812c04c75c29ae81d547c4cf5a2d91e45bf6e814554151a3b0",
     "model_D101.csv": "1f5c933c6ab34184b69f9c40f1c1e470536f96051b3acffd59c8eb34e0d968e5",
     "model_D101.csv.meta": "f58ef68267d30742276b29e74628963ac5bd0aea68bc70cf813eb35751b1f648",
-    "stability_report_D101.txt": "7b82e64e948fcbbc00e6bc68e2b118c0ec2caf353f03f9bccc92c944be4825fd",
-    "stability_steps_D101.csv": "05f994f718e79d9987386f265c6dbff050db7371f78e875d37888bf2948d27bb",
-    "trace_norm_D101.csv": "5f7ec0b4bec945e59fc20fbc897dc26de3d8f2f95c771e7decb5006174b0c41b",
+    "stability_report_D101.txt": "d38214a0f386edf215605d0f5e17b33a294a75005dad3af59b2357df56ced29f",
+    "stability_steps_D101.csv": "48c5cbf1058a613c0bc5075a0ea33bde782c3f0afd3ada2f8e12fc87d55be870",
+    "trace_norm_D101.csv": "bace631121117770b90305830b16f1a1e0bde9c647fa61b96aefdb494379499c",
     "trace_norm_D101.csv.meta": "f8357d4271ece66e7da03a759f72f97f1c0bf60267110982828391086095a9de",
-    "trace_raw_D101.csv": "19de155f007b9c3e012d01e418d95cdeeef41cbc52fe0d6b8b071cfca313bc98",
+    "trace_raw_D101.csv": "7e6f488975703cf93cee4604daa66253a4924ae88db16af5ef868a1bf39277ae",
     "trace_raw_D101.csv.meta": "00b2ff1aaaaccfeb49feed384ba844afd1ea69a34b66841408954056792cba07",
 }
 

@@ -336,6 +336,9 @@ class TestSimulate:
         assert manifest["loop_iterations"] == int(iters.sum()) > 0
         capped = (trace[:, header.index("converged")] == 0) & (iters >= SolverConfig().max_iters)
         assert manifest["capped_solves"] == int(capped.sum())
+        assert isinstance(manifest["loop_backtracks"], int) and manifest["loop_backtracks"] >= 0
+        worst = trace[capped, header.index("grad_norm")]
+        assert manifest["capped_max_grad_norm"] == (float(worst.max()) if worst.size else None)
         assert "grid_iterations" not in manifest
 
     def test_negative_start_level_is_an_error(self, workspace, tmp_path, capsys):
@@ -549,6 +552,8 @@ class TestCertify:
         assert isinstance(manifest["grid_iterations"], int) and manifest["grid_iterations"] > 0
         report = read_keyvalues(tmp_path / "stability_report.txt")
         assert manifest["capped_solves"] == int(report["capped_solves"])
+        assert isinstance(manifest["grid_backtracks"], int) and manifest["grid_backtracks"] >= 0
+        assert (manifest["capped_max_grad_norm"] is None) == (manifest["capped_solves"] == 0)
         assert "loop_iterations" not in manifest
 
     def test_horizon_comes_from_the_config(self, workspace, tmp_path):
@@ -740,15 +745,21 @@ class TestBenchmark:
         args = ["--config", str(config), "--only-D", "21", "--b-states", "3", "--b-horizon", "2"]
         assert main(["benchmark", *args, "--out", str(out)]) in (0, 2)
         record = json.loads((out / "manifest.json").read_text())["arms"]["D21"]
-        assert set(record) == {"timings_s", "loop_iterations", "grid_iterations", "capped_solves"}
+        assert set(record) == {
+            "timings_s", "loop_iterations", "grid_iterations", "loop_backtracks", "grid_backtracks",
+            "capped_solves", "capped_max_grad_norm",
+        }
         stages = record["timings_s"]
         assert set(stages) == {"generate", "fit", "constants", "closed_loop", "certify"}
         assert all(isinstance(t, float) and t >= 0.0 for t in stages.values())
         header, trace = read_csv(out / "trace_norm_D21.csv")
         assert record["loop_iterations"] == int(trace[:, header.index("iters")].sum())
         assert isinstance(record["grid_iterations"], int) and record["grid_iterations"] > 0
+        for key in ("loop_backtracks", "grid_backtracks"):
+            assert isinstance(record[key], int) and record[key] >= 0
         report = read_keyvalues(out / "stability_report_D21.txt")
         assert record["capped_solves"] == int(report["capped_solves"])
+        assert (record["capped_max_grad_norm"] is None) == (record["capped_solves"] == 0)
         # The record changes from run to run; the bundle digests leave it out.
         assert "manifest.json" not in bundle_digests(out)
 

@@ -25,6 +25,7 @@ from narxmpc import (
     KernelSpec,
     MpcConfig,
     NarxDims,
+    NarxDynamics,
     SolverConfig,
     SolverError,
     StageCostWeights,
@@ -541,6 +542,68 @@ def test_solve_ocp_batch_rows_equal_solo_solves(
         assert got.converged == solo.converged
 
 
+class PoisonedJacobians(NarxDynamics):
+    """``base`` with the Jacobians of one row replaced by ``value``: those
+    of every step after the first, or the input Jacobians of a one-step
+    sweep, in the rows whose first regressor entry is ``mark``.  Outputs
+    stay those of ``base``, so every cost is finite."""
+
+    mark = 0.75
+
+    def __init__(self, base, value):
+        self.base, self.value, self.dims = base, value, base.dims
+
+    def output_batch(self, X, U):
+        return self.base.output_batch(X, U)
+
+    def sweep(self, X0, U):
+        sweep = self.base.sweep(X0, U)
+        rows = np.asarray(X0)[:, 0] == self.mark
+        if U.shape[1] > 1:
+            sweep.jac_x[rows, 1:] = self.value
+        else:
+            sweep.jac_u[rows] = self.value
+        return sweep
+
+
+@given(
+    seed=seeds,
+    kind=st.sampled_from(["linear", "tanh"]),
+    p=st.integers(1, 2),
+    m=st.integers(1, 2),
+    nu=st.integers(1, 3),
+    horizon=st.integers(1, 6),
+    rows=st.integers(2, 6),
+    value=st.sampled_from([np.inf, -np.inf, np.nan, 1e200]),
+)
+def test_a_row_with_non_finite_jacobians_fails_alone(seed, kind, p, m, nu, horizon, rows, value):
+    """A row whose Jacobians are not finite, or so large (``1e200``, at
+    three steps or more) that its adjoints overflow, ends in its own
+    :class:`SolverError` at its first gradient; no other exception
+    escapes, and every other row equals its solo solve bit for bit."""
+    if np.isfinite(value):
+        horizon = max(horizon, 3)
+    rng = np.random.default_rng(seed)
+    cfg = _random_problem(rng, p, m, nu, horizon)
+    f = PoisonedJacobians(_random_dynamics(rng, cfg.dims, kind == "linear"), value)
+    X0 = rng.uniform(-0.5, 0.5, size=(rows, cfg.dims.n))
+    bad = int(rng.integers(rows))
+    X0[bad, 0] = PoisonedJacobians.mark
+    results = solve_ocp_batch(f, X0, cfg)
+    for i, got in enumerate(results):
+        try:
+            solo = solve_ocp(f, X0[i], cfg)
+        except SolverError as exc:
+            assert isinstance(got, SolverError) and str(got) == str(exc)
+            continue
+        assert not isinstance(got, SolverError)
+        assert got.u_star.tobytes() == solo.u_star.tobytes()
+        assert (got.value, got.iterations, got.backtracks, got.grad_norm, got.converged) == (
+            solo.value, solo.iterations, solo.backtracks, solo.grad_norm, solo.converged
+        )
+    assert str(results[bad]) == "gradient is not finite at the current iterate"
+
+
 @given(
     radii=st.lists(
         st.one_of(st.floats(0.0, 3.0), st.sampled_from([0.0, 1.0, np.inf, np.nan])),
@@ -678,6 +741,17 @@ def test_kernel_sweep_and_rollout_equal_the_generic_per_step_paths(seed, p, m, n
         assert_array_equal(stepwise_rollout(f, X[i], U[i]), outputs[i])
 
 
+def _random_sweep(rng, dims: NarxDims, rows: int, horizon: int) -> Sweep:
+    """A sweep of random entries whose magnitudes span six decades, with
+    some exact zeros among the outputs."""
+    arrays = [
+        rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 3.0, size=shape)
+        for shape in ((rows, horizon, dims.p), (rows, horizon, dims.p, dims.n), (rows, horizon, dims.p, dims.m))
+    ]
+    arrays[0][rng.random(arrays[0].shape) < 0.2] = 0.0
+    return Sweep(*arrays)
+
+
 @given(
     seed=seeds,
     p=st.integers(1, 2),
@@ -686,17 +760,63 @@ def test_kernel_sweep_and_rollout_equal_the_generic_per_step_paths(seed, p, m, n
     horizon=st.integers(1, 12),
     rows=st.integers(1, 8),
 )
-def test_backward_sweep_equals_the_per_step_adjoint_loop(seed, p, m, nu, horizon, rows):
-    """Forming the input gradients after the adjoint loop, all steps in one
-    stacked product, gives the bits of forming each inside it."""
+def test_backward_sweep_is_within_its_forward_error_bound(seed, p, m, nu, horizon, rows):
+    """The triangular solve's gradients are within ``gamma_{2w} G`` of the
+    long-double per-step adjoint recursion, where ``G`` is that recursion
+    on absolute values, ``gamma_k = k u / (1 - k u)`` and
+    ``w = (K + 1) N + p + max(m, p) + nu + 1`` with ``K = (nu + 1) p - 1``
+    superdiagonals.  The right-hand side ``2 Q y`` is within ``gamma_p``;
+    back substitution solves a system within ``gamma_{K+1}`` of the
+    triangular one row by row (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., ch. 8), which the at most N-fold
+    inverse of ``I - |S|`` turns into ``gamma_{(K+1) N + p}`` of the
+    adjoint magnitudes; the input gradients add ``max(m, p) + nu + 1``
+    roundings.  The factor 2 covers the second-order terms."""
     rng = np.random.default_rng(seed)
     cfg = _random_problem(rng, p, m, nu, horizon)
     dims = cfg.dims
-    sweep = Sweep(*(rng.standard_normal((rows, horizon, p, *tail)) for tail in ((), (dims.n,), (m,))))
+    sweep = _random_sweep(rng, dims, rows, horizon)
     U = rng.uniform(-1.0, 1.0, size=(rows, horizon, m))
-    assert_array_equal(
-        backward_sweep(dims, sweep, U, cfg.weights), backward_sweep_reference(dims, sweep, U, cfg.weights)
-    )
+    exact, magnitude = backward_sweep_reference(dims, sweep, U, cfg.weights)
+    width = (nu + 1) * p - 1
+    w = 2 * ((width + 1) * horizon + p + max(m, p) + nu + 1)
+    unit = np.finfo(float).eps / 2
+    error = np.abs(backward_sweep(dims, sweep, U, cfg.weights) - exact)
+    assert np.all(error <= w * unit / (1 - w * unit) * magnitude)
+
+
+@given(
+    seed=seeds,
+    p=st.integers(1, 2),
+    m=st.integers(1, 2),
+    nu=st.integers(1, 3),
+    horizon=st.integers(1, 12),
+    rows=st.integers(1, 8),
+    poison=st.sampled_from([None, np.inf, -np.inf, np.nan, 1e200]),
+)
+def test_backward_sweep_rows_equal_their_batches_of_one(seed, p, m, nu, horizon, rows, poison):
+    """Every finite row of a backward sweep is its batch of one, bit for
+    bit, also beside a row whose Jacobians are not finite or whose
+    adjoints overflow (``1e200`` in every entry); that row equals its
+    batch of one up to the sign of NaN, and its gradient is not finite
+    whenever one of its read entries is not."""
+    rng = np.random.default_rng(seed)
+    cfg = _random_problem(rng, p, m, nu, horizon)
+    dims = cfg.dims
+    sweep = _random_sweep(rng, dims, rows, horizon)
+    U = rng.uniform(-1.0, 1.0, size=(rows, horizon, m))
+    bad = int(rng.integers(rows))
+    if poison is not None:
+        sweep.jac_x[bad, 1:] = poison
+        if not np.isfinite(poison):
+            sweep.jac_u[bad, -1] = poison
+    grad = backward_sweep(dims, sweep, U, cfg.weights)
+    for i in range(rows):
+        single = backward_sweep(dims, sweep[i : i + 1], U[i : i + 1], cfg.weights)[0]
+        assert_array_equal(single, grad[i])
+        assert not np.isfinite(grad[i]).all() or single.tobytes() == grad[i].tobytes()
+    if poison is not None and not np.isfinite(poison):
+        assert not np.isfinite(grad[bad]).all()
 
 
 @given(
@@ -837,7 +957,8 @@ def _spy(name: str):
 def test_a_solve_evaluates_each_cost_by_one_sweep(seed, kind, p, m, nu, horizon, max_iters):
     """A solve makes one N-step forward sweep per start and per
     line-search trial, each gradient is a backward sweep over a kept
-    sweep, and nothing calls ``output_batch``.  The scalar descent makes
+    sweep, nothing calls ``output_batch``, and ``backtracks`` counts the
+    rejected trials.  The scalar descent makes
     one stepwise rollout (N ``output_batch`` calls) per cost and one
     ``cost_gradient`` (an N-step sweep) per gradient, so its counts give
     the expected ones."""
@@ -848,13 +969,17 @@ def test_a_solve_evaluates_each_cost_by_one_sweep(seed, kind, p, m, nu, horizon,
     x0 = rng.uniform(-1.0, 1.0, size=cfg.dims.n)
     start = rng.uniform(-1.0, 1.0, size=(horizon, m))
     with _spy("backward_sweep") as backward:
-        solve_ocp(f, x0, cfg, warm=start)
+        sol = solve_ocp(f, x0, cfg, warm=start)
     solver, f.calls = f.calls, Counter()
     _scalar_descent(f, x0, cfg, start)
     scalar = f.calls
     assert solver["output_batch"] == 0
     assert horizon * solver["sweep"] == scalar["output_batch"]
     assert backward.call_count == scalar["sweep"]
+    # The start, one accepted trial per iteration and every rejected one,
+    # less the accepted trial that a failed line search did not find.
+    failed_search = not sol.converged and sol.iterations < max_iters
+    assert solver["sweep"] == 1 + sol.iterations + sol.backtracks - failed_search
 
 
 @given(

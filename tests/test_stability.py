@@ -26,6 +26,7 @@ from narxmpc import (
     min_horizon,
     plant_views,
     run_closed_loop,
+    solve_ocp_batch,
     storage_matrix,
     storage_value,
     verify_decrease,
@@ -315,8 +316,13 @@ class TestVerifyDecrease:
             growth = estimate_growth_bound(f, run_cfg, states, 4)
             max_iters = run_cfg.solver.max_iters
             report = verify_decrease(trace, storage, growth=growth, max_iters=max_iters)
-            in_trace = int(np.sum(~trace.converged & (trace.iterations >= max_iters)))
+            capped = ~trace.converged & (trace.iterations >= max_iters)
+            in_trace = int(np.sum(capped))
             assert report.capped_solves == in_trace + growth.capped
+            grid = solve_ocp_batch(f, states, replace(run_cfg, horizon=4))
+            worst = [sol.grad_norm for sol in grid if not sol.converged and sol.iterations >= max_iters]
+            worst += list(trace.grad_norms[capped])
+            assert report.capped_max_grad_norm == (max(worst) if worst else None)
         # One iteration cannot converge from these starts: every solve is capped,
         # and the grid solves each state once.
         assert in_trace == trace.iterations.size and growth.capped == states.shape[0]
