@@ -41,8 +41,8 @@ from .stability import (
     GrowthBoundEstimate,
     StabilityReport,
     StorageMatrix,
+    decay_r2,
     estimate_growth_bound,
-    fit_decay_rate,
     gamma_bar,
     min_horizon,
     storage_matrix,

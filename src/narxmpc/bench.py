@@ -154,9 +154,20 @@ def certify_trace(
     return growth, report
 
 
-def stage_timings(timings: dict[str, float]) -> dict[str, float]:
-    """Stage wall times (s) rounded to ms, as run records hold them."""
-    return {stage: round(seconds, 3) for stage, seconds in timings.items()}
+def run_record(timings: dict[str, float], capped: tuple[int, float | None], trace=None, growth=None) -> dict:
+    """The run record of a stage or an arm: stage wall times (s, rounded to
+    ms), the iterations and rejected line-search trials of the closed loop
+    (its terminal solve included) when given its ``trace``, and of the
+    growth grid when given its ``growth`` estimate, then ``capped``: the
+    count of capped solves behind the certificate and the largest
+    projected-gradient norm among them (None when none capped)."""
+    record = {"timings_s": {stage: round(seconds, 3) for stage, seconds in timings.items()}}
+    for prefix, solves in (("loop", trace), ("grid", growth)):
+        if solves is not None:
+            record[f"{prefix}_iterations"] = int(solves.iterations.sum())
+            record[f"{prefix}_backtracks"] = int(solves.backtracks.sum())
+    record["capped_solves"], record["capped_max_grad_norm"] = capped
+    return record
 
 
 @dataclass
@@ -174,22 +185,6 @@ class BenchmarkArm:
     growth: GrowthBoundEstimate
     report: StabilityReport
     timings: dict = field(default_factory=dict)
-
-    def run_record(self) -> dict:
-        """Stage wall times (s, rounded to ms) and solver totals of the arm:
-        iterations and rejected line-search trials of the closed loop (its
-        terminal solve included) and of the growth grid, the capped solves
-        behind the certificate and the largest projected-gradient norm
-        among them (None when none capped)."""
-        return {
-            "timings_s": stage_timings(self.timings),
-            "loop_iterations": int(self.trace.iterations.sum()),
-            "grid_iterations": int(self.growth.iterations.sum()),
-            "loop_backtracks": int(self.trace.backtracks.sum()),
-            "grid_backtracks": int(self.growth.backtracks.sum()),
-            "capped_solves": self.report.capped_solves,
-            "capped_max_grad_norm": self.report.capped_max_grad_norm,
-        }
 
 
 @dataclass

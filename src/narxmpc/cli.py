@@ -37,8 +37,8 @@ from .bench import (
     fit_model,
     make_mpc_config,
     run_benchmark,
+    run_record,
     simulate_loop,
-    stage_timings,
 )
 from .fileio import (
     load_dataset,
@@ -56,7 +56,7 @@ from .fileio import (
 )
 from .kernels import KernelFitError
 from .mpc import SolverError
-from .stability import count_capped, max_capped_grad_norm
+from .stability import capped_solves
 from .twotank import BenchmarkConfig, generate_dataset
 
 
@@ -185,11 +185,7 @@ def cmd_simulate(args) -> int:
             raw_path.with_suffix(".csv.meta"),
         ],
         started,
-        timings_s=stage_timings(timings),
-        loop_iterations=int(trace.iterations.sum()),
-        loop_backtracks=int(trace.backtracks.sum()),
-        capped_solves=count_capped(trace.iterations, trace.converged, max_iters),
-        capped_max_grad_norm=max_capped_grad_norm(trace.iterations, trace.converged, trace.grad_norms, max_iters),
+        **run_record(timings, capped_solves(trace.iterations, trace.converged, trace.grad_norms, max_iters), trace),
     )
     if trace.failed_step is not None:
         print(
@@ -226,11 +222,7 @@ def cmd_certify(args) -> int:
         cfg,
         [report_path, steps_path],
         started,
-        timings_s=stage_timings(timings),
-        grid_iterations=int(growth.iterations.sum()),
-        grid_backtracks=int(growth.backtracks.sum()),
-        capped_solves=report.capped_solves,
-        capped_max_grad_norm=report.capped_max_grad_norm,
+        **run_record(timings, (report.capped_solves, report.capped_max_grad_norm), growth=growth),
     )
     print(report.verdict)
     return 0 if report.ok else 2
@@ -249,7 +241,12 @@ def cmd_benchmark(args) -> int:
         progress=_say(args),
     )
     outputs = [p for p in sorted(args.out.iterdir()) if p.is_file() and p.name != "manifest.json"]
-    arms = {f"D{d}": arm.run_record() for d, arm in sorted(result.arms.items())}
+    arms = {
+        f"D{d}": run_record(
+            arm.timings, (arm.report.capped_solves, arm.report.capped_max_grad_norm), arm.trace, arm.growth
+        )
+        for d, arm in sorted(result.arms.items())
+    }
     _manifest(args, "benchmark", cfg, outputs, started, arms=arms)
     bad = [d for d, arm in result.arms.items() if not arm.report.ok]
     for d, arm in sorted(result.arms.items()):

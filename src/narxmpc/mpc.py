@@ -309,14 +309,16 @@ def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: 
     ``NOISE_FLOOR * |J|``.  Each row keeps its own matrix, line search and
     stopping tests, so it follows the iterates of its solo descent bit for
     bit.  A row leaves the active set when it converges, when its line
-    search fails, or with a :class:`SolverError` in ``errors`` when its
-    cost or gradient is not finite; the other rows go on unchanged.
+    search fails or when its cost or gradient is not finite; the other
+    rows go on unchanged.  Returns one entry per row, written when the row
+    leaves: its :class:`OcpSolution`, or the :class:`SolverError` of a
+    non-finite cost or gradient.
 
     Every cost is one :meth:`~narxmpc.narx.NarxDynamics.sweep`, of the
     starts and of each line-search trial, and a row keeps the sweep of its
-    accepted iterate, so each gradient is one :func:`backward_sweep`; the
-    outputs of that sweep are returned with the iterate, and each row's
-    rejected line-search trials are counted.
+    accepted iterate, so each gradient is one :func:`backward_sweep`; a
+    solution carries the outputs of that sweep and counts its row's
+    rejected line-search trials.
     """
     box, weights = cfg.input_box, cfg.weights
     b, shape = starts.shape[0], starts.shape[1:]
@@ -325,14 +327,10 @@ def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: 
     k = U.shape[1]
     eye = np.eye(k)
     value, sweep = _evaluate(f, X0, U.reshape(starts.shape), weights)
-    errors: list[SolverError | None] = [
+    results: list[OcpSolution | SolverError | None] = [
         None if np.isfinite(v) else SolverError(f"initial cost is not finite ({v}) at the start sequence")
         for v in value
     ]
-    outputs = np.empty_like(sweep.outputs)
-    iterations, backtracks = np.zeros(b, dtype=int), np.zeros(b, dtype=int)
-    grad_norm, decrease = np.full(b, np.inf), np.full(b, np.inf)
-    converged = np.zeros(b, dtype=bool)
     live = np.flatnonzero(np.isfinite(value))
     r = live.size
     rows = None if not r else _Rows(
@@ -342,13 +340,20 @@ def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: 
     )
 
     def leave(out, count, conv):
-        """Record the rows ``out`` as finished; ``rows`` keeps the others, or
-        is None when no row is left."""
+        """Write the solutions of the rows ``out``; ``rows`` keeps the
+        others, or is None when no row is left."""
         nonlocal rows
-        idx = rows.index[out]
-        U[idx], value[idx], iterations[idx], converged[idx] = rows.u[out], rows.value[out], count, conv
-        outputs[idx], backtracks[idx] = rows.sweep.outputs[out], rows.backtracks[out]
-        grad_norm[idx], decrease[idx] = rows.norm[out], rows.decrease[out]
+        for j in np.flatnonzero(out):
+            results[rows.index[j]] = OcpSolution(
+                u_star=rows.u[j].reshape(shape),
+                outputs=rows.sweep.outputs[j],
+                value=float(rows.value[j]),
+                iterations=count,
+                backtracks=int(rows.backtracks[j]),
+                grad_norm=float(rows.norm[j]),
+                predicted_decrease=float(rows.decrease[j]),
+                converged=conv,
+            )
         keep = ~out
         rows = rows.take(keep) if keep.any() else None
         return keep
@@ -359,9 +364,10 @@ def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: 
         g = backward_sweep(f.dims, rows.sweep, rows.u.reshape(-1, *shape), weights).reshape(-1, k)
         finite = np.isfinite(g).all(axis=1)
         if not finite.all():
-            for i in rows.index[~finite]:
-                errors[i] = SolverError("gradient is not finite at the current iterate")
+            failed = rows.index[~finite]
             keep = leave(~finite, rnd, False)
+            for i in failed:
+                results[i] = SolverError("gradient is not finite at the current iterate")
             if rows is None:
                 break
             g = g[keep]
@@ -399,7 +405,7 @@ def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: 
     else:
         if rows is not None:
             leave(np.ones(rows.index.size, dtype=bool), cfg.solver.max_iters, False)
-    return U.reshape(starts.shape), outputs, value, iterations, backtracks, grad_norm, decrease, converged, errors
+    return results
 
 
 def _bfgs_update(rows: _Rows, y: np.ndarray, eye: np.ndarray) -> None:
@@ -490,34 +496,18 @@ def solve_ocp_batch(
     still searching are one :meth:`~narxmpc.narx.NarxDynamics.sweep` call
     each, and the gradients of the active rows one :func:`backward_sweep`
     call over the sweeps of their accepted iterates; a solution's
-    ``outputs`` come from the kept sweep of its ``u_star``.  Row ``i`` of
-    the result is what the batch of one ``X0[i]``, ``warm[i]`` gives, bit
-    for bit: its solution, or the :class:`SolverError` that stopped it.
-    A solution is ``converged`` when it met the gradient test or the
-    noise-floor test; otherwise it stopped at ``max_iters`` or at a line
-    search that found no decrease.
+    ``outputs`` come from the kept sweep of its ``u_star``.  Returns the
+    descent's list, one entry per row, written once when the row left the
+    descent: entry ``i`` is what the batch of one ``X0[i]``, ``warm[i]``
+    gives, bit for bit, its solution or the :class:`SolverError` that
+    stopped it.  A solution is ``converged``
+    when it met the gradient test or the noise-floor test; otherwise it
+    stopped at ``max_iters`` or at a line search that found no decrease.
     """
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     shape = (X0.shape[0], cfg.horizon, cfg.dims.m)
     starts = np.zeros(shape) if warm is None else np.asarray(warm, dtype=float).reshape(shape)
-    U, outputs, value, iterations, backtracks, grad_norm, decrease, converged, errors = _lockstep_descent(
-        f, X0, starts, cfg
-    )
-    return [
-        error
-        if error is not None
-        else OcpSolution(
-            u_star=U[i],
-            outputs=outputs[i],
-            value=float(value[i]),
-            iterations=int(iterations[i]),
-            backtracks=int(backtracks[i]),
-            grad_norm=float(grad_norm[i]),
-            predicted_decrease=float(decrease[i]),
-            converged=bool(converged[i]),
-        )
-        for i, error in enumerate(errors)
-    ]
+    return _lockstep_descent(f, X0, starts, cfg)
 
 
 def solve_ocp(

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import block_diag
 
-from .mpc import ClosedLoopTrace, MpcConfig, SolverError, StageCostWeights, solve_ocp_batch, stage_cost
+from .mpc import ClosedLoopTrace, MpcConfig, OcpSolution, SolverError, StageCostWeights, solve_ocp_batch, stage_cost
 from .narx import NarxDims, NarxDynamics
 
 
@@ -106,21 +106,13 @@ class GrowthBoundEstimate:
         return f"growth grid: {states} solves at N={horizon}, {self.capped} capped"
 
 
-def _capped(iterations, converged, max_iters: int) -> np.ndarray:
-    """Mask of the solves that stopped at the iteration cap without converging."""
-    return ~np.asarray(converged, dtype=bool) & (np.asarray(iterations) >= max_iters)
-
-
-def count_capped(iterations, converged, max_iters: int) -> int:
-    """Count of solves that stopped at the iteration cap without converging."""
-    return int(np.sum(_capped(iterations, converged, max_iters)))
-
-
-def max_capped_grad_norm(iterations, converged, grad_norms, max_iters: int) -> float | None:
-    """Largest projected-gradient norm among the solves that stopped at the
-    iteration cap without converging; None when none did."""
-    norms = np.asarray(grad_norms, dtype=float)[_capped(iterations, converged, max_iters)]
-    return float(norms.max()) if norms.size else None
+def capped_solves(iterations, converged, grad_norms, max_iters: int) -> tuple[int, float | None]:
+    """Count of the solves that stopped at the iteration cap ``max_iters``
+    without converging, and the largest projected-gradient norm among
+    them (None when none did)."""
+    capped = ~np.asarray(converged, dtype=bool) & (np.asarray(iterations) >= max_iters)
+    norms = np.asarray(grad_norms, dtype=float)[capped]
+    return int(capped.sum()), (float(norms.max()) if norms.size else None)
 
 
 def estimate_growth_bound(
@@ -134,8 +126,9 @@ def estimate_growth_bound(
 
     Every state is solved at horizon ``n_max`` in one
     :func:`~narxmpc.mpc.solve_ocp_batch` call from the usual cold start,
-    and the predicted outputs that each solution carries give its stage
-    costs.  The running sum of a row's stage costs over ``N`` steps is the cost of
+    whose result list holds one entry per state: its solution, whose
+    predicted outputs give its stage costs, or the error that stopped it.
+    The running sum of a row's stage costs over ``N`` steps is the cost of
     the solution's first ``N`` inputs.  The input box is the only
     constraint, so that prefix is feasible for the horizon-``N`` problem
     and its cost bounds ``V_N(x)`` from above for every ``N <= n_max``.
@@ -152,10 +145,10 @@ def estimate_growth_bound(
             "(norm above 1e-5)"
         )
     results = solve_ocp_batch(f, states, replace(cfg, horizon=n_max))
-    solved = np.array([not isinstance(sol, SolverError) for sol in results])
+    solved = np.array([isinstance(sol, OcpSolution) for sol in results])
     if not solved.any():
         raise SolverError("growth-bound estimation failed on every sample state")
-    sols = [sol for sol in results if not isinstance(sol, SolverError)]
+    sols = [sol for sol in results if isinstance(sol, OcpSolution)]
     U_star = np.stack([sol.u_star for sol in sols])
     outputs = np.stack([sol.outputs for sol in sols])
     ratios = np.full((states.shape[0], n_max), np.nan)
@@ -164,8 +157,9 @@ def estimate_growth_bound(
     iterations[solved] = [sol.iterations for sol in sols]
     backtracks = np.zeros(states.shape[0], dtype=int)
     backtracks[solved] = [sol.backtracks for sol in sols]
-    converged = [sol.converged for sol in sols]
-    max_iters = cfg.solver.max_iters
+    capped, worst = capped_solves(
+        iterations[solved], [sol.converged for sol in sols], [sol.grad_norm for sol in sols], cfg.solver.max_iters
+    )
     return GrowthBoundEstimate(
         b_values=np.nanmax(ratios, axis=0),
         ratios=ratios,
@@ -174,10 +168,8 @@ def estimate_growth_bound(
         solver_failures=int(np.sum(~solved)),
         iterations=iterations,
         backtracks=backtracks,
-        capped=count_capped(iterations[solved], converged, max_iters),
-        capped_max_grad_norm=max_capped_grad_norm(
-            iterations[solved], converged, [sol.grad_norm for sol in sols], max_iters
-        ),
+        capped=capped,
+        capped_max_grad_norm=worst,
     )
 
 
@@ -266,33 +258,31 @@ class StabilityReport:
         return self.verdict in (VERDICT_EQUILIBRIUM, VERDICT_VERIFIED)
 
 
-def fit_decay_rate(errors: np.ndarray):
-    """Least-squares slope of ``log(error)`` over the initial transient.
+def decay_r2(errors: np.ndarray) -> float:
+    """Coefficient of determination of the least-squares line through
+    ``log(error)`` over the initial transient.
 
     The fit window runs from the start through the first point at or
     below 1% of the initial error (or the whole series if the error
-    never drops that far).  Returns ``(slope, r_squared,
-    points)``; fewer than three usable points give NaN.
+    never drops that far).  Fewer than three usable points give NaN.
     """
     errors = np.asarray(errors, dtype=float)
-    positive = errors > 0
-    if errors.size == 0 or not positive[0]:
-        return math.nan, math.nan, 0
+    if errors.size == 0 or not errors[0] > 0:
+        return math.nan
     threshold = max(errors[0] * 0.01, 1e-14)
     below = np.flatnonzero(errors <= threshold)
     end = int(below[0]) if below.size else errors.size - 1
     window = errors[: end + 1]
     window = window[window > 0]
     if window.size < 3:
-        return math.nan, math.nan, int(window.size)
+        return math.nan
     k = np.arange(window.size)
     logs = np.log(window)
     slope, intercept = np.polyfit(k, logs, 1)
     fitted = slope * k + intercept
     ss_res = float(np.sum((logs - fitted) ** 2))
     ss_tot = float(np.sum((logs - np.mean(logs)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(r2), int(window.size)
+    return 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
 
 
 def require_applied_step(trace: ClosedLoopTrace) -> None:
@@ -357,7 +347,6 @@ def verify_decrease(
             bad = np.flatnonzero(active & (deltas >= 0))
             first_violation = int(bad[0]) if bad.size else int(np.flatnonzero(active)[np.argmin(active_coeffs)])
             alpha = max(alpha, 0.0)
-    _, r2, _ = fit_decay_rate(errors)
     report = StabilityReport(
         verdict=verdict,
         steps=k_max,
@@ -367,7 +356,7 @@ def verify_decrease(
         alpha=alpha,
         first_violation=first_violation,
         active_steps=int(np.sum(active)),
-        decay_r2=r2,
+        decay_r2=decay_r2(errors),
         state_norms=norms,
         errors=errors,
         values=trace.values,
@@ -388,12 +377,9 @@ def verify_decrease(
             report.min_horizon_value = 1.0
         report.horizon_sufficient = trace.horizon > report.min_horizon_value
     if max_iters is not None:
-        report.capped_solves = count_capped(trace.iterations, trace.converged, max_iters) + (
-            0 if growth is None else growth.capped
-        )
-        worst = (
-            max_capped_grad_norm(trace.iterations, trace.converged, trace.grad_norms, max_iters),
-            None if growth is None else growth.capped_max_grad_norm,
-        )
-        report.capped_max_grad_norm = max((v for v in worst if v is not None), default=None)
+        count, worst = capped_solves(trace.iterations, trace.converged, trace.grad_norms, max_iters)
+        if growth is not None:
+            count += growth.capped
+            worst = max((v for v in (worst, growth.capped_max_grad_norm) if v is not None), default=None)
+        report.capped_solves, report.capped_max_grad_norm = count, worst
     return report

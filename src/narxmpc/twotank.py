@@ -756,44 +756,20 @@ def generate_dataset(cfg: BenchmarkConfig) -> tuple[Dataset, dict]:
     return data, provenance
 
 
-#: Candidates per block of :func:`_accept_spaced`, which bounds its memory.
-_ACCEPT_CHUNK = 512
-
-
 def _accept_spaced(sites, targets, count, candidates, values, sep) -> tuple[int, int]:
     """Append candidate sites in order to the first ``count`` rows of the
     preallocated ``sites``/``targets`` until they are full, skipping each
     candidate closer than ``sep`` to an accepted site.  Returns the new
-    count and the number skipped.
-
-    The candidates are taken in blocks that fit the free rows.  Within a
-    block, the longest prefix that lies at least ``sep`` from the
-    accepted sites and from the earlier candidates of the prefix is
-    accepted at once; the first candidate that fails is skipped, and the
-    rest of the block is checked the same way.  The decisions are those
-    of checking one candidate at a time.
-    """
+    count and the number skipped."""
     skipped = 0
-    start = 0
-    while start < len(candidates) and count < sites.shape[0]:
-        block = candidates[start : start + min(_ACCEPT_CHUNK, sites.shape[0] - count)]
-        size = block.shape[0]
-        far = cdist(block, sites[:count]).min(axis=1) >= sep
-        close = cdist(block, block) < sep
-        # Latest earlier candidate of the block within sep of each one (-1: none).
-        latest = np.where(np.tril(close, -1), np.arange(size), -1).max(axis=1)
-        pos = 0
-        while pos < size:
-            fails = np.flatnonzero(~far[pos:] | (latest[pos:] >= pos))
-            end = pos + fails[0] if fails.size else size
-            sites[count : count + end - pos] = block[pos:end]
-            targets[count : count + end - pos] = values[start + pos : start + end]
-            count += end - pos
-            far[end:] &= ~close[end:, pos:end].any(axis=1)
-            if end < size:
-                skipped += 1
-            pos = end + 1
-        start += size
+    for site, value in zip(candidates, values):
+        if count == sites.shape[0]:
+            break
+        if cdist(site[None], sites[:count]).min() < sep:
+            skipped += 1
+            continue
+        sites[count], targets[count] = site, value
+        count += 1
     return count, skipped
 
 

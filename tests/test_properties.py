@@ -383,7 +383,8 @@ def test_several_column_products_agree_with_the_dense_fit(seed, size, dim, lengt
 
 
 def _accept_one_at_a_time(sites, targets, count, candidates, values, sep):
-    """The sequential site acceptance that the blocked one must reproduce."""
+    """The sequential site acceptance, by ``np.linalg.norm``, that
+    ``twotank._accept_spaced`` must reproduce."""
     skipped = 0
     for site, value in zip(candidates, values):
         if count == sites.shape[0]:
@@ -405,18 +406,17 @@ def _accept_one_at_a_time(sites, targets, count, candidates, values, sep):
     planted=st.integers(0, 60),
     room=st.integers(0, 260),
     sep=st.floats(0.02, 0.4),
-    chunk=st.sampled_from([1, 3, 64, 512]),
     one_by_one=st.booleans(),
 )
-@example(seed=0, dim=4, accepted=1, fresh=200, planted=60, room=260, sep=0.1, chunk=512, one_by_one=False)
-@example(seed=1, dim=3, accepted=5, fresh=50, planted=30, room=20, sep=0.3, chunk=3, one_by_one=True)
+@example(seed=0, dim=4, accepted=1, fresh=200, planted=60, room=260, sep=0.1, one_by_one=False)
+@example(seed=1, dim=3, accepted=5, fresh=50, planted=30, room=20, sep=0.3, one_by_one=True)
 def test_blocked_site_acceptance_equals_the_sequential_loop(
-    seed, dim, accepted, fresh, planted, room, sep, chunk, one_by_one
+    seed, dim, accepted, fresh, planted, room, sep, one_by_one
 ):
-    """Blocked acceptance makes the decisions of the one-at-a-time loop, with
+    """Site acceptance makes the decisions of the one-at-a-time loop, with
     near-duplicates of accepted sites and of earlier candidates planted among
-    the candidates, in single-candidate calls (trajectory mode) and in blocks
-    across chunk boundaries."""
+    the candidates, in single-candidate calls (trajectory mode) and in whole
+    blocks (state-grid mode)."""
     rng = np.random.default_rng(seed)
     old = rng.uniform(0.0, 1.0, size=(accepted, dim))
     candidates = rng.uniform(0.0, 1.0, size=(fresh, dim))
@@ -433,15 +433,12 @@ def test_blocked_site_acceptance_equals_the_sequential_loop(
         targets = np.full((capacity, 1), np.nan)
         sites[:accepted], targets[:accepted] = old, 0.0
         count, skipped = accepted, 0
-        with patch.object(twotank, "_ACCEPT_CHUNK", chunk):
-            if one_by_one:
-                for i in range(len(candidates)):
-                    count, more = accept(
-                        sites, targets, count, candidates[i : i + 1], values[i : i + 1], sep
-                    )
-                    skipped += more
-            else:
-                count, skipped = accept(sites, targets, count, candidates, values, sep)
+        if one_by_one:
+            for i in range(len(candidates)):
+                count, more = accept(sites, targets, count, candidates[i : i + 1], values[i : i + 1], sep)
+                skipped += more
+        else:
+            count, skipped = accept(sites, targets, count, candidates, values, sep)
         results.append((count, skipped, sites, targets))
     (count, skipped, sites, targets), (b_count, b_skipped, b_sites, b_targets) = results
     assert (b_count, b_skipped) == (count, skipped)

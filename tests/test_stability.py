@@ -16,8 +16,8 @@ from narxmpc import (
     NarxDims,
     SolverConfig,
     StageCostWeights,
+    decay_r2,
     estimate_growth_bound,
-    fit_decay_rate,
     gamma_bar,
     generate_dataset,
     fit_interpolant,
@@ -386,20 +386,14 @@ class TestPlantVerdicts:
 
 class TestDecayFit:
     def test_geometric_series(self):
-        errors = 0.5 ** np.arange(12)
-        slope, r2, points = fit_decay_rate(errors)
-        assert slope == pytest.approx(math.log(0.5), rel=1e-9)
-        assert r2 == pytest.approx(1.0, abs=1e-12)
-        assert points >= 3
+        assert decay_r2(0.5 ** np.arange(12)) == pytest.approx(1.0, abs=1e-12)
 
     def test_window_stops_at_relative_floor(self):
+        """The window ends at the first error at or below 1% of the first; a
+        line through the flat tail as well would give r2 = 0.484."""
         errors = np.concatenate([0.1 ** np.arange(5), np.full(20, 1e-9)])
-        _, _, points = fit_decay_rate(errors)
-        assert points <= 6
+        assert decay_r2(errors) == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_series(self):
-        slope, r2, points = fit_decay_rate(np.zeros(5))
-        assert math.isnan(slope)
-        assert points == 0
-        slope, _, points = fit_decay_rate(np.array([1.0, 0.5]))
-        assert math.isnan(slope)
+        assert math.isnan(decay_r2(np.zeros(5)))
+        assert math.isnan(decay_r2(np.array([1.0, 0.5])))
