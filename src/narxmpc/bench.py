@@ -116,10 +116,9 @@ def simulate_loop(cfg: BenchmarkConfig, model: KernelInterpolant) -> ClosedLoopT
     """Closed-loop stage: MPC on the surrogate drives the plant from the
     configured initial condition."""
     mpc_cfg = make_mpc_config(cfg)
-    _, plant = plant_views(cfg)
-    x0, _ = cfg.initial_condition()
+    x0, levels = cfg.initial_condition()
     return run_closed_loop(
-        plant,
+        TwoTankPlant(cfg, *levels),
         model,
         mpc_cfg,
         x0,
@@ -221,7 +220,7 @@ def run_arm(
     )
 
     tic = time.perf_counter()
-    narx_view, _ = plant_views(cfg_d)
+    narx_view = TwoTankNarxDynamics(cfg_d.params, cfg_d.normalization(), cfg_d.dims)
     X_est, U_est = error_constant_samples(cfg_d, 400, seed=cfg.seed + 11)
     constants = estimate_error_constants(narx_view, model, X_est, U_est)
     X_val, U_val = error_constant_samples(cfg_d, 400, seed=cfg.seed + 13)

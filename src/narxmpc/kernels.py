@@ -525,8 +525,9 @@ class KernelInterpolant(NarxDynamics):
 
         ``P(xi)^2 = phi(0) - 2 k(xi)^T c + c^T K c`` with ``c`` the solve
         of ``K c = k(xi)``; this quadratic form stays nonnegative under
-        inexact solves, unlike the textbook two-term expression.  Values
-        are clamped at zero (clamping tolerance 1e-14).  Raises
+        inexact solves, unlike the textbook two-term expression.
+        ``P(xi)^2`` is clamped at exactly zero, so a negative value from
+        rounding gives ``P(xi) = 0``.  Raises
         ``ValueError`` for probes that are not finite.
         """
         if not np.all(np.isfinite(Xi)):

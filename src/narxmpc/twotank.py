@@ -408,7 +408,9 @@ class BenchmarkConfig:
     length.  The output domain is the fixed level range ``[y_lo, y_hi]``
     and the admissible pump range is ``[u_lo, u_hi]``, which must start
     at a nonnegative flow and hold the equilibrium flow ``u_eq``; the
-    measured level starts at the constant value ``h0``.  Dataset ``mode``
+    measured level starts at the constant value ``h0`` inside the level
+    range.  ``q_weight``, ``r_weight``, ``dt`` and ``sigma`` must be
+    positive and ``jitter`` nonnegative.  Dataset ``mode``
     is ``state_grid`` (quasi-uniform coverage of levels and inputs, the
     default) or ``trajectory`` (harvested simulation runs).  The lag
     depth ``nu`` is fixed at two: the depth at which the hidden level is
@@ -438,6 +440,13 @@ class BenchmarkConfig:
         for name in ("q_weight", "r_weight", "u_lo", "u_hi", "dt", "sigma", "jitter", "h0"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("q_weight", "r_weight", "dt", "sigma"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.jitter < 0:
+            raise ValueError(f"jitter must be nonnegative, got {self.jitter}")
+        if not (self.y_lo <= self.h0 <= self.y_hi):
+            raise ValueError(f"h0 must lie in [{self.y_lo}, {self.y_hi}], got {self.h0}")
         if self.d < 1:
             raise ValueError("d must be at least 1")
         if self.horizon < 1 or self.steps < 0:
@@ -529,11 +538,6 @@ def _primes(count: int) -> list[int]:
     return primes
 
 
-#: Elements per temporary array of :meth:`ScrambledHalton.random` (64 KB):
-#: arrays this small reuse freed heap memory instead of mapping new pages.
-_HALTON_WORK = 8192
-
-
 class ScrambledHalton:
     """Randomly scrambled Halton sequence in ``[0, 1)^d`` (Owen, "A
     randomized Halton algorithm in R", arXiv:1706.02808, 2017).
@@ -554,61 +558,29 @@ class ScrambledHalton:
 
     def __init__(self, d: int, seed: int):
         rng = np.random.default_rng(seed)
-        bases = _primes(d)
-        counts = [math.ceil(54 / math.log2(b)) - 1 for b in bases]
-        rows, width = max(counts), max(bases)
-        # table[j, c, digit] = perm[j][digit] * b^-(j+1) of base c, and 0.0
-        # (which changes no sum) past the base's last row.
-        self._table = np.zeros((rows, d, width))
-        for col, (base, count) in enumerate(zip(bases, counts)):
+        # Per base, tables[c][j, digit] = perm[j][digit] * b^-(j+1).
+        self._tables = []
+        for base in _primes(d):
+            count = math.ceil(54 / math.log2(base)) - 1
             perms = np.repeat(np.arange(base)[None], count, axis=0)
             for perm in perms:
                 rng.shuffle(perm)
             scales = [1.0 / base]
             for _ in range(count - 1):
                 scales.append(scales[-1] / base)
-            self._table[:count, col, :base] = perms * np.array(scales)[:, None]
-        self._base = np.array(bases, dtype=float)[:, None]
-        # b^j by repeated products: exact up to 2^53, and above every index
-        # beyond it.
-        self._powers = np.cumprod(
-            np.vstack([np.ones((1, d, 1)), np.repeat(self._base[None], rows, axis=0)]), axis=0
-        )
-        self._offsets = (width * np.arange(rows * d, dtype=float)).reshape(rows, d, 1)
-        # In base 2 every term is 0 or 2^-(j+1), so every partial sum is
-        # exact and the terms may be added in any grouping: the digits that
-        # are 0 for a whole draw collapse into one suffix sum.
-        self._base2_tail = np.append(np.cumsum(self._table[::-1, 0, 0])[::-1], 0.0)
-        self._tail = self._table[:, :, :1].copy()
-        self._tail[:, 0] = 0.0
-        self._tail_rows = max(counts[1:], default=0)
+            self._tables.append(perms * np.array(scales)[:, None])
         self._generated = 0
 
     def random(self, n: int) -> np.ndarray:
         """The next ``n`` points, as an (n, d) array."""
-        start, stop = self._generated, self._generated + n
-        self._generated = stop
-        d = self._base.shape[0]
-        index = np.arange(start, stop, dtype=float)
-        # Digits j >= `varying` are 0 in every base for indices below 2^varying.
-        varying = max(1, (stop - 1).bit_length())
-        # Quotients floor(i / b^j) for several digits per pass; they are
-        # exact for indices below 2^52.
-        group = max(1, _HALTON_WORK // (d * max(n, 1)) - 1)
-        points = np.zeros((d, n))
-        for lo in range(0, varying, group):
-            hi = min(varying, lo + group)
-            q = np.divide(index, self._powers[lo : hi + 1])
-            np.floor(q, out=q)
-            digits = np.multiply(self._base, q[1:])
-            np.subtract(q[:-1], digits, out=digits)
-            digits += self._offsets[lo:hi]
-            # Added row by row, in digit order, as scipy adds them.
-            for term in self._table.take(digits.astype(np.intp)):
-                points += term
-        for term in self._tail[varying : self._tail_rows]:
-            points += term
-        points[0] += self._base2_tail[varying]
+        index = np.arange(self._generated, self._generated + n)
+        self._generated += n
+        points = np.zeros((len(self._tables), n))
+        for column, table in zip(points, self._tables):
+            quotient = index
+            for row in table:
+                quotient, digit = np.divmod(quotient, table.shape[1])
+                column += row[digit]
         return points.T
 
 

@@ -354,7 +354,7 @@ class TestSimulate:
             ]
         )
         assert code == 1
-        assert "error: initial levels must satisfy" in capsys.readouterr().err
+        assert "error: h0 must lie in [0.0, 0.5], got -0.1" in capsys.readouterr().err
 
     def test_failed_step_exits_1(self, workspace, tmp_path, capsys, monkeypatch):
         real_solve = narxmpc.mpc.solve_ocp
@@ -762,6 +762,19 @@ class TestBenchmark:
         assert (record["capped_max_grad_norm"] is None) == (record["capped_solves"] == 0)
         # The record changes from run to run; the bundle digests leave it out.
         assert "manifest.json" not in bundle_digests(out)
+
+    def test_arm_builds_its_start_state_once(self, monkeypatch):
+        """The start state's hidden-level bisection runs once per arm."""
+        real = BenchmarkConfig.initial_condition
+        calls = []
+
+        def counted(self):
+            calls.append(self.d)
+            return real(self)
+
+        monkeypatch.setattr(BenchmarkConfig, "initial_condition", counted)
+        narxmpc.bench.run_arm(BenchmarkConfig(steps=2), 21, b_states=2, b_horizon=1)
+        assert calls == [21]
 
     def test_repeated_size_is_an_error(self, tmp_path, capsys):
         out = tmp_path / "bundle"

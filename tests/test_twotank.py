@@ -319,6 +319,24 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             BenchmarkConfig(**{name: bad})
 
+    @pytest.mark.parametrize("name", ["q_weight", "r_weight", "dt", "sigma"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_nonpositive_settings_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            BenchmarkConfig(**{name: bad})
+
+    def test_negative_jitter_rejected(self):
+        with pytest.raises(ValueError, match="jitter must be nonnegative"):
+            BenchmarkConfig(jitter=-1e-12)
+
+    @pytest.mark.parametrize("h0", [-0.1, 0.5000001, 3.0])
+    def test_start_level_outside_the_level_range_rejected(self, h0):
+        """A start outside the level range is outside the data's domain
+        (and from about 0.92 m its hidden level clamps at the bisection
+        bound, so h0 = 3.0 would start at levels (3.0, 3.0))."""
+        with pytest.raises(ValueError, match=r"h0 must lie in \[0.0, 0.5\]"):
+            BenchmarkConfig(h0=h0)
+
 
 class TestGenerateDataset:
     def test_single_site_is_equilibrium(self, cfg):
