@@ -19,10 +19,12 @@ import numpy as np
 from .kernels import Dataset, KernelInterpolant, KernelSpec, fit_interpolant
 from .mpc import ClosedLoopTrace
 from .narx import AffineNormalization, NarxDims
+from .twotank import CONFIG_KEYS
 
 
 class ConfigError(ValueError):
-    """Bad configuration file, malformed artifact or unusable CLI input."""
+    """Bad configuration file, malformed artifact, an artifact or trace
+    that does not match its configuration, or unusable CLI input."""
 
 
 def format_float(value: float) -> str:
@@ -126,16 +128,6 @@ def _normalization_fields(norm: AffineNormalization) -> dict:
         "u_ref": norm.u_ref,
         "u_scale": norm.u_scale,
     }
-
-
-def _normalization_mismatch(norm: AffineNormalization, cfg) -> str | None:
-    """The first field of ``norm`` that is not the bits of ``cfg``'s
-    normalization, or None."""
-    expected = cfg.normalization()
-    for name in _normalization_fields(expected):
-        if not np.array_equal(getattr(norm, name), getattr(expected, name)):
-            return name
-    return None
 
 
 def _parse_floats(raw: str) -> np.ndarray:
@@ -303,31 +295,19 @@ def save_trace(trace: ClosedLoopTrace, path, cfg, raw: bool = False) -> None:
     scalar diagnostics keep their normalized meaning.  The sidecar's
     ``units`` entry (``raw`` or ``normalized``) records which table this
     is, since both have the same header.  The sidecar records ``cfg``, so
-    a trace whose horizon, dimensions or normalization (when it carries
-    one) differ from those of ``cfg`` raises ``ValueError`` naming the
-    field.
+    a trace whose horizon ``N``, dimensions ``p``, ``m``, ``nu`` or
+    normalization (when it carries one) differ from those of ``cfg``
+    raises ``ConfigError`` naming the key, and nothing is written.
     """
-    if trace.horizon != cfg.horizon:
-        raise ValueError(
-            f"trace horizon {trace.horizon} does not match the configuration's N = {cfg.horizon}"
-        )
-    if trace.dims != cfg.dims:
-        raise ValueError(
-            f"trace dimensions {trace.dims} do not match the configuration's {cfg.dims}"
-        )
-    name = None if trace.normalization is None else _normalization_mismatch(trace.normalization, cfg)
-    if name is not None:
-        raise ValueError(f"trace normalization {name} does not match the configuration's")
-    write_csv(path, trace_header(trace.dims), _trace_rows(trace, raw))
     fmt = "narxmpc-trace-v1"
-    meta = {
-        "format": fmt,
-        "units": "raw" if raw else "normalized",
-        **_dims_fields(cfg.dims),
-        **_config_entries(cfg, fmt),
-        **_normalization_fields(cfg.normalization()),
-    }
-    write_keyvalues(_sidecar(path), meta)
+    carried = {"N": trace.horizon, **_dims_fields(trace.dims)}
+    if trace.normalization is not None:
+        carried.update(_normalization_fields(trace.normalization))
+    entries = _require_entries(f"trace for {path}", carried, cfg, fmt, keys=carried)
+    write_csv(path, trace_header(trace.dims), _trace_rows(trace, raw))
+    write_keyvalues(
+        _sidecar(path), {"format": fmt, "units": "raw" if raw else "normalized", **entries}
+    )
 
 
 def load_trace(path, dims: NarxDims, horizon: int, normalization=None) -> ClosedLoopTrace:
@@ -347,31 +327,23 @@ def load_trace(path, dims: NarxDims, horizon: int, normalization=None) -> Closed
     return ClosedLoopTrace(**fields, dims=dims, horizon=horizon, normalization=normalization)
 
 
+#: The stability report's keys, in file order, with the report
+#: attributes they hold; a None attribute leaves its key out.
+_REPORT_KEYS = (
+    ("verdict", "verdict"), ("model_tag", "model_tag"), ("steps", "steps"),
+    ("horizon", "horizon"), ("deadband", "deadband"), ("eta", "eta"),
+    ("sigma_min", "sigma_min"), ("active_steps", "active_steps"), ("decay_r2", "decay_r2"),
+    ("alpha", "alpha"), ("first_violation", "first_violation"), ("gamma_bar", "gamma_bar"),
+    ("min_horizon", "min_horizon_value"), ("horizon_sufficient", "horizon_sufficient"),
+    ("b_values", "b_values"), ("growth_failures", "growth_failures"),
+    ("capped_solves", "capped_solves"),
+)
+
+
 def save_stability_report(report, path_txt, path_csv=None) -> None:
     """Write a stability report as key=value, plus an optional per-step CSV."""
-    entries = {
-        "verdict": report.verdict,
-        "model_tag": report.model_tag,
-        "steps": report.steps,
-        "horizon": report.horizon,
-        "deadband": report.deadband,
-        "eta": report.eta,
-        "sigma_min": report.sigma_min,
-        "active_steps": report.active_steps,
-        "decay_r2": report.decay_r2,
-    }
-    if report.alpha is not None:
-        entries["alpha"] = report.alpha
-    if report.first_violation is not None:
-        entries["first_violation"] = report.first_violation
-    if report.gamma_bar is not None:
-        entries["gamma_bar"] = report.gamma_bar
-        entries["min_horizon"] = report.min_horizon_value
-        entries["horizon_sufficient"] = report.horizon_sufficient
-        entries["b_values"] = report.b_values
-        entries["growth_failures"] = report.growth_failures
-    if report.capped_solves is not None:
-        entries["capped_solves"] = report.capped_solves
+    entries = {key: getattr(report, name) for key, name in _REPORT_KEYS}
+    entries = {key: value for key, value in entries.items() if value is not None}
     write_keyvalues(path_txt, entries)
     if path_csv is not None:
         k = np.arange(report.state_norms.shape[0])
@@ -398,24 +370,6 @@ def write_manifest(path, entries: dict) -> None:
     Path(path).write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n")
 
 
-#: Accepted configuration keys and the benchmark fields they set.
-CONFIG_KEYS = {
-    "D": ("d", int),
-    "N": ("horizon", int),
-    "Q": ("q_weight", float),
-    "R": ("r_weight", float),
-    "steps": ("steps", int),
-    "seed": ("seed", int),
-    "u_lo": ("u_lo", float),
-    "u_hi": ("u_hi", float),
-    "dt": ("dt", float),
-    "mode": ("mode", str),
-    "sigma": ("sigma", float),
-    "jitter": ("jitter", float),
-    "h0": ("h0", float),
-}
-
-
 #: Per sidecar format, the configuration keys the sidecar records
 #: besides the dimensions and normalization: the sample time of the
 #: transitions, and for a trace the controller settings behind its
@@ -429,6 +383,28 @@ _CONFIG_ENTRIES = {
 
 def _config_entries(cfg, fmt: str) -> dict:
     return {key: getattr(cfg, CONFIG_KEYS[key][0]) for key in _CONFIG_ENTRIES[fmt]}
+
+
+def _require_entries(where, recorded: dict, cfg, fmt: str, keys=None) -> dict[str, str]:
+    """The entries that ``cfg`` writes into a sidecar of format ``fmt``
+    (dimensions, the settings the format records and normalization), as
+    written; raise ``ConfigError`` naming the first of ``keys`` (default:
+    all of them) whose entry in ``recorded`` differs or is missing.
+    Values are compared as :func:`write_keyvalues` writes them, which
+    round-trips floats, so equal text is equal bits."""
+    expected = {
+        **_dims_fields(cfg.dims),
+        **_config_entries(cfg, fmt),
+        **_normalization_fields(cfg.normalization()),
+    }
+    expected = {key: _format_value(value) for key, value in expected.items()}
+    for key in expected if keys is None else keys:
+        got = _format_value(recorded[key]) if key in recorded else "(not recorded)"
+        if got != expected[key]:
+            raise ConfigError(
+                f"{where}: {key} = {got} does not match the configuration's {expected[key]}"
+            )
+    return expected
 
 
 def require_config(path, cfg) -> None:
@@ -448,24 +424,7 @@ def require_config(path, cfg) -> None:
             f"{path}: trace units = {meta.get('units', '(not recorded)')}; a certificate "
             "needs the trace in normalized units (trace_norm.csv)"
         )
-    dims = _dims_from(meta, path)
-    if dims != cfg.dims:
-        raise ConfigError(f"{path}: dimensions {dims} do not match the configuration {cfg.dims}")
-    stored, expected = _normalization_from(meta, path), cfg.normalization()
-    name = _normalization_mismatch(stored, cfg)
-    if name is not None:
-        raise ConfigError(
-            f"{path}: normalization {name} = {getattr(stored, name).tolist()} "
-            f"does not match the configuration's {getattr(expected, name).tolist()}"
-        )
-    for key, value in _config_entries(cfg, fmt).items():
-        if key not in meta:
-            raise ConfigError(f"{path}: sidecar is missing the {key} entry")
-        if meta[key] != _format_value(value):
-            raise ConfigError(
-                f"{path}: {key} = {meta[key]} does not match the configuration's "
-                f"{_format_value(value)}"
-            )
+    _require_entries(path, meta, cfg, fmt)
 
 
 def parse_benchmark_config(path) -> dict:

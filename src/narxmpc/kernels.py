@@ -381,10 +381,6 @@ class KernelInterpolant(NarxDynamics):
         return self.data.dims
 
     @property
-    def normalization(self) -> AffineNormalization:
-        return self.data.normalization
-
-    @property
     def certificate_degraded(self) -> bool:
         return self.jitter > 0.0
 
@@ -691,27 +687,23 @@ def _constants_from(residual, x_norm, u_norm) -> ErrorConstants:
     residual_l, x_l, u_l = residual[live], x_norm[live], u_norm[live]
 
     # Candidate c_u values: zero plus a log grid spanning the residual scale.
-    hi = max(float(np.max(residual_l / np.maximum(u_norm[live], 1e-12))), 1e-12)
+    hi = max(float(np.max(residual_l / np.maximum(u_l, 1e-12))), 1e-12)
     candidates = np.concatenate([[0.0], np.geomspace(hi * 1e-8, hi, 64)])
-    best = None
-    for cu in candidates:
-        leftover = residual_l - cu * u_l
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(x_l > 1e-8, leftover / np.where(x_l > 1e-8, x_l, 1.0), np.inf)
-        # Samples with a vanishing state must be covered by c_u alone.
-        uncovered = (x_l <= 1e-8) & (leftover > 1e-10)
-        if np.any(uncovered):
-            continue
-        cx = max(float(np.max(ratios[x_l > 1e-8], initial=0.0)), 0.0)
-        if best is None or cx + cu < best[0] + best[1]:
-            best = (cx, cu)
-    if best is None:
+    leftover = residual_l - candidates[:, None] * u_l
+    moving = x_l > 1e-8
+    c_x = np.max(leftover[:, moving] / x_l[moving], axis=1, initial=0.0)
+    # Samples with a vanishing state must be covered by c_u alone.
+    covering = np.flatnonzero(~np.any(leftover[:, ~moving] > 1e-10, axis=1))
+    if covering.size == 0:
         raise ValueError(
             "no (c_x, c_u) pair covers the sampled residuals; samples with "
             "vanishing state have residuals exceeding every input bound"
         )
-    c_x, c_u = best
-    return ErrorConstants(c_x=c_x, c_u=c_u, sample_count=int(residual.shape[0]))
+    # argmin keeps the first of equal sums, the smallest such c_u.
+    best = covering[np.argmin(c_x[covering] + candidates[covering])]
+    return ErrorConstants(
+        c_x=float(c_x[best]), c_u=float(candidates[best]), sample_count=int(residual.shape[0])
+    )
 
 
 def validate_error_constants(

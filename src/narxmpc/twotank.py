@@ -399,6 +399,25 @@ def _chain(last, flat, pinned, now, now_flat):
     return np.column_stack([lower, inputs])
 
 
+#: Accepted configuration-file keys and the :class:`BenchmarkConfig`
+#: fields they set, with the type each value is read as.
+CONFIG_KEYS = {
+    "D": ("d", int),
+    "N": ("horizon", int),
+    "Q": ("q_weight", float),
+    "R": ("r_weight", float),
+    "steps": ("steps", int),
+    "seed": ("seed", int),
+    "u_lo": ("u_lo", float),
+    "u_hi": ("u_hi", float),
+    "dt": ("dt", float),
+    "mode": ("mode", str),
+    "sigma": ("sigma", float),
+    "jitter": ("jitter", float),
+    "h0": ("h0", float),
+}
+
+
 @dataclass(frozen=True)
 class BenchmarkConfig:
     """Two-tank benchmark settings (raw physical units for the plant side).
@@ -415,7 +434,8 @@ class BenchmarkConfig:
     default) or ``trajectory`` (harvested simulation runs).  The lag
     depth ``nu`` is fixed at two: the depth at which the hidden level is
     recoverable, and the one the samplers draw regressors for.  Every
-    float setting must be finite.
+    float setting must be finite.  An error names the field and, where
+    it differs, the :data:`CONFIG_KEYS` key that sets it.
     """
 
     d: int = 101
@@ -439,28 +459,37 @@ class BenchmarkConfig:
     def __post_init__(self) -> None:
         for name in ("q_weight", "r_weight", "u_lo", "u_hi", "dt", "sigma", "jitter", "h0"):
             if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+                raise self._invalid(name, "must be finite")
         for name in ("q_weight", "r_weight", "dt", "sigma"):
             if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+                raise self._invalid(name, "must be positive")
         if self.jitter < 0:
-            raise ValueError(f"jitter must be nonnegative, got {self.jitter}")
+            raise self._invalid("jitter", "must be nonnegative")
         if not (self.y_lo <= self.h0 <= self.y_hi):
-            raise ValueError(f"h0 must lie in [{self.y_lo}, {self.y_hi}], got {self.h0}")
+            raise self._invalid("h0", f"must lie in [{self.y_lo}, {self.y_hi}]")
         if self.d < 1:
-            raise ValueError("d must be at least 1")
-        if self.horizon < 1 or self.steps < 0:
-            raise ValueError("horizon must be >= 1 and steps >= 0")
+            raise self._invalid("d", "must be at least 1")
+        if self.horizon < 1:
+            raise self._invalid("horizon", "must be at least 1")
+        if self.steps < 0:
+            raise self._invalid("steps", "must be nonnegative")
         if self.mode not in ("trajectory", "state_grid"):
             raise ValueError(
                 f"unknown dataset mode {self.mode!r}; use 'trajectory' or 'state_grid'"
             )
         if self.u_lo < 0:
-            raise ValueError(f"u_lo must be nonnegative (a pump flow), got {self.u_lo}")
+            raise self._invalid("u_lo", "must be nonnegative (a pump flow)")
         if not (self.u_lo < self.u_hi):
             raise ValueError("need u_lo < u_hi")
         if not (self.u_lo <= self.u_eq <= self.u_hi):
             raise ValueError("the equilibrium input must lie inside the input range")
+
+    def _invalid(self, name: str, rule: str) -> ValueError:
+        """The error for field ``name`` breaking ``rule``, naming the
+        configuration-file key that sets it where the two differ."""
+        key = next(key for key, (field, _) in CONFIG_KEYS.items() if field == name)
+        where = "" if key == name else f" (config key {key})"
+        return ValueError(f"{name} {rule}, got {getattr(self, name)}{where}")
 
     @property
     def params(self) -> TwoTankParams:

@@ -351,3 +351,34 @@ def sample_domain(
     raw_x[:, nb:] = rng.uniform(cfg.u_lo, cfg.u_hi, size=(count, dims.n - nb))
     raw_u = rng.uniform(cfg.u_lo, cfg.u_hi, size=(count, dims.m))
     return norm.normalize_state(raw_x, dims), norm.normalize_input(raw_u)
+
+
+def error_constants_by_candidate(residual, x_norm, u_norm) -> tuple[float, float]:
+    """The ``(c_x, c_u)`` of ``kernels._constants_from`` by one pass per
+    candidate ``c_u``, keeping the first candidate of least ``c_x + c_u``;
+    raises its ``ValueError`` messages."""
+    at_origin = (x_norm <= 1e-8) & (u_norm <= 1e-8)
+    if np.any(residual[at_origin] > 1e-10):
+        worst = float(np.max(residual[at_origin]))
+        raise ValueError(
+            f"equilibrium mismatch: residual {worst:.3e} at a zero sample; "
+            "no proportional error bound exists"
+        )
+    live = ~at_origin
+    residual_l, x_l, u_l = residual[live], x_norm[live], u_norm[live]
+    hi = max(float(np.max(residual_l / np.maximum(u_l, 1e-12))), 1e-12)
+    best = None
+    for cu in np.concatenate([[0.0], np.geomspace(hi * 1e-8, hi, 64)]):
+        leftover = residual_l - cu * u_l
+        if np.any((x_l <= 1e-8) & (leftover > 1e-10)):
+            continue
+        moving = x_l > 1e-8
+        cx = max(float(np.max(leftover[moving] / x_l[moving], initial=0.0)), 0.0)
+        if best is None or cx + cu < best[0] + best[1]:
+            best = (cx, float(cu))
+    if best is None:
+        raise ValueError(
+            "no (c_x, c_u) pair covers the sampled residuals; samples with "
+            "vanishing state have residuals exceeding every input bound"
+        )
+    return best

@@ -117,6 +117,23 @@ class TestParsing:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("Q = -1", "q_weight must be positive, got -1.0 (config key Q)"),
+            ("R = 0", "r_weight must be positive, got 0.0 (config key R)"),
+            ("D = 0", "d must be at least 1, got 0 (config key D)"),
+            ("N = 0", "horizon must be at least 1, got 0 (config key N)"),
+        ],
+    )
+    def test_config_errors_name_the_key(self, tmp_path, capsys, entry, message):
+        config = tmp_path / "cfg.txt"
+        config.write_text(f"{entry}\n")
+        code = main(["generate", "--config", str(config), "--out", str(tmp_path)])
+        assert code == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not list(tmp_path.glob("dataset_*.csv"))
+
     def test_unsupported_lag_depth_is_an_error(self, tmp_path, capsys):
         config = tmp_path / "cfg.txt"
         config.write_text("nu = 3\n")
@@ -227,7 +244,7 @@ class TestFit:
         data = str(workspace / "dataset_D21.csv")
         code = main(["fit", "--data", data, "--config", str(config), "--out", str(tmp_path)])
         assert code == 1
-        assert "dataset_D21.csv: normalization u_scale" in capsys.readouterr().err
+        assert "dataset_D21.csv: u_scale = " in capsys.readouterr().err
         assert not (tmp_path / "model.csv").exists()
 
     def test_sidecar_without_sample_time_is_rejected(self, workspace, tmp_path, capsys):
@@ -239,7 +256,8 @@ class TestFit:
         (tmp_path / "dataset.csv.meta").write_text("\n".join(kept) + "\n")
         code = main(["fit", "--data", str(data), "--out", str(tmp_path)])
         assert code == 1
-        assert "dataset.csv: sidecar is missing the dt entry" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "dataset.csv: dt = (not recorded) does not match the configuration's 10" in err
         assert not (tmp_path / "model.csv").exists()
 
     def test_missing_dataset(self, tmp_path, capsys):
@@ -267,7 +285,7 @@ class TestSimulate:
             ["certify", "--model", model, "--trace", str(tmp_path / "trace_norm.csv"), *out],
         ):
             assert main(argv) == 1
-            assert "model.csv: normalization u_scale" in capsys.readouterr().err
+            assert "model.csv: u_scale = " in capsys.readouterr().err
         assert not (tmp_path / "default").exists()
 
     def test_model_of_another_sample_time_is_rejected(self, tmp_path, capsys):
@@ -432,7 +450,7 @@ class TestCertify:
 
     @pytest.mark.parametrize(
         "entry, message",
-        [("u_hi = 3e-5", "normalization u_scale = "), ("dt = 5", "dt = 5 does not match")],
+        [("u_hi = 3e-5", "u_scale = "), ("dt = 5", "dt = 5 does not match")],
     )
     def test_trace_in_other_coordinates_is_rejected(
         self, workspace, tmp_path, capsys, entry, message

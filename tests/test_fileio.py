@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,6 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from narxmpc import (
-    AffineNormalization,
     Box,
     KernelSpec,
     MpcConfig,
@@ -31,6 +31,7 @@ from narxmpc.fileio import (
     parse_benchmark_config,
     read_csv,
     read_keyvalues,
+    require_config,
     save_dataset,
     save_model,
     save_stability_report,
@@ -281,21 +282,75 @@ class TestTraceIo:
 
     def test_sidecar_must_describe_the_trace(self, trace_cfg, tmp_path):
         """A trace whose horizon, dimensions or normalization differ from
-        the configuration's is not written under it."""
+        the configuration's is not written under it, and the error names
+        the sidecar key."""
         trace = _linear_closed_loop(steps=2, normalization=trace_cfg.normalization())
         path = tmp_path / "trace.csv"
-        other = AffineNormalization(y_ref=[0.1], y_scale=[0.5], u_ref=[1e-5], u_scale=[4e-5])
+        norm = trace.normalization
         cases = [
-            (replace(trace_cfg, horizon=20), trace, "horizon"),
-            (trace_cfg, replace(trace, dims=NarxDims(p=1, m=1, nu=3)), "dimensions"),
-            (trace_cfg, replace(trace, normalization=other), "normalization y_ref"),
+            (replace(trace_cfg, horizon=20), trace, "N = 4 does not match the configuration's 20"),
+            (trace_cfg, replace(trace, dims=NarxDims(p=2, m=1, nu=2)), "p = 2 "),
+            (trace_cfg, replace(trace, dims=NarxDims(p=1, m=2, nu=2)), "m = 2 "),
+            (trace_cfg, replace(trace, dims=NarxDims(p=1, m=1, nu=3)), "nu = 3 "),
         ]
-        for cfg, bad, field in cases:
-            with pytest.raises(ValueError, match=field):
+        for name in ("y_ref", "y_scale", "u_ref", "u_scale"):
+            other = replace(norm, **{name: 2.0 * getattr(norm, name)})
+            cases.append((trace_cfg, replace(trace, normalization=other), f"{name} = "))
+        for cfg, bad, entry in cases:
+            with pytest.raises(ConfigError, match=re.escape(f"trace for {path}: {entry}")):
                 save_trace(bad, path, cfg)
             assert not path.exists()
         save_trace(replace(trace, normalization=None), path, trace_cfg)
         assert read_keyvalues(path.with_suffix(".csv.meta"))["N"] == "4"
+
+
+#: Per artifact, the sidecar entries that ``require_config`` compares.
+_CHECKED = {
+    "dataset": ("p", "m", "nu", "dt", "y_ref", "y_scale", "u_ref", "u_scale"),
+    "model": ("p", "m", "nu", "dt", "y_ref", "y_scale", "u_ref", "u_scale"),
+    "trace": ("p", "m", "nu", "dt", "N", "Q", "R", "y_ref", "y_scale", "u_ref", "u_scale"),
+}
+
+
+class TestRequireConfig:
+    def _write(self, artifact, cfg, path):
+        """Write ``artifact`` at ``path`` and return the configuration it
+        was written under: ``cfg``, at horizon 4 for the trace."""
+        if artifact == "trace":
+            cfg = replace(cfg, horizon=4)
+            save_trace(_linear_closed_loop(steps=2, normalization=cfg.normalization()), path, cfg)
+            return cfg
+        data, _ = generate_dataset(replace(cfg, d=5))
+        if artifact == "dataset":
+            save_dataset(data, path, cfg)
+        else:
+            save_model(fit_interpolant(KernelSpec(input_dim=4), data), path, cfg)
+        return cfg
+
+    @pytest.mark.parametrize("missing", [False, True], ids=["other", "missing"])
+    @pytest.mark.parametrize(
+        "artifact, key", [(artifact, key) for artifact, keys in _CHECKED.items() for key in keys]
+    )
+    def test_every_recorded_entry_is_checked(self, cfg, tmp_path, artifact, key, missing):
+        """A sidecar whose entry differs from the configuration's, or lacks
+        it, is rejected with the key named."""
+        path = tmp_path / f"{artifact}.csv"
+        cfg = self._write(artifact, cfg, path)
+        require_config(path, cfg)
+        sidecar = path.with_suffix(".csv.meta")
+        lines, kept = sidecar.read_text().splitlines(), []
+        for line in lines:
+            name, value = line.split(" = ")
+            if name == key:
+                if missing:
+                    continue
+                value = ",".join(format_float(float(v) + 1.0) for v in value.split(","))
+            kept.append(f"{name} = {value}")
+        assert len(kept) == len(lines) - missing
+        sidecar.write_text("\n".join(kept) + "\n")
+        got = r"\(not recorded\)" if missing else r"\S+"
+        with pytest.raises(ConfigError, match=rf"{artifact}.csv: {key} = {got} does not match"):
+            require_config(path, cfg)
 
 
 class TestStabilityReportIo:

@@ -45,7 +45,14 @@ from narxmpc import (
     wendland_phi,
 )
 from narxmpc import bench, mpc, stability, twotank
-from narxmpc.kernels import KernelFitError, _gram_product, _profile, _wendland_terms, fit_interpolant
+from narxmpc.kernels import (
+    KernelFitError,
+    _constants_from,
+    _gram_product,
+    _profile,
+    _wendland_terms,
+    fit_interpolant,
+)
 from narxmpc.mpc import ACTIVE_WIDTH, NOISE_FLOOR, backward_sweep
 from narxmpc.narx import Sweep
 from oracles import (
@@ -53,6 +60,7 @@ from oracles import (
     backward_sweep_reference,
     cost_gradient,
     cost_J_batch,
+    error_constants_by_candidate,
     kernel_jacobian_reference,
     one_step_sweep,
     rk4_step,
@@ -182,6 +190,41 @@ def test_error_constants_cover_every_estimation_sample(seed, p, m, a, b, scale, 
     residual = np.linalg.norm(truth.output_batch(X, U) - model.output_batch(X, U), axis=1)
     bound = constants.bound(np.linalg.norm(X, axis=1), np.linalg.norm(U, axis=1))
     assert np.all(residual <= bound + 1e-12 * (1.0 + bound))
+
+
+# Norms from a few repeated values, so that samples tie, states vanish
+# and samples sit at the origin, mixed with arbitrary ones.
+norms = st.one_of(st.sampled_from([0.0, 1e-9, 1e-3, 0.5, 1.0, 2.0]), st.floats(0.0, 10.0))
+
+
+def _outcome(estimate, *args):
+    try:
+        c_x, c_u = estimate(*args)
+    except ValueError as exc:
+        return str(exc)
+    return np.array([c_x, c_u]).tobytes()
+
+
+@given(samples=st.lists(st.tuples(norms, norms, norms), min_size=1, max_size=40))
+@example(samples=[(1.0, 1.0, 1.0)] * 3)
+@example(samples=[(0.0, 0.0, 0.0), (0.5, 0.0, 1.0), (0.0, 0.0, 2.0)])
+@example(samples=[(1e-3, 0.0, 0.0)])
+@example(samples=[(12345678.9, 0.0, 1.3), (1.0, 1.0, 1.0)])
+def test_error_constants_equal_the_per_candidate_loop(samples):
+    """The constants from one pass over all candidates are the loop's bit
+    for bit, the first candidate winning ties, and both raise the same
+    error for a sample at the origin with a residual and for vanishing
+    states that no candidate covers. Each sample is (residual, ||x||, ||u||)."""
+    residual, x_norm, u_norm = np.array(samples).T
+
+    def vectorized(*args):
+        constants = _constants_from(*args)
+        assert type(constants.c_x) is float and type(constants.c_u) is float
+        assert constants.sample_count == len(samples)
+        return constants.c_x, constants.c_u
+
+    args = (residual, x_norm, u_norm)
+    assert _outcome(vectorized, *args) == _outcome(error_constants_by_candidate, *args)
 
 
 @given(seed=seeds, rows=st.integers(1, 6))

@@ -10,7 +10,9 @@ defines, so wrapping a function does not call it.  The re-exports of
 belongs under ``tests/``.
 
 The README's "Report keys" table lists every key that the fit and
-stability reports of a benchmark bundle write, and no other.
+stability reports of a benchmark bundle write, and no other, and its
+"Configuration keys" table is ``CONFIG_KEYS``: each key with its field
+and type.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 from narxmpc import BenchmarkConfig, make_mpc_config, run_benchmark, storage_matrix, verify_decrease
 from narxmpc.fileio import read_keyvalues, save_stability_report
 from narxmpc.stability import VERDICT_VIOLATED
+from narxmpc.twotank import CONFIG_KEYS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "narxmpc"
@@ -87,15 +90,20 @@ def test_every_public_name_has_a_caller():
     )
 
 
+def _table_rows(heading: str) -> list[list[str]]:
+    """The cells of the body rows of the README table under ``heading``,
+    without backticks."""
+    section = (ROOT / "README.md").read_text().split(f"### {heading}\n", 1)[1].split("\n#", 1)[0]
+    return [
+        [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("| `")
+    ]
+
+
 def _table_keys() -> set[tuple[str, str]]:
     """``(report, key)`` rows of the README's "Report keys" table."""
-    section = (ROOT / "README.md").read_text().split("### Report keys\n", 1)[1].split("\n#", 1)[0]
-    rows = set()
-    for line in section.splitlines():
-        if line.startswith("| `"):
-            key, report = (cell.strip() for cell in line.strip("|").split("|")[:2])
-            rows.add((report, key.strip("`")))
-    return rows
+    return {(report, key) for key, report, *_ in _table_rows("Report keys")}
 
 
 def _written_keys(tmp_path: Path) -> set[tuple[str, str]]:
@@ -127,3 +135,8 @@ def test_readme_lists_every_report_key(tmp_path):
     listed, written = _table_keys(), _written_keys(tmp_path)
     assert written - listed == set(), "report keys missing from the README table"
     assert listed - written == set(), "README table keys that no report writes"
+
+
+def test_readme_lists_the_config_keys():
+    rows = [tuple(row[:3]) for row in _table_rows("Configuration keys")]
+    assert rows == [(key, field, cast.__name__) for key, (field, cast) in CONFIG_KEYS.items()]
