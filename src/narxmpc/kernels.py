@@ -24,22 +24,32 @@ symm for several columns), so no second D x D array is ever allocated.
 The fitted interpolant is also the surrogate NARX dynamics, with its two
 evaluations: ``output_batch``, one step of values, and ``sweep``, N
 steps of values with every step's Jacobians.  Both come from two
-private routines on rows of sites: a value pass (distances, Wendland
-terms, profile and coefficient product, optionally keeping the
-``f = (1 - r)^4`` of each site) and a Jacobian pass.  Since
-``phi'(r) / r = -(1 - r)^4 / sigma^2`` (Wendland, *Scattered Data
-Approximation*, CUP 2005, ch. 9), the Jacobian of
+private routines on rows of sites: a value pass and a Jacobian pass.
+The value pass takes the profile's constants out of the row, since
+
+    phi(r) = (1/30) (1 - r)^5 (5 r + 1) = (1/6) (1 - r)^5 (r + 1/5)
+
+(Wendland, *Scattered Data Approximation*, CUP 2005, ch. 9): a row is
+one distance pass, seven in-place passes that form ``(1 - r)^5 (r + 1/5)``
+and keep ``f = (1 - r)^4`` of each site, and one product with the value
+weights ``c / 6``, which the model forms once from its coefficients.
+The Gram matrix, :func:`wendland_phi` and the power function keep the
+exact profile, so the fit does not depend on the value pass, whose
+values agree with ``sum_i c_i phi(r_i)`` to rounding.  Since
+``phi'(r) / r = -(1 - r)^4 / sigma^2``, the Jacobian of
 ``F(xi) = sum_i c_i phi(||xi - s_i|| / sigma)`` expands to
 
     J(xi) = (1 / sigma^2) [ sum_i f_i c_i s_i^T - (sum_i f_i c_i) xi^T ],
 
 so the Jacobian pass is one product of the kept ``f`` with the
 coefficient-weighted sites ``[C * S | C]^T / sigma^2``, which the model
-forms once, and a rank-one correction; no site differences are formed.
-The sweep runs the value pass step by step, since each step's output is
-the next step's site, and the Jacobian pass over the rows of several
-steps at once.  The value pass works in blocks of ``_BLOCK`` rows, in
-two scratch arrays that a sweep allocates once for all its steps.
+also forms once, and a rank-one correction; no site differences are
+formed.  The sweep runs the value pass step by step, since each step's
+output is the next step's site, and the Jacobian pass over the rows of
+several steps at once.  The value pass works in blocks of ``_BLOCK``
+rows, in three scratch arrays (radii, profile and ``f``); a sweep keeps
+each step's ``f`` in its own array and allocates the other two once for
+all its steps.
 """
 
 from __future__ import annotations
@@ -81,9 +91,12 @@ def _wendland_terms(
 
 
 def _profile(clipped: np.ndarray, one_minus: np.ndarray, fourth: np.ndarray) -> np.ndarray:
-    """:func:`wendland_phi` from the terms of :func:`_wendland_terms`,
-    written into ``one_minus``; ``clipped`` is overwritten as scratch, and
-    ``fourth`` is kept for the Jacobian pass."""
+    """The exact profile :func:`wendland_phi`, with its ``5 r + 1`` and
+    ``/ 30``, from the terms of :func:`_wendland_terms`, written into
+    ``one_minus``; ``clipped`` is overwritten as scratch.  The Gram
+    matrix and every cross-kernel matrix take it; the value pass of
+    :class:`KernelInterpolant` forms ``6 phi`` instead and folds the 6
+    into its weights."""
     phi = np.multiply(fourth, one_minus, out=one_minus)
     # The factor 5 r + 1 uses min(r, 1), which leaves it unchanged where
     # the profile is nonzero and keeps it finite (so 0 * inf never arises).
@@ -148,7 +161,7 @@ def _kernel_terms(
     A: np.ndarray,
     B: np.ndarray,
     fourth: np.ndarray | None = None,
-    scratch: tuple[np.ndarray, np.ndarray] | None = None,
+    scratch: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, ...]:
     """:func:`_wendland_terms` of the scaled radii between the rows of
     ``A`` and ``B``: the one distance routine of every kernel value.  The
@@ -349,7 +362,10 @@ class KernelInterpolant(NarxDynamics):
     end: one product with the coefficient-weighted sites
     :attr:`_weighted_sites` and a rank-one correction (see the module
     docstring).  Values and Jacobians both come from the same two
-    private routines, :meth:`_values` and :meth:`_jacobians`.
+    private routines, :meth:`_values` and :meth:`_jacobians`.  The values
+    weight ``6 phi`` by :attr:`_value_weights`, ``coefficients / 6``;
+    both weight arrays are derived once from the fitted coefficients,
+    which they leave as they are.
 
     Fitted by :func:`fit_interpolant`, which leaves the Gram matrix and
     its Cholesky factor in the one D x D array ``store``: the factor in
@@ -389,7 +405,7 @@ class KernelInterpolant(NarxDynamics):
         Xi: np.ndarray,
         out: np.ndarray | None = None,
         fourth: np.ndarray | None = None,
-        scratch: tuple[np.ndarray, np.ndarray] | None = None,
+        scratch: list[np.ndarray] | None = None,
     ) -> np.ndarray:
         """Interpolant values (M, p) at the site rows ``Xi`` (M, n + m),
         which each block's product writes into ``out`` (any (M, p) view,
@@ -397,32 +413,49 @@ class KernelInterpolant(NarxDynamics):
 
         The kernel rows are evaluated in ``_BLOCK``-row blocks, which
         bounds their memory, and each row's value is its own product of
-        kernel row and coefficients, so it equals the single-row call bit
-        for bit at any M.  Each row takes one distance pass and the
-        profile's in-place passes (:func:`_wendland_terms`,
-        :func:`_profile`), in the buffers of :meth:`_scratch` for
-        ``min(M, _BLOCK)`` rows: ``scratch`` when it is given, so that a
-        sweep allocates them once for all its steps.  With ``fourth``
-        (M, D), each row's ``(1 - r)^4`` is kept there for
-        :meth:`_jacobians`.
+        kernel row and :attr:`_value_weights`, so it equals the single-row
+        call bit for bit at any M.  A row takes one distance pass, seven
+        in-place passes that form ``6 phi(r) = (1 - r)^5 (r + 1/5)``
+        (:func:`_wendland_terms`, then ``*= f``, ``+= 0.2`` and ``*=``)
+        and one stacked product; the profile's ``/ 30`` and ``5 r + 1``
+        live in the weights, so these values agree with the exact profile
+        of :func:`kernel_matrix` to rounding only.  The passes write into
+        the buffers of :meth:`_scratch` for ``min(M, _BLOCK)`` rows:
+        ``scratch`` when it is given, so that a sweep allocates them once
+        for all its steps, and a batch of one block is not sliced.  With
+        ``fourth`` (M, D), each row's ``(1 - r)^4`` is kept there for
+        :meth:`_jacobians`; without it, the third scratch buffer takes it.
         """
         values = np.empty((Xi.shape[0], self.coefficients.shape[1])) if out is None else out
-        radii, one_minus = self._scratch(Xi.shape[0]) if scratch is None else scratch
-        sites = self.data.sites
-        for a in range(0, Xi.shape[0], _BLOCK):
-            block = Xi[a : a + _BLOCK]
-            rows = block.shape[0]
-            kept = None if fourth is None else fourth[a : a + _BLOCK]
-            phi = _profile(*_kernel_terms(self.spec, block, sites, kept, (radii[:rows], one_minus[:rows])))
-            np.matmul(phi[:, None, :], self.coefficients, out=values[a : a + _BLOCK, None, :])
+        if scratch is None:
+            scratch = self._scratch(Xi.shape[0], 3 if fourth is None else 2)
+        if Xi.shape[0] > _BLOCK:
+            for a in range(0, Xi.shape[0], _BLOCK):
+                block = Xi[a : a + _BLOCK]
+                kept = None if fourth is None else fourth[a : a + _BLOCK]
+                self._values(block, values[a : a + _BLOCK], kept, [buffer[: len(block)] for buffer in scratch])
+            return values
+        kept = scratch[2] if fourth is None else fourth
+        clipped, phi, kept = _kernel_terms(self.spec, Xi, self.data.sites, kept, scratch[:2])
+        phi *= kept
+        clipped += 0.2
+        phi *= clipped
+        np.matmul(phi[:, None, :], self._value_weights, out=values[:, None, :])
         return values
 
-    def _scratch(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """Buffers for the radii and ``1 - r`` of a block of up to ``rows``
-        kernel rows, at most ``_BLOCK``; the profile is written into the
-        second."""
+    def _scratch(self, rows: int, buffers: int) -> list[np.ndarray]:
+        """``buffers`` arrays for a block of up to ``rows`` kernel rows, at
+        most ``_BLOCK``: the radii, ``1 - r`` (which becomes the profile)
+        and, as the third, ``(1 - r)^4`` when the caller keeps no factors
+        of its own."""
         shape = (min(rows, _BLOCK), self.data.sites.shape[0])
-        return np.empty(shape), np.empty(shape)
+        return [np.empty(shape) for _ in range(buffers)]
+
+    @cached_property
+    def _value_weights(self) -> np.ndarray:
+        """``coefficients / 6``, C-ordered (D, p): the weights of
+        ``(1 - r)^5 (r + 1/5) = 6 phi(r)`` in the value pass."""
+        return np.ascontiguousarray(self.coefficients / 6.0)
 
     @cached_property
     def _weighted_sites(self) -> np.ndarray:
@@ -499,7 +532,7 @@ class KernelInterpolant(NarxDynamics):
             sites[1:, :, nb + i * m : nb + (i + 1) * m] = window.transpose(1, 0, 2)
         chunk = min(horizon, -(-_BLOCK // max(b, 1)))
         fourth = np.empty((chunk, b, size))
-        scratch = self._scratch(b)
+        scratch = self._scratch(b, 2)
         # Per-step views come from iterating over step-major arrays; step k
         # keeps its (1 - r)^4 in slot k % chunk, and the Jacobian pass after
         # each full chunk empties the slots.
@@ -510,8 +543,8 @@ class KernelInterpolant(NarxDynamics):
             if (k + 1) % chunk == 0 or k + 1 == horizon:
                 first = k - k % chunk
                 rows = (k + 1 - first) * b
-                jac = self._jacobians(sites[first : k + 1].reshape(rows, -1), fourth.reshape(-1, size)[:rows])
-                jac = jac.reshape(-1, b, p, n + m).transpose(1, 0, 2, 3)
+                jac = self._jacobians(sites[first : k + 1].reshape(rows, n + m), fourth.reshape(-1, size)[:rows])
+                jac = jac.reshape(k + 1 - first, b, p, n + m).transpose(1, 0, 2, 3)
                 sweep.jac_x[:, first : k + 1], sweep.jac_u[:, first : k + 1] = jac[..., :n], jac[..., n:]
         sweep.outputs[:] = sites[1:, :, :p].transpose(1, 0, 2)
         return sweep

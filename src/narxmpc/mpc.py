@@ -322,9 +322,9 @@ def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: 
     """
     box, weights = cfg.input_box, cfg.weights
     b, shape = starts.shape[0], starts.shape[1:]
+    k = shape[0] * shape[1]
     lo, hi = (np.broadcast_to(bound, shape).ravel() for bound in (box.lo, box.hi))
-    U = _project(starts.reshape(b, -1), lo, hi)
-    k = U.shape[1]
+    U = _project(starts.reshape(b, k), lo, hi)
     eye = np.eye(k)
     value, sweep = _evaluate(f, X0, U.reshape(starts.shape), weights)
     results: list[OcpSolution | SolverError | None] = [
@@ -500,7 +500,7 @@ def solve_ocp_batch(
     descent's list, one entry per row, written once when the row left the
     descent: entry ``i`` is what the batch of one ``X0[i]``, ``warm[i]``
     gives, bit for bit, its solution or the :class:`SolverError` that
-    stopped it.  A solution is ``converged``
+    stopped it; no rows give an empty list.  A solution is ``converged``
     when it met the gradient test or the noise-floor test; otherwise it
     stopped at ``max_iters`` or at a line search that found no decrease.
     """

@@ -132,10 +132,13 @@ def estimate_growth_bound(
     the solution's first ``N`` inputs.  The input box is the only
     constraint, so that prefix is feasible for the horizon-``N`` problem
     and its cost bounds ``V_N(x)`` from above for every ``N <= n_max``.
-    States with vanishing norm are rejected; a state whose solve fails
-    is counted and its row stays NaN, excluded from the maxima.
+    A grid with no state and states with vanishing norm are rejected
+    with ``ValueError``; a state whose solve fails is counted and its row
+    stays NaN, excluded from the maxima.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
+    if not states.size:
+        raise ValueError(f"need at least one state, got a grid of shape {states.shape}")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     norms_sq = np.einsum("ij,ij->i", states, states)

@@ -196,6 +196,37 @@ def wendland_reference(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return fourth * one_minus * (np.minimum(r, 1.0) * 5.0 + 1.0) / 30.0, fourth
 
 
+def kernel_value_reference(model, Xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values (B, p) of a kernel interpolant at site rows ``Xi`` in
+    ``np.longdouble``, ``sum_i c_i phi(r_i)`` with the exact profile
+    ``phi(r) = (1 - r)^5 (5 r + 1) / 30``, and the forward-error bound
+    (B, p) that the package's value pass must keep to.
+
+    The radii are the doubles of the package's distance pass, clipped at
+    1, so the bound covers the rounding of the value pass alone:
+    ``gamma_{D+13} sum_i |c_i| phi(r_i)`` with ``gamma_k = k u / (1 - k u)``
+    and ``u = 2^-53``.  The package weights ``6 phi(r) = (1 - r)^5 (r + 1/5)``
+    by ``c_i / 6``, and each term carries 13 roundings: the one in
+    ``1 - r`` five times over, since that factor enters to the fifth
+    power, the one in its square twice, one each in the fourth and the
+    fifth power, two in ``r + 0.2`` (the double nearest 1/5 and the sum,
+    each relative to ``r + 1/5`` since ``r >= 0``), one in the product of
+    the two factors and one in the weight ``c_i / 6``.  D more come from
+    the dot product.  Rows outside every support have the bound and the
+    value zero.  The reference's own rounding, at the longdouble unit, is
+    far below the bound.
+    """
+    Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
+    sites, coefficients = model.data.sites, model.coefficients
+    wide = np.longdouble
+    r = np.minimum(cdist(Xi, sites) / model.spec.lengthscale, 1.0).astype(wide)
+    phi = (1 - r) ** 5 * (5 * r + 1) / 30
+    reference = phi @ coefficients.astype(wide)
+    k = sites.shape[0] + 13
+    gamma = k * 2.0**-53 / (1.0 - k * 2.0**-53)
+    return reference, gamma * (phi @ np.abs(coefficients).astype(wide))
+
+
 def kernel_jacobian_reference(model, Xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Jacobian (B, p, n + m) of a kernel interpolant at site rows ``Xi``
     in ``np.longdouble``, from the difference form

@@ -34,22 +34,22 @@ ROOT = Path(__file__).resolve().parents[1]
 #: The reference episode at one BLAS thread: solver iterations over its
 #: 101 solves (100 steps and the terminal diagnostic) and its alpha.
 REFERENCE_ITERATIONS = 264
-REFERENCE_ALPHA = 0.20961735363529918
+REFERENCE_ALPHA = 0.20961735363827294
 
 #: SHA-256 of every file that ``narxmpc benchmark --only-D 101`` writes
 #: besides ``manifest.json``.
 REFERENCE_BUNDLE_D101 = {
-    "comparison.csv": "367110ee7154965d1f8a03571a59d582651295c7c92be596ca2c02e9a3cf6a34",
+    "comparison.csv": "11b8763bbd7bfcc80ff565b4de7f1b6f10d72c773800faa4fad8694a824a954d",
     "dataset_D101.csv": "8ed3f9e93f4c29608f5a5ee485abc8cea5d12761e14a1456a58c6db5dbcf099a",
     "dataset_D101.csv.meta": "75c1c0e1b11cb853a61694e6ef343c9479e8c1709e91965ae5c968fbe1fca901",
-    "fit_report_D101.txt": "e470858226c656812c04c75c29ae81d547c4cf5a2d91e45bf6e814554151a3b0",
+    "fit_report_D101.txt": "7463b531978b24cc592e942ce7a77d9e0bf1876245b2b39a1f466919415c36e5",
     "model_D101.csv": "1f5c933c6ab34184b69f9c40f1c1e470536f96051b3acffd59c8eb34e0d968e5",
     "model_D101.csv.meta": "f58ef68267d30742276b29e74628963ac5bd0aea68bc70cf813eb35751b1f648",
-    "stability_report_D101.txt": "d38214a0f386edf215605d0f5e17b33a294a75005dad3af59b2357df56ced29f",
-    "stability_steps_D101.csv": "48c5cbf1058a613c0bc5075a0ea33bde782c3f0afd3ada2f8e12fc87d55be870",
-    "trace_norm_D101.csv": "bace631121117770b90305830b16f1a1e0bde9c647fa61b96aefdb494379499c",
+    "stability_report_D101.txt": "66dcb9c4ae4433983499e0d4e962ebe71b50ad5f27873a205ea133266d0f79c6",
+    "stability_steps_D101.csv": "ac3bb381f965088a1a6ba3450d612d1fe791965b3eef4b7255ab94a28be55dd2",
+    "trace_norm_D101.csv": "4d3584004ea0110ef29bd7f36970f36048a0588b2f76348a73983df029626a22",
     "trace_norm_D101.csv.meta": "f8357d4271ece66e7da03a759f72f97f1c0bf60267110982828391086095a9de",
-    "trace_raw_D101.csv": "7e6f488975703cf93cee4604daa66253a4924ae88db16af5ef868a1bf39277ae",
+    "trace_raw_D101.csv": "95395d295f578f7a760ac99f3bdd5b4e4f407aa6af4930fa65a46f9cfb44f6a7",
     "trace_raw_D101.csv.meta": "00b2ff1aaaaccfeb49feed384ba844afd1ea69a34b66841408954056792cba07",
 }
 

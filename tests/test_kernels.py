@@ -291,12 +291,15 @@ class TestMemory:
         return fit_interpolant(spec, data_1001, jitter=cfg.jitter)
 
     def test_kernel_row_batches_stay_small(self, cfg, data_1001, model_1001):
+        """A 400-row value pass holds the three buffers of one 64-row
+        block (radii, profile and ``(1 - r)^4``) and a few small arrays; a
+        fourth block-sized temporary would pass 3.5 blocks."""
         probes = probe_sites(cfg, 2000, seed=cfg.seed + 23)
         _, fill_peak, _ = self._traced(lambda: fill_distance(data_1001.sites, probes))
         n = model_1001.dims.n
         _, predict_peak, _ = self._traced(lambda: model_1001.output_batch(probes[:400, :n], probes[:400, n:]))
         assert fill_peak < 3e6
-        assert predict_peak < 3e6
+        assert predict_peak < 3.5 * 64 * data_1001.size * 8
 
     def test_sweep_temporaries_stay_small(self, cfg, model_1001):
         """A sweep keeps each row's ``(1 - r)^4`` only until 64 rows have

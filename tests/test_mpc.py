@@ -14,6 +14,7 @@ from narxmpc import (
     StageCostWeights,
     run_closed_loop,
     solve_ocp,
+    solve_ocp_batch,
     shift_state,
     stage_cost,
     storage_matrix,
@@ -242,6 +243,20 @@ class TestSolveOcp:
         for _ in range(10):
             sol = solve_ocp(f, rng.standard_normal(3), _config(3))
             assert sol.value >= 0.0
+
+    @pytest.mark.parametrize("model", ["surrogate", "plant"])
+    def test_batch_of_zero(self, model, fit_101, plant_view, mpc_cfg):
+        """No rows give empty values and an empty sweep, and the solver
+        returns no solutions."""
+        f = fit_101[1] if model == "surrogate" else plant_view
+        dims, horizon = f.dims, mpc_cfg.horizon
+        X0 = np.empty((0, dims.n))
+        assert f.output_batch(X0, np.empty((0, dims.m))).shape == (0, dims.p)
+        sweep = f.sweep(X0, np.empty((0, horizon, dims.m)))
+        assert sweep.outputs.shape == (0, horizon, dims.p)
+        assert sweep.jac_x.shape == (0, horizon, dims.p, dims.n)
+        assert sweep.jac_u.shape == (0, horizon, dims.p, dims.m)
+        assert solve_ocp_batch(f, X0, mpc_cfg) == []
 
 
 class TestClosedLoop:

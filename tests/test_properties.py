@@ -62,6 +62,7 @@ from oracles import (
     cost_J_batch,
     error_constants_by_candidate,
     kernel_jacobian_reference,
+    kernel_value_reference,
     one_step_sweep,
     rk4_step,
     sample_domain,
@@ -690,6 +691,37 @@ def test_kernel_jacobians_are_within_the_dot_product_error_bound(seed, rows, dim
     reference, bound = kernel_jacobian_reference(model, Xi)
     assert np.all(np.abs(jac - reference) <= bound)
     assert np.all(jac[2::3] == 0.0) and np.all(bound[2::3] == 0.0)
+
+
+@given(
+    seed=seeds,
+    rows=st.sampled_from([1, 2, 5, 7, 64, 70]),
+    dims=site_dims,
+    lengthscale=st.one_of(st.just(1.0), st.floats(0.2, 3.0)),
+)
+def test_kernel_values_are_within_the_dot_product_error_bound(seed, rows, dims, lengthscale):
+    """``output_batch`` and the one-step sweep, which weight
+    ``(1 - r)^5 (r + 1/5)`` by ``c / 6``, agree with the longdouble sum
+    over the exact profile within the forward-error bound of
+    :func:`~oracles.kernel_value_reference`: at rows inside some site's
+    support, at rows on a site, and at rows outside every support, where
+    the values are exact zeros; at the unit lengthscale too, whose radii
+    skip the division."""
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(2, 80))
+    model = _interpolant(rng, dims, size, lengthscale)
+    Xi = model.data.sites[rng.integers(size, size=rows)].copy()
+    # Rows 0, 3, ... lie a random distance below sigma / 2 from a site.
+    offsets = rng.standard_normal(Xi[0::3].shape)
+    offsets *= rng.uniform(0.0, 0.5 * lengthscale, size=(len(offsets), 1)) / np.linalg.norm(offsets, axis=1, keepdims=True)
+    Xi[0::3] += offsets
+    # Every coordinate of rows 2, 5, ... at least sigma past the unit cube of the sites.
+    Xi[2::3] = rng.uniform(1.0, 1.2, size=Xi[2::3].shape) + lengthscale
+    reference, bound = kernel_value_reference(model, Xi)
+    assert np.all(bound[0::3] > 0.0) and np.all(bound[2::3] == 0.0)
+    for values in (_split(model, Xi), one_step_sweep(model, Xi)[0]):
+        assert np.all(np.abs(values - reference) <= bound)
+        assert np.all(values[2::3] == 0.0)
 
 
 @given(seed=seeds, rows=st.sampled_from([1, 2, 7, 50, 65, 129]), dims=site_dims)

@@ -198,6 +198,12 @@ class TestGrowthBound:
         with pytest.raises(ValueError):
             estimate_growth_bound(_zero_dynamics(), _config(2), np.ones((1, 3)), 0)
 
+    @pytest.mark.parametrize("model", ["surrogate", "plant"])
+    def test_grid_with_no_state_rejected(self, model, fit_101, plant_view, mpc_cfg):
+        f = fit_101[1] if model == "surrogate" else plant_view
+        with pytest.raises(ValueError, match="need at least one state"):
+            estimate_growth_bound(f, mpc_cfg, np.empty((0, f.dims.n)), 3)
+
 
 class TestGammaBar:
     def _estimate(self, b_values):
