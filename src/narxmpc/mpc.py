@@ -3,9 +3,13 @@
 The cost penalizes the predicted outputs one step ahead of each applied
 input, ``sum_k ||y(k+1)||_Q^2 + ||u(k)||_R^2``, subject only to a box on
 the inputs.  Open-loop problems are solved by a two-metric projected
-quasi-Newton method (Bertsekas, SIAM J. Control Optim. 1982): gradient
-steps on the coordinates held at a bound, BFGS steps on the free ones,
-and Armijo backtracking along the projection arc.  A solve stops when
+structured quasi-Newton method (Bertsekas, SIAM J. Control Optim. 1982;
+Dennis, Gay and Welsch, ACM TOMS 1981): gradient steps on the
+coordinates held at a bound, Newton steps of a Hessian model on the free
+ones, and Armijo backtracking along the projection arc.  The model is
+the exact Gauss-Newton Hessian of the least-squares cost, from the
+Jacobians of the iterate's sweep, plus a secant correction that each
+solve learns from its own steps, starting from zero.  A solve stops when
 its projected gradient is small or when the full step promises a
 decrease below the cost's rounding level.  The solver asks one thing of
 a model, its N-step :meth:`~narxmpc.narx.NarxDynamics.sweep`, which
@@ -18,29 +22,34 @@ iterate is kept, and its gradient is the backward half alone,
 :func:`backward_sweep`: the output adjoints of a sequential program
 solve one unit upper-triangular system, banded by the lag depth, which
 one BLAS back substitution solves for all rows at once, and the input
-gradients are ``nu`` stacked products after it.  A solution returns the
-outputs of its kept sweep as :attr:`OcpSolution.outputs`, so no caller
-rolls its inputs out again, and counts its rejected line-search trials.
-Many problems are solved in lockstep, each row with its own BFGS
-matrix, line search and stopping tests, and every row reproduces its
-solo solve bit for bit.  The receding-horizon loop applies the first
-input of each solution and warm-starts the next solve with the shifted
-remainder.
+gradients are ``nu`` stacked products after it.  The transposes of those
+systems give the output sensitivities of the same sweep, and with them
+the Gauss-Newton Hessians, by one banded LAPACK solve for all rows.  A
+solution returns the outputs of its kept sweep as
+:attr:`OcpSolution.outputs`, so no caller rolls its inputs out again,
+and counts its rejected line-search trials.  Many problems are solved in
+lockstep, each row with its own Hessian model, line search and stopping
+tests, and every row reproduces its solo solve bit for bit.  The
+receding-horizon loop applies the first input of each solution and
+warm-starts the next solve with the shifted remainder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
+from scipy.linalg.lapack import dtbtrs
 
 from .narx import Box, NarxDims, NarxDynamics, Sweep, shift_state
 
 
 class SolverError(RuntimeError):
-    """The optimal-control solver hit a non-finite cost or gradient."""
+    """The optimal-control solver hit a non-finite cost, gradient or
+    Gauss-Newton Hessian."""
 
 
 @dataclass(frozen=True)
@@ -95,7 +104,8 @@ def stage_cost(y: np.ndarray, u: np.ndarray, weights: StageCostWeights):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration cap of the two-metric projected quasi-Newton solver.
+    """Iteration cap of the two-metric projected structured quasi-Newton
+    solver (:func:`solve_ocp_batch`).
 
     A solve stops after ``max_iters`` iterations, or converged once the
     norm of its projected gradient is at most :data:`GRAD_TOL` or the
@@ -146,6 +156,30 @@ def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.matmul(A, v[..., None])[..., 0]
 
 
+def _adjoint_band(dims: NarxDims, jac_x: np.ndarray) -> np.ndarray:
+    """The output-adjoint systems of B sweeps with the regressor Jacobians
+    ``jac_x`` (B, N, p, n), stacked in band storage (B, width + N p,
+    width + 1) with ``width = (nu + 1) p - 1`` superdiagonals.
+
+    ``band[i, j, width + r - j]`` is the entry ``(r, j)`` of row i's unit
+    upper-triangular system, for the unknowns ``r, j`` of its block: the
+    C-ordered transpose of BLAS band storage.  Each block starts with
+    ``width`` zero padding unknowns, so the band of every column stays
+    inside its row's block (:func:`backward_sweep`).  The transposed
+    system is the unit lower-triangular ``L`` of the sweep's
+    linearization, ``L dY = M dU`` (:func:`_gauss_newton`).
+    """
+    b, horizon, p = jac_x.shape[0], jac_x.shape[1], dims.p
+    width = (dims.nu + 1) * p - 1
+    band = np.zeros((b, width + horizon * p, width + 1))
+    steps = band[:, width:].reshape(b, horizon, p, width + 1)
+    for lag in range(1, min(dims.nu, horizon - 1) + 1):
+        for c in range(p):
+            first = width - lag * p - c
+            steps[:, lag:, c, first : first + p] = -jac_x[:, lag:, c, (lag - 1) * p : lag * p]
+    return band
+
+
 def backward_sweep(
     dims: NarxDims, sweep: Sweep, U: np.ndarray, weights: StageCostWeights
 ) -> np.ndarray:
@@ -181,16 +215,8 @@ def backward_sweep(
     """
     b, horizon = U.shape[0], U.shape[1]
     p, m, nb = dims.p, dims.m, dims.n_outputs_block
-    width = (dims.nu + 1) * p - 1
-    size = width + horizon * p
-    # band[i, j, width + r - j] is the system entry (r, j) of row i, for the
-    # unknowns r, j of its block: the C-ordered transpose of BLAS band storage.
-    band = np.zeros((b, size, width + 1))
-    steps = band[:, width:].reshape(b, horizon, p, width + 1)
-    for lag in range(1, min(dims.nu, horizon - 1) + 1):
-        for c in range(p):
-            first = width - lag * p - c
-            steps[:, lag:, c, first : first + p] = -sweep.jac_x[:, lag:, c, (lag - 1) * p : lag * p]
+    band = _adjoint_band(dims, sweep.jac_x)
+    size, width = band.shape[1], band.shape[2] - 1
     rhs = np.zeros((b, size))
     # Non-finite entries make non-finite gradients, which the solver reports.
     with np.errstate(invalid="ignore", over="ignore"):
@@ -268,9 +294,7 @@ class _Rows:
     x: np.ndarray  # initial regressors (r, n)
     u: np.ndarray  # iterates, flattened (r, k)
     value: np.ndarray  # costs at u
-    hess: np.ndarray  # BFGS inverse Hessians (r, k, k)
-    scale: np.ndarray  # latest s.y / y.y: a reset sets hess to scale * I
-    fresh: np.ndarray  # no curvature pair taken yet (hess is the identity)
+    secant: np.ndarray  # secant parts A of the Hessian models (r, k, k)
     step: np.ndarray  # last accepted step s (r, k)
     grad: np.ndarray  # gradient before that step (r, k)
     norm: np.ndarray  # projected-gradient norms of the current round
@@ -289,36 +313,146 @@ def _evaluate(f: NarxDynamics, X: np.ndarray, U: np.ndarray, weights: StageCostW
     return np.sum(stage_cost(sweep.outputs, U, weights), axis=1), sweep
 
 
+@lru_cache(maxsize=64)
+def _input_index(dims: NarxDims, horizon: int) -> tuple[np.ndarray, ...]:
+    """Where the input Jacobians of an N-step sweep go in ``M``, the input
+    matrix (N p, N m) of its linearization ``L dY = M dU``: the index
+    arrays (row, column, step, output, source column) of every entry.
+    The source columns index the step's input Jacobian followed by the
+    input-lag columns of its regressor Jacobian, so source block ``j``
+    belongs to the input ``j`` steps back."""
+    p, m = dims.p, dims.m
+    entries = [
+        (k * p + c, (k - j) * m + a, k, c, j * m + a)
+        for k in range(horizon)
+        for c in range(p)
+        for j in range(min(dims.nu, k + 1))
+        for a in range(m)
+    ]
+    index = np.array(entries).T
+    index.flags.writeable = False  # shared by every caller through the cache
+    return tuple(index)
+
+
+def _gauss_newton(dims: NarxDims, sweep: Sweep, q_bar: np.ndarray, r_bar: np.ndarray) -> np.ndarray:
+    """Gauss-Newton Hessians ``2 (G^T Qb G + Rb)`` (B, N m, N m) of the cost
+    at the inputs of ``sweep``, with ``Qb = q_bar`` and ``Rb = r_bar`` the
+    block diagonals of ``Q`` and ``R`` over the horizon.  For a model
+    affine in its regressor and input this is the exact Hessian of the
+    cost.
+
+    ``G = L^-1 M`` (B, N p, N m) is the output sensitivity of the sweep.
+    The systems ``L`` of all rows are the transposes of their adjoint
+    systems (:func:`_adjoint_band`), so one banded triangular solve,
+    LAPACK ``tbtrs``, gives every row's ``G``; as in
+    :func:`backward_sweep`, a finite row equals its batch of one bit for
+    bit, and a row with a non-finite entry is solved again on its own.
+    """
+    b, horizon = sweep.outputs.shape[:2]
+    k = horizon * dims.m
+    band = _adjoint_band(dims, sweep.jac_x)
+    size, width = band.shape[1], band.shape[2] - 1
+    row, col, step, out, source = _input_index(dims, horizon)
+    inputs = np.concatenate([sweep.jac_u, sweep.jac_x[..., dims.n_outputs_block :]], axis=-1)
+    # rhs[j, i, width + r] is the entry (r, j) of row i's M: column-major
+    # right-hand sides of the stacked system.
+    rhs = np.zeros((k, b, size))
+    rhs[col, :, width + row] = inputs[:, step, out, source].T
+    G = dtbtrs(band.reshape(-1, width + 1).T, rhs.reshape(k, -1).T, trans="T", diag="U")[0]
+    G = G.T.reshape(k, b, size)
+    if not np.isfinite(G).all():
+        for i in np.flatnonzero(~np.isfinite(G).all(axis=(0, 2))):
+            G[:, i] = dtbtrs(band[i].T, rhs[:, i].T, trans="T", diag="U")[0].T
+    # C-ordered rows, whose products do not depend on the batch size.
+    G = np.ascontiguousarray(G[:, :, width:].transpose(1, 2, 0))
+    return 2.0 * (np.matmul(G.transpose(0, 2, 1), np.matmul(q_bar, G)) + r_bar)
+
+
+def _secant_update(rows: _Rows, gn: np.ndarray, y: np.ndarray) -> None:
+    """Structured BFGS update (Dennis, Gay and Welsch, ACM TOMS 1981) of
+    the secant parts ``rows.secant``: with ``B = gn + A``, every row whose
+    pair ``(s, y) = (rows.step, y)`` has ``s.y > 0`` and ``s.Bs > 0`` takes
+    ``A += y y^T / s.y - Bs Bs^T / s.Bs``, so that ``gn + A`` maps ``s`` to
+    ``y``.  A row whose update overflows restarts from ``A = 0``."""
+    s = rows.step
+    bs = _matvec(gn + rows.secant, s)
+    sy, sbs = np.vecdot(s, y), np.vecdot(s, bs)
+    ok = (sy > 0) & (sbs > 0)
+    if not ok.any():
+        return
+    # A slice when every row updates, so that no row is copied out.
+    pick = slice(None) if ok.all() else ok
+    y, bs, sy, sbs = y[pick], bs[pick], sy[pick], sbs[pick]
+    rows.secant[pick] = (
+        rows.secant[pick]
+        + y[:, :, None] * y[:, None, :] / sy[:, None, None]
+        - bs[:, :, None] * bs[:, None, :] / sbs[:, None, None]
+    )
+    # A pair too large for floating point restarts its row from zero.
+    rows.secant[~np.isfinite(rows.secant).all(axis=(1, 2))] = 0.0
+
+
+def _free_step(B: np.ndarray, free: np.ndarray, g: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    """Steps ``d`` (r, k) of the Hessian models ``B`` (r, k, k) restricted
+    to the ``free`` coordinates: ``B`` with the other rows and columns
+    those of the identity ``eye``, solved against ``g`` zeroed on the
+    other coordinates, so that ``d`` is zero there.
+
+    One LAPACK ``gesv`` per row, so each row is its own solve bit for bit.
+    A singular matrix makes the stacked solve raise for every row; the
+    rows are then solved one by one, and a singular row's step is NaN.
+    """
+    restricted = np.where(free[:, :, None] & free[:, None, :], B, eye)
+    rhs = np.where(free, g, 0.0)[..., None]
+    try:
+        return np.linalg.solve(restricted, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        d = np.full(g.shape, np.nan)
+        for i in range(g.shape[0]):
+            try:
+                d[i] = np.linalg.solve(restricted[i], rhs[i])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return d
+
+
 def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: MpcConfig):
-    """Two-metric projected quasi-Newton descent (Bertsekas, SIAM J. Control
-    Optim. 1982) on the rows of ``starts`` (B, N, m) from the regressors
-    ``X0`` (B, n), all rows one iteration at a time.
+    """Two-metric projected structured quasi-Newton descent (Bertsekas,
+    SIAM J. Control Optim. 1982; Dennis, Gay and Welsch, ACM TOMS 1981) on
+    the rows of ``starts`` (B, N, m) from the regressors ``X0`` (B, n), all
+    rows one iteration at a time.
+
+    Each row's Hessian model is ``B = GN + A``.  ``GN`` is the
+    Gauss-Newton Hessian of the least-squares cost, from the Jacobians of
+    the row's kept sweep (:func:`_gauss_newton`); it is positive definite
+    because ``R`` is.  ``A`` learns the remainder from the row's own
+    secant pairs (:func:`_secant_update`); it starts at zero in every
+    solve, and pairs with ``s.y <= 0`` or ``s.Bs <= 0`` are skipped.
 
     Each round splits every row's coordinates.  A coordinate within
     ``eps = min(||pg||, ACTIVE_WIDTH)`` of a bound whose gradient points
     out of the box is active and takes the plain gradient step; the free
-    coordinates take the step of the row's BFGS inverse Hessian
-    restricted to them.  The first curvature pair with ``s.y > 0`` scales
-    the initial identity by ``s.y / y.y``; pairs with ``s.y <= 0`` are
-    skipped, and a free step that is not a descent direction resets the
-    matrix to the latest scaled identity.  :func:`_armijo_search` then
-    searches the projection arc from ``t = 1``.
+    coordinates take the step of ``B`` restricted to them
+    (:func:`_free_step`).  A free step that is not a descent direction
+    resets ``A`` to zero and takes the step of ``GN`` alone.
+    :func:`_armijo_search` then searches the projection arc from ``t = 1``.
 
     A row converges when its projected-gradient norm is at most
     :data:`GRAD_TOL` or when the full step predicts a decrease of at most
-    ``NOISE_FLOOR * |J|``.  Each row keeps its own matrix, line search and
+    ``NOISE_FLOOR * |J|``.  Each row keeps its own model, line search and
     stopping tests, so it follows the iterates of its solo descent bit for
     bit.  A row leaves the active set when it converges, when its line
-    search fails or when its cost or gradient is not finite; the other
-    rows go on unchanged.  Returns one entry per row, written when the row
-    leaves: its :class:`OcpSolution`, or the :class:`SolverError` of a
-    non-finite cost or gradient.
+    search fails or when its cost, gradient or ``GN`` is not finite; the
+    other rows go on unchanged.  Returns one entry per row, written when
+    the row leaves: its :class:`OcpSolution`, or the :class:`SolverError`
+    of a non-finite cost, gradient or ``GN``.
 
     Every cost is one :meth:`~narxmpc.narx.NarxDynamics.sweep`, of the
     starts and of each line-search trial, and a row keeps the sweep of its
-    accepted iterate, so each gradient is one :func:`backward_sweep`; a
-    solution carries the outputs of that sweep and counts its row's
-    rejected line-search trials.
+    accepted iterate, so each gradient is one :func:`backward_sweep` and
+    each ``GN`` comes from the same Jacobians; a solution carries the
+    outputs of that sweep and counts its row's rejected line-search
+    trials.
     """
     box, weights = cfg.input_box, cfg.weights
     b, shape = starts.shape[0], starts.shape[1:]
@@ -326,6 +460,7 @@ def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: 
     lo, hi = (np.broadcast_to(bound, shape).ravel() for bound in (box.lo, box.hi))
     U = _project(starts.reshape(b, k), lo, hi)
     eye = np.eye(k)
+    q_bar, r_bar = (np.kron(np.eye(shape[0]), w) for w in (weights.Q, weights.R))
     value, sweep = _evaluate(f, X0, U.reshape(starts.shape), weights)
     results: list[OcpSolution | SolverError | None] = [
         None if np.isfinite(v) else SolverError(f"initial cost is not finite ({v}) at the start sequence")
@@ -334,9 +469,8 @@ def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: 
     live = np.flatnonzero(np.isfinite(value))
     r = live.size
     rows = None if not r else _Rows(
-        live, X0[live], U[live], value[live], np.tile(eye, (r, 1, 1)), np.ones(r),
-        np.ones(r, dtype=bool), np.zeros((r, k)), np.zeros((r, k)), np.full(r, np.inf), np.full(r, np.inf),
-        np.zeros(r, dtype=int), sweep[live],
+        live, X0[live], U[live], value[live], np.zeros((r, k, k)), np.zeros((r, k)), np.zeros((r, k)),
+        np.full(r, np.inf), np.full(r, np.inf), np.zeros(r, dtype=int), sweep[live],
     )
 
     def leave(out, count, conv):
@@ -358,40 +492,56 @@ def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: 
         rows = rows.take(keep) if keep.any() else None
         return keep
 
+    def fail(out, count, message):
+        """The rows ``out`` leave with a :class:`SolverError` of ``message``."""
+        failed = rows.index[out]
+        keep = leave(out, count, False)
+        for i in failed:
+            results[i] = SolverError(message)
+        return keep
+
     for rnd in range(cfg.solver.max_iters):
         if rows is None:
             break
         g = backward_sweep(f.dims, rows.sweep, rows.u.reshape(-1, *shape), weights).reshape(-1, k)
         finite = np.isfinite(g).all(axis=1)
         if not finite.all():
-            failed = rows.index[~finite]
-            keep = leave(~finite, rnd, False)
-            for i in failed:
-                results[i] = SolverError("gradient is not finite at the current iterate")
+            keep = fail(~finite, rnd, "gradient is not finite at the current iterate")
             if rows is None:
                 break
             g = g[keep]
-        if rnd:
-            _bfgs_update(rows, g - rows.grad, eye)
-        u = rows.u
-        pg = u - _project(u - g, lo, hi)
-        rows.norm = np.sqrt(np.vecdot(pg, pg))
-        eps = np.minimum(rows.norm, ACTIVE_WIDTH)[:, None]
-        active = ((u <= lo + eps) & (g > 0)) | ((u >= hi - eps) & (g < 0))
-        free = ~active
-        pair = free[:, :, None] & free[:, None, :]
-        d = _matvec(np.where(pair, rows.hess, 0.0), g)
-        slope = np.vecdot(g, d)
-        reset = ~(slope > 0)
-        if reset.any():
-            reset &= np.any(free & (g != 0), axis=1)
-        if reset.any():
-            rows.hess[reset] = rows.scale[reset, None, None] * eye
-            d[reset] = _matvec(np.where(pair[reset], rows.hess[reset], 0.0), g[reset])
-            slope[reset] = np.vecdot(g[reset], d[reset])
-        d = np.where(active, g, d)
-        g_active = np.where(active, g, 0.0)
-        rows.decrease = slope + np.vecdot(g_active, u - _project(u - d, lo, hi))
+        # Jacobians or secant pairs too large for these products overflow.
+        # A row whose Gauss-Newton Hessian overflows fails, rather than step
+        # by a model that is not finite, and an overflowed secant part
+        # restarts from zero (:func:`_secant_update`).
+        with np.errstate(invalid="ignore", over="ignore"):
+            gn = _gauss_newton(f.dims, rows.sweep, q_bar, r_bar)
+            finite = np.isfinite(gn).all(axis=(1, 2))
+            if not finite.all():
+                keep = fail(~finite, rnd, "Gauss-Newton Hessian is not finite at the current iterate")
+                if rows is None:
+                    break
+                g, gn = g[keep], gn[keep]
+            if rnd:
+                _secant_update(rows, gn, g - rows.grad)
+            u = rows.u
+            pg = u - _project(u - g, lo, hi)
+            rows.norm = np.sqrt(np.vecdot(pg, pg))
+            eps = np.minimum(rows.norm, ACTIVE_WIDTH)[:, None]
+            active = ((u <= lo + eps) & (g > 0)) | ((u >= hi - eps) & (g < 0))
+            free = ~active
+            d = _free_step(gn + rows.secant, free, g, eye)
+            slope = np.vecdot(g, d)
+            reset = ~(slope > 0)
+            if reset.any():
+                reset &= np.any(free & (g != 0), axis=1)
+            if reset.any():
+                rows.secant[reset] = 0.0
+                d[reset] = _free_step(gn[reset], free[reset], g[reset], eye)
+                slope[reset] = np.vecdot(g[reset], d[reset])
+            d = np.where(active, g, d)
+            g_active = np.where(active, g, 0.0)
+            rows.decrease = slope + np.vecdot(g_active, u - _project(u - d, lo, hi))
         stop = (rows.norm <= GRAD_TOL) | (rows.decrease <= NOISE_FLOOR * np.abs(rows.value))
         if stop.any():
             keep = leave(stop, rnd, True)
@@ -406,38 +556,6 @@ def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: 
         if rows is not None:
             leave(np.ones(rows.index.size, dtype=bool), cfg.solver.max_iters, False)
     return results
-
-
-def _bfgs_update(rows: _Rows, y: np.ndarray, eye: np.ndarray) -> None:
-    """Inverse BFGS update of every row whose pair ``(rows.step, y)`` has
-    positive curvature ``s.y``; the first such pair of a row scales its
-    identity ``eye`` by ``s.y / y.y`` before the update."""
-    s = rows.step
-    sy = np.vecdot(s, y)
-    ok = sy > 0
-    if not ok.any():
-        return
-    # A slice when every row updates, so that no row is copied out.
-    pick = slice(None) if ok.all() else ok
-    s, y, sy = s[pick], y[pick], sy[pick]
-    scale = sy / np.vecdot(y, y)
-    hess = rows.hess[pick]
-    fresh = rows.fresh[pick]
-    if fresh.any():
-        hess[fresh] = scale[fresh, None, None] * eye
-    rho = 1.0 / sy
-    hy = _matvec(hess, y)
-    s_hy = s[:, :, None] * hy[:, None, :]
-    curvature = rho * rho * np.vecdot(y, hy) + rho
-    # hess - rho (s hy^T + hy s^T) + curvature s s^T, with two temporaries.
-    update = s_hy + s_hy.transpose(0, 2, 1)
-    update *= rho[:, None, None]
-    outer = s[:, :, None] * s[:, None, :]
-    outer *= curvature[:, None, None]
-    np.subtract(hess, update, out=update)
-    update += outer
-    rows.hess[pick] = update
-    rows.scale[pick], rows.fresh[pick] = scale, False
 
 
 def _armijo_search(f, rows: _Rows, d, slope, g_active, lo, hi, shape, weights: StageCostWeights) -> np.ndarray:
@@ -489,20 +607,23 @@ def solve_ocp_batch(
     """Solve the box-constrained open-loop problems from the rows of ``X0`` (B, n).
 
     All problems descend in lockstep by the two-metric projected
-    quasi-Newton method of :func:`_lockstep_descent`, each row with its
-    own BFGS matrix, line search and stopping tests, from its warm
-    sequence ``warm[i]`` (B, N, m) projected onto the box, or from zeros.
-    The costs of the starts and of the line-search trials of the rows
-    still searching are one :meth:`~narxmpc.narx.NarxDynamics.sweep` call
-    each, and the gradients of the active rows one :func:`backward_sweep`
-    call over the sweeps of their accepted iterates; a solution's
-    ``outputs`` come from the kept sweep of its ``u_star``.  Returns the
-    descent's list, one entry per row, written once when the row left the
-    descent: entry ``i`` is what the batch of one ``X0[i]``, ``warm[i]``
-    gives, bit for bit, its solution or the :class:`SolverError` that
-    stopped it; no rows give an empty list.  A solution is ``converged``
-    when it met the gradient test or the noise-floor test; otherwise it
-    stopped at ``max_iters`` or at a line search that found no decrease.
+    structured quasi-Newton method of :func:`_lockstep_descent`, each row
+    with its own Hessian model (the Gauss-Newton Hessian of its kept sweep
+    plus a secant correction that starts from zero in every solve), line
+    search and stopping tests, from its warm sequence ``warm[i]`` (B, N,
+    m) projected onto the box, or from zeros.  The costs of the starts and
+    of the line-search trials of the rows still searching are one
+    :meth:`~narxmpc.narx.NarxDynamics.sweep` call each, and the gradients
+    of the active rows one :func:`backward_sweep` call over the sweeps of
+    their accepted iterates, whose Jacobians also give the Gauss-Newton
+    Hessians; a solution's ``outputs`` come from the kept sweep of its
+    ``u_star``.  Returns the descent's list, one entry per row, written
+    once when the row left the descent: entry ``i`` is what the batch of
+    one ``X0[i]``, ``warm[i]`` gives, bit for bit, its solution or the
+    :class:`SolverError` that stopped it; no rows give an empty list.  A
+    solution is ``converged`` when it met the gradient test or the
+    noise-floor test; otherwise it stopped at ``max_iters`` or at a line
+    search that found no decrease.
     """
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     shape = (X0.shape[0], cfg.horizon, cfg.dims.m)

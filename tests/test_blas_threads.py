@@ -33,23 +33,23 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: The reference episode at one BLAS thread: solver iterations over its
 #: 101 solves (100 steps and the terminal diagnostic) and its alpha.
-REFERENCE_ITERATIONS = 264
-REFERENCE_ALPHA = 0.20961735363827294
+REFERENCE_ITERATIONS = 171
+REFERENCE_ALPHA = 0.20961524915975668
 
 #: SHA-256 of every file that ``narxmpc benchmark --only-D 101`` writes
 #: besides ``manifest.json``.
 REFERENCE_BUNDLE_D101 = {
-    "comparison.csv": "11b8763bbd7bfcc80ff565b4de7f1b6f10d72c773800faa4fad8694a824a954d",
+    "comparison.csv": "d14ed8636523b65de05570c5d9d8519d0f4f55d9fe5c8c5b4f9004e45a89f2b0",
     "dataset_D101.csv": "8ed3f9e93f4c29608f5a5ee485abc8cea5d12761e14a1456a58c6db5dbcf099a",
     "dataset_D101.csv.meta": "75c1c0e1b11cb853a61694e6ef343c9479e8c1709e91965ae5c968fbe1fca901",
     "fit_report_D101.txt": "7463b531978b24cc592e942ce7a77d9e0bf1876245b2b39a1f466919415c36e5",
     "model_D101.csv": "1f5c933c6ab34184b69f9c40f1c1e470536f96051b3acffd59c8eb34e0d968e5",
     "model_D101.csv.meta": "f58ef68267d30742276b29e74628963ac5bd0aea68bc70cf813eb35751b1f648",
-    "stability_report_D101.txt": "66dcb9c4ae4433983499e0d4e962ebe71b50ad5f27873a205ea133266d0f79c6",
-    "stability_steps_D101.csv": "ac3bb381f965088a1a6ba3450d612d1fe791965b3eef4b7255ab94a28be55dd2",
-    "trace_norm_D101.csv": "4d3584004ea0110ef29bd7f36970f36048a0588b2f76348a73983df029626a22",
+    "stability_report_D101.txt": "7b1ee2787a7a59372ad5f7490f1bced4b7d1b344cfa8d74f8104fc12ef77638a",
+    "stability_steps_D101.csv": "767e47a71428b4562a9853eea1357b8494975485013f14b0bbc7ac86db9f5da8",
+    "trace_norm_D101.csv": "08bc2c3995d8fa66fa9dfe59a1b7882650406821e0ab3b8be0fde7f6e457fcc3",
     "trace_norm_D101.csv.meta": "f8357d4271ece66e7da03a759f72f97f1c0bf60267110982828391086095a9de",
-    "trace_raw_D101.csv": "95395d295f578f7a760ac99f3bdd5b4e4f407aa6af4930fa65a46f9cfb44f6a7",
+    "trace_raw_D101.csv": "571224ffac7434828be008eb236e94e56ba42503d792c2ffe62c344ab44bd774",
     "trace_raw_D101.csv.meta": "00b2ff1aaaaccfeb49feed384ba844afd1ea69a34b66841408954056792cba07",
 }
 

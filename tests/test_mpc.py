@@ -312,6 +312,28 @@ class TestClosedLoop:
         assert np.max(np.abs(trace.inputs)) <= 1e-6
         assert np.max(np.abs(trace.outputs)) <= 1e-6
 
+    def test_one_ulp_in_the_coefficients_keeps_every_iteration_count(self, cfg, storage, fit_101):
+        """Every solve learns its curvature afresh, so surrogate coefficients
+        one ulp off (each entry up or down, seeded) leave the iteration
+        count of every closed-loop step as it was and move alpha by at
+        most 1e-9 relative."""
+        from narxmpc import KernelInterpolant, verify_decrease
+        from narxmpc.bench import simulate_loop
+
+        _, model = fit_101
+        trace = simulate_loop(cfg, model)
+        alpha = verify_decrease(trace, storage).alpha
+        assert alpha > 0.0
+        c = model.coefficients
+        for seed in range(3):
+            toward = np.where(np.random.default_rng(seed).random(c.shape) < 0.5, -np.inf, np.inf)
+            bumped = KernelInterpolant(
+                model.spec, model.data, model.jitter, model._store, np.nextafter(c, toward), model.site_residual
+            )
+            other = simulate_loop(cfg, bumped)
+            assert_array_equal(other.iterations, trace.iterations)
+            assert verify_decrease(other, storage).alpha == pytest.approx(alpha, rel=1e-9, abs=0.0)
+
     def test_solver_failure_truncates_trace(self):
         bad = FunctionDynamics(
             DIMS,

@@ -17,6 +17,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dtbtrs
 from scipy.spatial.distance import cdist
 
 from narxmpc import (
@@ -550,6 +551,10 @@ def _random_problem(rng, p, m, nu, horizon):
     warm_rows=st.sampled_from(["none", "some", "all"]),
     poisoned=st.booleans(),
 )
+# Row 1's Hessian model, restricted to its free coordinates, is not
+# positive definite in round 3 (its step has slope -0.71), so it resets its
+# secant part while rows 0 and 2 keep theirs.
+@example(seed=15, kind="tanh", p=2, m=2, nu=3, horizon=4, rows=3, warm_rows="all", poisoned=False)
 def test_solve_ocp_batch_rows_equal_solo_solves(
     seed, kind, p, m, nu, horizon, rows, warm_rows, poisoned
 ):
@@ -643,6 +648,63 @@ def test_a_row_with_non_finite_jacobians_fails_alone(seed, kind, p, m, nu, horiz
             solo.value, solo.iterations, solo.backtracks, solo.grad_norm, solo.converged
         )
     assert str(results[bad]) == "gradient is not finite at the current iterate"
+
+
+@given(
+    seed=seeds,
+    p=st.integers(1, 2),
+    m=st.integers(1, 2),
+    nu=st.integers(1, 3),
+    horizon=st.integers(2, 6),
+    rows=st.integers(2, 6),
+)
+@example(seed=0, p=1, m=1, nu=1, horizon=2, rows=3)
+def test_a_row_whose_curvature_overflows_fails_alone(seed, p, m, nu, horizon, rows):
+    """Outputs that are all zero keep every adjoint, and so every gradient,
+    finite; Jacobians of ``1e200`` in one row then overflow only its
+    Gauss-Newton Hessian (and, from three steps on, its output
+    sensitivities).  That row ends in its own :class:`SolverError` at its
+    first round, rather than in a step of an overflowed model, and every
+    other row equals its solo solve bit for bit."""
+    rng = np.random.default_rng(seed)
+    cfg = _random_problem(rng, p, m, nu, horizon)
+    dims = cfg.dims
+    A, B = rng.standard_normal((p, dims.n)), rng.standard_normal((p, m))
+    base = FunctionDynamics(dims, lambda x, u: np.zeros(p), jacobian_fn=lambda x, u: (A, B))
+    f = PoisonedJacobians(base, 1e200)
+    X0 = rng.uniform(-0.5, 0.5, size=(rows, dims.n))
+    bad = int(rng.integers(rows))
+    X0[bad, 0] = PoisonedJacobians.mark
+    warm = rng.uniform(-1.0, 1.0, size=(rows, horizon, m))
+    results = solve_ocp_batch(f, X0, cfg, warm)
+    for i, got in enumerate(results):
+        if i == bad:
+            continue
+        solo = solve_ocp(f, X0[i], cfg, warm[i])
+        assert got.u_star.tobytes() == solo.u_star.tobytes()
+        assert (got.value, got.iterations, got.backtracks, got.grad_norm, got.converged) == (
+            solo.value, solo.iterations, solo.backtracks, solo.grad_norm, solo.converged
+        )
+    assert isinstance(results[bad], SolverError)
+    assert str(results[bad]) == "Gauss-Newton Hessian is not finite at the current iterate"
+
+
+def test_a_secant_pair_that_overflows_restarts_its_row():
+    """A pair whose ``y y^T`` overflows (both curvatures positive) makes
+    that row's secant part restart from zero, and the other row takes the
+    update of its batch of one."""
+    k = 3
+    rng = np.random.default_rng(0)
+    gn = np.tile(2.0 * np.eye(k), (2, 1, 1))
+    step = np.array([[1e-150, 0.0, 0.0], [0.1, -0.2, 0.3]])
+    y = np.array([[1e160, 0.0, 0.0], [0.5, -0.1, 0.4]])
+    rows = SimpleNamespace(step=step, secant=rng.standard_normal((2, k, k)) * 1e-3)
+    solo = SimpleNamespace(step=step[1:].copy(), secant=rows.secant[1:].copy())
+    with np.errstate(invalid="ignore", over="ignore"):
+        mpc._secant_update(rows, gn, y)
+    mpc._secant_update(solo, gn[1:], y[1:])
+    assert np.all(rows.secant[0] == 0.0)
+    assert rows.secant[1].tobytes() == solo.secant[0].tobytes()
 
 
 @given(
@@ -918,11 +980,42 @@ def test_batched_cost_gradient_matches_central_differences(seed, p, m, nu, horiz
         assert_allclose(grad[i], central, rtol=1e-6, atol=1e-6)
 
 
+def _scalar_gauss_newton(dims, sweep, weights):
+    """Gauss-Newton Hessian ``2 (G^T Qb G + Rb)`` of one problem from its
+    sweep (a batch of one).  ``L`` (in BLAS band storage of its transpose)
+    and ``M`` are filled entry by entry, both with as many leading zero
+    unknowns as ``L`` has subdiagonals, as the solver stacks its systems;
+    ``G`` solves ``L G = M`` by LAPACK ``tbtrs``, then 2-D products."""
+    p, m, nu, nb = dims.p, dims.m, dims.nu, dims.n_outputs_block
+    horizon = sweep.outputs.shape[1]
+    jac_x, jac_u = sweep.jac_x[0], sweep.jac_u[0]
+    width = (nu + 1) * p - 1
+    band = np.zeros((width + 1, width + horizon * p))
+    M = np.zeros((width + horizon * p, horizon * m))
+    for k in range(horizon):
+        for c in range(p):
+            row = width + k * p + c
+            for a in range(m):
+                M[row, k * m + a] = jac_u[k, c, a]
+            for lag in range(1, min(nu, k) + 1):
+                for c2 in range(p):
+                    # L[row, col] is the entry (col, row) of the band of L^T.
+                    col = width + (k - lag) * p + c2
+                    band[width + col - row, row] = -jac_x[k, c, (lag - 1) * p + c2]
+            for i in range(min(nu - 1, k)):
+                for a in range(m):
+                    M[row, (k - 1 - i) * m + a] = jac_x[k, c, nb + i * m + a]
+    G = dtbtrs(band, M, trans="T", diag="U")[0][width:]
+    eye = np.eye(horizon)
+    return 2.0 * (G.T @ (np.kron(eye, weights.Q) @ G) + np.kron(eye, weights.R))
+
+
 def _scalar_descent(f, x0, cfg, start):
-    """Two-metric projected quasi-Newton descent written out for one
-    problem: Python branches, 2-D products and one line search at a time.
-    Costs and gradients are batches of one."""
-    box, weights = cfg.input_box, cfg.weights
+    """Two-metric projected structured quasi-Newton descent written out
+    for one problem: Python branches, 2-D products and one line search at
+    a time.  Costs are stepwise rollouts; the gradient and the
+    Gauss-Newton Hessian of an iterate come from one fresh sweep."""
+    box, weights, dims = cfg.input_box, cfg.weights, cfg.dims
     shape = start.shape
     lo, hi = np.tile(box.lo, shape[0]), np.tile(box.hi, shape[0])
     X0 = x0[None]
@@ -930,38 +1023,39 @@ def _scalar_descent(f, x0, cfg, start):
     def cost(u):
         return float(cost_J_batch(f, X0, u.reshape(1, *shape), weights)[0])
 
+    def free_step(B, free, g):
+        restricted = np.where(np.outer(free, free), B, np.eye(k))
+        try:
+            return np.linalg.solve(restricted, np.where(free, g, 0.0)[:, None])[:, 0]
+        except np.linalg.LinAlgError:
+            return np.full(k, np.nan)
+
     u = np.clip(start.ravel(), lo, hi)
     value = cost(u)
     k = u.size
-    H, scale, fresh = np.eye(k), 1.0, True
+    A = np.zeros((k, k))
     grad_norm = decrease = np.inf
     iterations, converged = 0, False
     for it in range(cfg.solver.max_iters):
-        g = cost_gradient(f, X0, u.reshape(1, *shape), weights).ravel()
+        sweep = f.sweep(X0, u.reshape(1, *shape))
+        g = backward_sweep(dims, sweep, u.reshape(1, *shape), weights).ravel()
+        GN = _scalar_gauss_newton(dims, sweep, weights)
         if it:
             y = g - g_old
-            sy = s @ y
-            if sy > 0:
-                scale = sy / (y @ y)
-                if fresh:
-                    H, fresh = scale * np.eye(k), False
-                rho = 1.0 / sy
-                Hy = H @ y
-                H = (
-                    H
-                    - rho * (np.outer(s, Hy) + np.outer(Hy, s))
-                    + (rho * rho * (y @ Hy) + rho) * np.outer(s, s)
-                )
+            Bs = (GN + A) @ s
+            sy, sBs = s @ y, s @ Bs
+            if sy > 0 and sBs > 0:
+                A = A + np.outer(y, y) / sy - np.outer(Bs, Bs) / sBs
         pg = u - np.clip(u - g, lo, hi)
         grad_norm = float(np.sqrt(pg @ pg))
         eps = min(grad_norm, ACTIVE_WIDTH)
         active = ((u <= lo + eps) & (g > 0)) | ((u >= hi - eps) & (g < 0))
         free = ~active
-        d = np.where(np.outer(free, free), H, 0.0) @ g
+        d = free_step(GN + A, free, g)
         slope = g @ d
         if not slope > 0 and np.any(free & (g != 0)):
-            H = scale * np.eye(k)
-            d = np.where(np.outer(free, free), H, 0.0) @ g
+            A = np.zeros((k, k))
+            d = free_step(GN, free, g)
             slope = g @ d
         d = np.where(active, g, d)
         g_active = np.where(active, g, 0.0)
@@ -1009,6 +1103,94 @@ def test_solo_solve_equals_the_scalar_descent(seed, kind, p, m, nu, horizon, max
     assert (sol.value, sol.iterations, sol.grad_norm, sol.predicted_decrease, sol.converged) == (
         value, iterations, grad_norm, decrease, converged
     )
+
+
+@given(seed=seeds, k=st.integers(1, 6), rows=st.integers(2, 5))
+def test_a_singular_model_gives_its_row_alone_a_nan_step(seed, k, rows):
+    """One singular matrix makes a stacked LAPACK solve raise for the whole
+    stack; the free step then solves every row on its own, so the singular
+    row's step is NaN (which resets its model) and every other row's step
+    is its batch of one, bit for bit."""
+    rng = np.random.default_rng(seed)
+    root = rng.standard_normal((rows, k, k))
+    B = root @ root.transpose(0, 2, 1) + k * np.eye(k)
+    bad = int(rng.integers(rows))
+    B[bad] = 0.0
+    free = rng.random((rows, k)) < 0.8
+    free[bad] = True
+    g = rng.standard_normal((rows, k))
+    d = mpc._free_step(B, free, g, np.eye(k))
+    assert np.isnan(d[bad]).all()
+    for i in range(rows):
+        if i != bad:
+            assert d[i].tobytes() == mpc._free_step(B[i : i + 1], free[i : i + 1], g[i : i + 1], np.eye(k))[0].tobytes()
+
+
+def _output_sensitivity(f, x0, u, h=1e-6):
+    """Central-difference sensitivity (N p, N m) of the outputs of the
+    rollout of ``u`` (N, m) from ``x0`` to the inputs."""
+    k = u.size
+    steps = h * np.eye(k).reshape(k, *u.shape)
+    x0 = np.tile(x0, (k, 1))
+    plus, minus = stepwise_rollout(f, x0, u + steps), stepwise_rollout(f, x0, u - steps)
+    return ((plus - minus) / (2.0 * h)).reshape(k, -1).T
+
+
+def _block_weights(cfg):
+    eye = np.eye(cfg.horizon)
+    return np.kron(eye, cfg.weights.Q), np.kron(eye, cfg.weights.R)
+
+
+@given(
+    seed=seeds,
+    p=st.integers(1, 2),
+    m=st.integers(1, 2),
+    nu=st.integers(1, 3),
+    horizon=st.integers(1, 5),
+    rows=st.integers(1, 3),
+)
+def test_gauss_newton_is_the_product_of_output_sensitivities(seed, p, m, nu, horizon, rows):
+    """On ``tanh`` dynamics the solver's Gauss-Newton Hessian of each row
+    is ``2 (J^T Qb J + Rb)``, with ``J`` the central-difference output
+    sensitivity of that row's rollout."""
+    rng = np.random.default_rng(seed)
+    cfg = _random_problem(rng, p, m, nu, horizon)
+    f = _random_dynamics(rng, cfg.dims, linear=False)
+    X0 = rng.uniform(-1.0, 1.0, size=(rows, cfg.dims.n))
+    U = rng.uniform(-1.0, 1.0, size=(rows, horizon, m))
+    q_bar, r_bar = _block_weights(cfg)
+    gn = mpc._gauss_newton(cfg.dims, f.sweep(X0, U), q_bar, r_bar)
+    for i in range(rows):
+        J = _output_sensitivity(f, X0[i], U[i])
+        assert_allclose(gn[i], 2.0 * (J.T @ q_bar @ J + r_bar), rtol=1e-6, atol=1e-9)
+
+
+@given(
+    seed=seeds,
+    p=st.integers(1, 2),
+    m=st.integers(1, 2),
+    nu=st.integers(1, 3),
+    horizon=st.integers(1, 5),
+)
+def test_a_linear_problem_is_solved_in_one_step(seed, p, m, nu, horizon):
+    """On linear dynamics the Gauss-Newton Hessian is the cost's Hessian
+    (central differences of adjoint gradients), so a cold solve whose box
+    stays inactive takes one accepted step and converges."""
+    rng = np.random.default_rng(seed)
+    cfg = _random_problem(rng, p, m, nu, horizon)
+    cfg = replace(cfg, input_box=Box(np.full(m, -1e3), np.full(m, 1e3)))
+    f = _random_dynamics(rng, cfg.dims, linear=True)
+    x0 = rng.uniform(-1.0, 1.0, size=cfg.dims.n)
+    u = rng.uniform(-1.0, 1.0, size=(horizon, m))
+    q_bar, r_bar = _block_weights(cfg)
+    gn = mpc._gauss_newton(cfg.dims, f.sweep(x0[None], u[None]), q_bar, r_bar)[0]
+    h, k = 1e-3, horizon * m
+    steps = h * np.eye(k).reshape(k, horizon, m)
+    X0 = np.tile(x0, (k, 1))
+    hessian = (cost_gradient(f, X0, u + steps, cfg.weights) - cost_gradient(f, X0, u - steps, cfg.weights)) / (2.0 * h)
+    assert_allclose(gn, hessian.reshape(k, k).T, rtol=1e-6, atol=1e-9)
+    sol = solve_ocp(f, x0, cfg)
+    assert sol.converged and sol.iterations == 1 and sol.backtracks == 0
 
 
 def _spy(name: str):

@@ -52,6 +52,17 @@ def _linear_dynamics(a: float = 0.8, b: float = 0.5) -> FunctionDynamics:
     )
 
 
+def _tanh_dynamics(a: float = 0.8, b: float = 0.2) -> FunctionDynamics:
+    def slope(x, u):
+        return 1.0 - np.tanh(a * x[0] + b * u[0]) ** 2
+
+    return FunctionDynamics(
+        DIMS,
+        lambda x, u: np.array([np.tanh(a * x[0] + b * u[0])]),
+        jacobian_fn=lambda x, u: (slope(x, u) * np.array([[a, 0.0, 0.0]]), slope(x, u) * np.array([[b]])),
+    )
+
+
 def _zero_dynamics() -> FunctionDynamics:
     return FunctionDynamics(
         DIMS,
@@ -312,7 +323,7 @@ class TestVerifyDecrease:
         assert report.capped_solves is None
 
     def test_capped_solves_count_trace_and_grid(self, storage):
-        f = _linear_dynamics()
+        f = _tanh_dynamics()
         cfg = _config(8)
         capped_cfg = replace(cfg, solver=replace(cfg.solver, max_iters=1))
         states = np.random.default_rng(7).uniform(0.2, 0.8, size=(5, 3))
@@ -329,8 +340,10 @@ class TestVerifyDecrease:
             worst = [sol.grad_norm for sol in grid if not sol.converged and sol.iterations >= max_iters]
             worst += list(trace.grad_norms[capped])
             assert report.capped_max_grad_norm == (max(worst) if worst else None)
-        # One iteration cannot converge from these starts: every solve is capped,
-        # and the grid solves each state once.
+        # One iteration cannot converge from these starts: the dynamics are not
+        # linear, where the Gauss-Newton step is exact, and the weak input keeps
+        # the state away from the origin for all ten steps.  Every solve is
+        # capped, and the grid solves each state once.
         assert in_trace == trace.iterations.size and growth.capped == states.shape[0]
 
     def test_corrupted_surrogate_is_flagged(self, cfg, storage):
