@@ -17,14 +17,12 @@ yields the outputs and their per-step Jacobians together (the kernel
 surrogate computes the values step by step and the Jacobians of many
 steps in one batched pass: one product of the kept ``(1 - r)^4`` with
 its coefficient-weighted sites, then a rank-one correction).  Each cost
-is the forward half of an adjoint sweep; the sweep of an accepted
-iterate is kept, and its gradient is the backward half alone,
-:func:`backward_sweep`: the output adjoints of a sequential program
-solve one unit upper-triangular system, banded by the lag depth, which
-one BLAS back substitution solves for all rows at once, and the input
-gradients are ``nu`` stacked products after it.  The transposes of those
-systems give the output sensitivities of the same sweep, and with them
-the Gauss-Newton Hessians, by one banded LAPACK solve for all rows.  A
+is one forward sweep; the sweep of an accepted iterate is kept, and
+:func:`_derivatives` takes its gradient and Gauss-Newton Hessian from
+it together: the output sensitivities of a sequential program solve one
+unit lower-triangular system, banded by the lag depth; one LAPACK
+banded solve serves all rows at once, and the gradient and the Hessian
+are stacked products of those sensitivities after it.  A
 solution returns the outputs of its kept sweep as
 :attr:`OcpSolution.outputs`, so no caller rolls its inputs out again,
 and counts its rejected line-search trials.  Many problems are solved in
@@ -41,7 +39,6 @@ from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dtbtrs
 
 from .narx import Box, NarxDims, NarxDynamics, Sweep, shift_state
@@ -162,12 +159,12 @@ def _adjoint_band(dims: NarxDims, jac_x: np.ndarray) -> np.ndarray:
     width + 1) with ``width = (nu + 1) p - 1`` superdiagonals.
 
     ``band[i, j, width + r - j]`` is the entry ``(r, j)`` of row i's unit
-    upper-triangular system, for the unknowns ``r, j`` of its block: the
-    C-ordered transpose of BLAS band storage.  Each block starts with
-    ``width`` zero padding unknowns, so the band of every column stays
-    inside its row's block (:func:`backward_sweep`).  The transposed
-    system is the unit lower-triangular ``L`` of the sweep's
-    linearization, ``L dY = M dU`` (:func:`_gauss_newton`).
+    upper-triangular system ``L^T``, for the unknowns ``r, j`` of its
+    block: the C-ordered transpose of BLAS band storage.  ``L`` is the
+    unit lower-triangular matrix of the sweep's linearization, ``L dY =
+    M dU``, which :func:`_derivatives` solves as the transpose of this
+    band.  Each block starts with ``width`` zero padding unknowns, so the
+    band of every column stays inside its row's block.
     """
     b, horizon, p = jac_x.shape[0], jac_x.shape[1], dims.p
     width = (dims.nu + 1) * p - 1
@@ -178,59 +175,6 @@ def _adjoint_band(dims: NarxDims, jac_x: np.ndarray) -> np.ndarray:
             first = width - lag * p - c
             steps[:, lag:, c, first : first + p] = -jac_x[:, lag:, c, (lag - 1) * p : lag * p]
     return band
-
-
-def backward_sweep(
-    dims: NarxDims, sweep: Sweep, U: np.ndarray, weights: StageCostWeights
-) -> np.ndarray:
-    """Cost gradients (B, N, m) of the inputs ``U`` (B, N, m) from their
-    forward sweep, by one triangular solve.
-
-    The output ``y_k`` of step ``k`` enters the cost once and the
-    regressors of the next ``nu`` steps as output lag ``j``, so its
-    adjoint ``lam_k``, the derivative of the cost by ``y_k``, solves
-
-        lam_k - sum_{j < nu} J_{k+1+j}[y_j]^T lam_{k+1+j} = 2 Q y_k,
-
-    where ``J_i[y_j]`` are the columns of output lag ``j`` in
-    ``sweep.jac_x[:, i]``: a unit upper-triangular system, banded with
-    ``(nu + 1) p - 1`` superdiagonals (Griewank and Walther, *Evaluating
-    Derivatives*, SIAM 2008, ch. 9).  The input gradients
-
-        2 R u_k + J_u,k^T lam_k + sum_{i < nu - 1} J_{k+1+i}[u_i]^T lam_{k+1+i},
-
-    with ``J_i[u_i]`` the columns of input lag ``i``, are then ``nu``
-    stacked products over all steps.  The regressor Jacobian of the
-    first step, ``sweep.jac_x[:, 0]``, enters no input gradient.
-
-    The systems of all rows are stacked into one banded system and solved
-    by one back substitution, BLAS ``tbsv``, column by column from the
-    last.  Each row's block starts with as many zero padding unknowns as
-    the band is wide, so the band of every column of a row stays inside
-    that row's block; a padding unknown keeps the value +0 and adds -0 to
-    the row before it, which changes no bit.  So every finite row equals
-    its batch of one bit for bit.  A non-finite adjoint spreads NaN into
-    the rows before it through those zero entries; every row with a
-    non-finite adjoint is therefore solved again on its own.
-    """
-    b, horizon = U.shape[0], U.shape[1]
-    p, m, nb = dims.p, dims.m, dims.n_outputs_block
-    band = _adjoint_band(dims, sweep.jac_x)
-    size, width = band.shape[1], band.shape[2] - 1
-    rhs = np.zeros((b, size))
-    # Non-finite entries make non-finite gradients, which the solver reports.
-    with np.errstate(invalid="ignore", over="ignore"):
-        rhs[:, width:] = 2.0 * np.matmul(weights.Q, sweep.outputs[..., None]).reshape(b, -1)
-        lam = dtbsv(width, band.reshape(-1, width + 1).T, rhs.ravel(), diag=1).reshape(b, size)
-        if not np.isfinite(lam).all():
-            for i in np.flatnonzero(~np.isfinite(lam).all(axis=1)):
-                lam[i] = dtbsv(width, band[i].T, rhs[i], diag=1)
-        lam = lam[:, width:].reshape(b, horizon, p, 1)
-        grad = 2.0 * np.matmul(weights.R, U[..., None]) + np.matmul(sweep.jac_u.transpose(0, 1, 3, 2), lam)
-        for i in range(min(dims.nu - 1, horizon - 1)):
-            jac = sweep.jac_x[:, 1 + i :, :, nb + i * m : nb + (i + 1) * m]
-            grad[:, : horizon - 1 - i] += np.matmul(jac.transpose(0, 1, 3, 2), lam[:, 1 + i :])
-    return grad[..., 0]
 
 
 @dataclass
@@ -334,19 +278,35 @@ def _input_index(dims: NarxDims, horizon: int) -> tuple[np.ndarray, ...]:
     return tuple(index)
 
 
-def _gauss_newton(dims: NarxDims, sweep: Sweep, q_bar: np.ndarray, r_bar: np.ndarray) -> np.ndarray:
-    """Gauss-Newton Hessians ``2 (G^T Qb G + Rb)`` (B, N m, N m) of the cost
-    at the inputs of ``sweep``, with ``Qb = q_bar`` and ``Rb = r_bar`` the
-    block diagonals of ``Q`` and ``R`` over the horizon.  For a model
-    affine in its regressor and input this is the exact Hessian of the
-    cost.
+def _derivatives(
+    dims: NarxDims, sweep: Sweep, u: np.ndarray, q_bar: np.ndarray, r_bar: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cost gradients ``2 (G^T Qb y + Rb u)`` (B, N m) and Gauss-Newton
+    Hessians ``2 (G^T Qb G + Rb)`` (B, N m, N m) at the flattened inputs
+    ``u`` (B, N m) of ``sweep``, whose outputs are ``y``, with ``Qb =
+    q_bar`` and ``Rb = r_bar`` the block diagonals of ``Q`` and ``R`` over
+    the horizon.  For a model affine in its regressor and input the
+    Hessian is the exact Hessian of the cost.
 
-    ``G = L^-1 M`` (B, N p, N m) is the output sensitivity of the sweep.
-    The systems ``L`` of all rows are the transposes of their adjoint
-    systems (:func:`_adjoint_band`), so one banded triangular solve,
-    LAPACK ``tbtrs``, gives every row's ``G``; as in
-    :func:`backward_sweep`, a finite row equals its batch of one bit for
-    bit, and a row with a non-finite entry is solved again on its own.
+    ``G = L^-1 M`` (B, N p, N m) is the output sensitivity of the sweep:
+    the sweep's linearization is ``L dY = M dU``, with ``L`` unit lower
+    triangular and banded by the lag depth (:func:`_adjoint_band` stores
+    its transpose) and ``M`` the input Jacobians (:func:`_input_index`).
+    The adjoint gradient ``2 Rb u + M^T lam`` with ``L^T lam = 2 Qb y``
+    (Griewank and Walther, *Evaluating Derivatives*, SIAM 2008, ch. 9) is
+    the same vector, so ``Qb G`` serves both outputs and the gradient
+    costs one stacked product more than the Hessian.
+
+    The systems of all rows are stacked into one banded system and solved
+    by one LAPACK ``tbtrs``, one forward substitution per column of
+    ``M``.  Each row's block starts with as many zero padding unknowns as
+    the band is wide, so the band reaches the block before it only
+    through zero entries: the padding unknowns keep the value +0, which
+    changes no bit of the unknowns after them.  The products after the
+    solve are stacked per row, so every finite row equals its batch of one
+    bit for bit.  A non-finite sensitivity spreads NaN into the rows after
+    it through those zero entries; every row with a non-finite entry is
+    therefore solved again on its own.
     """
     b, horizon = sweep.outputs.shape[:2]
     k = horizon * dims.m
@@ -365,7 +325,9 @@ def _gauss_newton(dims: NarxDims, sweep: Sweep, q_bar: np.ndarray, r_bar: np.nda
             G[:, i] = dtbtrs(band[i].T, rhs[:, i].T, trans="T", diag="U")[0].T
     # C-ordered rows, whose products do not depend on the batch size.
     G = np.ascontiguousarray(G[:, :, width:].transpose(1, 2, 0))
-    return 2.0 * (np.matmul(G.transpose(0, 2, 1), np.matmul(q_bar, G)) + r_bar)
+    qg = np.matmul(q_bar, G)
+    grad = 2.0 * (_matvec(qg.transpose(0, 2, 1), sweep.outputs.reshape(b, -1)) + _matvec(r_bar, u))
+    return grad, 2.0 * (np.matmul(G.transpose(0, 2, 1), qg) + r_bar)
 
 
 def _secant_update(rows: _Rows, gn: np.ndarray, y: np.ndarray) -> None:
@@ -424,7 +386,7 @@ def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: 
 
     Each row's Hessian model is ``B = GN + A``.  ``GN`` is the
     Gauss-Newton Hessian of the least-squares cost, from the Jacobians of
-    the row's kept sweep (:func:`_gauss_newton`); it is positive definite
+    the row's kept sweep (:func:`_derivatives`); it is positive definite
     because ``R`` is.  ``A`` learns the remainder from the row's own
     secant pairs (:func:`_secant_update`); it starts at zero in every
     solve, and pairs with ``s.y <= 0`` or ``s.Bs <= 0`` are skipped.
@@ -449,10 +411,10 @@ def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: 
 
     Every cost is one :meth:`~narxmpc.narx.NarxDynamics.sweep`, of the
     starts and of each line-search trial, and a row keeps the sweep of its
-    accepted iterate, so each gradient is one :func:`backward_sweep` and
-    each ``GN`` comes from the same Jacobians; a solution carries the
-    outputs of that sweep and counts its row's rejected line-search
-    trials.
+    accepted iterate, so each round's gradients and ``GN`` are one
+    :func:`_derivatives` call, one banded solve for all rows; a solution
+    carries the outputs of that sweep and counts its row's rejected
+    line-search trials.
     """
     box, weights = cfg.input_box, cfg.weights
     b, shape = starts.shape[0], starts.shape[1:]
@@ -492,33 +454,21 @@ def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: 
         rows = rows.take(keep) if keep.any() else None
         return keep
 
-    def fail(out, count, message):
-        """The rows ``out`` leave with a :class:`SolverError` of ``message``."""
-        failed = rows.index[out]
-        keep = leave(out, count, False)
-        for i in failed:
-            results[i] = SolverError(message)
-        return keep
-
     for rnd in range(cfg.solver.max_iters):
         if rows is None:
             break
-        g = backward_sweep(f.dims, rows.sweep, rows.u.reshape(-1, *shape), weights).reshape(-1, k)
-        finite = np.isfinite(g).all(axis=1)
-        if not finite.all():
-            keep = fail(~finite, rnd, "gradient is not finite at the current iterate")
-            if rows is None:
-                break
-            g = g[keep]
         # Jacobians or secant pairs too large for these products overflow.
-        # A row whose Gauss-Newton Hessian overflows fails, rather than step
-        # by a model that is not finite, and an overflowed secant part
-        # restarts from zero (:func:`_secant_update`).
+        # A row whose gradient or Gauss-Newton Hessian is not finite fails,
+        # rather than step by a model that is not finite, and an overflowed
+        # secant part restarts from zero (:func:`_secant_update`).
         with np.errstate(invalid="ignore", over="ignore"):
-            gn = _gauss_newton(f.dims, rows.sweep, q_bar, r_bar)
-            finite = np.isfinite(gn).all(axis=(1, 2))
+            g, gn = _derivatives(f.dims, rows.sweep, rows.u, q_bar, r_bar)
+            finite = np.isfinite(g).all(axis=1) & np.isfinite(gn).all(axis=(1, 2))
             if not finite.all():
-                keep = fail(~finite, rnd, "Gauss-Newton Hessian is not finite at the current iterate")
+                failed = rows.index[~finite]
+                keep = leave(~finite, rnd, False)
+                for i in failed:
+                    results[i] = SolverError("gradient or Gauss-Newton Hessian is not finite at the current iterate")
                 if rows is None:
                     break
                 g, gn = g[keep], gn[keep]
@@ -614,9 +564,9 @@ def solve_ocp_batch(
     m) projected onto the box, or from zeros.  The costs of the starts and
     of the line-search trials of the rows still searching are one
     :meth:`~narxmpc.narx.NarxDynamics.sweep` call each, and the gradients
-    of the active rows one :func:`backward_sweep` call over the sweeps of
-    their accepted iterates, whose Jacobians also give the Gauss-Newton
-    Hessians; a solution's ``outputs`` come from the kept sweep of its
+    and Gauss-Newton Hessians of the active rows one :func:`_derivatives`
+    call, one banded solve of the output sensitivities over the sweeps of
+    their accepted iterates; a solution's ``outputs`` come from the kept sweep of its
     ``u_star``.  Returns the descent's list, one entry per row, written
     once when the row left the descent: entry ``i`` is what the batch of
     one ``X0[i]``, ``warm[i]`` gives, bit for bit, its solution or the

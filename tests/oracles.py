@@ -21,7 +21,7 @@ from narxmpc import (
     shift_state,
     stage_cost,
 )
-from narxmpc.mpc import backward_sweep
+from narxmpc.mpc import _derivatives
 from narxmpc.narx import Sweep, rollout_arrays
 from narxmpc.stability import StorageMatrix, storage_value
 
@@ -112,11 +112,13 @@ def cost_J_batch(
 def cost_gradient(
     f: NarxDynamics, X0: np.ndarray, U: np.ndarray, weights: StageCostWeights
 ) -> np.ndarray:
-    """Adjoint cost gradients (B, N, m) of ``U`` (B, N, m) from ``X0``
-    (B, n): :func:`~narxmpc.mpc.backward_sweep` of a fresh
+    """Cost gradients (B, N, m) of ``U`` (B, N, m) from ``X0`` (B, n): the
+    gradients of :func:`~narxmpc.mpc._derivatives` on a fresh
     :meth:`~NarxDynamics.sweep`, which the solver runs apart."""
     X0, U = np.asarray(X0, dtype=float), np.asarray(U, dtype=float)
-    return backward_sweep(f.dims, f.sweep(X0, U), U, weights)
+    eye = np.eye(U.shape[1])
+    q_bar, r_bar = np.kron(eye, weights.Q), np.kron(eye, weights.R)
+    return _derivatives(f.dims, f.sweep(X0, U), U.reshape(U.shape[0], -1), q_bar, r_bar)[0].reshape(U.shape)
 
 
 def backward_sweep_reference(
@@ -132,7 +134,8 @@ def backward_sweep_reference(
     newest input block, and the regressor adjoint before step ``k`` is
     ``J_x,k^T`` times it plus the shifted older blocks.  Returns the
     gradients and the magnitudes, the second recursion, that a forward
-    error bound of :func:`~narxmpc.mpc.backward_sweep` is relative to.
+    error bound of the gradients of :func:`~narxmpc.mpc._derivatives` is
+    relative to.
     """
     p, m, nb, n = dims.p, dims.m, dims.n_outputs_block, dims.n
     results = []

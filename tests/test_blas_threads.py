@@ -34,22 +34,22 @@ ROOT = Path(__file__).resolve().parents[1]
 #: The reference episode at one BLAS thread: solver iterations over its
 #: 101 solves (100 steps and the terminal diagnostic) and its alpha.
 REFERENCE_ITERATIONS = 171
-REFERENCE_ALPHA = 0.20961524915975668
+REFERENCE_ALPHA = 0.20961524916235752
 
 #: SHA-256 of every file that ``narxmpc benchmark --only-D 101`` writes
 #: besides ``manifest.json``.
 REFERENCE_BUNDLE_D101 = {
-    "comparison.csv": "d14ed8636523b65de05570c5d9d8519d0f4f55d9fe5c8c5b4f9004e45a89f2b0",
+    "comparison.csv": "9a98bc4d8437dd85b3f4733a439f0e5ec56ac7f0cb6c8ba2df9982db31859ad7",
     "dataset_D101.csv": "8ed3f9e93f4c29608f5a5ee485abc8cea5d12761e14a1456a58c6db5dbcf099a",
     "dataset_D101.csv.meta": "75c1c0e1b11cb853a61694e6ef343c9479e8c1709e91965ae5c968fbe1fca901",
     "fit_report_D101.txt": "7463b531978b24cc592e942ce7a77d9e0bf1876245b2b39a1f466919415c36e5",
     "model_D101.csv": "1f5c933c6ab34184b69f9c40f1c1e470536f96051b3acffd59c8eb34e0d968e5",
     "model_D101.csv.meta": "f58ef68267d30742276b29e74628963ac5bd0aea68bc70cf813eb35751b1f648",
-    "stability_report_D101.txt": "7b1ee2787a7a59372ad5f7490f1bced4b7d1b344cfa8d74f8104fc12ef77638a",
-    "stability_steps_D101.csv": "767e47a71428b4562a9853eea1357b8494975485013f14b0bbc7ac86db9f5da8",
-    "trace_norm_D101.csv": "08bc2c3995d8fa66fa9dfe59a1b7882650406821e0ab3b8be0fde7f6e457fcc3",
+    "stability_report_D101.txt": "da7c880bc5056cf06e3b8fdc36cf74b9ae79c32df9ac8d7f82c05562422ab387",
+    "stability_steps_D101.csv": "a6bdeddd2262ec1aff1209f464b4cd21688e79ae39323bf6426a89f486e6c96e",
+    "trace_norm_D101.csv": "033f6fcdd89ed6251a6400a5a6dc4b769f61314ced6cdb7b4878aaccfd7d096b",
     "trace_norm_D101.csv.meta": "f8357d4271ece66e7da03a759f72f97f1c0bf60267110982828391086095a9de",
-    "trace_raw_D101.csv": "571224ffac7434828be008eb236e94e56ba42503d792c2ffe62c344ab44bd774",
+    "trace_raw_D101.csv": "9108bcd36dd80b7413bc61615b9544f3c3a6fc96334ca3ba530e4f1afb39a491",
     "trace_raw_D101.csv.meta": "00b2ff1aaaaccfeb49feed384ba844afd1ea69a34b66841408954056792cba07",
 }
 

@@ -54,7 +54,7 @@ from narxmpc.kernels import (
     _wendland_terms,
     fit_interpolant,
 )
-from narxmpc.mpc import ACTIVE_WIDTH, NOISE_FLOOR, backward_sweep
+from narxmpc.mpc import ACTIVE_WIDTH, NOISE_FLOOR
 from narxmpc.narx import Sweep
 from oracles import (
     FunctionDynamics,
@@ -624,8 +624,8 @@ class PoisonedJacobians(NarxDynamics):
 )
 def test_a_row_with_non_finite_jacobians_fails_alone(seed, kind, p, m, nu, horizon, rows, value):
     """A row whose Jacobians are not finite, or so large (``1e200``, at
-    three steps or more) that its adjoints overflow, ends in its own
-    :class:`SolverError` at its first gradient; no other exception
+    three steps or more) that its output sensitivities overflow, ends in
+    its own :class:`SolverError` at its first round; no other exception
     escapes, and every other row equals its solo solve bit for bit."""
     if np.isfinite(value):
         horizon = max(horizon, 3)
@@ -647,7 +647,7 @@ def test_a_row_with_non_finite_jacobians_fails_alone(seed, kind, p, m, nu, horiz
         assert (got.value, got.iterations, got.backtracks, got.grad_norm, got.converged) == (
             solo.value, solo.iterations, solo.backtracks, solo.grad_norm, solo.converged
         )
-    assert str(results[bad]) == "gradient is not finite at the current iterate"
+    assert str(results[bad]) == "gradient or Gauss-Newton Hessian is not finite at the current iterate"
 
 
 @given(
@@ -660,12 +660,13 @@ def test_a_row_with_non_finite_jacobians_fails_alone(seed, kind, p, m, nu, horiz
 )
 @example(seed=0, p=1, m=1, nu=1, horizon=2, rows=3)
 def test_a_row_whose_curvature_overflows_fails_alone(seed, p, m, nu, horizon, rows):
-    """Outputs that are all zero keep every adjoint, and so every gradient,
-    finite; Jacobians of ``1e200`` in one row then overflow only its
-    Gauss-Newton Hessian (and, from three steps on, its output
-    sensitivities).  That row ends in its own :class:`SolverError` at its
-    first round, rather than in a step of an overflowed model, and every
-    other row equals its solo solve bit for bit."""
+    """Jacobians of ``1e200`` in one row overflow its Gauss-Newton Hessian.
+    Its outputs are all zero, so its gradient stays finite while its
+    output sensitivities do; from three steps on they overflow too, and
+    their products with the zero outputs make the gradient NaN.  Either
+    way that row ends in its own :class:`SolverError` at its first round,
+    rather than in a step of an overflowed model, and every other row
+    equals its solo solve bit for bit."""
     rng = np.random.default_rng(seed)
     cfg = _random_problem(rng, p, m, nu, horizon)
     dims = cfg.dims
@@ -686,7 +687,7 @@ def test_a_row_whose_curvature_overflows_fails_alone(seed, p, m, nu, horizon, ro
             solo.value, solo.iterations, solo.backtracks, solo.grad_norm, solo.converged
         )
     assert isinstance(results[bad], SolverError)
-    assert str(results[bad]) == "Gauss-Newton Hessian is not finite at the current iterate"
+    assert str(results[bad]) == "gradient or Gauss-Newton Hessian is not finite at the current iterate"
 
 
 def test_a_secant_pair_that_overflows_restarts_its_row():
@@ -894,18 +895,24 @@ def _random_sweep(rng, dims: NarxDims, rows: int, horizon: int) -> Sweep:
     horizon=st.integers(1, 12),
     rows=st.integers(1, 8),
 )
-def test_backward_sweep_is_within_its_forward_error_bound(seed, p, m, nu, horizon, rows):
-    """The triangular solve's gradients are within ``gamma_{2w} G`` of the
-    long-double per-step adjoint recursion, where ``G`` is that recursion
-    on absolute values, ``gamma_k = k u / (1 - k u)`` and
-    ``w = (K + 1) N + p + max(m, p) + nu + 1`` with ``K = (nu + 1) p - 1``
-    superdiagonals.  The right-hand side ``2 Q y`` is within ``gamma_p``;
-    back substitution solves a system within ``gamma_{K+1}`` of the
-    triangular one row by row (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2nd ed., ch. 8), which the at most N-fold
-    inverse of ``I - |S|`` turns into ``gamma_{(K+1) N + p}`` of the
-    adjoint magnitudes; the input gradients add ``max(m, p) + nu + 1``
-    roundings.  The factor 2 covers the second-order terms."""
+def test_gradient_is_within_its_forward_error_bound(seed, p, m, nu, horizon, rows):
+    """The gradients of :func:`~narxmpc.mpc._derivatives` are within
+    ``gamma_{2w} g_abs`` of the long-double per-step adjoint recursion,
+    where ``g_abs`` is that recursion on absolute values, ``gamma_k = k u
+    / (1 - k u)`` and ``w = (K + 1) N + p + max(m, p) + nu + 1`` with ``K =
+    (nu + 1) p - 1`` subdiagonals of ``L = I - S``.  LAPACK ``tbtrs``
+    takes each column of ``G = L^-1 M`` by one forward substitution, whose
+    result solves, row by row, a system within ``gamma_{K+1}`` of the
+    triangular one (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., ch. 8); ``S`` couples distinct steps only, so
+    every entry of ``G`` is a sum of paths through at most N such rows,
+    within ``gamma_{(K+1) N}`` of ``(I - |S|)^-1 |M|``.  ``Qb G`` adds
+    ``p`` roundings, the ``N p``-term dot products with ``y`` another
+    ``N p``, and ``Rb u`` and the final sum at most ``max(m, p) + 1``;
+    ``g_abs`` is ``2 (|M|^T (I - |S|)^-T |Qb| |y| + |Rb| |u|)``.  The
+    count ``(K + 1) N + N p + p + max(m, p) + 1`` is below ``2 w``
+    because ``p <= K``, and the rest of ``2 w`` covers the reference's
+    own long-double rounding."""
     rng = np.random.default_rng(seed)
     cfg = _random_problem(rng, p, m, nu, horizon)
     dims = cfg.dims
@@ -915,7 +922,8 @@ def test_backward_sweep_is_within_its_forward_error_bound(seed, p, m, nu, horizo
     width = (nu + 1) * p - 1
     w = 2 * ((width + 1) * horizon + p + max(m, p) + nu + 1)
     unit = np.finfo(float).eps / 2
-    error = np.abs(backward_sweep(dims, sweep, U, cfg.weights) - exact)
+    grad = mpc._derivatives(dims, sweep, U.reshape(rows, -1), *_block_weights(cfg))[0]
+    error = np.abs(grad.reshape(U.shape) - exact)
     assert np.all(error <= w * unit / (1 - w * unit) * magnitude)
 
 
@@ -928,29 +936,32 @@ def test_backward_sweep_is_within_its_forward_error_bound(seed, p, m, nu, horizo
     rows=st.integers(1, 8),
     poison=st.sampled_from([None, np.inf, -np.inf, np.nan, 1e200]),
 )
-def test_backward_sweep_rows_equal_their_batches_of_one(seed, p, m, nu, horizon, rows, poison):
-    """Every finite row of a backward sweep is its batch of one, bit for
-    bit, also beside a row whose Jacobians are not finite or whose
-    adjoints overflow (``1e200`` in every entry); that row equals its
-    batch of one up to the sign of NaN, and its gradient is not finite
-    whenever one of its read entries is not."""
+def test_derivative_rows_equal_their_batches_of_one(seed, p, m, nu, horizon, rows, poison):
+    """Every finite row of the gradients and of the Gauss-Newton Hessians
+    is its batch of one, bit for bit, also beside a row whose Jacobians
+    are not finite or whose output sensitivities overflow (``1e200`` in
+    every entry); that row equals its batch of one up to the sign of NaN,
+    and its gradient is not finite whenever one of its read entries is
+    not."""
     rng = np.random.default_rng(seed)
     cfg = _random_problem(rng, p, m, nu, horizon)
     dims = cfg.dims
     sweep = _random_sweep(rng, dims, rows, horizon)
-    U = rng.uniform(-1.0, 1.0, size=(rows, horizon, m))
+    u = rng.uniform(-1.0, 1.0, size=(rows, horizon * m))
+    weights = _block_weights(cfg)
     bad = int(rng.integers(rows))
     if poison is not None:
         sweep.jac_x[bad, 1:] = poison
         if not np.isfinite(poison):
             sweep.jac_u[bad, -1] = poison
-    grad = backward_sweep(dims, sweep, U, cfg.weights)
-    for i in range(rows):
-        single = backward_sweep(dims, sweep[i : i + 1], U[i : i + 1], cfg.weights)[0]
-        assert_array_equal(single, grad[i])
-        assert not np.isfinite(grad[i]).all() or single.tobytes() == grad[i].tobytes()
+    with np.errstate(invalid="ignore", over="ignore"):
+        batch = mpc._derivatives(dims, sweep, u, *weights)
+        for i in range(rows):
+            for single, whole in zip(mpc._derivatives(dims, sweep[i : i + 1], u[i : i + 1], *weights), batch):
+                assert_array_equal(single[0], whole[i])
+                assert not np.isfinite(whole[i]).all() or single[0].tobytes() == whole[i].tobytes()
     if poison is not None and not np.isfinite(poison):
-        assert not np.isfinite(grad[bad]).all()
+        assert not np.isfinite(batch[0][bad]).all()
 
 
 @given(
@@ -980,12 +991,13 @@ def test_batched_cost_gradient_matches_central_differences(seed, p, m, nu, horiz
         assert_allclose(grad[i], central, rtol=1e-6, atol=1e-6)
 
 
-def _scalar_gauss_newton(dims, sweep, weights):
-    """Gauss-Newton Hessian ``2 (G^T Qb G + Rb)`` of one problem from its
-    sweep (a batch of one).  ``L`` (in BLAS band storage of its transpose)
-    and ``M`` are filled entry by entry, both with as many leading zero
-    unknowns as ``L`` has subdiagonals, as the solver stacks its systems;
-    ``G`` solves ``L G = M`` by LAPACK ``tbtrs``, then 2-D products."""
+def _scalar_derivatives(dims, sweep, u, weights):
+    """Gradient ``2 (G^T Qb y + Rb u)`` and Gauss-Newton Hessian ``2 (G^T
+    Qb G + Rb)`` of one problem at ``u`` (N m) from its sweep (a batch of
+    one).  ``L`` (in BLAS band storage of its transpose) and ``M`` are
+    filled entry by entry, both with as many leading zero unknowns as
+    ``L`` has subdiagonals, as the solver stacks its systems; ``G`` solves
+    ``L G = M`` by LAPACK ``tbtrs``, then 2-D products."""
     p, m, nu, nb = dims.p, dims.m, dims.nu, dims.n_outputs_block
     horizon = sweep.outputs.shape[1]
     jac_x, jac_u = sweep.jac_x[0], sweep.jac_u[0]
@@ -1007,14 +1019,16 @@ def _scalar_gauss_newton(dims, sweep, weights):
                     M[row, (k - 1 - i) * m + a] = jac_x[k, c, nb + i * m + a]
     G = dtbtrs(band, M, trans="T", diag="U")[0][width:]
     eye = np.eye(horizon)
-    return 2.0 * (G.T @ (np.kron(eye, weights.Q) @ G) + np.kron(eye, weights.R))
+    QG, Rb = np.kron(eye, weights.Q) @ G, np.kron(eye, weights.R)
+    return 2.0 * (QG.T @ sweep.outputs[0].ravel() + Rb @ u), 2.0 * (G.T @ QG + Rb)
 
 
 def _scalar_descent(f, x0, cfg, start):
     """Two-metric projected structured quasi-Newton descent written out
     for one problem: Python branches, 2-D products and one line search at
     a time.  Costs are stepwise rollouts; the gradient and the
-    Gauss-Newton Hessian of an iterate come from one fresh sweep."""
+    Gauss-Newton Hessian of an iterate come from the output sensitivity
+    of one fresh sweep."""
     box, weights, dims = cfg.input_box, cfg.weights, cfg.dims
     shape = start.shape
     lo, hi = np.tile(box.lo, shape[0]), np.tile(box.hi, shape[0])
@@ -1038,8 +1052,7 @@ def _scalar_descent(f, x0, cfg, start):
     iterations, converged = 0, False
     for it in range(cfg.solver.max_iters):
         sweep = f.sweep(X0, u.reshape(1, *shape))
-        g = backward_sweep(dims, sweep, u.reshape(1, *shape), weights).ravel()
-        GN = _scalar_gauss_newton(dims, sweep, weights)
+        g, GN = _scalar_derivatives(dims, sweep, u, weights)
         if it:
             y = g - g_old
             Bs = (GN + A) @ s
@@ -1159,7 +1172,7 @@ def test_gauss_newton_is_the_product_of_output_sensitivities(seed, p, m, nu, hor
     X0 = rng.uniform(-1.0, 1.0, size=(rows, cfg.dims.n))
     U = rng.uniform(-1.0, 1.0, size=(rows, horizon, m))
     q_bar, r_bar = _block_weights(cfg)
-    gn = mpc._gauss_newton(cfg.dims, f.sweep(X0, U), q_bar, r_bar)
+    gn = mpc._derivatives(cfg.dims, f.sweep(X0, U), U.reshape(rows, -1), q_bar, r_bar)[1]
     for i in range(rows):
         J = _output_sensitivity(f, X0[i], U[i])
         assert_allclose(gn[i], 2.0 * (J.T @ q_bar @ J + r_bar), rtol=1e-6, atol=1e-9)
@@ -1183,7 +1196,7 @@ def test_a_linear_problem_is_solved_in_one_step(seed, p, m, nu, horizon):
     x0 = rng.uniform(-1.0, 1.0, size=cfg.dims.n)
     u = rng.uniform(-1.0, 1.0, size=(horizon, m))
     q_bar, r_bar = _block_weights(cfg)
-    gn = mpc._gauss_newton(cfg.dims, f.sweep(x0[None], u[None]), q_bar, r_bar)[0]
+    gn = mpc._derivatives(cfg.dims, f.sweep(x0[None], u[None]), u.reshape(1, -1), q_bar, r_bar)[1][0]
     h, k = 1e-3, horizon * m
     steps = h * np.eye(k).reshape(k, horizon, m)
     X0 = np.tile(x0, (k, 1))
@@ -1210,26 +1223,26 @@ def _spy(name: str):
 )
 def test_a_solve_evaluates_each_cost_by_one_sweep(seed, kind, p, m, nu, horizon, max_iters):
     """A solve makes one N-step forward sweep per start and per
-    line-search trial, each gradient is a backward sweep over a kept
-    sweep, nothing calls ``output_batch``, and ``backtracks`` counts the
-    rejected trials.  The scalar descent makes
-    one stepwise rollout (N ``output_batch`` calls) per cost and one
-    ``cost_gradient`` (an N-step sweep) per gradient, so its counts give
-    the expected ones."""
+    line-search trial, each round's gradient and Gauss-Newton Hessian are
+    one :func:`~narxmpc.mpc._derivatives` call on a kept sweep, nothing
+    calls ``output_batch``, and ``backtracks`` counts the rejected trials.
+    The scalar descent makes one stepwise rollout (N ``output_batch``
+    calls) per cost and one fresh N-step sweep per gradient, so its counts
+    give the expected ones."""
     rng = np.random.default_rng(seed)
     cfg = _random_problem(rng, p, m, nu, horizon)
     cfg = replace(cfg, solver=replace(cfg.solver, max_iters=max_iters))
     f = _random_dynamics(rng, cfg.dims, kind == "linear")
     x0 = rng.uniform(-1.0, 1.0, size=cfg.dims.n)
     start = rng.uniform(-1.0, 1.0, size=(horizon, m))
-    with _spy("backward_sweep") as backward:
+    with _spy("_derivatives") as derivatives:
         sol = solve_ocp(f, x0, cfg, warm=start)
     solver, f.calls = f.calls, Counter()
     _scalar_descent(f, x0, cfg, start)
     scalar = f.calls
     assert solver["output_batch"] == 0
     assert horizon * solver["sweep"] == scalar["output_batch"]
-    assert backward.call_count == scalar["sweep"]
+    assert derivatives.call_count == scalar["sweep"]
     # The start, one accepted trial per iteration and every rejected one,
     # less the accepted trial that a failed line search did not find.
     failed_search = not sol.converged and sol.iterations < max_iters
