@@ -144,6 +144,8 @@ def _normalization_from(meta: dict, path) -> AffineNormalization:
         )
     except KeyError as exc:
         raise ConfigError(f"{path}: sidecar is missing the {exc.args[0]} entry") from None
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _sidecar(path) -> Path:

@@ -23,8 +23,9 @@ symm for several columns), so no second D x D array is ever allocated.
 
 The fitted interpolant is also the surrogate NARX dynamics, with its two
 evaluations: ``output_batch``, one step of values, and ``sweep``, N
-steps of values with every step's Jacobians.  Both come from two
-private routines on rows of sites: a value pass and a Jacobian pass.
+steps of values with every step's site Jacobian, with respect to the
+site ``[x; u]``.  Both come from two private routines on rows of sites:
+a value pass and a Jacobian pass.
 The value pass takes the profile's constants out of the row, since
 
     phi(r) = (1/30) (1 - r)^5 (5 r + 1) = (1/6) (1 - r)^5 (r + 1/5)
@@ -46,10 +47,11 @@ coefficient-weighted sites ``[C * S | C]^T / sigma^2``, which the model
 also forms once, and a rank-one correction; no site differences are
 formed.  The sweep runs the value pass step by step, since each step's
 output is the next step's site, and the Jacobian pass over the rows of
-several steps at once.  The value pass works in blocks of ``_BLOCK``
-rows, in three scratch arrays (radii, profile and ``f``); a sweep keeps
-each step's ``f`` in its own array and allocates the other two once for
-all its steps.
+several steps at once; the pass differentiates by the whole site, so
+its rows are the sweep's site Jacobians as they stand.  The value pass
+works in blocks of ``_BLOCK`` rows, in three scratch arrays (radii,
+profile and ``f``); a sweep keeps each step's ``f`` in its own array
+and allocates the other two once for all its steps.
 """
 
 from __future__ import annotations
@@ -498,9 +500,9 @@ class KernelInterpolant(NarxDynamics):
         return self._values(np.hstack([X, U]))
 
     def sweep(self, X0: np.ndarray, U: np.ndarray) -> Sweep:
-        """Outputs and Jacobians of the rollouts of the inputs ``U`` (B, N, m)
-        from the regressors ``X0`` (B, n): one value pass per step and one
-        Jacobian pass per ``_BLOCK`` rows or more.  Each step's outputs
+        """Outputs and site Jacobians of the rollouts of the inputs ``U``
+        (B, N, m) from the regressors ``X0`` (B, n): one value pass per
+        step and one Jacobian pass per ``_BLOCK`` rows or more.  Each step's outputs
         are those of :meth:`output_batch` at its sites, and each row
         equals its batch of one, its Jacobians too, since both passes
         take every row on its own.
@@ -513,13 +515,14 @@ class KernelInterpolant(NarxDynamics):
         their outputs into the next sites and shifts their older outputs
         along.  Each step's ``(1 - r)^4`` are kept until the steps since
         the last Jacobian pass hold ``_BLOCK`` rows or more, or the
-        rollout ends; then one Jacobian pass takes all of their rows.
+        rollout ends; then one Jacobian pass takes all of their rows,
+        and one copy stores them as those steps' site Jacobians.
         """
         X0, U = rollout_arrays(X0, U, self.dims)
         b, horizon = U.shape[0], U.shape[1]
         dims, size = self.dims, self.data.sites.shape[0]
         p, m, n, nb = dims.p, dims.m, dims.n, dims.n_outputs_block
-        sweep = Sweep(*(np.empty((b, horizon, p, *tail)) for tail in ((), (n,), (m,))))
+        sweep = Sweep(np.empty((b, horizon, p)), np.empty((b, horizon, p, n + m)))
         # The input block of the last site is never read.
         sites = np.empty((horizon + 1, b, n + m))
         sites[0, :, :n] = X0
@@ -544,8 +547,7 @@ class KernelInterpolant(NarxDynamics):
                 first = k - k % chunk
                 rows = (k + 1 - first) * b
                 jac = self._jacobians(sites[first : k + 1].reshape(rows, n + m), fourth.reshape(-1, size)[:rows])
-                jac = jac.reshape(k + 1 - first, b, p, n + m).transpose(1, 0, 2, 3)
-                sweep.jac_x[:, first : k + 1], sweep.jac_u[:, first : k + 1] = jac[..., :n], jac[..., n:]
+                sweep.jac[:, first : k + 1] = jac.reshape(k + 1 - first, b, p, n + m).transpose(1, 0, 2, 3)
         sweep.outputs[:] = sites[1:, :, :p].transpose(1, 0, 2)
         return sweep
 

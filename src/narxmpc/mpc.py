@@ -13,17 +13,20 @@ solve learns from its own steps, starting from zero.  A solve stops when
 its projected gradient is small or when the full step promises a
 decrease below the cost's rounding level.  The solver asks one thing of
 a model, its N-step :meth:`~narxmpc.narx.NarxDynamics.sweep`, which
-yields the outputs and their per-step Jacobians together (the kernel
-surrogate computes the values step by step and the Jacobians of many
-steps in one batched pass: one product of the kept ``(1 - r)^4`` with
-its coefficient-weighted sites, then a rank-one correction).  Each cost
-is one forward sweep; the sweep of an accepted iterate is kept, and
+yields the outputs and each step's site Jacobian, with respect to the
+whole site ``[x; u]``, together (the kernel surrogate computes the
+values step by step and the Jacobians of many steps in one batched
+pass: one product of the kept ``(1 - r)^4`` with its
+coefficient-weighted sites, then a rank-one correction).  Each cost is
+one forward sweep; the sweep of an accepted iterate is kept, and
 :func:`_derivatives` takes its gradient and Gauss-Newton Hessian from
 it together: the output sensitivities of a sequential program solve one
-unit lower-triangular system, banded by the lag depth; one LAPACK
-banded solve serves all rows at once, and the gradient and the Hessian
-are stacked products of those sensitivities after it.  A
-solution returns the outputs of its kept sweep as
+unit lower-triangular system, banded by the lag depth.  One cached
+table, :func:`_layout`, says where each site-Jacobian entry goes in
+that system's band and in its input matrix, so each is filled by one
+gather; one LAPACK banded solve serves all rows at once, and the
+gradient and the Hessian are stacked products of those sensitivities
+after it.  A solution returns the outputs of its kept sweep as
 :attr:`OcpSolution.outputs`, so no caller rolls its inputs out again,
 and counts its rejected line-search trials.  Many problems are solved in
 lockstep, each row with its own Hessian model, line search and stopping
@@ -153,30 +156,6 @@ def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.matmul(A, v[..., None])[..., 0]
 
 
-def _adjoint_band(dims: NarxDims, jac_x: np.ndarray) -> np.ndarray:
-    """The output-adjoint systems of B sweeps with the regressor Jacobians
-    ``jac_x`` (B, N, p, n), stacked in band storage (B, width + N p,
-    width + 1) with ``width = (nu + 1) p - 1`` superdiagonals.
-
-    ``band[i, j, width + r - j]`` is the entry ``(r, j)`` of row i's unit
-    upper-triangular system ``L^T``, for the unknowns ``r, j`` of its
-    block: the C-ordered transpose of BLAS band storage.  ``L`` is the
-    unit lower-triangular matrix of the sweep's linearization, ``L dY =
-    M dU``, which :func:`_derivatives` solves as the transpose of this
-    band.  Each block starts with ``width`` zero padding unknowns, so the
-    band of every column stays inside its row's block.
-    """
-    b, horizon, p = jac_x.shape[0], jac_x.shape[1], dims.p
-    width = (dims.nu + 1) * p - 1
-    band = np.zeros((b, width + horizon * p, width + 1))
-    steps = band[:, width:].reshape(b, horizon, p, width + 1)
-    for lag in range(1, min(dims.nu, horizon - 1) + 1):
-        for c in range(p):
-            first = width - lag * p - c
-            steps[:, lag:, c, first : first + p] = -jac_x[:, lag:, c, (lag - 1) * p : lag * p]
-    return band
-
-
 @dataclass
 class OcpSolution:
     """Solver result for one open-loop problem.
@@ -258,24 +237,34 @@ def _evaluate(f: NarxDynamics, X: np.ndarray, U: np.ndarray, weights: StageCostW
 
 
 @lru_cache(maxsize=64)
-def _input_index(dims: NarxDims, horizon: int) -> tuple[np.ndarray, ...]:
-    """Where the input Jacobians of an N-step sweep go in ``M``, the input
-    matrix (N p, N m) of its linearization ``L dY = M dU``: the index
-    arrays (row, column, step, output, source column) of every entry.
-    The source columns index the step's input Jacobian followed by the
-    input-lag columns of its regressor Jacobian, so source block ``j``
-    belongs to the input ``j`` steps back."""
-    p, m = dims.p, dims.m
-    entries = [
-        (k * p + c, (k - j) * m + a, k, c, j * m + a)
-        for k in range(horizon)
-        for c in range(p)
-        for j in range(min(dims.nu, k + 1))
-        for a in range(m)
-    ]
-    index = np.array(entries).T
-    index.flags.writeable = False  # shared by every caller through the cache
-    return tuple(index)
+def _layout(dims: NarxDims, horizon: int) -> tuple[np.ndarray, ...]:
+    """Where the site Jacobians of an N-step sweep go in its linearization
+    ``L dY = M dU``.  For every entry of the band of ``L^T`` (negated),
+    its flat position in one row's band storage of :func:`_derivatives`
+    and its source, the flat index of (step, output, site column) in the
+    row's ``jac``; for every entry of ``M``, its column, its unknown in
+    the padded right-hand sides and its source.  An output's unknown
+    takes the regressor columns of the ``nu`` outputs before it into
+    ``L``, and its site's input column and input-lag columns into ``M``.
+    """
+    p, m, n, nb = dims.p, dims.m, dims.n, dims.n_outputs_block
+    width = (dims.nu + 1) * p - 1
+    band, inputs = [], []
+    for k in range(horizon):
+        for c in range(p):
+            unknown, source = width + k * p + c, (k * p + c) * (n + m)
+            for lag in range(1, min(dims.nu, k) + 1):
+                first = unknown * (width + 1) + width - lag * p - c
+                band += [(first + c2, source + (lag - 1) * p + c2) for c2 in range(p)]
+            for back in range(min(dims.nu, k + 1)):
+                column = source + (nb + (back - 1) * m if back else n)
+                inputs += [((k - back) * m + a, unknown, column + a) for a in range(m)]
+    # One C-ordered index array per field, also for an empty band.
+    band = np.array(band, dtype=int).reshape(-1, 2).T.copy()
+    inputs = np.array(inputs, dtype=int).reshape(-1, 3).T.copy()
+    for index in (band, inputs):
+        index.flags.writeable = False  # shared by every caller through the cache
+    return (*band, *inputs)
 
 
 def _derivatives(
@@ -290,34 +279,41 @@ def _derivatives(
 
     ``G = L^-1 M`` (B, N p, N m) is the output sensitivity of the sweep:
     the sweep's linearization is ``L dY = M dU``, with ``L`` unit lower
-    triangular and banded by the lag depth (:func:`_adjoint_band` stores
-    its transpose) and ``M`` the input Jacobians (:func:`_input_index`).
-    The adjoint gradient ``2 Rb u + M^T lam`` with ``L^T lam = 2 Qb y``
-    (Griewank and Walther, *Evaluating Derivatives*, SIAM 2008, ch. 9) is
-    the same vector, so ``Qb G`` serves both outputs and the gradient
-    costs one stacked product more than the Hessian.
+    triangular and banded by the lag depth and ``M`` the input columns of
+    the site Jacobians ``sweep.jac``.  The adjoint gradient ``2 Rb u + M^T
+    lam`` with ``L^T lam = 2 Qb y`` (Griewank and Walther, *Evaluating
+    Derivatives*, SIAM 2008, ch. 9) is the same vector, so ``Qb G`` serves
+    both outputs and the gradient costs one stacked product more than the
+    Hessian.
 
-    The systems of all rows are stacked into one banded system and solved
-    by one LAPACK ``tbtrs``, one forward substitution per column of
-    ``M``.  Each row's block starts with as many zero padding unknowns as
-    the band is wide, so the band reaches the block before it only
-    through zero entries: the padding unknowns keep the value +0, which
-    changes no bit of the unknowns after them.  The products after the
-    solve are stacked per row, so every finite row equals its batch of one
-    bit for bit.  A non-finite sensitivity spreads NaN into the rows after
-    it through those zero entries; every row with a non-finite entry is
-    therefore solved again on its own.
+    The systems of all rows are stacked into one banded system in band
+    storage (B, width + N p, width + 1) with ``width = (nu + 1) p - 1``
+    superdiagonals: ``band[i, j, width + r - j]`` is the entry ``(r, j)``
+    of row i's ``L^T``, the C-ordered transpose of BLAS band storage.
+    One gather from ``sweep.jac`` fills the band and one fills ``M``, at
+    the places the cached table :func:`_layout` lists.  One LAPACK
+    ``tbtrs`` solves the system, one forward substitution per column of
+    ``M``.  Each row's block starts with ``width`` zero padding unknowns,
+    so the band reaches the block before it only through zero entries:
+    the padding unknowns keep the value +0, which changes no bit of the
+    unknowns after them.  The products after the solve are stacked per
+    row, so every finite row equals its batch of one bit for bit.  A
+    non-finite sensitivity spreads NaN into the rows after it through
+    those zero entries; every row with a non-finite entry is therefore
+    solved again on its own.
     """
     b, horizon = sweep.outputs.shape[:2]
     k = horizon * dims.m
-    band = _adjoint_band(dims, sweep.jac_x)
-    size, width = band.shape[1], band.shape[2] - 1
-    row, col, step, out, source = _input_index(dims, horizon)
-    inputs = np.concatenate([sweep.jac_u, sweep.jac_x[..., dims.n_outputs_block :]], axis=-1)
+    width = (dims.nu + 1) * dims.p - 1
+    size = width + horizon * dims.p
+    band_at, band_from, col, row, inputs_from = _layout(dims, horizon)
+    jac = sweep.jac.reshape(b, -1)
+    band = np.zeros((b, size, width + 1))
+    band.reshape(b, -1)[:, band_at] = -jac[:, band_from]
     # rhs[j, i, width + r] is the entry (r, j) of row i's M: column-major
     # right-hand sides of the stacked system.
     rhs = np.zeros((k, b, size))
-    rhs[col, :, width + row] = inputs[:, step, out, source].T
+    rhs[col, :, row] = jac[:, inputs_from].T
     G = dtbtrs(band.reshape(-1, width + 1).T, rhs.reshape(k, -1).T, trans="T", diag="U")[0]
     G = G.T.reshape(k, b, size)
     if not np.isfinite(G).all():
@@ -378,11 +374,17 @@ def _free_step(B: np.ndarray, free: np.ndarray, g: np.ndarray, eye: np.ndarray) 
         return d
 
 
-def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: MpcConfig):
-    """Two-metric projected structured quasi-Newton descent (Bertsekas,
-    SIAM J. Control Optim. 1982; Dennis, Gay and Welsch, ACM TOMS 1981) on
-    the rows of ``starts`` (B, N, m) from the regressors ``X0`` (B, n), all
-    rows one iteration at a time.
+def solve_ocp_batch(
+    f: NarxDynamics,
+    X0: np.ndarray,
+    cfg: MpcConfig,
+    warm: np.ndarray | None = None,
+) -> list[OcpSolution | SolverError]:
+    """Solve the box-constrained open-loop problems from the rows of ``X0``
+    (B, n) by two-metric projected structured quasi-Newton descent
+    (Bertsekas, SIAM J. Control Optim. 1982; Dennis, Gay and Welsch, ACM
+    TOMS 1981), all rows one iteration at a time, each from its warm
+    sequence ``warm[i]`` (B, N, m) projected onto the box, or from zeros.
 
     Each row's Hessian model is ``B = GN + A``.  ``GN`` is the
     Gauss-Newton Hessian of the least-squares cost, from the Jacobians of
@@ -399,31 +401,36 @@ def _lockstep_descent(f: NarxDynamics, X0: np.ndarray, starts: np.ndarray, cfg: 
     resets ``A`` to zero and takes the step of ``GN`` alone.
     :func:`_armijo_search` then searches the projection arc from ``t = 1``.
 
-    A row converges when its projected-gradient norm is at most
-    :data:`GRAD_TOL` or when the full step predicts a decrease of at most
-    ``NOISE_FLOOR * |J|``.  Each row keeps its own model, line search and
-    stopping tests, so it follows the iterates of its solo descent bit for
-    bit.  A row leaves the active set when it converges, when its line
-    search fails or when its cost, gradient or ``GN`` is not finite; the
-    other rows go on unchanged.  Returns one entry per row, written when
-    the row leaves: its :class:`OcpSolution`, or the :class:`SolverError`
-    of a non-finite cost, gradient or ``GN``.
-
     Every cost is one :meth:`~narxmpc.narx.NarxDynamics.sweep`, of the
-    starts and of each line-search trial, and a row keeps the sweep of its
-    accepted iterate, so each round's gradients and ``GN`` are one
-    :func:`_derivatives` call, one banded solve for all rows; a solution
-    carries the outputs of that sweep and counts its row's rejected
+    starts and of each line-search trial of the rows still searching, and
+    a row keeps the sweep of its accepted iterate, so each round's
+    gradients and ``GN`` are one :func:`_derivatives` call, one banded
+    solve for all rows; a solution's ``outputs`` come from the kept sweep
+    of its ``u_star``, and ``backtracks`` counts its row's rejected
     line-search trials.
+
+    Returns one entry per row, written once when the row leaves the
+    descent: its :class:`OcpSolution`, or the :class:`SolverError` of a
+    non-finite cost, gradient or ``GN``; no rows give an empty list.  A
+    row leaves when it converges, when its line search fails or when its
+    cost, gradient or ``GN`` is not finite; the other rows go on
+    unchanged.  Each row keeps its own model, line search and stopping
+    tests, so entry ``i`` is what the batch of one ``X0[i]``, ``warm[i]``
+    gives, bit for bit.  A solution is ``converged`` when its
+    projected-gradient norm is at most :data:`GRAD_TOL` or its full step
+    predicts a decrease of at most ``NOISE_FLOOR * |J|``; otherwise it
+    stopped at ``max_iters`` or at a line search that found no decrease.
     """
+    X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     box, weights = cfg.input_box, cfg.weights
-    b, shape = starts.shape[0], starts.shape[1:]
+    b, shape = X0.shape[0], (cfg.horizon, cfg.dims.m)
     k = shape[0] * shape[1]
     lo, hi = (np.broadcast_to(bound, shape).ravel() for bound in (box.lo, box.hi))
-    U = _project(starts.reshape(b, k), lo, hi)
+    starts = np.zeros((b, k)) if warm is None else np.asarray(warm, dtype=float).reshape(b, k)
+    U = _project(starts, lo, hi)
     eye = np.eye(k)
     q_bar, r_bar = (np.kron(np.eye(shape[0]), w) for w in (weights.Q, weights.R))
-    value, sweep = _evaluate(f, X0, U.reshape(starts.shape), weights)
+    value, sweep = _evaluate(f, X0, U.reshape(b, *shape), weights)
     results: list[OcpSolution | SolverError | None] = [
         None if np.isfinite(v) else SolverError(f"initial cost is not finite ({v}) at the start sequence")
         for v in value
@@ -546,39 +553,6 @@ def _armijo_search(f, rows: _Rows, d, slope, g_active, lo, hi, shape, weights: S
         d, slope, g_active = d[searching], slope[searching], g_active[searching]
         t *= SHRINK
     return accepted
-
-
-def solve_ocp_batch(
-    f: NarxDynamics,
-    X0: np.ndarray,
-    cfg: MpcConfig,
-    warm: np.ndarray | None = None,
-) -> list[OcpSolution | SolverError]:
-    """Solve the box-constrained open-loop problems from the rows of ``X0`` (B, n).
-
-    All problems descend in lockstep by the two-metric projected
-    structured quasi-Newton method of :func:`_lockstep_descent`, each row
-    with its own Hessian model (the Gauss-Newton Hessian of its kept sweep
-    plus a secant correction that starts from zero in every solve), line
-    search and stopping tests, from its warm sequence ``warm[i]`` (B, N,
-    m) projected onto the box, or from zeros.  The costs of the starts and
-    of the line-search trials of the rows still searching are one
-    :meth:`~narxmpc.narx.NarxDynamics.sweep` call each, and the gradients
-    and Gauss-Newton Hessians of the active rows one :func:`_derivatives`
-    call, one banded solve of the output sensitivities over the sweeps of
-    their accepted iterates; a solution's ``outputs`` come from the kept sweep of its
-    ``u_star``.  Returns the descent's list, one entry per row, written
-    once when the row left the descent: entry ``i`` is what the batch of
-    one ``X0[i]``, ``warm[i]`` gives, bit for bit, its solution or the
-    :class:`SolverError` that stopped it; no rows give an empty list.  A
-    solution is ``converged`` when it met the gradient test or the
-    noise-floor test; otherwise it stopped at ``max_iters`` or at a line
-    search that found no decrease.
-    """
-    X0 = np.atleast_2d(np.asarray(X0, dtype=float))
-    shape = (X0.shape[0], cfg.horizon, cfg.dims.m)
-    starts = np.zeros(shape) if warm is None else np.asarray(warm, dtype=float).reshape(shape)
-    return _lockstep_descent(f, X0, starts, cfg)
 
 
 def solve_ocp(

@@ -14,11 +14,12 @@ A :class:`NarxDynamics` is used in two ways, so it implements two
 methods.  :meth:`~NarxDynamics.output_batch` gives one step's outputs,
 the values that the error bound ``|f - f_eps| <= c_x ||x|| + c_u ||u||``
 compares.  :meth:`~NarxDynamics.sweep` rolls out N steps and returns
-the outputs together with the Jacobians of every step, which is all
-the controller asks of a model.  The kernel surrogate sweeps in two
-passes: the values step by step, then every step's Jacobians in
-batched passes.  The exact two-tank view carries its hidden level and
-its tangents along the rollout.
+the outputs together with every step's site Jacobian, the derivative
+of the output with respect to the whole site ``[x; u]`` (regressor,
+then input), which is all the controller asks of a model.  The kernel
+surrogate sweeps in two passes: the values step by step, then every
+step's site Jacobians in batched passes.  The exact two-tank view
+carries its hidden level and its tangents along the rollout.
 """
 
 from __future__ import annotations
@@ -119,24 +120,21 @@ def shift_state(x: np.ndarray, y_next: np.ndarray, u: np.ndarray, dims: NarxDims
 
 @dataclass
 class Sweep:
-    """Forward sweep of B input sequences: the outputs (B, N, p) and their
-    Jacobians ``jac_x`` (B, N, p, n) and ``jac_u`` (B, N, p, m) with
-    respect to each step's regressor and input.  Indexing takes or
-    overwrites rows of all three arrays, which keep their memory layout,
-    so a kept sweep gives the bits of a fresh one.
+    """Forward sweep of B input sequences: the outputs (B, N, p) and the
+    site Jacobians ``jac`` (B, N, p, n + m), each step's Jacobian with
+    respect to its site ``[x; u]``, regressor columns first.  Indexing
+    takes or overwrites rows of both arrays, which keep their memory
+    layout, so a kept sweep gives the bits of a fresh one.
     """
 
     outputs: np.ndarray
-    jac_x: np.ndarray
-    jac_u: np.ndarray
+    jac: np.ndarray
 
     def __getitem__(self, rows) -> "Sweep":
-        return Sweep(self.outputs[rows], self.jac_x[rows], self.jac_u[rows])
+        return Sweep(self.outputs[rows], self.jac[rows])
 
     def __setitem__(self, rows, other: "Sweep") -> None:
-        self.outputs[rows], self.jac_x[rows], self.jac_u[rows] = (
-            other.outputs, other.jac_x, other.jac_u
-        )
+        self.outputs[rows], self.jac[rows] = other.outputs, other.jac
 
 
 class NarxDynamics(ABC):
@@ -144,7 +142,7 @@ class NarxDynamics(ABC):
 
     Subclasses set ``dims`` and implement the two evaluations:
     :meth:`output_batch`, one step of values, and :meth:`sweep`, N steps
-    of values with their Jacobians.  A single evaluation is a batch of
+    of values with their site Jacobians.  A single evaluation is a batch of
     one.
     """
 
@@ -163,8 +161,9 @@ class NarxDynamics(ABC):
     @abstractmethod
     def sweep(self, X0: np.ndarray, U: np.ndarray) -> Sweep:
         """Roll out from the regressors ``X0`` (B, n) under the inputs ``U``
-        (B, N, m): the outputs of every step with their Jacobians with
-        respect to that step's regressor and input.
+        (B, N, m): the outputs (B, N, p) of every step with their site
+        Jacobians (B, N, p, n + m), with respect to that step's regressor
+        and input in one row ``[x; u]``.
 
         Each step's outputs are the values of :meth:`output_batch` at
         that step's regressor and input (to rounding, for a model that
@@ -204,6 +203,7 @@ class AffineNormalization:
     Outputs map as ``(y - y_ref) / y_scale`` and inputs as
     ``(u - u_ref) / u_scale``, componentwise.  The reference point, which
     is the controlled equilibrium in the benchmark, maps to the origin.
+    Every entry must be finite and every scale strictly positive.
     """
 
     y_ref: np.ndarray
@@ -213,7 +213,10 @@ class AffineNormalization:
 
     def __post_init__(self) -> None:
         for name in ("y_ref", "y_scale", "u_ref", "u_scale"):
-            object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
+            value = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, value)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"normalization {name} must be finite")
         if np.any(self.y_scale <= 0) or np.any(self.u_scale <= 0):
             raise ValueError("normalization scales must be strictly positive")
 
@@ -260,14 +263,18 @@ class AffineNormalization:
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box used for input constraints and domain checks."""
+    """Axis-aligned box with finite bounds, used for input constraints and
+    domain checks."""
 
     lo: np.ndarray
     hi: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", np.atleast_1d(np.asarray(self.lo, dtype=float)))
-        object.__setattr__(self, "hi", np.atleast_1d(np.asarray(self.hi, dtype=float)))
+        for name in ("lo", "hi"):
+            value = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, value)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"box bound {name} must be finite")
         if self.lo.shape != self.hi.shape:
             raise ValueError("box bounds must have matching shapes")
         if np.any(self.lo > self.hi):

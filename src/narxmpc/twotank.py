@@ -20,14 +20,14 @@ the hidden level is recoverable from the newest measured transition,
 which makes the plant an exact deterministic NARX map and is how
 :class:`TwoTankNarxDynamics` evaluates it.  Both of its evaluations,
 one step of values (``output_batch``) and N steps of values with their
-Jacobians (``sweep``), reconstruct the hidden level once and then carry
-both levels.
+site Jacobians (``sweep``), reconstruct the hidden level once and then
+carry both levels.
 
 The sweep has exact Jacobians: the step functions take ``dual=True``,
 a trailing axis of tangents, so the one Runge-Kutta step is also its
 tangent-linear map, and the reconstruction is differentiated by the
 implicit function theorem.  Clamped rows get one-sided derivatives, and
-the regressor Jacobian of the first step enters no input gradient.
+the regressor columns of the first step enter no input gradient.
 """
 
 from __future__ import annotations
@@ -308,7 +308,9 @@ class TwoTankNarxDynamics(NarxDynamics):
     ``k - 1``, whose tangent gives the derivative of the reconstruction,
     ``dH = (dy_k - ds1/dy dy_{k-1} - ds1/du du_{k-1}) / (ds1/dH)``; step
     0 takes one tangent step at the bisection root.  A row clamped at a
-    bracket end, or to equal levels, gets the one-sided derivative.
+    bracket end, or to equal levels, gets the one-sided derivative.  The
+    four raw derivatives of a step, scaled to normalized units, are its
+    site-Jacobian columns ``0, 1, nu`` and ``n``; the others are zero.
     """
 
     def __init__(self, params: TwoTankParams, normalization: AffineNormalization, dims: NarxDims):
@@ -329,18 +331,19 @@ class TwoTankNarxDynamics(NarxDynamics):
         return self.norm.normalize_output(self._carry(X, U, dual=False)[0])
 
     def sweep(self, X0, U):
-        """The levels of :meth:`_carry` with exact Jacobians: the values of
-        the plain carry bit for bit, and each row equals its batch of
-        one.  The first step's outputs are those of :meth:`output_batch`;
-        later ones carry the hidden level that :meth:`output_batch` would
-        reconstruct from their regressors, and agree with it to rounding."""
+        """The levels of :meth:`_carry` with exact site Jacobians: the
+        values of the plain carry bit for bit, and each row equals its
+        batch of one.  The first step's outputs are those of
+        :meth:`output_batch`; later ones carry the hidden level that
+        :meth:`output_batch` would reconstruct from their regressors, and
+        agree with it to rounding."""
         X0, U = rollout_arrays(X0, U, self.dims)
         levels, jac = self._carry(X0, U, dual=True)
         # Raw derivatives to normalized ones: inputs scale by u_scale, outputs by y_scale.
         ratio = self.norm.u_scale[0] / self.norm.y_scale[0]
-        jac_x = np.zeros(levels.shape + (1, self.dims.n))
-        jac_x[..., 0, [0, 1, self.dims.nu]] = jac[..., :3] * [1.0, 1.0, ratio]
-        return Sweep(self.norm.normalize_output(levels[..., None]), jac_x, jac[..., 3:, None] * ratio)
+        site = np.zeros(levels.shape + (1, self.dims.n + 1))
+        site[..., 0, [0, 1, self.dims.nu, self.dims.n]] = jac * [1.0, 1.0, ratio, ratio]
+        return Sweep(self.norm.normalize_output(levels[..., None]), site)
 
     def _carry(self, X0, U, dual: bool):
         """Raw lower levels (B, N) of the rollouts of the inputs ``U``

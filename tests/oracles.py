@@ -29,9 +29,10 @@ from narxmpc.stability import StorageMatrix, storage_value
 class FunctionDynamics(NarxDynamics):
     """Wrap a plain callable ``f(x, u) -> y_next`` as :class:`NarxDynamics`.
 
-    ``jacobian_fn(x, u)`` returns the output Jacobians ``(dy/dx, dy/du)``
-    that :meth:`sweep` stacks, row by row and step by step; dynamics built
-    without it serve as plants and truths, which are only evaluated.
+    ``jacobian_fn(x, u)`` returns the output Jacobians ``(dy/dx, dy/du)``,
+    which :meth:`sweep` joins into site Jacobians, row by row and step by
+    step; dynamics built without it serve as plants and truths, which are
+    only evaluated.
     """
 
     def __init__(self, dims, fn, jacobian_fn=None):
@@ -52,12 +53,12 @@ class FunctionDynamics(NarxDynamics):
         if self._jacobian_fn is None:
             raise NotImplementedError("no Jacobian callable supplied")
         b, horizon, dims = U.shape[0], U.shape[1], self.dims
-        sweep = Sweep(*(np.empty((b, horizon, dims.p, *tail)) for tail in ((), (dims.n,), (dims.m,))))
+        sweep = Sweep(np.empty((b, horizon, dims.p)), np.empty((b, horizon, dims.p, dims.n + dims.m)))
         X = X0
         for k in range(horizon):
             for i in range(b):
                 sweep.outputs[i, k] = self._call(X[i], U[i, k])
-                sweep.jac_x[i, k], sweep.jac_u[i, k] = self._jacobian_fn(X[i], U[i, k])
+                sweep.jac[i, k] = np.hstack(self._jacobian_fn(X[i], U[i, k]))
             X = shift_state(X, sweep.outputs[:, k], U[:, k], dims)
         return sweep
 
@@ -83,7 +84,7 @@ def stepwise_sweep(f: NarxDynamics, X0: np.ndarray, U: np.ndarray) -> Sweep:
     :meth:`~NarxDynamics.sweep` per step, each from the regressors that
     the outputs before it shifted in."""
     b, horizon, dims = U.shape[0], U.shape[1], f.dims
-    sweep = Sweep(*(np.empty((b, horizon, dims.p, *tail)) for tail in ((), (dims.n,), (dims.m,))))
+    sweep = Sweep(np.empty((b, horizon, dims.p)), np.empty((b, horizon, dims.p, dims.n + dims.m)))
     X = np.asarray(X0, dtype=float)
     for k in range(horizon):
         sweep[:, k : k + 1] = f.sweep(X, U[:, k : k + 1])
@@ -92,12 +93,12 @@ def stepwise_sweep(f: NarxDynamics, X0: np.ndarray, U: np.ndarray) -> Sweep:
 
 
 def one_step_sweep(f: NarxDynamics, Xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Outputs (B, p) and Jacobians (B, p, n + m) of the one-step
+    """Outputs (B, p) and site Jacobians (B, p, n + m) of the one-step
     :meth:`~NarxDynamics.sweep` at the site rows ``Xi`` (B, n + m), which
     split into regressor and input at ``f.dims.n``."""
     n = f.dims.n
     sweep = f.sweep(Xi[:, :n], Xi[:, None, n:])
-    return sweep.outputs[:, 0], np.concatenate([sweep.jac_x[:, 0], sweep.jac_u[:, 0]], axis=-1)
+    return sweep.outputs[:, 0], sweep.jac[:, 0]
 
 
 def cost_J_batch(
@@ -144,7 +145,8 @@ def backward_sweep_reference(
             lambda a: np.asarray(a, dtype=np.longdouble)
         )
         Q, R, y, u = cast(weights.Q), cast(weights.R), cast(sweep.outputs), cast(U)
-        jac_x, jac_u = cast(sweep.jac_x), cast(sweep.jac_u)
+        jac = cast(sweep.jac)
+        jac_x, jac_u = jac[..., :n], jac[..., n:]
         grad = np.empty(u.shape, dtype=np.longdouble)
         lam = np.zeros((u.shape[0], n), dtype=np.longdouble)
         for k in reversed(range(u.shape[1])):

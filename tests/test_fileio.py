@@ -184,6 +184,18 @@ class TestDatasetIo:
         with pytest.raises(ConfigError, match="header"):
             load_dataset(path)
 
+    def test_non_finite_normalization_names_file_and_entry(self, cfg, tmp_path):
+        """A sidecar whose ``y_scale`` is NaN does not load: the targets
+        would denormalize to NaN."""
+        data, _ = generate_dataset(replace(cfg, d=5))
+        path = tmp_path / "d.csv"
+        save_dataset(data, path, cfg)
+        sidecar = path.with_suffix(".csv.meta")
+        lines = sidecar.read_text().splitlines()
+        sidecar.write_text("\n".join("y_scale = nan" if s.startswith("y_scale =") else s for s in lines) + "\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: normalization y_scale must be finite")):
+            load_dataset(path)
+
 
 class TestModelIo:
     def _small_model(self, cfg):

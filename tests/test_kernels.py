@@ -312,7 +312,7 @@ class TestMemory:
         X0 = rng.uniform(-1.0, 1.0, size=(50, dims.n))
         U = rng.uniform(-1.0, 1.0, size=(50, 20, dims.m))
         sweep, peak, _ = self._traced(lambda: model_1001.sweep(X0, U))
-        assert sweep.jac_x.shape == (50, 20, dims.p, dims.n)
+        assert sweep.jac.shape == (50, 20, dims.p, dims.n + dims.m)
         assert peak < 2.5e6
 
 

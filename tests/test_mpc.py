@@ -254,8 +254,7 @@ class TestSolveOcp:
         assert f.output_batch(X0, np.empty((0, dims.m))).shape == (0, dims.p)
         sweep = f.sweep(X0, np.empty((0, horizon, dims.m)))
         assert sweep.outputs.shape == (0, horizon, dims.p)
-        assert sweep.jac_x.shape == (0, horizon, dims.p, dims.n)
-        assert sweep.jac_u.shape == (0, horizon, dims.p, dims.m)
+        assert sweep.jac.shape == (0, horizon, dims.p, dims.n + dims.m)
         assert solve_ocp_batch(f, X0, mpc_cfg) == []
 
 

@@ -218,3 +218,11 @@ class TestBox:
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
             Box(lo=np.array([1.0]), hi=np.array([0.0]))
+
+    def test_rejects_non_finite_bounds(self):
+        """A NaN bound would fail every solve at its first cost; an infinite
+        one is no box."""
+        with pytest.raises(ValueError, match="box bound lo must be finite"):
+            Box(lo=np.array([np.nan]), hi=np.array([1.0]))
+        with pytest.raises(ValueError, match="box bound hi must be finite"):
+            Box(lo=np.array([-1.0]), hi=np.array([np.inf]))

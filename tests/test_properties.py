@@ -606,9 +606,9 @@ class PoisonedJacobians(NarxDynamics):
         sweep = self.base.sweep(X0, U)
         rows = np.asarray(X0)[:, 0] == self.mark
         if U.shape[1] > 1:
-            sweep.jac_x[rows, 1:] = self.value
+            sweep.jac[rows, 1:, :, : self.dims.n] = self.value
         else:
-            sweep.jac_u[rows] = self.value
+            sweep.jac[rows, ..., self.dims.n :] = self.value
         return sweep
 
 
@@ -866,12 +866,12 @@ def test_kernel_sweep_and_rollout_equal_the_generic_per_step_paths(seed, p, m, n
     U = rng.uniform(-0.2, 1.2, size=(rows, horizon, m))
     sweep, generic = f.sweep(X, U), stepwise_sweep(f, X, U)
     outputs = stepwise_rollout(f, X, U)
-    for name in ("outputs", "jac_x", "jac_u"):
+    for name in ("outputs", "jac"):
         assert_array_equal(getattr(sweep, name), getattr(generic, name))
     assert_array_equal(sweep.outputs, outputs)
     for i in range(rows):
         single = f.sweep(X[i : i + 1], U[i : i + 1])
-        for name in ("outputs", "jac_x", "jac_u"):
+        for name in ("outputs", "jac"):
             assert_array_equal(getattr(single, name)[0], getattr(sweep, name)[i])
         assert_array_equal(stepwise_rollout(f, X[i], U[i]), outputs[i])
 
@@ -879,12 +879,12 @@ def test_kernel_sweep_and_rollout_equal_the_generic_per_step_paths(seed, p, m, n
 def _random_sweep(rng, dims: NarxDims, rows: int, horizon: int) -> Sweep:
     """A sweep of random entries whose magnitudes span six decades, with
     some exact zeros among the outputs."""
-    arrays = [
+    outputs, jac_x, jac_u = (
         rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 3.0, size=shape)
         for shape in ((rows, horizon, dims.p), (rows, horizon, dims.p, dims.n), (rows, horizon, dims.p, dims.m))
-    ]
-    arrays[0][rng.random(arrays[0].shape) < 0.2] = 0.0
-    return Sweep(*arrays)
+    )
+    outputs[rng.random(outputs.shape) < 0.2] = 0.0
+    return Sweep(outputs, np.concatenate([jac_x, jac_u], axis=-1))
 
 
 @given(
@@ -951,9 +951,9 @@ def test_derivative_rows_equal_their_batches_of_one(seed, p, m, nu, horizon, row
     weights = _block_weights(cfg)
     bad = int(rng.integers(rows))
     if poison is not None:
-        sweep.jac_x[bad, 1:] = poison
+        sweep.jac[bad, 1:, :, : dims.n] = poison
         if not np.isfinite(poison):
-            sweep.jac_u[bad, -1] = poison
+            sweep.jac[bad, -1, :, dims.n :] = poison
     with np.errstate(invalid="ignore", over="ignore"):
         batch = mpc._derivatives(dims, sweep, u, *weights)
         for i in range(rows):
@@ -1000,7 +1000,7 @@ def _scalar_derivatives(dims, sweep, u, weights):
     ``L G = M`` by LAPACK ``tbtrs``, then 2-D products."""
     p, m, nu, nb = dims.p, dims.m, dims.nu, dims.n_outputs_block
     horizon = sweep.outputs.shape[1]
-    jac_x, jac_u = sweep.jac_x[0], sweep.jac_u[0]
+    jac_x, jac_u = sweep.jac[0, ..., : dims.n], sweep.jac[0, ..., dims.n :]
     width = (nu + 1) * p - 1
     band = np.zeros((width + 1, width + horizon * p))
     M = np.zeros((width + horizon * p, horizon * m))
@@ -1451,9 +1451,8 @@ def test_plant_view_sweep_is_the_rollout_with_exact_jacobians(cfg, plant_view, s
     for i in range(rows):
         single = plant_view.sweep(X[i : i + 1], U[i : i + 1])
         assert_array_equal(single.outputs[0], sweep.outputs[i])
-        assert_array_equal(single.jac_x[0], sweep.jac_x[i])
-        assert_array_equal(single.jac_u[0], sweep.jac_u[i])
-    assert np.all(np.isfinite(sweep.jac_x)) and np.all(np.isfinite(sweep.jac_u))
+        assert_array_equal(single.jac[0], sweep.jac[i])
+    assert np.all(np.isfinite(sweep.jac))
     regular = _regular_plant_rows(cfg, X, U)
     if not regular.any():
         return
@@ -1467,6 +1466,5 @@ def test_plant_view_sweep_is_the_rollout_with_exact_jacobians(cfg, plant_view, s
     out = plant_view.output_batch(probes[..., :n].reshape(-1, n), probes[..., n:].reshape(-1, 1))
     out = out.reshape(2, len(columns), -1)
     central = ((out[0] - out[1]) / (2.0 * h)).T
-    exact = np.concatenate([sweep.jac_x[regular][..., 0, columns[:-1]], sweep.jac_u[regular][..., 0, :]], axis=-1)
-    exact = exact.reshape(-1, len(columns))
+    exact = sweep.jac[regular][..., 0, columns].reshape(-1, len(columns))
     assert_allclose(exact, central, rtol=1e-5, atol=1e-6 * (1.0 + np.max(np.abs(exact))))

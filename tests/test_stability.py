@@ -355,7 +355,8 @@ class TestVerifyDecrease:
 
         def jacobian_fn(x, u):
             sweep = model.sweep(x[None], u[None, None])
-            return 10.0 * sweep.jac_x[0, 0], 10.0 * sweep.jac_u[0, 0]
+            jac = 10.0 * sweep.jac[0, 0]
+            return jac[:, : model.dims.n], jac[:, model.dims.n :]
 
         bad = FunctionDynamics(small.dims, lambda x, u: 10.0 * model.output(x, u), jacobian_fn=jacobian_fn)
         _, stateful = plant_views(small)
