@@ -130,7 +130,7 @@ def _load_model(path, cfg: BenchmarkConfig):
 
 def cmd_generate(args) -> int:
     started = time.time()
-    cfg = _build_config(args, d=args.D, mode=args.mode)
+    cfg = _build_config(args, d=args.D)
     args.out.mkdir(parents=True, exist_ok=True)
     data, provenance = generate_dataset(cfg)
     path = args.out / f"dataset_D{cfg.d}.csv"
@@ -270,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("generate", help="draw an identification dataset")
     _add_common(sp)
     sp.add_argument("--D", type=int, help="number of sites (including the equilibrium)")
-    sp.add_argument("--mode", choices=["trajectory", "state_grid"], help="sampling mode")
     sp.set_defaults(fn=cmd_generate)
 
     sp = sub.add_parser("fit", help="fit a kernel surrogate to a dataset")

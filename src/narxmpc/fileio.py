@@ -119,6 +119,8 @@ def _dims_from(meta: dict, path) -> NarxDims:
         return NarxDims(p=int(meta["p"]), m=int(meta["m"]), nu=int(meta["nu"]))
     except KeyError as exc:
         raise ConfigError(f"{path}: sidecar is missing the {exc.args[0]} entry") from None
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _normalization_fields(norm: AffineNormalization) -> dict:

@@ -13,15 +13,14 @@ is redone with finer substeps (:func:`_total_step`), which the plant
 and its exact NARX view share.
 
 :class:`TwoTankPlant` is the one stateful plant: it carries both levels
-and is what the closed loop drives and what trajectory-mode data is
-harvested from.  Because only ``h1`` is measured, the sampled plant is
-second order with a hidden level; on regressors of lag depth two or more
-the hidden level is recoverable from the newest measured transition,
-which makes the plant an exact deterministic NARX map and is how
-:class:`TwoTankNarxDynamics` evaluates it.  Both of its evaluations,
-one step of values (``output_batch``) and N steps of values with their
-site Jacobians (``sweep``), reconstruct the hidden level once and then
-carry both levels.
+and is what the closed loop drives.  Because only ``h1`` is measured,
+the sampled plant is second order with a hidden level; on regressors of
+lag depth two or more the hidden level is recoverable from the newest
+measured transition, which makes the plant an exact deterministic NARX
+map and is how :class:`TwoTankNarxDynamics` evaluates it.  Both of its
+evaluations, one step of values (``output_batch``) and N steps of
+values with their site Jacobians (``sweep``), reconstruct the hidden
+level once and then carry both levels.
 
 The sweep has exact Jacobians: the step functions take ``dual=True``,
 a trailing axis of tangents, so the one Runge-Kutta step is also its
@@ -414,7 +413,6 @@ CONFIG_KEYS = {
     "u_lo": ("u_lo", float),
     "u_hi": ("u_hi", float),
     "dt": ("dt", float),
-    "mode": ("mode", str),
     "sigma": ("sigma", float),
     "jitter": ("jitter", float),
     "h0": ("h0", float),
@@ -432,10 +430,8 @@ class BenchmarkConfig:
     at a nonnegative flow and hold the equilibrium flow ``u_eq``; the
     measured level starts at the constant value ``h0`` inside the level
     range.  ``q_weight``, ``r_weight``, ``dt`` and ``sigma`` must be
-    positive and ``jitter`` nonnegative.  Dataset ``mode``
-    is ``state_grid`` (quasi-uniform coverage of levels and inputs, the
-    default) or ``trajectory`` (harvested simulation runs).  The lag
-    depth ``nu`` is fixed at two: the depth at which the hidden level is
+    positive and ``jitter`` and ``seed`` nonnegative.  The lag depth
+    ``nu`` is fixed at two: the depth at which the hidden level is
     recoverable, and the one the samplers draw regressors for.  Every
     float setting must be finite.  An error names the field and, where
     it differs, the :data:`CONFIG_KEYS` key that sets it.
@@ -450,7 +446,6 @@ class BenchmarkConfig:
     u_lo: float = 3.16e-6
     u_hi: float = 4.76e-5
     dt: float = 10.0
-    mode: str = "state_grid"
     sigma: float = 1.0
     jitter: float = 0.0
     h0: float = 0.2
@@ -466,8 +461,9 @@ class BenchmarkConfig:
         for name in ("q_weight", "r_weight", "dt", "sigma"):
             if not getattr(self, name) > 0:
                 raise self._invalid(name, "must be positive")
-        if self.jitter < 0:
-            raise self._invalid("jitter", "must be nonnegative")
+        for name in ("jitter", "seed"):
+            if getattr(self, name) < 0:
+                raise self._invalid(name, "must be nonnegative")
         if not (self.y_lo <= self.h0 <= self.y_hi):
             raise self._invalid("h0", f"must lie in [{self.y_lo}, {self.y_hi}]")
         if self.d < 1:
@@ -476,10 +472,6 @@ class BenchmarkConfig:
             raise self._invalid("horizon", "must be at least 1")
         if self.steps < 0:
             raise self._invalid("steps", "must be nonnegative")
-        if self.mode not in ("trajectory", "state_grid"):
-            raise ValueError(
-                f"unknown dataset mode {self.mode!r}; use 'trajectory' or 'state_grid'"
-            )
         if self.u_lo < 0:
             raise self._invalid("u_lo", "must be nonnegative (a pump flow)")
         if not (self.u_lo < self.u_hi):
@@ -647,116 +639,67 @@ def _reachable_draws(cfg: BenchmarkConfig, seed: int):
         yield np.stack([y_cur[ok], h1[ok], u_prev[ok]], axis=1), h2_cur[ok], u_now[ok]
 
 
-#: Samples per trajectory-mode plant run.
-_RUN_LENGTH = 40
-
-
-def _trajectory_blocks(cfg: BenchmarkConfig):
-    """Candidate blocks of ``trajectory`` mode, one seeded plant run each.
-
-    A run starts a :class:`TwoTankPlant` at a random lower level with a
-    random head above it and holds each random input for three samples,
-    until it has taken :data:`_RUN_LENGTH` steps or a step fails or leaves
-    the level domain.  Yields the raw lag-two regressors
-    ``(y(k), y(k-1), u(k-1))`` for ``k >= 1``, the inputs ``u(k)`` and the
-    next levels ``y(k+1)``, row for row.
-    """
-    rng = np.random.default_rng(cfg.seed)
-    while True:
-        h1 = rng.uniform(cfg.y_lo, cfg.y_hi)
-        plant = TwoTankPlant(cfg, h1, h1 + rng.uniform(0.0, 0.3))
-        levels, inputs = [h1], []
-        u = rng.uniform(cfg.u_lo, cfg.u_hi)
-        for t in range(_RUN_LENGTH):
-            if t % 3 == 0:
-                u = rng.uniform(cfg.u_lo, cfg.u_hi)
-            try:
-                h1 = plant.step(u)
-            except DomainError:
-                break
-            if not (cfg.y_lo <= h1 <= cfg.y_hi):
-                break
-            levels.append(h1)
-            inputs.append(u)
-        y, u_seq = np.array(levels), np.array(inputs)
-        yield np.column_stack([y[1:-1], y[:-2], u_seq[:-1]]), u_seq[1:], y[2:]
-
-
-def _grid_blocks(cfg: BenchmarkConfig):
-    """Candidate blocks of ``state_grid`` mode, one per block of
-    :func:`_reachable_draws`: its regressors and inputs with the level one
-    more step on, dropping rows where that step fails."""
-    for raw_x, h2_cur, u_now in _reachable_draws(cfg, cfg.seed):
-        y_cur = raw_x[:, 0]
-        y_next, _ = two_tank_step(y_cur, np.maximum(h2_cur, y_cur), u_now, cfg.params)
-        ok = np.isfinite(y_next)
-        yield raw_x[ok], u_now[ok], y_next[ok]
-
-
-#: Per dataset mode: the candidate blocks, the provenance key counting
-#: what they drew, the count of one block, and the stall limit of that key.
-_DATASET_MODES = {
-    "trajectory": (_trajectory_blocks, "trajectories", 1, 100_000),
-    "state_grid": (_grid_blocks, "halton_points", _HALTON_BLOCK, 4_000_000),
-}
+#: Most Halton points :func:`generate_dataset` draws before it gives up.
+_HALTON_LIMIT = 4_000_000
 
 
 def generate_dataset(cfg: BenchmarkConfig) -> tuple[Dataset, dict]:
     """Generate an interpolation dataset from the two-tank plant.
 
-    Modes
-    -----
-    ``trajectory``
-        Seeded random restarts of a :class:`TwoTankPlant` with
-        piecewise-constant inputs (:func:`_trajectory_blocks`); the
-        regressor-input-target triples are harvested while the output
-        stays inside the level domain.
-    ``state_grid``
-        Blocks of :func:`_reachable_draws` (:class:`ScrambledHalton`
-        points over lower level, upper level, previous input and input,
-        filtered to upper >= lower), with two one-step integrations
-        producing the regressor and the target (:func:`_grid_blocks`).
+    The exact equilibrium sample comes first.  The candidates are the
+    blocks of :func:`_reachable_draws` (:class:`ScrambledHalton` points
+    over lower level, upper level, previous input and input, filtered to
+    upper >= lower and stepped once into a regressor), each stepped once
+    more under its input for the target; rows where that step fails are
+    dropped.  :func:`_accept_spaced` keeps the candidates at least
+    :func:`_default_separation` from every accepted site, and everything
+    is returned in normalized coordinates.  Raises ``RuntimeError`` once
+    more than :data:`_HALTON_LIMIT` points are drawn.
 
-    Both modes place the exact equilibrium sample first, enforce a
-    minimum pairwise site separation with :func:`_accept_spaced` and
-    return everything in normalized coordinates.  Returns the dataset
-    plus a provenance dict; its ``min_pairwise_distance`` is the one
-    that the :class:`~narxmpc.kernels.Dataset` validation computed.
+    Returns the dataset plus a provenance dict: the seed, the separation,
+    the Halton points drawn, the candidates rejected and the
+    ``min_pairwise_distance`` that the :class:`~narxmpc.kernels.Dataset`
+    validation computed.
     """
     sep = _default_separation(cfg.d)
-    provenance = {"mode": cfg.mode, "seed": cfg.seed, "min_separation": sep}
     dims = cfg.dims
     norm = cfg.normalization()
-    make_blocks, drawn_key, per_block, limit = _DATASET_MODES[cfg.mode]
 
     sites = np.empty((cfg.d, dims.n + dims.m))
     targets = np.empty((cfg.d, dims.p))
     sites[0, : dims.n] = cfg.equilibrium_regressor()
     sites[0, dims.n :] = norm.normalize_input(np.array([cfg.u_eq]))
     targets[0] = 0.0
-    count, rejected, blocks = 1, 0, 0
-    candidate_blocks = make_blocks(cfg)
+    count, rejected, drawn = 1, 0, 0
+    draws = _reachable_draws(cfg, cfg.seed)
     while count < cfg.d:
-        blocks += 1
-        if blocks * per_block > limit:
+        drawn += _HALTON_BLOCK
+        if drawn > _HALTON_LIMIT:
             raise RuntimeError(
                 f"dataset generation stalled at {count} of {cfg.d} sites "
                 f"spaced at least {sep:.3g} apart"
             )
-        raw_x, u, y_next = next(candidate_blocks)
+        raw_x, h2_cur, u = next(draws)
+        y_cur = raw_x[:, 0]
+        y_next, _ = two_tank_step(y_cur, np.maximum(h2_cur, y_cur), u, cfg.params)
+        ok = np.isfinite(y_next)
         candidates = np.hstack(
-            [norm.normalize_state(raw_x, dims), norm.normalize_input(u[:, None])]
+            [norm.normalize_state(raw_x[ok], dims), norm.normalize_input(u[ok, None])]
         )
-        values = norm.normalize_output(y_next[:, None])
+        values = norm.normalize_output(y_next[ok, None])
         count, skipped = _accept_spaced(sites, targets, count, candidates, values, sep)
         rejected += skipped
-    provenance[drawn_key] = blocks * per_block
-    provenance["rejected"] = rejected
 
     data = Dataset(
         sites=sites, targets=targets, dims=dims, normalization=norm, contains_origin=True
     )
-    provenance["min_pairwise_distance"] = data.min_distance
+    provenance = {
+        "seed": cfg.seed,
+        "min_separation": sep,
+        "halton_points": drawn,
+        "rejected": rejected,
+        "min_pairwise_distance": data.min_distance,
+    }
     return data, provenance
 
 
@@ -804,9 +747,11 @@ def sample_consistent_states(
     """Physically reachable regressors, normalized, norm above ``min_norm``.
 
     The first ``count`` regressors of :func:`_reachable_draws` whose
-    normalized norm exceeds ``min_norm``.  Used as the evaluation grid for
-    growth-bound estimation and for error-constant sampling.  Raises
-    ``ValueError`` when ``count`` is below one.
+    normalized norm exceeds ``min_norm``.  :func:`~narxmpc.bench.probe_sites`
+    pairs them with random inputs for the fill-distance estimate and the
+    error-constant samples; the growth-bound grid is
+    :func:`sample_state_grid`.  Raises ``ValueError`` when ``count`` is
+    below one.
     """
     blocks = ((raw, _HALTON_BLOCK) for raw, _, _ in _reachable_draws(cfg, seed))
     return _collect_states(cfg, count, min_norm, blocks)

@@ -41,8 +41,8 @@ REFERENCE_ALPHA = 0.20961524916235752
 REFERENCE_BUNDLE_D101 = {
     "comparison.csv": "9a98bc4d8437dd85b3f4733a439f0e5ec56ac7f0cb6c8ba2df9982db31859ad7",
     "dataset_D101.csv": "8ed3f9e93f4c29608f5a5ee485abc8cea5d12761e14a1456a58c6db5dbcf099a",
-    "dataset_D101.csv.meta": "75c1c0e1b11cb853a61694e6ef343c9479e8c1709e91965ae5c968fbe1fca901",
-    "fit_report_D101.txt": "7463b531978b24cc592e942ce7a77d9e0bf1876245b2b39a1f466919415c36e5",
+    "dataset_D101.csv.meta": "8bcb6bd5b80465b5ddfba0ec34f2da0f222e57019264cd24e6773bfc3f1779e2",
+    "fit_report_D101.txt": "fb5c41d6f143a759f8c7dddfe2bb7a20a9b3867597983f0fb8f474bd2e0ef5f5",
     "model_D101.csv": "1f5c933c6ab34184b69f9c40f1c1e470536f96051b3acffd59c8eb34e0d968e5",
     "model_D101.csv.meta": "f58ef68267d30742276b29e74628963ac5bd0aea68bc70cf813eb35751b1f648",
     "stability_report_D101.txt": "da7c880bc5056cf06e3b8fdc36cf74b9ae79c32df9ac8d7f82c05562422ab387",

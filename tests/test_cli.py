@@ -124,6 +124,7 @@ class TestParsing:
             ("R = 0", "r_weight must be positive, got 0.0 (config key R)"),
             ("D = 0", "d must be at least 1, got 0 (config key D)"),
             ("N = 0", "horizon must be at least 1, got 0 (config key N)"),
+            ("seed = -3", "seed must be nonnegative, got -3"),
         ],
     )
     def test_config_errors_name_the_key(self, tmp_path, capsys, entry, message):
@@ -140,6 +141,14 @@ class TestParsing:
         code = main(["generate", "--config", str(config), "--out", str(tmp_path)])
         assert code == 1
         assert "unknown config key 'nu'" in capsys.readouterr().err
+
+    def test_dataset_mode_key_is_an_error(self, tmp_path, capsys):
+        config = tmp_path / "cfg.txt"
+        config.write_text("mode = state_grid\n")
+        code = main(["generate", "--config", str(config), "--out", str(tmp_path)])
+        assert code == 1
+        assert "unknown config key 'mode'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("dataset_*.csv"))
 
     def test_negative_pump_bound_is_an_error(self, tmp_path, capsys):
         config = tmp_path / "cfg.txt"

@@ -172,7 +172,7 @@ class TestDatasetIo:
         assert_allclose(back.normalization.y_ref, data.normalization.y_ref, rtol=0.0)
         meta = read_keyvalues(path.with_suffix(".csv.meta"))
         assert meta["format"] == "narxmpc-dataset-v1"
-        assert meta["gen_mode"] == "state_grid"
+        assert meta["gen_halton_points"] == str(provenance["halton_points"])
 
     def test_header_mismatch_detected(self, cfg, tmp_path):
         data, _ = generate_dataset(replace(cfg, d=5))
@@ -195,6 +195,35 @@ class TestDatasetIo:
         sidecar.write_text("\n".join("y_scale = nan" if s.startswith("y_scale =") else s for s in lines) + "\n")
         with pytest.raises(ConfigError, match=re.escape(f"{path}: normalization y_scale must be finite")):
             load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("0", "p must be a positive integer, got 0"), ("x", "invalid literal for int() with base 10: 'x'")],
+    )
+    def test_bad_dimensions_name_the_file(self, cfg, tmp_path, value, message):
+        data, _ = generate_dataset(replace(cfg, d=5))
+        path = tmp_path / "d.csv"
+        save_dataset(data, path, cfg)
+        sidecar = path.with_suffix(".csv.meta")
+        lines = sidecar.read_text().splitlines()
+        sidecar.write_text("\n".join(f"p = {value}" if s.startswith("p =") else s for s in lines) + "\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
+            load_dataset(path)
+
+    def test_sidecar_recording_a_dataset_mode_still_loads(self, cfg, tmp_path):
+        """Datasets saved when sidecars recorded ``gen_mode`` load and
+        pass the configuration check as before."""
+        data, provenance = generate_dataset(replace(cfg, d=5))
+        path = tmp_path / "d.csv"
+        save_dataset(data, path, cfg, provenance)
+        sidecar = path.with_suffix(".csv.meta")
+        text = sidecar.read_text()
+        sidecar.write_text(text.replace("gen_seed =", "gen_mode = state_grid\ngen_seed =", 1))
+        assert read_keyvalues(sidecar)["gen_mode"] == "state_grid"
+        back = load_dataset(path)
+        assert_array_equal(back.sites, data.sites)
+        assert_array_equal(back.targets, data.targets)
+        require_config(path, cfg)
 
 
 class TestModelIo:
@@ -396,7 +425,7 @@ class TestManifestAndConfig:
 
     def test_parse_benchmark_config(self, tmp_path):
         path = tmp_path / "cfg.txt"
-        path.write_text("D = 101\nN = 20\nQ = 1\nR = 0.1\nseed = 3\nmode = trajectory\n")
+        path.write_text("D = 101\nN = 20\nQ = 1\nR = 0.1\nseed = 3\nsigma = 0.5\n")
         kwargs = parse_benchmark_config(path)
         assert kwargs == {
             "d": 101,
@@ -404,7 +433,7 @@ class TestManifestAndConfig:
             "q_weight": 1.0,
             "r_weight": 0.1,
             "seed": 3,
-            "mode": "trajectory",
+            "sigma": 0.5,
         }
 
     def test_unknown_key_lists_accepted(self, tmp_path):

@@ -460,8 +460,7 @@ def test_blocked_site_acceptance_equals_the_sequential_loop(
 ):
     """Site acceptance makes the decisions of the one-at-a-time loop, with
     near-duplicates of accepted sites and of earlier candidates planted among
-    the candidates, in single-candidate calls (trajectory mode) and in whole
-    blocks (state-grid mode)."""
+    the candidates, whether they arrive one per call or in whole blocks."""
     rng = np.random.default_rng(seed)
     old = rng.uniform(0.0, 1.0, size=(accepted, dim))
     candidates = rng.uniform(0.0, 1.0, size=(fresh, dim))

@@ -107,20 +107,19 @@ def _table_keys() -> set[tuple[str, str]]:
 
 
 def _written_keys(tmp_path: Path) -> set[tuple[str, str]]:
-    """``(report, key)`` pairs that D=21 bundles write in both dataset
-    modes, plus a stability report with a violated decrease."""
+    """``(report, key)`` pairs that a D=21 bundle writes, plus a stability
+    report with a violated decrease."""
     written: set[tuple[str, str]] = set()
 
     def read(report: str, path: Path) -> None:
         written.update((report, key) for key in read_keyvalues(path))
 
-    for mode in ("state_grid", "trajectory"):
-        cfg = BenchmarkConfig(d=21, steps=4, mode=mode)
-        out = tmp_path / mode
-        result = run_benchmark(cfg, out_dir=out, sizes=(21,), b_states=4, b_horizon=2)
-        read("fit", out / "fit_report_D21.txt")
-        read("stability", out / "stability_report_D21.txt")
-    # The violated report reuses the trace and growth grid of the last arm.
+    cfg = BenchmarkConfig(d=21, steps=4)
+    out = tmp_path / "bundle"
+    result = run_benchmark(cfg, out_dir=out, sizes=(21,), b_states=4, b_horizon=2)
+    read("fit", out / "fit_report_D21.txt")
+    read("stability", out / "stability_report_D21.txt")
+    # The violated report reuses the bundle's trace and growth grid.
     arm = result.arms[21]
     rising = replace(arm.trace, values=1e3 * np.arange(arm.trace.values.size, dtype=float))
     storage = storage_matrix(cfg.dims, make_mpc_config(cfg).weights)

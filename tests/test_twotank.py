@@ -304,8 +304,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             BenchmarkConfig(u_lo=1e-5, u_hi=1e-6)
         with pytest.raises(ValueError):
-            BenchmarkConfig(mode="spiral")
-        with pytest.raises(ValueError):
             BenchmarkConfig(u_lo=1e-5)
 
     def test_negative_pump_bound_rejected(self):
@@ -328,6 +326,11 @@ class TestConfig:
     def test_negative_jitter_rejected(self):
         with pytest.raises(ValueError, match="jitter must be nonnegative"):
             BenchmarkConfig(jitter=-1e-12)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -3$"):
+            BenchmarkConfig(seed=-3)
+        BenchmarkConfig(seed=0)
 
     @pytest.mark.parametrize("h0", [-0.1, 0.5000001, 3.0])
     def test_start_level_outside_the_level_range_rejected(self, h0):
@@ -361,7 +364,6 @@ class TestGenerateDataset:
 
     def test_provenance_and_separation(self, cfg):
         data, provenance = generate_dataset(replace(cfg, d=51))
-        assert provenance["mode"] == "state_grid"
         assert provenance["min_pairwise_distance"] == pytest.approx(
             min_pairwise_distance(data.sites), rel=1e-15
         )
@@ -380,44 +382,26 @@ class TestGenerateDataset:
         assert np.max(np.abs(predicted - data.targets)) <= 1e-9
 
     @pytest.mark.parametrize(
-        "d, mode, sites_sha, targets_sha",
+        "d, sites_sha, targets_sha",
         [
             (
                 101,
-                "state_grid",
                 "a7c4b2ca20554c4df46733cd809e5cc5bffb1a7df803cf1e0bca5365f5849a77",
                 "b2ec5f08b515657b8d395199b93c91085d94624fbbd9da5e883112f4ef78f785",
             ),
             (
                 2501,
-                "state_grid",
                 "d2524f5d8ba9589a42820ebd19d4a50c488b51f8bc6c4acbb82965f7550f76d5",
                 "97db80e06345c01be67e020edf6ff631d7550fe2fc2732df5b98f10c6aefe351",
             ),
-            (
-                101,
-                "trajectory",
-                "e7d12eb7e3a6c17f88f885708145d8aa3a378e43eb229cce592ba0f1381f2428",
-                "fa23a22d4a55d0d3c0f9b0cc221bac5962e303a42d7d2c1a16fe3a9dd5dbb412",
-            ),
         ],
     )
-    def test_standard_datasets_are_pinned(self, cfg, d, mode, sites_sha, targets_sha):
+    def test_standard_datasets_are_pinned(self, cfg, d, sites_sha, targets_sha):
         """The sampler and the site acceptance leave the standard datasets
         (seed 0) unchanged to the last bit."""
-        data, _ = generate_dataset(replace(cfg, d=d, mode=mode, seed=0))
+        data, _ = generate_dataset(replace(cfg, d=d, seed=0))
         assert hashlib.sha256(data.sites.tobytes()).hexdigest() == sites_sha
         assert hashlib.sha256(data.targets.tobytes()).hexdigest() == targets_sha
-
-    def test_trajectory_mode(self, cfg, plant_view):
-        traj_cfg = replace(cfg, d=51, mode="trajectory")
-        data, provenance = generate_dataset(traj_cfg)
-        assert data.size == 51
-        assert provenance["mode"] == "trajectory"
-        assert provenance["trajectories"] >= 1
-        X, U = data.sites[:, :3], data.sites[:, 3:]
-        predicted = plant_view.output_batch(X, U)
-        assert np.max(np.abs(predicted - data.targets)) <= 1e-9
 
 
 class TestSampling:
