@@ -9,15 +9,16 @@ coordinates held at a bound, Newton steps of a Hessian model on the free
 ones, and Armijo backtracking along the projection arc.  The model is
 the exact Gauss-Newton Hessian of the least-squares cost, from the
 Jacobians of the iterate's sweep, plus a secant correction that each
-solve learns from its own steps, starting from zero.  A solve stops when
-its projected gradient is small or when the full step promises a
-decrease below the cost's rounding level.  The solver asks one thing of
-a model, its N-step :meth:`~narxmpc.narx.NarxDynamics.sweep`, which
-yields the outputs and each step's site Jacobian, with respect to the
-whole site ``[x; u]``, together (the kernel surrogate computes the
-values step by step and the Jacobians of many steps in one batched
-pass: one product of the kept ``(1 - r)^4`` with its
-coefficient-weighted sites, then a rank-one correction).  Each cost is
+solve learns from its own steps, starting from zero or from a given
+warm start.  A solve stops when its projected gradient is small or when
+the full step promises a decrease below the cost's rounding level.  The
+solver asks one thing of a model, its N-step
+:meth:`~narxmpc.narx.NarxDynamics.sweep`, which yields the outputs and
+each step's site Jacobian, with respect to the whole site ``[x; u]``,
+together (the kernel surrogate computes the values step by step and the
+Jacobians of many steps in one batched pass: one product of the kept
+``(1 - r)^4`` with its coefficient-weighted sites, then a rank-one
+correction).  Each cost is
 one forward sweep; the sweep of an accepted iterate is kept, and
 :func:`_derivatives` takes its gradient and Gauss-Newton Hessian from
 it together: the output sensitivities of a sequential program solve one
@@ -32,13 +33,16 @@ and counts its rejected line-search trials.  Many problems are solved in
 lockstep, each row with its own Hessian model, line search and stopping
 tests, and every row reproduces its solo solve bit for bit.  The
 receding-horizon loop applies the first input of each solution and
-warm-starts the next solve with the shifted remainder.
+warm-starts the next solve with the shifted remainder of its inputs and
+of its final secant correction, the shift initialization of real-time
+MPC (Diehl, Bock and Schlöder, SIAM J. Control Optim. 2005): each solve
+starts from the curvature its predecessor learned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -149,6 +153,17 @@ class MpcConfig:
         if np.any(self.input_box.lo > 0) or np.any(self.input_box.hi < 0):
             raise ValueError("the input box must contain the origin")
 
+    @cached_property
+    def horizon_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``Qb`` and ``Rb``, the block diagonals of ``Q`` and ``R`` over
+        the horizon, and the identity of the flattened inputs; built once
+        per configuration and read-only."""
+        eye = np.eye(self.horizon)
+        blocks = (np.kron(eye, self.weights.Q), np.kron(eye, self.weights.R), np.eye(self.horizon * self.dims.m))
+        for block in blocks:
+            block.flags.writeable = False
+        return blocks
+
 
 def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Stacked products ``A[b] @ v[b]``; each row equals its 2-D product bit
@@ -167,11 +182,14 @@ class OcpSolution:
     iterate before the last step for a solve stopped at the iteration
     cap).  ``outputs`` (N, p) are the predicted outputs of ``u_star``:
     those of the forward sweep that gave ``value``, kept by the solver.
+    ``secant`` (N m, N m) is the secant part ``A`` of the solve's final
+    Hessian model, which can warm-start a later solve.
     ``backtracks`` counts the line-search trials the solve rejected.
     """
 
     u_star: np.ndarray
     outputs: np.ndarray
+    secant: np.ndarray
     value: float
     iterations: int
     backtracks: int
@@ -374,11 +392,21 @@ def _free_step(B: np.ndarray, free: np.ndarray, g: np.ndarray, eye: np.ndarray) 
         return d
 
 
+def _checked(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """``value`` as a float array of ``shape``, or a ``ValueError`` that
+    names the argument and the shape it must have."""
+    value = np.asarray(value, dtype=float)
+    if value.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
+    return value
+
+
 def solve_ocp_batch(
     f: NarxDynamics,
     X0: np.ndarray,
     cfg: MpcConfig,
     warm: np.ndarray | None = None,
+    secant: np.ndarray | None = None,
 ) -> list[OcpSolution | SolverError]:
     """Solve the box-constrained open-loop problems from the rows of ``X0``
     (B, n) by two-metric projected structured quasi-Newton descent
@@ -390,8 +418,15 @@ def solve_ocp_batch(
     Gauss-Newton Hessian of the least-squares cost, from the Jacobians of
     the row's kept sweep (:func:`_derivatives`); it is positive definite
     because ``R`` is.  ``A`` learns the remainder from the row's own
-    secant pairs (:func:`_secant_update`); it starts at zero in every
-    solve, and pairs with ``s.y <= 0`` or ``s.Bs <= 0`` are skipped.
+    secant pairs (:func:`_secant_update`), and pairs with ``s.y <= 0`` or
+    ``s.Bs <= 0`` are skipped.  ``A`` starts at ``secant[i]`` (B, N m,
+    N m), any finite matrix, or at zero; a solution returns its final
+    ``A`` as :attr:`OcpSolution.secant`.  The solver trusts a start: one
+    whose model gives no descent step is reset by the rule below, but one
+    so large that the full step promises no decrease above the noise
+    floor ends the solve at its start.  A ``warm`` or ``secant`` of
+    another shape, or a ``secant`` with a non-finite entry, raises
+    ``ValueError`` before any cost is evaluated.
 
     Each round splits every row's coordinates.  A coordinate within
     ``eps = min(||pg||, ACTIVE_WIDTH)`` of a bound whose gradient points
@@ -415,8 +450,8 @@ def solve_ocp_batch(
     row leaves when it converges, when its line search fails or when its
     cost, gradient or ``GN`` is not finite; the other rows go on
     unchanged.  Each row keeps its own model, line search and stopping
-    tests, so entry ``i`` is what the batch of one ``X0[i]``, ``warm[i]``
-    gives, bit for bit.  A solution is ``converged`` when its
+    tests, so entry ``i`` is what the batch of one ``X0[i]``, ``warm[i]``,
+    ``secant[i]`` gives, bit for bit.  A solution is ``converged`` when its
     projected-gradient norm is at most :data:`GRAD_TOL` or its full step
     predicts a decrease of at most ``NOISE_FLOOR * |J|``; otherwise it
     stopped at ``max_iters`` or at a line search that found no decrease.
@@ -426,10 +461,13 @@ def solve_ocp_batch(
     b, shape = X0.shape[0], (cfg.horizon, cfg.dims.m)
     k = shape[0] * shape[1]
     lo, hi = (np.broadcast_to(bound, shape).ravel() for bound in (box.lo, box.hi))
-    starts = np.zeros((b, k)) if warm is None else np.asarray(warm, dtype=float).reshape(b, k)
+    starts = np.zeros((b, k)) if warm is None else _checked("warm", warm, (b, *shape)).reshape(b, k)
+    if secant is not None:
+        secant = _checked("secant", secant, (b, k, k))
+        if not np.isfinite(secant).all():
+            raise ValueError("secant must have finite entries")
     U = _project(starts, lo, hi)
-    eye = np.eye(k)
-    q_bar, r_bar = (np.kron(np.eye(shape[0]), w) for w in (weights.Q, weights.R))
+    q_bar, r_bar, eye = cfg.horizon_blocks
     value, sweep = _evaluate(f, X0, U.reshape(b, *shape), weights)
     results: list[OcpSolution | SolverError | None] = [
         None if np.isfinite(v) else SolverError(f"initial cost is not finite ({v}) at the start sequence")
@@ -437,8 +475,9 @@ def solve_ocp_batch(
     ]
     live = np.flatnonzero(np.isfinite(value))
     r = live.size
+    secant = np.zeros((r, k, k)) if secant is None else secant[live]
     rows = None if not r else _Rows(
-        live, X0[live], U[live], value[live], np.zeros((r, k, k)), np.zeros((r, k)), np.zeros((r, k)),
+        live, X0[live], U[live], value[live], secant, np.zeros((r, k)), np.zeros((r, k)),
         np.full(r, np.inf), np.full(r, np.inf), np.zeros(r, dtype=int), sweep[live],
     )
 
@@ -450,6 +489,7 @@ def solve_ocp_batch(
             results[rows.index[j]] = OcpSolution(
                 u_star=rows.u[j].reshape(shape),
                 outputs=rows.sweep.outputs[j],
+                secant=rows.secant[j],
                 value=float(rows.value[j]),
                 iterations=count,
                 backtracks=int(rows.backtracks[j]),
@@ -560,16 +600,21 @@ def solve_ocp(
     x0: np.ndarray,
     cfg: MpcConfig,
     warm: np.ndarray | None = None,
+    secant: np.ndarray | None = None,
 ) -> OcpSolution:
     """Solve the box-constrained open-loop problem from the regressor ``x0`` (n,).
 
     The batch of one of :func:`solve_ocp_batch`, started from the warm
-    sequence ``warm`` (N, m) projected onto the box, or from zeros.
-    Raises the row's :class:`SolverError`.
+    sequence ``warm`` (N, m) projected onto the box, or from zeros, and
+    from the secant part ``secant`` (N m, N m), or from zeros.  Raises
+    the row's :class:`SolverError`.
     """
+    shape = (cfg.horizon, cfg.dims.m)
     if warm is not None:
-        warm = np.asarray(warm, dtype=float)[None]
-    result = solve_ocp_batch(f, np.asarray(x0, dtype=float)[None], cfg, warm)[0]
+        warm = _checked("warm", warm, shape)[None]
+    if secant is not None:
+        secant = _checked("secant", secant, (shape[0] * shape[1],) * 2)[None]
+    result = solve_ocp_batch(f, np.asarray(x0, dtype=float)[None], cfg, warm, secant)[0]
     if isinstance(result, SolverError):
         raise result
     return result
@@ -624,13 +669,17 @@ def run_closed_loop(
     applies the first input to the plant through ``plant.output(x, u)``
     (normalized coordinates, as :class:`~narxmpc.twotank.TwoTankPlant`
     or any :class:`NarxDynamics` takes them), measures the next output
-    and shifts the regressor.  One extra diagnostic solve evaluates the
-    optimal value at the final state so that decrease checks can cover
-    every applied step.  Its entry ends every per-state array, so they
-    all hold ``states.shape[0]`` values; without that solve (no step
-    requested, a failed step or a failed diagnostic solve) the entry is
-    a NaN value and gradient norm, zero iterations and backtracks and not
-    converged.
+    and shifts the regressor.  Each solve after the first starts from its
+    predecessor's solution shifted by one step: the inputs ``u_star[1:]``
+    followed by zeros, and the final secant part ``A`` with its first
+    ``m`` rows and columns dropped and ``m`` zero rows and columns
+    appended, so the curvature learned for the remaining steps carries
+    over.  One extra diagnostic solve evaluates the optimal value at the
+    final state so that decrease checks can cover every applied step.
+    Its entry ends every per-state array, so they all hold
+    ``states.shape[0]`` values; without that solve (no step requested, a
+    failed step or a failed diagnostic solve) the entry is a NaN value
+    and gradient norm, zero iterations and backtracks and not converged.
 
     ``storage_matrix`` (n, n), when given, adds the storage values and
     the candidate Lyapunov values (optimal value plus storage) to the
@@ -649,12 +698,12 @@ def run_closed_loop(
     iterations = np.zeros(steps + 1, dtype=int)
     backtracks = np.zeros(steps + 1, dtype=int)
     converged = np.zeros(steps + 1, dtype=bool)
-    failed_step = failure = warm = None
+    failed_step = failure = warm = secant = None
     # Pass k solves at x(k); the pass at k == steps is the terminal
     # diagnostic solve and applies no input.
     for k in range(steps + 1 if steps else 0):
         try:
-            sol = solve_ocp(surrogate, states[k], cfg, warm=warm)
+            sol = solve_ocp(surrogate, states[k], cfg, warm=warm, secant=secant)
         except SolverError as exc:
             if k < steps:
                 failed_step, failure = k, str(exc)
@@ -672,6 +721,8 @@ def run_closed_loop(
             inputs[k], outputs[k] = u0, y_next
             stage_costs[k] = stage_cost(y_next, u0, cfg.weights)
             warm = np.vstack([sol.u_star[1:], np.zeros((1, dims.m))])
+            secant = np.zeros_like(sol.secant)
+            secant[: -dims.m, : -dims.m] = sol.secant[dims.m :, dims.m :]
         values[k], grad_norms[k] = sol.value, sol.grad_norm
         iterations[k], backtracks[k], converged[k] = sol.iterations, sol.backtracks, sol.converged
     applied = steps if failed_step is None else failed_step

@@ -9,7 +9,9 @@ interpreter (OpenBLAS reads the count when numpy loads), and both must
 give the same verdict and iteration counts, no capped solve, and alpha
 equal to 1e-9 relative.  The one-thread run is also pinned to the
 episode's recorded iteration total and alpha, so a speed-up that moves
-the solver's path fails here.
+the solver's path fails here.  The pins are those of the loop that
+warm-starts each solve with the shifted inputs and the shifted secant
+part of the solve before it.
 
 The D=101 arm of ``narxmpc benchmark`` writes the same files at one and
 at two OpenBLAS threads, and every one of them (all but
@@ -33,23 +35,23 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: The reference episode at one BLAS thread: solver iterations over its
 #: 101 solves (100 steps and the terminal diagnostic) and its alpha.
-REFERENCE_ITERATIONS = 171
-REFERENCE_ALPHA = 0.20961524916235752
+REFERENCE_ITERATIONS = 109
+REFERENCE_ALPHA = 0.2096199287258065
 
 #: SHA-256 of every file that ``narxmpc benchmark --only-D 101`` writes
 #: besides ``manifest.json``.
 REFERENCE_BUNDLE_D101 = {
-    "comparison.csv": "9a98bc4d8437dd85b3f4733a439f0e5ec56ac7f0cb6c8ba2df9982db31859ad7",
+    "comparison.csv": "8b0f53c72e137cbdf7b9f966212fb9d24fe51c93f026ddc702eea7be7c8753d7",
     "dataset_D101.csv": "8ed3f9e93f4c29608f5a5ee485abc8cea5d12761e14a1456a58c6db5dbcf099a",
     "dataset_D101.csv.meta": "8bcb6bd5b80465b5ddfba0ec34f2da0f222e57019264cd24e6773bfc3f1779e2",
     "fit_report_D101.txt": "fb5c41d6f143a759f8c7dddfe2bb7a20a9b3867597983f0fb8f474bd2e0ef5f5",
     "model_D101.csv": "1f5c933c6ab34184b69f9c40f1c1e470536f96051b3acffd59c8eb34e0d968e5",
     "model_D101.csv.meta": "f58ef68267d30742276b29e74628963ac5bd0aea68bc70cf813eb35751b1f648",
-    "stability_report_D101.txt": "da7c880bc5056cf06e3b8fdc36cf74b9ae79c32df9ac8d7f82c05562422ab387",
-    "stability_steps_D101.csv": "a6bdeddd2262ec1aff1209f464b4cd21688e79ae39323bf6426a89f486e6c96e",
-    "trace_norm_D101.csv": "033f6fcdd89ed6251a6400a5a6dc4b769f61314ced6cdb7b4878aaccfd7d096b",
+    "stability_report_D101.txt": "32bdc662d75204470c529a370424f1d2810baaa393e7bf1289c8bddbe48e8e76",
+    "stability_steps_D101.csv": "ce2e7ede483ea50fc28adb6d3b7c45b30f431e0445175d26a57228718ad4c22c",
+    "trace_norm_D101.csv": "4593fe069593a92be73425fd4924f6af081fe81b12aa367bca4e3e2330f315da",
     "trace_norm_D101.csv.meta": "f8357d4271ece66e7da03a759f72f97f1c0bf60267110982828391086095a9de",
-    "trace_raw_D101.csv": "9108bcd36dd80b7413bc61615b9544f3c3a6fc96334ca3ba530e4f1afb39a491",
+    "trace_raw_D101.csv": "7b33dfed4bff2de558b2cbf85d4e1a1bc758dc929cbc98b2a45f6ce954ec6ebc",
     "trace_raw_D101.csv.meta": "00b2ff1aaaaccfeb49feed384ba844afd1ea69a34b66841408954056792cba07",
 }
 

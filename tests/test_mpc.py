@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from narxmpc import mpc
 from narxmpc import (
     Box,
     MpcConfig,
@@ -31,6 +34,19 @@ def _linear_dynamics(a: float, b: float) -> FunctionDynamics:
         DIMS,
         lambda x, u: np.array([a * x[0] + b * u[0]]),
         jacobian_fn=lambda x, u: (np.array([[a, 0.0, 0.0]]), np.array([[b]])),
+    )
+
+
+def _tanh_dynamics() -> FunctionDynamics:
+    """Scalar map y+ = tanh(0.9 y - 0.3 y_prev + 1.5 u), whose cost the
+    Gauss-Newton Hessian does not match."""
+    def slope(x, u):
+        return 1.0 - np.tanh(0.9 * x[0] - 0.3 * x[1] + 1.5 * u[0]) ** 2
+
+    return FunctionDynamics(
+        DIMS,
+        lambda x, u: np.array([np.tanh(0.9 * x[0] - 0.3 * x[1] + 1.5 * u[0])]),
+        jacobian_fn=lambda x, u: (slope(x, u) * np.array([[0.9, -0.3, 0.0]]), slope(x, u) * np.array([[1.5]])),
     )
 
 
@@ -258,7 +274,79 @@ class TestSolveOcp:
         assert solve_ocp_batch(f, X0, mpc_cfg) == []
 
 
+class TestStartValidation:
+    """A warm start of the wrong shape, or a warm secant part with a
+    non-finite entry, is refused before any cost is evaluated."""
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"warm": np.zeros((4, 1))}, r"warm must have shape \(3, 1\), got \(4, 1\)"),
+            ({"warm": np.zeros(3)}, r"warm must have shape \(3, 1\), got \(3,\)"),
+            ({"secant": np.zeros((3, 2))}, r"secant must have shape \(3, 3\), got \(3, 2\)"),
+            ({"secant": np.diag([1.0, np.nan, 1.0])}, "secant must have finite entries"),
+            ({"secant": np.diag([1.0, np.inf, 1.0])}, "secant must have finite entries"),
+        ],
+    )
+    def test_solve_ocp(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            solve_ocp(_tanh_dynamics(), np.zeros(3), _config(3), **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"warm": np.zeros((2, 3))}, r"warm must have shape \(2, 3, 1\), got \(2, 3\)"),
+            ({"warm": np.zeros((1, 3, 1))}, r"warm must have shape \(2, 3, 1\), got \(1, 3, 1\)"),
+            ({"secant": np.zeros((3, 3))}, r"secant must have shape \(2, 3, 3\), got \(3, 3\)"),
+            ({"secant": np.full((2, 3, 3), -np.inf)}, "secant must have finite entries"),
+        ],
+    )
+    def test_solve_ocp_batch(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            solve_ocp_batch(_tanh_dynamics(), np.zeros((2, 3)), _config(3), **kwargs)
+
+    def test_a_zero_secant_is_the_cold_start(self):
+        f, cfg, x0 = _tanh_dynamics(), _config(4), np.array([0.5, -0.3, 0.2])
+        cold, zero = solve_ocp(f, x0, cfg), solve_ocp(f, x0, cfg, secant=np.zeros((4, 4)))
+        assert cold.u_star.tobytes() == zero.u_star.tobytes()
+        assert cold.secant.tobytes() == zero.secant.tobytes()
+        assert (cold.value, cold.iterations) == (zero.value, zero.iterations)
+
+
+def test_horizon_blocks_are_built_once_and_read_only():
+    cfg = _config(4)
+    q_bar, r_bar, eye = cfg.horizon_blocks
+    assert cfg.horizon_blocks[0] is q_bar
+    assert_array_equal(q_bar, np.kron(np.eye(4), WEIGHTS.Q))
+    assert_array_equal(r_bar, np.kron(np.eye(4), WEIGHTS.R))
+    assert_array_equal(eye, np.eye(4))
+    assert not any(block.flags.writeable for block in (q_bar, r_bar, eye))
+
+
 class TestClosedLoop:
+    def test_each_solve_starts_from_the_shifted_solution(self):
+        """The first solve starts cold; every later one from its
+        predecessor's inputs and secant part, shifted by one step."""
+        f, cfg = _tanh_dynamics(), _config(4)
+        starts, solutions = [], []
+
+        def recorded(*args, warm, secant):
+            starts.append((warm, secant))
+            solutions.append(solve(*args, warm=warm, secant=secant))
+            return solutions[-1]
+
+        solve = mpc.solve_ocp
+        with patch.object(mpc, "solve_ocp", recorded):
+            trace = run_closed_loop(f, f, cfg, np.array([0.5, -0.3, 0.2]), steps=5)
+        assert trace.failed_step is None and len(solutions) == 6
+        assert starts[0] == (None, None)
+        assert any(np.any(sol.secant != 0.0) for sol in solutions)
+        for (warm, secant), previous in zip(starts[1:], solutions):
+            assert_array_equal(warm, np.vstack([previous.u_star[1:], [[0.0]]]))
+            shifted = np.zeros((4, 4))
+            shifted[:3, :3] = previous.secant[1:, 1:]
+            assert secant.tobytes() == shifted.tobytes()
+
     def test_zero_plant_stays_home(self):
         plant = _zero_dynamics()
         surrogate = _zero_dynamics()

@@ -539,6 +539,24 @@ def _random_problem(rng, p, m, nu, horizon):
     )
 
 
+def _random_secants(rng, rows: int, k: int) -> np.ndarray:
+    """Warm secant parts (rows, k, k), each row one of four kinds: zero, a
+    small symmetric matrix, a negative definite one (``-1e3 I``, which
+    makes the first free step of most rows an ascent and so resets that
+    row) and a huge symmetric one (``1e300`` scale).  The huge model is
+    indefinite: its first free step is either an ascent, which resets the
+    row, or so short that the noise-floor test stops the row at its
+    start."""
+    kinds = rng.integers(4, size=rows)
+    noise = rng.standard_normal((rows, k, k))
+    symmetric = noise + noise.transpose(0, 2, 1)
+    return np.select(
+        [kinds[:, None, None] == kind for kind in range(3)],
+        [np.zeros((rows, k, k)), 0.1 * symmetric, np.broadcast_to(-1e3 * np.eye(k), (rows, k, k))],
+        1e300 * symmetric,
+    )
+
+
 @given(
     seed=seeds,
     kind=st.sampled_from(["linear", "tanh"]),
@@ -548,43 +566,56 @@ def _random_problem(rng, p, m, nu, horizon):
     horizon=st.integers(1, 4),
     rows=st.integers(1, 6),
     warm_rows=st.sampled_from(["none", "some", "all"]),
+    secant_rows=st.sampled_from(["none", "some", "all"]),
     poisoned=st.booleans(),
 )
 # Row 1's Hessian model, restricted to its free coordinates, is not
 # positive definite in round 3 (its step has slope -0.71), so it resets its
 # secant part while rows 0 and 2 keep theirs.
-@example(seed=15, kind="tanh", p=2, m=2, nu=3, horizon=4, rows=3, warm_rows="all", poisoned=False)
+@example(
+    seed=15, kind="tanh", p=2, m=2, nu=3, horizon=4, rows=3, warm_rows="all", secant_rows="none",
+    poisoned=False,
+)
 def test_solve_ocp_batch_rows_equal_solo_solves(
-    seed, kind, p, m, nu, horizon, rows, warm_rows, poisoned
+    seed, kind, p, m, nu, horizon, rows, warm_rows, secant_rows, poisoned
 ):
-    """Every row of a lockstep solve is its batch of one, bit for bit; a
-    row whose start cost is not finite fails alone."""
+    """Every row of a lockstep solve is its batch of one, bit for bit,
+    from any warm sequence and any warm secant part (:func:`_random_secants`);
+    a row whose start cost is not finite fails alone."""
     rng = np.random.default_rng(seed)
     cfg = _random_problem(rng, p, m, nu, horizon)
     f = _random_dynamics(rng, cfg.dims, kind == "linear")
     X0 = rng.uniform(-1.0, 1.0, size=(rows, cfg.dims.n))
     if poisoned:
         X0[rng.integers(rows), 0] = 100.0
-    warm = None
+    warm = secant = None
     if warm_rows != "none":
         warm = rng.uniform(-1.0, 1.0, size=(rows, horizon, m))
         if warm_rows == "some":
             warm[rng.random(rows) < 0.5] = 0.0
-    results = solve_ocp_batch(f, X0, cfg, warm)
+    if secant_rows != "none":
+        secant = _random_secants(rng, rows, horizon * m)
+        if secant_rows == "some":
+            secant[rng.random(rows) < 0.5] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = solve_ocp_batch(f, X0, cfg, warm, secant)
     assert len(results) == rows
     for i, got in enumerate(results):
         try:
-            solo = solve_ocp(f, X0[i], cfg, None if warm is None else warm[i])
+            with np.errstate(over="ignore", invalid="ignore"):
+                solo = solve_ocp(
+                    f, X0[i], cfg, None if warm is None else warm[i], None if secant is None else secant[i]
+                )
         except SolverError as exc:
             assert isinstance(got, SolverError) and str(got) == str(exc)
             assert X0[i, 0] == 100.0
             continue
         assert not isinstance(got, SolverError)
         assert_array_equal(got.u_star, solo.u_star)
-        assert got.value == solo.value
-        assert got.iterations == solo.iterations
-        assert got.grad_norm == solo.grad_norm
-        assert got.converged == solo.converged
+        assert got.secant.tobytes() == solo.secant.tobytes()
+        assert (got.value, got.iterations, got.backtracks, got.grad_norm, got.converged) == (
+            solo.value, solo.iterations, solo.backtracks, solo.grad_norm, solo.converged
+        )
 
 
 class PoisonedJacobians(NarxDynamics):
@@ -1022,12 +1053,12 @@ def _scalar_derivatives(dims, sweep, u, weights):
     return 2.0 * (QG.T @ sweep.outputs[0].ravel() + Rb @ u), 2.0 * (G.T @ QG + Rb)
 
 
-def _scalar_descent(f, x0, cfg, start):
+def _scalar_descent(f, x0, cfg, start, secant=None):
     """Two-metric projected structured quasi-Newton descent written out
-    for one problem: Python branches, 2-D products and one line search at
-    a time.  Costs are stepwise rollouts; the gradient and the
-    Gauss-Newton Hessian of an iterate come from the output sensitivity
-    of one fresh sweep."""
+    for one problem, from the secant part ``secant`` or zero: Python
+    branches, 2-D products and one line search at a time.  Costs are
+    stepwise rollouts; the gradient and the Gauss-Newton Hessian of an
+    iterate come from the output sensitivity of one fresh sweep."""
     box, weights, dims = cfg.input_box, cfg.weights, cfg.dims
     shape = start.shape
     lo, hi = np.tile(box.lo, shape[0]), np.tile(box.hi, shape[0])
@@ -1046,7 +1077,7 @@ def _scalar_descent(f, x0, cfg, start):
     u = np.clip(start.ravel(), lo, hi)
     value = cost(u)
     k = u.size
-    A = np.zeros((k, k))
+    A = np.zeros((k, k)) if secant is None else secant
     grad_norm = decrease = np.inf
     iterations, converged = 0, False
     for it in range(cfg.solver.max_iters):
@@ -1088,7 +1119,7 @@ def _scalar_descent(f, x0, cfg, start):
             break
         s, g_old = cand - u, g
         u, value = cand, cand_value
-    return u.reshape(shape), value, iterations, grad_norm, decrease, converged
+    return u.reshape(shape), A, value, iterations, grad_norm, decrease, converged
 
 
 @given(
@@ -1099,19 +1130,26 @@ def _scalar_descent(f, x0, cfg, start):
     nu=st.integers(1, 3),
     horizon=st.integers(1, 4),
     max_iters=st.integers(1, 40),
+    warm_secant=st.booleans(),
 )
-def test_solo_solve_equals_the_scalar_descent(seed, kind, p, m, nu, horizon, max_iters):
+def test_solo_solve_equals_the_scalar_descent(seed, kind, p, m, nu, horizon, max_iters, warm_secant):
     """A batch of one takes the iterates, curvature updates, stopping tests
-    and step lengths of the plain scalar descent, bit for bit."""
+    and step lengths of the plain scalar descent, bit for bit, from a cold
+    start or from a random symmetric secant part."""
     rng = np.random.default_rng(seed)
     cfg = _random_problem(rng, p, m, nu, horizon)
     cfg = replace(cfg, solver=replace(cfg.solver, max_iters=max_iters))
     f = _random_dynamics(rng, cfg.dims, kind == "linear")
     x0 = rng.uniform(-1.0, 1.0, size=cfg.dims.n)
     start = rng.uniform(-1.0, 1.0, size=(horizon, m))
-    sol = solve_ocp(f, x0, cfg, warm=start)
-    u, value, iterations, grad_norm, decrease, converged = _scalar_descent(f, x0, cfg, start)
+    secant = None
+    if warm_secant:
+        noise = rng.standard_normal((horizon * m, horizon * m))
+        secant = 0.5 * (noise + noise.T)
+    sol = solve_ocp(f, x0, cfg, warm=start, secant=secant)
+    u, A, value, iterations, grad_norm, decrease, converged = _scalar_descent(f, x0, cfg, start, secant)
     assert_array_equal(sol.u_star, u)
+    assert sol.secant.tobytes() == A.tobytes()
     assert (sol.value, sol.iterations, sol.grad_norm, sol.predicted_decrease, sol.converged) == (
         value, iterations, grad_norm, decrease, converged
     )
@@ -1205,6 +1243,40 @@ def test_a_linear_problem_is_solved_in_one_step(seed, p, m, nu, horizon):
     assert sol.converged and sol.iterations == 1 and sol.backtracks == 0
 
 
+@given(
+    seed=seeds,
+    p=st.integers(1, 2),
+    m=st.integers(1, 2),
+    nu=st.integers(1, 3),
+    horizon=st.integers(1, 5),
+    steps=st.integers(1, 8),
+)
+def test_a_closed_loop_on_an_affine_model_carries_no_curvature(seed, p, m, nu, horizon, steps):
+    """On linear dynamics ``GN`` is the cost's Hessian, so every secant
+    pair has ``y = GN s`` and every structured update is zero up to the
+    rounding of ``y``: each secant part that a closed loop carries into
+    its next solve is below ``1e-10`` of the largest entry of ``GN``."""
+    rng = np.random.default_rng(seed)
+    cfg = _random_problem(rng, p, m, nu, horizon)
+    f = _random_dynamics(rng, cfg.dims, linear=True)
+    x0 = rng.uniform(-1.0, 1.0, size=cfg.dims.n)
+    zeros = np.zeros((1, horizon, m))
+    gn = mpc._derivatives(cfg.dims, f.sweep(x0[None], zeros), zeros.reshape(1, -1), *cfg.horizon_blocks[:2])[1]
+    carried = []
+
+    def recorded(*args, warm, secant):
+        carried.append(secant)
+        return solve(*args, warm=warm, secant=secant)
+
+    solve = mpc.solve_ocp
+    with patch.object(mpc, "solve_ocp", recorded):
+        trace = mpc.run_closed_loop(f, f, cfg, x0, steps)
+    assert trace.failed_step is None and len(carried) == steps + 1
+    assert carried[0] is None
+    for secant in carried[1:]:
+        assert np.abs(secant).max() <= 1e-10 * np.abs(gn).max()
+
+
 def _spy(name: str):
     """Count the calls of ``mpc.<name>``, which the solver looks up as a
     module global."""
@@ -1257,12 +1329,14 @@ def test_a_solve_evaluates_each_cost_by_one_sweep(seed, kind, p, m, nu, horizon,
     horizon=st.integers(1, 6),
     rows=st.integers(1, 4),
     max_iters=st.integers(1, 60),
+    warm_secants=st.booleans(),
 )
 def test_solves_meet_a_stopping_test_and_never_lose_value(
-    seed, kind, p, m, nu, horizon, rows, max_iters
+    seed, kind, p, m, nu, horizon, rows, max_iters, warm_secants
 ):
     """A converged solve meets the gradient test or the noise-floor test at
-    its returned sequence, whose value is at most its start's value."""
+    its returned sequence, whose value is at most its start's value, also
+    from random warm secant parts."""
     rng = np.random.default_rng(seed)
     cfg = _random_problem(rng, p, m, nu, horizon)
     cfg = replace(cfg, solver=replace(cfg.solver, max_iters=max_iters))
@@ -1270,8 +1344,11 @@ def test_solves_meet_a_stopping_test_and_never_lose_value(
     box = cfg.input_box
     X0 = rng.uniform(-1.0, 1.0, size=(rows, cfg.dims.n))
     warm = rng.uniform(-1.5, 1.5, size=(rows, horizon, m))
+    secant = _random_secants(rng, rows, horizon * m) if warm_secants else None
     start_values = cost_J_batch(f, X0, np.clip(warm, box.lo, box.hi), cfg.weights)
-    for i, sol in enumerate(solve_ocp_batch(f, X0, cfg, warm)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        solutions = solve_ocp_batch(f, X0, cfg, warm, secant)
+    for i, sol in enumerate(solutions):
         assert sol.value <= start_values[i]
         assert sol.value == cost_J_batch(f, X0[i : i + 1], sol.u_star[None], cfg.weights)[0]
         if sol.iterations < max_iters:

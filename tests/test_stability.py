@@ -43,6 +43,15 @@ WEIGHTS = StageCostWeights(Q=1.0, R=0.1)
 DIMS = NarxDims(p=1, m=1, nu=2)
 MIN_HORIZON_10_2 = 65.39663084091907
 
+#: The h0 sweep: 24 initial levels (m) of the closed loop on the plant.
+SWEEP_LEVELS = tuple(round(0.02 * i, 2) for i in range(1, 25))
+
+#: The sweep's levels at which the D=101 surrogate's loop at N=20 violates
+#: the decrease on the plant.
+VIOLATING_LEVELS_D101 = (
+    0.02, 0.08, 0.10, 0.16, 0.18, 0.22, 0.26, 0.28, 0.30, 0.34, 0.38, 0.42, 0.44, 0.48,
+)
+
 
 def _linear_dynamics(a: float = 0.8, b: float = 0.5) -> FunctionDynamics:
     return FunctionDynamics(
@@ -389,6 +398,25 @@ class TestPlantVerdicts:
         )
         assert trace.failed_step is None and trace.failure is None
         assert verify_decrease(trace, storage).verdict == VERDICT_VERIFIED
+
+    def test_h0_sweep_at_d101_violates_on_the_pinned_levels(self, cfg, storage, fit_101):
+        """Standing falsification check: the D=101 surrogate's loops at
+        N=20 from the 24 levels of the h0 sweep violate the decrease on the
+        plant at exactly the pinned levels, with no failed step and no
+        capped solve.  A change that claims something for the plant must
+        face these violations; one that moves them must re-pin them."""
+        _, model = fit_101
+        violating, capped, failed = [], 0, 0
+        for h0 in SWEEP_LEVELS:
+            level = replace(cfg, horizon=20, h0=h0)
+            trace = simulate_loop(level, model)
+            report = verify_decrease(trace, storage, max_iters=make_mpc_config(level).solver.max_iters)
+            if report.verdict == VERDICT_VIOLATED:
+                violating.append(h0)
+            capped += report.capped_solves
+            failed += trace.failure is not None
+        assert tuple(violating) == VIOLATING_LEVELS_D101
+        assert (capped, failed) == (0, 0)
 
     def test_horizon_sufficient_is_not_a_plant_guarantee(self, cfg, fit_101):
         """At D=101 and N=48 the standard grid's sampled growth bound makes
