@@ -421,10 +421,7 @@ def solve_ocp_batch(
     secant pairs (:func:`_secant_update`), and pairs with ``s.y <= 0`` or
     ``s.Bs <= 0`` are skipped.  ``A`` starts at ``secant[i]`` (B, N m,
     N m), any finite matrix, or at zero; a solution returns its final
-    ``A`` as :attr:`OcpSolution.secant`.  The solver trusts a start: one
-    whose model gives no descent step is reset by the rule below, but one
-    so large that the full step promises no decrease above the noise
-    floor ends the solve at its start.  A ``warm`` or ``secant`` of
+    ``A`` as :attr:`OcpSolution.secant`.  A ``warm`` or ``secant`` of
     another shape, or a ``secant`` with a non-finite entry, raises
     ``ValueError`` before any cost is evaluated.
 
@@ -433,7 +430,14 @@ def solve_ocp_batch(
     out of the box is active and takes the plain gradient step; the free
     coordinates take the step of ``B`` restricted to them
     (:func:`_free_step`).  A free step that is not a descent direction
-    resets ``A`` to zero and takes the step of ``GN`` alone.
+    resets ``A`` to zero and takes the step of ``GN`` alone.  So does a
+    first-round step from a nonzero start whose full step promises at
+    most the noise floor while the projected-gradient norm is above
+    :data:`GRAD_TOL`: no pair of the solve has tested that start, and a
+    huge one would otherwise end the solve where it began.  Later rounds
+    trust the model, so a start far above the cost's curvature in some
+    directions still shortens the steps along them and can end the solve
+    by the noise floor before its projected gradient is small.
     :func:`_armijo_search` then searches the projection arc from ``t = 1``.
 
     Every cost is one :meth:`~narxmpc.narx.NarxDynamics.sweep`, of the
@@ -475,9 +479,9 @@ def solve_ocp_batch(
     ]
     live = np.flatnonzero(np.isfinite(value))
     r = live.size
-    secant = np.zeros((r, k, k)) if secant is None else secant[live]
+    secant0 = np.zeros((r, k, k)) if secant is None else secant[live]
     rows = None if not r else _Rows(
-        live, X0[live], U[live], value[live], secant, np.zeros((r, k)), np.zeros((r, k)),
+        live, X0[live], U[live], value[live], secant0, np.zeros((r, k)), np.zeros((r, k)),
         np.full(r, np.inf), np.full(r, np.inf), np.zeros(r, dtype=int), sweep[live],
     )
 
@@ -529,15 +533,21 @@ def solve_ocp_batch(
             free = ~active
             d = _free_step(gn + rows.secant, free, g, eye)
             slope = np.vecdot(g, d)
+            g_active = np.where(active, g, 0.0)
             reset = ~(slope > 0)
             if reset.any():
                 reset &= np.any(free & (g != 0), axis=1)
+            if not rnd and secant is not None:
+                # No pair of the solve has tested a secant start yet: it may
+                # not stop a row at its start by the noise floor.
+                promised = slope + np.vecdot(g_active, u - _project(u - np.where(active, g, d), lo, hi))
+                untested = (rows.norm > GRAD_TOL) & (promised <= NOISE_FLOOR * np.abs(rows.value))
+                reset |= untested & rows.secant.any(axis=(1, 2))
             if reset.any():
                 rows.secant[reset] = 0.0
                 d[reset] = _free_step(gn[reset], free[reset], g[reset], eye)
                 slope[reset] = np.vecdot(g[reset], d[reset])
             d = np.where(active, g, d)
-            g_active = np.where(active, g, 0.0)
             rows.decrease = slope + np.vecdot(g_active, u - _project(u - d, lo, hi))
         stop = (rows.norm <= GRAD_TOL) | (rows.decrease <= NOISE_FLOOR * np.abs(rows.value))
         if stop.any():

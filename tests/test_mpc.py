@@ -276,7 +276,8 @@ class TestSolveOcp:
 
 class TestStartValidation:
     """A warm start of the wrong shape, or a warm secant part with a
-    non-finite entry, is refused before any cost is evaluated."""
+    non-finite entry, is refused before any cost is evaluated; a zero or
+    a huge secant part leaves the cold solve."""
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -311,6 +312,20 @@ class TestStartValidation:
         assert cold.u_star.tobytes() == zero.u_star.tobytes()
         assert cold.secant.tobytes() == zero.secant.tobytes()
         assert (cold.value, cold.iterations) == (zero.value, zero.iterations)
+
+    def test_a_huge_secant_does_not_stop_a_solve_at_its_start(self):
+        """A positive definite secant part of ``1e300`` scale makes the
+        first full step promise almost nothing.  The solve drops the start
+        and goes on as the cold start does, rather than report convergence
+        where the projected gradient is large."""
+        f, cfg, x0 = _tanh_dynamics(), _config(4), np.array([0.5, -0.3, 0.2])
+        cold, huge = solve_ocp(f, x0, cfg), solve_ocp(f, x0, cfg, secant=1e300 * np.eye(4))
+        assert cold.iterations > 0 and cold.converged
+        assert huge.u_star.tobytes() == cold.u_star.tobytes()
+        assert huge.secant.tobytes() == cold.secant.tobytes()
+        assert (huge.value, huge.iterations, huge.grad_norm, huge.converged) == (
+            cold.value, cold.iterations, cold.grad_norm, cold.converged
+        )
 
 
 def test_horizon_blocks_are_built_once_and_read_only():
@@ -400,10 +415,11 @@ class TestClosedLoop:
         assert np.max(np.abs(trace.outputs)) <= 1e-6
 
     def test_one_ulp_in_the_coefficients_keeps_every_iteration_count(self, cfg, storage, fit_101):
-        """Every solve learns its curvature afresh, so surrogate coefficients
-        one ulp off (each entry up or down, seeded) leave the iteration
-        count of every closed-loop step as it was and move alpha by at
-        most 1e-9 relative."""
+        """Each solve starts from the shifted inputs and secant part of the
+        solve before it, so a last-bit difference could carry from step to
+        step.  Surrogate coefficients one ulp off (each entry up or down,
+        seeded) must still leave the iteration count of every closed-loop
+        step as it was and move alpha by at most 1e-9 relative."""
         from narxmpc import KernelInterpolant, verify_decrease
         from narxmpc.bench import simulate_loop
 
