@@ -60,7 +60,6 @@ from .twotank import (
     reconstruct_hidden_level,
     sample_consistent_states,
     sample_state_grid,
-    two_tank_rhs,
     two_tank_step,
 )
 from .bench import BenchmarkResult, make_mpc_config, plant_views, run_arm, run_benchmark

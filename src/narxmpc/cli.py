@@ -201,8 +201,10 @@ def cmd_certify(args) -> int:
     cfg = _build_config(args)
     tic = time.perf_counter()
     model = _load_model(args.model, cfg)
-    trace = load_trace(args.trace, cfg.dims, cfg.horizon, cfg.normalization())
+    # The full sidecar check comes first: its message names the first
+    # entry that differs, the units and the weights included.
     require_config(args.trace, cfg)
+    trace = load_trace(args.trace, cfg.dims, cfg.horizon, cfg.normalization())
     timings = {"load": time.perf_counter() - tic}
     tic = time.perf_counter()
     growth, report = certify_trace(cfg, model, trace, args.b_states, args.b_horizon)

@@ -304,21 +304,29 @@ def save_trace(trace: ClosedLoopTrace, path, cfg, raw: bool = False) -> None:
     raises ``ConfigError`` naming the key, and nothing is written.
     """
     fmt = "narxmpc-trace-v1"
-    carried = {"N": trace.horizon, **_dims_fields(trace.dims)}
-    if trace.normalization is not None:
-        carried.update(_normalization_fields(trace.normalization))
-    entries = _require_entries(f"trace for {path}", carried, cfg, fmt, keys=carried)
+    carried = _trace_entries(trace.dims, trace.horizon, trace.normalization)
+    entries = _require_entries(f"trace for {path}", carried, _entries(cfg, fmt), keys=carried)
     write_csv(path, trace_header(trace.dims), _trace_rows(trace, raw))
     write_keyvalues(
         _sidecar(path), {"format": fmt, "units": "raw" if raw else "normalized", **entries}
     )
 
 
+def _trace_entries(dims: NarxDims, horizon: int, normalization) -> dict:
+    """A trace's ``N``, dimensions and (when it has one) normalization."""
+    entries = {"N": horizon, **_dims_fields(dims)}
+    return entries if normalization is None else {**entries, **_normalization_fields(normalization)}
+
+
 def load_trace(path, dims: NarxDims, horizon: int, normalization=None) -> ClosedLoopTrace:
-    """Read a normalized trace CSV back into a :class:`ClosedLoopTrace`."""
+    """Read a normalized trace CSV back into a :class:`ClosedLoopTrace`,
+    or raise ``ConfigError`` unless its header fits ``dims`` and its
+    sidecar records ``dims``, ``N = horizon`` and (when given) the
+    ``normalization``, naming the first entry that differs."""
     header, table = read_csv(path)
     if header != trace_header(dims):
         raise ConfigError(f"{path}: unexpected trace header for the given dimensions")
+    _require_entries(path, read_keyvalues(_sidecar(path)), _trace_entries(dims, horizon, normalization))
     steps = max(table.shape[0] - 1, 0)
     fields, start = {}, 1
     for field, _, width, per_step in _trace_layout(dims):
@@ -389,18 +397,18 @@ def _config_entries(cfg, fmt: str) -> dict:
     return {key: getattr(cfg, CONFIG_KEYS[key][0]) for key in _CONFIG_ENTRIES[fmt]}
 
 
-def _require_entries(where, recorded: dict, cfg, fmt: str, keys=None) -> dict[str, str]:
-    """The entries that ``cfg`` writes into a sidecar of format ``fmt``
-    (dimensions, the settings the format records and normalization), as
-    written; raise ``ConfigError`` naming the first of ``keys`` (default:
-    all of them) whose entry in ``recorded`` differs or is missing.
-    Values are compared as :func:`write_keyvalues` writes them, which
-    round-trips floats, so equal text is equal bits."""
-    expected = {
-        **_dims_fields(cfg.dims),
-        **_config_entries(cfg, fmt),
-        **_normalization_fields(cfg.normalization()),
-    }
+def _entries(cfg, fmt: str) -> dict:
+    """The entries that ``cfg`` writes into a sidecar of format ``fmt``:
+    dimensions, the settings the format records and normalization."""
+    return {**_dims_fields(cfg.dims), **_config_entries(cfg, fmt), **_normalization_fields(cfg.normalization())}
+
+
+def _require_entries(where, recorded: dict, expected: dict, keys=None) -> dict[str, str]:
+    """The ``expected`` entries as written; raise ``ConfigError`` naming
+    the first of ``keys`` (default: all of them) whose entry in
+    ``recorded`` differs or is missing.  Values are compared as
+    :func:`write_keyvalues` writes them, which round-trips floats, so
+    equal text is equal bits."""
     expected = {key: _format_value(value) for key, value in expected.items()}
     for key in expected if keys is None else keys:
         got = _format_value(recorded[key]) if key in recorded else "(not recorded)"
@@ -428,7 +436,7 @@ def require_config(path, cfg) -> None:
             f"{path}: trace units = {meta.get('units', '(not recorded)')}; a certificate "
             "needs the trace in normalized units (trace_norm.csv)"
         )
-    _require_entries(path, meta, cfg, fmt)
+    _require_entries(path, meta, _entries(cfg, fmt))
 
 
 def parse_benchmark_config(path) -> dict:

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import cycle
 from typing import ClassVar
 
 import numpy as np
@@ -73,21 +72,18 @@ class KernelFitError(RuntimeError):
     """Raised when the kernel matrix cannot be factorized."""
 
 
-def _wendland_terms(
-    r: np.ndarray, fourth: np.ndarray | None = None, one_minus: np.ndarray | None = None
-) -> tuple[np.ndarray, ...]:
+def _wendland_terms(r: np.ndarray) -> tuple[np.ndarray, ...]:
     """``min(r, 1)``, written into ``r``, with ``1 - min(r, 1)`` and its
     fourth power, the factors that the profile and its slope share; new
-    arrays, also for a 0-d ``r``, except that they go into ``fourth`` and
-    ``one_minus`` when those are given."""
+    arrays, also for a 0-d ``r``."""
     # Clipping first makes ``1 - min(r, 1)`` the bits of ``max(1 - r, 0)``
     # for every r (+0 from 1 on, NaN for NaN) in one pass fewer, and the
     # profile's factor reuses the clipped radii.  Products are written in
     # place: numpy's ``pow`` costs several times a multiply, and each
     # temporary of a D x D Gram build is D^2 doubles.
     clipped = np.minimum(r, 1.0, out=r)
-    one_minus = np.subtract(1.0, clipped, out=np.empty(r.shape) if one_minus is None else one_minus)
-    fourth = np.multiply(one_minus, one_minus, out=np.empty(r.shape) if fourth is None else fourth)
+    one_minus = np.subtract(1.0, clipped, out=np.empty(r.shape))
+    fourth = np.multiply(one_minus, one_minus, out=np.empty(r.shape))
     fourth *= fourth
     return clipped, one_minus, fourth
 
@@ -157,25 +153,22 @@ class KernelSpec:
 #: bits of the dense product.
 _BLOCK = 64
 
+#: The value pass's constants as 0-d arrays, which a ufunc takes without
+#: converting a Python float on every call (a third of a short row's pass).
+_ONE, _FIFTH = np.array(1.0), np.array(0.2)
 
-def _kernel_terms(
-    spec: KernelSpec,
-    A: np.ndarray,
-    B: np.ndarray,
-    fourth: np.ndarray | None = None,
-    scratch: list[np.ndarray] | None = None,
-) -> tuple[np.ndarray, ...]:
+
+def _kernel_terms(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, ...]:
     """:func:`_wendland_terms` of the scaled radii between the rows of
-    ``A`` and ``B``: the one distance routine of every kernel value.  The
-    radii and ``1 - r`` go into ``scratch`` when it is given, two
-    C-ordered (len(A), len(B)) arrays."""
-    radii, one_minus = (None, None) if scratch is None else scratch
-    r = cdist(A, B, out=radii)
+    ``A`` and ``B``, for the exact profile of every Gram and cross-kernel
+    matrix; the value pass of :class:`KernelInterpolant` scales its radii
+    the same way."""
+    r = cdist(A, B)
     # Division is the costliest pass of a kernel row, and a division by 1
     # (the lengthscale in normalized coordinates) leaves every bit as it is.
     if spec.lengthscale != 1.0:
         r /= spec.lengthscale
-    return _wendland_terms(r, fourth, one_minus)
+    return _wendland_terms(r)
 
 
 def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
@@ -402,54 +395,51 @@ class KernelInterpolant(NarxDynamics):
     def certificate_degraded(self) -> bool:
         return self.jitter > 0.0
 
-    def _values(
-        self,
-        Xi: np.ndarray,
-        out: np.ndarray | None = None,
-        fourth: np.ndarray | None = None,
-        scratch: list[np.ndarray] | None = None,
-    ) -> np.ndarray:
-        """Interpolant values (M, p) at the site rows ``Xi`` (M, n + m),
-        which each block's product writes into ``out`` (any (M, p) view,
-        such as the output block of the next sites) when it is given.
+    def _values(self, Xi: np.ndarray, out: np.ndarray, fourth: np.ndarray, radii: np.ndarray, profile: np.ndarray):
+        """Interpolant values at the site rows ``Xi`` (M, n + m), written
+        into ``out`` (any (M, 1, p) view, such as the output blocks of the
+        next sites) and returned; each row's ``(1 - r)^4`` goes into
+        ``fourth``, which :meth:`_jacobians` reads.
 
         The kernel rows are evaluated in ``_BLOCK``-row blocks, which
         bounds their memory, and each row's value is its own product of
         kernel row and :attr:`_value_weights`, so it equals the single-row
         call bit for bit at any M.  A row takes one distance pass, seven
-        in-place passes that form ``6 phi(r) = (1 - r)^5 (r + 1/5)``
-        (:func:`_wendland_terms`, then ``*= f``, ``+= 0.2`` and ``*=``)
-        and one stacked product; the profile's ``/ 30`` and ``5 r + 1``
-        live in the weights, so these values agree with the exact profile
-        of :func:`kernel_matrix` to rounding only.  The passes write into
-        the buffers of :meth:`_scratch` for ``min(M, _BLOCK)`` rows:
-        ``scratch`` when it is given, so that a sweep allocates them once
-        for all its steps, and a batch of one block is not sliced.  With
-        ``fourth`` (M, D), each row's ``(1 - r)^4`` is kept there for
-        :meth:`_jacobians`; without it, the third scratch buffer takes it.
+        in-place passes that form ``6 phi(r) = (1 - r)^5 (r + 1/5)`` (the
+        passes of :func:`_wendland_terms`, then ``*= f``, ``+= 0.2`` and
+        ``*=``) and one stacked product; the profile's ``/ 30`` and
+        ``5 r + 1`` live in the weights, so these values agree with the
+        exact profile of :func:`kernel_matrix` to rounding only.  The
+        passes write into ``radii`` and ``profile``, buffers of
+        :meth:`_scratch` for ``min(M, _BLOCK)`` rows, so that a sweep
+        allocates them once for all its steps; ``fourth`` holds all M rows
+        or, as another scratch buffer, one block.  The passes are written
+        out here rather than called, since a sweep step pays for every
+        call.
         """
-        values = np.empty((Xi.shape[0], self.coefficients.shape[1])) if out is None else out
-        if scratch is None:
-            scratch = self._scratch(Xi.shape[0], 3 if fourth is None else 2)
         if Xi.shape[0] > _BLOCK:
             for a in range(0, Xi.shape[0], _BLOCK):
-                block = Xi[a : a + _BLOCK]
-                kept = None if fourth is None else fourth[a : a + _BLOCK]
-                self._values(block, values[a : a + _BLOCK], kept, [buffer[: len(block)] for buffer in scratch])
-            return values
-        kept = scratch[2] if fourth is None else fourth
-        clipped, phi, kept = _kernel_terms(self.spec, Xi, self.data.sites, kept, scratch[:2])
-        phi *= kept
-        clipped += 0.2
-        phi *= clipped
-        np.matmul(phi[:, None, :], self._value_weights, out=values[:, None, :])
-        return values
+                rows = min(_BLOCK, Xi.shape[0] - a)
+                kept = fourth[a : a + rows] if fourth.shape[0] == Xi.shape[0] else fourth[:rows]
+                self._values(Xi[a : a + rows], out[a : a + rows], kept, radii[:rows], profile[:rows])
+            return out
+        r = cdist(Xi, self.data.sites, out=radii)
+        if self.spec.lengthscale != 1.0:
+            r /= self.spec.lengthscale
+        np.minimum(r, _ONE, out=r)
+        np.subtract(_ONE, r, out=profile)
+        np.multiply(profile, profile, out=fourth)
+        fourth *= fourth
+        profile *= fourth
+        r += _FIFTH
+        profile *= r
+        np.matmul(profile[:, None, :], self._value_weights, out=out)
+        return out
 
     def _scratch(self, rows: int, buffers: int) -> list[np.ndarray]:
         """``buffers`` arrays for a block of up to ``rows`` kernel rows, at
-        most ``_BLOCK``: the radii, ``1 - r`` (which becomes the profile)
-        and, as the third, ``(1 - r)^4`` when the caller keeps no factors
-        of its own."""
+        most ``_BLOCK``: the radii, the profile and, as the third,
+        ``(1 - r)^4`` when the caller keeps no factors of its own."""
         shape = (min(rows, _BLOCK), self.data.sites.shape[0])
         return [np.empty(shape) for _ in range(buffers)]
 
@@ -497,7 +487,9 @@ class KernelInterpolant(NarxDynamics):
         equals its batch of one bit for bit at any B."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        return self._values(np.hstack([X, U]))
+        radii, profile, fourth = self._scratch(X.shape[0], 3)
+        values = np.empty((X.shape[0], 1, self.dims.p))
+        return self._values(np.hstack([X, U]), values, fourth, radii, profile)[:, 0]
 
     def sweep(self, X0: np.ndarray, U: np.ndarray) -> Sweep:
         """Outputs and site Jacobians of the rollouts of the inputs ``U``
@@ -535,19 +527,20 @@ class KernelInterpolant(NarxDynamics):
             sites[1:, :, nb + i * m : nb + (i + 1) * m] = window.transpose(1, 0, 2)
         chunk = min(horizon, -(-_BLOCK // max(b, 1)))
         fourth = np.empty((chunk, b, size))
-        scratch = self._scratch(b, 2)
-        # Per-step views come from iterating over step-major arrays; step k
-        # keeps its (1 - r)^4 in slot k % chunk, and the Jacobian pass after
-        # each full chunk empties the slots.
-        steps = zip(sites, sites[1:, :, :p], cycle(fourth), sites[1:, :, p:nb], sites[:-1, :, : nb - p])
-        for k, (site, out, kept, older, newer) in enumerate(steps):
-            self._values(site, out, kept, scratch)
-            older[...] = newer
-            if (k + 1) % chunk == 0 or k + 1 == horizon:
-                first = k - k % chunk
-                rows = (k + 1 - first) * b
-                jac = self._jacobians(sites[first : k + 1].reshape(rows, n + m), fourth.reshape(-1, size)[:rows])
-                sweep.jac[:, first : k + 1] = jac.reshape(k + 1 - first, b, p, n + m).transpose(1, 0, 2, 3)
+        radii, profile = self._scratch(b, 2)
+        # Per-step views come from iterating over step-major arrays; the
+        # steps of a chunk keep their (1 - r)^4 in its slots, and the
+        # Jacobian pass after the chunk empties them.
+        for first in range(0, horizon, chunk):
+            last = min(first + chunk, horizon)
+            steps, following = sites[first:last], sites[first + 1 : last + 1]
+            views = zip(steps, following[:, :, None, :p], fourth, following[:, :, p:nb], steps[:, :, : nb - p])
+            for site, out, kept, older, newer in views:
+                self._values(site, out, kept, radii, profile)
+                older[...] = newer
+            rows = (last - first) * b
+            jac = self._jacobians(steps.reshape(rows, n + m), fourth.reshape(-1, size)[:rows])
+            sweep.jac[:, first:last] = jac.reshape(last - first, b, p, n + m).transpose(1, 0, 2, 3)
         sweep.outputs[:] = sites[1:, :, :p].transpose(1, 0, 2)
         return sweep
 

@@ -41,7 +41,7 @@ starts from the curvature its predecessor learned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import ClassVar
 
@@ -164,6 +164,14 @@ class MpcConfig:
             block.flags.writeable = False
         return blocks
 
+    @cached_property
+    def _input_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The input box over the flattened horizon (N m,), read-only."""
+        bounds = np.tile(self.input_box.lo, self.horizon), np.tile(self.input_box.hi, self.horizon)
+        for bound in bounds:
+            bound.flags.writeable = False
+        return bounds
+
 
 def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Stacked products ``A[b] @ v[b]``; each row equals its 2-D product bit
@@ -244,7 +252,7 @@ class _Rows:
     sweep: Sweep  # forward sweep at u
 
     def take(self, keep: np.ndarray) -> "_Rows":
-        return _Rows(*(getattr(self, item.name)[keep] for item in fields(self)))
+        return _Rows(*(getattr(self, name)[keep] for name in self.__dataclass_fields__))
 
 
 def _evaluate(f: NarxDynamics, X: np.ndarray, U: np.ndarray, weights: StageCostWeights):
@@ -317,8 +325,8 @@ def _derivatives(
     unknowns after them.  The products after the solve are stacked per
     row, so every finite row equals its batch of one bit for bit.  A
     non-finite sensitivity spreads NaN into the rows after it through
-    those zero entries; every row with a non-finite entry is therefore
-    solved again on its own.
+    those zero entries; in a batch of more than one row, every row with a
+    non-finite entry is therefore solved again on its own.
     """
     b, horizon = sweep.outputs.shape[:2]
     k = horizon * dims.m
@@ -334,7 +342,7 @@ def _derivatives(
     rhs[col, :, row] = jac[:, inputs_from].T
     G = dtbtrs(band.reshape(-1, width + 1).T, rhs.reshape(k, -1).T, trans="T", diag="U")[0]
     G = G.T.reshape(k, b, size)
-    if not np.isfinite(G).all():
+    if b > 1 and not np.isfinite(G).all():
         for i in np.flatnonzero(~np.isfinite(G).all(axis=(0, 2))):
             G[:, i] = dtbtrs(band[i].T, rhs[:, i].T, trans="T", diag="U")[0].T
     # C-ordered rows, whose products do not depend on the batch size.
@@ -365,7 +373,8 @@ def _secant_update(rows: _Rows, gn: np.ndarray, y: np.ndarray) -> None:
         - bs[:, :, None] * bs[:, None, :] / sbs[:, None, None]
     )
     # A pair too large for floating point restarts its row from zero.
-    rows.secant[~np.isfinite(rows.secant).all(axis=(1, 2))] = 0.0
+    if not np.isfinite(rows.secant).all():
+        rows.secant[~np.isfinite(rows.secant).all(axis=(1, 2))] = 0.0
 
 
 def _free_step(B: np.ndarray, free: np.ndarray, g: np.ndarray, eye: np.ndarray) -> np.ndarray:
@@ -375,11 +384,15 @@ def _free_step(B: np.ndarray, free: np.ndarray, g: np.ndarray, eye: np.ndarray) 
     other coordinates, so that ``d`` is zero there.
 
     One LAPACK ``gesv`` per row, so each row is its own solve bit for bit.
-    A singular matrix makes the stacked solve raise for every row; the
-    rows are then solved one by one, and a singular row's step is NaN.
+    When every coordinate is free, ``B`` and ``g`` go to the solve as they
+    are.  A singular matrix makes the stacked solve raise for every row;
+    the rows are then solved one by one, and a singular row's step is NaN.
     """
-    restricted = np.where(free[:, :, None] & free[:, None, :], B, eye)
-    rhs = np.where(free, g, 0.0)[..., None]
+    if free.all():
+        restricted, rhs = B, g[..., None]
+    else:
+        restricted = np.where(free[:, :, None] & free[:, None, :], B, eye)
+        rhs = np.where(free, g, 0.0)[..., None]
     try:
         return np.linalg.solve(restricted, rhs)[..., 0]
     except np.linalg.LinAlgError:
@@ -461,10 +474,10 @@ def solve_ocp_batch(
     stopped at ``max_iters`` or at a line search that found no decrease.
     """
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
-    box, weights = cfg.input_box, cfg.weights
+    weights = cfg.weights
     b, shape = X0.shape[0], (cfg.horizon, cfg.dims.m)
     k = shape[0] * shape[1]
-    lo, hi = (np.broadcast_to(bound, shape).ravel() for bound in (box.lo, box.hi))
+    lo, hi = cfg._input_bounds
     starts = np.zeros((b, k)) if warm is None else _checked("warm", warm, (b, *shape)).reshape(b, k)
     if secant is not None:
         secant = _checked("secant", secant, (b, k, k))
@@ -473,17 +486,18 @@ def solve_ocp_batch(
     U = _project(starts, lo, hi)
     q_bar, r_bar, eye = cfg.horizon_blocks
     value, sweep = _evaluate(f, X0, U.reshape(b, *shape), weights)
-    results: list[OcpSolution | SolverError | None] = [
-        None if np.isfinite(v) else SolverError(f"initial cost is not finite ({v}) at the start sequence")
-        for v in value
-    ]
-    live = np.flatnonzero(np.isfinite(value))
-    r = live.size
-    secant0 = np.zeros((r, k, k)) if secant is None else secant[live]
-    rows = None if not r else _Rows(
-        live, X0[live], U[live], value[live], secant0, np.zeros((r, k)), np.zeros((r, k)),
-        np.full(r, np.inf), np.full(r, np.inf), np.zeros(r, dtype=int), sweep[live],
+    # Every row starts live on arrays of the solve's own (X0 is only read,
+    # secant copied); rows whose cost is not finite leave at once.
+    rows = _Rows(
+        np.arange(b), X0, U, value, np.zeros((b, k, k)) if secant is None else secant.copy(),
+        np.zeros((b, k)), np.zeros((b, k)), np.full(b, np.inf), np.full(b, np.inf), np.zeros(b, dtype=int), sweep,
     )
+    results: list[OcpSolution | SolverError | None] = [None] * b
+    finite = np.isfinite(value)
+    if not (b and finite.all()):
+        for i in np.flatnonzero(~finite):
+            results[i] = SolverError(f"initial cost is not finite ({value[i]}) at the start sequence")
+        rows = rows.take(finite) if finite.any() else None
 
     def leave(out, count, conv):
         """Write the solutions of the rows ``out``; ``rows`` keeps the
@@ -514,8 +528,8 @@ def solve_ocp_batch(
         # secant part restarts from zero (:func:`_secant_update`).
         with np.errstate(invalid="ignore", over="ignore"):
             g, gn = _derivatives(f.dims, rows.sweep, rows.u, q_bar, r_bar)
-            finite = np.isfinite(g).all(axis=1) & np.isfinite(gn).all(axis=(1, 2))
-            if not finite.all():
+            if not (np.isfinite(g).all() and np.isfinite(gn).all()):
+                finite = np.isfinite(g).all(axis=1) & np.isfinite(gn).all(axis=(1, 2))
                 failed = rows.index[~finite]
                 keep = leave(~finite, rnd, False)
                 for i in failed:
@@ -537,25 +551,28 @@ def solve_ocp_batch(
             reset = ~(slope > 0)
             if reset.any():
                 reset &= np.any(free & (g != 0), axis=1)
+            # The two-metric direction and the decrease its full step promises.
+            direction = np.where(active, g, d)
+            rows.decrease = slope + np.vecdot(g_active, u - _project(u - direction, lo, hi))
+            floor = NOISE_FLOOR * np.abs(rows.value)
             if not rnd and secant is not None:
                 # No pair of the solve has tested a secant start yet: it may
                 # not stop a row at its start by the noise floor.
-                promised = slope + np.vecdot(g_active, u - _project(u - np.where(active, g, d), lo, hi))
-                untested = (rows.norm > GRAD_TOL) & (promised <= NOISE_FLOOR * np.abs(rows.value))
+                untested = (rows.norm > GRAD_TOL) & (rows.decrease <= floor)
                 reset |= untested & rows.secant.any(axis=(1, 2))
             if reset.any():
                 rows.secant[reset] = 0.0
                 d[reset] = _free_step(gn[reset], free[reset], g[reset], eye)
                 slope[reset] = np.vecdot(g[reset], d[reset])
-            d = np.where(active, g, d)
-            rows.decrease = slope + np.vecdot(g_active, u - _project(u - d, lo, hi))
-        stop = (rows.norm <= GRAD_TOL) | (rows.decrease <= NOISE_FLOOR * np.abs(rows.value))
+                direction = np.where(active, g, d)
+                rows.decrease = slope + np.vecdot(g_active, u - _project(u - direction, lo, hi))
+        stop = (rows.norm <= GRAD_TOL) | (rows.decrease <= floor)
         if stop.any():
             keep = leave(stop, rnd, True)
             if rows is None:
                 break
-            g, d, slope, g_active = g[keep], d[keep], slope[keep], g_active[keep]
-        accepted = _armijo_search(f, rows, d, slope, g_active, lo, hi, shape, weights)
+            direction, slope, g_active, g = direction[keep], slope[keep], g_active[keep], g[keep]
+        accepted = _armijo_search(f, rows, direction, slope, g_active, lo, hi, shape, weights)
         rows.grad = g
         if not accepted.all():
             leave(~accepted, rnd + 1, False)
@@ -730,7 +747,8 @@ def run_closed_loop(
             states[k + 1] = shift_state(states[k], y_next, u0, dims)
             inputs[k], outputs[k] = u0, y_next
             stage_costs[k] = stage_cost(y_next, u0, cfg.weights)
-            warm = np.vstack([sol.u_star[1:], np.zeros((1, dims.m))])
+            warm = np.zeros_like(sol.u_star)
+            warm[:-1] = sol.u_star[1:]
             secant = np.zeros_like(sol.secant)
             secant[: -dims.m, : -dims.m] = sol.secant[dims.m :, dims.m :]
         values[k], grad_norms[k] = sol.value, sol.grad_norm

@@ -32,7 +32,7 @@ the regressor columns of the first step enter no input gradient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -75,31 +75,33 @@ class TwoTankParams:
             raise ValueError("two-tank parameters must be finite and strictly positive")
 
 
-def two_tank_rhs(h1, h2, u, params: TwoTankParams, dual: bool = False):
-    """Continuous-time level derivatives ``(dh1, dh2)``; all arguments broadcast.
+def _work(drive, params: TwoTankParams):
+    """The work of :func:`_rates` at the inflow rate ``drive = u / A1``:
+    the array ``[q2, q12, drive]`` and the weights ``[c2, c12]``."""
+    flows = np.empty((3,) + drive.shape)
+    flows[2] = drive
+    return flows, np.array([params.c2, params.c12]).reshape((2,) + (1,) * drive.ndim)
 
-    Outside the domain (lower level below zero, or upper level below the
-    lower one, beyond rounding noise) the affected derivatives are NaN:
-    ``dh1`` for a negative lower level, both for an inverted pair.  No
-    floating-point warning is raised, so batched callers can mask rows.
 
-    With ``dual`` the last axis of every argument holds a value and then
-    its tangents (dual numbers), and the results keep that layout with
-    the values of the plain call.  The tangent of ``sqrt(z)`` is zero
-    where ``dz`` is and where rounding noise below zero is clipped, and
-    ``dz / (2 sqrt(z))`` otherwise.
-    """
-    h1 = np.asarray(h1, dtype=float)
-    gap = np.asarray(h2, dtype=float) - h1
-    q12 = params.c12 * _root(gap, dual)
-    q2 = params.c2 * _root(h1, dual)
-    return q12 - q2, np.asarray(u, dtype=float) / params.A1 - q12
+def _rates(levels, work, dual: bool):
+    """Level derivatives ``[dh1, dh2]`` of the stacked levels ``[h1, h2]``
+    (2, ...): both roots (:func:`_root`) of the heads ``[h1, h2 - h1]`` in
+    one pass, then one difference of ``[q2, q12, drive]``.  Outside the
+    domain (lower level below zero, or upper level below the lower one,
+    beyond rounding noise) the affected derivatives are NaN, without a
+    floating-point warning.  With ``dual`` the last axis holds a value and
+    then its tangents, and the values are those of the plain call."""
+    flows, weights = work
+    flows[0] = levels[0]
+    flows[1] = levels[1] - levels[0]
+    flows[:2] = _root(flows[:2], dual) * weights
+    return flows[1:] - flows[:2]
 
 
 def _root(z, dual: bool):
     """``sqrt(z)``, rounding noise below zero clipped and NaN beyond it;
-    with ``dual``, of the values ``z[..., :1]`` with tangents carried.
-    A clipped value's tangent is that of the clipped function, zero."""
+    with ``dual``, of the values ``z[..., :1]``, with the tangents ``dz /
+    (2 sqrt(z))``, zero where ``dz`` is and where the value is clipped."""
     value = z[..., :1] if dual else z
     root = np.sqrt(np.where(value >= _ROUNDING_GUARD, np.maximum(value, 0.0), np.nan))
     if not dual:
@@ -114,26 +116,27 @@ def two_tank_step(h1, h2, u, params: TwoTankParams, dual: bool = False):
     """Advance the levels one sampling interval under a held input.
 
     Returns ``(h1_next, h2_next)``; all arguments broadcast.  This is one
-    classical Runge-Kutta step, written out per level: rows whose stage
-    points leave the domain come out NaN.  With ``dual`` it is also the
-    tangent-linear step (see :func:`two_tank_rhs`); tangents that meet
+    classical Runge-Kutta step (:func:`_rk4`): rows whose stage points
+    leave the domain come out NaN.  With ``dual`` it is also the
+    tangent-linear step (see :func:`_rates`); tangents that meet
     ``inf - inf`` come out NaN without a warning.
     """
-    h1, h2, u = np.broadcast_arrays(
-        np.asarray(h1, dtype=float), np.asarray(h2, dtype=float), np.asarray(u, dtype=float)
-    )
-    dt = params.dt
+    h1, h2, u = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (h1, h2, u)))
+    levels = _rk4(np.stack([h1, h2]), _work(u / params.A1, params), params.dt, dual)
+    return levels[0], levels[1]
+
+
+def _rk4(levels, work, dt: float, dual: bool):
+    """One classical Runge-Kutta step of length ``dt`` of the stacked
+    levels ``[h1, h2]`` (2, ...), one :func:`_rates` call per stage, so
+    the arguments are converted once per step rather than per stage."""
     half = 0.5 * dt
     with np.errstate(invalid="ignore"):
-        a1, a2 = two_tank_rhs(h1, h2, u, params, dual)
-        b1, b2 = two_tank_rhs(h1 + half * a1, h2 + half * a2, u, params, dual)
-        c1, c2 = two_tank_rhs(h1 + half * b1, h2 + half * b2, u, params, dual)
-        e1, e2 = two_tank_rhs(h1 + dt * c1, h2 + dt * c2, u, params, dual)
-        sixth = dt / 6.0
-        return (
-            h1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + e1),
-            h2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + e2),
-        )
+        a = _rates(levels, work, dual)
+        b = _rates(levels + half * a, work, dual)
+        c = _rates(levels + half * b, work, dual)
+        e = _rates(levels + dt * c, work, dual)
+        return levels + dt / 6.0 * (a + 2.0 * b + 2.0 * c + e)
 
 
 def _at_least(z, floor, dual: bool):
@@ -164,26 +167,27 @@ def _total_step(h1, h2, u, params: TwoTankParams, dual: bool = False):
     each clamp between them the tangent of the side it takes.
     """
     h1, h2, u = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in (h1, h2, u)))
-    n1, n2 = two_tank_step(h1, h2, u, params, dual)
+    levels, drive = np.stack([h1, h2]), u / params.A1
+    new = _rk4(levels, _work(drive, params), params.dt, dual)
     splits = 1
     for _ in range(_SUBSTEP_LEVELS):
-        bad = ~(np.isfinite(_value(n1, dual)) & np.isfinite(_value(n2, dual)))
-        if not np.any(bad):
-            return n1, n2
+        bad = ~np.isfinite(_value(new, dual)).all(axis=0)
+        if not bad.any():
+            return new[0], new[1]
         splits *= 2
-        sub = replace(params, dt=params.dt / splits)
-        c1, c2l, uu = h1[bad].copy(), h2[bad].copy(), u[bad]
+        part, work = levels[:, bad], _work(drive[bad], params)
         for _ in range(splits):
-            c1 = _at_least(c1, 0.0, dual)
-            c1, c2l = two_tank_step(c1, _at_least(c2l, c1, dual), uu, sub, dual)
-        n1[bad], n2[bad] = c1, c2l
-    bad = ~(np.isfinite(_value(n1, dual)) & np.isfinite(_value(n2, dual)))
-    if np.any(bad):
+            part[0] = _at_least(part[0], 0.0, dual)
+            part[1] = _at_least(part[1], part[0], dual)
+            part = _rk4(part, work, params.dt / splits, dual)
+        new[:, bad] = part
+    bad = ~np.isfinite(_value(new, dual)).all(axis=0)
+    if bad.any():
         raise DomainError(
             f"{int(np.sum(bad))} state(s) stayed invalid down to "
             f"{2 ** _SUBSTEP_LEVELS} substeps; levels outside h2 >= h1 >= 0"
         )
-    return n1, n2
+    return new[0], new[1]
 
 
 def _value(z, dual: bool):
@@ -235,12 +239,12 @@ def _previous_upper_level(y_prev, y_cur, u_prev, params: TwoTankParams):
     hi = np.full_like(lo, HIDDEN_LEVEL_MAX)
     g_lo = _total_step(y_prev, lo, u_prev, params)[0].reshape(lo.shape)
     g_hi = _total_step(y_prev, hi, u_prev, params)[0].reshape(hi.shape)
+    levels, work = np.stack([y_prev, lo]), _work(u_prev / params.A1, params)
     for _ in range(54):
-        mid = 0.5 * (lo + hi)
-        g_mid, _ = two_tank_step(y_prev, mid, u_prev, params)
+        mid = levels[1] = 0.5 * (lo + hi)
         # A failed single-step probe means near-equal levels, where the
         # step drains the lower tank; treat it as undershooting.
-        go_down = g_mid > y_cur
+        go_down = _rk4(levels, work, params.dt, False)[0] > y_cur
         hi = np.where(go_down, mid, hi)
         lo = np.where(go_down, lo, mid)
     h2_before = 0.5 * (lo + hi)

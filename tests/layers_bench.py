@@ -1,0 +1,145 @@
+"""Layer timings of one receding-horizon step, at D=101 and D=2501.
+
+Run from the root of a checkout with::
+
+    python -m pytest tests/layers_bench.py --benchmark-only
+
+The file name does not match ``test_*.py``, so the tier-1 suite does not
+collect it.  Every loaded OpenBLAS pool is set to one thread before the
+first benchmark, since the thread count changes both the timings and the
+bits of the fitted models.  Each layer runs on the benchmark's fitted
+surrogate at ``D``:
+
+- one value row at B=1 and at B=64 (``output_batch``);
+- one B=1, N=20 sweep;
+- the gradient and Gauss-Newton Hessian of that sweep (``_derivatives``);
+- the free step of its model with every coordinate free (``_free_step``);
+- a solve of the reference episode that stops at its warm start;
+- one plant step (``TwoTankPlant.output``);
+- one reference episode (``simulate_loop``, 100 steps and 101 solves).
+
+``--benchmark-json`` writes the timings to a file, as pytest-benchmark
+does for any module.
+"""
+
+from __future__ import annotations
+
+import ctypes
+
+import numpy as np
+import pytest
+
+from narxmpc import bench, mpc, twotank
+from narxmpc.kernels import KernelSpec, fit_interpolant
+
+#: Thread-count setters exported by the OpenBLAS builds numpy and scipy ship.
+_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads", "openblas_set_num_threads")
+
+
+def _one_blas_thread() -> int:
+    """Set every loaded OpenBLAS pool to one thread; returns how many
+    pools were set."""
+    with open("/proc/self/maps") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line}
+    pools = 0
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        setter = next((getattr(lib, name) for name in _SETTERS if hasattr(lib, name)), None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            pools += 1
+    return pools
+
+
+@pytest.fixture(scope="module", params=[101, 2501], ids=lambda d: f"D{d}")
+def layers(request):
+    """The fitted surrogate at ``D``, its controller settings, a B=1, N=20
+    sweep with its derivatives, and a warm-start solve of the reference
+    episode that stops at its start."""
+    if not _one_blas_thread():
+        pytest.skip("no OpenBLAS pool found to set to one thread")
+    cfg = twotank.BenchmarkConfig(d=request.param)
+    data, _ = twotank.generate_dataset(cfg)
+    model = fit_interpolant(KernelSpec(input_dim=data.sites.shape[1], lengthscale=cfg.sigma), data, cfg.jitter)
+    mpc_cfg = bench.make_mpc_config(cfg)
+    starts = []
+    solve = mpc.solve_ocp
+
+    def recorded(f, x0, c, warm=None, secant=None):
+        sol = solve(f, x0, c, warm=warm, secant=secant)
+        starts.append((x0.copy(), warm, secant, sol.iterations))
+        return sol
+
+    mpc.solve_ocp = recorded
+    try:
+        bench.simulate_loop(cfg, model)
+    finally:
+        mpc.solve_ocp = solve
+    stopped = next(start for start in starts if start[1] is not None and start[3] == 0)
+    rng = np.random.default_rng(0)
+    X0 = rng.uniform(-0.3, 0.3, size=(1, cfg.dims.n))
+    U = rng.uniform(-0.1, 0.1, size=(1, cfg.horizon, cfg.dims.m))
+    sweep = model.sweep(X0, U)
+    q_bar, r_bar, eye = mpc_cfg.horizon_blocks
+    u = U.reshape(1, -1)
+    _, gn = mpc._derivatives(cfg.dims, sweep, u, q_bar, r_bar)
+    return {
+        "cfg": cfg,
+        "model": model,
+        "mpc_cfg": mpc_cfg,
+        "X0": X0,
+        "U": U,
+        "sweep": sweep,
+        "u": u,
+        "gn": gn,
+        "stopped": stopped[:3],
+    }
+
+
+@pytest.mark.parametrize("rows", [1, 64])
+def test_value_rows(benchmark, layers, rows):
+    rng = np.random.default_rng(rows)
+    X = rng.uniform(-0.3, 0.3, size=(rows, layers["cfg"].dims.n))
+    U = rng.uniform(-0.1, 0.1, size=(rows, layers["cfg"].dims.m))
+    benchmark.extra_info["rows"] = rows
+    benchmark(layers["model"].output_batch, X, U)
+
+
+def test_sweep_b1_n20(benchmark, layers):
+    benchmark(layers["model"].sweep, layers["X0"], layers["U"])
+
+
+def test_derivatives(benchmark, layers):
+    q_bar, r_bar, _ = layers["mpc_cfg"].horizon_blocks
+    benchmark(mpc._derivatives, layers["cfg"].dims, layers["sweep"], layers["u"], q_bar, r_bar)
+
+
+def test_free_step(benchmark, layers):
+    free = np.ones(layers["u"].shape, dtype=bool)
+    g = np.random.default_rng(1).standard_normal(layers["u"].shape)
+    benchmark(mpc._free_step, layers["gn"], free, g, layers["mpc_cfg"].horizon_blocks[2])
+
+
+def test_solve_stopping_at_its_warm_start(benchmark, layers):
+    x0, warm, secant = layers["stopped"]
+    sol = benchmark(mpc.solve_ocp, layers["model"], x0, layers["mpc_cfg"], warm, secant)
+    assert sol.iterations == 0 and sol.converged
+
+
+def test_plant_step(benchmark, layers):
+    cfg = layers["cfg"]
+    _, levels = cfg.initial_condition()
+    plant = twotank.TwoTankPlant(cfg, *levels)
+    u = np.array([0.05])
+
+    def step():
+        plant.h1, plant.h2 = levels
+        return plant.output(None, u)
+
+    benchmark(step)
+
+
+def test_reference_episode(benchmark, layers):
+    trace = benchmark.pedantic(bench.simulate_loop, args=(layers["cfg"], layers["model"]), rounds=5, iterations=1)
+    benchmark.extra_info["iterations"] = int(trace.iterations.sum())

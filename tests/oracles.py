@@ -262,13 +262,31 @@ def kernel_jacobian_reference(model, Xi: np.ndarray) -> tuple[np.ndarray, np.nda
     return reference, bound
 
 
+def two_tank_rhs(h1, h2, u, params):
+    """Continuous-time level derivatives ``(dh1, dh2)`` of the two-tank
+    plant, written out per level; all arguments broadcast.  The reference
+    that the package's stacked step (:func:`~narxmpc.twotank._rates`, one
+    root pass for both levels) is checked against: ``sqrt`` of a head
+    clips rounding noise below zero (down to -1e-12) and gives NaN beyond
+    it, so ``dh1`` is NaN for a negative lower level and both are NaN for
+    an inverted pair, without a floating-point warning."""
+
+    def root(z):
+        return np.sqrt(np.where(z >= -1e-12, np.maximum(z, 0.0), np.nan))
+
+    h1 = np.asarray(h1, dtype=float)
+    q12 = params.c12 * root(np.asarray(h2, dtype=float) - h1)
+    q2 = params.c2 * root(h1)
+    return q12 - q2, np.asarray(u, dtype=float) / params.A1 - q12
+
+
 def rk4_step(rhs, state, u, dt: float) -> np.ndarray:
     """One classical Runge-Kutta step of ``d state / dt = rhs(state, u)``.
 
     ``state`` is an array whose last axis holds the state components; the
     input is held constant across the four stages.  A failing stage
-    re-raises with the stage index attached.  The generic form that
-    :func:`~narxmpc.twotank.two_tank_step` writes out per level.
+    re-raises with the stage index attached.  The generic form of
+    :func:`~narxmpc.twotank.two_tank_step`.
     """
     state = np.asarray(state, dtype=float)
     ks = []

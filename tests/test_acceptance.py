@@ -25,9 +25,9 @@ from narxmpc import (
     run_closed_loop,
     sample_state_grid,
     solve_ocp,
-    two_tank_rhs,
 )
 from oracles import (
+    two_tank_rhs,
     central_difference_gradient,
     check_detectability,
     cost_gradient,

@@ -16,7 +16,16 @@ import narxmpc.mpc
 import narxmpc.twotank
 from narxmpc.bench import GROWTH_HORIZON, GROWTH_STATES, bundle_digests
 from narxmpc.cli import build_parser, main
-from narxmpc.fileio import CONFIG_KEYS, load_model, load_trace, read_csv, read_keyvalues, sha256_file, save_dataset
+from narxmpc.fileio import (
+    CONFIG_KEYS,
+    ConfigError,
+    load_model,
+    load_trace,
+    read_csv,
+    read_keyvalues,
+    sha256_file,
+    save_dataset,
+)
 
 H1_EQ = 0.04377874810998076
 
@@ -854,6 +863,19 @@ class TestBenchmark:
         trace_header, trace = read_csv(tmp_path / "trace_norm_D101.csv")
         steps_header, steps = read_csv(tmp_path / "stability_steps_D101.csv")
         assert_array_equal(steps[:, steps_header.index("V")], trace[:, trace_header.index("V")])
+
+    def test_a_library_trace_is_loaded_under_its_own_horizon(self, cfg, tmp_path):
+        """``load_trace`` checks the horizon, dimensions and normalization
+        it is given against the trace's sidecar: the D=101 trace of a
+        horizon-20 loop does not load as a horizon-3 trace, nor under
+        another normalization."""
+        run_benchmark(replace(cfg, steps=12), out_dir=tmp_path, sizes=(101,), b_states=2, b_horizon=1)
+        path = tmp_path / "trace_norm_D101.csv"
+        assert load_trace(path, cfg.dims, cfg.horizon, cfg.normalization()).horizon == cfg.horizon
+        with pytest.raises(ConfigError, match=r"trace_norm_D101\.csv: N = 20 does not match the configuration's 3$"):
+            load_trace(path, cfg.dims, 3, cfg.normalization())
+        with pytest.raises(ConfigError, match="u_scale = "):
+            load_trace(path, cfg.dims, cfg.horizon, replace(cfg, u_hi=3e-5).normalization())
 
     def test_cli_chain_writes_the_bundle_files(self, tmp_path):
         """generate, fit, simulate and certify run the stages of benchmark:

@@ -41,7 +41,6 @@ from narxmpc import (
     solve_ocp,
     solve_ocp_batch,
     stage_cost,
-    two_tank_rhs,
     two_tank_step,
     wendland_phi,
 )
@@ -69,6 +68,7 @@ from oracles import (
     sample_domain,
     stepwise_rollout,
     stepwise_sweep,
+    two_tank_rhs,
     wendland_reference,
 )
 
@@ -576,6 +576,18 @@ def _random_secants(rng, rows: int, k: int) -> np.ndarray:
     seed=15, kind="tanh", p=2, m=2, nu=3, horizon=4, rows=3, warm_rows="all", secant_rows="none",
     poisoned=False,
 )
+# Every row stays live from its start, and the batch takes rounds with
+# every coordinate free (no restriction of the model) and rounds with
+# active ones.
+@example(
+    seed=2, kind="tanh", p=1, m=1, nu=2, horizon=3, rows=3, warm_rows="all", secant_rows="some",
+    poisoned=False,
+)
+# The same, with one row failing at its start beside two live rows.
+@example(
+    seed=2, kind="tanh", p=1, m=1, nu=2, horizon=3, rows=3, warm_rows="all", secant_rows="some",
+    poisoned=True,
+)
 def test_solve_ocp_batch_rows_equal_solo_solves(
     seed, kind, p, m, nu, horizon, rows, warm_rows, secant_rows, poisoned
 ):
@@ -614,6 +626,52 @@ def test_solve_ocp_batch_rows_equal_solo_solves(
         assert (got.value, got.iterations, got.backtracks, got.grad_norm, got.converged) == (
             solo.value, solo.iterations, solo.backtracks, solo.grad_norm, solo.converged
         )
+
+
+@given(
+    seed=seeds,
+    kind=st.sampled_from(["linear", "tanh"]),
+    p=st.integers(1, 2),
+    m=st.integers(1, 2),
+    nu=st.integers(1, 3),
+    horizon=st.integers(1, 4),
+    rows=st.integers(1, 5),
+    case=st.sampled_from(["live", "reset", "failed"]),
+)
+def test_a_solve_leaves_its_arguments_alone(seed, kind, p, m, nu, horizon, rows, case):
+    """``solve_ocp_batch`` writes into none of its arguments and hands out
+    none of their memory: the caller's ``X0``, ``warm`` and ``secant``
+    keep their bits, and no solution's ``u_star``, ``outputs`` or
+    ``secant`` shares memory with them.  This holds when every row stays
+    live from a small secant start, when rows reset their secant parts
+    (a ``-1e3 I`` start, whose first step is an ascent, or an untested
+    ``1e300``-scale one) and when a row fails at its start beside live
+    rows."""
+    rng = np.random.default_rng(seed)
+    cfg = _random_problem(rng, p, m, nu, horizon)
+    f = _random_dynamics(rng, cfg.dims, kind == "linear")
+    X0 = rng.uniform(-1.0, 1.0, size=(rows, cfg.dims.n))
+    warm = rng.uniform(-1.5, 1.5, size=(rows, horizon, m))
+    k = horizon * m
+    noise = rng.standard_normal((rows, k, k))
+    if case == "live":
+        secant = 0.1 * (noise + noise.transpose(0, 2, 1))
+    elif case == "reset":
+        huge = 1e300 * (noise + noise.transpose(0, 2, 1))
+        secant = np.where((np.arange(rows) % 2 == 0)[:, None, None], -1e3 * np.eye(k), huge)
+    else:
+        secant = _random_secants(rng, rows, k)
+        X0[rng.integers(rows), 0] = 100.0
+    arguments = (X0, warm, secant)
+    before = [arg.copy() for arg in arguments]
+    results = solve_ocp_batch(f, X0, cfg, warm, secant)
+    for arg, copy in zip(arguments, before):
+        assert arg.tobytes() == copy.tobytes()
+    assert sum(isinstance(sol, SolverError) for sol in results) == (case == "failed")
+    for sol in results:
+        if not isinstance(sol, SolverError):
+            for part in (sol.u_star, sol.outputs, sol.secant):
+                assert not any(np.shares_memory(part, arg) for arg in arguments)
 
 
 class PoisonedJacobians(NarxDynamics):
@@ -1135,6 +1193,11 @@ def _scalar_descent(f, x0, cfg, start, secant=None):
     max_iters=st.integers(1, 40),
     warm_secant=st.booleans(),
 )
+# Every round has every coordinate free, so the model is solved as it is.
+@example(seed=0, kind="tanh", p=1, m=1, nu=2, horizon=3, max_iters=30, warm_secant=False)
+# From a secant start, rounds with every coordinate free and rounds with
+# active ones.
+@example(seed=2, kind="tanh", p=2, m=2, nu=3, horizon=4, max_iters=30, warm_secant=True)
 def test_solo_solve_equals_the_scalar_descent(seed, kind, p, m, nu, horizon, max_iters, warm_secant):
     """A batch of one takes the iterates, curvature updates, stopping tests
     and step lengths of the plain scalar descent, bit for bit, from a cold
@@ -1298,25 +1361,29 @@ def _spy(name: str):
     nu=st.integers(1, 3),
     horizon=st.integers(1, 4),
     max_iters=st.integers(1, 40),
+    warm_secant=st.booleans(),
 )
-def test_a_solve_evaluates_each_cost_by_one_sweep(seed, kind, p, m, nu, horizon, max_iters):
+def test_a_solve_evaluates_each_cost_by_one_sweep(seed, kind, p, m, nu, horizon, max_iters, warm_secant):
     """A solve makes one N-step forward sweep per start and per
     line-search trial, each round's gradient and Gauss-Newton Hessian are
     one :func:`~narxmpc.mpc._derivatives` call on a kept sweep, nothing
-    calls ``output_batch``, and ``backtracks`` counts the rejected trials.
-    The scalar descent makes one stepwise rollout (N ``output_batch``
-    calls) per cost and one fresh N-step sweep per gradient, so its counts
-    give the expected ones."""
+    calls ``output_batch``, and ``backtracks`` counts the rejected trials,
+    from a cold start or from a secant part of each kind of
+    :func:`_random_secants` (whose resets take no extra sweep).  The
+    scalar descent makes one stepwise rollout (N ``output_batch`` calls)
+    per cost and one fresh N-step sweep per gradient, so its counts give
+    the expected ones."""
     rng = np.random.default_rng(seed)
     cfg = _random_problem(rng, p, m, nu, horizon)
     cfg = replace(cfg, solver=replace(cfg.solver, max_iters=max_iters))
     f = _random_dynamics(rng, cfg.dims, kind == "linear")
     x0 = rng.uniform(-1.0, 1.0, size=cfg.dims.n)
     start = rng.uniform(-1.0, 1.0, size=(horizon, m))
+    secant = _random_secants(rng, 1, horizon * m)[0] if warm_secant else None
     with _spy("_derivatives") as derivatives:
-        sol = solve_ocp(f, x0, cfg, warm=start)
+        sol = solve_ocp(f, x0, cfg, warm=start, secant=secant)
     solver, f.calls = f.calls, Counter()
-    _scalar_descent(f, x0, cfg, start)
+    _scalar_descent(f, x0, cfg, start, secant)
     scalar = f.calls
     assert solver["output_batch"] == 0
     assert horizon * solver["sweep"] == scalar["output_batch"]

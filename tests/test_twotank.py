@@ -23,12 +23,11 @@ from narxmpc import (
     reconstruct_hidden_level,
     sample_consistent_states,
     sample_state_grid,
-    two_tank_rhs,
     two_tank_step,
 )
 from narxmpc import twotank
 from narxmpc.twotank import ScrambledHalton, _reachable_draws, _total_step
-from oracles import rk4_step, sample_domain, state_box, stepwise_rollout
+from oracles import rk4_step, sample_domain, state_box, stepwise_rollout, two_tank_rhs
 
 PARAMS = TwoTankParams()
 CFG = BenchmarkConfig()
