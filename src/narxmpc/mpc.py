@@ -259,7 +259,7 @@ def _evaluate(f: NarxDynamics, X: np.ndarray, U: np.ndarray, weights: StageCostW
     """Costs of the rows ``U`` (r, N, m) from ``X`` (r, n), with the forward
     sweep that gave them."""
     sweep = f.sweep(X, U)
-    return np.sum(stage_cost(sweep.outputs, U, weights), axis=1), sweep
+    return stage_cost(sweep.outputs, U, weights).sum(axis=1), sweep
 
 
 @lru_cache(maxsize=64)

@@ -58,7 +58,9 @@ class DomainError(ValueError):
 HIDDEN_LEVEL_MAX = 2.0
 
 #: Negative square-root arguments above this are treated as rounding noise.
-_ROUNDING_GUARD = -1e-12
+#: With the zero and NaN of :func:`_root`, a 0-d array: a ufunc takes it
+#: without converting a Python float on every call.
+_ROUNDING_GUARD, _ZERO, _NAN = np.array(-1e-12), np.array(0.0), np.array(np.nan)
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,7 @@ def _rates(levels, work, dual: bool):
     flows, weights = work
     flows[0] = levels[0]
     flows[1] = levels[1] - levels[0]
-    flows[:2] = _root(flows[:2], dual) * weights
+    np.multiply(_root(flows[:2], dual), weights, out=flows[:2])
     return flows[1:] - flows[:2]
 
 
@@ -103,7 +105,7 @@ def _root(z, dual: bool):
     with ``dual``, of the values ``z[..., :1]``, with the tangents ``dz /
     (2 sqrt(z))``, zero where ``dz`` is and where the value is clipped."""
     value = z[..., :1] if dual else z
-    root = np.sqrt(np.where(value >= _ROUNDING_GUARD, np.maximum(value, 0.0), np.nan))
+    root = np.sqrt(np.where(value >= _ROUNDING_GUARD, np.maximum(value, _ZERO), _NAN))
     if not dual:
         return root
     tangent = z[..., 1:]
