@@ -17,9 +17,9 @@ itself.
 A fitted model holds one D x D array.  LAPACK writes the Cholesky factor
 of the Gram matrix into its upper triangle; the strictly lower triangle
 keeps the Gram entries, and the diagonal of the Gram matrix is the
-constant ``phi(0) + jitter``.  Products with the Gram matrix read only
-that lower triangle, in row blocks rebuilt out of it (or through BLAS
-symm for several columns), so no second D x D array is ever allocated.
+constant ``phi(0) + jitter``.  Each solve is one Cholesky solve against
+that factor, and each product with the Gram matrix is one BLAS symm on
+the lower triangle, so no second D x D array is ever allocated.
 
 The fitted interpolant is also the surrogate NARX dynamics, with its two
 evaluations: ``output_batch``, one step of values, and ``sweep``, N
@@ -146,11 +146,8 @@ class KernelSpec:
         return float(wendland_phi(np.array(0.0)))
 
 
-#: Rows per block of the Gram build, the products with the stored Gram
-#: matrix, kernel rows and nearest-site distances, and the rows a sweep
-#: keeps before its next Jacobian pass.  A multiple of 64, so that with
-#: one right-hand column BLAS gemv gives each block of a Gram product the
-#: bits of the dense product.
+#: Rows per block of the Gram build, kernel rows and nearest-site
+#: distances, and the rows a sweep keeps before its next Jacobian pass.
 _BLOCK = 64
 
 #: The value pass's constants as 0-d arrays, which a ufunc takes without
@@ -209,8 +206,11 @@ class Dataset:
     contains_origin: bool = False
 
     def __post_init__(self) -> None:
-        sites = np.atleast_2d(np.asarray(self.sites, dtype=float))
-        targets = np.atleast_2d(np.asarray(self.targets, dtype=float))
+        # C-ordered copies with their own strides: a strided view (a column
+        # block of a read table) would make reductions such as
+        # ``KernelInterpolant.rkhs_norm`` sum in another order.
+        sites = np.array(self.sites, dtype=float, order="C", ndmin=2)
+        targets = np.array(self.targets, dtype=float, order="C", ndmin=2)
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "targets", targets)
         if sites.shape[0] != targets.shape[0]:
@@ -296,53 +296,13 @@ def fill_distance(sites: np.ndarray, probes: np.ndarray) -> float:
 def _gram_product(store: np.ndarray, diagonal: float, X: np.ndarray) -> np.ndarray:
     """``G @ X`` for the Gram matrix ``G`` whose entries below the diagonal
     are the strictly lower triangle of ``store`` and whose diagonal is the
-    constant ``diagonal``.
-
-    With one column of ``X`` each block of rows of ``G`` is rebuilt from
-    ``store[a:b, :a]``, the mirror of ``store[b:, a:b]`` and the mirrored
-    diagonal block, then multiplied by one matmul call: BLAS gemv on
-    blocks that start at multiples of 64, which equals the dense product
-    bit for bit.  Several columns take BLAS symm on the lower triangle,
-    whose diagonal holds the factor's, plus the difference to
-    ``diagonal``; its sums are not those of a dense gemm, so these
-    products agree with it to rounding only.
+    constant ``diagonal``: BLAS symm on that lower triangle, whose diagonal
+    holds the factor's, plus the difference to ``diagonal``.  Its sums are
+    not those of a dense gemm, so it agrees with ``gram @ X`` to rounding.
     """
-    if X.shape[1] > 1:
-        # A gemm per block of rows would pack all of X again for every
-        # block, which makes the power function at D=2501 about 15% slower.
-        out = dsymm(1.0, store.T, X, lower=0)
-        out += (diagonal - np.diagonal(store))[:, None] * X
-        return out
-    size = store.shape[0]
-    starts = list(range(0, size, _BLOCK))
-    if size > 1 and size % _BLOCK == 1:
-        # A lone last row joins the block before it: numpy multiplies one
-        # row by one column with BLAS dot, whose sums differ from gemv's.
-        starts.pop()
-    out = np.empty((size, X.shape[1]))
-    for a, b in zip(starts, starts[1:] + [size]):
-        rows = np.empty((b - a, size))
-        rows[:, :a] = store[a:b, :a]
-        rows[:, b:] = store[b:, a:b].T
-        lower = np.tril(store[a:b, a:b], -1)
-        np.add(lower, lower.T, out=rows[:, a:b])
-        np.fill_diagonal(rows[:, a:b], diagonal)
-        np.matmul(rows, X, out=out[a:b])
+    out = dsymm(1.0, store.T, X, lower=0)
+    out += (diagonal - np.diagonal(store))[:, None] * X
     return out
-
-
-def _refined_solve(store: np.ndarray, diagonal: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``G x = rhs`` with two steps of iterative refinement.
-
-    ``store`` holds the Cholesky factor of ``G`` in its upper triangle,
-    read by LAPACK as the lower triangle of the F-ordered ``store.T``;
-    the residuals take ``G`` from :func:`_gram_product`.
-    """
-    cho = (store.T, True)
-    x = cho_solve(cho, rhs, check_finite=False)
-    for _ in range(2):
-        x = x + cho_solve(cho, rhs - _gram_product(store, diagonal, x), check_finite=False)
-    return x
 
 
 class KernelInterpolant(NarxDynamics):
@@ -558,7 +518,7 @@ class KernelInterpolant(NarxDynamics):
             raise ValueError("power-function probes must be finite")
         Kx = kernel_matrix(self.spec, self.data.sites, Xi)
         diagonal = self.spec.diag_value + self.jitter
-        C = _refined_solve(self._store, diagonal, Kx)
+        C = cho_solve((self._store.T, True), Kx, check_finite=False)
         KC = _gram_product(self._store, diagonal, C)
         p2 = (
             self.spec.diag_value
@@ -597,13 +557,16 @@ def fit_interpolant(spec: KernelSpec, data: Dataset, jitter: float = 0.0) -> Ker
 
     The Gram matrix is built once and factored in place: LAPACK writes
     the Cholesky factor into its upper triangle and leaves the Gram
-    entries below the diagonal, from which the refinement and the site
-    residual take their products.  The factor, the coefficients and the
-    site residual equal those of a dense fit (a separate factor array and
-    ``gram @ x`` products) bit for bit at one BLAS thread.  The dataset
-    and the jitter are finite by validation, so the factorization and the
-    solves skip scipy's finiteness scan, which would allocate and read a
-    D x D mask on every call.
+    entries below the diagonal, from which the site residual takes its
+    product.  The coefficients are one Cholesky solve against that
+    factor; for a symmetric positive definite matrix this solve is
+    backward stable (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., ch. 10), so no refinement follows it.  The
+    factor and the coefficients equal those of a dense fit (a separate
+    factor array) bit for bit at one BLAS thread.  The dataset and the
+    jitter are finite by validation, so the factorization and the solve
+    skip scipy's finiteness scan, which would allocate and read a D x D
+    mask on every call.
 
     Raises
     ------
@@ -629,10 +592,11 @@ def fit_interpolant(spec: KernelSpec, data: Dataset, jitter: float = 0.0) -> Ker
         store = cho_factor(store.T, lower=True, overwrite_a=True, check_finite=False)[0].T
     except LinAlgError as exc:
         raise KernelFitError(
-            "kernel matrix factorization failed (smallest diagonal entry "
-            f"{diagonal:.6e}); increase jitter or enlarge the site separation"
+            "kernel matrix factorization failed (smallest site separation "
+            f"{min_pairwise_distance(data.sites):.6e}); increase jitter or "
+            "enlarge the site separation"
         ) from exc
-    coefficients = _refined_solve(store, diagonal, data.targets)
+    coefficients = cho_solve((store.T, True), data.targets, check_finite=False)
     site_residual = (
         float(np.max(np.abs(data.targets - _gram_product(store, diagonal, coefficients))))
         if data.size

@@ -10,6 +10,7 @@ first benchmark, since the thread count changes both the timings and the
 bits of the fitted models.  Each layer runs on the benchmark's fitted
 surrogate at ``D``:
 
+- the fit itself (``fit_interpolant`` on the benchmark's dataset);
 - one value row at B=1 and at B=64 (``output_batch``);
 - one B=1, N=20 sweep;
 - the gradient and Gauss-Newton Hessian of that sweep (``_derivatives``);
@@ -95,6 +96,11 @@ def layers(request):
         "gn": gn,
         "stopped": stopped[:3],
     }
+
+
+def test_fit(benchmark, layers):
+    model = layers["model"]
+    benchmark(fit_interpolant, model.spec, model.data, model.jitter)
 
 
 @pytest.mark.parametrize("rows", [1, 64])

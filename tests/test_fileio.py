@@ -174,6 +174,21 @@ class TestDatasetIo:
         assert meta["format"] == "narxmpc-dataset-v1"
         assert meta["gen_halton_points"] == str(provenance["halton_points"])
 
+    def test_a_loaded_dataset_fits_to_the_bits_of_the_generated_one(self, cfg, fit_101, tmp_path):
+        """A saved and reloaded dataset holds its columns in contiguous
+        arrays of its own, not as views of the read table, so its fit
+        prints the in-memory fit's ``rkhs_norm`` and coefficients bit for
+        bit: a strided target column would sum in another order."""
+        data, model = fit_101
+        path = tmp_path / "dataset_D101.csv"
+        save_dataset(data, path, cfg)
+        back = load_dataset(path)
+        refit = fit_interpolant(model.spec, back, jitter=model.jitter)
+        assert refit.coefficients.tobytes() == model.coefficients.tobytes()
+        assert format_float(refit.rkhs_norm()) == format_float(model.rkhs_norm())
+        assert back.sites.strides == data.sites.strides
+        assert back.targets.strides == data.targets.strides
+
     def test_header_mismatch_detected(self, cfg, tmp_path):
         data, _ = generate_dataset(replace(cfg, d=5))
         path = tmp_path / "d.csv"

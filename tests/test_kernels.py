@@ -192,14 +192,14 @@ class TestInterpolant:
 
     def test_singular_kernel_matrix_is_a_fit_error(self):
         # At a lengthscale of 1e12 every entry rounds to phi(0): the matrix
-        # has rank one, and the fit reports the Gram diagonal, which the
-        # in-place factor has overwritten.
+        # has rank one, and the fit names the smallest site separation,
+        # sqrt(0.5) between the first two sites and the last two.
         data = _dataset([[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]], [0.1, 0.2, 0.3])
         spec = KernelSpec(input_dim=2, lengthscale=1e12)
         assert np.all(kernel_matrix(spec, data.sites) == PHI_AT_ZERO)
         with pytest.raises(
             KernelFitError,
-            match=r"^kernel matrix factorization failed \(smallest diagonal entry 3\.333333e-02\); "
+            match=r"^kernel matrix factorization failed \(smallest site separation 7\.071068e-01\); "
             "increase jitter or enlarge the site separation$",
         ):
             fit_interpolant(spec, data)
