@@ -54,7 +54,7 @@ class DomainError(ValueError):
     """The plant was evaluated outside its physical domain."""
 
 
-#: Upper end of the bisection bracket when recovering the hidden level (m).
+#: Upper end of the bracket searched when recovering the hidden level (m).
 HIDDEN_LEVEL_MAX = 2.0
 
 #: Negative square-root arguments above this are treated as rounding noise.
@@ -168,14 +168,33 @@ def _total_step(h1, h2, u, params: TwoTankParams, dual: bool = False):
     With ``dual``, a substepped row gets the tangent of its substeps, and
     each clamp between them the tangent of the side it takes.
     """
+    new, bad = _substepped(h1, h2, u, params, dual)
+    _raise_if_invalid(bad)
+    return new[0], new[1]
+
+
+def _raise_if_invalid(bad) -> None:
+    """Raise :class:`DomainError` when a row of the mask ``bad`` stayed
+    invalid down to the finest substep."""
+    if bad.any():
+        raise DomainError(
+            f"{int(np.sum(bad))} state(s) stayed invalid down to "
+            f"{2 ** _SUBSTEP_LEVELS} substeps; levels outside h2 >= h1 >= 0"
+        )
+
+
+def _substepped(h1, h2, u, params: TwoTankParams, dual: bool):
+    """The stacked levels (2, ...) of :func:`_total_step` and the mask of
+    the rows that stayed invalid down to the finest substep, which
+    :func:`_total_step` raises on."""
     h1, h2, u = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in (h1, h2, u)))
     levels, drive = np.stack([h1, h2]), u / params.A1
     new = _rk4(levels, _work(drive, params), params.dt, dual)
+    bad = ~np.isfinite(_value(new, dual)).all(axis=0)
     splits = 1
     for _ in range(_SUBSTEP_LEVELS):
-        bad = ~np.isfinite(_value(new, dual)).all(axis=0)
         if not bad.any():
-            return new[0], new[1]
+            break
         splits *= 2
         part, work = levels[:, bad], _work(drive[bad], params)
         for _ in range(splits):
@@ -183,13 +202,8 @@ def _total_step(h1, h2, u, params: TwoTankParams, dual: bool = False):
             part[1] = _at_least(part[1], part[0], dual)
             part = _rk4(part, work, params.dt / splits, dual)
         new[:, bad] = part
-    bad = ~np.isfinite(_value(new, dual)).all(axis=0)
-    if bad.any():
-        raise DomainError(
-            f"{int(np.sum(bad))} state(s) stayed invalid down to "
-            f"{2 ** _SUBSTEP_LEVELS} substeps; levels outside h2 >= h1 >= 0"
-        )
-    return new[0], new[1]
+        bad = ~np.isfinite(_value(new, dual)).all(axis=0)
+    return new, bad
 
 
 def _value(z, dual: bool):
@@ -220,10 +234,10 @@ def reconstruct_hidden_level(y_prev, y_cur, u_prev, params: TwoTankParams):
     HIDDEN_LEVEL_MAX]`` such that one sampled step from ``(y_prev,
     h2(k-1))`` under ``u_prev`` reproduces ``y_cur``; the step's upper
     level is the reconstruction.  The map is strictly increasing in the
-    upper level, so 54 bisection steps reach the resolution of a double;
-    unreachable targets clamp to the nearest bracket end.  Exact (to
-    solver tolerance) whenever the transition actually came from the
-    plant.
+    upper level, so a bracketed secant search
+    (:func:`_previous_upper_level`) narrows the bracket to adjacent
+    doubles; unreachable targets clamp to the nearest bracket end.  Exact (to solver tolerance) whenever the
+    transition actually came from the plant.
 
     All arguments broadcast; returns the reconstructed ``h2(k)``.
     """
@@ -234,24 +248,66 @@ def reconstruct_hidden_level(y_prev, y_cur, u_prev, params: TwoTankParams):
 
 
 def _previous_upper_level(y_prev, y_cur, u_prev, params: TwoTankParams):
-    """The bisection root ``h2(k-1)`` of :func:`reconstruct_hidden_level`,
-    clamped to the bracket ends ``y_prev`` and :data:`HIDDEN_LEVEL_MAX`;
-    the arguments are arrays of one shape."""
-    lo = y_prev.astype(float).copy()
-    hi = np.full_like(lo, HIDDEN_LEVEL_MAX)
-    g_lo = _total_step(y_prev, lo, u_prev, params)[0].reshape(lo.shape)
-    g_hi = _total_step(y_prev, hi, u_prev, params)[0].reshape(hi.shape)
-    levels, work = np.stack([y_prev, lo]), _work(u_prev / params.A1, params)
-    for _ in range(54):
-        mid = levels[1] = 0.5 * (lo + hi)
-        # A failed single-step probe means near-equal levels, where the
-        # step drains the lower tank; treat it as undershooting.
-        go_down = _rk4(levels, work, params.dt, False)[0] > y_cur
-        hi = np.where(go_down, mid, hi)
-        lo = np.where(go_down, lo, mid)
-    h2_before = 0.5 * (lo + hi)
-    h2_before = np.where(g_lo >= y_cur, y_prev, h2_before)
-    return np.where(g_hi <= y_cur, HIDDEN_LEVEL_MAX, h2_before)
+    """The root ``h2(k-1)`` of :func:`reconstruct_hidden_level`, clamped
+    to the bracket ends ``y_prev`` and :data:`HIDDEN_LEVEL_MAX`; the
+    arguments are arrays of one shape.
+
+    A row clamps at ``HIDDEN_LEVEL_MAX`` when the total step from there
+    does not overshoot ``y_cur``, and else at ``y_prev`` when the total
+    step from equal levels does not undershoot it; a step from equal
+    levels that stays invalid down to the finest substep counts as an
+    undershoot.  Every other row solves ``s1(h) = y_cur`` for the lower
+    level ``s1`` of the single Runge-Kutta step, by regula falsi with
+    the Anderson-Bjorck change (BIT 13, 1973) of the Illinois method
+    (Dowell and Jarratt, BIT 11, 1971): each probe replaces the end of
+    its own side, and when two probes in a row land on the same side the
+    value of the other end is scaled by ``1 - r_new / r_old`` of their
+    residuals, or halved where that is not positive.  A failed probe means
+    near-equal levels, where the step drains the lower tank: it counts
+    as an undershoot, and since its value is NaN the next probe halves
+    the bracket, as does any secant point that rounds onto an end.  A
+    row stops when a probe reproduces ``y_cur`` exactly, at that probe,
+    or when its ends are adjacent doubles, at the end with the smaller
+    finite residual; finished rows leave the batch, so each row equals
+    its batch of one.
+    """
+    shape = y_prev.shape
+    y_prev, y_cur, u_prev = (np.ravel(a) for a in (y_prev, y_cur, u_prev))
+    top = np.full_like(y_prev, HIDDEN_LEVEL_MAX)
+    # Both bracket ends of every row in one total step.
+    ends, failed = _substepped(np.tile(y_prev, 2), np.concatenate([y_prev, top]), np.tile(u_prev, 2), params, False)
+    # Only a non-finite record fails at the upper end; it raises, as the
+    # search would never close its bracket.
+    _raise_if_invalid(failed[y_prev.size :])
+    excess = np.where(failed, np.nan, ends[0]).reshape(2, -1) - y_cur
+    root = np.where(excess[1] <= 0.0, top, y_prev)
+    rows = np.flatnonzero(~(excess[1] <= 0.0) & ~(excess[0] >= 0.0))
+    # Per open row: the kept end ``a`` with its secant value ``fa`` and
+    # residual ``ra``, the newest probe ``b`` with its residual ``fb``,
+    # and the record; ``b`` starts at the upper end.
+    a, b, fa, fb = y_prev[rows], top[rows], excess[0, rows], excess[1, rows]
+    ra, target, drive = fa, y_cur[rows], u_prev[rows] / params.A1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while rows.size:
+            levels, work = np.stack([y_prev[rows], b]), _work(drive, params)
+            while True:
+                c = b - fb * (b - a) / (fb - fa)
+                c = levels[1] = np.where((c - a) * (c - b) < 0.0, c, 0.5 * (a + b))
+                fc = _rk4(levels, work, params.dt, False)[0] - target
+                crossed = (fc > 0.0) != (fb > 0.0)
+                scale = 1.0 - fc / fb
+                fa = np.where(crossed, fb, fa * np.where(scale > 0.0, scale, 0.5))
+                a, ra = np.where(crossed, b, a), np.where(crossed, fb, ra)
+                b, fb = c, fc
+                done = (fc == 0.0) | (np.nextafter(a, b) == b)
+                if done.any():
+                    break
+            # The overshooting end's residual is finite; a failed probe's is NaN.
+            err_a, err_b = np.abs(ra), np.abs(fb)
+            root[rows[done]] = np.where((err_a < err_b) | np.isnan(err_b), a, b)[done]
+            keep = ~done
+            rows, a, b, fa, fb, ra, target, drive = (v[keep] for v in (rows, a, b, fa, fb, ra, target, drive))
+    return root.reshape(shape)
 
 
 class TwoTankPlant:
@@ -312,7 +368,7 @@ class TwoTankNarxDynamics(NarxDynamics):
     tangents.  The regressor of step ``k`` holds the transition of step
     ``k - 1``, whose tangent gives the derivative of the reconstruction,
     ``dH = (dy_k - ds1/dy dy_{k-1} - ds1/du du_{k-1}) / (ds1/dH)``; step
-    0 takes one tangent step at the bisection root.  A row clamped at a
+    0 takes one tangent step at the recovered root.  A row clamped at a
     bracket end, or to equal levels, gets the one-sided derivative.  The
     four raw derivatives of a step, scaled to normalized units, are its
     site-Jacobian columns ``0, 1, nu`` and ``n``; the others are zero.
@@ -580,10 +636,13 @@ class ScrambledHalton:
     below the double resolution.  A point sums ``perm[j][digit_j] *
     b^-(j+1)`` from ``j = 0`` up, with ``b^-(j+1)`` formed by repeated
     division, which reproduces ``scipy.stats.qmc.Halton(d,
-    scramble=True, seed=seed)`` bit for bit.  Consecutive :meth:`random`
-    calls continue the sequence, so the points do not depend on how the
-    draws are split, and the first ``k`` coordinates are the
-    ``k``-dimensional sequence of the same seed.
+    scramble=True, seed=seed)`` bit for bit.  Digits are extracted
+    (``np.divmod`` by ``b``) only as deep as the largest index of the
+    draw goes; every deeper digit is 0 and adds ``perm[j][0] *
+    b^-(j+1)``, in the same order, so the bits stay.  Consecutive
+    :meth:`random` calls continue the sequence, so the points do not
+    depend on how the draws are split, and the first ``k`` coordinates
+    are the ``k``-dimensional sequence of the same seed.
     """
 
     def __init__(self, d: int, seed: int):
@@ -607,10 +666,17 @@ class ScrambledHalton:
         self._generated += n
         points = np.zeros((len(self._tables), n))
         for column, table in zip(points, self._tables):
+            base, depth, top = table.shape[1], 0, self._generated - 1
+            while top > 0:
+                top //= base
+                depth += 1
             quotient = index
-            for row in table:
-                quotient, digit = np.divmod(quotient, table.shape[1])
+            for row in table[:depth]:
+                quotient, digit = np.divmod(quotient, base)
                 column += row[digit]
+            # Past the digits of the largest index every digit is 0.
+            for row in table[depth:]:
+                column += row[0]
         return points.T
 
 
@@ -735,16 +801,17 @@ def _collect_states(cfg: BenchmarkConfig, count: int, min_norm: float, blocks) -
     if count < 1:
         raise ValueError(f"need at least one state, got count={count}")
     norm = cfg.normalization()
-    out: list[np.ndarray] = []
-    drawn = 0
-    while len(out) < count:
+    parts: list[np.ndarray] = []
+    kept = drawn = 0
+    while kept < count:
         raw, size = next(blocks)
         drawn += size
         if drawn > 1_000_000:
             raise RuntimeError("state sampling stalled; relax the filters")
         states = norm.normalize_state(raw, cfg.dims)
-        out.extend(states[np.linalg.norm(states, axis=1) > min_norm])
-    return np.asarray(out[:count])
+        parts.append(states[np.linalg.norm(states, axis=1) > min_norm])
+        kept += len(parts[-1])
+    return np.concatenate(parts)[:count]
 
 
 def sample_consistent_states(

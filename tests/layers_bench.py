@@ -19,6 +19,15 @@ surrogate at ``D``:
 - one plant step (``TwoTankPlant.output``);
 - one reference episode (``simulate_loop``, 100 steps and 101 solves).
 
+Three plant-side layers do not depend on ``D`` and run once each:
+
+- the hidden-level recovery of the 400 error-constant samples
+  (``twotank._previous_upper_level``);
+- the first 2,048-point block of the four-coordinate scrambled Halton
+  sequence (``ScrambledHalton.random``);
+- the start state (``BenchmarkConfig.initial_condition``), a recovery
+  of one row.
+
 ``--benchmark-json`` writes the timings to a file, as pytest-benchmark
 does for any module.
 """
@@ -149,3 +158,25 @@ def test_plant_step(benchmark, layers):
 def test_reference_episode(benchmark, layers):
     trace = benchmark.pedantic(bench.simulate_loop, args=(layers["cfg"], layers["model"]), rounds=5, iterations=1)
     benchmark.extra_info["iterations"] = int(trace.iterations.sum())
+
+
+def test_hidden_level_recovery_400_rows(benchmark):
+    cfg = twotank.BenchmarkConfig()
+    X, _ = bench.error_constant_samples(cfg, 400, seed=cfg.seed + 11)
+    raw = cfg.normalization().denormalize_state(X, cfg.dims)
+    records = raw[:, 1].copy(), raw[:, 0].copy(), raw[:, cfg.dims.nu].copy()
+    benchmark(twotank._previous_upper_level, *records, cfg.params)
+
+
+def test_halton_block(benchmark):
+    sampler = twotank.ScrambledHalton(4, 0)
+
+    def first_block():
+        sampler._generated = 0
+        return sampler.random(twotank._HALTON_BLOCK)
+
+    benchmark(first_block)
+
+
+def test_initial_condition(benchmark):
+    benchmark(twotank.BenchmarkConfig().initial_condition)

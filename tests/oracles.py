@@ -21,6 +21,7 @@ from narxmpc import (
     shift_state,
     stage_cost,
 )
+from narxmpc import twotank
 from narxmpc.mpc import _derivatives
 from narxmpc.narx import Sweep, rollout_arrays
 from narxmpc.stability import StorageMatrix, storage_value
@@ -278,6 +279,37 @@ def two_tank_rhs(h1, h2, u, params):
     q12 = params.c12 * root(np.asarray(h2, dtype=float) - h1)
     q2 = params.c2 * root(h1)
     return q12 - q2, np.asarray(u, dtype=float) / params.A1 - q12
+
+
+def bisected_upper_level(y_prev, y_cur, u_prev, params):
+    """The previous upper level of the hidden-level recovery by 54
+    halvings of the bracket ``[y_prev, HIDDEN_LEVEL_MAX]``, the reference
+    that the package's bracketed secant search
+    (:func:`~narxmpc.twotank._previous_upper_level`) is checked against;
+    the arguments are arrays of one shape.
+
+    Each halving probes the single Runge-Kutta step from ``(y_prev,
+    mid)`` and keeps the half where it crosses ``y_cur``, a failed
+    (NaN) probe counting as an undershoot; the root is the midpoint of
+    the last bracket.  A row clamps at ``HIDDEN_LEVEL_MAX`` when the
+    total step from there does not overshoot ``y_cur``, and else at
+    ``y_prev`` when the total step from equal levels does not undershoot
+    it.  Raises :class:`~narxmpc.twotank.DomainError` when a total step
+    at a bracket end stays invalid down to the finest substep.
+    """
+    lo = y_prev.astype(float).copy()
+    hi = np.full_like(lo, twotank.HIDDEN_LEVEL_MAX)
+    g_lo = twotank._total_step(y_prev, lo, u_prev, params)[0].reshape(lo.shape)
+    g_hi = twotank._total_step(y_prev, hi, u_prev, params)[0].reshape(hi.shape)
+    levels, work = np.stack([y_prev, lo]), twotank._work(u_prev / params.A1, params)
+    for _ in range(54):
+        mid = levels[1] = 0.5 * (lo + hi)
+        go_down = twotank._rk4(levels, work, params.dt, False)[0] > y_cur
+        hi = np.where(go_down, mid, hi)
+        lo = np.where(go_down, lo, mid)
+    h2_before = 0.5 * (lo + hi)
+    h2_before = np.where(g_lo >= y_cur, y_prev, h2_before)
+    return np.where(g_hi <= y_cur, twotank.HIDDEN_LEVEL_MAX, h2_before)
 
 
 def rk4_step(rhs, state, u, dt: float) -> np.ndarray:

@@ -36,22 +36,22 @@ ROOT = Path(__file__).resolve().parents[1]
 #: The reference episode at one BLAS thread: solver iterations over its
 #: 101 solves (100 steps and the terminal diagnostic) and its alpha.
 REFERENCE_ITERATIONS = 109
-REFERENCE_ALPHA = 0.20961992884829037
+REFERENCE_ALPHA = 0.20961992904105836
 
 #: SHA-256 of every file that ``narxmpc benchmark --only-D 101`` writes
 #: besides ``manifest.json``.
 REFERENCE_BUNDLE_D101 = {
-    "comparison.csv": "5d79ce04e713d72184a91819f6167f86d62d5d86fb5ca0531bea88231585016c",
+    "comparison.csv": "0f814b8ca8d50394b21d63e26760b28e7658ae00f6162c39532889f3ba6ca45d",
     "dataset_D101.csv": "8ed3f9e93f4c29608f5a5ee485abc8cea5d12761e14a1456a58c6db5dbcf099a",
     "dataset_D101.csv.meta": "8bcb6bd5b80465b5ddfba0ec34f2da0f222e57019264cd24e6773bfc3f1779e2",
-    "fit_report_D101.txt": "5895ddd4a154274241acb91f3fc3b881691249a11d5bb2fbb747480ea085d662",
+    "fit_report_D101.txt": "8b7f180325c2210f2313ff9bc28d10f76c77cb1124f73c0fd0dfb5701a8ec640",
     "model_D101.csv": "1a422b1d48f2d781725d4e4e2b18321665de4d98165f591fc7997e530a7757da",
     "model_D101.csv.meta": "d1c8616f35295011b73c9e0ceba63acb5282720a7d0aa6270fe93b3eb514ff75",
-    "stability_report_D101.txt": "cb3bbb4196b6938d498d475096d11f69f493cdd702a629a59b0af303f0e5d510",
-    "stability_steps_D101.csv": "6c1ae74ca98400f36d9e1a5cfe8c1ffc918727871eac894e8c3546d7860eebaa",
-    "trace_norm_D101.csv": "827a9a9e979842ad6e155e8c5a9853043b2d5274b3b848d27d23ac9cb1247f85",
+    "stability_report_D101.txt": "82f40609a7e0a3d0046830446e93e19a0e96703eb8165efcf2b87373c6e1c825",
+    "stability_steps_D101.csv": "83358d3400c8829590fd2cf3dd345d2c317751e81196708a51dac3325e67b803",
+    "trace_norm_D101.csv": "b87dd90d6bdfcd09fe6259f1ed1b9d87dd7211ad0d6d99f3dd60fc4d7f4fc001",
     "trace_norm_D101.csv.meta": "f8357d4271ece66e7da03a759f72f97f1c0bf60267110982828391086095a9de",
-    "trace_raw_D101.csv": "9a3032acf094d26d773d01908c41de93a4980bf7dd47e4dddda04e95e73e31a4",
+    "trace_raw_D101.csv": "ebb90020c4a4b7c29bc3f82bc9fbdd9f725b9fb32ac152df4c310f7a3ac936f6",
     "trace_raw_D101.csv.meta": "00b2ff1aaaaccfeb49feed384ba844afd1ea69a34b66841408954056792cba07",
 }
 

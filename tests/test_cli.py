@@ -800,7 +800,7 @@ class TestBenchmark:
         assert "manifest.json" not in bundle_digests(out)
 
     def test_arm_builds_its_start_state_once(self, monkeypatch):
-        """The start state's hidden-level bisection runs once per arm."""
+        """The start state's hidden-level recovery runs once per arm."""
         real = BenchmarkConfig.initial_condition
         calls = []
 

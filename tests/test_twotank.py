@@ -27,7 +27,7 @@ from narxmpc import (
 )
 from narxmpc import twotank
 from narxmpc.twotank import ScrambledHalton, _reachable_draws, _total_step
-from oracles import rk4_step, sample_domain, state_box, stepwise_rollout, two_tank_rhs
+from oracles import bisected_upper_level, rk4_step, sample_domain, state_box, stepwise_rollout, two_tank_rhs
 
 PARAMS = TwoTankParams()
 CFG = BenchmarkConfig()
@@ -246,6 +246,46 @@ class TestNarxView:
         singles = np.stack([plant_view.output(x, u) for x, u in zip(X, U)])
         assert_allclose(batch, singles, rtol=0.0, atol=1e-12)
 
+    def test_micrometre_previous_levels_are_solved_not_raised(self, cfg, plant_view):
+        """Previous levels of a micrometre or less under a weak pump,
+        where the total step from equal levels stays invalid down to the
+        finest substep, count that step as an undershoot and solve; both
+        evaluations are finite there and each row is its batch of one,
+        while the neighbouring levels 0 and 1e-5 m keep the clamp
+        decision of 54-step bisection (neither clamps)."""
+        y_prev = np.array([0.0, 1e-9, 1e-7, 6.8e-7, 1e-6, 1e-5])
+        u_prev, y_cur = np.full(6, 3.64e-6), np.full(6, 0.01)
+        micro = slice(1, 5)
+        with pytest.raises(DomainError, match="stayed invalid down to 64 substeps"):
+            _total_step(y_prev[micro], y_prev[micro], u_prev[micro], PARAMS)
+        norm = cfg.normalization()
+        X = norm.normalize_state(np.column_stack([y_cur, y_prev, u_prev]), cfg.dims)
+        U = norm.normalize_input(np.full((6, 1), 2e-5))
+        outputs = plant_view.output_batch(X, U)
+        sweep = plant_view.sweep(X, np.repeat(U[:, None], 3, axis=1))
+        assert np.all(np.isfinite(outputs)) and np.all(np.isfinite(sweep.jac[micro]))
+        assert_array_equal(sweep.outputs[:, 0], outputs)
+        for i in range(6):
+            assert_array_equal(plant_view.output_batch(X[i : i + 1], U[i : i + 1]), outputs[i : i + 1])
+        neighbours = [0, 5]
+        heads = (
+            twotank._previous_upper_level(y_prev, y_cur, u_prev, PARAMS),
+            bisected_upper_level(y_prev[neighbours], y_cur[neighbours], u_prev[neighbours], PARAMS),
+        )
+        for head, floor in zip(heads, (y_prev, y_prev[neighbours])):
+            assert np.all((head > floor) & (head < twotank.HIDDEN_LEVEL_MAX))
+
+    @pytest.mark.parametrize("raw", [[0.1, np.nan, 2e-5], [0.1, np.inf, 2e-5], [0.1, 0.1, np.nan]])
+    def test_non_finite_record_raises(self, cfg, plant_view, raw):
+        """A regressor with a non-finite previous level or input raises
+        :class:`DomainError` from the total step at the upper bracket end,
+        in both evaluations, before any search could run without end."""
+        X = cfg.normalization().normalize_state(np.array([raw]), cfg.dims)
+        with pytest.raises(DomainError, match="stayed invalid down to 64 substeps"):
+            plant_view.output_batch(X, np.zeros((1, 1)))
+        with pytest.raises(DomainError, match="stayed invalid down to 64 substeps"):
+            plant_view.sweep(X, np.zeros((1, 2, 1)))
+
     def test_negative_level_row_raises_in_every_path(self, cfg, plant_view):
         """One row encoding a negative measured level fails the whole batch."""
         norm = cfg.normalization()
@@ -334,7 +374,7 @@ class TestConfig:
     @pytest.mark.parametrize("h0", [-0.1, 0.5000001, 3.0])
     def test_start_level_outside_the_level_range_rejected(self, h0):
         """A start outside the level range is outside the data's domain
-        (and from about 0.92 m its hidden level clamps at the bisection
+        (and from about 0.92 m its hidden level clamps at the bracket's upper
         bound, so h0 = 3.0 would start at levels (3.0, 3.0))."""
         with pytest.raises(ValueError, match=r"h0 must lie in \[0.0, 0.5\]"):
             BenchmarkConfig(h0=h0)
@@ -458,6 +498,30 @@ class TestScrambledHalton:
         ours = ScrambledHalton(d, seed)
         theirs = qmc.Halton(d=d, scramble=True, seed=seed)
         for n in (2048, 256, 7, 2048):
+            points = ours.random(n)
+            assert points.shape == (n, d)
+            assert points.tobytes() == np.ascontiguousarray(theirs.random(n)).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 29, 4_294_967_295])
+    def test_equals_scipy_halton_across_digit_count_boundaries(self, d, seed):
+        """Draws that end one before, at, one past and two past each power
+        ``b^k`` of every base up to 3^10, so the largest index of a draw
+        gains a digit, then a draw that starts past 3^10, equal scipy's
+        sequence bit for bit; an empty draw at the start and one in the
+        middle return no points and do not move the sequence."""
+        from scipy.stats import qmc
+
+        limit = 3**10
+        ends = sorted(
+            {b**k + e for b in twotank._primes(d) for k in range(1, 17) if b**k <= limit for e in (-1, 0, 1, 2)}
+            | {limit + 1}
+        )
+        sizes = list(np.diff([0, *ends]))
+        sizes = [0, *sizes[: len(sizes) // 2], 0, *sizes[len(sizes) // 2 :], 2048]
+        ours = ScrambledHalton(d, seed)
+        theirs = qmc.Halton(d=d, scramble=True, seed=seed)
+        for n in sizes:
             points = ours.random(n)
             assert points.shape == (n, d)
             assert points.tobytes() == np.ascontiguousarray(theirs.random(n)).tobytes()
