@@ -651,9 +651,8 @@ class ScrambledHalton:
         self._tables = []
         for base in _primes(d):
             count = math.ceil(54 / math.log2(base)) - 1
-            perms = np.repeat(np.arange(base)[None], count, axis=0)
-            for perm in perms:
-                rng.shuffle(perm)
+            # Shuffles each row in turn, with the draws of rng.shuffle row by row.
+            perms = rng.permuted(np.repeat(np.arange(base)[None], count, axis=0), axis=1)
             scales = [1.0 / base]
             for _ in range(count - 1):
                 scales.append(scales[-1] / base)
