@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .fileio import (
+    _require_entries,
     save_dataset,
     save_model,
     save_stability_report,
@@ -137,9 +138,11 @@ def certify_trace(
     model_tag: str = "surrogate",
 ) -> tuple[GrowthBoundEstimate, StabilityReport]:
     """Certify stage: growth bounds of the surrogate on the standard state
-    grid, then the decrease check along the recorded trace.  A trace with
-    no applied step is rejected before the grid runs."""
+    grid, then the decrease check along the recorded trace.  A trace with no applied
+    step, or run under other weights ``Q`` or ``R`` (``ConfigError``), is rejected first."""
     require_applied_step(trace)
+    ran = {} if trace.weights is None else {"Q": trace.weights.Q, "R": trace.weights.R}
+    _require_entries("trace", ran, {"Q": cfg.q_weight, "R": cfg.r_weight})
     mpc_cfg = make_mpc_config(cfg)
     grid = sample_state_grid(cfg, b_states, seed=cfg.seed + 29, min_norm=1e-3)
     growth = estimate_growth_bound(model, mpc_cfg, grid, b_horizon, model_tag=model_tag)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .kernels import Dataset, KernelInterpolant, KernelSpec, fit_interpolant
-from .mpc import ClosedLoopTrace
+from .mpc import ClosedLoopTrace, StageCostWeights
 from .narx import AffineNormalization, NarxDims
 from .twotank import CONFIG_KEYS
 
@@ -319,14 +319,21 @@ def _trace_entries(dims: NarxDims, horizon: int, normalization) -> dict:
 
 
 def load_trace(path, dims: NarxDims, horizon: int, normalization=None) -> ClosedLoopTrace:
-    """Read a normalized trace CSV back into a :class:`ClosedLoopTrace`,
-    or raise ``ConfigError`` unless its header fits ``dims`` and its
-    sidecar records ``dims``, ``N = horizon`` and (when given) the
-    ``normalization``, naming the first entry that differs."""
+    """Read a normalized trace CSV, with the weights ``Q`` and ``R`` its
+    sidecar records, into a :class:`ClosedLoopTrace`, or raise ``ConfigError``
+    unless its header fits ``dims`` and its sidecar records ``dims``, ``N =
+    horizon`` and (when given) the ``normalization``, naming the first entry that differs."""
     header, table = read_csv(path)
     if header != trace_header(dims):
         raise ConfigError(f"{path}: unexpected trace header for the given dimensions")
-    _require_entries(path, read_keyvalues(_sidecar(path)), _trace_entries(dims, horizon, normalization))
+    recorded = read_keyvalues(_sidecar(path))
+    _require_entries(path, recorded, _trace_entries(dims, horizon, normalization))
+    try:
+        weights = StageCostWeights(float(recorded["Q"]), float(recorded["R"]))
+    except KeyError as exc:
+        raise ConfigError(f"{path}: sidecar is missing the {exc.args[0]} entry") from None
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     steps = max(table.shape[0] - 1, 0)
     fields, start = {}, 1
     for field, _, width, per_step in _trace_layout(dims):
@@ -336,7 +343,7 @@ def load_trace(path, dims: NarxDims, horizon: int, normalization=None) -> Closed
         start = stop
     fields["iterations"] = fields["iterations"].astype(int)
     fields["converged"] = fields["converged"] > 0.5
-    return ClosedLoopTrace(**fields, dims=dims, horizon=horizon, normalization=normalization)
+    return ClosedLoopTrace(**fields, dims=dims, horizon=horizon, normalization=normalization, weights=weights)
 
 
 #: The stability report's keys, in file order, with the report

@@ -479,12 +479,11 @@ class KernelInterpolant(NarxDynamics):
         sites = np.empty((horizon + 1, b, n + m))
         sites[0, :, :n] = X0
         sites[:horizon, :, n:] = U.transpose(1, 0, 2)
-        # Slot i of a later site's input history holds u(k - 1 - i): the
-        # inputs oldest first, X0's history before U, read in windows.
-        inputs = np.concatenate([X0[:, nb:].reshape(b, dims.nu - 1, m)[:, ::-1], U], axis=1)
+        # Slot i of site k + 1's input history holds u(k - i): the input of
+        # site k for i = 0, its slot i - 1 after that, one copy per slot.
         for i in range(dims.nu - 1):
-            window = inputs[:, dims.nu - 1 - i : dims.nu - 1 - i + horizon]
-            sites[1:, :, nb + i * m : nb + (i + 1) * m] = window.transpose(1, 0, 2)
+            source = nb + (i - 1) * m if i else n
+            sites[1:, :, nb + i * m : nb + (i + 1) * m] = sites[:-1, :, source : source + m]
         chunk = min(horizon, -(-_BLOCK // max(b, 1)))
         fourth = np.empty((chunk, b, size))
         radii, profile = self._scratch(b, 2)

@@ -23,9 +23,9 @@ one forward sweep; the sweep of an accepted iterate is kept, and
 :func:`_derivatives` takes its gradient and Gauss-Newton Hessian from
 it together: the output sensitivities of a sequential program solve one
 unit lower-triangular system, banded by the lag depth.  One cached
-table, :func:`_layout`, says where each site-Jacobian entry goes in
-that system's band and in its input matrix, so each is filled by one
-gather; one LAPACK banded solve serves all rows at once, and the
+table, :func:`_layout`, says which site-Jacobian entry, negated entry
+or zero each entry of that system's band and input matrix takes, so
+both fill by one gather; one LAPACK banded solve serves all rows, and the
 gradient and the Hessian are stacked products of those sensitivities
 after it.  A solution returns the outputs of its kept sweep as
 :attr:`OcpSolution.outputs`, so no caller rolls its inputs out again,
@@ -166,17 +166,12 @@ class MpcConfig:
 
     @cached_property
     def _input_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """The input box over the flattened horizon (N m,), read-only."""
-        bounds = np.tile(self.input_box.lo, self.horizon), np.tile(self.input_box.hi, self.horizon)
+        """The input box over the flattened horizon as one row (1, N m),
+        which a batch of one meets without broadcasting; read-only."""
+        bounds = np.tile(self.input_box.lo, (1, self.horizon)), np.tile(self.input_box.hi, (1, self.horizon))
         for bound in bounds:
             bound.flags.writeable = False
         return bounds
-
-
-def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Stacked products ``A[b] @ v[b]``; each row equals its 2-D product bit
-    for bit, which a single (B, k) @ (k, p) product does not."""
-    return np.matmul(A, v[..., None])[..., 0]
 
 
 @dataclass
@@ -227,6 +222,14 @@ ARMIJO = 1e-4
 #: quasi-Newton step.
 SHRINK = 0.5
 
+# Zero and the round's tolerances as 0-d arrays, which ufuncs take without converting.
+_ZERO, _ACTIVE_WIDTH, _NOISE_FLOOR, _GRAD_TOL = (np.array(v) for v in (0.0, ACTIVE_WIDTH, NOISE_FLOOR, GRAD_TOL))
+
+
+def _finite(x: np.ndarray) -> bool:
+    """Whether every entry of ``x`` is finite, by a count that costs less than ``.all()``."""
+    return np.count_nonzero(np.isfinite(x)) == x.size
+
 
 def _project(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """``x`` clipped to the box ``[lo, hi]`` by two ufunc calls: the bits of
@@ -263,34 +266,32 @@ def _evaluate(f: NarxDynamics, X: np.ndarray, U: np.ndarray, weights: StageCostW
 
 
 @lru_cache(maxsize=64)
-def _layout(dims: NarxDims, horizon: int) -> tuple[np.ndarray, ...]:
+def _layout(dims: NarxDims, horizon: int) -> tuple[np.ndarray, int, int]:
     """Where the site Jacobians of an N-step sweep go in its linearization
-    ``L dY = M dU``.  For every entry of the band of ``L^T`` (negated),
-    its flat position in one row's band storage of :func:`_derivatives`
-    and its source, the flat index of (step, output, site column) in the
-    row's ``jac``; for every entry of ``M``, its column, its unknown in
-    the padded right-hand sides and its source.  An output's unknown
-    takes the regressor columns of the ``nu`` outputs before it into
-    ``L``, and its site's input column and input-lag columns into ``M``.
-    """
+    ``L dY = M dU``, and the band's width.  The table gathers from a row's
+    sources in :func:`_derivatives` (its flat ``jac`` of ``J`` entries,
+    their negations, then a zero): its first part, of the returned
+    length, lists one row's band storage of ``L^T`` and the rest ``M^T``
+    over the padded unknowns.  An output's unknown takes the regressor
+    columns of the ``nu`` outputs before it into ``L``, and its site's
+    input column and input-lag columns into ``M``."""
     p, m, n, nb = dims.p, dims.m, dims.n, dims.n_outputs_block
     width = (dims.nu + 1) * p - 1
-    band, inputs = [], []
+    zero = 2 * horizon * p * (n + m)
+    band = np.full((width + horizon * p) * (width + 1), zero)
+    inputs = np.full((horizon * m, width + horizon * p), zero)
     for k in range(horizon):
         for c in range(p):
             unknown, source = width + k * p + c, (k * p + c) * (n + m)
             for lag in range(1, min(dims.nu, k) + 1):
                 first = unknown * (width + 1) + width - lag * p - c
-                band += [(first + c2, source + (lag - 1) * p + c2) for c2 in range(p)]
+                band[first : first + p] = zero // 2 + source + (lag - 1) * p + np.arange(p)
             for back in range(min(dims.nu, k + 1)):
                 column = source + (nb + (back - 1) * m if back else n)
-                inputs += [((k - back) * m + a, unknown, column + a) for a in range(m)]
-    # One C-ordered index array per field, also for an empty band.
-    band = np.array(band, dtype=int).reshape(-1, 2).T.copy()
-    inputs = np.array(inputs, dtype=int).reshape(-1, 3).T.copy()
-    for index in (band, inputs):
-        index.flags.writeable = False  # shared by every caller through the cache
-    return (*band, *inputs)
+                inputs[(k - back) * m : (k - back + 1) * m, unknown] = column + np.arange(m)
+    table = np.concatenate((band, inputs.ravel()))
+    table.flags.writeable = False  # shared by every caller through the cache
+    return table, band.size, width
 
 
 def _derivatives(
@@ -316,8 +317,9 @@ def _derivatives(
     storage (B, width + N p, width + 1) with ``width = (nu + 1) p - 1``
     superdiagonals: ``band[i, j, width + r - j]`` is the entry ``(r, j)``
     of row i's ``L^T``, the C-ordered transpose of BLAS band storage.
-    One gather from ``sweep.jac`` fills the band and one fills ``M``, at
-    the places the cached table :func:`_layout` lists.  One LAPACK
+    Each row's sources are its Jacobian entries, their negations and a
+    zero; one gather from the cached table of :func:`_layout` fills the
+    band and ``M``, zeros included.  One LAPACK
     ``tbtrs`` solves the system, one forward substitution per column of
     ``M``.  Each row's block starts with ``width`` zero padding unknowns,
     so the band reaches the block before it only through zero entries:
@@ -330,25 +332,22 @@ def _derivatives(
     """
     b, horizon = sweep.outputs.shape[:2]
     k = horizon * dims.m
-    width = (dims.nu + 1) * dims.p - 1
-    size = width + horizon * dims.p
-    band_at, band_from, col, row, inputs_from = _layout(dims, horizon)
+    table, entries, width = _layout(dims, horizon)
     jac = sweep.jac.reshape(b, -1)
-    band = np.zeros((b, size, width + 1))
-    band.reshape(b, -1)[:, band_at] = -jac[:, band_from]
-    # rhs[j, i, width + r] is the entry (r, j) of row i's M: column-major
-    # right-hand sides of the stacked system.
-    rhs = np.zeros((k, b, size))
-    rhs[col, :, row] = jac[:, inputs_from].T
-    G = dtbtrs(band.reshape(-1, width + 1).T, rhs.reshape(k, -1).T, trans="T", diag="U")[0]
-    G = G.T.reshape(k, b, size)
+    gathered = np.concatenate((jac, -jac, np.zeros((b, 1))), axis=1).take(table, axis=1)
+    band = gathered[:, :entries].reshape(-1, width + 1)
+    # rhs[i, j, width + r] is the entry (r, j) of row i's M; the stacked
+    # system takes its column-major right-hand sides (k, b, size).
+    rhs = gathered[:, entries:].reshape(b, k, -1)
+    G = dtbtrs(band.T, rhs.transpose(1, 0, 2).reshape(k, -1).T, trans="T", diag="U", overwrite_b=True)[0]
+    G = G.T.reshape(k, b, -1)
     if b > 1 and not np.isfinite(G).all():
         for i in np.flatnonzero(~np.isfinite(G).all(axis=(0, 2))):
-            G[:, i] = dtbtrs(band[i].T, rhs[:, i].T, trans="T", diag="U")[0].T
+            G[:, i] = dtbtrs(band.reshape(b, -1, width + 1)[i].T, rhs[i].T, trans="T", diag="U")[0].T
     # C-ordered rows, whose products do not depend on the batch size.
     G = np.ascontiguousarray(G[:, :, width:].transpose(1, 2, 0))
     qg = np.matmul(q_bar, G)
-    grad = 2.0 * (_matvec(qg.transpose(0, 2, 1), sweep.outputs.reshape(b, -1)) + _matvec(r_bar, u))
+    grad = 2.0 * (np.matvec(qg.transpose(0, 2, 1), sweep.outputs.reshape(b, -1)) + np.matvec(r_bar, u))
     return grad, 2.0 * (np.matmul(G.transpose(0, 2, 1), qg) + r_bar)
 
 
@@ -359,21 +358,20 @@ def _secant_update(rows: _Rows, gn: np.ndarray, y: np.ndarray) -> None:
     ``A += y y^T / s.y - Bs Bs^T / s.Bs``, so that ``gn + A`` maps ``s`` to
     ``y``.  A row whose update overflows restarts from ``A = 0``."""
     s = rows.step
-    bs = _matvec(gn + rows.secant, s)
+    bs = np.matvec(gn + rows.secant, s)
     sy, sbs = np.vecdot(s, y), np.vecdot(s, bs)
-    ok = (sy > 0) & (sbs > 0)
-    if not ok.any():
+    ok = (sy > _ZERO) & (sbs > _ZERO)
+    if not np.count_nonzero(ok):
         return
     # A slice when every row updates, so that no row is copied out.
-    pick = slice(None) if ok.all() else ok
+    pick = slice(None) if np.count_nonzero(ok) == ok.size else ok
     y, bs, sy, sbs = y[pick], bs[pick], sy[pick], sbs[pick]
-    rows.secant[pick] = (
-        rows.secant[pick]
-        + y[:, :, None] * y[:, None, :] / sy[:, None, None]
-        - bs[:, :, None] * bs[:, None, :] / sbs[:, None, None]
-    )
+    secant = rows.secant[pick]
+    secant += y[:, :, None] * y[:, None, :] / sy[:, None, None]
+    secant -= bs[:, :, None] * bs[:, None, :] / sbs[:, None, None]
+    rows.secant[pick] = secant
     # A pair too large for floating point restarts its row from zero.
-    if not np.isfinite(rows.secant).all():
+    if not _finite(rows.secant):
         rows.secant[~np.isfinite(rows.secant).all(axis=(1, 2))] = 0.0
 
 
@@ -388,7 +386,7 @@ def _free_step(B: np.ndarray, free: np.ndarray, g: np.ndarray, eye: np.ndarray) 
     are.  A singular matrix makes the stacked solve raise for every row;
     the rows are then solved one by one, and a singular row's step is NaN.
     """
-    if free.all():
+    if np.count_nonzero(free) == free.size:
         restricted, rhs = B, g[..., None]
     else:
         restricted = np.where(free[:, :, None] & free[:, None, :], B, eye)
@@ -474,27 +472,36 @@ def solve_ocp_batch(
     stopped at ``max_iters`` or at a line search that found no decrease.
     """
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
+    return _descend(f, X0, cfg, warm, secant, X0.shape[:1])
+
+
+def _descend(f: NarxDynamics, X0: np.ndarray, cfg: MpcConfig, warm, secant, lead: tuple[int, ...]):
+    """:func:`solve_ocp_batch` from the rows of ``X0`` (B, n), with ``warm``
+    and ``secant`` checked once, against the shapes of ``lead`` problems:
+    ``(B,)``, or ``()`` for the one problem of :func:`solve_ocp`."""
     weights = cfg.weights
     b, shape = X0.shape[0], (cfg.horizon, cfg.dims.m)
     k = shape[0] * shape[1]
     lo, hi = cfg._input_bounds
-    starts = np.zeros((b, k)) if warm is None else _checked("warm", warm, (b, *shape)).reshape(b, k)
+    U = np.zeros(lead + (k,)) if warm is None else _checked("warm", warm, lead + shape)
+    U = _project(U.reshape(b, k), lo, hi)
     if secant is not None:
-        secant = _checked("secant", secant, (b, k, k))
-        if not np.isfinite(secant).all():
+        secant = _checked("secant", secant, lead + (k, k))
+        if not _finite(secant):
             raise ValueError("secant must have finite entries")
-    U = _project(starts, lo, hi)
+        secant = secant.reshape(b, k, k).copy()
     q_bar, r_bar, eye = cfg.horizon_blocks
     value, sweep = _evaluate(f, X0, U.reshape(b, *shape), weights)
-    # Every row starts live on arrays of the solve's own (X0 is only read,
-    # secant copied); rows whose cost is not finite leave at once.
+    # Every row starts live on the solve's own arrays (X0 is only read); rows whose
+    # cost is not finite leave at once, and rounds set norms and decreases before use.
+    unset = np.zeros(b)
     rows = _Rows(
-        np.arange(b), X0, U, value, np.zeros((b, k, k)) if secant is None else secant.copy(),
-        np.zeros((b, k)), np.zeros((b, k)), np.full(b, np.inf), np.full(b, np.inf), np.zeros(b, dtype=int), sweep,
+        np.arange(b), X0, U, value, np.zeros((b, k, k)) if secant is None else secant,
+        np.zeros((b, k)), np.zeros((b, k)), unset, unset, np.zeros(b, dtype=int), sweep,
     )
     results: list[OcpSolution | SolverError | None] = [None] * b
     finite = np.isfinite(value)
-    if not (b and finite.all()):
+    if not (b and np.count_nonzero(finite) == b):
         for i in np.flatnonzero(~finite):
             results[i] = SolverError(f"initial cost is not finite ({value[i]}) at the start sequence")
         rows = rows.take(finite) if finite.any() else None
@@ -503,20 +510,21 @@ def solve_ocp_batch(
         """Write the solutions of the rows ``out``; ``rows`` keeps the
         others, or is None when no row is left."""
         nonlocal rows
-        for j in np.flatnonzero(out):
+        values, norms, decreases = rows.value.tolist(), rows.norm.tolist(), rows.decrease.tolist()
+        for j in out.nonzero()[0]:
             results[rows.index[j]] = OcpSolution(
                 u_star=rows.u[j].reshape(shape),
                 outputs=rows.sweep.outputs[j],
                 secant=rows.secant[j],
-                value=float(rows.value[j]),
+                value=values[j],
                 iterations=count,
                 backtracks=int(rows.backtracks[j]),
-                grad_norm=float(rows.norm[j]),
-                predicted_decrease=float(rows.decrease[j]),
+                grad_norm=norms[j],
+                predicted_decrease=decreases[j],
                 converged=conv,
             )
         keep = ~out
-        rows = rows.take(keep) if keep.any() else None
+        rows = rows.take(keep) if np.count_nonzero(keep) else None
         return keep
 
     for rnd in range(cfg.solver.max_iters):
@@ -528,7 +536,7 @@ def solve_ocp_batch(
         # secant part restarts from zero (:func:`_secant_update`).
         with np.errstate(invalid="ignore", over="ignore"):
             g, gn = _derivatives(f.dims, rows.sweep, rows.u, q_bar, r_bar)
-            if not (np.isfinite(g).all() and np.isfinite(gn).all()):
+            if not (_finite(g) and _finite(gn)):
                 finite = np.isfinite(g).all(axis=1) & np.isfinite(gn).all(axis=(1, 2))
                 failed = rows.index[~finite]
                 keep = leave(~finite, rnd, False)
@@ -542,39 +550,40 @@ def solve_ocp_batch(
             u = rows.u
             pg = u - _project(u - g, lo, hi)
             rows.norm = np.sqrt(np.vecdot(pg, pg))
-            eps = np.minimum(rows.norm, ACTIVE_WIDTH)[:, None]
-            active = ((u <= lo + eps) & (g > 0)) | ((u >= hi - eps) & (g < 0))
+            eps = np.minimum(rows.norm, _ACTIVE_WIDTH)[:, None]
+            active = ((u <= lo + eps) & (g > _ZERO)) | ((u >= hi - eps) & (g < _ZERO))
             free = ~active
             d = _free_step(gn + rows.secant, free, g, eye)
             slope = np.vecdot(g, d)
-            g_active = np.where(active, g, 0.0)
-            reset = ~(slope > 0)
-            if reset.any():
+            g_active = np.where(active, g, _ZERO)
+            reset = ~(slope > _ZERO)
+            if np.count_nonzero(reset):
                 reset &= np.any(free & (g != 0), axis=1)
             # The two-metric direction and the decrease its full step promises.
             direction = np.where(active, g, d)
             rows.decrease = slope + np.vecdot(g_active, u - _project(u - direction, lo, hi))
-            floor = NOISE_FLOOR * np.abs(rows.value)
+            floor = _NOISE_FLOOR * np.abs(rows.value)
             if not rnd and secant is not None:
                 # No pair of the solve has tested a secant start yet: it may
                 # not stop a row at its start by the noise floor.
-                untested = (rows.norm > GRAD_TOL) & (rows.decrease <= floor)
-                reset |= untested & rows.secant.any(axis=(1, 2))
-            if reset.any():
+                untested = (rows.norm > _GRAD_TOL) & (rows.decrease <= floor)
+                if np.count_nonzero(untested):
+                    reset |= untested & rows.secant.any(axis=(1, 2))
+            if np.count_nonzero(reset):
                 rows.secant[reset] = 0.0
                 d[reset] = _free_step(gn[reset], free[reset], g[reset], eye)
                 slope[reset] = np.vecdot(g[reset], d[reset])
                 direction = np.where(active, g, d)
                 rows.decrease = slope + np.vecdot(g_active, u - _project(u - direction, lo, hi))
-        stop = (rows.norm <= GRAD_TOL) | (rows.decrease <= floor)
-        if stop.any():
+        stop = (rows.norm <= _GRAD_TOL) | (rows.decrease <= floor)
+        if np.count_nonzero(stop):
             keep = leave(stop, rnd, True)
             if rows is None:
                 break
             direction, slope, g_active, g = direction[keep], slope[keep], g_active[keep], g[keep]
         accepted = _armijo_search(f, rows, direction, slope, g_active, lo, hi, shape, weights)
         rows.grad = g
-        if not accepted.all():
+        if np.count_nonzero(accepted) < accepted.size:
             leave(~accepted, rnd + 1, False)
     else:
         if rows is not None:
@@ -607,7 +616,7 @@ def _armijo_search(f, rows: _Rows, d, slope, g_active, lo, hi, shape, weights: S
         cand_value, sweep = _evaluate(f, x, cand.reshape(-1, *shape), weights)
         sufficient = ARMIJO * (t * slope + np.vecdot(g_active, u - cand))
         ok = np.isfinite(cand_value) & (cand_value <= value - sufficient)
-        if t == 1.0 and ok.all():
+        if t == 1.0 and np.count_nonzero(ok) == ok.size:
             rows.step, rows.u, rows.value, rows.sweep = cand - u, cand, cand_value, sweep
             return ok
         hit = todo[ok]
@@ -636,12 +645,7 @@ def solve_ocp(
     from the secant part ``secant`` (N m, N m), or from zeros.  Raises
     the row's :class:`SolverError`.
     """
-    shape = (cfg.horizon, cfg.dims.m)
-    if warm is not None:
-        warm = _checked("warm", warm, shape)[None]
-    if secant is not None:
-        secant = _checked("secant", secant, (shape[0] * shape[1],) * 2)[None]
-    result = solve_ocp_batch(f, np.asarray(x0, dtype=float)[None], cfg, warm, secant)[0]
+    result = _descend(f, np.asarray(x0, dtype=float)[None], cfg, warm, secant, ())[0]
     if isinstance(result, SolverError):
         raise result
     return result
@@ -655,8 +659,8 @@ class ClosedLoopTrace:
     holds the open-loop optimal values at every measured state including
     a diagnostic solve at the final one; ``storage_values`` and
     ``lyapunov`` are filled when a storage matrix is supplied to
-    :func:`run_closed_loop`.  A solver failure truncates the trace and
-    records the failing step and message.
+    :func:`run_closed_loop`, ``weights`` holds the loop's stage-cost weights,
+    and a solver failure truncates the trace and records its step and message.
     """
 
     states: np.ndarray
@@ -673,6 +677,7 @@ class ClosedLoopTrace:
     lyapunov: np.ndarray | None = None
     backtracks: np.ndarray | None = None
     normalization: object | None = None
+    weights: StageCostWeights | None = None
     failed_step: int | None = None
     failure: str | None = None
 
@@ -747,9 +752,9 @@ def run_closed_loop(
             states[k + 1] = shift_state(states[k], y_next, u0, dims)
             inputs[k], outputs[k] = u0, y_next
             stage_costs[k] = stage_cost(y_next, u0, cfg.weights)
-            warm = np.zeros_like(sol.u_star)
+            warm = np.zeros(sol.u_star.shape)
             warm[:-1] = sol.u_star[1:]
-            secant = np.zeros_like(sol.secant)
+            secant = np.zeros(sol.secant.shape)
             secant[: -dims.m, : -dims.m] = sol.secant[dims.m :, dims.m :]
         values[k], grad_norms[k] = sol.value, sol.grad_norm
         iterations[k], backtracks[k], converged[k] = sol.iterations, sol.backtracks, sol.converged
@@ -767,6 +772,7 @@ def run_closed_loop(
         dims=dims,
         horizon=cfg.horizon,
         normalization=normalization,
+        weights=cfg.weights,
         failed_step=failed_step,
         failure=failure,
     )

@@ -79,25 +79,26 @@ class TwoTankParams:
 
 def _work(drive, params: TwoTankParams):
     """The work of :func:`_rates` at the inflow rate ``drive = u / A1``:
-    the array ``[q2, q12, drive]`` and the weights ``[c2, c12]``."""
-    flows = np.empty((3,) + drive.shape)
-    flows[2] = drive
-    return flows, np.array([params.c2, params.c12]).reshape((2,) + (1,) * drive.ndim)
+    the views ``[0, h1]``, ``[q2, q12]`` and ``[q12, drive]`` of one buffer
+    ``[0, h1, q2, q12, drive]``, and the weights ``[c2, c12]``."""
+    buffer = np.zeros((5,) + drive.shape)
+    buffer[4] = drive
+    return buffer[:2], buffer[2:4], buffer[3:], np.array([params.c2, params.c12]).reshape((2,) + (1,) * drive.ndim)
 
 
 def _rates(levels, work, dual: bool):
     """Level derivatives ``[dh1, dh2]`` of the stacked levels ``[h1, h2]``
-    (2, ...): both roots (:func:`_root`) of the heads ``[h1, h2 - h1]`` in
-    one pass, then one difference of ``[q2, q12, drive]``.  Outside the
+    (2, ...): the heads ``[h1, h2 - h1]`` by one subtraction, their roots
+    (:func:`_root`) in one pass, then one difference of flows.  Outside the
     domain (lower level below zero, or upper level below the lower one,
     beyond rounding noise) the affected derivatives are NaN, without a
     floating-point warning.  With ``dual`` the last axis holds a value and
     then its tangents, and the values are those of the plain call."""
-    flows, weights = work
-    flows[0] = levels[0]
-    flows[1] = levels[1] - levels[0]
-    np.multiply(_root(flows[:2], dual), weights, out=flows[:2])
-    return flows[1:] - flows[:2]
+    lower, flows, inflows, weights = work
+    lower[1] = levels[0]
+    np.subtract(levels, lower, out=flows)
+    np.multiply(_root(flows, dual), weights, out=flows)
+    return inflows - flows
 
 
 def _root(z, dual: bool):
@@ -128,17 +129,17 @@ def two_tank_step(h1, h2, u, params: TwoTankParams, dual: bool = False):
     return levels[0], levels[1]
 
 
+@np.errstate(invalid="ignore")
 def _rk4(levels, work, dt: float, dual: bool):
     """One classical Runge-Kutta step of length ``dt`` of the stacked
     levels ``[h1, h2]`` (2, ...), one :func:`_rates` call per stage, so
     the arguments are converted once per step rather than per stage."""
     half = 0.5 * dt
-    with np.errstate(invalid="ignore"):
-        a = _rates(levels, work, dual)
-        b = _rates(levels + half * a, work, dual)
-        c = _rates(levels + half * b, work, dual)
-        e = _rates(levels + dt * c, work, dual)
-        return levels + dt / 6.0 * (a + 2.0 * b + 2.0 * c + e)
+    a = _rates(levels, work, dual)
+    b = _rates(levels + half * a, work, dual)
+    c = _rates(levels + half * b, work, dual)
+    e = _rates(levels + dt * c, work, dual)
+    return levels + dt / 6.0 * (a + 2.0 * b + 2.0 * c + e)
 
 
 def _at_least(z, floor, dual: bool):
@@ -164,9 +165,10 @@ def _total_step(h1, h2, u, params: TwoTankParams, dual: bool = False):
     it when the levels are nearly equal and the pump flow is small.
     Rows where the full-interval step fails are re-integrated with
     progressively finer substeps, down to 64, which reproduces the
-    invariant flow; rows that stay invalid at 64 substeps raise.
-    With ``dual``, a substepped row gets the tangent of its substeps, and
-    each clamp between them the tangent of the side it takes.
+    invariant flow; rows that stay invalid at 64 substeps raise.  The
+    arguments are scalars or arrays of one shape, and the levels come
+    back at least 1-D.  With ``dual``, a substepped row gets the tangent
+    of its substeps, and each clamp between them that of the side it takes.
     """
     new, bad = _substepped(h1, h2, u, params, dual)
     _raise_if_invalid(bad)
@@ -176,7 +178,7 @@ def _total_step(h1, h2, u, params: TwoTankParams, dual: bool = False):
 def _raise_if_invalid(bad) -> None:
     """Raise :class:`DomainError` when a row of the mask ``bad`` stayed
     invalid down to the finest substep."""
-    if bad.any():
+    if np.count_nonzero(bad):
         raise DomainError(
             f"{int(np.sum(bad))} state(s) stayed invalid down to "
             f"{2 ** _SUBSTEP_LEVELS} substeps; levels outside h2 >= h1 >= 0"
@@ -187,13 +189,14 @@ def _substepped(h1, h2, u, params: TwoTankParams, dual: bool):
     """The stacked levels (2, ...) of :func:`_total_step` and the mask of
     the rows that stayed invalid down to the finest substep, which
     :func:`_total_step` raises on."""
-    h1, h2, u = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in (h1, h2, u)))
-    levels, drive = np.stack([h1, h2]), u / params.A1
+    stacked = np.array([h1, h2, u], dtype=float)
+    stacked = stacked.reshape((3,) + (stacked.shape[1:] or (1,)))
+    levels, drive = stacked[:2], stacked[2] / params.A1
     new = _rk4(levels, _work(drive, params), params.dt, dual)
     bad = ~np.isfinite(_value(new, dual)).all(axis=0)
     splits = 1
     for _ in range(_SUBSTEP_LEVELS):
-        if not bad.any():
+        if not np.count_nonzero(bad):
             break
         splits *= 2
         part, work = levels[:, bad], _work(drive[bad], params)
@@ -345,8 +348,8 @@ class TwoTankPlant:
     def output(self, x, u):
         """Apply the normalized input ``u`` (m,) and return the normalized
         output (p,); ``x`` is not read."""
-        u_raw = self.norm.denormalize_input(np.atleast_1d(np.asarray(u, dtype=float)))
-        return self.norm.normalize_output(np.array([self.step(float(u_raw[0]))]))
+        u_raw = self.norm.denormalize_input(u)
+        return self.norm.normalize_output(np.array([self.step(u_raw.flat[0])]))
 
 
 class TwoTankNarxDynamics(NarxDynamics):

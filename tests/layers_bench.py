@@ -13,9 +13,12 @@ surrogate at ``D``:
 - the fit itself (``fit_interpolant`` on the benchmark's dataset);
 - one value row at B=1 and at B=64 (``output_batch``);
 - one B=1, N=20 sweep;
+- the stage costs of that sweep's outputs and inputs (``stage_cost``);
 - the gradient and Gauss-Newton Hessian of that sweep (``_derivatives``);
 - the free step of its model with every coordinate free (``_free_step``);
 - a solve of the reference episode that stops at its warm start;
+- the same solve on a model whose ``sweep`` returns the start's stored
+  ``Sweep``: the solve's fixed cost, without kernel rows;
 - one plant step (``TwoTankPlant.output``);
 - one reference episode (``simulate_loop``, 100 steps and 101 solves).
 
@@ -87,6 +90,7 @@ def layers(request):
     finally:
         mpc.solve_ocp = solve
     stopped = next(start for start in starts if start[1] is not None and start[3] == 0)
+    start = mpc._project(stopped[1].reshape(1, -1), *mpc_cfg._input_bounds).reshape(1, *stopped[1].shape)
     rng = np.random.default_rng(0)
     X0 = rng.uniform(-0.3, 0.3, size=(1, cfg.dims.n))
     U = rng.uniform(-0.1, 0.1, size=(1, cfg.horizon, cfg.dims.m))
@@ -104,7 +108,19 @@ def layers(request):
         "u": u,
         "gn": gn,
         "stopped": stopped[:3],
+        "stored": _StoredSweep(model, model.sweep(stopped[0][None], start)),
     }
+
+
+class _StoredSweep:
+    """A model whose ``sweep`` returns one stored ``Sweep``, whatever it is
+    asked: a solve on it that stops at its start pays no kernel row."""
+
+    def __init__(self, model, sweep):
+        self.dims, self._sweep = model.dims, sweep
+
+    def sweep(self, X0, U):
+        return self._sweep
 
 
 def test_fit(benchmark, layers):
@@ -125,6 +141,10 @@ def test_sweep_b1_n20(benchmark, layers):
     benchmark(layers["model"].sweep, layers["X0"], layers["U"])
 
 
+def test_stage_cost(benchmark, layers):
+    benchmark(mpc.stage_cost, layers["sweep"].outputs, layers["U"], layers["mpc_cfg"].weights)
+
+
 def test_derivatives(benchmark, layers):
     q_bar, r_bar, _ = layers["mpc_cfg"].horizon_blocks
     benchmark(mpc._derivatives, layers["cfg"].dims, layers["sweep"], layers["u"], q_bar, r_bar)
@@ -139,6 +159,12 @@ def test_free_step(benchmark, layers):
 def test_solve_stopping_at_its_warm_start(benchmark, layers):
     x0, warm, secant = layers["stopped"]
     sol = benchmark(mpc.solve_ocp, layers["model"], x0, layers["mpc_cfg"], warm, secant)
+    assert sol.iterations == 0 and sol.converged
+
+
+def test_solve_fixed_cost(benchmark, layers):
+    x0, warm, secant = layers["stopped"]
+    sol = benchmark(mpc.solve_ocp, layers["stored"], x0, layers["mpc_cfg"], warm, secant)
     assert sol.iterations == 0 and sol.converged
 
 

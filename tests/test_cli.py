@@ -877,6 +877,30 @@ class TestBenchmark:
         with pytest.raises(ConfigError, match="u_scale = "):
             load_trace(path, cfg.dims, cfg.horizon, replace(cfg, u_hi=3e-5).normalization())
 
+    def test_a_library_trace_is_certified_only_under_its_own_weights(self, cfg, tmp_path, monkeypatch):
+        """A loaded trace carries the weights its sidecar records, and
+        ``certify_trace`` under another ``Q`` or ``R`` raises in the words
+        of a sidecar check before the growth grid runs; under its own
+        weights it certifies."""
+        run_benchmark(replace(cfg, steps=12), out_dir=tmp_path, sizes=(101,), b_states=2, b_horizon=1)
+        trace = load_trace(tmp_path / "trace_norm_D101.csv", cfg.dims, cfg.horizon, cfg.normalization())
+        assert (trace.weights.Q.tolist(), trace.weights.R.tolist()) == ([[1.0]], [[0.1]])
+        model = load_model(tmp_path / "model_D101.csv")
+        grid = narxmpc.bench.estimate_growth_bound
+
+        def grid_must_not_run(*args, **kwargs):
+            raise AssertionError("the growth-bound grid ran under other weights")
+
+        monkeypatch.setattr(narxmpc.bench, "estimate_growth_bound", grid_must_not_run)
+        for other, message in (
+            ({"q_weight": 5.0}, "trace: Q = 1 does not match the configuration's 5$"),
+            ({"r_weight": 0.2}, "trace: R = 0.10000000000000001 does not match the configuration's 0.20000000000000001$"),
+        ):
+            with pytest.raises(ConfigError, match=message):
+                narxmpc.bench.certify_trace(replace(cfg, **other), model, trace, b_states=2, b_horizon=1)
+        monkeypatch.setattr(narxmpc.bench, "estimate_growth_bound", grid)
+        assert narxmpc.bench.certify_trace(cfg, model, trace, b_states=2, b_horizon=1)[1].steps == 12
+
     def test_cli_chain_writes_the_bundle_files(self, tmp_path):
         """generate, fit, simulate and certify run the stages of benchmark:
         each writes the bytes of the matching bundle file."""

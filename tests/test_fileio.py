@@ -292,6 +292,16 @@ class TestTraceIo:
         assert_array_equal(back.lyapunov, trace.lyapunov)
         assert_array_equal(back.iterations, trace.iterations)
         assert_array_equal(back.converged, trace.converged)
+        assert_array_equal(back.weights.Q, [[trace_cfg.q_weight]])
+        assert_array_equal(back.weights.R, [[trace_cfg.r_weight]])
+
+    def test_sidecar_without_weights_is_rejected(self, trace_cfg, tmp_path):
+        path = tmp_path / "trace.csv"
+        save_trace(_linear_closed_loop(steps=2), path, trace_cfg)
+        meta = read_keyvalues(tmp_path / "trace.csv.meta")
+        write_keyvalues(tmp_path / "trace.csv.meta", {key: value for key, value in meta.items() if key != "R"})
+        with pytest.raises(ConfigError, match="trace.csv: sidecar is missing the R entry"):
+            load_trace(path, DIMS, horizon=4)
 
     def test_terminal_diagnostic_row(self, trace_cfg, tmp_path):
         trace = _linear_closed_loop(steps=3)

@@ -1,10 +1,14 @@
-"""The benchmark harness still runs against the package.
+"""The benchmark harness and the layer timings still run against the package.
 
 ``perfbench/`` imports and reads names of the package (such as
 ``bench.plant_views`` and ``SolverConfig.multistart``), so a change under
 ``src/`` that removes one of them breaks the benchmark without failing
 any unit test.  Each workload runs here once at its tiny size, traced,
-in a fresh interpreter from the root of the checkout.
+in a fresh interpreter from the root of the checkout.  So do the D=101
+and plant-side layers of ``tests/layers_bench.py``, once each with
+timing disabled, since they call private names (``mpc._derivatives``,
+``mpc._free_step``, ``twotank._previous_upper_level``) that no unit test
+reaches the same way.
 """
 
 from __future__ import annotations
@@ -40,3 +44,19 @@ def test_tiny_traced_run_is_correct(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"], proc.stdout
     assert result["failed"] == 0, proc.stdout
+
+
+def test_layer_timings_run_once():
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "tests/layers_bench.py",
+            "-k", "not D2501", "--benchmark-disable", "-q", "-p", "no:cacheprovider",
+        ],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    summary = proc.stdout.strip().splitlines()[-1]
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert " passed" in summary and "skipped" not in summary and "deselected" in summary, summary

@@ -279,6 +279,45 @@ def test_dual_two_tank_step_keeps_the_plain_values(rows, seed, directions):
     assert_array_equal(np.signbit(got), np.signbit(plain))
 
 
+# (h1, h2 - h1, weak pump) start rows of closed-loop plants: equal,
+# nearly equal or independent levels, and inputs up to 1e-5 m^3/s on a
+# weak pump, where a step from nearly equal levels needs substeps.
+plant_starts = st.lists(
+    st.tuples(st.floats(0.0, 0.5), st.one_of(st.just(0.0), st.floats(1e-12, 1e-3), st.floats(0.0, 0.3)), st.booleans()),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(starts=plant_starts, steps=st.integers(1, 12), seed=seeds)
+@example(starts=[(0.026965351190828213, 0.00045027987377157, True)], steps=3, seed=0)
+def test_plant_steps_are_rows_of_one_batched_total_step(starts, steps, seed):
+    """Closed-loop plants driven by random held inputs give, bit for bit,
+    the rows of one batched ``_total_step`` per step from the same levels
+    (signs of zero included), also where the single Runge-Kutta step
+    fails and substeps recover it.  When the batch raises, a plant raises
+    at that step too."""
+    cfg = twotank.BenchmarkConfig()
+    h1 = np.array([row[0] for row in starts])
+    h2 = h1 + np.array([row[1] for row in starts])
+    top = np.where([row[2] for row in starts], 1e-5, cfg.u_hi)
+    inputs = np.random.default_rng(seed).uniform(0.0, 1.0, (steps, len(starts))) * top
+    plants = [twotank.TwoTankPlant(cfg, a, b) for a, b in zip(h1, h2)]
+    for u in inputs:
+        try:
+            h1, h2 = twotank._total_step(h1, np.maximum(h2, h1), u, cfg.params)
+        except twotank.DomainError:
+            with pytest.raises(twotank.DomainError):
+                for plant, held in zip(plants, u):
+                    plant.step(held)
+            return
+        for plant, held in zip(plants, u):
+            plant.step(held)
+        levels = np.array([[plant.h1, plant.h2] for plant in plants])
+        assert_array_equal(levels, np.column_stack([h1, h2]))
+        assert_array_equal(np.signbit(levels), np.signbit(np.column_stack([h1, h2])))
+
+
 @given(
     seed=seeds,
     rows=st.integers(1, 1500),
