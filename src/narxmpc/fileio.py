@@ -298,13 +298,15 @@ def save_trace(trace: ClosedLoopTrace, path, cfg, raw: bool = False) -> None:
     With ``raw=True`` states, inputs and outputs are denormalized; the
     scalar diagnostics keep their normalized meaning.  The sidecar's
     ``units`` entry (``raw`` or ``normalized``) records which table this
-    is, since both have the same header.  The sidecar records ``cfg``, so
-    a trace whose horizon ``N``, dimensions ``p``, ``m``, ``nu`` or
-    normalization (when it carries one) differ from those of ``cfg``
-    raises ``ConfigError`` naming the key, and nothing is written.
+    is, since both have the same header.  The sidecar records ``cfg``, so a trace
+    whose horizon ``N``, dimensions ``p``, ``m``, ``nu``, normalization or weights
+    ``Q`` and ``R`` (when it carries them) differ from those of ``cfg`` raises
+    ``ConfigError`` naming the key, and nothing is written.
     """
     fmt = "narxmpc-trace-v1"
     carried = _trace_entries(trace.dims, trace.horizon, trace.normalization)
+    if trace.weights is not None:
+        carried.update(Q=trace.weights.Q, R=trace.weights.R)
     entries = _require_entries(f"trace for {path}", carried, _entries(cfg, fmt), keys=carried)
     write_csv(path, trace_header(trace.dims), _trace_rows(trace, raw))
     write_keyvalues(

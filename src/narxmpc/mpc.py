@@ -166,12 +166,17 @@ class MpcConfig:
 
     @cached_property
     def _input_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """The input box over the flattened horizon as one row (1, N m),
-        which a batch of one meets without broadcasting; read-only."""
+        """The input box over the flattened horizon, one (1, N m) row; read-only."""
         bounds = np.tile(self.input_box.lo, (1, self.horizon)), np.tile(self.input_box.hi, (1, self.horizon))
         for bound in bounds:
             bound.flags.writeable = False
         return bounds
+
+
+def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Stacked products ``A[b] @ v[b]``; each row equals its 2-D product bit
+    for bit, which a single (B, k) @ (k, p) product does not."""
+    return np.matmul(A, v[..., None])[..., 0]
 
 
 @dataclass
@@ -221,10 +226,6 @@ ARMIJO = 1e-4
 #: Backtracking factor of the line search, which starts at the unit
 #: quasi-Newton step.
 SHRINK = 0.5
-
-# Zero and the round's tolerances as 0-d arrays, which ufuncs take without converting.
-_ZERO, _ACTIVE_WIDTH, _NOISE_FLOOR, _GRAD_TOL = (np.array(v) for v in (0.0, ACTIVE_WIDTH, NOISE_FLOOR, GRAD_TOL))
-
 
 def _finite(x: np.ndarray) -> bool:
     """Whether every entry of ``x`` is finite, by a count that costs less than ``.all()``."""
@@ -347,7 +348,7 @@ def _derivatives(
     # C-ordered rows, whose products do not depend on the batch size.
     G = np.ascontiguousarray(G[:, :, width:].transpose(1, 2, 0))
     qg = np.matmul(q_bar, G)
-    grad = 2.0 * (np.matvec(qg.transpose(0, 2, 1), sweep.outputs.reshape(b, -1)) + np.matvec(r_bar, u))
+    grad = 2.0 * (_matvec(qg.transpose(0, 2, 1), sweep.outputs.reshape(b, -1)) + _matvec(r_bar, u))
     return grad, 2.0 * (np.matmul(G.transpose(0, 2, 1), qg) + r_bar)
 
 
@@ -358,9 +359,9 @@ def _secant_update(rows: _Rows, gn: np.ndarray, y: np.ndarray) -> None:
     ``A += y y^T / s.y - Bs Bs^T / s.Bs``, so that ``gn + A`` maps ``s`` to
     ``y``.  A row whose update overflows restarts from ``A = 0``."""
     s = rows.step
-    bs = np.matvec(gn + rows.secant, s)
+    bs = _matvec(gn + rows.secant, s)
     sy, sbs = np.vecdot(s, y), np.vecdot(s, bs)
-    ok = (sy > _ZERO) & (sbs > _ZERO)
+    ok = (sy > 0) & (sbs > 0)
     if not np.count_nonzero(ok):
         return
     # A slice when every row updates, so that no row is copied out.
@@ -494,10 +495,9 @@ def _descend(f: NarxDynamics, X0: np.ndarray, cfg: MpcConfig, warm, secant, lead
     value, sweep = _evaluate(f, X0, U.reshape(b, *shape), weights)
     # Every row starts live on the solve's own arrays (X0 is only read); rows whose
     # cost is not finite leave at once, and rounds set norms and decreases before use.
-    unset = np.zeros(b)
     rows = _Rows(
         np.arange(b), X0, U, value, np.zeros((b, k, k)) if secant is None else secant,
-        np.zeros((b, k)), np.zeros((b, k)), unset, unset, np.zeros(b, dtype=int), sweep,
+        np.zeros((b, k)), np.zeros((b, k)), np.zeros(b), np.zeros(b), np.zeros(b, dtype=int), sweep,
     )
     results: list[OcpSolution | SolverError | None] = [None] * b
     finite = np.isfinite(value)
@@ -550,23 +550,23 @@ def _descend(f: NarxDynamics, X0: np.ndarray, cfg: MpcConfig, warm, secant, lead
             u = rows.u
             pg = u - _project(u - g, lo, hi)
             rows.norm = np.sqrt(np.vecdot(pg, pg))
-            eps = np.minimum(rows.norm, _ACTIVE_WIDTH)[:, None]
-            active = ((u <= lo + eps) & (g > _ZERO)) | ((u >= hi - eps) & (g < _ZERO))
+            eps = np.minimum(rows.norm, ACTIVE_WIDTH)[:, None]
+            active = ((u <= lo + eps) & (g > 0)) | ((u >= hi - eps) & (g < 0))
             free = ~active
             d = _free_step(gn + rows.secant, free, g, eye)
             slope = np.vecdot(g, d)
-            g_active = np.where(active, g, _ZERO)
-            reset = ~(slope > _ZERO)
+            g_active = np.where(active, g, 0.0)
+            reset = ~(slope > 0)
             if np.count_nonzero(reset):
                 reset &= np.any(free & (g != 0), axis=1)
             # The two-metric direction and the decrease its full step promises.
             direction = np.where(active, g, d)
             rows.decrease = slope + np.vecdot(g_active, u - _project(u - direction, lo, hi))
-            floor = _NOISE_FLOOR * np.abs(rows.value)
+            floor = NOISE_FLOOR * np.abs(rows.value)
             if not rnd and secant is not None:
                 # No pair of the solve has tested a secant start yet: it may
                 # not stop a row at its start by the noise floor.
-                untested = (rows.norm > _GRAD_TOL) & (rows.decrease <= floor)
+                untested = (rows.norm > GRAD_TOL) & (rows.decrease <= floor)
                 if np.count_nonzero(untested):
                     reset |= untested & rows.secant.any(axis=(1, 2))
             if np.count_nonzero(reset):
@@ -575,7 +575,7 @@ def _descend(f: NarxDynamics, X0: np.ndarray, cfg: MpcConfig, warm, secant, lead
                 slope[reset] = np.vecdot(g[reset], d[reset])
                 direction = np.where(active, g, d)
                 rows.decrease = slope + np.vecdot(g_active, u - _project(u - direction, lo, hi))
-        stop = (rows.norm <= _GRAD_TOL) | (rows.decrease <= floor)
+        stop = (rows.norm <= GRAD_TOL) | (rows.decrease <= floor)
         if np.count_nonzero(stop):
             keep = leave(stop, rnd, True)
             if rows is None:

@@ -51,9 +51,12 @@ _SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads
 
 def _one_blas_thread() -> int:
     """Set every loaded OpenBLAS pool to one thread; returns how many
-    pools were set."""
-    with open("/proc/self/maps") as fh:
-        paths = {line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line}
+    pools were set, 0 where the process has no ``/proc/self/maps``."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line}
+    except OSError:
+        return 0
     pools = 0
     for path in sorted(paths):
         lib = ctypes.CDLL(path)

@@ -347,9 +347,9 @@ class TestTraceIo:
             load_trace(path, NarxDims(p=1, m=1, nu=3), horizon=4)
 
     def test_sidecar_must_describe_the_trace(self, trace_cfg, tmp_path):
-        """A trace whose horizon, dimensions or normalization differ from
-        the configuration's is not written under it, and the error names
-        the sidecar key."""
+        """A trace whose horizon, dimensions, normalization or weights
+        differ from the configuration's is not written under it, and the
+        error names the sidecar key."""
         trace = _linear_closed_loop(steps=2, normalization=trace_cfg.normalization())
         path = tmp_path / "trace.csv"
         norm = trace.normalization
@@ -358,6 +358,8 @@ class TestTraceIo:
             (trace_cfg, replace(trace, dims=NarxDims(p=2, m=1, nu=2)), "p = 2 "),
             (trace_cfg, replace(trace, dims=NarxDims(p=1, m=2, nu=2)), "m = 2 "),
             (trace_cfg, replace(trace, dims=NarxDims(p=1, m=1, nu=3)), "nu = 3 "),
+            (replace(trace_cfg, q_weight=5.0), trace, "Q = 1 does not match the configuration's 5"),
+            (replace(trace_cfg, r_weight=0.2), trace, "R = 0.1"),
         ]
         for name in ("y_ref", "y_scale", "u_ref", "u_scale"):
             other = replace(norm, **{name: 2.0 * getattr(norm, name)})
