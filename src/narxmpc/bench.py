@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .fileio import (
-    _require_entries,
+    require_trace_config,
     save_dataset,
     save_model,
     save_stability_report,
@@ -101,11 +101,9 @@ def fit_model(cfg: BenchmarkConfig, data) -> tuple[KernelInterpolant, dict]:
     """Fit stage: the kernel surrogate and the report entries that depend
     only on the model, ending with the fill distance of its sites."""
     spec = KernelSpec(input_dim=data.sites.shape[1], lengthscale=cfg.sigma)
-    model = fit_interpolant(spec, data, jitter=cfg.jitter)
+    model = fit_interpolant(spec, data)
     entries = {
         "sigma": model.spec.lengthscale,
-        "jitter": model.jitter,
-        "certificate_degraded": model.certificate_degraded,
         "site_residual": model.site_residual,
         "rkhs_norm": model.rkhs_norm(),
         "fill_distance": fill_distance(data.sites, probe_sites(cfg, 2000, seed=cfg.seed + 23)),
@@ -139,10 +137,9 @@ def certify_trace(
 ) -> tuple[GrowthBoundEstimate, StabilityReport]:
     """Certify stage: growth bounds of the surrogate on the standard state
     grid, then the decrease check along the recorded trace.  A trace with no applied
-    step, or run under other weights ``Q`` or ``R`` (``ConfigError``), is rejected first."""
+    step, or one that ``require_trace_config`` refuses under ``cfg``, is rejected first."""
     require_applied_step(trace)
-    ran = {} if trace.weights is None else {"Q": trace.weights.Q, "R": trace.weights.R}
-    _require_entries("trace", ran, {"Q": cfg.q_weight, "R": cfg.r_weight})
+    require_trace_config(trace, cfg)
     mpc_cfg = make_mpc_config(cfg)
     grid = sample_state_grid(cfg, b_states, seed=cfg.seed + 29, min_norm=1e-3)
     growth = estimate_growth_bound(model, mpc_cfg, grid, b_horizon, model_tag=model_tag)

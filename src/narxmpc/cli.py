@@ -142,7 +142,7 @@ def cmd_generate(args) -> int:
 
 def cmd_fit(args) -> int:
     started = time.time()
-    cfg = _build_config(args, sigma=args.sigma, jitter=args.jitter)
+    cfg = _build_config(args, sigma=args.sigma)
     data = load_dataset(args.data)
     require_config(args.data, cfg)
     model, entries = fit_model(cfg, data)
@@ -278,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--data", type=Path, required=True, help="dataset CSV")
     sp.add_argument("--sigma", type=float, help="kernel lengthscale")
-    sp.add_argument("--jitter", type=float, help="diagonal regularization")
     sp.set_defaults(fn=cmd_fit)
 
     sp = sub.add_parser("simulate", help="closed-loop run on the plant")

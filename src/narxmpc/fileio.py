@@ -218,19 +218,21 @@ def save_model(model: KernelInterpolant, path, cfg) -> None:
     fields = {
         "family": model.spec.family,
         "sigma": model.spec.lengthscale,
-        "jitter": model.jitter,
         "site_residual": model.site_residual,
     }
     _save_sites(path, model.data, "narxmpc-model-v1", cfg, model.coefficients, fields)
 
 
 def load_model(path) -> KernelInterpolant:
-    """Load a model file, refit deterministically and verify the coefficients."""
+    """Load a model file, refit deterministically and verify the coefficients.
+    Older sidecars record a ``jitter``, which must be 0 (an interpolant)."""
     data, stored, meta = _load_sites(path, coefficients=True)
     if meta.get("family", KernelSpec.family) != KernelSpec.family:
         raise ConfigError(f"{path}: only {KernelSpec.family} models can be reloaded")
+    if meta.get("jitter", "0") != "0":
+        raise ConfigError(f"{path}: jitter = {meta['jitter']}; only an interpolant (jitter = 0) can be reloaded")
     spec = KernelSpec(input_dim=data.sites.shape[1], lengthscale=float(meta.get("sigma", 1.0)))
-    model = fit_interpolant(spec, data, jitter=float(meta.get("jitter", 0.0)))
+    model = fit_interpolant(spec, data)
     drift = float(np.max(np.abs(stored - model.coefficients), initial=0.0))
     if drift > 1e-8:
         raise ConfigError(
@@ -298,20 +300,27 @@ def save_trace(trace: ClosedLoopTrace, path, cfg, raw: bool = False) -> None:
     With ``raw=True`` states, inputs and outputs are denormalized; the
     scalar diagnostics keep their normalized meaning.  The sidecar's
     ``units`` entry (``raw`` or ``normalized``) records which table this
-    is, since both have the same header.  The sidecar records ``cfg``, so a trace
-    whose horizon ``N``, dimensions ``p``, ``m``, ``nu``, normalization or weights
-    ``Q`` and ``R`` (when it carries them) differ from those of ``cfg`` raises
+    is, since both have the same header.  The sidecar records ``cfg``, so a
+    trace that :func:`require_trace_config` refuses under ``cfg`` raises
     ``ConfigError`` naming the key, and nothing is written.
     """
-    fmt = "narxmpc-trace-v1"
-    carried = _trace_entries(trace.dims, trace.horizon, trace.normalization)
-    if trace.weights is not None:
-        carried.update(Q=trace.weights.Q, R=trace.weights.R)
-    entries = _require_entries(f"trace for {path}", carried, _entries(cfg, fmt), keys=carried)
+    entries = require_trace_config(trace, cfg, where=f"trace for {path}")
     write_csv(path, trace_header(trace.dims), _trace_rows(trace, raw))
     write_keyvalues(
-        _sidecar(path), {"format": fmt, "units": "raw" if raw else "normalized", **entries}
+        _sidecar(path), {"format": "narxmpc-trace-v1", "units": "raw" if raw else "normalized", **entries}
     )
+
+
+def require_trace_config(trace: ClosedLoopTrace, cfg, where: str = "trace") -> dict[str, str]:
+    """The sidecar entries of a trace run under ``cfg``, as written; raise
+    ``ConfigError`` naming the first of the trace's ``N``, ``p``, ``m``,
+    ``nu``, normalization (when it has one), ``Q`` and ``R`` that differs
+    from ``cfg``'s (a trace without weights reads ``(not recorded)``)."""
+    carried = _trace_entries(trace.dims, trace.horizon, trace.normalization)
+    keys = [*carried, "Q", "R"]
+    if trace.weights is not None:
+        carried.update(Q=trace.weights.Q, R=trace.weights.R)
+    return _require_entries(where, carried, _entries(cfg, "narxmpc-trace-v1"), keys)
 
 
 def _trace_entries(dims: NarxDims, horizon: int, normalization) -> dict:

@@ -17,7 +17,7 @@ itself.
 A fitted model holds one D x D array.  LAPACK writes the Cholesky factor
 of the Gram matrix into its upper triangle; the strictly lower triangle
 keeps the Gram entries, and the diagonal of the Gram matrix is the
-constant ``phi(0) + jitter``.  Each solve is one Cholesky solve against
+constant ``phi(0)``.  Each solve is one Cholesky solve against
 that factor, and each product with the Gram matrix is one BLAS symm on
 the lower triangle, so no second D x D array is ever allocated.
 
@@ -326,23 +326,18 @@ class KernelInterpolant(NarxDynamics):
     its Cholesky factor in the one D x D array ``store``: the factor in
     the upper triangle, the Gram entries below the diagonal (see the
     module docstring).  The power function solves against that factor.
-    A strictly positive ``jitter`` makes the factorization more robust
-    but turns the error certificates into approximations, flagged via
-    :attr:`certificate_degraded`.
     """
 
     def __init__(
         self,
         spec: KernelSpec,
         data: Dataset,
-        jitter: float,
         store: np.ndarray,
         coefficients: np.ndarray,
         site_residual: float,
     ):
         self.spec = spec
         self.data = data
-        self.jitter = jitter
         self._store = store
         self.coefficients = coefficients
         self.site_residual = site_residual
@@ -350,10 +345,6 @@ class KernelInterpolant(NarxDynamics):
     @property
     def dims(self) -> NarxDims:
         return self.data.dims
-
-    @property
-    def certificate_degraded(self) -> bool:
-        return self.jitter > 0.0
 
     def _values(self, Xi: np.ndarray, out: np.ndarray, fourth: np.ndarray, radii: np.ndarray, profile: np.ndarray):
         """Interpolant values at the site rows ``Xi`` (M, n + m), written
@@ -516,9 +507,8 @@ class KernelInterpolant(NarxDynamics):
         if not np.all(np.isfinite(Xi)):
             raise ValueError("power-function probes must be finite")
         Kx = kernel_matrix(self.spec, self.data.sites, Xi)
-        diagonal = self.spec.diag_value + self.jitter
         C = cho_solve((self._store.T, True), Kx, check_finite=False)
-        KC = _gram_product(self._store, diagonal, C)
+        KC = _gram_product(self._store, self.spec.diag_value, C)
         p2 = (
             self.spec.diag_value
             - 2.0 * np.einsum("ij,ij->j", Kx, C)
@@ -550,9 +540,6 @@ def fit_interpolant(spec: KernelSpec, data: Dataset, jitter: float = 0.0) -> Ker
         Kernel family and lengthscale; ``spec.input_dim`` must equal the
         site dimension of ``data``.
     data : Dataset
-    jitter : float
-        Finite, nonnegative diagonal regularization added to the kernel
-        matrix.  Zero keeps the error certificates exact.
 
     The Gram matrix is built once and factored in place: LAPACK writes
     the Cholesky factor into its upper triangle and leaves the Gram
@@ -562,28 +549,26 @@ def fit_interpolant(spec: KernelSpec, data: Dataset, jitter: float = 0.0) -> Ker
     backward stable (Higham, *Accuracy and Stability of Numerical
     Algorithms*, 2nd ed., ch. 10), so no refinement follows it.  The
     factor and the coefficients equal those of a dense fit (a separate
-    factor array) bit for bit at one BLAS thread.  The dataset and the
-    jitter are finite by validation, so the factorization and the solve
-    skip scipy's finiteness scan, which would allocate and read a D x D
-    mask on every call.
+    factor array) bit for bit at one BLAS thread.  The dataset is finite
+    by validation, so the factorization and the solve skip scipy's
+    finiteness scan, which would allocate and read a D x D mask on every
+    call.
 
     Raises
     ------
     KernelFitError
-        If the (jittered) kernel matrix is not numerically positive
-        definite.
+        If the kernel matrix is not numerically positive definite.
     """
-    if not 0.0 <= jitter < np.inf:
-        raise ValueError("jitter must be finite and nonnegative")
+    # perfbench/workloads.py:150 passes jitter=cfg.jitter; ROADMAP item 5 deletes this keyword.
+    if jitter != 0.0:
+        raise ValueError(f"jitter must be 0 (the fit is an interpolant), got {jitter}")
     if spec.input_dim != data.sites.shape[1]:
         raise ValueError(
             f"spec.input_dim={spec.input_dim} does not match site dimension "
             f"{data.sites.shape[1]}"
         )
     store = kernel_matrix(spec, data.sites)
-    # The diagonal of gram + jitter * I; the profile gives phi(0) there.
-    diagonal = spec.diag_value + jitter
-    np.fill_diagonal(store, diagonal)
+    np.fill_diagonal(store, spec.diag_value)
     try:
         # store.T is F-contiguous, so LAPACK factors it in place; the
         # returned array is store.T itself (a copy would also hold the
@@ -592,16 +577,15 @@ def fit_interpolant(spec: KernelSpec, data: Dataset, jitter: float = 0.0) -> Ker
     except LinAlgError as exc:
         raise KernelFitError(
             "kernel matrix factorization failed (smallest site separation "
-            f"{min_pairwise_distance(data.sites):.6e}); increase jitter or "
-            "enlarge the site separation"
+            f"{min_pairwise_distance(data.sites):.6e}); enlarge the site separation"
         ) from exc
     coefficients = cho_solve((store.T, True), data.targets, check_finite=False)
     site_residual = (
-        float(np.max(np.abs(data.targets - _gram_product(store, diagonal, coefficients))))
+        float(np.max(np.abs(data.targets - _gram_product(store, spec.diag_value, coefficients))))
         if data.size
         else 0.0
     )
-    return KernelInterpolant(spec, data, jitter, store, coefficients, site_residual)
+    return KernelInterpolant(spec, data, store, coefficients, site_residual)
 
 
 @dataclass(frozen=True)

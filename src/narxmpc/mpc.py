@@ -97,13 +97,22 @@ class StageCostWeights:
         return self.R.shape[0]
 
 
+def _quadratic(v: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """``v^T W v`` over the last axis of ``v``, summed term by term in
+    row-major ``(i, j)`` order, so every row sums in the same order at any
+    batch shape."""
+    if v.shape[-1:] != W.shape[:1]:
+        raise ValueError(f"weight of shape {W.shape} for vectors of shape {v.shape}")
+    k = range(W.shape[0])
+    return sum(v[..., i] * W[i, j] * v[..., j] for i in k for j in k)
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def stage_cost(y: np.ndarray, u: np.ndarray, weights: StageCostWeights):
-    """Quadratic stage cost ``y^T Q y + u^T R u``; batched over leading axes."""
-    y = np.asarray(y, dtype=float)
-    u = np.asarray(u, dtype=float)
-    return np.einsum("...i,ij,...j->...", y, weights.Q, y) + np.einsum(
-        "...i,ij,...j->...", u, weights.R, u
-    )
+    """Quadratic stage cost ``y^T Q y + u^T R u``, batched over leading
+    axes; each entry equals its batch of one bit for bit, and overflows to
+    inf without a warning."""
+    return _quadratic(np.asarray(y, dtype=float), weights.Q) + _quadratic(np.asarray(u, dtype=float), weights.R)
 
 
 @dataclass(frozen=True)

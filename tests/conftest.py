@@ -70,7 +70,7 @@ def plant_view(cfg):
 def _generate_and_fit(cfg: BenchmarkConfig, d: int):
     data, _ = generate_dataset(replace(cfg, d=d))
     spec = KernelSpec(input_dim=data.sites.shape[1], lengthscale=cfg.sigma)
-    return data, fit_interpolant(spec, data, jitter=cfg.jitter)
+    return data, fit_interpolant(spec, data)
 
 
 @pytest.fixture(scope="session")

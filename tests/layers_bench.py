@@ -77,7 +77,7 @@ def layers(request):
         pytest.skip("no OpenBLAS pool found to set to one thread")
     cfg = twotank.BenchmarkConfig(d=request.param)
     data, _ = twotank.generate_dataset(cfg)
-    model = fit_interpolant(KernelSpec(input_dim=data.sites.shape[1], lengthscale=cfg.sigma), data, cfg.jitter)
+    model = fit_interpolant(KernelSpec(input_dim=data.sites.shape[1], lengthscale=cfg.sigma), data)
     mpc_cfg = bench.make_mpc_config(cfg)
     starts = []
     solve = mpc.solve_ocp
@@ -128,7 +128,7 @@ class _StoredSweep:
 
 def test_fit(benchmark, layers):
     model = layers["model"]
-    benchmark(fit_interpolant, model.spec, model.data, model.jitter)
+    benchmark(fit_interpolant, model.spec, model.data)
 
 
 @pytest.mark.parametrize("rows", [1, 64])

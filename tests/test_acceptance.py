@@ -132,7 +132,7 @@ class TestAcceptance:
                 dims=cfg.dims,
                 normalization=cfg.normalization(),
             )
-            model = fit_interpolant(spec, data, jitter=0.0)
+            model = fit_interpolant(spec, data)
             f_vals = kernel_matrix(spec, probes, centers) @ beta
             n = cfg.dims.n
             errors = np.abs(f_vals - model.output_batch(probes[:, :n], probes[:, n:])[:, 0])

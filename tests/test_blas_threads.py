@@ -44,9 +44,9 @@ REFERENCE_BUNDLE_D101 = {
     "comparison.csv": "0f814b8ca8d50394b21d63e26760b28e7658ae00f6162c39532889f3ba6ca45d",
     "dataset_D101.csv": "8ed3f9e93f4c29608f5a5ee485abc8cea5d12761e14a1456a58c6db5dbcf099a",
     "dataset_D101.csv.meta": "8bcb6bd5b80465b5ddfba0ec34f2da0f222e57019264cd24e6773bfc3f1779e2",
-    "fit_report_D101.txt": "8b7f180325c2210f2313ff9bc28d10f76c77cb1124f73c0fd0dfb5701a8ec640",
+    "fit_report_D101.txt": "39ab78650f2fbb5e3af0beb51ed55694f68d9f951e397d989f0d60860829c71a",
     "model_D101.csv": "1a422b1d48f2d781725d4e4e2b18321665de4d98165f591fc7997e530a7757da",
-    "model_D101.csv.meta": "d1c8616f35295011b73c9e0ceba63acb5282720a7d0aa6270fe93b3eb514ff75",
+    "model_D101.csv.meta": "ad1d31dbf1d5b25e0b7ced46139ce2813b187331c011f223bb22759d34a8025c",
     "stability_report_D101.txt": "82f40609a7e0a3d0046830446e93e19a0e96703eb8165efcf2b87373c6e1c825",
     "stability_steps_D101.csv": "83358d3400c8829590fd2cf3dd345d2c317751e81196708a51dac3325e67b803",
     "trace_norm_D101.csv": "b87dd90d6bdfcd09fe6259f1ed1b9d87dd7211ad0d6d99f3dd60fc4d7f4fc001",
@@ -62,7 +62,7 @@ from narxmpc import bench, kernels, stability, twotank
 cfg = twotank.BenchmarkConfig(d=2501)
 data, _ = twotank.generate_dataset(cfg)
 spec = kernels.KernelSpec(input_dim=data.sites.shape[1], lengthscale=cfg.sigma)
-model = kernels.fit_interpolant(spec, data, jitter=cfg.jitter)
+model = kernels.fit_interpolant(spec, data)
 trace = bench.simulate_loop(cfg, model)
 mpc_cfg = bench.make_mpc_config(cfg)
 report = stability.verify_decrease(

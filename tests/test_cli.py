@@ -151,6 +151,16 @@ class TestParsing:
         assert code == 1
         assert "unknown config key 'nu'" in capsys.readouterr().err
 
+    def test_jitter_key_is_an_error(self, tmp_path, capsys):
+        """The fit has no regularization, so a configuration may not set one,
+        not even to 0."""
+        config = tmp_path / "cfg.txt"
+        config.write_text("jitter = 0\n")
+        code = main(["generate", "--config", str(config), "--out", str(tmp_path)])
+        assert code == 1
+        assert "unknown config key 'jitter'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("dataset_*.csv"))
+
     def test_dataset_mode_key_is_an_error(self, tmp_path, capsys):
         config = tmp_path / "cfg.txt"
         config.write_text("mode = state_grid\n")
@@ -228,6 +238,15 @@ class TestFit:
         assert model.output(probe[:3], probe[3:])[0] == pytest.approx(expected, rel=1e-10)
         report = (tmp_path / "fit_report.txt").read_text()
         assert "site_residual" in report
+
+    def test_jitter_flag_is_a_usage_error(self, workspace, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["fit", "--data", str(workspace / "dataset_D21.csv"), "--jitter", "1e-10", "--out", str(tmp_path)]
+            )
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --jitter 1e-10" in capsys.readouterr().err
+        assert not (tmp_path / "model.csv").exists()
 
     def test_corrupt_dataset_reports_line(self, workspace, tmp_path, capsys):
         bad = tmp_path / "dataset.csv"
@@ -798,6 +817,8 @@ class TestBenchmark:
         assert (record["capped_max_grad_norm"] is None) == (record["capped_solves"] == 0)
         # The record changes from run to run; the bundle digests leave it out.
         assert "manifest.json" not in bundle_digests(out)
+        # The fit has no regularization setting to record.
+        assert not [p.name for p in out.iterdir() if "jitter" in p.read_text() or "degraded" in p.read_text()]
 
     def test_arm_builds_its_start_state_once(self, monkeypatch):
         """The start state's hidden-level recovery runs once per arm."""
@@ -900,6 +921,27 @@ class TestBenchmark:
                 narxmpc.bench.certify_trace(replace(cfg, **other), model, trace, b_states=2, b_horizon=1)
         monkeypatch.setattr(narxmpc.bench, "estimate_growth_bound", grid)
         assert narxmpc.bench.certify_trace(cfg, model, trace, b_states=2, b_horizon=1)[1].steps == 12
+
+    def test_certify_trace_checks_every_entry_of_the_trace(self, cfg, fit_101, monkeypatch):
+        """``certify_trace`` holds an in-memory trace to the rule ``save_trace``
+        writes by: another horizon, other dimensions, another normalization or
+        no recorded weights raise before the growth grid runs."""
+        _, model = fit_101
+        trace = narxmpc.bench.simulate_loop(replace(cfg, steps=2), model)
+
+        def grid_must_not_run(*args, **kwargs):
+            raise AssertionError("the growth-bound grid ran for a trace of another configuration")
+
+        monkeypatch.setattr(narxmpc.bench, "estimate_growth_bound", grid_must_not_run)
+        deeper, weightless = replace(trace, dims=replace(trace.dims, nu=3)), replace(trace, weights=None)
+        for other, bad, message in (
+            ({"horizon": 3}, trace, "trace: N = 20 does not match the configuration's 3$"),
+            ({}, deeper, "trace: nu = 3 does not match the configuration's 2$"),
+            ({"u_hi": 3e-5}, trace, "trace: u_scale = "),
+            ({}, weightless, r"trace: Q = \(not recorded\) does not match the configuration's 1$"),
+        ):
+            with pytest.raises(ConfigError, match=message):
+                narxmpc.bench.certify_trace(replace(cfg, **other), model, bad, b_states=2, b_horizon=1)
 
     def test_cli_chain_writes_the_bundle_files(self, tmp_path):
         """generate, fit, simulate and certify run the stages of benchmark:

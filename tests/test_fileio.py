@@ -183,7 +183,7 @@ class TestDatasetIo:
         path = tmp_path / "dataset_D101.csv"
         save_dataset(data, path, cfg)
         back = load_dataset(path)
-        refit = fit_interpolant(model.spec, back, jitter=model.jitter)
+        refit = fit_interpolant(model.spec, back)
         assert refit.coefficients.tobytes() == model.coefficients.tobytes()
         assert format_float(refit.rkhs_norm()) == format_float(model.rkhs_norm())
         assert back.sites.strides == data.sites.strides
@@ -245,7 +245,7 @@ class TestModelIo:
     def _small_model(self, cfg):
         data, _ = generate_dataset(replace(cfg, d=21))
         spec = KernelSpec(input_dim=data.sites.shape[1], lengthscale=cfg.sigma)
-        return fit_interpolant(spec, data, jitter=cfg.jitter)
+        return fit_interpolant(spec, data)
 
     def test_round_trip_predictions(self, cfg, tmp_path):
         model = self._small_model(cfg)
@@ -257,7 +257,23 @@ class TestModelIo:
         X, U = Xi[:, :3], Xi[:, 3:]
         assert_allclose(back.output_batch(X, U), model.output_batch(X, U), rtol=0.0, atol=1e-12)
         assert back.spec.lengthscale == model.spec.lengthscale
-        assert back.jitter == model.jitter
+
+    @pytest.mark.parametrize("recorded, loads", [("0", True), ("1e-10", False)])
+    def test_a_recorded_jitter_must_be_zero(self, cfg, tmp_path, recorded, loads):
+        """Model files written while the fit had a regularization setting
+        record it; such a file loads when it records 0, an interpolant, and
+        is refused otherwise."""
+        model = self._small_model(cfg)
+        path = tmp_path / "model.csv"
+        save_model(model, path, cfg)
+        meta = path.with_suffix(".csv.meta")
+        assert "jitter" not in read_keyvalues(meta)
+        meta.write_text(meta.read_text() + f"jitter = {recorded}\n")
+        if loads:
+            assert load_model(path).coefficients.tobytes() == model.coefficients.tobytes()
+        else:
+            with pytest.raises(ConfigError, match=r"model\.csv: jitter = 1e-10; only an interpolant"):
+                load_model(path)
 
     def test_tampered_coefficients_detected(self, cfg, tmp_path):
         model = self._small_model(cfg)
@@ -348,8 +364,8 @@ class TestTraceIo:
 
     def test_sidecar_must_describe_the_trace(self, trace_cfg, tmp_path):
         """A trace whose horizon, dimensions, normalization or weights
-        differ from the configuration's is not written under it, and the
-        error names the sidecar key."""
+        differ from the configuration's, or that carries no weights, is
+        not written under it, and the error names the sidecar key."""
         trace = _linear_closed_loop(steps=2, normalization=trace_cfg.normalization())
         path = tmp_path / "trace.csv"
         norm = trace.normalization
@@ -360,6 +376,7 @@ class TestTraceIo:
             (trace_cfg, replace(trace, dims=NarxDims(p=1, m=1, nu=3)), "nu = 3 "),
             (replace(trace_cfg, q_weight=5.0), trace, "Q = 1 does not match the configuration's 5"),
             (replace(trace_cfg, r_weight=0.2), trace, "R = 0.1"),
+            (trace_cfg, replace(trace, weights=None), "Q = (not recorded)"),
         ]
         for name in ("y_ref", "y_scale", "u_ref", "u_scale"):
             other = replace(norm, **{name: 2.0 * getattr(norm, name)})

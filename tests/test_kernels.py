@@ -139,7 +139,6 @@ class TestInterpolant:
         assert_allclose(model.coefficients, [[30.0 * 0.7]], rtol=1e-12)
         assert_allclose(model.output(np.array([0.3]), np.array([0.4])), [0.7], rtol=1e-12)
         assert model.site_residual <= 1e-12
-        assert not model.certificate_degraded
 
     def test_disjoint_supports_decouple(self):
         data = _dataset([[0.0, 0.0], [5.0, 5.0]], [0.4, -1.1])
@@ -185,11 +184,6 @@ class TestInterpolant:
             fd[:, j] = (model.output(plus[:n], plus[n:]) - model.output(minus[:n], minus[n:])) / (2.0 * h)
         assert_allclose(jac, fd, rtol=0.0, atol=1e-7)
 
-    def test_jitter_flags_certificates(self):
-        data = _dataset([[0.0, 0.0], [0.4, 0.1]], [0.1, 0.2])
-        model = fit_interpolant(KernelSpec(input_dim=2), data, jitter=1e-10)
-        assert model.certificate_degraded
-
     def test_singular_kernel_matrix_is_a_fit_error(self):
         # At a lengthscale of 1e12 every entry rounds to phi(0): the matrix
         # has rank one, and the fit names the smallest site separation,
@@ -200,7 +194,7 @@ class TestInterpolant:
         with pytest.raises(
             KernelFitError,
             match=r"^kernel matrix factorization failed \(smallest site separation 7\.071068e-01\); "
-            "increase jitter or enlarge the site separation$",
+            "enlarge the site separation$",
         ):
             fit_interpolant(spec, data)
 
@@ -275,7 +269,7 @@ class TestMemory:
 
         with patch("narxmpc.kernels.cho_factor", factor_spy):
             model, peak, held = self._traced(
-                lambda: fit_interpolant(spec, data_1001, jitter=cfg.jitter)
+                lambda: fit_interpolant(spec, data_1001)
             )
         gram_bytes = data_1001.size**2 * 8
         assert peak <= 1.25 * gram_bytes
@@ -288,7 +282,7 @@ class TestMemory:
     @pytest.fixture(scope="class")
     def model_1001(self, cfg, data_1001):
         spec = KernelSpec(input_dim=data_1001.sites.shape[1], lengthscale=cfg.sigma)
-        return fit_interpolant(spec, data_1001, jitter=cfg.jitter)
+        return fit_interpolant(spec, data_1001)
 
     def test_kernel_row_batches_stay_small(self, cfg, data_1001, model_1001):
         """A 400-row value pass holds the three buffers of one 64-row
@@ -411,10 +405,14 @@ class TestDatasetValidation:
         with pytest.raises(ValueError, match=rf"^non-finite {name}: 1 row\(s\) hold NaN or inf"):
             _dataset(sites, targets)
 
-    @pytest.mark.parametrize("jitter", [-1e-3, np.nan, np.inf])
-    def test_jitter_must_be_finite_and_nonnegative(self, jitter):
-        with pytest.raises(ValueError, match="jitter must be finite and nonnegative"):
-            fit_interpolant(KernelSpec(input_dim=2), _dataset([[0.1, 0.2]], [0.3]), jitter=jitter)
+    @pytest.mark.parametrize("jitter", [1e-10, -1e-3, np.nan, np.inf])
+    def test_the_fit_is_always_an_interpolant(self, jitter):
+        """The ``jitter`` keyword is kept for one caller and takes only 0."""
+        spec, data = KernelSpec(input_dim=2), _dataset([[0.1, 0.2]], [0.3])
+        with pytest.raises(ValueError, match=r"^jitter must be 0 \(the fit is an interpolant\)"):
+            fit_interpolant(spec, data, jitter=jitter)
+        zero = fit_interpolant(spec, data, jitter=0.0)
+        assert zero.coefficients.tobytes() == fit_interpolant(spec, data).coefficients.tobytes()
 
     def test_spec_width_checked_at_fit(self):
         data = _dataset([[0.1, 0.2]], [0.3])

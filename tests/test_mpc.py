@@ -113,6 +113,11 @@ class TestStageCost:
         # y^T Q y = 2 - 0.5 - 0.5 + 2 = 3
         assert stage_cost(y, np.zeros(1), w) == pytest.approx(3.0)
 
+    def test_weights_must_fit_the_vectors(self):
+        w = StageCostWeights(Q=np.eye(2), R=np.eye(1))
+        with pytest.raises(ValueError, match=r"weight of shape \(2, 2\) for vectors of shape \(4, 3\)"):
+            stage_cost(np.ones((4, 3)), np.ones((4, 1)), w)
+
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             StageCostWeights(Q=0.0, R=1.0)
@@ -431,7 +436,7 @@ class TestClosedLoop:
         for seed in range(3):
             toward = np.where(np.random.default_rng(seed).random(c.shape) < 0.5, -np.inf, np.inf)
             bumped = KernelInterpolant(
-                model.spec, model.data, model.jitter, model._store, np.nextafter(c, toward), model.site_residual
+                model.spec, model.data, model._store, np.nextafter(c, toward), model.site_residual
             )
             other = simulate_loop(cfg, bumped)
             assert_array_equal(other.iterations, trace.iterations)

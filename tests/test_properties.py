@@ -102,7 +102,6 @@ def _interpolant(rng, dims: NarxDims, size: int, lengthscale: float):
     return KernelInterpolant(
         SimpleNamespace(lengthscale=lengthscale),
         SimpleNamespace(sites=sites, dims=dims),
-        jitter=0.0,
         store=None,
         coefficients=rng.standard_normal((size, dims.p)),
         site_residual=0.0,
@@ -357,12 +356,10 @@ def test_gram_matrix_equals_the_cross_kernel_matrix(seed, rows, dim, lengthscale
     assert gram.tobytes() == kernel_matrix(spec, sites, sites).tobytes()
 
 
-def _dense_fit(spec, sites, targets, jitter):
+def _dense_fit(spec, sites, targets):
     """The fit with a separate factor array, the reference that the fit on
     one D x D array must reproduce."""
     gram = kernel_matrix(spec, sites)
-    if jitter > 0:
-        gram = gram + jitter * np.eye(len(sites))
     cho = cho_factor(gram, lower=True)
     return gram, cho, cho_solve(cho, targets)
 
@@ -381,7 +378,7 @@ def _dense_power_function(spec, sites, gram, cho, Xi):
     return np.sqrt(np.where(p2 > 0.0, p2, 0.0)), scale
 
 
-def _random_fit(seed, size, dim, lengthscale, jitter, p):
+def _random_fit(seed, size, dim, lengthscale, p):
     """A fit on random sites next to its dense reference; None where the
     reference factor fails, after checking that the fit fails too."""
     rng = np.random.default_rng(seed)
@@ -390,30 +387,29 @@ def _random_fit(seed, size, dim, lengthscale, jitter, p):
     targets = rng.standard_normal((size, p))
     data = SimpleNamespace(sites=sites, targets=targets, size=size)
     try:
-        reference = _dense_fit(spec, sites, targets, jitter)
+        reference = _dense_fit(spec, sites, targets)
     except LinAlgError:
         with pytest.raises(KernelFitError):
-            fit_interpolant(spec, data, jitter=jitter)
+            fit_interpolant(spec, data)
         return None
-    return rng, fit_interpolant(spec, data, jitter=jitter), reference
+    return rng, fit_interpolant(spec, data), reference
 
 
 sizes = st.integers(1, 300)
 lengthscales = st.floats(0.05, 3.0)
-jitters = st.sampled_from([0.0, 1e-10])
 
 
-@given(seed=seeds, size=sizes, dim=st.integers(1, 5), lengthscale=lengthscales, jitter=jitters)
-@example(seed=0, size=1, dim=2, lengthscale=0.5, jitter=0.0)
-@example(seed=1, size=64, dim=4, lengthscale=0.3, jitter=0.0)
-@example(seed=2, size=65, dim=2, lengthscale=1.0, jitter=1e-10)
-@example(seed=3, size=129, dim=4, lengthscale=2.0, jitter=0.0)
-@example(seed=4, size=130, dim=5, lengthscale=0.5, jitter=1e-10)
-@example(seed=5, size=300, dim=4, lengthscale=0.2, jitter=0.0)
-def test_fit_on_one_array_equals_the_dense_fit(seed, size, dim, lengthscale, jitter):
+@given(seed=seeds, size=sizes, dim=st.integers(1, 5), lengthscale=lengthscales)
+@example(seed=0, size=1, dim=2, lengthscale=0.5)
+@example(seed=1, size=64, dim=4, lengthscale=0.3)
+@example(seed=2, size=65, dim=2, lengthscale=1.0)
+@example(seed=3, size=129, dim=4, lengthscale=2.0)
+@example(seed=4, size=130, dim=5, lengthscale=0.5)
+@example(seed=5, size=300, dim=4, lengthscale=0.2)
+def test_fit_on_one_array_equals_the_dense_fit(seed, size, dim, lengthscale):
     """One target column: the factor, the Gram entries kept beside it and
     the coefficients equal the dense reference bit for bit."""
-    fitted = _random_fit(seed, size, dim, lengthscale, jitter, p=1)
+    fitted = _random_fit(seed, size, dim, lengthscale, p=1)
     if fitted is None:
         return
     _, model, (gram, cho, coefficients) = fitted
@@ -429,21 +425,19 @@ def test_fit_on_one_array_equals_the_dense_fit(seed, size, dim, lengthscale, jit
     size=sizes,
     dim=st.integers(2, 5),
     lengthscale=lengthscales,
-    jitter=jitters,
     columns=st.integers(1, 9),
 )
-@example(seed=0, size=65, dim=4, lengthscale=2.0, jitter=0.0, columns=2)
-@example(seed=1, size=300, dim=4, lengthscale=0.2, jitter=1e-10, columns=7)
-@example(seed=2, size=129, dim=3, lengthscale=1.0, jitter=0.0, columns=1)
-def test_several_column_products_agree_with_the_dense_fit(seed, size, dim, lengthscale, jitter, columns):
+@example(seed=0, size=65, dim=4, lengthscale=2.0, columns=2)
+@example(seed=1, size=300, dim=4, lengthscale=0.2, columns=7)
+@example(seed=2, size=129, dim=3, lengthscale=1.0, columns=1)
+def test_several_column_products_agree_with_the_dense_fit(seed, size, dim, lengthscale, columns):
     """The Gram product (BLAS symm on the stored lower triangle), the site
     residual and the power function sum in another order than the dense
     reference; they agree within bounds fixed from float64 rounding."""
-    fitted = _random_fit(seed, size, dim, lengthscale, jitter, p=2)
+    fitted = _random_fit(seed, size, dim, lengthscale, p=2)
     if fitted is None:
         return
     rng, model, (gram, cho, _) = fitted
-    diagonal = model.spec.diag_value + jitter
     eps = np.finfo(float).eps
 
     def product_bound(X):
@@ -452,7 +446,7 @@ def test_several_column_products_agree_with_the_dense_fit(seed, size, dim, lengt
         return 2.0 * (size + 2) * eps * (np.abs(gram) @ np.abs(X) + np.abs(X))
 
     X = rng.standard_normal((size, columns))
-    assert np.all(np.abs(_gram_product(model._store, diagonal, X) - gram @ X) <= product_bound(X))
+    assert np.all(np.abs(_gram_product(model._store, model.spec.diag_value, X) - gram @ X) <= product_bound(X))
     # The residual's subtraction rounds once more, by at most eps of its size.
     targets, coefficients = model.data.targets, model.coefficients
     dense_residual = float(np.max(np.abs(targets - gram @ coefficients)))
@@ -576,6 +570,41 @@ def _random_problem(rng, p, m, nu, horizon):
         dims=dims,
         solver=SolverConfig(max_iters=25),
     )
+
+
+@given(
+    seed=seeds,
+    p=st.integers(1, 3),
+    m=st.integers(1, 3),
+    rows=st.integers(1, 5),
+    horizon=st.integers(1, 24),
+    scale=st.sampled_from([1e-3, 1.0, 1e3, 1e160]),
+)
+# A (1, 2) stack that an einsum over "...i,ij,...j" sums in another order
+# than its single pairs.
+@example(seed=0, p=1, m=2, rows=2, horizon=2, scale=1e-3)
+@example(seed=1, p=3, m=3, rows=5, horizon=24, scale=1e160)
+def test_stage_cost_rows_equal_their_batches_of_one(seed, p, m, rows, horizon, scale):
+    """Every entry of a stacked (B, N) stage-cost call equals the call on
+    its row alone and on its single ``(y, u)`` pair, bit for bit, under
+    full weight matrices of any size; at ``1e160`` the costs overflow to
+    inf without a warning."""
+    rng = np.random.default_rng(seed)
+
+    def weight(k):
+        a = rng.standard_normal((k, k))
+        w = a @ a.T
+        return 0.5 * (w + w.T) + 0.1 * np.eye(k)
+
+    weights = StageCostWeights(Q=weight(p), R=weight(m))
+    Y = scale * rng.standard_normal((rows, horizon, p))
+    U = rng.standard_normal((rows, horizon, m))
+    costs = stage_cost(Y, U, weights)
+    assert costs.shape == (rows, horizon)
+    for b in range(rows):
+        assert stage_cost(Y[b : b + 1], U[b : b + 1], weights).tobytes() == costs[b : b + 1].tobytes()
+        for k in range(horizon):
+            assert np.float64(stage_cost(Y[b, k], U[b, k], weights)).tobytes() == costs[b, k].tobytes()
 
 
 def _random_secants(rng, rows: int, k: int) -> np.ndarray:

@@ -360,7 +360,7 @@ class TestVerifyDecrease:
         small = replace(cfg, d=51, steps=12, horizon=5)
         data, _ = generate_dataset(small)
         spec = KernelSpec(input_dim=data.sites.shape[1], lengthscale=small.sigma)
-        model = fit_interpolant(spec, data, jitter=small.jitter)
+        model = fit_interpolant(spec, data)
 
         def jacobian_fn(x, u):
             sweep = model.sweep(x[None], u[None, None])

@@ -350,7 +350,7 @@ class TestConfig:
             BenchmarkConfig(u_lo=-2e-5)
         BenchmarkConfig(u_lo=0.0)  # a stopped pump is an admissible bound
 
-    @pytest.mark.parametrize("name", ["q_weight", "r_weight", "u_lo", "u_hi", "dt", "sigma", "jitter", "h0"])
+    @pytest.mark.parametrize("name", ["q_weight", "r_weight", "u_lo", "u_hi", "dt", "sigma", "h0"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_settings_rejected(self, name, bad):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
@@ -361,10 +361,6 @@ class TestConfig:
     def test_nonpositive_settings_rejected(self, name, bad):
         with pytest.raises(ValueError, match=f"{name} must be positive"):
             BenchmarkConfig(**{name: bad})
-
-    def test_negative_jitter_rejected(self):
-        with pytest.raises(ValueError, match="jitter must be nonnegative"):
-            BenchmarkConfig(jitter=-1e-12)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="^seed must be nonnegative, got -3$"):
