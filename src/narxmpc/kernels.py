@@ -51,7 +51,17 @@ several steps at once; the pass differentiates by the whole site, so
 its rows are the sweep's site Jacobians as they stand.  The value pass
 works in blocks of ``_BLOCK`` rows, in three scratch arrays (radii,
 profile and ``f``); a sweep keeps each step's ``f`` in its own array
-and allocates the other two once for all its steps.
+and binds the other two, the sites, the weights and the scale once for
+all its steps, so that a step pays for its passes and little else.
+
+Every distance comes from scipy's compiled Euclidean kernel,
+``scipy.spatial._distance_pybind.cdist_euclidean``: the function that
+``scipy.spatial.distance.cdist(A, B)`` calls for its default metric,
+here called without the public wrapper, whose metric lookup and checks
+cost about 1 us of a D=101 row (the kernel checks shapes and the
+``out`` array itself).  The name is private to scipy, so it is resolved
+once, at import, and a property test checks that it gives the bits of
+``cdist`` on the installed scipy.
 """
 
 from __future__ import annotations
@@ -63,7 +73,7 @@ from typing import ClassVar
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.blas import dsymm
-from scipy.spatial.distance import cdist
+from scipy.spatial._distance_pybind import cdist_euclidean as _euclidean
 
 from .narx import AffineNormalization, NarxDims, NarxDynamics, Sweep, rollout_arrays
 
@@ -155,12 +165,57 @@ _BLOCK = 64
 _ONE, _FIFTH = np.array(1.0), np.array(0.2)
 
 
+def _value_pass(Xi, out, fourth, sites, weights, scale, radii, profile, stacked) -> None:
+    """Interpolant values at up to ``_BLOCK`` site rows ``Xi`` (M, n + m),
+    written into ``out`` (any (M, 1, p) view, such as the output blocks of
+    the next sites), with each row's ``(1 - r)^4`` written into ``fourth``.
+
+    One distance pass against ``sites``, divided by ``scale`` unless it is
+    None (a unit lengthscale, whose division changes no bit), seven
+    in-place passes that form ``6 phi(r) = (1 - r)^5 (r + 1/5)`` (the
+    passes of :func:`_wendland_terms`, then ``*= f``, ``+= 0.2`` and
+    ``*=``) and one stacked product with ``weights``, the interpolant's
+    ``c / 6``, so each row's value is its own product and equals its batch
+    of one bit for bit.  The profile's ``/ 30`` and ``5 r + 1`` live in the
+    weights, so these values agree with the exact profile of
+    :func:`kernel_matrix` to rounding only.  ``radii`` and ``profile`` are
+    scratch rows (M, D) and ``stacked`` is ``profile`` viewed as (M, 1, D),
+    the product's operand.  A plain function whose arguments the caller
+    binds once, since a sweep step pays for every call, lookup and view
+    around its passes.
+    """
+    r = _euclidean(Xi, sites, out=radii)
+    if scale is not None:
+        r /= scale
+    np.minimum(r, _ONE, out=r)
+    np.subtract(_ONE, r, out=profile)
+    np.multiply(profile, profile, out=fourth)
+    fourth *= fourth
+    profile *= fourth
+    r += _FIFTH
+    profile *= r
+    np.matmul(stacked, weights, out=out)
+
+
+def _value_blocks(Xi, out, fourth, sites, weights, scale, radii, profile, stacked) -> None:
+    """:func:`_value_pass` over any number of rows, in blocks of
+    ``_BLOCK``, which bounds the scratch rows to one block; ``fourth``
+    holds all M rows or, as one more scratch array, one block."""
+    if Xi.shape[0] <= _BLOCK:
+        _value_pass(Xi, out, fourth, sites, weights, scale, radii, profile, stacked)
+        return
+    for a in range(0, Xi.shape[0], _BLOCK):
+        b = min(a + _BLOCK, Xi.shape[0])
+        kept = fourth[a:b] if fourth.shape[0] == Xi.shape[0] else fourth[: b - a]
+        _value_pass(Xi[a:b], out[a:b], kept, sites, weights, scale, radii[: b - a], profile[: b - a], stacked[: b - a])
+
+
 def _kernel_terms(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, ...]:
     """:func:`_wendland_terms` of the scaled radii between the rows of
     ``A`` and ``B``, for the exact profile of every Gram and cross-kernel
     matrix; the value pass of :class:`KernelInterpolant` scales its radii
     the same way."""
-    r = cdist(A, B)
+    r = _euclidean(A, B)
     # Division is the costliest pass of a kernel row, and a division by 1
     # (the lengthscale in normalized coordinates) leaves every bit as it is.
     if spec.lengthscale != 1.0:
@@ -268,7 +323,7 @@ def _nearest_site_distances(
     """
     nearest = np.empty(points.shape[0])
     for start in range(0, points.shape[0], _BLOCK):
-        dist = cdist(points[start : start + _BLOCK], sites)
+        dist = _euclidean(points[start : start + _BLOCK], sites)
         if exclude_self:
             rows = np.arange(dist.shape[0])
             dist[rows, start + rows] = np.inf
@@ -317,7 +372,7 @@ class KernelInterpolant(NarxDynamics):
     end: one product with the coefficient-weighted sites
     :attr:`_weighted_sites` and a rank-one correction (see the module
     docstring).  Values and Jacobians both come from the same two
-    private routines, :meth:`_values` and :meth:`_jacobians`.  The values
+    private routines, :func:`_value_pass` and :meth:`_jacobians`.  The values
     weight ``6 phi`` by :attr:`_value_weights`, ``coefficients / 6``;
     both weight arrays are derived once from the fitted coefficients,
     which they leave as they are.
@@ -346,53 +401,17 @@ class KernelInterpolant(NarxDynamics):
     def dims(self) -> NarxDims:
         return self.data.dims
 
-    def _values(self, Xi: np.ndarray, out: np.ndarray, fourth: np.ndarray, radii: np.ndarray, profile: np.ndarray):
-        """Interpolant values at the site rows ``Xi`` (M, n + m), written
-        into ``out`` (any (M, 1, p) view, such as the output blocks of the
-        next sites) and returned; each row's ``(1 - r)^4`` goes into
-        ``fourth``, which :meth:`_jacobians` reads.
-
-        The kernel rows are evaluated in ``_BLOCK``-row blocks, which
-        bounds their memory, and each row's value is its own product of
-        kernel row and :attr:`_value_weights`, so it equals the single-row
-        call bit for bit at any M.  A row takes one distance pass, seven
-        in-place passes that form ``6 phi(r) = (1 - r)^5 (r + 1/5)`` (the
-        passes of :func:`_wendland_terms`, then ``*= f``, ``+= 0.2`` and
-        ``*=``) and one stacked product; the profile's ``/ 30`` and
-        ``5 r + 1`` live in the weights, so these values agree with the
-        exact profile of :func:`kernel_matrix` to rounding only.  The
-        passes write into ``radii`` and ``profile``, buffers of
-        :meth:`_scratch` for ``min(M, _BLOCK)`` rows, so that a sweep
-        allocates them once for all its steps; ``fourth`` holds all M rows
-        or, as another scratch buffer, one block.  The passes are written
-        out here rather than called, since a sweep step pays for every
-        call.
-        """
-        if Xi.shape[0] > _BLOCK:
-            for a in range(0, Xi.shape[0], _BLOCK):
-                rows = min(_BLOCK, Xi.shape[0] - a)
-                kept = fourth[a : a + rows] if fourth.shape[0] == Xi.shape[0] else fourth[:rows]
-                self._values(Xi[a : a + rows], out[a : a + rows], kept, radii[:rows], profile[:rows])
-            return out
-        r = cdist(Xi, self.data.sites, out=radii)
-        if self.spec.lengthscale != 1.0:
-            r /= self.spec.lengthscale
-        np.minimum(r, _ONE, out=r)
-        np.subtract(_ONE, r, out=profile)
-        np.multiply(profile, profile, out=fourth)
-        fourth *= fourth
-        profile *= fourth
-        r += _FIFTH
-        profile *= r
-        np.matmul(profile[:, None, :], self._value_weights, out=out)
-        return out
-
-    def _scratch(self, rows: int, buffers: int) -> list[np.ndarray]:
-        """``buffers`` arrays for a block of up to ``rows`` kernel rows, at
-        most ``_BLOCK``: the radii, the profile and, as the third,
-        ``(1 - r)^4`` when the caller keeps no factors of its own."""
-        shape = (min(rows, _BLOCK), self.data.sites.shape[0])
-        return [np.empty(shape) for _ in range(buffers)]
+    def _pass_args(self, rows: int) -> tuple:
+        """The arguments of :func:`_value_pass` after its first three for
+        up to ``rows`` site rows: the sites, :attr:`_value_weights`, the
+        scale (None for a unit lengthscale) and new scratch rows for one
+        block of at most ``_BLOCK`` rows."""
+        scale = self.spec.lengthscale
+        radii, profile = np.empty((2, min(rows, _BLOCK), self.data.sites.shape[0]))
+        return (
+            self.data.sites, self._value_weights, None if scale == 1.0 else scale,
+            radii, profile, profile[:, None, :],
+        )
 
     @cached_property
     def _value_weights(self) -> np.ndarray:
@@ -412,7 +431,7 @@ class KernelInterpolant(NarxDynamics):
 
     def _jacobians(self, Xi: np.ndarray, fourth: np.ndarray) -> np.ndarray:
         """Jacobians (M, p, n + m) at the site rows ``Xi`` (M, n + m) from
-        the ``f = (1 - r)^4`` (M, D) that :meth:`_values` kept.
+        the ``f = (1 - r)^4`` (M, D) that :func:`_value_pass` kept.
 
         Each row is ``A - b xi^T`` with ``[A | b] = [C * S | C]^T f / sigma^2``
         (the module docstring's expansion): one product of the weighted
@@ -438,9 +457,12 @@ class KernelInterpolant(NarxDynamics):
         equals its batch of one bit for bit at any B."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        radii, profile, fourth = self._scratch(X.shape[0], 3)
         values = np.empty((X.shape[0], 1, self.dims.p))
-        return self._values(np.hstack([X, U]), values, fourth, radii, profile)[:, 0]
+        sites, weights, scale, radii, profile, stacked = self._pass_args(X.shape[0])
+        # No Jacobian pass reads the (1 - r)^4 here: one more scratch block.
+        fourth = np.empty_like(radii)
+        _value_blocks(np.hstack([X, U]), values, fourth, sites, weights, scale, radii, profile, stacked)
+        return values[:, 0]
 
     def sweep(self, X0: np.ndarray, U: np.ndarray) -> Sweep:
         """Outputs and site Jacobians of the rollouts of the inputs ``U``
@@ -477,7 +499,9 @@ class KernelInterpolant(NarxDynamics):
             sites[1:, :, nb + i * m : nb + (i + 1) * m] = sites[:-1, :, source : source + m]
         chunk = min(horizon, -(-_BLOCK // max(b, 1)))
         fourth = np.empty((chunk, b, size))
-        radii, profile = self._scratch(b, 2)
+        # Bound once for all steps; a step of up to _BLOCK rows is one pass.
+        values = _value_pass if b <= _BLOCK else _value_blocks
+        centers, weights, scale, radii, profile, stacked = self._pass_args(b)
         # Per-step views come from iterating over step-major arrays; the
         # steps of a chunk keep their (1 - r)^4 in its slots, and the
         # Jacobian pass after the chunk empties them.
@@ -486,7 +510,7 @@ class KernelInterpolant(NarxDynamics):
             steps, following = sites[first:last], sites[first + 1 : last + 1]
             views = zip(steps, following[:, :, None, :p], fourth, following[:, :, p:nb], steps[:, :, : nb - p])
             for site, out, kept, older, newer in views:
-                self._values(site, out, kept, radii, profile)
+                values(site, out, kept, centers, weights, scale, radii, profile, stacked)
                 older[...] = newer
             rows = (last - first) * b
             jac = self._jacobians(steps.reshape(rows, n + m), fourth.reshape(-1, size)[:rows])

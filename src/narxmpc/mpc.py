@@ -104,7 +104,10 @@ def _quadratic(v: np.ndarray, W: np.ndarray) -> np.ndarray:
     if v.shape[-1:] != W.shape[:1]:
         raise ValueError(f"weight of shape {W.shape} for vectors of shape {v.shape}")
     k = range(W.shape[0])
-    return sum(v[..., i] * W[i, j] * v[..., j] for i in k for j in k)
+    terms = (v[..., i] * W[i, j] * v[..., j] for i in k for j in k)
+    # The sum starts at its first term, not at 0: that term is diagonal, so
+    # with W[0, 0] > 0 it is never -0.0, which 0 + t would turn into +0.0.
+    return sum(terms, next(terms))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -485,6 +488,14 @@ def solve_ocp_batch(
     return _descend(f, X0, cfg, warm, secant, X0.shape[:1])
 
 
+# Jacobians or secant pairs too large for the round's products overflow,
+# as do costs and trial steps too large for their sums.  A row whose
+# gradient or Gauss-Newton Hessian is not finite fails, rather than step by
+# a model that is not finite, an overflowed secant part restarts from zero
+# (:func:`_secant_update`), and a trial whose cost is not finite is
+# rejected, so the whole solve runs without these warnings: one error
+# state per solve, not one per round.
+@np.errstate(invalid="ignore", over="ignore")
 def _descend(f: NarxDynamics, X0: np.ndarray, cfg: MpcConfig, warm, secant, lead: tuple[int, ...]):
     """:func:`solve_ocp_batch` from the rows of ``X0`` (B, n), with ``warm``
     and ``secant`` checked once, against the shapes of ``lead`` problems:
@@ -539,51 +550,46 @@ def _descend(f: NarxDynamics, X0: np.ndarray, cfg: MpcConfig, warm, secant, lead
     for rnd in range(cfg.solver.max_iters):
         if rows is None:
             break
-        # Jacobians or secant pairs too large for these products overflow.
-        # A row whose gradient or Gauss-Newton Hessian is not finite fails,
-        # rather than step by a model that is not finite, and an overflowed
-        # secant part restarts from zero (:func:`_secant_update`).
-        with np.errstate(invalid="ignore", over="ignore"):
-            g, gn = _derivatives(f.dims, rows.sweep, rows.u, q_bar, r_bar)
-            if not (_finite(g) and _finite(gn)):
-                finite = np.isfinite(g).all(axis=1) & np.isfinite(gn).all(axis=(1, 2))
-                failed = rows.index[~finite]
-                keep = leave(~finite, rnd, False)
-                for i in failed:
-                    results[i] = SolverError("gradient or Gauss-Newton Hessian is not finite at the current iterate")
-                if rows is None:
-                    break
-                g, gn = g[keep], gn[keep]
-            if rnd:
-                _secant_update(rows, gn, g - rows.grad)
-            u = rows.u
-            pg = u - _project(u - g, lo, hi)
-            rows.norm = np.sqrt(np.vecdot(pg, pg))
-            eps = np.minimum(rows.norm, ACTIVE_WIDTH)[:, None]
-            active = ((u <= lo + eps) & (g > 0)) | ((u >= hi - eps) & (g < 0))
-            free = ~active
-            d = _free_step(gn + rows.secant, free, g, eye)
-            slope = np.vecdot(g, d)
-            g_active = np.where(active, g, 0.0)
-            reset = ~(slope > 0)
-            if np.count_nonzero(reset):
-                reset &= np.any(free & (g != 0), axis=1)
-            # The two-metric direction and the decrease its full step promises.
+        g, gn = _derivatives(f.dims, rows.sweep, rows.u, q_bar, r_bar)
+        if not (_finite(g) and _finite(gn)):
+            finite = np.isfinite(g).all(axis=1) & np.isfinite(gn).all(axis=(1, 2))
+            failed = rows.index[~finite]
+            keep = leave(~finite, rnd, False)
+            for i in failed:
+                results[i] = SolverError("gradient or Gauss-Newton Hessian is not finite at the current iterate")
+            if rows is None:
+                break
+            g, gn = g[keep], gn[keep]
+        if rnd:
+            _secant_update(rows, gn, g - rows.grad)
+        u = rows.u
+        pg = u - _project(u - g, lo, hi)
+        rows.norm = np.sqrt(np.vecdot(pg, pg))
+        eps = np.minimum(rows.norm, ACTIVE_WIDTH)[:, None]
+        active = ((u <= lo + eps) & (g > 0)) | ((u >= hi - eps) & (g < 0))
+        free = ~active
+        d = _free_step(gn + rows.secant, free, g, eye)
+        slope = np.vecdot(g, d)
+        g_active = np.where(active, g, 0.0)
+        reset = ~(slope > 0)
+        if np.count_nonzero(reset):
+            reset &= np.any(free & (g != 0), axis=1)
+        # The two-metric direction and the decrease its full step promises.
+        direction = np.where(active, g, d)
+        rows.decrease = slope + np.vecdot(g_active, u - _project(u - direction, lo, hi))
+        floor = NOISE_FLOOR * np.abs(rows.value)
+        if not rnd and secant is not None:
+            # No pair of the solve has tested a secant start yet: it may
+            # not stop a row at its start by the noise floor.
+            untested = (rows.norm > GRAD_TOL) & (rows.decrease <= floor)
+            if np.count_nonzero(untested):
+                reset |= untested & rows.secant.any(axis=(1, 2))
+        if np.count_nonzero(reset):
+            rows.secant[reset] = 0.0
+            d[reset] = _free_step(gn[reset], free[reset], g[reset], eye)
+            slope[reset] = np.vecdot(g[reset], d[reset])
             direction = np.where(active, g, d)
             rows.decrease = slope + np.vecdot(g_active, u - _project(u - direction, lo, hi))
-            floor = NOISE_FLOOR * np.abs(rows.value)
-            if not rnd and secant is not None:
-                # No pair of the solve has tested a secant start yet: it may
-                # not stop a row at its start by the noise floor.
-                untested = (rows.norm > GRAD_TOL) & (rows.decrease <= floor)
-                if np.count_nonzero(untested):
-                    reset |= untested & rows.secant.any(axis=(1, 2))
-            if np.count_nonzero(reset):
-                rows.secant[reset] = 0.0
-                d[reset] = _free_step(gn[reset], free[reset], g[reset], eye)
-                slope[reset] = np.vecdot(g[reset], d[reset])
-                direction = np.where(active, g, d)
-                rows.decrease = slope + np.vecdot(g_active, u - _project(u - direction, lo, hi))
         stop = (rows.norm <= GRAD_TOL) | (rows.decrease <= floor)
         if np.count_nonzero(stop):
             keep = leave(stop, rnd, True)

@@ -12,6 +12,9 @@ surrogate at ``D``:
 
 - the fit itself (``fit_interpolant`` on the benchmark's dataset);
 - one value row at B=1 and at B=64 (``output_batch``);
+- the value row of one sweep step at B=1 (``kernels._value_pass`` with
+  the arguments a sweep binds once): a row without the dispatch around
+  it;
 - one B=1, N=20 sweep;
 - the stage costs of that sweep's outputs and inputs (``stage_cost``);
 - the gradient and Gauss-Newton Hessian of that sweep (``_derivatives``);
@@ -42,7 +45,7 @@ import ctypes
 import numpy as np
 import pytest
 
-from narxmpc import bench, mpc, twotank
+from narxmpc import bench, kernels, mpc, twotank
 from narxmpc.kernels import KernelSpec, fit_interpolant
 
 #: Thread-count setters exported by the OpenBLAS builds numpy and scipy ship.
@@ -138,6 +141,13 @@ def test_value_rows(benchmark, layers, rows):
     U = rng.uniform(-0.1, 0.1, size=(rows, layers["cfg"].dims.m))
     benchmark.extra_info["rows"] = rows
     benchmark(layers["model"].output_batch, X, U)
+
+
+def test_sweep_step_value_row(benchmark, layers):
+    model = layers["model"]
+    site = np.hstack([layers["X0"], layers["U"][:, 0]])
+    out, fourth = np.empty((1, 1, model.dims.p)), np.empty((1, model.data.sites.shape[0]))
+    benchmark(kernels._value_pass, site, out, fourth, *model._pass_args(1))
 
 
 def test_sweep_b1_n20(benchmark, layers):

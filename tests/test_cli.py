@@ -343,6 +343,18 @@ class TestSimulate:
             assert f"{name}: dt = 5 does not match the configuration's 10" in err
         assert not (tmp_path / "default").exists()
 
+    def test_malformed_sigma_names_the_file_and_the_entry(self, workspace, tmp_path, capsys):
+        model = tmp_path / "model.csv"
+        model.write_text((workspace / "model.csv").read_text())
+        lines = (workspace / "model.csv.meta").read_text().splitlines()
+        edited = ["sigma = abc" if line.startswith("sigma =") else line for line in lines]
+        assert edited != lines
+        model.with_suffix(".csv.meta").write_text("\n".join(edited) + "\n")
+        code = main(["simulate", "--model", str(model), "--steps", "2", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "model.csv: sigma: could not convert string to float: 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_zero_steps_header_only(self, workspace, tmp_path):
         code = main(
             [

@@ -275,6 +275,14 @@ class TestModelIo:
             with pytest.raises(ConfigError, match=r"model\.csv: jitter = 1e-10; only an interpolant"):
                 load_model(path)
 
+    def test_malformed_sigma_names_the_file_and_the_entry(self, cfg, tmp_path):
+        path = tmp_path / "model.csv"
+        save_model(self._small_model(cfg), path, cfg)
+        meta = path.with_suffix(".csv.meta")
+        meta.write_text(re.sub(r"(?m)^sigma = .*$", "sigma = abc", meta.read_text()))
+        with pytest.raises(ConfigError, match=r"model\.csv: sigma: could not convert string to float: 'abc'"):
+            load_model(path)
+
     def test_tampered_coefficients_detected(self, cfg, tmp_path):
         model = self._small_model(cfg)
         path = tmp_path / "model.csv"

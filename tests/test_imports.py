@@ -5,14 +5,17 @@ and the package needs none of it (the Halton points come from
 :class:`narxmpc.twotank.ScrambledHalton`).  The check runs in a fresh
 interpreter, because this suite itself imports ``scipy.stats``.
 
-``pyproject.toml`` declares ``numpy>=2.0``, but the suite runs on one
-installed NumPy.  So the package's NumPy names are scanned instead: no
-top-level name that a release after 2.0 added may appear in ``src/``.
+``pyproject.toml`` declares ``numpy>=2.0`` and ``scipy>=1.13``, but the
+suite runs on one installed NumPy and one scipy.  So the package's names
+are scanned instead: no top-level NumPy name that a release after 2.0
+added may appear in ``src/``, and every scipy name in ``src/`` must be on
+a list of names that scipy 1.13 has.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -31,6 +34,25 @@ AFTER_NUMPY_2_0 = {
     "cumulative_prod": (2, 1),
     "matvec": (2, 2),
     "vecmat": (2, 2),
+}
+
+#: Every scipy name that ``src/narxmpc`` may use: each public one is in
+#: scipy 1.13, the declared floor.  A name added to the package must be
+#: added here, after checking that 1.13 has it.
+SCIPY_NAMES = {
+    "scipy.linalg.LinAlgError",
+    "scipy.linalg.block_diag",
+    "scipy.linalg.cho_factor",
+    "scipy.linalg.cho_solve",
+    "scipy.linalg.blas.dsymm",
+    "scipy.linalg.lapack.dtbtrs",
+    "scipy.spatial.distance.cdist",
+    # Private to scipy: the compiled kernel that cdist(A, B) calls for the
+    # Euclidean metric, which kernels calls without the wrapper.  No
+    # release promises it, so it is checked only against the installed
+    # scipy: here, that it exists, and in test_properties.py, that it
+    # gives cdist's bits.
+    "scipy.spatial._distance_pybind.cdist_euclidean",
 }
 
 _PROBE = """
@@ -90,3 +112,50 @@ def test_the_newer_names_are_numpy_names():
     installed = tuple(int(part) for part in np.__version__.split(".")[:2])
     for name, release in AFTER_NUMPY_2_0.items():
         assert installed < release or hasattr(np, name), name
+
+
+def _scipy_names() -> dict[str, list[str]]:
+    """Every scipy name that ``src/narxmpc`` uses, dotted from ``scipy``,
+    with the places that use it: ``from scipy.<module> import <name>`` and
+    ``<alias>.<attribute>...`` under any alias of ``import scipy`` or
+    ``import scipy.<module>``."""
+    used: dict[str, list[str]] = {}
+    for path in sorted((SRC / "narxmpc").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = {
+            alias.asname or alias.name.split(".")[0]: alias.name if alias.asname else "scipy"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+            if alias.name.split(".")[0] == "scipy"
+        }
+        # An attribute chain counts once, from its outermost node.
+        inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+                for alias in node.names:
+                    used.setdefault(f"{node.module}.{alias.name}", []).append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Attribute) and id(node) not in inner:
+                chain, base = [], node
+                while isinstance(base, ast.Attribute):
+                    chain.append(base.attr)
+                    base = base.value
+                if isinstance(base, ast.Name) and base.id in aliases:
+                    name = ".".join([aliases[base.id], *reversed(chain)])
+                    used.setdefault(name, []).append(f"{path.name}:{node.lineno}")
+    return used
+
+
+def test_every_scipy_name_is_on_the_list_of_the_declared_floor():
+    assert '"scipy>=1.13"' in (ROOT / "pyproject.toml").read_text()
+    used = _scipy_names()
+    # dsymm, a BLAS wrapper, shows that the scan sees the package's imports.
+    assert "scipy.linalg.blas.dsymm" in used
+    unlisted = {name: places for name, places in used.items() if name not in SCIPY_NAMES}
+    assert not unlisted, f"scipy names not on the list of scipy 1.13 names: {unlisted}"
+
+
+def test_the_listed_scipy_names_are_in_the_installed_scipy():
+    for name in sorted(SCIPY_NAMES):
+        module, attr = name.rsplit(".", 1)
+        assert hasattr(importlib.import_module(module), attr), name
