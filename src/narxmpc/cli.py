@@ -24,6 +24,7 @@ import argparse
 import resource
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -308,9 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser of :func:`main`, built once per process; parsing leaves it unchanged.
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OSError, KernelFitError, SolverError) as exc:

@@ -184,7 +184,8 @@ def _value_pass(Xi, out, fourth, sites, weights, scale, radii, profile, stacked)
     binds once, since a sweep step pays for every call, lookup and view
     around its passes.
     """
-    r = _euclidean(Xi, sites, out=radii)
+    # ``out`` by position, after the weights (None): keywords cost the kernel about 0.3 us.
+    r = _euclidean(Xi, sites, None, radii)
     if scale is not None:
         r /= scale
     np.minimum(r, _ONE, out=r)

@@ -46,6 +46,7 @@ from functools import cached_property, lru_cache
 from typing import ClassVar
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve as _gesv
 from scipy.linalg.lapack import dtbtrs
 
 from .narx import Box, NarxDims, NarxDynamics, Sweep, shift_state
@@ -103,11 +104,18 @@ def _quadratic(v: np.ndarray, W: np.ndarray) -> np.ndarray:
     batch shape."""
     if v.shape[-1:] != W.shape[:1]:
         raise ValueError(f"weight of shape {W.shape} for vectors of shape {v.shape}")
-    k = range(W.shape[0])
-    terms = (v[..., i] * W[i, j] * v[..., j] for i in k for j in k)
     # The sum starts at its first term, not at 0: that term is diagonal, so
     # with W[0, 0] > 0 it is never -0.0, which 0 + t would turn into +0.0.
-    return sum(terms, next(terms))
+    total = v[..., 0] * W[0, 0] * v[..., 0]
+    for term in range(1, W.size):
+        i, j = divmod(term, W.shape[0])
+        total += v[..., i] * W[i, j] * v[..., j]
+    return total
+
+
+def _stage_costs(y: np.ndarray, u: np.ndarray, weights: StageCostWeights) -> np.ndarray:
+    """:func:`stage_cost` of float arrays, in the caller's error state."""
+    return _quadratic(y, weights.Q) + _quadratic(u, weights.R)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -115,7 +123,7 @@ def stage_cost(y: np.ndarray, u: np.ndarray, weights: StageCostWeights):
     """Quadratic stage cost ``y^T Q y + u^T R u``, batched over leading
     axes; each entry equals its batch of one bit for bit, and overflows to
     inf without a warning."""
-    return _quadratic(np.asarray(y, dtype=float), weights.Q) + _quadratic(np.asarray(u, dtype=float), weights.R)
+    return _stage_costs(np.asarray(y, dtype=float), np.asarray(u, dtype=float), weights)
 
 
 @dataclass(frozen=True)
@@ -239,6 +247,10 @@ ARMIJO = 1e-4
 #: quasi-Newton step.
 SHRINK = 0.5
 
+#: The solver's constants as 0-d arrays, which a ufunc takes without converting a Python float.
+_ZERO, _TWO, _WIDTH, _FLOOR, _TOL, _ARMIJO = map(np.array, (0.0, 2.0, ACTIVE_WIDTH, NOISE_FLOOR, GRAD_TOL, ARMIJO))
+
+
 def _finite(x: np.ndarray) -> bool:
     """Whether every entry of ``x`` is finite, by a count that costs less than ``.all()``."""
     return np.count_nonzero(np.isfinite(x)) == x.size
@@ -268,6 +280,8 @@ class _Rows:
     sweep: Sweep  # forward sweep at u
 
     def take(self, keep: np.ndarray) -> "_Rows":
+        # Positions, not the mask, index the fields: a mask is counted anew for each.
+        keep = np.flatnonzero(keep)
         return _Rows(*(getattr(self, name)[keep] for name in self.__dataclass_fields__))
 
 
@@ -275,7 +289,7 @@ def _evaluate(f: NarxDynamics, X: np.ndarray, U: np.ndarray, weights: StageCostW
     """Costs of the rows ``U`` (r, N, m) from ``X`` (r, n), with the forward
     sweep that gave them."""
     sweep = f.sweep(X, U)
-    return stage_cost(sweep.outputs, U, weights).sum(axis=1), sweep
+    return np.add.reduce(_stage_costs(sweep.outputs, U, weights), axis=1), sweep
 
 
 @lru_cache(maxsize=64)
@@ -308,7 +322,7 @@ def _layout(dims: NarxDims, horizon: int) -> tuple[np.ndarray, int, int]:
 
 
 def _derivatives(
-    dims: NarxDims, sweep: Sweep, u: np.ndarray, q_bar: np.ndarray, r_bar: np.ndarray
+    layout: tuple[np.ndarray, int, int], sweep: Sweep, u: np.ndarray, q_bar: np.ndarray, r_bar: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cost gradients ``2 (G^T Qb y + Rb u)`` (B, N m) and Gauss-Newton
     Hessians ``2 (G^T Qb G + Rb)`` (B, N m, N m) at the flattened inputs
@@ -331,8 +345,9 @@ def _derivatives(
     superdiagonals: ``band[i, j, width + r - j]`` is the entry ``(r, j)``
     of row i's ``L^T``, the C-ordered transpose of BLAS band storage.
     Each row's sources are its Jacobian entries, their negations and a
-    zero; one gather from the cached table of :func:`_layout` fills the
-    band and ``M``, zeros included.  One LAPACK
+    zero; one gather from ``layout``, the table that :func:`_layout` gives
+    for the sweep's dimensions and horizon (a solve resolves it once),
+    fills the band and ``M``, zeros included.  One LAPACK
     ``tbtrs`` solves the system, one forward substitution per column of
     ``M``.  Each row's block starts with ``width`` zero padding unknowns,
     so the band reaches the block before it only through zero entries:
@@ -343,25 +358,25 @@ def _derivatives(
     those zero entries; in a batch of more than one row, every row with a
     non-finite entry is therefore solved again on its own.
     """
-    b, horizon = sweep.outputs.shape[:2]
-    k = horizon * dims.m
-    table, entries, width = _layout(dims, horizon)
+    b, k = u.shape
+    table, entries, width = layout
     jac = sweep.jac.reshape(b, -1)
     gathered = np.concatenate((jac, -jac, np.zeros((b, 1))), axis=1).take(table, axis=1)
     band = gathered[:, :entries].reshape(-1, width + 1)
     # rhs[i, j, width + r] is the entry (r, j) of row i's M; the stacked
     # system takes its column-major right-hand sides (k, b, size).
     rhs = gathered[:, entries:].reshape(b, k, -1)
-    G = dtbtrs(band.T, rhs.transpose(1, 0, 2).reshape(k, -1).T, trans="T", diag="U", overwrite_b=True)[0]
+    # Flags by position (uplo, trans, diag, overwrite_b), which the wrapper parses faster.
+    G = dtbtrs(band.T, rhs.transpose(1, 0, 2).reshape(k, -1).T, "U", "T", "U", 1)[0]
     G = G.T.reshape(k, b, -1)
-    if b > 1 and not np.isfinite(G).all():
+    if b > 1 and not _finite(G):
         for i in np.flatnonzero(~np.isfinite(G).all(axis=(0, 2))):
             G[:, i] = dtbtrs(band.reshape(b, -1, width + 1)[i].T, rhs[i].T, trans="T", diag="U")[0].T
     # C-ordered rows, whose products do not depend on the batch size.
     G = np.ascontiguousarray(G[:, :, width:].transpose(1, 2, 0))
     qg = np.matmul(q_bar, G)
-    grad = 2.0 * (_matvec(qg.transpose(0, 2, 1), sweep.outputs.reshape(b, -1)) + _matvec(r_bar, u))
-    return grad, 2.0 * (np.matmul(G.transpose(0, 2, 1), qg) + r_bar)
+    grad = np.matmul(qg.transpose(0, 2, 1), sweep.outputs.reshape(b, -1)[..., None]) + np.matmul(r_bar, u[..., None])
+    return (_TWO * grad)[..., 0], _TWO * (np.matmul(G.transpose(0, 2, 1), qg) + r_bar)
 
 
 def _secant_update(rows: _Rows, gn: np.ndarray, y: np.ndarray) -> None:
@@ -373,47 +388,42 @@ def _secant_update(rows: _Rows, gn: np.ndarray, y: np.ndarray) -> None:
     s = rows.step
     bs = _matvec(gn + rows.secant, s)
     sy, sbs = np.vecdot(s, y), np.vecdot(s, bs)
-    ok = (sy > 0) & (sbs > 0)
-    if not np.count_nonzero(ok):
+    ok = (sy > _ZERO) & (sbs > _ZERO)
+    count = np.count_nonzero(ok)
+    if not count:
         return
-    # A slice when every row updates, so that no row is copied out.
-    pick = slice(None) if np.count_nonzero(ok) == ok.size else ok
-    y, bs, sy, sbs = y[pick], bs[pick], sy[pick], sbs[pick]
-    secant = rows.secant[pick]
+    # A slice when every row updates: the rows update in place, none is copied out.
+    pick = slice(None) if count == ok.size else ok
+    y, bs, sy, sbs, secant = y[pick], bs[pick], sy[pick], sbs[pick], rows.secant[pick]
     secant += y[:, :, None] * y[:, None, :] / sy[:, None, None]
     secant -= bs[:, :, None] * bs[:, None, :] / sbs[:, None, None]
-    rows.secant[pick] = secant
     # A pair too large for floating point restarts its row from zero.
-    if not _finite(rows.secant):
-        rows.secant[~np.isfinite(rows.secant).all(axis=(1, 2))] = 0.0
+    if not _finite(secant):
+        secant[~np.isfinite(secant).all(axis=(1, 2))] = 0.0
+    if pick is ok:
+        rows.secant[ok] = secant
 
 
+@np.errstate(all="ignore")
 def _free_step(B: np.ndarray, free: np.ndarray, g: np.ndarray, eye: np.ndarray) -> np.ndarray:
     """Steps ``d`` (r, k) of the Hessian models ``B`` (r, k, k) restricted
     to the ``free`` coordinates: ``B`` with the other rows and columns
     those of the identity ``eye``, solved against ``g`` zeroed on the
     other coordinates, so that ``d`` is zero there.
 
-    One LAPACK ``gesv`` per row, so each row is its own solve bit for bit.
-    When every coordinate is free, ``B`` and ``g`` go to the solve as they
-    are.  A singular matrix makes the stacked solve raise for every row;
-    the rows are then solved one by one, and a singular row's step is NaN.
+    One LAPACK ``gesv`` per row, by numpy's stacked solve gufunc (the one
+    ``np.linalg.solve`` wraps, called without the wrapper's checks), so
+    each row is its own solve bit for bit, and a singular row's step is
+    NaN while the others are unchanged.  The error state is the wrapper's,
+    with a singular row ignored rather than raised.  When every coordinate
+    is free, ``B`` and ``g`` go to the solve as they are.
     """
     if np.count_nonzero(free) == free.size:
         restricted, rhs = B, g[..., None]
     else:
         restricted = np.where(free[:, :, None] & free[:, None, :], B, eye)
         rhs = np.where(free, g, 0.0)[..., None]
-    try:
-        return np.linalg.solve(restricted, rhs)[..., 0]
-    except np.linalg.LinAlgError:
-        d = np.full(g.shape, np.nan)
-        for i in range(g.shape[0]):
-            try:
-                d[i] = np.linalg.solve(restricted[i], rhs[i])[:, 0]
-            except np.linalg.LinAlgError:
-                pass
-        return d
+    return _gesv(restricted, rhs)[..., 0]
 
 
 def _checked(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
@@ -512,6 +522,7 @@ def _descend(f: NarxDynamics, X0: np.ndarray, cfg: MpcConfig, warm, secant, lead
             raise ValueError("secant must have finite entries")
         secant = secant.reshape(b, k, k).copy()
     q_bar, r_bar, eye = cfg.horizon_blocks
+    layout = _layout(cfg.dims, cfg.horizon)
     value, sweep = _evaluate(f, X0, U.reshape(b, *shape), weights)
     # Every row starts live on the solve's own arrays (X0 is only read); rows whose
     # cost is not finite leave at once, and rounds set norms and decreases before use.
@@ -530,15 +541,17 @@ def _descend(f: NarxDynamics, X0: np.ndarray, cfg: MpcConfig, warm, secant, lead
         """Write the solutions of the rows ``out``; ``rows`` keeps the
         others, or is None when no row is left."""
         nonlocal rows
-        values, norms, decreases = rows.value.tolist(), rows.norm.tolist(), rows.decrease.tolist()
-        for j in out.nonzero()[0]:
-            results[rows.index[j]] = OcpSolution(
+        index, values, backtracks, norms, decreases = (
+            column.tolist() for column in (rows.index, rows.value, rows.backtracks, rows.norm, rows.decrease)
+        )
+        for j in out.nonzero()[0].tolist():
+            results[index[j]] = OcpSolution(
                 u_star=rows.u[j].reshape(shape),
                 outputs=rows.sweep.outputs[j],
                 secant=rows.secant[j],
                 value=values[j],
                 iterations=count,
-                backtracks=int(rows.backtracks[j]),
+                backtracks=backtracks[j],
                 grad_norm=norms[j],
                 predicted_decrease=decreases[j],
                 converged=conv,
@@ -550,7 +563,7 @@ def _descend(f: NarxDynamics, X0: np.ndarray, cfg: MpcConfig, warm, secant, lead
     for rnd in range(cfg.solver.max_iters):
         if rows is None:
             break
-        g, gn = _derivatives(f.dims, rows.sweep, rows.u, q_bar, r_bar)
+        g, gn = _derivatives(layout, rows.sweep, rows.u, q_bar, r_bar)
         if not (_finite(g) and _finite(gn)):
             finite = np.isfinite(g).all(axis=1) & np.isfinite(gn).all(axis=(1, 2))
             failed = rows.index[~finite]
@@ -565,38 +578,41 @@ def _descend(f: NarxDynamics, X0: np.ndarray, cfg: MpcConfig, warm, secant, lead
         u = rows.u
         pg = u - _project(u - g, lo, hi)
         rows.norm = np.sqrt(np.vecdot(pg, pg))
-        eps = np.minimum(rows.norm, ACTIVE_WIDTH)[:, None]
-        active = ((u <= lo + eps) & (g > 0)) | ((u >= hi - eps) & (g < 0))
+        eps = np.minimum(rows.norm, _WIDTH)[:, None]
+        active = ((u <= lo + eps) & (g > _ZERO)) | ((u >= hi - eps) & (g < _ZERO))
         free = ~active
         d = _free_step(gn + rows.secant, free, g, eye)
         slope = np.vecdot(g, d)
-        g_active = np.where(active, g, 0.0)
-        reset = ~(slope > 0)
+        reset = ~(slope > _ZERO)
         if np.count_nonzero(reset):
-            reset &= np.any(free & (g != 0), axis=1)
-        # The two-metric direction and the decrease its full step promises.
-        direction = np.where(active, g, d)
-        rows.decrease = slope + np.vecdot(g_active, u - _project(u - direction, lo, hi))
-        floor = NOISE_FLOOR * np.abs(rows.value)
+            reset &= np.any(free & (g != _ZERO), axis=1)
+        # The two-metric direction is g on the active coordinates, where its full
+        # step is the projected-gradient step pg: it promises slope + g_active . pg.
+        g_active = np.zeros(g.shape)
+        np.copyto(g_active, g, where=active)
+        rows.decrease = slope + np.vecdot(g_active, pg)
+        floor = _FLOOR * np.abs(rows.value)
+        small, low = rows.norm <= _TOL, rows.decrease <= floor
         if not rnd and secant is not None:
             # No pair of the solve has tested a secant start yet: it may
             # not stop a row at its start by the noise floor.
-            untested = (rows.norm > GRAD_TOL) & (rows.decrease <= floor)
+            untested = ~small & low
             if np.count_nonzero(untested):
                 reset |= untested & rows.secant.any(axis=(1, 2))
         if np.count_nonzero(reset):
             rows.secant[reset] = 0.0
             d[reset] = _free_step(gn[reset], free[reset], g[reset], eye)
             slope[reset] = np.vecdot(g[reset], d[reset])
-            direction = np.where(active, g, d)
-            rows.decrease = slope + np.vecdot(g_active, u - _project(u - direction, lo, hi))
-        stop = (rows.norm <= GRAD_TOL) | (rows.decrease <= floor)
+            rows.decrease = slope + np.vecdot(g_active, pg)
+            low = rows.decrease <= floor
+        np.copyto(d, g, where=active)  # d is now the two-metric direction
+        stop = small | low
         if np.count_nonzero(stop):
             keep = leave(stop, rnd, True)
             if rows is None:
                 break
-            direction, slope, g_active, g = direction[keep], slope[keep], g_active[keep], g[keep]
-        accepted = _armijo_search(f, rows, direction, slope, g_active, lo, hi, shape, weights)
+            d, slope, g_active, g = d[keep], slope[keep], g_active[keep], g[keep]
+        accepted = _armijo_search(f, rows, d, slope, g_active, lo, hi, shape, weights)
         rows.grad = g
         if np.count_nonzero(accepted) < accepted.size:
             leave(~accepted, rnd + 1, False)
@@ -629,7 +645,7 @@ def _armijo_search(f, rows: _Rows, d, slope, g_active, lo, hi, shape, weights: S
     while todo.size and t >= 1e-18:
         cand = _project(u - t * d, lo, hi)
         cand_value, sweep = _evaluate(f, x, cand.reshape(-1, *shape), weights)
-        sufficient = ARMIJO * (t * slope + np.vecdot(g_active, u - cand))
+        sufficient = _ARMIJO * (t * slope + np.vecdot(g_active, u - cand))
         ok = np.isfinite(cand_value) & (cand_value <= value - sufficient)
         if t == 1.0 and np.count_nonzero(ok) == ok.size:
             rows.step, rows.u, rows.value, rows.sweep = cand - u, cand, cand_value, sweep
@@ -739,7 +755,6 @@ def run_closed_loop(
     states[0] = np.asarray(x0, dtype=float).reshape(dims.n)
     inputs = np.empty((steps, dims.m))
     outputs = np.empty((steps, dims.p))
-    stage_costs = np.empty(steps)
     values = np.full(steps + 1, np.nan)
     grad_norms = np.full(steps + 1, np.nan)
     iterations = np.zeros(steps + 1, dtype=int)
@@ -766,7 +781,6 @@ def run_closed_loop(
                 break
             states[k + 1] = shift_state(states[k], y_next, u0, dims)
             inputs[k], outputs[k] = u0, y_next
-            stage_costs[k] = stage_cost(y_next, u0, cfg.weights)
             warm = np.zeros(sol.u_star.shape)
             warm[:-1] = sol.u_star[1:]
             secant = np.zeros(sol.secant.shape)
@@ -779,7 +793,8 @@ def run_closed_loop(
         inputs=inputs[:applied],
         outputs=outputs[:applied],
         values=values[: applied + 1],
-        stage_costs=stage_costs[:applied],
+        # One batched call: each entry is the step's own stage cost, bit for bit.
+        stage_costs=stage_cost(outputs[:applied], inputs[:applied], cfg.weights),
         grad_norms=grad_norms[: applied + 1],
         iterations=iterations[: applied + 1],
         converged=converged[: applied + 1],

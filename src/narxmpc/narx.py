@@ -95,9 +95,9 @@ def shift_state(x: np.ndarray, y_next: np.ndarray, u: np.ndarray, dims: NarxDims
     u; previous inputs except the oldest]``.  History blocks are copied
     verbatim, so repeated shifting is exact.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y_next = np.atleast_1d(np.asarray(y_next, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+    x = np.array(x, dtype=float, copy=None, ndmin=1)
+    y_next = np.array(y_next, dtype=float, copy=None, ndmin=1)
+    u = np.array(u, dtype=float, copy=None, ndmin=1)
     if x.shape[-1] != dims.n:
         raise DimensionMismatchError(
             f"regressor has length {x.shape[-1]}, expected n={dims.n}"
@@ -183,7 +183,7 @@ def rollout_arrays(
     Raises :class:`DimensionMismatchError` unless ``X0`` is (B, n) and
     ``U_seq`` is (B, N, m).
     """
-    X0 = np.atleast_2d(np.asarray(X0, dtype=float))
+    X0 = np.array(X0, dtype=float, copy=None, ndmin=2)
     U_seq = np.asarray(U_seq, dtype=float)
     if U_seq.ndim != 3 or U_seq.shape[2] != dims.m:
         raise DimensionMismatchError(

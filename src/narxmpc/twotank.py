@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .narx import (
     AffineNormalization,
@@ -47,7 +46,7 @@ from .narx import (
     build_regressor,
     rollout_arrays,
 )
-from .kernels import Dataset
+from .kernels import Dataset, _euclidean
 
 
 class DomainError(ValueError):
@@ -779,13 +778,14 @@ def generate_dataset(cfg: BenchmarkConfig) -> tuple[Dataset, dict]:
 def _accept_spaced(sites, targets, count, candidates, values, sep) -> tuple[int, int]:
     """Append candidate sites in order to the first ``count`` rows of the
     preallocated ``sites``/``targets`` until they are full, skipping each
-    candidate closer than ``sep`` to an accepted site.  Returns the new
+    candidate closer than ``sep`` to an accepted site, by the compiled
+    distance kernel that :mod:`~narxmpc.kernels` calls.  Returns the new
     count and the number skipped."""
     skipped = 0
     for site, value in zip(candidates, values):
         if count == sites.shape[0]:
             break
-        if cdist(site[None], sites[:count]).min() < sep:
+        if _euclidean(site[None], sites[:count]).min() < sep:
             skipped += 1
             continue
         sites[count], targets[count] = site, value

@@ -19,9 +19,14 @@ surrogate at ``D``:
 - the stage costs of that sweep's outputs and inputs (``stage_cost``);
 - the gradient and Gauss-Newton Hessian of that sweep (``_derivatives``);
 - the free step of its model with every coordinate free (``_free_step``);
+- one secant update of that model from a step and its gradient change
+  (``_secant_update``), which every iteration after a solve's first pays;
 - a solve of the reference episode that stops at its warm start;
 - the same solve on a model whose ``sweep`` returns the start's stored
   ``Sweep``: the solve's fixed cost, without kernel rows;
+- the episode's cold first solve, the one with the most iterations (15 at
+  D=101, 19 at D=2501), so that the cost of an iteration shows beside the
+  fixed cost;
 - one plant step (``TwoTankPlant.output``);
 - one reference episode (``simulate_loop``, 100 steps and 101 solves).
 
@@ -41,6 +46,7 @@ does for any module.
 from __future__ import annotations
 
 import ctypes
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -96,6 +102,7 @@ def layers(request):
     finally:
         mpc.solve_ocp = solve
     stopped = next(start for start in starts if start[1] is not None and start[3] == 0)
+    assert starts[0][1] is None and starts[0][3] == max(start[3] for start in starts)
     start = mpc._project(stopped[1].reshape(1, -1), *mpc_cfg._input_bounds).reshape(1, *stopped[1].shape)
     rng = np.random.default_rng(0)
     X0 = rng.uniform(-0.3, 0.3, size=(1, cfg.dims.n))
@@ -103,7 +110,7 @@ def layers(request):
     sweep = model.sweep(X0, U)
     q_bar, r_bar, eye = mpc_cfg.horizon_blocks
     u = U.reshape(1, -1)
-    _, gn = mpc._derivatives(cfg.dims, sweep, u, q_bar, r_bar)
+    _, gn = mpc._derivatives(mpc._layout(cfg.dims, cfg.horizon), sweep, u, q_bar, r_bar)
     return {
         "cfg": cfg,
         "model": model,
@@ -114,6 +121,7 @@ def layers(request):
         "u": u,
         "gn": gn,
         "stopped": stopped[:3],
+        "cold": starts[0][:3],
         "stored": _StoredSweep(model, model.sweep(stopped[0][None], start)),
     }
 
@@ -160,13 +168,32 @@ def test_stage_cost(benchmark, layers):
 
 def test_derivatives(benchmark, layers):
     q_bar, r_bar, _ = layers["mpc_cfg"].horizon_blocks
-    benchmark(mpc._derivatives, layers["cfg"].dims, layers["sweep"], layers["u"], q_bar, r_bar)
+    layout = mpc._layout(layers["cfg"].dims, layers["cfg"].horizon)
+    benchmark(mpc._derivatives, layout, layers["sweep"], layers["u"], q_bar, r_bar)
 
 
 def test_free_step(benchmark, layers):
     free = np.ones(layers["u"].shape, dtype=bool)
     g = np.random.default_rng(1).standard_normal(layers["u"].shape)
     benchmark(mpc._free_step, layers["gn"], free, g, layers["mpc_cfg"].horizon_blocks[2])
+
+
+def test_secant_update(benchmark, layers):
+    """One structured BFGS update of a zero secant part from the pair of a
+    random step and the change it makes in the model's gradient, with a
+    curvature above the model's, so the pair is taken."""
+    rng = np.random.default_rng(2)
+    step = rng.standard_normal(layers["u"].shape) * 1e-2
+    change = 1.5 * mpc._matvec(layers["gn"], step)
+    start = np.zeros_like(layers["gn"])
+    rows = SimpleNamespace(step=step, secant=start)
+
+    def update():
+        rows.secant = start.copy()
+        mpc._secant_update(rows, layers["gn"], change)
+
+    benchmark(update)
+    assert rows.secant.any()
 
 
 def test_solve_stopping_at_its_warm_start(benchmark, layers):
@@ -179,6 +206,13 @@ def test_solve_fixed_cost(benchmark, layers):
     x0, warm, secant = layers["stopped"]
     sol = benchmark(mpc.solve_ocp, layers["stored"], x0, layers["mpc_cfg"], warm, secant)
     assert sol.iterations == 0 and sol.converged
+
+
+def test_cold_first_solve(benchmark, layers):
+    x0, warm, secant = layers["cold"]
+    sol = benchmark(mpc.solve_ocp, layers["model"], x0, layers["mpc_cfg"], warm, secant)
+    benchmark.extra_info["iterations"] = sol.iterations
+    assert sol.iterations == {101: 15, 2501: 19}[layers["cfg"].d] and sol.converged
 
 
 def test_plant_step(benchmark, layers):

@@ -22,7 +22,7 @@ from narxmpc import (
     stage_cost,
 )
 from narxmpc import twotank
-from narxmpc.mpc import _derivatives
+from narxmpc.mpc import _derivatives, _layout
 from narxmpc.narx import Sweep, rollout_arrays
 from narxmpc.stability import StorageMatrix, storage_value
 
@@ -120,7 +120,7 @@ def cost_gradient(
     X0, U = np.asarray(X0, dtype=float), np.asarray(U, dtype=float)
     eye = np.eye(U.shape[1])
     q_bar, r_bar = np.kron(eye, weights.Q), np.kron(eye, weights.R)
-    return _derivatives(f.dims, f.sweep(X0, U), U.reshape(U.shape[0], -1), q_bar, r_bar)[0].reshape(U.shape)
+    return _derivatives(_layout(f.dims, U.shape[1]), f.sweep(X0, U), U.reshape(U.shape[0], -1), q_bar, r_bar)[0].reshape(U.shape)
 
 
 def backward_sweep_reference(

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 import resource
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from narxmpc import BenchmarkConfig, Dataset, SolverConfig, run_benchmark, wendland_phi
 import narxmpc.bench
+import narxmpc.cli
 import narxmpc.mpc
 import narxmpc.twotank
 from narxmpc.bench import GROWTH_HORIZON, GROWTH_STATES, bundle_digests
@@ -28,6 +32,10 @@ from narxmpc.fileio import (
 )
 
 H1_EQ = 0.04377874810998076
+
+#: Runs ``main`` on its arguments in a fresh interpreter: ``-c`` source,
+#: then the package's ``src`` and the arguments.
+_FRESH_MAIN = "import sys; sys.path.insert(0, sys.argv[1]); from narxmpc.cli import main; sys.exit(main(sys.argv[2:]))"
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +184,36 @@ class TestParsing:
         assert code == 1
         assert "u_lo must be nonnegative" in capsys.readouterr().err
         assert not list(tmp_path.glob("dataset_*.csv"))
+
+    def test_main_acts_in_one_process_as_in_fresh_ones(self, tmp_path, capsys):
+        """``main`` builds its parser once per process.  A usage error, a
+        run and ``--version``, called in turn in one process, each give the
+        exit code, output and files of a fresh process, and no value the
+        first call parsed (``--D 15``, ``--seed 3``) reaches the run."""
+        src = Path(narxmpc.bench.__file__).resolve().parents[1]
+        calls = [
+            ["generate", "--D", "15", "--seed", "3", "--out", "{out}", "--bogus"],
+            ["generate", "--out", "{out}"],
+            ["--version"],
+        ]
+        codes = []
+        for argv in calls:
+            try:
+                code = main([arg.format(out=tmp_path / "here") for arg in argv])
+            except SystemExit as exc:
+                code = exc.code
+            codes.append(code)
+            fresh = [sys.executable, "-c", _FRESH_MAIN, str(src), *(arg.format(out=tmp_path / "fresh") for arg in argv)]
+            proc = subprocess.run(fresh, capture_output=True, text=True, timeout=120)
+            assert (code, *capsys.readouterr()) == (proc.returncode, proc.stdout, proc.stderr), argv
+        assert codes == [1, 0, 0]
+        written = sorted(path.name for path in (tmp_path / "here").iterdir())
+        assert written == ["dataset_D101.csv", "dataset_D101.csv.meta", "manifest.json"]
+        for name in written[:2]:
+            assert sha256_file(tmp_path / "here" / name) == sha256_file(tmp_path / "fresh" / name)
+        assert "seed = 0" in (tmp_path / "here" / "dataset_D101.csv.meta").read_text()
+        # The parser main keeps still parses as a new one does.
+        assert narxmpc.cli._parser().parse_args(["generate"]) == build_parser().parse_args(["generate"])
 
     def test_growth_grid_defaults_agree(self):
         parser = build_parser()

@@ -9,7 +9,8 @@ interpreter, because this suite itself imports ``scipy.stats``.
 suite runs on one installed NumPy and one scipy.  So the package's names
 are scanned instead: no top-level NumPy name that a release after 2.0
 added may appear in ``src/``, and every scipy name in ``src/`` must be on
-a list of names that scipy 1.13 has.
+a list of names that scipy 1.13 has.  A name private to NumPy or scipy
+must be on its list too, and is checked against the installed release.
 """
 
 from __future__ import annotations
@@ -36,6 +37,16 @@ AFTER_NUMPY_2_0 = {
     "vecmat": (2, 2),
 }
 
+#: NumPy names private to NumPy that ``src/narxmpc`` uses.  No release
+#: promises them, so each is checked only against the installed NumPy:
+#: here, that it exists, and in test_properties.py, that it gives the bits
+#: of the public function that wraps it.
+NUMPY_PRIVATE = {
+    # The stacked LAPACK gesv gufunc that np.linalg.solve wraps, which mpc
+    # calls without the wrapper.
+    "numpy.linalg._umath_linalg.solve",
+}
+
 #: Every scipy name that ``src/narxmpc`` may use: each public one is in
 #: scipy 1.13, the declared floor.  A name added to the package must be
 #: added here, after checking that 1.13 has it.
@@ -46,9 +57,8 @@ SCIPY_NAMES = {
     "scipy.linalg.cho_solve",
     "scipy.linalg.blas.dsymm",
     "scipy.linalg.lapack.dtbtrs",
-    "scipy.spatial.distance.cdist",
     # Private to scipy: the compiled kernel that cdist(A, B) calls for the
-    # Euclidean metric, which kernels calls without the wrapper.  No
+    # Euclidean metric, which kernels and twotank call without it.  No
     # release promises it, so it is checked only against the installed
     # scipy: here, that it exists, and in test_properties.py, that it
     # gives cdist's bits.
@@ -112,6 +122,38 @@ def test_the_newer_names_are_numpy_names():
     installed = tuple(int(part) for part in np.__version__.split(".")[:2])
     for name, release in AFTER_NUMPY_2_0.items():
         assert installed < release or hasattr(np, name), name
+
+
+def _private_numpy_names() -> dict[str, list[str]]:
+    """Every name that ``src/narxmpc`` imports from a NumPy module, dotted
+    from ``numpy``, whose module path or name has a part that starts with
+    an underscore, with the places that import it."""
+    used: dict[str, list[str]] = {}
+    for path in sorted((SRC / "narxmpc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+                for alias in node.names:
+                    name = f"{node.module}.{alias.name}"
+                    if any(part.startswith("_") for part in name.split(".")):
+                        used.setdefault(name, []).append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "numpy" and "._" in alias.name:
+                        used.setdefault(alias.name, []).append(f"{path.name}:{node.lineno}")
+    return used
+
+
+def test_every_private_numpy_name_is_listed():
+    used = _private_numpy_names()
+    assert "numpy.linalg._umath_linalg.solve" in used
+    unlisted = {name: places for name, places in used.items() if name not in NUMPY_PRIVATE}
+    assert not unlisted, f"private NumPy names not on the list: {unlisted}"
+
+
+def test_the_listed_private_numpy_names_are_in_the_installed_numpy():
+    for name in sorted(NUMPY_PRIVATE):
+        module, attr = name.rsplit(".", 1)
+        assert hasattr(importlib.import_module(module), attr), name
 
 
 def _scipy_names() -> dict[str, list[str]]:

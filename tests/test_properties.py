@@ -361,6 +361,9 @@ def test_the_direct_distance_kernel_gives_the_bits_of_cdist(seed, a_rows, b_rows
     assert _euclidean(A, B).tobytes() == expected
     out = np.empty((a_rows, b_rows))
     assert _euclidean(A, B, out=out) is out and out.tobytes() == expected
+    # By position, as the value pass passes it: (A, B, w, out).
+    out = np.empty((a_rows, b_rows))
+    assert _euclidean(A, B, None, out) is out and out.tobytes() == expected
 
 
 @given(
@@ -1129,7 +1132,7 @@ def test_gradient_is_within_its_forward_error_bound(seed, p, m, nu, horizon, row
     width = (nu + 1) * p - 1
     w = 2 * ((width + 1) * horizon + p + max(m, p) + nu + 1)
     unit = np.finfo(float).eps / 2
-    grad = mpc._derivatives(dims, sweep, U.reshape(rows, -1), *_block_weights(cfg))[0]
+    grad = mpc._derivatives(mpc._layout(dims, horizon), sweep, U.reshape(rows, -1), *_block_weights(cfg))[0]
     error = np.abs(grad.reshape(U.shape) - exact)
     assert np.all(error <= w * unit / (1 - w * unit) * magnitude)
 
@@ -1163,10 +1166,11 @@ def test_derivative_rows_equal_their_batches_of_one(seed, p, m, nu, horizon, row
         sweep.jac[bad, 1:, :, : dims.n] = poison
         if not np.isfinite(poison):
             sweep.jac[bad, -1, :, dims.n :] = poison
+    layout = mpc._layout(dims, horizon)
     with np.errstate(invalid="ignore", over="ignore"):
-        batch = mpc._derivatives(dims, sweep, u, *weights)
+        batch = mpc._derivatives(layout, sweep, u, *weights)
         for i in range(rows):
-            for single, whole in zip(mpc._derivatives(dims, sweep[i : i + 1], u[i : i + 1], *weights), batch):
+            for single, whole in zip(mpc._derivatives(layout, sweep[i : i + 1], u[i : i + 1], *weights), batch):
                 assert_array_equal(single[0], whole[i])
                 assert not np.isfinite(whole[i]).all() or single[0].tobytes() == whole[i].tobytes()
     if poison is not None and not np.isfinite(poison):
@@ -1372,6 +1376,50 @@ def test_a_singular_model_gives_its_row_alone_a_nan_step(seed, k, rows):
             assert d[i].tobytes() == mpc._free_step(B[i : i + 1], free[i : i + 1], g[i : i + 1], np.eye(k))[0].tobytes()
 
 
+@given(
+    seed=seeds,
+    rows=st.integers(1, 5),
+    k=st.integers(1, 24),
+    share=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
+    singular=st.booleans(),
+)
+@example(seed=0, rows=5, k=24, share=1.0, singular=True)
+@example(seed=1, rows=5, k=24, share=0.8, singular=True)
+@example(seed=2, rows=1, k=1, share=0.0, singular=False)
+def test_the_free_step_gives_the_bits_of_numpy_solve(seed, rows, k, share, singular):
+    """The free step calls numpy's stacked solve gufunc without
+    ``np.linalg.solve``'s wrapper, and row by row it gives the bits of
+    ``np.linalg.solve`` on that row's restricted model: on stacks of
+    random positive definite models, with free masks of every share (none
+    free, some, all) as the solver's active sets make them.  A row made
+    exactly singular on its free coordinates gives NaN where the wrapper
+    raises, and every other row equals its batch of one.  A tripwire for
+    a numpy release in which the wrapper stops calling that gufunc or
+    changes what it computes."""
+    rng = np.random.default_rng(seed)
+    root = rng.standard_normal((rows, k, k))
+    B = root @ root.transpose(0, 2, 1) + rng.uniform(1e-3, k) * np.eye(k)
+    free = rng.random((rows, k)) < share
+    g = rng.standard_normal((rows, k))
+    eye = np.eye(k)
+    bad = int(rng.integers(rows)) if singular else -1
+    if singular:
+        j = int(rng.integers(k))
+        free[bad, j] = True
+        B[bad, j], B[bad, :, j] = 0.0, 0.0
+    d = mpc._free_step(B, free, g, eye)
+    for i in range(rows):
+        restricted = np.where(free[i, :, None] & free[i, None, :], B[i], eye)
+        rhs = np.where(free[i], g[i], 0.0)[:, None]
+        if i == bad:
+            assert np.isnan(d[i]).all()
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(restricted, rhs)
+            continue
+        assert d[i].tobytes() == np.linalg.solve(restricted, rhs)[:, 0].tobytes()
+        assert d[i].tobytes() == mpc._free_step(B[i : i + 1], free[i : i + 1], g[i : i + 1], eye)[0].tobytes()
+
+
 def _output_sensitivity(f, x0, u, h=1e-6):
     """Central-difference sensitivity (N p, N m) of the outputs of the
     rollout of ``u`` (N, m) from ``x0`` to the inputs."""
@@ -1405,7 +1453,7 @@ def test_gauss_newton_is_the_product_of_output_sensitivities(seed, p, m, nu, hor
     X0 = rng.uniform(-1.0, 1.0, size=(rows, cfg.dims.n))
     U = rng.uniform(-1.0, 1.0, size=(rows, horizon, m))
     q_bar, r_bar = _block_weights(cfg)
-    gn = mpc._derivatives(cfg.dims, f.sweep(X0, U), U.reshape(rows, -1), q_bar, r_bar)[1]
+    gn = mpc._derivatives(mpc._layout(cfg.dims, horizon), f.sweep(X0, U), U.reshape(rows, -1), q_bar, r_bar)[1]
     for i in range(rows):
         J = _output_sensitivity(f, X0[i], U[i])
         assert_allclose(gn[i], 2.0 * (J.T @ q_bar @ J + r_bar), rtol=1e-6, atol=1e-9)
@@ -1429,7 +1477,7 @@ def test_a_linear_problem_is_solved_in_one_step(seed, p, m, nu, horizon):
     x0 = rng.uniform(-1.0, 1.0, size=cfg.dims.n)
     u = rng.uniform(-1.0, 1.0, size=(horizon, m))
     q_bar, r_bar = _block_weights(cfg)
-    gn = mpc._derivatives(cfg.dims, f.sweep(x0[None], u[None]), u.reshape(1, -1), q_bar, r_bar)[1][0]
+    gn = mpc._derivatives(mpc._layout(cfg.dims, horizon), f.sweep(x0[None], u[None]), u.reshape(1, -1), q_bar, r_bar)[1][0]
     h, k = 1e-3, horizon * m
     steps = h * np.eye(k).reshape(k, horizon, m)
     X0 = np.tile(x0, (k, 1))
