@@ -133,13 +133,14 @@ def certify_trace(
     trace: ClosedLoopTrace,
     b_states: int = GROWTH_STATES,
     b_horizon: int = GROWTH_HORIZON,
-    model_tag: str = "surrogate",
 ) -> tuple[GrowthBoundEstimate, StabilityReport]:
     """Certify stage: growth bounds of the surrogate on the standard state
-    grid, then the decrease check along the recorded trace.  A trace with no applied
+    grid, then the decrease check along the recorded trace, both tagged
+    ``surrogate_D<d>`` by the model's dataset size.  A trace with no applied
     step, or one that ``require_trace_config`` refuses under ``cfg``, is rejected first."""
     require_applied_step(trace)
     require_trace_config(trace, cfg)
+    model_tag = f"surrogate_D{model.data.size}"
     mpc_cfg = make_mpc_config(cfg)
     grid = sample_state_grid(cfg, b_states, seed=cfg.seed + 29, min_norm=1e-3)
     growth = estimate_growth_bound(model, mpc_cfg, grid, b_horizon, model_tag=model_tag)
@@ -234,9 +235,7 @@ def run_arm(
     say(f"D={d}: closed loop done ({timings['closed_loop']:.1f} s)")
 
     tic = time.perf_counter()
-    growth, report = certify_trace(
-        cfg_d, model, trace, b_states, b_horizon, model_tag=f"surrogate_D{d}"
-    )
+    growth, report = certify_trace(cfg_d, model, trace, b_states, b_horizon)
     timings["certify"] = time.perf_counter() - tic
     say(f"D={d}: {growth.summary()}")
     say(f"D={d}: verdict {report.verdict} ({timings['certify']:.1f} s)")

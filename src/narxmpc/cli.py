@@ -123,12 +123,6 @@ def _manifest(args, command: str, cfg: BenchmarkConfig | None, outputs: list[Pat
     write_manifest(args.out / "manifest.json", entries)
 
 
-def _load_model(path, cfg: BenchmarkConfig):
-    model = load_model(path)
-    require_config(path, cfg)
-    return model
-
-
 def cmd_generate(args) -> int:
     started = time.time()
     cfg = _build_config(args, d=args.D)
@@ -144,14 +138,14 @@ def cmd_generate(args) -> int:
 def cmd_fit(args) -> int:
     started = time.time()
     cfg = _build_config(args, sigma=args.sigma)
-    data = load_dataset(args.data)
     require_config(args.data, cfg)
+    data = load_dataset(args.data)
     model, entries = fit_model(cfg, data)
     args.out.mkdir(parents=True, exist_ok=True)
     model_path = args.out / "model.csv"
     save_model(model, model_path, cfg)
     report_path = args.out / "fit_report.txt"
-    write_keyvalues(report_path, {"size": data.size, **entries})
+    write_keyvalues(report_path, {"d": data.size, **entries})
     _say(args)(f"fitted {data.size} sites, site residual {model.site_residual:.2e}")
     _manifest(
         args, "fit", cfg, [model_path, model_path.with_suffix(".csv.meta"), report_path], started
@@ -163,7 +157,8 @@ def cmd_simulate(args) -> int:
     started = time.time()
     cfg = _build_config(args, steps=args.steps)
     tic = time.perf_counter()
-    model = _load_model(args.model, cfg)
+    require_config(args.model, cfg)
+    model = load_model(args.model)
     timings = {"load": time.perf_counter() - tic}
     tic = time.perf_counter()
     trace = simulate_loop(cfg, model)
@@ -201,11 +196,11 @@ def cmd_certify(args) -> int:
     started = time.time()
     cfg = _build_config(args)
     tic = time.perf_counter()
-    model = _load_model(args.model, cfg)
-    # The full sidecar check comes first: its message names the first
-    # entry that differs, the units and the weights included.
+    # Every sidecar is checked before the model's refit, the costly load.
+    require_config(args.model, cfg)
     require_config(args.trace, cfg)
     trace = load_trace(args.trace, cfg.dims, cfg.horizon, cfg.normalization())
+    model = load_model(args.model)
     timings = {"load": time.perf_counter() - tic}
     tic = time.perf_counter()
     growth, report = certify_trace(cfg, model, trace, args.b_states, args.b_horizon)

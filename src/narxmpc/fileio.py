@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -121,40 +122,48 @@ def _dims_fields(dims: NarxDims) -> dict:
     return {"p": dims.p, "m": dims.m, "nu": dims.nu}
 
 
-def _dims_from(meta: dict, path) -> NarxDims:
-    try:
-        return NarxDims(p=int(meta["p"]), m=int(meta["m"]), nu=int(meta["nu"]))
-    except KeyError as exc:
-        raise ConfigError(f"{path}: sidecar is missing the {exc.args[0]} entry") from None
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+#: The normalization entries of a sidecar, in the field order of ``AffineNormalization``.
+_NORMALIZATION = ("y_ref", "y_scale", "u_ref", "u_scale")
 
 
 def _normalization_fields(norm: AffineNormalization) -> dict:
-    return {
-        "y_ref": norm.y_ref,
-        "y_scale": norm.y_scale,
-        "u_ref": norm.u_ref,
-        "u_scale": norm.u_scale,
-    }
+    return {key: getattr(norm, key) for key in _NORMALIZATION}
 
 
 def _parse_floats(raw: str) -> np.ndarray:
     return np.array([float(v) for v in raw.split(",")])
 
 
-def _normalization_from(meta: dict, path) -> AffineNormalization:
+def _parse_bool(raw: str) -> bool:
+    if raw not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {raw!r}")
+    return raw == "true"
+
+
+#: The parser of every sidecar entry that a loader reads.
+_PARSERS = {
+    "p": int, "m": int, "nu": int, "size": int, "contains_origin": _parse_bool,
+    **dict.fromkeys(_NORMALIZATION, _parse_floats), "sigma": float, "Q": float, "R": float,
+}
+
+
+def _read(path, meta: dict, build, *keys):
+    """``build`` of the sidecar entries ``keys`` of ``path``, each parsed
+    by :data:`_PARSERS`.  Raise ``ConfigError`` starting with ``path`` and
+    naming the key when an entry is missing or its parser rejects it, and
+    naming every key given when ``build`` rejects the values."""
+    values = []
+    for key in keys:
+        if key not in meta:
+            raise ConfigError(f"{path}: sidecar is missing the {key} entry")
+        try:
+            values.append(_PARSERS[key](meta[key]))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {key}: {exc}") from None
     try:
-        return AffineNormalization(
-            y_ref=_parse_floats(meta["y_ref"]),
-            y_scale=_parse_floats(meta["y_scale"]),
-            u_ref=_parse_floats(meta["u_ref"]),
-            u_scale=_parse_floats(meta["u_scale"]),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"{path}: sidecar is missing the {exc.args[0]} entry") from None
+        return build(*values)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(f"{path}: {', '.join(keys)}: {exc}") from None
 
 
 def _sidecar(path) -> Path:
@@ -192,20 +201,21 @@ def _save_sites(
 
 def _load_sites(path, coefficients: bool) -> tuple[Dataset, np.ndarray, dict]:
     """Read a table written by :func:`_save_sites`: the dataset, the
-    columns after the targets and the sidecar entries."""
+    columns after the targets and the sidecar entries, which record the table's ``size``."""
     header, table = read_csv(path)
     meta = read_keyvalues(_sidecar(path))
-    dims = _dims_from(meta, path)
+    dims = _read(path, meta, NarxDims, "p", "m", "nu")
     if header != _sites_header(dims, coefficients):
         raise ConfigError(f"{path}: header {header} does not match the sidecar dimensions")
+    if (size := _read(path, meta, int, "size")) != table.shape[0]:
+        raise ConfigError(f"{path}: size = {size} but the table holds {table.shape[0]} rows")
+    normalization = _read(path, meta, AffineNormalization, *_NORMALIZATION)
+    contains_origin = _read(path, meta, bool, "contains_origin")
     q = dims.n + dims.m
-    data = Dataset(
-        sites=table[:, :q],
-        targets=table[:, q : q + dims.p],
-        dims=dims,
-        normalization=_normalization_from(meta, path),
-        contains_origin=meta.get("contains_origin", "false") == "true",
-    )
+    try:
+        data = Dataset(table[:, :q], table[:, q : q + dims.p], dims, normalization, contains_origin)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return data, table[:, q + dims.p :], meta
 
 
@@ -238,12 +248,7 @@ def load_model(path) -> KernelInterpolant:
         raise ConfigError(f"{path}: only {KernelSpec.family} models can be reloaded")
     if meta.get("jitter", "0") != "0":
         raise ConfigError(f"{path}: jitter = {meta['jitter']}; only an interpolant (jitter = 0) can be reloaded")
-    try:
-        sigma = float(meta.get("sigma", 1.0))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: sigma: {exc}") from None
-    spec = KernelSpec(input_dim=data.sites.shape[1], lengthscale=sigma)
-    model = fit_interpolant(spec, data)
+    model = fit_interpolant(_read(path, meta, partial(KernelSpec, data.sites.shape[1]), "sigma"), data)
     drift = float(np.max(np.abs(stored - model.coefficients), initial=0.0))
     if drift > 1e-8:
         raise ConfigError(
@@ -343,19 +348,18 @@ def _trace_entries(dims: NarxDims, horizon: int, normalization) -> dict:
 def load_trace(path, dims: NarxDims, horizon: int, normalization=None) -> ClosedLoopTrace:
     """Read a normalized trace CSV, with the weights ``Q`` and ``R`` its
     sidecar records, into a :class:`ClosedLoopTrace`, or raise ``ConfigError``
-    unless its header fits ``dims`` and its sidecar records ``dims``, ``N =
-    horizon`` and (when given) the ``normalization``, naming the first entry that differs."""
+    unless its header fits ``dims`` and its sidecar records ``units = normalized``
+    (a raw table has the same header), ``dims``, ``N = horizon`` and (when given)
+    the ``normalization``, naming the first entry that differs."""
     header, table = read_csv(path)
     if header != trace_header(dims):
         raise ConfigError(f"{path}: unexpected trace header for the given dimensions")
     recorded = read_keyvalues(_sidecar(path))
+    units = recorded.get("units", "(not recorded)")
+    if units != "normalized":
+        raise ConfigError(f"{path}: trace units = {units}; only a normalized trace (trace_norm.csv) loads")
     _require_entries(path, recorded, _trace_entries(dims, horizon, normalization))
-    try:
-        weights = StageCostWeights(float(recorded["Q"]), float(recorded["R"]))
-    except KeyError as exc:
-        raise ConfigError(f"{path}: sidecar is missing the {exc.args[0]} entry") from None
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    weights = _read(path, recorded, StageCostWeights, "Q", "R")
     steps = max(table.shape[0] - 1, 0)
     fields, start = {}, 1
     for field, _, width, per_step in _trace_layout(dims):
@@ -453,18 +457,13 @@ def require_config(path, cfg) -> None:
     trace at ``path`` records the dimensions, the normalization and each
     setting its format records of the benchmark configuration ``cfg``.
     Floats are stored at 17 digits, so the entries of a matching sidecar
-    equal those written from ``cfg``.  A trace must also record
-    ``units = normalized``: a table in physical units has the same header
-    and would be certified as if it were normalized."""
+    equal those written from ``cfg``.  What a sidecar records about its
+    table, a site table's ``size`` and a trace's ``units``, is checked by
+    the loader."""
     meta = read_keyvalues(_sidecar(path))
     fmt = meta.get("format")
     if fmt not in _CONFIG_ENTRIES:
         raise ConfigError(f"{path}: sidecar format {fmt!r} is not a dataset, model or trace")
-    if fmt == "narxmpc-trace-v1" and meta.get("units") != "normalized":
-        raise ConfigError(
-            f"{path}: trace units = {meta.get('units', '(not recorded)')}; a certificate "
-            "needs the trace in normalized units (trace_norm.csv)"
-        )
     _require_entries(path, meta, _entries(cfg, fmt))
 
 

@@ -142,8 +142,8 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.input_dim < 1:
             raise ValueError("input_dim must be at least 1")
-        if not self.lengthscale > 0:
-            raise ValueError("lengthscale must be strictly positive")
+        if not 0 < self.lengthscale < np.inf:
+            raise ValueError(f"lengthscale must be finite and strictly positive, got {self.lengthscale!r}")
         if self.input_dim > 5:
             raise ValueError(
                 "the Wendland profile used here is positive definite only "

@@ -229,26 +229,26 @@ class OcpSolution:
 #: Cap on the bound distance at which a coordinate counts as active: a
 #: coordinate within ``min(||pg||, ACTIVE_WIDTH)`` of a bound whose
 #: gradient points out of the box takes a plain gradient step.
-ACTIVE_WIDTH = 1e-3
+ACTIVE_WIDTH = np.array(1e-3)
 
 #: Relative cost level below which a predicted decrease is rounding
 #: noise.  A solve whose full step promises at most ``NOISE_FLOOR * |J|``
 #: has converged: the kernel costs carry errors of about this size, and
 #: smaller accepted steps leave the value unchanged.
-NOISE_FLOOR = 1e-13
+NOISE_FLOOR = np.array(1e-13)
 
 #: Projected-gradient norm at or below which a solve has converged.
-GRAD_TOL = 1e-8
+GRAD_TOL = np.array(1e-8)
 
 #: Sufficient-decrease constant of the Armijo line search.
-ARMIJO = 1e-4
+ARMIJO = np.array(1e-4)
 
 #: Backtracking factor of the line search, which starts at the unit
 #: quasi-Newton step.
 SHRINK = 0.5
 
-#: The solver's constants as 0-d arrays, which a ufunc takes without converting a Python float.
-_ZERO, _TWO, _WIDTH, _FLOOR, _TOL, _ARMIJO = map(np.array, (0.0, 2.0, ACTIVE_WIDTH, NOISE_FLOOR, GRAD_TOL, ARMIJO))
+#: Zero and two as 0-d arrays, like the constants above: a ufunc takes them without converting a float.
+_ZERO, _TWO = np.array(0.0), np.array(2.0)
 
 
 def _finite(x: np.ndarray) -> bool:
@@ -578,7 +578,7 @@ def _descend(f: NarxDynamics, X0: np.ndarray, cfg: MpcConfig, warm, secant, lead
         u = rows.u
         pg = u - _project(u - g, lo, hi)
         rows.norm = np.sqrt(np.vecdot(pg, pg))
-        eps = np.minimum(rows.norm, _WIDTH)[:, None]
+        eps = np.minimum(rows.norm, ACTIVE_WIDTH)[:, None]
         active = ((u <= lo + eps) & (g > _ZERO)) | ((u >= hi - eps) & (g < _ZERO))
         free = ~active
         d = _free_step(gn + rows.secant, free, g, eye)
@@ -591,8 +591,8 @@ def _descend(f: NarxDynamics, X0: np.ndarray, cfg: MpcConfig, warm, secant, lead
         g_active = np.zeros(g.shape)
         np.copyto(g_active, g, where=active)
         rows.decrease = slope + np.vecdot(g_active, pg)
-        floor = _FLOOR * np.abs(rows.value)
-        small, low = rows.norm <= _TOL, rows.decrease <= floor
+        floor = NOISE_FLOOR * np.abs(rows.value)
+        small, low = rows.norm <= GRAD_TOL, rows.decrease <= floor
         if not rnd and secant is not None:
             # No pair of the solve has tested a secant start yet: it may
             # not stop a row at its start by the noise floor.
@@ -645,7 +645,7 @@ def _armijo_search(f, rows: _Rows, d, slope, g_active, lo, hi, shape, weights: S
     while todo.size and t >= 1e-18:
         cand = _project(u - t * d, lo, hi)
         cand_value, sweep = _evaluate(f, x, cand.reshape(-1, *shape), weights)
-        sufficient = _ARMIJO * (t * slope + np.vecdot(g_active, u - cand))
+        sufficient = ARMIJO * (t * slope + np.vecdot(g_active, u - cand))
         ok = np.isfinite(cand_value) & (cand_value <= value - sufficient)
         if t == 1.0 and np.count_nonzero(ok) == ok.size:
             rows.step, rows.u, rows.value, rows.sweep = cand - u, cand, cand_value, sweep

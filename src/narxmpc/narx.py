@@ -232,32 +232,29 @@ class AffineNormalization:
     def denormalize_input(self, u: np.ndarray) -> np.ndarray:
         return np.asarray(u, dtype=float) * self.u_scale + self.u_ref
 
-    def _state_ref_scale(self, dims: NarxDims) -> tuple[np.ndarray, np.ndarray]:
+    def _state_ref_scale(self, x: np.ndarray, dims: NarxDims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The regressor ``x`` as floats with its blockwise reference and
+        scale; raise unless its last axis has length ``n``."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1] != dims.n:
+            raise DimensionMismatchError(
+                f"regressor has length {x.shape[-1]}, expected n={dims.n}"
+            )
         ref = np.concatenate(
             [np.tile(self.y_ref, dims.nu), np.tile(self.u_ref, dims.nu - 1)]
         )
         scale = np.concatenate(
             [np.tile(self.y_scale, dims.nu), np.tile(self.u_scale, dims.nu - 1)]
         )
-        return ref, scale
+        return x, ref, scale
 
     def normalize_state(self, x: np.ndarray, dims: NarxDims) -> np.ndarray:
         """Normalize a regressor blockwise (output lags, then input lags)."""
-        ref, scale = self._state_ref_scale(dims)
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != dims.n:
-            raise DimensionMismatchError(
-                f"regressor has length {x.shape[-1]}, expected n={dims.n}"
-            )
+        x, ref, scale = self._state_ref_scale(x, dims)
         return (x - ref) / scale
 
     def denormalize_state(self, x: np.ndarray, dims: NarxDims) -> np.ndarray:
-        ref, scale = self._state_ref_scale(dims)
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != dims.n:
-            raise DimensionMismatchError(
-                f"regressor has length {x.shape[-1]}, expected n={dims.n}"
-            )
+        x, ref, scale = self._state_ref_scale(x, dims)
         return x * scale + ref
 
 

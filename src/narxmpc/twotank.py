@@ -580,14 +580,18 @@ class BenchmarkConfig:
             hi=norm.normalize_input(np.array([self.u_hi])),
         )
 
-    def equilibrium_regressor(self) -> np.ndarray:
-        """The equilibrium regressor in normalized coordinates (the origin)."""
-        h1_eq, _ = self.equilibrium
+    def _steady_regressor(self, level: float) -> np.ndarray:
+        """The normalized regressor of a record holding the lower level at
+        ``level`` under the equilibrium flow."""
         dims = self.dims
         raw = build_regressor(
-            np.full((dims.nu, 1), h1_eq), np.full((dims.nu - 1, 1), self.u_eq), dims
+            np.full((dims.nu, 1), level), np.full((dims.nu - 1, 1), self.u_eq), dims
         )
         return self.normalization().normalize_state(raw, dims)
+
+    def equilibrium_regressor(self) -> np.ndarray:
+        """The equilibrium regressor in normalized coordinates (the origin)."""
+        return self._steady_regressor(self.equilibrium[0])
 
     def initial_condition(self) -> tuple[np.ndarray, tuple[float, float]]:
         """Normalized initial regressor and the matching physical levels.
@@ -600,13 +604,8 @@ class BenchmarkConfig:
         the balancing head), which keeps the start strictly inside the
         plant's domain.
         """
-        dims = self.dims
-        raw = build_regressor(
-            np.full((dims.nu, 1), self.h0), np.full((dims.nu - 1, 1), self.u_eq), dims
-        )
-        x0 = self.normalization().normalize_state(raw, dims)
         h2_0 = float(reconstruct_hidden_level(self.h0, self.h0, self.u_eq, self.params))
-        return x0, (self.h0, h2_0)
+        return self._steady_regressor(self.h0), (self.h0, h2_0)
 
 
 def _default_separation(d: int) -> float:

@@ -16,6 +16,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from narxmpc import BenchmarkConfig, Dataset, SolverConfig, run_benchmark, wendland_phi
 import narxmpc.bench
 import narxmpc.cli
+import narxmpc.fileio
 import narxmpc.mpc
 import narxmpc.twotank
 from narxmpc.bench import GROWTH_HORIZON, GROWTH_STATES, bundle_digests
@@ -311,6 +312,15 @@ class TestFit:
         assert "non-finite sites: 1 row(s) hold NaN or inf" in capsys.readouterr().err
         assert not (tmp_path / "model.csv").exists()
 
+    def test_truncated_dataset_is_rejected(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "dataset.csv"
+        lines = (workspace / "dataset_D21.csv").read_text().splitlines()
+        bad.write_text("\n".join(lines[:-5]) + "\n")
+        (tmp_path / "dataset.csv.meta").write_text((workspace / "dataset_D21.csv.meta").read_text())
+        assert main(["fit", "--data", str(bad), "--out", str(tmp_path)]) == 1
+        assert "dataset.csv: size = 21 but the table holds 16 rows" in capsys.readouterr().err
+        assert not (tmp_path / "model.csv").exists()
+
     def test_dataset_in_other_coordinates_is_rejected(self, workspace, tmp_path, capsys):
         # The probes of the fill distance would be drawn in the config's
         # normalization and the sites in the dataset's.
@@ -510,6 +520,27 @@ class TestCertify:
         if config is not None:
             argv += ["--config", str(config)]
         assert main(argv) == 0
+
+    def test_every_sidecar_is_checked_before_the_model_is_refit(self, workspace, tmp_path, capsys, monkeypatch):
+        """``simulate`` and ``certify`` refuse a model or trace of another
+        configuration, and ``certify`` a raw trace, with exit code 1 before
+        the model's refit runs."""
+        self._simulate(workspace, tmp_path, steps="2")
+        config = tmp_path / "cfg.txt"
+        config.write_text("u_hi = 3e-5\n")
+        fits = []
+        monkeypatch.setattr(narxmpc.fileio, "fit_interpolant", lambda *args: fits.append(args))
+        model, other, out = str(workspace / "model.csv"), ["--config", str(config)], ["--out", str(tmp_path / "out")]
+        norm, raw = str(tmp_path / "trace_norm.csv"), str(tmp_path / "trace_raw.csv")
+        for argv, message in (
+            (["simulate", "--model", model, "--steps", "2", *other, *out], "model.csv: u_scale = "),
+            (["certify", "--model", model, "--trace", norm, *other, *out], "model.csv: u_scale = "),
+            (["certify", "--model", model, "--trace", raw, *out], "trace_raw.csv: trace units = raw;"),
+        ):
+            assert main(argv) == 1, argv[0]
+            assert message in capsys.readouterr().err
+        assert fits == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("entry", ["N = 3", "Q = 5", "R = 1"])
     def test_trace_of_other_controller_settings_is_rejected(
@@ -1020,16 +1051,12 @@ class TestBenchmark:
             "trace_norm_D21.csv.meta": "trace_norm.csv.meta",
             "trace_raw_D21.csv.meta": "trace_raw.csv.meta",
             "stability_steps_D21.csv": "stability_steps.csv",
+            "stability_report_D21.txt": "stability_report.txt",
         }
         for in_bundle, in_chain in pairs.items():
             assert (bundle / in_bundle).read_bytes() == (chain / in_chain).read_bytes(), in_chain
-        report = read_keyvalues(bundle / "stability_report_D21.txt")
-        assert report.pop("model_tag") == "surrogate_D21"
-        chained = read_keyvalues(chain / "stability_report.txt")
-        assert chained.pop("model_tag") == "surrogate"
-        assert report == chained
         fit = read_keyvalues(chain / "fit_report.txt")
-        assert fit.pop("size") == "21"
+        assert fit["d"] == "21"
         assert fit.items() <= read_keyvalues(bundle / "fit_report_D21.txt").items()
 
     def test_bundle_determinism(self, cfg, tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -201,14 +202,16 @@ class TestDatasetIo:
 
     def test_non_finite_normalization_names_file_and_entry(self, cfg, tmp_path):
         """A sidecar whose ``y_scale`` is NaN does not load: the targets
-        would denormalize to NaN."""
+        would denormalize to NaN.  The message names the entries the
+        normalization was built from."""
         data, _ = generate_dataset(replace(cfg, d=5))
         path = tmp_path / "d.csv"
         save_dataset(data, path, cfg)
         sidecar = path.with_suffix(".csv.meta")
         lines = sidecar.read_text().splitlines()
         sidecar.write_text("\n".join("y_scale = nan" if s.startswith("y_scale =") else s for s in lines) + "\n")
-        with pytest.raises(ConfigError, match=re.escape(f"{path}: normalization y_scale must be finite")):
+        message = f"{path}: y_ref, y_scale, u_ref, u_scale: normalization y_scale must be finite"
+        with pytest.raises(ConfigError, match=re.escape(message)):
             load_dataset(path)
 
     @pytest.mark.parametrize(
@@ -216,13 +219,26 @@ class TestDatasetIo:
         [("0", "p must be a positive integer, got 0"), ("x", "invalid literal for int() with base 10: 'x'")],
     )
     def test_bad_dimensions_name_the_file(self, cfg, tmp_path, value, message):
+        """A value that ``int`` rejects is named by its key, one that
+        ``NarxDims`` rejects by the three entries it was built from."""
+        keys = "p" if value == "x" else "p, m, nu"
         data, _ = generate_dataset(replace(cfg, d=5))
         path = tmp_path / "d.csv"
         save_dataset(data, path, cfg)
         sidecar = path.with_suffix(".csv.meta")
         lines = sidecar.read_text().splitlines()
         sidecar.write_text("\n".join(f"p = {value}" if s.startswith("p =") else s for s in lines) + "\n")
-        with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {keys}: {message}")):
+            load_dataset(path)
+
+    def test_a_truncated_table_does_not_load(self, cfg, tmp_path):
+        """A D=21 dataset whose last 5 rows are cut does not load: its
+        sidecar records ``size = 21``."""
+        data, _ = generate_dataset(replace(cfg, d=21))
+        path = tmp_path / "d.csv"
+        save_dataset(data, path, cfg)
+        path.write_text("\n".join(path.read_text().splitlines()[:-5]) + "\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: size = 21 but the table holds 16 rows")):
             load_dataset(path)
 
     def test_sidecar_recording_a_dataset_mode_still_loads(self, cfg, tmp_path):
@@ -281,6 +297,14 @@ class TestModelIo:
         meta = path.with_suffix(".csv.meta")
         meta.write_text(re.sub(r"(?m)^sigma = .*$", "sigma = abc", meta.read_text()))
         with pytest.raises(ConfigError, match=r"model\.csv: sigma: could not convert string to float: 'abc'"):
+            load_model(path)
+
+    def test_a_non_positive_sigma_names_the_file_and_the_entry(self, cfg, tmp_path):
+        path = tmp_path / "model.csv"
+        save_model(self._small_model(cfg), path, cfg)
+        meta = path.with_suffix(".csv.meta")
+        meta.write_text(re.sub(r"(?m)^sigma = .*$", "sigma = -1", meta.read_text()))
+        with pytest.raises(ConfigError, match=r"model\.csv: sigma: lengthscale must be finite and strictly positive"):
             load_model(path)
 
     def test_tampered_coefficients_detected(self, cfg, tmp_path):
@@ -357,6 +381,15 @@ class TestTraceIo:
         raw_states = trace_cfg.normalization().denormalize_state(trace.states, DIMS)
         assert_allclose(raw_table[:, 1 : 1 + DIMS.n], raw_states, rtol=1e-12)
         assert not np.allclose(raw_table[:, 1], norm_table[:, 1])
+
+    def test_a_raw_trace_does_not_load(self, trace_cfg, tmp_path):
+        """The physical-unit table has the normalized table's header; its
+        sidecar's ``units`` entry keeps it from loading as normalized."""
+        norm = trace_cfg.normalization()
+        path = tmp_path / "raw.csv"
+        save_trace(_linear_closed_loop(steps=2, normalization=norm), path, trace_cfg, raw=True)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: trace units = raw;")):
+            load_trace(path, DIMS, horizon=4, normalization=norm)
 
     def test_raw_needs_normalization(self, trace_cfg, tmp_path):
         trace = _linear_closed_loop(steps=2)
@@ -444,6 +477,56 @@ class TestRequireConfig:
         got = r"\(not recorded\)" if missing else r"\S+"
         with pytest.raises(ConfigError, match=rf"{artifact}.csv: {key} = {got} does not match"):
             require_config(path, cfg)
+
+
+#: Per artifact, the sidecar entries that its loader reads.
+_READ = {
+    "dataset": ("p", "m", "nu", "size", "contains_origin", "y_ref", "y_scale", "u_ref", "u_scale"),
+    "model": ("p", "m", "nu", "size", "contains_origin", "y_ref", "y_scale", "u_ref", "u_scale", "sigma"),
+    "trace": ("units", "N", "p", "m", "nu", "y_ref", "y_scale", "u_ref", "u_scale", "Q", "R"),
+}
+
+#: Out-of-range values of an entry, besides the malformed and non-finite
+#: ones that every entry is given: for ``size``, those of another table.
+_OUT_OF_RANGE = {
+    "p": ("0", "-1"), "m": ("0",), "nu": ("0",), "N": ("0",), "size": ("-1", "4", "6"),
+    "y_scale": ("0", "-1"), "u_scale": ("0", "-1"), "sigma": ("0", "-1"),
+    "Q": ("0", "-1"), "R": ("0", "-1"), "units": ("raw",),
+}
+
+
+class TestSidecarRule:
+    @pytest.mark.parametrize("artifact, key", [(artifact, key) for artifact, keys in _READ.items() for key in keys])
+    def test_every_entry_a_loader_reads_is_checked(self, cfg, tmp_path, artifact, key):
+        """A sidecar that lacks an entry its loader reads, or holds a
+        malformed, non-finite or out-of-range value there, does not load:
+        the loader raises ``ConfigError`` starting with the file's path and
+        naming the key."""
+        path = tmp_path / f"{artifact}.csv"
+        trace_cfg = replace(cfg, horizon=4)
+        norm = cfg.normalization()
+        if artifact == "trace":
+            save_trace(_linear_closed_loop(steps=2, normalization=norm), path, trace_cfg)
+            load = partial(load_trace, path, DIMS, 4, norm)
+        else:
+            data, _ = generate_dataset(replace(cfg, d=5))
+            if artifact == "dataset":
+                save_dataset(data, path, cfg)
+            else:
+                save_model(fit_interpolant(KernelSpec(input_dim=4), data), path, cfg)
+            load = partial(load_dataset if artifact == "dataset" else load_model, path)
+        load()
+        sidecar = path.with_suffix(".csv.meta")
+        lines = sidecar.read_text().splitlines()
+        assert sum(line.startswith(f"{key} = ") for line in lines) == 1
+        for value in (None, "abc", "nan", "inf", *_OUT_OF_RANGE.get(key, ())):
+            kept = [line for line in lines if not line.startswith(f"{key} = ")]
+            sidecar.write_text("\n".join(kept + ([] if value is None else [f"{key} = {value}"])) + "\n")
+            with pytest.raises(ConfigError) as raised:
+                load()
+            message = str(raised.value)
+            assert message.startswith(f"{path}: "), (value, message)
+            assert re.search(rf"(?<!\w){key}(?!\w)", message[len(str(path)) :]), (value, message)
 
 
 class TestStabilityReportIo:

@@ -278,6 +278,24 @@ class TestSolveOcp:
         assert sweep.jac.shape == (0, horizon, dims.p, dims.n + dims.m)
         assert solve_ocp_batch(f, X0, mpc_cfg) == []
 
+    @pytest.mark.parametrize(
+        "name, value", [("GRAD_TOL", 1e-1), ("NOISE_FLOOR", 1e-3), ("ARMIJO", 0.5), ("ACTIVE_WIDTH", 1.0)]
+    )
+    def test_the_round_reads_the_public_constants(self, cfg, fit_101, mpc_cfg, monkeypatch, name, value):
+        """A solve reads the module's stopping and line-search constants
+        at its call: the D=101 solve from the reference start stops after
+        fewer iterations under a looser ``GRAD_TOL`` or ``NOISE_FLOOR``,
+        and takes other steps under another ``ARMIJO`` or ``ACTIVE_WIDTH``."""
+        x0, _ = cfg.initial_condition()
+        default = solve_ocp(fit_101[1], x0, mpc_cfg)
+        monkeypatch.setattr(mpc, name, value)
+        patched = solve_ocp(fit_101[1], x0, mpc_cfg)
+        assert patched.converged
+        assert (patched.iterations, patched.backtracks) != (default.iterations, default.backtracks)
+        if name in ("GRAD_TOL", "NOISE_FLOOR"):
+            assert patched.iterations < default.iterations
+            assert patched.grad_norm <= mpc.GRAD_TOL or patched.predicted_decrease <= mpc.NOISE_FLOOR * patched.value
+
 
 class TestStartValidation:
     """A warm start of the wrong shape, or a warm secant part with a
