@@ -22,7 +22,6 @@ from .kernels import (
     fit_interpolant,
     kernel_matrix,
     min_pairwise_distance,
-    validate_error_constants,
     wendland_phi,
 )
 from .mpc import (

@@ -166,6 +166,18 @@ def _read(path, meta: dict, build, *keys):
         raise ConfigError(f"{path}: {', '.join(keys)}: {exc}") from None
 
 
+def _normalization(path, meta: dict, dims: NarxDims) -> AffineNormalization:
+    """The normalization entries of ``path``'s sidecar, read by :func:`_read`;
+    raise ``ConfigError`` naming the file and the entry when ``y_ref`` or
+    ``y_scale`` does not hold ``p`` values, or ``u_ref`` or ``u_scale`` ``m``."""
+    norm = _read(path, meta, AffineNormalization, *_NORMALIZATION)
+    for key in _NORMALIZATION:
+        name, count = ("p", dims.p) if key[0] == "y" else ("m", dims.m)
+        if (size := getattr(norm, key).size) != count:
+            raise ConfigError(f"{path}: {key}: holds {size} values, expected {name} = {count}")
+    return norm
+
+
 def _sidecar(path) -> Path:
     return Path(path).with_suffix(Path(path).suffix + ".meta")
 
@@ -209,7 +221,7 @@ def _load_sites(path, coefficients: bool) -> tuple[Dataset, np.ndarray, dict]:
         raise ConfigError(f"{path}: header {header} does not match the sidecar dimensions")
     if (size := _read(path, meta, int, "size")) != table.shape[0]:
         raise ConfigError(f"{path}: size = {size} but the table holds {table.shape[0]} rows")
-    normalization = _read(path, meta, AffineNormalization, *_NORMALIZATION)
+    normalization = _normalization(path, meta, dims)
     contains_origin = _read(path, meta, bool, "contains_origin")
     q = dims.n + dims.m
     try:
@@ -350,7 +362,8 @@ def load_trace(path, dims: NarxDims, horizon: int, normalization=None) -> Closed
     sidecar records, into a :class:`ClosedLoopTrace`, or raise ``ConfigError``
     unless its header fits ``dims`` and its sidecar records ``units = normalized``
     (a raw table has the same header), ``dims``, ``N = horizon`` and (when given)
-    the ``normalization``, naming the first entry that differs."""
+    the ``normalization``, with ``p`` output and ``m`` input values per
+    entry, naming the first entry that differs."""
     header, table = read_csv(path)
     if header != trace_header(dims):
         raise ConfigError(f"{path}: unexpected trace header for the given dimensions")
@@ -358,6 +371,8 @@ def load_trace(path, dims: NarxDims, horizon: int, normalization=None) -> Closed
     units = recorded.get("units", "(not recorded)")
     if units != "normalized":
         raise ConfigError(f"{path}: trace units = {units}; only a normalized trace (trace_norm.csv) loads")
+    if normalization is not None:
+        _normalization(path, recorded, dims)
     _require_entries(path, recorded, _trace_entries(dims, horizon, normalization))
     weights = _read(path, recorded, StageCostWeights, "Q", "R")
     steps = max(table.shape[0] - 1, 0)
@@ -381,34 +396,24 @@ _REPORT_KEYS = (
     ("alpha", "alpha"), ("first_violation", "first_violation"), ("gamma_bar", "gamma_bar"),
     ("min_horizon", "min_horizon_value"), ("horizon_sufficient", "horizon_sufficient"),
     ("b_values", "b_values"), ("growth_failures", "growth_failures"),
-    ("capped_solves", "capped_solves"),
+    ("capped_solves", "capped_solves"), ("trace_error_ratio", "trace_error_ratio"),
+    ("trace_bound_ratio", "trace_bound_ratio"), ("error_bound_on_trace", "error_bound_on_trace"),
 )
 
 
 def save_stability_report(report, path_txt, path_csv=None) -> None:
-    """Write a stability report as key=value, plus an optional per-step CSV."""
+    """Write a stability report as key=value, plus an optional per-step CSV,
+    whose ``model_error`` column is NaN where the report has no model errors."""
     entries = {key: getattr(report, name) for key, name in _REPORT_KEYS}
     entries = {key: value for key, value in entries.items() if value is not None}
     write_keyvalues(path_txt, entries)
     if path_csv is not None:
         k = np.arange(report.state_norms.shape[0])
         deltas = np.concatenate([report.deltas, [np.nan]])
-        rows = np.column_stack(
-            [
-                k,
-                report.state_norms,
-                report.errors,
-                report.values,
-                report.storage_values,
-                report.lyapunov,
-                deltas,
-            ]
-        )
-        write_csv(
-            path_csv,
-            ["k", "state_norm", "error", "V", "W", "Y", "delta"],
-            rows,
-        )
+        model_errors = np.full(k.size, np.nan) if report.model_errors is None else report.model_errors
+        columns = [report.state_norms, report.errors, report.values, report.storage_values, report.lyapunov]
+        rows = np.column_stack([k, *columns, deltas, model_errors])
+        write_csv(path_csv, ["k", "state_norm", "error", "V", "W", "Y", "delta", "model_error"], rows)
 
 
 def write_manifest(path, entries: dict) -> None:

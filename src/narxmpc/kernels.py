@@ -618,8 +618,11 @@ class ErrorConstants:
     """State-proportional model-error bound ``|F - F_eps| <= c_x ||x|| + c_u ||u||``.
 
     The constants cover every one of the ``sample_count`` estimation
-    samples (up to rounding), so they are checked only on fresh samples,
-    by :func:`validate_error_constants`.
+    samples (up to rounding), which come from the same sampler as any
+    fresh draw would.  They are checked where the certificate uses them,
+    along a recorded closed loop: the benchmark's ``trace_bound_ratio``
+    is the largest one-step model error of its trace over this bound
+    (:func:`~narxmpc.bench.certify_trace`).
     """
 
     c_x: float
@@ -656,22 +659,14 @@ def estimate_error_constants(
     U : array, shape (S, m)
         Evaluation samples in normalized coordinates, S >= 100.
     """
-    return _constants_from(*_residuals(truth, model, X, U))
-
-
-def _residuals(truth, model, X, U) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Residual norms of the surrogate against the reference map on the
-    samples, with the norms of the states and the inputs."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     U = np.atleast_2d(np.asarray(U, dtype=float))
     if X.shape[0] != U.shape[0]:
         raise ValueError("X and U must have the same number of rows")
     if X.shape[0] < 100:
         raise ValueError(f"need at least 100 samples, got {X.shape[0]}")
-    residual = np.linalg.norm(
-        truth.output_batch(X, U) - model.output_batch(X, U), axis=1
-    )
-    return residual, np.linalg.norm(X, axis=1), np.linalg.norm(U, axis=1)
+    residual = np.linalg.norm(truth.output_batch(X, U) - model.output_batch(X, U), axis=1)
+    return _constants_from(residual, np.linalg.norm(X, axis=1), np.linalg.norm(U, axis=1))
 
 
 def _constants_from(residual, x_norm, u_norm) -> ErrorConstants:
@@ -704,38 +699,3 @@ def _constants_from(residual, x_norm, u_norm) -> ErrorConstants:
     return ErrorConstants(
         c_x=float(c_x[best]), c_u=float(candidates[best]), sample_count=int(residual.shape[0])
     )
-
-
-def validate_error_constants(
-    constants: ErrorConstants,
-    truth: NarxDynamics,
-    model: NarxDynamics,
-    X: np.ndarray,
-    U: np.ndarray,
-) -> dict:
-    """Check estimated constants on fresh samples.
-
-    Returns a dict of three entries.  ``max_ratio`` is the largest
-    quotient ``residual / (c_x ||x|| + c_u ||u||)`` of the reported bound
-    on the fresh samples; above 1, a fresh residual exceeds the bound.
-    ``drift_factor`` is ``(c_x + c_u)`` re-estimated from the fresh
-    samples over the reported ``(c_x + c_u)``.  ``flagged`` is set when
-    either exceeds 2, that is when the fresh data shows the reported
-    constants understate the residuals by more than a factor of two.
-    Conservative reported constants (fresh estimates smaller) are not
-    flagged.
-    """
-    residual, x_norm, u_norm = _residuals(truth, model, X, U)
-    re_est = _constants_from(residual, x_norm, u_norm)
-    reported = constants.c_x + constants.c_u
-    drift = (re_est.c_x + re_est.c_u) / max(reported, 1e-15)
-    denom = constants.bound(x_norm, u_norm)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(denom > 1e-15, residual / np.where(denom > 1e-15, denom, 1.0), 0.0)
-    max_ratio = float(np.max(ratios, initial=0.0))
-    return {
-        "max_ratio": max_ratio,
-        "drift_factor": drift,
-        "flagged": bool(drift > 2.0 or max_ratio > 2.0),
-    }
-

@@ -208,8 +208,10 @@ class OcpSolution:
     ``predicted_decrease`` the cost decrease the full two-metric step
     promised, both at the last iterate the stopping tests checked (the
     iterate before the last step for a solve stopped at the iteration
-    cap).  ``outputs`` (N, p) are the predicted outputs of ``u_star``:
-    those of the forward sweep that gave ``value``, kept by the solver.
+    cap).  A solve that the gradient test stops forms no step, so its
+    ``predicted_decrease`` is NaN.  ``outputs`` (N, p) are the predicted
+    outputs of ``u_star``: those of the forward sweep that gave ``value``,
+    kept by the solver.
     ``secant`` (N m, N m) is the secant part ``A`` of the solve's final
     Hessian model, which can warm-start a later solve.
     ``backtracks`` counts the line-search trials the solve rejected.
@@ -459,15 +461,18 @@ def solve_ocp_batch(
     another shape, or a ``secant`` with a non-finite entry, raises
     ``ValueError`` before any cost is evaluated.
 
-    Each round splits every row's coordinates.  A coordinate within
+    Each round first takes every row's projected-gradient norm; a row
+    whose norm is at most :data:`GRAD_TOL` has converged and leaves with a
+    NaN ``predicted_decrease``, before any step is formed, with the
+    secant part that the round's update left.  The other rows split their
+    coordinates.  A coordinate within
     ``eps = min(||pg||, ACTIVE_WIDTH)`` of a bound whose gradient points
     out of the box is active and takes the plain gradient step; the free
     coordinates take the step of ``B`` restricted to them
     (:func:`_free_step`).  A free step that is not a descent direction
     resets ``A`` to zero and takes the step of ``GN`` alone.  So does a
     first-round step from a nonzero start whose full step promises at
-    most the noise floor while the projected-gradient norm is above
-    :data:`GRAD_TOL`: no pair of the solve has tested that start, and a
+    most the noise floor: no pair of the solve has tested that start, and a
     huge one would otherwise end the solve where it began.  Later rounds
     trust the model, so a start far above the cost's curvature in some
     directions still shortens the steps along them and can end the solve
@@ -575,9 +580,17 @@ def _descend(f: NarxDynamics, X0: np.ndarray, cfg: MpcConfig, warm, secant, lead
             g, gn = g[keep], gn[keep]
         if rnd:
             _secant_update(rows, gn, g - rows.grad)
-        u = rows.u
-        pg = u - _project(u - g, lo, hi)
+        pg = rows.u - _project(rows.u - g, lo, hi)
         rows.norm = np.sqrt(np.vecdot(pg, pg))
+        # A row the gradient test stops leaves before its step is formed.
+        small = rows.norm <= GRAD_TOL
+        if np.count_nonzero(small):
+            rows.decrease[small] = np.nan
+            keep = leave(small, rnd, True)
+            if rows is None:
+                break
+            g, gn, pg = g[keep], gn[keep], pg[keep]
+        u = rows.u
         eps = np.minimum(rows.norm, ACTIVE_WIDTH)[:, None]
         active = ((u <= lo + eps) & (g > _ZERO)) | ((u >= hi - eps) & (g < _ZERO))
         free = ~active
@@ -592,13 +605,11 @@ def _descend(f: NarxDynamics, X0: np.ndarray, cfg: MpcConfig, warm, secant, lead
         np.copyto(g_active, g, where=active)
         rows.decrease = slope + np.vecdot(g_active, pg)
         floor = NOISE_FLOOR * np.abs(rows.value)
-        small, low = rows.norm <= GRAD_TOL, rows.decrease <= floor
-        if not rnd and secant is not None:
+        low = rows.decrease <= floor
+        if not rnd and secant is not None and np.count_nonzero(low):
             # No pair of the solve has tested a secant start yet: it may
             # not stop a row at its start by the noise floor.
-            untested = ~small & low
-            if np.count_nonzero(untested):
-                reset |= untested & rows.secant.any(axis=(1, 2))
+            reset |= low & rows.secant.any(axis=(1, 2))
         if np.count_nonzero(reset):
             rows.secant[reset] = 0.0
             d[reset] = _free_step(gn[reset], free[reset], g[reset], eye)
@@ -606,9 +617,8 @@ def _descend(f: NarxDynamics, X0: np.ndarray, cfg: MpcConfig, warm, secant, lead
             rows.decrease = slope + np.vecdot(g_active, pg)
             low = rows.decrease <= floor
         np.copyto(d, g, where=active)  # d is now the two-metric direction
-        stop = small | low
-        if np.count_nonzero(stop):
-            keep = leave(stop, rnd, True)
+        if np.count_nonzero(low):
+            keep = leave(low, rnd, True)
             if rows is None:
                 break
             d, slope, g_active, g = d[keep], slope[keep], g_active[keep], g[keep]

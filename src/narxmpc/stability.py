@@ -228,7 +228,8 @@ class StabilityReport:
     plus the growth grid's.  It is filled when the cap is supplied, and so
     is ``capped_max_grad_norm``, the largest projected-gradient norm among
     those solves (None when none capped), which the report file does not
-    print.
+    print.  :func:`~narxmpc.bench.check_model_errors` fills the last four
+    fields: ``model_errors`` ends with NaN at the terminal state.
     """
 
     verdict: str
@@ -255,6 +256,10 @@ class StabilityReport:
     growth_failures: int | None = None
     capped_solves: int | None = None
     capped_max_grad_norm: float | None = None
+    model_errors: np.ndarray | None = None
+    trace_error_ratio: float | None = None
+    trace_bound_ratio: float | None = None
+    error_bound_on_trace: bool | None = None
 
     @property
     def ok(self) -> bool:

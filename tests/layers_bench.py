@@ -28,7 +28,10 @@ surrogate at ``D``:
   D=101, 19 at D=2501), so that the cost of an iteration shows beside the
   fixed cost;
 - one plant step (``TwoTankPlant.output``);
-- one reference episode (``simulate_loop``, 100 steps and 101 solves).
+- one reference episode (``simulate_loop``, 100 steps and 101 solves);
+- the certify stage's check of that episode's trace against the error
+  constants (``bench.check_model_errors``: one ``output_batch`` of 100
+  rows and two ratios).
 
 Three plant-side layers do not depend on ``D`` and run once each:
 
@@ -51,7 +54,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from narxmpc import bench, kernels, mpc, twotank
+from narxmpc import bench, kernels, mpc, stability, twotank
 from narxmpc.kernels import KernelSpec, fit_interpolant
 
 #: Thread-count setters exported by the OpenBLAS builds numpy and scipy ship.
@@ -80,8 +83,9 @@ def _one_blas_thread() -> int:
 @pytest.fixture(scope="module", params=[101, 2501], ids=lambda d: f"D{d}")
 def layers(request):
     """The fitted surrogate at ``D``, its controller settings, a B=1, N=20
-    sweep with its derivatives, and a warm-start solve of the reference
-    episode that stops at its start."""
+    sweep with its derivatives, a warm-start solve of the reference
+    episode that stops at its start, and that episode's trace with its
+    decrease report and the error constants."""
     if not _one_blas_thread():
         pytest.skip("no OpenBLAS pool found to set to one thread")
     cfg = twotank.BenchmarkConfig(d=request.param)
@@ -98,7 +102,7 @@ def layers(request):
 
     mpc.solve_ocp = recorded
     try:
-        bench.simulate_loop(cfg, model)
+        trace = bench.simulate_loop(cfg, model)
     finally:
         mpc.solve_ocp = solve
     stopped = next(start for start in starts if start[1] is not None and start[3] == 0)
@@ -111,6 +115,7 @@ def layers(request):
     q_bar, r_bar, eye = mpc_cfg.horizon_blocks
     u = U.reshape(1, -1)
     _, gn = mpc._derivatives(mpc._layout(cfg.dims, cfg.horizon), sweep, u, q_bar, r_bar)
+    X_est, U_est = bench.error_constant_samples(cfg, 400, seed=cfg.seed + 11)
     return {
         "cfg": cfg,
         "model": model,
@@ -123,6 +128,9 @@ def layers(request):
         "stopped": stopped[:3],
         "cold": starts[0][:3],
         "stored": _StoredSweep(model, model.sweep(stopped[0][None], start)),
+        "trace": trace,
+        "report": stability.verify_decrease(trace, stability.storage_matrix(cfg.dims, mpc_cfg.weights)),
+        "constants": kernels.estimate_error_constants(bench.plant_views(cfg)[0], model, X_est, U_est),
     }
 
 
@@ -231,6 +239,12 @@ def test_plant_step(benchmark, layers):
 def test_reference_episode(benchmark, layers):
     trace = benchmark.pedantic(bench.simulate_loop, args=(layers["cfg"], layers["model"]), rounds=5, iterations=1)
     benchmark.extra_info["iterations"] = int(trace.iterations.sum())
+
+
+def test_on_trace_check(benchmark, layers):
+    report = layers["report"]
+    benchmark(bench.check_model_errors, report, layers["model"], layers["trace"], layers["constants"])
+    assert report.error_bound_on_trace is {101: True, 2501: False}[layers["cfg"].d]
 
 
 def test_hidden_level_recovery_400_rows(benchmark):

@@ -44,11 +44,11 @@ REFERENCE_BUNDLE_D101 = {
     "comparison.csv": "0f814b8ca8d50394b21d63e26760b28e7658ae00f6162c39532889f3ba6ca45d",
     "dataset_D101.csv": "8ed3f9e93f4c29608f5a5ee485abc8cea5d12761e14a1456a58c6db5dbcf099a",
     "dataset_D101.csv.meta": "8bcb6bd5b80465b5ddfba0ec34f2da0f222e57019264cd24e6773bfc3f1779e2",
-    "fit_report_D101.txt": "39ab78650f2fbb5e3af0beb51ed55694f68d9f951e397d989f0d60860829c71a",
+    "fit_report_D101.txt": "1cd88ae1342d15c421eca66ae3391c4fa50d0f1c108a98e67e67f181cf49998d",
     "model_D101.csv": "1a422b1d48f2d781725d4e4e2b18321665de4d98165f591fc7997e530a7757da",
     "model_D101.csv.meta": "ad1d31dbf1d5b25e0b7ced46139ce2813b187331c011f223bb22759d34a8025c",
-    "stability_report_D101.txt": "82f40609a7e0a3d0046830446e93e19a0e96703eb8165efcf2b87373c6e1c825",
-    "stability_steps_D101.csv": "83358d3400c8829590fd2cf3dd345d2c317751e81196708a51dac3325e67b803",
+    "stability_report_D101.txt": "4c69d79aa809beaaa1b83a8a388695d4cb996c1be4d1d215c4cc4882270b20a5",
+    "stability_steps_D101.csv": "e7da1c8302575c94b1401ad52360257730e14f6921812304b971d6e396b1b4c1",
     "trace_norm_D101.csv": "b87dd90d6bdfcd09fe6259f1ed1b9d87dd7211ad0d6d99f3dd60fc4d7f4fc001",
     "trace_norm_D101.csv.meta": "f8357d4271ece66e7da03a759f72f97f1c0bf60267110982828391086095a9de",
     "trace_raw_D101.csv": "ebb90020c4a4b7c29bc3f82bc9fbdd9f725b9fb32ac152df4c310f7a3ac936f6",

@@ -692,6 +692,21 @@ class TestCertify:
         assert (manifest["capped_max_grad_norm"] is None) == (manifest["capped_solves"] == 0)
         assert "loop_iterations" not in manifest
 
+    def test_certify_reports_the_model_errors_but_no_bound(self, workspace, tmp_path):
+        """``certify`` has the model and the trace but no error constants:
+        its report carries ``trace_error_ratio`` and its steps file the
+        one-step model errors, but no ``trace_bound_ratio`` or
+        ``error_bound_on_trace``."""
+        self._simulate(workspace, tmp_path, steps="3")
+        argv = ["certify", "--model", str(workspace / "model.csv"), "--trace", str(tmp_path / "trace_norm.csv")]
+        assert main([*argv, "--b-states", "2", "--b-horizon", "1", "--out", str(tmp_path)]) in (0, 2)
+        report = read_keyvalues(tmp_path / "stability_report.txt")
+        assert float(report["trace_error_ratio"]) > 0.0
+        assert "trace_bound_ratio" not in report and "error_bound_on_trace" not in report
+        header, steps = read_csv(tmp_path / "stability_steps.csv")
+        errors = steps[:, header.index("model_error")]
+        assert np.all(np.isfinite(errors[:-1]) & (errors[:-1] > 0.0)) and np.isnan(errors[-1])
+
     def test_horizon_comes_from_the_config(self, workspace, tmp_path):
         """simulate and certify read the horizon from the same config key,
         so the report judges the trace against the horizon that ran it."""
@@ -959,12 +974,19 @@ class TestBenchmark:
 
     def test_steps_carry_the_trace_values(self, cfg, tmp_path):
         """The V column of the steps file is the solver's value, as in the
-        trace file, not Y - W recomputed with rounding."""
+        trace file, not Y - W recomputed with rounding, and its
+        ``model_error`` column holds the model errors behind the report's
+        ``trace_bound_ratio``."""
         small = replace(cfg, steps=12)
-        run_benchmark(small, out_dir=tmp_path, sizes=(101,), b_states=2, b_horizon=1)
+        result = run_benchmark(small, out_dir=tmp_path, sizes=(101,), b_states=2, b_horizon=1)
         trace_header, trace = read_csv(tmp_path / "trace_norm_D101.csv")
         steps_header, steps = read_csv(tmp_path / "stability_steps_D101.csv")
         assert_array_equal(steps[:, steps_header.index("V")], trace[:, trace_header.index("V")])
+        # The one-step model errors, which the report's ratios read.
+        assert_array_equal(steps[:, steps_header.index("model_error")], result.arms[101].report.model_errors)
+        report = read_keyvalues(tmp_path / "stability_report_D101.txt")
+        assert float(report["trace_bound_ratio"]) == result.arms[101].report.trace_bound_ratio
+        assert report["error_bound_on_trace"] == ("true" if result.arms[101].report.error_bound_on_trace else "false")
 
     def test_a_library_trace_is_loaded_under_its_own_horizon(self, cfg, tmp_path):
         """``load_trace`` checks the horizon, dimensions and normalization
@@ -1026,7 +1048,9 @@ class TestBenchmark:
 
     def test_cli_chain_writes_the_bundle_files(self, tmp_path):
         """generate, fit, simulate and certify run the stages of benchmark:
-        each writes the bytes of the matching bundle file."""
+        each writes the bytes of the matching bundle file.  certify has no
+        error constants, so its report is the bundle's without the two
+        lines that read them."""
         config = tmp_path / "cfg.txt"
         config.write_text("D = 21\nsteps = 4\n")
         grid = ["--b-states", "4", "--b-horizon", "2"]
@@ -1051,10 +1075,13 @@ class TestBenchmark:
             "trace_norm_D21.csv.meta": "trace_norm.csv.meta",
             "trace_raw_D21.csv.meta": "trace_raw.csv.meta",
             "stability_steps_D21.csv": "stability_steps.csv",
-            "stability_report_D21.txt": "stability_report.txt",
         }
         for in_bundle, in_chain in pairs.items():
             assert (bundle / in_bundle).read_bytes() == (chain / in_chain).read_bytes(), in_chain
+        lines = (bundle / "stability_report_D21.txt").read_text().splitlines(keepends=True)
+        bound = [line for line in lines if line.startswith(("trace_bound_ratio = ", "error_bound_on_trace = "))]
+        assert len(bound) == 2
+        assert "".join(line for line in lines if line not in bound) == (chain / "stability_report.txt").read_text()
         fit = read_keyvalues(chain / "fit_report.txt")
         assert fit["d"] == "21"
         assert fit.items() <= read_keyvalues(bundle / "fit_report_D21.txt").items()

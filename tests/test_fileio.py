@@ -528,6 +528,30 @@ class TestSidecarRule:
             assert message.startswith(f"{path}: "), (value, message)
             assert re.search(rf"(?<!\w){key}(?!\w)", message[len(str(path)) :]), (value, message)
 
+    @pytest.mark.parametrize("key", ["y_ref", "y_scale", "u_ref", "u_scale"])
+    @pytest.mark.parametrize("artifact", ["dataset", "model", "trace"])
+    def test_a_normalization_entry_of_another_length_does_not_load(self, cfg, tmp_path, artifact, key):
+        """A normalization entry with two values where ``p = 1`` (outputs)
+        or ``m = 1`` (inputs) would tile to another regressor length: the
+        loader names the file, the entry and the count it expects."""
+        path = tmp_path / f"{artifact}.csv"
+        norm = cfg.normalization()
+        if artifact == "trace":
+            save_trace(_linear_closed_loop(steps=2, normalization=norm), path, replace(cfg, horizon=4))
+            load = partial(load_trace, path, DIMS, 4, norm)
+        else:
+            data, _ = generate_dataset(replace(cfg, d=5))
+            if artifact == "dataset":
+                save_dataset(data, path, cfg)
+            else:
+                save_model(fit_interpolant(KernelSpec(input_dim=4), data), path, cfg)
+            load = partial(load_dataset if artifact == "dataset" else load_model, path)
+        sidecar = path.with_suffix(".csv.meta")
+        sidecar.write_text(re.sub(rf"(?m)^({key} = )(.*)$", r"\1\2,\2", sidecar.read_text()))
+        expected = "p = 1" if key[0] == "y" else "m = 1"
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {key}: holds 2 values, expected {expected}")):
+            load()
+
 
 class TestStabilityReportIo:
     def test_keys_and_steps(self, tmp_path):
@@ -544,8 +568,10 @@ class TestStabilityReportIo:
         assert float(entries["alpha"]) == report.alpha
         assert int(entries["steps"]) == report.steps
         header, table = read_csv(csv)
-        assert header == ["k", "state_norm", "error", "V", "W", "Y", "delta"]
+        assert header == ["k", "state_norm", "error", "V", "W", "Y", "delta", "model_error"]
         assert table.shape[0] == report.state_norms.shape[0]
+        # verify_decrease alone computes no model errors.
+        assert np.isnan(table[:, 7]).all()
         # Y = V + W in every row
         assert_allclose(table[:, 5], table[:, 3] + table[:, 4], rtol=1e-12)
 

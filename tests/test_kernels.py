@@ -23,10 +23,9 @@ from narxmpc import (
     generate_dataset,
     kernel_matrix,
     min_pairwise_distance,
-    validate_error_constants,
     wendland_phi,
 )
-from narxmpc.bench import error_constant_samples, probe_sites
+from narxmpc.bench import probe_sites
 from oracles import FunctionDynamics, one_step_sweep
 
 PHI_AT_ZERO = 1.0 / 30.0
@@ -487,13 +486,4 @@ class TestErrorConstants:
         X, U = _samples(150, 20)
         with pytest.raises(ValueError):
             estimate_error_constants(truth, model, X, U)
-
-    def test_validation_on_benchmark_fit(self, cfg, plant_view, fit_101):
-        _, model = fit_101
-        X, U = error_constant_samples(cfg, 300, cfg.seed + 11)
-        constants = estimate_error_constants(plant_view, model, X, U)
-        X_fresh, U_fresh = error_constant_samples(cfg, 300, cfg.seed + 13)
-        outcome = validate_error_constants(constants, plant_view, model, X_fresh, U_fresh)
-        assert not outcome["flagged"]
-        assert outcome["max_ratio"] <= 2.0
 

@@ -361,6 +361,66 @@ def test_horizon_blocks_are_built_once_and_read_only():
     assert not any(block.flags.writeable for block in (q_bar, r_bar, eye))
 
 
+class TestGradientStop:
+    """A row whose projected gradient passes the gradient test leaves its
+    round before a step is formed: no free step, no direction and a NaN
+    promised decrease."""
+
+    @pytest.fixture(scope="class")
+    def episode(self, cfg, fit_101):
+        """The measured states of the D=101 reference episode."""
+        from narxmpc.bench import simulate_loop
+
+        return simulate_loop(cfg, fit_101[1]).states
+
+    @staticmethod
+    def _free_step_rows(monkeypatch) -> list[int]:
+        """The row count of every ``_free_step`` call made from now on."""
+        rows, free_step = [], mpc._free_step
+
+        def counted(B, *args):
+            rows.append(B.shape[0])
+            return free_step(B, *args)
+
+        monkeypatch.setattr(mpc, "_free_step", counted)
+        return rows
+
+    def test_a_solve_stopped_at_its_start_forms_no_step(self, episode, fit_101, mpc_cfg, monkeypatch):
+        k = mpc_cfg.horizon * mpc_cfg.dims.m
+        rows = self._free_step_rows(monkeypatch)
+        sol = solve_ocp(
+            fit_101[1], episode[60], mpc_cfg, warm=np.zeros((mpc_cfg.horizon, mpc_cfg.dims.m)), secant=np.zeros((k, k))
+        )
+        assert sol.converged and sol.iterations == 0 and sol.grad_norm <= mpc.GRAD_TOL
+        assert np.isnan(sol.predicted_decrease)
+        assert rows == []
+
+    def test_only_the_rows_that_go_on_form_steps(self, episode, fit_101, mpc_cfg, monkeypatch):
+        """In a batch of four where two rows stop at their start, the free
+        steps cover the rows of the two that descend, as their batches of
+        one do, and every row equals its batch of one bit for bit."""
+        model, X0 = fit_101[1], episode[[60, 0, 80, 5]]
+        rows = self._free_step_rows(monkeypatch)
+        batch = solve_ocp_batch(model, X0, mpc_cfg)
+        batch_rows = sum(rows)
+        rows.clear()
+        solo, solo_rows = [], []
+        for x in X0:
+            rows.clear()
+            solo.append(solve_ocp(model, x, mpc_cfg))
+            solo_rows.append(sum(rows))
+        assert [sol.iterations == 0 for sol in solo] == [True, False, True, False]
+        assert solo_rows[0] == solo_rows[2] == 0
+        assert batch_rows == sum(solo_rows) > 0
+        for got, want in zip(batch, solo):
+            assert got.u_star.tobytes() == want.u_star.tobytes()
+            assert got.secant.tobytes() == want.secant.tobytes()
+            assert (got.value, got.iterations, got.backtracks, got.grad_norm, got.converged) == (
+                want.value, want.iterations, want.backtracks, want.grad_norm, want.converged
+            )
+            assert_array_equal(got.predicted_decrease, want.predicted_decrease)
+
+
 class TestClosedLoop:
     def test_each_solve_starts_from_the_shifted_solution(self):
         """The first solve starts cold; every later one from its

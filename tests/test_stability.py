@@ -431,6 +431,30 @@ class TestPlantVerdicts:
         assert report.min_horizon_value == pytest.approx(43.4, abs=0.05)
         assert report.verdict == VERDICT_VIOLATED
 
+    def test_the_printed_error_bound_fails_on_the_d2501_trace(self, benchmark_run):
+        """Standing falsification check of the proportional error bound on
+        the benchmark's own loops: the D=2501 trace's one-step model errors
+        exceed ``c_x ||x|| + c_u ||u||`` on 10 of its 20 active steps, by up
+        to 1.84 (``error_bound_on_trace`` false), while D=101 stays below
+        it (0.76, true).  A change that makes D=2501 true must say how."""
+        result, _ = benchmark_run
+        for d, ratio, above, active_steps in ((101, 0.76, 0, 18), (2501, 1.84, 10, 20)):
+            arm = result.arms[d]
+            report, trace = arm.report, arm.trace
+            x, u = trace.states[:-1], trace.inputs
+            errors = np.linalg.norm(trace.outputs - arm.model.output_batch(x, u), axis=1)
+            assert_array_equal(report.model_errors, np.append(errors, np.nan))
+            active = report.state_norms[:-1] > report.deadband
+            assert int(np.count_nonzero(active)) == report.active_steps == active_steps
+            x_norms, u_norms = np.linalg.norm(x, axis=1)[active], np.linalg.norm(u, axis=1)[active]
+            ratios = errors[active] / arm.constants.bound(x_norms, u_norms)
+            assert report.trace_bound_ratio == pytest.approx(ratios.max(), rel=1e-12)
+            assert report.trace_bound_ratio == pytest.approx(ratio, abs=0.005)
+            assert int(np.count_nonzero(ratios > 1.0)) == above
+            assert report.error_bound_on_trace is (above == 0)
+            data_only = np.max(errors[active] / np.hypot(x_norms, u_norms))
+            assert report.trace_error_ratio == pytest.approx(data_only, rel=1e-12)
+
 
 class TestDecayFit:
     def test_geometric_series(self):
