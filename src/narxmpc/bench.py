@@ -78,7 +78,9 @@ def plant_views(cfg: BenchmarkConfig):
 
 
 def probe_sites(cfg: BenchmarkConfig, count: int, seed: int) -> np.ndarray:
-    """Reachable regressor-input probes used for fill-distance estimates."""
+    """Reachable regressor-input probes: the fill-distance estimate's
+    probes, and the samples of :func:`error_constant_samples` after its
+    equilibrium pair."""
     states = sample_consistent_states(cfg, count, seed, min_norm=0.0)
     rng = np.random.default_rng(seed + 1)
     u = rng.uniform(0.0, 1.0, size=(count, 1))
@@ -214,6 +216,7 @@ class BenchmarkResult:
     arms: dict[int, BenchmarkArm]
     comparison_header: list[str]
     comparison: np.ndarray
+    outputs: list[Path] = field(default_factory=list)
 
 
 def run_arm(
@@ -317,8 +320,9 @@ def run_benchmark(
     grid with no state or no horizon raises ``ValueError`` before the
     first arm runs.  Returns the in-memory result; when ``out_dir`` is
     given, writes per size the dataset, model, fit report, normalized and
-    raw traces (each with its sidecar) and the stability report, plus the
-    combined comparison table.
+    raw traces (each table with its sidecar) and the stability report
+    with its steps, plus the combined comparison table, and the result's
+    ``outputs`` lists the files written.
     """
     repeated = [d for i, d in enumerate(sizes) if d in sizes[:i]]
     if repeated:
@@ -337,17 +341,19 @@ def run_benchmark(
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for d, arm in arms.items():
-            save_dataset(arm.dataset, out / f"dataset_D{d}.csv", cfg, arm.provenance)
-            save_model(arm.model, out / f"model_D{d}.csv", cfg)
-            write_keyvalues(out / f"fit_report_D{d}.txt", fit_report_entries(arm))
-            save_trace(arm.trace, out / f"trace_norm_D{d}.csv", cfg, raw=False)
-            save_trace(arm.trace, out / f"trace_raw_D{d}.csv", cfg, raw=True)
-            save_stability_report(
-                arm.report,
-                out / f"stability_report_D{d}.txt",
-                out / f"stability_steps_D{d}.csv",
-            )
+            tables = [out / f"{stem}_D{d}.csv" for stem in ("dataset", "model", "trace_norm", "trace_raw")]
+            dataset, model, trace_norm, trace_raw = tables
+            fit, report = out / f"fit_report_D{d}.txt", out / f"stability_report_D{d}.txt"
+            steps = out / f"stability_steps_D{d}.csv"
+            save_dataset(arm.dataset, dataset, cfg, arm.provenance)
+            save_model(arm.model, model, cfg)
+            write_keyvalues(fit, fit_report_entries(arm))
+            save_trace(arm.trace, trace_norm, cfg, raw=False)
+            save_trace(arm.trace, trace_raw, cfg, raw=True)
+            save_stability_report(arm.report, report, steps)
+            result.outputs += [*tables, *(p.with_suffix(".csv.meta") for p in tables), fit, report, steps]
         write_csv(out / "comparison.csv", header, table)
+        result.outputs.append(out / "comparison.csv")
     return result
 
 

@@ -238,14 +238,13 @@ def cmd_benchmark(args) -> int:
         b_horizon=args.b_horizon,
         progress=_say(args),
     )
-    outputs = [p for p in sorted(args.out.iterdir()) if p.is_file() and p.name != "manifest.json"]
     arms = {
         f"D{d}": run_record(
             arm.timings, (arm.report.capped_solves, arm.report.capped_max_grad_norm), arm.trace, arm.growth
         )
         for d, arm in sorted(result.arms.items())
     }
-    _manifest(args, "benchmark", cfg, outputs, started, arms=arms)
+    _manifest(args, "benchmark", cfg, result.outputs, started, arms=arms)
     bad = [d for d, arm in result.arms.items() if not arm.report.ok]
     for d, arm in sorted(result.arms.items()):
         print(f"D={d}: {arm.report.verdict}")

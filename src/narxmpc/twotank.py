@@ -46,7 +46,7 @@ from .narx import (
     build_regressor,
     rollout_arrays,
 )
-from .kernels import Dataset, _euclidean
+from .kernels import Dataset
 
 
 class DomainError(ValueError):
@@ -608,11 +608,6 @@ class BenchmarkConfig:
         return self._steady_regressor(self.h0), (self.h0, h2_0)
 
 
-def _default_separation(d: int) -> float:
-    """Minimum normalized spacing enforced between harvested sites."""
-    return max(0.01, 0.25 / np.sqrt(d))
-
-
 def _primes(count: int) -> list[int]:
     """The first ``count`` primes."""
     primes: list[int] = []
@@ -710,108 +705,93 @@ def _reachable_draws(cfg: BenchmarkConfig, seed: int):
         yield np.stack([y_cur[ok], h1[ok], u_prev[ok]], axis=1), h2_cur[ok], u_now[ok]
 
 
-#: Most Halton points :func:`generate_dataset` draws before it gives up.
-_HALTON_LIMIT = 4_000_000
+#: Most points a sampler draws before it gives up (:func:`_first_rows`).
+_DRAW_LIMIT = 1_000_000
+
+
+def _first_rows(cfg: BenchmarkConfig, blocks, count: int, sampler: str) -> tuple[np.ndarray, int]:
+    """The first ``count`` rows of the row blocks that ``blocks`` yields,
+    each with the number of points drawn for it, and the points drawn.
+
+    Raises ``RuntimeError`` naming ``sampler`` once more than
+    :data:`_DRAW_LIMIT` points are drawn.
+    """
+    parts: list[np.ndarray] = []
+    kept = drawn = 0
+    while kept < count:
+        rows, size = next(blocks)
+        drawn += size
+        if drawn > _DRAW_LIMIT:
+            raise RuntimeError(
+                f"{sampler} stalled at {kept} of {count} rows after {drawn:,} points drawn; its filters "
+                f"keep almost no point, as when the sampler's Runge-Kutta step fails at dt = {cfg.dt:g} s"
+            )
+        parts.append(rows)
+        kept += len(rows)
+    return np.concatenate(parts)[:count], drawn
 
 
 def generate_dataset(cfg: BenchmarkConfig) -> tuple[Dataset, dict]:
     """Generate an interpolation dataset from the two-tank plant.
 
-    The exact equilibrium sample comes first.  The candidates are the
-    blocks of :func:`_reachable_draws` (:class:`ScrambledHalton` points
-    over lower level, upper level, previous input and input, filtered to
-    upper >= lower and stepped once into a regressor), each stepped once
-    more under its input for the target; rows where that step fails are
-    dropped.  :func:`_accept_spaced` keeps the candidates at least
-    :func:`_default_separation` from every accepted site, and everything
-    is returned in normalized coordinates.  Raises ``RuntimeError`` once
-    more than :data:`_HALTON_LIMIT` points are drawn.
+    The sites are the exact equilibrium sample, then the first ``d - 1``
+    rows of :func:`_reachable_draws` whose target step is finite, in
+    Halton order: each regressor, with the input of its fourth
+    coordinate, stepped once more under that input for the target.
+    Everything is returned in normalized coordinates.  Raises
+    ``RuntimeError`` once more than :data:`_DRAW_LIMIT` points are
+    drawn: under a configured ``dt`` at which every step fails (1000 s,
+    say) no block yields a row.
 
-    Returns the dataset plus a provenance dict: the seed, the separation,
-    the Halton points drawn, the candidates rejected and the
-    ``min_pairwise_distance`` that the :class:`~narxmpc.kernels.Dataset`
-    validation computed.
+    Returns the dataset plus a provenance dict: the seed, the Halton
+    points drawn and the ``min_pairwise_distance`` that the
+    :class:`~narxmpc.kernels.Dataset` validation computed.
     """
-    sep = _default_separation(cfg.d)
     dims = cfg.dims
     norm = cfg.normalization()
 
-    sites = np.empty((cfg.d, dims.n + dims.m))
-    targets = np.empty((cfg.d, dims.p))
-    sites[0, : dims.n] = cfg.equilibrium_regressor()
-    sites[0, dims.n :] = norm.normalize_input(np.array([cfg.u_eq]))
-    targets[0] = 0.0
-    count, rejected, drawn = 1, 0, 0
-    draws = _reachable_draws(cfg, cfg.seed)
-    while count < cfg.d:
-        drawn += _HALTON_BLOCK
-        if drawn > _HALTON_LIMIT:
-            raise RuntimeError(
-                f"dataset generation stalled at {count} of {cfg.d} sites "
-                f"spaced at least {sep:.3g} apart"
-            )
-        raw_x, h2_cur, u = next(draws)
-        y_cur = raw_x[:, 0]
-        y_next, _ = two_tank_step(y_cur, np.maximum(h2_cur, y_cur), u, cfg.params)
-        ok = np.isfinite(y_next)
-        candidates = np.hstack(
-            [norm.normalize_state(raw_x[ok], dims), norm.normalize_input(u[ok, None])]
-        )
-        values = norm.normalize_output(y_next[ok, None])
-        count, skipped = _accept_spaced(sites, targets, count, candidates, values, sep)
-        rejected += skipped
+    def blocks():
+        origin = [cfg.equilibrium_regressor(), norm.normalize_input(np.array([cfg.u_eq])), [0.0]]
+        yield np.concatenate(origin)[None], 0
+        for raw_x, h2_cur, u in _reachable_draws(cfg, cfg.seed):
+            y_cur = raw_x[:, 0]
+            y_next, _ = two_tank_step(y_cur, np.maximum(h2_cur, y_cur), u, cfg.params)
+            ok = np.isfinite(y_next)
+            columns = [
+                norm.normalize_state(raw_x[ok], dims),
+                norm.normalize_input(u[ok, None]),
+                norm.normalize_output(y_next[ok, None]),
+            ]
+            yield np.hstack(columns), _HALTON_BLOCK
 
+    rows, drawn = _first_rows(cfg, blocks(), cfg.d, "generate_dataset")
+    width = dims.n + dims.m
     data = Dataset(
-        sites=sites, targets=targets, dims=dims, normalization=norm, contains_origin=True
+        sites=np.ascontiguousarray(rows[:, :width]),
+        targets=np.ascontiguousarray(rows[:, width:]),
+        dims=dims,
+        normalization=norm,
+        contains_origin=True,
     )
-    provenance = {
-        "seed": cfg.seed,
-        "min_separation": sep,
-        "halton_points": drawn,
-        "rejected": rejected,
-        "min_pairwise_distance": data.min_distance,
-    }
+    provenance = {"seed": cfg.seed, "halton_points": drawn, "min_pairwise_distance": data.min_distance}
     return data, provenance
 
 
-def _accept_spaced(sites, targets, count, candidates, values, sep) -> tuple[int, int]:
-    """Append candidate sites in order to the first ``count`` rows of the
-    preallocated ``sites``/``targets`` until they are full, skipping each
-    candidate closer than ``sep`` to an accepted site, by the compiled
-    distance kernel that :mod:`~narxmpc.kernels` calls.  Returns the new
-    count and the number skipped."""
-    skipped = 0
-    for site, value in zip(candidates, values):
-        if count == sites.shape[0]:
-            break
-        if _euclidean(site[None], sites[:count]).min() < sep:
-            skipped += 1
-            continue
-        sites[count], targets[count] = site, value
-        count += 1
-    return count, skipped
-
-
-def _collect_states(cfg: BenchmarkConfig, count: int, min_norm: float, blocks) -> np.ndarray:
+def _collect_states(cfg: BenchmarkConfig, count: int, min_norm: float, blocks, sampler: str) -> np.ndarray:
     """The first ``count`` normalized states whose norm exceeds
     ``min_norm``, from the raw regressor blocks that ``blocks`` yields
-    with the number of points drawn for each.  Raises ``ValueError``
-    when ``count`` is below one, and ``RuntimeError`` once more than a
-    million points are drawn."""
+    with the number of points drawn for each, by :func:`_first_rows`.
+    Raises ``ValueError`` when ``count`` is below one."""
     if count < 1:
         raise ValueError(f"need at least one state, got count={count}")
     norm = cfg.normalization()
-    parts: list[np.ndarray] = []
-    kept = drawn = 0
-    while kept < count:
-        raw, size = next(blocks)
-        drawn += size
-        if drawn > 1_000_000:
-            raise RuntimeError("state sampling stalled; relax the filters")
-        states = norm.normalize_state(raw, cfg.dims)
-        parts.append(states[np.linalg.norm(states, axis=1) > min_norm])
-        kept += len(parts[-1])
-    return np.concatenate(parts)[:count]
+
+    def filtered():
+        for raw, size in blocks:
+            states = norm.normalize_state(raw, cfg.dims)
+            yield states[np.linalg.norm(states, axis=1) > min_norm], size
+
+    return _first_rows(cfg, filtered(), count, sampler)[0]
 
 
 def sample_consistent_states(
@@ -827,7 +807,7 @@ def sample_consistent_states(
     below one.
     """
     blocks = ((raw, _HALTON_BLOCK) for raw, _, _ in _reachable_draws(cfg, seed))
-    return _collect_states(cfg, count, min_norm, blocks)
+    return _collect_states(cfg, count, min_norm, blocks, "sample_consistent_states")
 
 
 def sample_state_grid(
@@ -854,4 +834,4 @@ def sample_state_grid(
             raw[:, nb:] = cfg.u_lo + (cfg.u_hi - cfg.u_lo) * block[:, nb:]
             yield raw, block.shape[0]
 
-    return _collect_states(cfg, count, min_norm, blocks())
+    return _collect_states(cfg, count, min_norm, blocks(), "sample_state_grid")

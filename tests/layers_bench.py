@@ -10,6 +10,7 @@ first benchmark, since the thread count changes both the timings and the
 bits of the fitted models.  Each layer runs on the benchmark's fitted
 surrogate at ``D``:
 
+- the generate stage (``twotank.generate_dataset`` at ``D``);
 - the fit itself (``fit_interpolant`` on the benchmark's dataset);
 - one value row at B=1 and at B=64 (``output_batch``);
 - the value row of one sweep step at B=1 (``kernels._value_pass`` with
@@ -143,6 +144,11 @@ class _StoredSweep:
 
     def sweep(self, X0, U):
         return self._sweep
+
+
+def test_generate(benchmark, layers):
+    data, _ = benchmark(twotank.generate_dataset, layers["cfg"])
+    assert data.sites.tobytes() == layers["model"].data.sites.tobytes()
 
 
 def test_fit(benchmark, layers):

@@ -43,8 +43,8 @@ REFERENCE_ALPHA = 0.20961992904105836
 REFERENCE_BUNDLE_D101 = {
     "comparison.csv": "0f814b8ca8d50394b21d63e26760b28e7658ae00f6162c39532889f3ba6ca45d",
     "dataset_D101.csv": "8ed3f9e93f4c29608f5a5ee485abc8cea5d12761e14a1456a58c6db5dbcf099a",
-    "dataset_D101.csv.meta": "8bcb6bd5b80465b5ddfba0ec34f2da0f222e57019264cd24e6773bfc3f1779e2",
-    "fit_report_D101.txt": "1cd88ae1342d15c421eca66ae3391c4fa50d0f1c108a98e67e67f181cf49998d",
+    "dataset_D101.csv.meta": "48d42d06552847a887dc34547e729dfd6c1a06c01b8a643b8abcd55e93eab329",
+    "fit_report_D101.txt": "23c521135e6b98307dd5b3925d006c4321a4369346ac92b3ffddb8980fd2738d",
     "model_D101.csv": "1a422b1d48f2d781725d4e4e2b18321665de4d98165f591fc7997e530a7757da",
     "model_D101.csv.meta": "ad1d31dbf1d5b25e0b7ced46139ce2813b187331c011f223bb22759d34a8025c",
     "stability_report_D101.txt": "4c69d79aa809beaaa1b83a8a388695d4cb996c1be4d1d215c4cc4882270b20a5",

@@ -916,6 +916,32 @@ class TestBenchmark:
         # The fit has no regularization setting to record.
         assert not [p.name for p in out.iterdir() if "jitter" in p.read_text() or "degraded" in p.read_text()]
 
+    def test_manifest_lists_only_the_files_of_this_run(self, tmp_path):
+        """A file that was in the output directory before the run, even
+        one named like a bundle file of another size, is not an output."""
+        config = tmp_path / "cfg.txt"
+        config.write_text("steps = 6\n")
+        out = tmp_path / "bundle"
+        out.mkdir()
+        (out / "old_notes.txt").write_text("notes\n")
+        (out / "dataset_D2501.csv").write_text("stale\n")
+        args = ["--config", str(config), "--only-D", "21", "--b-states", "2", "--b-horizon", "1"]
+        assert main(["benchmark", *args, "--out", str(out)]) in (0, 2)
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        tables = [f"{stem}_D21.csv" for stem in ("dataset", "model", "trace_norm", "trace_raw")]
+        assert sorted(outputs) == sorted(
+            [
+                *tables,
+                *(f"{name}.meta" for name in tables),
+                "fit_report_D21.txt",
+                "stability_report_D21.txt",
+                "stability_steps_D21.csv",
+                "comparison.csv",
+            ]
+        )
+        written = bundle_digests(out)
+        assert outputs == {name: written[name] for name in outputs}
+
     def test_arm_builds_its_start_state_once(self, monkeypatch):
         """The start state's hidden-level recovery runs once per arm."""
         real = BenchmarkConfig.initial_condition

@@ -257,6 +257,25 @@ class TestDatasetIo:
         require_config(path, cfg)
 
 
+    def test_sidecar_recording_the_old_spacing_provenance_still_loads(self, cfg, tmp_path):
+        """Datasets saved when sidecars recorded the site spacing filter's
+        ``gen_min_separation`` and ``gen_rejected`` load and pass the
+        configuration check as before."""
+        data, provenance = generate_dataset(replace(cfg, d=5))
+        path = tmp_path / "d.csv"
+        save_dataset(data, path, cfg, provenance)
+        sidecar = path.with_suffix(".csv.meta")
+        text = sidecar.read_text()
+        text = text.replace("gen_halton_points =", "gen_min_separation = 0.11180339887498948\ngen_halton_points =", 1)
+        text = text.replace("gen_min_pairwise_distance =", "gen_rejected = 0\ngen_min_pairwise_distance =", 1)
+        sidecar.write_text(text)
+        assert read_keyvalues(sidecar).keys() >= {"gen_min_separation", "gen_rejected"}
+        back = load_dataset(path)
+        assert_array_equal(back.sites, data.sites)
+        assert_array_equal(back.targets, data.targets)
+        require_config(path, cfg)
+
+
 class TestModelIo:
     def _small_model(self, cfg):
         data, _ = generate_dataset(replace(cfg, d=21))

@@ -509,67 +509,51 @@ def test_several_column_products_agree_with_the_dense_fit(seed, size, dim, lengt
     assert np.all(np.abs(power**2 - reference**2) <= 2.0 * (size + 2) * eps * scale)
 
 
-def _accept_one_at_a_time(sites, targets, count, candidates, values, sep):
-    """The sequential site acceptance, by ``np.linalg.norm``, that
-    ``twotank._accept_spaced`` must reproduce."""
-    skipped = 0
-    for site, value in zip(candidates, values):
-        if count == sites.shape[0]:
-            break
-        if np.min(np.linalg.norm(sites[:count] - site, axis=1)) < sep:
-            skipped += 1
-            continue
-        sites[count] = site
-        targets[count] = value
-        count += 1
-    return count, skipped
+def _dataset_rule(cfg, points):
+    """The rows of a dataset of ``cfg.d`` sites by its rule, from the
+    (count, 4) scrambled Halton ``points`` in one array: the equilibrium
+    row, then the first ``d - 1`` points whose upper level is at least
+    the lower one, whose sampling step lands finite in the level range
+    and whose target step is finite, as ``[site | target]`` rows in
+    normalized coordinates.  Also returns how many points precede and
+    include the last row taken (0 for ``d = 1``)."""
+    norm, dims, params = cfg.normalization(), cfg.dims, cfg.params
+    h1, h2 = (cfg.y_lo + (cfg.y_hi - cfg.y_lo) * points[:, c] for c in (0, 1))
+    u_prev, u_now = (cfg.u_lo + (cfg.u_hi - cfg.u_lo) * points[:, c] for c in (2, 3))
+    y_cur, h2_cur = two_tank_step(h1, h2, u_prev, params)
+    y_next, _ = two_tank_step(y_cur, np.maximum(h2_cur, y_cur), u_now, params)
+    taken = (h2 >= h1) & np.isfinite(y_cur) & (y_cur >= cfg.y_lo) & (y_cur <= cfg.y_hi) & np.isfinite(y_next)
+    index = np.flatnonzero(taken)[: cfg.d - 1]
+    assert len(index) == cfg.d - 1, "draw more Halton points"
+    origin = np.concatenate([cfg.equilibrium_regressor(), norm.normalize_input(np.array([cfg.u_eq])), [0.0]])
+    rows = np.hstack(
+        [
+            norm.normalize_state(np.stack([y_cur, h1, u_prev], axis=1)[index], dims),
+            norm.normalize_input(u_now[index, None]),
+            norm.normalize_output(y_next[index, None]),
+        ]
+    )
+    return np.vstack([origin, rows]), int(index[-1]) + 1 if len(index) else 0
 
 
-@given(
-    seed=seeds,
-    dim=st.integers(2, 5),
-    accepted=st.integers(1, 40),
-    fresh=st.integers(0, 200),
-    planted=st.integers(0, 60),
-    room=st.integers(0, 260),
-    sep=st.floats(0.02, 0.4),
-    one_by_one=st.booleans(),
-)
-@example(seed=0, dim=4, accepted=1, fresh=200, planted=60, room=260, sep=0.1, one_by_one=False)
-@example(seed=1, dim=3, accepted=5, fresh=50, planted=30, room=20, sep=0.3, one_by_one=True)
-def test_blocked_site_acceptance_equals_the_sequential_loop(
-    seed, dim, accepted, fresh, planted, room, sep, one_by_one
-):
-    """Site acceptance makes the decisions of the one-at-a-time loop, with
-    near-duplicates of accepted sites and of earlier candidates planted among
-    the candidates, whether they arrive one per call or in whole blocks."""
-    rng = np.random.default_rng(seed)
-    old = rng.uniform(0.0, 1.0, size=(accepted, dim))
-    candidates = rng.uniform(0.0, 1.0, size=(fresh, dim))
-    pool = np.vstack([old, candidates])
-    if planted:
-        twins = pool[rng.integers(0, len(pool), size=planted)]
-        twins = twins + rng.uniform(-0.8, 0.8, size=twins.shape) * sep / np.sqrt(dim)
-        candidates = np.vstack([candidates, twins])[rng.permutation(fresh + planted)]
-    values = rng.normal(size=(len(candidates), 1))
-    capacity = accepted + room
-    results = []
-    for accept in (_accept_one_at_a_time, twotank._accept_spaced):
-        sites = np.full((capacity, dim), np.nan)
-        targets = np.full((capacity, 1), np.nan)
-        sites[:accepted], targets[:accepted] = old, 0.0
-        count, skipped = accepted, 0
-        if one_by_one:
-            for i in range(len(candidates)):
-                count, more = accept(sites, targets, count, candidates[i : i + 1], values[i : i + 1], sep)
-                skipped += more
-        else:
-            count, skipped = accept(sites, targets, count, candidates, values, sep)
-        results.append((count, skipped, sites, targets))
-    (count, skipped, sites, targets), (b_count, b_skipped, b_sites, b_targets) = results
-    assert (b_count, b_skipped) == (count, skipped)
-    assert b_sites.tobytes() == sites.tobytes()
-    assert b_targets.tobytes() == targets.tobytes()
+@given(seed=seeds, d=st.integers(1, 40), block=st.integers(1, 300))
+@example(seed=18, d=5, block=2048)
+@example(seed=0, d=1, block=2048)
+def test_a_dataset_is_the_origin_and_the_first_finite_reachable_rows(seed, d, block):
+    """``generate_dataset`` takes the equilibrium site, then the first
+    ``d - 1`` reachable Halton rows whose target step is finite, bit for
+    bit, wherever the blocks of its draws end, and records the points of
+    the blocks it drew.  At seed 18 the first drawn site lies 0.087 from
+    the equilibrium site."""
+    cfg = twotank.BenchmarkConfig(d=d, seed=seed)
+    with patch.object(twotank, "_HALTON_BLOCK", block):
+        data, provenance = twotank.generate_dataset(cfg)
+    with np.errstate(invalid="ignore"):
+        rows, used = _dataset_rule(cfg, twotank.ScrambledHalton(4, seed).random(4096))
+    width = cfg.dims.n + cfg.dims.m
+    assert data.sites.tobytes() == rows[:, :width].tobytes()
+    assert data.targets.tobytes() == rows[:, width:].tobytes()
+    assert provenance["halton_points"] == -(-used // block) * block
 
 
 class CountingDynamics(FunctionDynamics):

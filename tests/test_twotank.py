@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -402,7 +403,6 @@ class TestGenerateDataset:
         assert provenance["min_pairwise_distance"] == pytest.approx(
             min_pairwise_distance(data.sites), rel=1e-15
         )
-        assert provenance["min_pairwise_distance"] >= provenance["min_separation"] - 1e-12
 
     def test_deterministic(self, cfg):
         a, _ = generate_dataset(replace(cfg, d=31))
@@ -464,23 +464,31 @@ class TestSampling:
             with pytest.raises(ValueError, match="need at least one state"):
                 sampler(cfg, count, seed=35)
 
+    @pytest.mark.parametrize(
+        "sample, sampler, kept",
+        [
+            (lambda cfg: generate_dataset(replace(cfg, d=5)), "generate_dataset", "1 of 5"),
+            (lambda cfg: sample_consistent_states(cfg, 3, seed=1), "sample_consistent_states", "0 of 3"),
+        ],
+    )
+    def test_a_sampler_whose_step_always_fails_stops_at_its_budget(self, monkeypatch, sample, sampler, kept):
+        """At dt = 1000 s the sampling step of every reachable draw fails,
+        so no block yields a row and only the draw budget stops the loop;
+        the message names the sampler, the rows kept and the points drawn
+        (ten blocks of 2,048 under a budget of 20,000)."""
+        monkeypatch.setattr(twotank, "_DRAW_LIMIT", 20_000)
+        message = (
+            f"{sampler} stalled at {kept} rows after 20,480 points drawn; its filters keep almost no "
+            "point, as when the sampler's Runge-Kutta step fails at dt = 1000 s"
+        )
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            sample(BenchmarkConfig(dt=1000.0))
+
     def test_domain_sampler(self, cfg):
         X, U = sample_domain(cfg, 50, seed=37)
         assert X.shape == (50, 3) and U.shape == (50, 1)
         box = cfg.input_box()
         assert np.all(U >= box.lo - 1e-12) and np.all(U <= box.hi + 1e-12)
-
-
-class TestAcceptSpaced:
-    def test_a_candidate_exactly_sep_away_is_accepted(self):
-        sites = np.zeros((3, 2))
-        targets = np.zeros((3, 1))
-        candidates = np.array([[0.25, 0.0], [0.5, 0.0], [0.5, 0.125]])
-        count, skipped = twotank._accept_spaced(
-            sites, targets, 1, candidates, np.ones((3, 1)), 0.25
-        )
-        assert (count, skipped) == (3, 0)
-        assert_array_equal(sites, [[0.0, 0.0], [0.25, 0.0], [0.5, 0.0]])
 
 
 class TestScrambledHalton:
