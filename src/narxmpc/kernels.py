@@ -54,14 +54,18 @@ profile and ``f``); a sweep keeps each step's ``f`` in its own array
 and binds the other two, the sites, the weights and the scale once for
 all its steps, so that a step pays for its passes and little else.
 
-Every distance comes from scipy's compiled Euclidean kernel,
-``scipy.spatial._distance_pybind.cdist_euclidean``: the function that
-``scipy.spatial.distance.cdist(A, B)`` calls for its default metric,
-here called without the public wrapper, whose metric lookup and checks
-cost about 1 us of a D=101 row (the kernel checks shapes and the
-``out`` array itself).  The name is private to scipy, so it is resolved
-once, at import, and a property test checks that it gives the bits of
-``cdist`` on the installed scipy.
+Every distance comes from scipy's compiled Euclidean kernel
+``cdist_euclidean`` in ``scipy.spatial._distance_pybind``: the function
+that ``scipy.spatial.distance.cdist(A, B)`` calls for its default
+metric, here called without the public wrapper, whose metric lookup and
+checks cost about 1 us of a D=101 row (the kernel checks shapes and the
+``out`` array itself).  The fit factors and solves with LAPACK
+``dpotrf`` and ``dpotrs`` and multiplies by the Gram matrix with BLAS
+``dsymm``.  All four come from :mod:`narxmpc._compiled`, which loads
+the private scipy extension modules that hold them once, at import,
+without the ``scipy.linalg`` and ``scipy.spatial`` packages.  A property
+test checks that the distance kernel gives the bits of ``cdist`` on the
+installed scipy.
 """
 
 from __future__ import annotations
@@ -71,10 +75,7 @@ from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.linalg.blas import dsymm
-from scipy.spatial._distance_pybind import cdist_euclidean as _euclidean
-
+from ._compiled import cdist_euclidean as _euclidean, dpotrf, dpotrs, dsymm
 from .narx import AffineNormalization, NarxDims, NarxDynamics, Sweep, rollout_arrays
 
 
@@ -313,40 +314,51 @@ class Dataset:
         return min_pairwise_distance(self.sites)
 
 
-def _nearest_site_distances(
-    points: np.ndarray, sites: np.ndarray, exclude_self: bool
-) -> np.ndarray:
-    """Distance from each row of ``points`` to its nearest row of ``sites``.
-
-    Computed in blocks of rows; every per-pair distance is the same in any
-    block.  With ``exclude_self`` the points are the sites themselves and
-    each row skips its own site.
-    """
-    nearest = np.empty(points.shape[0])
-    for start in range(0, points.shape[0], _BLOCK):
-        dist = _euclidean(points[start : start + _BLOCK], sites)
-        if exclude_self:
-            rows = np.arange(dist.shape[0])
-            dist[rows, start + rows] = np.inf
-        nearest[start : start + dist.shape[0]] = dist.min(axis=1)
-    return nearest
-
-
 def min_pairwise_distance(sites: np.ndarray) -> float:
-    """Smallest distance between distinct rows."""
+    """Smallest distance between distinct rows.
+
+    Each block of rows is taken against the rows up to its end, with its
+    own rows' entries set to inf: the lower triangle of the distance
+    matrix, which holds every pair once, since a distance is the same bits
+    either way round.
+    """
     sites = np.atleast_2d(np.asarray(sites, dtype=float))
-    if sites.shape[0] < 2:
+    size = sites.shape[0]
+    if size < 2:
         return np.inf
-    return float(_nearest_site_distances(sites, sites, exclude_self=True).min())
+    starts = range(0, size, _BLOCK)
+    nearest = np.empty(len(starts))
+    for block, start in enumerate(starts):
+        end = min(start + _BLOCK, size)
+        dist = _euclidean(sites[start:end], sites[:end])
+        rows = np.arange(end - start)
+        dist[rows, start + rows] = np.inf
+        nearest[block] = dist.min()
+    return float(nearest.min())
 
 
 def fill_distance(sites: np.ndarray, probes: np.ndarray) -> float:
-    """Largest distance from any probe point to its nearest site."""
+    """Largest distance from any probe point to its nearest site, in
+    blocks of probes; every per-pair distance is the same in any block."""
     sites = np.atleast_2d(np.asarray(sites, dtype=float))
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     if probes.shape[0] == 0:
         raise ValueError("fill distance needs at least one probe point")
-    return float(_nearest_site_distances(probes, sites, exclude_self=False).max())
+    nearest = np.empty(probes.shape[0])
+    for start in range(0, probes.shape[0], _BLOCK):
+        nearest[start : start + _BLOCK] = _euclidean(probes[start : start + _BLOCK], sites).min(axis=1)
+    return float(nearest.max())
+
+
+def _factor_solve(store: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``G^-1 B`` for the Gram matrix ``G`` whose Cholesky factor is the
+    upper triangle of ``store``: LAPACK potrs on the lower triangle of
+    ``store.T``, the call that ``cho_solve`` makes.  An empty ``B`` gives
+    an empty result, as from ``cho_solve``; potrs rejects a 0 x 0 factor.
+    """
+    if B.size == 0:
+        return np.empty_like(B)
+    return dpotrs(store.T, B, lower=1)[0]
 
 
 def _gram_product(store: np.ndarray, diagonal: float, X: np.ndarray) -> np.ndarray:
@@ -532,7 +544,7 @@ class KernelInterpolant(NarxDynamics):
         if not np.all(np.isfinite(Xi)):
             raise ValueError("power-function probes must be finite")
         Kx = kernel_matrix(self.spec, self.data.sites, Xi)
-        C = cho_solve((self._store.T, True), Kx, check_finite=False)
+        C = _factor_solve(self._store, Kx)
         KC = _gram_product(self._store, self.spec.diag_value, C)
         p2 = (
             self.spec.diag_value
@@ -566,18 +578,19 @@ def fit_interpolant(spec: KernelSpec, data: Dataset, jitter: float = 0.0) -> Ker
         site dimension of ``data``.
     data : Dataset
 
-    The Gram matrix is built once and factored in place: LAPACK writes
-    the Cholesky factor into its upper triangle and leaves the Gram
-    entries below the diagonal, from which the site residual takes its
-    product.  The coefficients are one Cholesky solve against that
-    factor; for a symmetric positive definite matrix this solve is
-    backward stable (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., ch. 10), so no refinement follows it.  The
-    factor and the coefficients equal those of a dense fit (a separate
-    factor array) bit for bit at one BLAS thread.  The dataset is finite
-    by validation, so the factorization and the solve skip scipy's
-    finiteness scan, which would allocate and read a D x D mask on every
-    call.
+    The Gram matrix is built once and factored in place: LAPACK
+    ``dpotrf`` writes the Cholesky factor into its upper triangle and
+    leaves the Gram entries below the diagonal, from which the site
+    residual takes its product.  The coefficients are one Cholesky solve
+    against that factor, LAPACK ``dpotrs``; for a symmetric positive
+    definite matrix this solve is backward stable (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., ch. 10), so no
+    refinement follows it.  These are the calls that scipy's
+    ``cho_factor`` and ``cho_solve`` make, without their wrappers'
+    checks: the dataset is finite by validation, and a finiteness scan
+    would allocate and read a D x D mask on every call.  The factor and
+    the coefficients equal those of a dense fit (a separate factor
+    array) bit for bit at one BLAS thread.
 
     Raises
     ------
@@ -594,17 +607,18 @@ def fit_interpolant(spec: KernelSpec, data: Dataset, jitter: float = 0.0) -> Ker
         )
     store = kernel_matrix(spec, data.sites)
     np.fill_diagonal(store, spec.diag_value)
-    try:
-        # store.T is F-contiguous, so LAPACK factors it in place; the
-        # returned array is store.T itself (a copy would also hold the
-        # factor below and the Gram entries above its diagonal).
-        store = cho_factor(store.T, lower=True, overwrite_a=True, check_finite=False)[0].T
-    except LinAlgError as exc:
+    # store.T is F-contiguous, so LAPACK factors it in place; the returned
+    # array is store.T itself (a copy would also hold the factor below and
+    # the Gram entries above its diagonal).  This is the call that
+    # ``cho_factor(store.T, lower=True, overwrite_a=True)`` makes.
+    factor, info = dpotrf(store.T, lower=1, overwrite_a=1, clean=0)
+    if info:
         raise KernelFitError(
             "kernel matrix factorization failed (smallest site separation "
             f"{min_pairwise_distance(data.sites):.6e}); enlarge the site separation"
-        ) from exc
-    coefficients = cho_solve((store.T, True), data.targets, check_finite=False)
+        )
+    store = factor.T
+    coefficients = _factor_solve(store, data.targets)
     site_residual = (
         float(np.max(np.abs(data.targets - _gram_product(store, spec.diag_value, coefficients))))
         if data.size

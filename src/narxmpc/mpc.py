@@ -47,8 +47,8 @@ from typing import ClassVar
 
 import numpy as np
 from numpy.linalg._umath_linalg import solve as _gesv
-from scipy.linalg.lapack import dtbtrs
 
+from ._compiled import dtbtrs
 from .narx import Box, NarxDims, NarxDynamics, Sweep, shift_state
 
 

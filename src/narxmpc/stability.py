@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .mpc import ClosedLoopTrace, MpcConfig, OcpSolution, SolverError, StageCostWeights, solve_ocp_batch, stage_cost
 from .narx import NarxDims, NarxDynamics
@@ -62,7 +61,13 @@ def storage_matrix(dims: NarxDims, weights: StageCostWeights) -> StorageMatrix:
     nu = dims.nu
     blocks = [((nu - k) / nu) * weights.Q for k in range(nu)]
     blocks += [((nu - k + 1) / nu) * weights.R for k in range(1, nu)]
-    return StorageMatrix(P=block_diag(*blocks), dims=dims, weights=weights)
+    P = np.zeros((dims.n, dims.n))
+    start = 0
+    for block in blocks:
+        end = start + block.shape[0]
+        P[start:end, start:end] = block
+        start = end
+    return StorageMatrix(P=P, dims=dims, weights=weights)
 
 
 def storage_value(x: np.ndarray, storage: StorageMatrix):

@@ -43,6 +43,11 @@ Three plant-side layers do not depend on ``D`` and run once each:
 - the start state (``BenchmarkConfig.initial_condition``), a recovery
   of one row.
 
+One layer is the cold start that every command pays: ``import narxmpc,
+narxmpc.cli`` in a fresh interpreter, timed over the whole child process
+(interpreter start included), with the median of the import alone, as
+the child times it, in ``extra_info["import_s"]``.
+
 ``--benchmark-json`` writes the timings to a file, as pytest-benchmark
 does for any module.
 """
@@ -50,6 +55,10 @@ does for any module.
 from __future__ import annotations
 
 import ctypes
+import statistics
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -273,3 +282,21 @@ def test_halton_block(benchmark):
 
 def test_initial_condition(benchmark):
     benchmark(twotank.BenchmarkConfig().initial_condition)
+
+
+_COLD_IMPORT = (
+    "import sys, time; sys.path.insert(0, sys.argv[1]); tic = time.perf_counter(); "
+    "import narxmpc, narxmpc.cli; print(time.perf_counter() - tic)"
+)
+
+
+def test_cold_import(benchmark):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    imports = []
+
+    def cold():
+        proc = subprocess.run([sys.executable, "-c", _COLD_IMPORT, src], capture_output=True, text=True, check=True)
+        imports.append(float(proc.stdout))
+
+    benchmark.pedantic(cold, rounds=7, iterations=1)
+    benchmark.extra_info["import_s"] = statistics.median(imports)

@@ -2,15 +2,21 @@
 
 ``scipy.stats`` alone took more than half of the package's import time,
 and the package needs none of it (the Halton points come from
-:class:`narxmpc.twotank.ScrambledHalton`).  The check runs in a fresh
-interpreter, because this suite itself imports ``scipy.stats``.
+:class:`narxmpc.twotank.ScrambledHalton`).  The package inits of
+``scipy.linalg`` and ``scipy.spatial`` took most of the rest, so
+:mod:`narxmpc._compiled` loads only the three compiled modules whose
+functions the package calls.  The checks run in fresh interpreters,
+because this suite itself imports those packages: one runs a whole small
+``narxmpc benchmark`` and then finds none of them loaded, so a package
+that a command reaches only at its first call would fail it too.
 
 ``pyproject.toml`` declares ``numpy>=2.0`` and ``scipy>=1.13``, but the
 suite runs on one installed NumPy and one scipy.  So the package's names
 are scanned instead: no top-level NumPy name that a release after 2.0
-added may appear in ``src/``, and every scipy name in ``src/`` must be on
-a list of names that scipy 1.13 has.  A name private to NumPy or scipy
-must be on its list too, and is checked against the installed release.
+added may appear in ``src/``, and every scipy name in ``src/``, with
+every function in the loader's table, must be on a list of names that
+scipy 1.13 has.  A name private to NumPy or scipy must be on its list
+too, and is checked against the installed release.
 """
 
 from __future__ import annotations
@@ -23,6 +29,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
+
+from narxmpc._compiled import FUNCTIONS
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -48,42 +57,97 @@ NUMPY_PRIVATE = {
 }
 
 #: Every scipy name that ``src/narxmpc`` may use: each public one is in
-#: scipy 1.13, the declared floor.  A name added to the package must be
-#: added here, after checking that 1.13 has it.
+#: scipy 1.13, the declared floor.  A name added to the package, or to the
+#: table of ``narxmpc._compiled``, must be added here, after checking that
+#: 1.13 has it.
 SCIPY_NAMES = {
-    "scipy.linalg.LinAlgError",
-    "scipy.linalg.block_diag",
-    "scipy.linalg.cho_factor",
-    "scipy.linalg.cho_solve",
-    "scipy.linalg.blas.dsymm",
-    "scipy.linalg.lapack.dtbtrs",
+    # The directory in which narxmpc._compiled finds the modules below.
+    "scipy.__path__",
+    # The LAPACK and BLAS wrappers that scipy.linalg.lapack and
+    # scipy.linalg.blas export, taken from the private modules that hold
+    # them; test_the_loaded_functions_are_scipys_own checks that they are
+    # the public objects.  Each module is in 1.13 under this name.
+    "scipy.linalg._flapack.dpotrf",
+    "scipy.linalg._flapack.dpotrs",
+    "scipy.linalg._flapack.dtbtrs",
+    "scipy.linalg._fblas.dsymm",
     # Private to scipy: the compiled kernel that cdist(A, B) calls for the
-    # Euclidean metric, which kernels and twotank call without it.  No
-    # release promises it, so it is checked only against the installed
-    # scipy: here, that it exists, and in test_properties.py, that it
-    # gives cdist's bits.
+    # Euclidean metric, which kernels calls without it.  No release
+    # promises it, so it is checked only against the installed scipy:
+    # here, that it exists, and in test_properties.py, that it gives
+    # cdist's bits.
     "scipy.spatial._distance_pybind.cdist_euclidean",
 }
+
+#: scipy packages whose inits ``narxmpc`` does not run, nor any of their
+#: submodules but the three that ``narxmpc._compiled`` loads.
+UNLOADED = ("scipy.linalg", "scipy.spatial", "scipy.special", "scipy.sparse", "scipy.stats")
+LOADED = {module for module, _ in FUNCTIONS}
 
 _PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import narxmpc, narxmpc.cli
-print(json.dumps({"file": narxmpc.__file__, "modules": sorted(sys.modules)}))
+argv = ["benchmark", "--config", sys.argv[2], "--only-D", "21", "--b-states", "2", "--b-horizon", "1"]
+code = narxmpc.cli.main([*argv, "--out", sys.argv[3]])
+print(json.dumps({"file": narxmpc.__file__, "code": code, "modules": sorted(sys.modules)}))
 """
 
 
-def test_package_and_cli_import_without_scipy_stats():
+def test_package_and_cli_import_without_scipy_stats(tmp_path):
+    """After the import and a whole small ``narxmpc benchmark``, none of the
+    scipy packages is loaded: only the three compiled modules."""
+    config = tmp_path / "cfg.txt"
+    config.write_text("steps = 6\n")
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, str(SRC)],
+        [sys.executable, "-c", _PROBE, str(SRC), str(config), str(tmp_path / "bundle")],
         capture_output=True,
         text=True,
         timeout=120,
         check=True,
     )
-    loaded = json.loads(proc.stdout)
+    loaded = json.loads(proc.stdout.splitlines()[-1])
     assert Path(loaded["file"]).resolve().is_relative_to(SRC.resolve())
-    assert "scipy.stats" not in loaded["modules"]
+    assert loaded["code"] in (0, 2)
+    assert (tmp_path / "bundle" / "stability_report_D21.txt").is_file()
+    reached = {
+        name
+        for name in loaded["modules"]
+        if any(name == package or name.startswith(package + ".") for package in UNLOADED)
+    }
+    assert reached == LOADED
+
+
+_IDENTITY_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+if sys.argv[2] == "scipy":
+    import scipy.linalg, scipy.spatial
+import narxmpc
+import scipy.linalg.blas, scipy.linalg.lapack, scipy.spatial.distance
+from narxmpc import kernels, mpc
+assert kernels.dpotrf is scipy.linalg.lapack.dpotrf
+assert kernels.dpotrs is scipy.linalg.lapack.dpotrs
+assert mpc.dtbtrs is scipy.linalg.lapack.dtbtrs
+assert kernels.dsymm is scipy.linalg.blas.dsymm
+assert kernels._euclidean is scipy.spatial.distance._distance_pybind.cdist_euclidean
+print("same")
+"""
+
+
+@pytest.mark.parametrize("first", ["narxmpc", "scipy"])
+def test_the_loaded_functions_are_scipys_own(first):
+    """Whichever is imported first, ``narxmpc`` or ``scipy.linalg``, the
+    package calls the very LAPACK, BLAS and distance objects that scipy's
+    public modules export: one module object each in ``sys.modules``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _IDENTITY_PROBE, str(SRC), first],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["same"]
 
 
 def _numpy_names() -> dict[str, list[str]]:
@@ -191,8 +255,11 @@ def _scipy_names() -> dict[str, list[str]]:
 def test_every_scipy_name_is_on_the_list_of_the_declared_floor():
     assert '"scipy>=1.13"' in (ROOT / "pyproject.toml").read_text()
     used = _scipy_names()
-    # dsymm, a BLAS wrapper, shows that the scan sees the package's imports.
-    assert "scipy.linalg.blas.dsymm" in used
+    # scipy.__path__, which the loader reads, shows that the scan sees the
+    # package's scipy names.
+    assert "scipy.__path__" in used
+    for module, function in FUNCTIONS:
+        used.setdefault(f"{module}.{function}", []).append("_compiled.py:FUNCTIONS")
     unlisted = {name: places for name, places in used.items() if name not in SCIPY_NAMES}
     assert not unlisted, f"scipy names not on the list of scipy 1.13 names: {unlisted}"
 

@@ -9,7 +9,7 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrf
 
 from narxmpc import (
     AffineNormalization,
@@ -197,8 +197,19 @@ class TestInterpolant:
         ):
             fit_interpolant(spec, data)
 
+    def test_fit_on_no_sites_is_empty(self):
+        """LAPACK's solve rejects a 0 x 0 factor; the fit on no sites has no
+        coefficients, as scipy's ``cho_solve`` gives."""
+        model = fit_interpolant(KernelSpec(input_dim=2), _dataset(np.empty((0, 2)), np.empty(0)))
+        assert model.coefficients.shape == (0, 1)
+        assert model.site_residual == 0.0 and model.rkhs_norm() == 0.0
+
 
 class TestPowerFunction:
+    def test_no_probes_give_no_values(self, fit_101):
+        _, model = fit_101
+        assert model.power_function(np.empty((0, model.data.sites.shape[1]))).shape == (0,)
+
     def test_zero_at_sites(self, fit_101):
         data, model = fit_101
         values = model.power_function(data.sites)
@@ -263,10 +274,11 @@ class TestMemory:
         factored = []
 
         def factor_spy(a, **kwargs):
-            factored.append((a, cho_factor(a, **kwargs)[0]))
-            return factored[-1][1], kwargs["lower"]
+            factor, info = dpotrf(a, **kwargs)
+            factored.append((a, factor))
+            return factor, info
 
-        with patch("narxmpc.kernels.cho_factor", factor_spy):
+        with patch("narxmpc.kernels.dpotrf", factor_spy):
             model, peak, held = self._traced(
                 lambda: fit_interpolant(spec, data_1001)
             )

@@ -371,18 +371,27 @@ def test_the_direct_distance_kernel_gives_the_bits_of_cdist(seed, a_rows, b_rows
     rows=st.integers(1, 1500),
     probes=st.integers(1, 1500),
     dim=st.integers(1, 5),
+    ties=st.booleans(),
 )
-@example(seed=0, rows=65, probes=1500, dim=4)
-@example(seed=1, rows=1500, probes=64, dim=1)
-def test_nearest_site_distances_match_brute_force(seed, rows, probes, dim):
-    """The chunked nearest-site loop gives the min and max of one full
-    distance matrix, bit for bit, on both sides of the chunk boundary."""
+@example(seed=0, rows=65, probes=1500, dim=4, ties=False)
+@example(seed=1, rows=1500, probes=64, dim=1, ties=False)
+@example(seed=2, rows=2, probes=1, dim=3, ties=False)
+@example(seed=3, rows=65, probes=65, dim=2, ties=True)
+@example(seed=4, rows=200, probes=2, dim=1, ties=True)
+def test_nearest_site_distances_match_brute_force(seed, rows, probes, dim, ties):
+    """The closest-pair check, which takes each block of rows only against
+    the rows up to its end, gives the minimum over i < j of one full
+    distance matrix, bit for bit, and the chunked fill distance gives its
+    max of row minima: on both sides of the chunk boundary, at two sites,
+    and with tied distances (sites on a coarse grid, repeated sites too)."""
     rng = np.random.default_rng(seed)
     sites = rng.uniform(0.0, 1.0, size=(rows, dim))
+    if ties:
+        sites = np.round(4.0 * sites) / 4.0
     points = rng.uniform(-0.2, 1.2, size=(probes, dim))
-    pairwise = cdist(sites, sites)
-    np.fill_diagonal(pairwise, np.inf)
-    assert min_pairwise_distance(sites) == pairwise.min()
+    upper = cdist(sites, sites)[np.triu_indices(rows, 1)]
+    expected = upper.min() if rows > 1 else np.inf
+    assert np.float64(min_pairwise_distance(sites)).tobytes() == np.float64(expected).tobytes()
     assert fill_distance(sites, points) == cdist(points, sites).min(axis=1).max()
 
 

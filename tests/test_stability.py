@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.linalg import block_diag
 
 from narxmpc import (
     Box,
@@ -115,6 +116,20 @@ class TestStorageMatrix:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             storage_matrix(NarxDims(p=2, m=1, nu=2), WEIGHTS)
+
+    @pytest.mark.parametrize("p, m, nu", [(1, 1, 1), (1, 1, 2), (2, 1, 3), (2, 3, 4), (3, 2, 1)])
+    def test_blocks_give_the_bits_of_block_diag(self, p, m, nu):
+        """``P`` holds full weight blocks on its diagonal and exact zeros
+        elsewhere: the bytes of scipy's ``block_diag`` of the same blocks."""
+        rng = np.random.default_rng(10 * p + m + 100 * nu)
+        A, B = rng.standard_normal((p, p)), rng.standard_normal((m, m))
+        weights = StageCostWeights(Q=A @ A.T + np.eye(p), R=B @ B.T + np.eye(m))
+        P = storage_matrix(NarxDims(p=p, m=m, nu=nu), weights).P
+        blocks = [((nu - k) / nu) * weights.Q for k in range(nu)]
+        blocks += [((nu - k + 1) / nu) * weights.R for k in range(1, nu)]
+        expected = block_diag(*blocks)
+        assert P.shape == expected.shape and P.dtype == expected.dtype
+        assert P.tobytes() == expected.tobytes()
 
 
 class TestStorageValue:
