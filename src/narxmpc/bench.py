@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .fileio import (
+    read_manifest,
     require_trace_config,
     save_dataset,
     save_model,
@@ -277,21 +278,16 @@ def run_arm(
 
 
 def comparison_table(cfg: BenchmarkConfig, arms: dict[int, BenchmarkArm]):
-    """Raw-unit output and state-error columns, one row per loop step."""
-    header = ["k"]
+    """Raw-unit output and state-error columns, one row per loop step; the
+    errors are the reports' ``errors``."""
     steps = min(arm.trace.steps for arm in arms.values())
-    columns = [np.arange(steps + 1)]
-    norm = cfg.normalization()
-    y_cols, err_cols = [], []
-    for d, arm in sorted(arms.items()):
-        states_raw = norm.denormalize_state(arm.trace.states[: steps + 1], cfg.dims)
-        eq_raw = norm.denormalize_state(np.zeros(cfg.dims.n), cfg.dims)
-        y_cols.append((f"y_D{d}", states_raw[:, 0]))
-        err_cols.append((f"err_D{d}", np.linalg.norm(states_raw - eq_raw, axis=1)))
-    for name, col in y_cols + err_cols:
-        header.append(name)
-        columns.append(col)
-    return header, np.column_stack(columns)
+    norm, ordered = cfg.normalization(), sorted(arms.items())
+    columns = {
+        "k": np.arange(steps + 1),
+        **{f"y_D{d}": norm.denormalize_state(arm.trace.states[: steps + 1], cfg.dims)[:, 0] for d, arm in ordered},
+        **{f"err_D{d}": arm.report.errors[: steps + 1] for d, arm in ordered},
+    }
+    return list(columns), np.column_stack(list(columns.values()))
 
 
 def fit_report_entries(arm: BenchmarkArm) -> dict:
@@ -322,7 +318,7 @@ def run_benchmark(
     given, writes per size the dataset, model, fit report, normalized and
     raw traces (each table with its sidecar) and the stability report
     with its steps, plus the combined comparison table, and the result's
-    ``outputs`` lists the files written.
+    ``outputs`` lists the files its writers returned.
     """
     repeated = [d for i, d in enumerate(sizes) if d in sizes[:i]]
     if repeated:
@@ -341,31 +337,26 @@ def run_benchmark(
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for d, arm in arms.items():
-            tables = [out / f"{stem}_D{d}.csv" for stem in ("dataset", "model", "trace_norm", "trace_raw")]
-            dataset, model, trace_norm, trace_raw = tables
-            fit, report = out / f"fit_report_D{d}.txt", out / f"stability_report_D{d}.txt"
-            steps = out / f"stability_steps_D{d}.csv"
-            save_dataset(arm.dataset, dataset, cfg, arm.provenance)
-            save_model(arm.model, model, cfg)
-            write_keyvalues(fit, fit_report_entries(arm))
-            save_trace(arm.trace, trace_norm, cfg, raw=False)
-            save_trace(arm.trace, trace_raw, cfg, raw=True)
-            save_stability_report(arm.report, report, steps)
-            result.outputs += [*tables, *(p.with_suffix(".csv.meta") for p in tables), fit, report, steps]
-        write_csv(out / "comparison.csv", header, table)
-        result.outputs.append(out / "comparison.csv")
+            result.outputs += [
+                *save_dataset(arm.dataset, out / f"dataset_D{d}.csv", cfg, arm.provenance),
+                *save_model(arm.model, out / f"model_D{d}.csv", cfg),
+                write_keyvalues(out / f"fit_report_D{d}.txt", fit_report_entries(arm)),
+                *save_trace(arm.trace, out / f"trace_norm_D{d}.csv", cfg, raw=False),
+                *save_trace(arm.trace, out / f"trace_raw_D{d}.csv", cfg, raw=True),
+                *save_stability_report(arm.report, out / f"stability_report_D{d}.txt", out / f"stability_steps_D{d}.csv"),
+            ]
+        result.outputs.append(write_csv(out / "comparison.csv", header, table))
     return result
 
 
 def bundle_digests(out_dir) -> dict[str, str]:
-    """Content digests of every artifact in a benchmark output directory.
+    """Content digests of the files that the ``manifest.json`` of a
+    command's output directory lists, hashed afresh; raise ``ConfigError``
+    naming the directory when it holds no manifest.
 
-    ``manifest.json`` is left out: it records wall times, which differ
-    from run to run.
+    The manifest itself is not among them: it records wall times, which
+    differ from run to run.  A library bundle has no manifest; its
+    digests are those of ``run_benchmark``'s ``result.outputs``.
     """
     out = Path(out_dir)
-    return {
-        p.name: sha256_file(p)
-        for p in sorted(out.iterdir())
-        if p.is_file() and p.suffix in (".csv", ".txt", ".meta")
-    }
+    return {name: sha256_file(out / name) for name in sorted(read_manifest(out)["outputs"])}

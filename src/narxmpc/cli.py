@@ -114,13 +114,13 @@ def _manifest(args, command: str, cfg: BenchmarkConfig | None, outputs: list[Pat
         "version": __version__,
         "config_file": str(args.config) if args.config else None,
         "config": None if cfg is None else {k: getattr(cfg, k) for k in cfg.__dataclass_fields__},
-        "outputs": {p.name: sha256_file(p) for p in outputs if p.exists()},
+        "outputs": {p.name: sha256_file(p) for p in outputs},
         "duration_s": round(time.time() - started, 3),
         # The process's high-water resident set (ru_maxrss is in KiB on Linux).
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
         **extra,
     }
-    write_manifest(args.out / "manifest.json", entries)
+    write_manifest(args.out, entries)
 
 
 def cmd_generate(args) -> int:
@@ -129,9 +129,9 @@ def cmd_generate(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     data, provenance = generate_dataset(cfg)
     path = args.out / f"dataset_D{cfg.d}.csv"
-    save_dataset(data, path, cfg, provenance)
+    outputs = save_dataset(data, path, cfg, provenance)
     _say(args)(f"wrote {data.size} sites to {path}")
-    _manifest(args, "generate", cfg, [path, path.with_suffix(".csv.meta")], started)
+    _manifest(args, "generate", cfg, outputs, started)
     return 0
 
 
@@ -142,14 +142,12 @@ def cmd_fit(args) -> int:
     data = load_dataset(args.data)
     model, entries = fit_model(cfg, data)
     args.out.mkdir(parents=True, exist_ok=True)
-    model_path = args.out / "model.csv"
-    save_model(model, model_path, cfg)
-    report_path = args.out / "fit_report.txt"
-    write_keyvalues(report_path, {"d": data.size, **entries})
+    outputs = [
+        *save_model(model, args.out / "model.csv", cfg),
+        write_keyvalues(args.out / "fit_report.txt", {"d": data.size, **entries}),
+    ]
     _say(args)(f"fitted {data.size} sites, site residual {model.site_residual:.2e}")
-    _manifest(
-        args, "fit", cfg, [model_path, model_path.with_suffix(".csv.meta"), report_path], started
-    )
+    _manifest(args, "fit", cfg, outputs, started)
     return 0
 
 
@@ -164,22 +162,17 @@ def cmd_simulate(args) -> int:
     trace = simulate_loop(cfg, model)
     timings["closed_loop"] = time.perf_counter() - tic
     args.out.mkdir(parents=True, exist_ok=True)
-    norm_path = args.out / "trace_norm.csv"
-    raw_path = args.out / "trace_raw.csv"
-    save_trace(trace, norm_path, cfg, raw=False)
-    save_trace(trace, raw_path, cfg, raw=True)
+    outputs = [
+        *save_trace(trace, args.out / "trace_norm.csv", cfg, raw=False),
+        *save_trace(trace, args.out / "trace_raw.csv", cfg, raw=True),
+    ]
     _say(args)(f"ran {trace.steps} steps; final state norm {np.linalg.norm(trace.states[-1]):.3e}")
     max_iters = make_mpc_config(cfg).solver.max_iters
     _manifest(
         args,
         "simulate",
         cfg,
-        [
-            norm_path,
-            norm_path.with_suffix(".csv.meta"),
-            raw_path,
-            raw_path.with_suffix(".csv.meta"),
-        ],
+        outputs,
         started,
         **run_record(timings, capped_solves(trace.iterations, trace.converged, trace.grad_norms, max_iters), trace),
     )
@@ -206,9 +199,7 @@ def cmd_certify(args) -> int:
     growth, report = certify_trace(cfg, model, trace, args.b_states, args.b_horizon)
     timings["certify"] = time.perf_counter() - tic
     args.out.mkdir(parents=True, exist_ok=True)
-    report_path = args.out / "stability_report.txt"
-    steps_path = args.out / "stability_steps.csv"
-    save_stability_report(report, report_path, steps_path)
+    outputs = save_stability_report(report, args.out / "stability_report.txt", args.out / "stability_steps.csv")
     say = _say(args)
     say(growth.summary())
     say(f"verdict: {report.verdict}")
@@ -218,7 +209,7 @@ def cmd_certify(args) -> int:
         args,
         "certify",
         cfg,
-        [report_path, steps_path],
+        outputs,
         started,
         **run_record(timings, (report.capped_solves, report.capped_max_grad_norm), growth=growth),
     )

@@ -5,7 +5,8 @@ round-trips bit-exactly, which keeps repeated runs byte-identical under
 a fixed seed.  Datasets, fitted models and closed-loop traces are CSV
 tables with a ``.meta`` sidecar carrying the dimensions, normalization
 and settings of the benchmark configuration they were made under (see
-:func:`require_config`); dataset sidecars add the provenance.
+:func:`require_config`); dataset sidecars add the provenance.  Every
+writer returns the paths it wrote, so only this module names a sidecar.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def format_float(value: float) -> str:
     return _FLOAT % float(value)
 
 
-def write_csv(path, header: list[str], rows: np.ndarray) -> None:
+def write_csv(path, header: list[str], rows: np.ndarray) -> Path:
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     lines = [",".join(header)]
     if rows.size:
@@ -50,6 +51,7 @@ def write_csv(path, header: list[str], rows: np.ndarray) -> None:
         line = ",".join([_FLOAT] * rows.shape[1])
         lines.extend(line % tuple(row) for row in rows.tolist())
     Path(path).write_text("\n".join(lines) + "\n")
+    return Path(path)
 
 
 def read_csv(path) -> tuple[list[str], np.ndarray]:
@@ -87,9 +89,10 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def write_keyvalues(path, values: dict) -> None:
+def write_keyvalues(path, values: dict) -> Path:
     lines = [f"{key} = {_format_value(value)}" for key, value in values.items()]
     Path(path).write_text("\n".join(lines) + "\n")
+    return Path(path)
 
 
 def read_keyvalues(path) -> dict[str, str]:
@@ -192,12 +195,12 @@ def _sites_header(dims: NarxDims, coefficients: bool) -> list[str]:
 
 def _save_sites(
     path, data: Dataset, fmt: str, cfg, coefficients=None, fields=None, provenance=None
-) -> None:
+) -> list[Path]:
     """Write sites and targets (plus model coefficients) and the sidecar:
     format, dimensions, ``fields``, the settings of ``cfg`` the format
-    records, normalization, then ``gen_`` provenance."""
+    records, normalization, then ``gen_`` provenance.  Returns ``[table, sidecar]``."""
     blocks = [data.sites, data.targets] + ([] if coefficients is None else [coefficients])
-    write_csv(path, _sites_header(data.dims, coefficients is not None), np.hstack(blocks))
+    table = write_csv(path, _sites_header(data.dims, coefficients is not None), np.hstack(blocks))
     meta = {
         "format": fmt,
         **_dims_fields(data.dims),
@@ -208,7 +211,7 @@ def _save_sites(
         **_normalization_fields(data.normalization),
     }
     meta.update({f"gen_{k}": v for k, v in (provenance or {}).items()})
-    write_keyvalues(_sidecar(path), meta)
+    return [table, write_keyvalues(_sidecar(path), meta)]
 
 
 def _load_sites(path, coefficients: bool) -> tuple[Dataset, np.ndarray, dict]:
@@ -231,25 +234,25 @@ def _load_sites(path, coefficients: bool) -> tuple[Dataset, np.ndarray, dict]:
     return data, table[:, q + dims.p :], meta
 
 
-def save_dataset(data: Dataset, path, cfg, provenance: dict | None = None) -> None:
+def save_dataset(data: Dataset, path, cfg, provenance: dict | None = None) -> list[Path]:
     """Write a dataset made under the benchmark configuration ``cfg`` as
-    ``xi_*, y_*`` CSV plus a ``.meta`` sidecar."""
-    _save_sites(path, data, "narxmpc-dataset-v1", cfg, provenance=provenance)
+    ``xi_*, y_*`` CSV plus a ``.meta`` sidecar; returns ``[table, sidecar]``."""
+    return _save_sites(path, data, "narxmpc-dataset-v1", cfg, provenance=provenance)
 
 
 def load_dataset(path) -> Dataset:
     return _load_sites(path, coefficients=False)[0]
 
 
-def save_model(model: KernelInterpolant, path, cfg) -> None:
-    """Write an interpolant fitted under the benchmark configuration
-    ``cfg``: sites, targets and coefficients plus sidecar."""
+def save_model(model: KernelInterpolant, path, cfg) -> list[Path]:
+    """Write an interpolant fitted under the benchmark configuration ``cfg``:
+    sites, targets and coefficients plus sidecar; returns ``[table, sidecar]``."""
     fields = {
         "family": model.spec.family,
         "sigma": model.spec.lengthscale,
         "site_residual": model.site_residual,
     }
-    _save_sites(path, model.data, "narxmpc-model-v1", cfg, model.coefficients, fields)
+    return _save_sites(path, model.data, "narxmpc-model-v1", cfg, model.coefficients, fields)
 
 
 def load_model(path) -> KernelInterpolant:
@@ -320,9 +323,9 @@ def _trace_rows(trace: ClosedLoopTrace, raw: bool) -> np.ndarray:
     return np.column_stack(columns)
 
 
-def save_trace(trace: ClosedLoopTrace, path, cfg, raw: bool = False) -> None:
-    """Write a closed-loop trace run under the benchmark configuration
-    ``cfg`` as CSV, one row per applied step, plus a ``.meta`` sidecar.
+def save_trace(trace: ClosedLoopTrace, path, cfg, raw: bool = False) -> list[Path]:
+    """Write a closed-loop trace run under the benchmark configuration ``cfg``
+    as CSV, one row per applied step, plus a ``.meta`` sidecar: ``[table, sidecar]``.
 
     A final diagnostic row carries the terminal state and its value.
     With ``raw=True`` states, inputs and outputs are denormalized; the
@@ -333,10 +336,9 @@ def save_trace(trace: ClosedLoopTrace, path, cfg, raw: bool = False) -> None:
     ``ConfigError`` naming the key, and nothing is written.
     """
     entries = require_trace_config(trace, cfg, where=f"trace for {path}")
-    write_csv(path, trace_header(trace.dims), _trace_rows(trace, raw))
-    write_keyvalues(
-        _sidecar(path), {"format": "narxmpc-trace-v1", "units": "raw" if raw else "normalized", **entries}
-    )
+    table = write_csv(path, trace_header(trace.dims), _trace_rows(trace, raw))
+    meta = {"format": "narxmpc-trace-v1", "units": "raw" if raw else "normalized", **entries}
+    return [table, write_keyvalues(_sidecar(path), meta)]
 
 
 def require_trace_config(trace: ClosedLoopTrace, cfg, where: str = "trace") -> dict[str, str]:
@@ -401,23 +403,33 @@ _REPORT_KEYS = (
 )
 
 
-def save_stability_report(report, path_txt, path_csv=None) -> None:
+def save_stability_report(report, path_txt, path_csv=None) -> list[Path]:
     """Write a stability report as key=value, plus an optional per-step CSV,
-    whose ``model_error`` column is NaN where the report has no model errors."""
+    whose ``model_error`` column is NaN where the report has no model errors;
+    returns the report's path, then the steps file's when given one."""
     entries = {key: getattr(report, name) for key, name in _REPORT_KEYS}
     entries = {key: value for key, value in entries.items() if value is not None}
-    write_keyvalues(path_txt, entries)
+    written = [write_keyvalues(path_txt, entries)]
     if path_csv is not None:
         k = np.arange(report.state_norms.shape[0])
         deltas = np.concatenate([report.deltas, [np.nan]])
         model_errors = np.full(k.size, np.nan) if report.model_errors is None else report.model_errors
         columns = [report.state_norms, report.errors, report.values, report.storage_values, report.lyapunov]
         rows = np.column_stack([k, *columns, deltas, model_errors])
-        write_csv(path_csv, ["k", "state_norm", "error", "V", "W", "Y", "delta", "model_error"], rows)
+        written.append(write_csv(path_csv, ["k", "state_norm", "error", "V", "W", "Y", "delta", "model_error"], rows))
+    return written
 
 
-def write_manifest(path, entries: dict) -> None:
-    Path(path).write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n")
+def write_manifest(out_dir, entries: dict) -> None:
+    (Path(out_dir) / "manifest.json").write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n")
+
+
+def read_manifest(out_dir) -> dict:
+    """The entries of ``out_dir``'s ``manifest.json``, or ``ConfigError`` naming the directory."""
+    path = Path(out_dir) / "manifest.json"
+    if not path.exists():
+        raise ConfigError(f"{out_dir}: no manifest.json; only a command's output directory has one")
+    return json.loads(path.read_text())
 
 
 #: Per sidecar format, the configuration keys the sidecar records

@@ -367,7 +367,11 @@ def _gram_product(store: np.ndarray, diagonal: float, X: np.ndarray) -> np.ndarr
     constant ``diagonal``: BLAS symm on that lower triangle, whose diagonal
     holds the factor's, plus the difference to ``diagonal``.  Its sums are
     not those of a dense gemm, so it agrees with ``gram @ X`` to rounding.
+    An empty ``X`` gives an empty product, as from ``gram @ X``; symm
+    rejects a 0 x 0 matrix.
     """
+    if X.size == 0:
+        return np.empty_like(X)
     out = dsymm(1.0, store.T, X, lower=0)
     out += (diagonal - np.diagonal(store))[:, None] * X
     return out
@@ -615,15 +619,12 @@ def fit_interpolant(spec: KernelSpec, data: Dataset, jitter: float = 0.0) -> Ker
     if info:
         raise KernelFitError(
             "kernel matrix factorization failed (smallest site separation "
-            f"{min_pairwise_distance(data.sites):.6e}); enlarge the site separation"
+            f"{data.min_distance:.6e}); enlarge the site separation"
         )
     store = factor.T
     coefficients = _factor_solve(store, data.targets)
-    site_residual = (
-        float(np.max(np.abs(data.targets - _gram_product(store, spec.diag_value, coefficients))))
-        if data.size
-        else 0.0
-    )
+    residual = data.targets - _gram_product(store, spec.diag_value, coefficients)
+    site_residual = float(np.max(np.abs(residual), initial=0.0))
     return KernelInterpolant(spec, data, store, coefficients, site_residual)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import resource
 import subprocess
 import sys
@@ -836,6 +837,9 @@ class TestBenchmark:
         header, table = read_csv(out / "comparison.csv")
         assert header == ["k", "y_D101", "err_D101"]
         assert table.shape[0] == 13
+        # The state error is the stability report's, step for step.
+        steps_header, steps = read_csv(out / "stability_steps_D101.csv")
+        assert_array_equal(table[:, 2], steps[: table.shape[0], steps_header.index("error")])
         for name in (
             "dataset_D101.csv",
             "model_D101.csv",
@@ -939,8 +943,7 @@ class TestBenchmark:
                 "comparison.csv",
             ]
         )
-        written = bundle_digests(out)
-        assert outputs == {name: written[name] for name in outputs}
+        assert bundle_digests(out) == outputs == {name: sha256_file(out / name) for name in outputs}
 
     def test_arm_builds_its_start_state_once(self, monkeypatch):
         """The start state's hidden-level recovery runs once per arm."""
@@ -1113,8 +1116,48 @@ class TestBenchmark:
         assert fit.items() <= read_keyvalues(bundle / "fit_report_D21.txt").items()
 
     def test_bundle_determinism(self, cfg, tmp_path):
+        """A library bundle is its result's ``outputs``, every file of a fresh
+        directory; it has no manifest, which ``bundle_digests`` reads."""
         small = replace(cfg, steps=6, horizon=5)
-        a, b = tmp_path / "a", tmp_path / "b"
-        run_benchmark(small, out_dir=a, sizes=(11,), b_states=5, b_horizon=2)
-        run_benchmark(small, out_dir=b, sizes=(11,), b_states=5, b_horizon=2)
-        assert bundle_digests(a) == bundle_digests(b)
+        digests = []
+        for name in ("a", "b"):
+            result = run_benchmark(small, out_dir=tmp_path / name, sizes=(11,), b_states=5, b_horizon=2)
+            assert sorted(result.outputs) == sorted((tmp_path / name).iterdir())
+            digests.append({p.name: sha256_file(p) for p in result.outputs})
+        assert digests[0] == digests[1]
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(tmp_path / 'a'))}: no manifest.json"):
+            bundle_digests(tmp_path / "a")
+
+
+class TestOutputs:
+    """A command's manifest lists the files its writers returned, and
+    ``bundle_digests`` hashes those files afresh and no other."""
+
+    @pytest.fixture(scope="class")
+    def trace(self, workspace, tmp_path_factory):
+        out = tmp_path_factory.mktemp("trace")
+        assert main(["simulate", "--model", str(workspace / "model.csv"), "--steps", "2", "--out", str(out)]) == 0
+        return out / "trace_norm.csv"
+
+    @pytest.mark.parametrize("command", ["generate", "fit", "simulate", "certify", "benchmark"])
+    def test_manifest_lists_exactly_the_files_the_command_created(self, command, workspace, trace, tmp_path):
+        config = tmp_path / "cfg.txt"
+        config.write_text("D = 21\nsteps = 2\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "old_notes.txt").write_text("notes\n")
+        (out / "dataset_D2501.csv").write_text("stale\n")
+        before = {p.name for p in out.iterdir()}
+        model, grid = str(workspace / "model.csv"), ["--b-states", "2", "--b-horizon", "1"]
+        argv = {
+            "generate": [],
+            "fit": ["--data", str(workspace / "dataset_D21.csv")],
+            "simulate": ["--model", model],
+            "certify": ["--model", model, "--trace", str(trace), *grid],
+            "benchmark": ["--only-D", "21", *grid],
+        }[command]
+        assert main([command, *argv, "--config", str(config), "--out", str(out)]) in (0, 2)
+        created = {p.name for p in out.iterdir()} - before - {"manifest.json"}
+        fresh = {name: sha256_file(out / name) for name in created}
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == fresh
+        assert bundle_digests(out) == fresh

@@ -21,6 +21,7 @@ from narxmpc import (
     generate_dataset,
     run_closed_loop,
     storage_matrix,
+    verify_decrease,
 )
 from oracles import FunctionDynamics
 from narxmpc.fileio import (
@@ -32,6 +33,7 @@ from narxmpc.fileio import (
     parse_benchmark_config,
     read_csv,
     read_keyvalues,
+    read_manifest,
     require_config,
     save_dataset,
     save_model,
@@ -598,10 +600,33 @@ class TestStabilityReportIo:
 class TestManifestAndConfig:
     def test_manifest_round_trip(self, tmp_path):
         path = tmp_path / "manifest.json"
-        write_manifest(path, {"b": 1, "a": {"x": [1, 2]}})
+        write_manifest(tmp_path, {"b": 1, "a": {"x": [1, 2]}})
         loaded = json.loads(path.read_text())
-        assert loaded == {"a": {"x": [1, 2]}, "b": 1}
+        assert loaded == {"a": {"x": [1, 2]}, "b": 1} == read_manifest(tmp_path)
         assert path.read_text().index('"a"') < path.read_text().index('"b"')
+
+    def test_every_writer_returns_the_files_it_wrote(self, cfg, tmp_path):
+        """Each writer returns the paths it wrote, its own path first, and
+        writes no other file."""
+        data, provenance = generate_dataset(replace(cfg, d=5))
+        model = fit_interpolant(KernelSpec(input_dim=data.sites.shape[1], lengthscale=cfg.sigma), data)
+        trace = _linear_closed_loop(steps=2)
+        report = verify_decrease(trace, storage_matrix(DIMS, WEIGHTS))
+        writers = {
+            "table.csv": lambda path: [write_csv(path, ["a"], np.ones((1, 1)))],
+            "values.txt": lambda path: [write_keyvalues(path, {"a": 1})],
+            "dataset.csv": lambda path: save_dataset(data, path, cfg, provenance),
+            "model.csv": lambda path: save_model(model, path, cfg),
+            "trace.csv": lambda path: save_trace(trace, path, replace(cfg, horizon=4)),
+            "report.txt": lambda path: save_stability_report(report, path),
+            "report_and_steps.txt": lambda path: save_stability_report(report, path, path.with_name("steps.csv")),
+        }
+        for name, write in writers.items():
+            out = tmp_path / name.split(".")[0]
+            out.mkdir()
+            written = write(out / name)
+            assert written[0] == out / name, name
+            assert sorted(written) == sorted(out.iterdir()), name
 
     def test_parse_benchmark_config(self, tmp_path):
         path = tmp_path / "cfg.txt"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import tracemalloc
 from dataclasses import replace
 from unittest.mock import patch
@@ -209,6 +210,17 @@ class TestPowerFunction:
     def test_no_probes_give_no_values(self, fit_101):
         _, model = fit_101
         assert model.power_function(np.empty((0, model.data.sites.shape[1]))).shape == (0,)
+
+    def test_model_on_no_sites_makes_no_blas_call(self, capfd):
+        """With no sites every probe is as uncertain as it can be, and the
+        Gram product is empty: BLAS symm, which rejects a 0 x 0 matrix and
+        says so through C ``printf``, is not called.  C's buffers are
+        flushed before the file descriptors are read."""
+        model = fit_interpolant(KernelSpec(input_dim=2), _dataset(np.empty((0, 2)), np.empty(0)))
+        values = model.power_function(np.array([[0.1, 0.2], [3.0, -1.0]]))
+        assert_array_equal(values, [SQRT_PHI_AT_ZERO, SQRT_PHI_AT_ZERO])
+        ctypes.CDLL(None).fflush(None)
+        assert capfd.readouterr() == ("", "")
 
     def test_zero_at_sites(self, fit_101):
         data, model = fit_101

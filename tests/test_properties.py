@@ -1354,10 +1354,9 @@ def test_solo_solve_equals_the_scalar_descent(seed, kind, p, m, nu, horizon, max
 
 @given(seed=seeds, k=st.integers(1, 6), rows=st.integers(2, 5))
 def test_a_singular_model_gives_its_row_alone_a_nan_step(seed, k, rows):
-    """One singular matrix makes a stacked LAPACK solve raise for the whole
-    stack; the free step then solves every row on its own, so the singular
-    row's step is NaN (which resets its model) and every other row's step
-    is its batch of one, bit for bit."""
+    """The free step's stacked ``gesv`` solves each row on its own, so one
+    singular matrix gives its row alone a NaN step (which resets its model)
+    and every other row's step is its batch of one, bit for bit."""
     rng = np.random.default_rng(seed)
     root = rng.standard_normal((rows, k, k))
     B = root @ root.transpose(0, 2, 1) + k * np.eye(k)

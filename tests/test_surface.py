@@ -9,6 +9,8 @@ defines, so wrapping a function does not call it.  The re-exports of
 ``__init__.py`` do not count as uses.  Code that only tests reach
 belongs under ``tests/``.
 
+No module but ``fileio`` forms the name of an artifact's sidecar.
+
 The README's "Report keys" table lists every key that the fit and
 stability reports of a benchmark bundle write, and no other, and its
 "Configuration keys" table is ``CONFIG_KEYS``: each key with its field
@@ -88,6 +90,20 @@ def test_every_public_name_has_a_caller():
         f"allowlisted names that now have a caller or are gone: "
         f"{sorted(set(ALLOWED_UNUSED) - set(unused))}"
     )
+
+
+def test_only_fileio_names_the_files_of_an_artifact():
+    """A sidecar's name is formed in ``fileio`` alone: every other module
+    lists the paths that the writers return, so no module but ``fileio``
+    holds ``.meta`` or calls ``with_suffix``."""
+    found = [
+        f"{path.name}:{lineno}: {line.strip()}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "fileio.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if ".meta" in line or "with_suffix" in line
+    ]
+    assert found == []
 
 
 def _table_rows(heading: str) -> list[list[str]]:
