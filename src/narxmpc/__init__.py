@@ -52,7 +52,6 @@ from .twotank import (
     BenchmarkConfig,
     DomainError,
     TwoTankNarxDynamics,
-    TwoTankParams,
     TwoTankPlant,
     equilibrium_levels,
     generate_dataset,

@@ -8,12 +8,14 @@ the Euclidean distance kernel ``cdist_euclidean`` from
 Importing ``scipy.linalg`` and ``scipy.spatial`` would run their package
 inits, which load ``scipy.special``, ``scipy.sparse``, ``numpy.f2py`` and
 ``numpy.testing`` and cost about three quarters of ``import narxmpc``.  So
-each module is found in its package's directory, executed and registered
-in ``sys.modules`` under its dotted name, as the import system would
-register it: a later ``import scipy.linalg`` reuses the same module, and a
-module that is already imported is taken as it is.  The functions are the
-very objects that ``scipy.linalg.lapack``, ``scipy.linalg.blas`` and
-``scipy.spatial.distance.cdist`` call.
+each module is found in its package's directory and executed, and a
+module that is already imported is taken as it is.  Once the functions
+are bound, the modules loaded here leave ``sys.modules`` again: a later
+``import scipy.linalg`` or ``import scipy.spatial`` then imports them
+itself and binds them to their packages, and since the interpreter keeps
+an extension module's initialized contents, its functions are the very
+objects bound here, those that ``scipy.linalg.lapack``,
+``scipy.linalg.blas`` and ``scipy.spatial.distance.cdist`` call.
 
 The names are private to scipy.  A release that moves one of the modules
 makes ``import narxmpc`` fail with an ``ImportError`` that names it.
@@ -55,4 +57,7 @@ def _extension(name: str):
     return module
 
 
+_loaded = {module for module, _ in FUNCTIONS} - sys.modules.keys()
 dpotrf, dpotrs, dtbtrs, dsymm, cdist_euclidean = (getattr(_extension(module), name) for module, name in FUNCTIONS)
+for _module in _loaded:
+    del sys.modules[_module]

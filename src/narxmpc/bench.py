@@ -52,10 +52,11 @@ from .twotank import (
     sample_state_grid,
 )
 
-#: Dataset sizes compared by the standard benchmark run.
+#: Dataset sizes that the benchmark command compares unless given others.
 BENCHMARK_SIZES = (101, 2501)
 
-#: Growth-bound grid size and largest horizon used to certify a model.
+#: Growth-bound grid size and largest horizon: the defaults of the certify
+#: and benchmark commands' grid flags.
 GROWTH_STATES = 50
 GROWTH_HORIZON = 10
 
@@ -74,7 +75,7 @@ def make_mpc_config(cfg: BenchmarkConfig) -> MpcConfig:
 def plant_views(cfg: BenchmarkConfig):
     """The pure NARX view and a fresh closed-loop plant at the initial levels."""
     _, levels = cfg.initial_condition()
-    narx_view = TwoTankNarxDynamics(cfg.params, cfg.normalization(), cfg.dims)
+    narx_view = TwoTankNarxDynamics(cfg.dt, cfg.normalization(), cfg.dims)
     return narx_view, TwoTankPlant(cfg, *levels)
 
 
@@ -133,12 +134,12 @@ def certify_trace(
     cfg: BenchmarkConfig,
     model: KernelInterpolant,
     trace: ClosedLoopTrace,
-    b_states: int = GROWTH_STATES,
-    b_horizon: int = GROWTH_HORIZON,
+    b_states: int,
+    b_horizon: int,
     constants: ErrorConstants | None = None,
 ) -> tuple[GrowthBoundEstimate, StabilityReport]:
-    """Certify stage: growth bounds of the surrogate on the standard state
-    grid, then the decrease check along the recorded trace, both tagged
+    """Certify stage: growth bounds of the surrogate on ``b_states`` states
+    of the standard state grid up to horizon ``b_horizon``, then the decrease check along the recorded trace, both tagged
     ``surrogate_D<d>`` by the model's dataset size.  A trace with no applied
     step, or one that ``require_trace_config`` refuses under ``cfg``, is rejected first.
     Then :func:`check_model_errors` checks the trace, against the error
@@ -160,7 +161,7 @@ def certify_trace(
     return growth, report
 
 
-def check_model_errors(report: StabilityReport, model, trace: ClosedLoopTrace, constants=None) -> None:
+def check_model_errors(report: StabilityReport, model, trace: ClosedLoopTrace, constants) -> None:
     """Fill ``report`` with the one-step model errors ``e_k = ||y(k+1) -
     F(x_k, u_k)||`` of ``trace`` (one ``output_batch`` of ``model``) and
     ``trace_error_ratio``, the largest ``e_k / ||[x_k; u_k]||`` over the
@@ -220,48 +221,42 @@ class BenchmarkResult:
     outputs: list[Path] = field(default_factory=list)
 
 
-def run_arm(
-    cfg: BenchmarkConfig,
-    d: int,
-    b_states: int = GROWTH_STATES,
-    b_horizon: int = GROWTH_HORIZON,
-    progress=None,
-) -> BenchmarkArm:
-    """Run the full pipeline for one dataset size."""
+def run_arm(cfg: BenchmarkConfig, d: int, b_states: int, b_horizon: int, progress) -> BenchmarkArm:
+    """Run the full pipeline for one dataset size, with the growth grid of
+    :func:`certify_trace`, telling each stage's outcome to ``progress``."""
     cfg_d = replace(cfg, d=d)
-    say = progress or (lambda msg: None)
     timings: dict[str, float] = {}
 
     tic = time.perf_counter()
     data, provenance = generate_dataset(cfg_d)
     timings["generate"] = time.perf_counter() - tic
-    say(f"D={d}: generated {data.size} sites ({timings['generate']:.1f} s)")
+    progress(f"D={d}: generated {data.size} sites ({timings['generate']:.1f} s)")
 
     tic = time.perf_counter()
     model, fit_entries = fit_model(cfg_d, data)
     timings["fit"] = time.perf_counter() - tic
-    say(
+    progress(
         f"D={d}: fitted (site residual {model.site_residual:.2e}, "
         f"fill {fit_entries['fill_distance']:.3f}, {timings['fit']:.1f} s)"
     )
 
     tic = time.perf_counter()
-    narx_view = TwoTankNarxDynamics(cfg_d.params, cfg_d.normalization(), cfg_d.dims)
+    narx_view = TwoTankNarxDynamics(cfg_d.dt, cfg_d.normalization(), cfg_d.dims)
     X_est, U_est = error_constant_samples(cfg_d, 400, seed=cfg.seed + 11)
     constants = estimate_error_constants(narx_view, model, X_est, U_est)
     timings["constants"] = time.perf_counter() - tic
-    say(f"D={d}: c_x={constants.c_x:.3e} c_u={constants.c_u:.3e} ({timings['constants']:.1f} s)")
+    progress(f"D={d}: c_x={constants.c_x:.3e} c_u={constants.c_u:.3e} ({timings['constants']:.1f} s)")
 
     tic = time.perf_counter()
     trace = simulate_loop(cfg_d, model)
     timings["closed_loop"] = time.perf_counter() - tic
-    say(f"D={d}: closed loop done ({timings['closed_loop']:.1f} s)")
+    progress(f"D={d}: closed loop done ({timings['closed_loop']:.1f} s)")
 
     tic = time.perf_counter()
     growth, report = certify_trace(cfg_d, model, trace, b_states, b_horizon, constants)
     timings["certify"] = time.perf_counter() - tic
-    say(f"D={d}: {growth.summary()}")
-    say(f"D={d}: verdict {report.verdict} ({timings['certify']:.1f} s)")
+    progress(f"D={d}: {growth.summary()}")
+    progress(f"D={d}: verdict {report.verdict} ({timings['certify']:.1f} s)")
 
     return BenchmarkArm(
         d=d,
@@ -302,23 +297,17 @@ def fit_report_entries(arm: BenchmarkArm) -> dict:
     return entries
 
 
-def run_benchmark(
-    cfg: BenchmarkConfig,
-    out_dir=None,
-    sizes=BENCHMARK_SIZES,
-    b_states: int = GROWTH_STATES,
-    b_horizon: int = GROWTH_HORIZON,
-    progress=None,
-) -> BenchmarkResult:
-    """Run every benchmark arm and optionally write the artifact bundle.
+def run_benchmark(cfg: BenchmarkConfig, out_dir, sizes, b_states: int, b_horizon: int, progress) -> BenchmarkResult:
+    """Run the arm of every dataset size (:func:`run_arm`) and write the
+    artifact bundle into ``out_dir``.
 
     Each size runs once.  A repeated size, a size below 1 or a growth
     grid with no state or no horizon raises ``ValueError`` before the
-    first arm runs.  Returns the in-memory result; when ``out_dir`` is
-    given, writes per size the dataset, model, fit report, normalized and
-    raw traces (each table with its sidecar) and the stability report
-    with its steps, plus the combined comparison table, and the result's
-    ``outputs`` lists the files its writers returned.
+    first arm runs.  Writes per size the dataset, model, fit report,
+    normalized and raw traces (each table with its sidecar) and the
+    stability report with its steps, plus the combined comparison table,
+    and returns the result, whose ``outputs`` lists the files its writers
+    returned.
     """
     repeated = [d for i, d in enumerate(sizes) if d in sizes[:i]]
     if repeated:
@@ -333,19 +322,18 @@ def run_benchmark(
     arms = {d: run_arm(cfg, d, b_states, b_horizon, progress) for d in sizes}
     header, table = comparison_table(cfg, arms)
     result = BenchmarkResult(cfg=cfg, arms=arms, comparison_header=header, comparison=table)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for d, arm in arms.items():
-            result.outputs += [
-                *save_dataset(arm.dataset, out / f"dataset_D{d}.csv", cfg, arm.provenance),
-                *save_model(arm.model, out / f"model_D{d}.csv", cfg),
-                write_keyvalues(out / f"fit_report_D{d}.txt", fit_report_entries(arm)),
-                *save_trace(arm.trace, out / f"trace_norm_D{d}.csv", cfg, raw=False),
-                *save_trace(arm.trace, out / f"trace_raw_D{d}.csv", cfg, raw=True),
-                *save_stability_report(arm.report, out / f"stability_report_D{d}.txt", out / f"stability_steps_D{d}.csv"),
-            ]
-        result.outputs.append(write_csv(out / "comparison.csv", header, table))
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for d, arm in arms.items():
+        result.outputs += [
+            *save_dataset(arm.dataset, out / f"dataset_D{d}.csv", cfg, arm.provenance),
+            *save_model(arm.model, out / f"model_D{d}.csv", cfg),
+            write_keyvalues(out / f"fit_report_D{d}.txt", fit_report_entries(arm)),
+            *save_trace(arm.trace, out / f"trace_norm_D{d}.csv", cfg, raw=False),
+            *save_trace(arm.trace, out / f"trace_raw_D{d}.csv", cfg, raw=True),
+            *save_stability_report(arm.report, out / f"stability_report_D{d}.txt", out / f"stability_steps_D{d}.csv"),
+        ]
+    result.outputs.append(write_csv(out / "comparison.csv", header, table))
     return result
 
 

@@ -203,8 +203,7 @@ def cmd_certify(args) -> int:
     say = _say(args)
     say(growth.summary())
     say(f"verdict: {report.verdict}")
-    if report.gamma_bar is not None:
-        say(f"gamma_bar={report.gamma_bar:.3f} min_horizon={report.min_horizon_value:.2f}")
+    say(f"gamma_bar={report.gamma_bar:.3f} min_horizon={report.min_horizon_value:.2f}")
     _manifest(
         args,
         "certify",

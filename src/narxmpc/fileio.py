@@ -234,7 +234,7 @@ def _load_sites(path, coefficients: bool) -> tuple[Dataset, np.ndarray, dict]:
     return data, table[:, q + dims.p :], meta
 
 
-def save_dataset(data: Dataset, path, cfg, provenance: dict | None = None) -> list[Path]:
+def save_dataset(data: Dataset, path, cfg, provenance: dict) -> list[Path]:
     """Write a dataset made under the benchmark configuration ``cfg`` as
     ``xi_*, y_*`` CSV plus a ``.meta`` sidecar; returns ``[table, sidecar]``."""
     return _save_sites(path, data, "narxmpc-dataset-v1", cfg, provenance=provenance)
@@ -304,8 +304,6 @@ def _trace_rows(trace: ClosedLoopTrace, raw: bool) -> np.ndarray:
         return np.empty((0, len(trace_header(dims))))
     fields = {}
     if raw:
-        if trace.normalization is None:
-            raise ValueError("trace carries no normalization; cannot denormalize")
         norm = trace.normalization
         fields = {
             "states": norm.denormalize_state(trace.states, dims),
@@ -317,13 +315,12 @@ def _trace_rows(trace: ClosedLoopTrace, raw: bool) -> np.ndarray:
     for field, _, width, _ in _trace_layout(dims):
         values = fields.get(field, getattr(trace, field))
         block = np.full((rows, width or 1), np.nan)
-        if values is not None:
-            block[: len(values)] = np.reshape(values, (len(values), -1))
+        block[: len(values)] = np.reshape(values, (len(values), -1))
         columns.append(block)
     return np.column_stack(columns)
 
 
-def save_trace(trace: ClosedLoopTrace, path, cfg, raw: bool = False) -> list[Path]:
+def save_trace(trace: ClosedLoopTrace, path, cfg, raw: bool) -> list[Path]:
     """Write a closed-loop trace run under the benchmark configuration ``cfg``
     as CSV, one row per applied step, plus a ``.meta`` sidecar: ``[table, sidecar]``.
 
@@ -344,28 +341,24 @@ def save_trace(trace: ClosedLoopTrace, path, cfg, raw: bool = False) -> list[Pat
 def require_trace_config(trace: ClosedLoopTrace, cfg, where: str = "trace") -> dict[str, str]:
     """The sidecar entries of a trace run under ``cfg``, as written; raise
     ``ConfigError`` naming the first of the trace's ``N``, ``p``, ``m``,
-    ``nu``, normalization (when it has one), ``Q`` and ``R`` that differs
-    from ``cfg``'s (a trace without weights reads ``(not recorded)``)."""
+    ``nu``, normalization, ``Q`` and ``R`` that differs from ``cfg``'s."""
     carried = _trace_entries(trace.dims, trace.horizon, trace.normalization)
-    keys = [*carried, "Q", "R"]
-    if trace.weights is not None:
-        carried.update(Q=trace.weights.Q, R=trace.weights.R)
-    return _require_entries(where, carried, _entries(cfg, "narxmpc-trace-v1"), keys)
+    carried.update(Q=trace.weights.Q, R=trace.weights.R)
+    return _require_entries(where, carried, _entries(cfg, "narxmpc-trace-v1"), list(carried))
 
 
-def _trace_entries(dims: NarxDims, horizon: int, normalization) -> dict:
-    """A trace's ``N``, dimensions and (when it has one) normalization."""
-    entries = {"N": horizon, **_dims_fields(dims)}
-    return entries if normalization is None else {**entries, **_normalization_fields(normalization)}
+def _trace_entries(dims: NarxDims, horizon: int, normalization: AffineNormalization) -> dict:
+    """A trace's ``N``, dimensions and normalization."""
+    return {"N": horizon, **_dims_fields(dims), **_normalization_fields(normalization)}
 
 
-def load_trace(path, dims: NarxDims, horizon: int, normalization=None) -> ClosedLoopTrace:
+def load_trace(path, dims: NarxDims, horizon: int, normalization: AffineNormalization) -> ClosedLoopTrace:
     """Read a normalized trace CSV, with the weights ``Q`` and ``R`` its
     sidecar records, into a :class:`ClosedLoopTrace`, or raise ``ConfigError``
     unless its header fits ``dims`` and its sidecar records ``units = normalized``
-    (a raw table has the same header), ``dims``, ``N = horizon`` and (when given)
-    the ``normalization``, with ``p`` output and ``m`` input values per
-    entry, naming the first entry that differs."""
+    (a raw table has the same header), ``dims``, ``N = horizon`` and the
+    ``normalization``, with ``p`` output and ``m`` input values per entry,
+    naming the first entry that differs."""
     header, table = read_csv(path)
     if header != trace_header(dims):
         raise ConfigError(f"{path}: unexpected trace header for the given dimensions")
@@ -373,8 +366,7 @@ def load_trace(path, dims: NarxDims, horizon: int, normalization=None) -> Closed
     units = recorded.get("units", "(not recorded)")
     if units != "normalized":
         raise ConfigError(f"{path}: trace units = {units}; only a normalized trace (trace_norm.csv) loads")
-    if normalization is not None:
-        _normalization(path, recorded, dims)
+    _normalization(path, recorded, dims)
     _require_entries(path, recorded, _trace_entries(dims, horizon, normalization))
     weights = _read(path, recorded, StageCostWeights, "Q", "R")
     steps = max(table.shape[0] - 1, 0)
@@ -403,21 +395,19 @@ _REPORT_KEYS = (
 )
 
 
-def save_stability_report(report, path_txt, path_csv=None) -> list[Path]:
-    """Write a stability report as key=value, plus an optional per-step CSV,
-    whose ``model_error`` column is NaN where the report has no model errors;
-    returns the report's path, then the steps file's when given one."""
+def save_stability_report(report, path_txt, path_csv) -> list[Path]:
+    """Write a stability report as key=value and its per-step CSV, whose
+    ``model_error`` column is NaN where the report has no model errors;
+    returns ``[report, steps]``."""
     entries = {key: getattr(report, name) for key, name in _REPORT_KEYS}
     entries = {key: value for key, value in entries.items() if value is not None}
-    written = [write_keyvalues(path_txt, entries)]
-    if path_csv is not None:
-        k = np.arange(report.state_norms.shape[0])
-        deltas = np.concatenate([report.deltas, [np.nan]])
-        model_errors = np.full(k.size, np.nan) if report.model_errors is None else report.model_errors
-        columns = [report.state_norms, report.errors, report.values, report.storage_values, report.lyapunov]
-        rows = np.column_stack([k, *columns, deltas, model_errors])
-        written.append(write_csv(path_csv, ["k", "state_norm", "error", "V", "W", "Y", "delta", "model_error"], rows))
-    return written
+    k = np.arange(report.state_norms.shape[0])
+    deltas = np.concatenate([report.deltas, [np.nan]])
+    model_errors = np.full(k.size, np.nan) if report.model_errors is None else report.model_errors
+    columns = [report.state_norms, report.errors, report.values, report.storage_values, report.lyapunov]
+    rows = np.column_stack([k, *columns, deltas, model_errors])
+    header = ["k", "state_norm", "error", "V", "W", "Y", "delta", "model_error"]
+    return [write_keyvalues(path_txt, entries), write_csv(path_csv, header, rows)]
 
 
 def write_manifest(out_dir, entries: dict) -> None:

@@ -49,7 +49,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import solve as _gesv
 
 from ._compiled import dtbtrs
-from .narx import Box, NarxDims, NarxDynamics, Sweep, shift_state
+from .narx import AffineNormalization, Box, NarxDims, NarxDynamics, Sweep, shift_state
 
 
 class SolverError(RuntimeError):
@@ -699,9 +699,11 @@ class ClosedLoopTrace:
     ``states`` holds the measured regressors ``x(0..K)``; ``values``
     holds the open-loop optimal values at every measured state including
     a diagnostic solve at the final one; ``storage_values`` and
-    ``lyapunov`` are filled when a storage matrix is supplied to
-    :func:`run_closed_loop`, ``weights`` holds the loop's stage-cost weights,
-    and a solver failure truncates the trace and records its step and message.
+    ``lyapunov`` hold the storage and candidate Lyapunov values of every
+    state, ``normalization`` the coordinates of the loop and ``weights``
+    its stage-cost weights.  ``backtracks`` is None for a trace read from
+    a file, whose table does not record them.  A solver failure truncates
+    the trace and records its step and message.
     """
 
     states: np.ndarray
@@ -714,11 +716,11 @@ class ClosedLoopTrace:
     converged: np.ndarray
     dims: NarxDims
     horizon: int
-    storage_values: np.ndarray | None = None
-    lyapunov: np.ndarray | None = None
+    storage_values: np.ndarray
+    lyapunov: np.ndarray
+    normalization: AffineNormalization
+    weights: StageCostWeights
     backtracks: np.ndarray | None = None
-    normalization: object | None = None
-    weights: StageCostWeights | None = None
     failed_step: int | None = None
     failure: str | None = None
 
@@ -733,8 +735,9 @@ def run_closed_loop(
     cfg: MpcConfig,
     x0: np.ndarray,
     steps: int,
-    storage_matrix: np.ndarray | None = None,
-    normalization=None,
+    *,
+    storage_matrix: np.ndarray,
+    normalization: AffineNormalization,
 ) -> ClosedLoopTrace:
     """Receding-horizon control of ``plant`` using ``surrogate`` predictions.
 
@@ -754,9 +757,9 @@ def run_closed_loop(
     failed step or a failed diagnostic solve) the entry is a NaN value
     and gradient norm, zero iterations and backtracks and not converged.
 
-    ``storage_matrix`` (n, n), when given, adds the storage values and
-    the candidate Lyapunov values (optimal value plus storage) to the
-    trace.
+    The trace carries the storage values ``x^T P x`` of the
+    ``storage_matrix`` ``P`` (n, n) and the candidate Lyapunov values
+    (optimal value plus storage), and the loop's ``normalization``.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -798,11 +801,15 @@ def run_closed_loop(
         values[k], grad_norms[k] = sol.value, sol.grad_norm
         iterations[k], backtracks[k], converged[k] = sol.iterations, sol.backtracks, sol.converged
     applied = steps if failed_step is None else failed_step
-    trace = ClosedLoopTrace(
-        states=states[: applied + 1],
+    states, values = states[: applied + 1], values[: applied + 1]
+    w_vals = np.einsum("ki,ij,kj->k", states, storage_matrix, states)
+    return ClosedLoopTrace(
+        states=states,
         inputs=inputs[:applied],
         outputs=outputs[:applied],
-        values=values[: applied + 1],
+        values=values,
+        storage_values=w_vals,
+        lyapunov=values + w_vals,
         # One batched call: each entry is the step's own stage cost, bit for bit.
         stage_costs=stage_cost(outputs[:applied], inputs[:applied], cfg.weights),
         grad_norms=grad_norms[: applied + 1],
@@ -816,8 +823,3 @@ def run_closed_loop(
         failed_step=failed_step,
         failure=failure,
     )
-    if storage_matrix is not None:
-        w_vals = np.einsum("ki,ij,kj->k", trace.states, storage_matrix, trace.states)
-        trace.storage_values = w_vals
-        trace.lyapunov = trace.values + w_vals
-    return trace

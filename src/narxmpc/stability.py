@@ -320,7 +320,9 @@ def verify_decrease(
     the largest such ``alpha``.  States inside the dead-band are treated as
     converged.  Never raises on a failed check; the verdict tells.  A
     trace with no applied step has nothing to certify and raises
-    ``ValueError``.
+    ``ValueError``.  The report's ``errors``, which ``decay_r2`` fits, are
+    the distances of the states from the equilibrium in the raw units of
+    the trace's normalization.
 
     When a growth-bound estimate is given, the report also carries the
     envelope constant and the minimal-horizon formula value (with
@@ -333,12 +335,9 @@ def verify_decrease(
     w_vals = storage_value(states, storage)
     y_vals = trace.values + w_vals
     norms = np.linalg.norm(states, axis=1)
-    if trace.normalization is not None:
-        raw = trace.normalization.denormalize_state(states, trace.dims)
-        raw_eq = trace.normalization.denormalize_state(np.zeros(trace.dims.n), trace.dims)
-        errors = np.linalg.norm(raw - raw_eq, axis=1)
-    else:
-        errors = norms
+    raw = trace.normalization.denormalize_state(states, trace.dims)
+    raw_eq = trace.normalization.denormalize_state(np.zeros(trace.dims.n), trace.dims)
+    errors = np.linalg.norm(raw - raw_eq, axis=1)
 
     k_max = states.shape[0] - 1
     deltas = y_vals[1:] - y_vals[:-1]

@@ -22,7 +22,7 @@ evaluations, one step of values (``output_batch``) and N steps of
 values with their site Jacobians (``sweep``), reconstruct the hidden
 level once and then carry both levels.
 
-The sweep has exact Jacobians: the step functions take ``dual=True``,
+The sweep has exact Jacobians: :func:`_total_step` takes ``dual=True``,
 a trailing axis of tangents, so the one Runge-Kutta step is also its
 tangent-linear map, and the reconstruction is differentiated by the
 implicit function theorem.  Clamped rows get one-sided derivatives, and
@@ -62,27 +62,21 @@ HIDDEN_LEVEL_MAX = 2.0
 _ROUNDING_GUARD, _ZERO, _NAN = np.array(-1e-12), np.array(0.0), np.array(np.nan)
 
 
-@dataclass(frozen=True)
-class TwoTankParams:
-    """Tank cross-section ``A1`` (m^2), flow coefficients and sample time (s)."""
+#: Upper-tank cross-section (m^2) and the flow coefficients of the
+#: connecting pipe and of the lower tank's outlet.
+A1, C12, C2 = 0.001, 0.0254, 0.0261
 
-    A1: float = 0.001
-    c12: float = 0.0254
-    c2: float = 0.0261
-    dt: float = 10.0
-
-    def __post_init__(self) -> None:
-        if not all(0 < value < np.inf for value in (self.A1, self.c12, self.c2, self.dt)):
-            raise ValueError("two-tank parameters must be finite and strictly positive")
+#: The flow weights ``[c2, c12]`` of :func:`_rates`.
+_WEIGHTS = np.array([C2, C12])
 
 
-def _work(drive, params: TwoTankParams):
+def _work(drive):
     """The work of :func:`_rates` at the inflow rate ``drive = u / A1``:
     the views ``[0, h1]``, ``[q2, q12]`` and ``[q12, drive]`` of one buffer
     ``[0, h1, q2, q12, drive]``, and the weights ``[c2, c12]``."""
     buffer = np.zeros((5,) + drive.shape)
     buffer[4] = drive
-    return buffer[:2], buffer[2:4], buffer[3:], np.array([params.c2, params.c12]).reshape((2,) + (1,) * drive.ndim)
+    return buffer[:2], buffer[2:4], buffer[3:], _WEIGHTS.reshape((2,) + (1,) * drive.ndim)
 
 
 def _rates(levels, work, dual: bool):
@@ -114,17 +108,15 @@ def _root(z, dual: bool):
     return np.concatenate([root, slope], axis=-1)
 
 
-def two_tank_step(h1, h2, u, params: TwoTankParams, dual: bool = False):
-    """Advance the levels one sampling interval under a held input.
+def two_tank_step(h1, h2, u, dt: float):
+    """Advance the levels one sampling interval ``dt`` under a held input.
 
-    Returns ``(h1_next, h2_next)``; all arguments broadcast.  This is one
-    classical Runge-Kutta step (:func:`_rk4`): rows whose stage points
-    leave the domain come out NaN.  With ``dual`` it is also the
-    tangent-linear step (see :func:`_rates`); tangents that meet
-    ``inf - inf`` come out NaN without a warning.
+    Returns ``(h1_next, h2_next)``; the levels and the input broadcast.
+    This is one classical Runge-Kutta step (:func:`_rk4`): rows whose
+    stage points leave the domain come out NaN.
     """
     h1, h2, u = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (h1, h2, u)))
-    levels = _rk4(np.stack([h1, h2]), _work(u / params.A1, params), params.dt, dual)
+    levels = _rk4(np.stack([h1, h2]), _work(u / A1), dt, False)
     return levels[0], levels[1]
 
 
@@ -156,7 +148,7 @@ def _at_least(z, floor, dual: bool):
 _SUBSTEP_LEVELS = 6
 
 
-def _total_step(h1, h2, u, params: TwoTankParams, dual: bool = False):
+def _total_step(h1, h2, u, dt: float, dual: bool = False):
     """Sampled step made total on ``h2 >= h1 >= 0`` with ``u >= 0``.
 
     The exact flow never leaves that region (the level difference grows
@@ -165,11 +157,14 @@ def _total_step(h1, h2, u, params: TwoTankParams, dual: bool = False):
     Rows where the full-interval step fails are re-integrated with
     progressively finer substeps, down to 64, which reproduces the
     invariant flow; rows that stay invalid at 64 substeps raise.  The
-    arguments are scalars or arrays of one shape, and the levels come
-    back at least 1-D.  With ``dual``, a substepped row gets the tangent
-    of its substeps, and each clamp between them that of the side it takes.
+    levels and the input are scalars or arrays of one shape, and the
+    levels come back at least 1-D.  With ``dual`` the step is also the
+    tangent-linear step (see :func:`_rates`), and tangents that meet
+    ``inf - inf`` come out NaN without a warning; a substepped row gets
+    the tangent of its substeps, and each clamp between them that of the
+    side it takes.
     """
-    new, bad = _substepped(h1, h2, u, params, dual)
+    new, bad = _substepped(h1, h2, u, dt, dual)
     _raise_if_invalid(bad)
     return new[0], new[1]
 
@@ -184,25 +179,25 @@ def _raise_if_invalid(bad) -> None:
         )
 
 
-def _substepped(h1, h2, u, params: TwoTankParams, dual: bool):
+def _substepped(h1, h2, u, dt: float, dual: bool):
     """The stacked levels (2, ...) of :func:`_total_step` and the mask of
     the rows that stayed invalid down to the finest substep, which
     :func:`_total_step` raises on."""
     stacked = np.array([h1, h2, u], dtype=float)
     stacked = stacked.reshape((3,) + (stacked.shape[1:] or (1,)))
-    levels, drive = stacked[:2], stacked[2] / params.A1
-    new = _rk4(levels, _work(drive, params), params.dt, dual)
+    levels, drive = stacked[:2], stacked[2] / A1
+    new = _rk4(levels, _work(drive), dt, dual)
     bad = ~np.isfinite(_value(new, dual)).all(axis=0)
     splits = 1
     for _ in range(_SUBSTEP_LEVELS):
         if not np.count_nonzero(bad):
             break
         splits *= 2
-        part, work = levels[:, bad], _work(drive[bad], params)
+        part, work = levels[:, bad], _work(drive[bad])
         for _ in range(splits):
             part[0] = _at_least(part[0], 0.0, dual)
             part[1] = _at_least(part[1], part[0], dual)
-            part = _rk4(part, work, params.dt / splits, dual)
+            part = _rk4(part, work, dt / splits, dual)
         new[:, bad] = part
         bad = ~np.isfinite(_value(new, dual)).all(axis=0)
     return new, bad
@@ -213,7 +208,7 @@ def _value(z, dual: bool):
     return z[..., 0] if dual else z
 
 
-def equilibrium_levels(u: float, params: TwoTankParams) -> tuple[float, float]:
+def equilibrium_levels(u: float) -> tuple[float, float]:
     """Steady-state levels for a constant pump flow, in closed form.
 
     In steady state both flow balances hold, ``c2 sqrt(h1) = u / A1`` and
@@ -223,13 +218,13 @@ def equilibrium_levels(u: float, params: TwoTankParams) -> tuple[float, float]:
     """
     if u < 0:
         raise DomainError(f"pump flow must be nonnegative, got {u:.6e}")
-    drive = u / params.A1
-    h1 = (drive / params.c2) ** 2
-    h2 = h1 + (drive / params.c12) ** 2
+    drive = u / A1
+    h1 = (drive / C2) ** 2
+    h2 = h1 + (drive / C12) ** 2
     return h1, h2
 
 
-def reconstruct_hidden_level(y_prev, y_cur, u_prev, params: TwoTankParams):
+def reconstruct_hidden_level(y_prev, y_cur, u_prev, dt: float):
     """Recover the current upper-tank level from the newest measured transition.
 
     Finds the previous upper level ``h2(k-1)`` in ``[y_prev,
@@ -241,15 +236,16 @@ def reconstruct_hidden_level(y_prev, y_cur, u_prev, params: TwoTankParams):
     doubles; unreachable targets clamp to the nearest bracket end.  Exact (to solver tolerance) whenever the
     transition actually came from the plant.
 
-    All arguments broadcast; returns the reconstructed ``h2(k)``.
+    The record broadcasts, and ``dt`` is the sampling interval; returns
+    the reconstructed ``h2(k)``.
     """
     y_prev, y_cur, u_prev = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (y_prev, y_cur, u_prev)))
-    h2_before = _previous_upper_level(y_prev, y_cur, u_prev, params)
-    _, h2_now = _total_step(y_prev, h2_before, u_prev, params)
+    h2_before = _previous_upper_level(y_prev, y_cur, u_prev, dt)
+    _, h2_now = _total_step(y_prev, h2_before, u_prev, dt)
     return np.maximum(h2_now.reshape(h2_before.shape), y_cur)
 
 
-def _previous_upper_level(y_prev, y_cur, u_prev, params: TwoTankParams):
+def _previous_upper_level(y_prev, y_cur, u_prev, dt: float):
     """The root ``h2(k-1)`` of :func:`reconstruct_hidden_level`, clamped
     to the bracket ends ``y_prev`` and :data:`HIDDEN_LEVEL_MAX`; the
     arguments are arrays of one shape.
@@ -277,7 +273,7 @@ def _previous_upper_level(y_prev, y_cur, u_prev, params: TwoTankParams):
     y_prev, y_cur, u_prev = (np.ravel(a) for a in (y_prev, y_cur, u_prev))
     top = np.full_like(y_prev, HIDDEN_LEVEL_MAX)
     # Both bracket ends of every row in one total step.
-    ends, failed = _substepped(np.tile(y_prev, 2), np.concatenate([y_prev, top]), np.tile(u_prev, 2), params, False)
+    ends, failed = _substepped(np.tile(y_prev, 2), np.concatenate([y_prev, top]), np.tile(u_prev, 2), dt, False)
     # Only a non-finite record fails at the upper end; it raises, as the
     # search would never close its bracket.
     _raise_if_invalid(failed[y_prev.size :])
@@ -288,14 +284,14 @@ def _previous_upper_level(y_prev, y_cur, u_prev, params: TwoTankParams):
     # residual ``ra``, the newest probe ``b`` with its residual ``fb``,
     # and the record; ``b`` starts at the upper end.
     a, b, fa, fb = y_prev[rows], top[rows], excess[0, rows], excess[1, rows]
-    ra, target, drive = fa, y_cur[rows], u_prev[rows] / params.A1
+    ra, target, drive = fa, y_cur[rows], u_prev[rows] / A1
     with np.errstate(divide="ignore", invalid="ignore"):
         while rows.size:
-            levels, work = np.stack([y_prev[rows], b]), _work(drive, params)
+            levels, work = np.stack([y_prev[rows], b]), _work(drive)
             while True:
                 c = b - fb * (b - a) / (fb - fa)
                 c = levels[1] = np.where((c - a) * (c - b) < 0.0, c, 0.5 * (a + b))
-                fc = _rk4(levels, work, params.dt, False)[0] - target
+                fc = _rk4(levels, work, dt, False)[0] - target
                 crossed = (fc > 0.0) != (fb > 0.0)
                 scale = 1.0 - fc / fb
                 fa = np.where(crossed, fb, fa * np.where(scale > 0.0, scale, 0.5))
@@ -327,7 +323,7 @@ class TwoTankPlant:
             raise DomainError(
                 f"initial levels must satisfy 0 <= h1 <= h2, got ({h1}, {h2})"
             )
-        self.params = cfg.params
+        self.dt = cfg.dt
         self.norm = cfg.normalization()
         self.dims = cfg.dims
         self.h1 = float(h1)
@@ -340,7 +336,7 @@ class TwoTankPlant:
         Runge-Kutta step by substeps; raises :class:`DomainError` when
         the levels stay invalid down to the finest substep.
         """
-        h1, h2 = _total_step(self.h1, max(self.h2, self.h1), float(u), self.params)
+        h1, h2 = _total_step(self.h1, max(self.h2, self.h1), float(u), self.dt)
         self.h1, self.h2 = float(h1[0]), float(h2[0])
         return self.h1
 
@@ -376,14 +372,14 @@ class TwoTankNarxDynamics(NarxDynamics):
     site-Jacobian columns ``0, 1, nu`` and ``n``; the others are zero.
     """
 
-    def __init__(self, params: TwoTankParams, normalization: AffineNormalization, dims: NarxDims):
+    def __init__(self, dt: float, normalization: AffineNormalization, dims: NarxDims):
         if dims.p != 1 or dims.m != 1:
             raise ValueError("the two-tank plant has one output and one input")
         if dims.nu < 2:
             raise ValueError(
                 "lag depth 1 cannot expose the hidden upper level; use nu >= 2"
             )
-        self.params = params
+        self.dt = dt
         self.norm = normalization
         self.dims = dims
 
@@ -417,7 +413,7 @@ class TwoTankNarxDynamics(NarxDynamics):
         y_cur, y_prev, u_prev = raw[:, 0], raw[:, 1], raw[:, self.dims.nu]
         if np.any(y_prev < 0) or np.any(y_cur < 0):
             raise DomainError("regressor encodes a negative measured level")
-        head = _previous_upper_level(y_prev, y_cur, u_prev, self.params)
+        head = _previous_upper_level(y_prev, y_cur, u_prev, self.dt)
         inputs = self.norm.denormalize_input(U)[..., 0]
         levels = np.empty(inputs.shape)
         jac = np.empty(inputs.shape + (4,)) if dual else None
@@ -426,7 +422,7 @@ class TwoTankNarxDynamics(NarxDynamics):
             if dual:  # tangents along (both levels, upper level only, input)
                 seeds = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
                 h1, h2, u = (np.column_stack([v, np.tile(d, (v.size, 1))]) for v, d in zip((h1, h2, u), seeds))
-            return _total_step(h1, h2, u, self.params, dual)
+            return _total_step(h1, h2, u, self.dt, dual)
 
         # The step into the newest output: its upper level starts the
         # rollout, and its tangent differentiates the reconstruction.
@@ -550,17 +546,13 @@ class BenchmarkConfig:
         return ValueError(f"{name} {rule}, got {getattr(self, name)}{where}")
 
     @property
-    def params(self) -> TwoTankParams:
-        return TwoTankParams(dt=self.dt)
-
-    @property
     def dims(self) -> NarxDims:
         return NarxDims(p=1, m=1, nu=self.nu)
 
     @property
     def equilibrium(self) -> tuple[float, float]:
         """Exact steady-state levels for the equilibrium pump flow."""
-        return equilibrium_levels(self.u_eq, self.params)
+        return equilibrium_levels(self.u_eq)
 
     def normalization(self) -> AffineNormalization:
         """Map the equilibrium to the origin and the domain widths to one."""
@@ -604,7 +596,7 @@ class BenchmarkConfig:
         the balancing head), which keeps the start strictly inside the
         plant's domain.
         """
-        h2_0 = float(reconstruct_hidden_level(self.h0, self.h0, self.u_eq, self.params))
+        h2_0 = float(reconstruct_hidden_level(self.h0, self.h0, self.u_eq, self.dt))
         return self._steady_regressor(self.h0), (self.h0, h2_0)
 
 
@@ -700,7 +692,7 @@ def _reachable_draws(cfg: BenchmarkConfig, seed: int):
         u_now = cfg.u_lo + (cfg.u_hi - cfg.u_lo) * block[:, 3]
         keep = h2 >= h1
         h1, h2, u_prev, u_now = h1[keep], h2[keep], u_prev[keep], u_now[keep]
-        y_cur, h2_cur = two_tank_step(h1, h2, u_prev, cfg.params)
+        y_cur, h2_cur = two_tank_step(h1, h2, u_prev, cfg.dt)
         ok = np.isfinite(y_cur) & (y_cur >= cfg.y_lo) & (y_cur <= cfg.y_hi)
         yield np.stack([y_cur[ok], h1[ok], u_prev[ok]], axis=1), h2_cur[ok], u_now[ok]
 
@@ -755,7 +747,7 @@ def generate_dataset(cfg: BenchmarkConfig) -> tuple[Dataset, dict]:
         yield np.concatenate(origin)[None], 0
         for raw_x, h2_cur, u in _reachable_draws(cfg, cfg.seed):
             y_cur = raw_x[:, 0]
-            y_next, _ = two_tank_step(y_cur, np.maximum(h2_cur, y_cur), u, cfg.params)
+            y_next, _ = two_tank_step(y_cur, np.maximum(h2_cur, y_cur), u, cfg.dt)
             ok = np.isfinite(y_next)
             columns = [
                 norm.normalize_state(raw_x[ok], dims),
@@ -794,9 +786,7 @@ def _collect_states(cfg: BenchmarkConfig, count: int, min_norm: float, blocks, s
     return _first_rows(cfg, filtered(), count, sampler)[0]
 
 
-def sample_consistent_states(
-    cfg: BenchmarkConfig, count: int, seed: int, min_norm: float = 1e-3
-) -> np.ndarray:
+def sample_consistent_states(cfg: BenchmarkConfig, count: int, seed: int, min_norm: float) -> np.ndarray:
     """Physically reachable regressors, normalized, norm above ``min_norm``.
 
     The first ``count`` regressors of :func:`_reachable_draws` whose
@@ -810,9 +800,7 @@ def sample_consistent_states(
     return _collect_states(cfg, count, min_norm, blocks, "sample_consistent_states")
 
 
-def sample_state_grid(
-    cfg: BenchmarkConfig, count: int, seed: int, min_norm: float = 1e-3
-) -> np.ndarray:
+def sample_state_grid(cfg: BenchmarkConfig, count: int, seed: int, min_norm: float) -> np.ndarray:
     """Quasi-uniform normalized regressors over the state box, origin excluded.
 
     Points of the ``dims.n``-dimensional :class:`ScrambledHalton`

@@ -27,7 +27,8 @@ from narxmpc import (
     sample_state_grid,
     storage_matrix,
 )
-from narxmpc.bench import GROWTH_HORIZON, GROWTH_STATES
+from narxmpc.bench import BENCHMARK_SIZES, GROWTH_HORIZON, GROWTH_STATES
+from oracles import quiet
 
 # Property tests draw the same examples on every run, so the suite stays
 # deterministic and its running time bounded.
@@ -64,7 +65,7 @@ def storage(cfg, mpc_cfg):
 
 @pytest.fixture(scope="session")
 def plant_view(cfg):
-    return TwoTankNarxDynamics(cfg.params, cfg.normalization(), cfg.dims)
+    return TwoTankNarxDynamics(cfg.dt, cfg.normalization(), cfg.dims)
 
 
 def _generate_and_fit(cfg: BenchmarkConfig, d: int):
@@ -86,10 +87,13 @@ def fit_2501(cfg):
 
 
 @pytest.fixture(scope="session")
-def benchmark_run(cfg):
-    """Full in-memory benchmark result plus its wall-clock runtime."""
+def benchmark_run(cfg, tmp_path_factory):
+    """The standard benchmark's result, with the command's sizes and
+    growth grid, plus its wall-clock runtime, bundle writing included."""
     t0 = time.perf_counter()
-    result = run_benchmark(cfg)
+    result = run_benchmark(
+        cfg, tmp_path_factory.mktemp("benchmark"), BENCHMARK_SIZES, GROWTH_STATES, GROWTH_HORIZON, quiet
+    )
     return result, time.perf_counter() - t0
 
 

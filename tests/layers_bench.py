@@ -267,7 +267,7 @@ def test_hidden_level_recovery_400_rows(benchmark):
     X, _ = bench.error_constant_samples(cfg, 400, seed=cfg.seed + 11)
     raw = cfg.normalization().denormalize_state(X, cfg.dims)
     records = raw[:, 1].copy(), raw[:, 0].copy(), raw[:, cfg.dims.nu].copy()
-    benchmark(twotank._previous_upper_level, *records, cfg.params)
+    benchmark(twotank._previous_upper_level, *records, cfg.dt)
 
 
 def test_halton_block(benchmark):

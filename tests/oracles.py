@@ -1,8 +1,10 @@
 """Independent oracles that the tests check the package against.
 
 None of these run in a pipeline stage: each recomputes a quantity the
-package forms some other way, samples inputs for a structural check, or
-wraps a plain callable as dynamics for a test problem.
+package forms some other way, samples inputs for a structural check,
+wraps a plain callable as dynamics for a test problem, gives a test
+problem the coordinates of its raw units, or, as :func:`quiet`, takes a
+run's progress messages and tells none.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from narxmpc import (
+    AffineNormalization,
     BenchmarkConfig,
     Box,
     NarxDims,
@@ -25,6 +28,16 @@ from narxmpc import twotank
 from narxmpc.mpc import _derivatives, _layout
 from narxmpc.narx import Sweep, rollout_arrays
 from narxmpc.stability import StorageMatrix, storage_value
+
+
+def identity_normalization(dims: NarxDims) -> AffineNormalization:
+    """The normalization of a test problem of ``dims`` whose raw units are
+    its working coordinates: zero references and unit scales."""
+    return AffineNormalization(np.zeros(dims.p), np.ones(dims.p), np.zeros(dims.m), np.ones(dims.m))
+
+
+def quiet(message: str) -> None:
+    """The ``progress`` callback of a library benchmark run that prints nothing."""
 
 
 class FunctionDynamics(NarxDynamics):
@@ -263,7 +276,7 @@ def kernel_jacobian_reference(model, Xi: np.ndarray) -> tuple[np.ndarray, np.nda
     return reference, bound
 
 
-def two_tank_rhs(h1, h2, u, params):
+def two_tank_rhs(h1, h2, u):
     """Continuous-time level derivatives ``(dh1, dh2)`` of the two-tank
     plant, written out per level; all arguments broadcast.  The reference
     that the package's stacked step (:func:`~narxmpc.twotank._rates`, one
@@ -276,17 +289,17 @@ def two_tank_rhs(h1, h2, u, params):
         return np.sqrt(np.where(z >= -1e-12, np.maximum(z, 0.0), np.nan))
 
     h1 = np.asarray(h1, dtype=float)
-    q12 = params.c12 * root(np.asarray(h2, dtype=float) - h1)
-    q2 = params.c2 * root(h1)
-    return q12 - q2, np.asarray(u, dtype=float) / params.A1 - q12
+    q12 = twotank.C12 * root(np.asarray(h2, dtype=float) - h1)
+    q2 = twotank.C2 * root(h1)
+    return q12 - q2, np.asarray(u, dtype=float) / twotank.A1 - q12
 
 
-def bisected_upper_level(y_prev, y_cur, u_prev, params):
+def bisected_upper_level(y_prev, y_cur, u_prev, dt: float):
     """The previous upper level of the hidden-level recovery by 54
     halvings of the bracket ``[y_prev, HIDDEN_LEVEL_MAX]``, the reference
     that the package's bracketed secant search
     (:func:`~narxmpc.twotank._previous_upper_level`) is checked against;
-    the arguments are arrays of one shape.
+    the record's arrays have one shape, and ``dt`` is the sampling interval.
 
     Each halving probes the single Runge-Kutta step from ``(y_prev,
     mid)`` and keeps the half where it crosses ``y_cur``, a failed
@@ -299,12 +312,12 @@ def bisected_upper_level(y_prev, y_cur, u_prev, params):
     """
     lo = y_prev.astype(float).copy()
     hi = np.full_like(lo, twotank.HIDDEN_LEVEL_MAX)
-    g_lo = twotank._total_step(y_prev, lo, u_prev, params)[0].reshape(lo.shape)
-    g_hi = twotank._total_step(y_prev, hi, u_prev, params)[0].reshape(hi.shape)
-    levels, work = np.stack([y_prev, lo]), twotank._work(u_prev / params.A1, params)
+    g_lo = twotank._total_step(y_prev, lo, u_prev, dt)[0].reshape(lo.shape)
+    g_hi = twotank._total_step(y_prev, hi, u_prev, dt)[0].reshape(hi.shape)
+    levels, work = np.stack([y_prev, lo]), twotank._work(u_prev / twotank.A1)
     for _ in range(54):
         mid = levels[1] = 0.5 * (lo + hi)
-        go_down = twotank._rk4(levels, work, params.dt, False)[0] > y_cur
+        go_down = twotank._rk4(levels, work, dt, False)[0] > y_cur
         hi = np.where(go_down, mid, hi)
         lo = np.where(go_down, lo, mid)
     h2_before = 0.5 * (lo + hi)

@@ -192,7 +192,7 @@ class TestAcceptance:
         feasible input sequence (100 sequences at each of 20 states)."""
         result, _ = benchmark_run
         surrogate = result.arms[101].model
-        states = sample_state_grid(cfg, 20, seed=cfg.seed + 59)
+        states = sample_state_grid(cfg, 20, seed=cfg.seed + 59, min_norm=1e-3)
         rng = np.random.default_rng(cfg.seed + 61)
         box = mpc_cfg.input_box
         worst = -math.inf
@@ -250,9 +250,9 @@ class TestAcceptance:
         at the rounded reference levels, exactly at the solved ones) and
         the closed loop started there stays within 1e-5 for 100 steps."""
         result, _ = benchmark_run
-        h1_eq, h2_eq = equilibrium_levels(cfg.u_eq, cfg.params)
-        rhs_rounded = np.asarray(two_tank_rhs(0.0438, 0.09, cfg.u_eq, cfg.params))
-        rhs_exact = np.asarray(two_tank_rhs(h1_eq, h2_eq, cfg.u_eq, cfg.params))
+        h1_eq, h2_eq = equilibrium_levels(cfg.u_eq)
+        rhs_rounded = np.asarray(two_tank_rhs(0.0438, 0.09, cfg.u_eq))
+        rhs_exact = np.asarray(two_tank_rhs(h1_eq, h2_eq, cfg.u_eq))
         norm_rounded = float(np.linalg.norm(rhs_rounded))
         plant = TwoTankPlant(cfg, h1_eq, h2_eq)
         trace = run_closed_loop(

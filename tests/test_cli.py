@@ -32,6 +32,7 @@ from narxmpc.fileio import (
     sha256_file,
     save_dataset,
 )
+from oracles import quiet
 
 H1_EQ = 0.04377874810998076
 
@@ -144,6 +145,7 @@ class TestParsing:
             ("D = 0", "d must be at least 1, got 0 (config key D)"),
             ("N = 0", "horizon must be at least 1, got 0 (config key N)"),
             ("seed = -3", "seed must be nonnegative, got -3"),
+            ("dt = -1", "dt must be positive, got -1.0"),
         ],
     )
     def test_config_errors_name_the_key(self, tmp_path, capsys, entry, message):
@@ -269,7 +271,7 @@ class TestFit:
             normalization=cfg.normalization(),
         )
         data_path = tmp_path / "one.csv"
-        save_dataset(data, data_path, cfg)
+        save_dataset(data, data_path, cfg, {})
         assert main(["fit", "--data", str(data_path), "--out", str(tmp_path)]) == 0
         model = load_model(tmp_path / "model.csv")
         assert_allclose(model.coefficients, [[30.0 * 0.7]], rtol=1e-10)
@@ -775,7 +777,7 @@ class TestCertify:
 
         monkeypatch.setattr(narxmpc.bench, "estimate_growth_bound", grid_must_not_run)
         with pytest.raises(ValueError, match="no applied step"):
-            narxmpc.bench.certify_trace(cfg, load_model(workspace / "model.csv"), trace)
+            narxmpc.bench.certify_trace(cfg, load_model(workspace / "model.csv"), trace, GROWTH_STATES, GROWTH_HORIZON)
 
     def test_verbose_prints_the_growth_grid(self, workspace, tmp_path, capsys):
         self._simulate(workspace, tmp_path, steps="2")
@@ -955,7 +957,7 @@ class TestBenchmark:
             return real(self)
 
         monkeypatch.setattr(BenchmarkConfig, "initial_condition", counted)
-        narxmpc.bench.run_arm(BenchmarkConfig(steps=2), 21, b_states=2, b_horizon=1)
+        narxmpc.bench.run_arm(BenchmarkConfig(steps=2), 21, b_states=2, b_horizon=1, progress=quiet)
         assert calls == [21]
 
     def test_repeated_size_is_an_error(self, tmp_path, capsys):
@@ -1007,7 +1009,7 @@ class TestBenchmark:
         ``model_error`` column holds the model errors behind the report's
         ``trace_bound_ratio``."""
         small = replace(cfg, steps=12)
-        result = run_benchmark(small, out_dir=tmp_path, sizes=(101,), b_states=2, b_horizon=1)
+        result = run_benchmark(small, out_dir=tmp_path, sizes=(101,), b_states=2, b_horizon=1, progress=quiet)
         trace_header, trace = read_csv(tmp_path / "trace_norm_D101.csv")
         steps_header, steps = read_csv(tmp_path / "stability_steps_D101.csv")
         assert_array_equal(steps[:, steps_header.index("V")], trace[:, trace_header.index("V")])
@@ -1022,7 +1024,7 @@ class TestBenchmark:
         it is given against the trace's sidecar: the D=101 trace of a
         horizon-20 loop does not load as a horizon-3 trace, nor under
         another normalization."""
-        run_benchmark(replace(cfg, steps=12), out_dir=tmp_path, sizes=(101,), b_states=2, b_horizon=1)
+        run_benchmark(replace(cfg, steps=12), out_dir=tmp_path, sizes=(101,), b_states=2, b_horizon=1, progress=quiet)
         path = tmp_path / "trace_norm_D101.csv"
         assert load_trace(path, cfg.dims, cfg.horizon, cfg.normalization()).horizon == cfg.horizon
         with pytest.raises(ConfigError, match=r"trace_norm_D101\.csv: N = 20 does not match the configuration's 3$"):
@@ -1035,7 +1037,7 @@ class TestBenchmark:
         ``certify_trace`` under another ``Q`` or ``R`` raises in the words
         of a sidecar check before the growth grid runs; under its own
         weights it certifies."""
-        run_benchmark(replace(cfg, steps=12), out_dir=tmp_path, sizes=(101,), b_states=2, b_horizon=1)
+        run_benchmark(replace(cfg, steps=12), out_dir=tmp_path, sizes=(101,), b_states=2, b_horizon=1, progress=quiet)
         trace = load_trace(tmp_path / "trace_norm_D101.csv", cfg.dims, cfg.horizon, cfg.normalization())
         assert (trace.weights.Q.tolist(), trace.weights.R.tolist()) == ([[1.0]], [[0.1]])
         model = load_model(tmp_path / "model_D101.csv")
@@ -1056,8 +1058,8 @@ class TestBenchmark:
 
     def test_certify_trace_checks_every_entry_of_the_trace(self, cfg, fit_101, monkeypatch):
         """``certify_trace`` holds an in-memory trace to the rule ``save_trace``
-        writes by: another horizon, other dimensions, another normalization or
-        no recorded weights raise before the growth grid runs."""
+        writes by: another horizon, other dimensions or another normalization
+        raise before the growth grid runs."""
         _, model = fit_101
         trace = narxmpc.bench.simulate_loop(replace(cfg, steps=2), model)
 
@@ -1065,12 +1067,11 @@ class TestBenchmark:
             raise AssertionError("the growth-bound grid ran for a trace of another configuration")
 
         monkeypatch.setattr(narxmpc.bench, "estimate_growth_bound", grid_must_not_run)
-        deeper, weightless = replace(trace, dims=replace(trace.dims, nu=3)), replace(trace, weights=None)
+        deeper = replace(trace, dims=replace(trace.dims, nu=3))
         for other, bad, message in (
             ({"horizon": 3}, trace, "trace: N = 20 does not match the configuration's 3$"),
             ({}, deeper, "trace: nu = 3 does not match the configuration's 2$"),
             ({"u_hi": 3e-5}, trace, "trace: u_scale = "),
-            ({}, weightless, r"trace: Q = \(not recorded\) does not match the configuration's 1$"),
         ):
             with pytest.raises(ConfigError, match=message):
                 narxmpc.bench.certify_trace(replace(cfg, **other), model, bad, b_states=2, b_horizon=1)
@@ -1121,7 +1122,7 @@ class TestBenchmark:
         small = replace(cfg, steps=6, horizon=5)
         digests = []
         for name in ("a", "b"):
-            result = run_benchmark(small, out_dir=tmp_path / name, sizes=(11,), b_states=5, b_horizon=2)
+            result = run_benchmark(small, out_dir=tmp_path / name, sizes=(11,), b_states=5, b_horizon=2, progress=quiet)
             assert sorted(result.outputs) == sorted((tmp_path / name).iterdir())
             digests.append({p.name: sha256_file(p) for p in result.outputs})
         assert digests[0] == digests[1]

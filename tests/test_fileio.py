@@ -12,6 +12,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from narxmpc import (
+    BenchmarkConfig,
     Box,
     KernelSpec,
     MpcConfig,
@@ -48,9 +49,11 @@ from narxmpc.fileio import (
 
 DIMS = NarxDims(p=1, m=1, nu=2)
 WEIGHTS = StageCostWeights(Q=1.0, R=0.1)
+#: The normalization of the default configuration, under which the traces are written.
+NORM = BenchmarkConfig().normalization()
 
 
-def _linear_closed_loop(steps: int = 4, normalization=None):
+def _linear_closed_loop(steps: int = 4):
     f = FunctionDynamics(
         DIMS,
         lambda x, u: np.array([0.8 * x[0] + 0.5 * u[0]]),
@@ -65,7 +68,7 @@ def _linear_closed_loop(steps: int = 4, normalization=None):
     storage = storage_matrix(DIMS, WEIGHTS)
     return run_closed_loop(
         f, f, cfg, np.array([0.5, 0.0, 0.0]), steps=steps,
-        storage_matrix=storage.P, normalization=normalization,
+        storage_matrix=storage.P, normalization=NORM,
     )
 
 
@@ -184,7 +187,7 @@ class TestDatasetIo:
         bit: a strided target column would sum in another order."""
         data, model = fit_101
         path = tmp_path / "dataset_D101.csv"
-        save_dataset(data, path, cfg)
+        save_dataset(data, path, cfg, {})
         back = load_dataset(path)
         refit = fit_interpolant(model.spec, back)
         assert refit.coefficients.tobytes() == model.coefficients.tobytes()
@@ -195,7 +198,7 @@ class TestDatasetIo:
     def test_header_mismatch_detected(self, cfg, tmp_path):
         data, _ = generate_dataset(replace(cfg, d=5))
         path = tmp_path / "d.csv"
-        save_dataset(data, path, cfg)
+        save_dataset(data, path, cfg, {})
         text = path.read_text().splitlines()
         text[0] = text[0].replace("xi_1", "zz_1")
         path.write_text("\n".join(text) + "\n")
@@ -208,7 +211,7 @@ class TestDatasetIo:
         normalization was built from."""
         data, _ = generate_dataset(replace(cfg, d=5))
         path = tmp_path / "d.csv"
-        save_dataset(data, path, cfg)
+        save_dataset(data, path, cfg, {})
         sidecar = path.with_suffix(".csv.meta")
         lines = sidecar.read_text().splitlines()
         sidecar.write_text("\n".join("y_scale = nan" if s.startswith("y_scale =") else s for s in lines) + "\n")
@@ -226,7 +229,7 @@ class TestDatasetIo:
         keys = "p" if value == "x" else "p, m, nu"
         data, _ = generate_dataset(replace(cfg, d=5))
         path = tmp_path / "d.csv"
-        save_dataset(data, path, cfg)
+        save_dataset(data, path, cfg, {})
         sidecar = path.with_suffix(".csv.meta")
         lines = sidecar.read_text().splitlines()
         sidecar.write_text("\n".join(f"p = {value}" if s.startswith("p =") else s for s in lines) + "\n")
@@ -238,7 +241,7 @@ class TestDatasetIo:
         sidecar records ``size = 21``."""
         data, _ = generate_dataset(replace(cfg, d=21))
         path = tmp_path / "d.csv"
-        save_dataset(data, path, cfg)
+        save_dataset(data, path, cfg, {})
         path.write_text("\n".join(path.read_text().splitlines()[:-5]) + "\n")
         with pytest.raises(ConfigError, match=re.escape(f"{path}: size = 21 but the table holds 16 rows")):
             load_dataset(path)
@@ -350,8 +353,8 @@ class TestTraceIo:
     def test_round_trip(self, trace_cfg, tmp_path):
         trace = _linear_closed_loop(steps=4)
         path = tmp_path / "trace.csv"
-        save_trace(trace, path, trace_cfg)
-        back = load_trace(path, DIMS, horizon=4)
+        save_trace(trace, path, trace_cfg, raw=False)
+        back = load_trace(path, DIMS, 4, NORM)
         assert back.steps == 4
         assert_array_equal(back.states, trace.states)
         assert_array_equal(back.inputs, trace.inputs)
@@ -366,16 +369,16 @@ class TestTraceIo:
 
     def test_sidecar_without_weights_is_rejected(self, trace_cfg, tmp_path):
         path = tmp_path / "trace.csv"
-        save_trace(_linear_closed_loop(steps=2), path, trace_cfg)
+        save_trace(_linear_closed_loop(steps=2), path, trace_cfg, raw=False)
         meta = read_keyvalues(tmp_path / "trace.csv.meta")
         write_keyvalues(tmp_path / "trace.csv.meta", {key: value for key, value in meta.items() if key != "R"})
         with pytest.raises(ConfigError, match="trace.csv: sidecar is missing the R entry"):
-            load_trace(path, DIMS, horizon=4)
+            load_trace(path, DIMS, 4, NORM)
 
     def test_terminal_diagnostic_row(self, trace_cfg, tmp_path):
         trace = _linear_closed_loop(steps=3)
         path = tmp_path / "trace.csv"
-        save_trace(trace, path, trace_cfg)
+        save_trace(trace, path, trace_cfg, raw=False)
         header, table = read_csv(path)
         assert header == trace_header(DIMS)
         assert table.shape[0] == 4
@@ -386,13 +389,13 @@ class TestTraceIo:
     def test_empty_trace_is_header_only(self, trace_cfg, tmp_path):
         trace = _linear_closed_loop(steps=0)
         path = tmp_path / "trace.csv"
-        save_trace(trace, path, trace_cfg)
-        back = load_trace(path, DIMS, horizon=4)
+        save_trace(trace, path, trace_cfg, raw=False)
+        back = load_trace(path, DIMS, 4, NORM)
         assert back.steps == 0
         assert path.read_text().count("\n") == 1
 
     def test_raw_save_denormalizes(self, trace_cfg, tmp_path):
-        trace = _linear_closed_loop(steps=2, normalization=trace_cfg.normalization())
+        trace = _linear_closed_loop(steps=2)
         norm_path = tmp_path / "norm.csv"
         raw_path = tmp_path / "raw.csv"
         save_trace(trace, norm_path, trace_cfg, raw=False)
@@ -406,29 +409,23 @@ class TestTraceIo:
     def test_a_raw_trace_does_not_load(self, trace_cfg, tmp_path):
         """The physical-unit table has the normalized table's header; its
         sidecar's ``units`` entry keeps it from loading as normalized."""
-        norm = trace_cfg.normalization()
         path = tmp_path / "raw.csv"
-        save_trace(_linear_closed_loop(steps=2, normalization=norm), path, trace_cfg, raw=True)
+        save_trace(_linear_closed_loop(steps=2), path, trace_cfg, raw=True)
         with pytest.raises(ConfigError, match=re.escape(f"{path}: trace units = raw;")):
-            load_trace(path, DIMS, horizon=4, normalization=norm)
-
-    def test_raw_needs_normalization(self, trace_cfg, tmp_path):
-        trace = _linear_closed_loop(steps=2)
-        with pytest.raises(ValueError, match="normalization"):
-            save_trace(trace, tmp_path / "raw.csv", trace_cfg, raw=True)
+            load_trace(path, DIMS, 4, NORM)
 
     def test_header_mismatch_detected(self, trace_cfg, tmp_path):
         trace = _linear_closed_loop(steps=2)
         path = tmp_path / "trace.csv"
-        save_trace(trace, path, trace_cfg)
+        save_trace(trace, path, trace_cfg, raw=False)
         with pytest.raises(ConfigError, match="header"):
-            load_trace(path, NarxDims(p=1, m=1, nu=3), horizon=4)
+            load_trace(path, NarxDims(p=1, m=1, nu=3), 4, NORM)
 
     def test_sidecar_must_describe_the_trace(self, trace_cfg, tmp_path):
         """A trace whose horizon, dimensions, normalization or weights
-        differ from the configuration's, or that carries no weights, is
-        not written under it, and the error names the sidecar key."""
-        trace = _linear_closed_loop(steps=2, normalization=trace_cfg.normalization())
+        differ from the configuration's is not written under it, and the
+        error names the sidecar key."""
+        trace = _linear_closed_loop(steps=2)
         path = tmp_path / "trace.csv"
         norm = trace.normalization
         cases = [
@@ -438,16 +435,15 @@ class TestTraceIo:
             (trace_cfg, replace(trace, dims=NarxDims(p=1, m=1, nu=3)), "nu = 3 "),
             (replace(trace_cfg, q_weight=5.0), trace, "Q = 1 does not match the configuration's 5"),
             (replace(trace_cfg, r_weight=0.2), trace, "R = 0.1"),
-            (trace_cfg, replace(trace, weights=None), "Q = (not recorded)"),
         ]
         for name in ("y_ref", "y_scale", "u_ref", "u_scale"):
             other = replace(norm, **{name: 2.0 * getattr(norm, name)})
             cases.append((trace_cfg, replace(trace, normalization=other), f"{name} = "))
         for cfg, bad, entry in cases:
             with pytest.raises(ConfigError, match=re.escape(f"trace for {path}: {entry}")):
-                save_trace(bad, path, cfg)
+                save_trace(bad, path, cfg, raw=False)
             assert not path.exists()
-        save_trace(replace(trace, normalization=None), path, trace_cfg)
+        save_trace(trace, path, trace_cfg, raw=False)
         assert read_keyvalues(path.with_suffix(".csv.meta"))["N"] == "4"
 
 
@@ -465,11 +461,11 @@ class TestRequireConfig:
         was written under: ``cfg``, at horizon 4 for the trace."""
         if artifact == "trace":
             cfg = replace(cfg, horizon=4)
-            save_trace(_linear_closed_loop(steps=2, normalization=cfg.normalization()), path, cfg)
+            save_trace(_linear_closed_loop(steps=2), path, cfg, raw=False)
             return cfg
         data, _ = generate_dataset(replace(cfg, d=5))
         if artifact == "dataset":
-            save_dataset(data, path, cfg)
+            save_dataset(data, path, cfg, {})
         else:
             save_model(fit_interpolant(KernelSpec(input_dim=4), data), path, cfg)
         return cfg
@@ -527,12 +523,12 @@ class TestSidecarRule:
         trace_cfg = replace(cfg, horizon=4)
         norm = cfg.normalization()
         if artifact == "trace":
-            save_trace(_linear_closed_loop(steps=2, normalization=norm), path, trace_cfg)
+            save_trace(_linear_closed_loop(steps=2), path, trace_cfg, raw=False)
             load = partial(load_trace, path, DIMS, 4, norm)
         else:
             data, _ = generate_dataset(replace(cfg, d=5))
             if artifact == "dataset":
-                save_dataset(data, path, cfg)
+                save_dataset(data, path, cfg, {})
             else:
                 save_model(fit_interpolant(KernelSpec(input_dim=4), data), path, cfg)
             load = partial(load_dataset if artifact == "dataset" else load_model, path)
@@ -558,12 +554,12 @@ class TestSidecarRule:
         path = tmp_path / f"{artifact}.csv"
         norm = cfg.normalization()
         if artifact == "trace":
-            save_trace(_linear_closed_loop(steps=2, normalization=norm), path, replace(cfg, horizon=4))
+            save_trace(_linear_closed_loop(steps=2), path, replace(cfg, horizon=4), raw=False)
             load = partial(load_trace, path, DIMS, 4, norm)
         else:
             data, _ = generate_dataset(replace(cfg, d=5))
             if artifact == "dataset":
-                save_dataset(data, path, cfg)
+                save_dataset(data, path, cfg, {})
             else:
                 save_model(fit_interpolant(KernelSpec(input_dim=4), data), path, cfg)
             load = partial(load_dataset if artifact == "dataset" else load_model, path)
@@ -617,8 +613,7 @@ class TestManifestAndConfig:
             "values.txt": lambda path: [write_keyvalues(path, {"a": 1})],
             "dataset.csv": lambda path: save_dataset(data, path, cfg, provenance),
             "model.csv": lambda path: save_model(model, path, cfg),
-            "trace.csv": lambda path: save_trace(trace, path, replace(cfg, horizon=4)),
-            "report.txt": lambda path: save_stability_report(report, path),
+            "trace.csv": lambda path: save_trace(trace, path, replace(cfg, horizon=4), raw=False),
             "report_and_steps.txt": lambda path: save_stability_report(report, path, path.with_name("steps.csv")),
         }
         for name, write in writers.items():

@@ -5,10 +5,12 @@ and the package needs none of it (the Halton points come from
 :class:`narxmpc.twotank.ScrambledHalton`).  The package inits of
 ``scipy.linalg`` and ``scipy.spatial`` took most of the rest, so
 :mod:`narxmpc._compiled` loads only the three compiled modules whose
-functions the package calls.  The checks run in fresh interpreters,
+functions the package calls, and leaves them out of ``sys.modules`` once
+it has taken the functions.  The checks run in fresh interpreters,
 because this suite itself imports those packages: one runs a whole small
-``narxmpc benchmark`` and then finds none of them loaded, so a package
-that a command reaches only at its first call would fail it too.
+``narxmpc benchmark`` and then finds none of them loaded, nor any of their
+submodules, so a package that a command reaches only at its first call
+would fail it too.
 
 ``pyproject.toml`` declares ``numpy>=2.0`` and ``scipy>=1.13``, but the
 suite runs on one installed NumPy and one scipy.  So the package's names
@@ -79,10 +81,10 @@ SCIPY_NAMES = {
     "scipy.spatial._distance_pybind.cdist_euclidean",
 }
 
-#: scipy packages whose inits ``narxmpc`` does not run, nor any of their
-#: submodules but the three that ``narxmpc._compiled`` loads.
+#: scipy packages that ``narxmpc`` leaves unimported, together with all of
+#: their submodules: the three that ``narxmpc._compiled`` loads leave
+#: ``sys.modules`` once their functions are bound.
 UNLOADED = ("scipy.linalg", "scipy.spatial", "scipy.special", "scipy.sparse", "scipy.stats")
-LOADED = {module for module, _ in FUNCTIONS}
 
 _PROBE = """
 import json, sys
@@ -96,7 +98,8 @@ print(json.dumps({"file": narxmpc.__file__, "code": code, "modules": sorted(sys.
 
 def test_package_and_cli_import_without_scipy_stats(tmp_path):
     """After the import and a whole small ``narxmpc benchmark``, none of the
-    scipy packages is loaded: only the three compiled modules."""
+    scipy packages is loaded, nor any of their submodules: not even the
+    three compiled modules whose functions the package holds."""
     config = tmp_path / "cfg.txt"
     config.write_text("steps = 6\n")
     proc = subprocess.run(
@@ -115,7 +118,7 @@ def test_package_and_cli_import_without_scipy_stats(tmp_path):
         for name in loaded["modules"]
         if any(name == package or name.startswith(package + ".") for package in UNLOADED)
     }
-    assert reached == LOADED
+    assert reached == set()
 
 
 _IDENTITY_PROBE = """
@@ -131,6 +134,13 @@ assert kernels.dpotrs is scipy.linalg.lapack.dpotrs
 assert mpc.dtbtrs is scipy.linalg.lapack.dtbtrs
 assert kernels.dsymm is scipy.linalg.blas.dsymm
 assert kernels._euclidean is scipy.spatial.distance._distance_pybind.cdist_euclidean
+# Each preloaded module is bound to its package, as the one in sys.modules.
+flapack, fblas, pybind = scipy.linalg._flapack, scipy.linalg._fblas, scipy.spatial._distance_pybind
+for module in (flapack, fblas, pybind):
+    assert sys.modules[module.__name__] is module
+assert flapack.dpotrf is kernels.dpotrf and flapack.dpotrs is kernels.dpotrs and flapack.dtbtrs is mpc.dtbtrs
+assert fblas.dsymm is kernels.dsymm
+assert pybind.cdist_euclidean is kernels._euclidean
 print("same")
 """
 
@@ -139,7 +149,9 @@ print("same")
 def test_the_loaded_functions_are_scipys_own(first):
     """Whichever is imported first, ``narxmpc`` or ``scipy.linalg``, the
     package calls the very LAPACK, BLAS and distance objects that scipy's
-    public modules export: one module object each in ``sys.modules``."""
+    public modules export, and ``scipy.linalg._flapack``,
+    ``scipy.linalg._fblas`` and ``scipy.spatial._distance_pybind`` are
+    bound: one module object each, the one in ``sys.modules``."""
     proc = subprocess.run(
         [sys.executable, "-c", _IDENTITY_PROBE, str(SRC), first],
         capture_output=True,

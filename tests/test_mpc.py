@@ -22,10 +22,12 @@ from narxmpc import (
     stage_cost,
     storage_matrix,
 )
-from oracles import FunctionDynamics, central_difference_gradient, cost_gradient, cost_J_batch
+from oracles import FunctionDynamics, central_difference_gradient, cost_gradient, cost_J_batch, identity_normalization
 
 WEIGHTS = StageCostWeights(Q=1.0, R=0.1)
 DIMS = NarxDims(p=1, m=1, nu=2)
+#: The storage matrix and the normalization of the closed loops of the test problems.
+LOOP = {"storage_matrix": storage_matrix(DIMS, WEIGHTS).P, "normalization": identity_normalization(DIMS)}
 
 
 def _linear_dynamics(a: float, b: float) -> FunctionDynamics:
@@ -435,7 +437,7 @@ class TestClosedLoop:
 
         solve = mpc.solve_ocp
         with patch.object(mpc, "solve_ocp", recorded):
-            trace = run_closed_loop(f, f, cfg, np.array([0.5, -0.3, 0.2]), steps=5)
+            trace = run_closed_loop(f, f, cfg, np.array([0.5, -0.3, 0.2]), steps=5, **LOOP)
         assert trace.failed_step is None and len(solutions) == 6
         assert starts[0] == (None, None)
         assert any(np.any(sol.secant != 0.0) for sol in solutions)
@@ -450,7 +452,7 @@ class TestClosedLoop:
         surrogate = _zero_dynamics()
         cfg = _config(4)
         x0 = np.array([0.5, -0.3, 0.2])
-        trace = run_closed_loop(plant, surrogate, cfg, x0, steps=6)
+        trace = run_closed_loop(plant, surrogate, cfg, x0, steps=6, **LOOP)
         assert trace.failed_step is None
         assert_allclose(trace.inputs, np.zeros((6, 1)), atol=1e-8)
         assert_allclose(trace.outputs, np.zeros((6, 1)), atol=1e-12)
@@ -464,7 +466,7 @@ class TestClosedLoop:
         storage = storage_matrix(DIMS, WEIGHTS)
         trace = run_closed_loop(
             plant, plant, cfg, np.array([0.4, 0.1, 0.0]), steps=4,
-            storage_matrix=storage.P,
+            storage_matrix=storage.P, normalization=LOOP["normalization"],
         )
         assert trace.storage_values is not None and trace.lyapunov is not None
         assert trace.storage_values.shape == (5,)
@@ -475,7 +477,7 @@ class TestClosedLoop:
         storage = storage_matrix(DIMS, WEIGHTS)
         trace = run_closed_loop(
             plant, plant, _config(3), np.array([0.4, 0.1, 0.0]), steps=0,
-            storage_matrix=storage.P,
+            storage_matrix=storage.P, normalization=LOOP["normalization"],
         )
         assert trace.steps == 0 and trace.states.shape == (1, 3)
         for per_state in (trace.values, trace.grad_norms, trace.iterations,
@@ -485,13 +487,14 @@ class TestClosedLoop:
         assert trace.iterations[0] == 0 and not trace.converged[0]
         assert np.isnan(trace.lyapunov[0])
 
-    def test_two_tank_equilibrium_rest(self, cfg, mpc_cfg, fit_101):
+    def test_two_tank_equilibrium_rest(self, cfg, mpc_cfg, storage, fit_101):
         from narxmpc import TwoTankPlant
 
         _, model = fit_101
         h1_eq, h2_eq = cfg.equilibrium
         trace = run_closed_loop(
-            TwoTankPlant(cfg, h1_eq, h2_eq), model, mpc_cfg, np.zeros(3), steps=5
+            TwoTankPlant(cfg, h1_eq, h2_eq), model, mpc_cfg, np.zeros(3), steps=5,
+            storage_matrix=storage.P, normalization=cfg.normalization(),
         )
         assert trace.failed_step is None
         assert np.max(np.abs(trace.inputs)) <= 1e-6
@@ -527,7 +530,7 @@ class TestClosedLoop:
             jacobian_fn=lambda x, u: (np.zeros((1, 3)), np.zeros((1, 1))),
         )
         plant = _zero_dynamics()
-        trace = run_closed_loop(plant, bad, _config(3), np.array([0.2, 0.0, 0.0]), steps=5)
+        trace = run_closed_loop(plant, bad, _config(3), np.array([0.2, 0.0, 0.0]), steps=5, **LOOP)
         assert trace.failed_step == 0
         assert trace.failure is not None
         assert trace.steps == 0
@@ -546,7 +549,7 @@ class TestClosedLoop:
                 return np.zeros(1)
 
         trace = run_closed_loop(
-            FailsOnThirdCall(), _zero_dynamics(), _config(3), np.array([0.4, 0.1, 0.0]), steps=5
+            FailsOnThirdCall(), _zero_dynamics(), _config(3), np.array([0.4, 0.1, 0.0]), steps=5, **LOOP
         )
         assert trace.failed_step == 2
         assert trace.states.shape == (3, 3)
@@ -573,7 +576,7 @@ class TestClosedLoop:
 
         monkeypatch.setattr(mpc, "solve_ocp", fails_on_the_terminal_call)
         f = _zero_dynamics()
-        trace = run_closed_loop(f, f, _config(3), np.array([0.4, 0.1, 0.0]), steps=steps)
+        trace = run_closed_loop(f, f, _config(3), np.array([0.4, 0.1, 0.0]), steps=steps, **LOOP)
         assert len(calls) == steps + 1
         assert trace.failed_step is None
         assert trace.failure.startswith("terminal diagnostic solve failed")
@@ -588,12 +591,12 @@ class TestClosedLoop:
     def test_initial_state_of_another_length_rejected(self, steps):
         plant = _zero_dynamics()
         with pytest.raises(ValueError):
-            run_closed_loop(plant, plant, _config(3), np.array([0.4]), steps=steps)
+            run_closed_loop(plant, plant, _config(3), np.array([0.4]), steps=steps, **LOOP)
 
     def test_negative_steps_rejected(self):
         f = _zero_dynamics()
         with pytest.raises(ValueError):
-            run_closed_loop(f, f, _config(2), np.zeros(3), steps=-1)
+            run_closed_loop(f, f, _config(2), np.zeros(3), steps=-1, **LOOP)
 
 
 class TestConfigValidation:

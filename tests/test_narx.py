@@ -13,7 +13,6 @@ from narxmpc import (
     NarxDims,
     NarxDynamics,
     TwoTankNarxDynamics,
-    TwoTankParams,
     TwoTankPlant,
     build_regressor,
     shift_state,
@@ -147,11 +146,10 @@ class TestRollout:
 
     def test_plant_view_matches_direct_simulation(self, cfg, plant_view):
         """The pure NARX view reproduces the stateful plant step for step."""
-        params = cfg.params
         norm = cfg.normalization()
         rng = np.random.default_rng(11)
         h1_prev, h2_prev, u_prev = 0.22, 0.31, 2.1e-5
-        y_cur, h2_cur = two_tank_step(h1_prev, h2_prev, u_prev, params)
+        y_cur, h2_cur = two_tank_step(h1_prev, h2_prev, u_prev, cfg.dt)
         x0 = norm.normalize_state(np.array([float(y_cur), h1_prev, u_prev]), cfg.dims)
         u_raw = rng.uniform(cfg.u_lo, cfg.u_hi, size=(6, 1))
         u_seq = norm.normalize_input(u_raw)

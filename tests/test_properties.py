@@ -30,7 +30,6 @@ from narxmpc import (
     SolverConfig,
     SolverError,
     StageCostWeights,
-    TwoTankParams,
     estimate_error_constants,
     estimate_growth_bound,
     fill_distance,
@@ -44,7 +43,7 @@ from narxmpc import (
     two_tank_step,
     wendland_phi,
 )
-from narxmpc import bench, mpc, stability, twotank
+from narxmpc import bench, fileio, mpc, stability, twotank
 from narxmpc.kernels import (
     KernelFitError,
     _constants_from,
@@ -63,6 +62,7 @@ from oracles import (
     cost_gradient,
     cost_J_batch,
     error_constants_by_candidate,
+    identity_normalization,
     kernel_jacobian_reference,
     kernel_value_reference,
     one_step_sweep,
@@ -241,42 +241,27 @@ def test_two_tank_view_single_equals_batch_row(cfg, plant_view, seed, rows):
 
 @given(rows=tank_rows)
 def test_two_tank_step_is_rk4_on_the_stacked_rhs(rows):
-    params = TwoTankParams()
+    dt = twotank.BenchmarkConfig().dt
     h1, h2, u = _tank_arrays(rows)
 
     def rhs(s, uu):
-        return np.stack(two_tank_rhs(s[..., 0], s[..., 1], uu, params), axis=-1)
+        return np.stack(two_tank_rhs(s[..., 0], s[..., 1], uu), axis=-1)
 
-    ref = rk4_step(rhs, np.stack([h1, h2], axis=-1), u, params.dt)
-    got = np.stack(two_tank_step(h1, h2, u, params), axis=-1)
+    ref = rk4_step(rhs, np.stack([h1, h2], axis=-1), u, dt)
+    got = np.stack(two_tank_step(h1, h2, u, dt), axis=-1)
     assert_array_equal(got, ref)
     assert_array_equal(np.signbit(got), np.signbit(ref))
 
 
 @given(rows=tank_rows)
 def test_two_tank_step_single_equals_batch_row(rows):
-    params = TwoTankParams()
+    dt = twotank.BenchmarkConfig().dt
     h1, h2, u = _tank_arrays(rows)
-    batch = np.stack(two_tank_step(h1, h2, u, params), axis=-1)
+    batch = np.stack(two_tank_step(h1, h2, u, dt), axis=-1)
     for i in range(len(rows)):
-        single = np.stack(two_tank_step(h1[i], h2[i], u[i], params))
+        single = np.stack(two_tank_step(h1[i], h2[i], u[i], dt))
         assert_array_equal(single, batch[i])
         assert_array_equal(np.signbit(single), np.signbit(batch[i]))
-
-
-@given(rows=tank_rows, seed=seeds, directions=st.integers(0, 3))
-def test_dual_two_tank_step_keeps_the_plain_values(rows, seed, directions):
-    """With tangents on a trailing axis, the step's values are the bits of
-    the plain step, NaN rows and signs of zero included, and no
-    floating-point warning is raised."""
-    params = TwoTankParams()
-    h1, h2, u = _tank_arrays(rows)
-    rng = np.random.default_rng(seed)
-    duals = [np.column_stack([v, rng.standard_normal((v.size, directions))]) for v in (h1, h2, u)]
-    got = np.stack([part[:, 0] for part in two_tank_step(*duals, params, dual=True)], axis=-1)
-    plain = np.stack(two_tank_step(h1, h2, u, params), axis=-1)
-    assert_array_equal(got, plain)
-    assert_array_equal(np.signbit(got), np.signbit(plain))
 
 
 # (h1, h2 - h1, weak pump) start rows of closed-loop plants: equal,
@@ -289,6 +274,39 @@ plant_starts = st.lists(
 )
 
 
+def _plant_levels(starts, seed, count: int):
+    """The levels ``(h1, h2)`` of the rows of :data:`plant_starts` and
+    ``count`` held inputs per row, uniform up to each row's pump limit."""
+    h1 = np.array([row[0] for row in starts])
+    h2 = h1 + np.array([row[1] for row in starts])
+    top = np.where([row[2] for row in starts], 1e-5, twotank.BenchmarkConfig.u_hi)
+    return h1, h2, np.random.default_rng(seed).uniform(0.0, 1.0, (count, len(starts))) * top
+
+
+@given(starts=plant_starts, seed=seeds, directions=st.integers(0, 3))
+@example(starts=[(0.0, 1e-6, True), (0.026965351190828213, 0.00045027987377157, True), (0.2, 0.1, False)], seed=0, directions=2)
+def test_dual_total_step_keeps_the_plain_values(starts, seed, directions):
+    """With tangents on a trailing axis, the total step that the plant
+    view's sweep takes gives the bits of the plain total step as its
+    values, signs of zero included, also on the rows from nearly equal
+    levels whose single Runge-Kutta step fails and substeps recover, and
+    raises no floating-point warning; where the plain step raises, the
+    dual step raises too."""
+    h1, h2, (u,) = _plant_levels(starts, seed, 1)
+    rng = np.random.default_rng(seed + 1)
+    duals = [np.column_stack([v, rng.standard_normal((v.size, directions))]) for v in (h1, h2, u)]
+    dt = twotank.BenchmarkConfig().dt
+    try:
+        plain = np.stack(twotank._total_step(h1, h2, u, dt), axis=-1)
+    except twotank.DomainError:
+        with pytest.raises(twotank.DomainError):
+            twotank._total_step(*duals, dt, dual=True)
+        return
+    got = np.stack([part[:, 0] for part in twotank._total_step(*duals, dt, dual=True)], axis=-1)
+    assert_array_equal(got, plain)
+    assert_array_equal(np.signbit(got), np.signbit(plain))
+
+
 @given(starts=plant_starts, steps=st.integers(1, 12), seed=seeds)
 @example(starts=[(0.026965351190828213, 0.00045027987377157, True)], steps=3, seed=0)
 def test_plant_steps_are_rows_of_one_batched_total_step(starts, steps, seed):
@@ -298,14 +316,11 @@ def test_plant_steps_are_rows_of_one_batched_total_step(starts, steps, seed):
     fails and substeps recover it.  When the batch raises, a plant raises
     at that step too."""
     cfg = twotank.BenchmarkConfig()
-    h1 = np.array([row[0] for row in starts])
-    h2 = h1 + np.array([row[1] for row in starts])
-    top = np.where([row[2] for row in starts], 1e-5, cfg.u_hi)
-    inputs = np.random.default_rng(seed).uniform(0.0, 1.0, (steps, len(starts))) * top
+    h1, h2, inputs = _plant_levels(starts, seed, steps)
     plants = [twotank.TwoTankPlant(cfg, a, b) for a, b in zip(h1, h2)]
     for u in inputs:
         try:
-            h1, h2 = twotank._total_step(h1, np.maximum(h2, h1), u, cfg.params)
+            h1, h2 = twotank._total_step(h1, np.maximum(h2, h1), u, cfg.dt)
         except twotank.DomainError:
             with pytest.raises(twotank.DomainError):
                 for plant, held in zip(plants, u):
@@ -526,11 +541,11 @@ def _dataset_rule(cfg, points):
     and whose target step is finite, as ``[site | target]`` rows in
     normalized coordinates.  Also returns how many points precede and
     include the last row taken (0 for ``d = 1``)."""
-    norm, dims, params = cfg.normalization(), cfg.dims, cfg.params
+    norm, dims, dt = cfg.normalization(), cfg.dims, cfg.dt
     h1, h2 = (cfg.y_lo + (cfg.y_hi - cfg.y_lo) * points[:, c] for c in (0, 1))
     u_prev, u_now = (cfg.u_lo + (cfg.u_hi - cfg.u_lo) * points[:, c] for c in (2, 3))
-    y_cur, h2_cur = two_tank_step(h1, h2, u_prev, params)
-    y_next, _ = two_tank_step(y_cur, np.maximum(h2_cur, y_cur), u_now, params)
+    y_cur, h2_cur = two_tank_step(h1, h2, u_prev, dt)
+    y_next, _ = two_tank_step(y_cur, np.maximum(h2_cur, y_cur), u_now, dt)
     taken = (h2 >= h1) & np.isfinite(y_cur) & (y_cur >= cfg.y_lo) & (y_cur <= cfg.y_hi) & np.isfinite(y_next)
     index = np.flatnonzero(taken)[: cfg.d - 1]
     assert len(index) == cfg.d - 1, "draw more Halton points"
@@ -1517,7 +1532,11 @@ def test_a_closed_loop_on_an_affine_model_carries_no_curvature(seed, p, m, nu, h
 
     solve, update = mpc.solve_ocp, mpc._secant_update
     with patch.object(mpc, "solve_ocp", recorded_solve), patch.object(mpc, "_secant_update", recorded_update):
-        trace = mpc.run_closed_loop(f, f, cfg, x0, steps)
+        trace = mpc.run_closed_loop(
+            f, f, cfg, x0, steps,
+            storage_matrix=stability.storage_matrix(cfg.dims, cfg.weights).P,
+            normalization=identity_normalization(cfg.dims),
+        )
     assert trace.failed_step is None and len(carried) == steps + 1
     assert carried[0] == (None, 0.0)
     for secant, bound in carried[1:]:
@@ -1690,7 +1709,7 @@ def test_solutions_carry_the_outputs_of_their_inputs(cfg, plant_view, seed, kind
     if kind == "plant":
         mpc_cfg = replace(bench.make_mpc_config(cfg), horizon=horizon, solver=SolverConfig(max_iters=25))
         f = plant_view
-        X = sample_consistent_states(cfg, rows, seed % 2**16)
+        X = sample_consistent_states(cfg, rows, seed % 2**16, min_norm=1e-3)
     else:
         mpc_cfg = _random_problem(rng, p, m, nu, horizon)
         if kind == "function":
@@ -1738,7 +1757,7 @@ def test_hidden_level_recovery_is_never_worse_than_bisection(cfg, seed, reachabl
     different bands or different doubles of one edge, and either miss
     can be the larger (3 of 306,981 rows of seeds 0 to 199, by 3 and 12
     ulps and by 1.6 mm)."""
-    params = cfg.params
+    dt = cfg.dt
     rng = np.random.default_rng(seed)
     if reachable:
         raw, _, _ = next(twotank._reachable_draws(cfg, seed))
@@ -1746,42 +1765,74 @@ def test_hidden_level_recovery_is_never_worse_than_bisection(cfg, seed, reachabl
     else:
         y_prev, y_cur = rng.uniform(1e-3, 0.5, size=(2, 512))
         u_prev = rng.uniform(cfg.u_lo, cfg.u_hi, size=512)
-    root = twotank._previous_upper_level(y_prev, y_cur, u_prev, params)
+    root = twotank._previous_upper_level(y_prev, y_cur, u_prev, dt)
     cuts = np.sort(rng.choice(np.arange(1, root.size), size=8, replace=False))
     single = rng.integers(root.size)
     cuts = np.unique(np.concatenate([cuts, [single, single + 1]]))
     pieces = [
-        twotank._previous_upper_level(y_prev[part], y_cur[part], u_prev[part], params)
+        twotank._previous_upper_level(y_prev[part], y_cur[part], u_prev[part], dt)
         for part in np.split(np.arange(root.size), cuts)
     ]
     assert_array_equal(np.concatenate(pieces), root)
-    raised = twotank._substepped(y_prev, y_prev, u_prev, params, False)[1]
+    raised = twotank._substepped(y_prev, y_prev, u_prev, dt, False)[1]
     assert np.all(np.isfinite(root[raised]))
     y_prev, y_cur, u_prev, root = y_prev[~raised], y_cur[~raised], u_prev[~raised], root[~raised]
-    bisected = bisected_upper_level(y_prev, y_cur, u_prev, params)
+    bisected = bisected_upper_level(y_prev, y_cur, u_prev, dt)
     top = twotank.HIDDEN_LEVEL_MAX
     assert_array_equal(root == y_prev, bisected == y_prev)
     assert_array_equal(root == top, bisected == top)
-    miss = np.abs(two_tank_step(y_prev, root, u_prev, params)[0] - y_cur)
-    bisected_miss = np.abs(two_tank_step(y_prev, bisected, u_prev, params)[0] - y_cur)
+    miss = np.abs(two_tank_step(y_prev, root, u_prev, dt)[0] - y_cur)
+    bisected_miss = np.abs(two_tank_step(y_prev, bisected, u_prev, dt)[0] - y_cur)
     # A bisection root whose single step fails misses by any amount.
     limit = np.where(np.isnan(bisected_miss), np.inf, bisected_miss + np.spacing(y_cur))
     worse = ~(miss <= limit) & (root != bisected)
-    edge = np.isnan(two_tank_step(y_prev, np.nextafter(root, -np.inf), u_prev, params)[0])
+    edge = np.isnan(two_tank_step(y_prev, np.nextafter(root, -np.inf), u_prev, dt)[0])
     worse &= ~(edge & ~(bisected_miss <= 1e-12))
     assert not worse.any(), np.column_stack([y_prev, y_cur, u_prev])[worse]
 
 
-def _smooth_tank_step(h1, h2, u, params, margin):
+@given(
+    seed=seeds,
+    linear=st.booleans(),
+    horizon=st.integers(1, 6),
+    steps=st.integers(1, 8),
+    q=st.floats(0.5, 2.0),
+    r=st.floats(0.05, 1.0),
+)
+def test_a_reloaded_trace_certifies_as_the_trace_in_memory(tmp_path_factory, seed, linear, horizon, steps, q, r):
+    """A closed loop of a small random model, written by ``save_trace`` and
+    read back by ``load_trace`` under the configuration it ran under, gives
+    the report of the trace in memory: ``verify_decrease`` with the
+    iteration cap agrees bit for bit in ``errors``, ``decay_r2``,
+    ``lyapunov``, ``alpha`` and the capped solves, with the same verdict."""
+    cfg = twotank.BenchmarkConfig(horizon=horizon, q_weight=q, r_weight=r)
+    mpc_cfg = bench.make_mpc_config(cfg)
+    storage = stability.storage_matrix(cfg.dims, mpc_cfg.weights)
+    rng = np.random.default_rng(seed)
+    f = _random_dynamics(rng, cfg.dims, linear)
+    x0 = rng.uniform(-1.0, 1.0, size=cfg.dims.n)
+    trace = mpc.run_closed_loop(
+        f, f, mpc_cfg, x0, steps, storage_matrix=storage.P, normalization=cfg.normalization()
+    )
+    path = tmp_path_factory.mktemp("trace") / "trace_norm.csv"
+    fileio.save_trace(trace, path, cfg, raw=False)
+    back = fileio.load_trace(path, cfg.dims, cfg.horizon, cfg.normalization())
+    held, loaded = (stability.verify_decrease(t, storage, max_iters=mpc_cfg.solver.max_iters) for t in (trace, back))
+    for name in ("errors", "decay_r2", "lyapunov"):
+        assert np.asarray(getattr(loaded, name)).tobytes() == np.asarray(getattr(held, name)).tobytes(), name
+    assert (loaded.alpha, loaded.verdict, loaded.capped_solves) == (held.alpha, held.verdict, held.capped_solves)
+
+
+def _smooth_tank_step(h1, h2, u, dt, margin):
     """Whether every stage point of the Runge-Kutta step from the levels
     ``(h1, h2)`` under ``u`` has both levels and their gap above
     ``margin`` (m), so that no square root there meets its clip at zero."""
     smooth = np.ones(np.shape(h1), dtype=bool)
     d1 = d2 = 0.0
     for frac in (0.0, 0.5, 0.5, 1.0):
-        s1, s2 = h1 + frac * params.dt * d1, h2 + frac * params.dt * d2
+        s1, s2 = h1 + frac * dt * d1, h2 + frac * dt * d2
         smooth &= (s1 > margin) & (s2 - s1 > margin)
-        d1, d2 = two_tank_rhs(s1, s2, u, params)
+        d1, d2 = two_tank_rhs(s1, s2, u)
     return smooth
 
 
@@ -1793,17 +1844,17 @@ def _regular_plant_rows(cfg, X, U, margin=1e-4):
     every step a single Runge-Kutta step is finite, with both levels and
     their gap above ``margin`` (m) at each of its stage points.  Central
     differences there see one smooth branch."""
-    params, norm = cfg.params, cfg.normalization()
+    dt, norm = cfg.dt, cfg.normalization()
     top = twotank.HIDDEN_LEVEL_MAX - margin
     raw = norm.denormalize_state(X, cfg.dims)
     y_cur, y_prev, u_prev = raw[:, 0], raw[:, 1], raw[:, cfg.dims.nu]
-    head = twotank._previous_upper_level(y_prev, y_cur, u_prev, params)
-    regular = _smooth_tank_step(y_prev, head, u_prev, params, margin) & (head < top)
-    _, h2 = two_tank_step(y_prev, head, u_prev, params)
+    head = twotank._previous_upper_level(y_prev, y_cur, u_prev, dt)
+    regular = _smooth_tank_step(y_prev, head, u_prev, dt, margin) & (head < top)
+    _, h2 = two_tank_step(y_prev, head, u_prev, dt)
     h1 = y_cur
     for u in norm.denormalize_input(U)[..., 0].T:
-        regular &= _smooth_tank_step(h1, h2, u, params, margin) & (h2 < top)
-        h1, h2 = two_tank_step(h1, h2, u, params)
+        regular &= _smooth_tank_step(h1, h2, u, dt, margin) & (h2 < top)
+        h1, h2 = two_tank_step(h1, h2, u, dt)
     return regular & np.isfinite(h1) & np.isfinite(h2)
 
 
@@ -1814,12 +1865,16 @@ def test_plant_view_sweep_is_the_rollout_with_exact_jacobians(cfg, plant_view, s
     rollout bit for bit, and from reachable states those of the stepwise
     rollout, which reconstructs the hidden level at every step, to 1e-9;
     each row is its batch of one, and on rows that take no clamp and no
-    substep every step's Jacobians match central differences (step 1e-6)
-    of the one-step outputs at that step's regressor and input."""
+    substep every step's Jacobians match central differences of the
+    one-step outputs at that step's regressor and input, extrapolated
+    (Richardson) from the steps 1e-6 and 5e-7.  A plain 1e-6 step is not
+    enough: near a small ``ds1/dH`` the reconstruction curves so sharply
+    that its error reaches 4.5e-4 relative (seed 17499, two reachable
+    rows, horizon 1), where the extrapolation's is 2e-7."""
     dims = cfg.dims
     rng = np.random.default_rng(seed)
     if reachable:
-        X = sample_consistent_states(cfg, rows, seed % 2**16)
+        X = sample_consistent_states(cfg, rows, seed % 2**16, min_norm=1e-3)
     else:
         X, _ = sample_domain(cfg, rows, seed)
     box = cfg.input_box()
@@ -1843,13 +1898,14 @@ def test_plant_view_sweep_is_the_rollout_with_exact_jacobians(cfg, plant_view, s
         return
     # Perturb the newest output, the previous output, the previous input
     # and the input of every step's regressor-input pair, all in one batch.
-    n, h = dims.n, 1e-6
+    n, h = dims.n, np.array([1e-6, 5e-7])
     columns = [0, 1, dims.nu, n]
     pairs = np.concatenate([states[regular, :-1], U[regular]], axis=-1).reshape(-1, n + 1)
-    steps = h * np.eye(n + 1)[columns]
-    probes = np.stack([pairs[None] + steps[:, None], pairs[None] - steps[:, None]])
+    steps = h[:, None, None] * np.eye(n + 1)[columns]
+    probes = np.stack([pairs[None, None] + steps[:, :, None], pairs[None, None] - steps[:, :, None]])
     out = plant_view.output_batch(probes[..., :n].reshape(-1, n), probes[..., n:].reshape(-1, 1))
-    out = out.reshape(2, len(columns), -1)
-    central = ((out[0] - out[1]) / (2.0 * h)).T
+    out = out.reshape(2, h.size, len(columns), -1)
+    coarse, fine = (out[0] - out[1]) / (2.0 * h[:, None, None])
+    central = ((4.0 * fine - coarse) / 3.0).T
     exact = sweep.jac[regular][..., 0, columns].reshape(-1, len(columns))
     assert_allclose(exact, central, rtol=1e-5, atol=1e-6 * (1.0 + np.max(np.abs(exact))))

@@ -32,16 +32,18 @@ from narxmpc import (
     storage_value,
     verify_decrease,
 )
-from narxmpc.bench import certify_trace, simulate_loop
+from narxmpc.bench import GROWTH_HORIZON, GROWTH_STATES, certify_trace, simulate_loop
+from narxmpc.fileio import load_trace, read_csv, read_keyvalues
 from narxmpc.stability import (
     VERDICT_EQUILIBRIUM,
     VERDICT_VERIFIED,
     VERDICT_VIOLATED,
 )
-from oracles import FunctionDynamics, check_detectability, sample_domain, storage_value_lagsum
+from oracles import FunctionDynamics, check_detectability, identity_normalization, sample_domain, storage_value_lagsum
 
 WEIGHTS = StageCostWeights(Q=1.0, R=0.1)
 DIMS = NarxDims(p=1, m=1, nu=2)
+IDENTITY = identity_normalization(DIMS)
 MIN_HORIZON_10_2 = 65.39663084091907
 
 #: The h0 sweep: 24 initial levels (m) of the closed loop on the plant.
@@ -294,13 +296,14 @@ class TestLyapunovValue:
     def test_zero_at_origin(self, storage):
         f = _linear_dynamics()
         trace = run_closed_loop(f, f, _config(4), np.zeros(3), steps=1,
-                                storage_matrix=storage.P)
+                                storage_matrix=storage.P, normalization=IDENTITY)
         assert trace.lyapunov[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_dominates_storage(self, storage):
         x = np.array([0.5, -0.2, 0.3])
         f = _linear_dynamics()
-        trace = run_closed_loop(f, f, _config(4), x, steps=1, storage_matrix=storage.P)
+        trace = run_closed_loop(f, f, _config(4), x, steps=1,
+                                storage_matrix=storage.P, normalization=IDENTITY)
         assert trace.lyapunov[0] >= float(storage_value(x, storage))
 
 
@@ -308,7 +311,7 @@ class TestVerifyDecrease:
     def test_resting_trace_is_at_equilibrium(self, storage):
         f = _zero_dynamics()
         trace = run_closed_loop(f, f, _config(3), np.zeros(3), steps=3,
-                                storage_matrix=storage.P)
+                                storage_matrix=storage.P, normalization=IDENTITY)
         report = verify_decrease(trace, storage)
         assert report.verdict == VERDICT_EQUILIBRIUM
         assert report.ok
@@ -318,7 +321,7 @@ class TestVerifyDecrease:
     def test_stable_linear_loop_verifies(self, storage):
         f = _linear_dynamics()
         trace = run_closed_loop(f, f, _config(8), np.array([0.5, 0.0, 0.0]),
-                                steps=15, storage_matrix=storage.P)
+                                steps=15, storage_matrix=storage.P, normalization=IDENTITY)
         report = verify_decrease(trace, storage)
         assert report.verdict == VERDICT_VERIFIED
         assert report.ok
@@ -335,7 +338,7 @@ class TestVerifyDecrease:
         f = _linear_dynamics()
         cfg = _config(8)
         trace = run_closed_loop(f, f, cfg, np.array([0.5, 0.0, 0.0]), steps=10,
-                                storage_matrix=storage.P)
+                                storage_matrix=storage.P, normalization=IDENTITY)
         rng = np.random.default_rng(7)
         states = rng.uniform(0.2, 0.8, size=(5, 3))
         growth = estimate_growth_bound(f, cfg, states, 4)
@@ -353,7 +356,7 @@ class TestVerifyDecrease:
         states = np.random.default_rng(7).uniform(0.2, 0.8, size=(5, 3))
         for run_cfg in (cfg, capped_cfg):
             trace = run_closed_loop(f, f, run_cfg, np.array([0.5, 0.0, 0.0]), steps=10,
-                                    storage_matrix=storage.P)
+                                    storage_matrix=storage.P, normalization=IDENTITY)
             growth = estimate_growth_bound(f, run_cfg, states, 4)
             max_iters = run_cfg.solver.max_iters
             report = verify_decrease(trace, storage, growth=growth, max_iters=max_iters)
@@ -387,7 +390,7 @@ class TestVerifyDecrease:
         mpc_cfg = make_mpc_config(small)
         x0, _ = small.initial_condition()
         trace = run_closed_loop(stateful, bad, mpc_cfg, x0, steps=small.steps,
-                                storage_matrix=storage.P)
+                                storage_matrix=storage.P, normalization=small.normalization())
         report = verify_decrease(trace, storage)
         assert report.verdict == VERDICT_VIOLATED
         assert not report.ok
@@ -441,7 +444,7 @@ class TestPlantVerdicts:
         longer = replace(cfg, horizon=48, h0=0.02)
         _, model = fit_101
         trace = simulate_loop(longer, model)
-        _, report = certify_trace(longer, model, trace)
+        _, report = certify_trace(longer, model, trace, GROWTH_STATES, GROWTH_HORIZON)
         assert report.horizon_sufficient is True
         assert report.min_horizon_value == pytest.approx(43.4, abs=0.05)
         assert report.verdict == VERDICT_VIOLATED
@@ -469,6 +472,28 @@ class TestPlantVerdicts:
             assert report.error_bound_on_trace is (above == 0)
             data_only = np.max(errors[active] / np.hypot(x_norms, u_norms))
             assert report.trace_error_ratio == pytest.approx(data_only, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [101, 2501])
+    def test_a_reloaded_bundle_trace_certifies_as_the_bundle_prints(self, cfg, storage, benchmark_run, d):
+        """A bundle's normalized trace, read back under the configuration's
+        normalization, certifies to the ``decay_r2`` and verdict that its
+        stability report prints and to the raw level errors of its steps
+        file, 0.2209 m first.  At D=101 that ``decay_r2`` is pinned: read in
+        normalized units, as a loader without the normalization once did,
+        the trace gave 0.8395 and 0.4419 instead.  (The D=2501 bits depend
+        on the BLAS thread count.)"""
+        result, _ = benchmark_run
+        files = {path.name: path for path in result.outputs}
+        trace = load_trace(files[f"trace_norm_D{d}.csv"], cfg.dims, cfg.horizon, cfg.normalization())
+        report = verify_decrease(trace, storage)
+        printed = read_keyvalues(files[f"stability_report_D{d}.txt"])
+        assert report.decay_r2 == float(printed["decay_r2"])
+        assert report.verdict == printed["verdict"]
+        if d == 101:
+            assert report.decay_r2 == 0.85896207701307137
+        header, steps = read_csv(files[f"stability_steps_D{d}.csv"])
+        assert_array_equal(report.errors, steps[:, header.index("error")])
+        assert report.errors[0] == pytest.approx(0.2209, abs=5e-5)
 
 
 class TestDecayFit:

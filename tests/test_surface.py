@@ -9,6 +9,12 @@ defines, so wrapping a function does not call it.  The re-exports of
 ``__init__.py`` do not count as uses.  Code that only tests reach
 belongs under ``tests/``.
 
+Every option has a caller: a defaulted parameter of a ``src/narxmpc``
+function is passed by some call in the package or in ``perfbench/`` and
+left out by another, calls resolved by bare name as above.  A default
+that every call overrides is a required parameter, and one that no call
+overrides is no parameter.
+
 No module but ``fileio`` forms the name of an artifact's sidecar.
 
 The README's "Report keys" table lists every key that the fit and
@@ -29,6 +35,7 @@ from narxmpc import BenchmarkConfig, make_mpc_config, run_benchmark, storage_mat
 from narxmpc.fileio import read_keyvalues, save_stability_report
 from narxmpc.stability import VERDICT_VIOLATED
 from narxmpc.twotank import CONFIG_KEYS
+from oracles import quiet
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "narxmpc"
@@ -92,6 +99,73 @@ def test_every_public_name_has_a_caller():
     )
 
 
+#: Defaulted parameters kept although no call, or every call, sets them, each with the reason.
+ALLOWED_OPTIONS = {
+    "solve_ocp_batch.warm": "ROADMAP item 15's lockstep loop passes each row's shifted start",
+    "solve_ocp_batch.secant": "ROADMAP item 15's lockstep loop passes each row's shifted start",
+}
+
+
+def _defaulted() -> dict[str, tuple[str, int | None, str]]:
+    """``function.parameter`` of every defaulted parameter of a function
+    or method of the package modules, mapped to the function's bare name,
+    the parameter's position among those a call passes positionally
+    (None for a keyword-only one) and its name."""
+    found = {}
+    for path in _modules():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            # A method's call passes everything after self or cls.
+            skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+            for index in range(len(positional) - len(args.defaults), len(positional)):
+                found[f"{node.name}.{positional[index].arg}"] = (node.name, index - skip, positional[index].arg)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    found[f"{node.name}.{arg.arg}"] = (node.name, None, arg.arg)
+    return found
+
+
+def _calls() -> dict[str, list[ast.Call]]:
+    """The calls of the package modules and of ``perfbench/`` by the bare
+    name they call, without those that unpack ``*args`` or ``**kwargs``,
+    whose arguments no reading of the source can tell."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in _modules() + sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if name:
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def test_every_option_is_passed_by_one_call_and_left_out_by_another():
+    calls = _calls()
+    broken = {}
+    for qualified, (function, index, name) in sorted(_defaulted().items()):
+        passed = [
+            (index is not None and len(call.args) > index) or any(k.arg == name for k in call.keywords)
+            for call in calls.get(function, [])
+        ]
+        if not any(passed):
+            broken[qualified] = "no call passes it"
+        elif all(passed):
+            broken[qualified] = "every call passes it"
+    assert sorted(broken) == sorted(ALLOWED_OPTIONS), (
+        "defaulted parameters that no call or every call sets (delete the parameter "
+        f"or its default): { {q: why for q, why in broken.items() if q not in ALLOWED_OPTIONS} }; "
+        f"allowlisted options that now have both kinds of call or are gone: "
+        f"{sorted(set(ALLOWED_OPTIONS) - set(broken))}"
+    )
+
+
 def test_only_fileio_names_the_files_of_an_artifact():
     """A sidecar's name is formed in ``fileio`` alone: every other module
     lists the paths that the writers return, so no module but ``fileio``
@@ -132,7 +206,7 @@ def _written_keys(tmp_path: Path) -> set[tuple[str, str]]:
 
     cfg = BenchmarkConfig(d=21, steps=4)
     out = tmp_path / "bundle"
-    result = run_benchmark(cfg, out_dir=out, sizes=(21,), b_states=4, b_horizon=2)
+    result = run_benchmark(cfg, out_dir=out, sizes=(21,), b_states=4, b_horizon=2, progress=quiet)
     read("fit", out / "fit_report_D21.txt")
     read("stability", out / "stability_report_D21.txt")
     # The violated report reuses the bundle's trace and growth grid.
@@ -141,7 +215,7 @@ def _written_keys(tmp_path: Path) -> set[tuple[str, str]]:
     storage = storage_matrix(cfg.dims, make_mpc_config(cfg).weights)
     report = verify_decrease(rising, storage, growth=arm.growth)
     assert report.verdict == VERDICT_VIOLATED
-    save_stability_report(report, tmp_path / "violated.txt")
+    save_stability_report(report, tmp_path / "violated.txt", tmp_path / "violated_steps.csv")
     read("stability", tmp_path / "violated.txt")
     return written
 

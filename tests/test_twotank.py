@@ -16,7 +16,6 @@ from narxmpc import (
     DomainError,
     NarxDims,
     TwoTankNarxDynamics,
-    TwoTankParams,
     TwoTankPlant,
     equilibrium_levels,
     generate_dataset,
@@ -30,8 +29,8 @@ from narxmpc import twotank
 from narxmpc.twotank import ScrambledHalton, _reachable_draws, _total_step
 from oracles import bisected_upper_level, rk4_step, sample_domain, state_box, stepwise_rollout, two_tank_rhs
 
-PARAMS = TwoTankParams()
 CFG = BenchmarkConfig()
+DT = CFG.dt
 U_EQ = 5.461e-6
 H1_EQ = 0.04377874810998076
 H2_EQ = 0.09000374810998076
@@ -41,35 +40,35 @@ H2_INITIAL = 0.3851178558686378
 
 class TestRhs:
     def test_near_zero_at_rounded_equilibrium(self):
-        d1, d2 = two_tank_rhs(0.0438, 0.09, U_EQ, PARAMS)
+        d1, d2 = two_tank_rhs(0.0438, 0.09, U_EQ)
         norm = float(np.hypot(d1, d2))
         assert_allclose(norm, RHS_NORM_AT_ROUNDED_EQ, rtol=1e-12)
         assert norm < 1e-4
 
     def test_exactly_zero_at_equilibrium(self):
-        d1, d2 = two_tank_rhs(H1_EQ, H2_EQ, U_EQ, PARAMS)
+        d1, d2 = two_tank_rhs(H1_EQ, H2_EQ, U_EQ)
         assert float(d1) == 0.0
         assert float(d2) == 0.0
 
     def test_equal_levels_drain_only(self):
-        d1, d2 = two_tank_rhs(0.25, 0.25, 0.0, PARAMS)
-        assert float(d1) == -PARAMS.c2 * 0.5
+        d1, d2 = two_tank_rhs(0.25, 0.25, 0.0)
+        assert float(d1) == -twotank.C2 * 0.5
         assert float(d2) == 0.0
 
     def test_empty_tanks_at_rest(self):
-        d1, d2 = two_tank_rhs(0.0, 0.0, 0.0, PARAMS)
+        d1, d2 = two_tank_rhs(0.0, 0.0, 0.0)
         assert float(d1) == 0.0
         assert float(d2) == 0.0
 
     def test_pump_term(self):
-        _, d2 = two_tank_rhs(0.1, 0.1, 1e-5, PARAMS)
-        assert float(d2) == pytest.approx(1e-5 / PARAMS.A1, rel=1e-15)
+        _, d2 = two_tank_rhs(0.1, 0.1, 1e-5)
+        assert float(d2) == pytest.approx(1e-5 / twotank.A1, rel=1e-15)
 
     def test_domain_violations_raise(self):
         # the derivatives mark the violation with NaN ...
-        d1, d2 = two_tank_rhs(-0.1, 0.5, 0.0, PARAMS)
+        d1, d2 = two_tank_rhs(-0.1, 0.5, 0.0)
         assert np.isnan(d1) and np.isfinite(d2)
-        d1, d2 = two_tank_rhs(0.3, 0.2, 0.0, PARAMS)
+        d1, d2 = two_tank_rhs(0.3, 0.2, 0.0)
         assert np.isnan(d1) and np.isnan(d2)
         # ... and the plant raises where substeps cannot recover: a negative
         # pump flow empties the upper tank below the lower one
@@ -77,17 +76,6 @@ class TestRhs:
         with pytest.raises(DomainError, match="stayed invalid down to 64 substeps"):
             plant.step(-1e-3)
 
-    def test_params_validated(self):
-        with pytest.raises(ValueError):
-            TwoTankParams(A1=0.0)
-        with pytest.raises(ValueError):
-            TwoTankParams(dt=-1.0)
-
-    @pytest.mark.parametrize("name", ["A1", "c12", "c2", "dt"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_params_rejected(self, name, bad):
-        with pytest.raises(ValueError, match="finite"):
-            TwoTankParams(**{name: bad})
 
 
 class TestRk4:
@@ -126,20 +114,20 @@ class TestRk4:
 class TestSampledStep:
     def test_matches_rk4_composition(self):
         def rhs(s, u):
-            d1, d2 = two_tank_rhs(s[..., 0], s[..., 1], u, PARAMS)
+            d1, d2 = two_tank_rhs(s[..., 0], s[..., 1], u)
             return np.stack([d1, d2], axis=-1)
 
-        direct = rk4_step(rhs, np.array([0.2, 0.35]), 2e-5, PARAMS.dt)
-        h1, h2 = two_tank_step(0.2, 0.35, 2e-5, PARAMS)
+        direct = rk4_step(rhs, np.array([0.2, 0.35]), 2e-5, DT)
+        h1, h2 = two_tank_step(0.2, 0.35, 2e-5, DT)
         assert_array_equal([float(h1), float(h2)], direct)
 
     def test_equilibrium_is_fixed_point(self):
-        h1, h2 = two_tank_step(H1_EQ, H2_EQ, U_EQ, PARAMS)
+        h1, h2 = two_tank_step(H1_EQ, H2_EQ, U_EQ, DT)
         assert float(h1) == H1_EQ
         assert float(h2) == H2_EQ
 
     def test_masked_mode_propagates_nan(self):
-        h1, h2 = two_tank_step(np.array([0.2, 0.3]), np.array([0.35, 0.2]), 0.0, PARAMS)
+        h1, h2 = two_tank_step(np.array([0.2, 0.3]), np.array([0.35, 0.2]), 0.0, DT)
         assert np.isfinite(h1[0]) and np.isfinite(h2[0])
         assert np.isnan(h1[1]) and np.isnan(h2[1])
 
@@ -165,26 +153,26 @@ class TestSampledStep:
 
 class TestEquilibriumLevels:
     def test_closed_form(self):
-        h1, h2 = equilibrium_levels(U_EQ, PARAMS)
-        drive = U_EQ / PARAMS.A1
-        assert h1 == pytest.approx((drive / PARAMS.c2) ** 2, rel=1e-15)
-        assert h2 == pytest.approx(h1 + (drive / PARAMS.c12) ** 2, rel=1e-15)
+        h1, h2 = equilibrium_levels(U_EQ)
+        drive = U_EQ / twotank.A1
+        assert h1 == pytest.approx((drive / twotank.C2) ** 2, rel=1e-15)
+        assert h2 == pytest.approx(h1 + (drive / twotank.C12) ** 2, rel=1e-15)
         assert h1 == pytest.approx(H1_EQ, rel=1e-15)
         assert h2 == pytest.approx(H2_EQ, rel=1e-15)
 
     def test_zero_flow_empties(self):
-        assert equilibrium_levels(0.0, PARAMS) == (0.0, 0.0)
+        assert equilibrium_levels(0.0) == (0.0, 0.0)
 
     def test_negative_flow_rejected(self):
         with pytest.raises(DomainError):
-            equilibrium_levels(-1e-6, PARAMS)
+            equilibrium_levels(-1e-6)
 
 
 class TestHiddenLevelRecovery:
     def test_exact_on_consistent_transition(self):
         h1_prev, h2_prev, u_prev = 0.22, 0.31, 2.1e-5
-        y_cur, h2_cur = two_tank_step(h1_prev, h2_prev, u_prev, PARAMS)
-        got = reconstruct_hidden_level(h1_prev, float(y_cur), u_prev, PARAMS)
+        y_cur, h2_cur = two_tank_step(h1_prev, h2_prev, u_prev, DT)
+        got = reconstruct_hidden_level(h1_prev, float(y_cur), u_prev, DT)
         assert float(got) == pytest.approx(float(h2_cur), abs=1e-9)
 
     def test_batched_consistent_transitions(self):
@@ -192,17 +180,17 @@ class TestHiddenLevelRecovery:
         h1 = rng.uniform(0.05, 0.4, size=20)
         h2 = h1 + rng.uniform(0.01, 0.3, size=20)
         u = rng.uniform(3.16e-6, 4.76e-5, size=20)
-        y_cur, h2_cur = two_tank_step(h1, h2, u, PARAMS)
-        got = reconstruct_hidden_level(h1, y_cur, u, PARAMS)
+        y_cur, h2_cur = two_tank_step(h1, h2, u, DT)
+        got = reconstruct_hidden_level(h1, y_cur, u, DT)
         assert_allclose(got, h2_cur, rtol=0.0, atol=1e-8)
 
     def test_holding_record_value(self):
-        got = reconstruct_hidden_level(0.2, 0.2, U_EQ, PARAMS)
+        got = reconstruct_hidden_level(0.2, 0.2, U_EQ, DT)
         assert float(got) == pytest.approx(H2_INITIAL, rel=1e-12)
 
     def test_unreachable_target_clamps(self):
         # no upper level in the bracket pushes 0.1 up to 1.9 in one step
-        got = reconstruct_hidden_level(0.1, 1.9, 3.16e-6, PARAMS)
+        got = reconstruct_hidden_level(0.1, 1.9, 3.16e-6, DT)
         assert float(got) >= 1.9
 
 
@@ -217,7 +205,7 @@ class TestPlant:
         plant = TwoTankPlant(CFG, 0.2, 0.35)
         y = plant.step(2e-5)
         assert y == plant.h1
-        h1_ref, h2_ref = two_tank_step(0.2, 0.35, 2e-5, PARAMS)
+        h1_ref, h2_ref = two_tank_step(0.2, 0.35, 2e-5, DT)
         assert plant.h1 == pytest.approx(float(h1_ref), rel=1e-15)
         assert plant.h2 == pytest.approx(float(h2_ref), rel=1e-15)
 
@@ -227,7 +215,7 @@ class TestPlant:
         h1, h2, u = 0.026965351190828213, 0.027415631064599783, 4.415645394818535e-06
         plant = TwoTankPlant(CFG, h1, h2)
         y = plant.step(u)
-        ref1, ref2 = _total_step(h1, h2, u, PARAMS)
+        ref1, ref2 = _total_step(h1, h2, u, DT)
         assert (y, plant.h2) == (float(ref1[0]), float(ref2[0]))
         assert (y, plant.h2) == (0.0198118778681811, 0.04150606764222124)
 
@@ -235,10 +223,10 @@ class TestPlant:
 class TestNarxView:
     def test_requires_two_lags(self, cfg):
         with pytest.raises(ValueError):
-            TwoTankNarxDynamics(PARAMS, cfg.normalization(), NarxDims(p=1, m=1, nu=1))
+            TwoTankNarxDynamics(DT, cfg.normalization(), NarxDims(p=1, m=1, nu=1))
 
     def test_batch_matches_scalar(self, cfg, plant_view):
-        X = sample_consistent_states(cfg, 20, seed=31)
+        X = sample_consistent_states(cfg, 20, seed=31, min_norm=1e-3)
         rng = np.random.default_rng(32)
         U = cfg.normalization().normalize_input(
             rng.uniform(cfg.u_lo, cfg.u_hi, size=(20, 1))
@@ -258,7 +246,7 @@ class TestNarxView:
         u_prev, y_cur = np.full(6, 3.64e-6), np.full(6, 0.01)
         micro = slice(1, 5)
         with pytest.raises(DomainError, match="stayed invalid down to 64 substeps"):
-            _total_step(y_prev[micro], y_prev[micro], u_prev[micro], PARAMS)
+            _total_step(y_prev[micro], y_prev[micro], u_prev[micro], DT)
         norm = cfg.normalization()
         X = norm.normalize_state(np.column_stack([y_cur, y_prev, u_prev]), cfg.dims)
         U = norm.normalize_input(np.full((6, 1), 2e-5))
@@ -270,8 +258,8 @@ class TestNarxView:
             assert_array_equal(plant_view.output_batch(X[i : i + 1], U[i : i + 1]), outputs[i : i + 1])
         neighbours = [0, 5]
         heads = (
-            twotank._previous_upper_level(y_prev, y_cur, u_prev, PARAMS),
-            bisected_upper_level(y_prev[neighbours], y_cur[neighbours], u_prev[neighbours], PARAMS),
+            twotank._previous_upper_level(y_prev, y_cur, u_prev, DT),
+            bisected_upper_level(y_prev[neighbours], y_cur[neighbours], u_prev[neighbours], DT),
         )
         for head, floor in zip(heads, (y_prev, y_prev[neighbours])):
             assert np.all((head > floor) & (head < twotank.HIDDEN_LEVEL_MAX))
@@ -290,7 +278,7 @@ class TestNarxView:
     def test_negative_level_row_raises_in_every_path(self, cfg, plant_view):
         """One row encoding a negative measured level fails the whole batch."""
         norm = cfg.normalization()
-        X = sample_consistent_states(cfg, 4, seed=35)
+        X = sample_consistent_states(cfg, 4, seed=35, min_norm=1e-3)
         X[2] = norm.normalize_state(np.array([-0.01, 0.2, 2e-5]), cfg.dims)
         U = np.zeros((4, 1))
         with pytest.raises(DomainError, match="negative measured level"):
@@ -303,7 +291,7 @@ class TestNarxView:
     def test_sweep_matches_stepwise_rollout(self, cfg, plant_view):
         """The sweep carries the hidden level; the stepwise rollout
         reconstructs it at every step from the regressor."""
-        X0 = sample_consistent_states(cfg, 3, seed=33)
+        X0 = sample_consistent_states(cfg, 3, seed=33, min_norm=1e-3)
         rng = np.random.default_rng(34)
         U_raw = rng.uniform(cfg.u_lo, cfg.u_hi, size=(3, 5, 1))
         U = cfg.normalization().normalize_input(U_raw)
@@ -441,17 +429,17 @@ class TestGenerateDataset:
 
 class TestSampling:
     def test_state_grid_sampler(self, cfg):
-        states = sample_state_grid(cfg, 40, seed=35)
+        states = sample_state_grid(cfg, 40, seed=35, min_norm=1e-3)
         assert states.shape == (40, 3)
         assert np.all(np.linalg.norm(states, axis=1) > 1e-3)
         box = state_box(cfg)
         assert np.all(states >= box.lo - 1e-12)
         assert np.all(states <= box.hi + 1e-12)
-        again = sample_state_grid(cfg, 40, seed=35)
+        again = sample_state_grid(cfg, 40, seed=35, min_norm=1e-3)
         assert_array_equal(states, again)
 
     def test_consistent_state_sampler(self, cfg):
-        states = sample_consistent_states(cfg, 30, seed=36)
+        states = sample_consistent_states(cfg, 30, seed=36, min_norm=1e-3)
         assert states.shape == (30, 3)
         assert np.all(np.linalg.norm(states, axis=1) > 1e-3)
         raw = cfg.normalization().denormalize_state(states, cfg.dims)
@@ -462,13 +450,13 @@ class TestSampling:
     def test_samplers_need_a_state(self, cfg, count):
         for sampler in (sample_state_grid, sample_consistent_states):
             with pytest.raises(ValueError, match="need at least one state"):
-                sampler(cfg, count, seed=35)
+                sampler(cfg, count, seed=35, min_norm=1e-3)
 
     @pytest.mark.parametrize(
         "sample, sampler, kept",
         [
             (lambda cfg: generate_dataset(replace(cfg, d=5)), "generate_dataset", "1 of 5"),
-            (lambda cfg: sample_consistent_states(cfg, 3, seed=1), "sample_consistent_states", "0 of 3"),
+            (lambda cfg: sample_consistent_states(cfg, 3, seed=1, min_norm=1e-3), "sample_consistent_states", "0 of 3"),
         ],
     )
     def test_a_sampler_whose_step_always_fails_stops_at_its_budget(self, monkeypatch, sample, sampler, kept):
