@@ -76,6 +76,21 @@ class TestRhs:
         with pytest.raises(DomainError, match="stayed invalid down to 64 substeps"):
             plant.step(-1e-3)
 
+    def test_params_validated(self):
+        """The sampling interval, the one parameter of the step that a
+        configuration sets, must be positive."""
+        for dt in (0.0, -1.0):
+            with pytest.raises(ValueError, match=re.escape(f"dt must be positive, got {dt}")):
+                BenchmarkConfig(dt=dt)
+
+    @pytest.mark.parametrize("name", ["dt", "h0"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_params_rejected(self, name, bad):
+        """The plant's configured settings, its interval and its initial
+        level, must be finite."""
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            BenchmarkConfig(**{name: bad})
+
 
 
 class TestRk4:
@@ -188,6 +203,16 @@ class TestHiddenLevelRecovery:
         got = reconstruct_hidden_level(0.2, 0.2, U_EQ, DT)
         assert float(got) == pytest.approx(H2_INITIAL, rel=1e-12)
 
+    def test_recovers_over_the_given_interval(self):
+        """The hidden level of a 5 s transition is recovered over 5 s; over
+        the configured 10 s the same record gives another level."""
+        h1_prev, h2_prev, u_prev = 0.22, 0.31, 2.1e-5
+        y_cur, h2_cur = two_tank_step(h1_prev, h2_prev, u_prev, 5.0)
+        got = reconstruct_hidden_level(h1_prev, float(y_cur), u_prev, 5.0)
+        assert float(got) == pytest.approx(float(h2_cur), abs=1e-9)
+        other = reconstruct_hidden_level(h1_prev, float(y_cur), u_prev, DT)
+        assert abs(float(other) - float(h2_cur)) > 1e-3
+
     def test_unreachable_target_clamps(self):
         # no upper level in the bracket pushes 0.1 up to 1.9 in one step
         got = reconstruct_hidden_level(0.1, 1.9, 3.16e-6, DT)
@@ -208,6 +233,15 @@ class TestPlant:
         h1_ref, h2_ref = two_tank_step(0.2, 0.35, 2e-5, DT)
         assert plant.h1 == pytest.approx(float(h1_ref), rel=1e-15)
         assert plant.h2 == pytest.approx(float(h2_ref), rel=1e-15)
+
+    def test_step_uses_the_configured_interval(self):
+        """The plant steps over its configuration's ``dt``."""
+        plant = TwoTankPlant(replace(CFG, dt=5.0), 0.2, 0.35)
+        plant.step(2e-5)
+        h1_ref, h2_ref = two_tank_step(0.2, 0.35, 2e-5, 5.0)
+        assert plant.h1 == pytest.approx(float(h1_ref), rel=1e-15)
+        assert plant.h2 == pytest.approx(float(h2_ref), rel=1e-15)
+        assert plant.h1 != pytest.approx(float(two_tank_step(0.2, 0.35, 2e-5, DT)[0]), rel=1e-6)
 
     def test_recovers_stage_crossing_like_the_narx_view(self):
         # Nearly equal levels and a weak pump: a single Runge-Kutta step
@@ -234,6 +268,19 @@ class TestNarxView:
         batch = plant_view.output_batch(X, U)
         singles = np.stack([plant_view.output(x, u) for x, u in zip(X, U)])
         assert_allclose(batch, singles, rtol=0.0, atol=1e-12)
+
+    def test_output_steps_over_its_interval(self, cfg, plant_view):
+        """A view built with a 5 s interval recovers the hidden level of a
+        5 s record and steps it 5 s on; the 10 s view does neither."""
+        norm = cfg.normalization()
+        h1_prev, h2_prev, u_prev, u = 0.22, 0.31, 2.1e-5, 1.2e-5
+        y_cur, h2_cur = two_tank_step(h1_prev, h2_prev, u_prev, 5.0)
+        X = norm.normalize_state(np.array([[float(y_cur), h1_prev, u_prev]]), cfg.dims)
+        U = norm.normalize_input(np.array([[u]]))
+        want = norm.normalize_output(np.array([[float(two_tank_step(y_cur, h2_cur, u, 5.0)[0])]]))
+        view = TwoTankNarxDynamics(5.0, norm, cfg.dims)
+        assert_allclose(view.output_batch(X, U), want, rtol=0.0, atol=1e-8)
+        assert not np.allclose(plant_view.output_batch(X, U), want, rtol=0.0, atol=1e-4)
 
     def test_micrometre_previous_levels_are_solved_not_raised(self, cfg, plant_view):
         """Previous levels of a micrometre or less under a weak pump,
