@@ -3,8 +3,9 @@
 For each dataset size the pipeline generates data from the plant, fits
 a kernel surrogate, estimates the proportional model-error constants,
 runs the receding-horizon loop on the real plant and certifies the
-decrease of the candidate Lyapunov function.  The two dataset sizes are
-then compared on the same initial condition.
+decrease of the candidate Lyapunov function.  Every arm starts from the
+same initial condition, so the arms' state errors (each report's
+``errors``, the steps file's ``error`` column) compare step by step.
 """
 
 from __future__ import annotations
@@ -18,12 +19,10 @@ import numpy as np
 from .fileio import (
     read_manifest,
     require_trace_config,
-    save_dataset,
     save_model,
     save_stability_report,
     save_trace,
     sha256_file,
-    write_csv,
     write_keyvalues,
 )
 from .kernels import (
@@ -201,7 +200,6 @@ class BenchmarkArm:
     """Everything produced for one dataset size."""
 
     d: int
-    dataset: object
     provenance: dict
     model: KernelInterpolant
     fit_entries: dict
@@ -216,8 +214,6 @@ class BenchmarkArm:
 class BenchmarkResult:
     cfg: BenchmarkConfig
     arms: dict[int, BenchmarkArm]
-    comparison_header: list[str]
-    comparison: np.ndarray
     outputs: list[Path] = field(default_factory=list)
 
 
@@ -260,7 +256,6 @@ def run_arm(cfg: BenchmarkConfig, d: int, b_states: int, b_horizon: int, progres
 
     return BenchmarkArm(
         d=d,
-        dataset=data,
         provenance=provenance,
         model=model,
         fit_entries=fit_entries,
@@ -270,19 +265,6 @@ def run_arm(cfg: BenchmarkConfig, d: int, b_states: int, b_horizon: int, progres
         report=report,
         timings=timings,
     )
-
-
-def comparison_table(cfg: BenchmarkConfig, arms: dict[int, BenchmarkArm]):
-    """Raw-unit output and state-error columns, one row per loop step; the
-    errors are the reports' ``errors``."""
-    steps = min(arm.trace.steps for arm in arms.values())
-    norm, ordered = cfg.normalization(), sorted(arms.items())
-    columns = {
-        "k": np.arange(steps + 1),
-        **{f"y_D{d}": norm.denormalize_state(arm.trace.states[: steps + 1], cfg.dims)[:, 0] for d, arm in ordered},
-        **{f"err_D{d}": arm.report.errors[: steps + 1] for d, arm in ordered},
-    }
-    return list(columns), np.column_stack(list(columns.values()))
 
 
 def fit_report_entries(arm: BenchmarkArm) -> dict:
@@ -303,11 +285,12 @@ def run_benchmark(cfg: BenchmarkConfig, out_dir, sizes, b_states: int, b_horizon
 
     Each size runs once.  A repeated size, a size below 1 or a growth
     grid with no state or no horizon raises ``ValueError`` before the
-    first arm runs.  Writes per size the dataset, model, fit report,
-    normalized and raw traces (each table with its sidecar) and the
-    stability report with its steps, plus the combined comparison table,
-    and returns the result, whose ``outputs`` lists the files its writers
-    returned.
+    first arm runs.  Writes each recorded value once, per size: the
+    model (whose table holds the dataset's sites and targets) with its
+    sidecar, the fit report (with the dataset's ``gen_*`` provenance), the
+    normalized trace with its sidecar, and the stability report with its
+    steps.  Returns the result, whose ``outputs`` lists the files its
+    writers returned.
     """
     repeated = [d for i, d in enumerate(sizes) if d in sizes[:i]]
     if repeated:
@@ -320,20 +303,16 @@ def run_benchmark(cfg: BenchmarkConfig, out_dir, sizes, b_states: int, b_horizon
     if b_horizon < 1:
         raise ValueError(f"b_horizon must be at least 1, got {b_horizon}")
     arms = {d: run_arm(cfg, d, b_states, b_horizon, progress) for d in sizes}
-    header, table = comparison_table(cfg, arms)
-    result = BenchmarkResult(cfg=cfg, arms=arms, comparison_header=header, comparison=table)
+    result = BenchmarkResult(cfg=cfg, arms=arms)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for d, arm in arms.items():
         result.outputs += [
-            *save_dataset(arm.dataset, out / f"dataset_D{d}.csv", cfg, arm.provenance),
             *save_model(arm.model, out / f"model_D{d}.csv", cfg),
             write_keyvalues(out / f"fit_report_D{d}.txt", fit_report_entries(arm)),
-            *save_trace(arm.trace, out / f"trace_norm_D{d}.csv", cfg, raw=False),
-            *save_trace(arm.trace, out / f"trace_raw_D{d}.csv", cfg, raw=True),
+            *save_trace(arm.trace, out / f"trace_norm_D{d}.csv", cfg),
             *save_stability_report(arm.report, out / f"stability_report_D{d}.txt", out / f"stability_steps_D{d}.csv"),
         ]
-    result.outputs.append(write_csv(out / "comparison.csv", header, table))
     return result
 
 

@@ -4,7 +4,8 @@ Subcommands
 -----------
 generate   draw an identification dataset from the two-tank plant
 fit        fit a kernel surrogate to a dataset file
-simulate   run the receding-horizon loop on the plant with a fitted model
+simulate   run the receding-horizon loop on the plant with a fitted model,
+           writing its normalized trace
 certify    build a stability certificate for a model and a recorded trace
 benchmark  run the full two-dataset comparison
 
@@ -162,10 +163,7 @@ def cmd_simulate(args) -> int:
     trace = simulate_loop(cfg, model)
     timings["closed_loop"] = time.perf_counter() - tic
     args.out.mkdir(parents=True, exist_ok=True)
-    outputs = [
-        *save_trace(trace, args.out / "trace_norm.csv", cfg, raw=False),
-        *save_trace(trace, args.out / "trace_raw.csv", cfg, raw=True),
-    ]
+    outputs = save_trace(trace, args.out / "trace_norm.csv", cfg)
     _say(args)(f"ran {trace.steps} steps; final state norm {np.linalg.norm(trace.states[-1]):.3e}")
     max_iters = make_mpc_config(cfg).solver.max_iters
     _manifest(

@@ -5,8 +5,11 @@ round-trips bit-exactly, which keeps repeated runs byte-identical under
 a fixed seed.  Datasets, fitted models and closed-loop traces are CSV
 tables with a ``.meta`` sidecar carrying the dimensions, normalization
 and settings of the benchmark configuration they were made under (see
-:func:`require_config`); dataset sidecars add the provenance.  Every
-writer returns the paths it wrote, so only this module names a sidecar.
+:func:`require_config`); dataset sidecars add the provenance.  A trace
+is written once, in the normalized units the controller works in; its
+states in physical units are ``denormalize_state`` of the normalization.
+Every writer returns the paths it wrote, so only this module names a
+sidecar.
 """
 
 from __future__ import annotations
@@ -298,43 +301,37 @@ def trace_header(dims: NarxDims) -> list[str]:
     return header
 
 
-def _trace_rows(trace: ClosedLoopTrace, raw: bool) -> np.ndarray:
+def _trace_rows(trace: ClosedLoopTrace) -> np.ndarray:
     dims = trace.dims
     if trace.steps == 0:
         return np.empty((0, len(trace_header(dims))))
-    fields = {}
-    if raw:
-        norm = trace.normalization
-        fields = {
-            "states": norm.denormalize_state(trace.states, dims),
-            "inputs": norm.denormalize_input(trace.inputs),
-            "outputs": norm.denormalize_output(trace.outputs),
-        }
     rows = trace.steps + 1
     columns = [np.arange(rows)]
     for field, _, width, _ in _trace_layout(dims):
-        values = fields.get(field, getattr(trace, field))
+        values = getattr(trace, field)
         block = np.full((rows, width or 1), np.nan)
         block[: len(values)] = np.reshape(values, (len(values), -1))
         columns.append(block)
     return np.column_stack(columns)
 
 
-def save_trace(trace: ClosedLoopTrace, path, cfg, raw: bool) -> list[Path]:
+def save_trace(trace: ClosedLoopTrace, path, cfg) -> list[Path]:
     """Write a closed-loop trace run under the benchmark configuration ``cfg``
     as CSV, one row per applied step, plus a ``.meta`` sidecar: ``[table, sidecar]``.
 
     A final diagnostic row carries the terminal state and its value.
-    With ``raw=True`` states, inputs and outputs are denormalized; the
-    scalar diagnostics keep their normalized meaning.  The sidecar's
-    ``units`` entry (``raw`` or ``normalized``) records which table this
-    is, since both have the same header.  The sidecar records ``cfg``, so a
-    trace that :func:`require_trace_config` refuses under ``cfg`` raises
-    ``ConfigError`` naming the key, and nothing is written.
+    Every column is in the normalized coordinates the controller works
+    in; ``cfg.normalization().denormalize_state(trace.states, cfg.dims)``
+    gives the states in physical units.  The sidecar's ``units`` entry is
+    ``normalized``, which :func:`load_trace` requires: the raw tables that
+    older versions wrote beside it have the same header.  The sidecar
+    records ``cfg``, so a trace that :func:`require_trace_config` refuses
+    under ``cfg`` raises ``ConfigError`` naming the key, and nothing is
+    written.
     """
     entries = require_trace_config(trace, cfg, where=f"trace for {path}")
-    table = write_csv(path, trace_header(trace.dims), _trace_rows(trace, raw))
-    meta = {"format": "narxmpc-trace-v1", "units": "raw" if raw else "normalized", **entries}
+    table = write_csv(path, trace_header(trace.dims), _trace_rows(trace))
+    meta = {"format": "narxmpc-trace-v1", "units": "normalized", **entries}
     return [table, write_keyvalues(_sidecar(path), meta)]
 
 
@@ -396,17 +393,16 @@ _REPORT_KEYS = (
 
 
 def save_stability_report(report, path_txt, path_csv) -> list[Path]:
-    """Write a stability report as key=value and its per-step CSV, whose
-    ``model_error`` column is NaN where the report has no model errors;
-    returns ``[report, steps]``."""
+    """Write a stability report, whose model errors :func:`bench.check_model_errors`
+    has filled, as key=value and its per-step CSV ``k, state_norm, error,
+    delta, model_error``; returns ``[report, steps]``.  The values ``V``,
+    ``W`` and ``Y`` behind the decrease are the trace's columns."""
     entries = {key: getattr(report, name) for key, name in _REPORT_KEYS}
     entries = {key: value for key, value in entries.items() if value is not None}
     k = np.arange(report.state_norms.shape[0])
     deltas = np.concatenate([report.deltas, [np.nan]])
-    model_errors = np.full(k.size, np.nan) if report.model_errors is None else report.model_errors
-    columns = [report.state_norms, report.errors, report.values, report.storage_values, report.lyapunov]
-    rows = np.column_stack([k, *columns, deltas, model_errors])
-    header = ["k", "state_norm", "error", "V", "W", "Y", "delta", "model_error"]
+    rows = np.column_stack([k, report.state_norms, report.errors, deltas, report.model_errors])
+    header = ["k", "state_norm", "error", "delta", "model_error"]
     return [write_keyvalues(path_txt, entries), write_csv(path_csv, header, rows)]
 
 

@@ -223,9 +223,6 @@ class AffineNormalization:
     def normalize_output(self, y: np.ndarray) -> np.ndarray:
         return (np.asarray(y, dtype=float) - self.y_ref) / self.y_scale
 
-    def denormalize_output(self, y: np.ndarray) -> np.ndarray:
-        return np.asarray(y, dtype=float) * self.y_scale + self.y_ref
-
     def normalize_input(self, u: np.ndarray) -> np.ndarray:
         return (np.asarray(u, dtype=float) - self.u_ref) / self.u_scale
 

@@ -221,8 +221,8 @@ class StabilityReport:
     the first checked step at which ``Y`` does not decrease.
     ``decay_r2`` is the coefficient of determination of a least-squares
     line through the log state errors over the initial transient.
-    ``values`` are the optimal values V of the trace as the solver
-    returned them, and ``lyapunov`` is ``V + W``.  The
+    ``deltas`` are the step-to-step changes of ``Y = V + W``, from the
+    trace's optimal values V as the solver returned them.  The
     growth-bound fields ``gamma_bar``, ``min_horizon_value``,
     ``horizon_sufficient``, ``b_values`` and ``growth_failures`` are
     filled when an estimate is supplied.  ``horizon_sufficient``
@@ -248,9 +248,6 @@ class StabilityReport:
     decay_r2: float
     state_norms: np.ndarray
     errors: np.ndarray
-    values: np.ndarray
-    lyapunov: np.ndarray
-    storage_values: np.ndarray
     deltas: np.ndarray
     horizon: int
     model_tag: str = ""
@@ -371,9 +368,6 @@ def verify_decrease(
         decay_r2=decay_r2(errors),
         state_norms=norms,
         errors=errors,
-        values=trace.values,
-        lyapunov=y_vals,
-        storage_values=w_vals,
         deltas=deltas,
         horizon=trace.horizon,
         model_tag=model_tag,

@@ -73,8 +73,7 @@ class TestAcceptance:
         have settled, their last errors are rounding noise of 1e-16 to
         1e-15 m and their order says nothing about the models."""
         result, elapsed = benchmark_run
-        header, table = result.comparison_header, result.comparison
-        err = {d: table[:, header.index(f"err_D{d}")] for d in (101, 2501)}
+        err = {d: result.arms[d].report.errors for d in (101, 2501)}
         ratio = {d: err[d][-1] / err[d][0] for d in (101, 2501)}
         settle = {d: _first_step_below(err[d], LEVEL_TOLERANCE) for d in (101, 2501)}
         r2 = {d: result.arms[d].report.decay_r2 for d in (101, 2501)}

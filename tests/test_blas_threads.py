@@ -41,18 +41,13 @@ REFERENCE_ALPHA = 0.20961992904105836
 #: SHA-256 of every file that ``narxmpc benchmark --only-D 101`` writes
 #: besides ``manifest.json``.
 REFERENCE_BUNDLE_D101 = {
-    "comparison.csv": "0f814b8ca8d50394b21d63e26760b28e7658ae00f6162c39532889f3ba6ca45d",
-    "dataset_D101.csv": "8ed3f9e93f4c29608f5a5ee485abc8cea5d12761e14a1456a58c6db5dbcf099a",
-    "dataset_D101.csv.meta": "48d42d06552847a887dc34547e729dfd6c1a06c01b8a643b8abcd55e93eab329",
     "fit_report_D101.txt": "23c521135e6b98307dd5b3925d006c4321a4369346ac92b3ffddb8980fd2738d",
     "model_D101.csv": "1a422b1d48f2d781725d4e4e2b18321665de4d98165f591fc7997e530a7757da",
     "model_D101.csv.meta": "ad1d31dbf1d5b25e0b7ced46139ce2813b187331c011f223bb22759d34a8025c",
     "stability_report_D101.txt": "4c69d79aa809beaaa1b83a8a388695d4cb996c1be4d1d215c4cc4882270b20a5",
-    "stability_steps_D101.csv": "e7da1c8302575c94b1401ad52360257730e14f6921812304b971d6e396b1b4c1",
+    "stability_steps_D101.csv": "996a47d853151e2b8286a11998fc3884e8d114c1dbb285e7cf208904bd634219",
     "trace_norm_D101.csv": "b87dd90d6bdfcd09fe6259f1ed1b9d87dd7211ad0d6d99f3dd60fc4d7f4fc001",
     "trace_norm_D101.csv.meta": "f8357d4271ece66e7da03a759f72f97f1c0bf60267110982828391086095a9de",
-    "trace_raw_D101.csv": "ebb90020c4a4b7c29bc3f82bc9fbdd9f725b9fb32ac152df4c310f7a3ac936f6",
-    "trace_raw_D101.csv.meta": "00b2ff1aaaaccfeb49feed384ba844afd1ea69a34b66841408954056792cba07",
 }
 
 EPISODE = """

@@ -52,6 +52,18 @@ def workspace(tmp_path_factory):
     return root
 
 
+def _old_raw_trace(out: Path) -> Path:
+    """``out/trace_raw.csv``, as older versions of ``simulate`` wrote it
+    beside ``out/trace_norm.csv``: a table with the normalized trace's
+    header, whose sidecar records ``units = raw``."""
+    raw = out / "trace_raw.csv"
+    raw.write_text((out / "trace_norm.csv").read_text())
+    meta = (out / "trace_norm.csv.meta").read_text()
+    assert "units = normalized\n" in meta
+    (out / "trace_raw.csv.meta").write_text(meta.replace("units = normalized\n", "units = raw\n"))
+    return raw
+
+
 class TestParsing:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -416,9 +428,7 @@ class TestSimulate:
             ]
         )
         assert code == 0
-        for name in ("trace_norm.csv", "trace_raw.csv"):
-            text = (tmp_path / name).read_text()
-            assert text.count("\n") == 1
+        assert (tmp_path / "trace_norm.csv").read_text().count("\n") == 1
 
     def test_short_run_writes_trace(self, workspace, tmp_path):
         config = tmp_path / "cfg.txt"
@@ -436,9 +446,11 @@ class TestSimulate:
         header, table = read_csv(tmp_path / "trace_norm.csv")
         assert table.shape[0] == 3
         assert header[0] == "k"
-        _, raw = read_csv(tmp_path / "trace_raw.csv")
-        # the raw trace reports physical levels near the starting record
-        assert 0.1 < raw[0, 1] < 0.3
+        cfg = BenchmarkConfig(horizon=5)
+        trace = load_trace(tmp_path / "trace_norm.csv", cfg.dims, cfg.horizon, cfg.normalization())
+        # In physical units the trace starts at levels near the starting record.
+        raw = cfg.normalization().denormalize_state(trace.states, cfg.dims)
+        assert 0.1 < raw[0, 0] < 0.3
 
     def test_manifest_records_the_run(self, workspace, tmp_path):
         config = tmp_path / "cfg.txt"
@@ -502,14 +514,9 @@ class TestSimulate:
         assert "injected failure" in err
         _, table = read_csv(tmp_path / "trace_norm.csv")
         assert table.shape[0] == 2
-        assert (tmp_path / "trace_raw.csv").exists()
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert set(manifest["outputs"]) == {
-            "trace_norm.csv",
-            "trace_norm.csv.meta",
-            "trace_raw.csv",
-            "trace_raw.csv.meta",
-        }
+        assert set(manifest["outputs"]) == {"trace_norm.csv", "trace_norm.csv.meta"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt", "manifest.json", *manifest["outputs"]]
 
 
 class TestCertify:
@@ -526,15 +533,15 @@ class TestCertify:
 
     def test_every_sidecar_is_checked_before_the_model_is_refit(self, workspace, tmp_path, capsys, monkeypatch):
         """``simulate`` and ``certify`` refuse a model or trace of another
-        configuration, and ``certify`` a raw trace, with exit code 1 before
-        the model's refit runs."""
+        configuration, and ``certify`` an older version's raw trace, with exit
+        code 1 before the model's refit runs."""
         self._simulate(workspace, tmp_path, steps="2")
         config = tmp_path / "cfg.txt"
         config.write_text("u_hi = 3e-5\n")
         fits = []
         monkeypatch.setattr(narxmpc.fileio, "fit_interpolant", lambda *args: fits.append(args))
         model, other, out = str(workspace / "model.csv"), ["--config", str(config)], ["--out", str(tmp_path / "out")]
-        norm, raw = str(tmp_path / "trace_norm.csv"), str(tmp_path / "trace_raw.csv")
+        norm, raw = str(tmp_path / "trace_norm.csv"), str(_old_raw_trace(tmp_path))
         for argv, message in (
             (["simulate", "--model", model, "--steps", "2", *other, *out], "model.csv: u_scale = "),
             (["certify", "--model", model, "--trace", norm, *other, *out], "model.csv: u_scale = "),
@@ -624,12 +631,12 @@ class TestCertify:
         [("trace_raw.csv", "raw"), ("trace_norm.csv", "(not recorded)")],
     )
     def test_trace_not_in_normalized_units_is_rejected(self, workspace, tmp_path, capsys, table, units):
-        """The physical-unit table has the normalized table's header; its
-        sidecar's ``units`` entry tells them apart, and a sidecar without
-        the entry is rejected too."""
+        """An older version's physical-unit table has the normalized table's
+        header; its sidecar's ``units`` entry tells them apart, and a
+        sidecar without the entry is rejected too."""
         self._simulate(workspace, tmp_path, steps="2")
         assert read_keyvalues(tmp_path / "trace_norm.csv.meta")["units"] == "normalized"
-        assert read_keyvalues(tmp_path / "trace_raw.csv.meta")["units"] == "raw"
+        _old_raw_trace(tmp_path)
         meta = tmp_path / f"{table}.meta"
         if units == "(not recorded)":
             lines = meta.read_text().splitlines()
@@ -836,23 +843,18 @@ class TestBenchmark:
         )
         assert code == 0
         assert "D=101: decrease_verified" in capsys.readouterr().out
-        header, table = read_csv(out / "comparison.csv")
-        assert header == ["k", "y_D101", "err_D101"]
-        assert table.shape[0] == 13
-        # The state error is the stability report's, step for step.
-        steps_header, steps = read_csv(out / "stability_steps_D101.csv")
-        assert_array_equal(table[:, 2], steps[: table.shape[0], steps_header.index("error")])
-        for name in (
-            "dataset_D101.csv",
-            "model_D101.csv",
+        _, steps = read_csv(out / "stability_steps_D101.csv")
+        assert steps.shape[0] == 13
+        assert sorted(p.name for p in out.iterdir()) == [
             "fit_report_D101.txt",
-            "trace_norm_D101.csv",
-            "trace_raw_D101.csv",
+            "manifest.json",
+            "model_D101.csv",
+            "model_D101.csv.meta",
             "stability_report_D101.txt",
             "stability_steps_D101.csv",
-            "manifest.json",
-        ):
-            assert (out / name).exists(), name
+            "trace_norm_D101.csv",
+            "trace_norm_D101.csv.meta",
+        ]
 
     def test_failed_closed_loop_exits_1_and_writes_the_bundle(self, tmp_path, capsys, monkeypatch):
         real_output = narxmpc.twotank.TwoTankPlant.output
@@ -934,7 +936,7 @@ class TestBenchmark:
         args = ["--config", str(config), "--only-D", "21", "--b-states", "2", "--b-horizon", "1"]
         assert main(["benchmark", *args, "--out", str(out)]) in (0, 2)
         outputs = json.loads((out / "manifest.json").read_text())["outputs"]
-        tables = [f"{stem}_D21.csv" for stem in ("dataset", "model", "trace_norm", "trace_raw")]
+        tables = [f"{stem}_D21.csv" for stem in ("model", "trace_norm")]
         assert sorted(outputs) == sorted(
             [
                 *tables,
@@ -942,7 +944,6 @@ class TestBenchmark:
                 "fit_report_D21.txt",
                 "stability_report_D21.txt",
                 "stability_steps_D21.csv",
-                "comparison.csv",
             ]
         )
         assert bundle_digests(out) == outputs == {name: sha256_file(out / name) for name in outputs}
@@ -1003,16 +1004,18 @@ class TestBenchmark:
         assert "at_equilibrium" not in captured.out
         assert captured.err.startswith("error: ") and "no applied step" in captured.err
 
-    def test_steps_carry_the_trace_values(self, cfg, tmp_path):
-        """The V column of the steps file is the solver's value, as in the
-        trace file, not Y - W recomputed with rounding, and its
-        ``model_error`` column holds the model errors behind the report's
-        ``trace_bound_ratio``."""
+    def test_steps_hold_the_report_columns(self, cfg, tmp_path):
+        """The steps file holds what the report computed, and the trace file
+        what the loop recorded: the ``delta`` column is the step-to-step
+        change of the trace file's ``Y``, and the ``model_error`` column
+        holds the model errors behind the report's ``trace_bound_ratio``."""
         small = replace(cfg, steps=12)
         result = run_benchmark(small, out_dir=tmp_path, sizes=(101,), b_states=2, b_horizon=1, progress=quiet)
         trace_header, trace = read_csv(tmp_path / "trace_norm_D101.csv")
         steps_header, steps = read_csv(tmp_path / "stability_steps_D101.csv")
-        assert_array_equal(steps[:, steps_header.index("V")], trace[:, trace_header.index("V")])
+        assert steps_header == ["k", "state_norm", "error", "delta", "model_error"]
+        assert_array_equal(steps[:-1, steps_header.index("delta")], np.diff(trace[:, trace_header.index("Y")]))
+        assert np.isnan(steps[-1, steps_header.index("delta")])
         # The one-step model errors, which the report's ratios read.
         assert_array_equal(steps[:, steps_header.index("model_error")], result.arms[101].report.model_errors)
         report = read_keyvalues(tmp_path / "stability_report_D101.txt")
@@ -1078,9 +1081,11 @@ class TestBenchmark:
 
     def test_cli_chain_writes_the_bundle_files(self, tmp_path):
         """generate, fit, simulate and certify run the stages of benchmark:
-        each writes the bytes of the matching bundle file.  certify has no
-        error constants, so its report is the bundle's without the two
-        lines that read them."""
+        each writes the bytes of the matching bundle file.  The bundle holds
+        no dataset: the generated one has the bundle model's sites and
+        targets, bit for bit, the model sidecar's entries and the fit
+        report's ``gen_*`` provenance.  certify has no error constants, so
+        its report is the bundle's without the two lines that read them."""
         config = tmp_path / "cfg.txt"
         config.write_text("D = 21\nsteps = 4\n")
         grid = ["--b-states", "4", "--b-horizon", "2"]
@@ -1096,18 +1101,23 @@ class TestBenchmark:
         ):
             assert main(argv) == 0, argv[0]
         pairs = {
-            "dataset_D21.csv": "dataset_D21.csv",
-            "dataset_D21.csv.meta": "dataset_D21.csv.meta",
             "model_D21.csv": "model.csv",
             "model_D21.csv.meta": "model.csv.meta",
             "trace_norm_D21.csv": "trace_norm.csv",
-            "trace_raw_D21.csv": "trace_raw.csv",
             "trace_norm_D21.csv.meta": "trace_norm.csv.meta",
-            "trace_raw_D21.csv.meta": "trace_raw.csv.meta",
             "stability_steps_D21.csv": "stability_steps.csv",
         }
         for in_bundle, in_chain in pairs.items():
             assert (bundle / in_bundle).read_bytes() == (chain / in_chain).read_bytes(), in_chain
+        data_header, data = read_csv(chain / "dataset_D21.csv")
+        model_header, model_table = read_csv(bundle / "model_D21.csv")
+        assert model_header[: len(data_header)] == data_header
+        assert model_table[:, : len(data_header)].tobytes() == data.tobytes()
+        data_meta = read_keyvalues(chain / "dataset_D21.csv.meta")
+        provenance = {key: value for key, value in data_meta.items() if key.startswith("gen_")}
+        described = {key: value for key, value in data_meta.items() if key not in provenance and key != "format"}
+        assert provenance and described.items() <= read_keyvalues(bundle / "model_D21.csv.meta").items()
+        assert provenance.items() <= read_keyvalues(bundle / "fit_report_D21.txt").items()
         lines = (bundle / "stability_report_D21.txt").read_text().splitlines(keepends=True)
         bound = [line for line in lines if line.startswith(("trace_bound_ratio = ", "error_bound_on_trace = "))]
         assert len(bound) == 2

@@ -24,6 +24,7 @@ from narxmpc import (
     storage_matrix,
     verify_decrease,
 )
+from narxmpc.bench import check_model_errors
 from oracles import FunctionDynamics
 from narxmpc.fileio import (
     ConfigError,
@@ -53,12 +54,15 @@ WEIGHTS = StageCostWeights(Q=1.0, R=0.1)
 NORM = BenchmarkConfig().normalization()
 
 
+#: The plant and model of :func:`_linear_closed_loop`.
+LINEAR = FunctionDynamics(
+    DIMS,
+    lambda x, u: np.array([0.8 * x[0] + 0.5 * u[0]]),
+    jacobian_fn=lambda x, u: (np.array([[0.8, 0.0, 0.0]]), np.array([[0.5]])),
+)
+
+
 def _linear_closed_loop(steps: int = 4):
-    f = FunctionDynamics(
-        DIMS,
-        lambda x, u: np.array([0.8 * x[0] + 0.5 * u[0]]),
-        jacobian_fn=lambda x, u: (np.array([[0.8, 0.0, 0.0]]), np.array([[0.5]])),
-    )
     cfg = MpcConfig(
         horizon=4,
         weights=WEIGHTS,
@@ -67,9 +71,17 @@ def _linear_closed_loop(steps: int = 4):
     )
     storage = storage_matrix(DIMS, WEIGHTS)
     return run_closed_loop(
-        f, f, cfg, np.array([0.5, 0.0, 0.0]), steps=steps,
+        LINEAR, LINEAR, cfg, np.array([0.5, 0.0, 0.0]), steps=steps,
         storage_matrix=storage.P, normalization=NORM,
     )
+
+
+def _linear_report(trace):
+    """The report that a command saves for ``trace``: the decrease check,
+    with the model errors of :data:`LINEAR` filled in."""
+    report = verify_decrease(trace, storage_matrix(DIMS, WEIGHTS))
+    check_model_errors(report, LINEAR, trace, None)
+    return report
 
 
 class TestFloatFormat:
@@ -353,7 +365,7 @@ class TestTraceIo:
     def test_round_trip(self, trace_cfg, tmp_path):
         trace = _linear_closed_loop(steps=4)
         path = tmp_path / "trace.csv"
-        save_trace(trace, path, trace_cfg, raw=False)
+        save_trace(trace, path, trace_cfg)
         back = load_trace(path, DIMS, 4, NORM)
         assert back.steps == 4
         assert_array_equal(back.states, trace.states)
@@ -369,7 +381,7 @@ class TestTraceIo:
 
     def test_sidecar_without_weights_is_rejected(self, trace_cfg, tmp_path):
         path = tmp_path / "trace.csv"
-        save_trace(_linear_closed_loop(steps=2), path, trace_cfg, raw=False)
+        save_trace(_linear_closed_loop(steps=2), path, trace_cfg)
         meta = read_keyvalues(tmp_path / "trace.csv.meta")
         write_keyvalues(tmp_path / "trace.csv.meta", {key: value for key, value in meta.items() if key != "R"})
         with pytest.raises(ConfigError, match="trace.csv: sidecar is missing the R entry"):
@@ -378,7 +390,7 @@ class TestTraceIo:
     def test_terminal_diagnostic_row(self, trace_cfg, tmp_path):
         trace = _linear_closed_loop(steps=3)
         path = tmp_path / "trace.csv"
-        save_trace(trace, path, trace_cfg, raw=False)
+        save_trace(trace, path, trace_cfg)
         header, table = read_csv(path)
         assert header == trace_header(DIMS)
         assert table.shape[0] == 4
@@ -389,35 +401,27 @@ class TestTraceIo:
     def test_empty_trace_is_header_only(self, trace_cfg, tmp_path):
         trace = _linear_closed_loop(steps=0)
         path = tmp_path / "trace.csv"
-        save_trace(trace, path, trace_cfg, raw=False)
+        save_trace(trace, path, trace_cfg)
         back = load_trace(path, DIMS, 4, NORM)
         assert back.steps == 0
         assert path.read_text().count("\n") == 1
 
-    def test_raw_save_denormalizes(self, trace_cfg, tmp_path):
-        trace = _linear_closed_loop(steps=2)
-        norm_path = tmp_path / "norm.csv"
-        raw_path = tmp_path / "raw.csv"
-        save_trace(trace, norm_path, trace_cfg, raw=False)
-        save_trace(trace, raw_path, trace_cfg, raw=True)
-        _, norm_table = read_csv(norm_path)
-        _, raw_table = read_csv(raw_path)
-        raw_states = trace_cfg.normalization().denormalize_state(trace.states, DIMS)
-        assert_allclose(raw_table[:, 1 : 1 + DIMS.n], raw_states, rtol=1e-12)
-        assert not np.allclose(raw_table[:, 1], norm_table[:, 1])
-
     def test_a_raw_trace_does_not_load(self, trace_cfg, tmp_path):
-        """The physical-unit table has the normalized table's header; its
-        sidecar's ``units`` entry keeps it from loading as normalized."""
+        """Older versions wrote a physical-unit table beside the normalized
+        one, with the same header and ``units = raw`` in its sidecar; that
+        entry keeps it from loading as normalized."""
         path = tmp_path / "raw.csv"
-        save_trace(_linear_closed_loop(steps=2), path, trace_cfg, raw=True)
+        save_trace(_linear_closed_loop(steps=2), path, trace_cfg)
+        meta = read_keyvalues(tmp_path / "raw.csv.meta")
+        assert meta["units"] == "normalized"
+        write_keyvalues(tmp_path / "raw.csv.meta", {**meta, "units": "raw"})
         with pytest.raises(ConfigError, match=re.escape(f"{path}: trace units = raw;")):
             load_trace(path, DIMS, 4, NORM)
 
     def test_header_mismatch_detected(self, trace_cfg, tmp_path):
         trace = _linear_closed_loop(steps=2)
         path = tmp_path / "trace.csv"
-        save_trace(trace, path, trace_cfg, raw=False)
+        save_trace(trace, path, trace_cfg)
         with pytest.raises(ConfigError, match="header"):
             load_trace(path, NarxDims(p=1, m=1, nu=3), 4, NORM)
 
@@ -441,9 +445,9 @@ class TestTraceIo:
             cases.append((trace_cfg, replace(trace, normalization=other), f"{name} = "))
         for cfg, bad, entry in cases:
             with pytest.raises(ConfigError, match=re.escape(f"trace for {path}: {entry}")):
-                save_trace(bad, path, cfg, raw=False)
+                save_trace(bad, path, cfg)
             assert not path.exists()
-        save_trace(trace, path, trace_cfg, raw=False)
+        save_trace(trace, path, trace_cfg)
         assert read_keyvalues(path.with_suffix(".csv.meta"))["N"] == "4"
 
 
@@ -461,7 +465,7 @@ class TestRequireConfig:
         was written under: ``cfg``, at horizon 4 for the trace."""
         if artifact == "trace":
             cfg = replace(cfg, horizon=4)
-            save_trace(_linear_closed_loop(steps=2), path, cfg, raw=False)
+            save_trace(_linear_closed_loop(steps=2), path, cfg)
             return cfg
         data, _ = generate_dataset(replace(cfg, d=5))
         if artifact == "dataset":
@@ -523,7 +527,7 @@ class TestSidecarRule:
         trace_cfg = replace(cfg, horizon=4)
         norm = cfg.normalization()
         if artifact == "trace":
-            save_trace(_linear_closed_loop(steps=2), path, trace_cfg, raw=False)
+            save_trace(_linear_closed_loop(steps=2), path, trace_cfg)
             load = partial(load_trace, path, DIMS, 4, norm)
         else:
             data, _ = generate_dataset(replace(cfg, d=5))
@@ -554,7 +558,7 @@ class TestSidecarRule:
         path = tmp_path / f"{artifact}.csv"
         norm = cfg.normalization()
         if artifact == "trace":
-            save_trace(_linear_closed_loop(steps=2), path, replace(cfg, horizon=4), raw=False)
+            save_trace(_linear_closed_loop(steps=2), path, replace(cfg, horizon=4))
             load = partial(load_trace, path, DIMS, 4, norm)
         else:
             data, _ = generate_dataset(replace(cfg, d=5))
@@ -572,11 +576,7 @@ class TestSidecarRule:
 
 class TestStabilityReportIo:
     def test_keys_and_steps(self, tmp_path):
-        from narxmpc import verify_decrease
-
-        trace = _linear_closed_loop(steps=6)
-        storage = storage_matrix(DIMS, WEIGHTS)
-        report = verify_decrease(trace, storage)
+        report = _linear_report(_linear_closed_loop(steps=6))
         txt = tmp_path / "report.txt"
         csv = tmp_path / "steps.csv"
         save_stability_report(report, txt, csv)
@@ -585,12 +585,12 @@ class TestStabilityReportIo:
         assert float(entries["alpha"]) == report.alpha
         assert int(entries["steps"]) == report.steps
         header, table = read_csv(csv)
-        assert header == ["k", "state_norm", "error", "V", "W", "Y", "delta", "model_error"]
+        assert header == ["k", "state_norm", "error", "delta", "model_error"]
         assert table.shape[0] == report.state_norms.shape[0]
-        # verify_decrease alone computes no model errors.
-        assert np.isnan(table[:, 7]).all()
-        # Y = V + W in every row
-        assert_allclose(table[:, 5], table[:, 3] + table[:, 4], rtol=1e-12)
+        assert_array_equal(table[:, 1], report.state_norms)
+        assert_array_equal(table[:, 2], report.errors)
+        assert_array_equal(table[:, 3], np.append(report.deltas, np.nan))
+        assert_array_equal(table[:, 4], report.model_errors)
 
 
 class TestManifestAndConfig:
@@ -607,13 +607,13 @@ class TestManifestAndConfig:
         data, provenance = generate_dataset(replace(cfg, d=5))
         model = fit_interpolant(KernelSpec(input_dim=data.sites.shape[1], lengthscale=cfg.sigma), data)
         trace = _linear_closed_loop(steps=2)
-        report = verify_decrease(trace, storage_matrix(DIMS, WEIGHTS))
+        report = _linear_report(trace)
         writers = {
             "table.csv": lambda path: [write_csv(path, ["a"], np.ones((1, 1)))],
             "values.txt": lambda path: [write_keyvalues(path, {"a": 1})],
             "dataset.csv": lambda path: save_dataset(data, path, cfg, provenance),
             "model.csv": lambda path: save_model(model, path, cfg),
-            "trace.csv": lambda path: save_trace(trace, path, replace(cfg, horizon=4), raw=False),
+            "trace.csv": lambda path: save_trace(trace, path, replace(cfg, horizon=4)),
             "report_and_steps.txt": lambda path: save_stability_report(report, path, path.with_name("steps.csv")),
         }
         for name, write in writers.items():

@@ -3,14 +3,15 @@
 ``scipy.stats`` alone took more than half of the package's import time,
 and the package needs none of it (the Halton points come from
 :class:`narxmpc.twotank.ScrambledHalton`).  The package inits of
-``scipy.linalg`` and ``scipy.spatial`` took most of the rest, so
-:mod:`narxmpc._compiled` loads only the three compiled modules whose
+``scipy.linalg`` and ``scipy.spatial`` took most of the rest, and the
+init of ``scipy`` itself loads its test runner, with ``subprocess`` and
+``sysconfig``.  So :mod:`narxmpc._compiled` finds scipy's directory
+without importing scipy, loads only the three compiled modules whose
 functions the package calls, and leaves them out of ``sys.modules`` once
 it has taken the functions.  The checks run in fresh interpreters,
-because this suite itself imports those packages: one runs a whole small
-``narxmpc benchmark`` and then finds none of them loaded, nor any of their
-submodules, so a package that a command reaches only at its first call
-would fail it too.
+because this suite itself imports scipy: one runs a whole small
+``narxmpc benchmark`` and then finds no scipy module loaded, so a module
+that a command reaches only at its first call would fail it too.
 
 ``pyproject.toml`` declares ``numpy>=2.0`` and ``scipy>=1.13``, but the
 suite runs on one installed NumPy and one scipy.  So the package's names
@@ -63,8 +64,6 @@ NUMPY_PRIVATE = {
 #: table of ``narxmpc._compiled``, must be added here, after checking that
 #: 1.13 has it.
 SCIPY_NAMES = {
-    # The directory in which narxmpc._compiled finds the modules below.
-    "scipy.__path__",
     # The LAPACK and BLAS wrappers that scipy.linalg.lapack and
     # scipy.linalg.blas export, taken from the private modules that hold
     # them; test_the_loaded_functions_are_scipys_own checks that they are
@@ -81,10 +80,10 @@ SCIPY_NAMES = {
     "scipy.spatial._distance_pybind.cdist_euclidean",
 }
 
-#: scipy packages that ``narxmpc`` leaves unimported, together with all of
-#: their submodules: the three that ``narxmpc._compiled`` loads leave
+#: Packages that ``narxmpc`` leaves unimported, together with all of their
+#: submodules: the three that ``narxmpc._compiled`` loads leave
 #: ``sys.modules`` once their functions are bound.
-UNLOADED = ("scipy.linalg", "scipy.spatial", "scipy.special", "scipy.sparse", "scipy.stats")
+UNLOADED = ("scipy",)
 
 _PROBE = """
 import json, sys
@@ -97,9 +96,9 @@ print(json.dumps({"file": narxmpc.__file__, "code": code, "modules": sorted(sys.
 
 
 def test_package_and_cli_import_without_scipy_stats(tmp_path):
-    """After the import and a whole small ``narxmpc benchmark``, none of the
-    scipy packages is loaded, nor any of their submodules: not even the
-    three compiled modules whose functions the package holds."""
+    """After the import and a whole small ``narxmpc benchmark``, no scipy
+    module is loaded: not scipy's package init, and not even the three
+    compiled modules whose functions the package holds."""
     config = tmp_path / "cfg.txt"
     config.write_text("steps = 6\n")
     proc = subprocess.run(
@@ -232,14 +231,14 @@ def test_the_listed_private_numpy_names_are_in_the_installed_numpy():
         assert hasattr(importlib.import_module(module), attr), name
 
 
-def _scipy_names() -> dict[str, list[str]]:
-    """Every scipy name that ``src/narxmpc`` uses, dotted from ``scipy``,
-    with the places that use it: ``from scipy.<module> import <name>`` and
-    ``<alias>.<attribute>...`` under any alias of ``import scipy`` or
-    ``import scipy.<module>``."""
+def _scipy_names(sources: dict[str, str]) -> dict[str, list[str]]:
+    """Every scipy name that the ``sources`` (file name to text) use,
+    dotted from ``scipy``, with the places that use it: ``from
+    scipy.<module> import <name>`` and ``<alias>.<attribute>...`` under
+    any alias of ``import scipy`` or ``import scipy.<module>``."""
     used: dict[str, list[str]] = {}
-    for path in sorted((SRC / "narxmpc").glob("*.py")):
-        tree = ast.parse(path.read_text())
+    for file, text in sources.items():
+        tree = ast.parse(text)
         aliases = {
             alias.asname or alias.name.split(".")[0]: alias.name if alias.asname else "scipy"
             for node in ast.walk(tree)
@@ -252,7 +251,7 @@ def _scipy_names() -> dict[str, list[str]]:
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
                 for alias in node.names:
-                    used.setdefault(f"{node.module}.{alias.name}", []).append(f"{path.name}:{node.lineno}")
+                    used.setdefault(f"{node.module}.{alias.name}", []).append(f"{file}:{node.lineno}")
             elif isinstance(node, ast.Attribute) and id(node) not in inner:
                 chain, base = [], node
                 while isinstance(base, ast.Attribute):
@@ -260,16 +259,19 @@ def _scipy_names() -> dict[str, list[str]]:
                     base = base.value
                 if isinstance(base, ast.Name) and base.id in aliases:
                     name = ".".join([aliases[base.id], *reversed(chain)])
-                    used.setdefault(name, []).append(f"{path.name}:{node.lineno}")
+                    used.setdefault(name, []).append(f"{file}:{node.lineno}")
     return used
 
 
 def test_every_scipy_name_is_on_the_list_of_the_declared_floor():
     assert '"scipy>=1.13"' in (ROOT / "pyproject.toml").read_text()
-    used = _scipy_names()
-    # scipy.__path__, which the loader reads, shows that the scan sees the
-    # package's scipy names.
-    assert "scipy.__path__" in used
+    # The scan sees a scipy name under an alias and in an import.
+    probe = "import scipy.linalg as la\nfrom scipy.spatial import distance\nla.lapack.dpotrf(a)\n"
+    assert _scipy_names({"probe.py": probe}) == {
+        "scipy.spatial.distance": ["probe.py:2"],
+        "scipy.linalg.lapack.dpotrf": ["probe.py:3"],
+    }
+    used = _scipy_names({path.name: path.read_text() for path in sorted((SRC / "narxmpc").glob("*.py"))})
     for module, function in FUNCTIONS:
         used.setdefault(f"{module}.{function}", []).append("_compiled.py:FUNCTIONS")
     unlisted = {name: places for name, places in used.items() if name not in SCIPY_NAMES}

@@ -139,8 +139,8 @@ class TestRollout:
     def test_plant_view_fixed_point(self, cfg, plant_view):
         """Constant equilibrium input holds the equilibrium output."""
         x0 = cfg.equilibrium_regressor()
-        _, outputs = _rollout(plant_view, x0, np.zeros((10, 1)))
-        raw = cfg.normalization().denormalize_output(outputs)
+        states, _ = _rollout(plant_view, x0, np.zeros((10, 1)))
+        raw = cfg.normalization().denormalize_state(states, cfg.dims)[:, 0]
         h1_eq, _ = cfg.equilibrium
         assert np.max(np.abs(raw - h1_eq)) < 1e-6
 
@@ -153,12 +153,11 @@ class TestRollout:
         x0 = norm.normalize_state(np.array([float(y_cur), h1_prev, u_prev]), cfg.dims)
         u_raw = rng.uniform(cfg.u_lo, cfg.u_hi, size=(6, 1))
         u_seq = norm.normalize_input(u_raw)
-        _, outputs = _rollout(plant_view, x0, u_seq)
+        states, _ = _rollout(plant_view, x0, u_seq)
         plant = TwoTankPlant(cfg, float(y_cur), float(h2_cur))
         direct = [plant.step(u) for u in u_raw.ravel()]
-        assert_allclose(
-            norm.denormalize_output(outputs).ravel(), direct, rtol=0.0, atol=1e-10
-        )
+        # The newest output is the first entry of the next regressor.
+        assert_allclose(norm.denormalize_state(states[1:], cfg.dims)[:, 0], direct, rtol=0.0, atol=1e-10)
 
     def test_bad_shapes_raise(self, plant_view, fit_101):
         """Every model's sweep checks its shapes (n = 3, m = 1 here)."""

@@ -1804,7 +1804,7 @@ def test_a_reloaded_trace_certifies_as_the_trace_in_memory(tmp_path_factory, see
     read back by ``load_trace`` under the configuration it ran under, gives
     the report of the trace in memory: ``verify_decrease`` with the
     iteration cap agrees bit for bit in ``errors``, ``decay_r2``,
-    ``lyapunov``, ``alpha`` and the capped solves, with the same verdict."""
+    ``deltas``, ``alpha`` and the capped solves, with the same verdict."""
     cfg = twotank.BenchmarkConfig(horizon=horizon, q_weight=q, r_weight=r)
     mpc_cfg = bench.make_mpc_config(cfg)
     storage = stability.storage_matrix(cfg.dims, mpc_cfg.weights)
@@ -1815,10 +1815,10 @@ def test_a_reloaded_trace_certifies_as_the_trace_in_memory(tmp_path_factory, see
         f, f, mpc_cfg, x0, steps, storage_matrix=storage.P, normalization=cfg.normalization()
     )
     path = tmp_path_factory.mktemp("trace") / "trace_norm.csv"
-    fileio.save_trace(trace, path, cfg, raw=False)
+    fileio.save_trace(trace, path, cfg)
     back = fileio.load_trace(path, cfg.dims, cfg.horizon, cfg.normalization())
     held, loaded = (stability.verify_decrease(t, storage, max_iters=mpc_cfg.solver.max_iters) for t in (trace, back))
-    for name in ("errors", "decay_r2", "lyapunov"):
+    for name in ("errors", "decay_r2", "deltas"):
         assert np.asarray(getattr(loaded, name)).tobytes() == np.asarray(getattr(held, name)).tobytes(), name
     assert (loaded.alpha, loaded.verdict, loaded.capped_solves) == (held.alpha, held.verdict, held.capped_solves)
 

@@ -21,6 +21,10 @@ The README's "Report keys" table lists every key that the fit and
 stability reports of a benchmark bundle write, and no other, and its
 "Configuration keys" table is ``CONFIG_KEYS``: each key with its field
 and type.
+
+A benchmark bundle records each value once: no data column of one
+arm's CSV tables repeats a column of another of its tables, and its
+files are those of the README's "Artifacts" table.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from narxmpc import BenchmarkConfig, make_mpc_config, run_benchmark, storage_matrix, verify_decrease
-from narxmpc.fileio import read_keyvalues, save_stability_report
+from narxmpc.bench import check_model_errors
+from narxmpc.fileio import read_csv, read_keyvalues, save_stability_report
 from narxmpc.stability import VERDICT_VIOLATED
 from narxmpc.twotank import CONFIG_KEYS
 from oracles import quiet
@@ -215,6 +220,7 @@ def _written_keys(tmp_path: Path) -> set[tuple[str, str]]:
     storage = storage_matrix(cfg.dims, make_mpc_config(cfg).weights)
     report = verify_decrease(rising, storage, growth=arm.growth)
     assert report.verdict == VERDICT_VIOLATED
+    check_model_errors(report, arm.model, rising, arm.constants)
     save_stability_report(report, tmp_path / "violated.txt", tmp_path / "violated_steps.csv")
     read("stability", tmp_path / "violated.txt")
     return written
@@ -229,3 +235,31 @@ def test_readme_lists_every_report_key(tmp_path):
 def test_readme_lists_the_config_keys():
     rows = [tuple(row[:3]) for row in _table_rows("Configuration keys")]
     assert rows == [(key, field, cast.__name__) for key, (field, cast) in CONFIG_KEYS.items()]
+
+
+def test_the_bundle_records_each_value_once(benchmark_run):
+    """Over the standard bundle, no column but ``k`` of one arm's CSV
+    tables equals a column of another table of the same arm, bit for bit
+    with NaN equal to NaN; across arms, columns may coincide in value
+    (both loops converge at every step).  The bundle's files are the
+    README's "Artifacts" table for each dataset size."""
+    result, _ = benchmark_run
+    repeats = []
+    for d in result.arms:
+        tables = {path.name: read_csv(path) for path in result.outputs if path.name.endswith(f"_D{d}.csv")}
+        assert sorted(tables) == [f"{stem}_D{d}.csv" for stem in ("model", "stability_steps", "trace_norm")]
+        columns = [
+            (file, name, table[:, index])
+            for file, (header, table) in tables.items()
+            for index, name in enumerate(header)
+            if name != "k"
+        ]
+        repeats += [
+            f"{file}:{name} = {other_file}:{other_name}"
+            for i, (file, name, values) in enumerate(columns)
+            for other_file, other_name, other in columns[i + 1 :]
+            if other_file != file and np.array_equal(values, other, equal_nan=True)
+        ]
+    assert repeats == []
+    listed = [row[0].replace("<d>", str(d)) for d in result.arms for row in _table_rows("Artifacts")]
+    assert sorted(path.name for path in result.outputs) == sorted(listed)
